@@ -1,5 +1,5 @@
 //! The global (cross-file) rules: R11 lock-order graph, R12
-//! no-blocking-in-poll-thread, R13 panic-free request path.
+//! no-blocking-in-connection-reader, R13 panic-free request path.
 //!
 //! These rules need what no single file can provide: which locks are
 //! held when a call crosses into another file, and which functions the
@@ -24,9 +24,10 @@
 //!    declared ordering file is provided, every edge must also agree
 //!    with the declared total order and every participant must be
 //!    declared.
-//! 4. **R12** — functions reachable from the IO poll roots
-//!    ([`POLL_ROOTS`]) may not acquire locks, block on channels, sleep,
-//!    or touch the filesystem.
+//! 4. **R12** — functions reachable from the connection-reader roots
+//!    ([`READER_ROOTS`]) block on nothing but the reader's own socket
+//!    read: no lock, no blocking channel `send`/`recv`, no sleep, no
+//!    file IO.
 //! 5. **R13** — functions reachable from the request-path roots
 //!    ([`REQUEST_ROOTS`]) may not contain `unwrap` / `expect` /
 //!    panicking macros. The directive `analysis-allow: panic-ok` (or the
@@ -39,20 +40,23 @@ use crate::parser::{calls_in, Call, ParsedFile};
 use crate::rules::{emit_global, FileReport};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Entry points of the IO poll pass (path suffix, function name). Code
-/// reachable from these runs on the single poll thread every connection
-/// shares; one blocking call stalls all of them (R12).
-pub const POLL_ROOTS: &[(&str, &str)] = &[("crates/wire/src/server.rs", "io_loop")];
+/// Entry points of a connection's reader thread (path suffix, function
+/// name). Code reachable from these frames, admits and enqueues a peer's
+/// requests; it may wait for that peer's bytes and nothing else. A
+/// reader parked on a full job queue or a sleep would leave overload
+/// unanswered instead of answered `busy` (R12).
+pub const READER_ROOTS: &[(&str, &str)] = &[("crates/wire/src/server.rs", "read_loop")];
 
 /// Entry points of the request path (path suffix, function name): the
-/// per-tier service handlers plus the poll loop that frames their
-/// traffic. A panic here kills a worker or the poll thread mid-request
-/// (R13).
+/// per-tier service handlers, the reader that frames their traffic and
+/// the worker loop that writes their replies. A panic here kills a
+/// worker or a reader mid-request (R13).
 pub const REQUEST_ROOTS: &[(&str, &str)] = &[
     ("crates/wire/src/services/ua.rs", "handle"),
     ("crates/wire/src/services/ia.rs", "handle"),
     ("crates/wire/src/services/lrs.rs", "handle"),
-    ("crates/wire/src/server.rs", "io_loop"),
+    ("crates/wire/src/server.rs", "read_loop"),
+    ("crates/wire/src/server.rs", "work"),
 ];
 
 /// Method names never resolved to same-crate functions: each is a
@@ -108,8 +112,9 @@ pub const RESOLUTION_STOPLIST: &[&str] = &[
     "drop",
 ];
 
-/// Channel operations that block the calling thread.
-const BLOCKING_CHANNEL_OPS: &[&str] = &["recv", "recv_timeout", "wait", "wait_timeout"];
+/// Channel operations that block the calling thread (`send` on a
+/// bounded queue waits for room; the `try_` forms do not).
+const BLOCKING_CHANNEL_OPS: &[&str] = &["send", "recv", "recv_timeout", "wait", "wait_timeout"];
 
 /// Filesystem entry points (`X::` / `fs::x(...)` forms).
 const FS_TYPES: &[&str] = &["File", "OpenOptions"];
@@ -224,8 +229,8 @@ pub fn analyze_global(files: &[ParsedFile], lock_order_decl: Option<&str>) -> Gl
         .collect();
 
     lock_order_rule(&facts, lock_order_decl, &lex_by_path, &mut out);
-    let poll_reach = reachable(&facts, POLL_ROOTS);
-    for &i in &poll_reach {
+    let reader_reach = reachable(&facts, READER_ROOTS);
+    for &i in &reader_reach {
         let f = &facts[i];
         let lex = &lex_by_path[f.path.as_str()].lex;
         for (line, desc) in &f.blocking {
@@ -235,7 +240,7 @@ pub fn analyze_global(files: &[ParsedFile], lock_order_decl: Option<&str>) -> Gl
                 "R12",
                 &f.path,
                 *line,
-                format!("{desc} in `{}`, reachable from the IO poll thread", f.name),
+                format!("{desc} in `{}`, reachable from a connection reader", f.name),
             );
         }
     }
@@ -863,8 +868,8 @@ mod tests {
     }
 
     #[test]
-    fn poll_thread_lock_and_sleep_fire_r12() {
-        let src = "fn io_loop(&self) {\n    let g = self.conns.lock();\n    std::thread::sleep(d);\n    helper();\n}\nfn helper() { ch.recv(); }\n";
+    fn reader_lock_sleep_and_blocking_channel_ops_fire_r12() {
+        let src = "fn read_loop(&self) {\n    let g = self.conns.lock();\n    std::thread::sleep(d);\n    helper();\n}\nfn helper() { ch.recv(); jobs.send(job); jobs.try_send(job); }\n";
         let g = run(&[("crates/wire/src/server.rs", src)], None);
         let r12: Vec<_> = g
             .report
@@ -872,19 +877,19 @@ mod tests {
             .iter()
             .filter(|f| f.rule == "R12")
             .collect();
-        assert_eq!(r12.len(), 3, "{r12:?}");
+        assert_eq!(r12.len(), 4, "{r12:?}");
     }
 
     #[test]
     fn stream_read_with_args_is_not_a_lock() {
-        let src = "fn io_loop(&self) { stream.read(&mut buf); out.write(&bytes); }\n";
+        let src = "fn read_loop(&self) { stream.read(&mut buf); out.write(&bytes); }\n";
         let g = run(&[("crates/wire/src/server.rs", src)], None);
         assert!(g.report.findings.is_empty());
     }
 
     #[test]
     fn r12_suppression_is_recorded() {
-        let src = "fn io_loop(&self) {\n    // analysis-allow: R12 idle backoff, poll pass made no progress\n    std::thread::sleep(d);\n}\n";
+        let src = "fn read_loop(&self) {\n    // analysis-allow: R12 the connection's own writer lock\n    let g = conn.writer.lock();\n}\n";
         let g = run(&[("crates/wire/src/server.rs", src)], None);
         assert!(g.report.findings.is_empty());
         assert_eq!(g.report.suppressions.len(), 1);
@@ -916,11 +921,11 @@ mod tests {
 
     #[test]
     fn test_regions_and_test_files_exempt() {
-        let src = "fn io_loop(&self) {}\n#[cfg(test)]\nmod tests {\n  fn t() { x.lock(); y.unwrap(); }\n}\n";
+        let src = "fn read_loop(&self) {}\n#[cfg(test)]\nmod tests {\n  fn t() { x.lock(); y.unwrap(); }\n}\n";
         let g = run(&[("crates/wire/src/server.rs", src)], None);
         assert!(g.report.findings.is_empty());
         let g2 = run(
-            &[("crates/wire/tests/e2e.rs", "fn io_loop() { x.lock(); }")],
+            &[("crates/wire/tests/e2e.rs", "fn read_loop() { x.lock(); }")],
             None,
         );
         assert!(g2.report.findings.is_empty());

@@ -330,11 +330,11 @@ mod tests {
 
     #[test]
     fn parses_fn_names_params_and_bodies() {
-        let src = "pub fn io_loop(conn_rx: Receiver<TcpStream>, stop: Arc<AtomicBool>) -> u64 {\n    let x = 1;\n    x\n}\nfn sig_only(a: u8);\n";
+        let src = "pub fn read_loop(conn_rx: Receiver<TcpStream>, stop: Arc<AtomicBool>) -> u64 {\n    let x = 1;\n    x\n}\nfn sig_only(a: u8);\n";
         let lexed = lex(src);
         let fns = functions(&lexed.tokens);
         assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].name, "io_loop");
+        assert_eq!(fns[0].name, "read_loop");
         assert_eq!(fns[0].params.len(), 2);
         assert_eq!(fns[0].params[0].name, "conn_rx");
         assert_eq!(

@@ -21,7 +21,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("R9", "non-ct-secret-compare"),
     ("R10", "secret-taint-dataflow"),
     ("R11", "lock-order-graph"),
-    ("R12", "blocking-in-poll-thread"),
+    ("R12", "blocking-in-connection-reader"),
     ("R13", "panic-on-request-path"),
 ];
 

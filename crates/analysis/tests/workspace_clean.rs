@@ -184,9 +184,10 @@ fn seeded_lock_inversion_in_real_scrape_source_is_caught() {
 }
 
 #[test]
-fn stripping_the_poll_sleep_directive_resurfaces_r12() {
-    // R12: the idle-backoff sleep in the real `io_loop` is allowed only
-    // because of its audited directive — removing the directive (without
+fn stripping_the_writer_lock_directive_resurfaces_r12() {
+    // R12: the real connection reader answers `busy` and scrapes under
+    // its connection's writer lock, allowed only because of the audited
+    // directive on that acquisition — removing the directive (without
     // touching the code) must bring the finding back.
     let path = workspace_root().join("crates/wire/src/server.rs");
     let original = std::fs::read_to_string(&path).expect("read server.rs");
@@ -200,7 +201,7 @@ fn stripping_the_poll_sleep_directive_resurfaces_r12() {
     );
     assert!(
         clean.report.suppressions.iter().any(|s| s.rule == "R12"),
-        "the audited sleep must be visible as a suppression"
+        "the audited writer lock must be visible as a suppression"
     );
 
     let stripped = original.replace("analysis-allow: R12", "note:");
@@ -208,8 +209,34 @@ fn stripping_the_poll_sleep_directive_resurfaces_r12() {
     let parsed = parse_source("crates/wire/src/server.rs", &stripped);
     let global = analyze_global(std::slice::from_ref(&parsed), None);
     assert!(
-        global.report.findings.iter().any(|f| f.rule == "R12"),
-        "stripping the directive must resurface the poll-thread sleep: {:#?}",
+        global
+            .report
+            .findings
+            .iter()
+            .any(|f| f.rule == "R12" && f.message.contains("lock acquisition")),
+        "stripping the directive must resurface the reader's writer lock: {:#?}",
+        global.report.findings
+    );
+}
+
+#[test]
+fn seeded_blocking_send_in_real_reader_is_caught() {
+    // R12: swapping the reader's `try_send` for a blocking `send` on the
+    // bounded job queue — the edit that would turn overload from `busy`
+    // replies into a hang — must fire.
+    let path = workspace_root().join("crates/wire/src/server.rs");
+    let original = std::fs::read_to_string(&path).expect("read server.rs");
+    let seeded = original.replace("job_tx.try_send(job)", "job_tx.send(job)");
+    assert_ne!(seeded, original, "the reader's try_send should exist");
+    let parsed = parse_source("crates/wire/src/server.rs", &seeded);
+    let global = analyze_global(std::slice::from_ref(&parsed), None);
+    assert!(
+        global
+            .report
+            .findings
+            .iter()
+            .any(|f| f.rule == "R12" && f.message.contains("`.send()`")),
+        "a blocking send reachable from the reader must fire R12: {:#?}",
         global.report.findings
     );
 }

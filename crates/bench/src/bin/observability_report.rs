@@ -58,7 +58,7 @@ const MAX_OVERHEAD: f64 = 0.05;
 /// Scrape cadence during the scraped trials. Dense by monitoring
 /// standards (Prometheus defaults to 15 s) so short trials still see
 /// several passes, but spaced enough that the inline snapshot
-/// serialization does not dominate the io-loop.
+/// serialization stays a sliver of the scraped nodes' CPU.
 const SCRAPE_INTERVAL: Duration = Duration::from_millis(250);
 
 #[derive(Debug)]

@@ -9,11 +9,11 @@
 //! * [`frame`] — the versioned, length-prefixed binary codec with
 //!   constant-size padding classes (§4.3: on-wire frames of a class are
 //!   indistinguishable by length).
-//! * [`server`] — a multi-threaded non-blocking server: acceptor thread,
-//!   one IO thread owning per-connection read/write buffers, and a worker
-//!   pool fed through a bounded queue behind the existing
-//!   [`pprox_core::resilience::AdmissionGate`]. Graceful drain on
-//!   shutdown.
+//! * [`server`] — a multi-threaded event-driven server: an acceptor
+//!   blocking in `accept()`, one reader thread per connection blocking in
+//!   `read()`, and a worker pool fed through a bounded queue behind the
+//!   existing [`pprox_core::resilience::AdmissionGate`]; workers write
+//!   replies straight to the socket. Graceful drain on shutdown.
 //! * [`client`] — a connection-pooled client with per-call deadlines and
 //!   decorrelated-jitter reconnect, reusing
 //!   [`pprox_core::resilience::RetryBackoff`].

@@ -3,7 +3,7 @@
 //!
 //! Every [`crate::server::WireServer`] owns a [`NodeMetrics`] hub that
 //! the serving hot paths update lock-free: accept rate, open
-//! connections, IO-poll pass latency, job-queue depth high-water,
+//! connections, reader pass latency, job-queue depth high-water,
 //! admission sheds, worker busy time, pooled-client reconnect/retry
 //! counters, UA shuffle-buffer occupancy and flush causes, and the
 //! supervisor's probe/respawn history. A node answers a *metrics
@@ -148,7 +148,8 @@ impl From<FrameError> for ScrapeError {
 
 /// The per-node metrics hub. One lives inside every
 /// [`crate::server::WireServer`]; the serving layers update it
-/// lock-free and the IO thread renders it into the scrape response.
+/// lock-free and the scraping connection's reader thread renders it
+/// into the scrape response.
 ///
 /// Everything here is an aggregate: monotone counters, gauges, and
 /// log-linear histograms. Per-request identifiers never enter this
@@ -326,7 +327,9 @@ impl NodeMetrics {
         self.worker_busy_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    /// Records the working (non-sleep) time of one IO-poll pass.
+    /// Records one busy reader pass: from a socket read returning bytes
+    /// to the last complete frame in them admitted or answered. (The
+    /// `poll_loop` schema key predates the per-connection readers.)
     pub fn record_poll_pass_us(&self, us: u64) {
         self.poll_loop.record(us);
     }

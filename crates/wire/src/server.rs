@@ -1,21 +1,30 @@
-//! The multi-threaded, non-blocking TCP serving layer.
+//! The multi-threaded, event-driven TCP serving layer.
 //!
 //! Thread model (mirroring the paper's §5 server/data-processing split):
 //!
 //! ```text
-//! acceptor ──new conns──► IO thread ──jobs (bounded, gated)──► workers
-//!                         ▲   per-conn read/write buffers         │
-//!                         └────────── responses ──────────────────┘
+//! acceptor ──spawns──► reader (one per connection, blocks in read())
+//!                         │ jobs (bounded try_send, admission-gated)
+//!                         ▼
+//!                      workers ── FrameHandler::handle
+//!                         │ reply, under the connection's writer lock
+//!                         ▼
+//!                      the connection's socket
 //! ```
 //!
-//! * the **acceptor** owns the listener and hands accepted sockets to
-//!   the IO thread;
-//! * the **IO thread** owns every connection: it reads without blocking
-//!   into per-connection buffers, frames complete requests, and writes
-//!   queued responses back without blocking;
+//! * the **acceptor** blocks in `accept()` and gives every accepted
+//!   socket a reader thread;
+//! * a **reader** blocks in `read()` on its own socket, frames complete
+//!   requests in place from its read buffer and hands them to the
+//!   workers; nothing else it does can block on another connection;
 //! * **workers** run the [`FrameHandler`] — the enclave ECALLs and
-//!   next-hop calls — off the IO thread so one slow request cannot
-//!   stall the sockets.
+//!   next-hop calls — and write each reply straight to the socket it
+//!   came from.
+//!
+//! No thread polls: every wait is a kernel wake-up (`accept`, `read`, the
+//! job queue's condition variable). A server sees the driver's one
+//! connection or an upstream tier's pool — a dozen connections — so a
+//! thread per connection is cheap, and safe `std` has no readiness API.
 //!
 //! Backpressure is explicit and bounded at two points: the
 //! [`AdmissionGate`](pprox_core::resilience::AdmissionGate) caps
@@ -23,21 +32,24 @@
 //! request that fails either bound is answered *immediately* with a
 //! constant-size `busy` control frame — never an unbounded queue, never
 //! a silent drop (§5's "fast, typed errors" discipline, same as the
-//! in-process pipeline).
+//! in-process pipeline). A peer that stops reading its replies costs one
+//! write timeout, after which its connection is cut.
 //!
-//! Shutdown is a graceful drain: stop accepting, stop reading new
-//! frames, let admitted work finish, flush response buffers, then join.
+//! Shutdown is a graceful drain: stop accepting, close the read half of
+//! every connection so the readers exit, flush the handler's buffers,
+//! let admitted work finish and be answered, then join.
 
 use crate::frame::{parse_header, Frame, PadClass, HEADER_LEN};
 use crate::scrape::{is_scrape_request, scrape_response_frames, NodeMetrics};
 use crate::WireStatus;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use parking_lot::Mutex;
 use pprox_core::resilience::{AdmissionGate, AdmissionPermit, Deadline};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,15 +80,17 @@ pub trait FrameHandler: Send + Sync + 'static {
 pub struct ServerConfig {
     /// Worker threads running the handler.
     pub workers: usize,
-    /// Bounded depth of the IO→worker queue.
+    /// Bounded depth of the reader→worker queue.
     pub queue_depth: usize,
     /// Maximum requests admitted and not yet answered (admission gate).
     pub max_inflight: usize,
-    /// Per-request processing budget, stamped at admission.
+    /// Per-request processing budget, stamped at admission. A quarter of
+    /// it is the write timeout of every accepted socket: a peer that
+    /// stops reading is cut while requests queued behind the blocked
+    /// write still have most of their budget.
     pub request_budget: Duration,
-    /// IO-thread sleep when every socket is idle.
-    pub poll_interval: Duration,
-    /// Drain budget during shutdown before outstanding work is abandoned.
+    /// Drain budget during shutdown: admitted work not started by then is
+    /// answered `unavailable` instead of run.
     pub drain_timeout: Duration,
     /// The node's metrics hub, answering Control-class metrics scrapes
     /// and accumulating across respawns. When absent the server creates
@@ -91,21 +105,10 @@ impl Default for ServerConfig {
             queue_depth: 256,
             max_inflight: 256,
             request_budget: Duration::from_secs(2),
-            poll_interval: Duration::from_micros(200),
             drain_timeout: Duration::from_secs(5),
             metrics: None,
         }
     }
-}
-
-/// Wire-level counters for one server (monotone, lock-free).
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    shed: AtomicU64,
-    protocol_errors: AtomicU64,
 }
 
 /// Point-in-time snapshot of a server's counters.
@@ -123,161 +126,166 @@ pub struct ServerStats {
     pub protocol_errors: u64,
 }
 
+/// Reader threads frame, admit and enqueue; they never run a handler, so
+/// a small stack keeps a connection's memory cost at its read buffer.
+const READER_STACK: usize = 128 * 1024;
+
+/// Read buffer per connection; holds a dozen pipelined request frames.
+const READ_BUF: usize = 16 * 1024;
+
+/// One accepted connection, shared by its reader and by every job read
+/// from it; the socket closes when the last of them lets go.
 struct Conn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    written: usize,
-    open: bool,
+    /// Held for one batch of whole-frame writes. The flag is `false`
+    /// once a write failed or timed out: the stream may hold a torn
+    /// frame, so later replies are dropped unsent.
+    writer: Mutex<bool>,
 }
 
 struct WorkerJob {
-    conn: u64,
+    conn: Arc<Conn>,
     corr: u64,
     payload: Vec<u8>,
     deadline: Deadline,
     permit: AdmissionPermit,
 }
 
-struct Outgoing {
-    conn: u64,
-    bytes: Vec<u8>,
+/// State shared by the acceptor, the readers and the workers.
+///
+/// The plain counters stay per-incarnation ([`WireServer::stats`]
+/// semantics); `metrics` accumulates for the node, surviving respawns.
+struct Shared {
+    stop: AtomicBool,
+    gate: AdmissionGate,
+    metrics: Arc<NodeMetrics>,
+    request_budget: Duration,
+    /// Set when shutdown begins; work dequeued after it is not run.
+    drain_deadline: OnceLock<Deadline>,
+    /// Live connections, so shutdown can wake their readers. A reader
+    /// thread removes its own entry when it exits.
+    conns: Mutex<HashMap<u64, Arc<Conn>>>,
+    accepted: AtomicU64,
+    frames_in: AtomicU64,
+    frames_out: AtomicU64,
+    shed: AtomicU64,
+    protocol_errors: AtomicU64,
+}
+
+impl Shared {
+    /// Writes `frames` to `conn` as one batch, counting each frame that
+    /// reached the socket. The first failed or timed-out write cuts the
+    /// connection, so a peer that never reads costs the worker pool one
+    /// write timeout, not one per reply.
+    fn reply(&self, conn: &Conn, frames: &[Frame]) {
+        let mut bytes = Vec::with_capacity(frames.iter().map(|f| f.class.wire_len()).sum());
+        let mut encoded = 0u64;
+        for frame in frames.iter().flat_map(Frame::encode) {
+            bytes.extend_from_slice(&frame);
+            encoded += 1;
+        }
+        // analysis-allow: R12 the connection's own writer lock: only
+        // replies to this same peer contend, each bounded by the socket's
+        // write timeout
+        let mut alive = conn.writer.lock();
+        if !*alive {
+            return;
+        }
+        if write_whole(&conn.stream, &bytes) {
+            self.frames_out.fetch_add(encoded, Ordering::Relaxed);
+            self.metrics.on_frames_out(encoded);
+        } else {
+            *alive = false;
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    fn reply_status(&self, conn: &Conn, corr: u64, status: WireStatus) {
+        self.reply(conn, &[control_frame(corr, status)]);
+    }
+
+    fn on_shed(&self) {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.on_shed();
+    }
+
+    fn on_protocol_error(&self) {
+        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        self.metrics.on_protocol_error();
+    }
 }
 
 /// A running TCP server on `127.0.0.1`, serving one [`FrameHandler`].
 pub struct WireServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    gate: AdmissionGate,
-    counters: Arc<Counters>,
-    metrics: Arc<NodeMetrics>,
+    shared: Arc<Shared>,
     handler: Arc<dyn FrameHandler>,
-    handles: Vec<JoinHandle<()>>,
+    drain_timeout: Duration,
+    /// Returns the reader handles it still holds when it exits.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WireServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WireServer")
             .field("addr", &self.addr)
-            .field("threads", &self.handles.len())
+            .field("workers", &self.workers.len())
             .finish()
     }
 }
 
 impl WireServer {
     /// Binds a loopback listener on an OS-assigned port and spawns the
-    /// acceptor, IO, and worker threads.
+    /// acceptor and worker threads.
     ///
     /// # Errors
     ///
     /// Socket errors from bind/configure.
     pub fn spawn(handler: Arc<dyn FrameHandler>, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let gate = AdmissionGate::new(config.max_inflight.max(1));
-        let counters = Arc::new(Counters::default());
-        // `Counters` stays per-incarnation (`stats()` semantics);
-        // `NodeMetrics` accumulates for the node, surviving respawns.
         let metrics = config
             .metrics
             .clone()
             .unwrap_or_else(|| Arc::new(NodeMetrics::detached()));
         metrics.set_workers(config.workers.max(1) as u64);
-
-        let (conn_tx, conn_rx) = unbounded::<TcpStream>();
+        let shared = Arc::new(Shared {
+            stop: AtomicBool::new(false),
+            gate: AdmissionGate::new(config.max_inflight.max(1)),
+            metrics,
+            request_budget: config.request_budget,
+            drain_deadline: OnceLock::new(),
+            conns: Mutex::new(HashMap::new()),
+            accepted: AtomicU64::new(0),
+            frames_in: AtomicU64::new(0),
+            frames_out: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+        });
         let (job_tx, job_rx) = bounded::<WorkerJob>(config.queue_depth.max(1));
-        let (resp_tx, resp_rx) = unbounded::<Outgoing>();
 
-        let mut handles = Vec::new();
-
-        // Acceptor: non-blocking accept loop; exits on the stop flag.
-        {
-            let stop = stop.clone();
-            let counters = counters.clone();
-            let metrics = metrics.clone();
-            let poll = config.poll_interval;
-            handles.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            counters.accepted.fetch_add(1, Ordering::Relaxed);
-                            metrics.on_accept();
-                            if stream.set_nonblocking(true).is_ok() && conn_tx.send(stream).is_err()
-                            {
-                                break; // IO thread gone
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(poll);
-                        }
-                        Err(_) => std::thread::sleep(poll),
-                    }
-                }
-                // Dropping `conn_tx` (and the listener) tells the IO
-                // thread no further connections will arrive.
-            }));
-        }
-
-        // Workers: run the handler, push responses back to the IO thread.
-        for _ in 0..config.workers.max(1) {
-            let rx = job_rx.clone();
-            let tx = resp_tx.clone();
-            let handler = handler.clone();
-            let metrics = metrics.clone();
-            handles.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    metrics.on_dequeue();
-                    let busy_from = Instant::now();
-                    let result = if job.deadline.expired() {
-                        Err(WireStatus::Deadline)
-                    } else {
-                        handler.handle(job.payload, job.deadline)
-                    };
-                    metrics.add_worker_busy_us(busy_from.elapsed().as_micros() as u64);
-                    let frame = match result {
-                        Ok(payload) => match Frame::new(PadClass::Response, job.corr, payload) {
-                            Ok(f) => f,
-                            Err(_) => control_frame(job.corr, WireStatus::Failed),
-                        },
-                        Err(status) => control_frame(job.corr, status),
-                    };
-                    if let Ok(bytes) = frame.encode() {
-                        let _ = tx.send(Outgoing {
-                            conn: job.conn,
-                            bytes,
-                        });
-                    }
-                    drop(job.permit); // request answered: free the slot
-                }
-            }));
-        }
-        drop(job_rx);
-        drop(resp_tx);
-
-        // IO thread: owns every connection's buffers.
-        {
-            let stop = stop.clone();
-            let gate = gate.clone();
-            let counters = counters.clone();
-            let metrics = metrics.clone();
-            let config = config.clone();
-            handles.push(std::thread::spawn(move || {
-                io_loop(
-                    conn_rx, job_tx, resp_rx, stop, gate, counters, metrics, config,
-                );
-            }));
-        }
+        let workers = (0..config.workers.max(1))
+            .map(|_| {
+                let (rx, shared, handler) = (job_rx.clone(), shared.clone(), handler.clone());
+                std::thread::spawn(move || work(&rx, &shared, handler.as_ref()))
+            })
+            .collect();
+        // The acceptor owns the queue's original sender and every reader a
+        // clone, so the workers see the queue close exactly when the last
+        // of them has exited.
+        let acceptor = {
+            let shared = shared.clone();
+            std::thread::spawn(move || accept_loop(&listener, &shared, &job_tx))
+        };
 
         Ok(WireServer {
             addr,
-            stop,
-            gate,
-            counters,
-            metrics,
+            shared,
             handler,
-            handles,
+            drain_timeout: config.drain_timeout,
+            acceptor: Some(acceptor),
+            workers,
         })
     }
 
@@ -288,36 +296,60 @@ impl WireServer {
 
     /// Requests admitted and not yet answered.
     pub fn in_flight(&self) -> usize {
-        self.gate.in_flight()
+        self.shared.gate.in_flight()
     }
 
     /// The node metrics hub this server reports into (and serves over
     /// the scrape protocol).
     pub fn metrics(&self) -> &Arc<NodeMetrics> {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ServerStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ServerStats {
-            accepted: self.counters.accepted.load(Ordering::Relaxed),
-            frames_in: self.counters.frames_in.load(Ordering::Relaxed),
-            frames_out: self.counters.frames_out.load(Ordering::Relaxed),
-            shed: self.counters.shed.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
+            accepted: load(&self.shared.accepted),
+            frames_in: load(&self.shared.frames_in),
+            frames_out: load(&self.shared.frames_out),
+            shed: load(&self.shared.shed),
+            protocol_errors: load(&self.shared.protocol_errors),
         }
     }
 
-    /// Graceful drain: stop accepting and reading, flush the handler's
-    /// internal buffers ([`FrameHandler::drain`]), finish admitted work,
-    /// flush write buffers, join every thread. Idempotent.
+    /// Graceful drain: stop accepting, close every connection's read
+    /// half so the readers exit, flush the handler's internal buffers
+    /// ([`FrameHandler::drain`]), let the workers answer admitted work,
+    /// join every thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // After the stop flag: no new frames are read, so everything the
-        // handler flushes now is the complete set of buffered requests.
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        self.shared.stop.store(true, Ordering::Release);
+        let _ = self
+            .shared
+            .drain_deadline
+            .set(Deadline::starting_now(self.drain_timeout));
+        // The acceptor is blocked in `accept()`: a throw-away connection
+        // wakes it to see the flag.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        let readers = acceptor.join().unwrap_or_default();
+        // No connection is registered after the acceptor exits. Copy the
+        // registry out: the readers woken here lock it to leave it.
+        let conns: Vec<Arc<Conn>> = self.shared.conns.lock().values().cloned().collect();
+        for conn in conns {
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
+        for reader in readers {
+            let _ = reader.join();
+        }
+        // No frame is read any more, so what the handler flushes now is
+        // the complete set of buffered requests; and with the last reader
+        // gone the job queue is closed, so the workers exit once it is
+        // empty.
         self.handler.drain();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -325,6 +357,19 @@ impl WireServer {
 impl Drop for WireServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// One blocking `write` that must take every byte. Unlike `write_all`
+/// a short count is a failure: a blocking socket returns one only when
+/// its write timeout fired mid-buffer, and carrying on would wait a
+/// whole timeout again for a peer that is not reading.
+fn write_whole(mut stream: &TcpStream, bytes: &[u8]) -> bool {
+    loop {
+        match stream.write(bytes) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            written => return matches!(written, Ok(n) if n == bytes.len()),
+        }
     }
 }
 
@@ -339,243 +384,182 @@ fn control_frame(corr: u64, status: WireStatus) -> Frame {
     }
 }
 
-/// One pass of non-blocking reads on `conn`; returns complete frames'
-/// raw bytes and whether the connection is still usable.
-fn read_frames(conn: &mut Conn, counters: &Counters, metrics: &NodeMetrics) -> Vec<(u64, Vec<u8>)> {
-    let mut chunk = [0u8; 4096];
+/// The acceptor: blocks in `accept()`, registers each connection and
+/// gives it a reader thread. Returns the reader handles at shutdown.
+fn accept_loop(
+    listener: &TcpListener,
+    shared: &Arc<Shared>,
+    job_tx: &Sender<WorkerJob>,
+) -> Vec<JoinHandle<()>> {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id: u64 = 0;
     loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.open = false;
-                break;
-            }
-            Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.open = false;
-                break;
-            }
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::Acquire) {
+            return readers;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            // Out of descriptors or an aborted handshake: nothing to wait
+            // on but the next attempt.
+            std::thread::yield_now();
+            continue;
+        };
+        shared.accepted.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.on_accept();
+        // Replies are whole frames: send each at once instead of holding
+        // it for the peer's delayed ACK of the one before.
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(shared.request_budget / 4));
+        let conn = Arc::new(Conn {
+            stream,
+            writer: Mutex::new(true),
+        });
+        let id = next_id;
+        next_id += 1;
+        set_conn(shared, id, Some(conn.clone()));
+        let (shared_r, job_tx) = (shared.clone(), job_tx.clone());
+        let reader = std::thread::Builder::new()
+            .stack_size(READER_STACK)
+            .spawn(move || {
+                read_loop(&conn, &shared_r, &job_tx);
+                set_conn(&shared_r, id, None);
+            });
+        // Connections come and go; keep handles of live readers only.
+        readers.retain(|r| !r.is_finished());
+        match reader {
+            Ok(handle) => readers.push(handle),
+            Err(_) => set_conn(shared, id, None),
         }
     }
-    let mut frames = Vec::new();
+}
+
+/// Registers (`Some`) or removes (`None`) a connection and republishes
+/// the registry's size as the open-connections gauge.
+fn set_conn(shared: &Shared, id: u64, conn: Option<Arc<Conn>>) {
+    let mut conns = shared.conns.lock();
+    match conn {
+        Some(conn) => conns.insert(id, conn),
+        None => conns.remove(&id),
+    };
+    shared.metrics.set_open_connections(conns.len() as u64);
+}
+
+/// A connection's reader: blocks in `read()` on its own socket and on
+/// nothing else (R12) — admission and the job queue are `try_` calls, so
+/// overload is answered `busy` at once. Returns when the peer closes,
+/// sends bytes that do not frame, or the server shuts the read half.
+fn read_loop(conn: &Arc<Conn>, shared: &Shared, job_tx: &Sender<WorkerJob>) {
+    let mut buf = vec![0u8; READ_BUF];
+    let mut filled = 0;
     loop {
-        if conn.read_buf.len() < HEADER_LEN {
-            break;
+        // `buf` is longer than any frame, so there is always room.
+        match (&conn.stream).read(&mut buf[filled..]) {
+            Ok(0) => return,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
         }
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&conn.read_buf[..HEADER_LEN]);
-        let (_, body_len, _) = match parse_header(&header) {
-            Ok(h) => h,
-            Err(_) => {
+        // Pass durations are bucketed into the hub's shared histogram;
+        // no per-pass timestamp leaves this loop.
+        let pass_started = Instant::now();
+        let mut pos = 0;
+        // Frame in place: each complete frame is decoded from its slice
+        // of the read buffer.
+        while let Some(header) = buf[pos..filled].first_chunk::<HEADER_LEN>() {
+            let Ok((_, body_len, corr)) = parse_header(header) else {
                 // Desynchronized or hostile peer: cut the connection
                 // rather than hunt for a resync point.
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                metrics.on_protocol_error();
-                conn.open = false;
-                conn.read_buf.clear();
-                return frames;
-            }
-        };
-        let total = HEADER_LEN + body_len;
-        if conn.read_buf.len() < total {
-            break;
-        }
-        let frame_bytes: Vec<u8> = conn.read_buf.drain(..total).collect();
-        let corr = u64::from_be_bytes([
-            frame_bytes[8],
-            frame_bytes[9],
-            frame_bytes[10],
-            frame_bytes[11],
-            frame_bytes[12],
-            frame_bytes[13],
-            frame_bytes[14],
-            frame_bytes[15],
-        ]);
-        frames.push((corr, frame_bytes));
-    }
-    frames
-}
-
-/// One pass of non-blocking writes on `conn`.
-fn write_pending(conn: &mut Conn, counters: &Counters, metrics: &NodeMetrics) {
-    while conn.written < conn.write_buf.len() {
-        match conn.stream.write(&conn.write_buf[conn.written..]) {
-            Ok(0) => {
-                conn.open = false;
+                return cut(conn, shared);
+            };
+            let end = pos + HEADER_LEN + body_len;
+            if end > filled {
                 break;
             }
-            Ok(n) => conn.written += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.open = false;
-                break;
-            }
+            shared.frames_in.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.on_frame_in();
+            let Ok(frame) = Frame::decode(&buf[pos..end]) else {
+                return cut(conn, shared);
+            };
+            admit(frame, corr, conn, shared, job_tx);
+            pos = end;
         }
-    }
-    if conn.written == conn.write_buf.len() && !conn.write_buf.is_empty() {
-        let flushed = conn.write_buf.len();
-        conn.write_buf.clear();
-        conn.written = 0;
-        let frames = (flushed / PadClass::Response.wire_len().min(flushed)) as u64;
-        counters.frames_out.fetch_add(frames, Ordering::Relaxed);
-        metrics.on_frames_out(frames);
+        buf.copy_within(pos..filled, 0);
+        filled -= pos;
+        shared
+            .metrics
+            .record_poll_pass_us(pass_started.elapsed().as_micros() as u64);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn io_loop(
-    conn_rx: Receiver<TcpStream>,
-    job_tx: Sender<WorkerJob>,
-    resp_rx: Receiver<Outgoing>,
-    stop: Arc<AtomicBool>,
-    gate: AdmissionGate,
-    counters: Arc<Counters>,
-    metrics: Arc<NodeMetrics>,
-    config: ServerConfig,
-) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_id: u64 = 0;
-    let mut draining_since: Option<Instant> = None;
-    loop {
-        let draining = stop.load(Ordering::Acquire);
-        if draining && draining_since.is_none() {
-            draining_since = Some(Instant::now());
-        }
-        // analysis-allow: R6 poll-pass latency is bucketed into the shared
-        // histogram; no raw per-pass timestamp leaves this loop.
-        let pass_started = Instant::now();
-        let mut progress = false;
+/// Drops a connection whose bytes do not frame.
+fn cut(conn: &Conn, shared: &Shared) {
+    shared.on_protocol_error();
+    let _ = conn.stream.shutdown(Shutdown::Both);
+}
 
-        // New connections (none arrive once the acceptor exits).
-        while let Ok(stream) = conn_rx.try_recv() {
-            conns.insert(
-                next_id,
-                Conn {
-                    stream,
-                    read_buf: Vec::new(),
-                    write_buf: Vec::new(),
-                    written: 0,
-                    open: true,
-                },
-            );
-            next_id += 1;
-            progress = true;
-        }
-        metrics.set_open_connections(conns.len() as u64);
-
-        // Worker responses → per-connection write buffers.
-        while let Ok(out) = resp_rx.try_recv() {
-            if let Some(conn) = conns.get_mut(&out.conn) {
-                conn.write_buf.extend_from_slice(&out.bytes);
-            }
-            progress = true;
-        }
-
-        // Per-connection IO.
-        let mut closed: Vec<u64> = Vec::new();
-        for (&id, conn) in conns.iter_mut() {
-            if conn.open && !draining {
-                for (corr, frame_bytes) in read_frames(conn, &counters, &metrics) {
-                    progress = true;
-                    counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                    metrics.on_frame_in();
-                    let frame = match Frame::decode(&frame_bytes) {
-                        Ok(f) => f,
-                        Err(_) => {
-                            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            metrics.on_protocol_error();
-                            conn.open = false;
-                            break;
-                        }
-                    };
-                    if frame.class != PadClass::Request {
-                        if is_scrape_request(&frame) {
-                            metrics.on_scrape();
-                            let snapshot = metrics.snapshot_json().to_json();
-                            for chunk in scrape_response_frames(corr, &snapshot) {
-                                respond_inline(conn, chunk);
-                            }
-                        } else {
-                            respond_inline(conn, control_frame(corr, WireStatus::Malformed));
-                        }
-                        continue;
-                    }
-                    let Some(permit) = gate.try_admit() else {
-                        counters.shed.fetch_add(1, Ordering::Relaxed);
-                        metrics.on_shed();
-                        respond_inline(conn, control_frame(corr, WireStatus::Busy));
-                        continue;
-                    };
-                    let job = WorkerJob {
-                        conn: id,
-                        corr,
-                        payload: frame.payload,
-                        deadline: Deadline::starting_now(config.request_budget),
-                        permit,
-                    };
-                    match job_tx.try_send(job) {
-                        Ok(()) => metrics.on_enqueue(),
-                        Err(TrySendError::Full(job)) => {
-                            counters.shed.fetch_add(1, Ordering::Relaxed);
-                            metrics.on_shed();
-                            respond_inline(conn, control_frame(job.corr, WireStatus::Busy));
-                            drop(job.permit);
-                        }
-                        Err(TrySendError::Disconnected(job)) => {
-                            respond_inline(conn, control_frame(job.corr, WireStatus::Unavailable));
-                            drop(job.permit);
-                        }
-                    }
-                }
-            }
-            if !conn.write_buf.is_empty() {
-                write_pending(conn, &counters, &metrics);
-                progress = true;
-            }
-            let flushed = conn.write_buf.is_empty();
-            if !conn.open && flushed {
-                closed.push(id);
-            }
-        }
-        if !closed.is_empty() {
-            for id in closed {
-                conns.remove(&id);
-            }
-            metrics.set_open_connections(conns.len() as u64);
-        }
-
-        if draining {
-            let drained = gate.in_flight() == 0
-                && resp_rx.is_empty()
-                && conns.values().all(|c| c.write_buf.is_empty());
-            let expired = draining_since
-                .map(|t| t.elapsed() >= config.drain_timeout)
-                .unwrap_or(false);
-            if drained || expired {
-                break;
-            }
-        }
-
-        if progress {
-            // Only busy passes are recorded: idle passes measure the sleep
-            // interval, not the loop, and would drown the histogram.
-            metrics.record_poll_pass_us(pass_started.elapsed().as_micros() as u64);
+/// Answers one frame from the reader thread — scrapes and refusals
+/// inline — or queues it for the workers.
+fn admit(frame: Frame, corr: u64, conn: &Arc<Conn>, shared: &Shared, job_tx: &Sender<WorkerJob>) {
+    if frame.class != PadClass::Request {
+        if is_scrape_request(&frame) {
+            shared.metrics.on_scrape();
+            let snapshot = shared.metrics.snapshot_json().to_json();
+            shared.reply(conn, &scrape_response_frames(corr, &snapshot));
         } else {
-            // analysis-allow: R12 idle backoff only — the thread sleeps
-            // when no connection made progress, never while work is queued
-            std::thread::sleep(config.poll_interval);
+            shared.reply_status(conn, corr, WireStatus::Malformed);
+        }
+        return;
+    }
+    let Some(permit) = shared.gate.try_admit() else {
+        shared.on_shed();
+        return shared.reply_status(conn, corr, WireStatus::Busy);
+    };
+    let job = WorkerJob {
+        conn: conn.clone(),
+        corr,
+        payload: frame.payload,
+        deadline: Deadline::starting_now(shared.request_budget),
+        permit,
+    };
+    match job_tx.try_send(job) {
+        Ok(()) => shared.metrics.on_enqueue(),
+        // The refused job drops here, freeing its admission slot.
+        Err(TrySendError::Full(_)) => {
+            shared.on_shed();
+            shared.reply_status(conn, corr, WireStatus::Busy);
+        }
+        Err(TrySendError::Disconnected(_)) => {
+            shared.reply_status(conn, corr, WireStatus::Unavailable);
         }
     }
-    // Dropping `job_tx` lets the workers exit once the queue is empty.
 }
 
-/// Appends a response frame directly to the connection's write buffer
-/// (gate/queue rejections never touch the worker pool).
-fn respond_inline(conn: &mut Conn, frame: Frame) {
-    if let Ok(bytes) = frame.encode() {
-        conn.write_buf.extend_from_slice(&bytes);
+/// A worker: runs the handler and writes the reply to the job's socket.
+/// Exits when the queue is empty and its last sender is gone.
+fn work(jobs: &Receiver<WorkerJob>, shared: &Shared, handler: &dyn FrameHandler) {
+    while let Ok(job) = jobs.recv() {
+        shared.metrics.on_dequeue();
+        let busy_from = Instant::now();
+        let drained = shared.drain_deadline.get().is_some_and(Deadline::expired);
+        let result = if job.deadline.expired() {
+            Err(WireStatus::Deadline)
+        } else if drained {
+            Err(WireStatus::Unavailable)
+        } else {
+            handler.handle(job.payload, job.deadline)
+        };
+        shared
+            .metrics
+            .add_worker_busy_us(busy_from.elapsed().as_micros() as u64);
+        let frame = match result {
+            Ok(payload) => Frame::new(PadClass::Response, job.corr, payload)
+                .unwrap_or_else(|_| control_frame(job.corr, WireStatus::Failed)),
+            Err(status) => control_frame(job.corr, status),
+        };
+        // A write to a peer that has gone fails; either way the request
+        // is finished and its admission slot is freed.
+        shared.reply(&job.conn, &[frame]);
+        drop(job.permit);
     }
 }
 
@@ -629,6 +613,28 @@ mod tests {
         Ok(Frame::decode(&all)?)
     }
 
+    /// Reads one reply frame off a pipelined connection.
+    fn read_frame(stream: &mut TcpStream) -> Frame {
+        let mut bytes = vec![0u8; HEADER_LEN];
+        stream.read_exact(&mut bytes).unwrap();
+        let (_, body_len, _) = parse_header(bytes[..].first_chunk().unwrap()).unwrap();
+        bytes.resize(HEADER_LEN + body_len, 0);
+        stream.read_exact(&mut bytes[HEADER_LEN..]).unwrap();
+        Frame::decode(&bytes).unwrap()
+    }
+
+    /// One field of the `server` section of the node hub's snapshot.
+    fn hub_gauge(server: &WireServer, key: &str) -> u64 {
+        let snapshot = server.metrics().snapshot_json();
+        snapshot
+            .get("server")
+            .unwrap()
+            .get(key)
+            .unwrap()
+            .as_u64()
+            .unwrap()
+    }
+
     #[test]
     fn serves_request_and_echoes_correlation() {
         let mut server = WireServer::spawn(
@@ -669,14 +675,7 @@ mod tests {
         }
         let mut seen = std::collections::HashSet::new();
         for _ in 0..n {
-            let mut header = [0u8; HEADER_LEN];
-            stream.read_exact(&mut header).unwrap();
-            let (_, body_len, _) = parse_header(&header).unwrap();
-            let mut body = vec![0u8; body_len];
-            stream.read_exact(&mut body).unwrap();
-            let mut all = header.to_vec();
-            all.extend_from_slice(&body);
-            let f = Frame::decode(&all).unwrap();
+            let f = read_frame(&mut stream);
             assert_eq!(f.payload, format!("M{}", f.corr).into_bytes());
             seen.insert(f.corr);
         }
@@ -709,14 +708,7 @@ mod tests {
         let mut busy = 0;
         let mut ok = 0;
         for _ in 0..6 {
-            let mut header = [0u8; HEADER_LEN];
-            stream.read_exact(&mut header).unwrap();
-            let (_, body_len, _) = parse_header(&header).unwrap();
-            let mut body = vec![0u8; body_len];
-            stream.read_exact(&mut body).unwrap();
-            let mut all = header.to_vec();
-            all.extend_from_slice(&body);
-            let f = Frame::decode(&all).unwrap();
+            let f = read_frame(&mut stream);
             match f.class {
                 PadClass::Control => {
                     assert_eq!(WireStatus::from_payload(&f.payload), Some(WireStatus::Busy));
@@ -731,6 +723,13 @@ mod tests {
         let shed = server.stats().shed;
         assert_eq!(shed, busy as u64);
         server.shutdown();
+        // Every request got exactly one reply frame, whichever class it
+        // was: a served Response and a `busy` Control each count as one.
+        let stats = server.stats();
+        assert_eq!(stats.frames_in, 6);
+        assert_eq!(stats.frames_out, stats.frames_in);
+        assert_eq!(hub_gauge(&server, "frames_out"), 6);
+        assert_eq!(hub_gauge(&server, "frames_in"), 6);
     }
 
     #[test]
@@ -771,5 +770,149 @@ mod tests {
         server.shutdown();
         let resp = handle.join().unwrap().unwrap();
         assert_eq!(resp.payload, b"SLOW");
+    }
+
+    #[test]
+    fn work_not_started_within_drain_timeout_is_refused_not_run() {
+        let mut server = WireServer::spawn(
+            Arc::new(Echo {
+                delay: Duration::from_millis(200),
+            }),
+            ServerConfig {
+                workers: 1,
+                drain_timeout: Duration::from_millis(50),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        for corr in 0..3u64 {
+            let frame = Frame::new(PadClass::Request, corr, b"x".to_vec()).unwrap();
+            stream.write_all(&frame.encode().unwrap()).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.in_flight() < 3 {
+            assert!(Instant::now() < deadline, "requests never admitted");
+            std::thread::yield_now();
+        }
+        server.shutdown();
+        // The one worker answers in order. The request it was running is
+        // served; the last one is dequeued at least one 200 ms handler
+        // call after the 50 ms drain budget ran out.
+        let replies: Vec<Frame> = (0..3).map(|_| read_frame(&mut stream)).collect();
+        assert_eq!(replies[0].class, PadClass::Response);
+        assert_eq!(replies[2].corr, 2);
+        assert_eq!(
+            WireStatus::from_payload(&replies[2].payload),
+            Some(WireStatus::Unavailable)
+        );
+    }
+
+    #[test]
+    fn peer_that_never_reads_does_not_wedge_the_workers() {
+        // Room to admit the whole burst, so every request is served and
+        // the replies (8.8 MB) outgrow what the socket buffers hold.
+        let config = ServerConfig {
+            queue_depth: 4_096,
+            max_inflight: 4_096,
+            ..ServerConfig::default()
+        };
+        let drain_timeout = config.drain_timeout;
+        let mut server = WireServer::spawn(
+            Arc::new(Echo {
+                delay: Duration::ZERO,
+            }),
+            config,
+        )
+        .unwrap();
+        // 4 000 pipelined requests from a peer that reads no reply.
+        let mut deaf = TcpStream::connect(server.local_addr()).unwrap();
+        deaf.set_write_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        for corr in 0..4_000u64 {
+            let frame = Frame::new(PadClass::Request, corr, b"x".to_vec()).unwrap();
+            deaf.write_all(&frame.encode().unwrap()).unwrap();
+        }
+        // A second connection is still served: the first reply the deaf
+        // peer would not take timed out and cut that connection.
+        for corr in 0..4u64 {
+            let resp = call_once(server.local_addr(), corr, b"other").unwrap();
+            assert_eq!(resp.payload, b"OTHER");
+        }
+        let started = Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < drain_timeout,
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(server.in_flight(), 0);
+        let stats = server.stats();
+        assert_eq!(stats.frames_in, 4_004);
+        assert!(
+            stats.frames_out < stats.frames_in,
+            "the deaf connection was never cut: its replies fit the socket buffers"
+        );
+    }
+
+    #[test]
+    fn connection_churn_leaves_no_registry_entries() {
+        let mut server = WireServer::spawn(
+            Arc::new(Echo {
+                delay: Duration::ZERO,
+            }),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        for corr in 0..500u64 {
+            let resp = call_once(server.local_addr(), corr, b"hi").unwrap();
+            assert_eq!(resp.corr, corr);
+        }
+        // Each reader deregisters itself when it sees its peer's EOF.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while hub_gauge(&server, "open_connections") != 0 {
+            assert!(Instant::now() < deadline, "connections still registered");
+            std::thread::yield_now();
+        }
+        assert!(server.shared.conns.lock().is_empty());
+        assert_eq!(server.stats().accepted, 500);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_with_idle_connections_is_prompt_and_idempotent() {
+        let config = ServerConfig::default();
+        let drain_timeout = config.drain_timeout;
+        let mut server = WireServer::spawn(
+            Arc::new(Echo {
+                delay: Duration::ZERO,
+            }),
+            config,
+        )
+        .unwrap();
+        let mut idle: Vec<TcpStream> = (0..3)
+            .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+            .collect();
+        // A served call on a fourth connection: the acceptor takes
+        // connections in order, so the three idle ones are registered.
+        call_once(server.local_addr(), 1, b"x").unwrap();
+        let started = Instant::now();
+        server.shutdown();
+        server.shutdown();
+        assert!(
+            started.elapsed() < drain_timeout / 5,
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        for stream in &mut idle {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "expected EOF");
+        }
+        assert_eq!(hub_gauge(&server, "open_connections"), 0);
     }
 }

@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
-echo "== privacy-flow analysis (v2: taint + lock order + poll/panic discipline) =="
+echo "== privacy-flow analysis (v2: taint + lock order + reader/panic discipline) =="
 ANALYSIS_DIR="$(mktemp -d)"
 trap 'rm -rf "$ANALYSIS_DIR"' EXIT
 cargo run --release -q -p pprox-analysis -- \
@@ -105,6 +105,16 @@ cargo run --release -q -p pprox-bench --bin shard_report -- \
 echo "== validate committed sharding report =="
 cargo run --release -q -p pprox-bench --bin shard_report -- \
     --validate results/BENCH_sharding.json
+
+echo "== benchmark crate (imports still compile, unit tests, 3 s smoke without a lost request) =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+BENCH_SMOKE="$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload plain_reco_mix --seed 1 --seconds 3)"
+grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,' <<<"$BENCH_SMOKE" || {
+    echo "benchmark smoke: a request failed or got a wrong answer" >&2
+    tail -n 1 <<<"$BENCH_SMOKE" | cut -c1-120 >&2
+    exit 1
+}
 
 echo "== benchmark trend gate (no >20% throughput regressions vs HEAD) =="
 cargo run --release -q -p pprox-bench --bin bench_trend

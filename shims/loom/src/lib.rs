@@ -407,6 +407,12 @@ pub mod sync {
                         self.inner.fetch_add(v, order)
                     }
 
+                    /// Instrumented `fetch_sub`.
+                    pub fn fetch_sub(&self, v: $raw, order: Ordering) -> $raw {
+                        preemption_point();
+                        self.inner.fetch_sub(v, order)
+                    }
+
                     /// Instrumented `fetch_max`.
                     pub fn fetch_max(&self, v: $raw, order: Ordering) -> $raw {
                         preemption_point();

