@@ -127,10 +127,6 @@ pub const CROSS_LAYER_ALLOWLIST: &[(&str, &str)] = &[
         "breach response: rotates both layers' keys inside their own enclaves",
     ),
     (
-        "crates/core/src/gateway.rs",
-        "REST redirection: routes opaque envelopes for both directions",
-    ),
-    (
         "crates/workload/",
         "workload generator: simulates users, outside the trust boundary",
     ),

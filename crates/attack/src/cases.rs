@@ -11,7 +11,7 @@
 use pprox_core::proxy::PProxDeployment;
 use pprox_crypto::ctr::SymmetricKey;
 use pprox_crypto::pad;
-use pprox_lrs::engine::Engine;
+use pprox_lrs::shard::ShardEngine;
 use pprox_sgx::SecretBag;
 
 /// What the adversary managed to learn in one scenario.
@@ -68,7 +68,10 @@ fn try_depseudonymize(key: &SymmetricKey, stored_id: &str) -> Option<String> {
 ///
 /// Panics when the platform refuses the break (another layer already
 /// compromised), which is itself a modelled property.
-pub fn break_ua_and_read_database(deployment: &PProxDeployment, engine: &Engine) -> CaseOutcome {
+pub fn break_ua_and_read_database(
+    deployment: &PProxDeployment,
+    engine: &ShardEngine,
+) -> CaseOutcome {
     let ua = &deployment.ua_layer()[0];
     let bag = deployment
         .platform()
@@ -79,7 +82,10 @@ pub fn break_ua_and_read_database(deployment: &PProxDeployment, engine: &Engine)
 
 /// §6.1 Case 2.(c): the adversary breaks an **IA** enclave and reads the
 /// LRS database. Dual outcome: items recovered, users opaque.
-pub fn break_ia_and_read_database(deployment: &PProxDeployment, engine: &Engine) -> CaseOutcome {
+pub fn break_ia_and_read_database(
+    deployment: &PProxDeployment,
+    engine: &ShardEngine,
+) -> CaseOutcome {
     let ia = &deployment.ia_layer()[0];
     let bag = deployment
         .platform()
@@ -110,16 +116,26 @@ fn recover_id(key: &SymmetricKey, stored_id: &str) -> Option<String> {
 }
 
 /// The database attack shared by both cases: with whatever symmetric key
-/// was stolen, recover both columns of every stored event. A pair counts
-/// as *linked* only when both sides are recovered.
-fn attack_database(bag: &SecretBag, key_name: &str, engine: &Engine) -> CaseOutcome {
+/// was stolen, recover both columns of every stored event.
+fn attack_database(bag: &SecretBag, key_name: &str, engine: &ShardEngine) -> CaseOutcome {
+    match symmetric_key(bag, key_name) {
+        Some(key) => recover_database(&key, &key, engine),
+        None => CaseOutcome::default(),
+    }
+}
+
+/// Tries `user_key` on the user column and `item_key` on the item column
+/// of every stored event. A pair counts as *linked* only when both sides
+/// are recovered.
+fn recover_database(
+    user_key: &SymmetricKey,
+    item_key: &SymmetricKey,
+    engine: &ShardEngine,
+) -> CaseOutcome {
     let mut outcome = CaseOutcome::default();
-    let Some(key) = symmetric_key(bag, key_name) else {
-        return outcome;
-    };
     for (stored_user, stored_item) in engine.dump_events() {
-        let user = recover_id(&key, &stored_user);
-        let item = recover_id(&key, &stored_item);
+        let user = recover_id(user_key, &stored_user);
+        let item = recover_id(item_key, &stored_item);
         if let Some(u) = &user {
             outcome.recovered_users.push(u.clone());
         }
@@ -141,42 +157,25 @@ fn attack_database(bag: &SecretBag, key_name: &str, engine: &Engine) -> CaseOutc
 pub fn attack_with_both_keys(
     ua_bag: &SecretBag,
     ia_bag: &SecretBag,
-    engine: &Engine,
+    engine: &ShardEngine,
 ) -> CaseOutcome {
-    let mut outcome = CaseOutcome::default();
-    let (Some(k_ua), Some(k_ia)) = (symmetric_key(ua_bag, "ua.k"), symmetric_key(ia_bag, "ia.k"))
-    else {
-        return outcome;
-    };
-    for (stored_user, stored_item) in engine.dump_events() {
-        let user = recover_id(&k_ua, &stored_user);
-        let item = recover_id(&k_ia, &stored_item);
-        if let Some(u) = &user {
-            outcome.recovered_users.push(u.clone());
-        }
-        if let Some(i) = &item {
-            outcome.recovered_items.push(i.clone());
-        }
-        if let (Some(u), Some(i)) = (user, item) {
-            outcome.linked_pairs.push((u, i));
-        }
+    match (symmetric_key(ua_bag, "ua.k"), symmetric_key(ia_bag, "ia.k")) {
+        (Some(k_ua), Some(k_ia)) => recover_database(&k_ua, &k_ia, engine),
+        _ => CaseOutcome::default(),
     }
-    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pprox_core::config::PProxConfig;
-    use pprox_lrs::frontend::Frontend;
     use pprox_sgx::CompromiseError;
     use std::sync::Arc;
 
     /// Ground-truth traffic: 5 users × 2 items through the proxy.
-    fn deploy_with_traffic() -> (PProxDeployment, Engine, Vec<(String, String)>) {
-        let engine = Engine::new();
-        let fe = Arc::new(Frontend::new("fe", engine.clone()));
-        let d = PProxDeployment::new(PProxConfig::for_tests(), fe, 0xca5e).unwrap();
+    fn deploy_with_traffic() -> (PProxDeployment, Arc<ShardEngine>, Vec<(String, String)>) {
+        let engine = Arc::new(ShardEngine::new());
+        let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0xca5e).unwrap();
         let mut client = d.client();
         let mut truth = Vec::new();
         for u in 0..5 {
@@ -257,13 +256,12 @@ mod tests {
     fn item_pseudonymization_disabled_leaks_items_to_ua_breaker() {
         // §6.3: with item pseudonymization off, a UA break links users to
         // items — the privacy/utility trade-off made explicit.
-        let engine = Engine::new();
-        let fe = Arc::new(Frontend::new("fe", engine.clone()));
+        let engine = Arc::new(ShardEngine::new());
         let config = PProxConfig {
             item_pseudonymization: false,
             ..PProxConfig::for_tests()
         };
-        let d = PProxDeployment::new(config, fe, 0xca5f).unwrap();
+        let d = PProxDeployment::new(config, engine.clone(), 0xca5f).unwrap();
         let mut client = d.client();
         d.post_feedback(&mut client, "victim", "embarrassing-item", None)
             .unwrap();

@@ -102,7 +102,7 @@ mod tests {
     use pprox_core::keys::ClientKeys;
     use pprox_core::UserClient;
     use pprox_crypto::rng::SecureRng;
-    use pprox_lrs::engine::Engine;
+    use pprox_lrs::shard::ShardEngine;
     use pprox_sgx::{Measurement, Platform};
 
     fn setup() -> (
@@ -146,7 +146,7 @@ mod tests {
     fn one_break_links_everything() {
         let (platform, enclave, keys) = setup();
         let mut client = UserClient::new(keys, 2);
-        let engine = Engine::new();
+        let engine = ShardEngine::new();
         let mut truth = Vec::new();
         for u in 0..10 {
             let user = format!("user-{u}");

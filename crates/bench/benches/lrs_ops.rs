@@ -1,23 +1,19 @@
-//! LRS component costs: CCO training (the Spark-job role) and query
-//! serving (the Elasticsearch/front-end role), on a scaled MovieLens-like
-//! trace. Grounds the simulator's `harness_fe` service model.
+//! LRS component costs: incremental CCO training (the Spark-job role:
+//! ingest a trace, then one exact `sync()`) and query serving (the
+//! Elasticsearch/front-end role), on a scaled MovieLens-like trace.
+//! Grounds the simulator's `harness_fe` service model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pprox_lrs::cco::{CcoConfig, CcoTrainer};
-use pprox_lrs::engine::Engine;
+use pprox_lrs::shard::ShardEngine;
 use pprox_workload::dataset::Dataset;
 use std::hint::black_box;
 
-fn engine_with(dataset: &Dataset) -> Engine {
-    let engine = Engine::new();
-    for r in &dataset.ratings {
-        engine.post(
-            &Dataset::user_id(r.user),
-            &Dataset::item_id(r.item),
-            Some(r.rating),
-        );
+fn engine_with(pairs: &[(String, String)]) -> ShardEngine {
+    let engine = ShardEngine::new();
+    for (user, item) in pairs {
+        engine.post(user, item, None);
     }
-    engine.train();
+    engine.sync();
     engine
 }
 
@@ -28,8 +24,7 @@ fn bench_training(c: &mut Criterion) {
         let dataset = Dataset::generate(scale / 10, scale / 5, scale, 42);
         let pairs: Vec<(String, String)> = dataset.interactions().collect();
         group.bench_with_input(BenchmarkId::from_parameter(scale), &pairs, |b, pairs| {
-            let trainer = CcoTrainer::new(CcoConfig::default());
-            b.iter(|| black_box(trainer.train(pairs.iter().map(|(u, i)| (u.as_str(), i.as_str())))))
+            b.iter(|| black_box(engine_with(pairs).model_stats()))
         });
     }
     group.finish();
@@ -37,7 +32,8 @@ fn bench_training(c: &mut Criterion) {
 
 fn bench_queries(c: &mut Criterion) {
     let dataset = Dataset::small(7);
-    let engine = engine_with(&dataset);
+    let pairs: Vec<(String, String)> = dataset.interactions().collect();
+    let engine = engine_with(&pairs);
     let users: Vec<String> = dataset
         .ratings
         .iter()
@@ -50,7 +46,7 @@ fn bench_queries(c: &mut Criterion) {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % users.len();
-            black_box(engine.get(&users[i], 20))
+            black_box(engine.get_filtered(&users[i], 20, &[]))
         })
     });
     group.bench_function("engine_post", |b| {

@@ -4,7 +4,6 @@
 //! shuffling is *waiting*, not processing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pprox_core::routing::RoutingTable;
 use pprox_core::shuffler::{ShuffleBuffer, ShuffleConfig};
 use std::hint::black_box;
 
@@ -33,17 +32,5 @@ fn bench_shuffle_buffer(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_routing_table(c: &mut Criterion) {
-    let mut group = c.benchmark_group("routing_table");
-    group.bench_function("register_take", |b| {
-        let mut table: RoutingTable<u64> = RoutingTable::new();
-        b.iter(|| {
-            let id = table.register(black_box(7));
-            black_box(table.take(id))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_shuffle_buffer, bench_routing_table);
+criterion_group!(benches, bench_shuffle_buffer);
 criterion_main!(benches);

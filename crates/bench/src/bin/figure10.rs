@@ -6,9 +6,8 @@
 //! (Figure 9).
 
 use pprox_bench::report;
-use pprox_bench::sim::{run_experiment, ExperimentConfig, LrsModel, ProxySimConfig};
+use pprox_bench::sim::{run_experiment, ExperimentConfig, HarnessConfig, LrsModel, ProxySimConfig};
 use pprox_core::config::micro_configs;
-use pprox_lrs::cluster::HarnessConfig;
 use pprox_workload::stats::LatencyRecorder;
 
 fn main() {

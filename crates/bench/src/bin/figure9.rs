@@ -4,8 +4,7 @@
 //! nodes, driven directly by the injector at 50–1000 requests per second.
 
 use pprox_bench::report;
-use pprox_bench::sim::{run_experiment, ExperimentConfig, LrsModel};
-use pprox_lrs::cluster::HarnessConfig;
+use pprox_bench::sim::{run_experiment, ExperimentConfig, HarnessConfig, LrsModel};
 use pprox_workload::stats::LatencyRecorder;
 
 fn main() {

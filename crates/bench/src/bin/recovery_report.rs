@@ -2,10 +2,12 @@
 //!
 //! Three phases, one JSON report (`results/BENCH_recovery.json`):
 //!
-//! 1. **Timing** — a [`DurableLrs`] is cold-started, fed a fixed-seed
+//! 1. **Timing** — a [`DurableShard`] is cold-started, fed a fixed-seed
 //!    event trace, killed (dropped), and reopened: cold-start vs
-//!    warm-restart wall time, snapshot + WAL replay throughput, and a
-//!    byte-identity check on a fixed query before/after the restart.
+//!    warm-restart wall time, snapshot + WAL replay throughput (replay
+//!    *is* the incremental training pass), time from reopen to the first
+//!    answered query, and a byte-identity check on a fixed query set
+//!    before/after the restart.
 //! 2. **Drill** — two supervised loopback clusters over durable LRS
 //!    layers run the same fixed-seed trace; one loses its *entire* LRS
 //!    layer to a kill mid-trace and recovers by unseal + replay. The
@@ -31,7 +33,7 @@ use pprox_attack::at_rest_audit::audit_store_dir;
 use pprox_core::resilience::Deadline;
 use pprox_json::Value;
 use pprox_lrs::api::{FeedbackEvent, HttpRequest, RestHandler, EVENTS_PATH, QUERIES_PATH};
-use pprox_lrs::durable::{DurableConfig, DurableLrs};
+use pprox_lrs::shard::{DurableConfig, DurableShard};
 use pprox_store::{SealingKey, SecureRng, TempDir};
 use pprox_wire::cluster::{ClusterConfig, LoopbackCluster, LrsFactory, LrsInstance};
 use pprox_workload::dataset::Dataset;
@@ -40,7 +42,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Report schema version.
-const RECOVERY_SCHEMA_VERSION: u64 = 1;
+const RECOVERY_SCHEMA_VERSION: u64 = 2;
 
 /// Per-request deadline for the drill's wire calls.
 const REQUEST_BUDGET: Duration = Duration::from_secs(10);
@@ -97,7 +99,6 @@ impl Args {
     fn durable(&self) -> DurableConfig {
         DurableConfig {
             snapshot_every: self.snapshot_every,
-            train_every: 1,
             ..DurableConfig::default()
         }
     }
@@ -127,6 +128,7 @@ fn trace_raw_ids(trace: &[(String, String)]) -> Vec<String> {
 struct TimingOutcome {
     cold_open: Duration,
     warm_open: Duration,
+    first_answer: Duration,
     restored_events: usize,
     snapshot_events: usize,
     replayed: usize,
@@ -140,7 +142,7 @@ fn run_timing(args: &Args, trace: &[(String, String)]) -> TimingOutcome {
     let sealing = SealingKey::generate(&mut SecureRng::from_seed(args.seed));
     let config = args.durable();
 
-    let lrs = DurableLrs::open(dir.path(), &sealing, config).expect("cold open");
+    let lrs = DurableShard::open(dir.path(), &sealing, config).expect("cold open");
     assert!(lrs.recovery().cold_start, "fresh directory must cold-start");
     let cold_open = lrs.recovery().duration;
 
@@ -157,16 +159,21 @@ fn run_timing(args: &Args, trace: &[(String, String)]) -> TimingOutcome {
     let before: Vec<String> = query_bodies(&lrs, trace);
     drop(lrs); // the kill: in-memory engine and DEK are gone
 
-    let revived = DurableLrs::open(dir.path(), &sealing, config).expect("warm open");
+    let reopen_started = Instant::now();
+    let revived = DurableShard::open(dir.path(), &sealing, config).expect("warm open");
+    let first = query_bodies(&revived, &trace[..1]);
+    let first_answer = reopen_started.elapsed();
     let stats = revived.recovery().clone();
     assert!(!stats.cold_start, "second open must find sealed state");
     let restored = stats.snapshot_events + stats.replayed;
     assert_eq!(restored, trace.len(), "recovery must restore every event");
     let after: Vec<String> = query_bodies(&revived, trace);
+    assert_eq!(first[0], after[0], "the first answer is a full answer");
 
     TimingOutcome {
         cold_open,
         warm_open: stats.duration,
+        first_answer,
         restored_events: restored,
         snapshot_events: stats.snapshot_events,
         replayed: stats.replayed,
@@ -176,7 +183,7 @@ fn run_timing(args: &Args, trace: &[(String, String)]) -> TimingOutcome {
 }
 
 /// Fixed query set against a durable instance, as raw response bodies.
-fn query_bodies(lrs: &DurableLrs, trace: &[(String, String)]) -> Vec<String> {
+fn query_bodies(lrs: &DurableShard, trace: &[(String, String)]) -> Vec<String> {
     trace
         .iter()
         .map(|(user, _)| user)
@@ -196,7 +203,7 @@ fn query_bodies(lrs: &DurableLrs, trace: &[(String, String)]) -> Vec<String> {
 /// whole layer is gone.
 fn durable_factory(dir: &Path, seed: u64, config: DurableConfig) -> LrsFactory {
     let sealing = SealingKey::generate(&mut SecureRng::from_seed(seed));
-    let memo: Mutex<Weak<DurableLrs>> = Mutex::new(Weak::new());
+    let memo: Mutex<Weak<DurableShard>> = Mutex::new(Weak::new());
     let dir = dir.to_path_buf();
     Arc::new(move |_slot_index| {
         let mut slot = memo.lock().unwrap();
@@ -204,7 +211,7 @@ fn durable_factory(dir: &Path, seed: u64, config: DurableConfig) -> LrsFactory {
             return LrsInstance::plain(live);
         }
         let lrs = Arc::new(
-            DurableLrs::open(&dir, &sealing, config).expect("durable recovery must succeed"),
+            DurableShard::open(&dir, &sealing, config).expect("durable recovery must succeed"),
         );
         *slot = Arc::downgrade(&lrs);
         LrsInstance::plain(lrs)
@@ -315,7 +322,12 @@ fn validate(path: &str) {
     let timing = root
         .get("timing")
         .unwrap_or_else(|| panic!("{path}: missing timing section"));
-    for field in ["cold_open_us", "warm_open_us", "restored_events"] {
+    for field in [
+        "cold_open_us",
+        "warm_open_us",
+        "first_answer_us",
+        "restored_events",
+    ] {
         assert!(
             timing.get(field).and_then(Value::as_u64).is_some(),
             "{path}: timing.{field} missing"
@@ -402,9 +414,10 @@ fn main() {
     );
     let timing = run_timing(&args, &trace);
     eprintln!(
-        "timing: cold {}us, warm {}us ({} snapshot + {} WAL events, {:.0} events/s replay)",
+        "timing: cold {}us, warm {}us, first answer {}us ({} snapshot + {} WAL events, {:.0} events/s replay)",
         duration_us(timing.cold_open),
         duration_us(timing.warm_open),
+        duration_us(timing.first_answer),
         timing.snapshot_events,
         timing.replayed,
         timing.replay_events_per_sec
@@ -471,6 +484,10 @@ fn main() {
             Value::object([
                 ("cold_open_us", Value::from(duration_us(timing.cold_open))),
                 ("warm_open_us", Value::from(duration_us(timing.warm_open))),
+                (
+                    "first_answer_us",
+                    Value::from(duration_us(timing.first_answer)),
+                ),
                 (
                     "restored_events",
                     Value::from(timing.restored_events as u64),

@@ -20,8 +20,7 @@ use pprox_attack::observer::ObservationConfig;
 use pprox_bench::report;
 use pprox_core::config::PProxConfig;
 use pprox_core::proxy::PProxDeployment;
-use pprox_lrs::engine::Engine;
-use pprox_lrs::frontend::Frontend;
+use pprox_lrs::shard::ShardEngine;
 use std::sync::Arc;
 
 fn main() {
@@ -67,9 +66,8 @@ fn main() {
 
     report::section("part 2 — enclave compromise case analysis (§6.1)");
     let run_case = |label: &str, break_ua: bool| {
-        let engine = Engine::new();
-        let fe = Arc::new(Frontend::new("fe", engine.clone()));
-        let d = PProxDeployment::new(PProxConfig::for_tests(), fe, 0x5ec_0200).unwrap();
+        let engine = Arc::new(ShardEngine::new());
+        let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0x5ec_0200).unwrap();
         let mut client = d.client();
         for u in 0..20 {
             d.post_feedback(
@@ -98,9 +96,8 @@ fn main() {
 
     // Positive control: what the one-layer-at-a-time assumption prevents.
     {
-        let engine = Engine::new();
-        let fe = Arc::new(Frontend::new("fe", engine.clone()));
-        let d = PProxDeployment::new(PProxConfig::for_tests(), fe, 0x5ec_0201).unwrap();
+        let engine = Arc::new(ShardEngine::new());
+        let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0x5ec_0201).unwrap();
         let mut client = d.client();
         for u in 0..20 {
             d.post_feedback(

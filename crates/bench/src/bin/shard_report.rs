@@ -8,9 +8,11 @@
 //! * **Scaling curve** — sustained RPS and tail latency at shard counts
 //!   1→8 over the *same* fixed-seed trace.
 //! * **Freshness ablation** — incremental CCO vs the batch retrain it
-//!   replaces: time-to-visibility of a new association, full-retrain
-//!   wall time at scale, and a byte-identity check that the incremental
-//!   model (after `sync`) answers exactly like the batch trainer.
+//!   replaced (rebuilt here from `CcoTrainer` + `ScoringIndex` as the
+//!   reference oracle): time-to-visibility of a new association,
+//!   full-retrain wall time at scale, and a byte-identity check that the
+//!   incremental model (after `sync`) answers exactly like the batch
+//!   trainer.
 //!
 //! # Measurement model
 //!
@@ -54,8 +56,8 @@ use pprox_json::Value;
 use pprox_lrs::api::{
     FeedbackEvent, HttpRequest, RecommendationList, RestHandler, EVENTS_PATH, QUERIES_PATH,
 };
-use pprox_lrs::cco::CcoConfig;
-use pprox_lrs::engine::Engine;
+use pprox_lrs::cco::{CcoConfig, CcoTrainer};
+use pprox_lrs::index::ScoringIndex;
 use pprox_lrs::shard::{
     history_request_body, merge_scored, parse_history_response, score_request_body, ShardEngine,
     ShardedLrs, DEFAULT_VNODES, HISTORY_PATH, SCORE_PATH,
@@ -408,12 +410,49 @@ struct FreshnessOutcome {
     compared_users: usize,
 }
 
+/// The batch reference the incremental model is compared against: an
+/// event log, and a [`ScoringIndex`] that only moves on `train()`.
+struct BatchOracle {
+    config: CcoConfig,
+    events: Vec<(String, String)>,
+    index: ScoringIndex,
+}
+
+impl BatchOracle {
+    fn post(&mut self, user: &str, item: &str) {
+        self.events.push((user.to_owned(), item.to_owned()));
+    }
+
+    /// One full `CcoTrainer` pass over the log, then an index rebuild.
+    fn train(&mut self) {
+        let pairs = self.events.iter().map(|(u, i)| (u.as_str(), i.as_str()));
+        let model = CcoTrainer::new(self.config.clone()).train(pairs);
+        self.index = ScoringIndex::build(&model);
+    }
+
+    fn get(&self, user: &str, n: usize) -> RecommendationList {
+        let history: Vec<String> = self
+            .events
+            .iter()
+            .filter(|(u, _)| u == user)
+            .map(|(_, i)| i.clone())
+            .collect();
+        RecommendationList {
+            items: self.index.recommend_filtered(&history, n, &[]),
+        }
+    }
+}
+
 /// Incremental-vs-batch freshness ablation on one shard, canonical
 /// event order (so the byte-identity differential is exact).
 fn run_freshness(args: &Args, trace: &[(u32, u32)]) -> FreshnessOutcome {
     let slice = &trace[..args.ablation_events.min(trace.len())];
     let incremental = ShardEngine::with_config(args.cco());
-    let batch = Engine::with_config(args.cco());
+    let mut batch = BatchOracle {
+        config: args.cco(),
+        events: Vec::with_capacity(slice.len()),
+        index: ScoringIndex::default(),
+    };
 
     let started = Instant::now();
     for &(user, item) in slice {
@@ -421,7 +460,7 @@ fn run_freshness(args: &Args, trace: &[(u32, u32)]) -> FreshnessOutcome {
     }
     let incremental_wall = started.elapsed();
     for &(user, item) in slice {
-        batch.post(&user_id(user as usize), &item_id(item as usize), None);
+        batch.post(&user_id(user as usize), &item_id(item as usize));
     }
     let started = Instant::now();
     batch.train();
@@ -436,16 +475,16 @@ fn run_freshness(args: &Args, trace: &[(u32, u32)]) -> FreshnessOutcome {
     // recommendable to it (recommendations exclude the user's own
     // history); the other probe users establish the co-occurrence.
     incremental.post("fresh-0", &probe_a, None);
-    batch.post("fresh-0", &probe_a, None);
+    batch.post("fresh-0", &probe_a);
     for u in 1..9 {
         let user = format!("fresh-{u}");
         incremental.post(&user, &probe_a, None);
         incremental.post(&user, &probe_b, None);
-        batch.post(&user, &probe_a, None);
-        batch.post(&user, &probe_b, None);
+        batch.post(&user, &probe_a);
+        batch.post(&user, &probe_b);
     }
     let fresh_inc = incremental.get_filtered("fresh-0", 5, &[]);
-    let fresh_batch = batch.get_filtered("fresh-0", 5, &[]);
+    let fresh_batch = batch.get("fresh-0", 5);
     let fresh_visible_incremental = fresh_inc.item_ids().contains(&probe_b.as_str())
         || fresh_inc.item_ids().contains(&probe_a.as_str());
     let stale_missing_batch = fresh_batch.items.is_empty();
@@ -459,15 +498,13 @@ fn run_freshness(args: &Args, trace: &[(u32, u32)]) -> FreshnessOutcome {
     let compared = 64usize;
     for _ in 0..compared {
         let user = user_id(users.sample());
-        if incremental.get_filtered(&user, 10, &[]).to_json()
-            != batch.get_filtered(&user, 10, &[]).to_json()
-        {
+        if incremental.get_filtered(&user, 10, &[]).to_json() != batch.get(&user, 10).to_json() {
             identical = false;
         }
     }
     identical = identical
         && incremental.get_filtered("fresh-0", 5, &[]).to_json()
-            == batch.get_filtered("fresh-0", 5, &[]).to_json();
+            == batch.get("fresh-0", 5).to_json();
 
     let per_event_us = incremental_wall.as_secs_f64() * 1e6 / slice.len().max(1) as f64;
     let retrain_ms = batch_retrain.as_secs_f64() * 1000.0;

@@ -4,9 +4,8 @@
 //! against the simulated cluster, for both the Harness-only baselines and
 //! the proxied full configurations.
 
-use pprox_bench::sim::{run_experiment, ExperimentConfig, LrsModel, ProxySimConfig};
+use pprox_bench::sim::{run_experiment, ExperimentConfig, HarnessConfig, LrsModel, ProxySimConfig};
 use pprox_core::config::micro_configs;
-use pprox_lrs::cluster::HarnessConfig;
 
 fn median(proxy: Option<ProxySimConfig>, frontends: usize, rps: f64, seed: u64) -> f64 {
     let cfg = ExperimentConfig::new(proxy, LrsModel::Harness { frontends }, rps, seed);

@@ -91,6 +91,49 @@ pub enum LrsModel {
     },
 }
 
+/// Number of support nodes in every macro configuration (3× Elasticsearch,
+/// 1× MongoDB + Spark).
+const SUPPORT_NODES: usize = 4;
+
+/// Front-end instances added per 250 RPS capacity step (Table 3).
+const FRONTENDS_PER_STEP: usize = 3;
+
+/// Sustainable throughput added by each front-end step, in requests/s.
+const RPS_PER_STEP: f64 = 250.0;
+
+/// A Harness deployment size, as in Table 3 (b1–b4): the node counts and
+/// capacity of the paper's 3–12 front-end macro-benchmark deployments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HarnessConfig {
+    /// Number of front-end instances (3, 6, 9 or 12 in the paper).
+    pub frontends: usize,
+}
+
+impl HarnessConfig {
+    /// The paper's baseline configuration ids b1–b4.
+    pub fn baseline(step: usize) -> Self {
+        assert!((1..=4).contains(&step), "paper configurations are b1..b4");
+        HarnessConfig {
+            frontends: FRONTENDS_PER_STEP * step,
+        }
+    }
+
+    /// Total nodes: front-ends + support (the "7: 3+4" notation of Table 3).
+    pub fn node_count(&self) -> usize {
+        self.frontends + SUPPORT_NODES
+    }
+
+    /// Maximum sustainable throughput before saturation, in requests/s.
+    pub fn max_rps(&self) -> f64 {
+        (self.frontends as f64 / FRONTENDS_PER_STEP as f64) * RPS_PER_STEP
+    }
+
+    /// Table 3 label ("b1".."b4") when this is a paper configuration.
+    pub fn label(&self) -> String {
+        format!("b{}", self.frontends / FRONTENDS_PER_STEP)
+    }
+}
+
 /// Proxy-side parameters of an experiment (`None` = unprotected baseline).
 #[derive(Debug, Clone, Copy)]
 pub struct ProxySimConfig {
@@ -618,6 +661,29 @@ fn lrs_submit_baseline(sim: &mut Simulator, ctx: Rc<Ctx>, msg: Msg) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table3_node_counts_and_rps() {
+        // Table 3: b1=7 nodes/250 RPS … b4=16 nodes/1000 RPS.
+        let expect = [
+            (1, 7, 250.0),
+            (2, 10, 500.0),
+            (3, 13, 750.0),
+            (4, 16, 1000.0),
+        ];
+        for (step, nodes, rps) in expect {
+            let c = HarnessConfig::baseline(step);
+            assert_eq!(c.node_count(), nodes);
+            assert_eq!(c.max_rps(), rps);
+            assert_eq!(c.label(), format!("b{step}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "b1..b4")]
+    fn invalid_baseline_step_panics() {
+        let _ = HarnessConfig::baseline(5);
+    }
 
     fn quick(
         proxy: Option<ProxySimConfig>,

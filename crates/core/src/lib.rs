@@ -20,13 +20,10 @@
 //!   temporary keys.
 //! * [`keys`] — layer key material and attestation-gated provisioning.
 //! * [`message`] — constant-size wire envelopes.
-//! * [`gateway`] — §4.2's transparent REST redirection: envelopes riding
-//!   the LRS's own paths with PProx routing headers.
 //! * [`metrics`] — per-layer operational counters feeding the autoscaler.
 //! * [`telemetry`] — privacy-safe tracing and latency histograms (the
 //!   fluentd role), with trace IDs re-randomized at shuffle boundaries.
 //! * [`shuffler`] — the §4.3 request/response shuffle buffers.
-//! * [`routing`] — table T of in-flight requests.
 //! * [`config`] — deployment parameters, incl. the paper's Table 2 rows.
 //! * [`autoscale`] — the §5 elastic-scaling policy (throughput vs
 //!   shuffle-buffer health).
@@ -64,7 +61,6 @@
 pub mod autoscale;
 pub mod client;
 pub mod config;
-pub mod gateway;
 pub mod ia;
 pub mod ids;
 pub mod keys;
@@ -74,7 +70,6 @@ pub mod pipeline;
 pub mod proxy;
 pub mod resilience;
 pub mod rotation;
-pub mod routing;
 pub mod shuffler;
 pub mod telemetry;
 pub mod ua;

@@ -258,19 +258,12 @@ impl PProxDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pprox_lrs::engine::Engine;
-    use pprox_lrs::frontend::Frontend;
+    use pprox_lrs::shard::ShardEngine;
     use pprox_lrs::stub::StubLrs;
     use pprox_lrs::MAX_RECOMMENDATIONS;
 
     fn stub_deployment() -> PProxDeployment {
         PProxDeployment::new(PProxConfig::for_tests(), Arc::new(StubLrs::new()), 99).unwrap()
-    }
-
-    fn engine_with_data() -> (Engine, Arc<Frontend>) {
-        let engine = Engine::new();
-        let fe = Arc::new(Frontend::new("fe", engine.clone()));
-        (engine, fe)
     }
 
     #[test]
@@ -294,8 +287,8 @@ mod tests {
 
     #[test]
     fn end_to_end_with_real_engine() {
-        let (engine, fe) = engine_with_data();
-        let d = PProxDeployment::new(PProxConfig::for_tests(), fe, 7).unwrap();
+        let engine = Arc::new(ShardEngine::new());
+        let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 7).unwrap();
         let mut client = d.client();
 
         // Two clusters of taste, inserted THROUGH the proxy.
@@ -311,7 +304,7 @@ mod tests {
             d.post_feedback(&mut client, &format!("rom-{u}"), "notebook", None)
                 .unwrap();
         }
-        engine.train();
+        engine.sync();
 
         d.post_feedback(&mut client, "newbie", "alien", None)
             .unwrap();
@@ -324,14 +317,14 @@ mod tests {
 
     #[test]
     fn lrs_never_sees_plaintext_ids() {
-        let (engine, fe) = engine_with_data();
-        let d = PProxDeployment::new(PProxConfig::for_tests(), fe, 8).unwrap();
+        let engine = Arc::new(ShardEngine::new());
+        let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 8).unwrap();
         let mut client = d.client();
         d.post_feedback(&mut client, "secret-user", "secret-item", None)
             .unwrap();
         // The event was stored — but under pseudonyms: querying the LRS by
         // the plaintext user id finds nothing.
-        assert_eq!(engine.stats().events, 1);
+        assert_eq!(engine.gauges().events, 1);
         assert!(engine.history("secret-user").is_empty());
     }
 
@@ -355,13 +348,13 @@ mod tests {
 
     #[test]
     fn passthrough_mode_end_to_end() {
-        let (engine, fe) = engine_with_data();
+        let engine = Arc::new(ShardEngine::new());
         let config = PProxConfig {
             encryption: false,
             item_pseudonymization: false,
             ..PProxConfig::for_tests()
         };
-        let d = PProxDeployment::new(config, fe, 10).unwrap();
+        let d = PProxDeployment::new(config, engine.clone(), 10).unwrap();
         let mut client = d.client();
         d.post_feedback(&mut client, "alice", "m1", None).unwrap();
         // In passthrough mode the LRS sees plaintext ids (this is m1).

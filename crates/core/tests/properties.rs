@@ -2,7 +2,6 @@
 
 use pprox_core::autoscale::{AutoscaleConfig, Autoscaler};
 use pprox_core::message::{ClientEnvelope, LayerEnvelope, Op};
-use pprox_core::routing::RoutingTable;
 use pprox_core::shuffler::{FlushReason, ShuffleBuffer, ShuffleConfig};
 use pprox_core::telemetry::histogram::SUB_BUCKETS;
 use pprox_core::telemetry::{HistogramSnapshot, LatencyHistogram};
@@ -243,21 +242,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Routing table: every registered id resolves exactly once, ids are
-    /// unique, and the table drains to empty.
-    #[test]
-    fn routing_table_is_a_bijection(values in proptest::collection::vec(any::<u32>(), 0..100)) {
-        let mut table: RoutingTable<u32> = RoutingTable::new();
-        let ids: Vec<_> = values.iter().map(|&v| table.register(v)).collect();
-        let unique: HashSet<_> = ids.iter().copied().collect();
-        prop_assert_eq!(unique.len(), ids.len());
-        for (id, &v) in ids.iter().zip(values.iter()) {
-            prop_assert_eq!(table.take(*id), Some(v));
-            prop_assert_eq!(table.take(*id), None);
-        }
-        prop_assert!(table.is_empty());
     }
 
     /// Envelope framing roundtrips for arbitrary field contents within

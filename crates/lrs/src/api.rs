@@ -8,8 +8,8 @@
 //!   Harness/Universal-Recommender convention: queries are POSTed JSON).
 //!
 //! PProx treats the LRS as a black box behind this API; the same
-//! [`RestHandler`] trait is implemented by the full engine front-end
-//! ([`crate::frontend::Frontend`]) and by the nginx-like static stub
+//! [`RestHandler`] trait is implemented by the recommendation engine
+//! ([`crate::shard::ShardEngine`]) and by the nginx-like static stub
 //! ([`crate::stub::StubLrs`]) used in micro-benchmarks.
 
 use pprox_json::Value;

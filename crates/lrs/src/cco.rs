@@ -5,8 +5,11 @@
 //! and keep, per item, the most *anomalously* co-occurring items as
 //! indicators, scored by Dunning's log-likelihood ratio (LLR) — the same
 //! statistic Apache Mahout's `logLikelihoodRatio` uses. In the paper this
-//! batch job runs periodically on Apache Spark; here it is an in-process
-//! batch over the document store's event log.
+//! batch job runs periodically on Apache Spark. The serving engine
+//! ([`crate::shard::ShardEngine`]) maintains the same model incrementally
+//! and shares this module's [`CcoConfig`] and [`log_likelihood_ratio`];
+//! the batch [`CcoTrainer`] itself serves no request — it is the
+//! reference the incremental model is proven byte-identical to.
 //!
 //! Interactions are downsampled per user (`max_prefs_per_user`) exactly as
 //! Mahout/UR do, which bounds the quadratic pair-counting cost.

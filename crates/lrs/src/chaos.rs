@@ -258,7 +258,7 @@ impl ChaosLrs {
     }
 
     /// Points storage faults at the durable store rooted at `dir`
-    /// (usually [`crate::durable::DurableLrs::store_dir`]). Without this,
+    /// (usually [`crate::shard::DurableShard::store_dir`]). Without this,
     /// storage-fault entries are inert pass-throughs.
     #[must_use]
     pub fn with_store_dir(mut self, dir: &Path) -> Self {
@@ -484,8 +484,10 @@ mod tests {
     fn hang_blocks_until_released() {
         let c = Arc::new(chaos(1.0, Fault::Hang));
         let c2 = c.clone();
+        // Clock starts before the spawn: a late-scheduled thread must not
+        // make the hold look shorter than the sleep below.
+        let t = Instant::now();
         let handle = std::thread::spawn(move || {
-            let t = Instant::now();
             let resp = c2.handle(&query());
             (resp.status, t.elapsed())
         });
@@ -552,7 +554,7 @@ mod tests {
     #[test]
     fn torn_write_fault_damages_the_store_but_serves_the_request() {
         use crate::api::EVENTS_PATH;
-        use crate::durable::{DurableConfig, DurableLrs};
+        use crate::shard::{DurableConfig, DurableShard};
         use pprox_store::{SealingKey, SecureRng, TempDir};
 
         let dir = TempDir::new("chaos-store");
@@ -561,7 +563,7 @@ mod tests {
             snapshot_every: 0,
             ..DurableConfig::default()
         };
-        let lrs = Arc::new(DurableLrs::open(dir.path(), &sealing, config).unwrap());
+        let lrs = Arc::new(DurableShard::open(dir.path(), &sealing, config).unwrap());
         // Tear the WAL tail after every request.
         let c =
             ChaosLrs::new(lrs.clone(), 1.0, Fault::TornWrite, 9).with_store_dir(&lrs.store_dir());
@@ -572,7 +574,7 @@ mod tests {
         assert!(c.injected() >= 1, "at least one tear must have applied");
         drop(c);
         drop(lrs);
-        let revived = DurableLrs::open(dir.path(), &sealing, config).unwrap();
+        let revived = DurableShard::open(dir.path(), &sealing, config).unwrap();
         let stats = revived.recovery();
         assert!(stats.torn_bytes > 0, "the final tear survives to recovery");
         assert!(stats.replayed < 3, "the torn record is lost");

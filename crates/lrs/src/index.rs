@@ -6,7 +6,8 @@
 //! same retrieval structure in-process: an inverted index from indicator
 //! item → (target item, llr), so that scoring a history of `h` items
 //! touches only the postings of those `h` items instead of the whole
-//! catalog.
+//! catalog. Like [`crate::cco::CcoTrainer`], it is kept as the batch
+//! reference the serving engine is tested against, not a serving path.
 
 use crate::api::ScoredItem;
 use crate::cco::CcoModel;
@@ -31,16 +32,13 @@ use std::collections::HashMap;
 pub struct ScoringIndex {
     /// indicator item -> postings of (target item, llr)
     postings: HashMap<String, Vec<(String, f64)>>,
-    item_count: usize,
 }
 
 impl ScoringIndex {
     /// Builds the inverted index from a trained model.
     pub fn build(model: &CcoModel) -> Self {
         let mut postings: HashMap<String, Vec<(String, f64)>> = HashMap::new();
-        let mut items = 0usize;
         for (target, indicators) in model.iter() {
-            items += 1;
             for ind in indicators {
                 postings
                     .entry(ind.item.clone())
@@ -48,10 +46,7 @@ impl ScoringIndex {
                     .push((target.to_owned(), ind.llr));
             }
         }
-        ScoringIndex {
-            postings,
-            item_count: items,
-        }
+        ScoringIndex { postings }
     }
 
     /// Recommends up to `n` items for a user with the given interaction
@@ -96,16 +91,6 @@ impl ScoringIndex {
         });
         scored.truncate(n);
         scored
-    }
-
-    /// Number of items with at least one indicator at build time.
-    pub fn indexed_items(&self) -> usize {
-        self.item_count
-    }
-
-    /// Number of distinct indicator terms.
-    pub fn indicator_terms(&self) -> usize {
-        self.postings.len()
     }
 }
 
@@ -195,12 +180,5 @@ mod tests {
         let a = index.recommend(&["a1".to_owned()], 10);
         let b = index.recommend(&["a1".to_owned()], 10);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn stats() {
-        let index = ScoringIndex::build(&clustered_model());
-        assert!(index.indexed_items() >= 5);
-        assert!(index.indicator_terms() >= 5);
     }
 }

@@ -11,16 +11,23 @@
 //! | Paper component | Module here |
 //! |---|---|
 //! | REST API (`post(u,i[,p])`, `get(u)`) | [`api`] |
-//! | MongoDB event/meta store | [`docstore`] |
-//! | Spark CCO training job | [`cco`] (batch) + [`trainer`] (periodic) |
-//! | Elasticsearch model index | [`index`] |
-//! | Universal Recommender engine | [`engine`] |
-//! | Harness front-end modules | [`frontend`] |
+//! | Universal Recommender engine (event store + model + query index) | [`shard::ShardEngine`] |
+//! | Spark CCO training job | [`shard::incremental`] (online, exact after `sync()`) |
+//! | horizontal scaling of the LRS | [`shard`] (consistent-hash ring + scatter-gather) |
+//! | durable sealed state (crash recovery) | [`shard::DurableShard`] |
 //! | nginx static stub (micro-benchmarks) | [`stub`] |
 //! | failure injection (resilience tests) | [`chaos`] |
-//! | Table 3 deployments (b1–b4) | [`cluster`] |
-//! | durable sealed state (crash recovery) | [`durable`] |
-//! | consistent-hash sharding + incremental CCO | [`shard`] |
+//! | batch CCO + inverted index — **test oracle only** | [`cco`] + [`index`] |
+//!
+//! [`RestHandler`] is the whole surface the IA layer calls, and it has
+//! two production implementors: [`shard::ShardEngine`] (the real
+//! recommender; wrapped by [`shard::DurableShard`] for crash recovery
+//! and fanned out by [`shard::ShardedLrs`] for scale, an unsharded LRS
+//! being a ring of one) and [`stub::StubLrs`]. The batch
+//! [`cco::CcoTrainer`] and [`index::ScoringIndex`] serve no request:
+//! they are the reference that `tests/shard_differential.rs` and the
+//! `shard_report` freshness ablation compare the incremental model
+//! against.
 //!
 //! The LRS is deliberately identifier-agnostic: it never interprets user or
 //! item ids, which is what makes PProx's deterministic pseudonymization
@@ -33,19 +40,11 @@
 pub mod api;
 pub mod cco;
 pub mod chaos;
-pub mod cluster;
-pub mod docstore;
-pub mod durable;
-pub mod engine;
-pub mod frontend;
 pub mod index;
 pub mod shard;
 pub mod stub;
-pub mod trainer;
 
 pub use api::{HttpRequest, HttpResponse, RestHandler};
-pub use durable::{DurableConfig, DurableLrs, RecoveryStats};
-pub use engine::Engine;
 
 /// Maximum recommendation list size; responses are padded to this length by
 /// the proxy (§4.3: "The list of items returned by the LRS has a maximal

@@ -1,40 +1,90 @@
-//! Crash-recoverable shard: a [`ShardEngine`] plus a sealed WAL.
+//! Crash-recoverable LRS: a [`ShardEngine`] plus a sealed WAL.
 //!
-//! Mirrors [`crate::durable::DurableLrs`] — WAL-first appends under one
-//! mutex, periodic encrypted snapshots, sealed DEK — but over one
-//! shard's partition, so each shard recovers *independently*: a crashed
-//! shard replays only its own store, and its siblings' rings, models
-//! and stores are untouched (the TEE-decentralization property the
-//! Dhasade et al. line of work motivates; the supervisor drill in
-//! `tests/wire_e2e.rs` exercises it end-to-end).
+//! [`DurableShard`] is the one durable wrapper. Every accepted feedback
+//! event is appended to the sealed WAL *before* it is applied to the
+//! in-memory engine, under one mutex, so WAL order equals apply order;
+//! periodic snapshots compact the event history into encrypted blocks
+//! and truncate the WAL. The DEK unseals from the platform + the
+//! [`SHARD_STORE_IDENTITY`] measurement, so recovery is self-contained.
+//!
+//! It wraps one shard's partition, so each shard recovers
+//! *independently*: a crashed shard replays only its own store, and its
+//! siblings' rings, models and stores are untouched (the
+//! TEE-decentralization property the Dhasade et al. line of work
+//! motivates; the supervisor drills in `tests/wire_e2e.rs` exercise it
+//! end-to-end). An unsharded deployment is the same thing with a ring
+//! of one.
 //!
 //! Recovery needs no training pass: the incremental model is a
 //! deterministic fold over the event sequence, so replaying the WAL in
 //! order rebuilds byte-identical state — including any documented
 //! indicator-list drift the live instance had accumulated, which is
 //! exactly what makes pre- and post-crash answers byte-equal.
+//!
+//! Everything persisted is what the LRS legitimately sees: pseudonymous
+//! ids inside padded ciphertext. `attack::at_rest_audit` scans the
+//! directory to prove it.
 
 use super::engine::ShardEngine;
 use super::ShardGauges;
 use crate::api::{FeedbackEvent, HttpRequest, HttpResponse, Method, RestHandler, EVENTS_PATH};
 use crate::cco::CcoConfig;
-use crate::durable::{decode_event_block, encode_event_block, DurableConfig, RecoveryStats};
 use parking_lot::Mutex;
-use pprox_store::{Measurement, SealedStore, SealingKey, StoreError};
+use pprox_json::Value;
+use pprox_store::{Measurement, SealedStore, SealingKey, StoreConfig, StoreError};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Code identity a shard store's DEK is sealed to. Distinct from
-/// [`crate::durable::LRS_STORE_IDENTITY`] so a monolithic store can
-/// never be unsealed as a shard (or vice versa) by mistake.
+/// Code identity the store DEK is sealed to. Any LRS instance running
+/// this measurement on the same platform can recover the store; no
+/// other measurement can.
 pub const SHARD_STORE_IDENTITY: &str = "pprox-lrs-shard-v1";
 
-/// Events per snapshot block (same bound as the monolithic path).
+/// Events per snapshot block (bounds block size; more events simply span
+/// more fixed-size blocks).
 const EVENTS_PER_BLOCK: usize = 64;
+
+/// Durability tuning for a [`DurableShard`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DurableConfig {
+    /// Snapshot (and truncate the WAL) after this many appended events;
+    /// 0 disables automatic snapshots (call
+    /// [`DurableShard::snapshot_now`] explicitly).
+    pub snapshot_every: u64,
+    /// Size classes of the underlying store.
+    pub store: StoreConfig,
+}
+
+impl Default for DurableConfig {
+    fn default() -> Self {
+        DurableConfig {
+            snapshot_every: 256,
+            store: StoreConfig::default(),
+        }
+    }
+}
+
+/// What booting a [`DurableShard`] recovered, and how long it took.
+#[derive(Debug, Clone, Default)]
+pub struct RecoveryStats {
+    /// Events restored from snapshot blocks.
+    pub snapshot_events: usize,
+    /// Events replayed from the WAL.
+    pub replayed: usize,
+    /// WAL records skipped because the snapshot already covered them.
+    pub skipped: usize,
+    /// Torn-tail bytes the WAL scan discarded.
+    pub torn_bytes: u64,
+    /// `true` when the directory held no sealed state yet.
+    pub cold_start: bool,
+    /// Wall-clock time from unseal to a queryable model.
+    pub duration: Duration,
+}
 
 struct DurableShardInner {
     store: SealedStore,
+    /// Every applied event body, in order (the snapshot source).
     events: Vec<String>,
     last_snapshot_seq: u64,
 }
@@ -211,6 +261,27 @@ fn snapshot_locked(inner: &mut DurableShardInner) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// A snapshot block is a JSON array of canonical event bodies.
+fn encode_event_block(events: &[String]) -> Vec<u8> {
+    let arr: Value = events.iter().map(|e| Value::from(e.as_str())).collect();
+    arr.to_json().into_bytes()
+}
+
+fn decode_event_block(block: &[u8]) -> Result<Vec<String>, StoreError> {
+    let text = std::str::from_utf8(block).map_err(|_| StoreError::Malformed("snapshot block"))?;
+    let value = Value::parse(text).map_err(|_| StoreError::Malformed("snapshot block json"))?;
+    let arr = value
+        .as_array()
+        .ok_or(StoreError::Malformed("snapshot block shape"))?;
+    arr.iter()
+        .map(|e| {
+            e.as_str()
+                .map(str::to_string)
+                .ok_or(StoreError::Malformed("snapshot block entry"))
+        })
+        .collect()
+}
+
 fn apply_event(engine: &ShardEngine, body: &str) {
     if let Some(event) = FeedbackEvent::from_json(body) {
         engine.post(&event.user, &event.item, event.payload);
@@ -221,7 +292,7 @@ fn apply_event(engine: &ShardEngine, body: &str) {
 mod tests {
     use super::*;
     use crate::api::QUERIES_PATH;
-    use pprox_store::{SecureRng, TempDir};
+    use pprox_store::{FaultInjector, SecureRng, StorageFault, TempDir};
 
     fn sealing() -> SealingKey {
         SealingKey::generate(&mut SecureRng::from_seed(47))
@@ -303,9 +374,47 @@ mod tests {
         let shard = DurableShard::open(dir.path(), &sealing, DurableConfig::default()).unwrap();
         seed(&shard);
         drop(shard);
-        // The monolithic DurableLrs seals to a different measurement.
-        let err = crate::durable::DurableLrs::open(dir.path(), &sealing, DurableConfig::default());
-        assert!(err.is_err(), "monolith must not unseal a shard store");
+        // Same platform key, foreign code: the DEK must stay sealed.
+        let foreign = Measurement::of_code("some-other-enclave-v1");
+        let err = SealedStore::open(dir.path(), &sealing, foreign, StoreConfig::default());
+        assert!(err.is_err(), "a foreign measurement must not unseal");
+        // The rightful measurement still can.
+        let own = Measurement::of_code(SHARD_STORE_IDENTITY);
+        assert!(SealedStore::open(dir.path(), &sealing, own, StoreConfig::default()).is_ok());
+    }
+
+    #[test]
+    fn torn_write_loses_only_the_torn_event() {
+        let dir = TempDir::new("durable-shard");
+        let sealing = sealing();
+        let config = DurableConfig {
+            snapshot_every: 0,
+            ..DurableConfig::default()
+        };
+        let shard = DurableShard::open(dir.path(), &sealing, config).unwrap();
+        seed(&shard);
+        drop(shard);
+        let report = FaultInjector::new(dir.path())
+            .inject(StorageFault::TornWrite)
+            .unwrap();
+        assert!(report.applied);
+        let revived = DurableShard::open(dir.path(), &sealing, config).unwrap();
+        assert_eq!(revived.recovery().replayed, 17);
+        assert!(revived.recovery().torn_bytes > 0);
+        // The surviving 17 events still answer: only sci-5's "dune" tore.
+        assert!(query(&revived, "sci-5").contains("dune"));
+    }
+
+    #[test]
+    fn reads_and_unknown_paths_delegate_to_the_engine() {
+        let dir = TempDir::new("durable-shard");
+        let shard = DurableShard::open(dir.path(), &sealing(), DurableConfig::default()).unwrap();
+        assert_eq!(shard.handle(&HttpRequest::post("/nope", "{}")).status, 404);
+        assert_eq!(
+            shard.handle(&HttpRequest::post(QUERIES_PATH, "bad")).status,
+            400
+        );
+        assert_eq!(shard.served(), 2);
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! One LRS shard: a partition's user store + incremental CCO model.
+//! The recommendation engine: user histories + incremental CCO model.
 //!
-//! A [`ShardEngine`] holds the slice of the catalog state owned by one
-//! arc of the [`super::ring::HashRing`]: the interaction histories of
-//! the users whose pseudonyms hash to it, plus an
-//! [`IncrementalCco`](super::incremental::IncrementalCco) model trained
-//! online from those users' events. Unlike [`crate::engine::Engine`]
-//! there is no batch retrain on the query path shape — every accepted
-//! post updates the scoring index before it returns, so reads are fresh
-//! by construction.
+//! [`ShardEngine`] is the one LRS engine (the Universal Recommender
+//! stand-in of §7). It holds the interaction histories of the users it
+//! owns plus an [`IncrementalCco`](super::incremental::IncrementalCco)
+//! model trained online from their events: every accepted post updates
+//! the scoring index before it returns, so reads are fresh by
+//! construction, and [`ShardEngine::sync`] repairs the model to exactly
+//! what a from-scratch [`crate::cco::CcoTrainer`] pass over the same
+//! events would produce (`tests/shard_differential.rs`). Alone it is
+//! the whole unsharded LRS; behind a [`super::ring::HashRing`] it is one
+//! arc's slice of the catalog.
 //!
-//! Besides the legacy `/events` and `/queries` endpoints, a shard serves
-//! two *internal* endpoints used by the routers for scatter-gather
-//! reads: [`HISTORY_PATH`](super::HISTORY_PATH) returns the owner-shard
-//! copy of a user's history, and [`SCORE_PATH`](super::SCORE_PATH)
-//! scores a caller-supplied history against this shard's model,
-//! returning its local top-k for the merge.
+//! The engine is identifier-agnostic: user and item ids are opaque
+//! strings, which is precisely why PProx's deterministic
+//! pseudonymization is transparent to it — `det_enc(u)` is just another
+//! id.
+//!
+//! Besides the legacy `/events` and `/queries` endpoints, it serves two
+//! *internal* endpoints used by the routers for scatter-gather reads:
+//! [`HISTORY_PATH`](super::HISTORY_PATH) returns the owner-shard copy
+//! of a user's history, and [`SCORE_PATH`](super::SCORE_PATH) scores a
+//! caller-supplied history against this shard's model, returning its
+//! local top-k for the merge.
 
 use super::incremental::{IncrementalCco, IncrementalStats, ItemId};
 use super::{
@@ -33,8 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// One user's record on its owning shard.
 #[derive(Debug, Default)]
 struct UserRec {
-    /// Full interaction history, in arrival order, duplicates included —
-    /// exactly what [`crate::engine::Engine::history`] returns.
+    /// Full interaction history, in arrival order, duplicates included.
     history: Vec<ItemId>,
     /// Deduplicated, downsampled item set (the CCO training view).
     set: Vec<ItemId>,
@@ -90,8 +96,8 @@ impl ShardEngine {
     }
 
     /// Records feedback: `user` interacted with `item`. The payload is
-    /// accepted for API parity but (as in the batch trainer) does not
-    /// influence the binary interaction model.
+    /// accepted for API parity but (as in [`crate::cco::CcoTrainer`])
+    /// does not influence the binary interaction model.
     pub fn post(&self, user: &str, item: &str, _payload: Option<f64>) {
         self.events.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.write();
@@ -177,6 +183,26 @@ impl ShardEngine {
         sort_scored(&mut items);
         items.truncate(n);
         RecommendationList { items }
+    }
+
+    /// Dumps all stored `(user, item)` event pairs, users in sorted
+    /// order and each user's items in arrival order.
+    ///
+    /// This is the adversary's view of the LRS database (§2.3 of the
+    /// paper: the adversary "can access any data manipulated by the
+    /// LRS"); the attack harness uses it for the §6.1 case analysis.
+    /// With PProx in front, every pair is pseudonymous.
+    pub fn dump_events(&self) -> Vec<(String, String)> {
+        let state = self.state.read();
+        let mut users: Vec<(&String, &UserRec)> = state.users.iter().collect();
+        users.sort_by_key(|&(user, _)| user);
+        let mut events = Vec::new();
+        for (user, rec) in users {
+            for &id in &rec.history {
+                events.push((user.clone(), state.model.name(id).to_owned()));
+            }
+        }
+        events
     }
 
     /// Full exact repair of the incremental model (recomputes every
@@ -373,6 +399,50 @@ mod tests {
     }
 
     #[test]
+    fn dump_events_lists_users_sorted_and_items_in_arrival_order() {
+        let shard = ShardEngine::new();
+        shard.post("zoe", "b", None);
+        shard.post("amy", "y", None);
+        shard.post("zoe", "a", None);
+        shard.post("amy", "y", None);
+        let pairs = |v: &[(&str, &str)]| -> Vec<(String, String)> {
+            v.iter().map(|&(u, i)| (u.into(), i.into())).collect()
+        };
+        assert_eq!(
+            shard.dump_events(),
+            pairs(&[("amy", "y"), ("amy", "y"), ("zoe", "b"), ("zoe", "a")])
+        );
+    }
+
+    #[test]
+    fn unknown_user_gets_empty_list_and_n_limits_size() {
+        let shard = seeded();
+        assert!(shard.get_filtered("stranger", 5, &[]).items.is_empty());
+        shard.post("sci-0", "contact", None);
+        shard.post("newbie", "alien", None);
+        assert_eq!(shard.get_filtered("newbie", 1, &[]).items.len(), 1);
+    }
+
+    #[test]
+    fn query_num_is_capped_at_the_protocol_maximum() {
+        let shard = ShardEngine::with_config(CcoConfig {
+            min_llr: 0.0,
+            ..CcoConfig::default()
+        });
+        for i in 0..crate::MAX_RECOMMENDATIONS + 10 {
+            shard.post("fan", &format!("film-{i:02}"), None);
+            shard.post("twin", &format!("film-{i:02}"), None);
+        }
+        shard.post("probe", "film-00", None);
+        let resp = shard.handle(&HttpRequest::post(
+            QUERIES_PATH,
+            r#"{"user":"probe","num":10000}"#,
+        ));
+        let list = RecommendationList::from_json(&resp.body).unwrap();
+        assert_eq!(list.items.len(), crate::MAX_RECOMMENDATIONS);
+    }
+
+    #[test]
     fn history_limit_keeps_most_recent() {
         let shard = ShardEngine::new();
         for i in 0..5 {
@@ -392,6 +462,12 @@ mod tests {
         let shard = ShardEngine::new();
         assert_eq!(
             shard.handle(&HttpRequest::post(EVENTS_PATH, "{}")).status,
+            400
+        );
+        assert_eq!(
+            shard
+                .handle(&HttpRequest::post(QUERIES_PATH, "nope"))
+                .status,
             400
         );
         assert_eq!(

@@ -1,22 +1,25 @@
-//! Sharded LRS: consistent-hash partitioning + incremental CCO training.
+//! The LRS: one incremental CCO engine, its durable wrapper, and
+//! consistent-hash partitioning over any number of them.
 //!
 //! The paper keeps recommendation logic *outside* the enclaves (§3)
 //! precisely so the backend can scale like any untrusted service. This
-//! subsystem gives the reproduction that scale shape for the ROADMAP
-//! north-star of millions of users:
+//! subsystem is the whole recommender — a deployment is N ≥ 1
+//! [`ShardEngine`]s, and "unsharded" means a ring of one — with the
+//! scale shape the ROADMAP north-star of millions of users needs:
 //!
 //! * [`ring`] — a consistent-hash ring (virtual nodes) keyed by the
 //!   *pseudonym* strings the proxy layers emit, so partitioning never
 //!   sees a cleartext identity and rebalancing moves only ~K/N keys
 //!   without re-keying sibling shards.
 //! * [`incremental`] — per-event CCO indicator/co-occurrence updates
-//!   replacing the batch retrain, so recommendations stay fresh under
-//!   sustained ingest (Zhao et al.'s incremental item-similarity line).
-//! * [`engine`] — one shard: its users' histories + incremental model
+//!   in place of a periodic batch retrain, so recommendations stay
+//!   fresh under sustained ingest (Zhao et al.'s incremental
+//!   item-similarity line).
+//! * [`engine`] — the engine: its users' histories + incremental model
 //!   behind the REST surface, plus internal `/history` and `/score`
 //!   endpoints for scatter-gather reads.
-//! * [`durable`] — per-shard sealed WAL + snapshots, so each shard
-//!   recovers independently through the PR 6 disk path.
+//! * [`durable`] — the durable wrapper: sealed WAL + snapshots per
+//!   engine, so each shard recovers independently.
 //!
 //! Cross-shard reads are scatter-gather with a deterministic top-k
 //! merge: the owner shard supplies the user's history, every shard
@@ -32,7 +35,7 @@ pub mod engine;
 pub mod incremental;
 pub mod ring;
 
-pub use durable::{DurableShard, SHARD_STORE_IDENTITY};
+pub use durable::{DurableConfig, DurableShard, RecoveryStats, SHARD_STORE_IDENTITY};
 pub use engine::ShardEngine;
 pub use incremental::{IncrementalCco, IncrementalStats};
 pub use ring::{fnv1a64, HashRing, DEFAULT_VNODES};

@@ -2,7 +2,6 @@
 
 use pprox_lrs::api::{FeedbackEvent, RecommendationQuery};
 use pprox_lrs::cco::{log_likelihood_ratio, CcoConfig, CcoTrainer};
-use pprox_lrs::docstore::DocStore;
 use pprox_lrs::index::ScoringIndex;
 use proptest::prelude::*;
 
@@ -85,30 +84,5 @@ proptest! {
         prop_assert_eq!(FeedbackEvent::from_json(&event.to_json()).unwrap(), event);
         let query = RecommendationQuery { user, num, exclude };
         prop_assert_eq!(RecommendationQuery::from_json(&query.to_json()).unwrap(), query);
-    }
-
-    /// Docstore find-by-index equals full-scan filtering.
-    #[test]
-    fn docstore_index_matches_scan(
-        docs in proptest::collection::vec((id(), id()), 0..60),
-        probe in id(),
-    ) {
-        let store = DocStore::new();
-        store.create_index("c", "user");
-        for (user, item) in &docs {
-            store.insert("c", pprox_json::Value::object([
-                ("user", pprox_json::Value::from(user.as_str())),
-                ("item", pprox_json::Value::from(item.as_str())),
-            ]));
-        }
-        let indexed = store.find_eq("c", "user", &probe);
-        let scanned: Vec<_> = store
-            .scan("c")
-            .into_iter()
-            .filter(|(_, d)| d.get("user").and_then(|u| u.as_str()) == Some(probe.as_str()))
-            .collect();
-        prop_assert_eq!(indexed.len(), scanned.len());
-        let expected = docs.iter().filter(|(u, _)| *u == probe).count();
-        prop_assert_eq!(indexed.len(), expected);
     }
 }

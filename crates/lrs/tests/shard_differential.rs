@@ -1,19 +1,53 @@
 //! Differential test: the incremental CCO trainer against the batch
-//! trainer it replaces.
+//! trainer it replaced.
 //!
-//! The sharding spec's exactness contract: after `sync()`, a shard
-//! engine fed an event stream one event at a time returns **byte
-//! identical** top-k responses to the batch engine trained over the
-//! same stream — for in-order, out-of-order (permuted), and duplicated
-//! streams alike. Counts are maintained exactly online, `sync()`
-//! re-derives every indicator list from them with the same LLR function
-//! and the same total-order comparators the batch path uses, and
-//! scoring accumulates in history order on both sides, so equal inputs
-//! give bit-equal f64 sums.
+//! The engine's exactness contract: after `sync()`, a [`ShardEngine`]
+//! fed an event stream one event at a time returns **byte identical**
+//! top-k responses to a batch oracle — [`CcoTrainer`] over the whole
+//! stream, queried through a [`ScoringIndex`] — for in-order,
+//! out-of-order (permuted), and duplicated streams alike. Counts are
+//! maintained exactly online, `sync()` re-derives every indicator list
+//! from them with the same LLR function and the same total-order
+//! comparators the batch path uses, and scoring accumulates in history
+//! order on both sides, so equal inputs give bit-equal f64 sums.
 
-use pprox_lrs::cco::CcoConfig;
-use pprox_lrs::engine::Engine;
+use pprox_lrs::api::RecommendationList;
+use pprox_lrs::cco::{CcoConfig, CcoTrainer};
+use pprox_lrs::index::ScoringIndex;
 use pprox_lrs::shard::ShardEngine;
+use std::collections::HashMap;
+
+/// The batch reference: one [`CcoTrainer`] pass over every event,
+/// answered from a [`ScoringIndex`] plus the users' full histories.
+struct BatchOracle {
+    index: ScoringIndex,
+    histories: HashMap<String, Vec<String>>,
+}
+
+impl BatchOracle {
+    fn train(config: CcoConfig, events: &[(String, String)]) -> Self {
+        let model =
+            CcoTrainer::new(config).train(events.iter().map(|(u, i)| (u.as_str(), i.as_str())));
+        let mut histories: HashMap<String, Vec<String>> = HashMap::new();
+        for (user, item) in events {
+            histories
+                .entry(user.clone())
+                .or_default()
+                .push(item.clone());
+        }
+        BatchOracle {
+            index: ScoringIndex::build(&model),
+            histories,
+        }
+    }
+
+    fn get_filtered(&self, user: &str, n: usize, exclude: &[String]) -> RecommendationList {
+        let history = self.histories.get(user).map(Vec::as_slice).unwrap_or(&[]);
+        RecommendationList {
+            items: self.index.recommend_filtered(history, n, exclude),
+        }
+    }
+}
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -58,13 +92,11 @@ fn permuted(mut events: Vec<(String, String)>, seed: u64) -> Vec<(String, String
 /// REST-level responses for every user in it.
 fn assert_differential(events: &[(String, String)], tag: &str) {
     let config = CcoConfig::default();
-    let batch = Engine::with_config(config.clone());
-    let shard = ShardEngine::with_config(config.clone());
+    let batch = BatchOracle::train(config.clone(), events);
+    let shard = ShardEngine::with_config(config);
     for (user, item) in events {
-        batch.post(user, item, Some(1.0));
         shard.post(user, item, Some(1.0));
     }
-    batch.train();
     shard.sync();
 
     let mut users: Vec<&String> = events.iter().map(|(u, _)| u).collect();
@@ -125,13 +157,11 @@ fn incremental_matches_batch_under_tight_caps() {
         min_llr: 0.5,
     };
     let events = event_stream(0xd1ff_0004, 24, 500);
-    let batch = Engine::with_config(config.clone());
-    let shard = ShardEngine::with_config(config.clone());
+    let batch = BatchOracle::train(config.clone(), &events);
+    let shard = ShardEngine::with_config(config);
     for (user, item) in &events {
-        batch.post(user, item, None);
         shard.post(user, item, None);
     }
-    batch.train();
     shard.sync();
     for u in 0..24 {
         let user = format!("user-{u:03}");
@@ -147,16 +177,14 @@ fn resync_after_more_events_stays_exact() {
     // leak into the post-sync state.
     let events = event_stream(0xd1ff_0005, 32, 600);
     let config = CcoConfig::default();
-    let batch = Engine::with_config(config.clone());
-    let shard = ShardEngine::with_config(config.clone());
+    let batch = BatchOracle::train(config.clone(), &events);
+    let shard = ShardEngine::with_config(config);
     for (i, (user, item)) in events.iter().enumerate() {
-        batch.post(user, item, None);
         shard.post(user, item, None);
         if i == events.len() / 2 {
             shard.sync(); // mid-stream sync, then keep streaming
         }
     }
-    batch.train();
     shard.sync();
     for u in 0..32 {
         let user = format!("user-{u:03}");
@@ -164,4 +192,50 @@ fn resync_after_more_events_stays_exact() {
         let s = shard.get_filtered(&user, 8, &[]).to_json();
         assert_eq!(b, s, "resync: user {user} diverged");
     }
+}
+
+#[test]
+fn one_shard_ring_answers_like_the_bare_engine() {
+    // "Unsharded = one-shard ring": the router's owner-history +
+    // scatter-score path over a single shard must be byte-identical to
+    // the engine's own `/events` + `/queries` surface, fresh and synced.
+    use pprox_lrs::api::{
+        FeedbackEvent, HttpRequest, RecommendationQuery, RestHandler, EVENTS_PATH, QUERIES_PATH,
+    };
+    use pprox_lrs::shard::{ShardedLrs, DEFAULT_VNODES};
+    use std::sync::Arc;
+
+    let events = event_stream(0xd1ff_0001, 40, 600);
+    let bare = ShardEngine::new();
+    let inner = Arc::new(ShardEngine::new());
+    let ring = ShardedLrs::new(vec![inner.clone()], DEFAULT_VNODES);
+    for (user, item) in &events {
+        let body = FeedbackEvent {
+            user: user.clone(),
+            item: item.clone(),
+            payload: Some(1.0),
+        }
+        .to_json();
+        let request = HttpRequest::post(EVENTS_PATH, body);
+        assert_eq!(ring.handle(&request), bare.handle(&request));
+    }
+    let mut nonempty = 0usize;
+    for synced in [false, true] {
+        if synced {
+            bare.sync();
+            inner.sync();
+        }
+        for u in 0..40 {
+            let query = RecommendationQuery {
+                user: format!("user-{u:03}"),
+                num: 10,
+                exclude: vec!["g0-item-00".to_string()],
+            };
+            let request = HttpRequest::post(QUERIES_PATH, query.to_json());
+            let (b, r) = (bare.handle(&request), ring.handle(&request));
+            assert_eq!(b, r, "user-{u:03} (synced: {synced}) diverged");
+            nonempty += usize::from(b.body.contains("\"id\""));
+        }
+    }
+    assert!(nonempty > 0, "comparison would be vacuous");
 }

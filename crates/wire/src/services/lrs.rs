@@ -60,10 +60,14 @@ pub fn encode_response(resp: &HttpResponse) -> Vec<u8> {
 }
 
 /// Parses a response-frame payload back into an [`HttpResponse`].
+///
+/// The LRS is untrusted: a status that is not an integer HTTP code in
+/// `100..=599` is a malformed answer, not something to round or clamp
+/// into a success.
 pub fn decode_response(payload: &[u8]) -> Option<HttpResponse> {
     let text = std::str::from_utf8(payload).ok()?;
     let v = Value::parse(text).ok()?;
-    let status = v.get("s")?.as_f64()? as u16;
+    let status = v.get("s")?.as_u64().filter(|s| (100..=599).contains(s))? as u16;
     let body = v.get("b")?.as_str()?.to_owned();
     Some(HttpResponse { status, body })
 }
@@ -114,5 +118,10 @@ mod tests {
         assert!(decode_request(b"not json").is_none());
         assert!(decode_request(b"{\"m\":\"PUT\",\"p\":\"/x\",\"b\":\"\"}").is_none());
         assert!(decode_response(&[0xff, 0xfe]).is_none());
+        // Hostile statuses: fractional, negative, out of range.
+        assert!(decode_response(br#"{"s":200.7,"b":""}"#).is_none());
+        assert!(decode_response(br#"{"s":-1,"b":""}"#).is_none());
+        assert!(decode_response(br#"{"s":1e9,"b":""}"#).is_none());
+        assert!(decode_response(br#"{"s":599,"b":""}"#).is_some());
     }
 }

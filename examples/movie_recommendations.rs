@@ -14,8 +14,7 @@ use pprox::core::config::PProxConfig;
 use pprox::core::pipeline::{Completion, CompletionReceiver, PProxPipeline};
 use pprox::core::resilience::ResilienceConfig;
 use pprox::core::shuffler::ShuffleConfig;
-use pprox::lrs::engine::Engine;
-use pprox::lrs::frontend::Frontend;
+use pprox::lrs::shard::ShardEngine;
 use pprox::workload::dataset::Dataset;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,8 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dataset.ratings.len()
     );
 
-    let engine = Engine::new();
-    let frontend = Arc::new(Frontend::new("lrs-fe-0", engine.clone()));
+    let engine = Arc::new(ShardEngine::new());
     let config = PProxConfig {
         shuffle: ShuffleConfig {
             size: 10,
@@ -45,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..PProxConfig::default()
     };
-    let pipeline = PProxPipeline::new(config, frontend, 7, 4)?;
+    let pipeline = PProxPipeline::new(config, engine.clone(), 7, 4)?;
     let mut client = pipeline.client();
 
     // Phase 1: inject feedback through the shuffled pipeline. The
@@ -84,8 +82,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.elapsed()
     );
 
-    // Train (the paper triggers Spark after one minute of injection).
-    let interactions = engine.train();
+    // Train (the paper triggers Spark after one minute of injection;
+    // here every post already trained the model incrementally, and
+    // `sync()` repairs it to the exact batch result).
+    engine.sync();
+    let interactions = engine.model_stats().interactions;
     println!("trained CCO model on {interactions} interactions");
 
     // Phase 2: collect recommendations for active users. Queries are
@@ -117,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Transparency check (§8: "Recommendations are strictly the same as
     // when using UR in Harness directly"): rebuild an unprotected engine
     // from the same trace and compare one user's recommendations.
-    let direct_engine = Engine::new();
+    let direct_engine = ShardEngine::new();
     for r in &dataset.ratings[..inject] {
         direct_engine.post(
             &Dataset::user_id(r.user),
@@ -125,10 +126,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(r.rating),
         );
     }
-    direct_engine.train();
+    direct_engine.sync();
     let probe = Dataset::user_id(dataset.ratings[0].user);
     let direct: Vec<String> = direct_engine
-        .get(&probe, 20)
+        .get_filtered(&probe, 20, &[])
         .items
         .into_iter()
         .map(|s| s.item)

@@ -12,8 +12,7 @@
 
 use pprox::attack::cases;
 use pprox::core::{PProxConfig, PProxDeployment};
-use pprox::lrs::engine::Engine;
-use pprox::lrs::frontend::Frontend;
+use pprox::lrs::shard::ShardEngine;
 use std::sync::Arc;
 
 const TOPICS: [&str; 5] = [
@@ -25,9 +24,8 @@ const TOPICS: [&str; 5] = [
 ];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let engine = Engine::new();
-    let frontend = Arc::new(Frontend::new("lrs-fe-0", engine.clone()));
-    let pprox = PProxDeployment::new(PProxConfig::default(), frontend, 99)?;
+    let engine = Arc::new(ShardEngine::new());
+    let pprox = PProxDeployment::new(PProxConfig::default(), engine.clone(), 99)?;
     let mut client = pprox.client();
 
     // 40 readers, each following both articles of one sensitive topic.
@@ -37,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pprox.post_feedback(&mut client, &user, &format!("{topic}-a1"), None)?;
         pprox.post_feedback(&mut client, &user, &format!("{topic}-a2"), None)?;
     }
-    engine.train();
+    engine.sync();
 
     // Readers get working recommendations…
     let first_article = format!("{}-a1", TOPICS[0]);

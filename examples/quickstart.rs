@@ -8,19 +8,17 @@
 //! ever holds pseudonyms.
 
 use pprox::core::{PProxConfig, PProxDeployment};
-use pprox::lrs::engine::Engine;
-use pprox::lrs::frontend::Frontend;
+use pprox::lrs::shard::ShardEngine;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The RaaS provider runs an ordinary recommendation engine (the
     //    "legacy recommendation system"). PProx requires no change to it.
-    let engine = Engine::new();
-    let frontend = Arc::new(Frontend::new("lrs-fe-0", engine.clone()));
+    let engine = Arc::new(ShardEngine::new());
 
     // 2. Deploy PProx: generates layer keys, loads UA and IA enclaves on
     //    the (simulated) SGX platform, attests them, provisions secrets.
-    let pprox = PProxDeployment::new(PProxConfig::default(), frontend, 42)?;
+    let pprox = PProxDeployment::new(PProxConfig::default(), engine.clone(), 42)?;
     println!("deployed: {pprox:?}");
 
     // 3. Applications embed the thin user-side library. It holds only the
@@ -55,10 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(!stored_user.contains("fan"));
     assert!(!stored_item.contains("alien"));
 
-    // 6. Train the model (the periodic Spark job in the paper) and query
-    //    through the proxy. Results come back decrypted, with padding
-    //    pseudo-items already discarded by the library.
-    engine.train();
+    // 6. Bring the model to its exact state (every post already trained
+    //    it incrementally; `sync()` is the periodic Spark job's role) and
+    //    query through the proxy. Results come back decrypted, with
+    //    padding pseudo-items already discarded by the library.
+    engine.sync();
     pprox.post_feedback(&mut client, "newcomer", "alien", None)?;
     let recommendations = pprox.get_recommendations(&mut client, "newcomer")?;
     println!("recommendations for 'newcomer' (who liked 'alien'): {recommendations:?}");

@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== examples (not run by cargo test; each must exit 0) =="
+for example in quickstart news_portal adversary_lab movie_recommendations; do
+    cargo run --release -q --example "$example" >/dev/null
+done
+
 echo "== privacy-flow analysis (v2: taint + lock order + reader/panic discipline) =="
 ANALYSIS_DIR="$(mktemp -d)"
 trap 'rm -rf "$ANALYSIS_DIR"' EXIT
@@ -118,5 +123,13 @@ grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,' <<<"$BENCH_SMOKE" || {
 
 echo "== benchmark trend gate (no >20% throughput regressions vs HEAD) =="
 cargo run --release -q -p pprox-bench --bin bench_trend
+
+echo "== src/ line counts per crate (quote before/after in CHANGES.md) =="
+for crate in crates/*/; do
+    printf '%-12s %6d\n' "$(basename "$crate")" \
+        "$(find "$crate/src" -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+done
+printf '%-12s %6d\n' workspace \
+    "$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
 echo "CI green."

@@ -19,8 +19,8 @@
 //!   SGX sealing, with torn-write tolerance and a storage fault injector
 //!   for crash-recovery drills.
 //! * [`lrs`] (`pprox-lrs`) — a Harness / Universal Recommender stand-in:
-//!   document store, CCO/LLR trainer, scoring index, REST front-ends, and
-//!   the nginx-like stub.
+//!   one incremental CCO/LLR engine behind the REST surface, its durable
+//!   and consistent-hash-sharded wrappers, and the nginx-like stub.
 //! * [`net`] (`pprox-net`) — the discrete-event cluster simulator behind
 //!   the latency/throughput figures.
 //! * [`workload`] (`pprox-workload`) — MovieLens-like synthetic traces,
@@ -40,15 +40,15 @@
 //!
 //! ```
 //! use pprox::core::{PProxConfig, PProxDeployment};
-//! use pprox::lrs::engine::Engine;
-//! use pprox::lrs::frontend::Frontend;
+//! use pprox::lrs::shard::ShardEngine;
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), pprox::core::PProxError> {
 //! // An unmodified recommendation engine, fronted by PProx.
-//! let engine = Engine::new();
-//! let frontend = Arc::new(Frontend::new("lrs-fe-0", engine.clone()));
-//! let pprox = PProxDeployment::new(PProxConfig::for_tests(), frontend, 42)?;
+//! // (`ShardEngine` implements `RestHandler`, the whole surface the
+//! // proxy calls.)
+//! let engine = Arc::new(ShardEngine::new());
+//! let pprox = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 42)?;
 //!
 //! // Applications talk to the user-side library; ids never reach the
 //! // provider in the clear.

@@ -12,14 +12,12 @@ use pprox::core::rotation::{rotate_database, RotatedLayer, RotationEnclave};
 use pprox::core::{PProxConfig, PProxDeployment};
 use pprox::crypto::ctr::SymmetricKey;
 use pprox::crypto::rng::SecureRng;
-use pprox::lrs::engine::Engine;
-use pprox::lrs::frontend::Frontend;
+use pprox::lrs::shard::ShardEngine;
 use std::sync::Arc;
 
-fn seeded_world() -> (PProxDeployment, Engine) {
-    let engine = Engine::new();
-    let fe = Arc::new(Frontend::new("fe", engine.clone()));
-    let d = PProxDeployment::new(PProxConfig::for_tests(), fe, 0xb4ea).unwrap();
+fn seeded_world() -> (PProxDeployment, Arc<ShardEngine>) {
+    let engine = Arc::new(ShardEngine::new());
+    let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0xb4ea).unwrap();
     let mut client = d.client();
     // Two clusters for meaningful recommendations.
     for u in 0..6 {
@@ -81,18 +79,18 @@ fn rotation_invalidates_stolen_key_and_preserves_profiles() {
 
     // 5. Profiles survive: re-import the rotated dump into a fresh engine
     //    and the model recommends the same (pseudonymized) items.
-    let before = {
-        engine.train();
-        let probe = &old_events.last().unwrap().0; // probe's old pseudonym
-        engine.get(probe, 10)
+    let probe_under = |key: &SymmetricKey| {
+        let padded = pprox::crypto::pad::pad(b"probe", 32).unwrap();
+        pprox::crypto::base64::encode(&key.det_encrypt(&padded))
     };
-    let rotated_engine = Engine::new();
+    engine.sync();
+    let before = engine.get_filtered(&probe_under(&old_key), 10, &[]);
+    let rotated_engine = ShardEngine::new();
     for (user, item) in &rotated {
         rotated_engine.post(user, item, None);
     }
-    rotated_engine.train();
-    let probe_new = &rotated.last().unwrap().0;
-    let after = rotated_engine.get(probe_new, 10);
+    rotated_engine.sync();
+    let after = rotated_engine.get_filtered(&probe_under(&new_key), 10, &[]);
     let items_before: Vec<&str> = before.items.iter().map(|s| s.item.as_str()).collect();
     let items_after: Vec<&str> = after.items.iter().map(|s| s.item.as_str()).collect();
     assert_eq!(items_before, items_after, "profiles must survive rotation");

@@ -8,14 +8,12 @@
 //! same two-layer structure).
 
 use pprox::core::{PProxConfig, PProxDeployment};
-use pprox::lrs::engine::Engine;
-use pprox::lrs::frontend::Frontend;
+use pprox::lrs::shard::ShardEngine;
 use std::sync::Arc;
 
-fn world() -> (PProxDeployment, Engine) {
-    let engine = Engine::new();
-    let fe = Arc::new(Frontend::new("fe", engine.clone()));
-    let d = PProxDeployment::new(PProxConfig::for_tests(), fe, 0xb1e5).unwrap();
+fn world() -> (PProxDeployment, Arc<ShardEngine>) {
+    let engine = Arc::new(ShardEngine::new());
+    let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0xb1e5).unwrap();
     let mut client = d.client();
     // One cluster with three strongly associated items, plus contrast.
     for u in 0..8 {
@@ -29,7 +27,7 @@ fn world() -> (PProxDeployment, Engine) {
             .unwrap();
     }
     d.post_feedback(&mut client, "probe", "a1", None).unwrap();
-    engine.train();
+    engine.sync();
     (d, engine)
 }
 

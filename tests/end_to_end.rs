@@ -4,15 +4,13 @@
 use pprox::core::config::PProxConfig;
 use pprox::core::pipeline::{Completion, PProxPipeline};
 use pprox::core::shuffler::ShuffleConfig;
-use pprox::lrs::engine::Engine;
-use pprox::lrs::frontend::Frontend;
+use pprox::lrs::shard::ShardEngine;
 use pprox::lrs::MAX_RECOMMENDATIONS;
 use pprox::workload::dataset::Dataset;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn pipeline(engine: &Engine, shuffle: ShuffleConfig, instances: usize) -> PProxPipeline {
-    let fe = Arc::new(Frontend::new("fe", engine.clone()));
+fn pipeline(engine: &Arc<ShardEngine>, shuffle: ShuffleConfig, instances: usize) -> PProxPipeline {
     let config = PProxConfig {
         shuffle,
         ua_instances: instances,
@@ -20,13 +18,13 @@ fn pipeline(engine: &Engine, shuffle: ShuffleConfig, instances: usize) -> PProxP
         modulus_bits: 1152,
         ..PProxConfig::default()
     };
-    PProxPipeline::new(config, fe, 0xe2e, 2 * instances).unwrap()
+    PProxPipeline::new(config, engine.clone(), 0xe2e, 2 * instances).unwrap()
 }
 
 #[test]
 fn two_phase_workload_through_shuffled_pipeline() {
     let dataset = Dataset::generate(30, 50, 400, 0xe2e);
-    let engine = Engine::new();
+    let engine = Arc::new(ShardEngine::new());
     let p = pipeline(
         &engine,
         ShuffleConfig {
@@ -55,8 +53,8 @@ fn two_phase_workload_through_shuffled_pipeline() {
             other => panic!("post failed: {other:?}"),
         }
     }
-    assert_eq!(engine.stats().events, 400);
-    engine.train();
+    assert_eq!(engine.gauges().events, 400);
+    engine.sync();
 
     // Phase 2: concurrent gets.
     let mut in_flight = Vec::new();
@@ -81,7 +79,7 @@ fn two_phase_workload_through_shuffled_pipeline() {
 
 #[test]
 fn concurrent_clients_share_the_pipeline() {
-    let engine = Engine::new();
+    let engine = Arc::new(ShardEngine::new());
     let p = Arc::new(pipeline(&engine, ShuffleConfig::disabled(), 1));
     let mut handles = Vec::new();
     for t in 0..4 {
@@ -103,12 +101,12 @@ fn concurrent_clients_share_the_pipeline() {
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(engine.stats().events, 100);
+    assert_eq!(engine.gauges().events, 100);
 }
 
 #[test]
 fn pipeline_rejects_garbage_but_keeps_serving() {
-    let engine = Engine::new();
+    let engine = Arc::new(ShardEngine::new());
     let p = pipeline(&engine, ShuffleConfig::disabled(), 1);
     let mut client = p.client();
 

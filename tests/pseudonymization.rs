@@ -14,7 +14,7 @@ use pprox::core::ua::UaState;
 use pprox::crypto::ctr::SymmetricKey;
 use pprox::crypto::pad;
 use pprox::crypto::rng::SecureRng;
-use pprox::lrs::engine::Engine;
+use pprox::lrs::shard::ShardEngine;
 use pprox::sgx::{Measurement, Platform};
 
 const ID_LEN: usize = 32;
@@ -35,7 +35,7 @@ fn randomized_pseudonym(key: &SymmetricKey, id: &str, rng: &mut SecureRng) -> St
 /// users; returns whether a probe user (history: "a1") gets "a2"
 /// recommended.
 fn run_with_pseudonyms(mut pseudonymize: impl FnMut(&str) -> String) -> bool {
-    let engine = Engine::new();
+    let engine = ShardEngine::new();
     for u in 0..8 {
         let user = format!("cluster-a-{u}");
         engine.post(&pseudonymize(&user), &pseudonymize("a1"), None);
@@ -51,8 +51,8 @@ fn run_with_pseudonyms(mut pseudonymize: impl FnMut(&str) -> String) -> bool {
     }
     let probe = pseudonymize("probe");
     engine.post(&probe, &pseudonymize("a1"), None);
-    engine.train();
-    let recs = engine.get(&probe, 10);
+    engine.sync();
+    let recs = engine.get_filtered(&probe, 10, &[]);
     recs.items.iter().any(|s| s.item == pseudonymize("a2"))
 }
 

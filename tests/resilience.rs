@@ -400,7 +400,7 @@ proptest! {
 mod storage_faults {
     use super::*;
     use pprox::lrs::api::{HttpRequest, RestHandler, EVENTS_PATH, QUERIES_PATH};
-    use pprox::lrs::durable::{DurableConfig, DurableLrs};
+    use pprox::lrs::shard::{DurableConfig, DurableShard};
     use pprox::store::{SealingKey, SecureRng, StoreError, TempDir};
 
     fn sealing() -> SealingKey {
@@ -421,18 +421,37 @@ mod storage_faults {
             .is_success());
     }
 
+    fn query(handler: &dyn RestHandler, user: &str) -> String {
+        let resp = handler.handle(&HttpRequest::post(
+            QUERIES_PATH,
+            format!(r#"{{"user":"{user}","num":5}}"#),
+        ));
+        assert!(resp.is_success());
+        resp.body
+    }
+
     #[test]
     fn scheduled_torn_writes_recover_with_bounded_loss() {
         let dir = TempDir::new("res-torn");
         let sealing = sealing();
-        let lrs = Arc::new(DurableLrs::open(dir.path(), &sealing, wal_only()).unwrap());
-        // Four clean writes, then the crash: the schedule tears the WAL
+        let lrs = Arc::new(DurableShard::open(dir.path(), &sealing, wal_only()).unwrap());
+        // Six clean writes, then the crash: the schedule tears the WAL
         // tail on the final request, modeling a kill -9 mid-append. (An
         // inactive far-future window rides along to exercise schedule
         // composition with storage faults.)
-        for i in 0..4 {
-            post(lrs.as_ref(), &format!("u{i}"), "film");
+        for (user, item) in [
+            ("bg", "solo"),
+            ("u1", "film"),
+            ("u1", "sequel"),
+            ("u2", "film"),
+            ("u2", "sequel"),
+            ("u3", "film"),
+        ] {
+            post(lrs.as_ref(), user, item);
         }
+        // The answer the durable prefix gives, before the torn append.
+        let before = query(lrs.as_ref(), "u3");
+        assert!(before.contains("sequel"), "{before}");
         let schedule = ChaosSchedule::none()
             .with(ChaosEntry::window(
                 Fault::ErrorStatus,
@@ -449,21 +468,46 @@ mod storage_faults {
         drop(chaos);
         drop(lrs);
 
-        let revived = DurableLrs::open(dir.path(), &sealing, wal_only()).unwrap();
+        let revived = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap();
         let stats = revived.recovery().clone();
         assert!(stats.torn_bytes > 0, "final tear visible at recovery");
-        assert_eq!(stats.replayed, 4, "exactly the torn record is lost");
-        // The revived instance serves.
-        assert!(revived
-            .handle(&HttpRequest::post(QUERIES_PATH, r#"{"user":"u0"}"#))
-            .is_success());
+        assert_eq!(stats.replayed, 6, "exactly the torn record is lost");
+        // The revived instance answers byte-for-byte as the live one did
+        // before the append that tore.
+        assert_eq!(query(&revived, "u3"), before);
+    }
+
+    #[test]
+    fn wrong_platform_key_is_refused_and_the_right_one_still_recovers() {
+        let dir = TempDir::new("res-wrong-key");
+        let sealing = sealing();
+        let lrs = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap();
+        post(&lrs, "bg", "solo");
+        for i in 0..4 {
+            post(&lrs, &format!("u{i}"), "film");
+            post(&lrs, &format!("u{i}"), "sequel");
+        }
+        post(&lrs, "probe", "film");
+        let before = query(&lrs, "probe");
+        assert!(before.contains("sequel"), "{before}");
+        drop(lrs);
+
+        // A different platform cannot unseal the DEK: typed refusal, and
+        // the failed attempt must not damage the store.
+        let foreign = SealingKey::generate(&mut SecureRng::from_seed(78));
+        let err = DurableShard::open(dir.path(), &foreign, wal_only()).unwrap_err();
+        assert!(matches!(err, StoreError::Seal(_)), "{err}");
+
+        let revived = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap();
+        assert_eq!(revived.recovery().replayed, 10);
+        assert_eq!(query(&revived, "probe"), before);
     }
 
     #[test]
     fn scheduled_block_corruption_is_refused_at_recovery() {
         let dir = TempDir::new("res-corrupt");
         let sealing = sealing();
-        let lrs = Arc::new(DurableLrs::open(dir.path(), &sealing, wal_only()).unwrap());
+        let lrs = Arc::new(DurableShard::open(dir.path(), &sealing, wal_only()).unwrap());
         post(lrs.as_ref(), "u1", "film");
         post(lrs.as_ref(), "u2", "film");
         lrs.snapshot_now().unwrap();
@@ -479,7 +523,7 @@ mod storage_faults {
         drop(lrs);
 
         // Detection, not silent acceptance: the damaged block is named.
-        let err = DurableLrs::open(dir.path(), &sealing, wal_only()).unwrap_err();
+        let err = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap_err();
         assert!(matches!(err, StoreError::CorruptBlock { .. }), "{err}");
     }
 
@@ -487,7 +531,7 @@ mod storage_faults {
     fn scheduled_stale_snapshot_is_refused_at_recovery() {
         let dir = TempDir::new("res-stale");
         let sealing = sealing();
-        let lrs = Arc::new(DurableLrs::open(dir.path(), &sealing, wal_only()).unwrap());
+        let lrs = Arc::new(DurableShard::open(dir.path(), &sealing, wal_only()).unwrap());
         post(lrs.as_ref(), "u1", "a");
         lrs.snapshot_now().unwrap();
         post(lrs.as_ref(), "u2", "b");
@@ -504,7 +548,7 @@ mod storage_faults {
         drop(chaos);
         drop(lrs);
 
-        let err = DurableLrs::open(dir.path(), &sealing, wal_only()).unwrap_err();
+        let err = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap_err();
         assert!(
             matches!(err, StoreError::StaleSnapshot { .. }),
             "stale manifest must not silently lose events: {err}"

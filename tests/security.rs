@@ -4,15 +4,13 @@ use pprox::attack::cases;
 use pprox::attack::correlation::measure_linkage;
 use pprox::attack::observer::ObservationConfig;
 use pprox::core::{PProxConfig, PProxDeployment};
-use pprox::lrs::engine::Engine;
-use pprox::lrs::frontend::Frontend;
+use pprox::lrs::shard::ShardEngine;
 use pprox::sgx::CompromiseError;
 use std::sync::Arc;
 
-fn deployment_with_traffic(seed: u64) -> (PProxDeployment, Engine) {
-    let engine = Engine::new();
-    let fe = Arc::new(Frontend::new("fe", engine.clone()));
-    let d = PProxDeployment::new(PProxConfig::for_tests(), fe, seed).unwrap();
+fn deployment_with_traffic(seed: u64) -> (PProxDeployment, Arc<ShardEngine>) {
+    let engine = Arc::new(ShardEngine::new());
+    let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), seed).unwrap();
     let mut client = d.client();
     for u in 0..30 {
         d.post_feedback(
@@ -68,14 +66,12 @@ fn horizontal_scaling_does_not_weaken_layer_isolation() {
     // §5: "Using multiple enclaves for each proxy layer does not lower
     // security" — breaking several UA instances still never exposes IA
     // secrets.
-    let engine = Engine::new();
-    let fe = Arc::new(Frontend::new("fe", engine.clone()));
     let config = PProxConfig {
         ua_instances: 3,
         ia_instances: 3,
         ..PProxConfig::for_tests()
     };
-    let d = PProxDeployment::new(config, fe, 4).unwrap();
+    let d = PProxDeployment::new(config, Arc::new(ShardEngine::new()), 4).unwrap();
     let mut client = d.client();
     d.post_feedback(&mut client, "u", "i", None).unwrap();
     for ua in d.ua_layer() {
@@ -108,9 +104,8 @@ fn correlation_attack_bounded_by_shuffling() {
 fn get_responses_opaque_to_ua_layer() {
     // The encrypted list returned through the UA layer must not contain
     // any item id in the clear (Figure 4: enc({i...}, k_u)).
-    let engine = Engine::new();
-    let fe = Arc::new(Frontend::new("fe", engine.clone()));
-    let d = PProxDeployment::new(PProxConfig::for_tests(), fe, 6).unwrap();
+    let engine = Arc::new(ShardEngine::new());
+    let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 6).unwrap();
     let mut client = d.client();
     for u in 0..6 {
         d.post_feedback(&mut client, &format!("u{u}"), "aa", None)
@@ -123,7 +118,7 @@ fn get_responses_opaque_to_ua_layer() {
             .unwrap();
     }
     d.post_feedback(&mut client, "probe", "aa", None).unwrap();
-    engine.train();
+    engine.sync();
     let (envelope, ticket) = client.get("probe").unwrap();
     let encrypted = d.handle_get(&envelope).unwrap();
     // What the UA (and any observer of the response path) sees:

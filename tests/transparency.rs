@@ -7,8 +7,7 @@
 //! every user's recommendation list item-for-item, in order.
 
 use pprox::core::{PProxConfig, PProxDeployment};
-use pprox::lrs::engine::Engine;
-use pprox::lrs::frontend::Frontend;
+use pprox::lrs::shard::ShardEngine;
 use pprox::workload::dataset::Dataset;
 use std::sync::Arc;
 
@@ -21,16 +20,16 @@ fn recommendations_identical_with_and_without_pprox() {
     let dataset = trace();
 
     // Unprotected deployment.
-    let direct = Engine::new();
+    let direct = ShardEngine::new();
     for r in &dataset.ratings {
         direct.post(&Dataset::user_id(r.user), &Dataset::item_id(r.item), None);
     }
-    direct.train();
+    direct.sync();
 
     // Proxied deployment over the same trace.
-    let proxied_engine = Engine::new();
-    let fe = Arc::new(Frontend::new("fe", proxied_engine.clone()));
-    let pprox = PProxDeployment::new(PProxConfig::for_tests(), fe, 0x7a5).unwrap();
+    let proxied_engine = Arc::new(ShardEngine::new());
+    let pprox =
+        PProxDeployment::new(PProxConfig::for_tests(), proxied_engine.clone(), 0x7a5).unwrap();
     let mut client = pprox.client();
     for r in &dataset.ratings {
         pprox
@@ -42,7 +41,7 @@ fn recommendations_identical_with_and_without_pprox() {
             )
             .unwrap();
     }
-    proxied_engine.train();
+    proxied_engine.sync();
 
     // Compare every active user's list.
     let mut users: Vec<u32> = dataset.ratings.iter().map(|r| r.user).collect();
@@ -52,7 +51,7 @@ fn recommendations_identical_with_and_without_pprox() {
     let mut nonempty = 0;
     for user in users {
         let user_id = Dataset::user_id(user);
-        let direct_list = direct.get(&user_id, 20);
+        let direct_list = direct.get_filtered(&user_id, 20, &[]);
         let direct_items: Vec<String> = direct_list.items.iter().map(|s| s.item.clone()).collect();
         let scores: std::collections::HashMap<&str, f64> = direct_list
             .items
@@ -94,14 +93,13 @@ fn recommendations_identical_with_and_without_pprox() {
 fn payloads_survive_the_proxy() {
     // Ratings inserted through PProx reach the LRS intact (the optional
     // payload `p` of post(u, i[, p])).
-    let engine = Engine::new();
-    let fe = Arc::new(Frontend::new("fe", engine.clone()));
-    let pprox = PProxDeployment::new(PProxConfig::for_tests(), fe, 0x7a6).unwrap();
+    let engine = Arc::new(ShardEngine::new());
+    let pprox = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0x7a6).unwrap();
     let mut client = pprox.client();
     pprox
         .post_feedback(&mut client, "rater", "movie", Some(4.5))
         .unwrap();
-    assert_eq!(engine.stats().events, 1);
+    assert_eq!(engine.gauges().events, 1);
 }
 
 #[test]
@@ -109,13 +107,12 @@ fn disabling_item_pseudonymization_keeps_results_identical_too() {
     // §6.3 / m4: the privacy knob must not affect results either.
     let dataset = trace();
     let run = |item_pseudonymization: bool| -> Vec<Vec<String>> {
-        let engine = Engine::new();
-        let fe = Arc::new(Frontend::new("fe", engine.clone()));
+        let engine = Arc::new(ShardEngine::new());
         let config = PProxConfig {
             item_pseudonymization,
             ..PProxConfig::for_tests()
         };
-        let pprox = PProxDeployment::new(config, fe, 0x7a7).unwrap();
+        let pprox = PProxDeployment::new(config, engine.clone(), 0x7a7).unwrap();
         let mut client = pprox.client();
         for r in &dataset.ratings {
             pprox
@@ -127,7 +124,7 @@ fn disabling_item_pseudonymization_keeps_results_identical_too() {
                 )
                 .unwrap();
         }
-        engine.train();
+        engine.sync();
         (0..10)
             .map(|u| {
                 pprox

@@ -17,8 +17,7 @@ use pprox::core::pipeline::{Completion, PProxPipeline};
 use pprox::core::resilience::Deadline;
 use pprox::core::shuffler::ShuffleConfig;
 use pprox::lrs::cco::CcoConfig;
-use pprox::lrs::durable::{DurableConfig, DurableLrs};
-use pprox::lrs::shard::{DurableShard, ShardEngine};
+use pprox::lrs::shard::{DurableConfig, DurableShard, ShardEngine};
 use pprox::lrs::stub::StubLrs;
 use pprox::store::{SealingKey, SecureRng, TempDir};
 use pprox::wire::cluster::{ClusterConfig, LoopbackCluster, LrsFactory, LrsInstance};
@@ -265,14 +264,13 @@ fn supervised_durable_lrs_layer_recovers_with_identical_recommendations() {
     let sealing = SealingKey::generate(&mut SecureRng::from_seed(0x5ea1));
     let durable_config = DurableConfig {
         snapshot_every: 6, // several snapshots over the 20-event trace
-        train_every: 1,    // index is always trained when queried
         ..DurableConfig::default()
     };
 
-    // The boot factory the supervisor re-runs: one shared DurableLrs
+    // The boot factory the supervisor re-runs: one shared DurableShard
     // while any instance holds it; rebuilt from disk once the whole
     // layer (and with it every strong reference) is gone.
-    let memo: Arc<Mutex<Weak<DurableLrs>>> = Arc::new(Mutex::new(Weak::new()));
+    let memo: Arc<Mutex<Weak<DurableShard>>> = Arc::new(Mutex::new(Weak::new()));
     let factory: LrsFactory = {
         let memo = memo.clone();
         let store_dir = dir.path().to_path_buf();
@@ -282,7 +280,7 @@ fn supervised_durable_lrs_layer_recovers_with_identical_recommendations() {
                 return LrsInstance::plain(live);
             }
             let lrs = Arc::new(
-                DurableLrs::open(&store_dir, &sealing, durable_config)
+                DurableShard::open(&store_dir, &sealing, durable_config)
                     .expect("durable recovery must succeed"),
             );
             *slot = Arc::downgrade(&lrs);
