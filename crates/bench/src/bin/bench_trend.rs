@@ -9,8 +9,9 @@
 //!   timelines are skipped — they are traces, not metrics), and
 //! * **fails** when a guarded throughput metric regresses by more than
 //!   `--max-regression` (default 20%). The guarded set is currently
-//!   `BENCH_wire.json :: wire.sustained_rps` and
-//!   `BENCH_sharding.json :: scaling.sustained_rps_max`.
+//!   `BENCH_wire.json :: wire.sustained_rps`,
+//!   `BENCH_sharding.json :: scaling.sustained_rps_max` and
+//!   `BENCH_throughput.json :: stages.rsa_decrypt.ops_per_sec`.
 //!
 //! Usage:
 //!
@@ -32,6 +33,7 @@ use std::process::Command;
 const GUARDED: &[(&str, &str)] = &[
     ("BENCH_wire.json", "wire.sustained_rps"),
     ("BENCH_sharding.json", "scaling.sustained_rps_max"),
+    ("BENCH_throughput.json", "stages.rsa_decrypt.ops_per_sec"),
 ];
 
 #[derive(Debug)]

@@ -4,7 +4,7 @@
 //! to Miller–Rabin rounds; the error probability after `MILLER_RABIN_ROUNDS`
 //! rounds is below 2⁻⁸⁰ for the candidate sizes used here.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 use crate::rng::SecureRng;
 
 /// Number of Miller–Rabin witnesses tested per candidate.
@@ -49,15 +49,20 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut SecureRng) -> boo
         d = d.shr(1);
         r += 1;
     }
+    // One context per candidate; 1 and n − 1 in Montgomery form so the
+    // squaring chain never leaves the domain.
+    let ctx = Montgomery::new(n).expect("even candidates were rejected above");
+    let one_m = ctx.to_mont(&BigUint::one());
+    let minus_one_m = ctx.to_mont(&n_minus_1);
     'witness: for _ in 0..rounds {
         let a = random_in_range(&two, &n_minus_1, rng);
-        let mut x = a.mod_pow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = ctx.to_mont(&ctx.mod_pow(&a, &d));
+        if x == one_m || x == minus_one_m {
             continue 'witness;
         }
         for _ in 0..r - 1 {
-            x = x.mod_mul(&x, n);
-            if x == n_minus_1 {
+            x = ctx.mont_mul(&x, &x);
+            if x == minus_one_m {
                 continue 'witness;
             }
         }
@@ -183,6 +188,30 @@ mod tests {
         let a = generate_prime(128, &mut rng);
         let b = generate_prime(128, &mut rng);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fixed_seed_yields_the_recorded_primes() {
+        // Recorded before Miller–Rabin moved onto one Montgomery context
+        // per candidate (and, at 1024 bits, before the fixed-width
+        // kernels): witnesses, their order and every verdict are unchanged,
+        // so the same seed must find the same primes.
+        for (bits, hex) in [
+            (
+                256,
+                "d1dff93f1042a60cf414ef0ce357c53cf41c94fc54fd3aced803803ad94b2f95",
+            ),
+            (
+                1024,
+                "edabf29cbc8d6351ddb6e1d4c9b8fde6098541685a623aaebb89f0c20f091cc5\
+                 0b6444e55c9cdf0ab5b1668463e76d62680fb86690085436513e55aa7ba30a9e\
+                 dfb7fa557298869ec86b69702cfe7a8e1eb7cf052dceb56919309efa9aeb739b\
+                 54b7133508d3620e15130aaf8784a25a6d1a0428ed5efcd377e380e245823a65",
+            ),
+        ] {
+            let mut rng = SecureRng::from_seed(0x5052_494d);
+            assert_eq!(generate_prime(bits, &mut rng).to_hex(), hex, "{bits} bits");
+        }
     }
 
     #[test]

@@ -473,6 +473,40 @@ mod tests {
         assert_eq!(kp.private.decrypt(&ct).unwrap(), KAT_PLAINTEXT);
     }
 
+    /// The 768-bit vectors above stay on the slice kernels (6-limb
+    /// primes). These pin the widths the fixed-width kernels serve —
+    /// 16-limb primes, 32-limb modulus — to values recorded from the
+    /// slice-only implementation: same seed, same key, same bytes.
+    const KAT_2048_KEY_SEED: u64 = 0x4b41_5433;
+    const KAT_2048_FINGERPRINT_HEX: &str =
+        "83523628ef9913ac5da3e0f5f5d7ee5583322a3123f825c300139d6286403491";
+    const KAT_2048_CT_HEX: &str = "99f0999cf130502f60144f1bdf33c9685792095de3f4d89bcc0e7d94bc49daa04d62bcb5ce35ba7d4e56f575d7a6bb147c490ef2ff745327a0b676b7df21ea83e12f80e1bdcbc8b7729b325e68157c15925f167aa4348f63fbeaec6ff0d9b6480bbfb30a54f662254b257e0e076485c77dd742eade2790d089934fe944753be9d8d349cf6134c2a08b8345242fb07275b5a9c090144507c31546865f97177beb674176c486d76ea47abcdd360f80d714be95798b9c3591cad4e11ca8212396dfabf6842b3723ab5e8d6bd537513545aa7c6bd95513b25cfa518d17a5d17ddb5fa2dffddc21c43b250e467de0bb1758ba2aa65eb7faeebeae4324eeaa77592d5a";
+    const KAT_2048_EM_HEX: &str = "5931702b75b3eb8c367686826ee1b8733da0fe5f2c2d839a38cc3c761ea9d787a1c0008335bdf2d60d05cbff6c36715bf11f27b2af7dfdb8949617a98030a5e265e1157150a37953eecbfb85d5061e12b3a72573382b7d019907fab6d43ffc2202142c23e3767f67c1666455d55f6870d8be5bcd4f6a0784ec05d8671891b11b22101455c958293c481697aec2d37ddf00543f208f2af1a135b171f4f51cba4716fefe91ce56c7208d46b3383194a9338551857e158b5f03b5b12111e01c45b243b6333d11bf7dd22af802dafa7f8a713c1fae1bd1dffdbbf392d240fd39bf09c4ad910732ec624a1407f85fe42ab21c636e752463e0e0e701864e06873ab7";
+
+    #[test]
+    fn kat_2048_key_encrypt_and_crt_decrypt_fixed_vectors() {
+        let mut rng = SecureRng::from_seed(KAT_2048_KEY_SEED);
+        let kp = RsaKeyPair::generate(2048, &mut rng);
+        let fingerprint: String = kp
+            .public
+            .fingerprint()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            fingerprint, KAT_2048_FINGERPRINT_HEX,
+            "key generation drifted"
+        );
+        // The encryption draws from the same stream the key came from.
+        let ct = kp.public.encrypt(KAT_PLAINTEXT, &mut rng).unwrap();
+        let c = BigUint::from_bytes_be(&ct);
+        assert_eq!(c.to_hex(), KAT_2048_CT_HEX);
+        let em = BigUint::from_hex(KAT_2048_EM_HEX).unwrap();
+        assert_eq!(kp.private.raw_decrypt(&c), em);
+        assert_eq!(kp.private.raw_decrypt_naive(&c), em);
+        assert_eq!(kp.private.decrypt(&ct).unwrap(), KAT_PLAINTEXT);
+    }
+
     #[test]
     fn kat_textbook_rsa_small_numbers() {
         // Classic hand-checkable textbook vector: p=61, q=53, n=3233,

@@ -6,7 +6,14 @@
 //!
 //! * `BigUint::mod_pow` (Montgomery CIOS + fixed-window) vs.
 //!   `BigUint::mod_pow_naive` (binary square-and-multiply) across random
-//!   odd moduli of 512, 1024 and 2048 bits;
+//!   odd moduli of 512, 576, 1024 and 2048 bits. 1024 and 2048 bits (16
+//!   and 32 limbs) are the widths `Montgomery::mod_pow` dispatches to the
+//!   fixed-width array kernels; 512 and 576 bits (the CRT prime of the
+//!   default 1152-bit keys) stay on the slice CIOS. The kernels are
+//!   private, so squaring-vs-multiply and array-ladder-vs-slice-ladder
+//!   are unit tests in `bigint.rs`; here both families meet the
+//!   schoolbook reference through the public entry points, with short and
+//!   with full-width (CRT-sized) exponents;
 //! * `Montgomery::mod_mul` vs. `BigUint::mod_mul` (multiply-then-divide);
 //! * `SymmetricKey::det_encrypt` (cached key schedule + cached keystream
 //!   prefix) vs. `det_encrypt_fresh` (rebuilds the AES key schedule and
@@ -95,8 +102,60 @@ macro_rules! mod_pow_differential {
 }
 
 mod_pow_differential!(mod_pow_matches_naive_512, 512);
+mod_pow_differential!(mod_pow_matches_naive_576, 576);
 mod_pow_differential!(mod_pow_matches_naive_1024, 1024);
 mod_pow_differential!(mod_pow_matches_naive_2048, 2048);
+
+/// A value of exactly `bytes` bytes with the top bit set (a full-width
+/// exponent, as a CRT exponent is).
+fn full_width(bytes: usize) -> impl Strategy<Value = BigUint> {
+    proptest::collection::vec(any::<u8>(), bytes..bytes + 1).prop_map(|mut b| {
+        b[0] |= 0x80;
+        BigUint::from_bytes_be(&b)
+    })
+}
+
+proptest! {
+    // The schoolbook ladder pays a division per exponent bit: few cases.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn full_width_exponent_matches_naive_at_every_kernel_width(
+        m9 in odd_modulus(576),
+        m16 in odd_modulus(1024),
+        m32 in odd_modulus(2048),
+        base in value(264),
+        exp in full_width(128),
+    ) {
+        for m in [m9, m16, m32] {
+            let ctx = Montgomery::new(&m).expect("modulus is odd");
+            let want = base.mod_pow_naive(&exp, &m);
+            prop_assert_eq!(base.mod_pow(&exp, &m), want.clone());
+            prop_assert_eq!(ctx.mod_pow(&base, &exp), want);
+        }
+    }
+
+    #[test]
+    fn edge_bases_match_naive_at_every_kernel_width(
+        m9 in odd_modulus(576),
+        m16 in odd_modulus(1024),
+        m32 in odd_modulus(2048),
+        exp in value(12),
+    ) {
+        for m in [m9, m16, m32] {
+            let ctx = Montgomery::new(&m).expect("modulus is odd");
+            let edge = [big(0), big(1), m.sub(&big(1)), m.clone(), m.add(&big(1))];
+            for base in edge {
+                prop_assert_eq!(
+                    ctx.mod_pow(&base, &exp),
+                    base.mod_pow_naive(&exp, &m),
+                    "base {:?}",
+                    base
+                );
+            }
+        }
+    }
+}
 
 proptest! {
     #[test]

@@ -136,19 +136,7 @@ impl ShardEngine {
         let Some(rec) = state.users.get(user) else {
             return RecommendationList::default();
         };
-        let scores = state.model.score(&rec.history);
-        let mut items: Vec<ScoredItem> = scores
-            .into_iter()
-            .filter(|(target, _)| !rec.history.contains(target))
-            .map(|(target, score)| ScoredItem {
-                item: state.model.name(target).to_owned(),
-                score,
-            })
-            .filter(|s| !exclude.iter().any(|e| e == &s.item))
-            .collect();
-        sort_scored(&mut items);
-        items.truncate(n);
-        RecommendationList { items }
+        top_n(&state.model, &rec.history, exclude, n)
     }
 
     /// Scores a caller-supplied `history` (item names) against this
@@ -169,20 +157,7 @@ impl ShardEngine {
             .iter()
             .filter_map(|name| state.model.lookup(name))
             .collect();
-        let scores = state.model.score(&ids);
-        let mut items: Vec<ScoredItem> = scores
-            .into_iter()
-            .map(|(target, score)| ScoredItem {
-                item: state.model.name(target).to_owned(),
-                score,
-            })
-            .filter(|s| {
-                !history.iter().any(|h| h == &s.item) && !exclude.iter().any(|e| e == &s.item)
-            })
-            .collect();
-        sort_scored(&mut items);
-        items.truncate(n);
-        RecommendationList { items }
+        top_n(&state.model, &ids, exclude, n)
     }
 
     /// Dumps all stored `(user, item)` event pairs, users in sorted
@@ -283,6 +258,40 @@ impl ShardEngine {
             None => HttpResponse::error(400, "malformed score request"),
         }
     }
+}
+
+/// Scores `history` against `model`, drops what is in the history or in
+/// `exclude`, and returns the top `n` in [`sort_scored`]'s order (score
+/// descending, item name ascending). Candidates are ranked as
+/// `(ItemId, score)` with names borrowed from the model; only the `n`
+/// winners get a `String`.
+fn top_n(
+    model: &IncrementalCco,
+    history: &[ItemId],
+    exclude: &[String],
+    n: usize,
+) -> RecommendationList {
+    let mut scored: Vec<(ItemId, f64)> = model
+        .score(history)
+        .into_iter()
+        .filter(|(target, _)| {
+            !history.contains(target) && !exclude.iter().any(|e| e == model.name(*target))
+        })
+        .collect();
+    scored.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| model.name(a.0).cmp(model.name(b.0)))
+    });
+    scored.truncate(n);
+    let items = scored
+        .into_iter()
+        .map(|(id, score)| ScoredItem {
+            item: model.name(id).to_owned(),
+            score,
+        })
+        .collect();
+    RecommendationList { items }
 }
 
 /// The result-list comparator shared with

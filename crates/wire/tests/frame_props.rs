@@ -131,6 +131,39 @@ proptest! {
             "got {:?}", err
         );
     }
+
+    #[test]
+    fn corr_corruption_fails_the_checksum(
+        i in 0usize..3,
+        mut payload in payload_bytes(),
+        corr in any::<u64>(),
+        flip_bit in 0usize..64,
+    ) {
+        let class = class_of(i);
+        payload.truncate(class.max_payload());
+        let mut bytes = Frame::new(class, corr, payload).unwrap().encode().unwrap();
+        // The correlation id sits in header bytes 8..16 and is covered by
+        // the checksum: an answer cannot be re-attributed by a bit error.
+        bytes[8 + flip_bit / 8] ^= 1 << (flip_bit % 8);
+        prop_assert_eq!(Frame::decode(&bytes), Err(FrameError::ChecksumMismatch));
+    }
+}
+
+/// A wire-version-1 peer (truncated-SHA-256 checksum) is refused by the
+/// version byte on both entry points, before any checksum is computed.
+#[test]
+fn version_1_header_is_rejected_with_version() {
+    assert_eq!(WIRE_VERSION, 2);
+    for class in PadClass::ALL {
+        let mut bytes = Frame::new(class, 9, b"v1 peer".to_vec())
+            .unwrap()
+            .encode()
+            .unwrap();
+        bytes[2] = 1;
+        assert_eq!(Frame::decode(&bytes), Err(FrameError::Version { got: 1 }));
+        let header: [u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().unwrap();
+        assert_eq!(parse_header(&header), Err(FrameError::Version { got: 1 }));
+    }
 }
 
 /// Cross-class check outside proptest: the three classes must have

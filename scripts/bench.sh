@@ -14,13 +14,18 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-/tmp/pprox_bench_smoke.json}"
 
-echo "== throughput smoke run =="
-cargo run --release -q -p pprox-bench --bin throughput -- \
-    --rsa-ops 8 --det-ops 2000 --requests 64 --modulus-bits 1152 \
-    --out "$OUT" >/dev/null
+# Two passes: 1152-bit keys (9-limb CRT primes, the slice Montgomery
+# kernel) and 2048-bit keys (16- and 32-limb moduli, the fixed-width
+# kernels), so CI executes both sides of `Montgomery::mod_pow`'s dispatch.
+for bits in 1152 2048; do
+    echo "== throughput smoke run ($bits-bit keys) =="
+    cargo run --release -q -p pprox-bench --bin throughput -- \
+        --rsa-ops 8 --det-ops 2000 --requests 64 --modulus-bits "$bits" \
+        --out "$OUT" >/dev/null
 
-echo "== validate emitted JSON =="
-cargo run --release -q -p pprox-bench --bin throughput -- --validate "$OUT"
+    echo "== validate emitted JSON =="
+    cargo run --release -q -p pprox-bench --bin throughput -- --validate "$OUT"
+done
 
 echo "== validate committed baseline =="
 cargo run --release -q -p pprox-bench --bin throughput -- \
