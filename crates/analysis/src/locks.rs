@@ -27,7 +27,13 @@
 //! 4. **R12** — functions reachable from the connection-reader roots
 //!    ([`READER_ROOTS`]) block on nothing but the reader's own socket
 //!    read: no lock, no blocking channel `send`/`recv`, no sleep, no
-//!    file IO.
+//!    file IO. Functions reachable from the continuation roots
+//!    ([`CONTINUATION_ROOTS`] — an uplink's reader and what runs on it or
+//!    on the deadline queue to finish a parked request) hold to the same
+//!    minus the locks: a completion takes short leaf locks (a pending
+//!    table, a reply's writer lock bounded by the write timeout, the
+//!    enclave), which R11 orders, but a channel wait, a sleep or file IO
+//!    there stalls every request behind it on that connection.
 //! 5. **R13** — functions reachable from the request-path roots
 //!    ([`REQUEST_ROOTS`]) may not contain `unwrap` / `expect` /
 //!    panicking macros. The directive `analysis-allow: panic-ok` (or the
@@ -47,24 +53,56 @@ use std::collections::{BTreeMap, BTreeSet};
 /// unanswered instead of answered `busy` (R12).
 pub const READER_ROOTS: &[(&str, &str)] = &[("crates/wire/src/server.rs", "read_loop")];
 
+/// Entry points of the continuations that finish a parked request (path
+/// suffix, function name): an uplink connection's reader, and every
+/// function that runs on it — or on the node's deadline queue — as a
+/// call's completion. They are listed one by one because a completion is
+/// a boxed closure, which name-based resolution cannot follow. Code
+/// reachable from these may take a lock but may not wait on a channel,
+/// sleep, or touch a file (R12): the next reply on that connection
+/// waits behind it.
+pub const CONTINUATION_ROOTS: &[(&str, &str)] = &[
+    ("crates/wire/src/client.rs", "read_replies"),
+    ("crates/wire/src/client.rs", "expire"),
+    ("crates/wire/src/client.rs", "start"),
+    ("crates/wire/src/client.rs", "attempted"),
+    ("crates/wire/src/balancer.rs", "answered"),
+    ("crates/wire/src/server.rs", "send"),
+    ("crates/wire/src/services/ua.rs", "deliver"),
+    ("crates/wire/src/services/ua.rs", "answer"),
+    ("crates/wire/src/services/ia.rs", "attempt"),
+    ("crates/wire/src/services/ia.rs", "attempted"),
+    ("crates/wire/src/services/ia.rs", "finish_post"),
+    ("crates/wire/src/services/ia.rs", "finish_get"),
+    ("crates/wire/src/services/ia.rs", "respond"),
+    ("crates/wire/src/services/ia.rs", "on_history"),
+    ("crates/wire/src/services/ia.rs", "on_score"),
+];
+
 /// Entry points of the request path (path suffix, function name): the
-/// per-tier service handlers, the reader that frames their traffic and
-/// the worker loop that writes their replies. A panic here kills a
-/// worker or a reader mid-request (R13).
+/// per-tier services, the reader that frames their traffic, the worker
+/// loop, the shuffle flush loop, the deadline queue's thread, and the
+/// continuations above. A panic here kills a thread mid-request (R13).
 pub const REQUEST_ROOTS: &[(&str, &str)] = &[
-    ("crates/wire/src/services/ua.rs", "handle"),
-    ("crates/wire/src/services/ia.rs", "handle"),
+    ("crates/wire/src/services/ua.rs", "serve"),
+    ("crates/wire/src/services/ua.rs", "run_shuffle"),
+    ("crates/wire/src/services/ia.rs", "serve"),
     ("crates/wire/src/services/lrs.rs", "handle"),
+    ("crates/wire/src/services/serial.rs", "run"),
     ("crates/wire/src/server.rs", "read_loop"),
     ("crates/wire/src/server.rs", "work"),
+    ("crates/wire/src/timers.rs", "queue_thread"),
 ];
 
 /// Method names never resolved to same-crate functions: each is a
 /// ubiquitous accessor name (std containers, atomics) whose name-based
 /// resolution would wire unrelated functions together. `in_flight` is
 /// here because the admission gate's atomic counter shares the name with
-/// the balancer's lock-taking aggregate. A stoplisted callee the serving
-/// path genuinely depends on must be renamed to something resolvable.
+/// the balancer's lock-taking aggregate, `call` because the enclave's
+/// ECALL entry (another crate) shares it with the wire client's blocking
+/// adapter, which nothing on the serving path uses. A stoplisted callee
+/// the serving path genuinely depends on must be renamed to something
+/// resolvable.
 pub const RESOLUTION_STOPLIST: &[&str] = &[
     "len",
     "is_empty",
@@ -107,6 +145,7 @@ pub const RESOLUTION_STOPLIST: &[&str] = &[
     "store",
     "fetch_add",
     "in_flight",
+    "call",
     "snapshot",
     "fmt",
     "drop",
@@ -115,6 +154,11 @@ pub const RESOLUTION_STOPLIST: &[&str] = &[
 /// Channel operations that block the calling thread (`send` on a
 /// bounded queue waits for room; the `try_` forms do not).
 const BLOCKING_CHANNEL_OPS: &[&str] = &["send", "recv", "recv_timeout", "wait", "wait_timeout"];
+
+/// Receivers whose `.send(..)` is not a channel's: `reply.send(..)` is
+/// `wire::server::Reply::send`, the request's answer (a socket write
+/// under the connection's writer lock, which is rooted on its own).
+const NOT_A_CHANNEL: &[&str] = &["reply"];
 
 /// Filesystem entry points (`X::` / `fs::x(...)` forms).
 const FS_TYPES: &[&str] = &["File", "OpenOptions"];
@@ -209,8 +253,9 @@ struct FnFacts {
     held_calls: Vec<(String, Call)>,
     /// All calls (for reachability).
     calls: Vec<Call>,
-    /// (line, description) — R12 blocking operations.
-    blocking: Vec<(usize, String)>,
+    /// (line, description, is a lock acquisition) — R12 blocking
+    /// operations.
+    blocking: Vec<(usize, String, bool)>,
     /// (line, description) — R13 panic-capable sites.
     panics: Vec<(usize, String)>,
 }
@@ -229,22 +274,35 @@ pub fn analyze_global(files: &[ParsedFile], lock_order_decl: Option<&str>) -> Gl
         .collect();
 
     lock_order_rule(&facts, lock_order_decl, &lex_by_path, &mut out);
-    let reader_reach = reachable(&facts, READER_ROOTS);
-    for &i in &reader_reach {
-        let f = &facts[i];
-        let lex = &lex_by_path[f.path.as_str()].lex;
-        for (line, desc) in &f.blocking {
-            emit_global(
-                &mut out.report,
-                lex,
-                "R12",
-                &f.path,
-                *line,
-                format!("{desc} in `{}`, reachable from a connection reader", f.name),
-            );
+    // A site reachable from both kinds of root is reported once, under
+    // the stricter one.
+    let mut reported: BTreeSet<(&str, usize, &str)> = BTreeSet::new();
+    for (roots, locks_too, whence) in [
+        (READER_ROOTS, true, "a connection reader"),
+        (CONTINUATION_ROOTS, false, "a request's continuation"),
+    ] {
+        for &i in &reachable(&facts, roots) {
+            let f = &facts[i];
+            let lex = &lex_by_path[f.path.as_str()].lex;
+            for (line, desc, is_lock) in &f.blocking {
+                if (*is_lock && !locks_too)
+                    || !reported.insert((f.path.as_str(), *line, desc.as_str()))
+                {
+                    continue;
+                }
+                emit_global(
+                    &mut out.report,
+                    lex,
+                    "R12",
+                    &f.path,
+                    *line,
+                    format!("{desc} in `{}`, reachable from {whence}", f.name),
+                );
+            }
         }
     }
-    let req_reach = reachable(&facts, REQUEST_ROOTS);
+    let request_roots: Vec<(&str, &str)> = [REQUEST_ROOTS, CONTINUATION_ROOTS].concat();
+    let req_reach = reachable(&facts, &request_roots);
     for &i in &req_reach {
         let f = &facts[i];
         let lex = &lex_by_path[f.path.as_str()].lex;
@@ -317,7 +375,16 @@ fn extract_facts(file: &ParsedFile) -> Vec<FnFacts> {
         if file.in_test(f.start_line) {
             continue;
         }
-        let calls = calls_in(toks, (open, close));
+        // What a `spawn(..)` argument does, another thread does: its
+        // calls are not made — and its waits not waited — by this
+        // function, under this function's locks. (Thread bodies that
+        // matter are roots in their own right.)
+        let spawned = spawn_regions(toks, (open, close));
+        let on_other_thread = |k: usize| spawned.iter().any(|&(lo, hi)| lo < k && k < hi);
+        let calls: Vec<Call> = calls_in(toks, (open, close))
+            .into_iter()
+            .filter(|c| !on_other_thread(c.tok))
+            .collect();
         let mut facts = FnFacts {
             path: file.path.clone(),
             crate_key: crate_key(&file.path),
@@ -365,7 +432,7 @@ fn extract_facts(file: &ParsedFile) -> Vec<FnFacts> {
             if is_acquire {
                 facts
                     .blocking
-                    .push((t.line, format!("lock acquisition `.{}()`", t.text)));
+                    .push((t.line, format!("lock acquisition `.{}()`", t.text), true));
                 let receiver = toks
                     .get(k.wrapping_sub(2))
                     .filter(|r| r.kind == crate::lexer::TokKind::Ident && r.text != "self")
@@ -413,28 +480,37 @@ fn extract_facts(file: &ParsedFile) -> Vec<FnFacts> {
                 call_idx += 1;
             }
             // R12: blocking channel ops, sleep, file IO.
-            if t.kind == crate::lexer::TokKind::Ident {
+            if t.kind == crate::lexer::TokKind::Ident && !on_other_thread(k) {
                 let called = toks.get(k + 1).map(|n| n.text == "(").unwrap_or(false);
                 let method = k >= 1 && toks[k - 1].text == ".";
-                if called && method && BLOCKING_CHANNEL_OPS.contains(&t.text.as_str()) {
-                    facts
-                        .blocking
-                        .push((t.line, format!("blocking channel op `.{}()`", t.text)));
+                let on_reply_handle = k >= 2 && NOT_A_CHANNEL.contains(&toks[k - 2].text.as_str());
+                if called
+                    && method
+                    && BLOCKING_CHANNEL_OPS.contains(&t.text.as_str())
+                    && !on_reply_handle
+                {
+                    facts.blocking.push((
+                        t.line,
+                        format!("blocking channel op `.{}()`", t.text),
+                        false,
+                    ));
                 }
                 if called && t.text == "sleep" {
-                    facts.blocking.push((t.line, "thread sleep".to_string()));
+                    facts
+                        .blocking
+                        .push((t.line, "thread sleep".to_string(), false));
                 }
                 let pathed = toks.get(k + 1).map(|n| n.text == "::").unwrap_or(false);
                 if pathed && FS_TYPES.contains(&t.text.as_str()) {
                     facts
                         .blocking
-                        .push((t.line, format!("file IO via `{}::`", t.text)));
+                        .push((t.line, format!("file IO via `{}::`", t.text), false));
                 }
                 if called && FS_FNS.contains(&t.text.as_str()) && k >= 2 && toks[k - 1].text == "::"
                 {
                     facts
                         .blocking
-                        .push((t.line, format!("file IO via `{}`", t.text)));
+                        .push((t.line, format!("file IO via `{}`", t.text), false));
                 }
                 // R13: panic-capable sites.
                 if called && method && matches!(t.text.as_str(), "unwrap" | "expect") {
@@ -453,6 +529,32 @@ fn extract_facts(file: &ParsedFile) -> Vec<FnFacts> {
             k += 1;
         }
         out.push(facts);
+    }
+    out
+}
+
+/// Token ranges `(open paren, close paren)` of every `spawn(..)` argument
+/// list in `toks[range.0..=range.1]`.
+fn spawn_regions(toks: &[crate::lexer::Tok], range: (usize, usize)) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for k in range.0..=range.1.min(toks.len().saturating_sub(1)) {
+        if toks[k].text != "spawn" || toks.get(k + 1).map(|t| t.text != "(").unwrap_or(true) {
+            continue;
+        }
+        let mut depth = 0i64;
+        for (j, t) in toks.iter().enumerate().take(range.1 + 1).skip(k + 1) {
+            match t.text.as_str() {
+                "(" => depth += 1,
+                ")" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        out.push((k + 1, j));
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
     }
     out
 }
@@ -881,6 +983,52 @@ mod tests {
     }
 
     #[test]
+    fn continuations_may_lock_but_not_wait_sleep_or_send() {
+        let src = "fn read_replies(link: &Link) {\n    let g = link.pending.lock();\n    finish();\n}\nfn finish() { tx.send(x); std::thread::sleep(d); reply.send(r); job.reply.send(r); }\n";
+        let g = run(&[("crates/wire/src/client.rs", src)], None);
+        let r12: Vec<_> = g
+            .report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "R12")
+            .collect();
+        // The channel send and the sleep; not the lock, not `reply.send`.
+        assert_eq!(r12.len(), 2, "{r12:?}");
+        assert!(r12.iter().all(|f| f.line == 5));
+        assert!(r12[0].message.contains("continuation"));
+    }
+
+    #[test]
+    fn a_site_under_both_kinds_of_root_is_reported_once_and_strictly() {
+        let src = "fn read_loop(&self) { shared(); }\nfn send(self) { shared(); }\nfn shared() { let g = conn.writer.lock(); ch.recv(); }\n";
+        let g = run(&[("crates/wire/src/server.rs", src)], None);
+        let r12: Vec<_> = g
+            .report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "R12")
+            .collect();
+        assert_eq!(r12.len(), 2, "{r12:?}");
+        assert!(r12.iter().all(|f| f.message.contains("connection reader")));
+    }
+
+    #[test]
+    fn what_a_spawned_closure_does_is_not_done_by_the_spawner() {
+        let src = "fn read_loop(&self) {\n    let g = self.conns.lock();\n    std::thread::spawn(move || { body(); ch.recv(); });\n}\nfn body() { let p = self.pending.lock(); std::thread::sleep(d); }\n";
+        let g = run(&[("crates/wire/src/server.rs", src)], None);
+        let r12: Vec<_> = g
+            .report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "R12")
+            .collect();
+        // The reader's own lock; nothing of the spawned thread's.
+        assert_eq!(r12.len(), 1, "{r12:?}");
+        assert_eq!(r12[0].line, 2);
+        assert!(g.graph.edges.is_empty(), "{:?}", g.graph.edges);
+    }
+
+    #[test]
     fn stream_read_with_args_is_not_a_lock() {
         let src = "fn read_loop(&self) { stream.read(&mut buf); out.write(&bytes); }\n";
         let g = run(&[("crates/wire/src/server.rs", src)], None);
@@ -897,7 +1045,7 @@ mod tests {
 
     #[test]
     fn request_path_unwrap_fires_r13() {
-        let src = "impl Svc {\n  fn handle(&self) { let x = decode().unwrap(); step(); }\n}\nfn step() { panic!(\"boom\"); }\nfn off_path() { other.unwrap(); }\n";
+        let src = "impl Svc {\n  fn serve(&self) { let x = decode().unwrap(); step(); }\n}\nfn step() { panic!(\"boom\"); }\nfn off_path() { other.unwrap(); }\n";
         let g = run(&[("crates/wire/src/services/ua.rs", src)], None);
         let r13: Vec<_> = g
             .report
@@ -913,7 +1061,7 @@ mod tests {
 
     #[test]
     fn panic_ok_directive_suppresses_r13() {
-        let src = "impl Svc {\n  fn handle(&self) {\n    // analysis-allow: panic-ok checked by construction above\n    let x = decode().unwrap();\n  }\n}\n";
+        let src = "impl Svc {\n  fn serve(&self) {\n    // analysis-allow: panic-ok checked by construction above\n    let x = decode().unwrap();\n  }\n}\n";
         let g = run(&[("crates/wire/src/services/ua.rs", src)], None);
         assert!(g.report.findings.is_empty());
         assert_eq!(g.report.suppressions.len(), 1);
@@ -933,7 +1081,7 @@ mod tests {
 
     #[test]
     fn unwrap_or_else_is_not_unwrap() {
-        let src = "impl Svc {\n  fn handle(&self) { let x = decode().unwrap_or_else(|| fallback()); }\n}\n";
+        let src = "impl Svc {\n  fn serve(&self) { let x = decode().unwrap_or_else(|| fallback()); }\n}\n";
         let g = run(&[("crates/wire/src/services/ua.rs", src)], None);
         assert!(g.report.findings.is_empty());
     }

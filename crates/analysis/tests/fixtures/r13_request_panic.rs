@@ -2,11 +2,11 @@
 // expect: R13
 // expect-suppressed: R13
 //
-// R13: the request path may not panic. `handle` is a request root; the
+// R13: the request path may not panic. `serve` is a request root; the
 // unwrap in the helper it calls is reachable and must either become a
 // typed error or carry an audited `panic-ok` justification.
 
-fn handle(req: &Request) -> Response {
+fn serve(req: &Request) -> Response {
     let user = decode(req).unwrap();
     finish(user)
 }

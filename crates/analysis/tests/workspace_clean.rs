@@ -243,11 +243,11 @@ fn seeded_blocking_send_in_real_reader_is_caught() {
 
 #[test]
 fn seeded_panic_on_real_request_path_is_caught() {
-    // R13: an unwrap added to the real wire UA handler module, reachable
-    // from the `handle` request root, must fire.
+    // R13: an unwrap added to the real wire UA service module, reachable
+    // from the `serve` request root, must fire.
     let path = workspace_root().join("crates/wire/src/services/ua.rs");
     let original = std::fs::read_to_string(&path).expect("read wire ua service");
-    let seeded = format!("{original}\nfn handle(x: Option<u64>) -> u64 {{\n    x.unwrap()\n}}\n");
+    let seeded = format!("{original}\nfn serve(x: Option<u64>) -> u64 {{\n    x.unwrap()\n}}\n");
     let parsed = parse_source("crates/wire/src/services/ua.rs", &seeded);
     let global = analyze_global(std::slice::from_ref(&parsed), None);
     assert!(

@@ -104,6 +104,11 @@ impl Deadline {
         Instant::now() >= self.expires_at
     }
 
+    /// The instant the budget runs out (what a deadline queue orders by).
+    pub fn instant(&self) -> Instant {
+        self.expires_at
+    }
+
     /// Time left, or `None` when expired.
     pub fn remaining(&self) -> Option<Duration> {
         self.expires_at.checked_duration_since(Instant::now())

@@ -42,7 +42,7 @@ use pprox_core::shuffler::ShuffleConfig;
 use pprox_lrs::stub::StubLrs;
 use pprox_wire::audit::request_fingerprint;
 use pprox_wire::cluster::{ClusterConfig, LoopbackCluster};
-use pprox_wire::{ClientConfig, ClusterScraper, PooledClient, PressureSample};
+use pprox_wire::{ClientConfig, ClusterScraper, DeadlineQueue, PooledClient, PressureSample};
 
 use crate::schedule::{arrival_times_us, LoadShape};
 use crate::tap::{RecordingTap, TapClock, TapDirection};
@@ -64,8 +64,6 @@ pub struct ScenarioSpec {
     pub ua_instances: usize,
     /// IA instances.
     pub ia_instances: usize,
-    /// Forwarder threads per UA shuffle stage.
-    pub forwarders: usize,
     /// WAN latency injected on every tapped UA→IA frame, µs.
     pub wan_delay_us: u64,
     /// Rebuild every worker's connections after this many requests
@@ -158,7 +156,6 @@ pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> ScenarioOutcome {
         ua_instances: spec.ua_instances,
         ia_instances: spec.ia_instances,
         lrs_instances: 1,
-        forwarders: spec.forwarders,
         supervisor: false,
         linkage_audit: true,
         shuffle_order_ablation: spec.order_ablation,
@@ -169,9 +166,6 @@ pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> ScenarioOutcome {
         seed: seed ^ 0xc105_7e2d_0000_0001,
         ..ClusterConfig::default()
     };
-    // UA worker sizing (a shuffled request parks its worker for the
-    // whole dwell) is derived by `ClusterConfig::ua_server_config` —
-    // the harness no longer hand-rolls the 4·S formula.
     if let Some(cap) = spec.max_inflight {
         config.server.max_inflight = cap;
     }
@@ -266,10 +260,12 @@ fn drive(
         })
         .collect();
 
-    // Worker pool. Each worker owns one PooledClient per UA instance
-    // (no retries: one request == one wire frame, keeping the trace
-    // clean), rebuilt wholesale every `churn_every` requests to model
-    // reconnect storms.
+    // Worker pool. Each worker owns one client (one connection) per UA
+    // instance (no retries: one request == one wire frame, keeping the
+    // trace clean), rebuilt wholesale every `churn_every` requests to
+    // model reconnect storms. They all expire calls on one deadline
+    // queue, as the backends of one node do.
+    let timers = Arc::new(DeadlineQueue::new());
     let (tx, rx) = channel::unbounded::<usize>();
     let completed = Arc::new(AtomicUsize::new(0));
     let failed = Arc::new(AtomicUsize::new(0));
@@ -285,20 +281,21 @@ fn drive(
             let failed = failed.clone();
             let arrivals = arrivals.clone();
             let churn_every = spec.churn_every;
+            let timers = timers.clone();
             let client_seed = seed ^ (w as u64) << 17;
             std::thread::spawn(move || {
                 let build = |gen: u64| -> Vec<PooledClient> {
                     ua_addrs
                         .iter()
                         .map(|&a| {
-                            PooledClient::new(
+                            PooledClient::with_timers(
                                 a,
                                 ClientConfig {
-                                    pool_size: 2,
                                     max_retries: 0,
                                     seed: client_seed.wrapping_add(gen),
                                     ..ClientConfig::default()
                                 },
+                                timers.clone(),
                             )
                         })
                         .collect()
@@ -309,8 +306,8 @@ fn drive(
                     let req = &plan[k];
                     if let Some(every) = churn_every {
                         if served > 0 && served.is_multiple_of(every as u64) {
-                            // Drop every pooled connection and dial
-                            // fresh — the reconnect storm.
+                            // Drop every connection and dial fresh —
+                            // the reconnect storm.
                             clients = build(served);
                         }
                     }
@@ -412,9 +409,11 @@ fn drive(
     // Departures: per UA, join that UA's egress tap frames (c2s,
     // Request class, across its IA row) with the UA's ground-truth
     // audit log. Both are time-ordered on the same clock and produced
-    // 1:1 by the same forwarder sends, so a rank join is exact up to
-    // in-batch swaps between concurrent forwarders — which never move a
-    // frame across a batch, so the adversary's score is unaffected.
+    // 1:1 by the same thread in the same order — the shuffle's flush
+    // thread logs a departure and writes its frame, one request after
+    // the other — so wire order is release order and the rank join is
+    // exact per IA link (taps of different links stamp independently,
+    // microseconds apart, inside one batch).
     let audits = cluster.linkage_audits();
     let mut departures = Vec::new();
     let mut fp_to_request = std::collections::HashMap::new();

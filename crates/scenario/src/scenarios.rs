@@ -9,9 +9,9 @@
 //! is the regime the `1/S` analysis assumes (§6.3 treats the starved
 //! regime separately; `pprox-attack::lowtraffic` measures it).
 //!
-//! The ablation scenario runs a single forwarder on a single instance:
-//! concurrent forwarders would re-randomize wire order on their own and
-//! mask the suppressed permutation, turning a real leak into a pass.
+//! Wire order on the UA→IA boundary is the buffer's release order (one
+//! flush thread writes each batch), so the ablation scenario's
+//! suppressed permutation shows on the wire exactly as released.
 
 use crate::harness::ScenarioSpec;
 use crate::schedule::LoadShape;
@@ -26,7 +26,6 @@ fn base(name: &'static str) -> ScenarioSpec {
         shuffle_timeout_us: 80_000,
         ua_instances: 2,
         ia_instances: 2,
-        forwarders: 2,
         wan_delay_us: 0,
         churn_every: None,
         slow_loris_conns: 0,
@@ -98,7 +97,6 @@ pub fn all() -> Vec<ScenarioSpec> {
             shuffle_timeout_us: 60_000,
             ua_instances: 1,
             ia_instances: 1,
-            forwarders: 1,
             order_ablation: true,
             violation_expected: true,
             ..base("ablation_unshuffled")
@@ -121,7 +119,6 @@ pub fn smoke() -> Vec<ScenarioSpec> {
             shuffle_timeout_us: 60_000,
             ua_instances: 1,
             ia_instances: 1,
-            forwarders: 1,
             order_ablation: true,
             violation_expected: true,
             ..base("ablation_smoke")

@@ -7,25 +7,33 @@
 //! its load signal — the closest practical analogue to kube-proxy's
 //! least-connection mode the paper's testbed relies on.
 //!
-//! On a retryable failure the balancer fails over: it walks the
-//! remaining backends in ring order from the selected one, so a dead
-//! instance costs one connect timeout, not the whole call.
+//! [`SocketBalancer::submit`] is continuation-style like the clients
+//! under it: it returns once the request is written and the call's
+//! completion runs wherever the answer (or the failure) surfaces. On a
+//! retryable failure the balancer fails over by re-submitting: it walks
+//! the remaining backends in ring order from the selected one, so a dead
+//! instance costs one refused connect, not the whole call. The balancer
+//! owns the node's one [`DeadlineQueue`]; every backend's expiries and
+//! retry delays run there, and so do the delays of callers that retry on
+//! top ([`SocketBalancer::after`]).
 //!
 //! Ring membership is dynamic: [`SocketBalancer::replace_backend`] swaps
 //! one slot for a fresh client at a new address — the supervisor's
 //! readmission path when a killed instance respawns on a different port.
 
-use crate::client::{ClientConfig, PooledClient};
-use crate::WireError;
+use crate::client::{block_on, CallResult, ClientConfig, Completion, PooledClient};
+use crate::timers::DeadlineQueue;
+use crate::{WireError, WireStatus};
 use parking_lot::{Mutex, RwLock};
 use pprox_core::resilience::Deadline;
 use pprox_net::{BalancePolicy, Selector};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-/// Summed pooled-client counters across a balancer's backends — the
-/// uplink health view one node exports in its metrics scrape.
+/// Summed client counters across a balancer's backends — the uplink
+/// health view one node exports in its metrics scrape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Fresh connections dialed after the first (reconnects).
@@ -34,15 +42,18 @@ pub struct ClientStats {
     pub retries: u64,
     /// Calls that ran out of deadline budget inside a client.
     pub deadline_clamps: u64,
+    /// Replies dropped because their call had already expired.
+    pub late_replies: u64,
 }
 
 /// Fan-out client over several equivalent server instances.
 pub struct SocketBalancer {
     backends: RwLock<Vec<Arc<PooledClient>>>,
     client_config: ClientConfig,
+    timers: Arc<DeadlineQueue>,
     selector: Mutex<Selector>,
     rng_state: AtomicU64,
-    failovers: AtomicU64,
+    failovers: Arc<AtomicU64>,
     replacements: AtomicU64,
 }
 
@@ -54,7 +65,7 @@ impl std::fmt::Debug for SocketBalancer {
     }
 }
 
-/// Derives a per-slot client config so concurrent pools don't share
+/// Derives a per-slot client config so concurrent backends don't share
 /// jitter streams.
 fn slot_config(base: &ClientConfig, index: usize) -> ClientConfig {
     let mut cfg = base.clone();
@@ -65,8 +76,48 @@ fn slot_config(base: &ClientConfig, index: usize) -> ClientConfig {
     cfg
 }
 
+/// One call walking the ring: each retryable failure re-submits to the
+/// next backend until one answers or all have failed.
+struct Failover {
+    backends: Vec<Arc<PooledClient>>,
+    start: usize,
+    tried: usize,
+    payload: Arc<[u8]>,
+    deadline: Deadline,
+    failovers: Arc<AtomicU64>,
+    done: Completion,
+}
+
+impl Failover {
+    fn step(mut self, last: WireError) {
+        if self.tried == self.backends.len() {
+            return (self.done)(Err(last));
+        }
+        if self.deadline.expired() {
+            return (self.done)(Err(WireError::Deadline));
+        }
+        let backend = self.backends[(self.start + self.tried) % self.backends.len()].clone();
+        self.tried += 1;
+        let (payload, deadline) = (self.payload.clone(), self.deadline);
+        backend.submit(payload, deadline, move |result| self.answered(result));
+    }
+
+    fn answered(self, result: CallResult) {
+        match result {
+            Ok(bytes) => {
+                if self.tried > 1 {
+                    self.failovers.fetch_add(1, Ordering::Relaxed);
+                }
+                (self.done)(Ok(bytes));
+            }
+            Err(e) if e.retryable() => self.step(e),
+            Err(e) => (self.done)(Err(e)),
+        }
+    }
+}
+
 impl SocketBalancer {
-    /// Builds a balancer over `addrs` with one pooled client each.
+    /// Builds a balancer over `addrs` with one pipelined client each.
     ///
     /// # Panics
     ///
@@ -78,17 +129,25 @@ impl SocketBalancer {
         seed: u64,
     ) -> Self {
         assert!(!addrs.is_empty(), "need at least one backend");
+        let timers = Arc::new(DeadlineQueue::new());
         let backends = addrs
             .iter()
             .enumerate()
-            .map(|(i, &addr)| Arc::new(PooledClient::new(addr, slot_config(&client_config, i))))
+            .map(|(i, &addr)| {
+                Arc::new(PooledClient::with_timers(
+                    addr,
+                    slot_config(&client_config, i),
+                    timers.clone(),
+                ))
+            })
             .collect::<Vec<_>>();
         SocketBalancer {
             selector: Mutex::new(Selector::new(policy, backends.len())),
             backends: RwLock::new(backends),
             client_config,
+            timers,
             rng_state: AtomicU64::new(seed | 1),
-            failovers: AtomicU64::new(0),
+            failovers: Arc::new(AtomicU64::new(0)),
             replacements: AtomicU64::new(0),
         }
     }
@@ -103,8 +162,8 @@ impl SocketBalancer {
         self.backends.read().is_empty()
     }
 
-    /// Calls that were retried on a different backend after a transport
-    /// failure.
+    /// Calls that were answered by a different backend than the one
+    /// selected, after a transport failure.
     pub fn failovers(&self) -> u64 {
         self.failovers.load(Ordering::Relaxed)
     }
@@ -119,10 +178,9 @@ impl SocketBalancer {
         self.backends.read().iter().map(|b| b.in_flight()).sum()
     }
 
-    /// Summed pooled-client counters across the current backend ring.
-    /// Counters on a pool swapped out by
-    /// [`SocketBalancer::replace_backend`] leave with the old pool —
-    /// the sum reflects the ring as it serves now.
+    /// Summed client counters across the current backend ring. Counters
+    /// on a client swapped out by [`SocketBalancer::replace_backend`]
+    /// leave with it — the sum reflects the ring as it serves now.
     pub fn client_stats(&self) -> ClientStats {
         self.backends
             // analysis-allow: R12 read-side of an RwLock whose writer runs
@@ -133,27 +191,35 @@ impl SocketBalancer {
                 reconnects: acc.reconnects + b.reconnects(),
                 retries: acc.retries + b.retries(),
                 deadline_clamps: acc.deadline_clamps + b.deadline_clamps(),
+                late_replies: acc.late_replies + b.late_replies(),
             })
     }
 
-    /// Swaps slot `index` for a fresh connection pool at `addr` — the
-    /// readmission half of the supervisor's kill/respawn cycle. Calls
-    /// already in flight on the old pool finish (or fail over) on their
-    /// own clone of the pool handle; new selections see the new address
-    /// immediately.
+    /// Swaps slot `index` for a fresh client at `addr` — the readmission
+    /// half of the supervisor's kill/respawn cycle. Calls already in
+    /// flight on the old client finish (or fail over) on their own clone
+    /// of its handle; new selections see the new address immediately.
     ///
     /// # Panics
     ///
     /// If `index` is out of range.
     pub fn replace_backend(&self, index: usize, addr: SocketAddr) {
-        let fresh = Arc::new(PooledClient::new(
+        let fresh = Arc::new(PooledClient::with_timers(
             addr,
             slot_config(&self.client_config, index),
+            self.timers.clone(),
         ));
         let mut backends = self.backends.write();
         assert!(index < backends.len(), "backend index out of range");
         backends[index] = fresh;
         self.replacements.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Runs `task` on the node's deadline queue after `delay` — how a
+    /// caller that retries on top of the balancer waits out its backoff
+    /// without holding a thread.
+    pub fn after(&self, delay: Duration, task: impl FnOnce() + Send + 'static) {
+        self.timers.after(delay, task);
     }
 
     fn random_below(&self, n: usize) -> usize {
@@ -173,70 +239,61 @@ impl SocketBalancer {
             .select(Some(&loads), &mut |n| self.random_below(n))
     }
 
-    /// Sends `payload` to a selected backend; on retryable failure walks
-    /// the other backends in ring order before giving up.
-    ///
-    /// # Errors
-    ///
-    /// The first non-retryable error, [`WireError::Deadline`] when the
-    /// budget runs out, or the last backend's error once all have failed.
-    pub fn call(&self, payload: &[u8], deadline: Deadline) -> Result<Vec<u8>, WireError> {
+    /// Sends `payload` to a selected backend and returns; on a retryable
+    /// failure the call walks the other backends in ring order before
+    /// giving up. `done` runs once with the answer, the first
+    /// non-retryable error, [`WireError::Deadline`] when the budget runs
+    /// out, or the last backend's error once all have failed.
+    pub fn submit(
+        &self,
+        payload: Arc<[u8]>,
+        deadline: Deadline,
+        done: impl FnOnce(CallResult) + Send + 'static,
+    ) {
         // Snapshot the ring: a concurrent replace_backend never stalls or
         // redirects a call mid-walk.
         let backends: Vec<Arc<PooledClient>> = self.backends.read().clone();
-        let start = self.select(&backends);
-        let n = backends.len();
-        let mut last = WireError::Deadline;
-        for hop in 0..n {
-            if deadline.expired() {
-                return Err(WireError::Deadline);
-            }
-            let idx = (start + hop) % n;
-            match backends[idx].call(payload, deadline) {
-                Ok(bytes) => {
-                    if hop > 0 {
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(bytes);
-                }
-                Err(WireError::Deadline) => return Err(WireError::Deadline),
-                Err(e) if !e.retryable() => return Err(e),
-                Err(e) => last = e,
-            }
+        Failover {
+            start: self.select(&backends),
+            backends,
+            tried: 0,
+            payload,
+            deadline,
+            failovers: self.failovers.clone(),
+            done: Box::new(done),
         }
-        Err(last)
+        .step(WireError::Deadline);
     }
 
     /// Sends `payload` to the backend in slot `index`, with *no*
     /// failover: a sharded call must reach the owning shard or fail —
     /// silently answering from a sibling would corrupt the partition
-    /// view. Pinned calls still ride the slot's pooled retries, and the
+    /// view. Pinned calls still ride the slot's own retries, and the
     /// supervisor's [`SocketBalancer::replace_backend`] readmission
-    /// makes the slot healthy again after a kill.
+    /// makes the slot healthy again after a kill. An out-of-range slot
+    /// completes as an unavailable remote (a misrouted shard call must
+    /// fail like a dead one, not take the request thread down).
+    pub fn submit_to(
+        &self,
+        index: usize,
+        payload: Arc<[u8]>,
+        deadline: Deadline,
+        done: impl FnOnce(CallResult) + Send + 'static,
+    ) {
+        let backend = self.backends.read().get(index).cloned();
+        match backend {
+            Some(backend) => backend.submit(payload, deadline, done),
+            None => done(Err(WireError::Remote(WireStatus::Unavailable))),
+        }
+    }
+
+    /// [`SocketBalancer::submit`], waiting for the completion.
     ///
     /// # Errors
     ///
-    /// [`WireError::Deadline`] when the budget ran out; an out-of-range
-    /// slot maps to an unavailable remote (a misrouted shard call must
-    /// fail like a dead one, not take the request thread down);
-    /// otherwise the slot's own error.
-    pub fn call_backend(
-        &self,
-        index: usize,
-        payload: &[u8],
-        deadline: Deadline,
-    ) -> Result<Vec<u8>, WireError> {
-        let backend = {
-            let backends = self.backends.read();
-            match backends.get(index) {
-                Some(b) => b.clone(),
-                None => return Err(WireError::Remote(crate::WireStatus::Unavailable)),
-            }
-        };
-        if deadline.expired() {
-            return Err(WireError::Deadline);
-        }
-        backend.call(payload, deadline)
+    /// What `submit` hands its completion.
+    pub fn call(&self, payload: &[u8], deadline: Deadline) -> CallResult {
+        block_on(|done| self.submit(Arc::from(payload), deadline, done))
     }
 }
 

@@ -1,33 +1,66 @@
-//! Connection-pooled wire client with deadlines and jittered reconnect.
+//! The pipelined wire client: one connection per backend, any number of
+//! calls in flight on it.
 //!
-//! One [`PooledClient`] targets one server address. Connections are
-//! checked out of an idle pool per call and returned on success; any
-//! transport error discards the connection (pooled sockets with stale
-//! bytes are the classic source of cross-request confusion, which the
-//! correlation-id check catches as a second line of defence).
+//! One [`PooledClient`] targets one server address and keeps one
+//! connection to it. [`PooledClient::submit`] is the primitive: it
+//! writes the request frame and returns; the answer arrives at the
+//! connection's reader thread, which looks the correlation id up in the
+//! table of pending calls and runs the call's completion. Nothing waits
+//! in between, so the thread that submits (a server worker, a shuffle
+//! flush thread, another uplink reader) is free at once.
 //!
-//! Every call takes a [`Deadline`]: connect, read, and write timeouts
-//! are clamped to the remaining budget, and reconnect backoff
-//! (decorrelated jitter via [`RetryBackoff`]) sleeps only while budget
-//! remains. The client never blocks past the caller's deadline.
+//! ```text
+//! submit ── pending.insert(corr) ── write frame ──────────────► server
+//!                  │                                               │
+//!   deadline queue ┤ expiry: pending.remove(corr) → Deadline       │
+//!   reader thread ─┤ reply:  pending.remove(corr) → payload ◄──────┘
+//!   reader / write ┘ loss:   pending.take_all()   → Io, next submit redials
+//! ```
+//!
+//! The table's `remove` is the linearisation point: a reply, the call's
+//! deadline and the loss of the connection race for the entry and exactly
+//! one of them runs the completion. A reply that loses (it arrives after
+//! its call expired) is dropped and counted. A peer that accepts and says
+//! nothing therefore fails its calls `Deadline` at their deadlines, from
+//! the node's [`DeadlineQueue`], without a thread waiting on each.
+//!
+//! Transport-level retry is re-submission: a retryable failure schedules
+//! the next attempt on the deadline queue after a decorrelated-jitter
+//! delay ([`RetryBackoff`]), as long as the delay fits the remaining
+//! budget. The blocking [`PooledClient::call`] is `submit` plus a
+//! one-shot wait, for callers that have a thread to spare (the cluster's
+//! front door, scenario drivers, probes).
 
-use crate::frame::{parse_header, Frame, PadClass, HEADER_LEN};
+use crate::frame::{decode_stream, Frame, PadClass};
+use crate::timers::{DeadlineQueue, TimerKey};
 use crate::{WireError, WireStatus};
+use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use pprox_core::resilience::{Deadline, RetryBackoff};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// What a finished call hands to its continuation: the response payload,
+/// or why there is none.
+pub type CallResult = Result<Vec<u8>, WireError>;
+
+/// A call's continuation. Runs once, on whichever thread finishes the
+/// call: the connection's reader (reply, connection loss), the deadline
+/// queue (expiry, a retry that ran out of budget) or the submitter itself
+/// (a failure before anything was sent).
+pub type Completion = Box<dyn FnOnce(CallResult) + Send>;
 
 /// Tunables for one [`PooledClient`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Idle connections kept for reuse.
-    pub pool_size: usize,
     /// Transport-level retries per call (reconnect + resend).
     pub max_retries: u32,
-    /// Decorrelated-jitter base delay between reconnect attempts.
+    /// Decorrelated-jitter base delay between attempts.
     pub retry_base: Duration,
     /// Decorrelated-jitter delay cap.
     pub retry_cap: Duration,
@@ -38,7 +71,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            pool_size: 4,
             max_retries: 2,
             retry_base: Duration::from_millis(5),
             retry_cap: Duration::from_millis(100),
@@ -47,272 +79,486 @@ impl Default for ClientConfig {
     }
 }
 
-/// A pooled client for one server address.
+/// A submitter blocked on a full socket buffer is let go after this
+/// long; the connection is then cut and its pending calls fail over.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Read buffer of a connection's reader; holds several response frames.
+const READ_BUF: usize = 16 * 1024;
+
+/// A pipelined client for one server address.
 pub struct PooledClient {
+    inner: Arc<Inner>,
+}
+
+struct Inner {
     addr: SocketAddr,
     config: ClientConfig,
-    idle: Mutex<Vec<TcpStream>>,
+    timers: Arc<DeadlineQueue>,
+    uplink: Mutex<Uplink>,
     backoff: Mutex<RetryBackoff>,
     corr: AtomicU64,
     in_flight: AtomicUsize,
-    reconnects: AtomicU64,
+    /// Connections dialed so far; every one after the first is a
+    /// reconnect.
+    dials: AtomicU64,
     retries: AtomicU64,
     deadline_clamps: AtomicU64,
+    late_replies: Arc<AtomicU64>,
+}
+
+/// The current connection and the reader threads started so far.
+struct Uplink {
+    link: Option<Arc<Link>>,
+    readers: Vec<JoinHandle<()>>,
+    /// Set when the client is dropped: nothing dials any more.
+    closed: bool,
+}
+
+/// What a call on a dropped client, or one whose completion was thrown
+/// away with its deadline queue, fails with.
+const CLOSED: WireError = WireError::Io {
+    phase: "closed",
+    kind: ErrorKind::ConnectionAborted,
+};
+
+/// One connection: the socket, and the calls waiting for an answer on it.
+struct Link {
+    stream: TcpStream,
+    /// Held for one whole-frame write.
+    writer: Mutex<()>,
+    pending: Mutex<PendingCalls>,
+    timers: Arc<DeadlineQueue>,
+    late_replies: Arc<AtomicU64>,
+}
+
+struct PendingCalls {
+    /// `false` once the connection is lost: nothing registers any more.
+    open: bool,
+    calls: HashMap<u64, (TimerKey, Completion)>,
+}
+
+impl Link {
+    /// Enters a call into the table and arms its expiry. Gives the
+    /// completion back when the connection is already lost.
+    fn register(
+        self: &Arc<Self>,
+        corr: u64,
+        deadline: Deadline,
+        done: Completion,
+    ) -> Result<(), Completion> {
+        let mut pending = self.pending.lock();
+        if !pending.open {
+            return Err(done);
+        }
+        let link = Arc::downgrade(self);
+        let expiry = self.timers.at(deadline.instant(), move || {
+            if let Some(link) = link.upgrade() {
+                link.expire(corr);
+            }
+        });
+        pending.calls.insert(corr, (expiry, done));
+        Ok(())
+    }
+
+    fn take(&self, corr: u64) -> Option<(TimerKey, Completion)> {
+        self.pending.lock().calls.remove(&corr)
+    }
+
+    /// The reader's half of the race: a reply for `corr` arrived.
+    fn on_reply(&self, corr: u64, result: CallResult) {
+        match self.take(corr) {
+            Some((expiry, done)) => {
+                self.timers.cancel(expiry);
+                done(result);
+            }
+            // Its call expired (or never existed): nobody is waiting.
+            None => {
+                self.late_replies.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The deadline queue's half: the call's budget ran out.
+    fn expire(&self, corr: u64) {
+        if let Some((_, done)) = self.take(corr) {
+            done(Err(WireError::Deadline));
+        }
+    }
+
+    /// Connection loss: closes the table and the socket, and fails every
+    /// call still in the table with `error`.
+    fn fail_all(&self, error: &WireError) {
+        let calls = {
+            let mut pending = self.pending.lock();
+            pending.open = false;
+            std::mem::take(&mut pending.calls)
+        };
+        let _ = self.stream.shutdown(Shutdown::Both);
+        for (_, (expiry, done)) in calls {
+            self.timers.cancel(expiry);
+            done(Err(error.clone()));
+        }
+    }
+
+    /// Writes one encoded frame; a failed or timed-out write loses the
+    /// connection.
+    fn write_frame(&self, bytes: &[u8]) {
+        let written = {
+            let _writer = self.writer.lock();
+            (&self.stream).write_all(bytes)
+        };
+        if let Err(e) = written {
+            self.fail_all(&io_error("write", &e));
+        }
+    }
+}
+
+fn io_error(phase: &'static str, e: &std::io::Error) -> WireError {
+    WireError::Io {
+        phase,
+        kind: e.kind(),
+    }
+}
+
+/// A connection's reader: blocks in `read()` on its socket, frames each
+/// reply in place and completes the call it answers. Runs completions
+/// inline, so they must not wait (a completion may write to another
+/// socket, bounded by that socket's write timeout). Returns when the
+/// peer closes, sends bytes that do not frame, or the client shuts the
+/// socket; whatever is still pending then fails as a connection loss.
+fn read_replies(link: &Link) {
+    let mut buf = vec![0u8; READ_BUF];
+    let mut filled = 0;
+    let lost = loop {
+        match (&link.stream).read(&mut buf[filled..]) {
+            Ok(0) => {
+                break WireError::Io {
+                    phase: "read",
+                    kind: ErrorKind::UnexpectedEof,
+                }
+            }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => break io_error("read", &e),
+        }
+        let pos = match decode_stream(&buf[..filled], |frame| {
+            link.on_reply(frame.corr, reply_result(frame))
+        }) {
+            Ok(pos) => pos,
+            Err(e) => break WireError::Frame(e),
+        };
+        buf.copy_within(pos..filled, 0);
+        filled -= pos;
+    };
+    link.fail_all(&lost);
+}
+
+/// What a reply frame means to the call it answers.
+fn reply_result(frame: Frame) -> CallResult {
+    match frame.class {
+        PadClass::Response => Ok(frame.payload),
+        PadClass::Control => Err(WireError::Remote(
+            WireStatus::from_payload(&frame.payload).unwrap_or(WireStatus::Malformed),
+        )),
+        PadClass::Request => Err(WireError::Frame(crate::frame::FrameError::UnknownClass(
+            0xfe,
+        ))),
+    }
+}
+
+/// One logical call across its transport-level attempts.
+struct Call {
+    client: Arc<Inner>,
+    payload: Arc<[u8]>,
+    deadline: Deadline,
+    attempt: u32,
+    done: Completion,
+}
+
+impl Call {
+    fn start(self) {
+        let client = self.client.clone();
+        if self.attempt > 0 {
+            client.retries.fetch_add(1, Ordering::Relaxed);
+        }
+        if self.deadline.expired() {
+            return self.out_of_budget();
+        }
+        let (payload, deadline) = (self.payload.clone(), self.deadline);
+        client.attempt(
+            &payload,
+            deadline,
+            Box::new(move |result| self.attempted(result)),
+        );
+    }
+
+    fn attempted(mut self, result: CallResult) {
+        match result {
+            Ok(payload) => return (self.done)(Ok(payload)),
+            Err(WireError::Deadline) => return self.out_of_budget(),
+            Err(e) if !e.retryable() || self.attempt >= self.client.config.max_retries => {
+                return (self.done)(Err(e))
+            }
+            Err(_) => {}
+        }
+        // Decorrelated-jitter pause before the next attempt, run from
+        // the deadline queue; it must fit the remaining budget.
+        let delay = self.client.backoff.lock().next_delay();
+        match self.deadline.remaining() {
+            Some(remaining) if remaining > delay => {
+                self.attempt += 1;
+                let timers = self.client.timers.clone();
+                timers.after(delay, move || self.start());
+            }
+            _ => self.out_of_budget(),
+        }
+    }
+
+    fn out_of_budget(self) {
+        self.client.deadline_clamps.fetch_add(1, Ordering::Relaxed);
+        (self.done)(Err(WireError::Deadline));
+    }
+}
+
+impl Inner {
+    /// The live connection, dialing one when there is none. Holding the
+    /// uplink lock across the dial makes concurrent submitters share it.
+    fn link(&self, deadline: Deadline) -> Result<Arc<Link>, WireError> {
+        let mut uplink = self.uplink.lock();
+        if let Some(link) = &uplink.link {
+            return Ok(link.clone());
+        }
+        if uplink.closed {
+            return Err(CLOSED);
+        }
+        let Some(budget) = deadline.remaining() else {
+            return Err(WireError::Deadline);
+        };
+        self.dials.fetch_add(1, Ordering::Relaxed);
+        let stream =
+            TcpStream::connect_timeout(&self.addr, budget).map_err(|e| io_error("connect", &e))?;
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        let link = Arc::new(Link {
+            stream,
+            writer: Mutex::new(()),
+            pending: Mutex::new(PendingCalls {
+                open: true,
+                calls: HashMap::new(),
+            }),
+            timers: self.timers.clone(),
+            late_replies: self.late_replies.clone(),
+        });
+        let reader = {
+            let link = link.clone();
+            std::thread::Builder::new()
+                .name("uplink-reader".into())
+                .spawn(move || read_replies(&link))
+                .map_err(|e| io_error("connect", &e))?
+        };
+        uplink.readers.retain(|r| !r.is_finished());
+        uplink.readers.push(reader);
+        uplink.link = Some(link.clone());
+        Ok(link)
+    }
+
+    /// Forgets `lost` so the next submit dials afresh.
+    fn retire(&self, lost: &Arc<Link>) {
+        let mut uplink = self.uplink.lock();
+        if uplink.link.as_ref().is_some_and(|l| Arc::ptr_eq(l, lost)) {
+            uplink.link = None;
+        }
+    }
+
+    /// One attempt: frame the payload under a fresh correlation id,
+    /// register it and write it. `done` runs exactly once.
+    fn attempt(&self, payload: &[u8], deadline: Deadline, mut done: Completion) {
+        let corr = self.corr.fetch_add(1, Ordering::Relaxed);
+        let bytes = match Frame::new(PadClass::Request, corr, payload.to_vec())
+            .and_then(|frame| frame.encode())
+        {
+            Ok(bytes) => bytes,
+            Err(e) => return done(Err(WireError::Frame(e))),
+        };
+        // A connection found lost is replaced once; a second loss in a
+        // row is the attempt's failure.
+        for _ in 0..2 {
+            let link = match self.link(deadline) {
+                Ok(link) => link,
+                Err(e) => return done(Err(e)),
+            };
+            match link.register(corr, deadline, done) {
+                Ok(()) => return link.write_frame(&bytes),
+                Err(back) => {
+                    done = back;
+                    self.retire(&link);
+                }
+            }
+        }
+        done(Err(WireError::Io {
+            phase: "connect",
+            kind: ErrorKind::ConnectionAborted,
+        }));
+    }
+}
+
+impl Drop for PooledClient {
+    /// Closes the connection: what is pending fails as a connection
+    /// loss, a retry still waiting out its backoff will find the client
+    /// closed, and the reader threads are joined.
+    fn drop(&mut self) {
+        let (link, readers) = {
+            let mut uplink = self.inner.uplink.lock();
+            uplink.closed = true;
+            (uplink.link.take(), std::mem::take(&mut uplink.readers))
+        };
+        if let Some(link) = link {
+            // Closes the socket, which ends the reader.
+            link.fail_all(&CLOSED);
+        }
+        for reader in readers {
+            // The last handle can die inside a completion, on a reader.
+            if reader.thread().id() != std::thread::current().id() {
+                let _ = reader.join();
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for PooledClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PooledClient")
-            .field("addr", &self.addr)
-            .field("in_flight", &self.in_flight.load(Ordering::Relaxed))
+            .field("addr", &self.inner.addr)
+            .field("in_flight", &self.in_flight())
             .finish()
     }
 }
 
-/// RAII in-flight counter so early returns can't leak a count.
-struct InFlight<'a>(&'a AtomicUsize);
-
-impl<'a> InFlight<'a> {
-    fn enter(counter: &'a AtomicUsize) -> Self {
-        counter.fetch_add(1, Ordering::Relaxed);
-        InFlight(counter)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
+/// Runs `start` with a completion that wakes this thread, and waits for
+/// it: the blocking adapter over a continuation-style call.
+pub(crate) fn block_on(start: impl FnOnce(Completion)) -> CallResult {
+    let (tx, rx) = bounded::<CallResult>(1);
+    start(Box::new(move |result| {
+        let _ = tx.send(result);
+    }));
+    // A completion dropped unrun (its deadline queue was torn down)
+    // leaves the channel closed and empty.
+    rx.recv().unwrap_or(Err(CLOSED))
 }
 
 impl PooledClient {
-    /// Creates a client for `addr`. No connection is opened until the
-    /// first call.
+    /// Creates a client for `addr` with a deadline queue of its own. No
+    /// connection is opened and no thread started until the first call.
     pub fn new(addr: SocketAddr, config: ClientConfig) -> Self {
+        Self::with_timers(addr, config, Arc::new(DeadlineQueue::new()))
+    }
+
+    /// Creates a client whose expiries and retry delays run on `timers`
+    /// — the node's one deadline queue, shared by every backend of a
+    /// [`crate::SocketBalancer`].
+    pub fn with_timers(addr: SocketAddr, config: ClientConfig, timers: Arc<DeadlineQueue>) -> Self {
         let backoff = RetryBackoff::new(config.retry_base, config.retry_cap, config.seed);
         PooledClient {
-            addr,
-            config,
-            idle: Mutex::new(Vec::new()),
-            backoff: Mutex::new(backoff),
-            corr: AtomicU64::new(1),
-            in_flight: AtomicUsize::new(0),
-            reconnects: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            deadline_clamps: AtomicU64::new(0),
+            inner: Arc::new(Inner {
+                addr,
+                config,
+                timers,
+                uplink: Mutex::new(Uplink {
+                    link: None,
+                    readers: Vec::new(),
+                    closed: false,
+                }),
+                backoff: Mutex::new(backoff),
+                corr: AtomicU64::new(1),
+                in_flight: AtomicUsize::new(0),
+                dials: AtomicU64::new(0),
+                retries: AtomicU64::new(0),
+                deadline_clamps: AtomicU64::new(0),
+                late_replies: Arc::new(AtomicU64::new(0)),
+            }),
         }
     }
 
     /// The server address this client targets.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr
     }
 
-    /// Calls currently executing against this backend (load signal for
+    /// Calls submitted and not yet completed (load signal for
     /// least-loaded balancing).
     pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
+        self.inner.in_flight.load(Ordering::Relaxed)
     }
 
     /// Fresh connections opened after the first (reconnect count).
     pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
+        self.inner.dials.load(Ordering::Relaxed).saturating_sub(1)
     }
 
     /// Transport-level retry attempts performed after a failed first
     /// attempt.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.inner.retries.load(Ordering::Relaxed)
     }
 
     /// Calls that ran out of deadline budget inside this client —
-    /// before dialing, mid-backoff, or waiting on the socket.
+    /// before dialing, waiting for the reply, or before a retry's
+    /// backoff fitted.
     pub fn deadline_clamps(&self) -> u64 {
-        self.deadline_clamps.load(Ordering::Relaxed)
+        self.inner.deadline_clamps.load(Ordering::Relaxed)
     }
 
-    /// Sends `payload` in a `Request`-class frame and waits for the
-    /// matching response, retrying over fresh connections on transport
-    /// errors while the deadline allows.
+    /// Replies that arrived after their call had expired and were
+    /// dropped.
+    pub fn late_replies(&self) -> u64 {
+        self.inner.late_replies.load(Ordering::Relaxed)
+    }
+
+    /// Sends `payload` in a `Request`-class frame and returns; `done`
+    /// runs once with the matching response, a server-reported failure
+    /// ([`WireError::Remote`]), [`WireError::Deadline`] when the budget
+    /// runs out (within scheduling delay of `deadline`, however silent
+    /// the peer), or the last transport error when retries over fresh
+    /// connections are exhausted.
+    pub fn submit(
+        &self,
+        payload: Arc<[u8]>,
+        deadline: Deadline,
+        done: impl FnOnce(CallResult) + Send + 'static,
+    ) {
+        let client = self.inner.clone();
+        client.in_flight.fetch_add(1, Ordering::Relaxed);
+        Call {
+            client: client.clone(),
+            payload,
+            deadline,
+            attempt: 0,
+            done: Box::new(move |result| {
+                client.in_flight.fetch_sub(1, Ordering::Relaxed);
+                done(result);
+            }),
+        }
+        .start();
+    }
+
+    /// [`PooledClient::submit`], waiting for the completion.
     ///
     /// # Errors
     ///
-    /// [`WireError::Deadline`] when the budget runs out,
-    /// [`WireError::Remote`] for server-reported failures, or the last
-    /// transport error when retries are exhausted.
-    pub fn call(&self, payload: &[u8], deadline: Deadline) -> Result<Vec<u8>, WireError> {
-        let _guard = InFlight::enter(&self.in_flight);
-        let mut last = WireError::Deadline;
-        for attempt in 0..=self.config.max_retries {
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            if deadline.expired() {
-                self.deadline_clamps.fetch_add(1, Ordering::Relaxed);
-                return Err(WireError::Deadline);
-            }
-            // First attempt may reuse a pooled connection; retries always
-            // dial fresh (the pooled socket is what just failed).
-            let reuse = attempt == 0;
-            match self.call_once(payload, deadline, reuse) {
-                Ok(bytes) => return Ok(bytes),
-                Err(e) => {
-                    if !e.retryable() {
-                        if matches!(e, WireError::Deadline) {
-                            self.deadline_clamps.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Err(e);
-                    }
-                    last = e;
-                }
-            }
-            // Decorrelated-jitter pause before the next attempt, clamped
-            // to the remaining budget.
-            if attempt < self.config.max_retries {
-                let delay = self.backoff.lock().next_delay();
-                match deadline.remaining() {
-                    Some(rem) if rem > delay => std::thread::sleep(delay),
-                    _ => {
-                        self.deadline_clamps.fetch_add(1, Ordering::Relaxed);
-                        return Err(WireError::Deadline);
-                    }
-                }
-            }
-        }
-        Err(last)
+    /// What `submit` hands its completion.
+    pub fn call(&self, payload: &[u8], deadline: Deadline) -> CallResult {
+        block_on(|done| self.submit(Arc::from(payload), deadline, done))
     }
-
-    fn call_once(
-        &self,
-        payload: &[u8],
-        deadline: Deadline,
-        reuse: bool,
-    ) -> Result<Vec<u8>, WireError> {
-        let mut stream = match self.checkout(reuse, deadline)? {
-            Some(s) => s,
-            None => return Err(WireError::Deadline),
-        };
-        let corr = self.corr.fetch_add(1, Ordering::Relaxed);
-        let result = self.exchange(&mut stream, corr, payload, deadline);
-        match &result {
-            Ok(_) => self.checkin(stream),
-            Err(_) => drop(stream), // poisoned: never reuse
-        }
-        result
-    }
-
-    fn checkout(&self, reuse: bool, deadline: Deadline) -> Result<Option<TcpStream>, WireError> {
-        if reuse {
-            if let Some(s) = self.idle.lock().pop() {
-                return Ok(Some(s));
-            }
-        } else {
-            self.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        let Some(budget) = deadline.remaining() else {
-            return Ok(None);
-        };
-        let stream = TcpStream::connect_timeout(&self.addr, budget).map_err(|e| WireError::Io {
-            phase: "connect",
-            kind: e.kind(),
-        })?;
-        stream.set_nodelay(true).ok();
-        Ok(Some(stream))
-    }
-
-    fn checkin(&self, stream: TcpStream) {
-        let mut idle = self.idle.lock();
-        if idle.len() < self.config.pool_size {
-            idle.push(stream);
-        }
-    }
-
-    fn exchange(
-        &self,
-        stream: &mut TcpStream,
-        corr: u64,
-        payload: &[u8],
-        deadline: Deadline,
-    ) -> Result<Vec<u8>, WireError> {
-        let frame = Frame::new(PadClass::Request, corr, payload.to_vec())?;
-        let bytes = frame.encode()?;
-        set_timeouts(stream, deadline)?;
-        stream.write_all(&bytes).map_err(|e| map_io("write", e))?;
-
-        let mut header = [0u8; HEADER_LEN];
-        read_exact_deadline(stream, &mut header, deadline)?;
-        let (_, body_len, resp_corr) = parse_header(&header)?;
-        if resp_corr != corr {
-            return Err(WireError::CorrelationMismatch);
-        }
-        let mut body = vec![0u8; body_len];
-        read_exact_deadline(stream, &mut body, deadline)?;
-        let mut all = header.to_vec();
-        all.append(&mut body);
-        let resp = Frame::decode(&all)?;
-        match resp.class {
-            PadClass::Response => Ok(resp.payload),
-            PadClass::Control => {
-                let status =
-                    WireStatus::from_payload(&resp.payload).unwrap_or(WireStatus::Malformed);
-                Err(WireError::Remote(status))
-            }
-            PadClass::Request => Err(WireError::Frame(crate::frame::FrameError::UnknownClass(
-                0xfe,
-            ))),
-        }
-    }
-}
-
-fn map_io(phase: &'static str, e: std::io::Error) -> WireError {
-    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-        WireError::Deadline
-    } else {
-        WireError::Io {
-            phase,
-            kind: e.kind(),
-        }
-    }
-}
-
-fn set_timeouts(stream: &TcpStream, deadline: Deadline) -> Result<(), WireError> {
-    let Some(rem) = deadline.remaining() else {
-        return Err(WireError::Deadline);
-    };
-    stream
-        .set_read_timeout(Some(rem))
-        .and_then(|_| stream.set_write_timeout(Some(rem)))
-        .map_err(|e| map_io("configure", e))
-}
-
-fn read_exact_deadline(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    deadline: Deadline,
-) -> Result<(), WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        set_timeouts(stream, deadline)?;
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(WireError::Io {
-                    phase: "read",
-                    kind: ErrorKind::UnexpectedEof,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(map_io("read", e)),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::{FrameHandler, ServerConfig, WireServer};
-    use std::sync::Arc;
+    use crossbeam::channel::{unbounded, Receiver};
+    use std::net::TcpListener;
+    use std::time::Instant;
 
     struct Echo;
 
@@ -324,6 +570,50 @@ mod tests {
 
     fn budget() -> Deadline {
         Deadline::starting_now(Duration::from_secs(5))
+    }
+
+    /// A peer the test scripts by hand: a bare listener.
+    fn scripted_peer() -> (TcpListener, PooledClient) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let config = ClientConfig {
+            max_retries: 0,
+            ..ClientConfig::default()
+        };
+        let client = PooledClient::new(listener.local_addr().unwrap(), config);
+        (listener, client)
+    }
+
+    fn accept(listener: &TcpListener) -> TcpStream {
+        let stream = listener.accept().unwrap().0;
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    }
+
+    fn read_request(stream: &mut TcpStream) -> Frame {
+        let mut bytes = vec![0u8; PadClass::Request.wire_len()];
+        stream.read_exact(&mut bytes).unwrap();
+        Frame::decode(&bytes).unwrap()
+    }
+
+    fn write_response(stream: &mut TcpStream, corr: u64, payload: &[u8]) {
+        let frame = Frame::new(PadClass::Response, corr, payload.to_vec()).unwrap();
+        stream.write_all(&frame.encode().unwrap()).unwrap();
+    }
+
+    /// Submits `payload` and returns where its completion will report.
+    fn submit(client: &PooledClient, payload: &[u8], deadline: Deadline) -> Receiver<CallResult> {
+        let (tx, rx) = unbounded();
+        client.submit(Arc::from(payload), deadline, move |result| {
+            let _ = tx.send(result);
+        });
+        rx
+    }
+
+    fn completion(rx: &Receiver<CallResult>) -> CallResult {
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("completion never ran")
     }
 
     #[test]
@@ -338,7 +628,119 @@ mod tests {
         // One connection opened, reused seven times.
         assert_eq!(server.stats().accepted, 1);
         assert_eq!(client.reconnects(), 0);
+        assert_eq!(client.in_flight(), 0);
         server.shutdown();
+    }
+
+    #[test]
+    fn replies_out_of_order_are_matched_by_correlation_id() {
+        let (listener, client) = scripted_peer();
+        let waiting: Vec<_> = ["one", "two", "three"]
+            .iter()
+            .map(|p| submit(&client, p.as_bytes(), budget()))
+            .collect();
+        assert_eq!(client.in_flight(), 3);
+        let mut peer = accept(&listener);
+        let requests: Vec<Frame> = (0..3).map(|_| read_request(&mut peer)).collect();
+        // All three on the one connection, answered last first, each
+        // with its own payload reversed.
+        for request in requests.iter().rev() {
+            let answer: Vec<u8> = request.payload.iter().rev().copied().collect();
+            write_response(&mut peer, request.corr, &answer);
+        }
+        for (rx, want) in waiting.iter().zip(["eno", "owt", "eerht"]) {
+            assert_eq!(completion(rx).unwrap(), want.as_bytes());
+        }
+        assert_eq!(client.in_flight(), 0);
+        assert_eq!(client.late_replies(), 0);
+    }
+
+    #[test]
+    fn a_silent_peer_fails_the_call_at_its_deadline() {
+        let (listener, client) = scripted_peer();
+        let budget = Duration::from_millis(80);
+        let started = Instant::now();
+        let rx = submit(&client, b"anyone?", Deadline::starting_now(budget));
+        // The peer accepts, reads, and says nothing.
+        let mut peer = accept(&listener);
+        read_request(&mut peer);
+        assert_eq!(completion(&rx), Err(WireError::Deadline));
+        let took = started.elapsed();
+        assert!(took >= budget, "failed early: {took:?}");
+        assert!(
+            took < budget + Duration::from_millis(60),
+            "failed late: {took:?}"
+        );
+        assert_eq!(client.deadline_clamps(), 1);
+        // The blocking form is the same call with a wait.
+        let started = Instant::now();
+        let err = client.call(b"still?", Deadline::starting_now(budget));
+        assert_eq!(err, Err(WireError::Deadline));
+        assert!(started.elapsed() < budget + Duration::from_millis(60));
+    }
+
+    #[test]
+    fn a_reply_after_expiry_is_dropped_and_counted() {
+        let (listener, client) = scripted_peer();
+        let short = submit(
+            &client,
+            b"short",
+            Deadline::starting_now(Duration::from_millis(30)),
+        );
+        let long = submit(&client, b"long", budget());
+        let mut peer = accept(&listener);
+        let (first, second) = (read_request(&mut peer), read_request(&mut peer));
+        assert_eq!(completion(&short), Err(WireError::Deadline));
+        // The late answer first, then the one still awaited: the reader
+        // drops the first and is still in step for the second.
+        write_response(&mut peer, first.corr, b"too late");
+        write_response(&mut peer, second.corr, b"in time");
+        assert_eq!(completion(&long).unwrap(), b"in time");
+        assert_eq!(client.late_replies(), 1);
+        assert!(short.try_recv().is_err(), "a completion ran twice");
+    }
+
+    #[test]
+    fn connection_loss_fails_every_pending_call_once_and_the_next_submit_redials() {
+        let (listener, client) = scripted_peer();
+        let waiting: Vec<_> = (0..3).map(|_| submit(&client, b"x", budget())).collect();
+        let mut peer = accept(&listener);
+        for _ in 0..3 {
+            read_request(&mut peer);
+        }
+        drop(peer);
+        for rx in &waiting {
+            let lost = completion(rx);
+            assert!(matches!(lost, Err(WireError::Io { .. })), "got {lost:?}");
+        }
+        assert_eq!(client.in_flight(), 0);
+        // A fresh connection for the next call.
+        let rx = submit(&client, b"again", budget());
+        let mut peer = accept(&listener);
+        let request = read_request(&mut peer);
+        write_response(&mut peer, request.corr, b"back");
+        assert_eq!(completion(&rx).unwrap(), b"back");
+        assert_eq!(client.reconnects(), 1);
+        for rx in &waiting {
+            assert!(rx.try_recv().is_err(), "a completion ran twice");
+        }
+    }
+
+    #[test]
+    fn a_lost_connection_is_retried_on_a_fresh_one_from_the_deadline_queue() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = PooledClient::new(listener.local_addr().unwrap(), ClientConfig::default());
+        let rx = submit(&client, b"persist", budget());
+        // First attempt: read and hang up. Second: answer.
+        let mut peer = accept(&listener);
+        read_request(&mut peer);
+        drop(peer);
+        let mut peer = accept(&listener);
+        let request = read_request(&mut peer);
+        write_response(&mut peer, request.corr, b"second time");
+        assert_eq!(completion(&rx).unwrap(), b"second time");
+        assert_eq!(client.retries(), 1);
+        assert_eq!(client.reconnects(), 1);
     }
 
     #[test]
@@ -383,5 +785,17 @@ mod tests {
         // Exactly one request reached the server (non-retryable status).
         assert_eq!(server.stats().frames_in, 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn dropping_the_client_fails_what_is_pending_and_ends_its_reader() {
+        let (listener, client) = scripted_peer();
+        let rx = submit(&client, b"orphan", budget());
+        let mut peer = accept(&listener);
+        read_request(&mut peer);
+        drop(client);
+        assert!(matches!(completion(&rx), Err(WireError::Io { .. })));
+        // The socket is closed: the peer reads end-of-stream.
+        assert_eq!(peer.read(&mut [0u8; 8]).unwrap(), 0);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! [`LoopbackCluster::launch`] stands up 1–4 [`WireServer`] instances
 //! per layer on `127.0.0.1` — LRS tier first, then IA instances (each
-//! with its own connection pools into the LRS tier and its own circuit
-//! breaker), then UA instances (each with its own pools into the IA
-//! tier and its own shuffle stage) — and a client-side balancer over
-//! the UA tier standing in for the paper's kube-proxy front door.
+//! with its own pipelined connections into the LRS tier and its own
+//! circuit breaker), then UA instances (each with its own connections
+//! into the IA tier and its own shuffle stage) — and a client-side
+//! balancer over the UA tier standing in for the paper's kube-proxy
+//! front door.
 //!
 //! Every hop is a distinct socket with per-hop correlation ids, so the
 //! request chain is never linkable end-to-end by transport metadata:
@@ -31,7 +32,7 @@ use crate::balancer::SocketBalancer;
 use crate::client::ClientConfig;
 use crate::router::ShardRouter;
 use crate::scrape::NodeMetrics;
-use crate::server::{FrameHandler, ServerConfig, ServerStats, WireServer};
+use crate::server::{ServerConfig, ServerStats, Service, WireServer};
 use crate::services::{IaWireService, LrsWireService, UaServiceOptions, UaWireService};
 use crate::supervisor::{
     is_alive, RespawnEvent, RespawnFn, Supervisor, SupervisorConfig, WatchedSlot,
@@ -106,12 +107,11 @@ pub struct ClusterConfig {
     pub modulus_bits: usize,
     /// Deadline/retry/breaker policy shared by the chain.
     pub resilience: ResilienceConfig,
-    /// Per-server socket tuning.
+    /// Per-server tuning, the same for every tier: workers only compute,
+    /// so no tier needs a pool sized to its requests in flight.
     pub server: ServerConfig,
     /// Balancing policy used at every hop.
     pub policy: BalancePolicy,
-    /// IA-call forwarder threads per UA shuffle stage.
-    pub forwarders: usize,
     /// Run the kill/respawn/readmit supervisor over every instance.
     pub supervisor: bool,
     /// Supervisor probe cadence (when `supervisor` is on).
@@ -143,7 +143,6 @@ impl Default for ClusterConfig {
             resilience: ResilienceConfig::default(),
             server: ServerConfig::default(),
             policy: BalancePolicy::RoundRobin,
-            forwarders: 4,
             supervisor: false,
             supervise: SupervisorConfig::default(),
             seed: 0xC1A5_7E12,
@@ -159,21 +158,6 @@ impl ClusterConfig {
     pub fn with_shuffle(mut self, size: usize, timeout_us: u64) -> Self {
         self.shuffle = ShuffleConfig { size, timeout_us };
         self
-    }
-
-    /// Server tuning for the UA tier. With shuffling enabled a UA worker
-    /// parks inside the shuffle stage for the whole dwell (its admission
-    /// permit is held until the response shuffle releases), so the tier
-    /// needs enough workers to keep a full buffer of `S` requests plus
-    /// new arrivals in flight: `4·S`, floor 8. Derived here so every
-    /// launcher — the cluster bin, the scenario harness, tests — sizes
-    /// the tier identically instead of each hand-rolling the formula.
-    pub fn ua_server_config(&self) -> ServerConfig {
-        let mut cfg = self.server.clone();
-        if !self.shuffle.is_disabled() {
-            cfg.workers = cfg.workers.max((self.shuffle.size * 4).max(8));
-        }
-        cfg
     }
 
     fn validated(self) -> Self {
@@ -327,7 +311,7 @@ impl LoopbackCluster {
             if let Some(gauges) = instance.shard_gauges.clone() {
                 metrics.attach_shard_gauges(gauges);
             }
-            let service: Arc<dyn FrameHandler> = Arc::new(LrsWireService::new(instance.handler));
+            let service: Arc<dyn Service> = Arc::new(LrsWireService::new(instance.handler));
             lrs_servers.push(Some(
                 WireServer::spawn(service, with_metrics(&config.server, &metrics))
                     .map_err(spawn_err)?,
@@ -347,7 +331,7 @@ impl LoopbackCluster {
             .lrs_sharded
             .then(|| Arc::new(ShardRouter::new(config.lrs_instances, config.shard_vnodes)));
 
-        // IA tier: per-instance enclave, breaker, and LRS pools.
+        // IA tier: per-instance enclave, breaker, and LRS uplink.
         let mut ia_servers = Vec::new();
         let mut ia_lrs_balancers = Vec::new();
         let mut ia_metrics = Vec::new();
@@ -362,18 +346,15 @@ impl LoopbackCluster {
                 config.seed ^ (0x1a00 + i as u64),
             ));
             metrics.attach_uplink(lrs_balancer.clone());
-            let mut ia_service = IaWireService::new(
+            let service: Arc<dyn Service> = Arc::new(IaWireService::new(
                 enclave,
                 lrs_balancer.clone(),
+                shard_router.clone(),
                 options,
                 config.resilience.clone(),
                 telemetry.clone(),
                 config.seed ^ (0x1a10 + i as u64),
-            );
-            if let Some(router) = &shard_router {
-                ia_service = ia_service.with_router(router.clone());
-            }
-            let service: Arc<dyn FrameHandler> = Arc::new(ia_service);
+            ));
             ia_servers.push(Some(
                 WireServer::spawn(service, with_metrics(&config.server, &metrics))
                     .map_err(spawn_err)?,
@@ -387,7 +368,7 @@ impl LoopbackCluster {
             .collect();
         let ia_addr_list: Vec<SocketAddr> = ia_addrs.iter().map(|a| *a.lock()).collect();
 
-        // UA tier: per-instance enclave, IA pools, and shuffle stage.
+        // UA tier: per-instance enclave, IA uplink, and shuffle stage.
         let mut ua_servers = Vec::new();
         let mut ua_ia_balancers = Vec::new();
         let linkage_audits: Vec<Arc<LinkageAudit>> = if config.linkage_audit {
@@ -397,7 +378,6 @@ impl LoopbackCluster {
         } else {
             Vec::new()
         };
-        let ua_server_cfg = config.ua_server_config();
         let mut ua_metrics = Vec::new();
         for i in 0..config.ua_instances {
             let metrics = node_metrics("ua", i);
@@ -410,13 +390,12 @@ impl LoopbackCluster {
                 config.seed ^ (0x0a00 + i as u64),
             ));
             metrics.attach_uplink(ia_balancer.clone());
-            let service: Arc<dyn FrameHandler> = Arc::new(UaWireService::new(
+            let service: Arc<dyn Service> = Arc::new(UaWireService::new(
                 enclave,
                 ia_balancer.clone(),
                 UaServiceOptions {
                     encryption: config.encryption,
                     shuffle: config.shuffle,
-                    forwarders: config.forwarders,
                     shuffle_order_ablation: config.shuffle_order_ablation,
                     audit: linkage_audits.get(i).cloned(),
                     metrics: Some(metrics.clone()),
@@ -425,7 +404,7 @@ impl LoopbackCluster {
                 config.seed ^ (0x0a10 + i as u64),
             ));
             ua_servers.push(Some(
-                WireServer::spawn(service, with_metrics(&ua_server_cfg, &metrics))
+                WireServer::spawn(service, with_metrics(&config.server, &metrics))
                     .map_err(spawn_err)?,
             ));
             ua_ia_balancers.push(ia_balancer);
@@ -534,7 +513,7 @@ impl LoopbackCluster {
             if let Some(gauges) = instance.shard_gauges.clone() {
                 metrics.attach_shard_gauges(gauges);
             }
-            let service: Arc<dyn FrameHandler> = Arc::new(LrsWireService::new(instance.handler));
+            let service: Arc<dyn Service> = Arc::new(LrsWireService::new(instance.handler));
             let server = WireServer::spawn(service, server_cfg.clone()).ok()?;
             let addr = server.local_addr();
             servers.lock()[index] = Some(server);
@@ -564,18 +543,15 @@ impl LoopbackCluster {
         Box::new(move || {
             let enclave = platform.load_enclave::<IaState>(IA_CODE_IDENTITY);
             provisioner.provision_ia(&platform, &enclave).ok()?;
-            let mut ia_service = IaWireService::new(
+            let service: Arc<dyn Service> = Arc::new(IaWireService::new(
                 enclave,
                 lrs_balancer.clone(),
+                router.clone(),
                 options,
                 resilience.clone(),
                 telemetry.clone(),
                 seed,
-            );
-            if let Some(router) = &router {
-                ia_service = ia_service.with_router(router.clone());
-            }
-            let service: Arc<dyn FrameHandler> = Arc::new(ia_service);
+            ));
             let server = WireServer::spawn(service, server_cfg.clone()).ok()?;
             let addr = server.local_addr();
             servers.lock()[index] = Some(server);
@@ -591,14 +567,13 @@ impl LoopbackCluster {
         let provisioner = self.provisioner.clone();
         let telemetry = self.telemetry.clone();
         let servers = self.ua_servers.clone();
-        let mut server_cfg = self.config.ua_server_config();
+        let mut server_cfg = self.config.server.clone();
         server_cfg.metrics = Some(self.ua_metrics[index].clone());
         let ia_balancer = self.ua_ia_balancers[index].clone();
         let frontend = self.frontend.clone();
         let options = UaServiceOptions {
             encryption: self.config.encryption,
             shuffle: self.config.shuffle,
-            forwarders: self.config.forwarders,
             shuffle_order_ablation: self.config.shuffle_order_ablation,
             audit: self.linkage_audits.get(index).cloned(),
             metrics: Some(self.ua_metrics[index].clone()),
@@ -607,7 +582,7 @@ impl LoopbackCluster {
         Box::new(move || {
             let enclave = platform.load_enclave::<UaState>(UA_CODE_IDENTITY);
             provisioner.provision_ua(&platform, &enclave).ok()?;
-            let service: Arc<dyn FrameHandler> = Arc::new(UaWireService::new(
+            let service: Arc<dyn Service> = Arc::new(UaWireService::new(
                 enclave,
                 ia_balancer.clone(),
                 options.clone(),
@@ -696,9 +671,10 @@ impl LoopbackCluster {
     }
 
     /// Requests currently inside one UA server's admission gate. A
-    /// request parked in the shuffle buffer holds its permit for the
-    /// whole dwell, so this is the deadline-polling signal for "N
-    /// requests are buffered" — no sleeps needed.
+    /// request dwelling in the shuffle buffer (or waiting on the IA)
+    /// holds its permit until it is answered, so this is the
+    /// deadline-polling signal for "N requests are buffered" — no sleeps
+    /// needed.
     ///
     /// Returns 0 for a killed slot.
     ///
@@ -916,7 +892,6 @@ impl Drop for LoopbackCluster {
 /// one knob set governs both transports.
 fn client_config_for(resilience: &ResilienceConfig) -> ClientConfig {
     ClientConfig {
-        pool_size: 8,
         max_retries: resilience.max_retries,
         retry_base: resilience.retry_base,
         retry_cap: resilience.retry_cap,

@@ -340,6 +340,30 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(PadClass, usize, u64),
     Ok((class, declared, corr))
 }
 
+/// Decodes the complete frames at the front of `bytes` — a stream
+/// reader's buffer — in place, handing each to `each`, and returns how
+/// many bytes they took; a trailing partial frame is left for the next
+/// read.
+///
+/// # Errors
+///
+/// The first [`FrameError`] met. The stream is then desynchronized (or
+/// hostile): the caller cuts the connection rather than hunt for a
+/// resync point.
+pub fn decode_stream(bytes: &[u8], mut each: impl FnMut(Frame)) -> Result<usize, FrameError> {
+    let mut pos = 0;
+    while let Some(header) = bytes[pos..].first_chunk::<HEADER_LEN>() {
+        let (_, body_len, _) = parse_header(header)?;
+        let end = pos + HEADER_LEN + body_len;
+        if end > bytes.len() {
+            break;
+        }
+        each(Frame::decode(&bytes[pos..end])?);
+        pos = end;
+    }
+    Ok(pos)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,5 +501,27 @@ mod tests {
             Frame::decode(&bytes),
             Err(FrameError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn decode_stream_takes_whole_frames_and_leaves_the_partial_one() {
+        let a = Frame::new(PadClass::Control, 1, b"a".to_vec()).unwrap();
+        let b = Frame::new(PadClass::Request, 2, b"b".to_vec()).unwrap();
+        let mut bytes = a.encode().unwrap();
+        bytes.extend(b.encode().unwrap());
+        let whole = bytes.len();
+        bytes.extend_from_slice(&a.encode().unwrap()[..HEADER_LEN + 5]);
+        let mut seen = Vec::new();
+        assert_eq!(decode_stream(&bytes, |f| seen.push(f)), Ok(whole));
+        assert_eq!(seen, [a, b]);
+        // Garbage after a good frame: the good one is delivered first.
+        let mut bytes = seen[0].encode().unwrap();
+        bytes.extend_from_slice(&[0xff; HEADER_LEN]);
+        let mut seen = 0;
+        assert_eq!(
+            decode_stream(&bytes, |_| seen += 1),
+            Err(FrameError::BadMagic)
+        );
+        assert_eq!(seen, 1);
     }
 }

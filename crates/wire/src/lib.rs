@@ -12,11 +12,18 @@
 //! * [`server`] — a multi-threaded event-driven server: an acceptor
 //!   blocking in `accept()`, one reader thread per connection blocking in
 //!   `read()`, and a worker pool fed through a bounded queue behind the
-//!   existing [`pprox_core::resilience::AdmissionGate`]; workers write
-//!   replies straight to the socket. Graceful drain on shutdown.
-//! * [`client`] — a connection-pooled client with per-call deadlines and
-//!   decorrelated-jitter reconnect, reusing
-//!   [`pprox_core::resilience::RetryBackoff`].
+//!   existing [`pprox_core::resilience::AdmissionGate`]. Workers only
+//!   compute: a [`server::Service`] that has to wait keeps the request's
+//!   [`server::Reply`] handle and returns, and whoever finishes the
+//!   request answers through it. Graceful drain on shutdown.
+//! * [`client`] — a pipelined client: one connection per backend, a
+//!   reader thread matching replies to pending calls by correlation id,
+//!   continuation-style `submit` with per-call deadlines and
+//!   decorrelated-jitter retry ([`pprox_core::resilience::RetryBackoff`]),
+//!   and a blocking `call` on top.
+//! * [`timers`] — the node's deadline queue: the one thread that expires
+//!   pending calls and runs retry delays, so nothing on the serving path
+//!   sleeps.
 //! * [`balancer`] — round-robin / random / least-loaded selection over
 //!   real sockets, sharing [`pprox_net::Selector`] with the simulator's
 //!   `net::lb` so both transports implement one policy set.
@@ -54,10 +61,11 @@ pub mod scrape;
 pub mod server;
 pub mod services;
 pub mod supervisor;
+pub mod timers;
 
 pub use audit::{AuditEvent, LinkageAudit};
 pub use balancer::{ClientStats, SocketBalancer};
-pub use client::{ClientConfig, PooledClient};
+pub use client::{CallResult, ClientConfig, PooledClient};
 pub use cluster::{ClusterConfig, LoopbackCluster};
 pub use frame::{Frame, FrameError, PadClass, HEADER_LEN, WIRE_VERSION};
 pub use router::ShardRouter;
@@ -65,8 +73,9 @@ pub use scrape::{
     validate_scrape_snapshot, ClusterScraper, ClusterSnapshot, NodeMetrics, NodeSnapshot,
     PressureSample, ScrapeError, ShardGaugeFn,
 };
-pub use server::{FrameHandler, ServerConfig, WireServer};
+pub use server::{FrameHandler, Reply, ServerConfig, Service, WireServer};
 pub use supervisor::{RespawnEvent, Supervisor, SupervisorConfig};
+pub use timers::DeadlineQueue;
 
 /// Wire-level request outcome carried in `Control`-class response frames.
 ///
@@ -156,9 +165,6 @@ pub enum WireError {
     Deadline,
     /// The server answered with an error status.
     Remote(WireStatus),
-    /// The response's correlation id did not match the request (stale
-    /// bytes on a pooled connection); the connection was discarded.
-    CorrelationMismatch,
 }
 
 impl std::fmt::Display for WireError {
@@ -168,7 +174,6 @@ impl std::fmt::Display for WireError {
             WireError::Frame(e) => write!(f, "frame error: {e}"),
             WireError::Deadline => write!(f, "wire call deadline expired"),
             WireError::Remote(s) => write!(f, "remote error: {s}"),
-            WireError::CorrelationMismatch => write!(f, "correlation id mismatch"),
         }
     }
 }
@@ -186,7 +191,7 @@ impl WireError {
     /// backend: transport-level failures and retryable remote statuses.
     pub fn retryable(&self) -> bool {
         match self {
-            WireError::Io { .. } | WireError::Frame(_) | WireError::CorrelationMismatch => true,
+            WireError::Io { .. } | WireError::Frame(_) => true,
             WireError::Remote(s) => s.retryable(),
             WireError::Deadline => false,
         }
@@ -204,9 +209,7 @@ impl WireError {
                 pprox_core::PProxError::Unavailable
             }
             WireError::Remote(WireStatus::Failed) => pprox_core::PProxError::Unavailable,
-            WireError::Frame(_) | WireError::CorrelationMismatch => {
-                pprox_core::PProxError::MalformedMessage
-            }
+            WireError::Frame(_) => pprox_core::PProxError::MalformedMessage,
         }
     }
 }

@@ -4,7 +4,7 @@
 //! Every [`crate::server::WireServer`] owns a [`NodeMetrics`] hub that
 //! the serving hot paths update lock-free: accept rate, open
 //! connections, reader pass latency, job-queue depth high-water,
-//! admission sheds, worker busy time, pooled-client reconnect/retry
+//! admission sheds, worker busy time, uplink client reconnect/retry
 //! counters, UA shuffle-buffer occupancy and flush causes, and the
 //! supervisor's probe/respawn history. A node answers a *metrics
 //! scrape* over the existing frame protocol: the request is one
@@ -159,10 +159,11 @@ pub struct NodeMetrics {
     tier: String,
     index: usize,
     telemetry_group: u32,
-    telemetry: Mutex<Option<Arc<Telemetry>>>,
     registry: MetricsRegistry,
-    uplinks: Mutex<Vec<Arc<SocketBalancer>>>,
-    shard_gauges: Mutex<Option<ShardGaugeFn>>,
+    /// What the node was wired to at launch (and re-wired to on a
+    /// respawn); a snapshot copies the handles out and reads them with
+    /// the lock released.
+    wiring: Mutex<Wiring>,
     // Server internals.
     accepted: AtomicU64,
     open_connections: AtomicU64,
@@ -190,6 +191,14 @@ pub struct NodeMetrics {
     started: Instant,
 }
 
+/// The sources a node's snapshot reads besides its own counters.
+#[derive(Clone, Default)]
+struct Wiring {
+    telemetry: Option<Arc<Telemetry>>,
+    uplinks: Vec<Arc<SocketBalancer>>,
+    shard_gauges: Option<ShardGaugeFn>,
+}
+
 impl std::fmt::Debug for NodeMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeMetrics")
@@ -209,10 +218,8 @@ impl NodeMetrics {
             tier: tier.into(),
             index,
             telemetry_group,
-            telemetry: Mutex::new(None),
             registry: MetricsRegistry::new(),
-            uplinks: Mutex::new(Vec::new()),
-            shard_gauges: Mutex::new(None),
+            wiring: Mutex::new(Wiring::default()),
             accepted: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             frames_in: AtomicU64::new(0),
@@ -247,20 +254,20 @@ impl NodeMetrics {
     /// Attaches the telemetry hub whose stage histograms this node's
     /// snapshot exports.
     pub fn attach_telemetry(&self, telemetry: Arc<Telemetry>) {
-        *self.telemetry.lock() = Some(telemetry);
+        self.wiring.lock().telemetry = Some(telemetry);
     }
 
-    /// Registers an uplink balancer whose pooled-client counters
-    /// (reconnects, retries, deadline clamps) this node reports.
+    /// Registers an uplink balancer whose client counters (reconnects,
+    /// retries, deadline clamps) this node reports.
     pub fn attach_uplink(&self, balancer: Arc<SocketBalancer>) {
-        self.uplinks.lock().push(balancer);
+        self.wiring.lock().uplinks.push(balancer);
     }
 
     /// Attaches the gauge source of the LRS shard this node fronts.
     /// Re-attached on every respawn (the hub outlives the instance);
     /// the latest source wins. Unattached nodes report zeros.
     pub fn attach_shard_gauges(&self, gauges: ShardGaugeFn) {
-        *self.shard_gauges.lock() = Some(gauges);
+        self.wiring.lock().shard_gauges = Some(gauges);
     }
 
     /// The per-layer counter registry for this node's services.
@@ -390,23 +397,20 @@ impl NodeMetrics {
     /// `validate_scrape_snapshot` accepts everything this emits).
     pub fn snapshot_json(&self) -> Value {
         let load = |a: &AtomicU64| Value::from(a.load(Ordering::Relaxed));
-        let (reconnects, retries, clamps) = {
-            // analysis-allow: R12 uncontended registry lock; writers touch
-            // it only at uplink registration, never per request
-            let uplinks = self.uplinks.lock();
-            uplinks.iter().fold((0u64, 0u64, 0u64), |acc, b| {
+        // analysis-allow: R12 written at wiring time only; held here for
+        // three handle clones, never while a source is read
+        let wiring = self.wiring.lock().clone();
+        let (reconnects, retries, clamps) =
+            wiring.uplinks.iter().fold((0u64, 0u64, 0u64), |acc, b| {
                 let s = b.client_stats();
                 (
                     acc.0 + s.reconnects,
                     acc.1 + s.retries,
                     acc.2 + s.deadline_clamps,
                 )
-            })
-        };
+            });
         let mut stages = Value::object::<&str, _>([]);
-        // analysis-allow: R12 set-once handle; the lock is written at
-        // wiring time and only cloned (no held work) afterwards
-        if let Some(telemetry) = self.telemetry.lock().clone() {
+        if let Some(telemetry) = &wiring.telemetry {
             for (stage, snap) in telemetry.stages().snapshot() {
                 stages.insert(stage.as_str(), histogram_to_value(&snap));
             }
@@ -417,9 +421,7 @@ impl NodeMetrics {
             .into_iter()
             .map(|(name, s)| layer_to_value(&name, &s))
             .collect();
-        // analysis-allow: R12 set-once handle, written at wiring time
-        let shard_fn = self.shard_gauges.lock().clone();
-        let shard = shard_fn.map(|f| f()).unwrap_or_default();
+        let shard = wiring.shard_gauges.map(|f| f()).unwrap_or_default();
         Value::object([
             ("report", Value::from("node-metrics")),
             ("schema_version", Value::from(SCRAPE_SCHEMA_VERSION)),

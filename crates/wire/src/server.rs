@@ -1,15 +1,19 @@
 //! The multi-threaded, event-driven TCP serving layer.
 //!
-//! Thread model (mirroring the paper's §5 server/data-processing split):
+//! Thread model (the paper's §5 split: a server part that moves bytes and
+//! schedules, a fixed pool that only computes):
 //!
 //! ```text
 //! acceptor ──spawns──► reader (one per connection, blocks in read())
 //!                         │ jobs (bounded try_send, admission-gated)
 //!                         ▼
-//!                      workers ── FrameHandler::handle
-//!                         │ reply, under the connection's writer lock
-//!                         ▼
-//!                      the connection's socket
+//!                      workers ── Service::serve(payload, deadline, reply)
+//!                         │                          │ a service that must wait
+//!                         │ reply.send, at once      ▼ keeps `reply` and returns
+//!                         │              shuffle flush thread / uplink reader /
+//!                         │              deadline queue ── reply.send, later
+//!                         ▼                          ▼
+//!                      the connection's socket, under its writer lock
 //! ```
 //!
 //! * the **acceptor** blocks in `accept()` and gives every accepted
@@ -17,14 +21,26 @@
 //! * a **reader** blocks in `read()` on its own socket, frames complete
 //!   requests in place from its read buffer and hands them to the
 //!   workers; nothing else it does can block on another connection;
-//! * **workers** run the [`FrameHandler`] — the enclave ECALLs and
-//!   next-hop calls — and write each reply straight to the socket it
-//!   came from.
+//! * **workers** run [`Service::serve`] — the enclave ECALLs — and never
+//!   wait for anything but the next job. A service that has to wait (a
+//!   shuffle dwell, the next hop's answer) parks the *request*, not the
+//!   thread: it moves the [`Reply`] into whatever will finish the request
+//!   and returns, so the number of requests in flight is bounded by the
+//!   [`AdmissionGate`] alone, never by the worker count.
+//!
+//! [`Reply`] is the only way a request is answered. Whoever holds it —
+//! a worker, a shuffle flush thread, an uplink reader, the node's
+//! deadline queue — calls [`Reply::send`], which writes through the one
+//! write site (`Shared::reply`) under the connection's writer lock;
+//! dropping it unsent answers `failed`. Either way the request leaves the
+//! table of unanswered requests exactly once and its admission permit
+//! comes back. [`FrameHandler`] is the adapter for services that never
+//! wait: `serve` is `reply.send(self.handle(..))`.
 //!
 //! No thread polls: every wait is a kernel wake-up (`accept`, `read`, the
 //! job queue's condition variable). A server sees the driver's one
-//! connection or an upstream tier's pool — a dozen connections — so a
-//! thread per connection is cheap, and safe `std` has no readiness API.
+//! connection or one pipelined connection per upstream node, so a thread
+//! per connection is cheap, and safe `std` has no readiness API.
 //!
 //! Backpressure is explicit and bounded at two points: the
 //! [`AdmissionGate`](pprox_core::resilience::AdmissionGate) caps
@@ -32,14 +48,17 @@
 //! request that fails either bound is answered *immediately* with a
 //! constant-size `busy` control frame — never an unbounded queue, never
 //! a silent drop (§5's "fast, typed errors" discipline, same as the
-//! in-process pipeline). A peer that stops reading its replies costs one
-//! write timeout, after which its connection is cut.
+//! in-process pipeline). A peer that stops reading its replies costs the
+//! thread completing a request one write timeout, after which its
+//! connection is cut.
 //!
 //! Shutdown is a graceful drain: stop accepting, close the read half of
-//! every connection so the readers exit, flush the handler's buffers,
-//! let admitted work finish and be answered, then join.
+//! every connection so the readers exit, flush the service's buffers,
+//! let the workers empty the queue, wait for what the service still
+//! holds (in a shuffle buffer, on the uplink) to be answered, and when
+//! the drain budget runs out answer what is left `unavailable`.
 
-use crate::frame::{parse_header, Frame, PadClass, HEADER_LEN};
+use crate::frame::{decode_stream, Frame, PadClass};
 use crate::scrape::{is_scrape_request, scrape_response_frames, NodeMetrics};
 use crate::WireStatus;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
@@ -53,12 +72,31 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Request handler run on the worker pool, one call per request frame.
+/// What a server runs on its worker pool, one call per request frame.
+///
+/// `serve` must not wait. It either answers through `reply` before it
+/// returns, or moves `reply` into the continuation that will: the request
+/// then stays admitted (its permit is held) until that continuation calls
+/// [`Reply::send`] or drops the handle.
+pub trait Service: Send + Sync + 'static {
+    /// Processes one request payload. `deadline` is the request's budget,
+    /// for clamping downstream calls; `reply` answers it.
+    fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply);
+
+    /// Called once at the start of a graceful shutdown, after the last
+    /// request frame was read. Services holding requests in internal
+    /// buffers (the UA shuffle stage) release them here so they are
+    /// *answered*, not dropped, on exit. The default does nothing.
+    fn drain(&self) {}
+}
+
+/// A [`Service`] that never waits: the request is answered with what
+/// `handle` returns, on the worker that ran it (the LRS front-end, echo
+/// servers in tests and probes).
 ///
 /// The handler returns the success payload (sent back in a
 /// `Response`-class frame) or a [`WireStatus`] (sent back in a
-/// `Control`-class frame). Handlers receive the request's [`Deadline`]
-/// so they can clamp downstream calls to the remaining budget.
+/// `Control`-class frame).
 pub trait FrameHandler: Send + Sync + 'static {
     /// Processes one request payload.
     ///
@@ -67,18 +105,25 @@ pub trait FrameHandler: Send + Sync + 'static {
     /// A [`WireStatus`] describing why the request was not served.
     fn handle(&self, payload: Vec<u8>, deadline: Deadline) -> Result<Vec<u8>, WireStatus>;
 
-    /// Called once at the start of a graceful shutdown, before the server
-    /// waits for in-flight work. Handlers holding requests in internal
-    /// buffers (the UA shuffle stage) flush them here so buffered
-    /// requests are *answered*, not dropped, on exit. The default does
-    /// nothing.
+    /// See [`Service::drain`]. The default does nothing.
     fn drain(&self) {}
+}
+
+impl<H: FrameHandler> Service for H {
+    fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
+        reply.send(self.handle(payload, deadline));
+    }
+
+    fn drain(&self) {
+        FrameHandler::drain(self);
+    }
 }
 
 /// Tunables for one [`WireServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads running the handler.
+    /// Worker threads running the service. They only compute, so this is
+    /// sized to the cores, not to the requests in flight.
     pub workers: usize,
     /// Bounded depth of the reader→worker queue.
     pub queue_depth: usize,
@@ -90,7 +135,8 @@ pub struct ServerConfig {
     /// write still have most of their budget.
     pub request_budget: Duration,
     /// Drain budget during shutdown: admitted work not started by then is
-    /// answered `unavailable` instead of run.
+    /// answered `unavailable` instead of run, and so is whatever the
+    /// service still holds unanswered.
     pub drain_timeout: Duration,
     /// The node's metrics hub, answering Control-class metrics scrapes
     /// and accumulating across respawns. When absent the server creates
@@ -124,17 +170,22 @@ pub struct ServerStats {
     pub shed: u64,
     /// Connections dropped for malformed framing.
     pub protocol_errors: u64,
+    /// Reply frames that did not encode and were answered `failed`.
+    pub encode_failures: u64,
 }
 
-/// Reader threads frame, admit and enqueue; they never run a handler, so
+/// Reader threads frame, admit and enqueue; they never run a service, so
 /// a small stack keeps a connection's memory cost at its read buffer.
 const READER_STACK: usize = 128 * 1024;
 
 /// Read buffer per connection; holds a dozen pipelined request frames.
 const READ_BUF: usize = 16 * 1024;
 
-/// One accepted connection, shared by its reader and by every job read
-/// from it; the socket closes when the last of them lets go.
+/// How often `shutdown` looks at the gate while requests are pending.
+const DRAIN_POLL: Duration = Duration::from_millis(1);
+
+/// One accepted connection, shared by its reader and by every unanswered
+/// request read from it; the socket closes when the last of them lets go.
 struct Conn {
     stream: TcpStream,
     /// Held for one batch of whole-frame writes. The flag is `false`
@@ -143,15 +194,66 @@ struct Conn {
     writer: Mutex<bool>,
 }
 
-struct WorkerJob {
+/// An admitted request nobody has answered yet: where its answer goes,
+/// and the admission slot it holds until then.
+struct Unanswered {
     conn: Arc<Conn>,
     corr: u64,
-    payload: Vec<u8>,
-    deadline: Deadline,
-    permit: AdmissionPermit,
+    _permit: AdmissionPermit,
 }
 
-/// State shared by the acceptor, the readers and the workers.
+/// The handle that answers one admitted request, exactly once.
+///
+/// [`Reply::send`] writes the answer to the request's connection; a
+/// handle dropped unsent answers `failed`. Both go through the server's
+/// table of unanswered requests, whose `remove` decides between them and
+/// the shutdown that fails what outlives the drain budget — so the peer
+/// sees one answer and the admission permit is released once, whichever
+/// thread gets there.
+pub struct Reply {
+    shared: Arc<Shared>,
+    id: u64,
+    deadline: Deadline,
+    sent: bool,
+}
+
+impl std::fmt::Debug for Reply {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Reply").field("sent", &self.sent).finish()
+    }
+}
+
+impl Reply {
+    /// The request's processing budget, stamped at admission.
+    pub fn deadline(&self) -> Deadline {
+        self.deadline
+    }
+
+    /// Answers the request: a success payload travels in a
+    /// `Response`-class frame, a status in a `Control`-class frame. May
+    /// block for the connection's write timeout when the peer is not
+    /// reading; that peer is then cut.
+    pub fn send(mut self, result: Result<Vec<u8>, WireStatus>) {
+        self.sent = true;
+        self.shared.answer(self.id, result);
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.sent {
+            self.shared.answer(self.id, Err(WireStatus::Failed));
+        }
+    }
+}
+
+struct WorkerJob {
+    payload: Vec<u8>,
+    reply: Reply,
+}
+
+/// State shared by the acceptor, the readers, the workers and every
+/// outstanding [`Reply`].
 ///
 /// The plain counters stay per-incarnation ([`WireServer::stats`]
 /// semantics); `metrics` accumulates for the node, surviving respawns.
@@ -165,24 +267,60 @@ struct Shared {
     /// Live connections, so shutdown can wake their readers. A reader
     /// thread removes its own entry when it exits.
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
+    /// Admitted requests not yet answered, by admission number. Held for
+    /// one map operation, never across a write.
+    unanswered: Mutex<HashMap<u64, Unanswered>>,
+    next_request: AtomicU64,
     accepted: AtomicU64,
     frames_in: AtomicU64,
     frames_out: AtomicU64,
     shed: AtomicU64,
     protocol_errors: AtomicU64,
+    encode_failures: AtomicU64,
 }
 
 impl Shared {
+    fn new(config: &ServerConfig) -> Self {
+        let metrics = config
+            .metrics
+            .clone()
+            .unwrap_or_else(|| Arc::new(NodeMetrics::detached()));
+        metrics.set_workers(config.workers.max(1) as u64);
+        Shared {
+            stop: AtomicBool::new(false),
+            gate: AdmissionGate::new(config.max_inflight.max(1)),
+            metrics,
+            request_budget: config.request_budget,
+            drain_deadline: OnceLock::new(),
+            conns: Mutex::new(HashMap::new()),
+            unanswered: Mutex::new(HashMap::new()),
+            next_request: AtomicU64::new(0),
+            accepted: AtomicU64::new(0),
+            frames_in: AtomicU64::new(0),
+            frames_out: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            encode_failures: AtomicU64::new(0),
+        }
+    }
+
     /// Writes `frames` to `conn` as one batch, counting each frame that
-    /// reached the socket. The first failed or timed-out write cuts the
-    /// connection, so a peer that never reads costs the worker pool one
-    /// write timeout, not one per reply.
+    /// reached the socket. A frame that does not encode is answered
+    /// `failed` in its place — the peer is waiting on that correlation
+    /// id. The first failed or timed-out write cuts the connection, so a
+    /// peer that never reads costs one write timeout, not one per reply.
     fn reply(&self, conn: &Conn, frames: &[Frame]) {
         let mut bytes = Vec::with_capacity(frames.iter().map(|f| f.class.wire_len()).sum());
         let mut encoded = 0u64;
-        for frame in frames.iter().flat_map(Frame::encode) {
-            bytes.extend_from_slice(&frame);
-            encoded += 1;
+        for frame in frames {
+            let wire = frame.encode().or_else(|_| {
+                self.encode_failures.fetch_add(1, Ordering::Relaxed);
+                control_frame(frame.corr, WireStatus::Failed).encode()
+            });
+            if let Ok(wire) = wire {
+                bytes.extend_from_slice(&wire);
+                encoded += 1;
+            }
         }
         // analysis-allow: R12 the connection's own writer lock: only
         // replies to this same peer contend, each bounded by the socket's
@@ -204,6 +342,51 @@ impl Shared {
         self.reply(conn, &[control_frame(corr, status)]);
     }
 
+    /// Enters a request into the table of unanswered requests and hands
+    /// back the handle that will take it out.
+    fn admitted(self: &Arc<Self>, conn: &Arc<Conn>, corr: u64, permit: AdmissionPermit) -> Reply {
+        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
+        let entry = Unanswered {
+            conn: conn.clone(),
+            corr,
+            _permit: permit,
+        };
+        // analysis-allow: R12 one map insert under a lock nothing blocks
+        // under; the reader's only other wait is its own socket
+        self.unanswered.lock().insert(id, entry);
+        Reply {
+            shared: self.clone(),
+            id,
+            deadline: Deadline::starting_now(self.request_budget),
+            sent: false,
+        }
+    }
+
+    /// Answers request `id` if nobody has: the `remove` is the one point
+    /// that decides between a sent reply, a dropped handle and shutdown.
+    /// A write to a peer that has gone fails; either way the request is
+    /// finished and its admission slot is freed.
+    fn answer(&self, id: u64, result: Result<Vec<u8>, WireStatus>) {
+        let Some(request) = self.unanswered.lock().remove(&id) else {
+            return;
+        };
+        let frame = match result {
+            Ok(payload) => Frame::new(PadClass::Response, request.corr, payload)
+                .unwrap_or_else(|_| control_frame(request.corr, WireStatus::Failed)),
+            Err(status) => control_frame(request.corr, status),
+        };
+        self.reply(&request.conn, &[frame]);
+    }
+
+    /// Answers everything still unanswered with `status` (the end of the
+    /// drain budget).
+    fn fail_unanswered(&self, status: WireStatus) {
+        let left: Vec<Unanswered> = self.unanswered.lock().drain().map(|(_, r)| r).collect();
+        for request in left {
+            self.reply_status(&request.conn, request.corr, status);
+        }
+    }
+
     fn on_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
         self.metrics.on_shed();
@@ -215,15 +398,15 @@ impl Shared {
     }
 }
 
-/// A running TCP server on `127.0.0.1`, serving one [`FrameHandler`].
+/// A running TCP server on `127.0.0.1`, serving one [`Service`].
 pub struct WireServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    handler: Arc<dyn FrameHandler>,
-    drain_timeout: Duration,
+    service: Arc<dyn Service>,
     /// Returns the reader handles it still holds when it exits.
     acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     workers: Vec<JoinHandle<()>>,
+    drain_timeout: Duration,
 }
 
 impl std::fmt::Debug for WireServer {
@@ -242,33 +425,16 @@ impl WireServer {
     /// # Errors
     ///
     /// Socket errors from bind/configure.
-    pub fn spawn(handler: Arc<dyn FrameHandler>, config: ServerConfig) -> std::io::Result<Self> {
+    pub fn spawn(service: Arc<dyn Service>, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let metrics = config
-            .metrics
-            .clone()
-            .unwrap_or_else(|| Arc::new(NodeMetrics::detached()));
-        metrics.set_workers(config.workers.max(1) as u64);
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            gate: AdmissionGate::new(config.max_inflight.max(1)),
-            metrics,
-            request_budget: config.request_budget,
-            drain_deadline: OnceLock::new(),
-            conns: Mutex::new(HashMap::new()),
-            accepted: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(&config));
         let (job_tx, job_rx) = bounded::<WorkerJob>(config.queue_depth.max(1));
 
         let workers = (0..config.workers.max(1))
             .map(|_| {
-                let (rx, shared, handler) = (job_rx.clone(), shared.clone(), handler.clone());
-                std::thread::spawn(move || work(&rx, &shared, handler.as_ref()))
+                let (rx, shared, service) = (job_rx.clone(), shared.clone(), service.clone());
+                std::thread::spawn(move || work(&rx, &shared, service.as_ref()))
             })
             .collect();
         // The acceptor owns the queue's original sender and every reader a
@@ -282,10 +448,10 @@ impl WireServer {
         Ok(WireServer {
             addr,
             shared,
-            handler,
-            drain_timeout: config.drain_timeout,
+            service,
             acceptor: Some(acceptor),
             workers,
+            drain_timeout: config.drain_timeout,
         })
     }
 
@@ -314,22 +480,22 @@ impl WireServer {
             frames_out: load(&self.shared.frames_out),
             shed: load(&self.shared.shed),
             protocol_errors: load(&self.shared.protocol_errors),
+            encode_failures: load(&self.shared.encode_failures),
         }
     }
 
     /// Graceful drain: stop accepting, close every connection's read
-    /// half so the readers exit, flush the handler's internal buffers
-    /// ([`FrameHandler::drain`]), let the workers answer admitted work,
-    /// join every thread. Idempotent.
+    /// half so the readers exit, release the service's internal buffers
+    /// ([`Service::drain`]), let the workers empty the queue, wait until
+    /// every admitted request is answered or the drain budget runs out,
+    /// answer what is left `unavailable`, join every thread. Idempotent.
     pub fn shutdown(&mut self) {
         let Some(acceptor) = self.acceptor.take() else {
             return;
         };
         self.shared.stop.store(true, Ordering::Release);
-        let _ = self
-            .shared
-            .drain_deadline
-            .set(Deadline::starting_now(self.drain_timeout));
+        let drain = Deadline::starting_now(self.drain_timeout);
+        let _ = self.shared.drain_deadline.set(drain);
         // The acceptor is blocked in `accept()`: a throw-away connection
         // wakes it to see the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
@@ -343,14 +509,21 @@ impl WireServer {
         for reader in readers {
             let _ = reader.join();
         }
-        // No frame is read any more, so what the handler flushes now is
+        // No frame is read any more, so what the service releases now is
         // the complete set of buffered requests; and with the last reader
         // gone the job queue is closed, so the workers exit once it is
         // empty.
-        self.handler.drain();
+        self.service.drain();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        // What is still admitted is parked in the service: in a shuffle
+        // buffer on its way out, or on the uplink waiting for the next
+        // hop. Each is answered by whoever completes it.
+        while self.shared.gate.in_flight() > 0 && !drain.expired() {
+            std::thread::sleep(DRAIN_POLL);
+        }
+        self.shared.fail_unanswered(WireStatus::Unavailable);
     }
 }
 
@@ -448,7 +621,7 @@ fn set_conn(shared: &Shared, id: u64, conn: Option<Arc<Conn>>) {
 /// nothing else (R12) — admission and the job queue are `try_` calls, so
 /// overload is answered `busy` at once. Returns when the peer closes,
 /// sends bytes that do not frame, or the server shuts the read half.
-fn read_loop(conn: &Arc<Conn>, shared: &Shared, job_tx: &Sender<WorkerJob>) {
+fn read_loop(conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>) {
     let mut buf = vec![0u8; READ_BUF];
     let mut filled = 0;
     loop {
@@ -462,27 +635,18 @@ fn read_loop(conn: &Arc<Conn>, shared: &Shared, job_tx: &Sender<WorkerJob>) {
         // Pass durations are bucketed into the hub's shared histogram;
         // no per-pass timestamp leaves this loop.
         let pass_started = Instant::now();
-        let mut pos = 0;
         // Frame in place: each complete frame is decoded from its slice
         // of the read buffer.
-        while let Some(header) = buf[pos..filled].first_chunk::<HEADER_LEN>() {
-            let Ok((_, body_len, corr)) = parse_header(header) else {
-                // Desynchronized or hostile peer: cut the connection
-                // rather than hunt for a resync point.
-                return cut(conn, shared);
-            };
-            let end = pos + HEADER_LEN + body_len;
-            if end > filled {
-                break;
-            }
+        let framed = decode_stream(&buf[..filled], |frame| {
             shared.frames_in.fetch_add(1, Ordering::Relaxed);
             shared.metrics.on_frame_in();
-            let Ok(frame) = Frame::decode(&buf[pos..end]) else {
-                return cut(conn, shared);
-            };
-            admit(frame, corr, conn, shared, job_tx);
-            pos = end;
-        }
+            admit(frame, conn, shared, job_tx);
+        });
+        let Ok(pos) = framed else {
+            // Desynchronized or hostile peer: cut the connection rather
+            // than hunt for a resync point.
+            return cut(conn, shared);
+        };
         buf.copy_within(pos..filled, 0);
         filled -= pos;
         shared
@@ -499,7 +663,8 @@ fn cut(conn: &Conn, shared: &Shared) {
 
 /// Answers one frame from the reader thread — scrapes and refusals
 /// inline — or queues it for the workers.
-fn admit(frame: Frame, corr: u64, conn: &Arc<Conn>, shared: &Shared, job_tx: &Sender<WorkerJob>) {
+fn admit(frame: Frame, conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>) {
+    let corr = frame.corr;
     if frame.class != PadClass::Request {
         if is_scrape_request(&frame) {
             shared.metrics.on_scrape();
@@ -515,57 +680,45 @@ fn admit(frame: Frame, corr: u64, conn: &Arc<Conn>, shared: &Shared, job_tx: &Se
         return shared.reply_status(conn, corr, WireStatus::Busy);
     };
     let job = WorkerJob {
-        conn: conn.clone(),
-        corr,
         payload: frame.payload,
-        deadline: Deadline::starting_now(shared.request_budget),
-        permit,
+        reply: shared.admitted(conn, corr, permit),
     };
     match job_tx.try_send(job) {
         Ok(()) => shared.metrics.on_enqueue(),
-        // The refused job drops here, freeing its admission slot.
-        Err(TrySendError::Full(_)) => {
+        Err(TrySendError::Full(job)) => {
             shared.on_shed();
-            shared.reply_status(conn, corr, WireStatus::Busy);
+            job.reply.send(Err(WireStatus::Busy));
         }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.reply_status(conn, corr, WireStatus::Unavailable);
-        }
+        Err(TrySendError::Disconnected(job)) => job.reply.send(Err(WireStatus::Unavailable)),
     }
 }
 
-/// A worker: runs the handler and writes the reply to the job's socket.
-/// Exits when the queue is empty and its last sender is gone.
-fn work(jobs: &Receiver<WorkerJob>, shared: &Shared, handler: &dyn FrameHandler) {
-    while let Ok(job) = jobs.recv() {
+/// A worker: hands each job to the service and takes the next. The time
+/// inside `serve` is the node's compute time; a request the service
+/// parks costs the worker nothing more. Exits when the queue is empty
+/// and its last sender is gone.
+fn work(jobs: &Receiver<WorkerJob>, shared: &Shared, service: &dyn Service) {
+    while let Ok(WorkerJob { payload, reply }) = jobs.recv() {
         shared.metrics.on_dequeue();
-        let busy_from = Instant::now();
-        let drained = shared.drain_deadline.get().is_some_and(Deadline::expired);
-        let result = if job.deadline.expired() {
-            Err(WireStatus::Deadline)
-        } else if drained {
-            Err(WireStatus::Unavailable)
+        let deadline = reply.deadline();
+        if deadline.expired() {
+            reply.send(Err(WireStatus::Deadline));
+        } else if shared.drain_deadline.get().is_some_and(Deadline::expired) {
+            reply.send(Err(WireStatus::Unavailable));
         } else {
-            handler.handle(job.payload, job.deadline)
-        };
-        shared
-            .metrics
-            .add_worker_busy_us(busy_from.elapsed().as_micros() as u64);
-        let frame = match result {
-            Ok(payload) => Frame::new(PadClass::Response, job.corr, payload)
-                .unwrap_or_else(|_| control_frame(job.corr, WireStatus::Failed)),
-            Err(status) => control_frame(job.corr, status),
-        };
-        // A write to a peer that has gone fails; either way the request
-        // is finished and its admission slot is freed.
-        shared.reply(&job.conn, &[frame]);
-        drop(job.permit);
+            let busy_from = Instant::now();
+            service.serve(payload, deadline, reply);
+            shared
+                .metrics
+                .add_worker_busy_us(busy_from.elapsed().as_micros() as u64);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{parse_header, HEADER_LEN};
     use crate::WireError;
 
     /// Echoes the payload back, uppercased, after an optional delay.
@@ -811,6 +964,201 @@ mod tests {
         );
     }
 
+    /// A request a [`Park`] holds: its payload and its handle.
+    type Parked = (Vec<u8>, Reply);
+
+    /// Keeps every request's handle instead of answering; the test takes
+    /// them out and decides what happens to them.
+    #[derive(Default)]
+    struct Park {
+        parked: Mutex<Vec<Parked>>,
+        /// Where `drain` sends what is parked (the "uplink" finishing
+        /// it), when set.
+        drain_to: Mutex<Option<Sender<Parked>>>,
+    }
+
+    impl Service for Park {
+        fn serve(&self, payload: Vec<u8>, _deadline: Deadline, reply: Reply) {
+            self.parked.lock().push((payload, reply));
+        }
+
+        fn drain(&self) {
+            if let Some(tx) = self.drain_to.lock().take() {
+                for parked in self.parked.lock().drain(..) {
+                    let _ = tx.send(parked);
+                }
+            }
+        }
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// `n` pipelined requests on one fresh connection.
+    fn pipeline(addr: SocketAddr, n: u64) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        for corr in 0..n {
+            let frame = Frame::new(PadClass::Request, corr, vec![b'a' + corr as u8]).unwrap();
+            stream.write_all(&frame.encode().unwrap()).unwrap();
+        }
+        stream
+    }
+
+    fn status_of(frame: &Frame) -> Option<WireStatus> {
+        assert_eq!(frame.class, PadClass::Control);
+        WireStatus::from_payload(&frame.payload)
+    }
+
+    #[test]
+    fn parked_requests_hold_permits_not_workers() {
+        // One worker, eight requests in flight at once: with a worker
+        // parked per request the second would never be read.
+        let park = Arc::new(Park::default());
+        let mut server = WireServer::spawn(
+            park.clone(),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = pipeline(server.local_addr(), 8);
+        wait_until("all eight parked", || park.parked.lock().len() == 8);
+        assert_eq!(server.in_flight(), 8);
+        // Answered from a thread that is not a worker, last first.
+        let parked: Vec<_> = park.parked.lock().drain(..).collect();
+        std::thread::spawn(move || {
+            for (payload, reply) in parked.into_iter().rev() {
+                reply.send(Ok(payload.to_ascii_uppercase()));
+            }
+        })
+        .join()
+        .unwrap();
+        let corrs: Vec<u64> = (0..8)
+            .map(|_| {
+                let f = read_frame(&mut stream);
+                assert_eq!(f.payload, vec![b'A' + f.corr as u8]);
+                f.corr
+            })
+            .collect();
+        assert_eq!(corrs, [7, 6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(server.in_flight(), 0);
+        // Parked time is not worker time.
+        assert!(hub_gauge(&server, "worker_busy_us") < 1_000_000);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_dropped_unsent_answers_failed_and_frees_the_permit() {
+        let park = Arc::new(Park::default());
+        let mut server = WireServer::spawn(park.clone(), ServerConfig::default()).unwrap();
+        let mut stream = pipeline(server.local_addr(), 2);
+        wait_until("both parked", || park.parked.lock().len() == 2);
+        assert_eq!(server.in_flight(), 2);
+        park.parked.lock().clear();
+        for _ in 0..2 {
+            assert_eq!(
+                status_of(&read_frame(&mut stream)),
+                Some(WireStatus::Failed)
+            );
+        }
+        assert_eq!(server.in_flight(), 0);
+        server.shutdown();
+        assert_eq!(server.stats().frames_out, 2, "answered exactly once each");
+    }
+
+    #[test]
+    fn graceful_drain_waits_for_what_the_service_still_holds() {
+        // `drain` passes the parked requests to a thread that answers
+        // them 50 ms later — requests released from a shuffle buffer and
+        // now pending on the uplink.
+        let (tx, rx) = crossbeam::channel::unbounded::<Parked>();
+        let uplink = std::thread::spawn(move || {
+            while let Ok((payload, reply)) = rx.recv() {
+                std::thread::sleep(Duration::from_millis(50));
+                reply.send(Ok(payload));
+            }
+        });
+        let park = Arc::new(Park::default());
+        *park.drain_to.lock() = Some(tx);
+        let mut server = WireServer::spawn(park.clone(), ServerConfig::default()).unwrap();
+        let mut stream = pipeline(server.local_addr(), 3);
+        wait_until("all three parked", || park.parked.lock().len() == 3);
+        server.shutdown();
+        assert_eq!(server.in_flight(), 0);
+        for _ in 0..3 {
+            assert_eq!(read_frame(&mut stream).class, PadClass::Response);
+        }
+        uplink.join().unwrap();
+    }
+
+    #[test]
+    fn what_outlives_the_drain_budget_is_failed_unavailable_once() {
+        let park = Arc::new(Park::default());
+        let drain_timeout = Duration::from_millis(50);
+        let mut server = WireServer::spawn(
+            park.clone(),
+            ServerConfig {
+                drain_timeout,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = pipeline(server.local_addr(), 2);
+        wait_until("both parked", || park.parked.lock().len() == 2);
+        let started = Instant::now();
+        server.shutdown();
+        assert!(started.elapsed() >= drain_timeout);
+        assert!(started.elapsed() < Duration::from_secs(2));
+        assert_eq!(server.in_flight(), 0, "permits came back with the refusal");
+        for _ in 0..2 {
+            assert_eq!(
+                status_of(&read_frame(&mut stream)),
+                Some(WireStatus::Unavailable)
+            );
+        }
+        // The service lets go late: nothing more reaches the peer.
+        for (payload, reply) in park.parked.lock().drain(..) {
+            reply.send(Ok(payload));
+        }
+        assert_eq!(server.stats().frames_out, 2);
+    }
+
+    #[test]
+    fn a_reply_that_does_not_encode_is_answered_failed_and_counted() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let conn = Conn {
+            stream: listener.accept().unwrap().0,
+            writer: Mutex::new(true),
+        };
+        let shared = Shared::new(&ServerConfig::default());
+        // Built literally, past `Frame::new`'s check, between two that fit.
+        let oversize = Frame {
+            class: PadClass::Response,
+            corr: 2,
+            payload: vec![0; PadClass::Response.max_payload() + 1],
+        };
+        let fits = |corr| Frame::new(PadClass::Response, corr, b"ok".to_vec()).unwrap();
+        shared.reply(&conn, &[fits(1), oversize, fits(3)]);
+        assert_eq!(read_frame(&mut peer), fits(1));
+        let refused = read_frame(&mut peer);
+        assert_eq!(refused.corr, 2);
+        assert_eq!(status_of(&refused), Some(WireStatus::Failed));
+        assert_eq!(read_frame(&mut peer), fits(3));
+        assert_eq!(shared.encode_failures.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.frames_out.load(Ordering::Relaxed), 3);
+    }
+
     #[test]
     fn peer_that_never_reads_does_not_wedge_the_workers() {
         // Room to admit the whole burst, so every request is served and
@@ -850,12 +1198,59 @@ mod tests {
             started.elapsed()
         );
         assert_eq!(server.in_flight(), 0);
+        // The cut also ends the deaf connection's reader, wherever in
+        // the burst it had got to (all of it, on an idle box).
         let stats = server.stats();
-        assert_eq!(stats.frames_in, 4_004);
+        assert!((4..=4_004).contains(&stats.frames_in), "{stats:?}");
         assert!(
             stats.frames_out < stats.frames_in,
             "the deaf connection was never cut: its replies fit the socket buffers"
         );
+    }
+
+    #[test]
+    fn a_deaf_peer_costs_the_completing_thread_one_write_timeout() {
+        // The same deaf peer, but its requests are parked and completed
+        // by one thread that is not a worker — a shuffle flush thread or
+        // an uplink reader. That thread blocks once, for the connection's
+        // write timeout (a quarter of the request budget); the write
+        // cuts the connection and every later reply to it returns at once.
+        let park = Arc::new(Park::default());
+        let config = ServerConfig {
+            queue_depth: 4_096,
+            max_inflight: 4_096,
+            request_budget: Duration::from_millis(800),
+            ..ServerConfig::default()
+        };
+        let write_timeout = config.request_budget / 4;
+        let mut server = WireServer::spawn(park.clone(), config).unwrap();
+        let mut deaf = TcpStream::connect(server.local_addr()).unwrap();
+        for corr in 0..4_000u64 {
+            let frame = Frame::new(PadClass::Request, corr, b"x".to_vec()).unwrap();
+            deaf.write_all(&frame.encode().unwrap()).unwrap();
+        }
+        wait_until("the burst parked", || park.parked.lock().len() == 4_000);
+        let parked: Vec<_> = park.parked.lock().drain(..).collect();
+        let started = Instant::now();
+        for (_, reply) in parked {
+            reply.send(Ok(vec![0x5a; PadClass::Response.max_payload()]));
+        }
+        let took = started.elapsed();
+        assert!(took >= write_timeout, "no write ever blocked: {took:?}");
+        // Once, not once per reply (4 000 × 200 ms); the slack is for
+        // encoding the 3 999 frames that are then dropped, on a busy box.
+        assert!(
+            took < write_timeout + Duration::from_secs(3),
+            "paid the write timeout again and again: {took:?}"
+        );
+        assert_eq!(server.in_flight(), 0);
+        assert!(server.stats().frames_out < 4_000);
+        // The server still serves others.
+        let other = pipeline(server.local_addr(), 1);
+        wait_until("the other request parked", || park.parked.lock().len() == 1);
+        drop(other);
+        park.parked.lock().clear();
+        server.shutdown();
     }
 
     #[test]

@@ -7,20 +7,36 @@
 //! decorrelated-jitter retries — mirroring the in-process pipeline's
 //! `call_lrs_resilient`.
 //!
+//! No thread waits — not for the LRS, not for the enclave. A server
+//! worker takes a turn at the enclave ([`Turns`]: if another thread is
+//! in it, the ECALL is left for that thread to run next), runs the
+//! request-side ECALL, submits the LRS exchange and takes the next job;
+//! the exchange's completion — on the LRS connection's reader thread, or
+//! on the node's deadline queue when the attempt timed out — applies the
+//! policy (record the outcome on the breaker, schedule the next attempt
+//! on the deadline queue after its backoff, or finish), and the final
+//! completion takes a turn for the response-side ECALL, ahead of
+//! requests not yet started, and answers through the request's
+//! [`Reply`]. A sharded read is history → parallel scatter → gather on a
+//! countdown → merge, each step the completion of the one before.
+//!
 //! This file never names a user-side API: the user id it handles is
 //! already a pseudonym inside the envelope, and the privacy-flow
 //! analyzer (R3) enforces that lexically.
 
 use crate::balancer::SocketBalancer;
+use crate::client::CallResult;
 use crate::router::ShardRouter;
-use crate::server::FrameHandler;
+use crate::server::{Reply, Service};
 use crate::services::lrs::{decode_response, encode_request};
+use crate::services::serial::Turns;
 use crate::{WireError, WireStatus};
-use pprox_core::ia::{IaOptions, IaState};
+use parking_lot::Mutex;
+use pprox_core::ia::{IaOptions, IaState, PendingToken};
 use pprox_core::message::{LayerEnvelope, Op};
 use pprox_core::resilience::{CircuitBreaker, Deadline, ResilienceConfig, RetryBackoff};
 use pprox_core::telemetry::{Stage, Telemetry};
-use pprox_lrs::api::{RecommendationList, EVENTS_PATH, QUERIES_PATH};
+use pprox_lrs::api::{RecommendationList, RecommendationQuery, EVENTS_PATH, QUERIES_PATH};
 use pprox_lrs::shard::{
     history_request_body, merge_scored, parse_history_response, score_request_body_bounded,
     HISTORY_PATH, SCORE_PATH,
@@ -54,9 +70,19 @@ enum LrsTarget {
     Shard(usize),
 }
 
-/// Frame handler for one IA instance.
+/// Outcome of one resilient LRS exchange.
+type LrsResult = Result<HttpResponse, WireStatus>;
+
+/// The service of one IA instance.
 pub struct IaWireService {
+    node: Arc<IaNode>,
+}
+
+/// What the service's continuations share.
+struct IaNode {
     enclave: Arc<Enclave<IaState>>,
+    /// Whose turn it is at the enclave.
+    turns: Turns,
     lrs: Arc<SocketBalancer>,
     router: Option<Arc<ShardRouter>>,
     options: IaOptions,
@@ -70,139 +96,216 @@ impl IaWireService {
     /// Builds the service around a provisioned IA enclave and a shared
     /// balancer over the LRS tier (shared so a supervisor can readmit
     /// respawned LRS instances into the ring the service is using).
+    ///
+    /// A `router` enables sharded routing: events pin to the owner
+    /// shard's balancer slot, reads scatter-gather across all slots. The
+    /// router is shared across IA instances so its per-shard aggregates
+    /// cover the whole tier.
     pub fn new(
         enclave: Arc<Enclave<IaState>>,
         lrs: Arc<SocketBalancer>,
+        router: Option<Arc<ShardRouter>>,
         options: IaOptions,
         resilience: ResilienceConfig,
         telemetry: Arc<Telemetry>,
         seed: u64,
     ) -> Self {
-        let breaker = CircuitBreaker::from_config(&resilience);
         IaWireService {
-            enclave,
-            lrs,
-            router: None,
-            options,
-            breaker,
-            resilience,
-            telemetry,
-            backoff_salt: AtomicU64::new(seed | 1),
+            node: Arc::new(IaNode {
+                enclave,
+                turns: Turns::default(),
+                lrs,
+                router,
+                options,
+                breaker: CircuitBreaker::from_config(&resilience),
+                resilience,
+                telemetry,
+                backoff_salt: AtomicU64::new(seed | 1),
+            }),
+        }
+    }
+}
+
+/// One resilient HTTP exchange with the LRS tier across its attempts.
+///
+/// Per-attempt budget is `lrs_timeout` clamped to the remaining
+/// deadline; 5xx answers and transport failures trip the breaker and
+/// retry with decorrelated-jitter backoff; 2xx/4xx are definitive.
+struct LrsCall {
+    node: Arc<IaNode>,
+    payload: Arc<[u8]>,
+    deadline: Deadline,
+    target: LrsTarget,
+    backoff: RetryBackoff,
+    attempts: u32,
+    started: Instant,
+    done: Box<dyn FnOnce(LrsResult) + Send>,
+}
+
+impl LrsCall {
+    fn attempt(self) {
+        let Some(remaining) = self.deadline.remaining() else {
+            return self.finish(Err(WireStatus::Deadline));
+        };
+        if !self.node.breaker.try_acquire() {
+            return self.finish(Err(WireStatus::Unavailable));
+        }
+        let per_try = Deadline::starting_now(self.node.resilience.lrs_timeout.min(remaining));
+        let attempt_started = Instant::now();
+        let (node, payload, target) = (self.node.clone(), self.payload.clone(), self.target);
+        let done = move |outcome| self.attempted(attempt_started, outcome);
+        match target {
+            LrsTarget::Any => node.lrs.submit(payload, per_try, done),
+            // Pinned: retries re-dial the same slot, which the supervisor
+            // refreshes on respawn — but never a sibling shard.
+            LrsTarget::Shard(slot) => node.lrs.submit_to(slot, payload, per_try, done),
         }
     }
 
-    /// Enables sharded routing: events pin to the owner shard's
-    /// balancer slot, reads scatter-gather across all slots. The router
-    /// is shared across IA instances so its per-shard aggregates cover
-    /// the whole tier.
-    pub fn with_router(mut self, router: Arc<ShardRouter>) -> Self {
-        self.router = Some(router);
-        self
+    /// Completion of one attempt: a definitive answer finishes the
+    /// exchange, a failure is recorded on the breaker and retried after
+    /// its backoff — scheduled on the deadline queue, not slept.
+    fn attempted(mut self, attempt_started: Instant, outcome: CallResult) {
+        self.node.telemetry.record_duration(
+            Stage::LrsAttempt,
+            attempt_started.elapsed().as_micros() as u64,
+        );
+        self.attempts += 1;
+        let breaker = &self.node.breaker;
+        let failure = match outcome {
+            Ok(bytes) => match decode_response(&bytes) {
+                Some(resp) if resp.status >= 500 => {
+                    breaker.record_failure();
+                    WireStatus::Failed
+                }
+                Some(resp) => {
+                    // Success or a definitive 4xx: the backend
+                    // answered — no retry.
+                    breaker.record_success();
+                    return self.finish(Ok(resp));
+                }
+                None => {
+                    breaker.record_failure();
+                    WireStatus::Malformed
+                }
+            },
+            Err(WireError::Deadline) => {
+                breaker.record_failure();
+                WireStatus::Deadline
+            }
+            Err(e) if e.retryable() => {
+                breaker.record_failure();
+                WireStatus::Unavailable
+            }
+            Err(_) => {
+                breaker.record_failure();
+                return self.finish(Err(WireStatus::Failed));
+            }
+        };
+        if self.attempts > self.node.resilience.max_retries {
+            return self.finish(Err(failure));
+        }
+        let delay = self.backoff.next_delay();
+        match self.deadline.remaining() {
+            Some(remaining) if remaining > delay => {
+                let node = self.node.clone();
+                node.lrs.after(delay, move || self.attempt());
+            }
+            _ => self.finish(Err(WireStatus::Deadline)),
+        }
     }
 
-    /// One resilient HTTP exchange with the LRS tier over the wire.
-    ///
-    /// Per-attempt budget is `lrs_timeout` clamped to the remaining
-    /// deadline; 5xx answers and transport failures trip the breaker and
-    /// retry with decorrelated-jitter backoff; 2xx/4xx are definitive.
+    fn finish(self, result: LrsResult) {
+        self.node
+            .telemetry
+            .record_duration(Stage::Lrs, self.started.elapsed().as_micros() as u64);
+        (self.done)(result);
+    }
+}
+
+/// The gather half of a sharded read: per-shard score lists arrive in
+/// any order; the last one in merges them in shard order.
+struct Gather {
+    node: Arc<IaNode>,
+    n: usize,
+    state: Mutex<GatherState>,
+}
+
+struct GatherState {
+    lists: Vec<Option<RecommendationList>>,
+    outstanding: usize,
+    /// Taken by the completion that brings `outstanding` to zero.
+    finish: Option<(PendingToken, Reply)>,
+}
+
+impl Gather {
+    /// Completion of one shard's score call. A failed shard degrades the
+    /// read (partial merge) instead of failing it; only a total blackout
+    /// errors.
+    fn on_score(&self, slot: usize, result: LrsResult) {
+        let list = result
+            .ok()
+            .filter(HttpResponse::is_success)
+            .and_then(|resp| RecommendationList::from_json(&resp.body));
+        let (lists, finish) = {
+            let mut state = self.state.lock();
+            if let Some(entry) = state.lists.get_mut(slot) {
+                *entry = list;
+            }
+            state.outstanding = state.outstanding.saturating_sub(1);
+            if state.outstanding > 0 {
+                return;
+            }
+            (std::mem::take(&mut state.lists), state.finish.take())
+        };
+        let Some((token, reply)) = finish else { return };
+        let lists: Vec<RecommendationList> = lists.into_iter().flatten().collect();
+        let merged = if lists.is_empty() {
+            Err(WireStatus::Unavailable)
+        } else {
+            Ok(merge_scored(lists, self.n))
+        };
+        self.node.finish_get(token, reply, merged);
+    }
+}
+
+impl IaNode {
+    /// Starts one resilient exchange with the LRS tier; `done` runs once
+    /// with its outcome.
     fn call_lrs(
-        &self,
+        self: &Arc<Self>,
         request: &HttpRequest,
         deadline: Deadline,
         target: LrsTarget,
-    ) -> Result<HttpResponse, WireStatus> {
-        let started = Instant::now();
-        let result = self.call_lrs_inner(request, deadline, target);
-        self.telemetry
-            .record_duration(Stage::Lrs, started.elapsed().as_micros() as u64);
-        result
-    }
-
-    fn call_lrs_inner(
-        &self,
-        request: &HttpRequest,
-        deadline: Deadline,
-        target: LrsTarget,
-    ) -> Result<HttpResponse, WireStatus> {
+        done: impl FnOnce(LrsResult) + Send + 'static,
+    ) {
         let cfg = &self.resilience;
         let salt = self.backoff_salt.fetch_add(0x9e37_79b9, Ordering::Relaxed);
-        let mut backoff = RetryBackoff::new(cfg.retry_base, cfg.retry_cap, salt);
-        let payload = encode_request(request);
-        let mut attempts = 0u32;
-        loop {
-            let Some(remaining) = deadline.remaining() else {
-                return Err(WireStatus::Deadline);
-            };
-            if !self.breaker.try_acquire() {
-                return Err(WireStatus::Unavailable);
-            }
-            let per_try = Deadline::starting_now(cfg.lrs_timeout.min(remaining));
-            let attempt_started = Instant::now();
-            let outcome = match target {
-                LrsTarget::Any => self.lrs.call(&payload, per_try),
-                // Pinned: retries (below) re-dial the same slot, which
-                // the supervisor refreshes on respawn — but never a
-                // sibling shard.
-                LrsTarget::Shard(slot) => self.lrs.call_backend(slot, &payload, per_try),
-            };
-            self.telemetry.record_duration(
-                Stage::LrsAttempt,
-                attempt_started.elapsed().as_micros() as u64,
-            );
-            attempts += 1;
-            let failure = match outcome {
-                Ok(bytes) => match decode_response(&bytes) {
-                    Some(resp) if resp.status >= 500 => {
-                        self.breaker.record_failure();
-                        WireStatus::Failed
-                    }
-                    Some(resp) => {
-                        // Success or a definitive 4xx: the backend
-                        // answered — no retry.
-                        self.breaker.record_success();
-                        return Ok(resp);
-                    }
-                    None => {
-                        self.breaker.record_failure();
-                        WireStatus::Malformed
-                    }
-                },
-                Err(WireError::Deadline) => {
-                    self.breaker.record_failure();
-                    WireStatus::Deadline
-                }
-                Err(e) if e.retryable() => {
-                    self.breaker.record_failure();
-                    WireStatus::Unavailable
-                }
-                Err(_) => {
-                    self.breaker.record_failure();
-                    return Err(WireStatus::Failed);
-                }
-            };
-            if attempts > cfg.max_retries {
-                return Err(failure);
-            }
-            let delay = backoff.next_delay();
-            match deadline.remaining() {
-                Some(rem) if rem > delay => std::thread::sleep(delay),
-                _ => return Err(WireStatus::Deadline),
-            }
+        LrsCall {
+            node: self.clone(),
+            payload: encode_request(request).into(),
+            deadline,
+            target,
+            backoff: RetryBackoff::new(cfg.retry_base, cfg.retry_cap, salt),
+            attempts: 0,
+            started: Instant::now(),
+            done: Box::new(done),
         }
+        .attempt();
     }
 
-    fn handle_post(
-        &self,
-        envelope: &LayerEnvelope,
-        deadline: Deadline,
-    ) -> Result<Vec<u8>, WireStatus> {
+    fn post(self: &Arc<Self>, envelope: &LayerEnvelope, deadline: Deadline, reply: Reply) {
         let options = self.options;
         let started = Instant::now();
-        let event = self
+        let event = match self
             .enclave
             .call(|ia| ia.process_post(envelope, options))
-            .map_err(|_| WireStatus::Unavailable)?
-            .map_err(status_of_core)?;
+            .map_err(|_| WireStatus::Unavailable)
+            .and_then(|r| r.map_err(status_of_core))
+        {
+            Ok(event) => event,
+            Err(status) => return reply.send(Err(status)),
+        };
         self.telemetry
             .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
         let target = match &self.router {
@@ -210,95 +313,140 @@ impl IaWireService {
             None => LrsTarget::Any,
         };
         let request = HttpRequest::post(EVENTS_PATH, event.to_json());
-        let response = self.call_lrs(&request, deadline, target)?;
-        if response.is_success() {
-            Ok(b"{\"ok\":true}".to_vec())
-        } else {
-            Err(WireStatus::Failed)
-        }
+        self.call_lrs(&request, deadline, target, move |result| {
+            finish_post(reply, result)
+        });
     }
 
-    fn handle_get(
-        &self,
-        envelope: &LayerEnvelope,
-        deadline: Deadline,
-    ) -> Result<Vec<u8>, WireStatus> {
+    fn get(self: &Arc<Self>, envelope: &LayerEnvelope, deadline: Deadline, reply: Reply) {
         let options = self.options;
         let started = Instant::now();
-        let (query, token) = self
+        let (query, token) = match self
             .enclave
             .call(|ia| ia.process_get(envelope, options))
-            .map_err(|_| WireStatus::Unavailable)?
-            .map_err(status_of_core)?;
+            .map_err(|_| WireStatus::Unavailable)
+            .and_then(|r| r.map_err(status_of_core))
+        {
+            Ok(parts) => parts,
+            Err(status) => return reply.send(Err(status)),
+        };
         self.telemetry
             .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
 
-        let list = match self.router.clone() {
+        let node = self.clone();
+        match &self.router {
             None => {
                 let request = HttpRequest::post(QUERIES_PATH, query.to_json());
-                let response = self.call_lrs(&request, deadline, LrsTarget::Any)?;
-                if !response.is_success() {
-                    return Err(WireStatus::Failed);
-                }
-                RecommendationList::from_json(&response.body).ok_or(WireStatus::Malformed)?
+                self.call_lrs(&request, deadline, LrsTarget::Any, move |result| {
+                    let list = success_body(result).and_then(|body| {
+                        RecommendationList::from_json(&body).ok_or(WireStatus::Malformed)
+                    });
+                    node.finish_get(token, reply, list);
+                });
             }
-            Some(router) => self.sharded_get(&router, &query, deadline)?,
-        };
-        let item_ids: Vec<String> = list.items.into_iter().map(|s| s.item).collect();
+            // Scatter-gather read over the sharded tier: the owner shard
+            // supplies the pseudonymous history (trimmed to the wire
+            // budget), every shard scores it locally, and the per-shard
+            // top-k lists merge deterministically.
+            Some(router) => {
+                let request = HttpRequest::post(
+                    HISTORY_PATH,
+                    history_request_body(&query.user, Some(WIRE_HISTORY_LIMIT)),
+                );
+                let owner = LrsTarget::Shard(router.route(&query.user));
+                let shards = router.num_shards();
+                self.call_lrs(&request, deadline, owner, move |result| {
+                    node.on_history(result, &query, shards, token, deadline, reply);
+                });
+            }
+        }
+    }
 
+    /// Completion of a sharded read's history call: scatter the score
+    /// request to every shard at once.
+    fn on_history(
+        self: &Arc<Self>,
+        result: LrsResult,
+        query: &RecommendationQuery,
+        shards: usize,
+        token: PendingToken,
+        deadline: Deadline,
+        reply: Reply,
+    ) {
+        let history = match success_body(result)
+            .and_then(|body| parse_history_response(&body).ok_or(WireStatus::Malformed))
+        {
+            Ok(history) => history,
+            Err(status) => return reply.send(Err(status)),
+        };
+        let n = query.num.min(pprox_lrs::MAX_RECOMMENDATIONS);
+        let (body, _trimmed) =
+            score_request_body_bounded(&history, n, &query.exclude, SCORE_BODY_BUDGET);
+        let request = HttpRequest::post(SCORE_PATH, body);
+        let gather = Arc::new(Gather {
+            node: self.clone(),
+            n,
+            state: Mutex::new(GatherState {
+                lists: vec![None; shards],
+                outstanding: shards,
+                finish: Some((token, reply)),
+            }),
+        });
+        for slot in 0..shards {
+            let gather = gather.clone();
+            self.call_lrs(&request, deadline, LrsTarget::Shard(slot), move |result| {
+                gather.on_score(slot, result)
+            });
+        }
+    }
+
+    /// The last step of a get, from whichever thread completed its LRS
+    /// exchange: the response-side ECALL takes the next turn at the
+    /// enclave, ahead of requests not yet started.
+    fn finish_get(
+        self: &Arc<Self>,
+        token: PendingToken,
+        reply: Reply,
+        list: Result<RecommendationList, WireStatus>,
+    ) {
+        let list = match list {
+            Ok(list) => list,
+            Err(status) => return reply.send(Err(status)),
+        };
+        let node = self.clone();
+        self.turns
+            .run(true, move || node.respond(token, reply, list));
+    }
+
+    /// Re-encrypts the recommended items for the client and answers.
+    fn respond(&self, token: PendingToken, reply: Reply, list: RecommendationList) {
+        let item_ids: Vec<String> = list.items.into_iter().map(|s| s.item).collect();
+        let options = self.options;
         let started = Instant::now();
         let encrypted = self
             .enclave
             .call(|ia| ia.process_get_response(token, &item_ids, options))
-            .map_err(|_| WireStatus::Unavailable)?
-            .map_err(status_of_core)?;
+            .map_err(|_| WireStatus::Unavailable)
+            .and_then(|r| r.map_err(status_of_core));
         self.telemetry
             .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
-        encrypted.to_frame().map_err(|_| WireStatus::Failed)
+        reply.send(encrypted.and_then(|list| list.to_frame().map_err(|_| WireStatus::Failed)));
     }
+}
 
-    /// Scatter-gather read over the sharded tier: the owner shard
-    /// supplies the pseudonymous history (trimmed to the wire budget),
-    /// every shard scores it locally, and the per-shard top-k lists
-    /// merge deterministically. A failed shard degrades the read
-    /// (partial merge) instead of failing it; only a total blackout
-    /// errors.
-    fn sharded_get(
-        &self,
-        router: &ShardRouter,
-        query: &pprox_lrs::api::RecommendationQuery,
-        deadline: Deadline,
-    ) -> Result<RecommendationList, WireStatus> {
-        let owner = router.route(&query.user);
-        let history_req = HttpRequest::post(
-            HISTORY_PATH,
-            history_request_body(&query.user, Some(WIRE_HISTORY_LIMIT)),
-        );
-        let response = self.call_lrs(&history_req, deadline, LrsTarget::Shard(owner))?;
-        if !response.is_success() {
-            return Err(WireStatus::Failed);
-        }
-        let history = parse_history_response(&response.body).ok_or(WireStatus::Malformed)?;
-
-        let n = query.num.min(pprox_lrs::MAX_RECOMMENDATIONS);
-        let (body, _trimmed) =
-            score_request_body_bounded(&history, n, &query.exclude, SCORE_BODY_BUDGET);
-        let mut lists = Vec::new();
-        for slot in 0..router.num_shards() {
-            let score_req = HttpRequest::post(SCORE_PATH, body.clone());
-            if let Ok(resp) = self.call_lrs(&score_req, deadline, LrsTarget::Shard(slot)) {
-                if resp.is_success() {
-                    if let Some(list) = RecommendationList::from_json(&resp.body) {
-                        lists.push(list);
-                    }
-                }
-            }
-        }
-        if lists.is_empty() {
-            return Err(WireStatus::Unavailable);
-        }
-        Ok(merge_scored(lists, n))
+/// The body of a successful LRS answer; anything else fails the request.
+fn success_body(result: LrsResult) -> Result<String, WireStatus> {
+    let response = result?;
+    if response.is_success() {
+        Ok(response.body)
+    } else {
+        Err(WireStatus::Failed)
     }
+}
+
+/// Completion of a post's LRS exchange: acknowledge or fail.
+fn finish_post(reply: Reply, result: LrsResult) {
+    reply.send(success_body(result).map(|_| b"{\"ok\":true}".to_vec()));
 }
 
 fn status_of_core(e: pprox_core::PProxError) -> WireStatus {
@@ -311,12 +459,16 @@ fn status_of_core(e: pprox_core::PProxError) -> WireStatus {
     }
 }
 
-impl FrameHandler for IaWireService {
-    fn handle(&self, payload: Vec<u8>, deadline: Deadline) -> Result<Vec<u8>, WireStatus> {
-        let envelope = LayerEnvelope::from_frame(&payload).map_err(|_| WireStatus::Malformed)?;
-        match envelope.op {
-            Op::Post => self.handle_post(&envelope, deadline),
-            Op::Get => self.handle_get(&envelope, deadline),
-        }
+impl Service for IaWireService {
+    fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
+        let envelope = match LayerEnvelope::from_frame(&payload) {
+            Ok(envelope) => envelope,
+            Err(_) => return reply.send(Err(WireStatus::Malformed)),
+        };
+        let node = self.node.clone();
+        self.node.turns.run(false, move || match envelope.op {
+            Op::Post => node.post(&envelope, deadline, reply),
+            Op::Get => node.get(&envelope, deadline, reply),
+        });
     }
 }

@@ -4,10 +4,13 @@
 //! rules are lexical per file, so the split makes the §3.2 visibility
 //! boundary statically checkable on the transport too — [`ua`] never
 //! names an item-side API, [`ia`] never names a user-side API, and
-//! [`lrs`] speaks only the REST vocabulary.
+//! [`lrs`] speaks only the REST vocabulary. `serial` is how the two
+//! proxy layers take turns at their enclaves without a thread ever
+//! waiting for one.
 
 pub mod ia;
 pub mod lrs;
+mod serial;
 pub mod ua;
 
 pub use ia::IaWireService;

@@ -9,6 +9,32 @@
 //! observer bracketing one UA instance cannot match arrival order to
 //! departure order beyond the `1/S` bound.
 //!
+//! No thread waits for a request. A server worker takes a turn at the
+//! enclave ([`Turns`]: if another worker is in it, the request is left
+//! for that worker to decrypt next), hands the request — bytes, deadline
+//! and its [`Reply`] handle — to the request shuffle and takes the next
+//! job; how many requests dwell in the buffer is bounded by the server's
+//! admission gate, not by its worker count:
+//!
+//! ```text
+//! worker: ECALL ──► request buffer ──flush thread, permuted──► ia.submit ──► IA
+//!                                                                         │
+//! reply.send ◄──flush thread, permuted── response buffer ◄── completion ◄─┘
+//!                                                        (IA uplink reader)
+//! ```
+//!
+//! A buffer is shared by whoever puts requests into it — under its lock,
+//! stamped with their arrival — and its flush thread, which is woken
+//! twice per batch, not once per request: when a put arms the flush
+//! timer and when a put fills the buffer (or by the timer itself). The
+//! request flush thread writes a released batch to the IA sockets in the
+//! buffer's permuted order, so wire order *is* release order (the
+//! linkage audit's departure log is written at the same place). Each
+//! answer's completion runs on the IA connection's reader thread and
+//! puts it into the response buffer; that buffer's flush thread answers
+//! the clients. Without shuffling the worker submits directly and the
+//! completion answers the client.
+//!
 //! Telemetry discipline (analyzer rule R6): shuffle dwell and UA
 //! processing go through histogram-only recording — this file never
 //! exports an arrival-timestamped span.
@@ -18,13 +44,16 @@
 
 use crate::audit::{self, LinkageAudit};
 use crate::balancer::SocketBalancer;
+use crate::client::CallResult;
 use crate::scrape::NodeMetrics;
-use crate::server::FrameHandler;
+use crate::server::{Reply, Service};
+use crate::services::serial::Turns;
 use crate::{WireError, WireStatus};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use pprox_core::message::{ClientEnvelope, LayerEnvelope};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
+use pprox_core::message::ClientEnvelope;
 use pprox_core::resilience::Deadline;
-use pprox_core::shuffler::{ShuffleBuffer, ShuffleConfig};
+use pprox_core::shuffler::{Flush, ShuffleBuffer, ShuffleConfig};
 use pprox_core::telemetry::{Stage, Telemetry};
 use pprox_core::ua::UaState;
 use pprox_sgx::Enclave;
@@ -34,13 +63,32 @@ use std::time::{Duration, Instant};
 
 type WireReply = Result<Vec<u8>, WireStatus>;
 
+/// A pseudonymized request dwelling in the request shuffle.
 struct ShuffleJob {
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
     deadline: Deadline,
-    reply: Sender<WireReply>,
+    reply: Reply,
     /// Request fingerprint for the linkage-audit ground truth; zero when
     /// auditing is off.
     fp: u64,
+}
+
+/// An IA answer dwelling in the response shuffle.
+struct ReplyJob {
+    result: WireReply,
+    reply: Reply,
+}
+
+/// What wakes a flush thread. All of it travels on one channel, so the
+/// thread has one thing to wait on.
+enum Msg<T> {
+    /// A push filled the buffer: here is what it released.
+    Released(Flush<T>),
+    /// A push made the buffer non-empty: its flush deadline is set.
+    Armed,
+    /// The graceful drain: flush now, and pass everything after it
+    /// straight through.
+    Kick,
 }
 
 /// Per-instance tuning of one [`UaWireService`], bundled so the cluster
@@ -52,8 +100,6 @@ pub struct UaServiceOptions {
     pub encryption: bool,
     /// Shuffle buffer configuration (§4.3); disabled ⇒ no stage threads.
     pub shuffle: ShuffleConfig,
-    /// IA-call forwarder threads behind the request shuffle.
-    pub forwarders: usize,
     /// Seeded ablation: batch but release in arrival order (see
     /// [`ShuffleBuffer::set_order_ablation`]). The traffic audit must
     /// catch this as a bound violation.
@@ -66,12 +112,20 @@ pub struct UaServiceOptions {
     pub metrics: Option<Arc<NodeMetrics>>,
 }
 
+impl UaServiceOptions {
+    /// One direction's shuffle buffer.
+    fn buffer<T>(&self, seed: u64) -> ShuffleBuffer<T> {
+        let mut buffer = ShuffleBuffer::new(self.shuffle, seed);
+        buffer.set_order_ablation(self.shuffle_order_ablation);
+        buffer
+    }
+}
+
 impl Default for UaServiceOptions {
     fn default() -> Self {
         UaServiceOptions {
             encryption: true,
             shuffle: ShuffleConfig::disabled(),
-            forwarders: 4,
             shuffle_order_ablation: false,
             audit: None,
             metrics: None,
@@ -79,223 +133,250 @@ impl Default for UaServiceOptions {
     }
 }
 
-struct ReplyJob {
-    result: WireReply,
-    reply: Sender<WireReply>,
+/// One direction's shuffle buffer, shared by the threads that push into
+/// it and the flush thread that releases from it.
+struct Shuffle<T> {
+    buffer: ShuffleBuffer<T>,
+    /// Set by the graceful drain: nothing dwells any more.
+    draining: bool,
 }
 
-/// The request- and response-path shuffle stage of one UA instance:
-/// a shuffle thread per direction plus a forwarder pool making the
-/// actual IA calls between them.
-struct ShuffleStage {
-    tx: Option<Sender<ShuffleJob>>,
-    /// One kick sender per shuffle direction; a kick flushes that
-    /// direction's buffer immediately and switches it to pass-through
-    /// (the graceful-drain path).
-    kicks: Vec<Sender<()>>,
-    handles: Vec<JoinHandle<()>>,
+/// The pushing side of one direction. A `put` costs the caller a lock and
+/// — once per batch, not once per item — a wake-up of the flush thread:
+/// when it arms the flush timer, and when it fills the buffer.
+struct ShuffleInput<T> {
+    shuffle: Arc<Mutex<Shuffle<T>>>,
+    wake: Sender<Msg<T>>,
+    telemetry: Arc<Telemetry>,
+    metrics: Option<Arc<NodeMetrics>>,
 }
 
-impl ShuffleStage {
-    #[allow(clippy::too_many_arguments)]
-    fn spawn(
-        config: ShuffleConfig,
-        forwarders: usize,
-        ia: Arc<SocketBalancer>,
-        telemetry: Arc<Telemetry>,
-        metrics: Option<Arc<NodeMetrics>>,
-        seed: u64,
-        order_ablation: bool,
-        audit: Option<Arc<LinkageAudit>>,
-    ) -> Self {
-        let (job_tx, job_rx) = unbounded::<ShuffleJob>();
-        let (fwd_tx, fwd_rx) = unbounded::<ShuffleJob>();
-        let (resp_tx, resp_rx) = unbounded::<ReplyJob>();
-        let (req_kick_tx, req_kick_rx) = unbounded::<()>();
-        let (resp_kick_tx, resp_kick_rx) = unbounded::<()>();
-        let mut handles = Vec::new();
-
-        // Request-path shuffle: arrivals dwell in the buffer, leave in
-        // random order toward the forwarders.
-        {
-            let telemetry = telemetry.clone();
-            let metrics = metrics.clone();
-            let mut buffer = ShuffleBuffer::new(config, seed ^ 0x0a5e);
-            buffer.set_order_ablation(order_ablation);
-            handles.push(std::thread::spawn(move || {
-                run_shuffle(
-                    job_rx,
-                    req_kick_rx,
-                    buffer,
-                    telemetry,
-                    metrics,
-                    Stage::ShuffleRequest,
-                    |job| {
-                        let _ = fwd_tx.send(job);
-                    },
-                );
-            }));
-        }
-
-        // Forwarders: the blocking IA calls, off both shuffle threads.
-        for _ in 0..forwarders.max(1) {
-            let rx = fwd_rx.clone();
-            let tx = resp_tx.clone();
-            let ia = ia.clone();
-            let audit = audit.clone();
-            let telemetry = telemetry.clone();
-            handles.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    // Audit ground truth: this is the instant the request
-                    // leaves the shuffle stage for the wire.
-                    if let Some(log) = &audit {
-                        log.record_departure(job.fp, telemetry.now_us());
-                    }
-                    let result = forward_to_ia(&ia, &job.bytes, job.deadline);
-                    let _ = tx.send(ReplyJob {
-                        result,
-                        reply: job.reply,
-                    });
-                }
-            }));
-        }
-        drop(fwd_rx);
-        drop(resp_tx);
-
-        // Response-path shuffle: completions dwell again before their
-        // waiting connections learn anything.
-        {
-            let mut buffer = ShuffleBuffer::new(config, seed ^ 0x1a5e);
-            buffer.set_order_ablation(order_ablation);
-            handles.push(std::thread::spawn(move || {
-                run_shuffle(
-                    resp_rx,
-                    resp_kick_rx,
-                    buffer,
-                    telemetry,
-                    metrics,
-                    Stage::ShuffleResponse,
-                    |job| {
-                        let _ = job.reply.send(job.result);
-                    },
-                );
-            }));
-        }
-
-        ShuffleStage {
-            tx: Some(job_tx),
-            kicks: vec![req_kick_tx, resp_kick_tx],
-            handles,
-        }
-    }
-
-    /// Flushes both shuffle buffers immediately: buffered requests go to
-    /// the forwarders, buffered responses go to their waiting
-    /// connections, and the stage answers everything still arriving
-    /// without further dwell. Unlinkability is not weakened for normal
-    /// traffic — this only fires on the shutdown path, where the
-    /// alternative is dropping the buffered requests outright.
-    fn flush(&self) {
-        for kick in &self.kicks {
-            let _ = kick.send(());
+impl<T> Clone for ShuffleInput<T> {
+    fn clone(&self) -> Self {
+        ShuffleInput {
+            shuffle: self.shuffle.clone(),
+            wake: self.wake.clone(),
+            telemetry: self.telemetry.clone(),
+            metrics: self.metrics.clone(),
         }
     }
 }
 
-impl Drop for ShuffleStage {
+impl<T> ShuffleInput<T> {
+    /// Puts `item` into the buffer. If the flush thread is gone the item
+    /// stays there until the last input is dropped, and is dropped with
+    /// it (a dropped [`Reply`] answers `failed`).
+    fn put(&self, item: T) {
+        let wake = {
+            let mut shuffle = self.shuffle.lock();
+            let was_empty = shuffle.buffer.is_empty();
+            let mut released = shuffle.buffer.push(self.telemetry.now_us(), item);
+            if released.is_none() && shuffle.draining {
+                released = shuffle.buffer.drain();
+            }
+            // Both shuffle directions share the node's gauge: the
+            // instantaneous value is the latest sample from either
+            // buffer, the high-water mark (fetch_max) is exact across
+            // both.
+            if let Some(m) = &self.metrics {
+                m.set_shuffle_occupancy(shuffle.buffer.len() as u64);
+            }
+            match released {
+                Some(flush) => Some(Msg::Released(flush)),
+                None if was_empty => Some(Msg::Armed),
+                None => None,
+            }
+        };
+        if let Some(msg) = wake {
+            // analysis-allow: R12 unbounded channel: this send never waits
+            let _ = self.wake.send(msg);
+        }
+    }
+
+    /// The graceful drain's kick.
+    fn kick(&self) {
+        let _ = self.wake.send(Msg::Kick);
+    }
+}
+
+/// Starts one direction: its buffer, its flush thread (which hands each
+/// released item, in the buffer's randomized order, to `forward`), and
+/// the input that feeds them.
+fn spawn_shuffle<T: Send + 'static>(
+    buffer: ShuffleBuffer<T>,
+    telemetry: Arc<Telemetry>,
+    metrics: Option<Arc<NodeMetrics>>,
+    stage: Stage,
+    forward: impl FnMut(T) + Send + 'static,
+) -> (ShuffleInput<T>, JoinHandle<()>) {
+    let (wake, woken) = unbounded();
+    let shuffle = Arc::new(Mutex::new(Shuffle {
+        buffer,
+        draining: false,
+    }));
+    let input = ShuffleInput {
+        shuffle: shuffle.clone(),
+        wake,
+        telemetry: telemetry.clone(),
+        metrics: metrics.clone(),
+    };
+    let thread = std::thread::spawn(move || {
+        run_shuffle(&woken, &shuffle, &telemetry, metrics, stage, forward)
+    });
+    (input, thread)
+}
+
+/// Threads joined when this is dropped.
+struct Joined(Vec<JoinHandle<()>>);
+
+impl Drop for Joined {
     fn drop(&mut self) {
-        // Dropping the sender cascades: request shuffle drains and exits,
-        // forwarders exit, response shuffle drains and exits.
-        self.tx = None;
-        for handle in self.handles.drain(..) {
+        for handle in self.0.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// How often an idle shuffle thread wakes to notice a drain kick.
-const KICK_POLL: Duration = Duration::from_millis(25);
+/// The request- and response-path shuffle stage of one UA instance: one
+/// flush thread per direction, and nothing between them but the IA
+/// uplink.
+///
+/// Dropped in field order: the inputs first, then the threads are
+/// joined. The request thread drains and exits when its last input is
+/// gone; the response thread follows once its last is — this stage's,
+/// the request thread's, and one per call still pending on the uplink
+/// (each completes by its deadline at the latest).
+struct ShuffleStage {
+    requests: ShuffleInput<ShuffleJob>,
+    responses: ShuffleInput<ReplyJob>,
+    _threads: Joined,
+}
 
-/// The generic shuffle loop (mirrors the in-process pipeline's
+impl ShuffleStage {
+    fn spawn(
+        options: &UaServiceOptions,
+        ia: Arc<SocketBalancer>,
+        telemetry: Arc<Telemetry>,
+        seed: u64,
+    ) -> Self {
+        // Response path: answers dwell again before their clients learn
+        // anything.
+        let (responses, response_thread) = spawn_shuffle(
+            options.buffer(seed ^ 0x1a5e),
+            telemetry.clone(),
+            options.metrics.clone(),
+            Stage::ShuffleResponse,
+            |job: ReplyJob| job.reply.send(job.result),
+        );
+
+        // Request path: arrivals dwell in the buffer and leave, in its
+        // random order, as submissions on the IA uplink.
+        let (audit, clock, answers) = (options.audit.clone(), telemetry.clone(), responses.clone());
+        let (requests, request_thread) = spawn_shuffle(
+            options.buffer(seed ^ 0x0a5e),
+            telemetry,
+            options.metrics.clone(),
+            Stage::ShuffleRequest,
+            move |job: ShuffleJob| {
+                // Audit ground truth: this is the instant the request
+                // leaves the shuffle stage for the wire.
+                if let Some(log) = &audit {
+                    log.record_departure(job.fp, clock.now_us());
+                }
+                let (answers, reply) = (answers.clone(), job.reply);
+                ia.submit(job.bytes, job.deadline, move |result| {
+                    deliver(&answers, reply, result)
+                });
+            },
+        );
+
+        ShuffleStage {
+            requests,
+            responses,
+            _threads: Joined(vec![request_thread, response_thread]),
+        }
+    }
+
+    /// Flushes both shuffle buffers immediately: buffered requests go to
+    /// the IA, buffered responses go to their clients, and the stage
+    /// passes everything still arriving — the answers to the requests it
+    /// just released included — through without further dwell.
+    /// Unlinkability is not weakened for normal traffic: this only fires
+    /// on the shutdown path, where the alternative is dropping the
+    /// buffered requests outright.
+    fn kick(&self) {
+        self.requests.kick();
+        self.responses.kick();
+    }
+}
+
+/// A flush thread's loop (mirrors the in-process pipeline's
 /// `shuffle_server`, minus span export): honor the buffer's flush timer,
 /// record each item's dwell into the stage histogram, forward in the
 /// buffer's randomized order.
 ///
-/// A message on `kick_rx` (the server's graceful drain) flushes the
-/// buffer immediately and switches the loop to pass-through: every item
-/// already buffered — and any still arriving during the shutdown window
-/// — is forwarded without dwell instead of being dropped with the stage.
+/// The thread waits on its channel and nothing else: without a deadline
+/// while the buffer is empty, until the flush deadline otherwise. It is
+/// woken once when a push arms that deadline and once when a push fills
+/// the buffer — the pushes in between cost it nothing. A [`Msg::Kick`]
+/// (the server's graceful drain) flushes the buffer and switches the
+/// direction to pass-through: every item already buffered — and any still
+/// arriving during the shutdown window — is forwarded without dwell
+/// instead of being dropped with the stage.
 fn run_shuffle<T>(
-    rx: Receiver<T>,
-    kick_rx: Receiver<()>,
-    mut buffer: ShuffleBuffer<T>,
-    telemetry: Arc<Telemetry>,
+    woken: &Receiver<Msg<T>>,
+    shuffle: &Mutex<Shuffle<T>>,
+    telemetry: &Telemetry,
     metrics: Option<Arc<NodeMetrics>>,
     stage: Stage,
     mut forward: impl FnMut(T),
 ) {
-    // Both shuffle directions share the node's gauge: the instantaneous
-    // value is the latest sample from either buffer, the high-water mark
-    // (fetch_max) is exact across both.
-    let metrics = metrics.as_deref();
-    let mut release = |flush: pprox_core::shuffler::Flush<T>, now_us: u64| {
-        if let Some(m) = metrics {
+    let mut release = |flush: Option<Flush<T>>| {
+        let Some(flush) = flush else { return };
+        if let Some(m) = &metrics {
             m.on_flush(flush.reason);
         }
+        let now_us = telemetry.now_us();
         for (item, arrived_us) in flush.items.into_iter().zip(flush.arrived_at_us) {
             telemetry.record_duration(stage, now_us.saturating_sub(arrived_us));
             forward(item);
         }
     };
-    let mut draining = false;
     loop {
-        if !draining && kick_rx.try_recv().is_ok() {
-            draining = true;
-        }
-        if draining {
-            if let Some(flush) = buffer.drain() {
-                release(flush, telemetry.now_us());
-            }
-        }
-        // Cap the wait so a kick is noticed promptly even when the
-        // buffer is empty (no flush deadline to wake for).
-        let timeout = buffer
-            .deadline_us()
-            .map(|deadline| Duration::from_micros(deadline.saturating_sub(telemetry.now_us())))
-            .unwrap_or(KICK_POLL)
-            .min(KICK_POLL);
-        match rx.recv_timeout(timeout) {
-            Ok(item) => {
-                if let Some(flush) = buffer.push(telemetry.now_us(), item) {
-                    release(flush, telemetry.now_us());
-                }
-                if draining {
-                    if let Some(flush) = buffer.drain() {
-                        release(flush, telemetry.now_us());
-                    }
-                }
+        let deadline_us = shuffle.lock().buffer.deadline_us();
+        let msg = match deadline_us {
+            None => woken.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(deadline_us) => woken.recv_timeout(Duration::from_micros(
+                deadline_us.saturating_sub(telemetry.now_us()),
+            )),
+        };
+        let due = match msg {
+            Ok(Msg::Released(flush)) => Some(flush),
+            Ok(Msg::Armed) => None,
+            Ok(Msg::Kick) => {
+                let mut shuffle = shuffle.lock();
+                shuffle.draining = true;
+                shuffle.buffer.drain()
             }
             Err(RecvTimeoutError::Timeout) => {
-                if let Some(flush) = buffer.poll_timeout(telemetry.now_us()) {
-                    release(flush, telemetry.now_us());
-                }
+                shuffle.lock().buffer.poll_timeout(telemetry.now_us())
             }
             Err(RecvTimeoutError::Disconnected) => break,
+        };
+        if due.is_some() {
+            if let Some(m) = &metrics {
+                m.set_shuffle_occupancy(shuffle.lock().buffer.len() as u64);
+            }
         }
-        if let Some(m) = metrics {
-            m.set_shuffle_occupancy(buffer.len() as u64);
-        }
+        release(due);
     }
-    if let Some(flush) = buffer.drain() {
-        release(flush, telemetry.now_us());
-    }
-    if let Some(m) = metrics {
-        m.set_shuffle_occupancy(buffer.len() as u64);
-    }
+    let left = shuffle.lock().buffer.drain();
+    release(left);
 }
 
-fn forward_to_ia(ia: &SocketBalancer, bytes: &[u8], deadline: Deadline) -> WireReply {
-    match ia.call(bytes, deadline) {
+/// What the client is told about an IA call's outcome.
+fn wire_reply(result: CallResult) -> WireReply {
+    match result {
         Ok(payload) => Ok(payload),
         Err(WireError::Remote(status)) => Err(status),
         Err(WireError::Deadline) => Err(WireStatus::Deadline),
@@ -303,9 +384,31 @@ fn forward_to_ia(ia: &SocketBalancer, bytes: &[u8], deadline: Deadline) -> WireR
     }
 }
 
-/// Frame handler for one UA instance.
+/// Completion of a shuffled request's IA call: the answer enters the
+/// response shuffle. Runs on the IA connection's reader (or the deadline
+/// queue) and does not wait.
+fn deliver(answers: &ShuffleInput<ReplyJob>, reply: Reply, result: CallResult) {
+    answers.put(ReplyJob {
+        result: wire_reply(result),
+        reply,
+    });
+}
+
+/// Completion of an unshuffled request's IA call: answer the client.
+fn answer(reply: Reply, result: CallResult) {
+    reply.send(wire_reply(result));
+}
+
+/// The service of one UA instance.
 pub struct UaWireService {
+    node: Arc<UaNode>,
+}
+
+/// What the service's turns at the enclave share.
+struct UaNode {
     enclave: Arc<Enclave<UaState>>,
+    /// Whose turn it is at the enclave.
+    turns: Turns,
     ia: Arc<SocketBalancer>,
     encryption: bool,
     telemetry: Arc<Telemetry>,
@@ -317,9 +420,6 @@ impl UaWireService {
     /// Builds the service around a provisioned UA enclave and a shared
     /// balancer over the IA tier (shared so a supervisor can readmit
     /// respawned IA instances into the ring the service is using).
-    /// `options.forwarders` sizes the shuffle stage's IA-call pool
-    /// (ignored when `options.shuffle` is disabled — calls then run on
-    /// the server's own workers).
     pub fn new(
         enclave: Arc<Enclave<UaState>>,
         ia: Arc<SocketBalancer>,
@@ -327,53 +427,30 @@ impl UaWireService {
         telemetry: Arc<Telemetry>,
         seed: u64,
     ) -> Self {
-        let stage = if options.shuffle.is_disabled() {
-            None
-        } else {
-            Some(ShuffleStage::spawn(
-                options.shuffle,
-                options.forwarders,
-                ia.clone(),
-                telemetry.clone(),
-                options.metrics.clone(),
-                seed,
-                options.shuffle_order_ablation,
-                options.audit.clone(),
-            ))
-        };
+        let shuffle = (!options.shuffle.is_disabled())
+            .then(|| ShuffleStage::spawn(&options, ia.clone(), telemetry.clone(), seed));
         UaWireService {
-            enclave,
-            ia,
-            encryption: options.encryption,
-            telemetry,
-            shuffle: stage,
-            audit: options.audit,
+            node: Arc::new(UaNode {
+                enclave,
+                turns: Turns::default(),
+                ia,
+                encryption: options.encryption,
+                telemetry,
+                shuffle,
+                audit: options.audit,
+            }),
         }
     }
 }
 
-impl FrameHandler for UaWireService {
-    /// Graceful drain: flush both shuffle buffers so every buffered
-    /// request is answered before the server exits.
-    fn drain(&self) {
-        if let Some(stage) = &self.shuffle {
-            stage.flush();
-        }
-    }
-
-    fn handle(&self, payload: Vec<u8>, deadline: Deadline) -> Result<Vec<u8>, WireStatus> {
-        // Fingerprint the raw client frame bytes before any processing:
-        // the scenario harness computed the same hash when it encoded the
-        // envelope, which is what joins audit events back to requests.
-        let fp = self
-            .audit
-            .as_ref()
-            .map(|_| audit::request_fingerprint(&payload))
-            .unwrap_or(0);
-        let envelope = ClientEnvelope::from_frame(&payload).map_err(|_| WireStatus::Malformed)?;
+impl UaNode {
+    /// The UA's share of a request: parse the client envelope, run the
+    /// pseudonymization ECALL, serialize the layer envelope for the IA.
+    fn pseudonymize(&self, payload: &[u8]) -> Result<Arc<[u8]>, WireStatus> {
+        let envelope = ClientEnvelope::from_frame(payload).map_err(|_| WireStatus::Malformed)?;
         let encryption = self.encryption;
         let started = Instant::now();
-        let layer: LayerEnvelope = self
+        let layer = self
             .enclave
             .call(|ua| ua.process(&envelope, encryption))
             .map_err(|_| WireStatus::Unavailable)?
@@ -385,38 +462,54 @@ impl FrameHandler for UaWireService {
         self.telemetry
             .record_duration(Stage::Ua, started.elapsed().as_micros() as u64);
         let bytes = layer.to_frame().map_err(|_| WireStatus::Failed)?;
+        Ok(bytes.into())
+    }
 
+    /// One request's turn at the enclave: pseudonymize, then pass it on
+    /// — into the request shuffle, or straight to the IA.
+    fn process(&self, payload: &[u8], deadline: Deadline, reply: Reply) {
+        // Fingerprint the raw client frame bytes before any processing:
+        // the scenario harness computed the same hash when it encoded the
+        // envelope, which is what joins audit events back to requests.
+        let fp = self
+            .audit
+            .as_ref()
+            .map_or(0, |_| audit::request_fingerprint(payload));
+        let bytes = match self.pseudonymize(payload) {
+            Ok(bytes) => bytes,
+            Err(status) => return reply.send(Err(status)),
+        };
         match &self.shuffle {
             None => {
                 if let Some(log) = &self.audit {
                     log.record_departure(fp, self.telemetry.now_us());
                 }
-                forward_to_ia(&self.ia, &bytes, deadline)
+                self.ia
+                    .submit(bytes, deadline, move |result| answer(reply, result));
             }
-            Some(stage) => {
-                let (reply_tx, reply_rx) = bounded::<WireReply>(1);
-                let Some(tx) = &stage.tx else {
-                    return Err(WireStatus::Unavailable);
-                };
-                if tx
-                    .send(ShuffleJob {
-                        bytes,
-                        deadline,
-                        reply: reply_tx,
-                        fp,
-                    })
-                    .is_err()
-                {
-                    return Err(WireStatus::Unavailable);
-                }
-                let Some(remaining) = deadline.remaining() else {
-                    return Err(WireStatus::Deadline);
-                };
-                match reply_rx.recv_timeout(remaining) {
-                    Ok(result) => result,
-                    Err(_) => Err(WireStatus::Deadline),
-                }
-            }
+            Some(stage) => stage.requests.put(ShuffleJob {
+                bytes,
+                deadline,
+                reply,
+                fp,
+            }),
         }
+    }
+}
+
+impl Service for UaWireService {
+    /// Graceful drain: flush both shuffle buffers so every buffered
+    /// request is answered before the server exits.
+    fn drain(&self) {
+        if let Some(stage) = &self.node.shuffle {
+            stage.kick();
+        }
+    }
+
+    fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
+        let node = self.node.clone();
+        self.node
+            .turns
+            .run(false, move || node.process(&payload, deadline, reply));
     }
 }

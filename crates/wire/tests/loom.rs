@@ -1,28 +1,40 @@
-//! Model-checked interleaving tests for the `WireServer` reader → job
-//! queue → worker handoff, run with `RUSTFLAGS="--cfg loom"` (see
-//! `scripts/ci.sh`, `loom` stage).
+//! Model-checked interleaving tests for the `WireServer` request path,
+//! run with `RUSTFLAGS="--cfg loom"` (see `scripts/ci.sh`, `loom` stage).
 //!
-//! The server's shutdown contract is: every connection's reader admits
+//! Two hand-offs carry a request, and both are modelled here with the
+//! loom shim's instrumented atomics.
+//!
+//! **Reader → job queue → worker.** Every connection's reader admits
 //! jobs into one bounded queue, workers claim them, and a graceful drain
 //! — the acceptor exits, then every reader is closed, and only the last
 //! reader to leave drops the queue's last sender — must not strand any
-//! admitted job: every admitted request still gets an answer, exactly
-//! once, and its admission permit comes back. That is a race between
-//! *worker pickup* (claim a slot) and *drain* (observe "no sender left"
-//! plus "empty" and exit): a worker that checks emptiness before a
-//! reader's final publish, then sees the last sender gone, could exit
-//! with work still queued if the protocol ordered its loads wrong.
+//! admitted job. That is a race between *worker pickup* (claim a slot)
+//! and *drain* (observe "no sender left" plus "empty" and exit): a worker
+//! that checks emptiness before a reader's final publish, then sees the
+//! last sender gone, could exit with work still queued if the protocol
+//! ordered its loads wrong. Readers reserve a slot by CAS on `reserved`
+//! and publish by storing the job, workers claim by CAS on `head`, a
+//! reader gives up its sender *after* its last publish.
 //!
-//! These tests model the handoff with the loom shim's instrumented
-//! atomics — readers reserve a slot by CAS on `reserved` and publish by
-//! storing the job, workers claim by CAS on `head`, a reader gives up
-//! its sender *after* its last publish — and assert under every explored
-//! schedule:
+//! **Worker → pending → completion.** A worker does not answer a request
+//! that has to wait: it registers a call in the uplink's table of pending
+//! calls and goes for the next job. From then on the request is finished
+//! by whoever takes the call out of that table first — the uplink's
+//! reader with the reply, the deadline queue at expiry, or the connection
+//! loss that empties the table — and that completion answers the peer by
+//! taking the request out of the server's table of unanswered requests,
+//! which it races the shutdown that fails what outlives the drain budget
+//! for. Each table's `remove` is one atomic swap here (it is a map
+//! operation under a mutex there).
 //!
-//! * every admitted job is answered exactly once (no strands, no dups);
-//! * workers terminate (no drain signal is lost);
-//! * every admission permit is released, also when the job's peer has
-//!   closed and the reply cannot be written.
+//! Asserted under every explored schedule:
+//!
+//! * every admitted request is answered exactly once (no strands, no
+//!   dups), whichever of reply, expiry, connection loss and drain got
+//!   there first;
+//! * its admission permit is released exactly once, also when the peer
+//!   has closed and the reply cannot be written;
+//! * workers and readers terminate (no drain signal is lost).
 
 #![cfg(loom)]
 
@@ -62,7 +74,20 @@ struct Handoff {
     peer_open: [AtomicU64; CONNS],
     /// Cleared by the first failed write (the connection is cut).
     alive: [AtomicU64; CONNS],
-    /// Jobs a worker finished, and the sum of their payloads (catches a
+    /// Set for the tests of the pending path: a worker parks what it
+    /// claims on the uplink instead of answering it.
+    parks: bool,
+    /// The server's table of unanswered requests, by ring slot: 1 while
+    /// the request is admitted and unanswered. `swap(0)` is its `remove`.
+    unanswered: [AtomicU64; RING],
+    /// The uplink's table of pending calls, by ring slot: 1 while the
+    /// call waits. `swap(0)` is its `remove`.
+    pending: [AtomicU64; RING],
+    /// Cleared by connection loss: nothing registers any more.
+    uplink_open: AtomicU64,
+    /// Answers written or attempted per request (exactly one, each).
+    answers: [AtomicU64; RING],
+    /// Jobs a worker took, and the sum of their payloads (catches a
     /// slot claimed twice).
     answered: AtomicU64,
     answered_sum: AtomicU64,
@@ -88,6 +113,11 @@ impl Handoff {
             reserved: AtomicUsize::new(0),
             head: AtomicUsize::new(0),
             senders: AtomicUsize::new(readers + 1),
+            parks: false,
+            unanswered: zeros(),
+            pending: zeros(),
+            uplink_open: AtomicU64::new(1),
+            answers: zeros(),
             in_flight: AtomicU64::new(0),
             read_closed: zeros(),
             peer_open: ones(),
@@ -99,7 +129,9 @@ impl Handoff {
         }
     }
 
-    /// The bounded queue's `try_send`: `false` is `Full`.
+    /// The bounded queue's `try_send`: `false` is `Full`. The request
+    /// enters the table of unanswered requests before it is published,
+    /// as `Shared::admitted` runs before the job is queued.
     fn try_send(&self, job: u64) -> bool {
         loop {
             // `head` first: it never passes `reserved`, so the depth
@@ -114,10 +146,56 @@ impl Handoff {
                 .compare_exchange(r, r + 1, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
+                self.unanswered[r].store(1, Ordering::Release);
                 self.slots[r].store(job, Ordering::Release);
                 return true;
             }
         }
+    }
+
+    /// `Shared::answer`: whoever removes the request from the table of
+    /// unanswered requests writes its one answer and frees its permit.
+    /// Tells whether this call was the one.
+    fn answer(&self, slot: usize, conn: usize) -> bool {
+        let first = self.unanswered[slot].swap(0, Ordering::AcqRel) == 1;
+        if first {
+            self.reply(conn);
+            self.answers[slot].fetch_add(1, Ordering::Relaxed);
+            // Whatever the write did, the permit comes back.
+            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        }
+        first
+    }
+
+    /// A completion's side of the uplink table: the reply, the expiry
+    /// and the connection loss each try to take call `slot`; the one
+    /// that does answers the request.
+    fn complete(&self, slot: usize) -> bool {
+        let took = self.pending[slot].swap(0, Ordering::AcqRel) == 1;
+        if took {
+            let conn = (self.slots[slot].load(Ordering::Acquire) / 100 - 1) as usize;
+            self.answer(slot, conn);
+        }
+        took
+    }
+
+    /// `Link::fail_all`: close the table, then fail what is in it.
+    fn lose_uplink(&self) {
+        self.uplink_open.store(0, Ordering::Release);
+        for slot in 0..RING {
+            self.complete(slot);
+        }
+    }
+
+    /// `Shared::fail_unanswered`, at the end of the drain budget. Tells
+    /// how many requests it was the one to answer.
+    fn fail_unanswered(&self) -> usize {
+        (0..RING)
+            .filter(|&slot| {
+                let job = self.slots[slot].load(Ordering::Acquire);
+                job != 0 && self.answer(slot, (job / 100 - 1) as usize)
+            })
+            .count()
     }
 
     /// Reader side: admit up to `frames` requests of connection `conn`
@@ -145,8 +223,9 @@ impl Handoff {
         admitted
     }
 
-    /// Worker side: claim-by-CAS, write the reply, release the permit;
-    /// exit when no sender is left and the queue is drained.
+    /// Worker side: claim-by-CAS, then either answer (a service that
+    /// never waits) or park the request on the uplink and move on; exit
+    /// when no sender is left and the queue is drained.
     fn work(&self) {
         // The shim's scheduler is deterministic, so a bounded spin is
         // enough: the other threads always make progress between yields.
@@ -161,11 +240,21 @@ impl Handoff {
                         .compare_exchange(h, h + 1, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                 {
-                    self.reply((job / 100 - 1) as usize);
                     self.answered.fetch_add(1, Ordering::Relaxed);
                     self.answered_sum.fetch_add(job, Ordering::Relaxed);
-                    // Whatever the write did, the permit comes back.
-                    self.in_flight.fetch_sub(1, Ordering::AcqRel);
+                    let conn = (job / 100 - 1) as usize;
+                    if !self.parks {
+                        self.answer(h, conn);
+                    } else {
+                        // `Link::register`, then the check that the
+                        // table was still open: a call registered into a
+                        // table that connection loss has already emptied
+                        // is failed by its own submitter.
+                        self.pending[h].store(1, Ordering::Release);
+                        if self.uplink_open.load(Ordering::Acquire) == 0 {
+                            self.complete(h);
+                        }
+                    }
                 } else {
                     thread::yield_now();
                 }
@@ -184,8 +273,8 @@ impl Handoff {
         panic!("worker failed to drain within the spin budget");
     }
 
-    /// The worker's direct write: fails once the peer has closed, and
-    /// the first failure cuts the connection for every later reply.
+    /// The one write site: fails once the peer has closed, and the
+    /// first failure cuts the connection for every later reply.
     fn reply(&self, conn: usize) {
         if self.alive[conn].load(Ordering::Acquire) == 1
             && self.peer_open[conn].load(Ordering::Acquire) == 1
@@ -329,4 +418,155 @@ fn peer_closing_with_jobs_queued_still_releases_the_permits() {
         FAILED_WRITES.load(Ordering::Relaxed) > 0,
         "no explored schedule wrote to the closed peer"
     );
+}
+
+/// Everything admitted in `q`, checked: one answer each, no permit out.
+fn assert_each_answered_once(q: &Handoff, admitted: u64) {
+    let answers: Vec<u64> = q
+        .answers
+        .iter()
+        .map(|a| a.load(Ordering::Relaxed))
+        .collect();
+    assert!(
+        answers.iter().all(|&n| n <= 1),
+        "a request was answered twice: {answers:?}"
+    );
+    assert_eq!(
+        answers.iter().sum::<u64>(),
+        admitted,
+        "an admitted request was never answered: {answers:?}"
+    );
+    assert_eq!(
+        q.written.load(Ordering::Relaxed) + q.write_failed.load(Ordering::Relaxed),
+        admitted
+    );
+    assert_eq!(q.in_flight.load(Ordering::Relaxed), 0, "a permit leaked");
+}
+
+/// One parked request, four ways to finish it, all at once: the reply
+/// (uplink reader), the expiry (deadline queue), the loss of the uplink
+/// connection, and the shutdown that fails what outlives the drain
+/// budget. Whichever takes the table entry answers; the others find
+/// nothing and do nothing.
+#[test]
+fn reply_expiry_loss_and_drain_race_for_one_request() {
+    // Across schedules: proof that the race is really open.
+    static WON_BY: [std::sync::atomic::AtomicU64; 4] =
+        [const { std::sync::atomic::AtomicU64::new(0) }; 4];
+    loom::model(|| {
+        let mut q = Handoff::new(1);
+        q.parks = true;
+        let q = Arc::new(q);
+        let worker = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.work())
+        };
+        let reader = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.read(0, 1))
+        };
+        let (jobs, _) = reader.join().expect("reader");
+        assert_eq!(jobs, 1, "an idle server admits the request");
+
+        // Slot 0 is the request's: the three completions of its call,
+        // racing each other and the worker that is still parking it.
+        let reply = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.complete(0))
+        };
+        let expiry = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.complete(0))
+        };
+        let loss = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.lose_uplink())
+        };
+        // Shutdown, with the drain budget already spent.
+        q.begin_shutdown();
+        worker.join().expect("worker");
+        let by_drain = q.fail_unanswered() == 1;
+
+        let by_reply = reply.join().expect("uplink reader");
+        let by_expiry = expiry.join().expect("deadline queue");
+        loss.join().expect("connection loss");
+        assert_each_answered_once(&q, 1);
+        assert!(
+            u64::from(by_reply) + u64::from(by_expiry) <= 1,
+            "the call was taken out of the pending table twice"
+        );
+        // Neither of the three: the connection loss took the call out,
+        // or closed the table before the worker registered it.
+        let winner = if by_drain {
+            3
+        } else if by_reply {
+            0
+        } else if by_expiry {
+            1
+        } else {
+            2
+        };
+        WON_BY[winner].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    });
+    let won: Vec<u64> = WON_BY
+        .iter()
+        .map(|w| w.load(std::sync::atomic::Ordering::Relaxed))
+        .collect();
+    assert!(
+        won.iter().all(|&n| n > 0),
+        "reply/expiry/loss/drain wins across schedules: {won:?}"
+    );
+}
+
+/// The graceful drain with a service that parks: two readers admit, two
+/// workers park, the uplink's reader and its deadline queue complete
+/// whatever they find while shutdown lands in between, and shutdown
+/// fails what is left. Every admitted request is answered once.
+#[test]
+fn graceful_drain_answers_what_is_parked_on_the_uplink() {
+    loom::model(|| {
+        let mut q = Handoff::new(CONNS);
+        q.parks = true;
+        let q = Arc::new(q);
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || q.work())
+            })
+            .collect();
+        let readers: Vec<_> = (0..CONNS)
+            .map(|conn| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || q.read(conn, 2))
+            })
+            .collect();
+        // One pass each over the table, wherever the workers have got to.
+        let completers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    for slot in 0..RING {
+                        q.complete(slot);
+                    }
+                })
+            })
+            .collect();
+
+        q.begin_shutdown();
+        let mut jobs = 0;
+        for reader in readers {
+            jobs += reader.join().expect("reader").0;
+        }
+        for worker in workers {
+            worker.join().expect("worker");
+        }
+        for completer in completers {
+            completer.join().expect("completer");
+        }
+        // Calls registered after the completers passed are still pending:
+        // the end of the drain budget answers their requests.
+        q.fail_unanswered();
+        assert_eq!(q.answered.load(Ordering::Relaxed), jobs);
+        assert_each_answered_once(&q, jobs);
+    });
 }

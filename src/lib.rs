@@ -29,7 +29,7 @@
 //!   traffic correlation, enclave compromise cases, history attacks.
 //! * [`wire`] (`pprox-wire`) — the real loopback-TCP transport: framed
 //!   codec with constant-size padding classes, non-blocking server,
-//!   pooled clients, socket load balancing, and the `bin/cluster`
+//!   pipelined clients, socket load balancing, and the `bin/cluster`
 //!   harness running the full chain over sockets.
 //! * [`scenario`] (`pprox-scenario`) — topology-driven cluster
 //!   scenarios (diurnal ramps, flash crowds, churn, WAN latency,

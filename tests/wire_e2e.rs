@@ -3,9 +3,10 @@
 //! Drives real sockets end to end — user library → UA server → IA
 //! server → LRS frontend server — and checks (a) the wire transport is
 //! semantically transparent: a fixed-seed request returns exactly the
-//! recommendations the in-process pipeline returns, and (b) the chain
+//! recommendations the in-process pipeline returns, (b) the chain
 //! survives one IA instance being killed mid-run, exercising the
-//! pooled-client reconnect and the socket balancer's failover path.
+//! client's redial and the socket balancer's failover path, and (c) the
+//! shuffle size is independent of the servers' worker count.
 //!
 //! Note for the privacy-flow analyzer: this file sits on the user side
 //! of the boundary (it mints user requests and opens responses), so it
@@ -83,8 +84,8 @@ fn wire_chain_matches_in_process_pipeline() {
 }
 
 /// Killing one of two IA instances mid-run must not fail user requests:
-/// pooled connections to the dead instance are discarded and the socket
-/// balancer fails calls over to the surviving instance.
+/// the connection to the dead instance is lost and the socket balancer
+/// fails calls over to the surviving instance.
 #[test]
 fn survives_ia_instance_killed_mid_run() {
     let config = ClusterConfig {
@@ -100,7 +101,7 @@ fn survives_ia_instance_killed_mid_run() {
     let mut client = cluster.client();
 
     // Warm phase: both IA instances serve traffic (round-robin), so the
-    // UA-side pools hold live connections to the instance we will kill.
+    // UA instances hold live connections to the instance we will kill.
     for i in 0..8 {
         let env = client
             .post(&format!("u{i}"), &format!("m{i}"), None)
@@ -250,6 +251,80 @@ fn shutdown_drains_buffered_shuffle_requests() {
         started.elapsed() < Duration::from_secs(20),
         "answers must come from the drain, not the flush timer"
     );
+    cluster.shutdown();
+}
+
+/// A UA with two workers fills a shuffle buffer of eight: a buffered
+/// request holds an admission permit, not a worker, so `S` is not capped
+/// by the thread count. (With a worker parked per buffered request the
+/// buffer could never hold more than two, every flush would be the
+/// timer's, and with a timer this long every request would miss its
+/// deadline.)
+#[test]
+fn shuffle_size_does_not_depend_on_the_worker_count() {
+    const CLIENTS: usize = 64;
+    const POSTS_EACH: usize = 3;
+    let config = ClusterConfig {
+        ua_instances: 1,
+        ia_instances: 1,
+        lrs_instances: 1,
+        modulus_bits: 1152,
+        shuffle: ShuffleConfig {
+            size: 8,
+            // Longer than any request's budget: only full buffers flush.
+            timeout_us: 60_000_000,
+        },
+        seed: 0x5128_0002,
+        ..ClusterConfig::default()
+    };
+    assert_eq!(config.server.workers, 2, "the default every tier runs with");
+    let mut cluster = LoopbackCluster::launch(config, Arc::new(StubLrs::new())).unwrap();
+    assert!(cluster.wait_ready(Duration::from_secs(10)));
+    let mut clients: Vec<_> = (0..CLIENTS).map(|_| cluster.client()).collect();
+
+    // 64 × 3 = 192 posts, a multiple of 8 in each direction, so the last
+    // buffer fills too.
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let cluster = &cluster;
+        let handles: Vec<_> = clients
+            .iter_mut()
+            .enumerate()
+            .map(|(i, client)| {
+                scope.spawn(move || {
+                    (0..POSTS_EACH)
+                        .map(|k| {
+                            let env = client.post(&format!("s{i}"), &format!("m{k}"), None)?;
+                            cluster.send_post(&env, budget())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread must not panic"))
+            .collect()
+    });
+    assert_eq!(results.len(), CLIENTS * POSTS_EACH);
+    for (i, result) in results.iter().enumerate() {
+        assert!(result.is_ok(), "post {i} failed: {result:?}");
+    }
+
+    let ua = &cluster.node_metrics()[0];
+    let snapshot = ua.snapshot_json();
+    let shuffle = |key: &str| {
+        snapshot
+            .get("shuffle")
+            .and_then(|s| s.get(key))
+            .and_then(|v| v.as_u64())
+            .expect("shuffle gauge")
+    };
+    // Both directions, every flush full.
+    assert_eq!(shuffle("flush_full"), 2 * (CLIENTS * POSTS_EACH / 8) as u64);
+    assert_eq!(shuffle("flush_timeout"), 0);
+    // The gauge is sampled after each push: seven waiting when the
+    // eighth arrives and empties the buffer.
+    assert_eq!(shuffle("high_water"), 7);
     cluster.shutdown();
 }
 
