@@ -22,7 +22,7 @@ use crate::message::{
 };
 use crate::telemetry::{SpanRecord, Stage, Telemetry, TraceId};
 use crate::PProxError;
-use pprox_crypto::ctr::SymmetricKey;
+use pprox_crypto::ctr::{SymmetricKey, KEY_LEN};
 use pprox_crypto::pad;
 use pprox_crypto::rng::SecureRng;
 use pprox_crypto::secret::SecretBytes;
@@ -31,13 +31,35 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-`get` state: the temporary key `k_u` needed to open the response.
+///
+/// Holds the 32 key bytes and nothing else. A caller keeps one ticket per
+/// outstanding `get` and the key is used exactly once, so the expanded
+/// AES schedule is built in [`UserClient::open_response`], not here.
 pub struct GetTicket {
-    k_u: SymmetricKey,
+    k_u: [u8; KEY_LEN],
+}
+
+impl GetTicket {
+    /// A ticket around a fresh `k_u` drawn from the client's RNG.
+    fn fresh(rng: &mut SecureRng) -> Self {
+        let mut k_u = [0u8; KEY_LEN];
+        rng.fill(&mut k_u);
+        GetTicket { k_u }
+    }
 }
 
 impl std::fmt::Debug for GetTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("GetTicket(k_u redacted)")
+    }
+}
+
+impl Drop for GetTicket {
+    fn drop(&mut self) {
+        // Best-effort zeroize, as `SecretBytes` does it: overwrite, then
+        // make the stores observable so they are not elided.
+        self.k_u = [0; KEY_LEN];
+        std::hint::black_box(&self.k_u);
     }
 }
 
@@ -168,7 +190,7 @@ impl UserClient {
     pub fn get(&mut self, user: &str) -> Result<(ClientEnvelope, GetTicket), PProxError> {
         let user = PlaintextUserId::new(user)?;
         let started = Instant::now();
-        let k_u = SymmetricKey::generate(&mut self.rng);
+        let ticket = GetTicket::fresh(&mut self.rng);
         if !self.encryption {
             self.record_encrypt(started);
             return Ok((
@@ -177,7 +199,7 @@ impl UserClient {
                     user: user.expose_bytes().to_vec(),
                     aux: Vec::new(),
                 },
-                GetTicket { k_u },
+                ticket,
             ));
         }
         let padded_user = SecretBytes::new(pad::pad(user.expose_bytes(), ID_PLAINTEXT_LEN)?);
@@ -187,10 +209,10 @@ impl UserClient {
                 .keys
                 .pk_ua
                 .encrypt(padded_user.expose(), &mut self.rng)?,
-            aux: self.keys.pk_ia.encrypt(k_u.as_bytes(), &mut self.rng)?,
+            aux: self.keys.pk_ia.encrypt(&ticket.k_u, &mut self.rng)?,
         };
         self.record_encrypt(started);
-        Ok((envelope, GetTicket { k_u }))
+        Ok((envelope, ticket))
     }
 
     /// Intercepts `get(u)` with business rules: like [`get`](Self::get),
@@ -217,7 +239,7 @@ impl UserClient {
             .map(|id| PlaintextItemId::new(id))
             .collect::<Result<Vec<_>, _>>()?;
         let started = Instant::now();
-        let k_u = SymmetricKey::generate(&mut self.rng);
+        let ticket = GetTicket::fresh(&mut self.rng);
         if !self.encryption {
             // Passthrough mode: rules travel in the clear.
             let block = Value::object([(
@@ -235,14 +257,11 @@ impl UserClient {
                     // analysis-allow: R10 explicit plaintext baseline mode; the client owns this plaintext
                     aux: block.to_json().into_bytes(),
                 },
-                GetTicket { k_u },
+                ticket,
             ));
         }
         let block = Value::object([
-            (
-                "k",
-                Value::from(pprox_crypto::base64::encode(k_u.as_bytes())),
-            ),
+            ("k", Value::from(pprox_crypto::base64::encode(&ticket.k_u))),
             (
                 "x",
                 exclude
@@ -264,7 +283,7 @@ impl UserClient {
             aux,
         };
         self.record_encrypt(started);
-        Ok((envelope, GetTicket { k_u }))
+        Ok((envelope, ticket))
     }
 
     /// Opens a `get` response: decrypts with the ticket's `k_u`, drops the
@@ -280,8 +299,7 @@ impl UserClient {
         response: &EncryptedList,
     ) -> Result<Vec<String>, PProxError> {
         let plaintext = if self.encryption {
-            ticket
-                .k_u
+            SymmetricKey::from_bytes(ticket.k_u)
                 .decrypt(&response.0)
                 .ok_or(PProxError::MalformedMessage)?
         } else {
@@ -332,7 +350,7 @@ mod tests {
         let mut c = client();
         let (_, t1) = c.get("u").unwrap();
         let (_, t2) = c.get("u").unwrap();
-        assert_ne!(t1.k_u.as_bytes(), t2.k_u.as_bytes());
+        assert_ne!(t1.k_u, t2.k_u);
     }
 
     #[test]
@@ -345,7 +363,8 @@ mod tests {
         }
         let plaintext = list_to_plaintext(&items).unwrap();
         let mut rng = SecureRng::from_seed(1);
-        let blob = EncryptedList(ticket.k_u.encrypt(&plaintext, &mut rng));
+        let blob =
+            EncryptedList(SymmetricKey::from_bytes(ticket.k_u).encrypt(&plaintext, &mut rng));
         let opened = c.open_response(&ticket, &blob).unwrap();
         assert_eq!(opened, vec!["real-1", "real-2"]);
     }
@@ -357,7 +376,7 @@ mod tests {
         let (_, t2) = c.get("u").unwrap();
         let plaintext = list_to_plaintext(&["x".to_owned()]).unwrap();
         let mut rng = SecureRng::from_seed(2);
-        let blob = EncryptedList(t1.k_u.encrypt(&plaintext, &mut rng));
+        let blob = EncryptedList(SymmetricKey::from_bytes(t1.k_u).encrypt(&plaintext, &mut rng));
         assert!(c.open_response(&t2, &blob).is_err());
     }
 

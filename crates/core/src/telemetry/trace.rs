@@ -17,6 +17,7 @@
 
 use crate::telemetry::sync::{fence, AtomicU64, Ordering};
 use pprox_crypto::rng::SecureRng;
+use std::sync::OnceLock;
 
 /// A random, meaning-free span correlation ID.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -180,7 +181,10 @@ fn unpack(v: u64) -> Option<(Stage, u16, bool)> {
 /// snapshot returns the retained window in push order.
 #[derive(Debug)]
 pub struct SpanRing {
-    slots: Vec<Slot>,
+    /// Allocated by the first push: a hub nobody records spans into (every
+    /// wire cluster — its nodes record durations only) carries no slots.
+    slots: OnceLock<Box<[Slot]>>,
+    capacity: usize,
     head: AtomicU64,
     dropped: AtomicU64,
 }
@@ -194,7 +198,8 @@ impl SpanRing {
     pub fn new(capacity: usize) -> SpanRing {
         assert!(capacity > 0, "span ring needs capacity");
         SpanRing {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            slots: OnceLock::new(),
+            capacity,
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -202,7 +207,7 @@ impl SpanRing {
 
     /// Retention capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total spans ever pushed (including since-overwritten ones).
@@ -223,7 +228,10 @@ impl SpanRing {
         // relaxed-ok: ticket allocation only needs atomicity of the
         // increment; slot ownership is decided by the version CAS below
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
+        let slots = self
+            .slots
+            .get_or_init(|| (0..self.capacity).map(|_| Slot::new()).collect());
+        let slot = &slots[(ticket % slots.len() as u64) as usize];
         let v = slot.version.load(Ordering::Acquire);
         if v & 1 == 1
             || slot
@@ -259,8 +267,11 @@ impl SpanRing {
     /// The retained spans, oldest first. Skips slots that are empty or
     /// mid-write at read time.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut out: Vec<(u64, SpanRecord)> = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
+        let Some(slots) = self.slots.get() else {
+            return Vec::new(); // nothing was ever pushed
+        };
+        let mut out: Vec<(u64, SpanRecord)> = Vec::with_capacity(slots.len());
+        for slot in slots.iter() {
             let v1 = slot.version.load(Ordering::Acquire);
             if v1 == 0 || v1 & 1 == 1 {
                 continue; // never written, or a write is in progress
@@ -334,6 +345,20 @@ mod tests {
         };
         ring.push(rec);
         assert_eq!(ring.snapshot(), vec![rec]);
+    }
+
+    #[test]
+    fn untouched_ring_reports_its_capacity_and_an_empty_snapshot() {
+        let ring = SpanRing::new(8_192);
+        assert_eq!(ring.capacity(), 8_192);
+        assert!(ring.slots.get().is_none(), "no slots before a push");
+        assert_eq!(
+            (ring.snapshot(), ring.pushed(), ring.dropped()),
+            (vec![], 0, 0)
+        );
+        ring.push(span(1, Stage::Ua, 1));
+        assert_eq!(ring.slots.get().map(|s| s.len()), Some(8_192));
+        assert_eq!(ring.capacity(), 8_192);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! fixed 4-bit window, precomputed once per modulus. At the two limb
 //! counts RSA-2048 produces the ladder runs on `[u64; K]` kernels with a
 //! dedicated squaring; every other width stays on the slice CIOS, which is
-//! also the oracle the array kernels are tested against. The schoolbook
+//! also the oracle the array kernels are tested against. (One caller goes
+//! around [`Montgomery::mod_pow`]: the RSA-CRT private-key operation on
+//! 16-limb primes, which `crate::rsa` sends to the AVX-512 IFMA ladders of
+//! `mont52.rs` when the CPU has them.) The schoolbook
 //! square-and-multiply path is retained as [`BigUint::mod_pow_naive`] so
 //! differential tests can check the fast path bit-for-bit.
 
@@ -218,6 +221,21 @@ impl BigUint {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
         }
+    }
+
+    /// The little-endian limbs (no trailing zeros), for the kernels in
+    /// sibling modules that re-slice a value into another radix.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
+
+    /// Builds a value from little-endian limbs, trailing zeros allowed.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn from_limbs(limbs: Vec<u64>) -> Self {
+        let mut out = BigUint { limbs };
+        out.normalize();
+        out
     }
 
     /// Sum of `self` and `other`.
@@ -635,7 +653,7 @@ fn signed_sub(a: (BigUint, bool), b: (BigUint, bool)) -> (BigUint, bool) {
 
 /// Number of exponent bits consumed per fixed-window step in
 /// [`Montgomery::mod_pow`].
-const WINDOW_BITS: usize = 4;
+pub(crate) const WINDOW_BITS: usize = 4;
 
 /// Montgomery-form modular arithmetic over a fixed odd modulus.
 ///
@@ -651,15 +669,24 @@ const WINDOW_BITS: usize = 4;
 /// for CRT decryption), so the precomputation division is paid once per
 /// key instead of once per multiplication.
 ///
-/// Two kernel families sit under [`Montgomery::mod_pow`], chosen once per
-/// exponentiation from the limb count: slices for any width, and
-/// `[u64; K]` arrays (`mont_mul_fixed`, `mont_sqr_fixed`) for
-/// `K = 16` and `K = 32`. The width has to be a compile-time constant for
-/// the array kernels to pay: the same squaring written over slices, with
-/// or without bounds checks, measured no faster than the slice CIOS.
+/// What runs where. Two scalar kernel families sit under
+/// [`Montgomery::mod_pow`], chosen once per exponentiation from the limb
+/// count: slices for any width, and `[u64; K]` arrays (`mont_mul_fixed`,
+/// `mont_sqr_fixed`) for `K = 16` and `K = 32`. The width has to be a
+/// compile-time constant for the array kernels to pay: the same squaring
+/// written over slices, with or without bounds checks, measured no faster
+/// than the slice CIOS. They are the portable path — every public-key
+/// operation, key generation, every key size but one — and the oracle. A
+/// third family, radix-2⁵² vectors on AVX-512 IFMA (`mont52.rs`), is not
+/// under `mod_pow` at all: it runs two ladders at once, so its only
+/// caller is [`RsaPrivateKey::raw_decrypt`](crate::rsa::RsaPrivateKey::raw_decrypt)
+/// with the two 16-limb primes of an RSA-2048 key, on a CPU that reports
+/// the instructions. It borrows this context's `n0inv` and the shared
+/// final subtraction, and returns the same values.
 ///
 /// Not constant-time: the table index is exponent-dependent, a zero window
-/// skips its multiply, the final subtraction is conditional and limb loops
+/// skips its multiply (on the scalar ladders; the vector pair multiplies
+/// every window), the final subtraction is conditional and limb loops
 /// are data-length-dependent, consistent with the rest of this crate (the
 /// reproduction's threat model is protocol-level linkability, not local
 /// micro-architectural side channels — see `crates/crypto/src/aes.rs`).
@@ -705,6 +732,13 @@ impl Montgomery {
     /// The modulus this context reduces by.
     pub fn modulus(&self) -> &BigUint {
         &self.n
+    }
+
+    /// `-n⁻¹ mod 2⁶⁴`; its low bits are the same constant in any smaller
+    /// power-of-two radix.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn n0inv(&self) -> u64 {
+        self.n0inv
     }
 
     /// CIOS Montgomery multiplication: returns `a · b · R⁻¹ mod n` for
@@ -812,7 +846,7 @@ impl Montgomery {
     /// The exponentiation ladder on the slice CIOS: any width, heap
     /// table, two reused scratch buffers. Callers have excluded `n = 1`
     /// and `exp = 0`.
-    fn mod_pow_slice(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+    pub(crate) fn mod_pow_slice(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let bm = self.to_mont(&base.rem(&self.n));
         // table[i] = baseⁱ in Montgomery form; table[0] = R mod n (= 1).
         let mut table: Vec<Vec<u64>> = Vec::with_capacity(1 << WINDOW_BITS);
@@ -842,7 +876,7 @@ impl Montgomery {
     /// (`K2 = 2K`, the width of an unreduced square): window table and
     /// accumulator live on the stack, squarings go through
     /// [`mont_sqr_fixed`]. Callers have excluded `n = 1` and `exp = 0`.
-    fn mod_pow_fixed<const K: usize, const K2: usize>(
+    pub(crate) fn mod_pow_fixed<const K: usize, const K2: usize>(
         &self,
         base: &BigUint,
         exp: &BigUint,
@@ -986,7 +1020,7 @@ fn mont_sqr_fixed<const K: usize, const K2: usize>(
 /// The final conditional subtraction every Montgomery kernel ends with:
 /// `top·2^(64k) + t < 2n` on entry (so one subtraction suffices), `t < n`
 /// on return; `t` and `n` have the same length.
-fn reduce_once(t: &mut [u64], top: u64, n: &[u64]) {
+pub(crate) fn reduce_once(t: &mut [u64], top: u64, n: &[u64]) {
     if top != 0 || !limbs_lt(t, n) {
         let mut borrow = 0u64;
         for (tj, &nj) in t.iter_mut().zip(n) {
@@ -1001,7 +1035,7 @@ fn reduce_once(t: &mut [u64], top: u64, n: &[u64]) {
 
 /// Extracts the `w`-th [`WINDOW_BITS`]-bit window of `exp` (window 0 is the
 /// least significant).
-fn window_of(exp: &BigUint, w: usize) -> usize {
+pub(crate) fn window_of(exp: &BigUint, w: usize) -> usize {
     let mut idx = 0;
     for bit in (0..WINDOW_BITS).rev() {
         idx = (idx << 1) | exp.bit(w * WINDOW_BITS + bit) as usize;

@@ -12,7 +12,11 @@
 //! [`Montgomery`] contexts its exponentiations need (`n` on the public
 //! side; `p` and `q` for CRT) so the per-modulus precomputation is paid at
 //! key generation, not per request — the enclave hot path (§6 of the
-//! paper) is pure multiply/accumulate work.
+//! paper) is pure multiply/accumulate work. The two CRT exponentiations
+//! are independent, which is what lets RSA-2048 keys run them as one
+//! interleaved loop on AVX-512 IFMA where the CPU has it
+//! ([`RsaPrivateKey::raw_decrypt`] holds the dispatch); the public
+//! operation (`e = 65537`, 17 multiplications) stays scalar everywhere.
 
 use crate::bigint::{BigUint, Montgomery};
 use crate::prime::generate_prime;
@@ -69,6 +73,10 @@ pub struct RsaPrivateKey {
     mont_p: Montgomery,
     /// Cached Montgomery context for `q`.
     mont_q: Montgomery,
+    /// Cached radix-2⁵² contexts for `p` and `q`, present when both are
+    /// the 16 limbs the vector ladders are laid out for.
+    #[cfg(target_arch = "x86_64")]
+    ladders52: Option<crate::mont52::CrtLadders>,
 }
 
 impl std::fmt::Debug for RsaPrivateKey {
@@ -108,7 +116,6 @@ impl RsaKeyPair {
             if p == q {
                 continue;
             }
-            let n = p.mul(&q);
             let p1 = p.sub(&BigUint::one());
             let q1 = q.sub(&BigUint::one());
             let phi = p1.mul(&q1);
@@ -120,29 +127,48 @@ impl RsaKeyPair {
             let Some(qinv) = q.mod_inverse(&p) else {
                 continue;
             };
-            let modulus_len = bits / 8;
-            // n, p, q are all odd, so the Montgomery contexts always exist.
-            let mont = Montgomery::new(&n).expect("RSA modulus is odd");
-            let mont_p = Montgomery::new(&p).expect("prime p is odd");
-            let mont_q = Montgomery::new(&q).expect("prime q is odd");
-            let public = RsaPublicKey {
-                n,
-                e,
-                modulus_len,
-                mont,
-            };
-            let private = RsaPrivateKey {
-                public: public.clone(),
-                p,
-                q,
-                dp,
-                dq,
-                qinv,
-                mont_p,
-                mont_q,
-            };
-            return RsaKeyPair { public, private };
+            return RsaKeyPair::from_crt_parts(e, p, q, dp, dq, qinv);
         }
+    }
+
+    /// The one place a key pair is assembled, whoever chose the numbers:
+    /// every context the exponentiations use is derived here from `p` and
+    /// `q`, so a cached context cannot disagree with the primes it was
+    /// cached for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `q` is even.
+    pub(crate) fn from_crt_parts(
+        e: BigUint,
+        p: BigUint,
+        q: BigUint,
+        dp: BigUint,
+        dq: BigUint,
+        qinv: BigUint,
+    ) -> Self {
+        let n = p.mul(&q);
+        let public = RsaPublicKey {
+            mont: Montgomery::new(&n).expect("RSA modulus is odd"),
+            modulus_len: n.bit_len().div_ceil(8),
+            n,
+            e,
+        };
+        let mont_p = Montgomery::new(&p).expect("prime p is odd");
+        let mont_q = Montgomery::new(&q).expect("prime q is odd");
+        let private = RsaPrivateKey {
+            public: public.clone(),
+            #[cfg(target_arch = "x86_64")]
+            ladders52: crate::mont52::CrtLadders::new(&mont_p, &mont_q),
+            p,
+            q,
+            dp,
+            dq,
+            qinv,
+            mont_p,
+            mont_q,
+        };
+        RsaKeyPair { public, private }
     }
 }
 
@@ -267,16 +293,37 @@ impl RsaPrivateKey {
     }
 
     /// Raw RSA-CRT exponentiation `c^d mod n` (no OAEP decoding) through
-    /// the cached Montgomery contexts for `p` and `q`.
+    /// the cached contexts for `p` and `q`.
     ///
     /// This is the modular-arithmetic core of [`decrypt`](Self::decrypt),
     /// exposed so the throughput harness and the differential tests can
     /// measure and cross-check it in isolation. Callers must ensure
     /// `c < n`.
     pub fn raw_decrypt(&self, c: &BigUint) -> BigUint {
-        let m1 = self.mont_p.mod_pow(c, &self.dp);
-        let m2 = self.mont_q.mod_pow(c, &self.dq);
+        let (m1, m2) = self.crt_ladders(c);
         self.crt_combine(m1, m2)
+    }
+
+    /// `(c^dp mod p, c^dq mod q)`: the single dispatch point of the
+    /// private-key operation. With 16-limb primes on a CPU that reports
+    /// AVX-512 IFMA both ladders run in lockstep on the radix-2⁵² vector
+    /// kernel; every other key size and CPU takes two scalar
+    /// [`Montgomery::mod_pow`] calls. Both return identical values.
+    pub(crate) fn crt_ladders(&self, c: &BigUint) -> (BigUint, BigUint) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ladders) = &self.ladders52 {
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma") {
+                // SAFETY: `pow_pair` is compiled for exactly the two CPU
+                // features detected on the line above and has no other
+                // precondition.
+                #[allow(unsafe_code)]
+                return unsafe { ladders.pow_pair(c, &self.dp, &self.dq) };
+            }
+        }
+        (
+            self.mont_p.mod_pow(c, &self.dp),
+            self.mont_q.mod_pow(c, &self.dq),
+        )
     }
 
     /// [`raw_decrypt`](Self::raw_decrypt) with the retained schoolbook
@@ -513,25 +560,17 @@ mod tests {
         // e=17, d=2753; 65^17 mod 3233 = 2790.
         let p = BigUint::from_u64(61);
         let q = BigUint::from_u64(53);
-        let n = p.mul(&q);
-        let e = BigUint::from_u64(17);
         let d = BigUint::from_u64(2753);
-        let public = RsaPublicKey {
-            mont: Montgomery::new(&n).unwrap(),
-            n,
-            e,
-            modulus_len: 2,
-        };
-        let private = RsaPrivateKey {
-            public: public.clone(),
-            dp: d.rem(&BigUint::from_u64(60)),
-            dq: d.rem(&BigUint::from_u64(52)),
-            qinv: q.mod_inverse(&p).unwrap(),
-            mont_p: Montgomery::new(&p).unwrap(),
-            mont_q: Montgomery::new(&q).unwrap(),
-            p,
-            q,
-        };
+        let RsaKeyPair { public, private } = RsaKeyPair::from_crt_parts(
+            BigUint::from_u64(17),
+            p.clone(),
+            q.clone(),
+            d.rem(&BigUint::from_u64(60)),
+            d.rem(&BigUint::from_u64(52)),
+            q.mod_inverse(&p).unwrap(),
+        );
+        assert_eq!(public.n, BigUint::from_u64(3233));
+        assert_eq!(public.modulus_len, 2);
         let m = BigUint::from_u64(65);
         let c = public.mont.mod_pow(&m, &public.e);
         assert_eq!(c, BigUint::from_u64(2790));

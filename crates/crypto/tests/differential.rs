@@ -14,6 +14,12 @@
 //!   are unit tests in `bigint.rs`; here both families meet the
 //!   schoolbook reference through the public entry points, with short and
 //!   with full-width (CRT-sized) exponents;
+//! * `RsaPrivateKey::raw_decrypt` vs. `raw_decrypt_naive` on 2048-bit keys
+//!   — the one key size whose CRT primes are 16 limbs, so on a CPU with
+//!   AVX-512 IFMA this is the radix-2⁵² vector ladders against the
+//!   schoolbook reference, and on any other CPU the fixed-width scalar
+//!   kernels against it — and on 768-, 1024- and 1536-bit keys, whose
+//!   primes are not 16 limbs and stay on the scalar path everywhere;
 //! * `Montgomery::mod_mul` vs. `BigUint::mod_mul` (multiply-then-divide);
 //! * `SymmetricKey::det_encrypt` (cached key schedule + cached keystream
 //!   prefix) vs. `det_encrypt_fresh` (rebuilds the AES key schedule and
@@ -29,7 +35,10 @@
 use pprox_crypto::aes::BLOCK_LEN;
 use pprox_crypto::bigint::{BigUint, Montgomery};
 use pprox_crypto::ctr::{SymmetricKey, DET_PREFIX_BLOCKS};
+use pprox_crypto::rng::SecureRng;
+use pprox_crypto::rsa::RsaKeyPair;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Random odd modulus with the top bit forced, so it has exactly `bits`
 /// bits and the Montgomery path (odd modulus) is always taken.
@@ -154,6 +163,65 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// One seeded key pair per modulus size, generated on first use.
+fn rsa_key(bits: usize) -> &'static RsaKeyPair {
+    static KEYS: [OnceLock<RsaKeyPair>; 4] = [const { OnceLock::new() }; 4];
+    let slot = [768, 1024, 1536, 2048]
+        .iter()
+        .position(|&b| b == bits)
+        .expect("a size this battery covers");
+    KEYS[slot].get_or_init(|| RsaKeyPair::generate(bits, &mut SecureRng::from_seed(bits as u64)))
+}
+
+/// A raw ciphertext below any `bits`-bit modulus: `bits / 8` random
+/// bytes with the top bit cleared (the modulus has it set).
+fn below_modulus(bits: usize) -> impl Strategy<Value = BigUint> {
+    proptest::collection::vec(any::<u8>(), bits / 8..bits / 8 + 1).prop_map(|mut bytes| {
+        bytes[0] &= 0x7f;
+        BigUint::from_bytes_be(&bytes)
+    })
+}
+
+/// `raw_decrypt == raw_decrypt_naive` on random residues, on the edge
+/// residues 0 and 1, and on a real OAEP ciphertext, which must also
+/// decrypt.
+fn crt_decrypt_matches_naive(bits: usize, c: &BigUint, seed: u64) -> Result<(), TestCaseError> {
+    let kp = rsa_key(bits);
+    let ct = kp
+        .public
+        .encrypt(b"differential", &mut SecureRng::from_seed(seed))
+        .expect("fits any OAEP key");
+    prop_assert_eq!(kp.private.decrypt(&ct).ok(), Some(b"differential".to_vec()));
+    for c in [c.clone(), big(0), big(1), BigUint::from_bytes_be(&ct)] {
+        prop_assert_eq!(
+            kp.private.raw_decrypt(&c),
+            kp.private.raw_decrypt_naive(&c),
+            "c {:?}",
+            c
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn crt_decrypt_matches_naive_2048(c in below_modulus(2048), seed in any::<u64>()) {
+        crt_decrypt_matches_naive(2048, &c, seed)?;
+    }
+
+    #[test]
+    fn crt_decrypt_matches_naive_off_the_vector_widths(
+        c768 in below_modulus(768),
+        c1024 in below_modulus(1024),
+        c1536 in below_modulus(1536),
+        seed in any::<u64>(),
+    ) {
+        crt_decrypt_matches_naive(768, &c768, seed)?;
+        crt_decrypt_matches_naive(1024, &c1024, seed)?;
+        crt_decrypt_matches_naive(1536, &c1536, seed)?;
     }
 }
 

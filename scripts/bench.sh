@@ -15,8 +15,11 @@ cd "$(dirname "$0")/.."
 OUT="${1:-/tmp/pprox_bench_smoke.json}"
 
 # Two passes: 1152-bit keys (9-limb CRT primes, the slice Montgomery
-# kernel) and 2048-bit keys (16- and 32-limb moduli, the fixed-width
-# kernels), so CI executes both sides of `Montgomery::mod_pow`'s dispatch.
+# kernel) and 2048-bit keys (32-limb public modulus on the fixed-width
+# kernels; 16-limb CRT primes on the radix-2^52 vector ladders where the
+# CPU has AVX-512 IFMA, on the fixed-width kernels where it does not), so
+# CI executes every side of `Montgomery::mod_pow`'s and
+# `RsaPrivateKey::raw_decrypt`'s dispatch this machine can reach.
 for bits in 1152 2048; do
     echo "== throughput smoke run ($bits-bit keys) =="
     cargo run --release -q -p pprox-bench --bin throughput -- \

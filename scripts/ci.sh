@@ -10,6 +10,32 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== unsafe audit (one call site, every other crate forbids it) =="
+# Comments and string literals do not count. What is left must be the one
+# call from the RSA dispatch into the `#[target_feature]` ladder, made
+# right under the CPU detection that is its `// SAFETY:` argument.
+UNSAFE_SITES="$(grep -rnw unsafe crates/*/src src shims --include='*.rs' \
+    | sed -E 's/"([^"\\]|\\.)*"//g; s://.*$::' | grep -w unsafe || true)"
+if [[ "$(wc -l <<<"$UNSAFE_SITES")" != 1 || "$UNSAFE_SITES" != crates/crypto/src/rsa.rs:*pow_pair* ]]; then
+    echo "unsafe audit: expected exactly the pow_pair call in crates/crypto/src/rsa.rs, found:" >&2
+    echo "${UNSAFE_SITES:-<none>}" >&2
+    exit 1
+fi
+ALLOW_SITES="$(grep -rn 'allow(unsafe_code)' crates src shims --include='*.rs' \
+    | sed 's://.*$::' | grep 'allow(unsafe_code)' | cut -d: -f1)"
+[[ "$ALLOW_SITES" == crates/crypto/src/rsa.rs ]] || {
+    echo "unsafe audit: allow(unsafe_code) outside the one call site: $ALLOW_SITES" >&2
+    exit 1
+}
+for root in crates/*/src/lib.rs src/lib.rs shims/*/src/lib.rs; do
+    want='#![forbid(unsafe_code)]'
+    [[ "$root" == crates/crypto/src/lib.rs ]] && want='#![deny(unsafe_code)]'
+    grep -qF "$want" "$root" || {
+        echo "unsafe audit: $root does not say $want" >&2
+        exit 1
+    }
+done
+
 echo "== cargo test =="
 cargo test -q --workspace
 
