@@ -119,10 +119,6 @@ pub const CROSS_LAYER_ALLOWLIST: &[(&str, &str)] = &[
         "deployment harness: instantiates both layers, runs outside enclaves in tests",
     ),
     (
-        "crates/core/src/pipeline.rs",
-        "deployment harness: supervises both layers, sees only ciphertext",
-    ),
-    (
         "crates/core/src/rotation.rs",
         "breach response: rotates both layers' keys inside their own enclaves",
     ),
@@ -934,9 +930,12 @@ mod tests {
     fn e2e_record_span_fires_r6() {
         let src =
             "fn f(t: &Telemetry) { t.record_span(SpanRecord { stage: Stage::E2e, ok: true }); }\n";
-        assert_eq!(rules_fired("crates/core/src/pipeline.rs", src), vec!["R6"]);
+        assert_eq!(
+            rules_fired("crates/wire/src/services/ua.rs", src),
+            vec!["R6"]
+        );
         let duration = "fn f(t: &Telemetry) { t.record_duration(Stage::E2e, us); }\n";
-        assert!(rules_fired("crates/core/src/pipeline.rs", duration).is_empty());
+        assert!(rules_fired("crates/wire/src/services/ua.rs", duration).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-// fixture-role: crates/core/src/pipeline.rs
+// fixture-role: crates/wire/src/services/ua.rs
 // expect: R6
 //
 // The PR-3 arrival-oracle regression: recording the end-to-end stage as a

@@ -24,7 +24,7 @@
 //!
 //! The synthetic trace generator mirrors the production path: arrivals
 //! jittered around an open-loop schedule, batching through the real
-//! [`ShuffleBuffer`], departures in shuffled order. The live pipeline is
+//! [`ShuffleBuffer`], departures in shuffled order. The live chain is
 //! exercised by `pprox-scenario`, which feeds real scrapes through
 //! [`scan_export_for_oracles`] during every load shape.
 

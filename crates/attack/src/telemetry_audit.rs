@@ -26,8 +26,11 @@
 //!
 //! The span stream is generated in virtual time with the real production
 //! types — [`ShuffleBuffer`] for batching, [`TraceIdPolicy`] for ID
-//! evolution, [`SpanRing`] as the export surface — so the audit exercises
-//! the same code paths the live pipeline exports through.
+//! evolution, [`SpanRing`] as the export surface. The serving chain
+//! exports aggregates only (analyzer rule R6, `scrape_audit`) and never
+//! produces this stream; the audit is what says why — the stream a
+//! span-exporting proxy would emit stays inside `1/S` only while IDs are
+//! re-randomized at the shuffle, and one stable ID gives the join away.
 
 use pprox_core::shuffler::{ShuffleBuffer, ShuffleConfig};
 use pprox_core::telemetry::{SpanRecord, SpanRing, Stage, TraceId, TraceIdPolicy};
@@ -136,8 +139,8 @@ fn generate_spans(config: &TelemetryAuditConfig) -> (Vec<SpanRecord>, Vec<FlowTr
         truth.push(FlowTruth { pre, post: pre });
         if let Some(flush) = buffer.push(now_us, flow) {
             let flush_time = now_us;
-            // Emit spans in *shuffled* order — the order the real
-            // pipeline forwards (and therefore logs) batch members.
+            // Emit spans in *shuffled* order — the order the shuffle
+            // stage forwards (and would therefore log) batch members.
             for (member, arrived) in flush.items.iter().zip(&flush.arrived_at_us) {
                 let pre = arrival_trace[member];
                 ring.push(SpanRecord {

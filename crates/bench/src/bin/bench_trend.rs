@@ -8,10 +8,12 @@
 //!   share (objects are walked recursively; arrays such as pressure
 //!   timelines are skipped — they are traces, not metrics), and
 //! * **fails** when a guarded throughput metric regresses by more than
-//!   `--max-regression` (default 20%). The guarded set is currently
-//!   `BENCH_wire.json :: wire.sustained_rps`,
+//!   `--max-regression` (default 20%), or when a guarded report is
+//!   missing from the results directory — deleting a report must not
+//!   disarm its guard. The guarded set is currently
 //!   `BENCH_sharding.json :: scaling.sustained_rps_max` and
-//!   `BENCH_throughput.json :: stages.rsa_decrypt.ops_per_sec`.
+//!   `BENCH_throughput.json :: stages.rsa_decrypt.ops_per_sec`
+//!   (end-to-end figures are gated by `benchmark/`, not here).
 //!
 //! Usage:
 //!
@@ -27,11 +29,11 @@
 use pprox_json::Value;
 use std::process::Command;
 
-/// Guarded metrics: (report file, dotted path, human label). A drop of
-/// more than `--max-regression` in any of these fails the gate; these
-/// are higher-is-better throughput numbers.
+/// Guarded metrics: (report file, dotted path). A drop of more than
+/// `--max-regression` in any of these fails the gate, and so does a
+/// report that is not there; these are higher-is-better throughput
+/// numbers.
 const GUARDED: &[(&str, &str)] = &[
-    ("BENCH_wire.json", "wire.sustained_rps"),
     ("BENCH_sharding.json", "scaling.sustained_rps_max"),
     ("BENCH_throughput.json", "stages.rsa_decrypt.ops_per_sec"),
 ];
@@ -122,8 +124,8 @@ fn lookup(v: &Value, dotted: &str) -> Option<f64> {
     cur.as_f64()
 }
 
-fn main() {
-    let args = Args::parse();
+/// Runs the gate and returns what failed.
+fn run(args: &Args) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(&args.results)
         .unwrap_or_else(|e| panic!("cannot list {}: {e}", args.results))
         .filter_map(|e| e.ok())
@@ -131,18 +133,15 @@ fn main() {
         .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
         .collect();
     names.sort();
-    assert!(
-        !names.is_empty(),
-        "{}: no BENCH_*.json reports to diff",
-        args.results
-    );
 
     let mut failures: Vec<String> = Vec::new();
+    // The reports on disk that have a baseline: (name, current, baseline).
+    let mut compared: Vec<(&String, Value, Value)> = Vec::new();
     for name in &names {
         let text = std::fs::read_to_string(format!("{}/{name}", args.results))
             .unwrap_or_else(|e| panic!("read {name}: {e}"));
         let current = Value::parse(&text).unwrap_or_else(|e| panic!("{name}: bad JSON: {e:?}"));
-        let Some(baseline) = load_baseline(&args, name) else {
+        let Some(baseline) = load_baseline(args, name) else {
             println!("{name}: new report (no baseline), skipping diff");
             continue;
         };
@@ -174,33 +173,42 @@ fn main() {
         if moved == 0 {
             println!("  unchanged");
         }
+        compared.push((name, current, baseline));
+    }
 
-        for (file, metric) in GUARDED {
-            if file != name {
-                continue;
-            }
-            let (Some(before), Some(now)) = (lookup(&baseline, metric), lookup(&current, metric))
-            else {
-                failures.push(format!("{name}: guarded metric {metric} missing"));
-                continue;
-            };
-            if before <= 0.0 {
-                continue;
-            }
-            let regression = (before - now) / before;
-            if regression > args.max_regression {
-                failures.push(format!(
-                    "{name}: {metric} regressed {:.1}% ({before:.3} -> {now:.3}), limit {:.0}%",
-                    regression * 100.0,
-                    args.max_regression * 100.0
-                ));
-            } else {
-                println!(
-                    "  guard {metric}: {before:.3} -> {now:.3} ({:+.1}%) within {:.0}% budget",
-                    -regression * 100.0,
-                    args.max_regression * 100.0
-                );
-            }
+    // The guards run over the guarded set, not over what is on disk: a
+    // report that went missing fails its guard instead of skipping it.
+    for (file, metric) in GUARDED {
+        if !names.iter().any(|n| n == file) {
+            failures.push(format!(
+                "{file}: guarded report missing from {}",
+                args.results
+            ));
+            continue;
+        }
+        let Some((name, current, baseline)) = compared.iter().find(|(n, _, _)| *n == file) else {
+            continue; // on disk, no baseline: a new report
+        };
+        let (Some(before), Some(now)) = (lookup(baseline, metric), lookup(current, metric)) else {
+            failures.push(format!("{name}: guarded metric {metric} missing"));
+            continue;
+        };
+        if before <= 0.0 {
+            continue;
+        }
+        let regression = (before - now) / before;
+        if regression > args.max_regression {
+            failures.push(format!(
+                "{name}: {metric} regressed {:.1}% ({before:.3} -> {now:.3}), limit {:.0}%",
+                regression * 100.0,
+                args.max_regression * 100.0
+            ));
+        } else {
+            println!(
+                "guard {name} {metric}: {before:.3} -> {now:.3} ({:+.1}%) within {:.0}% budget",
+                -regression * 100.0,
+                args.max_regression * 100.0
+            );
         }
     }
 
@@ -230,7 +238,12 @@ fn main() {
         },
         Err(e) => failures.push(format!("{analysis_path}: unreadable: {e}")),
     }
+    failures
+}
 
+fn main() {
+    let args = Args::parse();
+    let failures = run(&args);
     if failures.is_empty() {
         println!("bench_trend: no guarded regressions");
         return;
@@ -242,5 +255,58 @@ fn main() {
         println!("bench_trend: --report-only, not failing");
     } else {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pprox_store::TempDir;
+
+    const THROUGHPUT: &str = r#"{"stages":{"rsa_decrypt":{"ops_per_sec":4000.0}}}"#;
+    const SHARDING: &str = r#"{"scaling":{"sustained_rps_max":128000.0}}"#;
+    const ANALYSIS: &str = r#"{"findings":[],"status":"clean"}"#;
+
+    /// A results directory compared against a copy of itself.
+    fn gate(dir: &TempDir, files: &[(&str, &str)]) -> Vec<String> {
+        for (name, text) in files {
+            std::fs::write(dir.path().join(name), text).unwrap();
+        }
+        let results = dir.path().to_str().unwrap().to_string();
+        run(&Args {
+            previous_dir: Some(results.clone()),
+            results,
+            baseline_ref: "HEAD".to_string(),
+            max_regression: 0.20,
+            report_only: false,
+        })
+    }
+
+    #[test]
+    fn complete_results_dir_passes() {
+        let dir = TempDir::new("trend-complete");
+        let failures = gate(
+            &dir,
+            &[
+                ("BENCH_throughput.json", THROUGHPUT),
+                ("BENCH_sharding.json", SHARDING),
+                ("ANALYSIS_report.json", ANALYSIS),
+            ],
+        );
+        assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn missing_guarded_report_fails_the_gate() {
+        let dir = TempDir::new("trend-missing");
+        let failures = gate(
+            &dir,
+            &[
+                ("BENCH_throughput.json", THROUGHPUT),
+                ("ANALYSIS_report.json", ANALYSIS),
+            ],
+        );
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("BENCH_sharding.json: guarded report missing"));
     }
 }

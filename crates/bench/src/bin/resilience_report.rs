@@ -1,36 +1,34 @@
-//! Availability and latency of the live pipeline under injected faults.
+//! Availability and latency of the serving chain under injected faults.
 //!
-//! Drives the real `PProxPipeline` (enclave shims, key provisioning,
-//! admission gate, retries, circuit breaker) against a [`ChaosLrs`]
-//! through five fault scenarios and prints, for each, the availability
-//! (fraction of requests answered `Ok`) and the latency five-number
-//! summary. The scenarios mirror the acceptance criteria of the
-//! fault-tolerance layer:
+//! Drives the real chain (`LoopbackCluster`: UA → IA → LRS over loopback
+//! TCP, enclave shims, key provisioning, admission gates, retries,
+//! circuit breaker, supervisor) against a [`ChaosLrs`] through five fault
+//! scenarios and prints, for each, the availability (fraction of requests
+//! answered `Ok`) and the latency five-number summary. The scenarios
+//! mirror the acceptance criteria of the fault-tolerance layer:
 //!
 //! 1. **baseline** — no faults; the reference availability/latency.
 //! 2. **transient-errors** — 30% injected 503s; retries absorb them.
 //! 3. **hang** — the LRS never answers; every request resolves with
-//!    `Deadline` within 2× the configured budget.
+//!    `Deadline` within 2× its budget.
 //! 4. **flap** — the backend dies and comes back; the breaker opens,
 //!    sheds without touching the LRS, and recovers after the outage.
 //! 5. **enclave-crash** — the IA enclaves are killed mid-run; the
-//!    supervisor re-provisions them and the pipeline keeps serving.
+//!    supervisor respawns their nodes with fresh, re-provisioned enclaves
+//!    and the chain keeps serving.
 
 use pprox_bench::report;
-use pprox_core::config::PProxConfig;
-use pprox_core::pipeline::{Completion, PProxPipeline};
-use pprox_core::resilience::BreakerState;
-use pprox_core::shuffler::ShuffleConfig;
+use pprox_core::keys::IA_CODE_IDENTITY;
+use pprox_core::resilience::{BreakerState, Deadline};
 use pprox_core::{PProxError, UserClient};
 use pprox_lrs::chaos::{ChaosLrs, ChaosSchedule, Fault};
 use pprox_lrs::stub::StubLrs;
+use pprox_lrs::RestHandler;
 use pprox_sgx::Measurement;
+use pprox_wire::{ClusterConfig, LoopbackCluster};
 use pprox_workload::stats::Candlestick;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The IA layer's code identity, for layer-wide crash injection.
-const IA_CODE_IDENTITY: &str = "pprox-ia-layer-v1";
 
 /// Outcome tally of one driven batch.
 #[derive(Default)]
@@ -86,63 +84,67 @@ impl Tally {
     }
 }
 
-/// Sends one post and waits for its completion, recording the outcome.
-fn drive_post(p: &PProxPipeline, client: &mut UserClient, i: usize, tally: &mut Tally) {
+/// The harness cap on one request; scenarios with a tighter budget pass
+/// their own.
+const BUDGET: Duration = Duration::from_secs(10);
+
+/// Sends one post and records its outcome.
+fn drive_post(c: &LoopbackCluster, client: &mut UserClient, i: usize, tally: &mut Tally) {
     let env = client.post(&format!("user-{i}"), "item", None).unwrap();
     let started = Instant::now();
-    let rx = p.submit(env);
-    match rx {
-        Ok(rx) => match rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(Completion::Post(r)) => tally.record(r, started.elapsed()),
-            Ok(other) => panic!("post answered with {other:?}"),
-            Err(_) => panic!("request hung past the 30 s harness cap"),
-        },
-        Err(e) => tally.record(Err(e), started.elapsed()),
-    }
+    let result = c.send_post(&env, Deadline::starting_now(BUDGET));
+    tally.record(result, started.elapsed());
 }
 
-/// Sends one get and waits for its completion, recording the outcome.
-fn drive_get(p: &PProxPipeline, client: &mut UserClient, i: usize, tally: &mut Tally) {
+/// Sends one get with `budget` and records its outcome.
+fn drive_get(
+    c: &LoopbackCluster,
+    client: &mut UserClient,
+    i: usize,
+    budget: Duration,
+    tally: &mut Tally,
+) {
     let (env, _ticket) = client.get(&format!("user-{i}")).unwrap();
     let started = Instant::now();
-    let rx = p.submit(env);
-    match rx {
-        Ok(rx) => match rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(Completion::Get(r)) => tally.record(r.map(|_| ()), started.elapsed()),
-            Ok(other) => panic!("get answered with {other:?}"),
-            Err(_) => panic!("request hung past the 30 s harness cap"),
-        },
-        Err(e) => tally.record(Err(e), started.elapsed()),
+    let result = c.send_get(&env, Deadline::starting_now(budget));
+    tally.record(result.map(|_| ()), started.elapsed());
+}
+
+/// One UA, one IA, one LRS front-end; no shuffling.
+fn chain_config(seed: u64) -> ClusterConfig {
+    ClusterConfig {
+        ua_instances: 1,
+        ia_instances: 1,
+        seed,
+        ..ClusterConfig::default()
     }
 }
 
-fn test_config() -> PProxConfig {
-    PProxConfig {
-        shuffle: ShuffleConfig::disabled(),
-        modulus_bits: 1152,
-        ..PProxConfig::default()
-    }
+fn launch(config: ClusterConfig, lrs: Arc<dyn RestHandler>) -> LoopbackCluster {
+    let cluster = LoopbackCluster::launch(config, lrs).unwrap();
+    assert!(cluster.wait_ready(BUDGET), "chain did not come up");
+    cluster
 }
 
 fn scenario_baseline(n: usize) -> Tally {
-    let p = PProxPipeline::new(test_config(), Arc::new(StubLrs::new()), 0x51, 2).unwrap();
-    let mut client = p.client();
+    let mut cluster = launch(chain_config(0x51), Arc::new(StubLrs::new()));
+    let mut client = cluster.client();
     let mut tally = Tally::default();
     for i in 0..n {
         if i % 3 == 0 {
-            drive_get(&p, &mut client, i, &mut tally);
+            drive_get(&cluster, &mut client, i, BUDGET, &mut tally);
         } else {
-            drive_post(&p, &mut client, i, &mut tally);
+            drive_post(&cluster, &mut client, i, &mut tally);
         }
     }
-    p.shutdown();
+    cluster.shutdown();
     tally
 }
 
 fn scenario_transient_errors(n: usize) -> (Tally, u64) {
     // 30% 503s; the breaker is parked so the row isolates retry
     // absorption (the flap row shows breaker behavior).
-    let mut config = test_config();
+    let mut config = chain_config(0x52);
     config.resilience.breaker_failure_threshold = u32::MAX;
     let chaos = Arc::new(ChaosLrs::new(
         Arc::new(StubLrs::new()),
@@ -150,41 +152,42 @@ fn scenario_transient_errors(n: usize) -> (Tally, u64) {
         Fault::ErrorStatus,
         0x52,
     ));
-    let p = PProxPipeline::new(config, chaos, 0x52, 2).unwrap();
-    let mut client = p.client();
+    let mut cluster = launch(config, chaos.clone());
+    let mut client = cluster.client();
     let mut tally = Tally::default();
     for i in 0..n {
-        drive_post(&p, &mut client, i, &mut tally);
+        drive_post(&cluster, &mut client, i, &mut tally);
     }
-    let retries: u64 = p.metrics().snapshot().iter().map(|(_, s)| s.retries).sum();
-    p.shutdown();
+    cluster.shutdown();
+    // Every LRS attempt past a request's first is a retry.
+    let retries = (chaos.injected() + chaos.served()).saturating_sub(n as u64);
     (tally, retries)
 }
 
 fn scenario_hang(n: usize) -> (Tally, Duration, Duration) {
-    let mut config = test_config();
-    config.resilience.deadline = Duration::from_millis(400);
+    let deadline = Duration::from_millis(400);
+    let mut config = chain_config(0x53);
+    config.server.request_budget = deadline;
     config.resilience.lrs_timeout = Duration::from_millis(100);
     config.resilience.max_retries = 1;
-    // Park the breaker: repeated pool timeouts would otherwise trip it
-    // and shed the tail of the batch; this row isolates the deadline.
+    // Park the breaker: repeated timeouts would otherwise trip it and
+    // shed the tail of the batch; this row isolates the deadline.
     config.resilience.breaker_failure_threshold = u32::MAX;
-    let deadline = config.resilience.deadline;
     let chaos = Arc::new(ChaosLrs::new(
         Arc::new(StubLrs::new()),
         1.0,
         Fault::Hang,
         0x53,
     ));
-    let p = PProxPipeline::new(config, chaos.clone(), 0x53, 2).unwrap();
-    let mut client = p.client();
+    let mut cluster = launch(config, chaos.clone());
+    let mut client = cluster.client();
     let mut tally = Tally::default();
     for i in 0..n {
-        drive_get(&p, &mut client, i, &mut tally);
+        drive_get(&cluster, &mut client, i, deadline, &mut tally);
     }
     let worst = tally.latencies_ms.iter().cloned().fold(0.0f64, f64::max);
     chaos.release_hangs();
-    p.shutdown();
+    cluster.shutdown();
     (tally, deadline, Duration::from_secs_f64(worst / 1e3))
 }
 
@@ -197,7 +200,7 @@ struct FlapOutcome {
 }
 
 fn scenario_flap() -> FlapOutcome {
-    let mut config = test_config();
+    let mut config = chain_config(0x54);
     config.resilience.lrs_timeout = Duration::from_millis(200);
     config.resilience.max_retries = 0;
     config.resilience.breaker_failure_threshold = 5;
@@ -216,14 +219,15 @@ fn scenario_flap() -> FlapOutcome {
         0x54,
     ));
     let flap_started = Instant::now();
-    let p = PProxPipeline::new(config, chaos.clone(), 0x54, 2).unwrap();
-    let mut client = p.client();
+    let mut cluster = launch(config, chaos.clone());
+    let mut client = cluster.client();
+    let breaker = cluster.ia_breaker(0);
 
     // Trip the breaker on the dead backend.
     let mut warmup = Tally::default();
     let mut i = 0;
-    while p.resilience_stats().breaker_state != BreakerState::Open && i < 50 {
-        drive_post(&p, &mut client, i, &mut warmup);
+    while breaker.state() != BreakerState::Open && i < 50 {
+        drive_post(&cluster, &mut client, i, &mut warmup);
         i += 1;
     }
 
@@ -232,7 +236,7 @@ fn scenario_flap() -> FlapOutcome {
     let mut shed = Tally::default();
     let shed_batch = 60;
     for j in 0..shed_batch {
-        drive_post(&p, &mut client, 1000 + j, &mut shed);
+        drive_post(&cluster, &mut client, 1000 + j, &mut shed);
     }
     let leaked = (chaos.injected() + chaos.served()) - attempts_before;
 
@@ -242,14 +246,14 @@ fn scenario_flap() -> FlapOutcome {
     );
     let mut recovered = Tally::default();
     for j in 0..40 {
-        drive_post(&p, &mut client, 2000 + j, &mut recovered);
+        drive_post(&cluster, &mut client, 2000 + j, &mut recovered);
         if recovered.ok == 0 {
             // Still probing through the half-open window.
             std::thread::sleep(Duration::from_millis(20));
         }
     }
-    let times_opened = p.resilience_stats().breaker_times_opened;
-    p.shutdown();
+    let times_opened = breaker.times_opened();
+    cluster.shutdown();
     FlapOutcome {
         shed,
         recovered,
@@ -260,27 +264,37 @@ fn scenario_flap() -> FlapOutcome {
 }
 
 fn scenario_enclave_crash(n: usize) -> (Tally, Tally, u64) {
-    let p = PProxPipeline::new(test_config(), Arc::new(StubLrs::new()), 0x55, 2).unwrap();
-    let mut client = p.client();
+    let mut config = chain_config(0x55);
+    config.ia_instances = 2;
+    config.supervisor = true;
+    let mut cluster = launch(config, Arc::new(StubLrs::new()));
+    let mut client = cluster.client();
     let mut before = Tally::default();
     for i in 0..n / 2 {
-        drive_post(&p, &mut client, i, &mut before);
+        drive_post(&cluster, &mut client, i, &mut before);
     }
-    let killed = p
+    let killed = cluster
         .platform()
         .crash_layer(Measurement::of_code(IA_CODE_IDENTITY));
     assert!(killed >= 1, "crash injection must hit live enclaves");
+    // Requests sent into the outage are answered `Unavailable`; the row
+    // measures the chain once the supervisor has replaced the nodes.
+    let respawned = Instant::now() + BUDGET;
+    while cluster.respawns() < killed as u64 && Instant::now() < respawned {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    cluster.wait_ready(BUDGET);
     let mut after = Tally::default();
     for i in 0..n / 2 {
-        drive_get(&p, &mut client, 1000 + i, &mut after);
+        drive_get(&cluster, &mut client, 1000 + i, BUDGET, &mut after);
     }
-    let restarts = p.enclave_restarts();
-    p.shutdown();
-    (before, after, restarts)
+    let respawns = cluster.respawns();
+    cluster.shutdown();
+    (before, after, respawns)
 }
 
 fn main() {
-    println!("Resilience report — live pipeline availability under injected faults");
+    println!("Resilience report — serving-chain availability under injected faults");
     println!();
     println!(
         "{:<18} {:>5} {:>7} {:>5} {:>5} {:>5} {:>5}   {:>8} {:>8} {:>8}",
@@ -342,7 +356,7 @@ fn main() {
         ),
         (
             format!(
-                "crashed IA enclaves re-provisioned transparently ({restarts} restarts, post-crash avail {:.1}%)",
+                "crashed IA enclaves' nodes respawned and re-provisioned ({restarts} respawns, post-crash avail {:.1}%)",
                 100.0 * crash_after.availability()
             ),
             restarts >= 1 && crash_after.availability() == 1.0,

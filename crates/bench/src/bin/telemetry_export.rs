@@ -1,12 +1,16 @@
-//! Telemetry exporter: drives a live pipeline, renders the Prometheus
-//! text exposition and the schema-versioned JSON snapshot, and runs the
-//! telemetry privacy audit over the span-export surface.
+//! Telemetry exporter: drives the serving chain (`LoopbackCluster`),
+//! scrapes every node over the wire, renders the merged Prometheus text
+//! exposition and the schema-versioned JSON snapshot, and runs the
+//! telemetry privacy audit over the span-export surface the chain does
+//! *not* have (it exports aggregates only; the audit shows what a
+//! span-exporting proxy would leak, with and without re-randomized IDs).
 //!
 //! Artifacts (under `results/` by default):
 //!
 //! * `TELEMETRY_snapshot.json` — per-stage p50/p95/p99/p99.9 histograms,
-//!   per-layer counters, span accounting, trace policy, and the privacy
-//!   audit outcomes (re-randomized policy at the `1/S` baseline; the
+//!   per-node counters, span accounting (the user-side library's
+//!   `client_encrypt` spans — the ring's only producer), trace policy,
+//!   and the privacy audit outcomes (re-randomized policy at the `1/S` baseline; the
 //!   stable-ID ablation measured and flagged).
 //! * `TELEMETRY_prometheus.txt` — the same histograms and counters as
 //!   scrape-ready cumulative-`le` series.
@@ -19,21 +23,21 @@
 //! ```
 //!
 //! The exporter refuses to write a snapshot whose own validator rejects
-//! it — including when the deployment runs the deliberately-leaky
-//! stable-trace-ID policy — so a leaky configuration cannot reach
-//! `results/` in the first place.
+//! it, or whose audit section does not hold (re-randomized IDs inside
+//! `1/S`, the stable-ID ablation caught).
 
 use pprox_attack::telemetry_audit::{audit_telemetry, TelemetryAuditConfig};
-use pprox_core::config::PProxConfig;
-use pprox_core::pipeline::{Completion, PProxPipeline};
-use pprox_core::shuffler::ShuffleConfig;
+use pprox_core::resilience::Deadline;
 use pprox_core::telemetry::export::{
     json_snapshot, prometheus_text, validate_json_snapshot, validate_prometheus, TelemetryReport,
 };
 use pprox_core::telemetry::{Stage, TraceIdPolicy};
 use pprox_json::Value;
 use pprox_lrs::stub::StubLrs;
+use pprox_wire::{ClusterConfig, ClusterScraper, LoopbackCluster};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[derive(Debug)]
 struct Args {
@@ -69,57 +73,67 @@ impl Args {
     }
 }
 
-/// Drives a shuffling deployment with enough GET traffic to populate
-/// every stage histogram, then snapshots it into a [`TelemetryReport`].
+/// Applications in flight at once (each a thread with its own user-side
+/// library): enough that shuffle buffers fill as well as time out.
+const CLIENTS: usize = 8;
+
+/// Drives a shuffling chain with enough traffic to populate every stage
+/// histogram, then scrapes it into a [`TelemetryReport`].
 fn run_deployment(requests: usize, shuffle_size: usize) -> TelemetryReport {
-    let config = PProxConfig {
-        ua_instances: 2,
-        ia_instances: 2,
-        shuffle: ShuffleConfig {
-            size: shuffle_size,
-            timeout_us: 50_000,
-        },
-        modulus_bits: 1152,
-        ..PProxConfig::default()
+    let config = ClusterConfig {
+        seed: 1,
+        ..ClusterConfig::default().with_shuffle(shuffle_size, 50_000)
     };
-    let pipeline = PProxPipeline::new(config, Arc::new(StubLrs::new()), 1, 4).unwrap();
-    let mut client = pipeline.client();
+    let mut cluster = LoopbackCluster::launch(config, Arc::new(StubLrs::new())).unwrap();
+    let telemetry = cluster.telemetry().clone();
+    let mut clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let mut client = cluster.client();
+            client.attach_telemetry(telemetry.clone());
+            client
+        })
+        .collect();
 
     // Posts seed the LRS so the recommendation GETs have history; GETs
-    // exercise the full span path (both shuffle directions, IA response
-    // re-encryption, LRS reads).
-    let mut receivers = Vec::with_capacity(requests);
-    for i in 0..requests / 2 {
-        let env = client
-            .post(&format!("u{:03}", i % 24), &format!("m{:05}", i % 40), None)
-            .unwrap();
-        receivers.push(pipeline.submit(env).unwrap());
-    }
-    for i in 0..requests - requests / 2 {
-        let (env, _ticket) = client.get(&format!("u{:03}", i % 24)).unwrap();
-        receivers.push(pipeline.submit(env).unwrap());
-    }
-    for rx in receivers {
-        match rx.recv().unwrap() {
-            Completion::Post(r) => r.unwrap(),
-            Completion::Get(r) => {
-                r.unwrap();
-            }
+    // exercise the full path (both shuffle directions, IA response
+    // re-encryption, LRS reads). End-to-end latency is the client's
+    // measurement, recorded histogram-only like every other stage.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for client in &mut clients {
+            let (cluster, telemetry, next) = (&cluster, &telemetry, &next);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= requests {
+                    break;
+                }
+                let budget = Deadline::starting_now(Duration::from_secs(10));
+                let user = format!("u{:03}", i % 24);
+                let started = Instant::now();
+                if i < requests / 2 {
+                    let env = client
+                        .post(&user, &format!("m{:05}", i % 40), None)
+                        .unwrap();
+                    cluster.send_post(&env, budget).unwrap();
+                } else {
+                    let (env, _ticket) = client.get(&user).unwrap();
+                    cluster.send_get(&env, budget).unwrap();
+                }
+                telemetry.record_duration(Stage::E2e, started.elapsed().as_micros() as u64);
+            });
         }
-    }
+    });
 
-    let telemetry = pipeline.telemetry().clone();
+    let scrape = ClusterScraper::new(cluster.scrape_targets()).scrape();
+    scrape.validate().expect("cluster scrape must validate");
     let spans = telemetry.spans().snapshot();
     let report = TelemetryReport {
-        stages: telemetry.stages().snapshot(),
-        shuffle: telemetry.stages().shuffle_snapshot(),
-        layers: pipeline.metrics().snapshot(),
-        trace_policy: telemetry.policy().as_str().to_string(),
         spans_pushed: telemetry.spans().pushed(),
         spans_exported: spans.len() as u64,
         spans_dropped: telemetry.spans().dropped(),
+        ..scrape.report()
     };
-    pipeline.shutdown();
+    cluster.shutdown();
     report
 }
 

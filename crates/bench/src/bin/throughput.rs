@@ -1,6 +1,6 @@
 //! Crypto hot-path throughput baseline: `results/BENCH_throughput.json`.
 //!
-//! Measures the three stages the Montgomery/keystream overhaul targets and
+//! Measures the two stages the Montgomery/keystream overhaul targets and
 //! records, next to each optimized number, the retained-reference baseline
 //! so regressions (and the acceptance bar: rsa_decrypt ≥ 3× the naive
 //! `mod_pow` path) are checkable from the JSON alone:
@@ -13,45 +13,34 @@
 //! * `det_enc` — deterministic CTR over 64-byte item blocks with the
 //!   cached key schedule + keystream prefix vs.
 //!   [`SymmetricKey::det_encrypt_fresh`] (rebuilds cipher state per call).
-//! * `e2e` — closed-loop posts through the live [`PProxPipeline`]
-//!   (real crypto, simulated enclaves, stub LRS). Since schema v2 the
-//!   report also carries `pipeline_stages`: per-stage p50/p99 (UA, IA,
-//!   LRS, shuffle dwell) read from the pipeline's telemetry histograms,
-//!   so a regression can be localized to a stage from the JSON alone.
+//!
+//! End-to-end figures (and the per-layer budget that localizes a
+//! regression) are the repo's benchmark's, `benchmark/`, which drives
+//! the serving chain open-loop; schema v3 dropped this report's
+//! closed-loop `e2e` stage and its `pipeline_stages`.
 //!
 //! Usage:
 //!
 //! ```text
-//! throughput [--requests N] [--rsa-ops N] [--det-ops N]
-//!            [--modulus-bits B] [--out PATH]
+//! throughput [--rsa-ops N] [--det-ops N] [--modulus-bits B] [--out PATH]
 //! throughput --validate PATH   # schema-check an emitted JSON file
 //! ```
 
-use pprox_core::config::PProxConfig;
-use pprox_core::pipeline::{Completion, PProxPipeline};
-use pprox_core::shuffler::ShuffleConfig;
-use pprox_core::telemetry::{HistogramSnapshot, Stage as TelemetryStage};
 use pprox_crypto::ctr::SymmetricKey;
 use pprox_crypto::rng::SecureRng;
 use pprox_crypto::rsa::RsaKeyPair;
 use pprox_json::Value;
-use pprox_lrs::stub::StubLrs;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Item payload width on the wire (mirrors `pprox_core::message`).
 const ITEM_BLOCK_LEN: usize = 64;
 
-/// Report schema version: v2 added `pipeline_stages` (per-stage p50/p99
-/// from the telemetry histograms).
-const THROUGHPUT_SCHEMA_VERSION: u64 = 2;
-
-/// Requests in flight at once during the e2e stage.
-const E2E_WINDOW: usize = 32;
+/// Report schema version: v3 dropped `e2e` and `pipeline_stages` (the
+/// closed loop through the deleted in-process pipeline).
+const THROUGHPUT_SCHEMA_VERSION: u64 = 3;
 
 #[derive(Debug)]
 struct Args {
-    requests: usize,
     rsa_ops: usize,
     det_ops: usize,
     modulus_bits: usize,
@@ -62,7 +51,6 @@ struct Args {
 impl Args {
     fn parse() -> Args {
         let mut args = Args {
-            requests: 256,
             rsa_ops: 64,
             det_ops: 20_000,
             modulus_bits: 2048,
@@ -76,7 +64,6 @@ impl Args {
                     .unwrap_or_else(|| panic!("missing value for {name}"))
             };
             match flag.as_str() {
-                "--requests" => args.requests = value("--requests").parse().unwrap(),
                 "--rsa-ops" => args.rsa_ops = value("--rsa-ops").parse().unwrap(),
                 "--det-ops" => args.det_ops = value("--det-ops").parse().unwrap(),
                 "--modulus-bits" => args.modulus_bits = value("--modulus-bits").parse().unwrap(),
@@ -216,70 +203,6 @@ fn bench_det_enc(ops: usize, rng: &mut SecureRng) -> Stage {
     stage
 }
 
-/// Per-pipeline-stage latency quantiles harvested from the deployment's
-/// telemetry histograms after the e2e run.
-fn pipeline_stages_value(snapshots: &[(&'static str, HistogramSnapshot)]) -> Value {
-    let mut v = Value::object::<&str, _>([]);
-    for (name, snap) in snapshots {
-        v.insert(
-            *name,
-            Value::object([
-                ("count", Value::from(snap.count())),
-                ("p50_us", Value::from(snap.p50())),
-                ("p99_us", Value::from(snap.p99())),
-            ]),
-        );
-    }
-    v
-}
-
-fn bench_e2e(requests: usize, modulus_bits: usize) -> (Stage, Value) {
-    let config = PProxConfig {
-        ua_instances: 2,
-        ia_instances: 2,
-        shuffle: ShuffleConfig {
-            size: 8,
-            timeout_us: 20_000,
-        },
-        modulus_bits,
-        ..PProxConfig::default()
-    };
-    let pipeline = PProxPipeline::new(config, Arc::new(StubLrs::new()), 1, 4).unwrap();
-    let mut client = pipeline.client();
-
-    let mut samples = Vec::with_capacity(requests);
-    let mut in_flight = Vec::with_capacity(E2E_WINDOW);
-    let wall = Instant::now();
-    let mut submitted = 0usize;
-    while submitted < requests || !in_flight.is_empty() {
-        while submitted < requests && in_flight.len() < E2E_WINDOW {
-            let env = client
-                .post(&format!("u{:03}", submitted % 64), "m00001", None)
-                .unwrap();
-            let start = Instant::now();
-            in_flight.push((start, pipeline.submit(env).unwrap()));
-            submitted += 1;
-        }
-        let (start, rx) = in_flight.remove(0);
-        match rx.recv().unwrap() {
-            Completion::Post(Ok(())) => {
-                samples.push(start.elapsed().as_secs_f64() * 1e6);
-            }
-            other => panic!("unexpected completion: {other:?}"),
-        }
-    }
-    let wall_secs = wall.elapsed().as_secs_f64();
-    let stages = pipeline.telemetry().stages();
-    let per_stage = pipeline_stages_value(&[
-        ("ua", stages.histogram(TelemetryStage::Ua).snapshot()),
-        ("ia", stages.histogram(TelemetryStage::Ia).snapshot()),
-        ("lrs", stages.histogram(TelemetryStage::Lrs).snapshot()),
-        ("shuffle", stages.shuffle_snapshot()),
-    ]);
-    pipeline.shutdown();
-    (Stage::from_samples(samples, wall_secs), per_stage)
-}
-
 /// Schema check for an emitted report; panics with a description of the
 /// first violation so `bench.sh` can gate CI on the exit status.
 fn validate(path: &str) {
@@ -296,7 +219,6 @@ fn validate(path: &str) {
     for (stage, baseline) in [
         ("rsa_decrypt", Some("naive_baseline_ops_per_sec")),
         ("det_enc", Some("fresh_baseline_ops_per_sec")),
-        ("e2e", None),
     ] {
         let s = stages
             .get(stage)
@@ -332,29 +254,6 @@ fn validate(path: &str) {
         version >= THROUGHPUT_SCHEMA_VERSION,
         "{path}: schema_version {version} < {THROUGHPUT_SCHEMA_VERSION}"
     );
-    let per_stage = root
-        .get("pipeline_stages")
-        .unwrap_or_else(|| panic!("{path}: missing pipeline_stages"));
-    for stage in ["ua", "ia", "lrs", "shuffle"] {
-        let s = per_stage
-            .get(stage)
-            .unwrap_or_else(|| panic!("{path}: pipeline_stages.{stage} missing"));
-        let num = |f: &str| {
-            s.get(f)
-                .and_then(Value::as_f64)
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .unwrap_or_else(|| panic!("{path}: pipeline_stages.{stage}.{f} bad"))
-        };
-        assert!(
-            num("count") >= 1.0,
-            "{path}: pipeline_stages.{stage} has no observations"
-        );
-        let (p50, p99) = (num("p50_us"), num("p99_us"));
-        assert!(
-            p50 <= p99,
-            "{path}: pipeline_stages.{stage} quantiles not monotone ({p50} > {p99})"
-        );
-    }
     println!("{path}: schema OK");
 }
 
@@ -374,34 +273,21 @@ fn main() {
     let rsa = bench_rsa_decrypt(args.rsa_ops, args.modulus_bits, &mut rng);
     eprintln!("det_enc: {} ops...", args.det_ops);
     let det = bench_det_enc(args.det_ops, &mut rng);
-    eprintln!("e2e: {} posts through the live pipeline...", args.requests);
-    let (e2e, pipeline_stages) = bench_e2e(args.requests, args.modulus_bits.min(1152));
 
     let report = Value::object([
         ("benchmark", Value::from("throughput")),
         ("schema_version", Value::from(THROUGHPUT_SCHEMA_VERSION)),
-        ("pipeline_stages", pipeline_stages),
         (
             "config",
             Value::object([
                 ("rsa_ops", Value::from(args.rsa_ops as u64)),
                 ("det_ops", Value::from(args.det_ops as u64)),
-                ("requests", Value::from(args.requests as u64)),
                 ("modulus_bits", Value::from(args.modulus_bits as u64)),
-                (
-                    "e2e_modulus_bits",
-                    Value::from(args.modulus_bits.min(1152) as u64),
-                ),
-                ("e2e_window", Value::from(E2E_WINDOW as u64)),
             ]),
         ),
         (
             "stages",
-            Value::object([
-                ("rsa_decrypt", rsa.to_value()),
-                ("det_enc", det.to_value()),
-                ("e2e", e2e.to_value()),
-            ]),
+            Value::object([("rsa_decrypt", rsa.to_value()), ("det_enc", det.to_value())]),
         ),
     ]);
 

@@ -9,7 +9,7 @@
 //!   `cargo run -p pprox-bench --release --bin figure6`.
 //! * **Criterion benches** (`benches/`): component-cost measurements on
 //!   the *real* implementation (crypto, layer processing, shuffling, LRS
-//!   queries, live pipeline) that calibrate the simulator's
+//!   queries) that calibrate the simulator's
 //!   [`sim::ServiceCosts`] — the paper-vs-measured mapping is recorded in
 //!   EXPERIMENTS.md.
 

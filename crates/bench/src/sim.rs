@@ -5,7 +5,7 @@
 //! with service demands calibrated against this repository's real
 //! implementation (see `benches/calibration.rs` and EXPERIMENTS.md);
 //! shuffle buffers run on virtual time with the same
-//! [`pprox_core::shuffler::ShuffleBuffer`] the live pipeline uses.
+//! [`pprox_core::shuffler::ShuffleBuffer`] the serving chain uses.
 //!
 //! One experiment = one (configuration, RPS) cell of a figure: drive an
 //! open-loop `get` workload for a virtual duration, trim warm-up/cool-down

@@ -13,8 +13,8 @@
 //!   shrinks the effective anonymity set below `S`.
 //!
 //! [`Autoscaler`] implements that policy as a pure function of observed
-//! load plus hysteresis, so it is testable and usable by both the live
-//! pipeline and the simulator.
+//! load plus hysteresis, so it is testable and usable by both the serving
+//! chain and the simulator.
 
 /// Autoscaler policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,9 +6,7 @@
 //! structures parameterize the live deployment ([`crate::proxy`]) and the
 //! simulated cluster (`pprox-bench` figure harnesses).
 
-use crate::resilience::ResilienceConfig;
 use crate::shuffler::ShuffleConfig;
-use crate::telemetry::TelemetryConfig;
 
 /// Parameters of a PProx deployment.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,12 +29,6 @@ pub struct PProxConfig {
     /// RSA modulus size for layer keys (2048 in the paper; tests shrink
     /// it for speed).
     pub modulus_bits: usize,
-    /// Fault-tolerance knobs: deadlines, retries, circuit breaking and
-    /// admission control (see [`crate::resilience`]).
-    pub resilience: ResilienceConfig,
-    /// Observability knobs: span-ring retention and the trace-ID policy
-    /// at shuffle boundaries (see [`crate::telemetry`]).
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for PProxConfig {
@@ -49,8 +41,6 @@ impl Default for PProxConfig {
             ua_instances: 1,
             ia_instances: 1,
             modulus_bits: pprox_crypto::rsa::DEFAULT_MODULUS_BITS,
-            resilience: ResilienceConfig::default(),
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -89,8 +79,6 @@ impl PProxConfig {
             ua_instances: m.ua,
             ia_instances: m.ia,
             modulus_bits: pprox_crypto::rsa::DEFAULT_MODULUS_BITS,
-            resilience: ResilienceConfig::default(),
-            telemetry: TelemetryConfig::default(),
         }
     }
 }

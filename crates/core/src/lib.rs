@@ -21,17 +21,20 @@
 //! * [`keys`] — layer key material and attestation-gated provisioning.
 //! * [`message`] — constant-size wire envelopes.
 //! * [`metrics`] — per-layer operational counters feeding the autoscaler.
-//! * [`telemetry`] — privacy-safe tracing and latency histograms (the
-//!   fluentd role), with trace IDs re-randomized at shuffle boundaries.
+//! * [`telemetry`] — privacy-safe latency histograms and the span ring
+//!   (the fluentd role); the serving chain exports aggregates only.
+//! * [`resilience`] — deadlines, retry backoff, the LRS circuit breaker
+//!   and the admission gate the serving chain is built from.
 //! * [`shuffler`] — the §4.3 request/response shuffle buffers.
 //! * [`config`] — deployment parameters, incl. the paper's Table 2 rows.
 //! * [`autoscale`] — the §5 elastic-scaling policy (throughput vs
 //!   shuffle-buffer health).
 //! * [`rotation`] — breach response: key rotation with in-enclave LRS
 //!   re-encryption (the paper's footnote 1 options).
-//! * [`proxy`] — a synchronous in-process deployment (functional path).
-//! * [`pipeline`] — the event-driven, multi-threaded deployment mirroring
-//!   the paper's server/data-processing split, with live shuffling.
+//! * [`proxy`] — a synchronous in-process deployment: no threads, no
+//!   shuffling, enclaves handed to the attack harness. It is the
+//!   differential oracle for the one concurrent request path, which is
+//!   `pprox-wire` (`services::{ua, ia, lrs}` behind `LoopbackCluster`).
 //!
 //! # Examples
 //!
@@ -66,7 +69,6 @@ pub mod ids;
 pub mod keys;
 pub mod message;
 pub mod metrics;
-pub mod pipeline;
 pub mod proxy;
 pub mod resilience;
 pub mod rotation;
@@ -123,12 +125,12 @@ pub enum PProxError {
     /// hung/slow LRS calls that outlived every retry attempt).
     Deadline,
     /// A dependency is temporarily unusable: the circuit breaker is open,
-    /// the pipeline is shutting down, or a crashed enclave could not be
-    /// replaced in time. Safe to retry after a backoff.
+    /// a node is shutting down, or a crashed enclave's node has not been
+    /// respawned yet. Safe to retry after a backoff.
     Unavailable,
-    /// Admission control rejected the request: the pipeline already holds
-    /// its maximum number of in-flight requests. Shed load upstream or
-    /// scale out.
+    /// Admission control rejected the request: the node already holds its
+    /// maximum number of in-flight requests. Shed load upstream or scale
+    /// out.
     Overloaded,
 }
 

@@ -1,14 +1,21 @@
 //! An in-process PProx deployment: enclaves, layers, and an LRS behind
-//! them.
+//! them — the differential oracle for the serving chain.
 //!
 //! [`PProxDeployment`] wires the full §4.2 lifecycle with *real*
 //! cryptography and the simulated SGX platform: user-side library →
 //! UA enclave → IA enclave → LRS REST handler, and back. Requests are
-//! processed synchronously; this is the deployment used for functional
-//! tests, the examples, and the criterion micro-benchmarks of per-request
-//! cost. (Shuffling and queueing behaviour under load are exercised by
-//! the pipelined deployment in [`crate::pipeline`] and by the simulated
-//! cluster in `pprox-bench`.)
+//! processed synchronously on the caller's thread: no threads, no
+//! sockets, no shuffling, no retries. That is its role. The one
+//! concurrent request path is `pprox-wire` (`services::{ua, ia, lrs}`
+//! behind `LoopbackCluster`: shuffle stages, breaker and retries,
+//! supervised respawn — what the repo's benchmark drives); this
+//! deployment runs the same layer transforms with nothing around them,
+//! so a seeded trace replayed through both must give the same
+//! recommendations and leave the same events in the LRS
+//! (`tests/wire_e2e.rs`). It also hands its enclaves to the attack
+//! harness (`pprox-attack`, `security_analysis`), and serves the
+//! functional tests, the examples and the criterion micro-benchmarks of
+//! per-request cost.
 
 use crate::client::{GetTicket, UserClient};
 use crate::config::PProxConfig;
@@ -59,9 +66,12 @@ impl PProxDeployment {
         lrs: Arc<dyn RestHandler>,
         seed: u64,
     ) -> Result<Self, PProxError> {
+        // Platform first, layer keys second: the order `LoopbackCluster`
+        // draws them in, so one seed gives both deployments the same keys
+        // — and the same pseudonyms, which the differential test compares.
         let mut rng = SecureRng::from_seed(seed);
-        let provisioner = KeyProvisioner::generate(config.modulus_bits, &mut rng);
         let platform = Platform::new(&mut rng);
+        let provisioner = KeyProvisioner::generate(config.modulus_bits, &mut rng);
         let mut ua_layer = Vec::with_capacity(config.ua_instances);
         for _ in 0..config.ua_instances.max(1) {
             let enclave = platform.load_enclave::<UaState>(UA_CODE_IDENTITY);

@@ -1,13 +1,14 @@
-//! Fault-tolerance building blocks for the live pipeline.
+//! Fault-tolerance building blocks for the serving chain.
 //!
 //! The paper's RaaS setting puts PProx on the critical path of somebody
 //! else's product: a hung or failing LRS, a crashed enclave, or a traffic
 //! spike must degrade the proxy into *fast, typed errors* — never hangs,
 //! never unbounded queues, never silent corruption. This module provides
-//! the mechanisms; [`crate::pipeline`] wires them around each stage:
+//! the mechanisms; `pprox-wire` wires them around each hop (the server's
+//! admission gate and request budget, the IA service's LRS exchange):
 //!
 //! * [`Deadline`] — every request carries an end-to-end time budget;
-//!   every stage checks it and each LRS attempt is clamped to what is
+//!   every hop checks it and each LRS attempt is clamped to what is
 //!   left of it.
 //! * [`RetryBackoff`] — decorrelated-jitter backoff between retries of
 //!   retryable LRS failures (5xx and timeouts), capped so the retry
@@ -20,28 +21,22 @@
 //!   in-flight requests, submissions are rejected immediately with
 //!   [`crate::PProxError::Overloaded`] instead of growing queues without
 //!   bound (and without ever blocking the caller).
-//! * [`TimeoutPool`] — runs blocking calls (the synchronous
-//!   [`pprox_lrs::api::RestHandler`] interface) under a timeout by
-//!   executing them on supervised threads; a worker stuck in a hung call
-//!   is abandoned and replaced, so one pathological backend call cannot
-//!   poison the pool.
 //!
 //! Everything here is deterministic given its seeds and independent of
 //! the PProx message formats, so each mechanism is unit-tested in
 //! isolation below.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tunables for the pipeline's resilience layer.
+/// Retry and circuit-breaking policy of the chain's calls into the LRS
+/// (and, for the retry knobs, of every hop's wire client). The request
+/// budget and the in-flight bound are the server's: `ServerConfig` in
+/// `pprox-wire`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResilienceConfig {
-    /// End-to-end budget for one request, measured from admission. When
-    /// it expires the request resolves with [`crate::PProxError::Deadline`].
-    pub deadline: Duration,
     /// Per-attempt timeout for one LRS call (clamped to the remaining
     /// deadline).
     pub lrs_timeout: Duration,
@@ -61,15 +56,11 @@ pub struct ResilienceConfig {
     /// Concurrent probe requests allowed while half-open; all of them
     /// must succeed to close the breaker again.
     pub breaker_half_open_probes: u32,
-    /// Maximum requests admitted and not yet completed. Submissions
-    /// beyond this are rejected with [`crate::PProxError::Overloaded`].
-    pub max_inflight: usize,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            deadline: Duration::from_secs(2),
             lrs_timeout: Duration::from_millis(500),
             max_retries: 2,
             retry_base: Duration::from_millis(10),
@@ -77,14 +68,13 @@ impl Default for ResilienceConfig {
             breaker_failure_threshold: 5,
             breaker_open_for: Duration::from_millis(250),
             breaker_half_open_probes: 3,
-            max_inflight: 1024,
         }
     }
 }
 
 /// An absolute per-request deadline.
 ///
-/// Copied into every stage's job so each hop can fail fast once the
+/// Travels with the request so each hop can fail fast once the
 /// budget is gone instead of doing work nobody is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
@@ -190,8 +180,8 @@ struct BreakerInner {
 
 /// A per-dependency circuit breaker (closed → open → half-open).
 ///
-/// Thread-safe; the pipeline shares one breaker across all IA workers so
-/// they observe the backend's health collectively.
+/// Thread-safe; an IA node's threads share one breaker so they observe
+/// the backend's health collectively.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     failure_threshold: u32,
@@ -221,7 +211,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Breaker configured from the pipeline's [`ResilienceConfig`].
+    /// Breaker configured from a [`ResilienceConfig`].
     pub fn from_config(config: &ResilienceConfig) -> Self {
         CircuitBreaker::new(
             config.breaker_failure_threshold,
@@ -411,132 +401,9 @@ impl Drop for AdmissionPermit {
     }
 }
 
-type PoolTask = Box<dyn FnOnce() + Send>;
-
-/// Error from [`TimeoutPool::call`]: the routine outlived its timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallTimedOut;
-
-impl std::fmt::Display for CallTimedOut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("blocking call exceeded its timeout")
-    }
-}
-
-impl std::error::Error for CallTimedOut {}
-
-/// Executes blocking closures under a timeout on a self-healing pool.
-///
-/// The [`pprox_lrs::api::RestHandler`] interface is synchronous and
-/// cannot be cancelled, so a hung backend call would wedge whichever
-/// thread performs it. The pool absorbs that: the caller waits on a
-/// completion channel with a timeout, and when the timeout fires the
-/// stuck worker is *abandoned* (it keeps blocking harmlessly; its late
-/// result is discarded) and a replacement worker is spawned so pool
-/// capacity is preserved. Side effects of a timed-out call may still
-/// happen later — the usual contract of timing out a non-cancellable
-/// operation.
-pub struct TimeoutPool {
-    task_tx: Sender<PoolTask>,
-    task_rx: Receiver<PoolTask>,
-    replacements: AtomicU64,
-    attempt_histogram: Option<Arc<crate::telemetry::LatencyHistogram>>,
-}
-
-impl std::fmt::Debug for TimeoutPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimeoutPool")
-            .field("replacements", &self.replacements.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl TimeoutPool {
-    /// A pool with `workers` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "TimeoutPool needs at least one worker");
-        let (task_tx, task_rx) = unbounded::<PoolTask>();
-        let pool = TimeoutPool {
-            task_tx,
-            task_rx,
-            replacements: AtomicU64::new(0),
-            attempt_histogram: None,
-        };
-        for _ in 0..workers {
-            pool.spawn_worker();
-        }
-        pool
-    }
-
-    /// Attaches a latency histogram recording the wall-clock duration of
-    /// every `call` — including timed-out attempts, which record the full
-    /// timeout they burned. In the pipeline this is the `lrs_attempt`
-    /// telemetry stage (per-attempt view; the `lrs` stage covers the whole
-    /// resilient call with retries).
-    pub fn set_attempt_histogram(&mut self, histogram: Arc<crate::telemetry::LatencyHistogram>) {
-        self.attempt_histogram = Some(histogram);
-    }
-
-    fn spawn_worker(&self) {
-        let rx = self.task_rx.clone();
-        // Detached on purpose: a worker stuck in a hung call must not be
-        // joined at shutdown (that would transfer the hang to the caller).
-        // Healthy workers exit when the task channel disconnects on drop.
-        std::thread::spawn(move || {
-            while let Ok(task) = rx.recv() {
-                task();
-            }
-        });
-    }
-
-    /// Runs `f` on the pool, waiting at most `timeout` for its result.
-    ///
-    /// # Errors
-    ///
-    /// [`CallTimedOut`] when the result did not arrive in time; the
-    /// occupied worker is replaced.
-    pub fn call<T: Send + 'static>(
-        &self,
-        timeout: Duration,
-        f: impl FnOnce() -> T + Send + 'static,
-    ) -> Result<T, CallTimedOut> {
-        let (done_tx, done_rx) = bounded::<T>(1);
-        let task: PoolTask = Box::new(move || {
-            let out = f();
-            let _ = done_tx.send(out); // receiver may have given up
-        });
-        if self.task_tx.send(task).is_err() {
-            return Err(CallTimedOut);
-        }
-        let started = Instant::now();
-        let outcome = match done_rx.recv_timeout(timeout) {
-            Ok(v) => Ok(v),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                self.replacements.fetch_add(1, Ordering::Relaxed);
-                self.spawn_worker();
-                Err(CallTimedOut)
-            }
-        };
-        if let Some(h) = &self.attempt_histogram {
-            h.record(started.elapsed().as_micros() as u64);
-        }
-        outcome
-    }
-
-    /// Workers spawned to replace abandoned ones.
-    pub fn replacements(&self) -> u64 {
-        self.replacements.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn deadline_budget_counts_down() {
@@ -679,50 +546,10 @@ mod tests {
     }
 
     #[test]
-    fn timeout_pool_runs_and_returns() {
-        let pool = TimeoutPool::new(2);
-        let out = pool.call(Duration::from_secs(1), || 21 * 2).unwrap();
-        assert_eq!(out, 42);
-        assert_eq!(pool.replacements(), 0);
-    }
-
-    #[test]
-    fn timeout_pool_abandons_hung_worker_and_recovers() {
-        let pool = TimeoutPool::new(1);
-        let release = Arc::new(AtomicBool::new(false));
-        let r = release.clone();
-        // A call that blocks until released — far past the timeout.
-        let res = pool.call(Duration::from_millis(40), move || {
-            while !r.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            0u8
-        });
-        assert_eq!(res, Err(CallTimedOut));
-        assert_eq!(pool.replacements(), 1);
-        // The replacement worker keeps the pool serving even though the
-        // original worker is still blocked.
-        let out = pool.call(Duration::from_secs(1), || 7u8).unwrap();
-        assert_eq!(out, 7);
-        release.store(true, Ordering::Release); // unhang the stuck thread
-    }
-
-    #[test]
-    fn timeout_pool_queues_beyond_worker_count() {
-        let pool = TimeoutPool::new(2);
-        let results: Vec<u32> = (0..16)
-            .map(|i| pool.call(Duration::from_secs(2), move || i * i).unwrap())
-            .collect();
-        assert_eq!(results[15], 225);
-    }
-
-    #[test]
     fn config_default_is_sane() {
         let c = ResilienceConfig::default();
-        assert!(c.lrs_timeout < c.deadline);
         assert!(c.retry_base <= c.retry_cap);
-        assert!(c.retry_cap < c.deadline);
-        assert!(c.max_inflight >= 1);
+        assert!(c.retry_cap < c.lrs_timeout);
         let b = CircuitBreaker::from_config(&c);
         assert_eq!(b.state(), BreakerState::Closed);
     }

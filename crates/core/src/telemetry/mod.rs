@@ -8,9 +8,13 @@
 //! * [`histogram`] — lock-free log-linear latency histograms with
 //!   mergeable snapshots (p50/p95/p99/p99.9), replacing the single
 //!   `busy_us` mean the registry used to offer.
-//! * [`trace`] — per-request spans across the full path, with trace IDs
-//!   **re-randomized at every shuffle boundary** so the exported stream
-//!   cannot be joined across layers, stored in a bounded lock-free ring.
+//! * [`trace`] — the span record and its bounded lock-free ring, with
+//!   trace IDs **re-randomized at every shuffle boundary** so a span
+//!   stream cannot be joined across layers. The serving chain
+//!   (`pprox-wire`) exports aggregates only and never produces proxy-side
+//!   spans; the ring's producer is the user-side library, and
+//!   `pprox-attack`'s telemetry audit builds the stream a span-exporting
+//!   proxy *would* emit to show which policy keeps it inside `1/S`.
 //! * [`export`] — Prometheus text exposition and JSON snapshot rendering
 //!   plus their validators (the `telemetry_export` tool's engine).
 //!
@@ -37,27 +41,22 @@ use std::time::Instant;
 /// Telemetry deployment parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Span ring retention (spans, not requests; a request emits ~6).
+    /// Span ring retention (spans, not requests).
     pub span_capacity: usize,
-    /// Trace-ID behavior at shuffle boundaries. Only
-    /// [`TraceIdPolicy::Rerandomize`] is safe to ship; the stable variant
-    /// exists for the privacy-audit ablation.
-    pub trace_policy: TraceIdPolicy,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             span_capacity: 8192,
-            trace_policy: TraceIdPolicy::Rerandomize,
         }
     }
 }
 
 /// Per-stage latency histograms, one [`LatencyHistogram`] per
 /// [`Stage`]. Recording is lock-free; histograms are shared `Arc`s so
-/// subsystems (the LRS timeout pool, the shuffle servers) can hold their
-/// stage's recorder directly.
+/// subsystems (the enclave layer states, the shuffle stages) can hold
+/// their stage's recorder directly.
 #[derive(Debug)]
 pub struct StageSet {
     histograms: Vec<Arc<LatencyHistogram>>,
@@ -123,13 +122,11 @@ impl StageSet {
 }
 
 /// The telemetry hub one deployment owns: per-stage histograms, the span
-/// ring, the trace-ID policy, and the shared time epoch spans are
-/// expressed against.
+/// ring, and the shared time epoch spans are expressed against.
 #[derive(Debug)]
 pub struct Telemetry {
     stages: StageSet,
     spans: SpanRing,
-    policy: TraceIdPolicy,
     // analysis-allow: R6 shared epoch, not a per-request timestamp
     epoch: Instant,
 }
@@ -140,7 +137,6 @@ impl Telemetry {
         Telemetry {
             stages: StageSet::new(),
             spans: SpanRing::new(config.span_capacity),
-            policy: config.trace_policy,
             // analysis-allow: R6 hub creation time is the clock origin
             epoch: Instant::now(),
         }
@@ -154,11 +150,6 @@ impl Telemetry {
     /// The span ring.
     pub fn spans(&self) -> &SpanRing {
         &self.spans
-    }
-
-    /// The configured trace-ID policy.
-    pub fn policy(&self) -> TraceIdPolicy {
-        self.policy
     }
 
     /// Microseconds since this hub was created — the `start_us` clock.
@@ -189,7 +180,6 @@ mod tests {
     #[test]
     fn default_config_is_safe() {
         let c = TelemetryConfig::default();
-        assert_eq!(c.trace_policy, TraceIdPolicy::Rerandomize);
         assert!(c.span_capacity >= 1024);
     }
 

@@ -14,7 +14,9 @@
 //! is randomized (§4.3).
 //!
 //! With `supervisor` enabled, a [`Supervisor`] thread probes every
-//! instance's listener and rebuilds dead ones: a fresh enclave is
+//! instance — its listener, and for a proxy node its enclave: a crashed
+//! enclave ([`pprox_sgx::Platform::crash_layer`]) makes its node as dead
+//! as a killed one — and rebuilds dead ones: a fresh enclave is
 //! loaded and re-attested for proxy layers, the LRS handler is rebuilt
 //! through the boot factory (a durable LRS unseals its keys and replays
 //! its WAL from disk — [`LoopbackCluster::launch_with_factory`]), and
@@ -41,7 +43,7 @@ use parking_lot::Mutex;
 use pprox_core::ia::{IaOptions, IaState};
 use pprox_core::keys::{KeyProvisioner, IA_CODE_IDENTITY, UA_CODE_IDENTITY};
 use pprox_core::message::{ClientEnvelope, EncryptedList};
-use pprox_core::resilience::{Deadline, ResilienceConfig};
+use pprox_core::resilience::{CircuitBreaker, Deadline, ResilienceConfig};
 use pprox_core::shuffler::ShuffleConfig;
 use pprox_core::telemetry::{Telemetry, TelemetryConfig};
 use pprox_core::ua::UaState;
@@ -190,6 +192,23 @@ impl ClusterConfig {
 /// for liveness probing and readmission bookkeeping.
 type TierSlots = Arc<Mutex<Vec<Option<WireServer>>>>;
 
+/// Whether the instance in a slot can still serve: it is there, and its
+/// service has what it needs (a proxy node, its enclave).
+fn slot_healthy(servers: &TierSlots, index: usize) -> bool {
+    servers.lock()[index]
+        .as_ref()
+        .is_some_and(WireServer::healthy)
+}
+
+/// Puts a respawned instance into its slot and hands back the one it
+/// replaces — still listening if it was replaced for a crashed enclave —
+/// for the caller to drop (a graceful shutdown) once the upstream rings
+/// point at the new address.
+#[must_use]
+fn install(servers: &TierSlots, index: usize, server: WireServer) -> Option<WireServer> {
+    servers.lock()[index].replace(server)
+}
+
 /// A running loopback deployment of the full chain.
 pub struct LoopbackCluster {
     config: ClusterConfig,
@@ -209,6 +228,9 @@ pub struct LoopbackCluster {
     ua_ia_balancers: Vec<Arc<SocketBalancer>>,
     /// Per-IA ring into the LRS tier.
     ia_lrs_balancers: Vec<Arc<SocketBalancer>>,
+    /// Per-IA circuit breaker on the LRS tier, of the slot's current
+    /// incarnation (a respawned instance starts with a closed one).
+    ia_breakers: Arc<Mutex<Vec<Arc<CircuitBreaker>>>>,
     /// Pseudonym→shard router shared by the IA tier (`None` unless
     /// `config.lrs_sharded`). Shared state: survives IA respawns, so its
     /// per-shard aggregates span the deployment's lifetime.
@@ -334,6 +356,7 @@ impl LoopbackCluster {
         // IA tier: per-instance enclave, breaker, and LRS uplink.
         let mut ia_servers = Vec::new();
         let mut ia_lrs_balancers = Vec::new();
+        let mut ia_breakers = Vec::new();
         let mut ia_metrics = Vec::new();
         for i in 0..config.ia_instances {
             let metrics = node_metrics("ia", i);
@@ -346,7 +369,7 @@ impl LoopbackCluster {
                 config.seed ^ (0x1a00 + i as u64),
             ));
             metrics.attach_uplink(lrs_balancer.clone());
-            let service: Arc<dyn Service> = Arc::new(IaWireService::new(
+            let service = Arc::new(IaWireService::new(
                 enclave,
                 lrs_balancer.clone(),
                 shard_router.clone(),
@@ -355,6 +378,7 @@ impl LoopbackCluster {
                 telemetry.clone(),
                 config.seed ^ (0x1a10 + i as u64),
             ));
+            ia_breakers.push(service.breaker());
             ia_servers.push(Some(
                 WireServer::spawn(service, with_metrics(&config.server, &metrics))
                     .map_err(spawn_err)?,
@@ -441,6 +465,7 @@ impl LoopbackCluster {
             lrs_addrs,
             ua_ia_balancers,
             ia_lrs_balancers,
+            ia_breakers: Arc::new(Mutex::new(ia_breakers)),
             shard_router,
             linkage_audits,
             ua_metrics,
@@ -469,6 +494,10 @@ impl LoopbackCluster {
                 tier: "lrs",
                 index: i,
                 addr: addr.clone(),
+                healthy: {
+                    let servers = self.lrs_servers.clone();
+                    Box::new(move || slot_healthy(&servers, i))
+                },
                 respawn: self.lrs_respawn(i),
                 metrics: Some(self.lrs_metrics[i].clone()),
             });
@@ -478,6 +507,10 @@ impl LoopbackCluster {
                 tier: "ia",
                 index: i,
                 addr: addr.clone(),
+                healthy: {
+                    let servers = self.ia_servers.clone();
+                    Box::new(move || slot_healthy(&servers, i))
+                },
                 respawn: self.ia_respawn(i),
                 metrics: Some(self.ia_metrics[i].clone()),
             });
@@ -487,6 +520,10 @@ impl LoopbackCluster {
                 tier: "ua",
                 index: i,
                 addr: addr.clone(),
+                healthy: {
+                    let servers = self.ua_servers.clone();
+                    Box::new(move || slot_healthy(&servers, i))
+                },
                 respawn: self.ua_respawn(i),
                 metrics: Some(self.ua_metrics[i].clone()),
             });
@@ -516,10 +553,11 @@ impl LoopbackCluster {
             let service: Arc<dyn Service> = Arc::new(LrsWireService::new(instance.handler));
             let server = WireServer::spawn(service, server_cfg.clone()).ok()?;
             let addr = server.local_addr();
-            servers.lock()[index] = Some(server);
+            let replaced = install(&servers, index, server);
             for ring in &ia_rings {
                 ring.replace_backend(index, addr);
             }
+            drop(replaced);
             Some(addr)
         })
     }
@@ -540,10 +578,11 @@ impl LoopbackCluster {
         let resilience = self.config.resilience.clone();
         let seed = self.config.seed ^ (0x1a10 + index as u64);
         let router = self.shard_router.clone();
+        let breakers = self.ia_breakers.clone();
         Box::new(move || {
             let enclave = platform.load_enclave::<IaState>(IA_CODE_IDENTITY);
             provisioner.provision_ia(&platform, &enclave).ok()?;
-            let service: Arc<dyn Service> = Arc::new(IaWireService::new(
+            let service = Arc::new(IaWireService::new(
                 enclave,
                 lrs_balancer.clone(),
                 router.clone(),
@@ -552,12 +591,14 @@ impl LoopbackCluster {
                 telemetry.clone(),
                 seed,
             ));
+            breakers.lock()[index] = service.breaker();
             let server = WireServer::spawn(service, server_cfg.clone()).ok()?;
             let addr = server.local_addr();
-            servers.lock()[index] = Some(server);
+            let replaced = install(&servers, index, server);
             for ring in &ua_rings {
                 ring.replace_backend(index, addr);
             }
+            drop(replaced);
             Some(addr)
         })
     }
@@ -591,8 +632,9 @@ impl LoopbackCluster {
             ));
             let server = WireServer::spawn(service, server_cfg.clone()).ok()?;
             let addr = server.local_addr();
-            servers.lock()[index] = Some(server);
+            let replaced = install(&servers, index, server);
             frontend.replace_backend(index, addr);
+            drop(replaced);
             Some(addr)
         })
     }
@@ -612,6 +654,12 @@ impl LoopbackCluster {
     /// The chain-wide telemetry sink (stage histograms).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
+    }
+
+    /// The simulated SGX platform hosting the proxy layers' enclaves —
+    /// the fault drills' crash-injection handle.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
     }
 
     /// The shared pseudonym→shard router, when the LRS tier is sharded.
@@ -699,6 +747,16 @@ impl LoopbackCluster {
             .map(WireServer::stats)
     }
 
+    /// One IA instance's circuit breaker on the LRS tier: its state, how
+    /// often it opened, how many calls it shed.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of range.
+    pub fn ia_breaker(&self, index: usize) -> Arc<CircuitBreaker> {
+        self.ia_breakers.lock()[index].clone()
+    }
+
     /// Reroutes one UA instance's uplink ring through interposed
     /// addresses (the scenario harness's recording taps): backend `j` of
     /// that UA's IA ring is replaced by `addrs[j]`. The tap processes
@@ -738,19 +796,26 @@ impl LoopbackCluster {
         events
     }
 
-    /// Blocks until every instance of every tier answers a TCP probe, or
-    /// `timeout` elapses. Returns whether the chain is fully up — the
-    /// post-kill barrier for recovery drills.
+    /// Blocks until every instance of every tier passes the supervisor's
+    /// probe (it is in its slot with what it needs to serve, and answers
+    /// a TCP connect), or `timeout` elapses. Returns whether the chain is
+    /// fully up — the post-kill barrier for recovery drills.
     pub fn wait_ready(&self, timeout: Duration) -> bool {
         let end = Instant::now() + timeout;
         let probe = Duration::from_millis(150);
         loop {
-            let all_up = self
-                .lrs_addrs
-                .iter()
-                .chain(&self.ia_addrs)
-                .chain(&self.ua_addrs)
-                .all(|a| is_alive(*a.lock(), probe));
+            let all_up = [
+                (&self.lrs_servers, &self.lrs_addrs),
+                (&self.ia_servers, &self.ia_addrs),
+                (&self.ua_servers, &self.ua_addrs),
+            ]
+            .iter()
+            .all(|(servers, addrs)| {
+                addrs
+                    .iter()
+                    .enumerate()
+                    .all(|(i, addr)| slot_healthy(servers, i) && is_alive(*addr.lock(), probe))
+            });
             if all_up {
                 return true;
             }

@@ -1,10 +1,15 @@
-//! `pprox-wire`: the real loopback-TCP transport for the PProx chain.
+//! `pprox-wire`: the PProx chain as it serves — UA, IA and LRS nodes
+//! behind loopback TCP.
 //!
-//! Everything else in this workspace exercises the UA→IA→LRS chain either
-//! in-process ([`pprox_core::pipeline`]) or inside a discrete-event
-//! simulator (`pprox-net`). This crate puts the chain behind actual
-//! sockets, built on `std::net` only (the build environment has no
-//! registry, hence no async runtime):
+//! This crate is the one concurrent request path of the workspace (§5 of
+//! the paper: a server part that shuffles, workers at the enclave,
+//! something restarting what dies). The synchronous
+//! [`pprox_core::proxy::PProxDeployment`] runs the same layer transforms
+//! with nothing around them, as the differential oracle; `pprox-net` is a
+//! discrete-event simulator for the figure harnesses. Loopback TCP is
+//! also the in-process transport: there is no second, in-memory one.
+//! Built on `std::net` only (the build environment has no registry,
+//! hence no async runtime):
 //!
 //! * [`frame`] — the versioned, length-prefixed binary codec with
 //!   constant-size padding classes (§4.3: on-wire frames of a class are
@@ -36,17 +41,19 @@
 //!   (no arrival-timestamped spans).
 //! * [`cluster`] — the loopback harness: launches 1–4 real server
 //!   instances per layer on `127.0.0.1` and wires them into a full
-//!   chain; `bin/cluster` drives it with the `pprox-workload` generator
-//!   and emits `results/BENCH_wire.json`.
+//!   chain. The repo's benchmark (`benchmark/`), the scenario harness,
+//!   the fault drills and the report binaries all drive this.
 //! * [`scrape`] — the cluster observability plane: every node answers a
 //!   padded `Control`-class metrics scrape over the same frame protocol
 //!   (wire-indistinguishable from other control traffic), and
 //!   [`scrape::ClusterScraper`] merges per-node snapshots into one
 //!   validated [`pprox_core::telemetry::export::TelemetryReport`].
 //! * [`supervisor`] — the kill/respawn loop: probes each instance's
-//!   listener, rebuilds dead ones (a durable LRS unseals and replays
-//!   from disk), and readmits them to the balancer rings — the loopback
-//!   stand-in for the paper's Kubernetes ReplicaSet + Service pair.
+//!   listener and, behind it, the node's enclave; rebuilds dead ones (a
+//!   proxy node loads and re-attests a fresh enclave, a durable LRS
+//!   unseals and replays from disk), and readmits them to the balancer
+//!   rings — the loopback stand-in for the paper's Kubernetes ReplicaSet
+//!   + Service pair.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -47,8 +47,7 @@
 //! requests in flight, and the worker queue is a bounded channel. A
 //! request that fails either bound is answered *immediately* with a
 //! constant-size `busy` control frame — never an unbounded queue, never
-//! a silent drop (§5's "fast, typed errors" discipline, same as the
-//! in-process pipeline). A peer that stops reading its replies costs the
+//! a silent drop (§5's "fast, typed errors" discipline). A peer that stops reading its replies costs the
 //! thread completing a request one write timeout, after which its
 //! connection is cut.
 //!
@@ -88,6 +87,14 @@ pub trait Service: Send + Sync + 'static {
     /// buffers (the UA shuffle stage) release them here so they are
     /// *answered*, not dropped, on exit. The default does nothing.
     fn drain(&self) {}
+
+    /// Whether the service still has what it needs to serve. A listener
+    /// that accepts says nothing about a proxy node whose enclave has
+    /// crashed: the supervisor asks here too, and respawns a node that
+    /// answers `false`. The default — nothing to lose — is `true`.
+    fn healthy(&self) -> bool {
+        true
+    }
 }
 
 /// A [`Service`] that never waits: the request is answered with what
@@ -463,6 +470,11 @@ impl WireServer {
     /// Requests admitted and not yet answered.
     pub fn in_flight(&self) -> usize {
         self.shared.gate.in_flight()
+    }
+
+    /// See [`Service::healthy`].
+    pub fn healthy(&self) -> bool {
+        self.service.healthy()
     }
 
     /// The node metrics hub this server reports into (and serves over

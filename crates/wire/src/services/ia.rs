@@ -4,8 +4,7 @@
 //! enclave ECALLs, and talks to the LRS tier over the wire through a
 //! [`SocketBalancer`] under the full §5 resilience policy — circuit
 //! breaker, per-attempt timeouts clamped to the request deadline, and
-//! decorrelated-jitter retries — mirroring the in-process pipeline's
-//! `call_lrs_resilient`.
+//! decorrelated-jitter retries ([`LrsCall`], the one implementation).
 //!
 //! No thread waits — not for the LRS, not for the enclave. A server
 //! worker takes a turn at the enclave ([`Turns`]: if another thread is
@@ -86,7 +85,7 @@ struct IaNode {
     lrs: Arc<SocketBalancer>,
     router: Option<Arc<ShardRouter>>,
     options: IaOptions,
-    breaker: CircuitBreaker,
+    breaker: Arc<CircuitBreaker>,
     resilience: ResilienceConfig,
     telemetry: Arc<Telemetry>,
     backoff_salt: AtomicU64,
@@ -117,12 +116,18 @@ impl IaWireService {
                 lrs,
                 router,
                 options,
-                breaker: CircuitBreaker::from_config(&resilience),
+                breaker: Arc::new(CircuitBreaker::from_config(&resilience)),
                 resilience,
                 telemetry,
                 backoff_salt: AtomicU64::new(seed | 1),
             }),
         }
+    }
+
+    /// This instance's breaker on the LRS tier (state, times opened,
+    /// calls shed), for whoever watches the node from outside.
+    pub fn breaker(&self) -> Arc<CircuitBreaker> {
+        self.node.breaker.clone()
     }
 }
 
@@ -460,6 +465,12 @@ fn status_of_core(e: pprox_core::PProxError) -> WireStatus {
 }
 
 impl Service for IaWireService {
+    /// A crashed enclave cannot be revived, only replaced: the node is
+    /// dead and the supervisor respawns it with a fresh one.
+    fn healthy(&self) -> bool {
+        !self.node.enclave.is_crashed()
+    }
+
     fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
         let envelope = match LayerEnvelope::from_frame(&payload) {
             Ok(envelope) => envelope,

@@ -310,10 +310,9 @@ impl ShuffleStage {
     }
 }
 
-/// A flush thread's loop (mirrors the in-process pipeline's
-/// `shuffle_server`, minus span export): honor the buffer's flush timer,
-/// record each item's dwell into the stage histogram, forward in the
-/// buffer's randomized order.
+/// A flush thread's loop — the one shuffle loop there is: honor the
+/// buffer's flush timer, record each item's dwell into the stage
+/// histogram (never a span), forward in the buffer's randomized order.
 ///
 /// The thread waits on its channel and nothing else: without a deadline
 /// while the buffer is empty, until the flush deadline otherwise. It is
@@ -504,6 +503,12 @@ impl Service for UaWireService {
         if let Some(stage) = &self.node.shuffle {
             stage.kick();
         }
+    }
+
+    /// A crashed enclave cannot be revived, only replaced: the node is
+    /// dead and the supervisor respawns it with a fresh one.
+    fn healthy(&self) -> bool {
+        !self.node.enclave.is_crashed()
     }
 
     fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {

@@ -4,9 +4,11 @@
 //! The paper's deployment leans on Kubernetes for this loop — a killed
 //! proxy pod is restarted by its ReplicaSet and readmitted by the
 //! Service's endpoint controller. This module is the loopback cluster's
-//! stand-in: a monitor thread probes each watched instance's TCP
-//! listener at a fixed interval; when a probe fails it runs the slot's
-//! respawn closure (rebuild the service — for a durable LRS that means
+//! stand-in: a monitor thread probes each watched instance at a fixed
+//! interval — its TCP listener, and what a listener cannot show: whether
+//! the node behind it still has its enclave (a crashed enclave cannot be
+//! revived, so its node is as dead as a killed one). When a probe fails
+//! it runs the slot's respawn closure (rebuild the service — for a durable LRS that means
 //! *unseal and replay from disk* — spawn a fresh [`crate::WireServer`],
 //! swap the new address into every upstream
 //! [`crate::SocketBalancer`] ring) and records the event.
@@ -43,6 +45,9 @@ pub struct WatchedSlot {
     /// The instance's current address; the supervisor updates it after a
     /// successful respawn.
     pub addr: Arc<Mutex<SocketAddr>>,
+    /// Whether the instance behind a listener that accepts can still
+    /// serve (see [`crate::server::Service::healthy`]).
+    pub healthy: Box<dyn Fn() -> bool + Send + Sync>,
     /// Rebuilds the instance (service + server + balancer readmission).
     pub respawn: RespawnFn,
     /// The node's metrics hub, when the slot is observable: the
@@ -115,7 +120,7 @@ impl Supervisor {
                             return;
                         }
                         let current = *slot.addr.lock();
-                        if is_alive(current, config.probe_timeout) {
+                        if (slot.healthy)() && is_alive(current, config.probe_timeout) {
                             continue;
                         }
                         if let Some(metrics) = &slot.metrics {
@@ -222,6 +227,7 @@ mod tests {
                 tier: "echo",
                 index: 0,
                 addr: addr.clone(),
+                healthy: Box::new(|| true),
                 respawn,
                 metrics: Some(metrics.clone()),
             }],
@@ -247,6 +253,43 @@ mod tests {
             metrics.probe_failures() >= 1,
             "failed probe must reach the node metrics"
         );
+        sup.stop();
+    }
+
+    #[test]
+    fn listening_but_unhealthy_instance_is_respawned() {
+        // The listener keeps accepting throughout: only the slot's own
+        // health report (a crashed enclave, in the cluster) condemns it.
+        let server = WireServer::spawn(Arc::new(Echo), ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let healthy = Arc::new(AtomicBool::new(true));
+        let mut sup = Supervisor::spawn(
+            SupervisorConfig::default(),
+            vec![WatchedSlot {
+                tier: "echo",
+                index: 0,
+                addr: Arc::new(Mutex::new(addr)),
+                healthy: {
+                    let healthy = healthy.clone();
+                    Box::new(move || healthy.load(Ordering::Acquire))
+                },
+                respawn: {
+                    let healthy = healthy.clone();
+                    Box::new(move || {
+                        healthy.store(true, Ordering::Release);
+                        Some(addr)
+                    })
+                },
+                metrics: None,
+            }],
+        );
+        assert_eq!(sup.respawns(), 0, "healthy instance is left alone");
+        healthy.store(false, Ordering::Release);
+        assert!(
+            wait_until(Duration::from_secs(5), || sup.respawns() == 1),
+            "an unhealthy instance must be respawned while it still listens"
+        );
+        assert!(is_alive(addr, Duration::from_millis(200)));
         sup.stop();
     }
 
@@ -279,6 +322,7 @@ mod tests {
                 tier: "echo",
                 index: 0,
                 addr: Arc::new(Mutex::new(dead)),
+                healthy: Box::new(|| true),
                 respawn,
                 metrics: None,
             }],

@@ -1,6 +1,6 @@
 //! MovieLens-scale scenario: the paper's two-phase evaluation workload
-//! (§8) at 1/64 scale, through the multi-threaded pipeline with live
-//! request/response shuffling.
+//! (§8) at 1/64 scale, through the serving chain (UA → IA → LRS over
+//! loopback TCP) with live request/response shuffling.
 //!
 //! Run with `cargo run --example movie_recommendations --release`.
 //!
@@ -10,14 +10,52 @@
 //! recommendations through PProx are the same items an unprotected
 //! deployment would return.
 
-use pprox::core::config::PProxConfig;
-use pprox::core::pipeline::{Completion, CompletionReceiver, PProxPipeline};
-use pprox::core::resilience::ResilienceConfig;
+use pprox::core::resilience::Deadline;
 use pprox::core::shuffler::ShuffleConfig;
+use pprox::core::UserClient;
 use pprox::lrs::shard::ShardEngine;
+use pprox::wire::{ClusterConfig, LoopbackCluster};
 use pprox::workload::dataset::Dataset;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Applications in flight at once: each is a thread with its own
+/// user-side library, sending its next request when the last is answered.
+const CLIENTS: usize = 32;
+
+/// Shares `jobs` among the clients (each takes the next one not yet
+/// taken) and returns how many `work` reported done, and what they
+/// summed to.
+fn drive<J: Sync>(
+    clients: &mut [UserClient],
+    jobs: &[J],
+    work: impl Fn(&mut UserClient, &J) -> Option<usize> + Sync,
+) -> (usize, usize) {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (next, work) = (&next, &work);
+        let handles: Vec<_> = clients
+            .iter_mut()
+            .map(|client| {
+                scope.spawn(move || {
+                    let (mut done, mut sum) = (0, 0);
+                    while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        if let Some(n) = work(client, job) {
+                            done += 1;
+                            sum += n;
+                        }
+                    }
+                    (done, sum)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread must not panic"))
+            .fold((0, 0), |(d, s), (done, sum)| (d + done, s + sum))
+    })
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = Dataset::small(2026);
@@ -29,54 +67,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let engine = Arc::new(ShardEngine::new());
-    let config = PProxConfig {
+    let config = ClusterConfig {
         shuffle: ShuffleConfig {
             size: 10,
             timeout_us: 50_000,
         },
-        resilience: ResilienceConfig {
-            // Batch injection keeps deep queues; the default 2 s
-            // interactive deadline would expire queued requests, so give
-            // each a budget sized for the whole load phase.
-            deadline: Duration::from_secs(60),
-            ..ResilienceConfig::default()
-        },
-        ..PProxConfig::default()
+        modulus_bits: pprox::crypto::rsa::DEFAULT_MODULUS_BITS,
+        seed: 7,
+        ..ClusterConfig::default()
     };
-    let pipeline = PProxPipeline::new(config, engine.clone(), 7, 4)?;
-    let mut client = pipeline.client();
+    let mut cluster = LoopbackCluster::launch(config, engine.clone())?;
+    let mut clients: Vec<_> = (0..CLIENTS).map(|_| cluster.client()).collect();
+    let budget = || Deadline::starting_now(Duration::from_secs(10));
 
-    // Phase 1: inject feedback through the shuffled pipeline. The
-    // pipeline bounds its in-flight work (admission control rejects with
-    // `Overloaded` beyond `resilience.max_inflight`), so a bulk loader
-    // keeps a submission window below the bound and drains completions
-    // as it goes instead of firing everything at once.
+    // Phase 1: inject feedback through the shuffled chain. Each node
+    // bounds its in-flight work (admission control answers `busy` beyond
+    // `server.max_inflight`); 32 closed-loop clients stay far below it
+    // and still keep the shuffle buffers filling by count.
     let t = Instant::now();
     let inject = 2_000.min(dataset.ratings.len());
-    let window = 512;
-    let mut pending: std::collections::VecDeque<CompletionReceiver> =
-        std::collections::VecDeque::with_capacity(window);
-    let mut ok = 0;
-    for r in &dataset.ratings[..inject] {
-        if pending.len() >= window {
-            if let Some(rx) = pending.pop_front() {
-                if matches!(rx.recv()?, Completion::Post(Ok(()))) {
-                    ok += 1;
-                }
-            }
-        }
-        let envelope = client.post(
-            &Dataset::user_id(r.user),
-            &Dataset::item_id(r.item),
-            Some(r.rating),
-        )?;
-        pending.push_back(pipeline.submit(envelope)?);
-    }
-    for rx in pending {
-        if matches!(rx.recv()?, Completion::Post(Ok(()))) {
-            ok += 1;
-        }
-    }
+    let (ok, _) = drive(&mut clients, &dataset.ratings[..inject], |client, r| {
+        let envelope = client
+            .post(
+                &Dataset::user_id(r.user),
+                &Dataset::item_id(r.item),
+                Some(r.rating),
+            )
+            .ok()?;
+        cluster.send_post(&envelope, budget()).ok().map(|()| 0)
+    });
     println!(
         "phase 1: {ok}/{inject} feedback insertions in {:?} (S=10 shuffling on)",
         t.elapsed()
@@ -89,31 +108,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let interactions = engine.model_stats().interactions;
     println!("trained CCO model on {interactions} interactions");
 
-    // Phase 2: collect recommendations for active users. Queries are
-    // submitted concurrently — with requests in flight the shuffle
-    // buffers fill by count instead of waiting out their timers.
+    // Phase 2: collect recommendations for active users, concurrently —
+    // with requests in flight the shuffle buffers fill by count instead
+    // of waiting out their timers.
     let t = Instant::now();
-    let mut answered = 0;
-    let mut total_items = 0;
     let users: Vec<u32> = dataset.ratings.iter().map(|r| r.user).take(200).collect();
-    let mut in_flight = Vec::with_capacity(users.len());
-    for user in &users {
-        let (envelope, ticket) = client.get(&Dataset::user_id(*user))?;
-        in_flight.push((ticket, pipeline.submit(envelope)?));
-    }
-    for (ticket, rx) in in_flight {
-        if let Completion::Get(Ok(list)) = rx.recv()? {
-            let items = client.open_response(&ticket, &list)?;
-            answered += 1;
-            total_items += items.len();
-        }
-    }
+    let (answered, total_items) = drive(&mut clients, &users, |client, user| {
+        let (envelope, ticket) = client.get(&Dataset::user_id(*user)).ok()?;
+        let list = cluster.send_get(&envelope, budget()).ok()?;
+        Some(client.open_response(&ticket, &list).ok()?.len())
+    });
     println!(
         "phase 2: {answered}/200 queries answered in {:?}, {:.1} items/list on average",
         t.elapsed(),
         total_items as f64 / answered.max(1) as f64
     );
-    pipeline.shutdown();
+    cluster.shutdown();
 
     // Transparency check (§8: "Recommendations are strictly the same as
     // when using UR in Harness directly"): rebuild an unprotected engine

@@ -23,7 +23,7 @@ OUT="${1:-/tmp/pprox_bench_smoke.json}"
 for bits in 1152 2048; do
     echo "== throughput smoke run ($bits-bit keys) =="
     cargo run --release -q -p pprox-bench --bin throughput -- \
-        --rsa-ops 8 --det-ops 2000 --requests 64 --modulus-bits "$bits" \
+        --rsa-ops 8 --det-ops 2000 --modulus-bits "$bits" \
         --out "$OUT" >/dev/null
 
     echo "== validate emitted JSON =="

@@ -65,22 +65,12 @@ CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
 echo "== bench smoke =="
 ./scripts/bench.sh
 
-echo "== wire loopback smoke =="
-WIRE_DIR="$(mktemp -d)"
-trap 'rm -rf "$WIRE_DIR" "$ANALYSIS_DIR"' EXIT
-cargo run --release -q -p pprox-wire --bin cluster -- \
-    --instances 2 --requests 60 --clients 4 --no-baseline \
-    --out "$WIRE_DIR/BENCH_wire.json" >/dev/null
-cargo run --release -q -p pprox-wire --bin cluster -- \
-    --validate "$WIRE_DIR/BENCH_wire.json"
-
-echo "== validate committed wire benchmark =="
-cargo run --release -q -p pprox-wire --bin cluster -- \
-    --validate results/BENCH_wire.json
+echo "== fault drills on the serving chain (every acceptance check must PASS) =="
+cargo run --release -q -p pprox-bench --bin resilience_report >/dev/null
 
 echo "== recovery drill (kill -9 the LRS layer, replay, audit) =="
 RECOVERY_DIR="$(mktemp -d)"
-trap 'rm -rf "$RECOVERY_DIR" "$WIRE_DIR" "$ANALYSIS_DIR"' EXIT
+trap 'rm -rf "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
 cargo run --release -q -p pprox-bench --bin recovery_report -- \
     --events 120 --out "$RECOVERY_DIR/BENCH_recovery.json" >/dev/null
 cargo run --release -q -p pprox-bench --bin recovery_report -- \
@@ -92,7 +82,7 @@ cargo run --release -q -p pprox-bench --bin recovery_report -- \
 
 echo "== telemetry export smoke =="
 TELEMETRY_DIR="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_DIR" "$RECOVERY_DIR" "$WIRE_DIR" "$ANALYSIS_DIR"' EXIT
+trap 'rm -rf "$TELEMETRY_DIR" "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
 cargo run --release -q -p pprox-bench --bin telemetry_export -- \
     --requests 96 --shuffle-size 4 --out-dir "$TELEMETRY_DIR" >/dev/null
 cargo run --release -q -p pprox-bench --bin telemetry_export -- \
@@ -103,7 +93,7 @@ cargo run --release -q -p pprox-bench --bin telemetry_export -- --validate resul
 
 echo "== scenario smoke (measured unlinkability + seeded ablation) =="
 SCENARIO_DIR="$(mktemp -d)"
-trap 'rm -rf "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$WIRE_DIR" "$ANALYSIS_DIR"' EXIT
+trap 'rm -rf "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
 cargo run --release -q -p pprox-bench --bin scenario_report -- \
     --smoke --out "$SCENARIO_DIR/BENCH_scenarios.json" >/dev/null
 cargo run --release -q -p pprox-bench --bin scenario_report -- \
@@ -115,7 +105,7 @@ cargo run --release -q -p pprox-bench --bin scenario_report -- \
 
 echo "== observability smoke (scrape plane, audits, pressure timelines) =="
 OBS_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$WIRE_DIR" "$ANALYSIS_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
 cargo run --release -q -p pprox-bench --bin observability_report -- \
     --smoke --out "$OBS_DIR/BENCH_observability.json" >/dev/null
 cargo run --release -q -p pprox-bench --bin observability_report -- \
@@ -127,7 +117,7 @@ cargo run --release -q -p pprox-bench --bin observability_report -- \
 
 echo "== sharding smoke (scaling curve + incremental/batch differential) =="
 SHARD_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$OBS_DIR" "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$WIRE_DIR" "$ANALYSIS_DIR"' EXIT
+trap 'rm -rf "$SHARD_DIR" "$OBS_DIR" "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
 cargo run --release -q -p pprox-bench --bin shard_report -- \
     --smoke --out "$SHARD_DIR/BENCH_sharding.json" >/dev/null
 cargo run --release -q -p pprox-bench --bin shard_report -- \

@@ -1,6 +1,6 @@
 //! Offline stand-in for `crossbeam`.
 //!
-//! Provides the [`channel`] module used by the pipeline: multi-producer
+//! Provides the [`channel`] module used by the wire servers: multi-producer
 //! multi-consumer channels with bounded and unbounded flavors, blocking
 //! and timeout receives, and crossbeam's disconnect semantics (a `recv`
 //! on an empty channel whose senders are all gone fails; a `send` fails

@@ -7,7 +7,8 @@
 //!
 //! * [`core`] (`pprox-core`) — the paper's contribution: the two-layer
 //!   (User Anonymizer / Item Anonymizer) proxy service, user-side library,
-//!   shuffling, and both synchronous and multi-threaded deployments.
+//!   shuffle buffer, resilience primitives, and the synchronous
+//!   `PProxDeployment` (the differential oracle for the serving chain).
 //! * [`crypto`] (`pprox-crypto`) — RSA-OAEP, AES-256-CTR (deterministic
 //!   and randomized), SHA-256/HMAC, base64 and constant-size padding,
 //!   implemented from scratch and validated against standard test vectors.
@@ -27,10 +28,11 @@
 //!   open-loop injection schedules, candlestick statistics.
 //! * [`attack`] (`pprox-attack`) — the executable §6 security analysis:
 //!   traffic correlation, enclave compromise cases, history attacks.
-//! * [`wire`] (`pprox-wire`) — the real loopback-TCP transport: framed
-//!   codec with constant-size padding classes, non-blocking server,
-//!   pipelined clients, socket load balancing, and the `bin/cluster`
-//!   harness running the full chain over sockets.
+//! * [`wire`] (`pprox-wire`) — the one concurrent request path: UA, IA
+//!   and LRS nodes over loopback TCP (framed codec with constant-size
+//!   padding classes, event-driven server, pipelined clients, socket load
+//!   balancing, shuffle stages, breaker and retries, supervised respawn)
+//!   behind `LoopbackCluster`.
 //! * [`scenario`] (`pprox-scenario`) — topology-driven cluster
 //!   scenarios (diurnal ramps, flash crowds, churn, WAN latency,
 //!   slow-loris, Busy-shed abuse) plus the wire-tap traffic-analysis

@@ -1,31 +1,42 @@
 //! Integration test: the paper's two-phase protocol through the live
-//! multi-threaded pipeline, with shuffling on and concurrent clients.
+//! chain (UA → IA → LRS over loopback TCP), with shuffling on and
+//! concurrent clients.
 
-use pprox::core::config::PProxConfig;
-use pprox::core::pipeline::{Completion, PProxPipeline};
+mod common;
+
+use common::concurrently;
+use pprox::core::resilience::Deadline;
 use pprox::core::shuffler::ShuffleConfig;
+use pprox::core::PProxError;
 use pprox::lrs::shard::ShardEngine;
 use pprox::lrs::MAX_RECOMMENDATIONS;
+use pprox::wire::{ClusterConfig, LoopbackCluster};
 use pprox::workload::dataset::Dataset;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn pipeline(engine: &Arc<ShardEngine>, shuffle: ShuffleConfig, instances: usize) -> PProxPipeline {
-    let config = PProxConfig {
+fn budget() -> Deadline {
+    Deadline::starting_now(Duration::from_secs(30))
+}
+
+fn cluster(engine: &Arc<ShardEngine>, shuffle: ShuffleConfig, instances: usize) -> LoopbackCluster {
+    let config = ClusterConfig {
         shuffle,
         ua_instances: instances,
         ia_instances: instances,
-        modulus_bits: 1152,
-        ..PProxConfig::default()
+        seed: 0xe2e,
+        ..ClusterConfig::default()
     };
-    PProxPipeline::new(config, engine.clone(), 0xe2e, 2 * instances).unwrap()
+    let cluster = LoopbackCluster::launch(config, engine.clone()).unwrap();
+    assert!(cluster.wait_ready(Duration::from_secs(10)));
+    cluster
 }
 
 #[test]
 fn two_phase_workload_through_shuffled_pipeline() {
     let dataset = Dataset::generate(30, 50, 400, 0xe2e);
     let engine = Arc::new(ShardEngine::new());
-    let p = pipeline(
+    let mut cluster = cluster(
         &engine,
         ShuffleConfig {
             size: 10,
@@ -33,73 +44,52 @@ fn two_phase_workload_through_shuffled_pipeline() {
         },
         2,
     );
-    let mut client = p.client();
+    // Enough clients in flight that buffers fill as well as time out.
+    let mut clients: Vec<_> = (0..20).map(|_| cluster.client()).collect();
+    let cluster = &cluster;
 
     // Phase 1: feedback.
-    let mut pending = Vec::new();
-    for r in &dataset.ratings {
-        let env = client
-            .post(
-                &Dataset::user_id(r.user),
-                &Dataset::item_id(r.item),
-                Some(r.rating),
-            )
-            .unwrap();
-        pending.push(p.submit(env).unwrap());
-    }
-    for rx in pending {
-        match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-            Completion::Post(Ok(())) => {}
-            other => panic!("post failed: {other:?}"),
-        }
+    let posts = concurrently(&mut clients, dataset.ratings.len(), |client, k| {
+        let r = &dataset.ratings[k];
+        let env = client.post(
+            &Dataset::user_id(r.user),
+            &Dataset::item_id(r.item),
+            Some(r.rating),
+        )?;
+        cluster.send_post(&env, budget())
+    });
+    for (k, result) in posts.iter().enumerate() {
+        assert!(result.is_ok(), "post {k} failed: {result:?}");
     }
     assert_eq!(engine.gauges().events, 400);
     engine.sync();
 
     // Phase 2: concurrent gets.
-    let mut in_flight = Vec::new();
-    for r in dataset.ratings.iter().take(60) {
-        let (env, ticket) = client.get(&Dataset::user_id(r.user)).unwrap();
-        in_flight.push((ticket, p.submit(env).unwrap()));
+    let gets = concurrently(&mut clients, 60, |client, k| {
+        let (env, ticket) = client.get(&Dataset::user_id(dataset.ratings[k].user))?;
+        let list = cluster.send_get(&env, budget())?;
+        client.open_response(&ticket, &list)
+    });
+    for (k, result) in gets.iter().enumerate() {
+        let items = result
+            .as_ref()
+            .unwrap_or_else(|e| panic!("get {k} failed: {e:?}"));
+        assert!(items.len() <= MAX_RECOMMENDATIONS);
     }
-    let mut answered = 0;
-    for (ticket, rx) in in_flight {
-        match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-            Completion::Get(Ok(list)) => {
-                let items = client.open_response(&ticket, &list).unwrap();
-                assert!(items.len() <= MAX_RECOMMENDATIONS);
-                answered += 1;
-            }
-            other => panic!("get failed: {other:?}"),
-        }
-    }
-    assert_eq!(answered, 60);
-    p.shutdown();
 }
 
 #[test]
 fn concurrent_clients_share_the_pipeline() {
     let engine = Arc::new(ShardEngine::new());
-    let p = Arc::new(pipeline(&engine, ShuffleConfig::disabled(), 1));
-    let mut handles = Vec::new();
-    for t in 0..4 {
-        let p = p.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut client = p.client();
-            for i in 0..25 {
-                let env = client
-                    .post(&format!("t{t}-u{i}"), &format!("item-{i}"), None)
-                    .unwrap();
-                let rx = p.submit(env).unwrap();
-                match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-                    Completion::Post(Ok(())) => {}
-                    other => panic!("post failed: {other:?}"),
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
+    let mut cluster = cluster(&engine, ShuffleConfig::disabled(), 1);
+    let mut clients: Vec<_> = (0..4).map(|_| cluster.client()).collect();
+    let cluster = &cluster;
+    let posts = concurrently(&mut clients, 100, |client, k| {
+        let env = client.post(&format!("u{k}"), &format!("item-{}", k / 4), None)?;
+        cluster.send_post(&env, budget())
+    });
+    for (k, result) in posts.iter().enumerate() {
+        assert!(result.is_ok(), "post {k} failed: {result:?}");
     }
     assert_eq!(engine.gauges().events, 100);
 }
@@ -107,24 +97,21 @@ fn concurrent_clients_share_the_pipeline() {
 #[test]
 fn pipeline_rejects_garbage_but_keeps_serving() {
     let engine = Arc::new(ShardEngine::new());
-    let p = pipeline(&engine, ShuffleConfig::disabled(), 1);
-    let mut client = p.client();
+    let mut cluster = cluster(&engine, ShuffleConfig::disabled(), 1);
+    let mut client = cluster.client();
 
-    // A corrupted envelope fails cleanly...
+    // A corrupted envelope fails cleanly: the UA cannot decrypt it and
+    // answers `failed` (definitive, so nothing retries it)...
     let mut envelope = client.post("u", "i", None).unwrap();
     envelope.user = vec![0xff; 13];
-    let rx = p.submit(envelope).unwrap();
-    match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-        Completion::Post(Err(_)) => {}
-        other => panic!("expected an error completion, got {other:?}"),
-    }
+    assert_eq!(
+        cluster.send_post(&envelope, budget()),
+        Err(PProxError::Unavailable)
+    );
+    assert_eq!(engine.gauges().events, 0);
 
-    // ...and the pipeline still serves well-formed requests.
+    // ...and the chain still serves well-formed requests.
     let env = client.post("u", "i", None).unwrap();
-    let rx = p.submit(env).unwrap();
-    assert!(matches!(
-        rx.recv_timeout(Duration::from_secs(30)).unwrap(),
-        Completion::Post(Ok(()))
-    ));
-    p.shutdown();
+    cluster.send_post(&env, budget()).unwrap();
+    assert_eq!(engine.gauges().events, 1);
 }

@@ -1,9 +1,10 @@
 //! Integration test: the full chain over loopback TCP.
 //!
 //! Drives real sockets end to end — user library → UA server → IA
-//! server → LRS frontend server — and checks (a) the wire transport is
-//! semantically transparent: a fixed-seed request returns exactly the
-//! recommendations the in-process pipeline returns, (b) the chain
+//! server → LRS frontend server — and checks (a) the chain is
+//! semantically transparent: a seeded trace replayed through it and
+//! through the synchronous in-process deployment gives the same
+//! recommendations and leaves the same events in the LRS, (b) the chain
 //! survives one IA instance being killed mid-run, exercising the
 //! client's redial and the socket balancer's failover path, and (c) the
 //! shuffle size is independent of the servers' worker count.
@@ -11,12 +12,15 @@
 //! Note for the privacy-flow analyzer: this file sits on the user side
 //! of the boundary (it mints user requests and opens responses), so it
 //! names no item-side APIs — the recommendation lists it compares are
-//! opaque strings coming back from the stub backend.
+//! opaque strings coming back from the backend.
 
+mod common;
+
+use common::concurrently;
 use pprox::core::config::PProxConfig;
-use pprox::core::pipeline::{Completion, PProxPipeline};
 use pprox::core::resilience::Deadline;
 use pprox::core::shuffler::ShuffleConfig;
+use pprox::core::PProxDeployment;
 use pprox::lrs::cco::CcoConfig;
 use pprox::lrs::shard::{DurableConfig, DurableShard, ShardEngine};
 use pprox::lrs::stub::StubLrs;
@@ -31,55 +35,108 @@ fn budget() -> Deadline {
     Deadline::starting_now(Duration::from_secs(10))
 }
 
-/// The recommendations a user gets over TCP must equal what the
-/// in-process pipeline produces for the same seed and backend.
+/// One seeded trace — four users a round, rounds of posts and rounds of
+/// gets interleaved — through the wire chain (S = 3 with a timer, so a
+/// round of four leaves the UA as one full flush and one timed-out
+/// flush, in shuffled order, and comes back the same way) and through
+/// the synchronous deployment, each over its own engine. The same seed
+/// gives both the same layer keys, so every opened list and the two
+/// engines' pseudonymous event dumps must be equal.
+///
+/// A round's requests name distinct users and are all posts or all gets,
+/// so the order the shuffle releases them in is not observable once the
+/// engine has re-derived its model from exact counts (`sync`).
 #[test]
-fn wire_chain_matches_in_process_pipeline() {
+fn wire_chain_matches_in_process_deployment() {
+    const SEED: u64 = 0xe2e1;
+    let wire_engine = Arc::new(ShardEngine::new());
     let config = ClusterConfig {
-        ua_instances: 2,
-        ia_instances: 2,
-        lrs_instances: 1,
-        modulus_bits: 1152,
-        seed: 0xe2e1,
+        shuffle: ShuffleConfig {
+            size: 3,
+            timeout_us: 20_000,
+        },
+        ua_instances: 1,
+        seed: SEED,
         ..ClusterConfig::default()
     };
-    let mut cluster = LoopbackCluster::launch(config, Arc::new(StubLrs::new())).unwrap();
+    let mut cluster = LoopbackCluster::launch(config, wire_engine.clone()).unwrap();
     assert!(cluster.wait_ready(Duration::from_secs(10)));
-    let mut wire_client = cluster.client();
+    let mut clients: Vec<_> = (0..4).map(|_| cluster.client()).collect();
 
-    // Post some feedback first, then query.
-    for (user, thing) in [("alice", "m001"), ("bob", "m002"), ("alice", "m003")] {
-        let env = wire_client.post(user, thing, Some(4.0)).unwrap();
-        cluster.send_post(&env, budget()).unwrap();
+    let oracle_engine = Arc::new(ShardEngine::new());
+    let oracle =
+        PProxDeployment::new(PProxConfig::for_tests(), oracle_engine.clone(), SEED).unwrap();
+    let mut oracle_client = oracle.client();
+
+    // Rounds of (user, item): `Some` posts, `None` gets.
+    let users = |prefix: &str, from: usize| -> Vec<String> {
+        (from..from + 4).map(|u| format!("{prefix}-{u}")).collect()
+    };
+    let post_round = |who: Vec<String>, item: &'static str| -> Vec<(String, Option<&str>)> {
+        who.into_iter().map(|u| (u, Some(item))).collect()
+    };
+    let get_round = |who: Vec<String>| -> Vec<(String, Option<&str>)> {
+        who.into_iter().map(|u| (u, None)).collect()
+    };
+    let trace = [
+        post_round(users("sci", 0), "alien"),
+        post_round(users("sci", 0), "dune"),
+        post_round(users("rom", 0), "amelie"),
+        post_round(users("new", 0), "alien"),
+        get_round(users("new", 0)),
+        post_round(users("sci", 0), "contact"),
+        post_round(users("rom", 0), "notebook"),
+        post_round(users("new", 0), "amelie"),
+        get_round(users("new", 0)),
+        get_round(vec![
+            "sci-0".into(),
+            "rom-0".into(),
+            "new-3".into(),
+            "nobody".into(),
+        ]),
+    ];
+
+    let mut compared = 0;
+    for round in &trace {
+        wire_engine.sync();
+        oracle_engine.sync();
+        let over_wire = concurrently(&mut clients, round.len(), |client, k| {
+            let (user, item) = &round[k];
+            match item {
+                Some(item) => {
+                    let env = client.post(user, item, Some(4.0))?;
+                    cluster.send_post(&env, budget()).map(|()| None)
+                }
+                None => {
+                    let (env, ticket) = client.get(user)?;
+                    let list = cluster.send_get(&env, budget())?;
+                    client.open_response(&ticket, &list).map(Some)
+                }
+            }
+        });
+        for ((user, item), wire_answer) in round.iter().zip(over_wire) {
+            let oracle_answer = match item {
+                Some(item) => oracle
+                    .post_feedback(&mut oracle_client, user, item, Some(4.0))
+                    .map(|()| None),
+                None => oracle
+                    .get_recommendations(&mut oracle_client, user)
+                    .map(Some),
+            };
+            assert_eq!(wire_answer, oracle_answer, "{user} / {item:?}");
+            compared += usize::from(item.is_none());
+        }
     }
-    let (env, ticket) = wire_client.get("alice").unwrap();
-    let encrypted = cluster.send_get(&env, budget()).unwrap();
-    let wire_items = wire_client.open_response(&ticket, &encrypted).unwrap();
-    assert!(!wire_items.is_empty(), "stub backend must recommend");
-
-    // Same protocol through the in-process pipeline against the same
-    // (stateless, deterministic) stub backend.
-    let pipeline_config = PProxConfig {
-        ua_instances: 2,
-        ia_instances: 2,
-        modulus_bits: 1152,
-        ..PProxConfig::default()
-    };
-    let pipeline =
-        PProxPipeline::new(pipeline_config, Arc::new(StubLrs::new()), 0xe2e1, 2).unwrap();
-    let mut inproc_client = pipeline.client();
-    let (env, ticket) = inproc_client.get("alice").unwrap();
-    let rx = pipeline.submit(env).unwrap();
-    let inproc_items = match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
-        Completion::Get(Ok(list)) => inproc_client.open_response(&ticket, &list).unwrap(),
-        other => panic!("get failed: {other:?}"),
-    };
-    pipeline.shutdown();
-
-    assert_eq!(
-        wire_items, inproc_items,
-        "wire transport must be semantically transparent"
-    );
+    assert_eq!(compared, 12, "every get was compared");
+    // The trace went through the shuffle both ways it can: buffers that
+    // filled and buffers the timer emptied.
+    let shuffle = cluster.node_metrics()[0].snapshot_json();
+    for cause in ["flush_full", "flush_timeout"] {
+        let flushes = shuffle.get("shuffle").and_then(|s| s.get(cause));
+        assert!(flushes.and_then(|v| v.as_u64()) >= Some(10), "{cause}");
+    }
+    assert_eq!(wire_engine.dump_events(), oracle_engine.dump_events());
+    assert_eq!(wire_engine.dump_events().len(), 28);
     cluster.shutdown();
 }
 
