@@ -68,7 +68,9 @@ pub const CONTINUATION_ROOTS: &[(&str, &str)] = &[
     ("crates/wire/src/client.rs", "attempted"),
     ("crates/wire/src/balancer.rs", "answered"),
     ("crates/wire/src/server.rs", "send"),
-    ("crates/wire/src/services/ua.rs", "deliver"),
+    ("crates/wire/src/server.rs", "send_all"),
+    ("crates/wire/src/services/ua.rs", "gather"),
+    ("crates/wire/src/services/ua.rs", "cap"),
     ("crates/wire/src/services/ua.rs", "answer"),
     ("crates/wire/src/services/ia.rs", "attempt"),
     ("crates/wire/src/services/ia.rs", "attempted"),

@@ -3,7 +3,10 @@
 //! "Reference configuration with no shuffling (m3), and with S = 5 (m5)
 //! and S = 10 (m6)" at 50–250 requests per second against the stub LRS.
 //! The distinguishing shape: at low RPS the shuffle timer dominates (high
-//! latency), and the cost amortizes as load grows.
+//! latency), and the cost amortizes as load grows. This is the paper's
+//! policy — an independent buffer and timer in each direction — as
+//! `bench::sim` models it; the serving chain's response direction waits
+//! only for the batch's own answers (EXPERIMENTS.md, PR 19).
 
 use pprox_bench::report;
 use pprox_bench::sim::{run_experiment, ExperimentConfig, LrsModel, ProxySimConfig};

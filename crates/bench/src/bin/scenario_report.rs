@@ -7,9 +7,12 @@
 //! ablation — against a real [`pprox_wire::LoopbackCluster`] with
 //! recording taps on the UA→IA boundary, then scores the §6.2 wire
 //! adversary (`pprox_attack::wire_audit`) against the analytic `1/S`
-//! and `1/(S·I)` curves. A scenario passes when measured linkage stays
-//! within its bound (plus a sample-size-aware tolerance); the ablation
-//! passes only when it is *caught* violating the bound.
+//! and `1/(S·I)` curves — on the request edge (client → UA → tapped
+//! UA→IA frames) and, as `response_edge`, on the way back (IA answers
+//! reaching the UA → replies leaving for the clients). A scenario passes
+//! when measured linkage stays within its bound (plus a
+//! sample-size-aware tolerance) on both edges; the ablation passes only
+//! when it is *caught* violating the bound on both.
 //!
 //! Usage:
 //!
@@ -31,7 +34,7 @@ use pprox_scenario::scenarios;
 use std::path::Path;
 
 /// Report schema version.
-const SCENARIO_SCHEMA_VERSION: u64 = 1;
+const SCENARIO_SCHEMA_VERSION: u64 = 2;
 
 /// Minimum scenario count for a full (non-smoke) report.
 const MIN_FULL_SCENARIOS: u64 = 5;
@@ -98,6 +101,13 @@ fn outcome_json(o: &ScenarioOutcome) -> Value {
         ("duration_ms", Value::from(o.duration_us / 1_000)),
         ("aware", audit_json(&o.aware)),
         ("blind", audit_json(&o.blind)),
+        (
+            "response_edge",
+            Value::object([
+                ("aware", audit_json(&o.response_edge[0])),
+                ("blind", audit_json(&o.response_edge[1])),
+            ]),
+        ),
         ("violation_expected", Value::from(o.spec.violation_expected)),
         ("ok", Value::from(o.ok())),
     ])
@@ -159,9 +169,19 @@ fn validate(path: &str) {
             .and_then(Value::as_bool)
             .unwrap_or_else(|| panic!("{path}: {name}.violation_expected missing"));
         saw_ablation |= expected_violation;
-        for side in ["aware", "blind"] {
-            let a = s
-                .get(side)
+        let response_edge = s
+            .get("response_edge")
+            .unwrap_or_else(|| panic!("{path}: {name}.response_edge missing"));
+        // (where the block sits, its key there, its name in messages)
+        let sides = [
+            (s, "aware", "aware"),
+            (s, "blind", "blind"),
+            (response_edge, "aware", "response_edge.aware"),
+            (response_edge, "blind", "response_edge.blind"),
+        ];
+        for (edge, key, side) in sides {
+            let a = edge
+                .get(key)
                 .unwrap_or_else(|| panic!("{path}: {name}.{side} missing"));
             let attempts = a
                 .get("attempts")
@@ -196,7 +216,7 @@ fn validate(path: &str) {
                 measured <= bound + tolerance,
                 "{path}: {name}.{side}.within inconsistent with its own numbers"
             );
-            if expected_violation && side == "aware" {
+            if expected_violation && key == "aware" {
                 assert!(
                     !within,
                     "{path}: {name} is an ablation but its measured linkage respects the bound — the audit failed to catch it"
@@ -252,7 +272,7 @@ fn main() {
         );
         let outcome = run_scenario(spec, args.seed);
         eprintln!(
-            "    completed {}/{} (shed {}), aware {:.3} vs {:.3}(+{:.3}), blind {:.3} vs {:.3}(+{:.3}) — {}",
+            "    completed {}/{} (shed {}), aware {:.3} vs {:.3}(+{:.3}), blind {:.3} vs {:.3}(+{:.3}); response edge aware {:.3}, blind {:.3} — {}",
             outcome.completed,
             spec.requests,
             outcome.shed,
@@ -262,6 +282,8 @@ fn main() {
             outcome.blind.success_rate,
             outcome.blind.bound,
             outcome.blind.tolerance,
+            outcome.response_edge[0].success_rate,
+            outcome.response_edge[1].success_rate,
             if outcome.ok() { "ok" } else { "FAILED" }
         );
         outcomes.push(outcome);

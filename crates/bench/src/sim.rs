@@ -5,7 +5,11 @@
 //! with service demands calibrated against this repository's real
 //! implementation (see `benches/calibration.rs` and EXPERIMENTS.md);
 //! shuffle buffers run on virtual time with the same
-//! [`pprox_core::shuffler::ShuffleBuffer`] the serving chain uses.
+//! [`pprox_core::shuffler::ShuffleBuffer`] the serving chain uses — in
+//! both directions, which is the paper's policy and what its figures
+//! show: the serving chain answers a released batch through a
+//! [`pprox_core::shuffler::Gather`] instead of a second buffer
+//! (DESIGN.md §7.3), the simulator deliberately does not.
 //!
 //! One experiment = one (configuration, RPS) cell of a figure: drive an
 //! open-loop `get` workload for a virtual duration, trim warm-up/cool-down

@@ -25,7 +25,8 @@
 //!   (the fluentd role); the serving chain exports aggregates only.
 //! * [`resilience`] — deadlines, retry backoff, the LRS circuit breaker
 //!   and the admission gate the serving chain is built from.
-//! * [`shuffler`] — the §4.3 request/response shuffle buffers.
+//! * [`shuffler`] — the §4.3 shuffle buffer, and the per-batch gather the
+//!   serving chain answers through.
 //! * [`config`] — deployment parameters, incl. the paper's Table 2 rows.
 //! * [`autoscale`] — the §5 elastic-scaling policy (throughput vs
 //!   shuffle-buffer health).

@@ -5,7 +5,9 @@
 //! stage." The [`ShuffleBuffer`] implements exactly that policy as a pure
 //! data structure over abstract deadlines, so both the live (wall-clock)
 //! and simulated (virtual-clock) deployments drive it: callers tell it the
-//! current time, it answers with flush decisions.
+//! current time, it answers with flush decisions. [`Gather`] is the
+//! serving chain's response-direction variant: the answers of one released
+//! request batch, held until the last of them is back.
 
 use pprox_crypto::rng::SecureRng;
 
@@ -207,6 +209,110 @@ impl<T> ShuffleBuffer<T> {
     /// The configured parameters.
     pub fn config(&self) -> ShuffleConfig {
         self.config
+    }
+}
+
+/// The response-side mirror of one released request batch (beyond the
+/// paper, which runs an independent [`ShuffleBuffer`] in each direction —
+/// the simulator and the figure bins still do).
+///
+/// A batch of `k` requests left the request buffer together, so the set
+/// their answers hide in was fixed at that moment: waiting for answers of
+/// *other* batches adds dwell, not anonymity. A gather therefore holds the
+/// batch's answers until the `k`-th is in and releases all `k` in a fresh
+/// permutation, counted under the cause that closed the request batch.
+/// The timer stays as a cap: if an answer is late (a hung call fails at
+/// its deadline), what is held leaves as a [`FlushReason::Timeout`] flush
+/// and the stragglers are regrouped — released together when the last of
+/// them is in, never one by one.
+///
+/// # Examples
+///
+/// ```
+/// use pprox_core::shuffler::{FlushReason, Gather, ShuffleConfig};
+///
+/// let batch = ShuffleConfig { size: 3, timeout_us: 1_000 };
+/// let mut gather = Gather::new(batch, 42, FlushReason::Timeout);
+/// assert!(gather.push(0, "a").is_none());
+/// assert!(gather.push(10, "b").is_none());
+/// let flush = gather.push(20, "c").expect("the last answer releases all three");
+/// assert_eq!((flush.items.len(), flush.reason), (3, FlushReason::Timeout));
+/// assert!(gather.is_complete());
+/// ```
+#[derive(Debug)]
+pub struct Gather<T> {
+    /// Sized to the answers still out, so "full" is "the last one is in".
+    buffer: ShuffleBuffer<T>,
+    /// What closed the request batch.
+    cause: FlushReason,
+}
+
+impl<T> Gather<T> {
+    /// A gather for a batch of `batch.size` requests that `cause` released;
+    /// `batch.timeout_us` is the cap, `seed` makes the release order
+    /// reproducible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch.size` is zero.
+    pub fn new(batch: ShuffleConfig, seed: u64, cause: FlushReason) -> Self {
+        Gather {
+            buffer: ShuffleBuffer::new(batch, seed),
+            cause,
+        }
+    }
+
+    /// See [`ShuffleBuffer::set_order_ablation`].
+    pub fn set_order_ablation(&mut self, on: bool) {
+        self.buffer.set_order_ablation(on);
+    }
+
+    /// Adds an answer arriving at `now_us`; the last one out releases
+    /// everything held, under the request batch's cause.
+    pub fn push(&mut self, now_us: u64, item: T) -> Option<Flush<T>> {
+        let mut flush = self.buffer.push(now_us, item)?;
+        flush.reason = self.cause;
+        Some(self.regroup(flush))
+    }
+
+    /// The cap: the instant by which what is held must leave, counted from
+    /// the oldest held answer.
+    pub fn deadline_us(&self) -> Option<u64> {
+        self.buffer.deadline_us()
+    }
+
+    /// Checks the cap at `now_us`; releases what is held if it passed.
+    pub fn poll_timeout(&mut self, now_us: u64) -> Option<Flush<T>> {
+        let flush = self.buffer.poll_timeout(now_us)?;
+        Some(self.regroup(flush))
+    }
+
+    /// Unconditionally releases what is held (shutdown).
+    pub fn drain(&mut self) -> Option<Flush<T>> {
+        let flush = self.buffer.drain()?;
+        Some(self.regroup(flush))
+    }
+
+    /// What `flush` released is no longer owed: the buffer shrinks to the
+    /// answers still out, which then leave as one group.
+    fn regroup(&mut self, flush: Flush<T>) -> Flush<T> {
+        self.buffer.config.size = self.buffer.config.size.saturating_sub(flush.items.len());
+        flush
+    }
+
+    /// Answers currently held.
+    pub fn len(&self) -> usize {
+        self.buffer.len()
+    }
+
+    /// `true` when no answer is held.
+    pub fn is_empty(&self) -> bool {
+        self.buffer.is_empty()
+    }
+
+    /// `true` once every answer of the batch has been released.
+    pub fn is_complete(&self) -> bool {
+        self.buffer.config.size == 0
     }
 }
 

@@ -17,11 +17,15 @@
 //!    assigned UA directly, so the harness knows each request's true
 //!    instance; optional client churn, slow-loris connections, and
 //!    injected WAN latency ride on top.
-//! 4. Drain, then assemble the adversary's [`WireTrace`]: arrivals from
-//!    the workers' send log, departures from tap frames joined to the
-//!    cluster's ground-truth audit by time order.
-//! 5. Run the instance-aware and instance-blind linkage attacks and
-//!    package a [`ScenarioOutcome`].
+//! 4. Drain, then assemble the adversary's [`WireTrace`] of each edge.
+//!    Request edge: arrivals from the workers' send log, departures from
+//!    tap frames joined to the cluster's ground-truth audit by time
+//!    order. Response edge: arrivals are the IA's answers reaching the UA
+//!    (which an observer of that link pairs with the tapped requests, so
+//!    it knows whose they are), departures the replies leaving for the
+//!    clients — both instants from the audit log.
+//! 5. Run the instance-aware and instance-blind linkage attacks on each
+//!    and package a [`ScenarioOutcome`].
 //!
 //! Determinism: the schedule, request plaintexts, and all seeds derive
 //! from `(spec, seed)`. Wall-clock time affects *throughput*, never an
@@ -118,6 +122,10 @@ pub struct ScenarioOutcome {
     pub aware: WireAuditOutcome,
     /// Instance-blind adversary vs the `1/(S·I)` curve.
     pub blind: WireAuditOutcome,
+    /// The same two adversaries on the response edge (answers in at the
+    /// UA → replies out to the clients), aware then blind, both against
+    /// `1/S`.
+    pub response_edge: [WireAuditOutcome; 2],
     /// Pressure timeline: one wire scrape of every node per ~100 ms
     /// window for the whole run (queue depth, sheds, shuffle occupancy).
     pub pressure: Vec<PressurePoint>,
@@ -125,12 +133,16 @@ pub struct ScenarioOutcome {
 
 impl ScenarioOutcome {
     /// Whether the run's verdict matches the spec's expectation: bounds
-    /// hold for normal scenarios, and the ablation is *caught*.
+    /// hold on both edges for normal scenarios, and the ablation is
+    /// *caught* on both.
     pub fn ok(&self) -> bool {
+        let [response_aware, response_blind] = &self.response_edge;
         if self.spec.violation_expected {
-            !self.aware.within_bound()
+            !self.aware.within_bound() && !response_aware.within_bound()
         } else {
-            self.aware.within_bound() && self.blind.within_bound()
+            [&self.aware, &self.blind, response_aware, response_blind]
+                .iter()
+                .all(|edge| edge.within_bound())
         }
     }
 }
@@ -445,26 +457,52 @@ fn drive(
         }
     }
 
-    let trace = WireTrace {
-        shuffle_size: spec.shuffle_size,
-        instances: spec.ua_instances,
-        arrivals: arrivals.lock().clone(),
-        departures,
+    // Response edge: every answer the shuffle stage released, in release
+    // order (the scorer's sort is stable, so the answers of one release,
+    // logged under one instant, stay in the order they were written).
+    let (mut answers_in, mut replies_out) = (Vec::new(), Vec::new());
+    for (ua, audit) in audits.iter().enumerate() {
+        for event in audit.answers() {
+            let Some(&request) = fp_to_request.get(&event.fp) else {
+                continue;
+            };
+            answers_in.push(TraceArrival {
+                request,
+                at_us: event.arrived_us,
+                instance: ua as u16,
+            });
+            replies_out.push(TraceDeparture {
+                at_us: event.left_us,
+                instance: ua as u16,
+                truth: request,
+            });
+        }
+    }
+
+    // The aware adversary always knows the instance; `blind_instances` is
+    // how many instances the blind one's curve `1/(S·I)` credits the edge
+    // with.
+    let attack = |arrivals: Vec<_>, departures: Vec<_>, blind_instances| {
+        [(false, spec.ua_instances), (true, blind_instances)].map(|(instance_blind, instances)| {
+            let trace = WireTrace {
+                shuffle_size: spec.shuffle_size,
+                instances,
+                arrivals: arrivals.clone(),
+                departures: departures.clone(),
+            };
+            let config = WireAuditConfig {
+                batch_gap_us: spec.batch_gap_us,
+                instance_blind,
+            };
+            wire_linkage_attack(&trace, &config)
+        })
     };
-    let aware = wire_linkage_attack(
-        &trace,
-        &WireAuditConfig {
-            batch_gap_us: spec.batch_gap_us,
-            instance_blind: false,
-        },
-    );
-    let blind = wire_linkage_attack(
-        &trace,
-        &WireAuditConfig {
-            batch_gap_us: spec.batch_gap_us,
-            instance_blind: true,
-        },
-    );
+    let [aware, blind] = attack(arrivals.lock().clone(), departures, spec.ua_instances);
+    // On the way back an instance's answers reach it as one burst, just
+    // before it releases them, so the merged stream attributes itself:
+    // the blind adversary is scored against `1/S` here too (it measures
+    // ≈ 1/S under the paper's independent response buffer as well).
+    let response_edge = attack(answers_in, replies_out, 1);
 
     ScenarioOutcome {
         spec: spec.clone(),
@@ -475,13 +513,14 @@ fn drive(
         offered_rps: spec.shape.mean_rps(spec.requests),
         aware,
         blind,
+        response_edge,
         pressure,
     }
 }
 
 /// Worker threads draining the dispatch queue. Sized above any
 /// scenario's concurrency needs: open-loop at ≤450 rps with ≤150 ms
-/// end-to-end latency (two shuffle dwells plus the IA hop) keeps
+/// end-to-end latency (the shuffle dwell plus the IA hop) keeps
 /// outstanding calls under this, so the pool never closes the loop.
 const WORKERS: usize = 48;
 

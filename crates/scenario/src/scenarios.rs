@@ -11,7 +11,9 @@
 //!
 //! Wire order on the UA→IA boundary is the buffer's release order (one
 //! flush thread writes each batch), so the ablation scenario's
-//! suppressed permutation shows on the wire exactly as released.
+//! suppressed permutation shows on the wire exactly as released; on the
+//! way back a gather's release is written in its order by one thread,
+//! so the ablation shows on the response edge too.
 
 use crate::harness::ScenarioSpec;
 use crate::schedule::LoadShape;

@@ -7,7 +7,11 @@
 //! invisible on the wire (by design), so the harness asks the UA service
 //! itself — under an explicit, off-by-default audit flag — to log one
 //! event per request as it leaves the shuffle stage: the request's
-//! fingerprint plus the departure instant.
+//! fingerprint plus the departure instant. The response edge is audited
+//! from the same log: one event per answer the shuffle stage releases,
+//! with the instant it reached the UA (an observer of the IA→UA link can
+//! pair that frame with the tapped request) and the instant its reply
+//! left for the client.
 //!
 //! The fingerprint is a SHA-256 prefix of the *client envelope frame
 //! bytes*: the harness, which encoded those bytes, computes the same
@@ -26,14 +30,31 @@ pub struct AuditEvent {
     pub fp: u64,
     /// Departure instant, microseconds on the cluster telemetry clock.
     pub at_us: u64,
+    /// The request batch it left in (numbered per UA instance from 1);
+    /// zero for an unshuffled request.
+    pub batch: u64,
 }
 
-/// Departure log of one UA instance (ground truth for the linkage
-/// scorer). Cheap when unused: the cluster only allocates one when its
-/// `linkage_audit` flag is set.
+/// One audited answer: the reply to a request (by fingerprint) passing
+/// through the UA's response-path shuffle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AnswerEvent {
+    /// [`request_fingerprint`] of the request it answers.
+    pub fp: u64,
+    /// Instant the IA's answer (or the call's failure) reached the UA.
+    pub arrived_us: u64,
+    /// Instant the release it left in began; shared by that release's
+    /// answers, which are logged in the order they were written.
+    pub left_us: u64,
+}
+
+/// Departure and answer logs of one UA instance (ground truth for the
+/// linkage scorer). Cheap when unused: the cluster only allocates one
+/// when its `linkage_audit` flag is set.
 #[derive(Debug, Default)]
 pub struct LinkageAudit {
     departures: Mutex<Vec<AuditEvent>>,
+    answers: Mutex<Vec<AnswerEvent>>,
 }
 
 impl LinkageAudit {
@@ -42,9 +63,26 @@ impl LinkageAudit {
         Self::default()
     }
 
-    /// Records a request leaving the shuffle stage at `at_us`.
-    pub fn record_departure(&self, fp: u64, at_us: u64) {
-        self.departures.lock().push(AuditEvent { fp, at_us });
+    /// Records a request leaving the shuffle stage at `at_us`, in request
+    /// batch `batch`.
+    pub fn record_departure(&self, fp: u64, batch: u64, at_us: u64) {
+        self.departures.lock().push(AuditEvent { fp, at_us, batch });
+    }
+
+    /// Records an answer that reached the UA at `arrived_us` leaving for
+    /// its client in the release that began at `left_us`.
+    pub fn record_answer(&self, fp: u64, arrived_us: u64, left_us: u64) {
+        let event = AnswerEvent {
+            fp,
+            arrived_us,
+            left_us,
+        };
+        self.answers.lock().push(event);
+    }
+
+    /// Snapshot of every shuffled answer so far, in release order.
+    pub fn answers(&self) -> Vec<AnswerEvent> {
+        self.answers.lock().clone()
     }
 
     /// Snapshot of every departure so far, sorted by time.
@@ -87,9 +125,9 @@ mod tests {
     #[test]
     fn departures_come_back_time_sorted() {
         let log = LinkageAudit::new();
-        log.record_departure(1, 300);
-        log.record_departure(2, 100);
-        log.record_departure(3, 200);
+        log.record_departure(1, 2, 300);
+        log.record_departure(2, 1, 100);
+        log.record_departure(3, 1, 200);
         let events = log.departures();
         assert_eq!(events.len(), 3);
         assert_eq!(

@@ -862,10 +862,13 @@ impl LoopbackCluster {
     fn kill_slot(servers: &TierSlots, index: usize) {
         // Take the server out of its slot so every strong reference it
         // holds (service, handler, engine) is dropped — for a durable
-        // LRS this is what makes a whole-layer kill lose the in-memory
-        // state and force disk recovery.
-        let taken = servers.lock()[index].take();
-        if let Some(mut server) = taken {
+        // LRS this is what makes a kill lose the in-memory state and
+        // force disk recovery. The slot's lock is held until the server
+        // is gone: the supervisor's health check waits the kill out, so
+        // a respawn never finds the dying instance's handler still alive
+        // and re-uses it.
+        let mut servers = servers.lock();
+        if let Some(mut server) = servers[index].take() {
             server.shutdown();
         }
     }

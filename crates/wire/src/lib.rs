@@ -70,7 +70,7 @@ pub mod services;
 pub mod supervisor;
 pub mod timers;
 
-pub use audit::{AuditEvent, LinkageAudit};
+pub use audit::{AnswerEvent, AuditEvent, LinkageAudit};
 pub use balancer::{ClientStats, SocketBalancer};
 pub use client::{CallResult, ClientConfig, PooledClient};
 pub use cluster::{ClusterConfig, LoopbackCluster};

@@ -30,8 +30,9 @@
 //!
 //! [`Reply`] is the only way a request is answered. Whoever holds it —
 //! a worker, a shuffle flush thread, an uplink reader, the node's
-//! deadline queue — calls [`Reply::send`], which writes through the one
-//! write site (`Shared::reply`) under the connection's writer lock;
+//! deadline queue — calls [`Reply::send`] (or [`Reply::send_all`] for a
+//! shuffle release: one write per connection), which writes through the
+//! one write site (`Shared::reply`) under the connection's writer lock;
 //! dropping it unsent answers `failed`. Either way the request leaves the
 //! table of unanswered requests exactly once and its admission permit
 //! comes back. [`FrameHandler`] is the adapter for services that never
@@ -244,6 +245,37 @@ impl Reply {
         self.sent = true;
         self.shared.answer(self.id, result);
     }
+
+    /// Answers a batch of requests released together (a shuffle flush):
+    /// each leaves the table of unanswered requests as in [`Reply::send`],
+    /// then every connection gets its answers in one write, in `batch`
+    /// order — a flush reaches a peer (and a tap) as one burst. May block
+    /// for one write timeout per connection whose peer is not reading.
+    pub fn send_all(batch: impl IntoIterator<Item = (Reply, Result<Vec<u8>, WireStatus>)>) {
+        // Per connection: its server, the requests (their permits come
+        // back after the write, as in `answer`) and their frames.
+        let mut writes: Vec<(Arc<Shared>, Vec<Unanswered>, Vec<Frame>)> = Vec::new();
+        for (mut reply, result) in batch {
+            reply.sent = true;
+            let Some(request) = reply.shared.unanswered.lock().remove(&reply.id) else {
+                continue;
+            };
+            let frame = answer_frame(request.corr, result);
+            match writes
+                .iter_mut()
+                .find(|(_, requests, _)| Arc::ptr_eq(&requests[0].conn, &request.conn))
+            {
+                Some((_, requests, frames)) => {
+                    requests.push(request);
+                    frames.push(frame);
+                }
+                None => writes.push((reply.shared.clone(), vec![request], vec![frame])),
+            }
+        }
+        for (shared, requests, frames) in &writes {
+            shared.reply(&requests[0].conn, frames);
+        }
+    }
 }
 
 impl Drop for Reply {
@@ -377,12 +409,7 @@ impl Shared {
         let Some(request) = self.unanswered.lock().remove(&id) else {
             return;
         };
-        let frame = match result {
-            Ok(payload) => Frame::new(PadClass::Response, request.corr, payload)
-                .unwrap_or_else(|_| control_frame(request.corr, WireStatus::Failed)),
-            Err(status) => control_frame(request.corr, status),
-        };
-        self.reply(&request.conn, &[frame]);
+        self.reply(&request.conn, &[answer_frame(request.corr, result)]);
     }
 
     /// Answers everything still unanswered with `status` (the end of the
@@ -555,6 +582,16 @@ fn write_whole(mut stream: &TcpStream, bytes: &[u8]) -> bool {
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             written => return matches!(written, Ok(n) if n == bytes.len()),
         }
+    }
+}
+
+/// The frame that answers request `corr`: a success payload travels in a
+/// `Response`-class frame, a status in a `Control`-class frame.
+fn answer_frame(corr: u64, result: Result<Vec<u8>, WireStatus>) -> Frame {
+    match result {
+        Ok(payload) => Frame::new(PadClass::Response, corr, payload)
+            .unwrap_or_else(|_| control_frame(corr, WireStatus::Failed)),
+        Err(status) => control_frame(corr, status),
     }
 }
 
@@ -1069,6 +1106,39 @@ mod tests {
     }
 
     #[test]
+    fn send_all_answers_a_batch_per_connection_in_batch_order() {
+        let park = Arc::new(Park::default());
+        let mut server = WireServer::spawn(park.clone(), ServerConfig::default()).unwrap();
+        let mut a = pipeline(server.local_addr(), 3);
+        wait_until("a's parked", || park.parked.lock().len() == 3);
+        let mut b = pipeline(server.local_addr(), 2);
+        wait_until("b's parked", || park.parked.lock().len() == 5);
+        // A release order that interleaves the two connections: by index
+        // into the parked list, a's requests are 0..3 and b's 3..5.
+        let mut parked: Vec<Option<Parked>> = park.parked.lock().drain(..).map(Some).collect();
+        let batch: Vec<_> = [4, 2, 0, 3, 1]
+            .map(|i| parked[i].take().unwrap())
+            .into_iter()
+            .map(|(payload, reply)| (reply, Ok(payload.to_ascii_uppercase())))
+            .collect();
+        Reply::send_all(batch);
+        assert_eq!(server.in_flight(), 0);
+        let corrs = |stream: &mut TcpStream, n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|_| {
+                    let f = read_frame(stream);
+                    assert_eq!(f.payload, vec![b'A' + f.corr as u8]);
+                    f.corr
+                })
+                .collect()
+        };
+        assert_eq!(corrs(&mut a, 3), [2, 0, 1]);
+        assert_eq!(corrs(&mut b, 2), [1, 0]);
+        server.shutdown();
+        assert_eq!(server.stats().frames_out, 5, "answered exactly once each");
+    }
+
+    #[test]
     fn a_reply_dropped_unsent_answers_failed_and_frees_the_permit() {
         let park = Arc::new(Park::default());
         let mut server = WireServer::spawn(park.clone(), ServerConfig::default()).unwrap();
@@ -1171,13 +1241,26 @@ mod tests {
         assert_eq!(shared.frames_out.load(Ordering::Relaxed), 3);
     }
 
+    /// The most one socket buffer of this kind (`tcp_rmem`, `tcp_wmem`)
+    /// may grow to under the kernel's autotuning, in bytes.
+    fn tcp_buffer_max(kind: &str) -> usize {
+        std::fs::read_to_string(format!("/proc/sys/net/ipv4/{kind}"))
+            .ok()
+            .and_then(|limits| limits.split_whitespace().nth(2)?.parse().ok())
+            .unwrap_or(8 << 20)
+    }
+
     #[test]
     fn peer_that_never_reads_does_not_wedge_the_workers() {
-        // Room to admit the whole burst, so every request is served and
-        // the replies (8.8 MB) outgrow what the socket buffers hold.
+        // Twice the replies the two socket buffers between the server and
+        // the peer can hold when autotuning has grown both to the
+        // kernel's maxima (a fixed 8.8 MB fitted, on a slow run), and
+        // room to admit the whole burst, so that every request is served.
+        let buffers = tcp_buffer_max("tcp_wmem") + tcp_buffer_max("tcp_rmem");
+        let burst = 2 * buffers / PadClass::Response.wire_len();
         let config = ServerConfig {
-            queue_depth: 4_096,
-            max_inflight: 4_096,
+            queue_depth: burst,
+            max_inflight: burst,
             ..ServerConfig::default()
         };
         let drain_timeout = config.drain_timeout;
@@ -1188,13 +1271,16 @@ mod tests {
             config,
         )
         .unwrap();
-        // 4 000 pipelined requests from a peer that reads no reply.
+        // Pipelined requests from a peer that reads no reply. On a slow
+        // run the cut comes before the burst is out, and ends it.
         let mut deaf = TcpStream::connect(server.local_addr()).unwrap();
         deaf.set_write_timeout(Some(Duration::from_secs(20)))
             .unwrap();
-        for corr in 0..4_000u64 {
+        for corr in 0..burst as u64 {
             let frame = Frame::new(PadClass::Request, corr, b"x".to_vec()).unwrap();
-            deaf.write_all(&frame.encode().unwrap()).unwrap();
+            if deaf.write_all(&frame.encode().unwrap()).is_err() {
+                break;
+            }
         }
         // A second connection is still served: the first reply the deaf
         // peer would not take timed out and cut that connection.
@@ -1213,7 +1299,10 @@ mod tests {
         // The cut also ends the deaf connection's reader, wherever in
         // the burst it had got to (all of it, on an idle box).
         let stats = server.stats();
-        assert!((4..=4_004).contains(&stats.frames_in), "{stats:?}");
+        assert!(
+            (4..=burst as u64 + 4).contains(&stats.frames_in),
+            "{stats:?}"
+        );
         assert!(
             stats.frames_out < stats.frames_in,
             "the deaf connection was never cut: its replies fit the socket buffers"

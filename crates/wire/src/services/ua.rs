@@ -3,11 +3,12 @@
 //! Receives [`ClientEnvelope`] frames, runs the UA enclave's
 //! pseudonymization ECALL, and forwards the resulting [`LayerEnvelope`]
 //! to the IA tier through a [`SocketBalancer`]. With shuffling enabled,
-//! both directions pass through a [`ShuffleBuffer`] (§4.3): requests are
-//! batched and released in random order before they hit the IA sockets,
-//! and responses are batched again on the way back, so a network
-//! observer bracketing one UA instance cannot match arrival order to
-//! departure order beyond the `1/S` bound.
+//! requests are batched in a [`ShuffleBuffer`] (§4.3) and released in
+//! random order before they hit the IA sockets, and the answers of each
+//! released batch are gathered again ([`Gather`]) and leave together in a
+//! fresh random order, so a network observer bracketing one UA instance
+//! cannot match arrival order to departure order beyond the `1/S` bound
+//! in either direction.
 //!
 //! No thread waits for a request. A server worker takes a turn at the
 //! enclave ([`Turns`]: if another worker is in it, the request is left
@@ -18,26 +19,37 @@
 //!
 //! ```text
 //! worker: ECALL ──► request buffer ──flush thread, permuted──► ia.submit ──► IA
-//!                                                                         │
-//! reply.send ◄──flush thread, permuted── response buffer ◄── completion ◄─┘
-//!                                                        (IA uplink reader)
+//!                                     │ opens a gather of k                  │
+//!                                     ▼                                      │
+//! Reply::send_all ◄──k-th answer, permuted── the batch's gather ◄─ completion ┘
+//!                    (or the cap, or drain)                  (IA uplink reader)
 //! ```
 //!
-//! A buffer is shared by whoever puts requests into it — under its lock,
-//! stamped with their arrival — and its flush thread, which is woken
-//! twice per batch, not once per request: when a put arms the flush
-//! timer and when a put fills the buffer (or by the timer itself). The
-//! request flush thread writes a released batch to the IA sockets in the
-//! buffer's permuted order, so wire order *is* release order (the
-//! linkage audit's departure log is written at the same place). Each
-//! answer's completion runs on the IA connection's reader thread and
-//! puts it into the response buffer; that buffer's flush thread answers
-//! the clients. Without shuffling the worker submits directly and the
-//! completion answers the client.
+//! The request buffer is shared by the workers that put requests into it
+//! — under its lock, stamped with their arrival — and its flush thread,
+//! which is woken twice per batch, not once per request: when a put arms
+//! the flush timer and when a put fills the buffer (or by the timer
+//! itself). The flush thread writes a released batch to the IA sockets in
+//! the buffer's permuted order, so wire order *is* release order (the
+//! linkage audit's departure log is written at the same place).
+//!
+//! The response direction has no thread and no second timer to wait out.
+//! The anonymity set of a batch is fixed when it leaves, so its `k`
+//! answers wait only for each other: each completion — answer, remote
+//! status, deadline or connection loss alike — runs on the IA
+//! connection's reader (or the node's deadline queue) and pushes into its
+//! batch's gather, and the one that brings the `k`-th releases all `k` to
+//! their clients there, one write per client connection. The shuffle
+//! timeout remains as a cap from the oldest held answer (a hung IA call
+//! must not hold its batch for the call's whole deadline): what is held
+//! then leaves, and the stragglers leave together when the last is in.
+//! Without shuffling the worker submits directly and the completion
+//! answers the client.
 //!
 //! Telemetry discipline (analyzer rule R6): shuffle dwell and UA
 //! processing go through histogram-only recording — this file never
-//! exports an arrival-timestamped span.
+//! exports an arrival-timestamped span; the instants handed to the
+//! linkage audit exist under its off-by-default flag only.
 //!
 //! This file never names an item-side API; the aux block it forwards is
 //! opaque ciphertext bound for the IA.
@@ -53,10 +65,13 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pprox_core::message::ClientEnvelope;
 use pprox_core::resilience::Deadline;
-use pprox_core::shuffler::{Flush, ShuffleBuffer, ShuffleConfig};
+use pprox_core::shuffler::{Flush, FlushReason, Gather, ShuffleBuffer, ShuffleConfig};
 use pprox_core::telemetry::{Stage, Telemetry};
 use pprox_core::ua::UaState;
+use pprox_crypto::rng::SecureRng;
 use pprox_sgx::Enclave;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -73,17 +88,18 @@ struct ShuffleJob {
     fp: u64,
 }
 
-/// An IA answer dwelling in the response shuffle.
+/// An IA answer waiting in its batch's gather.
 struct ReplyJob {
     result: WireReply,
     reply: Reply,
+    fp: u64,
 }
 
-/// What wakes a flush thread. All of it travels on one channel, so the
-/// thread has one thing to wait on.
-enum Msg<T> {
+/// What wakes the request flush thread. All of it travels on one
+/// channel, so the thread has one thing to wait on.
+enum Msg {
     /// A push filled the buffer: here is what it released.
-    Released(Flush<T>),
+    Released(Flush<ShuffleJob>),
     /// A push made the buffer non-empty: its flush deadline is set.
     Armed,
     /// The graceful drain: flush now, and pass everything after it
@@ -112,15 +128,6 @@ pub struct UaServiceOptions {
     pub metrics: Option<Arc<NodeMetrics>>,
 }
 
-impl UaServiceOptions {
-    /// One direction's shuffle buffer.
-    fn buffer<T>(&self, seed: u64) -> ShuffleBuffer<T> {
-        let mut buffer = ShuffleBuffer::new(self.shuffle, seed);
-        buffer.set_order_ablation(self.shuffle_order_ablation);
-        buffer
-    }
-}
-
 impl Default for UaServiceOptions {
     fn default() -> Self {
         UaServiceOptions {
@@ -133,244 +140,297 @@ impl Default for UaServiceOptions {
     }
 }
 
-/// One direction's shuffle buffer, shared by the threads that push into
-/// it and the flush thread that releases from it.
-struct Shuffle<T> {
-    buffer: ShuffleBuffer<T>,
-    /// Set by the graceful drain: nothing dwells any more.
-    draining: bool,
+/// The open gathers, by batch number.
+struct Gathers {
+    open: HashMap<u64, Gather<ReplyJob>>,
+    opened: u64,
+    /// One permutation seed per gather.
+    seeds: SecureRng,
 }
 
-/// The pushing side of one direction. A `put` costs the caller a lock and
-/// — once per batch, not once per item — a wake-up of the flush thread:
-/// when it arms the flush timer, and when it fills the buffer.
-struct ShuffleInput<T> {
-    shuffle: Arc<Mutex<Shuffle<T>>>,
-    wake: Sender<Msg<T>>,
+/// The shuffle stage of one UA instance: the request buffer with its
+/// flush thread, the gathers its released batches are answered through,
+/// and nothing between them but the IA uplink.
+struct Shuffle {
+    /// Shared by the workers that push into it and the flush thread that
+    /// releases from it.
+    requests: Mutex<ShuffleBuffer<ShuffleJob>>,
+    /// A leaf: released before a reply is written or a cap is armed.
+    gathers: Mutex<Gathers>,
+    /// Set by the graceful drain, read under either lock: no request
+    /// dwells and no gather opens any more, and an answer that finds no
+    /// gather passes straight through.
+    draining: AtomicBool,
+    options: UaServiceOptions,
+    ia: Arc<SocketBalancer>,
     telemetry: Arc<Telemetry>,
-    metrics: Option<Arc<NodeMetrics>>,
 }
 
-impl<T> Clone for ShuffleInput<T> {
-    fn clone(&self) -> Self {
-        ShuffleInput {
-            shuffle: self.shuffle.clone(),
-            wake: self.wake.clone(),
-            telemetry: self.telemetry.clone(),
-            metrics: self.metrics.clone(),
+impl Shuffle {
+    /// Both directions share the node's gauge: the instantaneous value is
+    /// the latest sample from the request buffer or any gather, the
+    /// high-water mark (fetch_max) is exact across all of them.
+    fn occupancy(&self, held: usize) {
+        if let Some(m) = &self.options.metrics {
+            m.set_shuffle_occupancy(held as u64);
         }
     }
-}
 
-impl<T> ShuffleInput<T> {
-    /// Puts `item` into the buffer. If the flush thread is gone the item
-    /// stays there until the last input is dropped, and is dropped with
-    /// it (a dropped [`Reply`] answers `failed`).
-    fn put(&self, item: T) {
-        let wake = {
-            let mut shuffle = self.shuffle.lock();
-            let was_empty = shuffle.buffer.is_empty();
-            let mut released = shuffle.buffer.push(self.telemetry.now_us(), item);
-            if released.is_none() && shuffle.draining {
-                released = shuffle.buffer.drain();
+    /// Counts a release under its cause and records each item's dwell
+    /// into the stage histogram (never a span); returns its instant.
+    fn released<T>(&self, stage: Stage, flush: &Flush<T>) -> u64 {
+        if let Some(m) = &self.options.metrics {
+            m.on_flush(flush.reason);
+        }
+        let now_us = self.telemetry.now_us();
+        for &arrived_us in &flush.arrived_at_us {
+            self.telemetry
+                .record_duration(stage, now_us.saturating_sub(arrived_us));
+        }
+        now_us
+    }
+
+    /// Puts a request into the buffer. A put costs the worker a lock and
+    /// — once per batch, not once per request — a wake-up of the flush
+    /// thread: when it arms the flush timer, and when it fills the buffer.
+    /// If the flush thread is gone the request stays there until the
+    /// stage is dropped, and is dropped with it (a dropped [`Reply`]
+    /// answers `failed`).
+    fn put(&self, wake: &Sender<Msg>, job: ShuffleJob) {
+        let msg = {
+            let mut buffer = self.requests.lock();
+            let was_empty = buffer.is_empty();
+            let mut released = buffer.push(self.telemetry.now_us(), job);
+            if released.is_none() && self.draining.load(Ordering::SeqCst) {
+                released = buffer.drain();
             }
-            // Both shuffle directions share the node's gauge: the
-            // instantaneous value is the latest sample from either
-            // buffer, the high-water mark (fetch_max) is exact across
-            // both.
-            if let Some(m) = &self.metrics {
-                m.set_shuffle_occupancy(shuffle.buffer.len() as u64);
-            }
+            self.occupancy(buffer.len());
             match released {
-                Some(flush) => Some(Msg::Released(flush)),
-                None if was_empty => Some(Msg::Armed),
-                None => None,
+                Some(flush) => Msg::Released(flush),
+                None if was_empty => Msg::Armed,
+                None => return,
             }
         };
-        if let Some(msg) = wake {
-            // analysis-allow: R12 unbounded channel: this send never waits
-            let _ = self.wake.send(msg);
+        let _ = wake.send(msg);
+    }
+
+    /// The request flush thread's loop: honor the buffer's flush timer
+    /// and submit what it releases, in its randomized order.
+    ///
+    /// The thread waits on its channel and nothing else: without a
+    /// deadline while the buffer is empty, until the flush deadline
+    /// otherwise. It is woken once when a push arms that deadline and
+    /// once when a push fills the buffer — the pushes in between cost it
+    /// nothing. After a [`Msg::Kick`] (the server's graceful drain) every
+    /// request already buffered — and any still arriving during the
+    /// shutdown window — is forwarded without dwell instead of being
+    /// dropped with the stage.
+    fn run_shuffle(self: &Arc<Self>, woken: &Receiver<Msg>) {
+        loop {
+            let deadline_us = self.requests.lock().deadline_us();
+            let msg = match deadline_us {
+                None => woken.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(deadline_us) => woken.recv_timeout(Duration::from_micros(
+                    deadline_us.saturating_sub(self.telemetry.now_us()),
+                )),
+            };
+            let due = match msg {
+                Ok(Msg::Released(flush)) => Some(flush),
+                Ok(Msg::Armed) => None,
+                Ok(Msg::Kick) => {
+                    let mut buffer = self.requests.lock();
+                    buffer.drain()
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    let now_us = self.telemetry.now_us();
+                    self.requests.lock().poll_timeout(now_us)
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            if let Some(flush) = due {
+                self.occupancy(self.requests.lock().len());
+                self.submit(flush);
+            }
+        }
+        let left = self.requests.lock().drain();
+        left.into_iter().for_each(|flush| self.submit(flush));
+    }
+
+    /// A released batch leaves for the IA tier, in release order, and a
+    /// gather of its size opens for the answers.
+    fn submit(self: &Arc<Self>, flush: Flush<ShuffleJob>) {
+        self.released(Stage::ShuffleRequest, &flush);
+        let batch = {
+            let mut gathers = self.gathers.lock();
+            gathers.opened += 1;
+            if !self.draining.load(Ordering::SeqCst) {
+                let size = ShuffleConfig {
+                    size: flush.items.len(),
+                    ..self.options.shuffle
+                };
+                let mut gather = Gather::new(size, gathers.seeds.next_u64(), flush.reason);
+                gather.set_order_ablation(self.options.shuffle_order_ablation);
+                let batch = gathers.opened;
+                gathers.open.insert(batch, gather);
+            }
+            gathers.opened
+        };
+        for job in flush.items {
+            // Audit ground truth: this is the instant the request
+            // leaves the shuffle stage for the wire.
+            if let Some(log) = &self.options.audit {
+                log.record_departure(job.fp, batch, self.telemetry.now_us());
+            }
+            let (stage, reply, fp) = (self.clone(), job.reply, job.fp);
+            self.ia.submit(job.bytes, job.deadline, move |result| {
+                stage.gather(batch, reply, fp, result)
+            });
         }
     }
 
-    /// The graceful drain's kick.
-    fn kick(&self) {
-        let _ = self.wake.send(Msg::Kick);
+    /// Completion of a shuffled request's IA call: the answer joins its
+    /// batch's gather, and releases it if it was the last one out. Runs
+    /// on the IA connection's reader (or the deadline queue) and waits
+    /// for nothing but, when it releases, the clients' sockets — bounded
+    /// by their write timeout, as [`answer`] is.
+    fn gather(self: &Arc<Self>, batch: u64, reply: Reply, fp: u64, result: CallResult) {
+        let result = wire_reply(result);
+        let job = ReplyJob { result, reply, fp };
+        let (flush, arm) = {
+            let mut gathers = self.gathers.lock();
+            let now_us = self.telemetry.now_us();
+            let Some(gather) = gathers.open.get_mut(&batch) else {
+                drop(gathers);
+                return self.release(Flush {
+                    items: vec![job],
+                    arrived_at_us: vec![now_us],
+                    reason: FlushReason::Drain,
+                });
+            };
+            let first = gather.is_empty();
+            let flush = gather.push(now_us, job);
+            self.occupancy(gather.len());
+            if gather.is_complete() {
+                gathers.open.remove(&batch);
+            }
+            (flush, first)
+        };
+        match flush {
+            Some(flush) => self.release(flush),
+            None if arm => {
+                let stage = Arc::downgrade(self);
+                let cap = Duration::from_micros(self.options.shuffle.timeout_us);
+                self.ia.after(cap, move || {
+                    if let Some(stage) = stage.upgrade() {
+                        stage.cap(batch);
+                    }
+                });
+            }
+            None => {}
+        }
+    }
+
+    /// The cap on a gather's oldest held answer, on the deadline queue:
+    /// what is held leaves now. A no-op for a gather that has released
+    /// since (a later hold arms its own cap).
+    fn cap(&self, batch: u64) {
+        let flush = {
+            let mut gathers = self.gathers.lock();
+            let Some(gather) = gathers.open.get_mut(&batch) else {
+                return;
+            };
+            let flush = gather.poll_timeout(self.telemetry.now_us());
+            self.occupancy(gather.len());
+            flush
+        };
+        flush.into_iter().for_each(|flush| self.release(flush));
+    }
+
+    /// Answers the clients of a released group, in its order.
+    fn release(&self, flush: Flush<ReplyJob>) {
+        let left_us = self.released(Stage::ShuffleResponse, &flush);
+        if let Some(log) = &self.options.audit {
+            for (job, &arrived_us) in flush.items.iter().zip(&flush.arrived_at_us) {
+                log.record_answer(job.fp, arrived_us, left_us);
+            }
+        }
+        Reply::send_all(flush.items.into_iter().map(|job| (job.reply, job.result)));
+    }
+
+    /// The graceful drain, but for the [`Msg::Kick`] that empties the
+    /// request buffer: every open gather releases what it holds.
+    fn drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        let held: Vec<_> = self.gathers.lock().open.drain().collect();
+        for (_, mut gather) in held {
+            gather.drain().into_iter().for_each(|f| self.release(f));
+        }
     }
 }
 
-/// Starts one direction: its buffer, its flush thread (which hands each
-/// released item, in the buffer's randomized order, to `forward`), and
-/// the input that feeds them.
-fn spawn_shuffle<T: Send + 'static>(
-    buffer: ShuffleBuffer<T>,
-    telemetry: Arc<Telemetry>,
-    metrics: Option<Arc<NodeMetrics>>,
-    stage: Stage,
-    forward: impl FnMut(T) + Send + 'static,
-) -> (ShuffleInput<T>, JoinHandle<()>) {
-    let (wake, woken) = unbounded();
-    let shuffle = Arc::new(Mutex::new(Shuffle {
-        buffer,
-        draining: false,
-    }));
-    let input = ShuffleInput {
-        shuffle: shuffle.clone(),
-        wake,
-        telemetry: telemetry.clone(),
-        metrics: metrics.clone(),
-    };
-    let thread = std::thread::spawn(move || {
-        run_shuffle(&woken, &shuffle, &telemetry, metrics, stage, forward)
-    });
-    (input, thread)
+/// The handles the service keeps on its shuffle stage. Dropped in field
+/// order: the channel's sender first, so the flush thread drains the
+/// buffer and exits, then the thread is joined. Answers still out keep
+/// the stage alive through their completions (each completes by its
+/// deadline at the latest).
+struct ShuffleStage {
+    wake: Sender<Msg>,
+    shuffle: Arc<Shuffle>,
+    _thread: Joined,
 }
 
-/// Threads joined when this is dropped.
-struct Joined(Vec<JoinHandle<()>>);
+/// A thread joined when this is dropped.
+struct Joined(Option<JoinHandle<()>>);
 
 impl Drop for Joined {
     fn drop(&mut self) {
-        for handle in self.0.drain(..) {
+        if let Some(handle) = self.0.take() {
             let _ = handle.join();
         }
     }
 }
 
-/// The request- and response-path shuffle stage of one UA instance: one
-/// flush thread per direction, and nothing between them but the IA
-/// uplink.
-///
-/// Dropped in field order: the inputs first, then the threads are
-/// joined. The request thread drains and exits when its last input is
-/// gone; the response thread follows once its last is — this stage's,
-/// the request thread's, and one per call still pending on the uplink
-/// (each completes by its deadline at the latest).
-struct ShuffleStage {
-    requests: ShuffleInput<ShuffleJob>,
-    responses: ShuffleInput<ReplyJob>,
-    _threads: Joined,
-}
-
 impl ShuffleStage {
     fn spawn(
-        options: &UaServiceOptions,
+        options: UaServiceOptions,
         ia: Arc<SocketBalancer>,
         telemetry: Arc<Telemetry>,
         seed: u64,
     ) -> Self {
-        // Response path: answers dwell again before their clients learn
-        // anything.
-        let (responses, response_thread) = spawn_shuffle(
-            options.buffer(seed ^ 0x1a5e),
-            telemetry.clone(),
-            options.metrics.clone(),
-            Stage::ShuffleResponse,
-            |job: ReplyJob| job.reply.send(job.result),
-        );
-
-        // Request path: arrivals dwell in the buffer and leave, in its
-        // random order, as submissions on the IA uplink.
-        let (audit, clock, answers) = (options.audit.clone(), telemetry.clone(), responses.clone());
-        let (requests, request_thread) = spawn_shuffle(
-            options.buffer(seed ^ 0x0a5e),
+        let mut buffer = ShuffleBuffer::new(options.shuffle, seed ^ 0x0a5e);
+        buffer.set_order_ablation(options.shuffle_order_ablation);
+        let shuffle = Arc::new(Shuffle {
+            requests: Mutex::new(buffer),
+            gathers: Mutex::new(Gathers {
+                open: HashMap::new(),
+                opened: 0,
+                seeds: SecureRng::from_seed(seed ^ 0x1a5e),
+            }),
+            draining: AtomicBool::new(false),
+            options,
+            ia,
             telemetry,
-            options.metrics.clone(),
-            Stage::ShuffleRequest,
-            move |job: ShuffleJob| {
-                // Audit ground truth: this is the instant the request
-                // leaves the shuffle stage for the wire.
-                if let Some(log) = &audit {
-                    log.record_departure(job.fp, clock.now_us());
-                }
-                let (answers, reply) = (answers.clone(), job.reply);
-                ia.submit(job.bytes, job.deadline, move |result| {
-                    deliver(&answers, reply, result)
-                });
-            },
-        );
-
+        });
+        let (wake, woken) = unbounded();
+        let stage = shuffle.clone();
+        let thread = std::thread::spawn(move || stage.run_shuffle(&woken));
         ShuffleStage {
-            requests,
-            responses,
-            _threads: Joined(vec![request_thread, response_thread]),
+            wake,
+            shuffle,
+            _thread: Joined(Some(thread)),
         }
     }
 
-    /// Flushes both shuffle buffers immediately: buffered requests go to
-    /// the IA, buffered responses go to their clients, and the stage
-    /// passes everything still arriving — the answers to the requests it
-    /// just released included — through without further dwell.
-    /// Unlinkability is not weakened for normal traffic: this only fires
-    /// on the shutdown path, where the alternative is dropping the
-    /// buffered requests outright.
+    /// Flushes the stage immediately: buffered requests go to the IA,
+    /// gathered answers go to their clients, and everything still
+    /// arriving — the answers to the requests just released included —
+    /// passes through without dwell. Unlinkability is not weakened for
+    /// normal traffic: this only fires on the shutdown path, where the
+    /// alternative is dropping the buffered requests outright.
     fn kick(&self) {
-        self.requests.kick();
-        self.responses.kick();
+        self.shuffle.drain();
+        let _ = self.wake.send(Msg::Kick);
     }
-}
-
-/// A flush thread's loop — the one shuffle loop there is: honor the
-/// buffer's flush timer, record each item's dwell into the stage
-/// histogram (never a span), forward in the buffer's randomized order.
-///
-/// The thread waits on its channel and nothing else: without a deadline
-/// while the buffer is empty, until the flush deadline otherwise. It is
-/// woken once when a push arms that deadline and once when a push fills
-/// the buffer — the pushes in between cost it nothing. A [`Msg::Kick`]
-/// (the server's graceful drain) flushes the buffer and switches the
-/// direction to pass-through: every item already buffered — and any still
-/// arriving during the shutdown window — is forwarded without dwell
-/// instead of being dropped with the stage.
-fn run_shuffle<T>(
-    woken: &Receiver<Msg<T>>,
-    shuffle: &Mutex<Shuffle<T>>,
-    telemetry: &Telemetry,
-    metrics: Option<Arc<NodeMetrics>>,
-    stage: Stage,
-    mut forward: impl FnMut(T),
-) {
-    let mut release = |flush: Option<Flush<T>>| {
-        let Some(flush) = flush else { return };
-        if let Some(m) = &metrics {
-            m.on_flush(flush.reason);
-        }
-        let now_us = telemetry.now_us();
-        for (item, arrived_us) in flush.items.into_iter().zip(flush.arrived_at_us) {
-            telemetry.record_duration(stage, now_us.saturating_sub(arrived_us));
-            forward(item);
-        }
-    };
-    loop {
-        let deadline_us = shuffle.lock().buffer.deadline_us();
-        let msg = match deadline_us {
-            None => woken.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(deadline_us) => woken.recv_timeout(Duration::from_micros(
-                deadline_us.saturating_sub(telemetry.now_us()),
-            )),
-        };
-        let due = match msg {
-            Ok(Msg::Released(flush)) => Some(flush),
-            Ok(Msg::Armed) => None,
-            Ok(Msg::Kick) => {
-                let mut shuffle = shuffle.lock();
-                shuffle.draining = true;
-                shuffle.buffer.drain()
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                shuffle.lock().buffer.poll_timeout(telemetry.now_us())
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if due.is_some() {
-            if let Some(m) = &metrics {
-                m.set_shuffle_occupancy(shuffle.lock().buffer.len() as u64);
-            }
-        }
-        release(due);
-    }
-    let left = shuffle.lock().buffer.drain();
-    release(left);
 }
 
 /// What the client is told about an IA call's outcome.
@@ -381,16 +441,6 @@ fn wire_reply(result: CallResult) -> WireReply {
         Err(WireError::Deadline) => Err(WireStatus::Deadline),
         Err(_) => Err(WireStatus::Unavailable),
     }
-}
-
-/// Completion of a shuffled request's IA call: the answer enters the
-/// response shuffle. Runs on the IA connection's reader (or the deadline
-/// queue) and does not wait.
-fn deliver(answers: &ShuffleInput<ReplyJob>, reply: Reply, result: CallResult) {
-    answers.put(ReplyJob {
-        result: wire_reply(result),
-        reply,
-    });
 }
 
 /// Completion of an unshuffled request's IA call: answer the client.
@@ -426,17 +476,18 @@ impl UaWireService {
         telemetry: Arc<Telemetry>,
         seed: u64,
     ) -> Self {
+        let (encryption, audit) = (options.encryption, options.audit.clone());
         let shuffle = (!options.shuffle.is_disabled())
-            .then(|| ShuffleStage::spawn(&options, ia.clone(), telemetry.clone(), seed));
+            .then(|| ShuffleStage::spawn(options, ia.clone(), telemetry.clone(), seed));
         UaWireService {
             node: Arc::new(UaNode {
                 enclave,
                 turns: Turns::default(),
                 ia,
-                encryption: options.encryption,
+                encryption,
                 telemetry,
                 shuffle,
-                audit: options.audit,
+                audit,
             }),
         }
     }
@@ -481,24 +532,27 @@ impl UaNode {
         match &self.shuffle {
             None => {
                 if let Some(log) = &self.audit {
-                    log.record_departure(fp, self.telemetry.now_us());
+                    log.record_departure(fp, 0, self.telemetry.now_us());
                 }
                 self.ia
                     .submit(bytes, deadline, move |result| answer(reply, result));
             }
-            Some(stage) => stage.requests.put(ShuffleJob {
-                bytes,
-                deadline,
-                reply,
-                fp,
-            }),
+            Some(stage) => stage.shuffle.put(
+                &stage.wake,
+                ShuffleJob {
+                    bytes,
+                    deadline,
+                    reply,
+                    fp,
+                },
+            ),
         }
     }
 }
 
 impl Service for UaWireService {
-    /// Graceful drain: flush both shuffle buffers so every buffered
-    /// request is answered before the server exits.
+    /// Graceful drain: flush the shuffle stage so every buffered request
+    /// is answered before the server exits.
     fn drain(&self) {
         if let Some(stage) = &self.node.shuffle {
             stage.kick();

@@ -1,7 +1,7 @@
 //! Model-checked interleaving tests for the `WireServer` request path,
 //! run with `RUSTFLAGS="--cfg loom"` (see `scripts/ci.sh`, `loom` stage).
 //!
-//! Two hand-offs carry a request, and both are modelled here with the
+//! Three hand-offs carry a request, and all are modelled here with the
 //! loom shim's instrumented atomics.
 //!
 //! **Reader → job queue → worker.** Every connection's reader admits
@@ -26,6 +26,13 @@
 //! which it races the shutdown that fails what outlives the drain budget
 //! for. Each table's `remove` is one atomic swap here (it is a map
 //! operation under a mutex there).
+//!
+//! **Completion → gather → release.** With shuffling on, a completion
+//! does not answer its request either: it puts the answer into the
+//! gather of the request's batch, and the answers leave together — with
+//! the push that brings the last one, with the cap on the oldest held
+//! answer, or with the graceful drain, after which an answer that finds
+//! no gather passes straight through ([`GatherModel`]).
 //!
 //! Asserted under every explored schedule:
 //!
@@ -569,4 +576,151 @@ fn graceful_drain_answers_what_is_parked_on_the_uplink() {
         assert_eq!(q.answered.load(Ordering::Relaxed), jobs);
         assert_each_answered_once(&q, jobs);
     });
+}
+
+/// One gather of the UA's response direction, as `services::ua` runs
+/// it: a batch of three answers, the state a completion, the cap and
+/// the drain each change under the stage's `gathers` lock (a spin lock
+/// here), and the release each performs after letting the lock go.
+struct GatherModel {
+    lock: AtomicU64,
+    /// The gather is in the map: cleared by the release that completes
+    /// it and by the drain.
+    open: AtomicU64,
+    /// Answers held, as a bit set.
+    held: AtomicU64,
+    /// Answers not yet released: what "the last one is in" is sized to.
+    owed: AtomicU64,
+    /// Replies written per answer (exactly one, each).
+    sent: [AtomicU64; 3],
+}
+
+/// Who performed a release.
+#[derive(Clone, Copy)]
+enum By {
+    LastAnswer = 0,
+    Cap = 1,
+    Drain = 2,
+    PassThrough = 3,
+}
+
+impl GatherModel {
+    fn new() -> Self {
+        GatherModel {
+            lock: AtomicU64::new(0),
+            open: AtomicU64::new(1),
+            held: AtomicU64::new(0),
+            owed: AtomicU64::new(3),
+            sent: zeros(),
+        }
+    }
+
+    fn locked<T>(&self, section: impl FnOnce() -> T) -> T {
+        while self
+            .lock
+            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            thread::yield_now();
+        }
+        let out = section();
+        self.lock.store(0, Ordering::Release);
+        out
+    }
+
+    /// `Reply::send_all` on what a critical section took, lock released.
+    fn release(&self, taken: u64) -> bool {
+        for (answer, sent) in self.sent.iter().enumerate() {
+            if taken & (1 << answer) != 0 {
+                sent.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        taken != 0
+    }
+
+    /// Takes what is held; it is no longer owed.
+    fn take_held(&self) -> u64 {
+        let taken = self.held.swap(0, Ordering::Relaxed);
+        self.owed
+            .fetch_sub(u64::from(taken.count_ones()), Ordering::Relaxed);
+        taken
+    }
+
+    /// `Shuffle::gather`: a completion brings `answer`.
+    fn gather(&self, answer: u64) -> Option<By> {
+        let (taken, by) = self.locked(|| {
+            if self.open.load(Ordering::Relaxed) == 0 {
+                return (1 << answer, By::PassThrough);
+            }
+            let held = self.held.load(Ordering::Relaxed) | 1 << answer;
+            self.held.store(held, Ordering::Relaxed);
+            if u64::from(held.count_ones()) < self.owed.load(Ordering::Relaxed) {
+                return (0, By::LastAnswer);
+            }
+            self.open.store(0, Ordering::Relaxed);
+            (self.take_held(), By::LastAnswer)
+        });
+        self.release(taken).then_some(by)
+    }
+
+    /// `Shuffle::cap`, due: what is held leaves, the gather stays open
+    /// for the stragglers.
+    fn cap(&self) -> Option<By> {
+        let taken = self.locked(|| match self.open.load(Ordering::Relaxed) {
+            0 => 0,
+            _ => self.take_held(),
+        });
+        self.release(taken).then_some(By::Cap)
+    }
+
+    /// `Shuffle::drain`.
+    fn drain(&self) -> Option<By> {
+        let taken = self.locked(|| match self.open.swap(0, Ordering::Relaxed) {
+            0 => 0,
+            _ => self.take_held(),
+        });
+        self.release(taken).then_some(By::Drain)
+    }
+}
+
+/// The first answer of three is held and its cap is due; the other two
+/// completions (an uplink reader, the deadline queue), the cap and the
+/// graceful drain all arrive at once. Whatever the order, every answer is
+/// written exactly once, nothing stays held, and the held answer leaves
+/// in exactly one release.
+#[test]
+fn last_answer_cap_and_drain_race_for_one_gather() {
+    static RELEASED_BY: [std::sync::atomic::AtomicU64; 4] =
+        [const { std::sync::atomic::AtomicU64::new(0) }; 4];
+    loom::model(|| {
+        let g = Arc::new(GatherModel::new());
+        assert!(g.gather(0).is_none(), "one of three releases nothing");
+        let spawn = |run: fn(&GatherModel) -> Option<By>| {
+            let g = Arc::clone(&g);
+            thread::spawn(move || run(&g))
+        };
+        let racers = [
+            spawn(|g| g.gather(1)),
+            spawn(|g| g.gather(2)),
+            spawn(GatherModel::cap),
+            spawn(GatherModel::drain),
+        ];
+        for racer in racers {
+            if let Some(by) = racer.join().expect("racer") {
+                RELEASED_BY[by as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        for (answer, sent) in g.sent.iter().enumerate() {
+            assert_eq!(sent.load(Ordering::Relaxed), 1, "answer {answer}");
+        }
+        assert_eq!(g.held.load(Ordering::Relaxed), 0, "an answer stayed held");
+    });
+    let by: Vec<u64> = RELEASED_BY
+        .iter()
+        .map(|n| n.load(std::sync::atomic::Ordering::Relaxed))
+        .collect();
+    assert!(
+        by.iter().all(|&n| n > 0),
+        "last-answer/cap/drain/pass-through releases across schedules: {by:?}"
+    );
 }

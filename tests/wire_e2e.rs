@@ -385,6 +385,67 @@ fn shuffle_size_does_not_depend_on_the_worker_count() {
     cluster.shutdown();
 }
 
+/// Below the fill rate a batch of k < S leaves on its timer, and its k
+/// answers are gathered and leave together — the response-side anonymity
+/// set is the request-side set, batch for batch. Read from the UA's audit
+/// log and flush counters; nothing here depends on how long anything took.
+#[test]
+fn a_partial_batch_is_answered_as_the_same_batch() {
+    use std::collections::{BTreeMap, BTreeSet};
+    let config = ClusterConfig {
+        ua_instances: 1,
+        ia_instances: 1,
+        lrs_instances: 1,
+        modulus_bits: 1152,
+        shuffle: ShuffleConfig {
+            size: 8,
+            // Also the cap on a gather: long, so that a stalled box does
+            // not split a release.
+            timeout_us: 250_000,
+        },
+        linkage_audit: true,
+        seed: 0x5128_0003,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = LoopbackCluster::launch(config, Arc::new(StubLrs::new())).unwrap();
+    assert!(cluster.wait_ready(Duration::from_secs(10)));
+    let mut clients: Vec<_> = (0..7).map(|_| cluster.client()).collect();
+    // Closed-loop rounds of fewer than eight: no buffer ever fills.
+    for (round, k) in [5usize, 3, 7, 2].into_iter().enumerate() {
+        let sent = concurrently(&mut clients, k, |client, i| {
+            let env = client.post(&format!("p{round}-{i}"), "m001", None)?;
+            cluster.send_post(&env, budget())
+        });
+        assert!(sent.iter().all(Result::is_ok), "round {round}: {sent:?}");
+    }
+
+    let audit = &cluster.linkage_audits()[0];
+    let mut batches: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    for event in audit.departures() {
+        batches.entry(event.batch).or_default().insert(event.fp);
+    }
+    // Answers are logged in release order, a release under one instant.
+    let answers = audit.answers();
+    let releases: BTreeSet<BTreeSet<u64>> = answers
+        .chunk_by(|a, b| a.left_us == b.left_us)
+        .map(|release| release.iter().map(|a| a.fp).collect())
+        .collect();
+    assert_eq!(answers.len(), 17, "every post answered through a gather");
+    assert_eq!(releases, batches.values().cloned().collect());
+    assert!(batches.values().any(|b| b.len() > 1), "{batches:?}");
+
+    let snapshot = cluster.node_metrics()[0].snapshot_json();
+    let flushes = |cause: &str| {
+        let count = snapshot.get("shuffle").and_then(|s| s.get(cause));
+        count.and_then(|v| v.as_u64()).expect("flush counter")
+    };
+    // One release per direction per batch, each under the timer that
+    // closed the request batch.
+    assert_eq!(flushes("flush_full"), 0);
+    assert_eq!(flushes("flush_timeout"), 2 * batches.len() as u64);
+    cluster.shutdown();
+}
+
 /// The full recovery drill: a supervised cluster over a *durable* LRS
 /// loses its entire LRS layer to a kill; the supervisor respawns it, the
 /// replacement unseals the store, replays snapshot + WAL, and a
