@@ -64,6 +64,45 @@ pub mod shard_audit;
 pub mod telemetry_audit;
 pub mod wire_audit;
 
+/// A measured linkage probability next to the §6.2 curve it must not
+/// beat — the score every audit of this crate reports.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LinkageScore {
+    /// Identifications attempted.
+    pub attempts: usize,
+    /// Correct identifications.
+    pub correct: usize,
+    /// Measured linkage probability.
+    pub success_rate: f64,
+    /// The analytic curve under test: `1/S`, or `1/(S·I)` for an
+    /// instance-blind observer.
+    pub bound: f64,
+    /// Accepted excursion above the bound: three binomial standard
+    /// deviations at `attempts` samples, plus 0.01 absolute slack for
+    /// the discretization of small sample counts.
+    pub tolerance: f64,
+}
+
+impl LinkageScore {
+    /// Scores `correct` identifications out of `attempts` against `bound`.
+    pub fn new(attempts: usize, correct: usize, bound: f64) -> Self {
+        let n = attempts.max(1) as f64;
+        LinkageScore {
+            attempts,
+            correct,
+            success_rate: correct as f64 / n,
+            bound,
+            tolerance: 3.0 * (bound * (1.0 - bound) / n).sqrt() + 0.01,
+        }
+    }
+
+    /// Whether the adversary learned no more than the network observer
+    /// already could: `success_rate ≤ bound + tolerance`.
+    pub fn within(&self) -> bool {
+        self.success_rate <= self.bound + self.tolerance
+    }
+}
+
 pub use at_rest_audit::{audit_store_dir, AtRestAuditOutcome, PlaintextHit};
 pub use cases::{break_ia_and_read_database, break_ua_and_read_database, CaseOutcome};
 pub use correlation::{correlation_attack, measure_linkage, CorrelationOutcome};

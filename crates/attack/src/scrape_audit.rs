@@ -29,6 +29,7 @@
 //! [`scan_export_for_oracles`] during every load shape.
 
 use crate::wire_audit::{TraceArrival, TraceDeparture, WireTrace};
+use crate::LinkageScore;
 use pprox_core::shuffler::{ShuffleBuffer, ShuffleConfig};
 use pprox_crypto::rng::SecureRng;
 use pprox_json::Value;
@@ -90,39 +91,19 @@ pub struct ScrapeSideInfo {
 /// Result of the side-information attack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScrapeAuditOutcome {
-    /// Requests attacked.
-    pub attempts: usize,
-    /// Correct post-shuffle identifications.
-    pub correct: usize,
-    /// Measured linkage probability with the side channel in hand.
-    pub success_rate: f64,
-    /// The §6.2 baseline `1/S` the export must not beat.
-    pub baseline: f64,
-    /// Accepted excursion: three binomial standard deviations at
-    /// `attempts` samples plus 0.01 absolute slack.
-    pub tolerance: f64,
+    /// Post-shuffle identifications with the side channel in hand,
+    /// against the §6.2 baseline `1/S` the export must not beat.
+    pub score: LinkageScore,
     /// Whether the audited exporter shipped the unsafe ablation.
     pub unsafe_export: bool,
 }
 
 impl ScrapeAuditOutcome {
     fn new(attempts: usize, correct: usize, s: usize, unsafe_export: bool) -> Self {
-        let baseline = 1.0 / s.max(1) as f64;
-        let n = attempts.max(1) as f64;
         ScrapeAuditOutcome {
-            attempts,
-            correct,
-            success_rate: correct as f64 / n,
-            baseline,
-            tolerance: 3.0 * (baseline * (1.0 - baseline) / n).sqrt() + 0.01,
+            score: LinkageScore::new(attempts, correct, 1.0 / s.max(1) as f64),
             unsafe_export,
         }
-    }
-
-    /// Whether the scrape channel leaks no more than the network
-    /// observer already could: measured success ≤ `1/S + tolerance`.
-    pub fn within_baseline(&self) -> bool {
-        self.success_rate <= self.baseline + self.tolerance
     }
 }
 
@@ -375,18 +356,18 @@ mod tests {
         let outcome = audit_scrape_channel(&ScrapeAuditConfig::default());
         assert!(!outcome.unsafe_export);
         assert!(
-            outcome.within_baseline(),
+            outcome.score.within(),
             "measured {} vs baseline {} (+{})",
-            outcome.success_rate,
-            outcome.baseline,
-            outcome.tolerance
+            outcome.score.success_rate,
+            outcome.score.bound,
+            outcome.score.tolerance
         );
         // The uniform strategy does reach the 1/S floor; near-zero would
         // mean the attack (not the defense) is broken.
         assert!(
-            outcome.success_rate > outcome.baseline / 3.0,
+            outcome.score.success_rate > outcome.score.bound / 3.0,
             "attack under-performs: {}",
-            outcome.success_rate
+            outcome.score.success_rate
         );
     }
 
@@ -398,12 +379,12 @@ mod tests {
         });
         assert!(outcome.unsafe_export);
         assert!(
-            outcome.success_rate > 0.9,
+            outcome.score.success_rate > 0.9,
             "raw timestamps should join almost always: {}",
-            outcome.success_rate
+            outcome.score.success_rate
         );
         assert!(
-            !outcome.within_baseline(),
+            !outcome.score.within(),
             "the audit must flag the unsafe export"
         );
     }
@@ -422,8 +403,8 @@ mod tests {
             shuffle_size: 20,
             ..base
         });
-        assert!(s20.success_rate < s5.success_rate);
-        assert!(s5.within_baseline() && s20.within_baseline());
+        assert!(s20.score.success_rate < s5.score.success_rate);
+        assert!(s5.score.within() && s20.score.within());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //!   thing the shuffle hides, and the audit must flag it: within a
 //!   flush group the labels replay arrival order and the join is free.
 
+use crate::LinkageScore;
 use pprox_crypto::rng::SecureRng;
 use pprox_lrs::shard::{HashRing, DEFAULT_VNODES};
 
@@ -65,17 +66,9 @@ impl Default for ShardAuditConfig {
 /// Result of the shard-skew audit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardAuditOutcome {
-    /// Post-shuffle identifications attempted.
-    pub attempts: usize,
-    /// Correct identifications with shard labels in hand.
-    pub correct: usize,
-    /// Measured linkage probability.
-    pub success_rate: f64,
-    /// The §6.2 baseline `1/S` the labels must not beat.
-    pub baseline: f64,
-    /// Accepted excursion: three binomial standard deviations plus 0.01
-    /// absolute slack.
-    pub tolerance: f64,
+    /// Post-shuffle identifications with shard labels in hand, against
+    /// the §6.2 baseline `1/S` the labels must not beat.
+    pub score: LinkageScore,
     /// Pseudonyms routed to each shard in the balance pass.
     pub shard_population: Vec<u64>,
     /// Largest per-shard share relative to the ideal `1/K`.
@@ -87,12 +80,6 @@ pub struct ShardAuditOutcome {
 }
 
 impl ShardAuditOutcome {
-    /// Whether shard labels leak no more than the network observer
-    /// already could: measured success ≤ `1/S + tolerance`.
-    pub fn within_baseline(&self) -> bool {
-        self.success_rate <= self.baseline + self.tolerance
-    }
-
     /// Whether every shard's population share sits inside the
     /// virtual-node balance envelope (±40% of ideal) — outside it, the
     /// small-shard population is an identifiable sub-anonymity-set.
@@ -194,14 +181,8 @@ pub fn shard_skew_attack(config: &ShardAuditConfig) -> ShardAuditOutcome {
         }
     }
 
-    let baseline = 1.0 / s as f64;
-    let n = attempts.max(1) as f64;
     ShardAuditOutcome {
-        attempts,
-        correct,
-        success_rate: correct as f64 / n,
-        baseline,
-        tolerance: 3.0 * (baseline * (1.0 - baseline) / n).sqrt() + 0.01,
+        score: LinkageScore::new(attempts, correct, 1.0 / s as f64),
         shard_population,
         max_skew,
         min_skew,
@@ -218,18 +199,18 @@ mod tests {
         let outcome = shard_skew_attack(&ShardAuditConfig::default());
         assert!(!outcome.routing_ablation);
         assert!(
-            outcome.within_baseline(),
+            outcome.score.within(),
             "shard labels must not beat 1/S: measured {} vs {} (+{})",
-            outcome.success_rate,
-            outcome.baseline,
-            outcome.tolerance
+            outcome.score.success_rate,
+            outcome.score.bound,
+            outcome.score.tolerance
         );
         // The attack must actually reach the floor — near-zero success
         // would mean the estimator (not the defense) is broken.
         assert!(
-            outcome.success_rate > outcome.baseline / 3.0,
+            outcome.score.success_rate > outcome.score.bound / 3.0,
             "attack under-performs: {}",
-            outcome.success_rate
+            outcome.score.success_rate
         );
     }
 
@@ -243,12 +224,12 @@ mod tests {
         // 8 shards over groups of 10: labels nearly replay arrival
         // order, so the join succeeds most of the time.
         assert!(
-            outcome.success_rate > 0.5,
+            outcome.score.success_rate > 0.5,
             "order-correlated routing should join freely: {}",
-            outcome.success_rate
+            outcome.score.success_rate
         );
         assert!(
-            !outcome.within_baseline(),
+            !outcome.score.within(),
             "the audit must flag arrival-order routing"
         );
     }
@@ -291,10 +272,7 @@ mod tests {
             routing_ablation: true,
             ..ShardAuditConfig::default()
         });
-        assert!(k2.success_rate < k8.success_rate);
-        assert!(
-            !k2.within_baseline(),
-            "even K=2 order routing must be flagged"
-        );
+        assert!(k2.score.success_rate < k8.score.success_rate);
+        assert!(!k2.score.within(), "even K=2 order routing must be flagged");
     }
 }

@@ -32,6 +32,7 @@
 //! span-exporting proxy would emit stays inside `1/S` only while IDs are
 //! re-randomized at the shuffle, and one stable ID gives the join away.
 
+use crate::LinkageScore;
 use pprox_core::shuffler::{ShuffleBuffer, ShuffleConfig};
 use pprox_core::telemetry::{SpanRecord, SpanRing, Stage, TraceId, TraceIdPolicy};
 use pprox_crypto::rng::SecureRng;
@@ -66,40 +67,19 @@ impl Default for TelemetryAuditConfig {
 /// Result of auditing an exported span stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryAuditOutcome {
-    /// Requests attacked.
-    pub attempts: usize,
-    /// Correct post-shuffle identifications.
-    pub correct: usize,
-    /// Measured linkage probability over the exported spans.
-    pub success_rate: f64,
-    /// The §6.2 baseline `1/S` the exporter must not beat.
-    pub baseline: f64,
-    /// Accepted excursion above the baseline: three binomial standard
-    /// deviations at `attempts` samples, plus 0.01 absolute slack for
-    /// the discretization of small sample counts.
-    pub tolerance: f64,
+    /// Post-shuffle identifications over the exported spans, against
+    /// the §6.2 baseline `1/S` the exporter must not beat.
+    pub score: LinkageScore,
     /// Exported policy label (`trace_policy` in the JSON snapshot).
     pub policy_label: &'static str,
 }
 
 impl TelemetryAuditOutcome {
     fn new(attempts: usize, correct: usize, s: usize, policy: TraceIdPolicy) -> Self {
-        let baseline = 1.0 / s as f64;
-        let n = attempts.max(1) as f64;
         TelemetryAuditOutcome {
-            attempts,
-            correct,
-            success_rate: correct as f64 / n,
-            baseline,
-            tolerance: 3.0 * (baseline * (1.0 - baseline) / n).sqrt() + 0.01,
+            score: LinkageScore::new(attempts, correct, 1.0 / s as f64),
             policy_label: policy.as_str(),
         }
-    }
-
-    /// Whether the exported stream leaks no more than the network
-    /// observer already could: measured success ≤ `1/S + tolerance`.
-    pub fn within_baseline(&self) -> bool {
-        self.success_rate <= self.baseline + self.tolerance
     }
 }
 
@@ -273,19 +253,19 @@ mod tests {
         let outcome = audit_telemetry(&TelemetryAuditConfig::default());
         assert_eq!(outcome.policy_label, "rerandomize");
         assert!(
-            outcome.within_baseline(),
+            outcome.score.within(),
             "measured {} vs baseline {} (+{})",
-            outcome.success_rate,
-            outcome.baseline,
-            outcome.tolerance
+            outcome.score.success_rate,
+            outcome.score.bound,
+            outcome.score.tolerance
         );
         // And not suspiciously *below* either: the timing strategy does
         // reach the 1/S floor, so a near-zero rate would mean the attack
         // (not the defense) is broken.
         assert!(
-            outcome.success_rate > outcome.baseline / 3.0,
+            outcome.score.success_rate > outcome.score.bound / 3.0,
             "attack under-performs: {}",
-            outcome.success_rate
+            outcome.score.success_rate
         );
     }
 
@@ -296,12 +276,12 @@ mod tests {
             ..TelemetryAuditConfig::default()
         });
         assert!(
-            outcome.success_rate > 0.9,
+            outcome.score.success_rate > 0.9,
             "stable IDs should join almost always: {}",
-            outcome.success_rate
+            outcome.score.success_rate
         );
         assert!(
-            !outcome.within_baseline(),
+            !outcome.score.within(),
             "the audit must flag the leaky policy"
         );
         assert_eq!(outcome.policy_label, "stable-across-shuffle");
@@ -321,15 +301,15 @@ mod tests {
             shuffle_size: 20,
             ..base
         });
-        assert!(s20.success_rate < s5.success_rate);
-        assert!(s5.within_baseline() && s20.within_baseline());
+        assert!(s20.score.success_rate < s5.score.success_rate);
+        assert!(s5.score.within() && s20.score.within());
     }
 
     #[test]
     fn tolerance_shrinks_with_samples() {
         let small = TelemetryAuditOutcome::new(100, 10, 10, TraceIdPolicy::Rerandomize);
         let large = TelemetryAuditOutcome::new(10_000, 1_000, 10, TraceIdPolicy::Rerandomize);
-        assert!(large.tolerance < small.tolerance);
-        assert!(small.within_baseline() && large.within_baseline());
+        assert!(large.score.tolerance < small.score.tolerance);
+        assert!(small.score.within() && large.score.within());
     }
 }

@@ -34,6 +34,8 @@
 //!
 //! [`pprox-wire` linkage audit]: https://example.invalid/pprox-wire-audit
 
+use crate::LinkageScore;
+
 /// One request arrival as the client-side observer sees it: who (which
 /// request index, known pre-shuffle — arrival linkage is trivial for an
 /// on-path observer), when, and which UA instance the front door chose.
@@ -97,31 +99,16 @@ impl Default for WireAuditConfig {
 /// Measured linkage vs the analytic curve for one adversary position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireAuditOutcome {
-    /// Departure frames attacked (each yields at most one guess).
-    pub attempts: usize,
-    /// Correct request↔frame identifications.
-    pub correct: usize,
-    /// Measured linkage probability.
-    pub success_rate: f64,
-    /// The analytic curve under test: `1/S` (aware) or `1/(S·I)` (blind).
-    pub bound: f64,
-    /// Accepted excursion above the bound: three binomial standard
-    /// deviations at `attempts` samples plus 0.01 absolute slack.
-    pub tolerance: f64,
+    /// Request↔frame identifications over the departure frames attacked
+    /// (each yields at most one guess), against `1/S` (aware) or
+    /// `1/(S·I)` (blind).
+    pub score: LinkageScore,
     /// Bursts the clustering recovered.
     pub batches: usize,
     /// Mean recovered burst size (≈ effective anonymity-set size).
     pub mean_batch: f64,
     /// `"instance-aware"` or `"instance-blind"`.
     pub label: &'static str,
-}
-
-impl WireAuditOutcome {
-    /// Whether the measured linkage respects the analytic curve:
-    /// `success_rate ≤ bound + tolerance`.
-    pub fn within_bound(&self) -> bool {
-        self.success_rate <= self.bound + self.tolerance
-    }
 }
 
 /// Mounts the burst-cluster + FIFO + rank-match attack on a wire trace
@@ -216,14 +203,8 @@ pub fn wire_linkage_attack(trace: &WireTrace, config: &WireAuditConfig) -> WireA
         }
     }
 
-    let attempts = trace.departures.len();
-    let n = attempts.max(1) as f64;
     WireAuditOutcome {
-        attempts,
-        correct,
-        success_rate: correct as f64 / n,
-        bound,
-        tolerance: 3.0 * (bound * (1.0 - bound) / n).sqrt() + 0.01,
+        score: LinkageScore::new(trace.departures.len(), correct, bound),
         batches: batch_count,
         mean_batch: frame_total as f64 / (batch_count.max(1)) as f64,
         label,
@@ -296,17 +277,17 @@ mod tests {
         let out = wire_linkage_attack(&trace, &WireAuditConfig::default());
         assert_eq!(out.label, "instance-aware");
         assert!(
-            out.within_bound(),
+            out.score.within(),
             "measured {} vs bound {} (+{})",
-            out.success_rate,
-            out.bound,
-            out.tolerance
+            out.score.success_rate,
+            out.score.bound,
+            out.score.tolerance
         );
         // The attack must actually reach the floor, not under-perform.
         assert!(
-            out.success_rate > out.bound / 3.0,
+            out.score.success_rate > out.score.bound / 3.0,
             "attack under-performs: {}",
-            out.success_rate
+            out.score.success_rate
         );
         assert!((out.mean_batch - 8.0).abs() < 1.0, "{}", out.mean_batch);
     }
@@ -316,12 +297,12 @@ mod tests {
         let trace = synthetic(8, 1, 40, false, 0x11cf);
         let out = wire_linkage_attack(&trace, &WireAuditConfig::default());
         assert!(
-            out.success_rate > 0.9,
+            out.score.success_rate > 0.9,
             "order-preserving release must link almost always: {}",
-            out.success_rate
+            out.score.success_rate
         );
         assert!(
-            !out.within_bound(),
+            !out.score.within(),
             "the audit must flag the broken shuffle"
         );
     }
@@ -338,11 +319,11 @@ mod tests {
             },
         );
         assert_eq!(blind.label, "instance-blind");
-        assert!((blind.bound - 1.0 / 12.0).abs() < 1e-12);
-        assert!(aware.within_bound(), "aware: {}", aware.success_rate);
-        assert!(blind.within_bound(), "blind: {}", blind.success_rate);
+        assert!((blind.score.bound - 1.0 / 12.0).abs() < 1e-12);
+        assert!(aware.score.within(), "aware: {}", aware.score.success_rate);
+        assert!(blind.score.within(), "blind: {}", blind.score.success_rate);
         assert!(
-            blind.success_rate <= aware.success_rate + aware.tolerance,
+            blind.score.success_rate <= aware.score.success_rate + aware.score.tolerance,
             "hiding instance attribution cannot help the adversary"
         );
     }
@@ -353,6 +334,6 @@ mod tests {
         let large = synthetic(4, 1, 200, true, 1);
         let o_small = wire_linkage_attack(&small, &WireAuditConfig::default());
         let o_large = wire_linkage_attack(&large, &WireAuditConfig::default());
-        assert!(o_large.tolerance < o_small.tolerance);
+        assert!(o_large.score.tolerance < o_small.score.tolerance);
     }
 }

@@ -288,13 +288,13 @@ fn measure_overhead(seed: u64, requests: usize, workers: usize) -> (OverheadTria
 
 fn audit_json(a: &ScrapeAuditOutcome) -> Value {
     Value::object([
-        ("attempts", Value::from(a.attempts as u64)),
-        ("correct", Value::from(a.correct as u64)),
-        ("measured", Value::from(a.success_rate)),
-        ("baseline", Value::from(a.baseline)),
-        ("tolerance", Value::from(a.tolerance)),
+        ("attempts", Value::from(a.score.attempts as u64)),
+        ("correct", Value::from(a.score.correct as u64)),
+        ("measured", Value::from(a.score.success_rate)),
+        ("baseline", Value::from(a.score.bound)),
+        ("tolerance", Value::from(a.score.tolerance)),
         ("unsafe_export", Value::from(a.unsafe_export)),
-        ("within", Value::from(a.within_baseline())),
+        ("within", Value::from(a.score.within())),
     ])
 }
 
@@ -543,16 +543,19 @@ fn main() {
         seed: args.seed,
         ..ScrapeAuditConfig::default()
     });
-    assert!(side.within_baseline(), "side channel beats 1/S");
+    assert!(side.score.within(), "side channel beats 1/S");
     let ablation = audit_scrape_channel(&ScrapeAuditConfig {
         seed: args.seed,
         unsafe_export: true,
         ..ScrapeAuditConfig::default()
     });
-    assert!(!ablation.within_baseline(), "ablation not caught");
+    assert!(!ablation.score.within(), "ablation not caught");
     eprintln!(
         "  side channel {:.3} vs 1/S {:.3} (+{:.3}); ablation {:.3} caught",
-        side.success_rate, side.baseline, side.tolerance, ablation.success_rate
+        side.score.success_rate,
+        side.score.bound,
+        side.score.tolerance,
+        ablation.score.success_rate
     );
 
     let specs = if args.smoke {

@@ -76,14 +76,14 @@ impl Args {
 /// One adversary position as a JSON object.
 fn audit_json(a: &pprox_attack::wire_audit::WireAuditOutcome) -> Value {
     Value::object([
-        ("attempts", Value::from(a.attempts as u64)),
-        ("correct", Value::from(a.correct as u64)),
-        ("measured", Value::from(a.success_rate)),
-        ("bound", Value::from(a.bound)),
-        ("tolerance", Value::from(a.tolerance)),
+        ("attempts", Value::from(a.score.attempts as u64)),
+        ("correct", Value::from(a.score.correct as u64)),
+        ("measured", Value::from(a.score.success_rate)),
+        ("bound", Value::from(a.score.bound)),
+        ("tolerance", Value::from(a.score.tolerance)),
         ("batches", Value::from(a.batches as u64)),
         ("mean_batch", Value::from(a.mean_batch)),
-        ("within", Value::from(a.within_bound())),
+        ("within", Value::from(a.score.within())),
     ])
 }
 
@@ -276,14 +276,14 @@ fn main() {
             outcome.completed,
             spec.requests,
             outcome.shed,
-            outcome.aware.success_rate,
-            outcome.aware.bound,
-            outcome.aware.tolerance,
-            outcome.blind.success_rate,
-            outcome.blind.bound,
-            outcome.blind.tolerance,
-            outcome.response_edge[0].success_rate,
-            outcome.response_edge[1].success_rate,
+            outcome.aware.score.success_rate,
+            outcome.aware.score.bound,
+            outcome.aware.score.tolerance,
+            outcome.blind.score.success_rate,
+            outcome.blind.score.bound,
+            outcome.blind.score.tolerance,
+            outcome.response_edge[0].score.success_rate,
+            outcome.response_edge[1].score.success_rate,
             if outcome.ok() { "ok" } else { "FAILED" }
         );
         outcomes.push(outcome);

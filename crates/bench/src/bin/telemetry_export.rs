@@ -148,11 +148,11 @@ fn audit_section(shuffle_size: usize) -> Value {
         ..TelemetryAuditConfig::default()
     });
     assert!(
-        safe.within_baseline(),
+        safe.score.within(),
         "exported telemetry exceeds the 1/S linkage baseline: {} > {} + {}",
-        safe.success_rate,
-        safe.baseline,
-        safe.tolerance
+        safe.score.success_rate,
+        safe.score.bound,
+        safe.score.tolerance
     );
     let leaky = audit_telemetry(&TelemetryAuditConfig {
         shuffle_size,
@@ -160,19 +160,19 @@ fn audit_section(shuffle_size: usize) -> Value {
         ..TelemetryAuditConfig::default()
     });
     assert!(
-        !leaky.within_baseline() && leaky.success_rate > 0.9,
+        !leaky.score.within() && leaky.score.success_rate > 0.9,
         "the stable-trace-ID ablation was not caught (success {})",
-        leaky.success_rate
+        leaky.score.success_rate
     );
     let outcome = |o: &pprox_attack::TelemetryAuditOutcome| {
         Value::object([
             ("policy", Value::from(o.policy_label)),
-            ("attempts", Value::from(o.attempts as u64)),
-            ("correct", Value::from(o.correct as u64)),
-            ("success_rate", Value::from(o.success_rate)),
-            ("baseline", Value::from(o.baseline)),
-            ("tolerance", Value::from(o.tolerance)),
-            ("within_baseline", Value::from(o.within_baseline())),
+            ("attempts", Value::from(o.score.attempts as u64)),
+            ("correct", Value::from(o.score.correct as u64)),
+            ("success_rate", Value::from(o.score.success_rate)),
+            ("baseline", Value::from(o.score.bound)),
+            ("tolerance", Value::from(o.score.tolerance)),
+            ("within_baseline", Value::from(o.score.within())),
         ])
     };
     Value::object([

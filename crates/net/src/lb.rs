@@ -4,16 +4,9 @@
 //! enclaves in the UA layer. The following request from the UA to the IA
 //! layer is also balanced to any of the enclaves of the latter." The paper
 //! uses Kubernetes' kube-proxy; this module provides the two policies it
-//! offers — round-robin and uniform random — plus least-loaded, the
-//! policy the real socket transport (`pprox-wire`) uses when it can see
-//! live in-flight counts.
-//!
-//! The policy decision itself lives in [`Selector`], a pure selection
-//! core with no randomness source of its own: the discrete-event
-//! simulator drives it with [`crate::service::SimRng`] (via
-//! [`LoadBalancer`]) and `pprox-wire` drives the very same code with its
-//! own entropy and real per-backend in-flight counts, so both transports
-//! share one strategy implementation instead of duplicating it.
+//! offers — round-robin and uniform random — for the discrete-event
+//! simulator. Neither looks at load, so the instance a request lands on
+//! says nothing about the others in flight.
 
 use crate::service::SimRng;
 
@@ -24,95 +17,15 @@ pub enum BalancePolicy {
     RoundRobin,
     /// Pick uniformly at random per request.
     Random,
-    /// Pick the instance with the fewest in-flight requests, breaking
-    /// ties round-robin. Falls back to round-robin when the caller has
-    /// no load information (the simulator's stations expose queue state
-    /// through other channels).
-    LeastLoaded,
-}
-
-/// The shared instance-selection core: policy + cursor, no entropy.
-///
-/// Callers supply load information (when they have it) and a
-/// `random_below` closure (their randomness source); the selector is
-/// otherwise pure, so the simulator and the socket transport observe
-/// identical policy semantics.
-#[derive(Debug, Clone)]
-pub struct Selector {
-    policy: BalancePolicy,
-    instances: usize,
-    next: usize,
-}
-
-impl Selector {
-    /// A selector over `instances` backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `instances` is zero.
-    pub fn new(policy: BalancePolicy, instances: usize) -> Self {
-        assert!(instances > 0, "need at least one instance");
-        Selector {
-            policy,
-            instances,
-            next: 0,
-        }
-    }
-
-    /// Picks the backend index for the next request.
-    ///
-    /// `loads` is the per-backend in-flight count when known (its length
-    /// must equal the instance count when provided); `random_below(n)`
-    /// must return a value in `0..n`.
-    pub fn select(
-        &mut self,
-        loads: Option<&[usize]>,
-        random_below: &mut dyn FnMut(usize) -> usize,
-    ) -> usize {
-        match self.policy {
-            BalancePolicy::RoundRobin => self.advance(),
-            BalancePolicy::Random => random_below(self.instances) % self.instances,
-            BalancePolicy::LeastLoaded => match loads {
-                Some(loads) if loads.len() == self.instances => {
-                    let min = loads.iter().copied().min().unwrap_or(0);
-                    // Tie-break by continuing the round-robin cursor so
-                    // equally idle backends share the work instead of
-                    // herding onto index 0.
-                    for _ in 0..self.instances {
-                        let candidate = self.advance();
-                        if loads[candidate] == min {
-                            return candidate;
-                        }
-                    }
-                    0
-                }
-                _ => self.advance(),
-            },
-        }
-    }
-
-    fn advance(&mut self) -> usize {
-        let i = self.next;
-        self.next = (self.next + 1) % self.instances;
-        i
-    }
-
-    /// Number of backends.
-    pub fn instances(&self) -> usize {
-        self.instances
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> BalancePolicy {
-        self.policy
-    }
 }
 
 /// Selects one of `n` instances per request under a policy, driven by the
-/// simulator's deterministic RNG. Thin wrapper over [`Selector`].
+/// simulator's deterministic RNG.
 #[derive(Debug, Clone)]
 pub struct LoadBalancer {
-    selector: Selector,
+    policy: BalancePolicy,
+    instances: usize,
+    next: usize,
 }
 
 impl LoadBalancer {
@@ -122,25 +35,29 @@ impl LoadBalancer {
     ///
     /// Panics if `instances` is zero.
     pub fn new(policy: BalancePolicy, instances: usize) -> Self {
+        assert!(instances > 0, "need at least one instance");
         LoadBalancer {
-            selector: Selector::new(policy, instances),
+            policy,
+            instances,
+            next: 0,
         }
     }
 
     /// Picks the backend index for the next request.
     pub fn pick(&mut self, rng: &mut SimRng) -> usize {
-        self.selector.select(None, &mut |n| rng.below(n))
-    }
-
-    /// Picks with live per-backend load counts (for
-    /// [`BalancePolicy::LeastLoaded`]; other policies ignore the loads).
-    pub fn pick_with_loads(&mut self, loads: &[usize], rng: &mut SimRng) -> usize {
-        self.selector.select(Some(loads), &mut |n| rng.below(n))
+        match self.policy {
+            BalancePolicy::RoundRobin => {
+                let i = self.next;
+                self.next = (self.next + 1) % self.instances;
+                i
+            }
+            BalancePolicy::Random => rng.below(self.instances),
+        }
     }
 
     /// Number of backends.
     pub fn instances(&self) -> usize {
-        self.selector.instances()
+        self.instances
     }
 }
 
@@ -183,40 +100,5 @@ mod tests {
     #[should_panic(expected = "at least one instance")]
     fn zero_instances_panics() {
         let _ = LoadBalancer::new(BalancePolicy::RoundRobin, 0);
-    }
-
-    #[test]
-    fn least_loaded_picks_minimum() {
-        let mut s = Selector::new(BalancePolicy::LeastLoaded, 3);
-        let mut no_rand = |_n: usize| 0;
-        assert_eq!(s.select(Some(&[4, 1, 2]), &mut no_rand), 1);
-        assert_eq!(s.select(Some(&[0, 5, 5]), &mut no_rand), 0);
-        assert_eq!(s.select(Some(&[9, 9, 3]), &mut no_rand), 2);
-    }
-
-    #[test]
-    fn least_loaded_breaks_ties_round_robin() {
-        let mut s = Selector::new(BalancePolicy::LeastLoaded, 3);
-        let mut no_rand = |_n: usize| 0;
-        let picks: Vec<usize> = (0..6)
-            .map(|_| s.select(Some(&[2, 2, 2]), &mut no_rand))
-            .collect();
-        // All backends equally loaded: the cursor must distribute.
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn least_loaded_without_loads_degrades_to_round_robin() {
-        let mut lb = LoadBalancer::new(BalancePolicy::LeastLoaded, 2);
-        let mut rng = SimRng::from_seed(4);
-        let picks: Vec<usize> = (0..4).map(|_| lb.pick(&mut rng)).collect();
-        assert_eq!(picks, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn pick_with_loads_steers_to_idle_instance() {
-        let mut lb = LoadBalancer::new(BalancePolicy::LeastLoaded, 4);
-        let mut rng = SimRng::from_seed(5);
-        assert_eq!(lb.pick_with_loads(&[3, 0, 3, 3], &mut rng), 1);
     }
 }

@@ -30,7 +30,7 @@ pub mod sim;
 pub mod tap;
 pub mod time;
 
-pub use lb::{BalancePolicy, LoadBalancer, Selector};
+pub use lb::{BalancePolicy, LoadBalancer};
 pub use link::Link;
 pub use node::Station;
 pub use service::{ServiceTime, SimRng};

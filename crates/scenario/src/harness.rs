@@ -138,11 +138,11 @@ impl ScenarioOutcome {
     pub fn ok(&self) -> bool {
         let [response_aware, response_blind] = &self.response_edge;
         if self.spec.violation_expected {
-            !self.aware.within_bound() && !response_aware.within_bound()
+            !self.aware.score.within() && !response_aware.score.within()
         } else {
             [&self.aware, &self.blind, response_aware, response_blind]
                 .iter()
-                .all(|edge| edge.within_bound())
+                .all(|edge| edge.score.within())
         }
     }
 }

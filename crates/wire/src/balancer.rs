@@ -1,11 +1,8 @@
 //! Load balancing over real sockets.
 //!
 //! [`SocketBalancer`] fans calls out over N [`PooledClient`] backends
-//! using the same [`pprox_net::Selector`] strategy core as the
-//! simulator's `net::lb` (satellite requirement: one policy set, two
-//! transports). Least-loaded uses each client's live in-flight count as
-//! its load signal — the closest practical analogue to kube-proxy's
-//! least-connection mode the paper's testbed relies on.
+//! round-robin — kube-proxy's default, and an instance choice that does
+//! not depend on load, which is what the `1/(S·I)` linkage bound scores.
 //!
 //! [`SocketBalancer::submit`] is continuation-style like the clients
 //! under it: it returns once the request is written and the call's
@@ -24,11 +21,10 @@
 use crate::client::{block_on, CallResult, ClientConfig, Completion, PooledClient};
 use crate::timers::DeadlineQueue;
 use crate::{WireError, WireStatus};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use pprox_core::resilience::Deadline;
-use pprox_net::{BalancePolicy, Selector};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,8 +47,8 @@ pub struct SocketBalancer {
     backends: RwLock<Vec<Arc<PooledClient>>>,
     client_config: ClientConfig,
     timers: Arc<DeadlineQueue>,
-    selector: Mutex<Selector>,
-    rng_state: AtomicU64,
+    /// Round-robin cursor: the next call starts at `cursor % len`.
+    cursor: AtomicUsize,
     failovers: Arc<AtomicU64>,
     replacements: AtomicU64,
 }
@@ -122,12 +118,7 @@ impl SocketBalancer {
     /// # Panics
     ///
     /// If `addrs` is empty (a balancer needs at least one backend).
-    pub fn new(
-        addrs: &[SocketAddr],
-        policy: BalancePolicy,
-        client_config: ClientConfig,
-        seed: u64,
-    ) -> Self {
+    pub fn new(addrs: &[SocketAddr], client_config: ClientConfig) -> Self {
         assert!(!addrs.is_empty(), "need at least one backend");
         let timers = Arc::new(DeadlineQueue::new());
         let backends = addrs
@@ -142,11 +133,10 @@ impl SocketBalancer {
             })
             .collect::<Vec<_>>();
         SocketBalancer {
-            selector: Mutex::new(Selector::new(policy, backends.len())),
             backends: RwLock::new(backends),
             client_config,
             timers,
-            rng_state: AtomicU64::new(seed | 1),
+            cursor: AtomicUsize::new(0),
             failovers: Arc::new(AtomicU64::new(0)),
             replacements: AtomicU64::new(0),
         }
@@ -222,23 +212,6 @@ impl SocketBalancer {
         self.timers.after(delay, task);
     }
 
-    fn random_below(&self, n: usize) -> usize {
-        // xorshift64*, same generator family as core::resilience.
-        let mut x = self.rng_state.load(Ordering::Relaxed);
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state.store(x, Ordering::Relaxed);
-        (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1) as u64) as usize
-    }
-
-    fn select(&self, backends: &[Arc<PooledClient>]) -> usize {
-        let loads: Vec<usize> = backends.iter().map(|b| b.in_flight()).collect();
-        self.selector
-            .lock()
-            .select(Some(&loads), &mut |n| self.random_below(n))
-    }
-
     /// Sends `payload` to a selected backend and returns; on a retryable
     /// failure the call walks the other backends in ring order before
     /// giving up. `done` runs once with the answer, the first
@@ -254,7 +227,7 @@ impl SocketBalancer {
         // redirects a call mid-walk.
         let backends: Vec<Arc<PooledClient>> = self.backends.read().clone();
         Failover {
-            start: self.select(&backends),
+            start: self.cursor.fetch_add(1, Ordering::Relaxed) % backends.len(),
             backends,
             tried: 0,
             payload,
@@ -332,12 +305,8 @@ mod tests {
     fn round_robin_spreads_calls_evenly() {
         let (mut s1, h1) = spawn_tagged(1);
         let (mut s2, h2) = spawn_tagged(2);
-        let balancer = SocketBalancer::new(
-            &[s1.local_addr(), s2.local_addr()],
-            BalancePolicy::RoundRobin,
-            ClientConfig::default(),
-            7,
-        );
+        let balancer =
+            SocketBalancer::new(&[s1.local_addr(), s2.local_addr()], ClientConfig::default());
         for _ in 0..10 {
             balancer.call(b"req", budget()).unwrap();
         }
@@ -355,12 +324,10 @@ mod tests {
         let (mut live, hits) = spawn_tagged(9);
         let balancer = SocketBalancer::new(
             &[dead_addr, live.local_addr()],
-            BalancePolicy::RoundRobin,
             ClientConfig {
                 max_retries: 0,
                 ..ClientConfig::default()
             },
-            7,
         );
         for _ in 0..4 {
             let got = balancer.call(b"x", budget()).unwrap();
@@ -377,12 +344,10 @@ mod tests {
         let (mut s2, _h2) = spawn_tagged(2);
         let balancer = SocketBalancer::new(
             &[s1.local_addr(), s2.local_addr()],
-            BalancePolicy::RoundRobin,
             ClientConfig {
                 max_retries: 0,
                 ..ClientConfig::default()
             },
-            7,
         );
         // Kill slot 1, respawn elsewhere, readmit: every call succeeds
         // and the replacement carries real traffic again.
@@ -397,40 +362,5 @@ mod tests {
         assert_eq!(h3.load(Ordering::Relaxed), 3);
         s1.shutdown();
         s3.shutdown();
-    }
-
-    #[test]
-    fn least_loaded_prefers_the_idle_backend() {
-        struct Slow(Arc<AtomicUsize>);
-        impl FrameHandler for Slow {
-            fn handle(&self, payload: Vec<u8>, _d: Deadline) -> Result<Vec<u8>, WireStatus> {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(150));
-                Ok(payload)
-            }
-        }
-        let slow_hits = Arc::new(AtomicUsize::new(0));
-        let mut slow =
-            WireServer::spawn(Arc::new(Slow(slow_hits.clone())), ServerConfig::default()).unwrap();
-        let (mut fast, fast_hits) = spawn_tagged(1);
-        let balancer = Arc::new(SocketBalancer::new(
-            &[slow.local_addr(), fast.local_addr()],
-            BalancePolicy::LeastLoaded,
-            ClientConfig::default(),
-            7,
-        ));
-        // Park one call on the slow backend, then issue more: with a
-        // live load signal they should all land on the fast one.
-        let b = balancer.clone();
-        let parked = std::thread::spawn(move || b.call(b"park", budget()));
-        std::thread::sleep(Duration::from_millis(40));
-        for _ in 0..5 {
-            balancer.call(b"quick", budget()).unwrap();
-        }
-        parked.join().unwrap().unwrap();
-        assert_eq!(slow_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(fast_hits.load(Ordering::Relaxed), 5);
-        slow.shutdown();
-        fast.shutdown();
     }
 }

@@ -485,8 +485,7 @@ impl PooledClient {
         self.inner.addr
     }
 
-    /// Calls submitted and not yet completed (load signal for
-    /// least-loaded balancing).
+    /// Calls submitted and not yet completed.
     pub fn in_flight(&self) -> usize {
         self.inner.in_flight.load(Ordering::Relaxed)
     }

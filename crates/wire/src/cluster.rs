@@ -1,27 +1,31 @@
 //! The loopback cluster harness: the full PProx chain over real TCP.
 //!
 //! [`LoopbackCluster::launch`] stands up 1–4 [`WireServer`] instances
-//! per layer on `127.0.0.1` — LRS tier first, then IA instances (each
-//! with its own pipelined connections into the LRS tier and its own
-//! circuit breaker), then UA instances (each with its own connections
-//! into the IA tier and its own shuffle stage) — and a client-side
-//! balancer over the UA tier standing in for the paper's kube-proxy
-//! front door.
+//! per layer on `127.0.0.1`, bottom-up — the LRS tier, then the IA
+//! instances (each with its own ring of pipelined connections into the
+//! LRS tier and its own circuit breaker), then the UA instances (each
+//! with its own ring into the IA tier and its own shuffle stage) — and a
+//! client-side balancer over the UA tier standing in for the paper's
+//! kube-proxy front door.
+//!
+//! A node of any tier has one lifecycle, and launch is its first turn:
+//!
+//! 1. **build** — the tier's one `build`: a fresh enclave, attested and
+//!    provisioned, or the boot factory's handler (a durable LRS unseals
+//!    its keys and replays its WAL), behind a new [`WireServer`].
+//! 2. **install** — the server goes into its slot, its address on record.
+//! 3. **readmit** — every upstream [`SocketBalancer`] ring swaps in the
+//!    new address; the server it replaced, if any, is drained and dropped.
+//! 4. **probe** — with `supervisor` on, a [`Supervisor`] thread checks
+//!    each slot's listener and service ([`Platform::crash_layer`] makes a
+//!    node as dead as a killed one); a failed probe runs 1–3 again.
+//! 5. **kill** — `kill_*` empties the slot and shuts the server down,
+//!    dropping everything it held.
 //!
 //! Every hop is a distinct socket with per-hop correlation ids, so the
 //! request chain is never linkable end-to-end by transport metadata:
 //! the only joinable state crosses the shuffle buffer, where ordering
-//! is randomized (§4.3).
-//!
-//! With `supervisor` enabled, a [`Supervisor`] thread probes every
-//! instance — its listener, and for a proxy node its enclave: a crashed
-//! enclave ([`pprox_sgx::Platform::crash_layer`]) makes its node as dead
-//! as a killed one — and rebuilds dead ones: a fresh enclave is
-//! loaded and re-attested for proxy layers, the LRS handler is rebuilt
-//! through the boot factory (a durable LRS unseals its keys and replays
-//! its WAL from disk — [`LoopbackCluster::launch_with_factory`]), and
-//! the new address is swapped into every upstream
-//! [`SocketBalancer`] ring. While an instance is down, survivors carry
+//! is randomized (§4.3). While an instance is down, survivors carry
 //! the load: the balancers fail over around the dead address and an
 //! overloaded survivor answers `busy` through its admission gate.
 //!
@@ -36,9 +40,7 @@ use crate::router::ShardRouter;
 use crate::scrape::NodeMetrics;
 use crate::server::{ServerConfig, ServerStats, Service, WireServer};
 use crate::services::{IaWireService, LrsWireService, UaServiceOptions, UaWireService};
-use crate::supervisor::{
-    is_alive, RespawnEvent, RespawnFn, Supervisor, SupervisorConfig, WatchedSlot,
-};
+use crate::supervisor::{is_alive, RespawnEvent, Supervisor, WatchedSlot, PROBE_TIMEOUT};
 use parking_lot::Mutex;
 use pprox_core::ia::{IaOptions, IaState};
 use pprox_core::keys::{KeyProvisioner, IA_CODE_IDENTITY, UA_CODE_IDENTITY};
@@ -49,10 +51,11 @@ use pprox_core::telemetry::{Telemetry, TelemetryConfig};
 use pprox_core::ua::UaState;
 use pprox_core::{PProxError, UserClient};
 use pprox_crypto::rng::SecureRng;
+use pprox_lrs::shard::DEFAULT_VNODES;
 use pprox_lrs::RestHandler;
-use pprox_net::BalancePolicy;
 use pprox_sgx::Platform;
-use std::net::SocketAddr;
+use std::collections::HashMap;
+use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -84,7 +87,9 @@ impl LrsInstance {
 /// ignore the index and share state.
 pub type LrsFactory = Arc<dyn Fn(usize) -> LrsInstance + Send + Sync>;
 
-/// Shape of one loopback deployment.
+/// Shape of one loopback deployment. Round-robin balancing, the shard
+/// ring's [`DEFAULT_VNODES`] and the supervisor's probe cadence each only
+/// ever had one value in use, so they are constants, not options.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// UA instances (1–4).
@@ -97,8 +102,6 @@ pub struct ClusterConfig {
     /// replicas: IA instances route each pseudonym to its owning slot
     /// and scatter-gather reads across the tier.
     pub lrs_sharded: bool,
-    /// Virtual nodes per shard on the routing ring (sharded tiers).
-    pub shard_vnodes: usize,
     /// End-to-end encryption on (the paper's normal mode).
     pub encryption: bool,
     /// Item pseudonymization toward the LRS (§4.2).
@@ -112,12 +115,8 @@ pub struct ClusterConfig {
     /// Per-server tuning, the same for every tier: workers only compute,
     /// so no tier needs a pool sized to its requests in flight.
     pub server: ServerConfig,
-    /// Balancing policy used at every hop.
-    pub policy: BalancePolicy,
     /// Run the kill/respawn/readmit supervisor over every instance.
     pub supervisor: bool,
-    /// Supervisor probe cadence (when `supervisor` is on).
-    pub supervise: SupervisorConfig,
     /// Master seed (keys, shuffle order, jitter).
     pub seed: u64,
     /// Record per-request shuffle-egress ground truth on every UA
@@ -137,16 +136,13 @@ impl Default for ClusterConfig {
             ia_instances: 2,
             lrs_instances: 1,
             lrs_sharded: false,
-            shard_vnodes: pprox_lrs::shard::DEFAULT_VNODES,
             encryption: true,
             item_pseudonymization: true,
             shuffle: ShuffleConfig::disabled(),
             modulus_bits: 1152,
             resilience: ResilienceConfig::default(),
             server: ServerConfig::default(),
-            policy: BalancePolicy::RoundRobin,
             supervisor: false,
-            supervise: SupervisorConfig::default(),
             seed: 0xC1A5_7E12,
             linkage_audit: false,
             shuffle_order_ablation: false,
@@ -163,74 +159,199 @@ impl ClusterConfig {
     }
 
     fn validated(self) -> Self {
-        for (name, n) in [
-            ("ua_instances", self.ua_instances),
-            ("ia_instances", self.ia_instances),
-        ] {
-            assert!(
-                (1..=4).contains(&n),
-                "{name} must be between 1 and 4, got {n}"
-            );
-        }
         // The LRS tier scales past the proxy tiers when sharded: the
         // backend is the paper's horizontal-scale escape hatch (§3).
         let lrs_cap = if self.lrs_sharded { 8 } else { 4 };
-        assert!(
-            (1..=lrs_cap).contains(&self.lrs_instances),
-            "lrs_instances must be between 1 and {lrs_cap}, got {}",
-            self.lrs_instances
-        );
-        if self.lrs_sharded {
-            assert!(self.shard_vnodes > 0, "sharded tier needs vnodes > 0");
+        for (name, n, cap) in [
+            ("ua_instances", self.ua_instances, 4),
+            ("ia_instances", self.ia_instances, 4),
+            ("lrs_instances", self.lrs_instances, lrs_cap),
+        ] {
+            assert!(
+                (1..=cap).contains(&n),
+                "{name} must be between 1 and {cap}, got {n}"
+            );
         }
         self
     }
 }
 
-/// Instance slots of one tier. A killed slot holds `None` until the
-/// supervisor (or teardown) deals with it; the recorded address is kept
-/// for liveness probing and readmission bookkeeping.
-type TierSlots = Arc<Mutex<Vec<Option<WireServer>>>>;
-
-/// Whether the instance in a slot can still serve: it is there, and its
-/// service has what it needs (a proxy node, its enclave).
-fn slot_healthy(servers: &TierSlots, index: usize) -> bool {
-    servers.lock()[index]
-        .as_ref()
-        .is_some_and(WireServer::healthy)
+/// What every node of one deployment is built from.
+struct Env {
+    config: ClusterConfig,
+    platform: Platform,
+    provisioner: KeyProvisioner,
+    telemetry: Arc<Telemetry>,
 }
 
-/// Puts a respawned instance into its slot and hands back the one it
-/// replaces — still listening if it was replaced for a crashed enclave —
-/// for the caller to drop (a graceful shutdown) once the upstream rings
-/// point at the new address.
-#[must_use]
-fn install(servers: &TierSlots, index: usize, server: WireServer) -> Option<WireServer> {
-    servers.lock()[index].replace(server)
+/// Builds the service for one slot of a tier, reporting into the slot's
+/// hub: step 1 of the lifecycle, and the only code that constructs it.
+type BuildFn = Box<
+    dyn Fn(&Env, usize, &Arc<NodeMetrics>) -> Result<Arc<dyn Service>, PProxError> + Send + Sync,
+>;
+
+/// The address on record for a slot nothing has been built into yet.
+const UNBOUND: SocketAddr = SocketAddr::new(std::net::IpAddr::V4(Ipv4Addr::LOCALHOST), 0);
+
+/// One tier of the chain: its instance slots and how to fill them.
+struct Tier {
+    name: &'static str,
+    env: Arc<Env>,
+    /// A killed slot holds `None` until the supervisor (or teardown)
+    /// deals with it.
+    slots: Mutex<Vec<Option<WireServer>>>,
+    /// Each slot's current address, kept across a kill for liveness
+    /// probing and readmission bookkeeping.
+    addrs: Vec<Arc<Mutex<SocketAddr>>>,
+    /// Per-node metrics hubs. Unlike the servers they accumulate across
+    /// respawns: a rebuilt instance is handed the same hub, so a scrape
+    /// of the new socket still reports the node's whole history
+    /// (including the probe failures that got it killed).
+    metrics: Vec<Arc<NodeMetrics>>,
+    /// The rings that route into this tier and must learn a respawned
+    /// instance's address: one per node of the tier above, or the front
+    /// door. Empty while the tier above does not exist yet.
+    upstream: Vec<Arc<SocketBalancer>>,
+    build: BuildFn,
+}
+
+impl Tier {
+    /// A tier of `instances` slots, each built once. Node `i`'s hub reports
+    /// the client counters of `uplinks[i]`, its ring into the tier below
+    /// (the LRS has none). One shared `Telemetry` serves the whole chain,
+    /// so every hub advertises the same non-zero telemetry group: the
+    /// scraper deduplicates the stage histograms, not triple-counts them.
+    fn launch(
+        env: &Arc<Env>,
+        name: &'static str,
+        instances: usize,
+        uplinks: &[Arc<SocketBalancer>],
+        build: BuildFn,
+    ) -> Result<Tier, PProxError> {
+        let hub = |index| {
+            let hub = NodeMetrics::new(name, index, (env.config.seed as u32) | 1);
+            hub.attach_telemetry(env.telemetry.clone());
+            if let Some(ring) = uplinks.get(index) {
+                hub.attach_uplink(ring.clone());
+            }
+            Arc::new(hub)
+        };
+        let tier = Tier {
+            name,
+            env: env.clone(),
+            slots: Mutex::new((0..instances).map(|_| None).collect()),
+            addrs: (0..instances)
+                .map(|_| Arc::new(Mutex::new(UNBOUND)))
+                .collect(),
+            metrics: (0..instances).map(hub).collect(),
+            upstream: Vec::new(),
+            build,
+        };
+        for index in 0..instances {
+            tier.respawn(index).ok_or(PProxError::Unavailable)?;
+        }
+        Ok(tier)
+    }
+
+    /// Steps 1–3 of the lifecycle for one slot; the new address, or
+    /// `None` — with the reason on stderr — when the node did not start.
+    /// A slot index is an identity (shard id, ring position): the rings
+    /// readmit the instance under it, so its siblings are never re-keyed.
+    fn respawn(&self, index: usize) -> Option<SocketAddr> {
+        let hub = &self.metrics[index];
+        let start = || -> Result<WireServer, Box<dyn std::error::Error>> {
+            let service = (self.build)(&self.env, index, hub)?;
+            let config = ServerConfig {
+                metrics: Some(hub.clone()),
+                ..self.env.config.server.clone()
+            };
+            Ok(WireServer::spawn(service, config)?)
+        };
+        let server = start()
+            .inspect_err(|e| eprintln!("pprox-wire: {}{index} failed to start: {e}", self.name))
+            .ok()?;
+        let addr = server.local_addr();
+        // Whatever it replaces — still listening if it was replaced for
+        // a crashed enclave — is dropped (a graceful shutdown) only once
+        // the upstream rings point at the new address.
+        let replaced = self.slots.lock()[index].replace(server);
+        *self.addrs[index].lock() = addr;
+        for ring in &self.upstream {
+            ring.replace_backend(index, addr);
+        }
+        drop(replaced);
+        Some(addr)
+    }
+
+    /// Whether the instance in a slot can still serve: it is there, and
+    /// its service has what it needs (a proxy node, its enclave).
+    fn healthy(&self, index: usize) -> bool {
+        self.slots.lock()[index]
+            .as_ref()
+            .is_some_and(WireServer::healthy)
+    }
+
+    /// Step 5. Takes the server out of its slot so every strong
+    /// reference it holds (service, handler, engine) is dropped — for a
+    /// durable LRS this is what makes a kill lose the in-memory state
+    /// and force disk recovery. The slot's lock is held until the server
+    /// is gone: the supervisor's health check waits the kill out, so a
+    /// respawn never finds the dying instance's handler still alive and
+    /// re-uses it.
+    fn kill(&self, index: usize) {
+        let mut slots = self.slots.lock();
+        if let Some(mut server) = slots[index].take() {
+            server.shutdown();
+        }
+    }
+
+    fn addr_list(&self) -> Vec<SocketAddr> {
+        self.addrs.iter().map(|a| *a.lock()).collect()
+    }
+
+    /// `callers` rings into this tier, one for each node that calls it.
+    /// The wire client's tuning derives from the chain's resilience
+    /// policy so one knob set governs both.
+    fn rings(&self, callers: usize) -> Vec<Arc<SocketBalancer>> {
+        let (addrs, resilience) = (self.addr_list(), &self.env.config.resilience);
+        let client = ClientConfig {
+            max_retries: resilience.max_retries,
+            retry_base: resilience.retry_base,
+            retry_cap: resilience.retry_cap,
+            seed: 0x5eed_c0de,
+        };
+        (0..callers)
+            .map(|_| Arc::new(SocketBalancer::new(&addrs, client.clone())))
+            .collect()
+    }
+
+    /// This tier's slots as the supervisor watches them.
+    fn watched(self: &Arc<Self>) -> impl Iterator<Item = WatchedSlot> + '_ {
+        (0..self.addrs.len()).map(move |index| {
+            let (probed, rebuilt) = (self.clone(), self.clone());
+            WatchedSlot {
+                tier: self.name,
+                index,
+                addr: self.addrs[index].clone(),
+                healthy: Box::new(move || probed.healthy(index)),
+                respawn: Box::new(move || rebuilt.respawn(index)),
+                metrics: Some(self.metrics[index].clone()),
+            }
+        })
+    }
 }
 
 /// A running loopback deployment of the full chain.
 pub struct LoopbackCluster {
-    config: ClusterConfig,
-    platform: Platform,
-    provisioner: Arc<KeyProvisioner>,
-    telemetry: Arc<Telemetry>,
-    factory: LrsFactory,
-    frontend: Arc<SocketBalancer>,
-    ua_servers: TierSlots,
-    ia_servers: TierSlots,
-    lrs_servers: TierSlots,
-    ua_addrs: Vec<Arc<Mutex<SocketAddr>>>,
-    ia_addrs: Vec<Arc<Mutex<SocketAddr>>>,
-    lrs_addrs: Vec<Arc<Mutex<SocketAddr>>>,
-    /// Per-UA ring into the IA tier (kept so respawned IA instances can
-    /// be readmitted into the rings the UA services are using).
-    ua_ia_balancers: Vec<Arc<SocketBalancer>>,
-    /// Per-IA ring into the LRS tier.
-    ia_lrs_balancers: Vec<Arc<SocketBalancer>>,
+    env: Arc<Env>,
+    /// `ua.upstream` is the front door, `ia.upstream[i]` UA `i`'s ring
+    /// and `lrs.upstream[i]` IA `i`'s.
+    ua: Arc<Tier>,
+    ia: Arc<Tier>,
+    lrs: Arc<Tier>,
     /// Per-IA circuit breaker on the LRS tier, of the slot's current
     /// incarnation (a respawned instance starts with a closed one).
-    ia_breakers: Arc<Mutex<Vec<Arc<CircuitBreaker>>>>,
+    ia_breakers: Arc<Mutex<HashMap<usize, Arc<CircuitBreaker>>>>,
     /// Pseudonym→shard router shared by the IA tier (`None` unless
     /// `config.lrs_sharded`). Shared state: survives IA respawns, so its
     /// per-shard aggregates span the deployment's lifetime.
@@ -238,29 +359,20 @@ pub struct LoopbackCluster {
     /// Per-UA ground-truth departure logs (empty unless
     /// `config.linkage_audit`); survive instance respawns.
     linkage_audits: Vec<Arc<LinkageAudit>>,
-    /// Per-node metrics hubs, one per instance slot. Unlike the servers
-    /// they accumulate across respawns: a rebuilt instance is handed the
-    /// same hub, so a scrape of the new socket still reports the node's
-    /// whole history (including the probe failures that got it killed).
-    ua_metrics: Vec<Arc<NodeMetrics>>,
-    ia_metrics: Vec<Arc<NodeMetrics>>,
-    lrs_metrics: Vec<Arc<NodeMetrics>>,
     supervisor: Option<Supervisor>,
     /// Recoveries performed by supervisors already replaced (the
     /// supervisor is swapped out during an atomic layer kill).
-    prior_respawns: u64,
     prior_events: Vec<RespawnEvent>,
     client_seed: u64,
 }
 
 impl std::fmt::Debug for LoopbackCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LoopbackCluster")
-            .field("ua", &self.ua_addrs.len())
-            .field("ia", &self.ia_addrs.len())
-            .field("lrs", &self.lrs_addrs.len())
-            .field("supervised", &self.supervisor.is_some())
-            .finish()
+        let mut out = f.debug_struct("LoopbackCluster");
+        for tier in self.tiers() {
+            out.field(tier.name, &tier.addrs.len());
+        }
+        out.field("supervised", &self.supervisor.is_some()).finish()
     }
 }
 
@@ -271,8 +383,7 @@ impl LoopbackCluster {
     ///
     /// # Errors
     ///
-    /// Socket errors from server spawning; [`PProxError`] from
-    /// attestation/provisioning.
+    /// As [`LoopbackCluster::launch_with_factory`].
     pub fn launch(config: ClusterConfig, rest: Arc<dyn RestHandler>) -> Result<Self, PProxError> {
         Self::launch_with_factory(config, Arc::new(move |_i| LrsInstance::plain(rest.clone())))
     }
@@ -285,8 +396,9 @@ impl LoopbackCluster {
     ///
     /// # Errors
     ///
-    /// Socket errors from server spawning; [`PProxError`] from
-    /// attestation/provisioning.
+    /// [`PProxError::Unavailable`] when a node did not start; stderr
+    /// names the node and the reason (a socket error from its server, or
+    /// what attestation and provisioning refused).
     pub fn launch_with_factory(
         config: ClusterConfig,
         factory: LrsFactory,
@@ -294,357 +406,148 @@ impl LoopbackCluster {
         let config = config.validated();
         let mut rng = SecureRng::from_seed(config.seed);
         let platform = Platform::new(&mut rng);
-        let provisioner = Arc::new(KeyProvisioner::generate(config.modulus_bits, &mut rng));
-        let telemetry = Arc::new(Telemetry::new(TelemetryConfig::default()));
-        let options = IaOptions {
-            encryption: config.encryption,
-            item_pseudonymization: config.item_pseudonymization,
-        };
-        let client_config = client_config_for(&config.resilience);
-
-        let spawn_err = |e: std::io::Error| {
-            let _ = e;
-            PProxError::Unavailable
-        };
-
-        // One shared `Telemetry` serves the whole chain, so every node
-        // advertises the same non-zero telemetry group: the cluster
-        // scraper deduplicates the shared stage histograms instead of
-        // triple-counting them.
-        let telemetry_group = (config.seed as u32) | 1;
-        let node_metrics = |tier: &'static str, index: usize| {
-            let m = Arc::new(NodeMetrics::new(tier, index, telemetry_group));
-            m.attach_telemetry(telemetry.clone());
-            m
-        };
-        let with_metrics = |base: &ServerConfig, m: &Arc<NodeMetrics>| {
-            let mut cfg = base.clone();
-            cfg.metrics = Some(m.clone());
-            cfg
-        };
+        let provisioner = KeyProvisioner::generate(config.modulus_bits, &mut rng);
+        let env = Arc::new(Env {
+            telemetry: Arc::new(Telemetry::new(TelemetryConfig::default())),
+            platform,
+            provisioner,
+            config,
+        });
+        let config = &env.config;
 
         // LRS tier: slot i is shard i when sharded (the shared router
-        // below maps pseudonyms to these slot indices).
-        let mut lrs_servers = Vec::new();
-        let mut lrs_metrics = Vec::new();
-        for i in 0..config.lrs_instances {
-            let metrics = node_metrics("lrs", i);
-            let instance = factory(i);
-            if let Some(gauges) = instance.shard_gauges.clone() {
-                metrics.attach_shard_gauges(gauges);
+        // below maps pseudonyms to these slot indices). The factory
+        // decides what "rebuild" means: a shared in-memory handler is
+        // simply re-used; a durable factory unseals and replays from disk
+        // when the old handler died with its servers; a sharded one
+        // rebuilds *this* partition only.
+        let build = move |_: &Env, index: usize, hub: &Arc<NodeMetrics>| {
+            let instance = factory(index);
+            if let Some(gauges) = instance.shard_gauges {
+                hub.attach_shard_gauges(gauges);
             }
-            let service: Arc<dyn Service> = Arc::new(LrsWireService::new(instance.handler));
-            lrs_servers.push(Some(
-                WireServer::spawn(service, with_metrics(&config.server, &metrics))
-                    .map_err(spawn_err)?,
-            ));
-            lrs_metrics.push(metrics);
-        }
-        let lrs_addrs: Vec<Arc<Mutex<SocketAddr>>> = lrs_servers
-            .iter()
-            .map(|s| Arc::new(Mutex::new(s.as_ref().expect("just spawned").local_addr())))
-            .collect();
-        let lrs_addr_list: Vec<SocketAddr> = lrs_addrs.iter().map(|a| *a.lock()).collect();
+            Ok(Arc::new(LrsWireService::new(instance.handler)) as Arc<dyn Service>)
+        };
+        let mut lrs = Tier::launch(&env, "lrs", config.lrs_instances, &[], Box::new(build))?;
 
-        // One router shared by every IA instance (and their respawns):
-        // its per-shard aggregates then cover the whole tier, which is
-        // what the shard-skew audit scores.
+        // IA tier: per-instance enclave, breaker, and LRS uplink. One
+        // router is shared by every IA instance (and their respawns): its
+        // per-shard aggregates then cover the whole tier, which is what
+        // the shard-skew audit scores.
+        lrs.upstream = lrs.rings(config.ia_instances);
         let shard_router = config
             .lrs_sharded
-            .then(|| Arc::new(ShardRouter::new(config.lrs_instances, config.shard_vnodes)));
-
-        // IA tier: per-instance enclave, breaker, and LRS uplink.
-        let mut ia_servers = Vec::new();
-        let mut ia_lrs_balancers = Vec::new();
-        let mut ia_breakers = Vec::new();
-        let mut ia_metrics = Vec::new();
-        for i in 0..config.ia_instances {
-            let metrics = node_metrics("ia", i);
-            let enclave = platform.load_enclave::<IaState>(IA_CODE_IDENTITY);
-            provisioner.provision_ia(&platform, &enclave)?;
-            let lrs_balancer = Arc::new(SocketBalancer::new(
-                &lrs_addr_list,
-                config.policy,
-                client_config.clone(),
-                config.seed ^ (0x1a00 + i as u64),
-            ));
-            metrics.attach_uplink(lrs_balancer.clone());
+            .then(|| Arc::new(ShardRouter::new(config.lrs_instances, DEFAULT_VNODES)));
+        let ia_breakers: Arc<Mutex<HashMap<_, _>>> = Arc::default();
+        let rings = lrs.upstream.clone();
+        let (router, breakers) = (shard_router.clone(), ia_breakers.clone());
+        let build = move |env: &Env, index: usize, _: &Arc<NodeMetrics>| {
+            let config = &env.config;
+            let enclave = env.platform.load_enclave::<IaState>(IA_CODE_IDENTITY);
+            env.provisioner.provision_ia(&env.platform, &enclave)?;
             let service = Arc::new(IaWireService::new(
                 enclave,
-                lrs_balancer.clone(),
-                shard_router.clone(),
-                options,
+                rings[index].clone(),
+                router.clone(),
+                IaOptions {
+                    encryption: config.encryption,
+                    item_pseudonymization: config.item_pseudonymization,
+                },
                 config.resilience.clone(),
-                telemetry.clone(),
-                config.seed ^ (0x1a10 + i as u64),
+                env.telemetry.clone(),
+                config.seed ^ (0x1a10 + index as u64),
             ));
-            ia_breakers.push(service.breaker());
-            ia_servers.push(Some(
-                WireServer::spawn(service, with_metrics(&config.server, &metrics))
-                    .map_err(spawn_err)?,
-            ));
-            ia_lrs_balancers.push(lrs_balancer);
-            ia_metrics.push(metrics);
-        }
-        let ia_addrs: Vec<Arc<Mutex<SocketAddr>>> = ia_servers
-            .iter()
-            .map(|s| Arc::new(Mutex::new(s.as_ref().expect("just spawned").local_addr())))
-            .collect();
-        let ia_addr_list: Vec<SocketAddr> = ia_addrs.iter().map(|a| *a.lock()).collect();
+            breakers.lock().insert(index, service.breaker());
+            Ok(service as Arc<dyn Service>)
+        };
+        let mut ia = Tier::launch(
+            &env,
+            "ia",
+            config.ia_instances,
+            &lrs.upstream,
+            Box::new(build),
+        )?;
 
         // UA tier: per-instance enclave, IA uplink, and shuffle stage.
-        let mut ua_servers = Vec::new();
-        let mut ua_ia_balancers = Vec::new();
-        let linkage_audits: Vec<Arc<LinkageAudit>> = if config.linkage_audit {
-            (0..config.ua_instances)
-                .map(|_| Arc::new(LinkageAudit::new()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut ua_metrics = Vec::new();
-        for i in 0..config.ua_instances {
-            let metrics = node_metrics("ua", i);
-            let enclave = platform.load_enclave::<UaState>(UA_CODE_IDENTITY);
-            provisioner.provision_ua(&platform, &enclave)?;
-            let ia_balancer = Arc::new(SocketBalancer::new(
-                &ia_addr_list,
-                config.policy,
-                client_config.clone(),
-                config.seed ^ (0x0a00 + i as u64),
-            ));
-            metrics.attach_uplink(ia_balancer.clone());
-            let service: Arc<dyn Service> = Arc::new(UaWireService::new(
+        ia.upstream = ia.rings(config.ua_instances);
+        let linkage_audits: Vec<Arc<LinkageAudit>> = (0..config.ua_instances)
+            .filter(|_| config.linkage_audit)
+            .map(|_| Arc::new(LinkageAudit::new()))
+            .collect();
+        let (rings, audits) = (ia.upstream.clone(), linkage_audits.clone());
+        let build = move |env: &Env, index: usize, hub: &Arc<NodeMetrics>| {
+            let config = &env.config;
+            let enclave = env.platform.load_enclave::<UaState>(UA_CODE_IDENTITY);
+            env.provisioner.provision_ua(&env.platform, &enclave)?;
+            Ok(Arc::new(UaWireService::new(
                 enclave,
-                ia_balancer.clone(),
+                rings[index].clone(),
                 UaServiceOptions {
                     encryption: config.encryption,
                     shuffle: config.shuffle,
                     shuffle_order_ablation: config.shuffle_order_ablation,
-                    audit: linkage_audits.get(i).cloned(),
-                    metrics: Some(metrics.clone()),
+                    audit: audits.get(index).cloned(),
+                    metrics: Some(hub.clone()),
                 },
-                telemetry.clone(),
-                config.seed ^ (0x0a10 + i as u64),
-            ));
-            ua_servers.push(Some(
-                WireServer::spawn(service, with_metrics(&config.server, &metrics))
-                    .map_err(spawn_err)?,
-            ));
-            ua_ia_balancers.push(ia_balancer);
-            ua_metrics.push(metrics);
-        }
-        let ua_addrs: Vec<Arc<Mutex<SocketAddr>>> = ua_servers
-            .iter()
-            .map(|s| Arc::new(Mutex::new(s.as_ref().expect("just spawned").local_addr())))
-            .collect();
-        let ua_addr_list: Vec<SocketAddr> = ua_addrs.iter().map(|a| *a.lock()).collect();
+                env.telemetry.clone(),
+                config.seed ^ (0x0a10 + index as u64),
+            )) as Arc<dyn Service>)
+        };
+        let mut ua = Tier::launch(
+            &env,
+            "ua",
+            config.ua_instances,
+            &ia.upstream,
+            Box::new(build),
+        )?;
 
         // Front door: what the paper's kube-proxy Service does for
         // user-library traffic.
-        let frontend = Arc::new(SocketBalancer::new(
-            &ua_addr_list,
-            config.policy,
-            client_config,
-            config.seed ^ 0xf00d,
-        ));
+        ua.upstream = ua.rings(1);
 
         let mut cluster = LoopbackCluster {
             client_seed: config.seed ^ 0xc11e,
-            config,
-            platform,
-            provisioner,
-            telemetry,
-            factory,
-            frontend,
-            ua_servers: Arc::new(Mutex::new(ua_servers)),
-            ia_servers: Arc::new(Mutex::new(ia_servers)),
-            lrs_servers: Arc::new(Mutex::new(lrs_servers)),
-            ua_addrs,
-            ia_addrs,
-            lrs_addrs,
-            ua_ia_balancers,
-            ia_lrs_balancers,
-            ia_breakers: Arc::new(Mutex::new(ia_breakers)),
+            env,
+            ua: Arc::new(ua),
+            ia: Arc::new(ia),
+            lrs: Arc::new(lrs),
+            ia_breakers,
             shard_router,
             linkage_audits,
-            ua_metrics,
-            ia_metrics,
-            lrs_metrics,
             supervisor: None,
-            prior_respawns: 0,
             prior_events: Vec::new(),
         };
-        if cluster.config.supervisor {
-            cluster.supervisor = Some(Supervisor::spawn(
-                cluster.config.supervise,
-                cluster.watched_slots(),
-            ));
+        if cluster.env.config.supervisor {
+            cluster.supervisor = Some(cluster.supervise());
         }
         Ok(cluster)
     }
 
-    /// Builds the supervisor's slot list: every instance of every tier,
-    /// each with a respawn closure that rebuilds the instance and
-    /// readmits it to the upstream ring(s).
-    fn watched_slots(&self) -> Vec<WatchedSlot> {
-        let mut slots = Vec::new();
-        for (i, addr) in self.lrs_addrs.iter().enumerate() {
-            slots.push(WatchedSlot {
-                tier: "lrs",
-                index: i,
-                addr: addr.clone(),
-                healthy: {
-                    let servers = self.lrs_servers.clone();
-                    Box::new(move || slot_healthy(&servers, i))
-                },
-                respawn: self.lrs_respawn(i),
-                metrics: Some(self.lrs_metrics[i].clone()),
-            });
-        }
-        for (i, addr) in self.ia_addrs.iter().enumerate() {
-            slots.push(WatchedSlot {
-                tier: "ia",
-                index: i,
-                addr: addr.clone(),
-                healthy: {
-                    let servers = self.ia_servers.clone();
-                    Box::new(move || slot_healthy(&servers, i))
-                },
-                respawn: self.ia_respawn(i),
-                metrics: Some(self.ia_metrics[i].clone()),
-            });
-        }
-        for (i, addr) in self.ua_addrs.iter().enumerate() {
-            slots.push(WatchedSlot {
-                tier: "ua",
-                index: i,
-                addr: addr.clone(),
-                healthy: {
-                    let servers = self.ua_servers.clone();
-                    Box::new(move || slot_healthy(&servers, i))
-                },
-                respawn: self.ua_respawn(i),
-                metrics: Some(self.ua_metrics[i].clone()),
-            });
-        }
-        slots
+    /// The tiers in `scrape_targets()` order, which is also the order to
+    /// stop them in.
+    fn tiers(&self) -> [&Arc<Tier>; 3] {
+        [&self.ua, &self.ia, &self.lrs]
     }
 
-    fn lrs_respawn(&self, index: usize) -> RespawnFn {
-        let factory = self.factory.clone();
-        let servers = self.lrs_servers.clone();
-        let metrics = self.lrs_metrics[index].clone();
-        let mut server_cfg = self.config.server.clone();
-        server_cfg.metrics = Some(metrics.clone());
-        let ia_rings = self.ia_lrs_balancers.clone();
-        Box::new(move || {
-            // The factory decides what "rebuild" means: a shared
-            // in-memory handler is simply re-used; a durable factory
-            // unseals and replays from disk when the old handler died
-            // with its servers. A sharded factory rebuilds *this*
-            // partition only — slot index is shard id, and the
-            // `replace_backend` below readmits it under that id, so
-            // sibling shards are never re-keyed.
-            let instance = factory(index);
-            if let Some(gauges) = instance.shard_gauges.clone() {
-                metrics.attach_shard_gauges(gauges);
-            }
-            let service: Arc<dyn Service> = Arc::new(LrsWireService::new(instance.handler));
-            let server = WireServer::spawn(service, server_cfg.clone()).ok()?;
-            let addr = server.local_addr();
-            let replaced = install(&servers, index, server);
-            for ring in &ia_rings {
-                ring.replace_backend(index, addr);
-            }
-            drop(replaced);
-            Some(addr)
-        })
+    /// A supervisor over every instance of every tier, bottom-up.
+    fn supervise(&self) -> Supervisor {
+        let tiers = [&self.lrs, &self.ia, &self.ua];
+        Supervisor::spawn(tiers.into_iter().flat_map(Tier::watched).collect())
     }
 
-    fn ia_respawn(&self, index: usize) -> RespawnFn {
-        let platform = self.platform.clone();
-        let provisioner = self.provisioner.clone();
-        let telemetry = self.telemetry.clone();
-        let servers = self.ia_servers.clone();
-        let mut server_cfg = self.config.server.clone();
-        server_cfg.metrics = Some(self.ia_metrics[index].clone());
-        let lrs_balancer = self.ia_lrs_balancers[index].clone();
-        let ua_rings = self.ua_ia_balancers.clone();
-        let options = IaOptions {
-            encryption: self.config.encryption,
-            item_pseudonymization: self.config.item_pseudonymization,
-        };
-        let resilience = self.config.resilience.clone();
-        let seed = self.config.seed ^ (0x1a10 + index as u64);
-        let router = self.shard_router.clone();
-        let breakers = self.ia_breakers.clone();
-        Box::new(move || {
-            let enclave = platform.load_enclave::<IaState>(IA_CODE_IDENTITY);
-            provisioner.provision_ia(&platform, &enclave).ok()?;
-            let service = Arc::new(IaWireService::new(
-                enclave,
-                lrs_balancer.clone(),
-                router.clone(),
-                options,
-                resilience.clone(),
-                telemetry.clone(),
-                seed,
-            ));
-            breakers.lock()[index] = service.breaker();
-            let server = WireServer::spawn(service, server_cfg.clone()).ok()?;
-            let addr = server.local_addr();
-            let replaced = install(&servers, index, server);
-            for ring in &ua_rings {
-                ring.replace_backend(index, addr);
-            }
-            drop(replaced);
-            Some(addr)
-        })
-    }
-
-    fn ua_respawn(&self, index: usize) -> RespawnFn {
-        let platform = self.platform.clone();
-        let provisioner = self.provisioner.clone();
-        let telemetry = self.telemetry.clone();
-        let servers = self.ua_servers.clone();
-        let mut server_cfg = self.config.server.clone();
-        server_cfg.metrics = Some(self.ua_metrics[index].clone());
-        let ia_balancer = self.ua_ia_balancers[index].clone();
-        let frontend = self.frontend.clone();
-        let options = UaServiceOptions {
-            encryption: self.config.encryption,
-            shuffle: self.config.shuffle,
-            shuffle_order_ablation: self.config.shuffle_order_ablation,
-            audit: self.linkage_audits.get(index).cloned(),
-            metrics: Some(self.ua_metrics[index].clone()),
-        };
-        let seed = self.config.seed ^ (0x0a10 + index as u64);
-        Box::new(move || {
-            let enclave = platform.load_enclave::<UaState>(UA_CODE_IDENTITY);
-            provisioner.provision_ua(&platform, &enclave).ok()?;
-            let service: Arc<dyn Service> = Arc::new(UaWireService::new(
-                enclave,
-                ia_balancer.clone(),
-                options.clone(),
-                telemetry.clone(),
-                seed,
-            ));
-            let server = WireServer::spawn(service, server_cfg.clone()).ok()?;
-            let addr = server.local_addr();
-            let replaced = install(&servers, index, server);
-            frontend.replace_backend(index, addr);
-            drop(replaced);
-            Some(addr)
-        })
+    /// One call through the front door (`ua.upstream`'s only ring).
+    fn call(&self, envelope: &ClientEnvelope, budget: Deadline) -> Result<Vec<u8>, PProxError> {
+        self.ua.upstream[0]
+            .call(&envelope.to_frame()?, budget)
+            .map_err(|e| e.to_pprox())
     }
 
     /// A fresh user-side library instance bound to this deployment's
     /// public keys.
     pub fn client(&mut self) -> UserClient {
         self.client_seed = self.client_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let keys = self.provisioner.client_keys();
-        if self.config.encryption {
+        let keys = self.env.provisioner.client_keys();
+        if self.env.config.encryption {
             UserClient::new(keys, self.client_seed)
         } else {
             UserClient::new_passthrough(keys, self.client_seed)
@@ -653,13 +556,13 @@ impl LoopbackCluster {
 
     /// The chain-wide telemetry sink (stage histograms).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        &self.env.telemetry
     }
 
     /// The simulated SGX platform hosting the proxy layers' enclaves —
     /// the fault drills' crash-injection handle.
     pub fn platform(&self) -> &Platform {
-        &self.platform
+        &self.env.platform
     }
 
     /// The shared pseudonym→shard router, when the LRS tier is sharded.
@@ -670,18 +573,18 @@ impl LoopbackCluster {
 
     /// UA front-door addresses (for external drivers).
     pub fn ua_addrs(&self) -> Vec<SocketAddr> {
-        self.ua_addrs.iter().map(|a| *a.lock()).collect()
+        self.ua.addr_list()
     }
 
     /// IA tier addresses — where a scenario harness points its recording
     /// taps before rerouting a UA's uplink through them.
     pub fn ia_addrs(&self) -> Vec<SocketAddr> {
-        self.ia_addrs.iter().map(|a| *a.lock()).collect()
+        self.ia.addr_list()
     }
 
     /// LRS tier addresses.
     pub fn lrs_addrs(&self) -> Vec<SocketAddr> {
-        self.lrs_addrs.iter().map(|a| *a.lock()).collect()
+        self.lrs.addr_list()
     }
 
     /// Every node of the cluster as a scrape target — `("ua0", addr)`
@@ -689,13 +592,9 @@ impl LoopbackCluster {
     /// [`crate::scrape::ClusterScraper`] keeps working across respawns.
     pub fn scrape_targets(&self) -> Vec<(String, SocketAddr)> {
         let mut targets = Vec::new();
-        for (tier, addrs) in [
-            ("ua", &self.ua_addrs),
-            ("ia", &self.ia_addrs),
-            ("lrs", &self.lrs_addrs),
-        ] {
-            for (i, addr) in addrs.iter().enumerate() {
-                targets.push((format!("{tier}{i}"), *addr.lock()));
+        for tier in self.tiers() {
+            for (i, addr) in tier.addr_list().into_iter().enumerate() {
+                targets.push((format!("{}{i}", tier.name), addr));
             }
         }
         targets
@@ -704,11 +603,9 @@ impl LoopbackCluster {
     /// The per-node metrics hubs, in `scrape_targets()` order — the
     /// in-process view of what a wire scrape of each node would report.
     pub fn node_metrics(&self) -> Vec<Arc<NodeMetrics>> {
-        self.ua_metrics
+        self.tiers()
             .iter()
-            .chain(&self.ia_metrics)
-            .chain(&self.lrs_metrics)
-            .cloned()
+            .flat_map(|tier| tier.metrics.iter().cloned())
             .collect()
     }
 
@@ -730,7 +627,7 @@ impl LoopbackCluster {
     ///
     /// If `index` is out of range.
     pub fn ua_in_flight(&self, index: usize) -> usize {
-        self.ua_servers.lock()[index]
+        self.ua.slots.lock()[index]
             .as_ref()
             .map_or(0, WireServer::in_flight)
     }
@@ -742,9 +639,7 @@ impl LoopbackCluster {
     ///
     /// If `index` is out of range.
     pub fn ua_stats(&self, index: usize) -> Option<ServerStats> {
-        self.ua_servers.lock()[index]
-            .as_ref()
-            .map(WireServer::stats)
+        self.ua.slots.lock()[index].as_ref().map(WireServer::stats)
     }
 
     /// One IA instance's circuit breaker on the LRS tier: its state, how
@@ -754,7 +649,7 @@ impl LoopbackCluster {
     ///
     /// If `index` is out of range.
     pub fn ia_breaker(&self, index: usize) -> Arc<CircuitBreaker> {
-        self.ia_breakers.lock()[index].clone()
+        self.ia_breakers.lock()[&index].clone()
     }
 
     /// Reroutes one UA instance's uplink ring through interposed
@@ -766,7 +661,7 @@ impl LoopbackCluster {
     ///
     /// If `ua` is out of range or `addrs` does not cover the IA tier.
     pub fn reroute_ua_uplink(&self, ua: usize, addrs: &[SocketAddr]) {
-        let ring = &self.ua_ia_balancers[ua];
+        let ring = &self.ia.upstream[ua];
         assert_eq!(
             addrs.len(),
             ring.len(),
@@ -779,21 +674,18 @@ impl LoopbackCluster {
 
     /// Calls retried on another UA instance by the front door.
     pub fn frontend_failovers(&self) -> u64 {
-        self.frontend.failovers()
+        self.ua.upstream[0].failovers()
     }
 
     /// Instances the supervisor has recovered (0 without a supervisor).
     pub fn respawns(&self) -> u64 {
-        self.prior_respawns + self.supervisor.as_ref().map_or(0, Supervisor::respawns)
+        self.respawn_events().len() as u64
     }
 
     /// Every supervised recovery, in order.
     pub fn respawn_events(&self) -> Vec<RespawnEvent> {
-        let mut events = self.prior_events.clone();
-        if let Some(sup) = &self.supervisor {
-            events.extend(sup.events());
-        }
-        events
+        let current = self.supervisor.iter().flat_map(Supervisor::events);
+        self.prior_events.iter().cloned().chain(current).collect()
     }
 
     /// Blocks until every instance of every tier passes the supervisor's
@@ -802,28 +694,17 @@ impl LoopbackCluster {
     /// fully up — the post-kill barrier for recovery drills.
     pub fn wait_ready(&self, timeout: Duration) -> bool {
         let end = Instant::now() + timeout;
-        let probe = Duration::from_millis(150);
-        loop {
-            let all_up = [
-                (&self.lrs_servers, &self.lrs_addrs),
-                (&self.ia_servers, &self.ia_addrs),
-                (&self.ua_servers, &self.ua_addrs),
-            ]
-            .iter()
-            .all(|(servers, addrs)| {
-                addrs
-                    .iter()
-                    .enumerate()
-                    .all(|(i, addr)| slot_healthy(servers, i) && is_alive(*addr.lock(), probe))
-            });
-            if all_up {
-                return true;
-            }
+        let up = |tier: &&Arc<Tier>| {
+            (0..tier.addrs.len())
+                .all(|i| tier.healthy(i) && is_alive(*tier.addrs[i].lock(), PROBE_TIMEOUT))
+        };
+        while !self.tiers().iter().all(up) {
             if Instant::now() >= end {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(20));
         }
+        true
     }
 
     /// Sends a feedback post through the chain.
@@ -832,11 +713,7 @@ impl LoopbackCluster {
     ///
     /// [`PProxError`] mapped from the wire outcome.
     pub fn send_post(&self, envelope: &ClientEnvelope, budget: Deadline) -> Result<(), PProxError> {
-        let frame = envelope.to_frame()?;
-        self.frontend
-            .call(&frame, budget)
-            .map(|_ack| ())
-            .map_err(|e| e.to_pprox())
+        self.call(envelope, budget).map(|_ack| ())
     }
 
     /// Sends a recommendation get through the chain; the returned
@@ -851,26 +728,7 @@ impl LoopbackCluster {
         envelope: &ClientEnvelope,
         budget: Deadline,
     ) -> Result<EncryptedList, PProxError> {
-        let frame = envelope.to_frame()?;
-        let payload = self
-            .frontend
-            .call(&frame, budget)
-            .map_err(|e| e.to_pprox())?;
-        EncryptedList::from_frame(&payload)
-    }
-
-    fn kill_slot(servers: &TierSlots, index: usize) {
-        // Take the server out of its slot so every strong reference it
-        // holds (service, handler, engine) is dropped — for a durable
-        // LRS this is what makes a kill lose the in-memory state and
-        // force disk recovery. The slot's lock is held until the server
-        // is gone: the supervisor's health check waits the kill out, so
-        // a respawn never finds the dying instance's handler still alive
-        // and re-uses it.
-        let mut servers = servers.lock();
-        if let Some(mut server) = servers[index].take() {
-            server.shutdown();
-        }
+        EncryptedList::from_frame(&self.call(envelope, budget)?)
     }
 
     /// Kills one UA instance mid-run (graceful: its shuffle buffers are
@@ -881,7 +739,7 @@ impl LoopbackCluster {
     ///
     /// If `index` is out of range.
     pub fn kill_ua(&self, index: usize) {
-        Self::kill_slot(&self.ua_servers, index);
+        self.ua.kill(index);
     }
 
     /// Kills one IA instance mid-run (drains its socket, keeps the rest
@@ -891,7 +749,7 @@ impl LoopbackCluster {
     ///
     /// If `index` is out of range.
     pub fn kill_ia(&self, index: usize) {
-        Self::kill_slot(&self.ia_servers, index);
+        self.ia.kill(index);
     }
 
     /// Kills one LRS instance mid-run.
@@ -900,7 +758,7 @@ impl LoopbackCluster {
     ///
     /// If `index` is out of range.
     pub fn kill_lrs(&self, index: usize) {
-        Self::kill_slot(&self.lrs_servers, index);
+        self.lrs.kill(index);
     }
 
     /// Kills the *entire* LRS layer — every instance, and with them every
@@ -913,38 +771,23 @@ impl LoopbackCluster {
     /// first instance while the second still holds the old in-memory
     /// handler alive, and the "recovered" layer would never touch disk.
     pub fn kill_lrs_layer(&mut self) {
-        let supervised = match self.supervisor.take() {
-            Some(mut sup) => {
-                sup.stop();
-                self.prior_respawns += sup.respawns();
-                self.prior_events.extend(sup.events());
-                true
-            }
-            None => false,
-        };
-        for index in 0..self.lrs_addrs.len() {
-            Self::kill_slot(&self.lrs_servers, index);
+        let quiesced = self.supervisor.take().map(|mut sup| {
+            sup.stop();
+            self.prior_events.extend(sup.events());
+        });
+        for index in 0..self.lrs.addrs.len() {
+            self.lrs.kill(index);
         }
-        if supervised {
-            self.supervisor = Some(Supervisor::spawn(
-                self.config.supervise,
-                self.watched_slots(),
-            ));
-        }
+        self.supervisor = quiesced.map(|()| self.supervise());
     }
 
     /// Orderly teardown: supervisor first (so nothing resurrects), then
     /// UA tier (stops new chain traffic), then IA, then LRS. Idempotent.
     pub fn shutdown(&mut self) {
-        if let Some(mut sup) = self.supervisor.take() {
-            sup.stop();
-        }
-        for tier in [&self.ua_servers, &self.ia_servers, &self.lrs_servers] {
-            let mut servers = tier.lock();
-            for slot in servers.iter_mut() {
-                if let Some(server) = slot.as_mut() {
-                    server.shutdown();
-                }
+        self.supervisor = None; // stopped by its drop
+        for tier in self.tiers() {
+            for server in tier.slots.lock().iter_mut().flatten() {
+                server.shutdown();
             }
         }
     }
@@ -953,16 +796,5 @@ impl LoopbackCluster {
 impl Drop for LoopbackCluster {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Derives the wire client tuning from the chain's resilience policy so
-/// one knob set governs both transports.
-fn client_config_for(resilience: &ResilienceConfig) -> ClientConfig {
-    ClientConfig {
-        max_retries: resilience.max_retries,
-        retry_base: resilience.retry_base,
-        retry_cap: resilience.retry_cap,
-        seed: 0x5eed_c0de,
     }
 }

@@ -29,9 +29,9 @@
 //! * [`timers`] — the node's deadline queue: the one thread that expires
 //!   pending calls and runs retry delays, so nothing on the serving path
 //!   sleeps.
-//! * [`balancer`] — round-robin / random / least-loaded selection over
-//!   real sockets, sharing [`pprox_net::Selector`] with the simulator's
-//!   `net::lb` so both transports implement one policy set.
+//! * [`balancer`] — round-robin selection over real sockets with
+//!   ring-order failover. (Crate graph: `wire` → `core`, `lrs`, `sgx`,
+//!   `crypto`, `json`; `pprox-net` is used by `bench` and `attack` only.)
 //! * [`audit`] — ground-truth departure logging for the traffic-analysis
 //!   audit (`pprox-scenario`): off by default, fingerprint + timing only.
 //! * [`services`] — the UA, IA, and LRS frame handlers. Their file split
@@ -81,7 +81,7 @@ pub use scrape::{
     PressureSample, ScrapeError, ShardGaugeFn,
 };
 pub use server::{FrameHandler, Reply, ServerConfig, Service, WireServer};
-pub use supervisor::{RespawnEvent, Supervisor, SupervisorConfig};
+pub use supervisor::{RespawnEvent, Supervisor};
 pub use timers::DeadlineQueue;
 
 /// Wire-level request outcome carried in `Control`-class response frames.

@@ -69,23 +69,12 @@ pub struct RespawnEvent {
     pub new_addr: SocketAddr,
 }
 
-/// Tuning for one [`Supervisor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Time between probe rounds.
-    pub interval: Duration,
-    /// Per-probe connect timeout.
-    pub probe_timeout: Duration,
-}
+/// Time between probe rounds.
+const PROBE_INTERVAL: Duration = Duration::from_millis(40);
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            interval: Duration::from_millis(40),
-            probe_timeout: Duration::from_millis(150),
-        }
-    }
-}
+/// Per-probe connect timeout — the supervisor's, and the cluster's own
+/// readiness barrier's.
+pub(crate) const PROBE_TIMEOUT: Duration = Duration::from_millis(150);
 
 /// The monitor thread watching a set of instances.
 pub struct Supervisor {
@@ -105,7 +94,7 @@ impl std::fmt::Debug for Supervisor {
 
 impl Supervisor {
     /// Starts supervising `slots`.
-    pub fn spawn(config: SupervisorConfig, slots: Vec<WatchedSlot>) -> Self {
+    pub fn spawn(slots: Vec<WatchedSlot>) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let respawns = Arc::new(AtomicU64::new(0));
         let events = Arc::new(Mutex::new(Vec::new()));
@@ -120,7 +109,7 @@ impl Supervisor {
                             return;
                         }
                         let current = *slot.addr.lock();
-                        if (slot.healthy)() && is_alive(current, config.probe_timeout) {
+                        if (slot.healthy)() && is_alive(current, PROBE_TIMEOUT) {
                             continue;
                         }
                         if let Some(metrics) = &slot.metrics {
@@ -140,7 +129,7 @@ impl Supervisor {
                             });
                         }
                     }
-                    std::thread::sleep(config.interval);
+                    std::thread::sleep(PROBE_INTERVAL);
                 }
             })
         };
@@ -221,17 +210,14 @@ mod tests {
                 Some(new_addr)
             })
         };
-        let mut sup = Supervisor::spawn(
-            SupervisorConfig::default(),
-            vec![WatchedSlot {
-                tier: "echo",
-                index: 0,
-                addr: addr.clone(),
-                healthy: Box::new(|| true),
-                respawn,
-                metrics: Some(metrics.clone()),
-            }],
-        );
+        let mut sup = Supervisor::spawn(vec![WatchedSlot {
+            tier: "echo",
+            index: 0,
+            addr: addr.clone(),
+            healthy: Box::new(|| true),
+            respawn,
+            metrics: Some(metrics.clone()),
+        }]);
 
         assert!(is_alive(first_addr, Duration::from_millis(200)));
         assert_eq!(sup.respawns(), 0, "healthy instance is left alone");
@@ -263,26 +249,23 @@ mod tests {
         let server = WireServer::spawn(Arc::new(Echo), ServerConfig::default()).unwrap();
         let addr = server.local_addr();
         let healthy = Arc::new(AtomicBool::new(true));
-        let mut sup = Supervisor::spawn(
-            SupervisorConfig::default(),
-            vec![WatchedSlot {
-                tier: "echo",
-                index: 0,
-                addr: Arc::new(Mutex::new(addr)),
-                healthy: {
-                    let healthy = healthy.clone();
-                    Box::new(move || healthy.load(Ordering::Acquire))
-                },
-                respawn: {
-                    let healthy = healthy.clone();
-                    Box::new(move || {
-                        healthy.store(true, Ordering::Release);
-                        Some(addr)
-                    })
-                },
-                metrics: None,
-            }],
-        );
+        let mut sup = Supervisor::spawn(vec![WatchedSlot {
+            tier: "echo",
+            index: 0,
+            addr: Arc::new(Mutex::new(addr)),
+            healthy: {
+                let healthy = healthy.clone();
+                Box::new(move || healthy.load(Ordering::Acquire))
+            },
+            respawn: {
+                let healthy = healthy.clone();
+                Box::new(move || {
+                    healthy.store(true, Ordering::Release);
+                    Some(addr)
+                })
+            },
+            metrics: None,
+        }]);
         assert_eq!(sup.respawns(), 0, "healthy instance is left alone");
         healthy.store(false, Ordering::Release);
         assert!(
@@ -316,17 +299,14 @@ mod tests {
                 Some(addr)
             })
         };
-        let mut sup = Supervisor::spawn(
-            SupervisorConfig::default(),
-            vec![WatchedSlot {
-                tier: "echo",
-                index: 0,
-                addr: Arc::new(Mutex::new(dead)),
-                healthy: Box::new(|| true),
-                respawn,
-                metrics: None,
-            }],
-        );
+        let mut sup = Supervisor::spawn(vec![WatchedSlot {
+            tier: "echo",
+            index: 0,
+            addr: Arc::new(Mutex::new(dead)),
+            healthy: Box::new(|| true),
+            respawn,
+            metrics: None,
+        }]);
         assert!(
             wait_until(Duration::from_secs(5), || sup.respawns() == 1),
             "supervisor must keep retrying until the respawn succeeds"

@@ -44,13 +44,32 @@ for example in quickstart news_portal adversary_lab movie_recommendations; do
     cargo run --release -q --example "$example" >/dev/null
 done
 
+# One scratch root for every stage that writes a report, removed on exit.
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
+
+# report_smoke <bin> <file> <args…>: run the report bin with <args…> into
+# a scratch copy of results/<file>, validate that copy, then validate the
+# committed one. An empty <file> is a bin that writes a set of files into
+# a directory (results/ itself) and takes --out-dir.
+report_smoke() {
+    local bin="$1" file="$2" out=--out
+    shift 2
+    [[ -n "$file" ]] || out=--out-dir
+    cargo run --release -q -p pprox-bench --bin "$bin" -- \
+        "$@" "$out" "$SCRATCH/$file" >/dev/null
+    cargo run --release -q -p pprox-bench --bin "$bin" -- \
+        --validate "$SCRATCH/$file"
+    echo "== validate committed results/$file =="
+    cargo run --release -q -p pprox-bench --bin "$bin" -- \
+        --validate "results/$file"
+}
+
 echo "== privacy-flow analysis (v2: taint + lock order + reader/panic discipline) =="
-ANALYSIS_DIR="$(mktemp -d)"
-trap 'rm -rf "$ANALYSIS_DIR"' EXIT
 cargo run --release -q -p pprox-analysis -- \
-    --json-out "$ANALYSIS_DIR/ANALYSIS_report.json" --ratchet
+    --json-out "$SCRATCH/ANALYSIS_report.json" --ratchet
 cargo run --release -q -p pprox-analysis -- \
-    --validate "$ANALYSIS_DIR/ANALYSIS_report.json"
+    --validate "$SCRATCH/ANALYSIS_report.json"
 
 echo "== validate committed analysis report =="
 cargo run --release -q -p pprox-analysis -- \
@@ -69,63 +88,19 @@ echo "== fault drills on the serving chain (every acceptance check must PASS) ==
 cargo run --release -q -p pprox-bench --bin resilience_report >/dev/null
 
 echo "== recovery drill (kill -9 the LRS layer, replay, audit) =="
-RECOVERY_DIR="$(mktemp -d)"
-trap 'rm -rf "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
-cargo run --release -q -p pprox-bench --bin recovery_report -- \
-    --events 120 --out "$RECOVERY_DIR/BENCH_recovery.json" >/dev/null
-cargo run --release -q -p pprox-bench --bin recovery_report -- \
-    --validate "$RECOVERY_DIR/BENCH_recovery.json"
-
-echo "== validate committed recovery report =="
-cargo run --release -q -p pprox-bench --bin recovery_report -- \
-    --validate results/BENCH_recovery.json
+report_smoke recovery_report BENCH_recovery.json --events 120
 
 echo "== telemetry export smoke =="
-TELEMETRY_DIR="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_DIR" "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
-cargo run --release -q -p pprox-bench --bin telemetry_export -- \
-    --requests 96 --shuffle-size 4 --out-dir "$TELEMETRY_DIR" >/dev/null
-cargo run --release -q -p pprox-bench --bin telemetry_export -- \
-    --validate "$TELEMETRY_DIR"
-
-echo "== validate committed telemetry snapshot =="
-cargo run --release -q -p pprox-bench --bin telemetry_export -- --validate results
+report_smoke telemetry_export "" --requests 96 --shuffle-size 4
 
 echo "== scenario smoke (measured unlinkability + seeded ablation) =="
-SCENARIO_DIR="$(mktemp -d)"
-trap 'rm -rf "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
-cargo run --release -q -p pprox-bench --bin scenario_report -- \
-    --smoke --out "$SCENARIO_DIR/BENCH_scenarios.json" >/dev/null
-cargo run --release -q -p pprox-bench --bin scenario_report -- \
-    --validate "$SCENARIO_DIR/BENCH_scenarios.json"
-
-echo "== validate committed scenario report =="
-cargo run --release -q -p pprox-bench --bin scenario_report -- \
-    --validate results/BENCH_scenarios.json
+report_smoke scenario_report BENCH_scenarios.json --smoke
 
 echo "== observability smoke (scrape plane, audits, pressure timelines) =="
-OBS_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
-cargo run --release -q -p pprox-bench --bin observability_report -- \
-    --smoke --out "$OBS_DIR/BENCH_observability.json" >/dev/null
-cargo run --release -q -p pprox-bench --bin observability_report -- \
-    --validate "$OBS_DIR/BENCH_observability.json"
-
-echo "== validate committed observability report =="
-cargo run --release -q -p pprox-bench --bin observability_report -- \
-    --validate results/BENCH_observability.json
+report_smoke observability_report BENCH_observability.json --smoke
 
 echo "== sharding smoke (scaling curve + incremental/batch differential) =="
-SHARD_DIR="$(mktemp -d)"
-trap 'rm -rf "$SHARD_DIR" "$OBS_DIR" "$SCENARIO_DIR" "$TELEMETRY_DIR" "$RECOVERY_DIR" "$ANALYSIS_DIR"' EXIT
-cargo run --release -q -p pprox-bench --bin shard_report -- \
-    --smoke --out "$SHARD_DIR/BENCH_sharding.json" >/dev/null
-cargo run --release -q -p pprox-bench --bin shard_report -- \
-    --validate "$SHARD_DIR/BENCH_sharding.json"
-
-echo "== validate committed sharding report =="
-cargo run --release -q -p pprox-bench --bin shard_report -- \
-    --validate results/BENCH_sharding.json
+report_smoke shard_report BENCH_sharding.json --smoke
 
 echo "== benchmark crate (imports still compile, unit tests, 3 s smoke without a lost request) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -147,5 +122,6 @@ for crate in crates/*/; do
 done
 printf '%-12s %6d\n' workspace \
     "$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+printf '%-12s %6d\n' crates/wire/src/cluster.rs "$(wc -l <crates/wire/src/cluster.rs)"
 
 echo "CI green."

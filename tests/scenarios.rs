@@ -32,30 +32,30 @@ fn steady_scenario_meets_linkage_bounds() {
     );
     eprintln!(
         "aware: attempts={} correct={} rate={:.3} batches={} mean_batch={:.2}",
-        outcome.aware.attempts,
-        outcome.aware.correct,
-        outcome.aware.success_rate,
+        outcome.aware.score.attempts,
+        outcome.aware.score.correct,
+        outcome.aware.score.success_rate,
         outcome.aware.batches,
         outcome.aware.mean_batch
     );
     assert!(
-        outcome.aware.attempts >= 100,
+        outcome.aware.score.attempts >= 100,
         "too few attempts for a meaningful bound: {}",
-        outcome.aware.attempts
+        outcome.aware.score.attempts
     );
     assert!(
-        outcome.aware.within_bound(),
+        outcome.aware.score.within(),
         "instance-aware linkage {:.3} exceeds 1/S={:.3} (+{:.3}) [seed {seed}]",
-        outcome.aware.success_rate,
-        outcome.aware.bound,
-        outcome.aware.tolerance
+        outcome.aware.score.success_rate,
+        outcome.aware.score.bound,
+        outcome.aware.score.tolerance
     );
     assert!(
-        outcome.blind.within_bound(),
+        outcome.blind.score.within(),
         "instance-blind linkage {:.3} exceeds 1/(S*I)={:.3} (+{:.3}) [seed {seed}]",
-        outcome.blind.success_rate,
-        outcome.blind.bound,
-        outcome.blind.tolerance
+        outcome.blind.score.success_rate,
+        outcome.blind.score.bound,
+        outcome.blind.score.tolerance
     );
     assert!(outcome.ok());
 }
@@ -76,15 +76,15 @@ fn shuffle_order_ablation_is_detected() {
         outcome.spec.requests
     );
     assert!(
-        outcome.aware.success_rate > 0.5,
+        outcome.aware.score.success_rate > 0.5,
         "order-preserving release should link most requests, got {:.3} [seed {seed}]",
-        outcome.aware.success_rate
+        outcome.aware.score.success_rate
     );
     assert!(
-        !outcome.aware.within_bound(),
+        !outcome.aware.score.within(),
         "audit failed to flag the broken shuffle: {:.3} vs bound {:.3} [seed {seed}]",
-        outcome.aware.success_rate,
-        outcome.aware.bound
+        outcome.aware.score.success_rate,
+        outcome.aware.score.bound
     );
     assert!(outcome.ok(), "ablation must count as a caught violation");
 }

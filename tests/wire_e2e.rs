@@ -18,7 +18,7 @@ mod common;
 
 use common::concurrently;
 use pprox::core::config::PProxConfig;
-use pprox::core::resilience::Deadline;
+use pprox::core::resilience::{BreakerState, Deadline};
 use pprox::core::shuffler::ShuffleConfig;
 use pprox::core::PProxDeployment;
 use pprox::lrs::cco::CcoConfig;
@@ -29,10 +29,19 @@ use pprox::wire::cluster::{ClusterConfig, LoopbackCluster, LrsFactory, LrsInstan
 use pprox::wire::scrape::ShardGaugeFn;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn budget() -> Deadline {
     Deadline::starting_now(Duration::from_secs(10))
+}
+
+/// Polls `done` to a deadline instead of sleeping and hoping.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let end = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < end, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// One seeded trace — four users a round, rounds of posts and rounds of
@@ -239,6 +248,85 @@ fn survives_ua_and_lrs_instances_killed_mid_run() {
     let items = client.open_response(&ticket, &encrypted).unwrap();
     assert!(!items.is_empty());
     cluster.shutdown();
+}
+
+/// A node has one lifecycle whichever tier it is in, and a respawn is
+/// its launch done again: kill slot 0 of each tier in turn (two instances
+/// a tier, encryption on, supervised) and the chain must answer the same
+/// list as before the kill — the rebuilt enclave derives the same
+/// pseudonyms — through every pair of instances, after exactly one
+/// recovery, recorded on that node's own hub next to its pre-kill
+/// history; a respawned IA starts behind a fresh, closed breaker.
+#[test]
+fn a_killed_node_of_any_tier_comes_back_as_launched() {
+    for (t, tier) in ["ua", "ia", "lrs"].into_iter().enumerate() {
+        let engine = Arc::new(ShardEngine::new());
+        let config = ClusterConfig {
+            lrs_instances: 2,
+            supervisor: true,
+            seed: 0x11fe + t as u64,
+            ..ClusterConfig::default()
+        };
+        let mut cluster = LoopbackCluster::launch(config, engine.clone()).unwrap();
+        assert!(cluster.wait_ready(Duration::from_secs(10)));
+        let mut client = cluster.client();
+        let mut get = |cluster: &LoopbackCluster| {
+            let (env, ticket) = client.get("new-0").unwrap();
+            let list = cluster.send_get(&env, budget()).unwrap();
+            client.open_response(&ticket, &list).unwrap()
+        };
+
+        // Two taste clusters, and a newcomer with a foot in one of them.
+        let mut poster = cluster.client();
+        let fans = |taste: &'static str, item: &'static str| {
+            (0..4).map(move |u| (format!("{taste}-{u}"), item))
+        };
+        let trace = fans("sci", "alien")
+            .chain(fans("sci", "dune"))
+            .chain(fans("rom", "amelie"))
+            .chain([("new-0".to_string(), "alien")]);
+        for (user, item) in trace {
+            let env = poster.post(&user, item, Some(4.0)).unwrap();
+            cluster.send_post(&env, budget()).unwrap();
+        }
+        engine.sync();
+        let before = get(&cluster);
+        assert!(!before.is_empty(), "{tier}: the trace recommends something");
+
+        // Slot 0 of tier `t`, in `node_metrics()` order (two a tier).
+        let node = cluster.node_metrics()[2 * t].clone();
+        let stat = |group: &str, name: &str| {
+            let snapshot = node.snapshot_json();
+            let value = snapshot.get(group).and_then(|g| g.get(name));
+            value.and_then(|v| v.as_u64()).expect("a counter")
+        };
+        let frames_before = stat("server", "frames_in");
+        assert!(frames_before > 0, "{tier}0 served part of the trace");
+        let breaker_before = cluster.ia_breaker(0);
+
+        match tier {
+            "ua" => cluster.kill_ua(0),
+            "ia" => cluster.kill_ia(0),
+            _ => cluster.kill_lrs(0),
+        }
+        assert!(cluster.wait_ready(Duration::from_secs(10)), "{tier}");
+        wait_until("the recovery is on record", || cluster.respawns() == 1);
+
+        // Round-robin at every hop: four gets cross every instance of
+        // every tier, the rebuilt one included.
+        for _ in 0..4 {
+            assert_eq!(get(&cluster), before, "{tier}: list after the respawn");
+        }
+        let events = cluster.respawn_events();
+        assert_eq!(events.len(), 1, "{tier}: {events:?}");
+        assert_eq!((events[0].tier, events[0].index), (tier, 0));
+        assert_eq!(stat("supervisor", "respawns"), 1, "{tier}");
+        assert!(stat("server", "frames_in") > frames_before, "{tier}");
+        let breaker = cluster.ia_breaker(0);
+        assert_eq!(!Arc::ptr_eq(&breaker, &breaker_before), tier == "ia");
+        assert_eq!(breaker.state(), BreakerState::Closed, "{tier}");
+        cluster.shutdown();
+    }
 }
 
 /// Graceful drain: requests sitting in the UA shuffle buffer when the
