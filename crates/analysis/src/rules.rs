@@ -8,7 +8,8 @@
 
 use crate::lexer::{self, LexedFile, Tok, TokKind};
 
-/// Rule ids and human names, in report order.
+/// Rule ids and human names, in report order. R8 (`seqlock-ordering`)
+/// is retired with the span ring it guarded; the id is not reused.
 pub const RULES: &[(&str, &str)] = &[
     ("R1", "ua-item-isolation"),
     ("R2", "ia-user-isolation"),
@@ -17,7 +18,6 @@ pub const RULES: &[(&str, &str)] = &[
     ("R5", "secret-format-leak"),
     ("R6", "arrival-oracle"),
     ("R7", "relaxed-justification"),
-    ("R8", "seqlock-ordering"),
     ("R9", "non-ct-secret-compare"),
     ("R10", "secret-taint-dataflow"),
     ("R11", "lock-order-graph"),
@@ -318,7 +318,6 @@ pub fn analyze_parsed(parsed: &crate::parser::ParsedFile) -> FileReport {
     rule_arrival_oracle(&mut ctx);
     if path.contains("crates/core/src/telemetry/") {
         rule_relaxed_justification(&mut ctx);
-        rule_seqlock_ordering(&mut ctx);
     }
     if path.starts_with("crates/crypto/") {
         rule_non_ct_compare(&mut ctx);
@@ -552,52 +551,36 @@ pub(crate) fn interpolated_idents(s: &str) -> Vec<String> {
     out
 }
 
-/// R6: the arrival-oracle rule. (a) No `record_span` call may carry the
-/// `E2e` stage — end-to-end latency goes through `record_duration`, which
-/// carries no arrival timestamp an exporter could correlate with network
-/// captures. (b) Telemetry internals — the in-process collector *and* the
-/// wire scrape plane (`crates/wire/src/scrape.rs`), which exports across
-/// the trust boundary — must not read wall-clock time themselves
-/// (`Instant` / `SystemTime`) except at allow-listed epochs.
+/// R6: the arrival-oracle rule. (a) No production code may call
+/// `record_span`: a per-request record — any stage, any fields — ties a
+/// latency to a delivery time an exporter could correlate with network
+/// captures, so the telemetry plane has no such record type and durations
+/// go through `record_duration` into a histogram cell. (b) Telemetry
+/// internals — the in-process collector *and* the wire scrape plane
+/// (`crates/wire/src/scrape.rs`), which exports across the trust boundary
+/// — must not read wall-clock time themselves (`Instant` / `SystemTime`)
+/// except at allow-listed epochs.
 fn rule_arrival_oracle(ctx: &mut Ctx<'_>) {
     let toks = &ctx.lex.tokens;
     // (a) — workspace-wide, production code.
-    let mut k = 0;
-    while k < toks.len() {
-        if toks[k].kind == TokKind::Ident
-            && toks[k].text == "record_span"
-            && toks.get(k + 1).map(|t| t.text == "(").unwrap_or(false)
-            && !ctx.in_test(toks[k].line)
-        {
-            let mut depth = 0usize;
-            let mut j = k + 1;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "(" | "{" | "[" => depth += 1,
-                    ")" | "}" | "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                if toks[j].kind == TokKind::Ident && toks[j].text == "E2e" {
-                    let line = toks[j].line;
-                    ctx.emit(
-                        "R6",
-                        line,
-                        "end-to-end stage recorded via record_span: spans carry arrival \
-                         timestamps, which §6.2 forbids for E2e"
-                            .to_string(),
-                    );
-                    break;
-                }
-                j += 1;
-            }
-            k = j;
-        }
-        k += 1;
+    let calls: Vec<usize> = toks
+        .windows(2)
+        .filter(|w| {
+            w[0].kind == TokKind::Ident
+                && w[0].text == "record_span"
+                && w[1].text == "("
+                && !ctx.in_test(w[0].line)
+        })
+        .map(|w| w[0].line)
+        .collect();
+    for line in calls {
+        ctx.emit(
+            "R6",
+            line,
+            "per-request record via record_span: telemetry exports aggregates only \
+             (§6.2); record the duration with record_duration"
+                .to_string(),
+        );
     }
     // (b) — telemetry internals only, production code. The wire scrape
     // module is telemetry too: everything it touches leaves the node.
@@ -644,68 +627,6 @@ fn rule_relaxed_justification(ctx: &mut Ctx<'_>) {
                 "Ordering::Relaxed without a `relaxed-ok:` justification".to_string(),
             );
         }
-    }
-}
-
-/// R8: the seqlock protocol's `version` field must be loaded with at
-/// least Acquire, stored with at least Release, and its compare_exchange
-/// must use an acquiring success ordering. A Relaxed slip here would let
-/// readers observe torn span records.
-fn rule_seqlock_ordering(ctx: &mut Ctx<'_>) {
-    const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-    let toks = &ctx.lex.tokens;
-    let mut k = 0;
-    while k + 3 < toks.len() {
-        let is_version_op = toks[k].kind == TokKind::Ident
-            && toks[k].text == "version"
-            && toks[k + 1].text == "."
-            && toks[k + 2].kind == TokKind::Ident
-            && toks.get(k + 3).map(|t| t.text == "(").unwrap_or(false);
-        if !is_version_op {
-            k += 1;
-            continue;
-        }
-        let op = toks[k + 2].text.clone();
-        let line = toks[k + 2].line;
-        let mut depth = 0usize;
-        let mut j = k + 3;
-        let mut found: Vec<String> = Vec::new();
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            if toks[j].kind == TokKind::Ident && ORDERINGS.contains(&toks[j].text.as_str()) {
-                found.push(toks[j].text.clone());
-            }
-            j += 1;
-        }
-        let ok = match op.as_str() {
-            "load" => found.iter().any(|o| o == "Acquire" || o == "SeqCst"),
-            "store" => found.iter().any(|o| o == "Release" || o == "SeqCst"),
-            "compare_exchange" | "compare_exchange_weak" => found
-                .first()
-                .map(|o| o == "Acquire" || o == "AcqRel" || o == "SeqCst")
-                .unwrap_or(false),
-            _ => true,
-        };
-        if !ok {
-            ctx.emit(
-                "R8",
-                line,
-                format!(
-                    "seqlock `version.{op}` uses orderings {found:?}: readers could observe \
-                     torn records"
-                ),
-            );
-        }
-        k = j.max(k + 1);
     }
 }
 
@@ -883,30 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn seqlock_relaxed_version_load_fires_r8() {
-        // relaxed-ok silences R7; R8 still rejects the protocol breach.
-        let src =
-            "fn f(s: &Slot) { let v = s.version.load(Ordering::Relaxed); } // relaxed-ok: wrong\n";
-        assert_eq!(
-            rules_fired("crates/core/src/telemetry/x.rs", src),
-            vec!["R8"]
-        );
-        let good = "fn f(s: &Slot) { let v = s.version.load(Ordering::Acquire); }\n";
-        assert!(rules_fired("crates/core/src/telemetry/x.rs", good).is_empty());
-    }
-
-    #[test]
-    fn compare_exchange_success_ordering_checked() {
-        let bad = "fn f(s: &Slot) { let _ = s.version.compare_exchange(v, v + 1, Ordering::Relaxed, Ordering::Relaxed); } // relaxed-ok: wrong\n";
-        assert_eq!(
-            rules_fired("crates/core/src/telemetry/x.rs", bad),
-            vec!["R8"]
-        );
-        let good = "fn f(s: &Slot) {\n    // relaxed-ok: failure path retries\n    let _ = s.version.compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed);\n}\n";
-        assert!(rules_fired("crates/core/src/telemetry/x.rs", good).is_empty());
-    }
-
-    #[test]
     fn non_ct_compare_fires_and_ct_eq_is_exempt() {
         let bad = "pub fn check(tag: &[u8], other: &[u8]) -> bool { tag == other }\n";
         assert_eq!(rules_fired("crates/crypto/src/x.rs", bad), vec!["R9"]);
@@ -927,9 +824,9 @@ mod tests {
     }
 
     #[test]
-    fn e2e_record_span_fires_r6() {
+    fn any_record_span_fires_r6() {
         let src =
-            "fn f(t: &Telemetry) { t.record_span(SpanRecord { stage: Stage::E2e, ok: true }); }\n";
+            "fn f(t: &Telemetry) { t.record_span(SpanRecord { stage: Stage::Ua, ok: true }); }\n";
         assert_eq!(
             rules_fired("crates/wire/src/services/ua.rs", src),
             vec!["R6"]
@@ -964,7 +861,7 @@ mod tests {
     #[test]
     fn cross_layer_detected_outside_allowlist() {
         let src = "fn join(u: &PlaintextUserId, i: &PlaintextItemId) {}\n";
-        assert_eq!(rules_fired("crates/core/src/metrics.rs", src), vec!["R3"]);
+        assert_eq!(rules_fired("crates/core/src/autoscale.rs", src), vec!["R3"]);
         assert!(rules_fired("crates/core/src/client.rs", src).is_empty());
         assert!(rules_fired("crates/workload/src/gen.rs", src).is_empty());
     }

@@ -92,7 +92,6 @@ pub const SINK_MACROS: &[&str] = &[
 /// Call sinks: telemetry recorders and serialization — each moves its
 /// argument toward an export surface that leaves the trust boundary.
 pub const SINK_CALLS: &[&str] = &[
-    "record_span",
     "record_duration",
     "to_json",
     "to_value",

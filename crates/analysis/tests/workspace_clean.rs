@@ -89,16 +89,16 @@ fn wire_transport_handlers_are_in_scope_and_clean() {
     );
 
     // Seeding an arrival-timestamped span export into the wire UA
-    // handler — the R6 arrival-oracle pattern — must fire: a span
-    // carrying the end-to-end stage would let a telemetry observer
-    // correlate arrivals across the shuffle boundary.
+    // handler — the R6 arrival-oracle pattern — must fire, whatever
+    // stage it names: a per-request record would let a telemetry
+    // observer correlate arrivals across the shuffle boundary.
     let seeded = format!(
-        "{original}\nfn leak(t: &Telemetry, s: pprox_core::telemetry::SpanRecord) {{\n    t.record_span(SpanRecord {{ stage: Stage::E2e, ..s }});\n}}\n"
+        "{original}\nfn leak(t: &Telemetry, s: SpanRecord) {{\n    t.record_span(SpanRecord {{ stage: Stage::Ua, ..s }});\n}}\n"
     );
     let report = analyze_file("crates/wire/src/services/ua.rs", &seeded);
     assert!(
         report.findings.iter().any(|f| f.rule == "R6"),
-        "seeded E2e span export in wire handler must fire R6: {:#?}",
+        "seeded span export in wire handler must fire R6: {:#?}",
         report.findings
     );
 }

@@ -22,12 +22,9 @@
 //!   multi-tenancy mitigation.
 //! * [`combined`] — the rejected single-enclave alternative (§3): cheaper,
 //!   and fatally linkable after one break.
-//! * [`telemetry_audit`] — the §6.2 adversary pointed at the *monitoring*
-//!   system: joins exported telemetry spans across the shuffle boundary,
-//!   checks linkage stays at the `1/S` baseline under trace-ID
-//!   re-randomization, and demonstrates the stable-ID ablation is caught.
-//! * [`scrape_audit`] — the §6.2 adversary holding the *wire metrics
-//!   exports* (PR 8's scrape channel) as side information: verifies the
+//! * [`scrape_audit`] — the §6.2 adversary pointed at the *monitoring*
+//!   system, holding the wire metrics exports (the scrape channel — the
+//!   only telemetry that leaves a node) as side information: verifies the
 //!   bucketed aggregates add nothing over the network observer (linkage
 //!   stays at `1/S`), catches the raw-timestamp unsafe-export ablation,
 //!   and triages real snapshots for linkage oracles.
@@ -61,7 +58,6 @@ pub mod lowtraffic;
 pub mod observer;
 pub mod scrape_audit;
 pub mod shard_audit;
-pub mod telemetry_audit;
 pub mod wire_audit;
 
 /// A measured linkage probability next to the §6.2 curve it must not
@@ -113,7 +109,6 @@ pub use scrape_audit::{
     audit_scrape_channel, scan_export_for_oracles, ScrapeAuditConfig, ScrapeAuditOutcome,
 };
 pub use shard_audit::{shard_skew_attack, ShardAuditConfig, ShardAuditOutcome};
-pub use telemetry_audit::{audit_telemetry, TelemetryAuditConfig, TelemetryAuditOutcome};
 pub use wire_audit::{
     wire_linkage_attack, TraceArrival, TraceDeparture, WireAuditConfig, WireAuditOutcome, WireTrace,
 };

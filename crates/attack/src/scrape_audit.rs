@@ -1,10 +1,9 @@
 //! Privacy audit of the *wire metrics exports* (the §6.2 adversary
 //! holding every node's scrape output as side information).
 //!
-//! PR 8 gives every node a metrics scrape over the frame protocol. Like
-//! the span stream audited by [`crate::telemetry_audit`], scrape output
-//! leaves the trust boundary — the monitoring system is
-//! adversary-visible state. This module checks, by measurement, that the
+//! Every node answers a metrics scrape over the frame protocol, and
+//! scrape output leaves the trust boundary — the monitoring system is
+//! adversary-visible state, and the scrape is all of it. This module checks, by measurement, that the
 //! scrape channel adds nothing to the network observer's power:
 //!
 //! * [`scan_export_for_oracles`] is the adversary's *triage* pass over a

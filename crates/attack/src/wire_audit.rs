@@ -1,9 +1,8 @@
 //! Traffic-analysis linkage estimator over *wire* frame timings (the
 //! §6.2 network adversary pointed at a real socket boundary).
 //!
-//! [`crate::telemetry_audit`] measures linkage on exported spans; this
-//! module measures it on the observations a recording tap between the UA
-//! and IA tiers actually yields: per-frame timestamps, size classes, and
+//! This module measures linkage on the observations a recording tap
+//! between the UA and IA tiers actually yields: per-frame timestamps, size classes, and
 //! which tap (instance) saw them. Frames are constant-size and carry
 //! per-hop correlation ids, so the only attack surface left is timing —
 //! exactly the §4.3 claim under test.

@@ -8,8 +8,8 @@
 //!    [`ClusterScraper`] polling every node each [`SCRAPE_INTERVAL`].
 //!    Scraping must cost less than 5% of sustained RPS.
 //! 2. **Cluster export validity** — a wire scrape of every node merged
-//!    into one [`TelemetryReport`], fed through the PR 3 JSON and
-//!    Prometheus exporters and their validators; every per-node
+//!    into one [`TelemetryReport`], fed through the JSON and
+//!    Prometheus exporters and their exact-key validators; every per-node
 //!    snapshot is also triaged by the adversary's oracle scan
 //!    (`pprox_attack::scrape_audit`).
 //! 3. **Scrape-channel audits** — the §6.2 adversary with the scrape
@@ -243,7 +243,7 @@ fn measure_overhead(seed: u64, requests: usize, workers: usize) -> (OverheadTria
     }
 
     // Final wire scrape of the loaded cluster: the merged report must
-    // satisfy both PR 3 validators, and every node snapshot must pass
+    // satisfy both export validators, and every node snapshot must pass
     // the adversary's oracle scan.
     let scraper = ClusterScraper::new(cluster.scrape_targets());
     let snap = scraper.scrape();

@@ -1,17 +1,13 @@
 //! Telemetry exporter: drives the serving chain (`LoopbackCluster`),
-//! scrapes every node over the wire, renders the merged Prometheus text
-//! exposition and the schema-versioned JSON snapshot, and runs the
-//! telemetry privacy audit over the span-export surface the chain does
-//! *not* have (it exports aggregates only; the audit shows what a
-//! span-exporting proxy would leak, with and without re-randomized IDs).
+//! scrapes every node over the wire, and renders the merged Prometheus
+//! text exposition and the schema-versioned JSON snapshot.
 //!
 //! Artifacts (under `results/` by default):
 //!
-//! * `TELEMETRY_snapshot.json` — per-stage p50/p95/p99/p99.9 histograms,
-//!   per-node counters, span accounting (the user-side library's
-//!   `client_encrypt` spans — the ring's only producer), trace policy,
-//!   and the privacy audit outcomes (re-randomized policy at the `1/S` baseline; the
-//!   stable-ID ablation measured and flagged).
+//! * `TELEMETRY_snapshot.json` — per-stage p50/p95/p99/p99.9 histograms
+//!   and one counter row per node. Aggregates only: the schema has no
+//!   place for a per-request record, and the validator rejects any key
+//!   outside it.
 //! * `TELEMETRY_prometheus.txt` — the same histograms and counters as
 //!   scrape-ready cumulative-`le` series.
 //!
@@ -22,16 +18,16 @@
 //! telemetry_export --validate DIR   # schema-check previously emitted files
 //! ```
 //!
-//! The exporter refuses to write a snapshot whose own validator rejects
-//! it, or whose audit section does not hold (re-randomized IDs inside
-//! `1/S`, the stable-ID ablation caught).
+//! The exporter refuses to write a snapshot its own validator rejects.
+//! What the export can leak is measured elsewhere, on what the chain
+//! really emits: `attack::scrape_audit` (in `observability_report`) and
+//! `scan_export_for_oracles` on the live scrapes of every scenario run.
 
-use pprox_attack::telemetry_audit::{audit_telemetry, TelemetryAuditConfig};
 use pprox_core::resilience::Deadline;
 use pprox_core::telemetry::export::{
     json_snapshot, prometheus_text, validate_json_snapshot, validate_prometheus, TelemetryReport,
 };
-use pprox_core::telemetry::{Stage, TraceIdPolicy};
+use pprox_core::telemetry::Stage;
 use pprox_json::Value;
 use pprox_lrs::stub::StubLrs;
 use pprox_wire::{ClusterConfig, ClusterScraper, LoopbackCluster};
@@ -126,59 +122,8 @@ fn run_deployment(requests: usize, shuffle_size: usize) -> TelemetryReport {
 
     let scrape = ClusterScraper::new(cluster.scrape_targets()).scrape();
     scrape.validate().expect("cluster scrape must validate");
-    let spans = telemetry.spans().snapshot();
-    let report = TelemetryReport {
-        spans_pushed: telemetry.spans().pushed(),
-        spans_exported: spans.len() as u64,
-        spans_dropped: telemetry.spans().dropped(),
-        ..scrape.report()
-    };
     cluster.shutdown();
-    report
-}
-
-/// Runs the privacy audit in both policies and renders the outcomes.
-///
-/// Panics when the shipped (re-randomized) policy exceeds the `1/S`
-/// baseline, or when the deliberately-leaky ablation is *not* caught —
-/// either way the exporter must not produce artifacts.
-fn audit_section(shuffle_size: usize) -> Value {
-    let safe = audit_telemetry(&TelemetryAuditConfig {
-        shuffle_size,
-        ..TelemetryAuditConfig::default()
-    });
-    assert!(
-        safe.score.within(),
-        "exported telemetry exceeds the 1/S linkage baseline: {} > {} + {}",
-        safe.score.success_rate,
-        safe.score.bound,
-        safe.score.tolerance
-    );
-    let leaky = audit_telemetry(&TelemetryAuditConfig {
-        shuffle_size,
-        policy: TraceIdPolicy::StableAcrossShuffle,
-        ..TelemetryAuditConfig::default()
-    });
-    assert!(
-        !leaky.score.within() && leaky.score.success_rate > 0.9,
-        "the stable-trace-ID ablation was not caught (success {})",
-        leaky.score.success_rate
-    );
-    let outcome = |o: &pprox_attack::TelemetryAuditOutcome| {
-        Value::object([
-            ("policy", Value::from(o.policy_label)),
-            ("attempts", Value::from(o.score.attempts as u64)),
-            ("correct", Value::from(o.score.correct as u64)),
-            ("success_rate", Value::from(o.score.success_rate)),
-            ("baseline", Value::from(o.score.bound)),
-            ("tolerance", Value::from(o.score.tolerance)),
-            ("within_baseline", Value::from(o.score.within())),
-        ])
-    };
-    Value::object([
-        ("rerandomize", outcome(&safe)),
-        ("stable_ablation", outcome(&leaky)),
-    ])
+    scrape.report()
 }
 
 fn validate_dir(dir: &str) {
@@ -187,24 +132,6 @@ fn validate_dir(dir: &str) {
         std::fs::read_to_string(&json_path).unwrap_or_else(|e| panic!("read {json_path}: {e}"));
     let root = Value::parse(&text).unwrap_or_else(|e| panic!("{json_path}: invalid JSON: {e:?}"));
     validate_json_snapshot(&root).unwrap_or_else(|e| panic!("{json_path}: {e}"));
-    // The audit section must be present and both outcomes must hold.
-    let audit = root
-        .get("audit")
-        .unwrap_or_else(|| panic!("{json_path}: missing audit section"));
-    let ok = audit
-        .get("rerandomize")
-        .and_then(|a| a.get("within_baseline"))
-        .and_then(Value::as_bool);
-    assert_eq!(ok, Some(true), "{json_path}: rerandomize audit failed");
-    let caught = audit
-        .get("stable_ablation")
-        .and_then(|a| a.get("within_baseline"))
-        .and_then(Value::as_bool);
-    assert_eq!(
-        caught,
-        Some(false),
-        "{json_path}: stable ablation not flagged"
-    );
     println!("{json_path}: schema OK");
 
     let prom_path = format!("{dir}/TELEMETRY_prometheus.txt");
@@ -231,11 +158,7 @@ fn main() {
         assert!(count > 0, "stage {} recorded nothing", required.as_str());
     }
 
-    eprintln!("running telemetry privacy audit...");
-    let audit = audit_section(args.shuffle_size.max(2));
-
-    let mut snapshot = json_snapshot(&report);
-    snapshot.insert("audit", audit);
+    let snapshot = json_snapshot(&report);
     validate_json_snapshot(&snapshot).expect("emitted snapshot must self-validate");
     let prom = prometheus_text(&report);
     validate_prometheus(&prom).expect("emitted exposition must self-validate");

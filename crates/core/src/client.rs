@@ -20,7 +20,7 @@ use crate::message::{
     ClientEnvelope, EncryptedList, Op, ID_PLAINTEXT_LEN, ITEM_BLOCK_LEN, PAD_ITEM_PREFIX,
     RULES_BLOCK_LEN,
 };
-use crate::telemetry::{SpanRecord, Stage, Telemetry, TraceId};
+use crate::telemetry::{Stage, Telemetry};
 use crate::PProxError;
 use pprox_crypto::ctr::{SymmetricKey, KEY_LEN};
 use pprox_crypto::pad;
@@ -104,11 +104,8 @@ impl UserClient {
         }
     }
 
-    /// Attaches a telemetry hub; subsequent requests record a
-    /// `client_encrypt` span. The span carries a trace ID drawn fresh from
-    /// the client's own RNG, deliberately unlinked to the proxy-side trace
-    /// segments: the client library sits outside the proxy trust domain,
-    /// so nothing it exports may join with server spans.
+    /// Attaches a telemetry hub; subsequent requests record their
+    /// encryption time into its `client_encrypt` histogram.
     pub fn attach_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         self.telemetry = Some(telemetry);
     }
@@ -118,17 +115,9 @@ impl UserClient {
         self.encryption
     }
 
-    fn record_encrypt(&mut self, started: Instant) {
+    fn record_encrypt(&self, started: Instant) {
         if let Some(t) = &self.telemetry {
-            let duration_us = started.elapsed().as_micros() as u64;
-            t.record_span(SpanRecord {
-                trace: TraceId::random(&mut self.rng),
-                stage: Stage::ClientEncrypt,
-                instance: 0,
-                start_us: t.now_us().saturating_sub(duration_us),
-                duration_us,
-                ok: true,
-            });
+            t.record_duration(Stage::ClientEncrypt, started.elapsed().as_micros() as u64);
         }
     }
 

@@ -20,9 +20,8 @@
 //!   temporary keys.
 //! * [`keys`] — layer key material and attestation-gated provisioning.
 //! * [`message`] — constant-size wire envelopes.
-//! * [`metrics`] — per-layer operational counters feeding the autoscaler.
-//! * [`telemetry`] — privacy-safe latency histograms and the span ring
-//!   (the fluentd role); the serving chain exports aggregates only.
+//! * [`telemetry`] — privacy-safe per-stage latency histograms and their
+//!   exporters (the fluentd role): aggregates only, no per-request record.
 //! * [`resilience`] — deadlines, retry backoff, the LRS circuit breaker
 //!   and the admission gate the serving chain is built from.
 //! * [`shuffler`] — the §4.3 shuffle buffer, and the per-batch gather the
@@ -69,7 +68,6 @@ pub mod ia;
 pub mod ids;
 pub mod keys;
 pub mod message;
-pub mod metrics;
 pub mod proxy;
 pub mod resilience;
 pub mod rotation;

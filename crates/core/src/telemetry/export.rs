@@ -8,30 +8,79 @@
 //! * **JSON snapshot** — the same data as a schema-versioned document
 //!   written under `results/`, with per-stage p50/p95/p99/p99.9.
 //!
-//! Both renderers consume only [`HistogramSnapshot`]s, counter
-//! [`LayerSnapshot`]s and span accounting — never raw identifiers — so
-//! everything they can possibly emit is already covered by the telemetry
-//! privacy audit. The validators are deliberate about shape *and* sanity
-//! (cumulative buckets must be monotone, quantiles ordered) so CI catches
-//! a broken exporter, not just a missing field.
+//! Both renderers consume only [`HistogramSnapshot`]s and counter
+//! [`LayerSnapshot`]s — aggregates, never raw identifiers or per-request
+//! records. The validators are deliberate about shape *and* sanity (exact
+//! key sets, cumulative buckets monotone, quantiles ordered) so CI catches
+//! a widened or broken exporter, not just a missing field.
 
 use super::histogram::HistogramSnapshot;
-use super::trace::Stage;
-use crate::metrics::LayerSnapshot;
+use super::stage::Stage;
 use pprox_json::Value;
 
 /// Schema version of the JSON snapshot document.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
+///
+/// v2 dropped `trace_policy` and the `spans` accounting (there is no span
+/// plane to account for) and made every object's key set exact.
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 2;
 
 /// Stages the JSON validator requires (the acceptance surface): the two
 /// proxy layers, the merged shuffle dwell, and the LRS call.
 pub const REQUIRED_STAGES: [&str; 4] = ["ua", "ia", "shuffle", "lrs"];
+
+/// The keys of a `layers[]` row: its name, the integer counters, the mean.
+const LAYER_KEYS: [&str; 10] = [
+    "name",
+    "requests",
+    "responses",
+    "errors",
+    "retries",
+    "deadline_misses",
+    "rejected",
+    "shuffle_flushes",
+    "shuffle_timeouts",
+    "mean_processing_us",
+];
 
 /// Prometheus `le` boundaries, µs: powers of two from 1 µs to ~67 s.
 /// Coarser than the in-memory log-linear cells on purpose — 27 series per
 /// stage instead of ~1100 — while `+Inf` keeps totals exact.
 pub fn prometheus_bounds_us() -> Vec<u64> {
     (0..27).map(|e| 1u64 << e).collect()
+}
+
+/// Point-in-time counters of one node — a `layers[]` row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LayerSnapshot {
+    /// Requests processed.
+    pub requests: u64,
+    /// Responses forwarded.
+    pub responses: u64,
+    /// Failures.
+    pub errors: u64,
+    /// Total processing time, microseconds.
+    pub busy_us: u64,
+    /// Shuffle flushes performed.
+    pub shuffle_flushes: u64,
+    /// Flushes forced by the timer (under-filled batches).
+    pub shuffle_timeouts: u64,
+    /// Retried uplink attempts.
+    pub retries: u64,
+    /// Requests that exhausted their deadline budget.
+    pub deadline_misses: u64,
+    /// Requests shed by admission control.
+    pub rejected: u64,
+}
+
+impl LayerSnapshot {
+    /// Mean processing latency in microseconds (0 when idle).
+    pub fn mean_processing_us(&self) -> f64 {
+        if self.requests == 0 {
+            0.0
+        } else {
+            self.busy_us as f64 / self.requests as f64
+        }
+    }
 }
 
 /// Everything the renderers need from a deployment, already snapshotted.
@@ -41,16 +90,8 @@ pub struct TelemetryReport {
     pub stages: Vec<(Stage, HistogramSnapshot)>,
     /// Merged shuffle dwell (request + response directions).
     pub shuffle: HistogramSnapshot,
-    /// Per-layer counter snapshots, registration order.
+    /// Per-node counter rows, scrape order.
     pub layers: Vec<(String, LayerSnapshot)>,
-    /// Trace-ID policy label (see `TraceIdPolicy::as_str`).
-    pub trace_policy: String,
-    /// Spans pushed into the ring over the deployment's lifetime.
-    pub spans_pushed: u64,
-    /// Spans retained and exported from the ring.
-    pub spans_exported: u64,
-    /// Spans dropped under writer contention.
-    pub spans_dropped: u64,
 }
 
 fn round3(v: f64) -> f64 {
@@ -100,26 +141,47 @@ pub fn json_snapshot(report: &TelemetryReport) -> Value {
     Value::object([
         ("report", Value::from("telemetry")),
         ("schema_version", Value::from(TELEMETRY_SCHEMA_VERSION)),
-        ("trace_policy", Value::from(report.trace_policy.as_str())),
         ("stages", stages),
         ("layers", layers),
-        (
-            "spans",
-            Value::object([
-                ("pushed", Value::from(report.spans_pushed)),
-                ("exported", Value::from(report.spans_exported)),
-                ("dropped", Value::from(report.spans_dropped)),
-            ]),
-        ),
     ])
 }
 
-/// Validates a parsed JSON snapshot. Returns the first violation.
+/// Checks an object holds *exactly* `keys` — unknown keys are the
+/// failure mode that matters: an exporter quietly widened to carry
+/// per-request data must not validate. Shared by this module's snapshot
+/// validator and `pprox-wire`'s scrape validator.
+///
+/// # Errors
+///
+/// Names the first unexpected or missing key.
+pub fn expect_keys(v: &Value, ctx: &str, keys: &[&str]) -> Result<(), String> {
+    let obj = v.as_object().ok_or(format!("{ctx} is not an object"))?;
+    for k in obj.keys() {
+        if !keys.contains(&k.as_str()) {
+            return Err(format!("{ctx} carries unexpected key {k}"));
+        }
+    }
+    for k in keys {
+        if !obj.contains_key(*k) {
+            return Err(format!("{ctx} missing key {k}"));
+        }
+    }
+    Ok(())
+}
+
+/// Validates a parsed JSON snapshot: exact key sets at the root and in
+/// every `stages.*` and `layers[]` object, known stage names only, and
+/// sane values. Returns the first violation.
 ///
 /// # Errors
 ///
 /// A human-readable description of the violated constraint.
 pub fn validate_json_snapshot(root: &Value) -> Result<(), String> {
+    expect_keys(
+        root,
+        "snapshot",
+        &["report", "schema_version", "stages", "layers"],
+    )?;
     if root.get("report").and_then(Value::as_str) != Some("telemetry") {
         return Err("missing report=telemetry tag".into());
     }
@@ -130,26 +192,29 @@ pub fn validate_json_snapshot(root: &Value) -> Result<(), String> {
     if version < TELEMETRY_SCHEMA_VERSION {
         return Err(format!("schema_version {version} too old"));
     }
-    let policy = root
-        .get("trace_policy")
-        .and_then(Value::as_str)
-        .ok_or("missing trace_policy")?;
-    if policy != "rerandomize" {
-        return Err(format!(
-            "trace_policy must be rerandomize in exported telemetry, got {policy}"
-        ));
-    }
-    let stages = root.get("stages").ok_or("missing stages object")?;
-    for name in REQUIRED_STAGES {
-        let s = stages.get(name).ok_or(format!("missing stage {name}"))?;
+    let stages = root
+        .get("stages")
+        .and_then(Value::as_object)
+        .ok_or("stages is not an object")?;
+    for (name, s) in stages {
+        if name != "shuffle" && !Stage::ALL.iter().any(|st| st.as_str() == name) {
+            return Err(format!("stages carries unknown stage {name}"));
+        }
+        expect_keys(
+            s,
+            &format!("stages.{name}"),
+            &[
+                "count", "p50_us", "p95_us", "p99_us", "p999_us", "mean_us", "max_us",
+            ],
+        )?;
         let field = |f: &str| -> Result<f64, String> {
             s.get(f)
                 .and_then(Value::as_f64)
                 .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or(format!("{name}.{f} missing or not a finite number"))
+                .ok_or(format!("{name}.{f} is not a finite non-negative number"))
         };
         let count = field("count")?;
-        if count < 1.0 {
+        if count < 1.0 && REQUIRED_STAGES.contains(&name.as_str()) {
             return Err(format!("stage {name} has no observations"));
         }
         let (p50, p95, p99) = (field("p50_us")?, field("p95_us")?, field("p99_us")?);
@@ -162,29 +227,35 @@ pub fn validate_json_snapshot(root: &Value) -> Result<(), String> {
             ));
         }
     }
+    for name in REQUIRED_STAGES {
+        if !stages.contains_key(name) {
+            return Err(format!("missing stage {name}"));
+        }
+    }
     let layers = root
         .get("layers")
         .and_then(Value::as_array)
-        .ok_or("missing layers array")?;
+        .ok_or("layers is not an array")?;
     if layers.is_empty() {
         return Err("layers array is empty".into());
     }
     for layer in layers {
+        expect_keys(layer, "layer", &LAYER_KEYS)?;
         layer
             .get("name")
             .and_then(Value::as_str)
-            .ok_or("layer without name")?;
+            .ok_or("layer name is not a string")?;
+        for f in &LAYER_KEYS[1..LAYER_KEYS.len() - 1] {
+            layer
+                .get(f)
+                .and_then(Value::as_u64)
+                .ok_or(format!("layer.{f} is not a non-negative integer"))?;
+        }
         layer
-            .get("requests")
-            .and_then(Value::as_u64)
-            .ok_or("layer without requests")?;
-    }
-    let spans = root.get("spans").ok_or("missing spans object")?;
-    for f in ["pushed", "exported", "dropped"] {
-        spans
-            .get(f)
-            .and_then(Value::as_u64)
-            .ok_or(format!("spans.{f} missing"))?;
+            .get("mean_processing_us")
+            .and_then(Value::as_f64)
+            .filter(|v| v.is_finite() && *v >= 0.0)
+            .ok_or("layer.mean_processing_us is not a finite non-negative number")?;
     }
     Ok(())
 }
@@ -261,14 +332,6 @@ pub fn prometheus_text(report: &TelemetryReport) -> String {
             out.push_str(&format!("{metric}{{layer=\"{name}\"}} {}\n", pick(snap)));
         }
     }
-    out.push_str(
-        "# HELP pprox_spans_dropped_total Telemetry spans lost to ring contention.\n\
-         # TYPE pprox_spans_dropped_total counter\n",
-    );
-    out.push_str(&format!(
-        "pprox_spans_dropped_total {}\n",
-        report.spans_dropped
-    ));
     out
 }
 
@@ -384,11 +447,7 @@ mod tests {
         TelemetryReport {
             stages,
             shuffle,
-            layers: vec![("ua-worker-0".into(), layer)],
-            trace_policy: "rerandomize".into(),
-            spans_pushed: 24,
-            spans_exported: 24,
-            spans_dropped: 0,
+            layers: vec![("ua0/server".into(), layer)],
         }
     }
 
@@ -402,12 +461,35 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_leaky_policy() {
-        let mut report = sample_report();
-        report.trace_policy = "stable-across-shuffle".into();
-        let v = json_snapshot(&report);
+    fn validator_rejects_keys_outside_the_schema() {
+        // The per-request record types this schema used to describe, and
+        // the one it never did: none has a place at the root any more.
+        for key in ["spans", "trace_policy", "trace_id", "audit"] {
+            let mut v = json_snapshot(&sample_report());
+            v.insert(key, Value::from("rerandomize"));
+            let err = validate_json_snapshot(&v).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+        // Nested objects are exact too.
+        let mut v = json_snapshot(&sample_report());
+        v.get_mut("stages")
+            .and_then(|s| s.get_mut("ua"))
+            .unwrap()
+            .insert("last_start_us", Value::from(12u64));
         let err = validate_json_snapshot(&v).unwrap_err();
-        assert!(err.contains("rerandomize"), "{err}");
+        assert!(err.contains("last_start_us"), "{err}");
+        let mut v = json_snapshot(&sample_report());
+        v.get_mut("stages")
+            .unwrap()
+            .insert("u017", histogram_value(&HistogramSnapshot::empty()));
+        let err = validate_json_snapshot(&v).unwrap_err();
+        assert!(err.contains("unknown stage u017"), "{err}");
+        let mut v = json_snapshot(&sample_report());
+        if let Some(Value::Array(layers)) = v.get_mut("layers") {
+            layers[0].insert("trace_id", Value::from(9u64));
+        }
+        let err = validate_json_snapshot(&v).unwrap_err();
+        assert!(err.contains("trace_id"), "{err}");
     }
 
     #[test]
@@ -431,7 +513,7 @@ mod tests {
         for s in Stage::ALL {
             assert!(text.contains(&format!("stage=\"{}\"", s.as_str())));
         }
-        assert!(text.contains("pprox_layer_requests_total{layer=\"ua-worker-0\"} 4"));
+        assert!(text.contains("pprox_layer_requests_total{layer=\"ua0/server\"} 4"));
     }
 
     #[test]

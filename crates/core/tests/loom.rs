@@ -1,149 +1,20 @@
 //! Model-checked interleaving tests for the telemetry lock-free
-//! structures, run with `RUSTFLAGS="--cfg loom"` (see `scripts/ci.sh`,
+//! histogram, run with `RUSTFLAGS="--cfg loom"` (see `scripts/ci.sh`,
 //! `loom` stage).
 //!
 //! Under that cfg, `telemetry::sync` re-exports the loom shim's
 //! instrumented atomics: every atomic operation becomes a scheduling
 //! point, and `loom::model` re-runs each body under hundreds of
 //! deterministic schedules with bounded preemptions. These tests assert
-//! the properties the seqlock and histogram protocols promise:
-//!
-//! * A [`SpanRing`] reader never observes a *torn* record — fields from
-//!   two different writes stitched together — no matter where writers are
-//!   preempted mid-publication.
-//! * Writer accounting is exact under contention: every push is either
-//!   retained or counted dropped.
-//! * Histogram concurrent record + merge equals a single-recorder run,
-//!   and a mid-flight snapshot never invents observations.
+//! what the histogram protocol promises: concurrent record + merge equals
+//! a single-recorder run, and a mid-flight snapshot never invents
+//! observations.
 
 #![cfg(loom)]
 
 use loom::sync::Arc;
 use loom::thread;
-use pprox_core::telemetry::{
-    HistogramSnapshot, LatencyHistogram, SpanRecord, SpanRing, Stage, TraceId,
-};
-
-/// A record whose fields are all derived from `tag`, so a snapshot can
-/// verify coherence: any mixing of two writers' fields is detectable.
-fn correlated(tag: u64) -> SpanRecord {
-    SpanRecord {
-        trace: TraceId(tag),
-        stage: Stage::Ua,
-        instance: tag as u16,
-        start_us: tag * 100,
-        duration_us: tag + 7,
-        ok: true,
-    }
-}
-
-fn assert_coherent(r: &SpanRecord) {
-    let tag = r.trace.0;
-    assert_eq!(
-        r.instance, tag as u16,
-        "instance stitched from another write"
-    );
-    assert_eq!(
-        r.start_us,
-        tag * 100,
-        "start_us stitched from another write"
-    );
-    assert_eq!(
-        r.duration_us,
-        tag + 7,
-        "duration_us stitched from another write"
-    );
-}
-
-/// Two writers race for the single slot of a capacity-1 ring: the seqlock
-/// must serialize them (one wins the CAS, the loser is counted dropped)
-/// and the surviving record must be coherent.
-#[test]
-fn span_ring_two_writers_single_slot() {
-    loom::model(|| {
-        let ring = Arc::new(SpanRing::new(1));
-        let r1 = Arc::clone(&ring);
-        let r2 = Arc::clone(&ring);
-        let t1 = thread::spawn(move || r1.push(correlated(1)));
-        let t2 = thread::spawn(move || r2.push(correlated(2)));
-        t1.join().unwrap();
-        t2.join().unwrap();
-
-        assert_eq!(ring.pushed(), 2);
-        let snap = ring.snapshot();
-        // Both tickets map to the single slot: either both writes land
-        // serialized (the later overwrites the earlier) or the loser of
-        // the version CAS is dropped. Either way exactly one coherent
-        // record survives and at most one drop is counted.
-        assert_eq!(snap.len(), 1, "exactly one record retained");
-        assert!(ring.dropped() <= 1, "at most one CAS loser");
-        for r in &snap {
-            assert_coherent(r);
-        }
-    });
-}
-
-/// A reader snapshots while a writer republishes the slot: the reader
-/// either sees the old record, the new record, or skips the slot — never
-/// a blend of the two. This is the interleaving the snapshot-side
-/// `fence(Acquire)` + revalidation exists for.
-#[test]
-fn span_ring_reader_never_sees_torn_write() {
-    loom::model(|| {
-        let ring = Arc::new(SpanRing::new(1));
-        ring.push(correlated(1)); // slot starts published with tag 1
-        let w = Arc::clone(&ring);
-        let writer = thread::spawn(move || w.push(correlated(2)));
-        let snap = ring.snapshot(); // races the republication
-        writer.join().unwrap();
-
-        for r in &snap {
-            assert_coherent(r);
-            assert!(
-                r.trace.0 == 1 || r.trace.0 == 2,
-                "unknown tag {}",
-                r.trace.0
-            );
-        }
-        // After the writer retires, a quiescent snapshot sees its record
-        // unless the initial push made the slot appear busy — impossible
-        // here since push(1) completed before the spawn.
-        let settled = ring.snapshot();
-        if ring.dropped() == 0 {
-            assert_eq!(settled.len(), 1);
-            assert_eq!(settled[0].trace.0, 2);
-        }
-    });
-}
-
-/// Wrap-around under contention: two writers target distinct tickets that
-/// map to the same slot of a capacity-1 ring while a third pushes into a
-/// fresh ticket. Accounting must stay exact: pushed == retained-tickets
-/// seen by snapshot + dropped is not required (overwrites lose records
-/// silently by design) but pushed and dropped counters must be coherent.
-#[test]
-fn span_ring_three_writers_accounting() {
-    loom::model(|| {
-        let ring = Arc::new(SpanRing::new(2));
-        let handles: Vec<_> = (1..=3u64)
-            .map(|tag| {
-                let r = Arc::clone(&ring);
-                thread::spawn(move || r.push(correlated(tag)))
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(ring.pushed(), 3);
-        let snap = ring.snapshot();
-        assert!(ring.dropped() <= 2, "at most two losers");
-        assert!(snap.len() <= 2, "capacity bound");
-        assert!(snap.len() as u64 + ring.dropped() >= 1);
-        for r in &snap {
-            assert_coherent(r);
-        }
-    });
-}
+use pprox_core::telemetry::{HistogramSnapshot, LatencyHistogram};
 
 /// Concurrent recording into a shared histogram plus per-thread locals:
 /// after joining, merged locals must equal the shared histogram exactly

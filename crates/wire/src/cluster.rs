@@ -47,7 +47,7 @@ use pprox_core::keys::{KeyProvisioner, IA_CODE_IDENTITY, UA_CODE_IDENTITY};
 use pprox_core::message::{ClientEnvelope, EncryptedList};
 use pprox_core::resilience::{CircuitBreaker, Deadline, ResilienceConfig};
 use pprox_core::shuffler::ShuffleConfig;
-use pprox_core::telemetry::{Telemetry, TelemetryConfig};
+use pprox_core::telemetry::Telemetry;
 use pprox_core::ua::UaState;
 use pprox_core::{PProxError, UserClient};
 use pprox_crypto::rng::SecureRng;
@@ -408,7 +408,7 @@ impl LoopbackCluster {
         let platform = Platform::new(&mut rng);
         let provisioner = KeyProvisioner::generate(config.modulus_bits, &mut rng);
         let env = Arc::new(Env {
-            telemetry: Arc::new(Telemetry::new(TelemetryConfig::default())),
+            telemetry: Arc::new(Telemetry::new()),
             platform,
             provisioner,
             config,

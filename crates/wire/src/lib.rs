@@ -47,7 +47,8 @@
 //!   padded `Control`-class metrics scrape over the same frame protocol
 //!   (wire-indistinguishable from other control traffic), and
 //!   [`scrape::ClusterScraper`] merges per-node snapshots into one
-//!   validated [`pprox_core::telemetry::export::TelemetryReport`].
+//!   [`pprox_core::telemetry::export::TelemetryReport`]: the stage
+//!   histograms plus one counter row per node.
 //! * [`supervisor`] — the kill/respawn loop: probes each instance's
 //!   listener and, behind it, the node's enclave; rebuilds dead ones (a
 //!   proxy node loads and re-attests a fresh enclave, a durable LRS

@@ -27,15 +27,14 @@
 //! linkage bound.
 //!
 //! [`ClusterScraper`] polls every node and merges the snapshots into
-//! one [`TelemetryReport`], reusing the PR 3 Prometheus/JSON exporters
-//! and validators unchanged.
+//! one [`TelemetryReport`], which `pprox_core::telemetry::export` renders
+//! as Prometheus text and the JSON snapshot.
 
 use crate::balancer::SocketBalancer;
 use crate::frame::{parse_header, Frame, FrameError, PadClass, HEADER_LEN};
 use parking_lot::Mutex;
-use pprox_core::metrics::{LayerSnapshot, MetricsRegistry};
 use pprox_core::shuffler::FlushReason;
-use pprox_core::telemetry::export::TelemetryReport;
+use pprox_core::telemetry::export::{expect_keys, LayerSnapshot, TelemetryReport};
 use pprox_core::telemetry::histogram::NUM_BUCKETS;
 use pprox_core::telemetry::{HistogramSnapshot, LatencyHistogram, Stage, Telemetry};
 use pprox_json::Value;
@@ -52,8 +51,14 @@ use std::time::{Duration, Instant};
 ///
 /// v2 added the `shard` section: per-shard event/query totals plus the
 /// incremental trainer's dirty-list depth and ingest-lag gauges —
-/// aggregates of the node's own partition only, no routing keys.
-pub const SCRAPE_SCHEMA_VERSION: u64 = 2;
+/// aggregates of the node's own partition only, no routing keys. v3
+/// dropped the `layers` array (nothing ever registered a layer) and
+/// closed `node.tier` to the four tier names.
+pub const SCRAPE_SCHEMA_VERSION: u64 = 3;
+
+/// Every value `node.tier` may take: the three cluster tiers, and `node`
+/// for a hub outside any cluster ([`NodeMetrics::detached`]).
+const TIERS: [&str; 4] = ["ua", "ia", "lrs", "node"];
 
 /// Source of one LRS shard's gauges, attached to the shard node's hub.
 pub type ShardGaugeFn = Arc<dyn Fn() -> pprox_lrs::shard::ShardGauges + Send + Sync>;
@@ -159,7 +164,6 @@ pub struct NodeMetrics {
     tier: String,
     index: usize,
     telemetry_group: u32,
-    registry: MetricsRegistry,
     /// What the node was wired to at launch (and re-wired to on a
     /// respawn); a snapshot copies the handles out and reads them with
     /// the lock released.
@@ -210,7 +214,8 @@ impl std::fmt::Debug for NodeMetrics {
 }
 
 impl NodeMetrics {
-    /// A hub for the node `tier`/`index`. Nodes sharing one
+    /// A hub for the node `tier`/`index`; `tier` is `ua`, `ia` or `lrs`
+    /// (the scrape validator accepts no other label). Nodes sharing one
     /// [`Telemetry`] hub must share `telemetry_group` (non-zero) so the
     /// cluster merge counts their stage histograms once, not per node.
     pub fn new(tier: impl Into<String>, index: usize, telemetry_group: u32) -> Self {
@@ -218,7 +223,6 @@ impl NodeMetrics {
             tier: tier.into(),
             index,
             telemetry_group,
-            registry: MetricsRegistry::new(),
             wiring: Mutex::new(Wiring::default()),
             accepted: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
@@ -268,11 +272,6 @@ impl NodeMetrics {
     /// the latest source wins. Unattached nodes report zeros.
     pub fn attach_shard_gauges(&self, gauges: ShardGaugeFn) {
         self.wiring.lock().shard_gauges = Some(gauges);
-    }
-
-    /// The per-layer counter registry for this node's services.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// Records an accepted connection.
@@ -415,12 +414,6 @@ impl NodeMetrics {
                 stages.insert(stage.as_str(), histogram_to_value(&snap));
             }
         }
-        let layers: Value = self
-            .registry
-            .snapshot()
-            .into_iter()
-            .map(|(name, s)| layer_to_value(&name, &s))
-            .collect();
         let shard = wiring.shard_gauges.map(|f| f()).unwrap_or_default();
         Value::object([
             ("report", Value::from("node-metrics")),
@@ -493,7 +486,6 @@ impl NodeMetrics {
             ),
             ("scrapes", load(&self.scrapes)),
             ("stages", stages),
-            ("layers", layers),
         ])
     }
 }
@@ -544,66 +536,6 @@ fn histogram_from_value(v: &Value) -> Result<HistogramSnapshot, String> {
         .and_then(Value::as_u64)
         .ok_or("histogram without max_us")?;
     Ok(HistogramSnapshot::from_parts(counts, sum_us, max_us))
-}
-
-fn layer_to_value(name: &str, s: &LayerSnapshot) -> Value {
-    Value::object([
-        ("name", Value::from(name)),
-        ("requests", Value::from(s.requests)),
-        ("responses", Value::from(s.responses)),
-        ("errors", Value::from(s.errors)),
-        ("busy_us", Value::from(s.busy_us)),
-        ("shuffle_flushes", Value::from(s.shuffle_flushes)),
-        ("shuffle_timeouts", Value::from(s.shuffle_timeouts)),
-        ("retries", Value::from(s.retries)),
-        ("deadline_misses", Value::from(s.deadline_misses)),
-        ("rejected", Value::from(s.rejected)),
-    ])
-}
-
-fn layer_from_value(v: &Value) -> Result<(String, LayerSnapshot), String> {
-    let name = v
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("layer without name")?
-        .to_string();
-    let field = |f: &str| -> Result<u64, String> {
-        v.get(f)
-            .and_then(Value::as_u64)
-            .ok_or(format!("layer {name} missing {f}"))
-    };
-    Ok((
-        name.clone(),
-        LayerSnapshot {
-            requests: field("requests")?,
-            responses: field("responses")?,
-            errors: field("errors")?,
-            busy_us: field("busy_us")?,
-            shuffle_flushes: field("shuffle_flushes")?,
-            shuffle_timeouts: field("shuffle_timeouts")?,
-            retries: field("retries")?,
-            deadline_misses: field("deadline_misses")?,
-            rejected: field("rejected")?,
-        },
-    ))
-}
-
-/// Checks an object holds *exactly* `keys` — unknown keys are the
-/// failure mode that matters: an exporter quietly widened to carry
-/// per-request data must not validate.
-fn expect_keys(v: &Value, ctx: &str, keys: &[&str]) -> Result<(), String> {
-    let obj = v.as_object().ok_or(format!("{ctx} is not an object"))?;
-    for k in obj.keys() {
-        if !keys.contains(&k.as_str()) {
-            return Err(format!("{ctx} carries unexpected key {k}"));
-        }
-    }
-    for k in keys {
-        if !obj.contains_key(*k) {
-            return Err(format!("{ctx} missing key {k}"));
-        }
-    }
-    Ok(())
 }
 
 fn expect_u64(v: &Value, ctx: &str, key: &str) -> Result<u64, String> {
@@ -670,7 +602,6 @@ pub fn validate_scrape_snapshot(root: &Value) -> Result<(), String> {
             "shard",
             "scrapes",
             "stages",
-            "layers",
         ],
     )?;
     if root.get("report").and_then(Value::as_str) != Some("node-metrics") {
@@ -682,9 +613,12 @@ pub fn validate_scrape_snapshot(root: &Value) -> Result<(), String> {
     }
     let node = root.get("node").ok_or("missing node object")?;
     expect_keys(node, "node", &["tier", "index", "telemetry_group"])?;
-    node.get("tier")
-        .and_then(Value::as_str)
-        .ok_or("node.tier missing or not a string")?;
+    // A closed set, not any string: a free-form label would be a
+    // whitelisted place for an identifier to live.
+    let tier = node.get("tier").and_then(Value::as_str);
+    if !tier.is_some_and(|t| TIERS.contains(&t)) {
+        return Err(format!("node.tier is not one of {TIERS:?}"));
+    }
     expect_u64(node, "node", "index")?;
     expect_u64(node, "node", "telemetry_group")?;
     expect_u64(root, "snapshot", "uptime_us")?;
@@ -780,30 +714,6 @@ pub fn validate_scrape_snapshot(root: &Value) -> Result<(), String> {
         }
         validate_histogram(hist, &format!("stages.{name}"))?;
     }
-
-    let layers = root
-        .get("layers")
-        .and_then(Value::as_array)
-        .ok_or("layers is not an array")?;
-    for layer in layers {
-        expect_keys(
-            layer,
-            "layer",
-            &[
-                "name",
-                "requests",
-                "responses",
-                "errors",
-                "busy_us",
-                "shuffle_flushes",
-                "shuffle_timeouts",
-                "retries",
-                "deadline_misses",
-                "rejected",
-            ],
-        )?;
-        layer_from_value(layer)?;
-    }
     Ok(())
 }
 
@@ -883,12 +793,11 @@ impl ClusterSnapshot {
     }
 
     /// Merges the per-node snapshots into one cluster
-    /// [`TelemetryReport`] consumable by the PR 3 exporters. Stage
-    /// histograms are deduplicated by telemetry group (nodes sharing a
-    /// hub report the same histograms; the group with the freshest
-    /// counts represents them once), then merged across groups. Every
-    /// node contributes a synthesized `<name>/server` layer plus its
-    /// registered service layers prefixed `<name>/`.
+    /// [`TelemetryReport`]. Stage histograms are deduplicated by
+    /// telemetry group (nodes sharing a hub report the same histograms;
+    /// the group with the freshest counts represents them once), then
+    /// merged across groups. Every node contributes one `<name>/server`
+    /// counter row.
     pub fn report(&self) -> TelemetryReport {
         // Pick one representative snapshot per telemetry group: the one
         // whose stage histograms carry the most observations (the
@@ -958,22 +867,11 @@ impl ClusterSnapshot {
                     rejected: node.u64_at("server", "shed"),
                 },
             ));
-            if let Some(list) = node.json.get("layers").and_then(Value::as_array) {
-                for layer in list {
-                    if let Ok((name, snap)) = layer_from_value(layer) {
-                        layers.push((format!("{}/{name}", node.name), snap));
-                    }
-                }
-            }
         }
         TelemetryReport {
             stages: merged,
             shuffle,
             layers,
-            trace_policy: "rerandomize".into(),
-            spans_pushed: 0,
-            spans_exported: 0,
-            spans_dropped: 0,
         }
     }
 
@@ -1175,7 +1073,6 @@ mod tests {
         m.on_flush(FlushReason::Timeout);
         m.on_probe_failure();
         m.on_scrape();
-        m.registry().register("ua-svc").record_request(200);
         m
     }
 
@@ -1232,16 +1129,43 @@ mod tests {
         assert!(validate_scrape_snapshot(&json)
             .unwrap_err()
             .contains("last_corr"));
-        // Inside a layer.
+        // Inside the shard gauges.
         let mut json = m.snapshot_json();
-        if let Some(Value::Array(layers)) = json.get_mut("layers").map(std::mem::take) {
-            let mut layers = layers;
-            layers[0].insert("trace_id", Value::from(9u64));
-            json.insert("layers", Value::Array(layers));
-        }
+        json.get_mut("shard")
+            .unwrap()
+            .insert("trace_id", Value::from(9u64));
         assert!(validate_scrape_snapshot(&json)
             .unwrap_err()
             .contains("trace_id"));
+        // The key the schema carried until v3.
+        let mut json = m.snapshot_json();
+        json.insert("layers", Value::Array(Vec::new()));
+        assert!(validate_scrape_snapshot(&json)
+            .unwrap_err()
+            .contains("layers"));
+    }
+
+    #[test]
+    fn validator_accepts_only_the_four_tier_names() {
+        for tier in TIERS {
+            validate_scrape_snapshot(&NodeMetrics::new(tier, 0, 0).snapshot_json()).unwrap();
+        }
+        assert_eq!(
+            NodeMetrics::detached()
+                .snapshot_json()
+                .get("node")
+                .unwrap()
+                .get("tier"),
+            Some(&Value::from("node"))
+        );
+        // A user id dressed up as a tier label.
+        let mut json = populated_hub().snapshot_json();
+        json.get_mut("node")
+            .unwrap()
+            .insert("tier", Value::from("u017"));
+        assert!(validate_scrape_snapshot(&json)
+            .unwrap_err()
+            .contains("node.tier"));
     }
 
     #[test]
@@ -1329,8 +1253,7 @@ mod tests {
 
     #[test]
     fn cluster_report_deduplicates_shared_telemetry_groups() {
-        use pprox_core::telemetry::{Telemetry, TelemetryConfig};
-        let telemetry = Arc::new(Telemetry::new(TelemetryConfig::default()));
+        let telemetry = Arc::new(Telemetry::new());
         for _ in 0..10 {
             telemetry.record_duration(Stage::Ua, 100);
         }
@@ -1339,7 +1262,7 @@ mod tests {
         let b = NodeMetrics::new("ua", 1, 7);
         a.attach_telemetry(telemetry.clone());
         b.attach_telemetry(telemetry.clone());
-        let other = Arc::new(Telemetry::new(TelemetryConfig::default()));
+        let other = Arc::new(Telemetry::new());
         other.record_duration(Stage::Ua, 900);
         let c = NodeMetrics::new("ia", 0, 9);
         c.attach_telemetry(other);

@@ -200,7 +200,7 @@ mod tests {
         servers.lock().push(first);
 
         let addr = Arc::new(Mutex::new(first_addr));
-        let metrics = Arc::new(NodeMetrics::new("echo", 0, 0));
+        let metrics = Arc::new(NodeMetrics::detached());
         let respawn: RespawnFn = {
             let servers = servers.clone();
             Box::new(move || {

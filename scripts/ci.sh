@@ -75,7 +75,7 @@ echo "== validate committed analysis report =="
 cargo run --release -q -p pprox-analysis -- \
     --validate results/ANALYSIS_report.json
 
-echo "== loom model checking (seqlock + histogram + wire job-queue handoff) =="
+echo "== loom model checking (telemetry histogram + wire job-queue handoff) =="
 CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
     cargo test -q -p pprox-core --test loom
 CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
