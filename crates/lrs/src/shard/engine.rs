@@ -103,9 +103,12 @@ impl ShardEngine {
         let mut state = self.state.write();
         let st = &mut *state;
         let id = st.model.intern(item);
-        let is_new = !st.users.contains_key(user);
-        let num_users = st.users.len() as u64 + is_new as u64;
-        let rec = st.users.entry(user.to_owned()).or_default();
+        // One lookup for a known user; the id is copied on first sight only.
+        let known = st.users.len() as u64;
+        let (rec, num_users) = match st.users.get_mut(user) {
+            Some(rec) => (rec, known),
+            None => (st.users.entry(user.to_owned()).or_default(), known + 1),
+        };
         rec.history.push(id);
         st.model.add_to_set(&mut rec.set, id, num_users);
     }
@@ -263,28 +266,17 @@ impl ShardEngine {
 /// Scores `history` against `model`, drops what is in the history or in
 /// `exclude`, and returns the top `n` in [`sort_scored`]'s order (score
 /// descending, item name ascending). Candidates are ranked as
-/// `(ItemId, score)` with names borrowed from the model; only the `n`
-/// winners get a `String`.
+/// `(ItemId, score)` inside the model; only the `n` winners get a
+/// `String`, and an excluded name the model never saw excludes nothing.
 fn top_n(
     model: &IncrementalCco,
     history: &[ItemId],
     exclude: &[String],
     n: usize,
 ) -> RecommendationList {
-    let mut scored: Vec<(ItemId, f64)> = model
-        .score(history)
-        .into_iter()
-        .filter(|(target, _)| {
-            !history.contains(target) && !exclude.iter().any(|e| e == model.name(*target))
-        })
-        .collect();
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| model.name(a.0).cmp(model.name(b.0)))
-    });
-    scored.truncate(n);
-    let items = scored
+    let exclude: Vec<ItemId> = exclude.iter().filter_map(|e| model.lookup(e)).collect();
+    let items = model
+        .top_n(history, &exclude, n)
         .into_iter()
         .map(|(id, score)| ScoredItem {
             item: model.name(id).to_owned(),

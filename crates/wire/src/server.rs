@@ -1113,14 +1113,26 @@ mod tests {
         wait_until("a's parked", || park.parked.lock().len() == 3);
         let mut b = pipeline(server.local_addr(), 2);
         wait_until("b's parked", || park.parked.lock().len() == 5);
-        // A release order that interleaves the two connections: by index
-        // into the parked list, a's requests are 0..3 and b's 3..5.
-        let mut parked: Vec<Option<Parked>> = park.parked.lock().drain(..).map(Some).collect();
-        let batch: Vec<_> = [4, 2, 0, 3, 1]
-            .map(|i| parked[i].take().unwrap())
-            .into_iter()
-            .map(|(payload, reply)| (reply, Ok(payload.to_ascii_uppercase())))
-            .collect();
+        // A release order that interleaves the two connections. Which
+        // worker parks first is a race, so a request is picked by its
+        // connection (a's three were parked before b connected) and its
+        // payload (`b'a' + corr`), not by its place in the list.
+        let mut from_a: Vec<Parked> = park.parked.lock().drain(..).collect();
+        let mut from_b = from_a.split_off(3);
+        let take = |conn: &mut Vec<Parked>, corr: u8| {
+            let at = conn.iter().position(|p| p.0 == [b'a' + corr]);
+            conn.remove(at.expect("parked once"))
+        };
+        let batch: Vec<_> = [
+            take(&mut from_b, 1),
+            take(&mut from_a, 2),
+            take(&mut from_a, 0),
+            take(&mut from_b, 0),
+            take(&mut from_a, 1),
+        ]
+        .into_iter()
+        .map(|(payload, reply)| (reply, Ok(payload.to_ascii_uppercase())))
+        .collect();
         Reply::send_all(batch);
         assert_eq!(server.in_flight(), 0);
         let corrs = |stream: &mut TcpStream, n: usize| -> Vec<u64> {
