@@ -1,6 +1,6 @@
 //! Crypto hot-path throughput baseline: `results/BENCH_throughput.json`.
 //!
-//! Measures the two stages the Montgomery/keystream overhaul targets and
+//! Measures the three stages the Montgomery/keystream work targets and
 //! records, next to each optimized number, the retained-reference baseline
 //! so regressions (and the acceptance bar: rsa_decrypt ≥ 3× the naive
 //! `mod_pow` path) are checkable from the JSON alone:
@@ -13,20 +13,29 @@
 //! * `det_enc` — deterministic CTR over 64-byte item blocks with the
 //!   cached key schedule + keystream prefix vs.
 //!   [`SymmetricKey::det_encrypt_fresh`] (rebuilds cipher state per call).
+//! * `list_enc` — randomized CTR over the padded 1 600-byte
+//!   recommendation list (what the IA does to every get response and the
+//!   client undoes), as this CPU dispatches it — the AES instructions
+//!   where it reports `aes` — vs. [`SymmetricKey::ctr_apply_portable`]
+//!   (the scalar rounds, same IV draw and copy around them). On a CPU
+//!   without `aes` both sides are the portable rounds and the speedup
+//!   reads ≈ 1.
 //!
 //! End-to-end figures (and the per-layer budget that localizes a
 //! regression) are the repo's benchmark's, `benchmark/`, which drives
 //! the serving chain open-loop; schema v3 dropped this report's
-//! closed-loop `e2e` stage and its `pipeline_stages`.
+//! closed-loop `e2e` stage and its `pipeline_stages`; v4 added
+//! `list_enc`.
 //!
 //! Usage:
 //!
 //! ```text
 //! throughput [--rsa-ops N] [--det-ops N] [--modulus-bits B] [--out PATH]
+//!            (--det-ops is the iteration count of both symmetric stages)
 //! throughput --validate PATH   # schema-check an emitted JSON file
 //! ```
 
-use pprox_crypto::ctr::SymmetricKey;
+use pprox_crypto::ctr::{SymmetricKey, IV_LEN};
 use pprox_crypto::rng::SecureRng;
 use pprox_crypto::rsa::RsaKeyPair;
 use pprox_json::Value;
@@ -35,9 +44,14 @@ use std::time::Instant;
 /// Item payload width on the wire (mirrors `pprox_core::message`).
 const ITEM_BLOCK_LEN: usize = 64;
 
+/// Padded recommendation-list width (mirrors
+/// `pprox_core::message::LIST_PLAINTEXT_LEN`).
+const LIST_PLAINTEXT_LEN: usize = 1600;
+
 /// Report schema version: v3 dropped `e2e` and `pipeline_stages` (the
-/// closed loop through the deleted in-process pipeline).
-const THROUGHPUT_SCHEMA_VERSION: u64 = 3;
+/// closed loop through the deleted in-process pipeline); v4 added the
+/// `list_enc` stage.
+const THROUGHPUT_SCHEMA_VERSION: u64 = 4;
 
 #[derive(Debug)]
 struct Args {
@@ -203,6 +217,32 @@ fn bench_det_enc(ops: usize, rng: &mut SecureRng) -> Stage {
     stage
 }
 
+fn bench_list_enc(ops: usize, rng: &mut SecureRng) -> Stage {
+    let key = SymmetricKey::generate(rng);
+    let list = vec![0x5au8; LIST_PLAINTEXT_LEN];
+
+    let (samples, wall) = time_ops(ops, |_| {
+        std::hint::black_box(key.encrypt(&list, rng));
+    });
+    let mut stage = Stage::from_samples(samples, wall);
+
+    // Reference path: `encrypt` spelled out over the portable rounds.
+    let portable_ops = ops.clamp(1, 2_000);
+    let wall = Instant::now();
+    for _ in 0..portable_ops {
+        let mut iv = [0u8; IV_LEN];
+        rng.fill(&mut iv);
+        let mut out = Vec::with_capacity(IV_LEN + list.len());
+        out.extend_from_slice(&iv);
+        out.extend_from_slice(&list);
+        key.ctr_apply_portable(iv, &mut out[IV_LEN..]);
+        std::hint::black_box(out);
+    }
+    let portable_ops_per_sec = portable_ops as f64 / wall.elapsed().as_secs_f64();
+    stage.baseline = Some(("portable_baseline_ops_per_sec", portable_ops_per_sec));
+    stage
+}
+
 /// Schema check for an emitted report; panics with a description of the
 /// first violation so `bench.sh` can gate CI on the exit status.
 fn validate(path: &str) {
@@ -219,6 +259,7 @@ fn validate(path: &str) {
     for (stage, baseline) in [
         ("rsa_decrypt", Some("naive_baseline_ops_per_sec")),
         ("det_enc", Some("fresh_baseline_ops_per_sec")),
+        ("list_enc", Some("portable_baseline_ops_per_sec")),
     ] {
         let s = stages
             .get(stage)
@@ -273,6 +314,8 @@ fn main() {
     let rsa = bench_rsa_decrypt(args.rsa_ops, args.modulus_bits, &mut rng);
     eprintln!("det_enc: {} ops...", args.det_ops);
     let det = bench_det_enc(args.det_ops, &mut rng);
+    eprintln!("list_enc: {} ops...", args.det_ops);
+    let list = bench_list_enc(args.det_ops, &mut rng);
 
     let report = Value::object([
         ("benchmark", Value::from("throughput")),
@@ -287,7 +330,11 @@ fn main() {
         ),
         (
             "stages",
-            Value::object([("rsa_decrypt", rsa.to_value()), ("det_enc", det.to_value())]),
+            Value::object([
+                ("rsa_decrypt", rsa.to_value()),
+                ("det_enc", det.to_value()),
+                ("list_enc", list.to_value()),
+            ]),
         ),
     ]);
 

@@ -1,17 +1,42 @@
-//! AES block cipher (FIPS 197), supporting 128-, 192- and 256-bit keys.
+//! AES-256 block encryption (FIPS 197): the one key size and the one
+//! direction PProx uses.
 //!
 //! PProx pseudonymization uses AES-256 in CTR mode with a constant
 //! initialization vector (deterministic encryption), and randomized CTR for
-//! response payloads (§4.1, §5 of the paper). This module provides the raw
-//! block transform; [`crate::ctr`] builds the stream modes on top.
+//! response payloads (§4.1, §5 of the paper). CTR only ever *encrypts*
+//! counter blocks, so there is no inverse cipher here. This module expands
+//! the key schedule and provides the block transform twice over the same
+//! round keys; [`crate::ctr`] builds the stream modes on top and picks
+//! between the two:
 //!
-//! The implementation is a straightforward table-free S-box design. It is
-//! *not* constant-time; the threat model of the reproduction concerns
-//! protocol-level linkability, not local micro-architectural attacks (which
-//! the paper models separately through enclave compromise).
+//! * **Portable rounds** ([`Aes::encrypt_block`]): a straightforward
+//!   byte-wise S-box design, one block at a time. It is *not*
+//!   constant-time — the S-box loads are indexed by secret state. It is
+//!   what runs on a CPU without AES instructions and the reference every
+//!   test compares against.
+//! * **Hardware rounds** (`Aes::ctr_xor_aesni`, x86-64 CPUs that report
+//!   `aes`): `aesenc`/`aesenclast` on eight counter blocks at a time. No
+//!   table is read, so the cache side channel of the portable rounds is
+//!   absent, and a block costs ≈ 4 ns instead of ≈ 280.
+//!
+//! The key schedule is portable on both paths (≈ 1 µs per fresh key; it
+//! indexes the S-box by key bytes).
+//!
+//! # `unsafe`
+//!
+//! None here: inside a `#[target_feature]` function the value intrinsics
+//! are safe, and blocks enter and leave through `_mm_set_epi64x` and the
+//! extract intrinsics, so there are no pointer loads. The `unsafe` is the
+//! one call into the kernel from [`crate::ctr`], under runtime detection.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
+
+/// Rounds of AES-256.
+const ROUNDS: usize = 14;
+
+/// 32-bit words in an AES-256 key.
+const KEY_WORDS: usize = 8;
 
 /// Forward S-box.
 const SBOX: [u8; 256] = [
@@ -33,182 +58,163 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// Inverse S-box, derived from [`SBOX`] at first use.
-fn inv_sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
-
 /// Doubling in GF(2^8) (`xtime` in FIPS-197): shift left, conditionally
-/// reduce by the AES polynomial. The encrypt-side MixColumns is expressed
-/// entirely in terms of this, avoiding the generic bit-loop of [`gmul`] on
-/// the keystream hot path.
+/// reduce by the AES polynomial x^8+x^4+x^3+x+1. MixColumns and the key
+/// schedule's round constants are expressed entirely in terms of this.
 #[inline]
 fn xtime(a: u8) -> u8 {
     (a << 1) ^ (((a >> 7) & 1) * 0x1b)
 }
 
-/// Multiplication in GF(2^8) with the AES polynomial x^8+x^4+x^3+x+1.
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        let hi = a & 0x80;
-        a <<= 1;
-        if hi != 0 {
-            a ^= 0x1b;
-        }
-        b >>= 1;
-    }
-    p
-}
-
-/// Key length variants supported by [`Aes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeySize {
-    /// 128-bit key, 10 rounds.
-    Aes128,
-    /// 192-bit key, 12 rounds.
-    Aes192,
-    /// 256-bit key, 14 rounds.
-    Aes256,
-}
-
-impl KeySize {
-    fn rounds(self) -> usize {
-        match self {
-            KeySize::Aes128 => 10,
-            KeySize::Aes192 => 12,
-            KeySize::Aes256 => 14,
-        }
-    }
-
-    fn key_words(self) -> usize {
-        match self {
-            KeySize::Aes128 => 4,
-            KeySize::Aes192 => 6,
-            KeySize::Aes256 => 8,
-        }
-    }
-}
-
-/// An AES key schedule ready to encrypt or decrypt 16-byte blocks.
+/// An AES-256 key schedule ready to encrypt 16-byte blocks.
 ///
 /// # Examples
 ///
 /// ```
 /// use pprox_crypto::aes::Aes;
 ///
-/// let key = [0u8; 32];
-/// let aes = Aes::new_256(&key);
+/// let aes = Aes::new_256(&[0u8; 32]);
 /// let mut block = [0u8; 16];
 /// aes.encrypt_block(&mut block);
-/// aes.decrypt_block(&mut block);
-/// assert_eq!(block, [0u8; 16]);
+/// assert_ne!(block, [0u8; 16]);
 /// ```
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
-    rounds: usize,
+    round_keys: [[u8; BLOCK_LEN]; ROUNDS + 1],
 }
 
 impl std::fmt::Debug for Aes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material.
-        f.debug_struct("Aes").field("rounds", &self.rounds).finish()
+        f.debug_struct("Aes").field("rounds", &ROUNDS).finish()
     }
 }
 
 impl Aes {
-    /// Expands a key of the given size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` does not match `size`.
-    pub fn new(size: KeySize, key: &[u8]) -> Self {
-        assert_eq!(key.len(), size.key_words() * 4, "bad key length");
-        let nk = size.key_words();
-        let rounds = size.rounds();
-        let total_words = 4 * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+    /// Expands a 256-bit key.
+    pub fn new_256(key: &[u8; 32]) -> Self {
+        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            word.copy_from_slice(bytes);
         }
         let mut rcon: u8 = 1;
-        for i in nk..total_words {
+        for i in KEY_WORDS..w.len() {
             let mut temp = w[i - 1];
-            if i % nk == 0 {
+            if i % KEY_WORDS == 0 {
                 temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
+                temp = temp.map(|b| SBOX[b as usize]);
                 temp[0] ^= rcon;
-                rcon = gmul(rcon, 2);
-            } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
+                rcon = xtime(rcon);
+            } else if i % KEY_WORDS == 4 {
+                temp = temp.map(|b| SBOX[b as usize]);
             }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
-        }
-        let mut round_keys = Vec::with_capacity(rounds + 1);
-        for r in 0..=rounds {
-            let mut rk = [0u8; 16];
-            for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
+            for (j, t) in temp.into_iter().enumerate() {
+                w[i][j] = w[i - KEY_WORDS][j] ^ t;
             }
-            round_keys.push(rk);
         }
-        Aes { round_keys, rounds }
+        let mut round_keys = [[0u8; BLOCK_LEN]; ROUNDS + 1];
+        for (rk, words) in round_keys.iter_mut().zip(w.chunks_exact(4)) {
+            rk.copy_from_slice(words.as_flattened());
+        }
+        Aes { round_keys }
     }
 
-    /// Convenience constructor for AES-256.
-    pub fn new_256(key: &[u8; 32]) -> Self {
-        Self::new(KeySize::Aes256, key)
-    }
-
-    /// Encrypts one 16-byte block in place.
+    /// Encrypts one 16-byte block in place on the portable rounds.
     #[inline]
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
         add_round_key(block, &self.round_keys[0]);
-        for r in 1..self.rounds {
+        for rk in &self.round_keys[1..ROUNDS] {
             sub_bytes(block);
             shift_rows(block);
             mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
+            add_round_key(block, rk);
         }
         sub_bytes(block);
         shift_rows(block);
-        add_round_key(block, &self.round_keys[self.rounds]);
+        add_round_key(block, &self.round_keys[ROUNDS]);
+    }
+}
+
+/// The hardware rounds: the CTR keystream on `aesenc`/`aesenclast`.
+#[cfg(target_arch = "x86_64")]
+mod aesni {
+    use super::{Aes, BLOCK_LEN, ROUNDS};
+    use std::arch::x86_64::*;
+
+    /// Counter blocks the hardware path keeps in flight: `aesenc` takes
+    /// several cycles to retire but a new one can issue every cycle, so
+    /// independent blocks fill the pipeline a single block leaves empty.
+    const LANES: usize = 8;
+
+    impl Aes {
+        /// XORs into `data` the CTR keystream whose first block is the
+        /// encryption of `counter` (a big-endian 128-bit integer, one up
+        /// per block, wrapping): the bytes
+        /// [`encrypt_block`](Self::encrypt_block) gives on successive
+        /// counters, from the same round keys, on the AES instructions.
+        #[target_feature(enable = "aes")]
+        pub(crate) fn ctr_xor_aesni(&self, mut counter: u128, data: &mut [u8]) {
+            let mut rk = [_mm_setzero_si128(); ROUNDS + 1];
+            for (v, bytes) in rk.iter_mut().zip(&self.round_keys) {
+                *v = to_vector(bytes);
+            }
+            let mut wide = data.chunks_exact_mut(LANES * BLOCK_LEN);
+            for chunk in &mut wide {
+                let ks = keystream::<LANES>(&rk, counter);
+                for (block, ks) in chunk.chunks_exact_mut(BLOCK_LEN).zip(ks) {
+                    xor_block(block, ks);
+                }
+                counter = counter.wrapping_add(LANES as u128);
+            }
+            // Up to LANES − 1 whole blocks and a partial one, one at a time.
+            for block in wide.into_remainder().chunks_mut(BLOCK_LEN) {
+                let [ks] = keystream::<1>(&rk, counter);
+                xor_block(block, ks);
+                counter = counter.wrapping_add(1);
+            }
+        }
     }
 
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        add_round_key(block, &self.round_keys[self.rounds]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for r in (1..self.rounds).rev() {
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
+    /// The encryptions of `counter`, `counter + 1`, … `counter + N − 1`,
+    /// every block one round ahead of the next in the pipeline.
+    #[target_feature(enable = "aes")]
+    #[inline]
+    fn keystream<const N: usize>(rk: &[__m128i; ROUNDS + 1], counter: u128) -> [__m128i; N] {
+        let mut state = [rk[0]; N];
+        for (i, s) in state.iter_mut().enumerate() {
+            let block = counter.wrapping_add(i as u128).to_be_bytes();
+            *s = _mm_xor_si128(*s, to_vector(&block));
         }
-        add_round_key(block, &self.round_keys[0]);
+        for k in &rk[1..ROUNDS] {
+            for s in &mut state {
+                *s = _mm_aesenc_si128(*s, *k);
+            }
+        }
+        for s in &mut state {
+            *s = _mm_aesenclast_si128(*s, rk[ROUNDS]);
+        }
+        state
+    }
+
+    /// A block as a vector: byte 0 in the lowest lane, as the AES
+    /// instructions read their state.
+    #[target_feature(enable = "aes")]
+    #[inline]
+    fn to_vector(block: &[u8; BLOCK_LEN]) -> __m128i {
+        let wide = u128::from_le_bytes(*block);
+        _mm_set_epi64x((wide >> 64) as i64, wide as i64)
+    }
+
+    /// XORs the first `block.len()` (at most 16) bytes of `ks` into `block`.
+    #[target_feature(enable = "aes")]
+    #[inline]
+    fn xor_block(block: &mut [u8], ks: __m128i) {
+        let lo = _mm_cvtsi128_si64(ks) as u64;
+        let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(ks, ks)) as u64;
+        let ks = (u128::from(hi) << 64 | u128::from(lo)).to_le_bytes();
+        for (b, k) in block.iter_mut().zip(ks) {
+            *b ^= k;
+        }
     }
 }
 
@@ -226,13 +232,6 @@ fn sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    let inv = inv_sbox();
-    for b in state.iter_mut() {
-        *b = inv[*b as usize];
-    }
-}
-
 // State layout: state[r + 4c] is row r, column c (column-major, as in FIPS 197
 // where input bytes fill columns first).
 #[inline]
@@ -241,15 +240,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     for r in 1..4 {
         for c in 0..4 {
             state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
         }
     }
 }
@@ -263,28 +253,13 @@ fn mix_columns(state: &mut [u8; 16]) {
             state[4 * c + 2],
             state[4 * c + 3],
         ];
-        // 2a ^ 3b ^ c ^ d  ==  a ^ (a^b^c^d) ^ xtime(a^b), which turns the
-        // whole column into 4 xtimes instead of 8 gmul bit-loops.
+        // 2a ^ 3b ^ c ^ d  ==  a ^ (a^b^c^d) ^ xtime(a^b): four xtimes a
+        // column, no general GF(2^8) multiply.
         let t = col[0] ^ col[1] ^ col[2] ^ col[3];
         state[4 * c] = col[0] ^ t ^ xtime(col[0] ^ col[1]);
         state[4 * c + 1] = col[1] ^ t ^ xtime(col[1] ^ col[2]);
         state[4 * c + 2] = col[2] ^ t ^ xtime(col[2] ^ col[3]);
         state[4 * c + 3] = col[3] ^ t ^ xtime(col[3] ^ col[0]);
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        state[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        state[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        state[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
     }
 }
 
@@ -299,63 +274,19 @@ mod tests {
             .collect()
     }
 
-    // FIPS-197 Appendix C example vectors: plaintext 00112233445566778899aabbccddeeff
-    // and key 000102... of each length.
-    const PT: &str = "00112233445566778899aabbccddeeff";
-
-    fn check(size: KeySize, key_hex: &str, ct_hex: &str) {
-        let key = from_hex(key_hex);
-        let aes = Aes::new(size, &key);
-        let mut block = [0u8; 16];
-        block.copy_from_slice(&from_hex(PT));
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), from_hex(ct_hex));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), from_hex(PT));
-    }
-
-    #[test]
-    fn fips197_aes128() {
-        check(
-            KeySize::Aes128,
-            "000102030405060708090a0b0c0d0e0f",
-            "69c4e0d86a7b0430d8cdb78070b4c55a",
-        );
-    }
-
-    #[test]
-    fn fips197_aes192() {
-        check(
-            KeySize::Aes192,
-            "000102030405060708090a0b0c0d0e0f1011121314151617",
-            "dda97ca4864cdfe06eaf70a0ec0d7191",
-        );
-    }
-
+    // FIPS-197 Appendix C.3: plaintext 00112233445566778899aabbccddeeff
+    // under the 256-bit key 000102…1f.
     #[test]
     fn fips197_aes256() {
-        check(
-            KeySize::Aes256,
-            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-            "8ea2b7ca516745bfeafc49904b496089",
-        );
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_random_blocks() {
-        let key = [0x5au8; 32];
-        let aes = Aes::new_256(&key);
-        for seed in 0u8..32 {
-            let mut block = [seed; 16];
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = b.wrapping_add(i as u8).wrapping_mul(31);
-            }
-            let orig = block;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, orig);
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, orig);
-        }
+        let key: [u8; 32] =
+            from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+                .try_into()
+                .unwrap();
+        let mut block: [u8; 16] = from_hex("00112233445566778899aabbccddeeff")
+            .try_into()
+            .unwrap();
+        Aes::new_256(&key).encrypt_block(&mut block);
+        assert_eq!(block.to_vec(), from_hex("8ea2b7ca516745bfeafc49904b496089"));
     }
 
     #[test]
@@ -370,12 +301,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad key length")]
-    fn wrong_key_length_panics() {
-        let _ = Aes::new(KeySize::Aes256, &[0u8; 16]);
-    }
-
-    #[test]
     fn debug_hides_key() {
         let aes = Aes::new_256(&[7u8; 32]);
         let s = format!("{aes:?}");
@@ -387,10 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn gmul_known_values() {
-        assert_eq!(gmul(0x57, 0x83), 0xc1); // FIPS-197 §4.2 example
-        assert_eq!(gmul(0x57, 0x13), 0xfe);
-        assert_eq!(gmul(1, 0xab), 0xab);
-        assert_eq!(gmul(0, 0xff), 0);
+    fn xtime_known_values() {
+        // FIPS-197 §4.2.1: {57}·{02}, ·{04}, ·{08}, ·{10}.
+        assert_eq!(xtime(0x57), 0xae);
+        assert_eq!(xtime(0xae), 0x47);
+        assert_eq!(xtime(0x47), 0x8e);
+        assert_eq!(xtime(0x8e), 0x07);
     }
 }

@@ -54,16 +54,20 @@ impl std::fmt::Display for DecodeBase64Error {
 
 impl std::error::Error for DecodeBase64Error {}
 
-fn decode_char(c: u8) -> Option<u32> {
-    match c {
-        b'A'..=b'Z' => Some((c - b'A') as u32),
-        b'a'..=b'z' => Some((c - b'a' + 26) as u32),
-        b'0'..=b'9' => Some((c - b'0' + 52) as u32),
-        b'+' => Some(62),
-        b'/' => Some(63),
-        _ => None,
+/// Marks a byte outside the alphabet in [`DECODE`].
+const INVALID: u8 = 0xff;
+
+/// Sextet of every input byte, [`INVALID`] for the rest (`=` included:
+/// padding is positional and handled by [`decode_padded`]).
+const DECODE: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[ALPHABET[i] as usize] = i as u8;
+        i += 1;
     }
-}
+    table
+};
 
 /// Decodes standard base64 (padding required).
 ///
@@ -77,41 +81,50 @@ pub fn decode(s: &str) -> Result<Vec<u8>, DecodeBase64Error> {
         return Err(DecodeBase64Error { position: None });
     }
     let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for (chunk_idx, chunk) in bytes.chunks(4).enumerate() {
-        let is_last = (chunk_idx + 1) * 4 == bytes.len();
-        let mut n = 0u32;
-        let mut pad = 0;
-        for (i, &c) in chunk.iter().enumerate() {
-            if c == b'=' {
-                if !is_last || i < 2 {
-                    return Err(DecodeBase64Error {
-                        position: Some(chunk_idx * 4 + i),
-                    });
-                }
-                pad += 1;
-                n <<= 6;
-            } else {
-                if pad > 0 {
-                    // data after padding
-                    return Err(DecodeBase64Error {
-                        position: Some(chunk_idx * 4 + i),
-                    });
-                }
-                let v = decode_char(c).ok_or(DecodeBase64Error {
-                    position: Some(chunk_idx * 4 + i),
-                })?;
-                n = (n << 6) | v;
-            }
-        }
-        out.push((n >> 16) as u8);
-        if pad < 2 {
-            out.push((n >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(n as u8);
+    for (offset, group) in bytes.chunks_exact(4).enumerate() {
+        let offset = offset * 4;
+        let v = [group[0], group[1], group[2], group[3]].map(|c| DECODE[c as usize]);
+        // Sextets are below 64; only INVALID sets the top bits.
+        if (v[0] | v[1] | v[2] | v[3]) < 64 {
+            let n = (v[0] as u32) << 18 | (v[1] as u32) << 12 | (v[2] as u32) << 6 | v[3] as u32;
+            out.extend_from_slice(&[(n >> 16) as u8, (n >> 8) as u8, n as u8]);
+        } else {
+            let is_last = offset + 4 == bytes.len();
+            decode_padded(group, v, is_last, &mut out).map_err(|i| DecodeBase64Error {
+                position: Some(offset + i),
+            })?;
         }
     }
     Ok(out)
+}
+
+/// A group holding `=` or a byte outside the alphabet: well-formed only as
+/// the last group, ending in one or two `=`. `Err` is the index within
+/// the group of the first offending byte.
+fn decode_padded(group: &[u8], v: [u8; 4], is_last: bool, out: &mut Vec<u8>) -> Result<(), usize> {
+    let mut n = 0u32;
+    let mut pad = 0;
+    for i in 0..4 {
+        if group[i] == b'=' {
+            if !is_last || i < 2 {
+                return Err(i);
+            }
+            pad += 1;
+            n <<= 6;
+        } else {
+            // Data after padding, or not data at all.
+            if pad > 0 || v[i] == INVALID {
+                return Err(i);
+            }
+            n = (n << 6) | v[i] as u32;
+        }
+    }
+    // Whatever sent the group here and was not an error was a `=`.
+    out.push((n >> 16) as u8);
+    if pad < 2 {
+        out.push((n >> 8) as u8);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -157,6 +170,26 @@ mod tests {
     fn rejects_interior_padding() {
         assert!(decode("Zg==Zg==").is_err());
         assert!(decode("Z=g=").is_err());
+    }
+
+    #[test]
+    fn error_position_is_the_first_offending_byte() {
+        for (input, position) in [
+            ("Zg==Zg==", 2),
+            ("Z=g=", 1),
+            ("Zg=a", 3),
+            ("====", 0),
+            ("Zm9vYm!y", 6),
+            ("Zm9v!mFy", 4),
+            ("ab\u{e9}", 2),
+            ("Zm9vYg==Zm9v", 6),
+        ] {
+            assert_eq!(
+                decode(input).unwrap_err().position,
+                Some(position),
+                "{input}"
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,20 @@
 //! so enclave workers provisioned from the same secrets reuse one
 //! schedule. [`SymmetricKey::det_encrypt_fresh`] keeps the uncached path
 //! alive as the ablation knob and differential-test reference.
+//!
+//! # Two keystream paths, one stream
+//!
+//! Everything above bottoms out in one function, `xor_keystream_with`.
+//! On an x86-64 CPU that reports `aes` it runs the rounds on the AES
+//! instructions, eight counter blocks in flight (`Aes::ctr_xor_aesni`);
+//! on any other CPU it runs the portable rounds a block at a time. The
+//! choice is `is_x86_feature_detected!` and nothing else — no flag, no
+//! feature, no argument — and both give identical bytes (the counter is
+//! the whole 128-bit block, big-endian, carries and wrap included), so
+//! nothing that is stored or sent depends on where it was encrypted.
+//! [`SymmetricKey::ctr_apply_portable`] is the portable path by name, for
+//! the tests and the throughput report that hold the two against each
+//! other.
 
 use crate::aes::{Aes, BLOCK_LEN};
 use crate::rng::SecureRng;
@@ -221,10 +235,33 @@ impl SymmetricKey {
         xor_keystream_with(&self.state.aes, iv, &mut out);
         Some(out)
     }
+
+    /// Applies the CTR keystream starting at `iv` to `data` in place on
+    /// the portable scalar rounds, whatever the CPU.
+    ///
+    /// This is the reference the hardware path is held to byte for byte:
+    /// `decrypt(iv ‖ data)` is the same stream through whichever path this
+    /// CPU takes. Nothing on the request path calls it.
+    pub fn ctr_apply_portable(&self, iv: [u8; IV_LEN], data: &mut [u8]) {
+        xor_keystream_portable(&self.state.aes, iv, data);
+    }
 }
 
-/// Applies the CTR keystream starting at `counter` to `data` in place.
-fn xor_keystream_with(aes: &Aes, mut counter: [u8; IV_LEN], data: &mut [u8]) {
+/// Applies the CTR keystream starting at `counter` to `data` in place:
+/// the single dispatch point between the two keystream paths.
+fn xor_keystream_with(aes: &Aes, counter: [u8; IV_LEN], data: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("aes") {
+        // SAFETY: `ctr_xor_aesni` is compiled for exactly the CPU feature
+        // detected on the line above and has no other precondition.
+        #[allow(unsafe_code)]
+        return unsafe { aes.ctr_xor_aesni(u128::from_be_bytes(counter), data) };
+    }
+    xor_keystream_portable(aes, counter, data)
+}
+
+/// The keystream on the portable rounds, one block at a time.
+fn xor_keystream_portable(aes: &Aes, mut counter: [u8; IV_LEN], data: &mut [u8]) {
     let mut offset = 0;
     while offset < data.len() {
         let mut ks = counter;
@@ -320,19 +357,18 @@ mod tests {
 
     #[test]
     fn nist_sp800_38a_f55_ctr_aes256() {
-        // NIST SP 800-38A, F.5.5 (CTR-AES256.Encrypt): verify our CTR
-        // keystream against the published vectors by decrypting a
-        // ciphertext assembled as iv || ct-blocks.
+        // NIST SP 800-38A, F.5.5 (CTR-AES256.Encrypt), through both
+        // keystream paths: `decrypt` of iv || ct-blocks takes whichever
+        // path this CPU dispatches to, `ctr_apply_portable` is the scalar
+        // rounds by name.
         fn hx(s: &str) -> Vec<u8> {
             (0..s.len())
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
                 .collect()
         }
-        let key_bytes = hx("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
-        let mut key = [0u8; KEY_LEN];
-        key.copy_from_slice(&key_bytes);
-        let k = SymmetricKey::from_bytes(key);
+        let key = hx("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+        let k = SymmetricKey::from_bytes(key.try_into().unwrap());
         let iv = hx("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
         let plaintext = hx(concat!(
             "6bc1bee22e409f96e93d7e117393172a",
@@ -349,6 +385,10 @@ mod tests {
         let mut wire = iv.clone();
         wire.extend_from_slice(&expected_ct);
         assert_eq!(k.decrypt(&wire).unwrap(), plaintext);
+
+        let mut portable = expected_ct;
+        k.ctr_apply_portable(iv.try_into().unwrap(), &mut portable);
+        assert_eq!(portable, plaintext);
     }
 
     #[test]

@@ -18,22 +18,30 @@
 //! the big-integer arithmetic below are implemented from scratch and
 //! validated against FIPS/NIST/RFC test vectors.
 //!
-//! Everything is portable scalar Rust except one kernel: on x86-64 CPUs
-//! that report AVX-512 IFMA, the RSA-2048 private-key operation — the
-//! cost the paper's §4.1 dissection puts on every request, twice — runs
-//! its two CRT ladders on radix-2⁵² vector multiply-adds (`mont52.rs`,
-//! private). Which path runs is decided by the key size and the CPU,
-//! never by a flag, and both give identical bytes.
+//! Everything is portable scalar Rust except two kernels, each chosen by
+//! what the CPU reports and never by a flag, each giving the same bytes
+//! as the portable code it stands in for:
+//!
+//! * on x86-64 CPUs that report AVX-512 IFMA, the RSA-2048 private-key
+//!   operation — the cost the paper's §4.1 dissection puts on every
+//!   request, twice — runs its two CRT ladders on radix-2⁵² vector
+//!   multiply-adds (`mont52.rs`, private; the key size picks it too);
+//! * on x86-64 CPUs that report `aes`, the CTR keystream under every
+//!   [`ctr::SymmetricKey`] operation runs its AES-256 rounds on
+//!   `aesenc`/`aesenclast`, eight counter blocks in flight (in [`aes`]),
+//!   which also takes the S-box's secret-indexed loads off the request
+//!   path.
 //!
 //! # `unsafe` policy
 //!
-//! The crate is `#![deny(unsafe_code)]` with exactly one
-//! `#[allow(unsafe_code)]`: the call from [`rsa::RsaPrivateKey::raw_decrypt`]'s
-//! dispatch into the `#[target_feature(enable = "avx512f,avx512ifma")]`
-//! ladder, two lines under the `is_x86_feature_detected!` checks that are
-//! its whole safety argument. The kernel itself is safe code (value
-//! intrinsics, no pointers). `scripts/ci.sh` greps that this stays the
-//! only `unsafe` in the workspace.
+//! The crate is `#![deny(unsafe_code)]` with exactly two
+//! `#[allow(unsafe_code)]`, each on one call into a `#[target_feature]`
+//! kernel, directly under the `is_x86_feature_detected!` check that is its
+//! whole safety argument: [`rsa::RsaPrivateKey::raw_decrypt`]'s dispatch
+//! into the `avx512f,avx512ifma` ladder, and the keystream dispatch in
+//! [`ctr`] into the `aes` rounds. The kernels themselves are safe code
+//! (value intrinsics, no pointers). `scripts/ci.sh` greps that these stay
+//! the only two `unsafe` sites in the workspace.
 //!
 //! # Examples
 //!

@@ -53,7 +53,7 @@
 //!
 //! None here: inside a `#[target_feature]` function the value intrinsics
 //! are safe, and lanes enter and leave through `_mm512_set_epi64` and the
-//! extract intrinsics, so there are no pointer loads. The crate's single
+//! extract intrinsics, so there are no pointer loads. This kernel's one
 //! `unsafe` block is the call into [`CrtLadders::pow_pair`] from code that
 //! is not compiled for these features, guarded by runtime detection.
 

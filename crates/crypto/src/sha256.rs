@@ -93,14 +93,16 @@ impl Sha256 {
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // Note: update() above bumped total_len, but bit_len was captured first.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // silence further accounting; we pad manually
+        // `update` leaves `buf_len < BLOCK_LEN`: the 0x80 marker always fits.
         let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            // No room left for the length: it gets a block of its own.
+            self.compress(&block);
+            block = [0; BLOCK_LEN];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {

@@ -26,6 +26,16 @@
 //!   streams from a zero counter) over lengths 0, 1, BLOCK_LEN−1,
 //!   BLOCK_LEN, multi-block, and random lengths straddling the cached
 //!   prefix boundary;
+//! * the CTR keystream as this CPU dispatches it (`SymmetricKey::decrypt`
+//!   of `iv ‖ data`: AES instructions, eight blocks in flight, on x86-64
+//!   with `aes`) vs. `SymmetricKey::ctr_apply_portable` (scalar rounds, a
+//!   block at a time) at every length through four wide chunks and a
+//!   ragged tail, under random keys and IVs and under IVs placed so a
+//!   carry out of the low 32, 64 and all 128 counter bits lands in a wide
+//!   chunk, in the one-block remainder and in the partial last block.
+//!   The portable side runs on every CPU; on one without `aes` both sides
+//!   are the portable rounds and `ctr_dispatch_matches_portable_across_carries`
+//!   says so;
 //! * `BigUint::gcd` (Stein) and `BigUint::mod_inverse` vs. small-integer
 //!   (`u64`/`i128`) reference implementations.
 //!
@@ -34,7 +44,7 @@
 
 use pprox_crypto::aes::BLOCK_LEN;
 use pprox_crypto::bigint::{BigUint, Montgomery};
-use pprox_crypto::ctr::{SymmetricKey, DET_PREFIX_BLOCKS};
+use pprox_crypto::ctr::{SymmetricKey, DET_PREFIX_BLOCKS, IV_LEN};
 use pprox_crypto::rng::SecureRng;
 use pprox_crypto::rsa::RsaKeyPair;
 use proptest::prelude::*;
@@ -225,6 +235,66 @@ proptest! {
     }
 }
 
+/// Longest input the keystream comparison covers: four of the hardware
+/// path's eight-block chunks, one whole block on its one-at-a-time
+/// remainder, and a partial block.
+const CTR_MAX_LEN: usize = 4 * 128 + 17;
+
+/// Whether `SymmetricKey`'s keystream runs on the AES instructions here
+/// (the library's dispatch is this detection and nothing else).
+fn ctr_on_aes_instructions() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("aes");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The dispatched keystream (`decrypt` of `iv ‖ data`) equals the
+/// portable one at every length `0..=CTR_MAX_LEN`.
+fn ctr_dispatch_matches_portable(
+    k: &SymmetricKey,
+    iv: [u8; IV_LEN],
+    fill: u8,
+) -> Result<(), TestCaseError> {
+    let mut want = vec![fill; CTR_MAX_LEN];
+    k.ctr_apply_portable(iv, &mut want);
+    let mut wire = iv.to_vec();
+    wire.resize(IV_LEN + CTR_MAX_LEN, fill);
+    for len in 0..=CTR_MAX_LEN {
+        let got = k.decrypt(&wire[..IV_LEN + len]).expect("holds an IV");
+        prop_assert_eq!(&got, &want[..len], "iv {:02x?} len {}", iv, len);
+        // The portable path's own handling of a ragged length.
+        let mut short = vec![fill; len];
+        k.ctr_apply_portable(iv, &mut short);
+        prop_assert_eq!(&short, &want[..len], "portable, iv {:02x?} len {}", iv, len);
+    }
+    Ok(())
+}
+
+#[test]
+fn ctr_dispatch_matches_portable_across_carries() {
+    eprintln!(
+        "ctr dispatch on this CPU: {}",
+        if ctr_on_aes_instructions() {
+            "AES instructions, held to the portable rounds"
+        } else {
+            "portable rounds (no `aes` reported): both sides of the comparison are the same code"
+        }
+    );
+    let k = SymmetricKey::from_bytes([0x24; 32]);
+    // Low `ones` bits set under a nonzero top, then stepped back so the
+    // carry out of them (for 128: the wrap to zero) lands on block 1 and
+    // 4 (first wide chunk), 11 (second), 32 (the whole block after the
+    // wide chunks) and 33 (the partial last block).
+    for ones in [32u32, 64, 128] {
+        let base = (0xa5a5_5a5a_c3c3_3c3c_u128 << 64) | (u128::MAX >> (128 - ones));
+        for back in [0u128, 3, 10, 31, 32] {
+            let iv = base.wrapping_sub(back).to_be_bytes();
+            ctr_dispatch_matches_portable(&k, iv, 0x3c).unwrap();
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn mont_mod_mul_matches_schoolbook(
@@ -286,6 +356,15 @@ proptest! {
                 len
             );
         }
+    }
+
+    #[test]
+    fn ctr_dispatch_matches_portable_random_keys_and_ivs(
+        key in any::<[u8; 32]>(),
+        iv in any::<[u8; IV_LEN]>(),
+        fill in any::<u8>(),
+    ) {
+        ctr_dispatch_matches_portable(&SymmetricKey::from_bytes(key), iv, fill)?;
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! Tasks marked `first` overtake the others: finishing a request that
 //! is already past the LRS (a 30 µs response ECALL) before starting a new
-//! one (an 800 µs RSA decrypt) keeps the requests in flight few.
+//! one (a 260 µs RSA decrypt) keeps the requests in flight few.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;

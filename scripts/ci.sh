@@ -10,21 +10,32 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== unsafe audit (one call site, every other crate forbids it) =="
-# Comments and string literals do not count. What is left must be the one
-# call from the RSA dispatch into the `#[target_feature]` ladder, made
-# right under the CPU detection that is its `// SAFETY:` argument.
+echo "== unsafe audit (two call sites, every other crate forbids it) =="
+# Comments and string literals do not count. What is left must be the two
+# calls into `#[target_feature]` kernels — `pow_pair` from the RSA dispatch
+# in rsa.rs, `ctr_xor_aesni` from the keystream dispatch in ctr.rs — each
+# with the CPU detection that is its `// SAFETY:` argument right above it.
 UNSAFE_SITES="$(grep -rnw unsafe crates/*/src src shims --include='*.rs' \
     | sed -E 's/"([^"\\]|\\.)*"//g; s://.*$::' | grep -w unsafe || true)"
-if [[ "$(wc -l <<<"$UNSAFE_SITES")" != 1 || "$UNSAFE_SITES" != crates/crypto/src/rsa.rs:*pow_pair* ]]; then
-    echo "unsafe audit: expected exactly the pow_pair call in crates/crypto/src/rsa.rs, found:" >&2
+mapfile -t SITES < <(sort <<<"$UNSAFE_SITES")
+if [[ ${#SITES[@]} != 2 || "${SITES[0]}" != crates/crypto/src/ctr.rs:*ctr_xor_aesni* \
+    || "${SITES[1]}" != crates/crypto/src/rsa.rs:*pow_pair* ]]; then
+    echo "unsafe audit: expected exactly the pow_pair call in rsa.rs and the ctr_xor_aesni call in ctr.rs, found:" >&2
     echo "${UNSAFE_SITES:-<none>}" >&2
     exit 1
 fi
+while IFS=: read -r file line _; do
+    # The `unsafe` line, the `#[allow]` above it, at most three comment
+    # lines of SAFETY argument, then the detection.
+    sed -n "$((line - 5)),$((line - 1))p" "$file" | grep -q 'is_x86_feature_detected!' || {
+        echo "unsafe audit: $file:$line is not directly under its is_x86_feature_detected! check" >&2
+        exit 1
+    }
+done <<<"$UNSAFE_SITES"
 ALLOW_SITES="$(grep -rn 'allow(unsafe_code)' crates src shims --include='*.rs' \
-    | sed 's://.*$::' | grep 'allow(unsafe_code)' | cut -d: -f1)"
-[[ "$ALLOW_SITES" == crates/crypto/src/rsa.rs ]] || {
-    echo "unsafe audit: allow(unsafe_code) outside the one call site: $ALLOW_SITES" >&2
+    | sed 's://.*$::' | grep 'allow(unsafe_code)' | cut -d: -f1 | sort | tr '\n' ' ')"
+[[ "$ALLOW_SITES" == "crates/crypto/src/ctr.rs crates/crypto/src/rsa.rs " ]] || {
+    echo "unsafe audit: allow(unsafe_code) outside the two call sites: $ALLOW_SITES" >&2
     exit 1
 }
 for root in crates/*/src/lib.rs src/lib.rs shims/*/src/lib.rs; do
