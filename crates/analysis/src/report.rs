@@ -12,6 +12,7 @@
 
 use crate::locks::{LockGraph, PanicClassification};
 use crate::rules::{Finding, Suppression, RULES};
+use pprox_json::schema::{ensure, flag, integers, list, number, text, Schema};
 use pprox_json::Value;
 use std::collections::BTreeMap;
 
@@ -171,131 +172,90 @@ impl Report {
     }
 }
 
-/// Validates a serialized report: schema tag, internal count consistency,
-/// lock-graph shape, and status coherence. Mirrors the telemetry snapshot
-/// validator: CI refuses a hand-edited or stale report.
-pub fn validate(text: &str) -> Result<(), String> {
-    let v = Value::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing `schema`")?;
-    if schema != SCHEMA {
-        return Err(format!("schema `{schema}` != `{SCHEMA}`"));
-    }
-    v.get("files_scanned")
-        .and_then(Value::as_u64)
-        .ok_or("missing `files_scanned`")?;
-    let status = v
-        .get("status")
-        .and_then(Value::as_str)
-        .ok_or("missing `status`")?;
-    let findings = v
-        .get("findings")
-        .and_then(Value::as_array)
-        .ok_or("missing `findings`")?;
-    let suppressions = v
-        .get("suppressions")
-        .and_then(Value::as_array)
-        .ok_or("missing `suppressions`")?;
+/// The report's schema, next to its emitter [`Report::to_value`]: exact
+/// keys at every level, rule names as the analyzer has them, and counts
+/// that agree with the entries they count.
+pub fn report_schema() -> Schema {
+    let per_rule = || Schema::object(RULES.iter().map(|(id, _)| (*id, Schema::U64)));
+    let names = RULES
+        .iter()
+        .map(|(id, name)| (*id, Schema::one_of([*name])));
+    let entries = |text| {
+        let strings = ["rule", "path", text].map(|k| (k, Schema::Str));
+        Schema::array(Schema::object(integers("line").chain(strings)))
+    };
+    let edge = integers("line").chain(["from", "to", "path"].map(|k| (k, Schema::Str)));
+    let lock_graph = [
+        ("nodes", Schema::array(Schema::Str)),
+        ("edges", Schema::array(Schema::object(edge))),
+        ("cycle_free", Schema::Bool),
+    ];
+    let panics = Schema::object(integers("total request_path test other")).with(|p| {
+        let parts = number(p, "request_path")? + number(p, "test")? + number(p, "other")?;
+        let total = number(p, "total")?;
+        ensure(total == parts, format!("total {total} != parts {parts}"))
+    });
+    Schema::object([
+        ("schema", Schema::one_of([SCHEMA])),
+        ("files_scanned", Schema::U64),
+        ("status", Schema::one_of(["clean", "violations"])),
+        ("rule_names", Schema::object(names)),
+        ("rule_counts", per_rule()),
+        ("suppression_counts", per_rule()),
+        ("lock_graph", Schema::object(lock_graph)),
+        ("panic_classification", panics),
+        ("findings", entries("message")),
+        ("suppressions", entries("reason")),
+    ])
+    .with(consistent)
+}
+
+/// The report's cross-field rules: each count object sums to its entry
+/// list, `status` follows the findings, and a cyclic lock graph comes
+/// with an R11 finding.
+fn consistent(v: &Value) -> Result<(), String> {
+    let findings = list(v, "findings")?.len();
+    let suppressions = list(v, "suppressions")?.len();
     for (key, entries) in [
         ("rule_counts", findings),
         ("suppression_counts", suppressions),
     ] {
-        let counts = v
-            .get(key)
-            .and_then(Value::as_object)
-            .ok_or(format!("missing `{key}`"))?;
-        for (id, _) in RULES {
-            if !counts.contains_key(*id) {
-                return Err(format!("{key} missing `{id}`"));
-            }
-        }
-        let total: u64 = counts.values().filter_map(Value::as_u64).sum();
-        if total != entries.len() as u64 {
-            return Err(format!(
-                "{key} sum {total} != entry count {}",
-                entries.len()
-            ));
-        }
+        let counts = RULES
+            .iter()
+            .map(|(id, _)| number(v, &format!("{key}.{id}")));
+        let (total, n) = (counts.sum::<Result<f64, _>>()?, entries as f64);
+        ensure(total == n, format!("{key} sum {total} != entry count {n}"))?;
     }
-    for (what, entries, value_key) in [
-        ("finding", findings, "message"),
-        ("suppression", suppressions, "reason"),
-    ] {
-        for e in entries {
-            for key in ["rule", "path", value_key] {
-                if e.get(key).and_then(Value::as_str).is_none() {
-                    return Err(format!("{what} missing string `{key}`"));
-                }
-            }
-            if e.get("line").and_then(Value::as_u64).is_none() {
-                return Err(format!("{what} missing numeric `line`"));
-            }
-        }
-    }
-    let graph = v.get("lock_graph").ok_or("missing `lock_graph`")?;
-    graph
-        .get("nodes")
-        .and_then(Value::as_array)
-        .ok_or("lock_graph missing `nodes`")?;
-    let edges = graph
-        .get("edges")
-        .and_then(Value::as_array)
-        .ok_or("lock_graph missing `edges`")?;
-    for e in edges {
-        for key in ["from", "to", "path"] {
-            if e.get(key).and_then(Value::as_str).is_none() {
-                return Err(format!("lock_graph edge missing string `{key}`"));
-            }
-        }
-        if e.get("line").and_then(Value::as_u64).is_none() {
-            return Err("lock_graph edge missing numeric `line`".to_string());
-        }
-    }
-    let cycle_free = graph
-        .get("cycle_free")
-        .and_then(Value::as_bool)
-        .ok_or("lock_graph missing `cycle_free`")?;
-    let r11 = v
-        .get("rule_counts")
-        .and_then(|c| c.get("R11"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    if !cycle_free && r11 == 0 {
-        return Err("lock_graph has a cycle but rule_counts.R11 is 0".to_string());
-    }
-    let panics = v
-        .get("panic_classification")
-        .ok_or("missing `panic_classification`")?;
-    let mut parts = 0u64;
-    for key in ["request_path", "test", "other"] {
-        parts += panics
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or(format!("panic_classification missing `{key}`"))?;
-    }
-    let total = panics
-        .get("total")
-        .and_then(Value::as_u64)
-        .ok_or("panic_classification missing `total`")?;
-    if total != parts {
-        return Err(format!(
-            "panic_classification total {total} != sum of parts {parts}"
-        ));
-    }
-    let expect_status = if findings.is_empty() {
-        "clean"
-    } else {
-        "violations"
-    };
-    if status != expect_status {
-        return Err(format!(
-            "status `{status}` inconsistent with {} findings",
-            findings.len()
-        ));
-    }
-    Ok(())
+    let status = text(v, "status")?;
+    let agrees = (status == "clean") == (findings == 0);
+    ensure(
+        agrees,
+        format!("status `{status}` inconsistent: {findings} findings"),
+    )?;
+    let unreported = !flag(v, "lock_graph.cycle_free")? && number(v, "rule_counts.R11")? == 0.0;
+    ensure(!unreported, "a lock cycle without an R11 finding")
+}
+
+/// Validates a serialized report against [`report_schema`]: CI refuses a
+/// hand-edited or stale report.
+///
+/// # Errors
+///
+/// Unparseable JSON, or the first violation, named by its path.
+pub fn validate(text: &str) -> Result<(), String> {
+    let v = Value::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    report_schema().check(&v)
+}
+
+/// The suppression budget's schema, next to its emitter
+/// [`Report::budget_value`]. A rule the budget does not name has a
+/// budget of zero.
+pub fn budget_schema() -> Schema {
+    let rule = |k: &str| RULES.iter().any(|(id, _)| *id == k);
+    Schema::object([
+        ("schema", Schema::one_of([BUDGET_SCHEMA])),
+        ("suppressions", Schema::map(rule, Schema::U64)),
+    ])
 }
 
 /// Enforces the suppression ratchet: every rule's current suppression
@@ -308,26 +268,13 @@ pub fn validate(text: &str) -> Result<(), String> {
 /// A description of every rule over budget, or a malformed budget file.
 pub fn check_ratchet(report: &Report, budget_text: &str) -> Result<(), String> {
     let v = Value::parse(budget_text).map_err(|e| format!("budget is not valid JSON: {e}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("budget missing `schema`")?;
-    if schema != BUDGET_SCHEMA {
-        return Err(format!("budget schema `{schema}` != `{BUDGET_SCHEMA}`"));
-    }
-    let budget = v
-        .get("suppressions")
-        .and_then(Value::as_object)
-        .ok_or("budget missing `suppressions`")?;
-    for key in budget.keys() {
-        if !RULES.iter().any(|(id, _)| id == key) {
-            return Err(format!("budget names unknown rule `{key}`"));
-        }
-    }
+    budget_schema()
+        .check(&v)
+        .map_err(|e| format!("budget: {e}"))?;
     let mut over: Vec<String> = Vec::new();
     for (rule, current) in report.suppression_counts() {
-        let allowed = budget.get(rule).and_then(Value::as_u64).unwrap_or(0);
-        if current > allowed {
+        let allowed = number(&v, &format!("suppressions.{rule}")).unwrap_or(0.0);
+        if current as f64 > allowed {
             over.push(format!(
                 "{rule}: {current} suppression(s), budget {allowed}"
             ));
@@ -348,6 +295,7 @@ pub fn check_ratchet(report: &Report, budget_text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::locks::LockEdge;
+    use pprox_json::schema::assert_exact;
 
     fn sample() -> Report {
         let mut r = Report {
@@ -449,6 +397,31 @@ mod tests {
         r.panics.total = 99;
         let err = validate(&r.to_value().to_json()).unwrap_err();
         assert!(err.contains("panic_classification"));
+    }
+
+    fn committed(file: &str) -> Value {
+        let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
+        Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn committed_report_and_budget_are_exact() {
+        let doc = committed("ANALYSIS_report.json");
+        let objects = [
+            "",
+            "lock_graph",
+            "lock_graph.edges.0",
+            "panic_classification",
+        ];
+        assert_exact(&report_schema(), &doc, &objects);
+        let budget = committed("ANALYSIS_budget.json");
+        assert_exact(&budget_schema(), &budget, &["", "suppressions"]);
+        // A count that is not an integer is rejected, not skipped.
+        let mut doc = doc;
+        let counts = doc.get_mut("rule_counts").unwrap();
+        counts.insert("R1", Value::from("0"));
+        let err = validate(&doc.to_json()).unwrap_err();
+        assert!(err.contains("rule_counts.R1"), "{err}");
     }
 
     #[test]

@@ -33,16 +33,20 @@
 use pprox_attack::scrape_audit::{
     audit_scrape_channel, scan_export_for_oracles, ScrapeAuditConfig, ScrapeAuditOutcome,
 };
+use pprox_bench::report;
 use pprox_core::resilience::Deadline;
 use pprox_core::telemetry::export::{
     json_snapshot, prometheus_text, validate_json_snapshot, validate_prometheus,
+};
+use pprox_json::schema::{
+    above, at_least, ensure, flag, integers, is, list, number, numbers, Schema,
 };
 use pprox_json::Value;
 use pprox_lrs::stub::StubLrs;
 use pprox_scenario::harness::{run_scenario, ScenarioOutcome};
 use pprox_scenario::scenarios;
 use pprox_wire::cluster::{ClusterConfig, LoopbackCluster};
-use pprox_wire::{ClusterScraper, PressureSample};
+use pprox_wire::{scrape, ClusterScraper, PressureSample};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -332,191 +336,91 @@ fn scenario_json(o: &ScenarioOutcome) -> Value {
     ])
 }
 
-fn validate(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let root = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: invalid JSON: {e:?}"));
-    assert_eq!(
-        root.get("benchmark").and_then(Value::as_str),
-        Some("observability"),
-        "{path}: missing benchmark tag"
-    );
-    let version = root
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|| panic!("{path}: missing schema_version"));
-    assert!(
-        version >= OBS_SCHEMA_VERSION,
-        "{path}: schema_version {version} < {OBS_SCHEMA_VERSION}"
-    );
-    let config = root
-        .get("config")
-        .unwrap_or_else(|| panic!("{path}: missing config"));
-    assert!(
-        config.get("seed").and_then(Value::as_u64).is_some(),
-        "{path}: config.seed missing"
-    );
-    let smoke = config
-        .get("smoke")
-        .and_then(Value::as_bool)
-        .unwrap_or_else(|| panic!("{path}: config.smoke missing"));
+/// One scrape-channel audit, `within` its baseline or not.
+fn audit_schema(within: bool, measured: Schema) -> Schema {
+    let fields = integers("attempts correct")
+        .chain(numbers("baseline tolerance"))
+        .chain([
+            ("measured", measured),
+            ("unsafe_export", Schema::Bool),
+            ("within", Schema::Bool.with(is(within))),
+        ]);
+    Schema::object(fields)
+}
 
-    let overhead = root
-        .get("scrape_overhead")
-        .unwrap_or_else(|| panic!("{path}: missing scrape_overhead"));
-    let plain = overhead
-        .get("rps_plain")
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("{path}: rps_plain missing"));
-    let scraped = overhead
-        .get("rps_scraped")
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("{path}: rps_scraped missing"));
-    let fraction = overhead
-        .get("overhead_fraction")
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("{path}: overhead_fraction missing"));
-    assert!(
-        plain > 0.0 && scraped > 0.0,
-        "{path}: throughput must be positive"
+/// The report's schema, next to its emitter in `main`. The sample scrape
+/// it embeds is checked by the scrape's own schema.
+fn schema() -> Schema {
+    let point = integers(
+        "at_ms nodes unreachable queue_depth queue_depth_high_water shed shuffle_occupancy \
+         shuffle_high_water open_connections frames_in",
     );
-    assert!(
-        (0.0..MAX_OVERHEAD).contains(&fraction),
-        "{path}: scrape overhead {fraction:.3} outside [0, {MAX_OVERHEAD})"
-    );
-    assert!(
-        overhead
-            .get("scrape_passes")
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-            >= 1,
-        "{path}: the scraped trial never scraped"
-    );
-    assert_eq!(
-        overhead.get("scrape_failures").and_then(Value::as_u64),
-        Some(0),
-        "{path}: scrape passes failed validation mid-load"
-    );
+    let timeline = Schema::array(Schema::object(point)).with(saw_traffic_in_order);
+    let scenario = integers("requests completed samples")
+        .chain([("name", Schema::Str), ("timeline", timeline)]);
+    let config = integers("seed requests_per_trial scrape_interval_ms");
+    let overhead = |v: &Value| ensure(number(v, "")? < MAX_OVERHEAD, "over the budget");
+    let scrape_overhead = [
+        ("rps_plain", Schema::Number.with(above(0.0))),
+        ("rps_scraped", Schema::Number.with(above(0.0))),
+        ("overhead_fraction", Schema::Number.with(overhead)),
+        ("scrape_passes", Schema::U64.with(at_least(1.0))),
+        ("scrape_failures", Schema::U64.with(is(0u64))),
+    ];
+    let cluster_export = [
+        // The merged export covers the whole chain.
+        ("nodes", Schema::U64.with(at_least(3.0))),
+        ("unreachable", Schema::U64.with(is(0u64))),
+        ("snapshot_valid", Schema::Bool.with(is(true))),
+        ("prometheus_valid", Schema::Bool.with(is(true))),
+        ("oracle_hits", Schema::U64.with(is(0u64))),
+        ("scrapes_served", Schema::U64.with(at_least(1.0))),
+    ];
+    // Raw timestamps join almost always.
+    let ablation = audit_schema(false, Schema::Number.with(above(0.9)));
+    let audits = [
+        ("side_channel", audit_schema(true, Schema::Number)),
+        ("unsafe_export_ablation", ablation),
+    ];
+    Schema::object([
+        ("benchmark", Schema::one_of(["observability"])),
+        ("schema_version", Schema::version(OBS_SCHEMA_VERSION)),
+        (
+            "config",
+            Schema::object(config.chain([("smoke", Schema::Bool)])),
+        ),
+        ("scrape_overhead", Schema::object(scrape_overhead)),
+        ("cluster_export", Schema::object(cluster_export)),
+        ("sample_node_snapshot", scrape::snapshot_schema()),
+        ("audits", Schema::object(audits)),
+        ("scenarios", Schema::array(Schema::object(scenario))),
+    ])
+    .with(|root| {
+        let timelines = list(root, "scenarios")?.len();
+        let min = if flag(root, "config.smoke")? { 2 } else { 5 };
+        ensure(
+            timelines >= min,
+            format!("{timelines} timelines, fewer than {min}"),
+        )
+    })
+}
 
-    let export = root
-        .get("cluster_export")
-        .unwrap_or_else(|| panic!("{path}: missing cluster_export"));
-    assert!(
-        export.get("nodes").and_then(Value::as_u64).unwrap_or(0) >= 3,
-        "{path}: merged export must cover the whole chain"
-    );
-    assert_eq!(
-        export.get("unreachable").and_then(Value::as_u64),
-        Some(0),
-        "{path}: unreachable nodes in the final scrape"
-    );
-    for field in ["snapshot_valid", "prometheus_valid"] {
-        assert_eq!(
-            export.get(field).and_then(Value::as_bool),
-            Some(true),
-            "{path}: cluster_export.{field} must be true"
-        );
+/// A pressure timeline runs in time order and saw traffic.
+fn saw_traffic_in_order(timeline: &Value) -> Result<(), String> {
+    let (mut at_ms, mut frames_in) = (0.0, 0.0f64);
+    for point in list(timeline, "")? {
+        let at = number(point, "at_ms")?;
+        ensure(at >= at_ms, format!("at_ms {at} before {at_ms}"))?;
+        at_ms = at;
+        frames_in = frames_in.max(number(point, "frames_in")?);
     }
-    assert_eq!(
-        export.get("oracle_hits").and_then(Value::as_u64),
-        Some(0),
-        "{path}: node snapshots contain linkage oracles"
-    );
-    assert!(
-        export
-            .get("scrapes_served")
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-            >= 1,
-        "{path}: no node served a scrape"
-    );
-
-    let audits = root
-        .get("audits")
-        .unwrap_or_else(|| panic!("{path}: missing audits"));
-    let side = audits
-        .get("side_channel")
-        .unwrap_or_else(|| panic!("{path}: audits.side_channel missing"));
-    assert_eq!(
-        side.get("within").and_then(Value::as_bool),
-        Some(true),
-        "{path}: scrape side channel beats the 1/S baseline"
-    );
-    let ablation = audits
-        .get("unsafe_export_ablation")
-        .unwrap_or_else(|| panic!("{path}: audits.unsafe_export_ablation missing"));
-    assert_eq!(
-        ablation.get("within").and_then(Value::as_bool),
-        Some(false),
-        "{path}: the unsafe-export ablation was not caught"
-    );
-    assert!(
-        ablation
-            .get("measured")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0)
-            > 0.9,
-        "{path}: raw timestamps should join almost always"
-    );
-
-    let list = root
-        .get("scenarios")
-        .and_then(Value::as_array)
-        .unwrap_or_else(|| panic!("{path}: missing scenarios array"));
-    let min = if smoke { 2 } else { 5 };
-    assert!(
-        list.len() >= min,
-        "{path}: {} scenario timelines < required {min}",
-        list.len()
-    );
-    for s in list {
-        let name = s
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("{path}: scenario missing name"));
-        let timeline = s
-            .get("timeline")
-            .and_then(Value::as_array)
-            .unwrap_or_else(|| panic!("{path}: {name}.timeline missing"));
-        assert!(
-            !timeline.is_empty(),
-            "{path}: {name} recorded no pressure samples"
-        );
-        let mut prev_ms = 0u64;
-        let mut prev_frames = 0u64;
-        for point in timeline {
-            for field in [
-                "at_ms",
-                "nodes",
-                "queue_depth",
-                "queue_depth_high_water",
-                "shed",
-                "shuffle_occupancy",
-                "shuffle_high_water",
-                "open_connections",
-                "frames_in",
-            ] {
-                assert!(
-                    point.get(field).and_then(Value::as_u64).is_some(),
-                    "{path}: {name} timeline point missing {field}"
-                );
-            }
-            let at_ms = point.get("at_ms").and_then(Value::as_u64).unwrap_or(0);
-            assert!(at_ms >= prev_ms, "{path}: {name} timeline not monotone");
-            prev_ms = at_ms;
-            prev_frames = prev_frames.max(point.get("frames_in").and_then(Value::as_u64).unwrap());
-        }
-        assert!(
-            prev_frames > 0,
-            "{path}: {name} timeline never observed traffic"
-        );
-    }
-    println!("{path}: schema OK");
+    ensure(frames_in > 0.0, "no sample saw traffic")
 }
 
 fn main() {
     let args = Args::parse();
     if let Some(path) = &args.validate {
-        validate(path);
+        report::validate_file(path, &schema());
         return;
     }
     let requests = if args.smoke { 640 } else { 1_600 };
@@ -628,4 +532,19 @@ fn main() {
     }
     std::fs::write(&args.out, &json).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
     eprintln!("wrote {}", args.out);
+}
+
+#[test]
+fn committed_report_is_exact() {
+    let mut doc = report::committed("BENCH_observability.json");
+    let objects = [
+        "",
+        "scenarios.0.timeline.3",
+        "sample_node_snapshot.stages.ua",
+    ];
+    pprox_json::schema::assert_exact(&schema(), &doc, &objects);
+    let sample = doc.get_mut("sample_node_snapshot").unwrap();
+    sample.insert("arrival_times", Value::Array(vec![Value::from(12u64)]));
+    let err = schema().check(&doc).unwrap_err();
+    assert_eq!(err, "sample_node_snapshot.arrival_times: unexpected key");
 }

@@ -30,7 +30,9 @@
 //! `pprox-bench`.
 
 use pprox_attack::at_rest_audit::audit_store_dir;
+use pprox_bench::report::{self, round3};
 use pprox_core::resilience::Deadline;
+use pprox_json::schema::{above, at_least, integers, is, Schema};
 use pprox_json::Value;
 use pprox_lrs::api::{FeedbackEvent, HttpRequest, RestHandler, EVENTS_PATH, QUERIES_PATH};
 use pprox_lrs::shard::{DurableConfig, DurableShard};
@@ -287,115 +289,46 @@ fn duration_us(d: Duration) -> u64 {
     d.as_micros() as u64
 }
 
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
-}
-
-/// Schema check for an emitted report; panics on the first violation so
-/// CI can gate on the exit status.
-fn validate(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let root = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: invalid JSON: {e:?}"));
-    assert_eq!(
-        root.get("benchmark").and_then(Value::as_str),
-        Some("recovery"),
-        "{path}: missing benchmark tag"
-    );
-    let version = root
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|| panic!("{path}: missing schema_version"));
-    assert!(
-        version >= RECOVERY_SCHEMA_VERSION,
-        "{path}: schema_version {version} < {RECOVERY_SCHEMA_VERSION}"
-    );
-    let config = root
-        .get("config")
-        .unwrap_or_else(|| panic!("{path}: missing config"));
-    for field in ["events", "lrs_instances", "seed", "snapshot_every"] {
-        assert!(
-            config.get(field).and_then(Value::as_u64).is_some(),
-            "{path}: config.{field} missing"
-        );
-    }
-
-    let timing = root
-        .get("timing")
-        .unwrap_or_else(|| panic!("{path}: missing timing section"));
-    for field in [
-        "cold_open_us",
-        "warm_open_us",
-        "first_answer_us",
-        "restored_events",
-    ] {
-        assert!(
-            timing.get(field).and_then(Value::as_u64).is_some(),
-            "{path}: timing.{field} missing"
-        );
-    }
-    let throughput = timing
-        .get("replay_events_per_sec")
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("{path}: timing.replay_events_per_sec missing"));
-    assert!(
-        throughput.is_finite() && throughput > 0.0,
-        "{path}: replay throughput must be positive, got {throughput}"
-    );
-    assert_eq!(
-        timing
-            .get("identical_after_reopen")
-            .and_then(Value::as_bool),
-        Some(true),
-        "{path}: warm restart must reproduce recommendations byte-identically"
-    );
-
-    let drill = root
-        .get("drill")
-        .unwrap_or_else(|| panic!("{path}: missing drill section"));
-    assert_eq!(
-        drill.get("identical").and_then(Value::as_bool),
-        Some(true),
-        "{path}: killed run must match the control run"
-    );
-    assert!(
-        drill.get("respawns").and_then(Value::as_u64).unwrap_or(0) >= 1,
-        "{path}: drill must record at least one supervised respawn"
-    );
-    assert!(
-        drill
-            .get("nonempty_recommendations")
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-            >= 1,
-        "{path}: drill queries must produce recommendations"
-    );
-
-    let audit = root
-        .get("at_rest_audit")
-        .unwrap_or_else(|| panic!("{path}: missing at_rest_audit section"));
-    assert_eq!(
-        audit.get("passed").and_then(Value::as_bool),
-        Some(true),
-        "{path}: the at-rest audit must pass"
-    );
-    assert_eq!(
-        audit.get("plaintext_hits").and_then(Value::as_u64),
-        Some(0),
-        "{path}: plaintext identifiers on disk"
-    );
-    for field in ["files_scanned", "wal_records", "blocks", "secrets_probed"] {
-        assert!(
-            audit.get(field).and_then(Value::as_u64).is_some(),
-            "{path}: at_rest_audit.{field} missing"
-        );
-    }
-    println!("{path}: schema OK");
+/// The report's schema, next to its emitter in `main`: the warm restart
+/// reproduced its answers, the killed run respawned and matched the
+/// control run, and the at-rest audit found nothing.
+fn schema() -> Schema {
+    let config = integers("events lrs_instances seed snapshot_every query_users");
+    let timing = integers(
+        "cold_open_us warm_open_us first_answer_us restored_events snapshot_events wal_replayed",
+    )
+    .chain([
+        ("replay_events_per_sec", Schema::Number.with(above(0.0))),
+        ("identical_after_reopen", Schema::Bool.with(is(true))),
+    ]);
+    let drill = integers("kill_after_posts control_respawns wall_ms").chain([
+        ("respawns", Schema::U64.with(at_least(1.0))),
+        ("identical", Schema::Bool.with(is(true))),
+        ("nonempty_recommendations", Schema::U64.with(at_least(1.0))),
+    ]);
+    let audit = integers(
+        "files_scanned bytes_scanned secrets_probed wal_records unpadded_wal_records \
+         wal_torn_bytes blocks unpadded_blocks mismatched_blocks",
+    )
+    .chain([
+        ("passed", Schema::Bool.with(is(true))),
+        ("plaintext_hits", Schema::U64.with(is(0u64))),
+        ("keyring_present", Schema::Bool),
+    ]);
+    Schema::object([
+        ("benchmark", Schema::one_of(["recovery"])),
+        ("schema_version", Schema::version(RECOVERY_SCHEMA_VERSION)),
+        ("config", Schema::object(config)),
+        ("timing", Schema::object(timing)),
+        ("drill", Schema::object(drill)),
+        ("at_rest_audit", Schema::object(audit)),
+    ])
 }
 
 fn main() {
     let args = Args::parse();
     if let Some(path) = &args.validate {
-        validate(path);
+        report::validate_file(path, &schema());
         return;
     }
 
@@ -553,4 +486,10 @@ fn main() {
     std::fs::write(&args.out, &json).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
     println!("{json}");
     eprintln!("wrote {}", args.out);
+}
+
+#[test]
+fn committed_report_is_exact() {
+    let doc = report::committed("BENCH_recovery.json");
+    pprox_json::schema::assert_exact(&schema(), &doc, &["", "at_rest_audit"]);
 }

@@ -28,6 +28,10 @@
 //! the user population and the network adversary), like the rest of
 //! `pprox-bench`.
 
+use pprox_bench::report;
+use pprox_json::schema::{
+    above, at_least, ensure, flag, integers, is, list, number, numbers, Schema,
+};
 use pprox_json::Value;
 use pprox_scenario::harness::{run_scenario, ScenarioOutcome};
 use pprox_scenario::scenarios;
@@ -37,7 +41,7 @@ use std::path::Path;
 const SCENARIO_SCHEMA_VERSION: u64 = 2;
 
 /// Minimum scenario count for a full (non-smoke) report.
-const MIN_FULL_SCENARIOS: u64 = 5;
+const MIN_FULL_SCENARIOS: usize = 5;
 
 #[derive(Debug)]
 struct Args {
@@ -113,143 +117,77 @@ fn outcome_json(o: &ScenarioOutcome) -> Value {
     ])
 }
 
-fn validate(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let root = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: invalid JSON: {e:?}"));
-    assert_eq!(
-        root.get("benchmark").and_then(Value::as_str),
-        Some("scenarios"),
-        "{path}: missing benchmark tag"
-    );
-    let version = root
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|| panic!("{path}: missing schema_version"));
-    assert!(
-        version >= SCENARIO_SCHEMA_VERSION,
-        "{path}: schema_version {version} < {SCENARIO_SCHEMA_VERSION}"
-    );
-    let config = root
-        .get("config")
-        .unwrap_or_else(|| panic!("{path}: missing config"));
-    assert!(
-        config.get("seed").and_then(Value::as_u64).is_some(),
-        "{path}: config.seed missing"
-    );
-    let smoke = config
-        .get("smoke")
-        .and_then(Value::as_bool)
-        .unwrap_or_else(|| panic!("{path}: config.smoke missing"));
+/// One adversary position's score: the shape of all four linkage blocks
+/// of a scenario, with `within` what its own numbers say.
+fn audit_schema() -> Schema {
+    let fields = integers("correct batches")
+        .chain(numbers("measured mean_batch"))
+        .chain([
+            // Fewer attempts make no meaningful bound.
+            ("attempts", Schema::U64.with(at_least(64.0))),
+            ("bound", Schema::Number.with(above(0.0))),
+            ("tolerance", Schema::Number.with(above(0.0))),
+            ("within", Schema::Bool),
+        ]);
+    Schema::object(fields).with(|a| {
+        let within = number(a, "measured")? <= number(a, "bound")? + number(a, "tolerance")?;
+        let agrees = flag(a, "within")? == within;
+        ensure(agrees, "within contradicts measured <= bound + tolerance")
+    })
+}
 
-    let list = root
-        .get("scenarios")
-        .and_then(Value::as_array)
-        .unwrap_or_else(|| panic!("{path}: missing scenarios array"));
-    let min = if smoke { 2 } else { MIN_FULL_SCENARIOS };
-    assert!(
-        list.len() as u64 >= min,
-        "{path}: {} scenarios < required {min}",
-        list.len()
-    );
+/// The report's schema, next to its emitter in `main`: every scenario
+/// meets its expectation, and an ablation is among them.
+fn schema() -> Schema {
+    let sides = || [("aware", audit_schema()), ("blind", audit_schema())];
+    let outcome = integers("requests completed failed shed duration_ms")
+        .chain(integers("shuffle_size ua_instances ia_instances"))
+        .chain(numbers("offered_rps"))
+        .chain(sides())
+        .chain([
+            ("name", Schema::Str),
+            ("response_edge", Schema::object(sides())),
+            ("violation_expected", Schema::Bool),
+            ("ok", Schema::Bool.with(is(true))),
+        ]);
+    let config = integers("seed scenario_count").chain([("smoke", Schema::Bool)]);
+    let scenarios = Schema::array(Schema::object(outcome).with(meets_expectation));
+    Schema::object([
+        ("benchmark", Schema::one_of(["scenarios"])),
+        ("schema_version", Schema::version(SCENARIO_SCHEMA_VERSION)),
+        ("config", Schema::object(config)),
+        ("scenarios", scenarios),
+        ("all_bounds_hold", Schema::Bool.with(is(true))),
+    ])
+    .with(|root| {
+        let (smoke, scenarios) = (flag(root, "config.smoke")?, list(root, "scenarios")?);
+        let (n, min) = (scenarios.len(), if smoke { 2 } else { MIN_FULL_SCENARIOS });
+        ensure(n >= min, format!("{n} scenarios, fewer than {min}"))?;
+        // Without one the report never shows the audit catching a broken shuffle.
+        let ablation = |s: &Value| flag(s, "violation_expected") == Ok(true);
+        ensure(scenarios.iter().any(ablation), "no ablation scenario")
+    })
+}
 
-    let mut saw_ablation = false;
-    for s in list {
-        let name = s
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("{path}: scenario missing name"));
-        for field in ["requests", "completed", "failed", "shed", "shuffle_size"] {
-            assert!(
-                s.get(field).and_then(Value::as_u64).is_some(),
-                "{path}: {name}.{field} missing"
-            );
+/// A scenario inside its bound on all four blocks — or, the ablation,
+/// caught outside it by both instance-aware adversaries.
+fn meets_expectation(s: &Value) -> Result<(), String> {
+    let ablation = flag(s, "violation_expected")?;
+    for side in "aware blind response_edge.aware response_edge.blind".split(' ') {
+        let within = flag(s, &format!("{side}.within"))?;
+        if ablation && side.ends_with("aware") {
+            ensure(!within, format!("{side}: the ablation was not caught"))?;
+        } else if !ablation {
+            ensure(within, format!("{side}: linkage above its bound"))?;
         }
-        let expected_violation = s
-            .get("violation_expected")
-            .and_then(Value::as_bool)
-            .unwrap_or_else(|| panic!("{path}: {name}.violation_expected missing"));
-        saw_ablation |= expected_violation;
-        let response_edge = s
-            .get("response_edge")
-            .unwrap_or_else(|| panic!("{path}: {name}.response_edge missing"));
-        // (where the block sits, its key there, its name in messages)
-        let sides = [
-            (s, "aware", "aware"),
-            (s, "blind", "blind"),
-            (response_edge, "aware", "response_edge.aware"),
-            (response_edge, "blind", "response_edge.blind"),
-        ];
-        for (edge, key, side) in sides {
-            let a = edge
-                .get(key)
-                .unwrap_or_else(|| panic!("{path}: {name}.{side} missing"));
-            let attempts = a
-                .get("attempts")
-                .and_then(Value::as_u64)
-                .unwrap_or_else(|| panic!("{path}: {name}.{side}.attempts missing"));
-            assert!(
-                attempts >= 64,
-                "{path}: {name}.{side} attempts {attempts} too small for a meaningful bound"
-            );
-            let measured = a
-                .get("measured")
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{path}: {name}.{side}.measured missing"));
-            let bound = a
-                .get("bound")
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{path}: {name}.{side}.bound missing"));
-            let tolerance = a
-                .get("tolerance")
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{path}: {name}.{side}.tolerance missing"));
-            let within = a
-                .get("within")
-                .and_then(Value::as_bool)
-                .unwrap_or_else(|| panic!("{path}: {name}.{side}.within missing"));
-            assert!(
-                measured.is_finite() && bound > 0.0 && tolerance > 0.0,
-                "{path}: {name}.{side} malformed numbers"
-            );
-            assert_eq!(
-                within,
-                measured <= bound + tolerance,
-                "{path}: {name}.{side}.within inconsistent with its own numbers"
-            );
-            if expected_violation && key == "aware" {
-                assert!(
-                    !within,
-                    "{path}: {name} is an ablation but its measured linkage respects the bound — the audit failed to catch it"
-                );
-            } else if !expected_violation {
-                assert!(
-                    within,
-                    "{path}: {name}.{side} measured {measured:.3} exceeds bound {bound:.3} (+{tolerance:.3})"
-                );
-            }
-        }
-        assert_eq!(
-            s.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "{path}: scenario {name} did not meet its expectation"
-        );
     }
-    assert!(
-        saw_ablation,
-        "{path}: no ablation scenario — the report never proves the audit can catch a broken shuffle"
-    );
-    assert_eq!(
-        root.get("all_bounds_hold").and_then(Value::as_bool),
-        Some(true),
-        "{path}: all_bounds_hold must be true"
-    );
-    println!("{path}: schema OK");
+    Ok(())
 }
 
 fn main() {
     let args = Args::parse();
     if let Some(path) = &args.validate {
-        validate(path);
+        report::validate_file(path, &schema());
         return;
     }
 
@@ -314,4 +252,10 @@ fn main() {
     std::fs::write(&args.out, &json).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
     eprintln!("wrote {}", args.out);
     assert!(all_ok, "one or more scenarios failed their expectation");
+}
+
+#[test]
+fn committed_report_is_exact() {
+    let doc = report::committed("BENCH_scenarios.json");
+    pprox_json::schema::assert_exact(&schema(), &doc, &["", "scenarios.7.response_edge.blind"]);
 }

@@ -52,6 +52,8 @@
 //! shard_report --validate PATH   # schema-check an emitted report
 //! ```
 
+use pprox_bench::report::{self, round3};
+use pprox_json::schema::{above, ensure, integers, is, list, number, numbers, text, Schema};
 use pprox_json::Value;
 use pprox_lrs::api::{
     FeedbackEvent, HttpRequest, RecommendationList, RestHandler, EVENTS_PATH, QUERIES_PATH,
@@ -63,6 +65,7 @@ use pprox_lrs::shard::{
     ShardedLrs, DEFAULT_VNODES, HISTORY_PATH, SCORE_PATH,
 };
 use pprox_wire::services::ia::WIRE_HISTORY_LIMIT;
+use pprox_workload::stats::percentile;
 use pprox_workload::zipf::Zipf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -204,16 +207,10 @@ fn build_trace(args: &Args) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Percentile (nearest-rank) over raw samples, in microseconds.
+/// The `p`-th percentile of millisecond `samples`, in microseconds.
 fn percentile_us(samples: &mut [f64], p: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile over no samples");
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.saturating_sub(1).min(samples.len() - 1)] * 1000.0
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
+    samples.sort_by(f64::total_cmp);
+    percentile(samples, p) * 1000.0
 }
 
 /// One shard count's measurement.
@@ -520,129 +517,55 @@ fn run_freshness(args: &Args, trace: &[(u32, u32)]) -> FreshnessOutcome {
     }
 }
 
-/// Schema check for an emitted report; panics on the first violation so
-/// CI can gate on the exit status. Full-mode reports must additionally
-/// meet the acceptance numbers (scale floor, ≥3× scaling, tail bound,
-/// exact incremental/batch agreement).
-fn validate(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let root = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: invalid JSON: {e:?}"));
-    assert_eq!(
-        root.get("benchmark").and_then(Value::as_str),
-        Some("sharding"),
-        "{path}: missing benchmark tag"
-    );
-    let version = root
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|| panic!("{path}: missing schema_version"));
-    assert!(
-        version >= SHARDING_SCHEMA_VERSION,
-        "{path}: schema_version {version} < {SHARDING_SCHEMA_VERSION}"
-    );
-    let mode = root
-        .get("mode")
-        .and_then(Value::as_str)
-        .unwrap_or_else(|| panic!("{path}: missing mode"));
-    assert!(
-        mode == "full" || mode == "smoke",
-        "{path}: mode must be full|smoke, got {mode}"
-    );
-    let config = root
-        .get("config")
-        .unwrap_or_else(|| panic!("{path}: missing config"));
-    for field in ["users", "items", "events", "queries", "vnodes", "seed"] {
-        assert!(
-            config.get(field).and_then(Value::as_u64).is_some(),
-            "{path}: config.{field} missing"
-        );
-    }
+/// The report's schema, next to its emitter in `main`: a scaling curve
+/// of positive throughputs and tails, and an incremental model that is
+/// fresh where the batch one is stale and answers like it after `sync`.
+fn schema() -> Schema {
+    let positive = "sustained_rps aggregate_rps ingest_rps query_rps ingest_p99_us query_p99_us";
+    let point = integers("shards max_shard_events min_shard_events router_checks")
+        .chain(numbers("ingest_p50_us query_p50_us sync_max_ms"))
+        .chain(numbers(positive).map(|(k, n)| (k, n.with(above(0.0)))));
+    let curve = Schema::array(Schema::object(point))
+        .with(|c| ensure(list(c, "")?.len() >= 2, "fewer than 2 points"));
+    let scaling = numbers("sustained_rps_1 sustained_rps_max speedup p99_ratio")
+        .chain([("curve", curve), ("max_shards", Schema::U64)]);
+    let timings = numbers("incremental_ingest_us_per_event batch_retrain_ms staleness_advantage");
+    let agreed = "fresh_visible_incremental stale_missing_batch identical_topk".split(' ');
+    let freshness = integers("events compared_users")
+        .chain(timings)
+        .chain(agreed.map(|k| (k, Schema::Bool.with(is(true)))));
+    let config = integers("users items events queries vnodes seed");
+    let zipf = numbers("user_zipf_s item_zipf_s");
+    Schema::object([
+        ("benchmark", Schema::one_of(["sharding"])),
+        ("schema_version", Schema::version(SHARDING_SCHEMA_VERSION)),
+        ("mode", Schema::one_of(["full", "smoke"])),
+        ("config", Schema::object(config.chain(zipf))),
+        ("scaling", Schema::object(scaling)),
+        ("freshness", Schema::object(freshness)),
+    ])
+    .with(full_mode_acceptance)
+}
 
-    let scaling = root
-        .get("scaling")
-        .unwrap_or_else(|| panic!("{path}: missing scaling section"));
-    let curve = scaling
-        .get("curve")
-        .and_then(Value::as_array)
-        .unwrap_or_else(|| panic!("{path}: missing scaling.curve"));
-    assert!(curve.len() >= 2, "{path}: scaling.curve needs >= 2 points");
-    for point in curve {
-        for field in [
-            "sustained_rps",
-            "aggregate_rps",
-            "ingest_rps",
-            "query_rps",
-            "ingest_p99_us",
-            "query_p99_us",
-        ] {
-            let v = point
-                .get(field)
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{path}: curve point missing {field}"));
-            assert!(v.is_finite() && v > 0.0, "{path}: curve {field} = {v}");
-        }
-        assert!(
-            point.get("shards").and_then(Value::as_u64).is_some(),
-            "{path}: curve point missing shards"
-        );
+/// A full-mode report's acceptance numbers: catalog scale, the sweep to 8
+/// shards, ≥ 3× sustained RPS from 1 to 8, sharded p99 within 2× of one
+/// shard.
+fn full_mode_acceptance(root: &Value) -> Result<(), String> {
+    if text(root, "mode")? != "full" {
+        return Ok(());
     }
-    for field in [
-        "sustained_rps_1",
-        "sustained_rps_max",
-        "speedup",
-        "p99_ratio",
-    ] {
-        assert!(
-            scaling.get(field).and_then(Value::as_f64).is_some(),
-            "{path}: scaling.{field} missing"
-        );
+    let floors = [
+        ("config.users", 1e6),
+        ("config.items", 1e5),
+        ("scaling.max_shards", 8.0),
+        ("scaling.speedup", 3.0),
+    ];
+    for (path, min) in floors {
+        let v = number(root, path)?;
+        ensure(v >= min, format!("full run: {path} {v} < {min}"))?;
     }
-
-    let freshness = root
-        .get("freshness")
-        .unwrap_or_else(|| panic!("{path}: missing freshness section"));
-    assert_eq!(
-        freshness.get("identical_topk").and_then(Value::as_bool),
-        Some(true),
-        "{path}: incremental model must match batch byte-for-byte after sync"
-    );
-    assert_eq!(
-        freshness
-            .get("fresh_visible_incremental")
-            .and_then(Value::as_bool),
-        Some(true),
-        "{path}: incremental model must see new associations immediately"
-    );
-    assert_eq!(
-        freshness
-            .get("stale_missing_batch")
-            .and_then(Value::as_bool),
-        Some(true),
-        "{path}: batch model must miss post-retrain associations (the ablation)"
-    );
-
-    if mode == "full" {
-        let users = config.get("users").and_then(Value::as_u64).unwrap();
-        let items = config.get("items").and_then(Value::as_u64).unwrap();
-        assert!(users >= 1_000_000, "{path}: full run needs >= 1M users");
-        assert!(items >= 100_000, "{path}: full run needs >= 100k items");
-        let max_shards = scaling
-            .get("max_shards")
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        assert!(max_shards >= 8, "{path}: full run must sweep to 8 shards");
-        let speedup = scaling.get("speedup").and_then(Value::as_f64).unwrap();
-        assert!(
-            speedup >= 3.0,
-            "{path}: sustained-RPS scaling 1->8 must be >= 3x, got {speedup:.2}x"
-        );
-        let p99_ratio = scaling.get("p99_ratio").and_then(Value::as_f64).unwrap();
-        assert!(
-            p99_ratio <= 2.0,
-            "{path}: sharded p99 must stay within 2x of single-shard, got {p99_ratio:.2}x"
-        );
-    }
-    println!("{path}: schema OK");
+    let p99 = number(root, "scaling.p99_ratio")?;
+    ensure(p99 <= 2.0, format!("full run: scaling.p99_ratio {p99} > 2"))
 }
 
 fn curve_to_json(point: &CurvePoint) -> Value {
@@ -666,7 +589,7 @@ fn curve_to_json(point: &CurvePoint) -> Value {
 fn main() {
     let args = Args::parse();
     if let Some(path) = &args.validate {
-        validate(path);
+        report::validate_file(path, &schema());
         return;
     }
 
@@ -803,4 +726,18 @@ fn main() {
     std::fs::write(&args.out, &json).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
     println!("{json}");
     eprintln!("wrote {}", args.out);
+}
+
+#[test]
+fn committed_report_is_exact() {
+    let doc = report::committed("BENCH_sharding.json");
+    pprox_json::schema::assert_exact(&schema(), &doc, &["", "scaling.curve.3"]);
+    // The acceptance numbers bind a full run only.
+    let slow = doc
+        .to_json()
+        .replace("\"speedup\":6.045", "\"speedup\":2.5");
+    let err = schema().check(&Value::parse(&slow).unwrap()).unwrap_err();
+    assert!(err.contains("scaling.speedup 2.5 < 3"), "{err}");
+    let smoke = slow.replace("\"mode\":\"full\"", "\"mode\":\"smoke\"");
+    schema().check(&Value::parse(&smoke).unwrap()).unwrap();
 }

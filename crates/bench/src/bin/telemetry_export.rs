@@ -23,12 +23,13 @@
 //! really emits: `attack::scrape_audit` (in `observability_report`) and
 //! `scan_export_for_oracles` on the live scrapes of every scenario run.
 
+use pprox_bench::report;
 use pprox_core::resilience::Deadline;
 use pprox_core::telemetry::export::{
-    json_snapshot, prometheus_text, validate_json_snapshot, validate_prometheus, TelemetryReport,
+    json_snapshot, prometheus_text, snapshot_schema, validate_json_snapshot, validate_prometheus,
+    TelemetryReport,
 };
 use pprox_core::telemetry::Stage;
-use pprox_json::Value;
 use pprox_lrs::stub::StubLrs;
 use pprox_wire::{ClusterConfig, ClusterScraper, LoopbackCluster};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -127,12 +128,10 @@ fn run_deployment(requests: usize, shuffle_size: usize) -> TelemetryReport {
 }
 
 fn validate_dir(dir: &str) {
-    let json_path = format!("{dir}/TELEMETRY_snapshot.json");
-    let text =
-        std::fs::read_to_string(&json_path).unwrap_or_else(|e| panic!("read {json_path}: {e}"));
-    let root = Value::parse(&text).unwrap_or_else(|e| panic!("{json_path}: invalid JSON: {e:?}"));
-    validate_json_snapshot(&root).unwrap_or_else(|e| panic!("{json_path}: {e}"));
-    println!("{json_path}: schema OK");
+    report::validate_file(
+        &format!("{dir}/TELEMETRY_snapshot.json"),
+        &snapshot_schema(),
+    );
 
     let prom_path = format!("{dir}/TELEMETRY_prometheus.txt");
     let prom =

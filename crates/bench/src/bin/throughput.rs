@@ -35,10 +35,13 @@
 //! throughput --validate PATH   # schema-check an emitted JSON file
 //! ```
 
+use pprox_bench::report::{self, round3};
 use pprox_crypto::ctr::{SymmetricKey, IV_LEN};
 use pprox_crypto::rng::SecureRng;
 use pprox_crypto::rsa::RsaKeyPair;
+use pprox_json::schema::{above, integers, numbers, Schema};
 use pprox_json::Value;
+use pprox_workload::stats::percentile;
 use std::time::Instant;
 
 /// Item payload width on the wire (mirrors `pprox_core::message`).
@@ -127,15 +130,6 @@ impl Stage {
         }
         v
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
 }
 
 /// Times `op` once per iteration, returning per-op µs and total seconds.
@@ -243,65 +237,35 @@ fn bench_list_enc(ops: usize, rng: &mut SecureRng) -> Stage {
     stage
 }
 
-/// Schema check for an emitted report; panics with a description of the
-/// first violation so `bench.sh` can gate CI on the exit status.
-fn validate(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let root = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: invalid JSON: {e:?}"));
-    assert_eq!(
-        root.get("benchmark").and_then(Value::as_str),
-        Some("throughput"),
-        "{path}: missing benchmark tag"
-    );
-    let stages = root
-        .get("stages")
-        .unwrap_or_else(|| panic!("{path}: missing stages object"));
-    for (stage, baseline) in [
-        ("rsa_decrypt", Some("naive_baseline_ops_per_sec")),
-        ("det_enc", Some("fresh_baseline_ops_per_sec")),
-        ("list_enc", Some("portable_baseline_ops_per_sec")),
-    ] {
-        let s = stages
-            .get(stage)
-            .unwrap_or_else(|| panic!("{path}: missing stage {stage}"));
-        for field in ["ops_per_sec", "p50_us", "p99_us"] {
-            let v = s
-                .get(field)
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{path}: {stage}.{field} missing or not a number"));
-            assert!(
-                v.is_finite() && v > 0.0,
-                "{path}: {stage}.{field} must be a positive number, got {v}"
-            );
-        }
-        if let Some(field) = baseline {
-            assert!(
-                s.get(field).and_then(Value::as_f64).is_some(),
-                "{path}: {stage}.{field} missing"
-            );
-            assert!(
-                s.get("speedup_vs_baseline")
-                    .and_then(Value::as_f64)
-                    .is_some(),
-                "{path}: {stage}.speedup_vs_baseline missing"
-            );
-        }
-    }
-    let version = root
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|| panic!("{path}: missing schema_version"));
-    assert!(
-        version >= THROUGHPUT_SCHEMA_VERSION,
-        "{path}: schema_version {version} < {THROUGHPUT_SCHEMA_VERSION}"
-    );
-    println!("{path}: schema OK");
+/// The report's schema, next to its emitter in `main`: every stage
+/// carries positive timings and its reference path's numbers.
+fn schema() -> Schema {
+    let stage = |baseline: &'static str| {
+        let timings = numbers("ops_per_sec p50_us p99_us").map(|(k, n)| (k, n.with(above(0.0))));
+        let reference = [
+            (baseline, Schema::Number),
+            ("speedup_vs_baseline", Schema::Number),
+        ];
+        Schema::object(timings.chain(reference))
+    };
+    let stages = [
+        ("rsa_decrypt", stage("naive_baseline_ops_per_sec")),
+        ("det_enc", stage("fresh_baseline_ops_per_sec")),
+        ("list_enc", stage("portable_baseline_ops_per_sec")),
+    ];
+    let config = integers("rsa_ops det_ops modulus_bits");
+    Schema::object([
+        ("benchmark", Schema::one_of(["throughput"])),
+        ("schema_version", Schema::version(THROUGHPUT_SCHEMA_VERSION)),
+        ("config", Schema::object(config)),
+        ("stages", Schema::object(stages)),
+    ])
 }
 
 fn main() {
     let args = Args::parse();
     if let Some(path) = &args.validate {
-        validate(path);
+        report::validate_file(path, &schema());
         return;
     }
 
@@ -342,4 +306,10 @@ fn main() {
     std::fs::write(&args.out, &json).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
     println!("{json}");
     eprintln!("wrote {}", args.out);
+}
+
+#[test]
+fn committed_report_is_exact() {
+    let doc = report::committed("BENCH_throughput.json");
+    pprox_json::schema::assert_exact(&schema(), &doc, &["", "stages.list_enc"]);
 }

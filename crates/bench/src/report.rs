@@ -1,10 +1,45 @@
-//! Table/figure rendering for the experiment harness binaries.
+//! Table/figure rendering for the experiment harness binaries, and what
+//! the JSON report binaries share.
 //!
-//! Every binary prints one block per figure cell in the same layout the
-//! paper's plots encode: configuration id, RPS, and the candlestick
-//! five-number summary.
+//! Every figure binary prints one block per figure cell in the same
+//! layout the paper's plots encode: configuration id, RPS, and the
+//! candlestick five-number summary. Every JSON report binary declares its
+//! document's [`Schema`] next to its emitter and answers `--validate
+//! PATH` with [`validate_file`].
 
+use pprox_json::schema::Schema;
+use pprox_json::Value;
 use pprox_workload::stats::Candlestick;
+
+/// A report bin's `--validate PATH`: reads and parses `path`, checks it
+/// against `schema` and prints `PATH: schema OK`.
+///
+/// # Panics
+///
+/// On the first violation (named by its path) — the non-zero exit CI
+/// gates on.
+pub fn validate_file(path: &str, schema: &Schema) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let doc = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: invalid JSON: {e}"));
+    schema.check(&doc).unwrap_or_else(|e| panic!("{path}: {e}"));
+    println!("{path}: schema OK");
+}
+
+/// Rounds to the three decimals the reports carry.
+pub fn round3(v: f64) -> f64 {
+    (v * 1000.0).round() / 1000.0
+}
+
+/// Test support: the committed `results/<file>`, parsed.
+///
+/// # Panics
+///
+/// When it cannot be read or parsed.
+pub fn committed(file: &str) -> Value {
+    let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
 
 /// Prints a figure header.
 pub fn figure_header(title: &str, description: &str) {

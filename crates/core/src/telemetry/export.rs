@@ -12,10 +12,12 @@
 //! [`LayerSnapshot`]s — aggregates, never raw identifiers or per-request
 //! records. The validators are deliberate about shape *and* sanity (exact
 //! key sets, cumulative buckets monotone, quantiles ordered) so CI catches
-//! a widened or broken exporter, not just a missing field.
+//! a widened or broken exporter, not just a missing field; the JSON one is
+//! a `pprox_json::schema` declaration, [`snapshot_schema`].
 
 use super::histogram::HistogramSnapshot;
 use super::stage::Stage;
+use pprox_json::schema::{ensure, integers, list, number, numbers, Schema};
 use pprox_json::Value;
 
 /// Schema version of the JSON snapshot document.
@@ -24,23 +26,10 @@ use pprox_json::Value;
 /// plane to account for) and made every object's key set exact.
 pub const TELEMETRY_SCHEMA_VERSION: u64 = 2;
 
-/// Stages the JSON validator requires (the acceptance surface): the two
-/// proxy layers, the merged shuffle dwell, and the LRS call.
+/// Stages both validators require observations of (the acceptance
+/// surface): the two proxy layers, the merged shuffle dwell, and the LRS
+/// call.
 pub const REQUIRED_STAGES: [&str; 4] = ["ua", "ia", "shuffle", "lrs"];
-
-/// The keys of a `layers[]` row: its name, the integer counters, the mean.
-const LAYER_KEYS: [&str; 10] = [
-    "name",
-    "requests",
-    "responses",
-    "errors",
-    "retries",
-    "deadline_misses",
-    "rejected",
-    "shuffle_flushes",
-    "shuffle_timeouts",
-    "mean_processing_us",
-];
 
 /// Prometheus `le` boundaries, µs: powers of two from 1 µs to ~67 s.
 /// Coarser than the in-memory log-linear cells on purpose — 27 series per
@@ -146,118 +135,48 @@ pub fn json_snapshot(report: &TelemetryReport) -> Value {
     ])
 }
 
-/// Checks an object holds *exactly* `keys` — unknown keys are the
-/// failure mode that matters: an exporter quietly widened to carry
-/// per-request data must not validate. Shared by this module's snapshot
-/// validator and `pprox-wire`'s scrape validator.
-///
-/// # Errors
-///
-/// Names the first unexpected or missing key.
-pub fn expect_keys(v: &Value, ctx: &str, keys: &[&str]) -> Result<(), String> {
-    let obj = v.as_object().ok_or(format!("{ctx} is not an object"))?;
-    for k in obj.keys() {
-        if !keys.contains(&k.as_str()) {
-            return Err(format!("{ctx} carries unexpected key {k}"));
-        }
-    }
-    for k in keys {
-        if !obj.contains_key(*k) {
-            return Err(format!("{ctx} missing key {k}"));
-        }
-    }
-    Ok(())
+/// The JSON snapshot's schema, next to its emitter [`json_snapshot`]:
+/// exact key sets at every level — every [`Stage`] label plus the merged
+/// `shuffle`, each a quantile summary whose quantiles are monotone, and
+/// one counter row per node.
+pub fn snapshot_schema() -> Schema {
+    let summary = |name: &'static str| {
+        let required = REQUIRED_STAGES.contains(&name);
+        let fields = integers("count p50_us p95_us p99_us p999_us max_us");
+        let shape = Schema::object(fields.chain([("mean_us", Schema::Number)]));
+        let rule = move |s: &Value| {
+            ensure(!required || number(s, "count")? >= 1.0, "no observations")?;
+            let q = ["p50_us", "p95_us", "p99_us", "p999_us"].map(|k| number(s, k));
+            let q = q.into_iter().collect::<Result<Vec<_>, _>>()?;
+            let monotone = q.windows(2).all(|w| w[0] <= w[1]);
+            ensure(monotone, format!("p50/p95/p99/p999 not monotone: {q:?}"))
+        };
+        (name, shape.with(rule))
+    };
+    let layer = integers(
+        "requests responses errors retries deadline_misses rejected shuffle_flushes \
+         shuffle_timeouts",
+    )
+    .chain([("name", Schema::Str)])
+    .chain(numbers("mean_processing_us"));
+    let layers = Schema::array(Schema::object(layer))
+        .with(|l| ensure(!list(l, "")?.is_empty(), "no node rows"));
+    let stages = Stage::ALL.iter().map(|s| s.as_str()).chain(["shuffle"]);
+    Schema::object([
+        ("report", Schema::one_of(["telemetry"])),
+        ("schema_version", Schema::version(TELEMETRY_SCHEMA_VERSION)),
+        ("stages", Schema::object(stages.map(summary))),
+        ("layers", layers),
+    ])
 }
 
-/// Validates a parsed JSON snapshot: exact key sets at the root and in
-/// every `stages.*` and `layers[]` object, known stage names only, and
-/// sane values. Returns the first violation.
+/// Validates a parsed JSON snapshot against [`snapshot_schema`].
 ///
 /// # Errors
 ///
-/// A human-readable description of the violated constraint.
+/// The first violation, named by its path.
 pub fn validate_json_snapshot(root: &Value) -> Result<(), String> {
-    expect_keys(
-        root,
-        "snapshot",
-        &["report", "schema_version", "stages", "layers"],
-    )?;
-    if root.get("report").and_then(Value::as_str) != Some("telemetry") {
-        return Err("missing report=telemetry tag".into());
-    }
-    let version = root
-        .get("schema_version")
-        .and_then(Value::as_u64)
-        .ok_or("missing schema_version")?;
-    if version < TELEMETRY_SCHEMA_VERSION {
-        return Err(format!("schema_version {version} too old"));
-    }
-    let stages = root
-        .get("stages")
-        .and_then(Value::as_object)
-        .ok_or("stages is not an object")?;
-    for (name, s) in stages {
-        if name != "shuffle" && !Stage::ALL.iter().any(|st| st.as_str() == name) {
-            return Err(format!("stages carries unknown stage {name}"));
-        }
-        expect_keys(
-            s,
-            &format!("stages.{name}"),
-            &[
-                "count", "p50_us", "p95_us", "p99_us", "p999_us", "mean_us", "max_us",
-            ],
-        )?;
-        let field = |f: &str| -> Result<f64, String> {
-            s.get(f)
-                .and_then(Value::as_f64)
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or(format!("{name}.{f} is not a finite non-negative number"))
-        };
-        let count = field("count")?;
-        if count < 1.0 && REQUIRED_STAGES.contains(&name.as_str()) {
-            return Err(format!("stage {name} has no observations"));
-        }
-        let (p50, p95, p99) = (field("p50_us")?, field("p95_us")?, field("p99_us")?);
-        let p999 = field("p999_us")?;
-        field("mean_us")?;
-        field("max_us")?;
-        if !(p50 <= p95 && p95 <= p99 && p99 <= p999) {
-            return Err(format!(
-                "{name} quantiles not monotone: p50={p50} p95={p95} p99={p99} p999={p999}"
-            ));
-        }
-    }
-    for name in REQUIRED_STAGES {
-        if !stages.contains_key(name) {
-            return Err(format!("missing stage {name}"));
-        }
-    }
-    let layers = root
-        .get("layers")
-        .and_then(Value::as_array)
-        .ok_or("layers is not an array")?;
-    if layers.is_empty() {
-        return Err("layers array is empty".into());
-    }
-    for layer in layers {
-        expect_keys(layer, "layer", &LAYER_KEYS)?;
-        layer
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("layer name is not a string")?;
-        for f in &LAYER_KEYS[1..LAYER_KEYS.len() - 1] {
-            layer
-                .get(f)
-                .and_then(Value::as_u64)
-                .ok_or(format!("layer.{f} is not a non-negative integer"))?;
-        }
-        layer
-            .get("mean_processing_us")
-            .and_then(Value::as_f64)
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .ok_or("layer.mean_processing_us is not a finite non-negative number")?;
-    }
-    Ok(())
+    snapshot_schema().check(root)
 }
 
 /// Renders the Prometheus text exposition.
@@ -356,8 +275,11 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
         let value: f64 = value
             .parse()
             .map_err(|_| format!("line {lineno}: bad sample value {value}"))?;
-        if value < 0.0 {
-            return Err(format!("line {lineno}: negative sample"));
+        // `f64` parses `NaN` and `inf`, and `NaN < 0.0` is false.
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(format!(
+                "line {lineno}: sample {value} is not a finite non-negative number"
+            ));
         }
         if let Some(rest) = name_labels.strip_prefix("pprox_stage_latency_us_bucket{stage=\"") {
             let (stage, rest) = rest
@@ -424,6 +346,7 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 mod tests {
     use super::super::{LatencyHistogram, Stage};
     use super::*;
+    use pprox_json::schema::assert_exact;
 
     fn sample_report() -> TelemetryReport {
         let mk = |values: &[u64]| {
@@ -483,7 +406,7 @@ mod tests {
             .unwrap()
             .insert("u017", histogram_value(&HistogramSnapshot::empty()));
         let err = validate_json_snapshot(&v).unwrap_err();
-        assert!(err.contains("unknown stage u017"), "{err}");
+        assert!(err.contains("stages.u017"), "{err}");
         let mut v = json_snapshot(&sample_report());
         if let Some(Value::Array(layers)) = v.get_mut("layers") {
             layers[0].insert("trace_id", Value::from(9u64));
@@ -533,5 +456,42 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(validate_prometheus(&gone).is_err());
+    }
+
+    #[test]
+    fn prometheus_validator_rejects_non_finite_samples() {
+        let text = prometheus_text(&sample_report());
+        let with_sample = |series: &str, sample: &str| -> String {
+            let corrupt: String = text
+                .lines()
+                .map(|l| match l.strip_prefix(series) {
+                    Some(_) => format!("{series} {sample}\n"),
+                    None => format!("{l}\n"),
+                })
+                .collect();
+            assert_ne!(corrupt, text, "{series} not in the exposition");
+            corrupt
+        };
+        // The `le="1"` bucket holds 0 here, so a NaN that became `0`
+        // through `as u64` kept every bucket monotone.
+        let nan_bucket = with_sample(
+            "pprox_stage_latency_us_bucket{stage=\"ua\",le=\"1\"}",
+            "NaN",
+        );
+        let err = validate_prometheus(&nan_bucket).unwrap_err();
+        assert!(err.contains("NaN"), "{err}");
+        let inf_counter = with_sample("pprox_layer_requests_total{layer=\"ua0/server\"}", "inf");
+        let err = validate_prometheus(&inf_counter).unwrap_err();
+        assert!(err.contains("inf"), "{err}");
+    }
+
+    #[test]
+    fn committed_snapshot_is_exact() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/TELEMETRY_snapshot.json"
+        );
+        let doc = Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_exact(&snapshot_schema(), &doc, &["", "stages.lrs", "layers.0"]);
     }
 }

@@ -155,10 +155,14 @@ impl HistogramSnapshot {
     /// metrics scrape that crossed the wire). `counts` is padded or
     /// truncated to the fixed [`NUM_BUCKETS`] layout and the total is
     /// re-derived from the cells, so a reconstructed snapshot always
-    /// merges exactly like a locally captured one.
+    /// merges exactly like a locally captured one. The total saturates:
+    /// transported cells are hostile input, and a scrape may carry up to
+    /// 2^53 in each.
     pub fn from_parts(mut counts: Vec<u64>, sum_us: u64, max_us: u64) -> Self {
         counts.resize(NUM_BUCKETS, 0);
-        let count = counts.iter().sum();
+        let count = counts
+            .iter()
+            .fold(0, |total: u64, &c| total.saturating_add(c));
         HistogramSnapshot {
             counts,
             count,
@@ -210,7 +214,7 @@ impl HistogramSnapshot {
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= target {
                 return bucket_upper(i).min(self.max_us);
             }
@@ -246,19 +250,20 @@ impl HistogramSnapshot {
             .iter()
             .enumerate()
             .take_while(|(i, _)| bucket_upper(*i) <= bound_us)
-            .map(|(_, &c)| c)
-            .sum()
+            .fold(0, |total: u64, (_, &c)| total.saturating_add(c))
     }
 
     /// Adds `other`'s observations into `self`. Merging snapshots from
     /// per-worker histograms yields exactly the histogram a single shared
-    /// recorder would have produced (same fixed bucket layout).
+    /// recorder would have produced (same fixed bucket layout). Sums
+    /// saturate: a merged snapshot may come off the wire
+    /// ([`HistogramSnapshot::from_parts`]).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
+        self.count = self.count.saturating_add(other.count);
+        self.sum_us = self.sum_us.saturating_add(other.sum_us);
         self.max_us = self.max_us.max(other.max_us);
     }
 }
@@ -410,6 +415,19 @@ mod tests {
         assert_eq!(short.bucket_counts().len(), NUM_BUCKETS);
         let long = HistogramSnapshot::from_parts(vec![1; NUM_BUCKETS + 7], 0, 0);
         assert_eq!(long.count(), NUM_BUCKETS as u64);
+    }
+
+    #[test]
+    fn transported_sums_saturate() {
+        let huge = HistogramSnapshot::from_parts(vec![u64::MAX / 2; NUM_BUCKETS], u64::MAX, 9);
+        assert_eq!(huge.count(), u64::MAX);
+        let mut merged = huge.clone();
+        merged.merge(&huge);
+        assert_eq!(merged.count(), u64::MAX);
+        assert_eq!(merged.sum_us(), u64::MAX);
+        assert_eq!(merged.bucket_counts()[0], u64::MAX - 1);
+        assert_eq!(merged.p999(), 0); // the first cell already holds the rank
+        assert_eq!(merged.cumulative_le(u64::MAX), u64::MAX);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! * [`patch`] — the in-place fast path used by the proxy layers: find one
 //!   top-level field's byte span in the raw request text and splice in a
 //!   replacement without touching the rest of the document.
+//! * [`schema`] — the one checker for every document the deployment
+//!   exports (node scrape, telemetry snapshot, analysis report, bench
+//!   reports): exact-key shapes declared once, walked once.
 //!
 //! # Examples
 //!
@@ -32,6 +35,7 @@
 
 pub mod parser;
 pub mod patch;
+pub mod schema;
 pub mod value;
 pub mod writer;
 

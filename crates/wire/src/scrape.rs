@@ -34,9 +34,10 @@ use crate::balancer::SocketBalancer;
 use crate::frame::{parse_header, Frame, FrameError, PadClass, HEADER_LEN};
 use parking_lot::Mutex;
 use pprox_core::shuffler::FlushReason;
-use pprox_core::telemetry::export::{expect_keys, LayerSnapshot, TelemetryReport};
+use pprox_core::telemetry::export::{LayerSnapshot, TelemetryReport};
 use pprox_core::telemetry::histogram::NUM_BUCKETS;
 use pprox_core::telemetry::{HistogramSnapshot, LatencyHistogram, Stage, Telemetry};
+use pprox_json::schema::{ensure, integers, list, number, Schema};
 use pprox_json::Value;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -508,213 +509,94 @@ fn histogram_to_value(snap: &HistogramSnapshot) -> Value {
     ])
 }
 
-/// Rebuilds a histogram snapshot from its scrape encoding.
+/// Rebuilds a histogram snapshot from its scrape encoding, once it
+/// passes [`histogram_schema`]: every index inside the layout, once.
 fn histogram_from_value(v: &Value) -> Result<HistogramSnapshot, String> {
-    let pairs = v
-        .get("counts")
-        .and_then(Value::as_array)
-        .ok_or("histogram without counts array")?;
+    histogram_schema().check(v)?;
     let mut counts = vec![0u64; NUM_BUCKETS];
-    for pair in pairs {
-        let cells = pair.as_array().ok_or("histogram count entry not a pair")?;
-        if cells.len() != 2 {
-            return Err("histogram count entry not a pair".into());
-        }
-        let idx = cells[0].as_u64().ok_or("bucket index not an integer")? as usize;
-        let c = cells[1].as_u64().ok_or("bucket count not an integer")?;
-        if idx >= NUM_BUCKETS {
-            return Err(format!("bucket index {idx} out of layout"));
-        }
-        counts[idx] += c;
+    for pair in list(v, "counts")? {
+        counts[number(pair, "0")? as usize] = number(pair, "1")? as u64;
     }
-    let sum_us = v
-        .get("sum_us")
-        .and_then(Value::as_u64)
-        .ok_or("histogram without sum_us")?;
-    let max_us = v
-        .get("max_us")
-        .and_then(Value::as_u64)
-        .ok_or("histogram without max_us")?;
+    let (sum_us, max_us) = (number(v, "sum_us")? as u64, number(v, "max_us")? as u64);
     Ok(HistogramSnapshot::from_parts(counts, sum_us, max_us))
 }
 
-fn expect_u64(v: &Value, ctx: &str, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or(format!("{ctx}.{key} missing or not a non-negative integer"))
+/// A histogram's scrape encoding ([`histogram_to_value`]).
+fn histogram_schema() -> Schema {
+    let counts = Schema::array(Schema::array(Schema::U64)).with(bucket_cells);
+    Schema::object(integers("sum_us max_us").chain([("counts", counts)]))
 }
 
-fn validate_histogram(v: &Value, ctx: &str) -> Result<(), String> {
-    expect_keys(v, ctx, &["counts", "sum_us", "max_us"])?;
-    let pairs = v
-        .get("counts")
-        .and_then(Value::as_array)
-        .ok_or(format!("{ctx}.counts is not an array"))?;
-    let mut prev: Option<u64> = None;
-    for pair in pairs {
-        let cells = pair
-            .as_array()
-            .filter(|c| c.len() == 2)
-            .ok_or(format!("{ctx}.counts entry is not an [index, count] pair"))?;
-        let idx = cells[0]
-            .as_u64()
-            .ok_or(format!("{ctx}.counts index not an integer"))?;
-        cells[1]
-            .as_u64()
-            .ok_or(format!("{ctx}.counts count not an integer"))?;
-        if idx as usize >= NUM_BUCKETS {
-            return Err(format!("{ctx}.counts index {idx} outside bucket layout"));
-        }
-        // Strictly increasing indices: a sequence of repeated or
-        // unordered indices could smuggle ordering information.
-        if prev.is_some_and(|p| idx <= p) {
-            return Err(format!("{ctx}.counts indices not strictly increasing"));
-        }
-        prev = Some(idx);
+/// `counts` holds `[index, count]` pairs whose indices are strictly
+/// increasing inside the bucket layout: repeated or unordered indices
+/// could smuggle ordering information.
+fn bucket_cells(counts: &Value) -> Result<(), String> {
+    let mut next = 0.0;
+    for (i, pair) in list(counts, "")?.iter().enumerate() {
+        let pair_len = list(pair, "")?.len();
+        ensure(
+            pair_len == 2,
+            format!("entry {i}: not an [index, count] pair"),
+        )?;
+        let (index, layout) = (number(pair, "0")?, NUM_BUCKETS as f64);
+        ensure(
+            index < layout,
+            format!("entry {i}: {index} outside bucket layout"),
+        )?;
+        ensure(index >= next, format!("entry {i}: indices not increasing"))?;
+        next = index + 1.0;
     }
-    expect_u64(v, ctx, "sum_us")?;
-    expect_u64(v, ctx, "max_us")?;
     Ok(())
 }
 
-/// Validates a per-node scrape snapshot: exact key whitelist at every
-/// level, bucketed aggregates only. Anything a snapshot is not allowed
-/// to carry — per-request correlation or trace ids, raw per-request
-/// timestamps, arrival sequences — has no whitelisted place to live and
-/// fails here by construction.
+/// The scrape document's schema, next to its emitter
+/// [`NodeMetrics::snapshot_json`]: exact key sets at every level,
+/// `node.tier` one of the four tier names (a free-form label would be a
+/// whitelisted place for an identifier to live), stage histograms under
+/// [`Stage`] labels only, bucketed aggregates only.
+pub fn snapshot_schema() -> Schema {
+    let node = integers("index telemetry_group").chain([("tier", Schema::one_of(TIERS))]);
+    let server = integers(
+        "accepted open_connections frames_in frames_out shed protocol_errors queue_depth \
+         queue_depth_high_water workers worker_busy_us",
+    );
+    let shuffle = integers("occupancy high_water flush_full flush_timeout flush_drain");
+    let stage = |name: &str| Stage::ALL.iter().any(|s| s.as_str() == name);
+    Schema::object(integers("uptime_us scrapes").chain([
+        ("report", Schema::one_of(["node-metrics"])),
+        ("schema_version", Schema::version(SCRAPE_SCHEMA_VERSION)),
+        ("node", Schema::object(node)),
+        (
+            "server",
+            Schema::object(server.chain([("poll_loop", histogram_schema())])),
+        ),
+        (
+            "client",
+            Schema::object(integers("reconnects retries deadline_clamps")),
+        ),
+        ("shuffle", Schema::object(shuffle)),
+        (
+            "supervisor",
+            Schema::object(integers("probe_failures respawns")),
+        ),
+        (
+            "shard",
+            Schema::object(integers("events queries dirty lag_us")),
+        ),
+        ("stages", Schema::map(stage, histogram_schema())),
+    ]))
+}
+
+/// Validates a per-node scrape snapshot against [`snapshot_schema`].
+/// Anything a snapshot is not allowed to carry — per-request correlation
+/// or trace ids, raw per-request timestamps, arrival sequences — has no
+/// whitelisted place to live and fails here by construction.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first violation.
+/// The first violation, named by its path.
 pub fn validate_scrape_snapshot(root: &Value) -> Result<(), String> {
-    expect_keys(
-        root,
-        "snapshot",
-        &[
-            "report",
-            "schema_version",
-            "node",
-            "uptime_us",
-            "server",
-            "client",
-            "shuffle",
-            "supervisor",
-            "shard",
-            "scrapes",
-            "stages",
-        ],
-    )?;
-    if root.get("report").and_then(Value::as_str) != Some("node-metrics") {
-        return Err("missing report=node-metrics tag".into());
-    }
-    let version = expect_u64(root, "snapshot", "schema_version")?;
-    if version < SCRAPE_SCHEMA_VERSION {
-        return Err(format!("schema_version {version} too old"));
-    }
-    let node = root.get("node").ok_or("missing node object")?;
-    expect_keys(node, "node", &["tier", "index", "telemetry_group"])?;
-    // A closed set, not any string: a free-form label would be a
-    // whitelisted place for an identifier to live.
-    let tier = node.get("tier").and_then(Value::as_str);
-    if !tier.is_some_and(|t| TIERS.contains(&t)) {
-        return Err(format!("node.tier is not one of {TIERS:?}"));
-    }
-    expect_u64(node, "node", "index")?;
-    expect_u64(node, "node", "telemetry_group")?;
-    expect_u64(root, "snapshot", "uptime_us")?;
-
-    let server = root.get("server").ok_or("missing server object")?;
-    expect_keys(
-        server,
-        "server",
-        &[
-            "accepted",
-            "open_connections",
-            "frames_in",
-            "frames_out",
-            "shed",
-            "protocol_errors",
-            "queue_depth",
-            "queue_depth_high_water",
-            "workers",
-            "worker_busy_us",
-            "poll_loop",
-        ],
-    )?;
-    for k in [
-        "accepted",
-        "open_connections",
-        "frames_in",
-        "frames_out",
-        "shed",
-        "protocol_errors",
-        "queue_depth",
-        "queue_depth_high_water",
-        "workers",
-        "worker_busy_us",
-    ] {
-        expect_u64(server, "server", k)?;
-    }
-    validate_histogram(
-        server.get("poll_loop").ok_or("missing poll_loop")?,
-        "server.poll_loop",
-    )?;
-
-    let client = root.get("client").ok_or("missing client object")?;
-    expect_keys(
-        client,
-        "client",
-        &["reconnects", "retries", "deadline_clamps"],
-    )?;
-    for k in ["reconnects", "retries", "deadline_clamps"] {
-        expect_u64(client, "client", k)?;
-    }
-
-    let shuffle = root.get("shuffle").ok_or("missing shuffle object")?;
-    expect_keys(
-        shuffle,
-        "shuffle",
-        &[
-            "occupancy",
-            "high_water",
-            "flush_full",
-            "flush_timeout",
-            "flush_drain",
-        ],
-    )?;
-    for k in [
-        "occupancy",
-        "high_water",
-        "flush_full",
-        "flush_timeout",
-        "flush_drain",
-    ] {
-        expect_u64(shuffle, "shuffle", k)?;
-    }
-
-    let supervisor = root.get("supervisor").ok_or("missing supervisor object")?;
-    expect_keys(supervisor, "supervisor", &["probe_failures", "respawns"])?;
-    expect_u64(supervisor, "supervisor", "probe_failures")?;
-    expect_u64(supervisor, "supervisor", "respawns")?;
-
-    let shard = root.get("shard").ok_or("missing shard object")?;
-    expect_keys(shard, "shard", &["events", "queries", "dirty", "lag_us"])?;
-    for k in ["events", "queries", "dirty", "lag_us"] {
-        expect_u64(shard, "shard", k)?;
-    }
-    expect_u64(root, "snapshot", "scrapes")?;
-
-    let stages = root
-        .get("stages")
-        .and_then(Value::as_object)
-        .ok_or("stages is not an object")?;
-    for (name, hist) in stages {
-        if !Stage::ALL.iter().any(|s| s.as_str() == name) {
-            return Err(format!("stages carries unknown stage {name}"));
-        }
-        validate_histogram(hist, &format!("stages.{name}"))?;
-    }
-    Ok(())
+    snapshot_schema().check(root)
 }
 
 /// One node's scraped snapshot.
@@ -727,20 +609,9 @@ pub struct NodeSnapshot {
 }
 
 impl NodeSnapshot {
-    fn u64_at(&self, object: &str, key: &str) -> u64 {
-        self.json
-            .get(object)
-            .and_then(|o| o.get(key))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    }
-
-    fn telemetry_group(&self) -> u64 {
-        self.json
-            .get("node")
-            .and_then(|n| n.get("telemetry_group"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
+    /// The integer at dotted `path`, 0 where the snapshot has none.
+    fn u64_at(&self, path: &str) -> u64 {
+        number(&self.json, path).map_or(0, |n| n as u64)
     }
 }
 
@@ -804,10 +675,12 @@ impl ClusterSnapshot {
         // freshest scrape of the shared hub). Group 0 is "private".
         let mut reps: Vec<(u64, &NodeSnapshot, u64)> = Vec::new();
         for (pos, node) in self.nodes.iter().enumerate() {
-            let group = match node.telemetry_group() {
+            let group = match node.u64_at("node.telemetry_group") {
                 0 => u64::MAX - pos as u64,
                 g => g,
             };
+            // Saturating: two snapshots can each pass validation with
+            // 2^53 in every cell.
             let total: u64 = node
                 .json
                 .get("stages")
@@ -816,8 +689,7 @@ impl ClusterSnapshot {
                     stages
                         .values()
                         .filter_map(|h| histogram_from_value(h).ok())
-                        .map(|s| s.count())
-                        .sum()
+                        .fold(0, |total: u64, s| total.saturating_add(s.count()))
                 })
                 .unwrap_or(0);
             match reps.iter_mut().find(|(g, _, _)| *g == group) {
@@ -850,21 +722,21 @@ impl ClusterSnapshot {
 
         let mut layers: Vec<(String, LayerSnapshot)> = Vec::new();
         for node in &self.nodes {
-            let flushes = node.u64_at("shuffle", "flush_full")
-                + node.u64_at("shuffle", "flush_timeout")
-                + node.u64_at("shuffle", "flush_drain");
+            let flushes = node.u64_at("shuffle.flush_full")
+                + node.u64_at("shuffle.flush_timeout")
+                + node.u64_at("shuffle.flush_drain");
             layers.push((
                 format!("{}/server", node.name),
                 LayerSnapshot {
-                    requests: node.u64_at("server", "frames_in"),
-                    responses: node.u64_at("server", "frames_out"),
-                    errors: node.u64_at("server", "protocol_errors"),
-                    busy_us: node.u64_at("server", "worker_busy_us"),
+                    requests: node.u64_at("server.frames_in"),
+                    responses: node.u64_at("server.frames_out"),
+                    errors: node.u64_at("server.protocol_errors"),
+                    busy_us: node.u64_at("server.worker_busy_us"),
                     shuffle_flushes: flushes,
-                    shuffle_timeouts: node.u64_at("shuffle", "flush_timeout"),
-                    retries: node.u64_at("client", "retries"),
-                    deadline_misses: node.u64_at("client", "deadline_clamps"),
-                    rejected: node.u64_at("server", "shed"),
+                    shuffle_timeouts: node.u64_at("shuffle.flush_timeout"),
+                    retries: node.u64_at("client.retries"),
+                    deadline_misses: node.u64_at("client.deadline_clamps"),
+                    rejected: node.u64_at("server.shed"),
                 },
             ));
         }
@@ -882,17 +754,17 @@ impl ClusterSnapshot {
             ..PressureSample::default()
         };
         for node in &self.nodes {
-            sample.queue_depth += node.u64_at("server", "queue_depth");
+            sample.queue_depth += node.u64_at("server.queue_depth");
             sample.queue_depth_high_water = sample
                 .queue_depth_high_water
-                .max(node.u64_at("server", "queue_depth_high_water"));
-            sample.shed += node.u64_at("server", "shed");
-            sample.shuffle_occupancy += node.u64_at("shuffle", "occupancy");
+                .max(node.u64_at("server.queue_depth_high_water"));
+            sample.shed += node.u64_at("server.shed");
+            sample.shuffle_occupancy += node.u64_at("shuffle.occupancy");
             sample.shuffle_high_water = sample
                 .shuffle_high_water
-                .max(node.u64_at("shuffle", "high_water"));
-            sample.open_connections += node.u64_at("server", "open_connections");
-            sample.frames_in += node.u64_at("server", "frames_in");
+                .max(node.u64_at("shuffle.high_water"));
+            sample.open_connections += node.u64_at("server.open_connections");
+            sample.frames_in += node.u64_at("server.frames_in");
         }
         sample
     }
@@ -1054,6 +926,7 @@ fn read_one_frame(stream: &mut TcpStream) -> Result<Frame, ScrapeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pprox_json::schema::assert_exact;
 
     fn populated_hub() -> NodeMetrics {
         let m = NodeMetrics::new("ua", 0, 7);
@@ -1321,6 +1194,61 @@ mod tests {
         assert_eq!(p.shed, 1);
         assert_eq!(p.queue_depth, 1);
         assert_eq!(p.queue_depth_high_water, 1);
+    }
+
+    #[test]
+    fn committed_sample_snapshot_is_exact() {
+        // `observability_report` embeds one live scrape in its report.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_observability.json"
+        );
+        let report = Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let sample = report.get("sample_node_snapshot").unwrap();
+        validate_scrape_snapshot(sample).unwrap();
+        assert_exact(
+            &snapshot_schema(),
+            sample,
+            &["", "server.poll_loop", "stages.ua"],
+        );
+    }
+
+    #[test]
+    fn report_of_hostile_counts_that_validate_saturates() {
+        // Every cell at the 2^53 `as_u64` admits: one histogram's total
+        // fits a u64, a node's two stages or two groups' merge do not.
+        let full = Value::object([
+            (
+                "counts",
+                (0..NUM_BUCKETS as u64)
+                    .map(|i| Value::Array(vec![Value::from(i), Value::from(1u64 << 53)]))
+                    .collect(),
+            ),
+            ("sum_us", Value::from(1u64 << 53)),
+            ("max_us", Value::from(1u64 << 53)),
+        ]);
+        let node = |name: &str, group: u32| {
+            let mut json = NodeMetrics::new("ua", 0, group).snapshot_json();
+            json.insert(
+                "stages",
+                Value::object([("ua", full.clone()), ("ia", full.clone())]),
+            );
+            NodeSnapshot {
+                name: name.into(),
+                json,
+            }
+        };
+        let snapshot = ClusterSnapshot {
+            nodes: vec![node("ua0", 1), node("ua1", 2)],
+            unreachable: Vec::new(),
+        };
+        snapshot.validate().unwrap();
+        let report = snapshot.report();
+        assert_eq!(report.stages[Stage::Ua as usize].1.count(), u64::MAX);
+        assert_eq!(report.stages[Stage::Ia as usize].1.sum_us(), 1u64 << 54);
+        // Rendering the merged view is total too.
+        let _ = pprox_core::telemetry::export::json_snapshot(&report);
+        let _ = pprox_core::telemetry::export::prometheus_text(&report);
     }
 
     #[test]

@@ -76,17 +76,21 @@ pub struct Candlestick {
     pub max: f64,
 }
 
-/// Linear-interpolation percentile over a sorted slice.
-fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    if sorted.len() == 1 {
-        return sorted[0];
+/// The `p`-th percentile (`0..=100`) of `sorted`, linearly interpolated
+/// between the two closest ranks — the definition `benchmark/src/stats.rs`
+/// uses (there with the quantile in `0..=1`), and the one every report
+/// bin quotes. `0.0` for an empty slice.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        1 => sorted[0],
+        n => {
+            let rank = p.clamp(0.0, 100.0) / 100.0 * (n - 1) as f64;
+            let lo = rank.floor() as usize;
+            let hi = rank.ceil() as usize;
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+        }
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
 impl Candlestick {
@@ -97,9 +101,9 @@ impl Candlestick {
         }
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let q1 = percentile_sorted(&sorted, 25.0);
-        let median = percentile_sorted(&sorted, 50.0);
-        let q3 = percentile_sorted(&sorted, 75.0);
+        let q1 = percentile(&sorted, 25.0);
+        let median = percentile(&sorted, 50.0);
+        let q3 = percentile(&sorted, 75.0);
         let iqr = q3 - q1;
         let low_fence = q1 - 1.5 * iqr;
         let high_fence = q3 + 1.5 * iqr;
@@ -181,6 +185,17 @@ mod tests {
         assert_eq!(c.whisker_low, 0.0);
         assert_eq!(c.whisker_high, 100.0);
         assert_eq!(c.mean, 50.0);
+    }
+
+    #[test]
+    fn percentile_interpolates_between_ranks() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, 100.0), 4.0);
+        assert_eq!(percentile(&v, 50.0), 2.5);
+        assert!((percentile(&v, 90.0) - 3.7).abs() < 1e-12);
+        assert_eq!(percentile(&[], 50.0), 0.0);
+        assert_eq!(percentile(&[7.0], 99.0), 7.0);
     }
 
     #[test]

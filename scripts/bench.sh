@@ -30,6 +30,15 @@ for bits in 1152 2048; do
     cargo run --release -q -p pprox-bench --bin throughput -- --validate "$OUT"
 done
 
+echo "== an extra top-level key is rejected =="
+sed '1s/^{/{"injected":0,/' "$OUT" >"$OUT.widened"
+if cargo run --release -q -p pprox-bench --bin throughput -- \
+    --validate "$OUT.widened" 2>/dev/null; then
+    echo "bench smoke: throughput --validate accepted an extra top-level key" >&2
+    exit 1
+fi
+rm -f "$OUT.widened"
+
 echo "== validate committed baseline =="
 cargo run --release -q -p pprox-bench --bin throughput -- \
     --validate results/BENCH_throughput.json

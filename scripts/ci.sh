@@ -60,9 +60,11 @@ SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
 # report_smoke <bin> <file> <args…>: run the report bin with <args…> into
-# a scratch copy of results/<file>, validate that copy, then validate the
-# committed one. An empty <file> is a bin that writes a set of files into
-# a directory (results/ itself) and takes --out-dir.
+# a scratch copy of results/<file>, validate that copy, require the same
+# copy with one extra top-level key to be rejected (every document is
+# exact-key, through the bin's CLI as in its unit test), then validate
+# the committed one. An empty <file> is a bin that writes a set of files
+# into a directory (results/ itself) and takes --out-dir.
 report_smoke() {
     local bin="$1" file="$2" out=--out
     shift 2
@@ -71,6 +73,20 @@ report_smoke() {
         "$@" "$out" "$SCRATCH/$file" >/dev/null
     cargo run --release -q -p pprox-bench --bin "$bin" -- \
         --validate "$SCRATCH/$file"
+    local doc="${file:-TELEMETRY_snapshot.json}" widened="$SCRATCH/widened" rejection
+    rm -rf "$widened" && mkdir "$widened"
+    [[ -n "$file" ]] || cp "$SCRATCH/TELEMETRY_prometheus.txt" "$widened/"
+    sed '1s/^{/{"injected":0,/' "$SCRATCH/$doc" >"$widened/$doc"
+    if rejection="$(cargo run --release -q -p pprox-bench --bin "$bin" -- \
+        --validate "$widened/$file" 2>&1)"; then
+        echo "report_smoke: $bin --validate accepted a report with an extra top-level key" >&2
+        exit 1
+    fi
+    grep -q 'injected: unexpected key' <<<"$rejection" || {
+        echo "report_smoke: $bin rejected the widened report without naming the key:" >&2
+        echo "$rejection" >&2
+        exit 1
+    }
     echo "== validate committed results/$file =="
     cargo run --release -q -p pprox-bench --bin "$bin" -- \
         --validate "results/$file"
