@@ -14,7 +14,7 @@
 //! 2. **Resolution** — calls resolve *within a crate* by name, minus a
 //!    stoplist of ubiquitous std method names that would otherwise
 //!    create false edges (`gate.in_flight()` must not resolve to the
-//!    balancer's lock-taking `in_flight`). Cross-crate flow is out of
+//!    wire server's or client's `in_flight`). Cross-crate flow is out of
 //!    scope by design: the crates in the serving path keep their
 //!    blocking primitives local, and a stoplisted or cross-crate callee
 //!    is a documented false *negative*, never a false positive.
@@ -56,24 +56,23 @@ pub const READER_ROOTS: &[(&str, &str)] = &[("crates/wire/src/server.rs", "read_
 /// Entry points of the continuations that finish a parked request (path
 /// suffix, function name): an uplink connection's reader, and every
 /// function that runs on it — or on the node's deadline queue — as a
-/// call's completion. They are listed one by one because a completion is
-/// a boxed closure, which name-based resolution cannot follow. Code
+/// call's completion: the retry loop's `attempted` and the `attempt` it
+/// re-arms, and what the services finish a request with. They are listed
+/// one by one because a completion is a boxed closure, which name-based
+/// resolution cannot follow. Code
 /// reachable from these may take a lock but may not wait on a channel,
 /// sleep, or touch a file (R12): the next reply on that connection
 /// waits behind it.
 pub const CONTINUATION_ROOTS: &[(&str, &str)] = &[
     ("crates/wire/src/client.rs", "read_replies"),
     ("crates/wire/src/client.rs", "expire"),
-    ("crates/wire/src/client.rs", "start"),
+    ("crates/wire/src/client.rs", "attempt"),
     ("crates/wire/src/client.rs", "attempted"),
-    ("crates/wire/src/balancer.rs", "answered"),
     ("crates/wire/src/server.rs", "send"),
     ("crates/wire/src/server.rs", "send_all"),
     ("crates/wire/src/services/ua.rs", "gather"),
     ("crates/wire/src/services/ua.rs", "cap"),
     ("crates/wire/src/services/ua.rs", "answer"),
-    ("crates/wire/src/services/ia.rs", "attempt"),
-    ("crates/wire/src/services/ia.rs", "attempted"),
     ("crates/wire/src/services/ia.rs", "finish_post"),
     ("crates/wire/src/services/ia.rs", "finish_get"),
     ("crates/wire/src/services/ia.rs", "respond"),
@@ -100,7 +99,7 @@ pub const REQUEST_ROOTS: &[(&str, &str)] = &[
 /// ubiquitous accessor name (std containers, atomics) whose name-based
 /// resolution would wire unrelated functions together. `in_flight` is
 /// here because the admission gate's atomic counter shares the name with
-/// the balancer's lock-taking aggregate, `call` because the enclave's
+/// the wire server's and client's accessors, `call` because the enclave's
 /// ECALL entry (another crate) shares it with the wire client's blocking
 /// adapter, which nothing on the serving path uses. A stoplisted callee
 /// the serving path genuinely depends on must be renamed to something

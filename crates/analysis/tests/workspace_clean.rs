@@ -242,6 +242,38 @@ fn seeded_blocking_send_in_real_reader_is_caught() {
 }
 
 #[test]
+fn seeded_sleep_in_the_retry_loop_completion_is_caught() {
+    // R12: the one retry loop's completion runs on an uplink reader or
+    // the deadline queue; a sleep there must be reported, which proves
+    // the loop is still among the continuation roots.
+    let path = workspace_root().join("crates/wire/src/client.rs");
+    let original = std::fs::read_to_string(&path).expect("read client.rs");
+    let parsed = parse_source("crates/wire/src/client.rs", &original);
+    let clean = analyze_global(std::slice::from_ref(&parsed), None);
+    assert!(
+        !clean.report.findings.iter().any(|f| f.rule == "R12"),
+        "real client.rs must be R12-clean: {:#?}",
+        clean.report.findings
+    );
+
+    let completion = "fn attempted(mut self, started: Instant, result: CallResult) {";
+    let seeded = original.replace(
+        completion,
+        &format!("{completion}\n        std::thread::sleep(Duration::from_millis(1));"),
+    );
+    assert_ne!(seeded, original, "the loop's completion should exist");
+    let parsed = parse_source("crates/wire/src/client.rs", &seeded);
+    let global = analyze_global(std::slice::from_ref(&parsed), None);
+    assert!(
+        global.report.findings.iter().any(|f| f.rule == "R12"
+            && f.message.contains("thread sleep")
+            && f.message.contains("`attempted`")),
+        "a sleep in the retry loop's completion must fire R12: {:#?}",
+        global.report.findings
+    );
+}
+
+#[test]
 fn seeded_panic_on_real_request_path_is_caught() {
     // R13: an unwrap added to the real wire UA service module, reachable
     // from the `serve` request root, must fire.

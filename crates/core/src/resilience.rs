@@ -10,9 +10,8 @@
 //! * [`Deadline`] — every request carries an end-to-end time budget;
 //!   every hop checks it and each LRS attempt is clamped to what is
 //!   left of it.
-//! * [`RetryBackoff`] — decorrelated-jitter backoff between retries of
-//!   retryable LRS failures (5xx and timeouts), capped so the retry
-//!   schedule always fits the remaining deadline.
+//! * [`RetryBackoff`] — decorrelated-jitter backoff between the attempts
+//!   of one call, taken only while the delay fits the remaining deadline.
 //! * [`CircuitBreaker`] — a closed → open → half-open breaker per LRS
 //!   dependency: after a run of failures the proxy stops hammering the
 //!   backend and sheds load with [`crate::PProxError::Unavailable`],
@@ -31,18 +30,18 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Retry and circuit-breaking policy of the chain's calls into the LRS
-/// (and, for the retry knobs, of every hop's wire client). The request
-/// budget and the in-flight bound are the server's: `ServerConfig` in
-/// `pprox-wire`.
+/// Retry and circuit-breaking policy: the retry knobs govern every hop's
+/// calls, the timeout and the breaker the IA's calls into the LRS. The
+/// request budget and the in-flight bound are `ServerConfig`'s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Per-attempt timeout for one LRS call (clamped to the remaining
     /// deadline).
     pub lrs_timeout: Duration,
-    /// Retries after the first LRS attempt (so `max_retries + 1` attempts
-    /// total), spent only on retryable failures: 5xx statuses and
-    /// timeouts.
+    /// Attempts after a call's first, at every hop (so `max_retries + 1`
+    /// wire attempts at most, whatever the ring size), spent only on what
+    /// another attempt may fix: a lost connection, `busy`/`unavailable`,
+    /// timeouts, and from the LRS a 5xx or an undecodable body.
     pub max_retries: u32,
     /// Minimum backoff before a retry (decorrelated jitter's floor).
     pub retry_base: Duration,

@@ -24,26 +24,26 @@
 //! nothing therefore fails its calls `Deadline` at their deadlines, from
 //! the node's [`DeadlineQueue`], without a thread waiting on each.
 //!
-//! Transport-level retry is re-submission: a retryable failure schedules
-//! the next attempt on the deadline queue after a decorrelated-jitter
-//! delay ([`RetryBackoff`]), as long as the delay fits the remaining
-//! budget. The blocking [`PooledClient::call`] is `submit` plus a
-//! one-shot wait, for callers that have a thread to spare (the cluster's
-//! front door, scenario drivers, probes).
+//! A call on a client (a ring of one backend) or a balancer's ring is one
+//! run of the retry loop ([`Retry`]): at most `1 + max_retries` attempts,
+//! a per-call jittered pause ([`RetryBackoff`]) on the deadline queue
+//! between them, and a [`Policy`] for what the caller knows. The blocking
+//! [`PooledClient::call`] is `submit` plus a one-shot wait, for callers
+//! that have a thread to spare (the front door, scenario drivers, probes).
 
 use crate::frame::{decode_stream, Frame, PadClass};
 use crate::timers::{DeadlineQueue, TimerKey};
 use crate::{WireError, WireStatus};
 use crossbeam::channel::bounded;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use pprox_core::resilience::{Deadline, RetryBackoff};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What a finished call hands to its continuation: the response payload,
 /// or why there is none.
@@ -55,10 +55,12 @@ pub type CallResult = Result<Vec<u8>, WireError>;
 /// (a failure before anything was sent).
 pub type Completion = Box<dyn FnOnce(CallResult) + Send>;
 
-/// Tunables for one [`PooledClient`].
+/// The retry loop's tunables for the calls of one [`PooledClient`] or
+/// [`crate::SocketBalancer`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Transport-level retries per call (reconnect + resend).
+    /// Attempts after a call's first: at most `1 + max_retries` wire
+    /// attempts per call, on one backend or across a ring.
     pub max_retries: u32,
     /// Decorrelated-jitter base delay between attempts.
     pub retry_base: Duration,
@@ -86,24 +88,229 @@ const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
 /// Read buffer of a connection's reader; holds several response frames.
 const READ_BUF: usize = 16 * 1024;
 
-/// A pipelined client for one server address.
+/// A pipelined client for one server address: a ring of one backend.
 pub struct PooledClient {
-    inner: Arc<Inner>,
+    ring: Arc<Ring>,
+    conn: Arc<Conn>,
 }
 
-struct Inner {
-    addr: SocketAddr,
+/// The backends a call's attempts go to, read afresh by every attempt, and
+/// what the calls share: tunables, the node's deadline queue, counters.
+pub(crate) struct Ring {
+    pub(crate) backends: RwLock<Vec<Arc<Conn>>>,
+    pub(crate) timers: Arc<DeadlineQueue>,
+    pub(crate) retries: AtomicU64,
+    pub(crate) deadline_clamps: AtomicU64,
+    in_flight: AtomicUsize,
     config: ClientConfig,
+    /// Round-robin cursor: an unpinned call starts at `cursor % len`.
+    cursor: AtomicUsize,
+    /// Calls that have drawn a backoff so far: salts each one's jitter.
+    backoffs: AtomicU64,
+}
+
+impl Ring {
+    pub(crate) fn new(
+        backends: Vec<Arc<Conn>>,
+        config: ClientConfig,
+        timers: Arc<DeadlineQueue>,
+    ) -> Arc<Self> {
+        Arc::new(Ring {
+            backends: RwLock::new(backends),
+            timers,
+            retries: AtomicU64::new(0),
+            deadline_clamps: AtomicU64::new(0),
+            in_flight: AtomicUsize::new(0),
+            config,
+            cursor: AtomicUsize::new(0),
+            backoffs: AtomicU64::new(0),
+        })
+    }
+
+    /// Starts one call: every attempt to slot `shard`, or without one,
+    /// round the ring from the next slot. `done` runs once.
+    pub(crate) fn submit<P: Policy>(
+        self: &Arc<Self>,
+        shard: Option<usize>,
+        policy: P,
+        payload: Arc<[u8]>,
+        deadline: Deadline,
+        done: impl FnOnce(P::Outcome) + Send + 'static,
+    ) {
+        let (start, pinned) = match shard {
+            Some(slot) => (slot, true),
+            None => (self.cursor.fetch_add(1, Ordering::Relaxed), false),
+        };
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        Retry {
+            ring: self.clone(),
+            start,
+            pinned,
+            policy,
+            payload,
+            deadline,
+            k: 0,
+            backoff: None,
+            done: Box::new(done),
+        }
+        .attempt();
+    }
+
+    /// The backend attempt `k` of a call goes to: slot `start + k` round
+    /// the ring, or slot `start` every time when the call is pinned.
+    fn pick(&self, start: usize, pinned: bool, k: u32) -> Option<Arc<Conn>> {
+        let backends = self.backends.read();
+        let slot = if pinned {
+            start
+        } else {
+            start.wrapping_add(k as usize) % backends.len()
+        };
+        backends.get(slot).cloned()
+    }
+}
+
+/// What one attempt's outcome means to its call.
+pub(crate) enum Verdict<T> {
+    /// The call ends with this.
+    Done(T),
+    /// Worth another attempt; the call ends with this if none is left.
+    Retry(T),
+}
+
+/// What a call's owner knows about its attempts that the transport does
+/// not. The defaults: no gate, the call's whole deadline for each attempt.
+pub(crate) trait Policy: Send + 'static {
+    /// What the call finishes with.
+    type Outcome: Send + 'static;
+
+    /// What a call whose deadline ran out finishes with.
+    const EXPIRED: Self::Outcome;
+
+    /// Asked before every attempt; `Err` ends the call with it.
+    fn admit(&self) -> Result<(), Self::Outcome> {
+        Ok(())
+    }
+
+    /// The deadline one attempt runs under.
+    fn attempt_deadline(&self, call: Deadline) -> Deadline {
+        call
+    }
+
+    /// Reads the outcome of an attempt that started at `started`.
+    fn judge(&self, started: Instant, result: CallResult) -> Verdict<Self::Outcome>;
+}
+
+/// The policy of a caller that adds nothing: [`WireError::retryable`]
+/// failures are retried, and so is a timeout, which had the whole deadline:
+/// the loop finds it spent and ends the call `Deadline`.
+pub(crate) struct Plain;
+
+impl Policy for Plain {
+    type Outcome = CallResult;
+
+    const EXPIRED: CallResult = Err(WireError::Deadline);
+
+    fn judge(&self, _started: Instant, result: CallResult) -> Verdict<CallResult> {
+        match result {
+            Err(e) if e.retryable() || e == WireError::Deadline => Verdict::Retry(Err(e)),
+            result => Verdict::Done(result),
+        }
+    }
+}
+
+/// One call across its attempts: the serving path's only retry loop.
+struct Retry<P: Policy> {
+    ring: Arc<Ring>,
+    /// The first attempt's slot, and whether every attempt goes there.
+    start: usize,
+    pinned: bool,
+    policy: P,
+    payload: Arc<[u8]>,
+    deadline: Deadline,
+    /// The attempt to make next, counting from 0.
+    k: u32,
+    /// Drawn on the first retry: a call answered at once draws no jitter.
+    backoff: Option<RetryBackoff>,
+    done: Box<dyn FnOnce(P::Outcome) + Send>,
+}
+
+impl<P: Policy> Retry<P> {
+    /// Makes attempt `k`, unless the deadline is spent or the policy refuses.
+    fn attempt(self) {
+        let started = Instant::now();
+        if started >= self.deadline.instant() {
+            return self.out_of_budget();
+        }
+        if let Err(refused) = self.policy.admit() {
+            return self.finish(refused);
+        }
+        let Some(conn) = self.ring.pick(self.start, self.pinned, self.k) else {
+            return self.attempted(started, Err(WireError::Remote(WireStatus::Unavailable)));
+        };
+        let payload = self.payload.clone();
+        let deadline = self.policy.attempt_deadline(self.deadline);
+        conn.send_once(
+            &payload,
+            deadline,
+            Box::new(move |result| self.attempted(started, result)),
+        );
+    }
+
+    /// An attempt's completion, and the one place that decides on another:
+    /// the policy calls the outcome retryable, attempts are left, and the
+    /// pause fits the remaining budget (a deadline-queue entry, not a sleep).
+    fn attempted(mut self, started: Instant, result: CallResult) {
+        let last = match self.policy.judge(started, result) {
+            Verdict::Done(outcome) => return self.finish(outcome),
+            Verdict::Retry(outcome) => outcome,
+        };
+        if self.deadline.expired() {
+            return self.out_of_budget();
+        }
+        let ring = &self.ring;
+        if self.k >= ring.config.max_retries {
+            return self.finish(last);
+        }
+        let delay = self
+            .backoff
+            .get_or_insert_with(|| {
+                let config = &ring.config;
+                let salt = ring.backoffs.fetch_add(1, Ordering::Relaxed);
+                let seed = config.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                RetryBackoff::new(config.retry_base, config.retry_cap, seed)
+            })
+            .next_delay();
+        match self.deadline.remaining() {
+            Some(remaining) if remaining > delay => {
+                ring.retries.fetch_add(1, Ordering::Relaxed);
+                let timers = ring.timers.clone();
+                self.k += 1;
+                timers.after(delay, move || self.attempt());
+            }
+            _ => self.out_of_budget(),
+        }
+    }
+
+    fn out_of_budget(self) {
+        self.ring.deadline_clamps.fetch_add(1, Ordering::Relaxed);
+        self.finish(P::EXPIRED);
+    }
+
+    fn finish(self, outcome: P::Outcome) {
+        self.ring.in_flight.fetch_sub(1, Ordering::Relaxed);
+        (self.done)(outcome);
+    }
+}
+
+/// One backend: its connection, dialed on demand, and its reader threads.
+pub(crate) struct Conn {
+    addr: SocketAddr,
     timers: Arc<DeadlineQueue>,
     uplink: Mutex<Uplink>,
-    backoff: Mutex<RetryBackoff>,
     corr: AtomicU64,
-    in_flight: AtomicUsize,
     /// Connections dialed so far; every one after the first is a
     /// reconnect.
     dials: AtomicU64,
-    retries: AtomicU64,
-    deadline_clamps: AtomicU64,
     late_replies: Arc<AtomicU64>,
 }
 
@@ -111,7 +318,7 @@ struct Inner {
 struct Uplink {
     link: Option<Arc<Link>>,
     readers: Vec<JoinHandle<()>>,
-    /// Set when the client is dropped: nothing dials any more.
+    /// Set when the backend is closed: nothing dials any more.
     closed: bool,
 }
 
@@ -127,15 +334,12 @@ struct Link {
     stream: TcpStream,
     /// Held for one whole-frame write.
     writer: Mutex<()>,
-    pending: Mutex<PendingCalls>,
+    /// Cleared, under the `pending` lock, when the connection is lost:
+    /// nothing registers any more. (Read without the lock only as a hint.)
+    open: AtomicBool,
+    pending: Mutex<HashMap<u64, (TimerKey, Completion)>>,
     timers: Arc<DeadlineQueue>,
     late_replies: Arc<AtomicU64>,
-}
-
-struct PendingCalls {
-    /// `false` once the connection is lost: nothing registers any more.
-    open: bool,
-    calls: HashMap<u64, (TimerKey, Completion)>,
 }
 
 impl Link {
@@ -148,7 +352,7 @@ impl Link {
         done: Completion,
     ) -> Result<(), Completion> {
         let mut pending = self.pending.lock();
-        if !pending.open {
+        if !self.open.load(Ordering::Relaxed) {
             return Err(done);
         }
         let link = Arc::downgrade(self);
@@ -157,12 +361,12 @@ impl Link {
                 link.expire(corr);
             }
         });
-        pending.calls.insert(corr, (expiry, done));
+        pending.insert(corr, (expiry, done));
         Ok(())
     }
 
     fn take(&self, corr: u64) -> Option<(TimerKey, Completion)> {
-        self.pending.lock().calls.remove(&corr)
+        self.pending.lock().remove(&corr)
     }
 
     /// The reader's half of the race: a reply for `corr` arrived.
@@ -191,8 +395,8 @@ impl Link {
     fn fail_all(&self, error: &WireError) {
         let calls = {
             let mut pending = self.pending.lock();
-            pending.open = false;
-            std::mem::take(&mut pending.calls)
+            self.open.store(false, Ordering::Relaxed);
+            std::mem::take(&mut *pending)
         };
         let _ = self.stream.shutdown(Shutdown::Both);
         for (_, (expiry, done)) in calls {
@@ -267,67 +471,41 @@ fn reply_result(frame: Frame) -> CallResult {
     }
 }
 
-/// One logical call across its transport-level attempts.
-struct Call {
-    client: Arc<Inner>,
-    payload: Arc<[u8]>,
-    deadline: Deadline,
-    attempt: u32,
-    done: Completion,
-}
-
-impl Call {
-    fn start(self) {
-        let client = self.client.clone();
-        if self.attempt > 0 {
-            client.retries.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.deadline.expired() {
-            return self.out_of_budget();
-        }
-        let (payload, deadline) = (self.payload.clone(), self.deadline);
-        client.attempt(
-            &payload,
-            deadline,
-            Box::new(move |result| self.attempted(result)),
-        );
+impl Conn {
+    pub(crate) fn new(addr: SocketAddr, timers: Arc<DeadlineQueue>) -> Arc<Self> {
+        Arc::new(Conn {
+            addr,
+            timers,
+            uplink: Mutex::new(Uplink {
+                link: None,
+                readers: Vec::new(),
+                closed: false,
+            }),
+            corr: AtomicU64::new(1),
+            dials: AtomicU64::new(0),
+            late_replies: Arc::new(AtomicU64::new(0)),
+        })
     }
 
-    fn attempted(mut self, result: CallResult) {
-        match result {
-            Ok(payload) => return (self.done)(Ok(payload)),
-            Err(WireError::Deadline) => return self.out_of_budget(),
-            Err(e) if !e.retryable() || self.attempt >= self.client.config.max_retries => {
-                return (self.done)(Err(e))
-            }
-            Err(_) => {}
-        }
-        // Decorrelated-jitter pause before the next attempt, run from
-        // the deadline queue; it must fit the remaining budget.
-        let delay = self.client.backoff.lock().next_delay();
-        match self.deadline.remaining() {
-            Some(remaining) if remaining > delay => {
-                self.attempt += 1;
-                let timers = self.client.timers.clone();
-                timers.after(delay, move || self.start());
-            }
-            _ => self.out_of_budget(),
-        }
+    /// Fresh connections opened after the first.
+    pub(crate) fn reconnects(&self) -> u64 {
+        self.dials.load(Ordering::Relaxed).saturating_sub(1)
     }
 
-    fn out_of_budget(self) {
-        self.client.deadline_clamps.fetch_add(1, Ordering::Relaxed);
-        (self.done)(Err(WireError::Deadline));
+    /// Replies that arrived after their call had expired.
+    pub(crate) fn late_replies(&self) -> u64 {
+        self.late_replies.load(Ordering::Relaxed)
     }
-}
 
-impl Inner {
-    /// The live connection, dialing one when there is none. Holding the
-    /// uplink lock across the dial makes concurrent submitters share it.
+    /// The live connection, dialing one when there is none or the last
+    /// one is lost. Holding the uplink lock across the dial makes
+    /// concurrent submitters share it.
     fn link(&self, deadline: Deadline) -> Result<Arc<Link>, WireError> {
         let mut uplink = self.uplink.lock();
-        if let Some(link) = &uplink.link {
-            return Ok(link.clone());
+        if let Some(link) = uplink.link.as_ref() {
+            if link.open.load(Ordering::Relaxed) {
+                return Ok(link.clone());
+            }
         }
         if uplink.closed {
             return Err(CLOSED);
@@ -343,10 +521,8 @@ impl Inner {
         let link = Arc::new(Link {
             stream,
             writer: Mutex::new(()),
-            pending: Mutex::new(PendingCalls {
-                open: true,
-                calls: HashMap::new(),
-            }),
+            open: AtomicBool::new(true),
+            pending: Mutex::new(HashMap::new()),
             timers: self.timers.clone(),
             late_replies: self.late_replies.clone(),
         });
@@ -363,17 +539,9 @@ impl Inner {
         Ok(link)
     }
 
-    /// Forgets `lost` so the next submit dials afresh.
-    fn retire(&self, lost: &Arc<Link>) {
-        let mut uplink = self.uplink.lock();
-        if uplink.link.as_ref().is_some_and(|l| Arc::ptr_eq(l, lost)) {
-            uplink.link = None;
-        }
-    }
-
-    /// One attempt: frame the payload under a fresh correlation id,
-    /// register it and write it. `done` runs exactly once.
-    fn attempt(&self, payload: &[u8], deadline: Deadline, mut done: Completion) {
+    /// One attempt and no retry: frame the payload under a fresh
+    /// correlation id, register it and write it. `done` runs exactly once.
+    fn send_once(&self, payload: &[u8], deadline: Deadline, done: Completion) {
         let corr = self.corr.fetch_add(1, Ordering::Relaxed);
         let bytes = match Frame::new(PadClass::Request, corr, payload.to_vec())
             .and_then(|frame| frame.encode())
@@ -381,35 +549,26 @@ impl Inner {
             Ok(bytes) => bytes,
             Err(e) => return done(Err(WireError::Frame(e))),
         };
-        // A connection found lost is replaced once; a second loss in a
-        // row is the attempt's failure.
-        for _ in 0..2 {
-            let link = match self.link(deadline) {
-                Ok(link) => link,
-                Err(e) => return done(Err(e)),
-            };
-            match link.register(corr, deadline, done) {
-                Ok(()) => return link.write_frame(&bytes),
-                Err(back) => {
-                    done = back;
-                    self.retire(&link);
-                }
-            }
+        let link = match self.link(deadline) {
+            Ok(link) => link,
+            Err(e) => return done(Err(e)),
+        };
+        match link.register(corr, deadline, done) {
+            Ok(()) => link.write_frame(&bytes),
+            // Lost since `link` looked: the attempt fails with it.
+            Err(done) => done(Err(WireError::Io {
+                phase: "connect",
+                kind: ErrorKind::ConnectionAborted,
+            })),
         }
-        done(Err(WireError::Io {
-            phase: "connect",
-            kind: ErrorKind::ConnectionAborted,
-        }));
     }
-}
 
-impl Drop for PooledClient {
     /// Closes the connection: what is pending fails as a connection
-    /// loss, a retry still waiting out its backoff will find the client
-    /// closed, and the reader threads are joined.
-    fn drop(&mut self) {
+    /// loss, an attempt made later finds the backend closed, and the
+    /// reader threads are joined.
+    fn close(&self) {
         let (link, readers) = {
-            let mut uplink = self.inner.uplink.lock();
+            let mut uplink = self.uplink.lock();
             uplink.closed = true;
             (uplink.link.take(), std::mem::take(&mut uplink.readers))
         };
@@ -426,10 +585,26 @@ impl Drop for PooledClient {
     }
 }
 
+/// A backend swapped out of its ring, or left by a dropped one, closes
+/// once the last attempt on it lets go.
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// Dropping a client closes its connection at once: what is pending on
+/// it fails as a connection loss.
+impl Drop for PooledClient {
+    fn drop(&mut self) {
+        self.conn.close();
+    }
+}
+
 impl std::fmt::Debug for PooledClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PooledClient")
-            .field("addr", &self.inner.addr)
+            .field("addr", &self.addr())
             .field("in_flight", &self.in_flight())
             .finish()
     }
@@ -455,90 +630,57 @@ impl PooledClient {
     }
 
     /// Creates a client whose expiries and retry delays run on `timers`
-    /// — the node's one deadline queue, shared by every backend of a
-    /// [`crate::SocketBalancer`].
+    /// — a deadline queue shared with other clients.
     pub fn with_timers(addr: SocketAddr, config: ClientConfig, timers: Arc<DeadlineQueue>) -> Self {
-        let backoff = RetryBackoff::new(config.retry_base, config.retry_cap, config.seed);
-        PooledClient {
-            inner: Arc::new(Inner {
-                addr,
-                config,
-                timers,
-                uplink: Mutex::new(Uplink {
-                    link: None,
-                    readers: Vec::new(),
-                    closed: false,
-                }),
-                backoff: Mutex::new(backoff),
-                corr: AtomicU64::new(1),
-                in_flight: AtomicUsize::new(0),
-                dials: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
-                deadline_clamps: AtomicU64::new(0),
-                late_replies: Arc::new(AtomicU64::new(0)),
-            }),
-        }
+        let conn = Conn::new(addr, timers.clone());
+        let ring = Ring::new(vec![conn.clone()], config, timers);
+        PooledClient { ring, conn }
     }
 
     /// The server address this client targets.
     pub fn addr(&self) -> SocketAddr {
-        self.inner.addr
+        self.conn.addr
     }
 
     /// Calls submitted and not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.inner.in_flight.load(Ordering::Relaxed)
+        self.ring.in_flight.load(Ordering::Relaxed)
     }
 
     /// Fresh connections opened after the first (reconnect count).
     pub fn reconnects(&self) -> u64 {
-        self.inner.dials.load(Ordering::Relaxed).saturating_sub(1)
+        self.conn.reconnects()
     }
 
-    /// Transport-level retry attempts performed after a failed first
-    /// attempt.
+    /// Attempts made after the first, over this client's calls.
     pub fn retries(&self) -> u64 {
-        self.inner.retries.load(Ordering::Relaxed)
+        self.ring.retries.load(Ordering::Relaxed)
     }
 
-    /// Calls that ran out of deadline budget inside this client —
-    /// before dialing, waiting for the reply, or before a retry's
-    /// backoff fitted.
+    /// Calls that ran out of deadline budget — before an attempt, while
+    /// waiting for its reply, or before a retry's backoff fitted.
     pub fn deadline_clamps(&self) -> u64 {
-        self.inner.deadline_clamps.load(Ordering::Relaxed)
+        self.ring.deadline_clamps.load(Ordering::Relaxed)
     }
 
     /// Replies that arrived after their call had expired and were
     /// dropped.
     pub fn late_replies(&self) -> u64 {
-        self.inner.late_replies.load(Ordering::Relaxed)
+        self.conn.late_replies()
     }
 
     /// Sends `payload` in a `Request`-class frame and returns; `done`
     /// runs once with the matching response, a server-reported failure
     /// ([`WireError::Remote`]), [`WireError::Deadline`] when the budget
     /// runs out (within scheduling delay of `deadline`, however silent
-    /// the peer), or the last transport error when retries over fresh
-    /// connections are exhausted.
+    /// the peer), or the last transport error when the retries are spent.
     pub fn submit(
         &self,
         payload: Arc<[u8]>,
         deadline: Deadline,
         done: impl FnOnce(CallResult) + Send + 'static,
     ) {
-        let client = self.inner.clone();
-        client.in_flight.fetch_add(1, Ordering::Relaxed);
-        Call {
-            client: client.clone(),
-            payload,
-            deadline,
-            attempt: 0,
-            done: Box::new(move |result| {
-                client.in_flight.fetch_sub(1, Ordering::Relaxed);
-                done(result);
-            }),
-        }
-        .start();
+        self.ring.submit(Some(0), Plain, payload, deadline, done);
     }
 
     /// [`PooledClient::submit`], waiting for the completion.

@@ -26,7 +26,7 @@
 //! request chain is never linkable end-to-end by transport metadata:
 //! the only joinable state crosses the shuffle buffer, where ordering
 //! is randomized (§4.3). While an instance is down, survivors carry
-//! the load: the balancers fail over around the dead address and an
+//! the load: a call's retry goes to the next slot of its ring, and an
 //! overloaded survivor answers `busy` through its admission gate.
 //!
 //! This file sits on the *user side* of the privacy boundary — it hands
@@ -310,18 +310,22 @@ impl Tier {
     }
 
     /// `callers` rings into this tier, one for each node that calls it.
-    /// The wire client's tuning derives from the chain's resilience
-    /// policy so one knob set governs both.
+    /// The rings' retry loop takes its knobs from the chain's resilience
+    /// policy, so one knob set governs every hop; each ring draws its own
+    /// jitter.
     fn rings(&self, callers: usize) -> Vec<Arc<SocketBalancer>> {
-        let (addrs, resilience) = (self.addr_list(), &self.env.config.resilience);
-        let client = ClientConfig {
-            max_retries: resilience.max_retries,
-            retry_base: resilience.retry_base,
-            retry_cap: resilience.retry_cap,
-            seed: 0x5eed_c0de,
-        };
+        let (addrs, config) = (self.addr_list(), &self.env.config);
+        let resilience = &config.resilience;
         (0..callers)
-            .map(|_| Arc::new(SocketBalancer::new(&addrs, client.clone())))
+            .map(|caller| {
+                let client = ClientConfig {
+                    max_retries: resilience.max_retries,
+                    retry_base: resilience.retry_base,
+                    retry_cap: resilience.retry_cap,
+                    seed: config.seed ^ (0x5eed_c0de + caller as u64),
+                };
+                Arc::new(SocketBalancer::new(&addrs, client))
+            })
             .collect()
     }
 
@@ -455,7 +459,6 @@ impl LoopbackCluster {
                 },
                 config.resilience.clone(),
                 env.telemetry.clone(),
-                config.seed ^ (0x1a10 + index as u64),
             ));
             breakers.lock().insert(index, service.breaker());
             Ok(service as Arc<dyn Service>)
@@ -672,11 +675,6 @@ impl LoopbackCluster {
         }
     }
 
-    /// Calls retried on another UA instance by the front door.
-    pub fn frontend_failovers(&self) -> u64 {
-        self.ua.upstream[0].failovers()
-    }
-
     /// Instances the supervisor has recovered (0 without a supervisor).
     pub fn respawns(&self) -> u64 {
         self.respawn_events().len() as u64
@@ -743,7 +741,7 @@ impl LoopbackCluster {
     }
 
     /// Kills one IA instance mid-run (drains its socket, keeps the rest
-    /// of the chain up) — the reconnect/failover path's test hook.
+    /// of the chain up) — the reconnect/retry path's test hook.
     ///
     /// # Panics
     ///

@@ -23,14 +23,14 @@
 //!   request answers through it. Graceful drain on shutdown.
 //! * [`client`] — a pipelined client: one connection per backend, a
 //!   reader thread matching replies to pending calls by correlation id,
-//!   continuation-style `submit` with per-call deadlines and
-//!   decorrelated-jitter retry ([`pprox_core::resilience::RetryBackoff`]),
-//!   and a blocking `call` on top.
+//!   continuation-style `submit` with per-call deadlines, the one retry
+//!   loop (at most `1 + max_retries` wire attempts per call, jittered by
+//!   [`pprox_core::resilience::RetryBackoff`]) and a blocking `call`.
 //! * [`timers`] — the node's deadline queue: the one thread that expires
 //!   pending calls and runs retry delays, so nothing on the serving path
 //!   sleeps.
-//! * [`balancer`] — round-robin selection over real sockets with
-//!   ring-order failover. (Crate graph: `wire` → `core`, `lrs`, `sgx`,
+//! * [`balancer`] — round-robin selection over real sockets; a retry goes
+//!   to the next slot. (Crate graph: `wire` → `core`, `lrs`, `sgx`,
 //!   `crypto`, `json`; `pprox-net` is used by `bench` and `attack` only.)
 //! * [`audit`] — ground-truth departure logging for the traffic-analysis
 //!   audit (`pprox-scenario`): off by default, fingerprint + timing only.

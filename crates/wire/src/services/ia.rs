@@ -2,29 +2,26 @@
 //!
 //! Receives [`LayerEnvelope`] frames from UA instances, runs the IA
 //! enclave ECALLs, and talks to the LRS tier over the wire through a
-//! [`SocketBalancer`] under the full §5 resilience policy — circuit
-//! breaker, per-attempt timeouts clamped to the request deadline, and
-//! decorrelated-jitter retries ([`LrsCall`], the one implementation).
+//! [`SocketBalancer`] under the §5 resilience policy: the wire client's
+//! one retry loop, handed what only the IA knows ([`LrsPolicy`]).
 //!
 //! No thread waits — not for the LRS, not for the enclave. A server
 //! worker takes a turn at the enclave ([`Turns`]: if another thread is
 //! in it, the ECALL is left for that thread to run next), runs the
-//! request-side ECALL, submits the LRS exchange and takes the next job;
-//! the exchange's completion — on the LRS connection's reader thread, or
-//! on the node's deadline queue when the attempt timed out — applies the
-//! policy (record the outcome on the breaker, schedule the next attempt
-//! on the deadline queue after its backoff, or finish), and the final
-//! completion takes a turn for the response-side ECALL, ahead of
-//! requests not yet started, and answers through the request's
-//! [`Reply`]. A sharded read is history → parallel scatter → gather on a
-//! countdown → merge, each step the completion of the one before.
+//! request-side ECALL, submits the LRS exchange and takes the next job.
+//! The exchange's completion — on the LRS connection's reader thread, or
+//! on the node's deadline queue when the attempt timed out — takes a
+//! turn for the response-side ECALL, ahead of requests not yet started,
+//! and answers through the request's [`Reply`]. A sharded read is
+//! history → parallel scatter → gather on a countdown → merge, each step
+//! the completion of the one before.
 //!
 //! This file never names a user-side API: the user id it handles is
 //! already a pseudonym inside the envelope, and the privacy-flow
 //! analyzer (R3) enforces that lexically.
 
 use crate::balancer::SocketBalancer;
-use crate::client::CallResult;
+use crate::client::{CallResult, Policy, Verdict};
 use crate::router::ShardRouter;
 use crate::server::{Reply, Service};
 use crate::services::lrs::{decode_response, encode_request};
@@ -33,7 +30,7 @@ use crate::{WireError, WireStatus};
 use parking_lot::Mutex;
 use pprox_core::ia::{IaOptions, IaState, PendingToken};
 use pprox_core::message::{LayerEnvelope, Op};
-use pprox_core::resilience::{CircuitBreaker, Deadline, ResilienceConfig, RetryBackoff};
+use pprox_core::resilience::{CircuitBreaker, Deadline, ResilienceConfig};
 use pprox_core::telemetry::{Stage, Telemetry};
 use pprox_lrs::api::{RecommendationList, RecommendationQuery, EVENTS_PATH, QUERIES_PATH};
 use pprox_lrs::shard::{
@@ -42,9 +39,8 @@ use pprox_lrs::shard::{
 };
 use pprox_lrs::{HttpRequest, HttpResponse};
 use pprox_sgx::Enclave;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// History entries a sharded read fetches from the owner shard. Chosen
 /// so the `/shard/score` request (16 × 44-char pseudonyms + wrapper,
@@ -57,17 +53,6 @@ pub const WIRE_HISTORY_LIMIT: usize = 16;
 /// JSON string escaping of the body's quotes (~2 bytes per history
 /// item). 900 keeps comfortable margin.
 const SCORE_BODY_BUDGET: usize = 900;
-
-/// Which LRS backend a wire exchange may use.
-#[derive(Debug, Clone, Copy)]
-enum LrsTarget {
-    /// Any backend, with ring-order failover (the unsharded tier is a
-    /// set of replicas — every backend serves every key).
-    Any,
-    /// Exactly this balancer slot, no failover (the sharded tier is a
-    /// partition — a sibling cannot answer for the owner).
-    Shard(usize),
-}
 
 /// Outcome of one resilient LRS exchange.
 type LrsResult = Result<HttpResponse, WireStatus>;
@@ -86,9 +71,8 @@ struct IaNode {
     router: Option<Arc<ShardRouter>>,
     options: IaOptions,
     breaker: Arc<CircuitBreaker>,
-    resilience: ResilienceConfig,
+    lrs_timeout: Duration,
     telemetry: Arc<Telemetry>,
-    backoff_salt: AtomicU64,
 }
 
 impl IaWireService {
@@ -100,6 +84,9 @@ impl IaWireService {
     /// shard's balancer slot, reads scatter-gather across all slots. The
     /// router is shared across IA instances so its per-shard aggregates
     /// cover the whole tier.
+    ///
+    /// `resilience` sets the breaker and the per-attempt timeout; the
+    /// retry knobs are the `lrs` ring's, copied from the same policy.
     pub fn new(
         enclave: Arc<Enclave<IaState>>,
         lrs: Arc<SocketBalancer>,
@@ -107,7 +94,6 @@ impl IaWireService {
         options: IaOptions,
         resilience: ResilienceConfig,
         telemetry: Arc<Telemetry>,
-        seed: u64,
     ) -> Self {
         IaWireService {
             node: Arc::new(IaNode {
@@ -117,9 +103,8 @@ impl IaWireService {
                 router,
                 options,
                 breaker: Arc::new(CircuitBreaker::from_config(&resilience)),
-                resilience,
+                lrs_timeout: resilience.lrs_timeout,
                 telemetry,
-                backoff_salt: AtomicU64::new(seed | 1),
             }),
         }
     }
@@ -131,100 +116,48 @@ impl IaWireService {
     }
 }
 
-/// One resilient HTTP exchange with the LRS tier across its attempts.
-///
-/// Per-attempt budget is `lrs_timeout` clamped to the remaining
-/// deadline; 5xx answers and transport failures trip the breaker and
-/// retry with decorrelated-jitter backoff; 2xx/4xx are definitive.
-struct LrsCall {
-    node: Arc<IaNode>,
-    payload: Arc<[u8]>,
-    deadline: Deadline,
-    target: LrsTarget,
-    backoff: RetryBackoff,
-    attempts: u32,
-    started: Instant,
-    done: Box<dyn FnOnce(LrsResult) + Send>,
-}
+/// What only the IA knows about an LRS exchange: the breaker gates and
+/// hears every attempt, an attempt gets `lrs_timeout` of what is left, and
+/// a 5xx or an undecodable body is worth another attempt (2xx/4xx are not).
+struct LrsPolicy(Arc<IaNode>);
 
-impl LrsCall {
-    fn attempt(self) {
-        let Some(remaining) = self.deadline.remaining() else {
-            return self.finish(Err(WireStatus::Deadline));
-        };
-        if !self.node.breaker.try_acquire() {
-            return self.finish(Err(WireStatus::Unavailable));
-        }
-        let per_try = Deadline::starting_now(self.node.resilience.lrs_timeout.min(remaining));
-        let attempt_started = Instant::now();
-        let (node, payload, target) = (self.node.clone(), self.payload.clone(), self.target);
-        let done = move |outcome| self.attempted(attempt_started, outcome);
-        match target {
-            LrsTarget::Any => node.lrs.submit(payload, per_try, done),
-            // Pinned: retries re-dial the same slot, which the supervisor
-            // refreshes on respawn — but never a sibling shard.
-            LrsTarget::Shard(slot) => node.lrs.submit_to(slot, payload, per_try, done),
+impl Policy for LrsPolicy {
+    type Outcome = LrsResult;
+
+    const EXPIRED: LrsResult = Err(WireStatus::Deadline);
+
+    fn admit(&self) -> Result<(), LrsResult> {
+        if self.0.breaker.try_acquire() {
+            Ok(())
+        } else {
+            Err(Err(WireStatus::Unavailable))
         }
     }
 
-    /// Completion of one attempt: a definitive answer finishes the
-    /// exchange, a failure is recorded on the breaker and retried after
-    /// its backoff — scheduled on the deadline queue, not slept.
-    fn attempted(mut self, attempt_started: Instant, outcome: CallResult) {
-        self.node.telemetry.record_duration(
-            Stage::LrsAttempt,
-            attempt_started.elapsed().as_micros() as u64,
-        );
-        self.attempts += 1;
-        let breaker = &self.node.breaker;
-        let failure = match outcome {
+    fn attempt_deadline(&self, call: Deadline) -> Deadline {
+        Deadline::starting_now(call.clamp(self.0.lrs_timeout))
+    }
+
+    fn judge(&self, started: Instant, outcome: CallResult) -> Verdict<LrsResult> {
+        let node = &self.0;
+        node.telemetry
+            .record_duration(Stage::LrsAttempt, started.elapsed().as_micros() as u64);
+        let verdict = match outcome {
             Ok(bytes) => match decode_response(&bytes) {
-                Some(resp) if resp.status >= 500 => {
-                    breaker.record_failure();
-                    WireStatus::Failed
-                }
-                Some(resp) => {
-                    // Success or a definitive 4xx: the backend
-                    // answered — no retry.
-                    breaker.record_success();
-                    return self.finish(Ok(resp));
-                }
-                None => {
-                    breaker.record_failure();
-                    WireStatus::Malformed
-                }
+                Some(resp) if resp.status < 500 => Verdict::Done(Ok(resp)),
+                Some(_) => Verdict::Retry(Err(WireStatus::Failed)),
+                None => Verdict::Retry(Err(WireStatus::Malformed)),
             },
-            Err(WireError::Deadline) => {
-                breaker.record_failure();
-                WireStatus::Deadline
-            }
-            Err(e) if e.retryable() => {
-                breaker.record_failure();
-                WireStatus::Unavailable
-            }
-            Err(_) => {
-                breaker.record_failure();
-                return self.finish(Err(WireStatus::Failed));
-            }
+            Err(WireError::Deadline) => Verdict::Retry(Err(WireStatus::Deadline)),
+            Err(e) if e.retryable() => Verdict::Retry(Err(WireStatus::Unavailable)),
+            Err(_) => Verdict::Done(Err(WireStatus::Failed)),
         };
-        if self.attempts > self.node.resilience.max_retries {
-            return self.finish(Err(failure));
+        if matches!(verdict, Verdict::Done(Ok(_))) {
+            node.breaker.record_success();
+        } else {
+            node.breaker.record_failure();
         }
-        let delay = self.backoff.next_delay();
-        match self.deadline.remaining() {
-            Some(remaining) if remaining > delay => {
-                let node = self.node.clone();
-                node.lrs.after(delay, move || self.attempt());
-            }
-            _ => self.finish(Err(WireStatus::Deadline)),
-        }
-    }
-
-    fn finish(self, result: LrsResult) {
-        self.node
-            .telemetry
-            .record_duration(Stage::Lrs, self.started.elapsed().as_micros() as u64);
-        (self.done)(result);
+        verdict
     }
 }
 
@@ -276,27 +209,24 @@ impl Gather {
 
 impl IaNode {
     /// Starts one resilient exchange with the LRS tier; `done` runs once
-    /// with its outcome.
+    /// with its outcome. `shard` pins every attempt to the owner's slot (a
+    /// sibling cannot answer for a partition); `None` uses any replica.
     fn call_lrs(
         self: &Arc<Self>,
         request: &HttpRequest,
         deadline: Deadline,
-        target: LrsTarget,
+        shard: Option<usize>,
         done: impl FnOnce(LrsResult) + Send + 'static,
     ) {
-        let cfg = &self.resilience;
-        let salt = self.backoff_salt.fetch_add(0x9e37_79b9, Ordering::Relaxed);
-        LrsCall {
-            node: self.clone(),
-            payload: encode_request(request).into(),
-            deadline,
-            target,
-            backoff: RetryBackoff::new(cfg.retry_base, cfg.retry_cap, salt),
-            attempts: 0,
-            started: Instant::now(),
-            done: Box::new(done),
-        }
-        .attempt();
+        let (telemetry, started) = (self.telemetry.clone(), Instant::now());
+        let payload = encode_request(request).into();
+        let policy = LrsPolicy(self.clone());
+        self.lrs
+            .ring
+            .submit(shard, policy, payload, deadline, move |result| {
+                telemetry.record_duration(Stage::Lrs, started.elapsed().as_micros() as u64);
+                done(result)
+            });
     }
 
     fn post(self: &Arc<Self>, envelope: &LayerEnvelope, deadline: Deadline, reply: Reply) {
@@ -313,12 +243,9 @@ impl IaNode {
         };
         self.telemetry
             .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
-        let target = match &self.router {
-            Some(router) => LrsTarget::Shard(router.route(&event.user)),
-            None => LrsTarget::Any,
-        };
+        let shard = self.router.as_ref().map(|router| router.route(&event.user));
         let request = HttpRequest::post(EVENTS_PATH, event.to_json());
-        self.call_lrs(&request, deadline, target, move |result| {
+        self.call_lrs(&request, deadline, shard, move |result| {
             finish_post(reply, result)
         });
     }
@@ -342,7 +269,7 @@ impl IaNode {
         match &self.router {
             None => {
                 let request = HttpRequest::post(QUERIES_PATH, query.to_json());
-                self.call_lrs(&request, deadline, LrsTarget::Any, move |result| {
+                self.call_lrs(&request, deadline, None, move |result| {
                     let list = success_body(result).and_then(|body| {
                         RecommendationList::from_json(&body).ok_or(WireStatus::Malformed)
                     });
@@ -358,7 +285,7 @@ impl IaNode {
                     HISTORY_PATH,
                     history_request_body(&query.user, Some(WIRE_HISTORY_LIMIT)),
                 );
-                let owner = LrsTarget::Shard(router.route(&query.user));
+                let owner = Some(router.route(&query.user));
                 let shards = router.num_shards();
                 self.call_lrs(&request, deadline, owner, move |result| {
                     node.on_history(result, &query, shards, token, deadline, reply);
@@ -399,7 +326,7 @@ impl IaNode {
         });
         for slot in 0..shards {
             let gather = gather.clone();
-            self.call_lrs(&request, deadline, LrsTarget::Shard(slot), move |result| {
+            self.call_lrs(&request, deadline, Some(slot), move |result| {
                 gather.on_score(slot, result)
             });
         }

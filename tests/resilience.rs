@@ -6,25 +6,38 @@
 //! (bounded by the deadline budget), flapping backends (circuit breaker
 //! opens, sheds, and recovers), enclave crashes (supervised respawn with
 //! re-provisioning), and a randomized everything-at-once stress schedule.
+//! The retry drills count wire attempts: a call makes at most
+//! `1 + max_retries` of them on a balancer's ring and on the IA's LRS
+//! exchange, whatever the ring size, and a retry reaches an instance
+//! readmitted to the ring meanwhile.
 
 mod common;
 
 use common::concurrently;
 use pprox::core::config::PProxConfig;
-use pprox::core::keys::IA_CODE_IDENTITY;
-use pprox::core::resilience::{BreakerState, Deadline};
+use pprox::core::ia::{IaOptions, IaState};
+use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY};
+use pprox::core::message::{LayerEnvelope, Op};
+use pprox::core::resilience::{BreakerState, CircuitBreaker, Deadline, ResilienceConfig};
 use pprox::core::shuffler::ShuffleConfig;
+use pprox::core::telemetry::Telemetry;
 use pprox::core::{PProxDeployment, PProxError, UserClient};
+use pprox::crypto::rng::SecureRng;
 use pprox::lrs::chaos::{ChaosEntry, ChaosLrs, ChaosSchedule, Fault};
 use pprox::lrs::shard::ShardEngine;
 use pprox::lrs::stub::StubLrs;
 use pprox::lrs::RestHandler;
 use pprox::scenario::test_seed;
-use pprox::sgx::Measurement;
-use pprox::wire::{ClusterConfig, LoopbackCluster};
+use pprox::sgx::{Measurement, Platform};
+use pprox::wire::services::IaWireService;
+use pprox::wire::{
+    ClientConfig, ClusterConfig, FrameHandler, LoopbackCluster, NodeMetrics, PooledClient,
+    ServerConfig, SocketBalancer, WireError, WireServer, WireStatus,
+};
 use proptest::prelude::*;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn test_config() -> PProxConfig {
@@ -66,6 +79,196 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     while !done() {
         assert!(Instant::now() < end, "timed out waiting until {what}");
         std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A backend answering every request `Ok` (echo) or `busy`, counting
+/// the requests that reach it.
+struct Counting {
+    hits: Arc<AtomicUsize>,
+    busy: bool,
+}
+
+impl FrameHandler for Counting {
+    fn handle(&self, payload: Vec<u8>, _deadline: Deadline) -> Result<Vec<u8>, WireStatus> {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        if self.busy {
+            Err(WireStatus::Busy)
+        } else {
+            Ok(payload)
+        }
+    }
+}
+
+/// `n` servers sharing one hit counter.
+fn counting_servers(n: usize, busy: bool) -> (Vec<WireServer>, Arc<AtomicUsize>) {
+    let hits = Arc::new(AtomicUsize::new(0));
+    let servers = (0..n)
+        .map(|_| {
+            let handler = Counting {
+                hits: hits.clone(),
+                busy,
+            };
+            WireServer::spawn(Arc::new(handler), ServerConfig::default()).unwrap()
+        })
+        .collect();
+    (servers, hits)
+}
+
+fn addrs(servers: &[WireServer]) -> Vec<SocketAddr> {
+    servers.iter().map(WireServer::local_addr).collect()
+}
+
+/// An address nothing listens on: connecting to it is refused.
+fn closed_port() -> SocketAddr {
+    TcpListener::bind(("127.0.0.1", 0))
+        .unwrap()
+        .local_addr()
+        .unwrap()
+}
+
+#[test]
+fn a_call_makes_one_plus_max_retries_attempts_whatever_the_ring_size() {
+    let config = ClientConfig::default();
+    let attempts = 1 + config.max_retries as usize;
+    for n in [1, 4] {
+        let (servers, hits) = counting_servers(n, true);
+        let ring = SocketBalancer::new(&addrs(&servers), config.clone());
+        let outcome = ring.call(b"x", budget());
+        assert_eq!(outcome, Err(WireError::Remote(WireStatus::Busy)));
+        assert_eq!(hits.load(Ordering::Relaxed), attempts, "{n} backends");
+        assert_eq!(ring.client_stats().retries, u64::from(config.max_retries));
+    }
+    // No retries: a call that starts on a dead slot fails there, without
+    // trying the live one.
+    let (live, hits) = counting_servers(1, true);
+    let ring = SocketBalancer::new(
+        &[closed_port(), live[0].local_addr()],
+        ClientConfig {
+            max_retries: 0,
+            ..ClientConfig::default()
+        },
+    );
+    let outcome = ring.call(b"x", budget());
+    assert!(matches!(outcome, Err(WireError::Io { .. })), "{outcome:?}");
+    assert_eq!(hits.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn a_retry_reaches_an_instance_readmitted_meanwhile() {
+    let (servers, hits) = counting_servers(2, false);
+    let pause = Duration::from_millis(200);
+    let ring = SocketBalancer::new(
+        &[servers[0].local_addr(), closed_port()],
+        ClientConfig {
+            retry_base: pause,
+            retry_cap: pause,
+            ..ClientConfig::default()
+        },
+    );
+    let (tx, rx) = mpsc::channel();
+    ring.submit_to(1, Arc::from(&b"pinned"[..]), budget(), move |result| {
+        let _ = tx.send(result);
+    });
+    // The first attempt's connect was refused before `submit_to`
+    // returned; its retry waits out the pause, and finds slot 1 readmitted.
+    ring.replace_backend(1, servers[1].local_addr());
+    let outcome = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(outcome, Ok(b"pinned".to_vec()));
+    assert_eq!(hits.load(Ordering::Relaxed), 1);
+}
+
+/// An IA node with encryption off over an LRS ring of `lrs`, served on a
+/// socket of its own, with its breaker and the hub that scrapes its ring.
+fn ia_node(
+    platform: &Platform,
+    provisioner: &KeyProvisioner,
+    lrs: &[SocketAddr],
+    resilience: &ResilienceConfig,
+) -> (WireServer, Arc<CircuitBreaker>, NodeMetrics) {
+    let enclave = platform.load_enclave::<IaState>(IA_CODE_IDENTITY);
+    provisioner.provision_ia(platform, &enclave).unwrap();
+    // As the cluster's rings do: the retry knobs are the chain's policy.
+    let ring = Arc::new(SocketBalancer::new(
+        lrs,
+        ClientConfig {
+            max_retries: resilience.max_retries,
+            retry_base: resilience.retry_base,
+            retry_cap: resilience.retry_cap,
+            ..ClientConfig::default()
+        },
+    ));
+    let hub = NodeMetrics::new("ia", 0, 1);
+    hub.attach_uplink(ring.clone());
+    let options = IaOptions {
+        encryption: false,
+        item_pseudonymization: false,
+    };
+    let telemetry = Arc::new(Telemetry::new());
+    let service = IaWireService::new(enclave, ring, None, options, resilience.clone(), telemetry);
+    let breaker = service.breaker();
+    let server = WireServer::spawn(Arc::new(service), ServerConfig::default()).unwrap();
+    (server, breaker, hub)
+}
+
+#[test]
+fn an_lrs_exchange_makes_one_plus_max_retries_attempts() {
+    let mut rng = SecureRng::from_seed(26);
+    let platform = Platform::new(&mut rng);
+    let provisioner = KeyProvisioner::generate(768, &mut rng);
+    let resilience = ResilienceConfig {
+        // Opens on the exchange's last failure if, and only if, each
+        // attempt records exactly one.
+        breaker_failure_threshold: 3,
+        ..ResilienceConfig::default()
+    };
+    let attempts = 1 + resilience.max_retries as usize;
+    let post = LayerEnvelope {
+        op: Op::Post,
+        user_pseudonym: b"u".to_vec(),
+        aux: br#"{"i":"film"}"#.to_vec(),
+    }
+    .to_frame()
+    .unwrap();
+    for n in [1, 4] {
+        for busy in [true, false] {
+            let case = format!(
+                "{n} LRS slots that {}",
+                if busy { "shed" } else { "refuse" }
+            );
+            let (servers, hits) = counting_servers(if busy { n } else { 0 }, true);
+            let lrs: Vec<SocketAddr> = if busy {
+                addrs(&servers)
+            } else {
+                (0..n).map(|_| closed_port()).collect()
+            };
+            let (ia, breaker, hub) = ia_node(&platform, &provisioner, &lrs, &resilience);
+            let client = PooledClient::new(
+                ia.local_addr(),
+                ClientConfig {
+                    max_retries: 0,
+                    ..ClientConfig::default()
+                },
+            );
+            let outcome = client.call(&post, budget());
+            assert_eq!(
+                outcome,
+                Err(WireError::Remote(WireStatus::Unavailable)),
+                "{case}"
+            );
+            if busy {
+                assert_eq!(hits.load(Ordering::Relaxed), attempts, "{case}");
+            }
+            let scrape = hub.snapshot_json();
+            let retries = scrape.get("client").and_then(|c| c.get("retries"));
+            assert_eq!(
+                retries.and_then(|r| r.as_u64()),
+                Some(resilience.max_retries.into()),
+                "{case}"
+            );
+            assert_eq!(breaker.times_opened(), 1, "{case}");
+            assert_eq!(breaker.rejected(), 0, "{case}");
+        }
     }
 }
 
