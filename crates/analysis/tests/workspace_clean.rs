@@ -290,6 +290,30 @@ fn seeded_panic_on_real_request_path_is_caught() {
 }
 
 #[test]
+fn seeded_panic_in_the_ia_pass_entry_is_caught() {
+    // R13: the IA's reader-pass entry is a request root of its own —
+    // nothing in ia.rs calls it — so an unwrap planted in it must fire.
+    let path = workspace_root().join("crates/wire/src/services/ia.rs");
+    let original = std::fs::read_to_string(&path).expect("read wire ia service");
+    let entry = "fn serve_pass(&self, pass: Vec<(Vec<u8>, Reply)>) {";
+    let seeded = original.replace(
+        entry,
+        &format!("{entry}\n        let _first = pass.first().unwrap();"),
+    );
+    assert_ne!(seeded, original, "the pass entry should exist");
+    for (source, planted) in [(&original, false), (&seeded, true)] {
+        let parsed = parse_source("crates/wire/src/services/ia.rs", source);
+        let global = analyze_global(std::slice::from_ref(&parsed), None);
+        let fired = global
+            .report
+            .findings
+            .iter()
+            .any(|f| f.rule == "R13" && f.message.contains("`serve_pass`"));
+        assert_eq!(fired, planted, "{:#?}", global.report.findings);
+    }
+}
+
+#[test]
 fn members_are_scanned_or_exempt() {
     // The scan set is derived from the workspace manifest: a new crate
     // lands in the analyzer's jurisdiction the moment it joins the

@@ -18,14 +18,17 @@
 //! the big-integer arithmetic below are implemented from scratch and
 //! validated against FIPS/NIST/RFC test vectors.
 //!
-//! Everything is portable scalar Rust except two kernels, each chosen by
-//! what the CPU reports and never by a flag, each giving the same bytes
-//! as the portable code it stands in for:
+//! Everything is portable scalar Rust except two kernel families, each
+//! chosen by what the CPU reports and never by a flag, each giving the
+//! same bytes as the portable code it stands in for:
 //!
 //! * on x86-64 CPUs that report AVX-512 IFMA, the RSA-2048 private-key
 //!   operation — the cost the paper's §4.1 dissection puts on every
-//!   request, twice — runs its two CRT ladders on radix-2⁵² vector
-//!   multiply-adds (`mont52.rs`, private; the key size picks it too);
+//!   request, twice — runs its CRT ladders on radix-2⁵² vector
+//!   multiply-adds (`mont52.rs`, private; the key size picks it too): a
+//!   decrypt's two ladders in lockstep, or, for a group
+//!   ([`rsa::RsaPrivateKey::decrypt_group`]) of four or more, four
+//!   decrypts' eight ladders in the lanes of one;
 //! * on x86-64 CPUs that report `aes`, the CTR keystream under every
 //!   [`ctr::SymmetricKey`] operation runs its AES-256 rounds on
 //!   `aesenc`/`aesenclast`, eight counter blocks in flight (in [`aes`]),
@@ -37,9 +40,10 @@
 //! The crate is `#![deny(unsafe_code)]` with exactly two
 //! `#[allow(unsafe_code)]`, each on one call into a `#[target_feature]`
 //! kernel, directly under the `is_x86_feature_detected!` check that is its
-//! whole safety argument: [`rsa::RsaPrivateKey::raw_decrypt`]'s dispatch
-//! into the `avx512f,avx512ifma` ladder, and the keystream dispatch in
-//! [`ctr`] into the `aes` rounds. The kernels themselves are safe code
+//! whole safety argument: the private-key dispatch in [`rsa`] into the
+//! `avx512f,avx512ifma` ladders (the pair or the lanes, picked inside by
+//! the group's size), and the keystream dispatch in [`ctr`] into the
+//! `aes` rounds. The kernels themselves are safe code
 //! (value intrinsics, no pointers). `scripts/ci.sh` greps that these stay
 //! the only two `unsafe` sites in the workspace.
 //!

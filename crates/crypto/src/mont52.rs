@@ -1,14 +1,16 @@
-//! RSA-CRT's two private-key ladders on AVX-512 IFMA, in lockstep.
+//! RSA-CRT's private-key ladders on AVX-512 IFMA: one decrypt's two
+//! ladders in lockstep, or four decrypts' eight ladders in the lanes.
 //!
 //! The scalar kernels in [`crate::bigint`] are at their floor (~1.5
 //! cycles per 64-bit limb multiply); what is left is the CPU's 52-bit
 //! integer fused multiply-add (`vpmadd52luq`/`vpmadd52huq`), eight lanes
 //! per instruction. This module is the one kernel family built on it, and
-//! it serves one caller: [`crate::rsa::RsaPrivateKey::raw_decrypt`] on
-//! keys whose CRT primes are 16 limbs (RSA-2048), on a CPU that reports
-//! `avx512f` and `avx512ifma`. Everything else — other key sizes, other
-//! CPUs, the public operation — stays on the scalar kernels, which are
-//! also the oracle this one is tested against.
+//! it serves one caller: the private-key dispatch
+//! ([`crate::rsa::RsaPrivateKey`]'s `crt_ladders`, under `decrypt` and
+//! `decrypt_group`) on keys whose CRT primes are 16 limbs (RSA-2048), on
+//! a CPU that reports `avx512f` and `avx512ifma`. Everything else — other
+//! key sizes, other CPUs, the public operation — stays on the scalar
+//! kernels, which are also the oracle these are tested against.
 //!
 //! # Layout
 //!
@@ -49,13 +51,31 @@
 //! zero-window skip. The table *index* is still exponent-dependent, as on
 //! the scalar path.
 //!
+//! # Why eight lanes for a group
+//!
+//! The pair is still one operand spread across the lanes: 20 digits
+//! padded to 24, and a digit-serial chain that the two ladders only
+//! half fill. When several ciphertexts wait together — the IA opens the
+//! `k_u` blocks of a shuffled batch as one group — the lanes can carry
+//! whole ladders instead ([`CrtLadders::pow_all`]): digit `j` of eight
+//! operands sits in one vector, lanes 0–3 run four decrypts' `p` ladders
+//! and lanes 4–7 the same four's `q` ladders (`amm_lanes`). Nothing
+//! crosses lanes, no lane is padding, and each round's `y` is one
+//! multiply for all eight, so the core's multiplier stays busy: a pass
+//! costs about three pair ladders and opens four. The exponents are the
+//! key's own `dp` and `dq`, the same in every lane of a half, so a window
+//! is one table index per half and one blend — the ladders stay in
+//! lockstep, with the same exponent-dependent index as the pair. A pass
+//! is all or nothing, so fewer than [`GROUP`] decrypts run as pairs.
+//!
 //! # `unsafe`
 //!
 //! None here: inside a `#[target_feature]` function the value intrinsics
 //! are safe, and lanes enter and leave through `_mm512_set_epi64` and the
-//! extract intrinsics, so there are no pointer loads. This kernel's one
-//! `unsafe` block is the call into [`CrtLadders::pow_pair`] from code that
-//! is not compiled for these features, guarded by runtime detection.
+//! extract intrinsics, so there are no pointer loads. This module's one
+//! `unsafe` block is the call into [`CrtLadders::pow_all`] from code that
+//! is not compiled for these features, guarded by runtime detection;
+//! `pow_all` picks the lane or the pair kernel by how many bases are left.
 
 use crate::bigint::{reduce_once, window_of, BigUint, Montgomery, WINDOW_BITS};
 use std::arch::x86_64::*;
@@ -69,10 +89,19 @@ const LANES: usize = 24;
 /// 64-bit limbs of a modulus this kernel serves.
 const LIMBS: usize = 16;
 const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
+/// Decrypts per pass of the lane kernel: each takes a `p` lane and a `q`
+/// lane of the eight. Also its break-even: a pass costs about three pair
+/// ladders, so fewer than four decrypts are cheaper as pairs.
+const GROUP: usize = 4;
+/// The lanes of the `q` half.
+const Q_LANES: __mmask8 = 0xf0;
 
 /// One operand: 24 lanes in three vectors, lane 0 of `[0]` least
 /// significant.
 type Digits = [__m512i; 3];
+
+/// Eight operands, one per lane: `[j]` holds digit `j` of every lane.
+type LaneDigits = [__m512i; DIGITS];
 
 /// Per-modulus constants in radix 2⁵², derived once per key.
 #[derive(Clone)]
@@ -121,7 +150,12 @@ impl Modulus52 {
     /// A ladder's exit product (in `[0, n]`) as a value in `[0, n)`.
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn finish(&self, out: &Digits) -> BigUint {
-        let (mut limbs, top) = to_limbs(&store(out));
+        self.value(&store(out))
+    }
+
+    /// Normalised exit digits (a value in `[0, n]`) as a value in `[0, n)`.
+    fn value(&self, digits: &[u64; LANES]) -> BigUint {
+        let (mut limbs, top) = to_limbs(digits);
         reduce_once(&mut limbs, top, self.modulus.limbs());
         BigUint::from_limbs(limbs.to_vec())
     }
@@ -144,16 +178,33 @@ impl CrtLadders {
         })
     }
 
+    /// `(c^exp_p mod p, c^exp_q mod q)` for every `c` of `bases`, in
+    /// order: [`GROUP`] at a time on the eight-lane kernel while that many
+    /// are left, the rest on the lockstep pair. Values are identical to
+    /// two [`Montgomery::mod_pow`] calls per base, whichever kernel ran.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(crate) fn pow_all(
+        &self,
+        bases: &[&BigUint],
+        exp_p: &BigUint,
+        exp_q: &BigUint,
+    ) -> Vec<(BigUint, BigUint)> {
+        let mut out = Vec::with_capacity(bases.len());
+        let mut groups = bases.chunks_exact(GROUP);
+        for group in &mut groups {
+            out.extend(self.pow_lanes(group, exp_p, exp_q));
+        }
+        for base in groups.remainder() {
+            out.push(self.pow_pair(base, exp_p, exp_q));
+        }
+        out
+    }
+
     /// `(base^exp_p mod p, base^exp_q mod q)` with fixed
     /// [`WINDOW_BITS`]-bit windows, both ladders in one loop. Values are
     /// identical to two [`Montgomery::mod_pow`] calls.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(crate) fn pow_pair(
-        &self,
-        base: &BigUint,
-        exp_p: &BigUint,
-        exp_q: &BigUint,
-    ) -> (BigUint, BigUint) {
+    fn pow_pair(&self, base: &BigUint, exp_p: &BigUint, exp_q: &BigUint) -> (BigUint, BigUint) {
         let consts = [self.p.consts(), self.q.consts()];
         let mut one = [0u64; LANES];
         one[0] = 1;
@@ -187,6 +238,75 @@ impl CrtLadders {
         }
         let out = amm_pair(&acc, &one, &consts);
         (self.p.finish(&out[0]), self.q.finish(&out[1]))
+    }
+
+    /// The ladders of [`GROUP`] bases in one loop, one per lane: lane `k`
+    /// is `bases[k]^exp_p mod p` and lane `GROUP + k` is
+    /// `bases[k]^exp_q mod q`. The exponents are the same in every lane of
+    /// a half, so each window reads two table entries and one blend takes
+    /// the `q` lanes from the second.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn pow_lanes(
+        &self,
+        bases: &[&BigUint],
+        exp_p: &BigUint,
+        exp_q: &BigUint,
+    ) -> Vec<(BigUint, BigUint)> {
+        debug_assert_eq!(bases.len(), GROUP);
+        let m = self.lane_consts();
+        let mut rr = [self.p.rr; 2 * GROUP];
+        rr[GROUP..].fill(self.q.rr);
+        let rr = transpose(&rr);
+        let mut base = [[0u64; LANES]; 2 * GROUP];
+        for (k, c) in bases.iter().enumerate() {
+            base[k] = to_digits(c.rem(&self.p.modulus).limbs());
+            base[GROUP + k] = to_digits(c.rem(&self.q.modulus).limbs());
+        }
+        let base = transpose(&base);
+        let mut one = [_mm512_setzero_si512(); DIGITS];
+        one[0] = _mm512_set1_epi64(1);
+
+        // table[i] = baseⁱ in Montgomery form, lane by lane.
+        let mut table = [one; 1 << WINDOW_BITS];
+        table[0] = amm_lanes(&one, &rr, &m);
+        table[1] = amm_lanes(&base, &rr, &m);
+        for i in 2..(1 << WINDOW_BITS) {
+            table[i] = amm_lanes(&table[i - 1], &table[1], &m);
+        }
+        let entry = |w: usize| (&table[window_of(exp_p, w)], &table[window_of(exp_q, w)]);
+        let windows = exp_p
+            .bit_len()
+            .max(exp_q.bit_len())
+            .div_ceil(WINDOW_BITS)
+            .max(1);
+        let (p, q) = entry(windows - 1);
+        let mut acc = blend_halves(p, q);
+        for w in (0..windows - 1).rev() {
+            for _ in 0..WINDOW_BITS {
+                acc = amm_lanes(&acc, &acc, &m);
+            }
+            let (p, q) = entry(w);
+            acc = amm_lanes(&acc, &blend_halves(p, q), &m);
+        }
+        let out = untranspose(&amm_lanes(&acc, &one, &m));
+        (0..GROUP)
+            .map(|k| (self.p.value(&out[k]), self.q.value(&out[GROUP + k])))
+            .collect()
+    }
+
+    /// The lane kernel's view of both moduli: `p`'s in the first
+    /// [`GROUP`] lanes, `q`'s in the rest.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn lane_consts(&self) -> LaneConsts {
+        let mut n = [self.p.n; 2 * GROUP];
+        n[GROUP..].fill(self.q.n);
+        let (kp, kq) = (self.p.k0 as i64, self.q.k0 as i64);
+        LaneConsts {
+            n: transpose(&n),
+            k0: _mm512_set_epi64(kq, kq, kq, kq, kp, kp, kp, kp),
+            #[cfg(debug_assertions)]
+            twice_n: [self.p.modulus.shl(1), self.q.modulus.shl(1)],
+        }
     }
 }
 
@@ -308,6 +428,109 @@ fn normalize(r: Digits) -> Digits {
     out
 }
 
+/// What a lane product needs of the moduli, in registers.
+struct LaneConsts {
+    /// Digit `j` of `p` in the first [`GROUP`] lanes, of `q` in the rest.
+    n: LaneDigits,
+    /// `k0` of each lane's modulus.
+    k0: __m512i,
+    /// `2p` and `2q`, the bounds every product is checked against in
+    /// debug builds.
+    #[cfg(debug_assertions)]
+    twice_n: [BigUint; 2],
+}
+
+/// Eight almost-Montgomery products, one per lane: `a·b·R⁻¹ mod n` up to
+/// a multiple of `n`, `< 2n` for operands `< 2n`, digits normalised.
+///
+/// Vertical, so there is no cross-lane step: a round adds `a·bᵢ` and
+/// `n·yᵢ` digit by digit, each lane with its own `bᵢ` and `yᵢ`, and
+/// shifts the accumulator down one digit. A digit collects at most four
+/// addends of `< 2⁵²` per round over 21 rounds, so it stays below 2⁵⁹.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn amm_lanes(a: &LaneDigits, b: &LaneDigits, m: &LaneConsts) -> LaneDigits {
+    let zero = _mm512_setzero_si512();
+    let mut r = [zero; DIGITS + 1];
+    for &bi in b {
+        for j in 0..DIGITS {
+            r[j] = _mm512_madd52lo_epu64(r[j], a[j], bi);
+            r[j + 1] = _mm512_madd52hi_epu64(r[j + 1], a[j], bi);
+        }
+        // y = digit 0 · k0 mod 2⁵² makes digit 0 of r + n·y vanish.
+        let y = _mm512_madd52lo_epu64(zero, r[0], m.k0);
+        for j in 0..DIGITS {
+            r[j] = _mm512_madd52lo_epu64(r[j], m.n[j], y);
+            r[j + 1] = _mm512_madd52hi_epu64(r[j + 1], m.n[j], y);
+        }
+        // Divide by 2⁵²: digit 0's surplus moves into digit 1, then every
+        // digit moves down one.
+        r[1] = _mm512_add_epi64(r[1], _mm512_srli_epi64::<{ DIGIT_BITS as u32 }>(r[0]));
+        r.copy_within(1.., 0);
+        r[DIGITS] = zero;
+    }
+    // Carries ripple up digit by digit, all lanes at once.
+    let mask = _mm512_set1_epi64(DIGIT_MASK as i64);
+    let mut out = [zero; DIGITS];
+    let mut carry = zero;
+    for (o, &digit) in out.iter_mut().zip(&r) {
+        let sum = _mm512_add_epi64(digit, carry);
+        carry = _mm512_srli_epi64::<{ DIGIT_BITS as u32 }>(sum);
+        *o = _mm512_and_si512(sum, mask);
+    }
+    #[cfg(debug_assertions)]
+    for (k, lane) in untranspose(&out).iter().enumerate() {
+        let (limbs, top) = to_limbs(lane);
+        let mut value = limbs.to_vec();
+        value.push(top);
+        debug_assert!(
+            BigUint::from_limbs(value) < m.twice_n[k / GROUP],
+            "almost-Montgomery product left [0, 2n) in lane {k}"
+        );
+    }
+    out
+}
+
+/// The table entry of one window: lanes of the `p` half from `p`'s
+/// entry, lanes of the `q` half from `q`'s.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn blend_halves(p: &LaneDigits, q: &LaneDigits) -> LaneDigits {
+    let mut out = *p;
+    for (o, &q) in out.iter_mut().zip(q) {
+        *o = _mm512_mask_blend_epi64(Q_LANES, *o, q);
+    }
+    out
+}
+
+/// Eight operands' digits, lane `k` from `lanes[k]`, into digit vectors.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn transpose(lanes: &[[u64; LANES]; 2 * GROUP]) -> LaneDigits {
+    let mut out = [_mm512_setzero_si512(); DIGITS];
+    for (j, v) in out.iter_mut().enumerate() {
+        let d = |k: usize| lanes[k][j] as i64;
+        *v = _mm512_set_epi64(d(7), d(6), d(5), d(4), d(3), d(2), d(1), d(0));
+    }
+    out
+}
+
+/// Digit vectors back into each lane's digits.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn untranspose(digits: &LaneDigits) -> [[u64; LANES]; 2 * GROUP] {
+    let mut lanes = [[0u64; LANES]; 2 * GROUP];
+    for (j, v) in digits.iter().enumerate() {
+        let halves = [
+            _mm512_extracti64x4_epi64::<0>(*v),
+            _mm512_extracti64x4_epi64::<1>(*v),
+        ];
+        for (h, half) in halves.into_iter().enumerate() {
+            lanes[4 * h][j] = _mm256_extract_epi64::<0>(half) as u64;
+            lanes[4 * h + 1][j] = _mm256_extract_epi64::<1>(half) as u64;
+            lanes[4 * h + 2][j] = _mm256_extract_epi64::<2>(half) as u64;
+            lanes[4 * h + 3][j] = _mm256_extract_epi64::<3>(half) as u64;
+        }
+    }
+    lanes
+}
+
 /// 24 digits into three vectors.
 #[target_feature(enable = "avx512f,avx512ifma")]
 #[inline]
@@ -424,10 +647,16 @@ mod tests {
         slice
     }
 
-    fn assert_ladders_match(p: &BigUint, q: &BigUint, dp: &BigUint, dq: &BigUint, c: &BigUint) {
-        let (m1, m2) = key(p, q, dp, dq).crt_ladders(c);
-        assert_eq!(m1, scalar(p, c, dp), "p side: c = {c:?}, dp = {dp:?}");
-        assert_eq!(m2, scalar(q, c, dq), "q side: c = {c:?}, dq = {dq:?}");
+    /// Each base of `cs` through the key's dispatch as one call — one
+    /// base is the pair kernel, [`GROUP`] are one pass of the lane kernel
+    /// — against the scalar ladders, base by base.
+    fn assert_ladders_match(p: &BigUint, q: &BigUint, dp: &BigUint, dq: &BigUint, cs: &[&BigUint]) {
+        let got = key(p, q, dp, dq).crt_ladders(cs);
+        assert_eq!(got.len(), cs.len());
+        for (c, (m1, m2)) in cs.iter().zip(got) {
+            assert_eq!(m1, scalar(p, c, dp), "p side: c = {c:?}, dp = {dp:?}");
+            assert_eq!(m2, scalar(q, c, dq), "q side: c = {c:?}, dq = {dq:?}");
+        }
     }
 
     fn random(rng: &mut SecureRng, limbs: usize) -> BigUint {
@@ -470,40 +699,68 @@ mod tests {
         assert_eq!(to_limbs(&d), ([0; LIMBS], 0xabcd));
     }
 
+    /// Every modulus of [`moduli`] as `p`, paired with another as `q` (so
+    /// each meets every other on one side or the other), random full
+    /// exponents, and the edge bases: 0, 1, `p − 1`, `q − 1`, `n − 1`,
+    /// `p`, `q + 5`, a random one below and one above the primes.
+    fn moduli_cases(seed: u64) -> Vec<(BigUint, BigUint, BigUint, BigUint, Vec<BigUint>)> {
+        let mut rng = SecureRng::from_seed(seed);
+        let moduli = moduli(&mut rng);
+        (0..moduli.len())
+            .map(|i| {
+                let (p, q) = (&moduli[i], &moduli[(i + 3) % moduli.len()]);
+                let (dp, dq) = (random(&mut rng, LIMBS), random(&mut rng, LIMBS));
+                let bases = vec![
+                    BigUint::zero(),
+                    BigUint::one(),
+                    p.sub(&BigUint::one()),
+                    q.sub(&BigUint::one()),
+                    p.mul(q).sub(&BigUint::one()),
+                    p.clone(),
+                    q.add(&BigUint::from_u64(5)),
+                    random(&mut rng, LIMBS),
+                    random(&mut rng, 2 * LIMBS),
+                ];
+                (p.clone(), q.clone(), dp, dq, bases)
+            })
+            .collect()
+    }
+
     #[test]
     fn pair_matches_both_scalar_ladders_on_moduli_primes_and_edge_bases() {
         if !vector_path("pair_matches_both_scalar_ladders") {
             return;
         }
-        let mut rng = SecureRng::from_seed(0x001f_3a52);
-        let moduli = moduli(&mut rng);
-        for (i, p) in moduli.iter().enumerate() {
-            // Every modulus meets every other on one side or the other.
-            let q = &moduli[(i + 3) % moduli.len()];
-            let (dp, dq) = (random(&mut rng, LIMBS), random(&mut rng, LIMBS));
-            let bases = [
-                BigUint::zero(),
-                BigUint::one(),
-                p.sub(&BigUint::one()),
-                q.sub(&BigUint::one()),
-                p.mul(q).sub(&BigUint::one()),
-                p.clone(),
-                q.add(&BigUint::from_u64(5)),
-                random(&mut rng, LIMBS),
-                random(&mut rng, 2 * LIMBS),
-            ];
+        for (p, q, dp, dq, bases) in moduli_cases(0x001f_3a52) {
             for c in &bases {
-                assert_ladders_match(p, q, &dp, &dq, c);
+                assert_ladders_match(&p, &q, &dp, &dq, &[c]);
             }
         }
     }
 
     #[test]
-    fn unequal_exponents_zero_windows_and_tiny_exponents() {
-        if !vector_path("unequal_exponents_zero_windows") {
+    fn lanes_match_the_scalar_ladders_on_moduli_primes_and_edge_bases() {
+        if !vector_path("lanes_match_the_scalar_ladders") {
             return;
         }
-        let mut rng = SecureRng::from_seed(0x00e4_9052);
+        for (p, q, dp, dq, bases) in moduli_cases(0x001f_3a53) {
+            // Every base in every lane, beside every other.
+            for start in 0..bases.len() {
+                let group: Vec<&BigUint> = (0..GROUP)
+                    .map(|k| &bases[(start + k) % bases.len()])
+                    .collect();
+                assert_ladders_match(&p, &q, &dp, &dq, &group);
+            }
+            // Nine in one call: two passes of the lanes, then a pair.
+            let all: Vec<&BigUint> = bases.iter().collect();
+            assert_ladders_match(&p, &q, &dp, &dq, &all);
+        }
+    }
+
+    /// Two generated primes, a random base, and exponent pairs of unequal
+    /// lengths, with zero windows, tiny, one and zero.
+    fn exponent_cases(seed: u64) -> (BigUint, BigUint, BigUint, Vec<(BigUint, BigUint)>) {
+        let mut rng = SecureRng::from_seed(seed);
         let (p, q) = (
             generate_prime(1024, &mut rng),
             generate_prime(1024, &mut rng),
@@ -515,7 +772,7 @@ mod tests {
         let hollow = BigUint::from_u64(0xf)
             .shl(1020)
             .add(&BigUint::from_u64(0xf));
-        let exps = [
+        let exps = vec![
             (full.clone(), BigUint::from_u64(5)),
             (BigUint::from_u64(5), full.clone()),
             (one.clone(), full.clone()),
@@ -528,8 +785,32 @@ mod tests {
             // Low window zero on one side, a whole-window boundary on the other.
             (BigUint::from_u64(16), BigUint::from_u64(0x10_0000)),
         ];
+        (p, q, c, exps)
+    }
+
+    #[test]
+    fn unequal_exponents_zero_windows_and_tiny_exponents() {
+        if !vector_path("unequal_exponents_zero_windows") {
+            return;
+        }
+        let (p, q, c, exps) = exponent_cases(0x00e4_9052);
         for (dp, dq) in &exps {
-            assert_ladders_match(&p, &q, dp, dq, &c);
+            assert_ladders_match(&p, &q, dp, dq, &[&c]);
+        }
+    }
+
+    #[test]
+    fn lanes_with_unequal_exponents_zero_windows_and_tiny_exponents() {
+        if !vector_path("lanes_with_unequal_exponents") {
+            return;
+        }
+        let (p, q, c, exps) = exponent_cases(0x00e4_9053);
+        let n_minus_1 = p.mul(&q).sub(&BigUint::one());
+        let q_plus_5 = q.add(&BigUint::from_u64(5));
+        let (zero, one) = (BigUint::zero(), BigUint::one());
+        for (dp, dq) in &exps {
+            assert_ladders_match(&p, &q, dp, dq, &[&c, &zero, &p, &q_plus_5]);
+            assert_ladders_match(&p, &q, dp, dq, &[&one, &n_minus_1, &c, &c]);
         }
     }
 
@@ -612,13 +893,16 @@ mod tests {
         let mut rng = SecureRng::from_seed(0x7177_1e52);
         let other = generate_prime(1024, &mut rng);
         let exp = random(&mut rng, LIMBS);
-        // The rippling ladder on either side of the pair.
+        // The rippling ladder on either side of the pair, and in lanes of
+        // either half beside ordinary ones.
+        let plain = random(&mut rng, LIMBS);
         for (p, q, dp, dq) in [
             (&ones, &other, &BigUint::one(), &exp),
             (&other, &ones, &exp, &BigUint::one()),
             (&ones, &ones, &BigUint::one(), &BigUint::one()),
         ] {
-            assert_ladders_match(p, q, dp, dq, &base);
+            assert_ladders_match(p, q, dp, dq, &[&base]);
+            assert_ladders_match(p, q, dp, dq, &[&plain, &base, &plain, &base]);
         }
     }
 }

@@ -10,7 +10,10 @@
 //! the failure surfaces. Attempt `k` goes to slot `(start + k) % len`,
 //! read when it is made, so a dead instance costs one attempt and a retry
 //! reaches an instance readmitted meanwhile; [`SocketBalancer::submit_to`]
-//! pins every attempt to one slot. The balancer owns the node's one
+//! pins every attempt to one slot. [`SocketBalancer::submit_batch`] starts
+//! the calls of a shuffle release together: each backend's round-robin
+//! share of first attempts leaves as one buffer in one `write`, and every
+//! call is its own retry loop from there. The balancer owns the node's one
 //! [`DeadlineQueue`]: expiries, retry delays and the delays its callers
 //! arm ([`SocketBalancer::after`]) all run there.
 //!
@@ -18,7 +21,7 @@
 //! one slot for a fresh backend at a new address — the supervisor's
 //! readmission path when a killed instance respawns on a different port.
 
-use crate::client::{block_on, CallResult, ClientConfig, Conn, Plain, Ring};
+use crate::client::{block_on, CallResult, ClientConfig, Completion, Conn, Plain, Ring};
 use crate::timers::DeadlineQueue;
 use pprox_core::resilience::Deadline;
 use std::net::SocketAddr;
@@ -152,6 +155,16 @@ impl SocketBalancer {
         self.ring.submit(None, Plain, payload, deadline, done);
     }
 
+    /// [`SocketBalancer::submit`] for each call of a batch released at
+    /// once (a shuffle flush), in order: slots are assigned round-robin
+    /// as `submit` would, and each backend gets its share of the batch,
+    /// in batch order, as one buffer in one `write` — one syscall and one
+    /// reader wake-up per backend, not per call. Pending entries,
+    /// deadlines and retries stay per call.
+    pub fn submit_batch(&self, calls: Vec<(Arc<[u8]>, Deadline, Completion)>) {
+        self.ring.submit_batch(calls);
+    }
+
     /// Sends `payload` to the backend in slot `index`, every attempt: a
     /// sharded call must reach the owning shard or fail — silently
     /// answering from a sibling would corrupt the partition view. A retry
@@ -184,8 +197,12 @@ impl SocketBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{decode_stream, Frame, PadClass};
     use crate::server::{FrameHandler, ServerConfig, WireServer};
     use crate::WireStatus;
+    use crossbeam::channel::unbounded;
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::time::Duration;
@@ -249,6 +266,94 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 4);
         assert_eq!(balancer.client_stats().retries, 2);
         live.shutdown();
+    }
+
+    /// A backend the test scripts: `reads` times it takes whatever one
+    /// `read` returns, answers those frames last first with their payload
+    /// plus 100, and keeps their payloads — one list per `read`.
+    fn scripted_backend(reads: usize) -> (SocketAddr, std::thread::JoinHandle<Vec<Vec<u8>>>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut stream = listener.accept().unwrap().0;
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut buf = vec![0u8; 64 * 1024];
+            (0..reads)
+                .map(|_| {
+                    let n = stream.read(&mut buf).unwrap();
+                    let mut frames = Vec::new();
+                    let used = decode_stream(&buf[..n], |frame| frames.push(frame)).unwrap();
+                    assert_eq!(used, n, "a read ended inside a frame");
+                    let mut answers = Vec::new();
+                    for frame in frames.iter().rev() {
+                        let payload = frame.payload.iter().map(|b| b + 100).collect();
+                        let answer = Frame::new(PadClass::Response, frame.corr, payload).unwrap();
+                        answers.extend(answer.encode().unwrap());
+                    }
+                    stream.write_all(&answers).unwrap();
+                    frames.iter().map(|frame| frame.payload[0]).collect()
+                })
+                .collect()
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn a_batch_reaches_each_backend_as_one_write_in_release_order() {
+        // Each round, every peer is already blocked in `read` when the
+        // batch goes out: frames written one by one would wake it with
+        // the first alone in some round, a share written at once cannot.
+        const ROUNDS: usize = 20;
+        for backends in [1, 2] {
+            let (addrs, peers): (Vec<SocketAddr>, Vec<_>) =
+                (0..backends).map(|_| scripted_backend(1 + ROUNDS)).unzip();
+            let balancer = SocketBalancer::new(
+                &addrs,
+                ClientConfig {
+                    max_retries: 0,
+                    ..ClientConfig::default()
+                },
+            );
+            // One call per backend opens the connections; the cursor is
+            // back at slot 0 after them, and after every batch of 8.
+            for _ in 0..backends {
+                assert_eq!(balancer.call(&[0], budget()).unwrap(), [100]);
+            }
+            for _ in 0..ROUNDS {
+                std::thread::sleep(Duration::from_millis(5));
+                let (tx, rx) = unbounded();
+                let calls = (1..=8u8)
+                    .map(|i| {
+                        let tx = tx.clone();
+                        let done: Completion = Box::new(move |result| {
+                            let _ = tx.send((i, result));
+                        });
+                        (Arc::from(&[i][..]), budget(), done)
+                    })
+                    .collect();
+                balancer.submit_batch(calls);
+                // Answered last first, each call still gets its own answer.
+                let mut answers: Vec<(u8, CallResult)> = (0..8)
+                    .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap())
+                    .collect();
+                answers.sort_by_key(|(i, _)| *i);
+                for (i, result) in answers {
+                    assert_eq!(result, Ok(vec![i + 100]), "call {i}");
+                }
+            }
+            for (slot, peer) in peers.into_iter().enumerate() {
+                let reads = peer.join().unwrap();
+                assert_eq!(reads[0], [0], "the warm-up call");
+                let share: Vec<u8> = (1..=8u8)
+                    .filter(|i| usize::from(i - 1) % backends == slot)
+                    .collect();
+                for read in &reads[1..] {
+                    assert_eq!(read, &share, "{backends} backends, slot {slot}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,15 +30,25 @@
 //! between them, and a [`Policy`] for what the caller knows. The blocking
 //! [`PooledClient::call`] is `submit` plus a one-shot wait, for callers
 //! that have a thread to spare (the front door, scenario drivers, probes).
+//!
+//! Attempts reach a connection as a list ([`Conn::send_attempts`]): one, or a
+//! backend's share of a batch the ring started at once
+//! ([`Ring::submit_batch`], a shuffle release). Each is framed and
+//! registered in order, and the frames go out as one buffer that must be
+//! taken within one write timeout (`server::write_whole`, which the
+//! server's replies use too): a timeout mid-buffer fails the connection,
+//! so a peer that stops reading costs the submitter one write timeout,
+//! not one per frame or two per buffer.
 
 use crate::frame::{decode_stream, Frame, PadClass};
+use crate::server::write_whole;
 use crate::timers::{DeadlineQueue, TimerKey};
 use crate::{WireError, WireStatus};
 use crossbeam::channel::bounded;
 use parking_lot::{Mutex, RwLock};
 use pprox_core::resilience::{Deadline, RetryBackoff};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -137,6 +147,19 @@ impl Ring {
         deadline: Deadline,
         done: impl FnOnce(P::Outcome) + Send + 'static,
     ) {
+        self.enter(shard, policy, payload, deadline, Box::new(done))
+            .attempt();
+    }
+
+    /// Enters one call and hands back its retry loop, not yet attempted.
+    fn enter<P: Policy>(
+        self: &Arc<Self>,
+        shard: Option<usize>,
+        policy: P,
+        payload: Arc<[u8]>,
+        deadline: Deadline,
+        done: Box<dyn FnOnce(P::Outcome) + Send>,
+    ) -> Retry<P> {
         let (start, pinned) = match shard {
             Some(slot) => (slot, true),
             None => (self.cursor.fetch_add(1, Ordering::Relaxed), false),
@@ -151,9 +174,29 @@ impl Ring {
             deadline,
             k: 0,
             backoff: None,
-            done: Box::new(done),
+            done,
         }
-        .attempt();
+    }
+
+    /// Starts one call per entry of `calls`, each from the next slot round
+    /// the ring as [`Ring::submit`] would, and writes their first attempts
+    /// backend by backend: each backend's share, in `calls` order, as one
+    /// buffer in one `write`. Every call is its own retry loop from there.
+    pub(crate) fn submit_batch(self: &Arc<Self>, calls: Vec<(Arc<[u8]>, Deadline, Completion)>) {
+        let mut writes: Vec<(Arc<Conn>, Vec<Attempt>)> = Vec::new();
+        for (payload, deadline, done) in calls {
+            let call = self.enter(None, Plain, payload, deadline, done);
+            let Some((conn, attempt)) = call.prepare() else {
+                continue;
+            };
+            match writes.iter_mut().find(|(c, _)| Arc::ptr_eq(c, &conn)) {
+                Some((_, share)) => share.push(attempt),
+                None => writes.push((conn, vec![attempt])),
+            }
+        }
+        for (conn, share) in writes {
+            conn.send_attempts(share);
+        }
     }
 
     /// The backend attempt `k` of a call goes to: slot `start + k` round
@@ -237,23 +280,34 @@ struct Retry<P: Policy> {
 impl<P: Policy> Retry<P> {
     /// Makes attempt `k`, unless the deadline is spent or the policy refuses.
     fn attempt(self) {
+        if let Some((conn, attempt)) = self.prepare() {
+            conn.send_attempts(vec![attempt]);
+        }
+    }
+
+    /// Attempt `k` up to its write: the budget and the policy's gate, the
+    /// backend it goes to, and the attempt with this loop as its
+    /// completion. `None` when the call ended instead.
+    fn prepare(self) -> Option<(Arc<Conn>, Attempt)> {
         let started = Instant::now();
         if started >= self.deadline.instant() {
-            return self.out_of_budget();
+            self.out_of_budget();
+            return None;
         }
         if let Err(refused) = self.policy.admit() {
-            return self.finish(refused);
+            self.finish(refused);
+            return None;
         }
         let Some(conn) = self.ring.pick(self.start, self.pinned, self.k) else {
-            return self.attempted(started, Err(WireError::Remote(WireStatus::Unavailable)));
+            self.attempted(started, Err(WireError::Remote(WireStatus::Unavailable)));
+            return None;
         };
-        let payload = self.payload.clone();
-        let deadline = self.policy.attempt_deadline(self.deadline);
-        conn.send_once(
-            &payload,
-            deadline,
-            Box::new(move |result| self.attempted(started, result)),
-        );
+        let attempt = Attempt {
+            payload: self.payload.clone(),
+            deadline: self.policy.attempt_deadline(self.deadline),
+            done: Box::new(move |result| self.attempted(started, result)),
+        };
+        Some((conn, attempt))
     }
 
     /// An attempt's completion, and the one place that decides on another:
@@ -300,6 +354,13 @@ impl<P: Policy> Retry<P> {
         self.ring.in_flight.fetch_sub(1, Ordering::Relaxed);
         (self.done)(outcome);
     }
+}
+
+/// One wire attempt of a call, ready to be framed and written.
+struct Attempt {
+    payload: Arc<[u8]>,
+    deadline: Deadline,
+    done: Completion,
 }
 
 /// One backend: its connection, dialed on demand, and its reader threads.
@@ -405,12 +466,14 @@ impl Link {
         }
     }
 
-    /// Writes one encoded frame; a failed or timed-out write loses the
-    /// connection.
-    fn write_frame(&self, bytes: &[u8]) {
+    /// Writes encoded frames as one buffer; a failed write, or one the
+    /// peer has not taken when the write timeout runs out, loses the
+    /// connection, so a peer that is not reading costs the writer one
+    /// write timeout.
+    fn write_frames(&self, bytes: &[u8]) {
         let written = {
             let _writer = self.writer.lock();
-            (&self.stream).write_all(bytes)
+            write_whole(&self.stream, bytes)
         };
         if let Err(e) = written {
             self.fail_all(&io_error("write", &e));
@@ -539,27 +602,48 @@ impl Conn {
         Ok(link)
     }
 
-    /// One attempt and no retry: frame the payload under a fresh
-    /// correlation id, register it and write it. `done` runs exactly once.
-    fn send_once(&self, payload: &[u8], deadline: Deadline, done: Completion) {
-        let corr = self.corr.fetch_add(1, Ordering::Relaxed);
-        let bytes = match Frame::new(PadClass::Request, corr, payload.to_vec())
-            .and_then(|frame| frame.encode())
+    /// Attempts and no retry, in one `write`: each payload is framed
+    /// under a fresh correlation id and registered, in order, then the
+    /// frames go out together. Each `done` runs exactly once.
+    fn send_attempts(&self, attempts: Vec<Attempt>) {
+        let dial_by = attempts
+            .iter()
+            .map(|a| a.deadline)
+            .max_by_key(|d| d.instant());
+        let link = match dial_by.map(|deadline| self.link(deadline)) {
+            Some(Ok(link)) => link,
+            Some(Err(e)) => return attempts.into_iter().for_each(|a| (a.done)(Err(e.clone()))),
+            None => return,
+        };
+        let mut bytes = Vec::new();
+        for Attempt {
+            payload,
+            deadline,
+            done,
+        } in attempts
         {
-            Ok(bytes) => bytes,
-            Err(e) => return done(Err(WireError::Frame(e))),
-        };
-        let link = match self.link(deadline) {
-            Ok(link) => link,
-            Err(e) => return done(Err(e)),
-        };
-        match link.register(corr, deadline, done) {
-            Ok(()) => link.write_frame(&bytes),
-            // Lost since `link` looked: the attempt fails with it.
-            Err(done) => done(Err(WireError::Io {
-                phase: "connect",
-                kind: ErrorKind::ConnectionAborted,
-            })),
+            let corr = self.corr.fetch_add(1, Ordering::Relaxed);
+            let wire = match Frame::new(PadClass::Request, corr, payload.to_vec())
+                .and_then(|frame| frame.encode())
+            {
+                Ok(wire) => wire,
+                Err(e) => {
+                    done(Err(WireError::Frame(e)));
+                    continue;
+                }
+            };
+            match link.register(corr, deadline, done) {
+                Ok(()) if bytes.is_empty() => bytes = wire,
+                Ok(()) => bytes.extend_from_slice(&wire),
+                // Lost since `link` looked: the attempt fails with it.
+                Err(done) => done(Err(WireError::Io {
+                    phase: "connect",
+                    kind: ErrorKind::ConnectionAborted,
+                })),
+            }
+        }
+        if !bytes.is_empty() {
+            link.write_frames(&bytes);
         }
     }
 
@@ -698,6 +782,7 @@ mod tests {
     use super::*;
     use crate::server::{FrameHandler, ServerConfig, WireServer};
     use crossbeam::channel::{unbounded, Receiver};
+    use std::io::Write;
     use std::net::TcpListener;
     use std::time::Instant;
 
@@ -926,6 +1011,63 @@ mod tests {
         // Exactly one request reached the server (non-retryable status).
         assert_eq!(server.stats().frames_in, 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_costs_the_submitter_one_write_timeout() {
+        const BATCH: usize = 1024;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let timers = Arc::new(DeadlineQueue::new());
+        let conn = Conn::new(listener.local_addr().unwrap(), timers.clone());
+        let config = ClientConfig {
+            max_retries: 0,
+            ..ClientConfig::default()
+        };
+        let ring = Ring::new(vec![conn], config, timers);
+        let payload: Arc<[u8]> = vec![7u8; 1024].into();
+        let (tx, rx) = unbounded();
+        let mut peer = None;
+        let mut submitted = 0;
+        // Batches of about a megabyte until one does not fit in what the
+        // two socket buffers hold: the peer accepts and never reads.
+        let took = loop {
+            assert!(
+                submitted < 64 * BATCH,
+                "64 MB went to a peer that never reads"
+            );
+            let calls = (0..BATCH)
+                .map(|_| {
+                    let tx = tx.clone();
+                    let done: Completion = Box::new(move |result| {
+                        let _ = tx.send(result);
+                    });
+                    (
+                        payload.clone(),
+                        Deadline::starting_now(Duration::from_secs(30)),
+                        done,
+                    )
+                })
+                .collect();
+            let started = Instant::now();
+            ring.submit_batch(calls);
+            let took = started.elapsed();
+            submitted += BATCH;
+            peer.get_or_insert_with(|| accept(&listener));
+            if !rx.is_empty() {
+                break took;
+            }
+        };
+        assert!(
+            took < WRITE_TIMEOUT + WRITE_TIMEOUT / 2,
+            "the submitter was held {took:?}"
+        );
+        // Every call on the link failed, once, as the connection's loss.
+        let failed: Vec<CallResult> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        assert_eq!(failed.len(), submitted);
+        assert!(failed
+            .iter()
+            .all(|r| matches!(r, Err(WireError::Io { .. }))));
+        assert_eq!(ring.in_flight.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -20,8 +20,12 @@
 //!   socket a reader thread;
 //! * a **reader** blocks in `read()` on its own socket, frames complete
 //!   requests in place from its read buffer and hands them to the
-//!   workers; nothing else it does can block on another connection;
-//! * **workers** run [`Service::serve`] — the enclave ECALLs — and never
+//!   workers — to a service that [takes passes](Service::takes_passes),
+//!   everything one pass framed as one job, in wire order, so a batch its
+//!   peer wrote at once arrives whole; nothing else it does can block on
+//!   another connection;
+//! * **workers** run [`Service::serve`], or [`Service::serve_pass`] for a
+//!   service that takes passes — the enclave ECALLs — and never
 //!   wait for anything but the next job. A service that has to wait (a
 //!   shuffle dwell, the next hop's answer) parks the *request*, not the
 //!   thread: it moves the [`Reply`] into whatever will finish the request
@@ -72,7 +76,8 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What a server runs on its worker pool, one call per request frame.
+/// What a server runs on its worker pool: one call per request frame, or
+/// per reader pass for a service that takes them whole.
 ///
 /// `serve` must not wait. It either answers through `reply` before it
 /// returns, or moves `reply` into the continuation that will: the request
@@ -82,6 +87,26 @@ pub trait Service: Send + Sync + 'static {
     /// Processes one request payload. `deadline` is the request's budget,
     /// for clamping downstream calls; `reply` answers it.
     fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply);
+
+    /// Whether every reader pass goes to [`Service::serve_pass`] whole,
+    /// one frame or many. The default is `false`: every request is a job
+    /// of its own, and the workers share them out as if the frames had
+    /// been read one at a time.
+    fn takes_passes(&self) -> bool {
+        false
+    }
+
+    /// Processes the requests one reader pass framed from a connection —
+    /// what its peer wrote at once, a shuffled batch on the UA→IA hop, or
+    /// a lone request — in wire order, when [`Service::takes_passes`].
+    /// Each request's deadline is its [`Reply::deadline`]. The same rule
+    /// as `serve`: answer or move each `Reply`, never wait. The default
+    /// serves each request alone, in order.
+    fn serve_pass(&self, pass: Vec<(Vec<u8>, Reply)>) {
+        for (payload, reply) in pass {
+            self.serve(payload, reply.deadline(), reply);
+        }
+    }
 
     /// Called once at the start of a graceful shutdown, after the last
     /// request frame was read. Services holding requests in internal
@@ -133,7 +158,8 @@ pub struct ServerConfig {
     /// Worker threads running the service. They only compute, so this is
     /// sized to the cores, not to the requests in flight.
     pub workers: usize,
-    /// Bounded depth of the reader→worker queue.
+    /// Bounded depth of the reader→worker queue, in jobs: one per
+    /// request, or per reader pass for a service that takes passes.
     pub queue_depth: usize,
     /// Maximum requests admitted and not yet answered (admission gate).
     pub max_inflight: usize,
@@ -286,9 +312,29 @@ impl Drop for Reply {
     }
 }
 
-struct WorkerJob {
-    payload: Vec<u8>,
-    reply: Reply,
+/// What a reader hands the workers.
+enum WorkerJob {
+    /// One request.
+    One(Vec<u8>, Reply),
+    /// The requests one pass over the read buffer framed and admitted, in
+    /// wire order, for a service that takes passes.
+    Pass(Vec<(Vec<u8>, Reply)>),
+}
+
+impl WorkerJob {
+    fn len(&self) -> usize {
+        match self {
+            WorkerJob::One(..) => 1,
+            WorkerJob::Pass(pass) => pass.len(),
+        }
+    }
+
+    fn into_replies(self) -> Vec<Reply> {
+        match self {
+            WorkerJob::One(_, reply) => vec![reply],
+            WorkerJob::Pass(pass) => pass.into_iter().map(|(_, reply)| reply).collect(),
+        }
+    }
 }
 
 /// State shared by the acceptor, the readers, the workers and every
@@ -301,6 +347,8 @@ struct Shared {
     gate: AdmissionGate,
     metrics: Arc<NodeMetrics>,
     request_budget: Duration,
+    /// The service's [`Service::takes_passes`].
+    passes: bool,
     /// Set when shutdown begins; work dequeued after it is not run.
     drain_deadline: OnceLock<Deadline>,
     /// Live connections, so shutdown can wake their readers. A reader
@@ -319,7 +367,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(config: &ServerConfig) -> Self {
+    fn new(config: &ServerConfig, passes: bool) -> Self {
         let metrics = config
             .metrics
             .clone()
@@ -330,6 +378,7 @@ impl Shared {
             gate: AdmissionGate::new(config.max_inflight.max(1)),
             metrics,
             request_budget: config.request_budget,
+            passes,
             drain_deadline: OnceLock::new(),
             conns: Mutex::new(HashMap::new()),
             unanswered: Mutex::new(HashMap::new()),
@@ -368,7 +417,7 @@ impl Shared {
         if !*alive {
             return;
         }
-        if write_whole(&conn.stream, &bytes) {
+        if write_whole(&conn.stream, &bytes).is_ok() {
             self.frames_out.fetch_add(encoded, Ordering::Relaxed);
             self.metrics.on_frames_out(encoded);
         } else {
@@ -462,7 +511,7 @@ impl WireServer {
     pub fn spawn(service: Arc<dyn Service>, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(&config));
+        let shared = Arc::new(Shared::new(&config, service.takes_passes()));
         let (job_tx, job_rx) = bounded::<WorkerJob>(config.queue_depth.max(1));
 
         let workers = (0..config.workers.max(1))
@@ -572,15 +621,33 @@ impl Drop for WireServer {
     }
 }
 
-/// One blocking `write` that must take every byte. Unlike `write_all`
-/// a short count is a failure: a blocking socket returns one only when
-/// its write timeout fired mid-buffer, and carrying on would wait a
-/// whole timeout again for a peer that is not reading.
-fn write_whole(mut stream: &TcpStream, bytes: &[u8]) -> bool {
+/// Blocking writes of every byte within one write timeout — the one way
+/// both ends of a connection write. A blocking socket returns a short
+/// count when its write timeout fired mid-buffer, or when a signal landed
+/// after part of the buffer went out. `write_all` carries on after
+/// either, so a peer that is not reading costs a whole timeout again;
+/// this carries on only while the socket's timeout has not run out since
+/// the first `write`, and fails `TimedOut` after that.
+pub(crate) fn write_whole(mut stream: &TcpStream, mut bytes: &[u8]) -> std::io::Result<()> {
+    let started = Instant::now();
     loop {
         match stream.write(bytes) {
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            written => return matches!(written, Ok(n) if n == bytes.len()),
+            Err(e) => return Err(e),
+            Ok(n) if n == bytes.len() => return Ok(()),
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                // The kernel's timer runs in ticks (1–10 ms) and may end
+                // the wait up to one early against this clock; a tenth of
+                // the timeout covers a tick at the 500 ms defaults. Taking
+                // a timeout for a signal costs one more timeout, as
+                // `write_all` would.
+                let timeout = stream.write_timeout()?;
+                if timeout.is_some_and(|t| started.elapsed() >= t - t / 10) {
+                    return Err(ErrorKind::TimedOut.into());
+                }
+                bytes = &bytes[n..];
+            }
         }
     }
 }
@@ -673,6 +740,9 @@ fn set_conn(shared: &Shared, id: u64, conn: Option<Arc<Conn>>) {
 fn read_loop(conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>) {
     let mut buf = vec![0u8; READ_BUF];
     let mut filled = 0;
+    // The requests of the current pass; kept across passes, so a pass
+    // that leaves as single jobs reuses its allocation.
+    let mut pass = Vec::new();
     loop {
         // `buf` is longer than any frame, so there is always room.
         match (&conn.stream).read(&mut buf[filled..]) {
@@ -685,12 +755,14 @@ fn read_loop(conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>)
         // no per-pass timestamp leaves this loop.
         let pass_started = Instant::now();
         // Frame in place: each complete frame is decoded from its slice
-        // of the read buffer.
+        // of the read buffer. What the pass admitted goes to the workers,
+        // bad bytes after it or not.
         let framed = decode_stream(&buf[..filled], |frame| {
             shared.frames_in.fetch_add(1, Ordering::Relaxed);
             shared.metrics.on_frame_in();
-            admit(frame, conn, shared, job_tx);
+            admit(frame, conn, shared, &mut pass);
         });
+        enqueue(&mut pass, shared, job_tx);
         let Ok(pos) = framed else {
             // Desynchronized or hostile peer: cut the connection rather
             // than hunt for a resync point.
@@ -711,8 +783,8 @@ fn cut(conn: &Conn, shared: &Shared) {
 }
 
 /// Answers one frame from the reader thread — scrapes and refusals
-/// inline — or queues it for the workers.
-fn admit(frame: Frame, conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>) {
+/// inline — or admits it into the pass.
+fn admit(frame: Frame, conn: &Arc<Conn>, shared: &Arc<Shared>, pass: &mut Vec<(Vec<u8>, Reply)>) {
     let corr = frame.corr;
     if frame.class != PadClass::Request {
         if is_scrape_request(&frame) {
@@ -728,39 +800,84 @@ fn admit(frame: Frame, conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<W
         shared.on_shed();
         return shared.reply_status(conn, corr, WireStatus::Busy);
     };
-    let job = WorkerJob {
-        payload: frame.payload,
-        reply: shared.admitted(conn, corr, permit),
-    };
-    match job_tx.try_send(job) {
-        Ok(()) => shared.metrics.on_enqueue(),
-        Err(TrySendError::Full(job)) => {
-            shared.on_shed();
-            job.reply.send(Err(WireStatus::Busy));
-        }
-        Err(TrySendError::Disconnected(job)) => job.reply.send(Err(WireStatus::Unavailable)),
+    pass.push((frame.payload, shared.admitted(conn, corr, permit)));
+}
+
+/// Queues what a pass admitted: as one job if the service takes passes,
+/// else one job per request.
+fn enqueue(pass: &mut Vec<(Vec<u8>, Reply)>, shared: &Shared, job_tx: &Sender<WorkerJob>) {
+    if shared.passes && !pass.is_empty() {
+        queue(WorkerJob::Pass(std::mem::take(pass)), shared, job_tx);
+    }
+    for (payload, reply) in pass.drain(..) {
+        queue(WorkerJob::One(payload, reply), shared, job_tx);
     }
 }
 
-/// A worker: hands each job to the service and takes the next. The time
-/// inside `serve` is the node's compute time; a request the service
-/// parks costs the worker nothing more. Exits when the queue is empty
-/// and its last sender is gone.
-fn work(jobs: &Receiver<WorkerJob>, shared: &Shared, service: &dyn Service) {
-    while let Ok(WorkerJob { payload, reply }) = jobs.recv() {
-        shared.metrics.on_dequeue();
-        let deadline = reply.deadline();
-        if deadline.expired() {
-            reply.send(Err(WireStatus::Deadline));
-        } else if shared.drain_deadline.get().is_some_and(Deadline::expired) {
-            reply.send(Err(WireStatus::Unavailable));
-        } else {
-            let busy_from = Instant::now();
-            service.serve(payload, deadline, reply);
-            shared
-                .metrics
-                .add_worker_busy_us(busy_from.elapsed().as_micros() as u64);
+/// Queues one job; a full queue answers all of it `busy`.
+fn queue(job: WorkerJob, shared: &Shared, job_tx: &Sender<WorkerJob>) {
+    let requests = job.len();
+    let (job, status) = match job_tx.try_send(job) {
+        Ok(()) => {
+            (0..requests).for_each(|_| shared.metrics.on_enqueue());
+            return;
         }
+        Err(TrySendError::Full(job)) => {
+            (0..requests).for_each(|_| shared.on_shed());
+            (job, WireStatus::Busy)
+        }
+        Err(TrySendError::Disconnected(job)) => (job, WireStatus::Unavailable),
+    };
+    for reply in job.into_replies() {
+        reply.send(Err(status));
+    }
+}
+
+/// A worker: hands each job to the service and takes the next — one
+/// request to [`Service::serve`], a pass to [`Service::serve_pass`].
+/// The time inside them is the node's compute time; a request the
+/// service parks costs the worker nothing more. Exits when the queue is
+/// empty and its last sender is gone.
+fn work(jobs: &Receiver<WorkerJob>, shared: &Shared, service: &dyn Service) {
+    while let Ok(job) = jobs.recv() {
+        (0..job.len()).for_each(|_| shared.metrics.on_dequeue());
+        let busy_from = Instant::now();
+        match job {
+            WorkerJob::One(payload, reply) => {
+                let Some(reply) = runnable(shared, reply) else {
+                    continue;
+                };
+                service.serve(payload, reply.deadline(), reply);
+            }
+            WorkerJob::Pass(pass) => {
+                let pass: Vec<_> = pass
+                    .into_iter()
+                    .filter_map(|(payload, reply)| Some((payload, runnable(shared, reply)?)))
+                    .collect();
+                if pass.is_empty() {
+                    continue;
+                }
+                service.serve_pass(pass);
+            }
+        }
+        shared
+            .metrics
+            .add_worker_busy_us(busy_from.elapsed().as_micros() as u64);
+    }
+}
+
+/// The request back if it may still run; otherwise it is answered here:
+/// `deadline` when its budget is spent, `unavailable` past the drain
+/// budget.
+fn runnable(shared: &Shared, reply: Reply) -> Option<Reply> {
+    if reply.deadline().expired() {
+        reply.send(Err(WireStatus::Deadline));
+        None
+    } else if shared.drain_deadline.get().is_some_and(Deadline::expired) {
+        reply.send(Err(WireStatus::Unavailable));
+        None
+    } else {
+        Some(reply)
     }
 }
 
@@ -1235,7 +1352,7 @@ mod tests {
             stream: listener.accept().unwrap().0,
             writer: Mutex::new(true),
         };
-        let shared = Shared::new(&ServerConfig::default());
+        let shared = Shared::new(&ServerConfig::default(), false);
         // Built literally, past `Frame::new`'s check, between two that fit.
         let oversize = Frame {
             class: PadClass::Response,

@@ -16,6 +16,16 @@
 //! history → parallel scatter → gather on a countdown → merge, each step
 //! the completion of the one before.
 //!
+//! A shuffled batch arrives whole: the UA writes each IA its share of a
+//! release at once, and the server hands this service what one read pass
+//! framed ([`Service::serve_pass`]). The pass takes one turn, and its
+//! gets one ECALL ([`IaState::process_get_group`]), which opens their
+//! `k_u` blocks together — on a CPU with AVX-512 IFMA four RSA-2048
+//! decrypts to a pass of the eight-lane ladder — then each request goes
+//! on in wire order, so the pass's LRS calls leave in the order it
+//! arrived in. A request that arrives alone is a pass of one: the same
+//! turn, one ECALL, one decrypt.
+//!
 //! This file never names a user-side API: the user id it handles is
 //! already a pseudonym inside the envelope, and the privacy-flow
 //! analyzer (R3) enforces that lexically.
@@ -250,21 +260,60 @@ impl IaNode {
         });
     }
 
-    fn get(self: &Arc<Self>, envelope: &LayerEnvelope, deadline: Deadline, reply: Reply) {
+    /// One turn for a reader pass: one ECALL opens every get of it as a
+    /// group (their `k_u` blocks decrypted together), then the requests go
+    /// on in wire order — a post through its own ECALL, a get straight to
+    /// its LRS exchange — so the pass's LRS calls leave in the order it
+    /// arrived in.
+    fn open_pass(self: &Arc<Self>, pass: Vec<(LayerEnvelope, Reply)>) {
         let options = self.options;
+        let gets: Vec<&LayerEnvelope> = pass
+            .iter()
+            .map(|(envelope, _)| envelope)
+            .filter(|envelope| envelope.op == Op::Get)
+            .collect();
         let started = Instant::now();
-        let (query, token) = match self
-            .enclave
-            .call(|ia| ia.process_get(envelope, options))
-            .map_err(|_| WireStatus::Unavailable)
-            .and_then(|r| r.map_err(status_of_core))
-        {
-            Ok(parts) => parts,
-            Err(status) => return reply.send(Err(status)),
+        let opened: Vec<Result<_, WireStatus>> = if gets.is_empty() {
+            Vec::new()
+        } else {
+            match self.enclave.call(|ia| ia.process_get_group(&gets, options)) {
+                Ok(group) => group
+                    .into_iter()
+                    .map(|r| r.map_err(status_of_core))
+                    .collect(),
+                Err(_) => vec![Err(WireStatus::Unavailable); gets.len()],
+            }
         };
-        self.telemetry
-            .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
+        // One `Ia` sample per get, as if each had had its own ECALL: the
+        // group's time split evenly.
+        let share = started.elapsed().as_micros() as u64 / gets.len().max(1) as u64;
+        let mut opened = opened.into_iter();
+        for (envelope, reply) in pass {
+            let deadline = reply.deadline();
+            if envelope.op == Op::Post {
+                self.post(&envelope, deadline, reply);
+                continue;
+            }
+            match opened.next() {
+                Some(Ok((query, token))) => {
+                    self.telemetry.record_duration(Stage::Ia, share);
+                    self.fetch(query, token, deadline, reply);
+                }
+                Some(Err(status)) => reply.send(Err(status)),
+                None => reply.send(Err(WireStatus::Failed)),
+            }
+        }
+    }
 
+    /// A get past its request-side ECALL: ask the LRS tier for the list,
+    /// and finish with the response-side ECALL when it is back.
+    fn fetch(
+        self: &Arc<Self>,
+        query: RecommendationQuery,
+        token: PendingToken,
+        deadline: Deadline,
+        reply: Reply,
+    ) {
         let node = self.clone();
         match &self.router {
             None => {
@@ -398,15 +447,30 @@ impl Service for IaWireService {
         !self.node.enclave.is_crashed()
     }
 
-    fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
-        let envelope = match LayerEnvelope::from_frame(&payload) {
-            Ok(envelope) => envelope,
-            Err(_) => return reply.send(Err(WireStatus::Malformed)),
-        };
+    /// A pass of one; the deadline is the reply's own.
+    fn serve(&self, payload: Vec<u8>, _deadline: Deadline, reply: Reply) {
+        self.serve_pass(vec![(payload, reply)]);
+    }
+
+    fn takes_passes(&self) -> bool {
+        true
+    }
+
+    /// What one read framed — a batch the UA wrote at once, or a lone
+    /// request: the whole pass takes one turn at the enclave, and its
+    /// gets one ECALL.
+    fn serve_pass(&self, pass: Vec<(Vec<u8>, Reply)>) {
+        let mut parsed = Vec::with_capacity(pass.len());
+        for (payload, reply) in pass {
+            match LayerEnvelope::from_frame(&payload) {
+                Ok(envelope) => parsed.push((envelope, reply)),
+                Err(_) => reply.send(Err(WireStatus::Malformed)),
+            }
+        }
+        if parsed.is_empty() {
+            return;
+        }
         let node = self.node.clone();
-        self.node.turns.run(false, move || match envelope.op {
-            Op::Post => node.post(&envelope, deadline, reply),
-            Op::Get => node.get(&envelope, deadline, reply),
-        });
+        self.node.turns.run(false, move || node.open_pass(parsed));
     }
 }

@@ -18,20 +18,23 @@
 //! admission gate, not by its worker count:
 //!
 //! ```text
-//! worker: ECALL ──► request buffer ──flush thread, permuted──► ia.submit ──► IA
-//!                                     │ opens a gather of k                  │
-//!                                     ▼                                      │
-//! Reply::send_all ◄──k-th answer, permuted── the batch's gather ◄─ completion ┘
-//!                    (or the cap, or drain)                  (IA uplink reader)
+//! worker: ECALL ──► request buffer ──flush thread, permuted──► ia.submit_batch ──► IA
+//!                                     │ opens a gather of k                        │
+//!                                     ▼                                            │
+//! Reply::send_all ◄──k-th answer, permuted── the batch's gather ◄──── completion ──┘
+//!                    (or the cap, or drain)                        (IA uplink reader)
 //! ```
 //!
 //! The request buffer is shared by the workers that put requests into it
 //! — under its lock, stamped with their arrival — and its flush thread,
 //! which is woken twice per batch, not once per request: when a put arms
 //! the flush timer and when a put fills the buffer (or by the timer
-//! itself). The flush thread writes a released batch to the IA sockets in
-//! the buffer's permuted order, so wire order *is* release order (the
-//! linkage audit's departure log is written at the same place).
+//! itself). The flush thread hands a released batch to the IA balancer in
+//! one call ([`SocketBalancer::submit_batch`]) in the buffer's permuted
+//! order: each IA connection gets its round-robin share as one write, so
+//! wire order *is* release order (the linkage audit's departure log is
+//! written at the same place) and the IA reads the share in one pass and
+//! opens it as one group. Each call keeps its own deadline and retries.
 //!
 //! The response direction has no thread and no second timer to wait out.
 //! The anonymity set of a batch is fixed when it leaves, so its `k`
@@ -56,7 +59,7 @@
 
 use crate::audit::{self, LinkageAudit};
 use crate::balancer::SocketBalancer;
-use crate::client::CallResult;
+use crate::client::{CallResult, Completion};
 use crate::scrape::NodeMetrics;
 use crate::server::{Reply, Service};
 use crate::services::serial::Turns;
@@ -256,7 +259,8 @@ impl Shuffle {
         left.into_iter().for_each(|flush| self.submit(flush));
     }
 
-    /// A released batch leaves for the IA tier, in release order, and a
+    /// A released batch leaves for the IA tier in one balancer call, in
+    /// release order — each IA connection's share as one write — and a
     /// gather of its size opens for the answers.
     fn submit(self: &Arc<Self>, flush: Flush<ShuffleJob>) {
         self.released(Stage::ShuffleRequest, &flush);
@@ -275,6 +279,8 @@ impl Shuffle {
             }
             gathers.opened
         };
+        let mut calls: Vec<(Arc<[u8]>, Deadline, Completion)> =
+            Vec::with_capacity(flush.items.len());
         for job in flush.items {
             // Audit ground truth: this is the instant the request
             // leaves the shuffle stage for the wire.
@@ -282,10 +288,10 @@ impl Shuffle {
                 log.record_departure(job.fp, batch, self.telemetry.now_us());
             }
             let (stage, reply, fp) = (self.clone(), job.reply, job.fp);
-            self.ia.submit(job.bytes, job.deadline, move |result| {
-                stage.gather(batch, reply, fp, result)
-            });
+            let done: Completion = Box::new(move |result| stage.gather(batch, reply, fp, result));
+            calls.push((job.bytes, job.deadline, done));
         }
+        self.ia.submit_batch(calls);
     }
 
     /// Completion of a shuffled request's IA call: the answer joins its

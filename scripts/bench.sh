@@ -18,8 +18,9 @@ OUT="${1:-/tmp/pprox_bench_smoke.json}"
 # kernel) and 2048-bit keys (32-limb public modulus on the fixed-width
 # kernels; 16-limb CRT primes on the radix-2^52 vector ladders where the
 # CPU has AVX-512 IFMA, on the fixed-width kernels where it does not), so
-# CI executes every side of `Montgomery::mod_pow`'s and
-# `RsaPrivateKey::raw_decrypt`'s dispatch this machine can reach.
+# CI executes every side of `Montgomery::mod_pow`'s and the private-key
+# dispatch's this machine can reach — `rsa_decrypt_group` takes the
+# eight-lane pass, `rsa_decrypt` the lockstep pair.
 for bits in 1152 2048; do
     echo "== throughput smoke run ($bits-bit keys) =="
     cargo run --release -q -p pprox-bench --bin throughput -- \

@@ -12,15 +12,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== unsafe audit (two call sites, every other crate forbids it) =="
 # Comments and string literals do not count. What is left must be the two
-# calls into `#[target_feature]` kernels — `pow_pair` from the RSA dispatch
-# in rsa.rs, `ctr_xor_aesni` from the keystream dispatch in ctr.rs — each
+# calls into `#[target_feature]` kernels — `pow_all` (the IFMA ladders,
+# pair or eight lanes by the group's size) from the RSA dispatch in
+# rsa.rs, `ctr_xor_aesni` from the keystream dispatch in ctr.rs — each
 # with the CPU detection that is its `// SAFETY:` argument right above it.
 UNSAFE_SITES="$(grep -rnw unsafe crates/*/src src shims --include='*.rs' \
     | sed -E 's/"([^"\\]|\\.)*"//g; s://.*$::' | grep -w unsafe || true)"
 mapfile -t SITES < <(sort <<<"$UNSAFE_SITES")
 if [[ ${#SITES[@]} != 2 || "${SITES[0]}" != crates/crypto/src/ctr.rs:*ctr_xor_aesni* \
-    || "${SITES[1]}" != crates/crypto/src/rsa.rs:*pow_pair* ]]; then
-    echo "unsafe audit: expected exactly the pow_pair call in rsa.rs and the ctr_xor_aesni call in ctr.rs, found:" >&2
+    || "${SITES[1]}" != crates/crypto/src/rsa.rs:*pow_all* ]]; then
+    echo "unsafe audit: expected exactly the pow_all call in rsa.rs and the ctr_xor_aesni call in ctr.rs, found:" >&2
     echo "${UNSAFE_SITES:-<none>}" >&2
     exit 1
 fi

@@ -623,7 +623,10 @@ fn supervised_durable_lrs_layer_recovers_with_identical_recommendations() {
         cluster.wait_ready(Duration::from_secs(20)),
         "supervisor must bring the layer back"
     );
-    assert!(cluster.respawns() >= 2, "both LRS instances were recovered");
+    // A respawned slot answers before the supervisor records its event.
+    wait_until("both LRS instances were recovered", || {
+        cluster.respawns() >= 2
+    });
 
     // The replacement came from disk, not from memory.
     let revived = memo
