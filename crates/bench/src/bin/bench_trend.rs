@@ -11,9 +11,13 @@
 //!   `--max-regression` (default 20%), or when a guarded report is
 //!   missing from the results directory — deleting a report must not
 //!   disarm its guard. The guarded set is currently
-//!   `BENCH_sharding.json :: scaling.sustained_rps_max` and
-//!   `BENCH_throughput.json :: stages.rsa_decrypt.ops_per_sec`
-//!   (end-to-end figures are gated by `benchmark/`, not here).
+//!   `BENCH_sharding.json :: scaling.sustained_rps_max`,
+//!   `BENCH_throughput.json :: stages.rsa_decrypt.ops_per_sec` (a decrypt
+//!   alone: the pair kernel) and
+//!   `BENCH_throughput.json :: stages.rsa_decrypt_group.ops_per_sec`
+//!   (decrypts in groups: the lane kernel both proxy layers open their
+//!   requests on at saturation); end-to-end figures are gated by
+//!   `benchmark/`, not here.
 //!
 //! Usage:
 //!
@@ -36,6 +40,10 @@ use std::process::Command;
 const GUARDED: &[(&str, &str)] = &[
     ("BENCH_sharding.json", "scaling.sustained_rps_max"),
     ("BENCH_throughput.json", "stages.rsa_decrypt.ops_per_sec"),
+    (
+        "BENCH_throughput.json",
+        "stages.rsa_decrypt_group.ops_per_sec",
+    ),
 ];
 
 #[derive(Debug)]
@@ -263,23 +271,50 @@ mod tests {
     use super::*;
     use pprox_store::TempDir;
 
-    const THROUGHPUT: &str = r#"{"stages":{"rsa_decrypt":{"ops_per_sec":4000.0}}}"#;
+    const THROUGHPUT: &str = r#"{"stages":{"rsa_decrypt":{"ops_per_sec":4000.0},"rsa_decrypt_group":{"ops_per_sec":5000.0}}}"#;
     const SHARDING: &str = r#"{"scaling":{"sustained_rps_max":128000.0}}"#;
     const ANALYSIS: &str = r#"{"findings":[],"status":"clean"}"#;
 
     /// A results directory compared against a copy of itself.
     fn gate(dir: &TempDir, files: &[(&str, &str)]) -> Vec<String> {
+        gate_against(dir, dir, files)
+    }
+
+    /// A results directory written with `files`, compared against the
+    /// reports already in `previous`.
+    fn gate_against(previous: &TempDir, dir: &TempDir, files: &[(&str, &str)]) -> Vec<String> {
         for (name, text) in files {
             std::fs::write(dir.path().join(name), text).unwrap();
         }
-        let results = dir.path().to_str().unwrap().to_string();
         run(&Args {
-            previous_dir: Some(results.clone()),
-            results,
+            previous_dir: Some(previous.path().to_str().unwrap().to_string()),
+            results: dir.path().to_str().unwrap().to_string(),
             baseline_ref: "HEAD".to_string(),
             max_regression: 0.20,
             report_only: false,
         })
+    }
+
+    #[test]
+    fn a_slower_group_kernel_fails_the_gate() {
+        let (before, now) = (TempDir::new("trend-group-0"), TempDir::new("trend-group-1"));
+        let others = [
+            ("BENCH_sharding.json", SHARDING),
+            ("ANALYSIS_report.json", ANALYSIS),
+        ];
+        let mut files = vec![("BENCH_throughput.json", THROUGHPUT)];
+        files.extend(others);
+        assert!(gate(&before, &files).is_empty());
+        // The single decrypt holds; the grouped one loses 40 %.
+        let slower = THROUGHPUT.replace("5000.0", "3000.0");
+        let mut files = vec![("BENCH_throughput.json", slower.as_str())];
+        files.extend(others);
+        let failures = gate_against(&before, &now, &files);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("stages.rsa_decrypt_group.ops_per_sec regressed 40.0%"),
+            "{failures:?}"
+        );
     }
 
     #[test]

@@ -56,7 +56,8 @@
 //! The pair is still one operand spread across the lanes: 20 digits
 //! padded to 24, and a digit-serial chain that the two ladders only
 //! half fill. When several ciphertexts wait together — the IA opens the
-//! `k_u` blocks of a shuffled batch as one group — the lanes can carry
+//! `k_u` blocks of a shuffled batch as one group, the UA the user blocks
+//! queued for its enclave — the lanes can carry
 //! whole ladders instead ([`CrtLadders::pow_all`]): digit `j` of eight
 //! operands sits in one vector, lanes 0–3 run four decrypts' `p` ladders
 //! and lanes 4–7 the same four's `q` ladders (`amm_lanes`). Nothing
@@ -92,7 +93,7 @@ const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
 /// Decrypts per pass of the lane kernel: each takes a `p` lane and a `q`
 /// lane of the eight. Also its break-even: a pass costs about three pair
 /// ladders, so fewer than four decrypts are cheaper as pairs.
-const GROUP: usize = 4;
+const GROUP: usize = crate::rsa::LANE_GROUP;
 /// The lanes of the `q` half.
 const Q_LANES: __mmask8 = 0xf0;
 

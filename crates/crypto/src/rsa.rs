@@ -30,6 +30,12 @@ use crate::CryptoError;
 /// Default modulus size for PProx layer keys.
 pub const DEFAULT_MODULUS_BITS: usize = 2048;
 
+/// Ciphertexts one pass of the group kernel opens: on a CPU with AVX-512
+/// IFMA, [`RsaPrivateKey::decrypt_group`] runs 2048-bit decrypts this many
+/// at a time in the lanes of one ladder, and what is left over as pairs.
+/// A caller that sizes its groups sizes them in these.
+pub const LANE_GROUP: usize = 4;
+
 /// Public RSA exponent (F4).
 const E: u64 = 65_537;
 

@@ -36,6 +36,7 @@ use crate::router::ShardRouter;
 use crate::server::{Reply, Service};
 use crate::services::lrs::{decode_response, encode_request};
 use crate::services::serial::Turns;
+use crate::services::status_of_core;
 use crate::{WireError, WireStatus};
 use parking_lot::Mutex;
 use pprox_core::ia::{IaOptions, IaState, PendingToken};
@@ -428,16 +429,6 @@ fn success_body(result: LrsResult) -> Result<String, WireStatus> {
 /// Completion of a post's LRS exchange: acknowledge or fail.
 fn finish_post(reply: Reply, result: LrsResult) {
     reply.send(success_body(result).map(|_| b"{\"ok\":true}".to_vec()));
-}
-
-fn status_of_core(e: pprox_core::PProxError) -> WireStatus {
-    match e {
-        pprox_core::PProxError::Deadline => WireStatus::Deadline,
-        pprox_core::PProxError::Overloaded => WireStatus::Busy,
-        pprox_core::PProxError::MalformedMessage => WireStatus::Malformed,
-        pprox_core::PProxError::Unavailable => WireStatus::Unavailable,
-        _ => WireStatus::Failed,
-    }
 }
 
 impl Service for IaWireService {

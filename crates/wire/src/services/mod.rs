@@ -16,3 +16,16 @@ pub mod ua;
 pub use ia::IaWireService;
 pub use lrs::LrsWireService;
 pub use ua::{UaServiceOptions, UaWireService};
+
+use crate::WireStatus;
+
+/// What the client is told about a request a layer's ECALL refused.
+fn status_of_core(e: pprox_core::PProxError) -> WireStatus {
+    match e {
+        pprox_core::PProxError::Deadline => WireStatus::Deadline,
+        pprox_core::PProxError::Overloaded => WireStatus::Busy,
+        pprox_core::PProxError::MalformedMessage => WireStatus::Malformed,
+        pprox_core::PProxError::Unavailable => WireStatus::Unavailable,
+        _ => WireStatus::Failed,
+    }
+}
