@@ -14,7 +14,8 @@
 //! isolating the target's pseudonym after roughly
 //! `log(population) / log(population/S)` observations.
 
-use pprox_net::service::SimRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// Outcome of an intersection attack run.
@@ -44,7 +45,7 @@ pub fn intersection_attack(
     seed: u64,
 ) -> IntersectionOutcome {
     assert!(shuffle_size >= 1 && shuffle_size <= population);
-    let mut rng = SimRng::from_seed(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let target = 0usize;
     let mut candidates: Option<HashSet<usize>> = None;
     let mut candidates_per_round = Vec::new();
@@ -54,7 +55,7 @@ pub fn intersection_attack(
         let mut batch: HashSet<usize> = HashSet::with_capacity(shuffle_size);
         batch.insert(target);
         while batch.len() < shuffle_size {
-            batch.insert(1 + rng.below(population - 1));
+            batch.insert(1 + rng.gen_range(0..population - 1));
         }
         candidates = Some(match candidates.take() {
             None => batch,
@@ -87,7 +88,7 @@ pub fn intersection_attack_with_ip_hiding(
     seed: u64,
 ) -> IntersectionOutcome {
     assert!(shuffle_size >= 1 && shuffle_size <= population);
-    let mut rng = SimRng::from_seed(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let target = 0usize;
     let mut candidates: Option<HashSet<usize>> = None;
     let mut candidates_per_round = Vec::new();
@@ -95,7 +96,7 @@ pub fn intersection_attack_with_ip_hiding(
     for round in 1..=max_rounds {
         let mut batch: HashSet<usize> = HashSet::with_capacity(shuffle_size);
         while batch.len() < shuffle_size {
-            batch.insert(rng.below(population));
+            batch.insert(rng.gen_range(0..population));
         }
         candidates = Some(match candidates.take() {
             None => batch,

@@ -4,12 +4,13 @@
 //! The PProx paper proves its properties informally. This crate turns each
 //! argument into a *measurement*:
 //!
-//! * [`observer`] — replays the wire-level message schedule an adversary
-//!   tapping every link would record (§2.3).
-//! * [`correlation`] — mounts the best traffic-correlation attack on that
-//!   trace and compares the measured linkage probability with the §6.2
-//!   bounds `1/S` and `1/(S·I)`; includes the no-padding ablation where
-//!   size fingerprints defeat shuffling.
+//! * [`wire_audit`] — the §6.2 network adversary on *real sockets*: a
+//!   burst-clustering, length- and rank-matching linkage estimator over
+//!   frames recorded by a tap on the UA→IA boundary, scored against
+//!   `1/S` (instance-aware) and `1/(S·I)` (instance-blind);
+//!   `pprox-scenario` feeds it live cluster traces. The no-padding
+//!   ablation is a measured trace with per-request lengths written in
+//!   ([`WireTrace::with_unpadded_lengths`]), which it links outright.
 //! * [`cases`] — the §6.1 case analysis against a live deployment: break
 //!   a UA or IA enclave (through the simulated-SGX compromise API), read
 //!   the whole LRS database, and check exactly what leaks. Includes the
@@ -34,17 +35,14 @@
 //!   pseudonym), checks consistent-hash balance so no shard's
 //!   population becomes an identifiable sub-anonymity-set, and flags
 //!   the arrival-order routing ablation.
-//! * [`wire_audit`] — the §6.2 adversary pointed at *real sockets*: a
-//!   burst-clustering, rank-matching linkage estimator over frame
-//!   timings recorded by a tap on the UA→IA boundary, scored against
-//!   `1/S` and `1/(S·I)`; `pprox-scenario` feeds it live cluster traces.
 //! * [`at_rest_audit`] — the §6.1 database adversary pointed at *disk*:
 //!   scans a durable store directory (`pprox-store`) for plaintext
 //!   user/item identifiers, unpadded record lengths, and foreign files,
 //!   verifying the at-rest image is pseudonymous padded ciphertext only.
 //!
 //! The harness binary `security_analysis` in `pprox-bench` prints the
-//! full report; EXPERIMENTS.md records the numbers.
+//! full report (its §6.2 table runs [`wire_audit`] on scenario traces of
+//! the serving chain); EXPERIMENTS.md records the numbers.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -52,10 +50,8 @@
 pub mod at_rest_audit;
 pub mod cases;
 pub mod combined;
-pub mod correlation;
 pub mod history;
 pub mod lowtraffic;
-pub mod observer;
 pub mod scrape_audit;
 pub mod shard_audit;
 pub mod wire_audit;
@@ -101,10 +97,8 @@ impl LinkageScore {
 
 pub use at_rest_audit::{audit_store_dir, AtRestAuditOutcome, PlaintextHit};
 pub use cases::{break_ia_and_read_database, break_ua_and_read_database, CaseOutcome};
-pub use correlation::{correlation_attack, measure_linkage, CorrelationOutcome};
 pub use history::{intersection_attack, IntersectionOutcome};
 pub use lowtraffic::{measure_anonymity_set, AnonymitySetReport};
-pub use observer::{run_observation, ObservationConfig};
 pub use scrape_audit::{
     audit_scrape_channel, scan_export_for_oracles, ScrapeAuditConfig, ScrapeAuditOutcome,
 };

@@ -14,7 +14,8 @@
 //! tenants restores.
 
 use pprox_core::shuffler::{ShuffleBuffer, ShuffleConfig};
-use pprox_net::service::SimRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Distribution of flush batch sizes over one experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +40,7 @@ pub fn measure_anonymity_set(
     seed: u64,
 ) -> AnonymitySetReport {
     assert!(rps > 0.0 && duration_secs > 0.0);
-    let mut rng = SimRng::from_seed(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut buffer: ShuffleBuffer<u64> = ShuffleBuffer::new(shuffle, seed ^ 0x10);
     let mut now_us = 0.0f64;
     let horizon_us = duration_secs * 1e6;
@@ -47,7 +48,9 @@ pub fn measure_anonymity_set(
     let mut requests = 0usize;
     let mut flow = 0u64;
     while now_us < horizon_us {
-        let next_arrival = now_us + rng.exponential(1e6 / rps);
+        // Poisson arrivals: exponential gaps of mean `1/rps`.
+        let u: f64 = rng.gen();
+        let next_arrival = now_us + -(1e6 / rps) * (1.0 - u).ln();
         // Fire any timer deadlines before the next arrival.
         while let Some(deadline) = buffer.deadline_us() {
             if (deadline as f64) < next_arrival {

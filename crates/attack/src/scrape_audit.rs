@@ -136,6 +136,7 @@ pub fn synthetic_trace(config: &ScrapeAuditConfig) -> WireTrace {
             request: flow,
             at_us: now_us,
             instance: 0,
+            len: 1024,
         });
         if let Some(flush) = buffer.push(now_us, flow) {
             // Frames leave back-to-back inside the flush, well inside
@@ -146,6 +147,7 @@ pub fn synthetic_trace(config: &ScrapeAuditConfig) -> WireTrace {
                 departures.push(TraceDeparture {
                     at_us: t,
                     instance: 0,
+                    len: 1172,
                     truth: *member,
                 });
             }

@@ -2,10 +2,10 @@
 //! §6.2 network adversary pointed at a real socket boundary).
 //!
 //! This module measures linkage on the observations a recording tap
-//! between the UA and IA tiers actually yields: per-frame timestamps, size classes, and
-//! which tap (instance) saw them. Frames are constant-size and carry
-//! per-hop correlation ids, so the only attack surface left is timing —
-//! exactly the §4.3 claim under test.
+//! between the UA and IA tiers actually yields: per-frame timestamps,
+//! on-wire lengths, and which tap (instance) saw them. Frames are
+//! constant-size and carry per-hop correlation ids, so the only attack
+//! surface left is timing — exactly the §4.3 claim under test.
 //!
 //! The adversary strategy implemented here is the strongest simple one
 //! available to a boundary observer:
@@ -15,9 +15,14 @@
 //! 2. **FIFO batch assignment** — the shuffle buffer holds exactly the
 //!    arrivals since its last flush, so the adversary assigns the
 //!    earliest unassigned arrivals to each batch in time order.
-//! 3. **Rank matching** — within a batch, pair the i-th earliest arrival
-//!    with the i-th departure frame. Under a uniform permutation this
-//!    succeeds with probability `1/S` per request (no strategy does
+//! 3. **Length matching** — within a batch, a frame whose length is
+//!    unique among the batch's frames and among its candidate arrivals
+//!    is paired with the one arrival of that length. Padded traffic has
+//!    one length per hop, so this never fires on it; a trace with
+//!    per-request lengths (padding off) is linked by it outright.
+//! 4. **Rank matching** — the rest of the batch pairs the i-th earliest
+//!    arrival with the i-th departure frame. Under a uniform permutation
+//!    this succeeds with probability `1/S` per request (no strategy does
 //!    better); under a broken, order-preserving shuffle it succeeds
 //!    almost always — which is how the ablation gets *caught*.
 //!
@@ -28,10 +33,8 @@
 //! instances — bound `1/(S·I)`, the paper's across-instances curve).
 //!
 //! Ground truth (`TraceDeparture::truth`) comes from the cluster's
-//! opt-in [`pprox-wire` linkage audit]; the attack logic below never
-//! reads it — it is consulted only to score guesses.
-//!
-//! [`pprox-wire` linkage audit]: https://example.invalid/pprox-wire-audit
+//! opt-in linkage audit (`pprox_wire::audit`); the attack logic below
+//! never reads it — it is consulted only to score guesses.
 
 use crate::LinkageScore;
 
@@ -47,6 +50,8 @@ pub struct TraceArrival {
     /// UA instance the request was routed to (hidden from the
     /// instance-blind adversary).
     pub instance: u16,
+    /// Bytes the observer saw for this message.
+    pub len: usize,
 }
 
 /// One egress frame as the tap records it, plus the ground-truth request
@@ -57,6 +62,8 @@ pub struct TraceDeparture {
     pub at_us: u64,
     /// UA instance whose uplink tap saw the frame.
     pub instance: u16,
+    /// On-wire bytes of the frame.
+    pub len: usize,
     /// Answer key: the request this frame actually carried.
     pub truth: usize,
 }
@@ -110,8 +117,37 @@ pub struct WireAuditOutcome {
     pub label: &'static str,
 }
 
-/// Mounts the burst-cluster + FIFO + rank-match attack on a wire trace
-/// and scores it against the analytic bound.
+impl WireTrace {
+    /// The padding ablation as a test input: this trace with every
+    /// message's length rewritten to a per-request fingerprint,
+    /// `600 + request % 97` bytes on both sides of the hop — what an
+    /// unpadded deployment would put on the wire.
+    pub fn with_unpadded_lengths(&self) -> WireTrace {
+        let len = |request: usize| 600 + request % 97;
+        WireTrace {
+            arrivals: self
+                .arrivals
+                .iter()
+                .map(|a| TraceArrival {
+                    len: len(a.request),
+                    ..*a
+                })
+                .collect(),
+            departures: self
+                .departures
+                .iter()
+                .map(|d| TraceDeparture {
+                    len: len(d.truth),
+                    ..*d
+                })
+                .collect(),
+            ..self.clone()
+        }
+    }
+}
+
+/// Mounts the burst-cluster + FIFO + length/rank-match attack on a wire
+/// trace and scores it against the analytic bound.
 pub fn wire_linkage_attack(trace: &WireTrace, config: &WireAuditConfig) -> WireAuditOutcome {
     let s = trace.shuffle_size.max(1);
     let i = trace.instances.max(1);
@@ -193,8 +229,28 @@ pub fn wire_linkage_attack(trace: &WireTrace, config: &WireAuditConfig) -> WireA
             }
             candidates.push(idx);
         }
-        // Rank match: i-th earliest candidate ↔ i-th departure frame.
-        for (frame, &cand) in batch.frames.iter().zip(&candidates) {
+        // A length unique on both sides pairs its frame outright; the
+        // rest rank-match: i-th earliest candidate ↔ i-th frame.
+        let unique = |len: usize| {
+            batch.frames.iter().filter(|f| f.len == len).count() == 1
+                && candidates
+                    .iter()
+                    .filter(|&&c| arrivals[c].len == len)
+                    .count()
+                    == 1
+        };
+        let (by_len, by_rank): (Vec<&&TraceDeparture>, Vec<_>) =
+            batch.frames.iter().partition(|f| unique(f.len));
+        let mut pairs = Vec::with_capacity(batch.frames.len());
+        let mut rest = Vec::with_capacity(candidates.len());
+        for &cand in &candidates {
+            match by_len.iter().find(|f| f.len == arrivals[cand].len) {
+                Some(frame) => pairs.push((*frame, cand)),
+                None => rest.push(cand),
+            }
+        }
+        pairs.extend(by_rank.into_iter().zip(rest));
+        for (frame, cand) in pairs {
             assigned[cand] = true;
             if arrivals[cand].request == frame.truth {
                 correct += 1;
@@ -242,6 +298,7 @@ mod tests {
                     request: req,
                     at_us: now,
                     instance: inst as u16,
+                    len: 1024,
                 });
                 per_instance[inst].push((req, now));
                 req += 1;
@@ -256,6 +313,7 @@ mod tests {
                     departures.push(TraceDeparture {
                         at_us: burst_start + slot as u64 * 100,
                         instance: inst as u16,
+                        len: 1172,
                         truth: group[g].0,
                     });
                 }
@@ -289,6 +347,27 @@ mod tests {
             out.score.success_rate
         );
         assert!((out.mean_batch - 8.0).abs() < 1.0, "{}", out.mean_batch);
+        // One length per side (as on the wire), or one length for both:
+        // nothing is unique inside a batch, so the score is the rank
+        // match's alone.
+        let mut one_len = trace.clone();
+        for a in &mut one_len.arrivals {
+            a.len = 1172;
+        }
+        let same = wire_linkage_attack(&one_len, &WireAuditConfig::default());
+        assert_eq!(same.score, out.score);
+    }
+
+    #[test]
+    fn unpadded_lengths_defeat_the_shuffle() {
+        let trace = synthetic(8, 1, 60, true, 0x11d1).with_unpadded_lengths();
+        let out = wire_linkage_attack(&trace, &WireAuditConfig::default());
+        assert!(
+            out.score.success_rate >= 0.9,
+            "per-request lengths must link almost always: {}",
+            out.score.success_rate
+        );
+        assert!(!out.score.within(), "the audit must flag unpadded traffic");
     }
 
     #[test]

@@ -21,7 +21,6 @@ use pprox_net::link::Link;
 use pprox_net::node::Station;
 use pprox_net::service::{ServiceTime, SimRng};
 use pprox_net::sim::Simulator;
-use pprox_net::tap::{Segment, Tap};
 use pprox_net::time::{SimDuration, SimTime};
 use pprox_workload::injector::{ArrivalProcess, Schedule};
 use pprox_workload::stats::LatencyRecorder;
@@ -212,6 +211,25 @@ impl ExperimentConfig {
     }
 }
 
+/// A wire hop a simulated message crosses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hop {
+    /// Client → LRS, the unprotected baseline.
+    Direct,
+    /// Client → UA layer.
+    ClientToUa,
+    /// UA layer → IA layer.
+    UaToIa,
+    /// IA layer → LRS.
+    IaToLrs,
+    /// LRS → IA layer (response).
+    LrsToIa,
+    /// IA layer → UA layer (response).
+    IaToUa,
+    /// UA layer → client (response).
+    UaToClient,
+}
+
 /// Result of one experiment cell.
 #[derive(Debug)]
 pub struct ExperimentResult {
@@ -219,13 +237,12 @@ pub struct ExperimentResult {
     pub latencies: LatencyRecorder,
     /// Completed requests (including trimmed ones).
     pub completed: u64,
-    /// The adversary's tap over all hops (for attack experiments).
-    pub tap: Tap,
+    /// Messages sent on each hop, indexed by `Hop as usize`.
+    pub hops: [u64; 7],
 }
 
 #[derive(Clone, Copy)]
 struct Msg {
-    flow: u64,
     arrived_us: u64,
     /// `true` for post (feedback) requests; their response leg is a bare
     /// acknowledgement — no list decryption/re-encryption, smaller frame.
@@ -248,7 +265,7 @@ struct Ctx {
     rng: RefCell<SimRng>,
     recorder: RefCell<LatencyRecorder>,
     completed: RefCell<u64>,
-    tap: Tap,
+    hops: RefCell<[u64; 7]>,
     window: (u64, u64),
     request_frame: usize,
     response_frame: usize,
@@ -291,6 +308,10 @@ impl Ctx {
         } else {
             self.response_frame
         }
+    }
+
+    fn count(&self, hop: Hop) {
+        self.hops.borrow_mut()[hop as usize] += 1;
     }
 
     fn record_completion(&self, now: SimTime, msg: &Msg) {
@@ -369,7 +390,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
         rng: RefCell::new(SimRng::from_seed(config.seed ^ 0xc0de)),
         recorder: RefCell::new(LatencyRecorder::new()),
         completed: RefCell::new(0),
-        tap: Tap::new(),
+        hops: RefCell::new([0; 7]),
         window,
         request_frame: pprox_core::message::REQUEST_FRAME_LEN,
         response_frame: pprox_core::message::RESPONSE_FRAME_LEN,
@@ -378,12 +399,12 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     let mut sim = Simulator::new();
     let mut kind_rng = SimRng::from_seed(config.seed ^ 0x9057);
     let post_fraction = config.post_fraction;
-    for (flow, &at_us) in schedule.arrivals_us.iter().enumerate() {
+    for &at_us in &schedule.arrivals_us {
         let ctx = ctx.clone();
         let is_post = kind_rng.unit() < post_fraction;
         sim.schedule_at(
             SimTime(at_us),
-            Box::new(move |sim| arrive(sim, ctx, flow as u64, is_post)),
+            Box::new(move |sim| arrive(sim, ctx, is_post)),
         );
     }
     sim.run();
@@ -392,28 +413,20 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     ExperimentResult {
         latencies: ctx.recorder.into_inner(),
         completed: ctx.completed.into_inner(),
-        tap: ctx.tap,
+        hops: ctx.hops.into_inner(),
     }
 }
 
 /// A request arrives from a client.
-fn arrive(sim: &mut Simulator, ctx: Rc<Ctx>, flow: u64, is_post: bool) {
+fn arrive(sim: &mut Simulator, ctx: Rc<Ctx>, is_post: bool) {
     let arrived_us = sim.now().as_micros();
     let msg = Msg {
-        flow,
         arrived_us,
         is_post,
     };
     if ctx.proxy.is_none() {
         // Unprotected baseline: client → LRS → client.
-        ctx.tap.record(
-            sim.now(),
-            Segment::Direct,
-            format!("client-{flow}"),
-            "lrs",
-            ctx.request_frame,
-            flow,
-        );
+        ctx.count(Hop::Direct);
         let c = ctx.clone();
         ctx.link.send(
             sim,
@@ -423,14 +436,7 @@ fn arrive(sim: &mut Simulator, ctx: Rc<Ctx>, flow: u64, is_post: bool) {
         return;
     }
     let ua = ctx.ua_lb.borrow_mut().pick(&mut ctx.rng.borrow_mut());
-    ctx.tap.record(
-        sim.now(),
-        Segment::ClientToUa,
-        format!("client-{flow}"),
-        ctx.ua_stations[ua].name(),
-        ctx.request_frame,
-        flow,
-    );
+    ctx.count(Hop::ClientToUa);
     let c = ctx.clone();
     ctx.link.send(
         sim,
@@ -483,14 +489,7 @@ fn ua_work(sim: &mut Simulator, ctx: Rc<Ctx>, ua: usize, msg: Msg) {
         demand,
         Box::new(move |sim| {
             let ia = c.ia_lb.borrow_mut().pick(&mut c.rng.borrow_mut());
-            c.tap.record(
-                sim.now(),
-                Segment::UaToIa,
-                c.ua_stations[ua].name(),
-                c.ia_stations[ia].name(),
-                c.request_frame,
-                msg.flow,
-            );
+            c.count(Hop::UaToIa);
             let c2 = c.clone();
             c.link.send(
                 sim,
@@ -510,14 +509,7 @@ fn ia_work(sim: &mut Simulator, ctx: Rc<Ctx>, ia: usize, msg: Msg) {
         demand,
         Box::new(move |sim| {
             let lrs = c.lrs_lb.borrow_mut().pick(&mut c.rng.borrow_mut());
-            c.tap.record(
-                sim.now(),
-                Segment::IaToLrs,
-                c.ia_stations[ia].name(),
-                c.lrs_stations[lrs].name(),
-                c.request_frame,
-                msg.flow,
-            );
+            c.count(Hop::IaToLrs);
             let c2 = c.clone();
             c.link.send(
                 sim,
@@ -537,14 +529,7 @@ fn lrs_submit(sim: &mut Simulator, ctx: Rc<Ctx>, lrs: usize, ia: usize, msg: Msg
         demand,
         Box::new(move |sim| {
             let frame = c.response_frame_for(msg.is_post);
-            c.tap.record(
-                sim.now(),
-                Segment::LrsToIa,
-                c.lrs_stations[lrs].name(),
-                c.ia_stations[ia].name(),
-                frame,
-                msg.flow,
-            );
+            c.count(Hop::LrsToIa);
             let c2 = c.clone();
             c.link.send(
                 sim,
@@ -573,7 +558,7 @@ fn ia_response(sim: &mut Simulator, ctx: Rc<Ctx>, ia: usize, msg: Msg) {
             };
             if let Some(flush) = flush {
                 for item in flush.items {
-                    ia_forward_response(sim, c.clone(), ia, item);
+                    ia_forward_response(sim, c.clone(), item);
                 }
             } else if schedule_timer {
                 let deadline = c.ia_resp_buffers[ia].borrow().deadline_us();
@@ -587,7 +572,7 @@ fn ia_response(sim: &mut Simulator, ctx: Rc<Ctx>, ia: usize, msg: Msg) {
                                 .poll_timeout(sim.now().as_micros());
                             if let Some(flush) = flush {
                                 for item in flush.items {
-                                    ia_forward_response(sim, c2.clone(), ia, item);
+                                    ia_forward_response(sim, c2.clone(), item);
                                 }
                             }
                         }),
@@ -600,17 +585,10 @@ fn ia_response(sim: &mut Simulator, ctx: Rc<Ctx>, ia: usize, msg: Msg) {
 
 /// Shuffled response leaves the IA toward a UA instance, which forwards it
 /// to the client.
-fn ia_forward_response(sim: &mut Simulator, ctx: Rc<Ctx>, ia: usize, msg: Msg) {
+fn ia_forward_response(sim: &mut Simulator, ctx: Rc<Ctx>, msg: Msg) {
     let ua = ctx.ua_lb.borrow_mut().pick(&mut ctx.rng.borrow_mut());
     let frame = ctx.response_frame_for(msg.is_post);
-    ctx.tap.record(
-        sim.now(),
-        Segment::IaToUa,
-        ctx.ia_stations[ia].name(),
-        ctx.ua_stations[ua].name(),
-        frame,
-        msg.flow,
-    );
+    ctx.count(Hop::IaToUa);
     let c = ctx.clone();
     ctx.link.send(
         sim,
@@ -623,14 +601,7 @@ fn ia_forward_response(sim: &mut Simulator, ctx: Rc<Ctx>, ia: usize, msg: Msg) {
                 demand,
                 Box::new(move |sim| {
                     let frame = c2.response_frame_for(msg.is_post);
-                    c2.tap.record(
-                        sim.now(),
-                        Segment::UaToClient,
-                        c2.ua_stations[ua].name(),
-                        format!("client-{}", msg.flow),
-                        frame,
-                        msg.flow,
-                    );
+                    c2.count(Hop::UaToClient);
                     let c3 = c2.clone();
                     c2.link.send(
                         sim,
@@ -886,17 +857,12 @@ mod tests {
     }
 
     #[test]
-    fn tap_sees_all_hops() {
+    fn every_request_crosses_every_hop() {
         let r = quick(Some(proxy_m3()), LrsModel::Stub, 50.0, 10);
-        assert_eq!(
-            r.tap.on_segment(Segment::ClientToUa).len() as u64,
-            r.completed
-        );
-        assert_eq!(r.tap.on_segment(Segment::IaToLrs).len() as u64, r.completed);
-        assert_eq!(
-            r.tap.on_segment(Segment::UaToClient).len() as u64,
-            r.completed
-        );
+        for hop in [Hop::ClientToUa, Hop::IaToLrs, Hop::UaToClient] {
+            assert_eq!(r.hops[hop as usize], r.completed, "{hop:?}");
+        }
+        assert_eq!(r.hops[Hop::Direct as usize], 0);
     }
 
     #[test]

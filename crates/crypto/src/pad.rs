@@ -3,8 +3,8 @@
 //! §4.3 of the paper: "The size of all encrypted messages is constant, by
 //! using fixed-size user and item identifiers, and padding when necessary."
 //! Constant-size framing is what defeats size-based traffic correlation; the
-//! `security_analysis` harness includes an ablation with padding disabled
-//! that shows the attack succeeding again.
+//! `security_analysis` harness includes an ablation that gives each message
+//! of a measured trace its own length and shows the attack succeeding again.
 //!
 //! Format: 4-byte big-endian payload length, payload, zero fill.
 

@@ -12,8 +12,6 @@
 //! * [`lb::LoadBalancer`] — kube-proxy-style instance selection.
 //! * [`service::ServiceTime`] — per-request demand models, calibrated
 //!   against the real implementation's criterion micro-benchmarks.
-//! * [`tap::Tap`] — the adversary's view of every wire (§2.3), feeding the
-//!   traffic-correlation attack harness.
 //!
 //! What the simulator claims to reproduce is the *shape* of the paper's
 //! results (who saturates where, how scaling steps look), not absolute
@@ -27,7 +25,6 @@ pub mod link;
 pub mod node;
 pub mod service;
 pub mod sim;
-pub mod tap;
 pub mod time;
 
 pub use lb::{BalancePolicy, LoadBalancer};
@@ -35,5 +32,4 @@ pub use link::Link;
 pub use node::Station;
 pub use service::{ServiceTime, SimRng};
 pub use sim::{EventFn, Simulator};
-pub use tap::{FlowRecord, Segment, Tap};
 pub use time::{SimDuration, SimTime};

@@ -118,6 +118,10 @@ pub struct ScenarioOutcome {
     pub duration_us: u64,
     /// Mean offered rate, rps (informational).
     pub offered_rps: f64,
+    /// What the adversary saw on the request edge (client → UA
+    /// arrivals, UA → IA frames), ground truth attached — the trace
+    /// `aware` and `blind` scored.
+    pub request_trace: WireTrace,
     /// Instance-aware adversary vs the `1/S` curve.
     pub aware: WireAuditOutcome,
     /// Instance-blind adversary vs the `1/(S·I)` curve.
@@ -329,6 +333,7 @@ fn drive(
                         request: k,
                         at_us,
                         instance: req.ua as u16,
+                        len: req.frame.len(),
                     });
                     let deadline = Deadline::starting_now(Duration::from_secs(5));
                     match clients[req.ua].call(&req.frame, deadline) {
@@ -452,6 +457,7 @@ fn drive(
             departures.push(TraceDeparture {
                 at_us: frame.at_us,
                 instance: ua as u16,
+                len: frame.len,
                 truth: request,
             });
         }
@@ -460,6 +466,10 @@ fn drive(
     // Response edge: every answer the shuffle stage released, in release
     // order (the scorer's sort is stable, so the answers of one release,
     // logged under one instant, stay in the order they were written).
+    // The audit log has instants, not frames: every frame on this edge is
+    // of the response class, posts' acknowledgements included, so its
+    // length is the class's.
+    let response_len = pprox_wire::PadClass::Response.wire_len();
     let (mut answers_in, mut replies_out) = (Vec::new(), Vec::new());
     for (ua, audit) in audits.iter().enumerate() {
         for event in audit.answers() {
@@ -470,10 +480,12 @@ fn drive(
                 request,
                 at_us: event.arrived_us,
                 instance: ua as u16,
+                len: response_len,
             });
             replies_out.push(TraceDeparture {
                 at_us: event.left_us,
                 instance: ua as u16,
+                len: response_len,
                 truth: request,
             });
         }
@@ -482,27 +494,34 @@ fn drive(
     // The aware adversary always knows the instance; `blind_instances` is
     // how many instances the blind one's curve `1/(S·I)` credits the edge
     // with.
-    let attack = |arrivals: Vec<_>, departures: Vec<_>, blind_instances| {
+    let trace = |arrivals, departures| WireTrace {
+        shuffle_size: spec.shuffle_size,
+        instances: spec.ua_instances,
+        arrivals,
+        departures,
+    };
+    let attack = |trace: &WireTrace, blind_instances| {
         [(false, spec.ua_instances), (true, blind_instances)].map(|(instance_blind, instances)| {
-            let trace = WireTrace {
-                shuffle_size: spec.shuffle_size,
-                instances,
-                arrivals: arrivals.clone(),
-                departures: departures.clone(),
-            };
             let config = WireAuditConfig {
                 batch_gap_us: spec.batch_gap_us,
                 instance_blind,
             };
-            wire_linkage_attack(&trace, &config)
+            wire_linkage_attack(
+                &WireTrace {
+                    instances,
+                    ..trace.clone()
+                },
+                &config,
+            )
         })
     };
-    let [aware, blind] = attack(arrivals.lock().clone(), departures, spec.ua_instances);
+    let request_trace = trace(arrivals.lock().clone(), departures);
+    let [aware, blind] = attack(&request_trace, spec.ua_instances);
     // On the way back an instance's answers reach it as one burst, just
     // before it releases them, so the merged stream attributes itself:
     // the blind adversary is scored against `1/S` here too (it measures
     // ≈ 1/S under the paper's independent response buffer as well).
-    let response_edge = attack(answers_in, replies_out, 1);
+    let response_edge = attack(&trace(answers_in, replies_out), 1);
 
     ScenarioOutcome {
         spec: spec.clone(),
@@ -511,6 +530,7 @@ fn drive(
         shed,
         duration_us,
         offered_rps: spec.shape.mean_rps(spec.requests),
+        request_trace,
         aware,
         blind,
         response_edge,

@@ -11,8 +11,8 @@
 //!   diurnal ramp, flash crowd) drawn from seeded Poisson processes; no
 //!   wall-clock randomness reaches any assertion.
 //! * [`tap`] — a recording frame proxy interposed on the UA→IA
-//!   boundary: per-frame timing, direction, size class, and per-hop
-//!   correlation id — exactly what an on-path observer gets — plus
+//!   boundary: per-frame timing, direction, size class, length, and
+//!   per-hop correlation id — exactly what an on-path observer gets — plus
 //!   optional injected WAN latency.
 //! * [`harness`] — boots a cluster, reroutes every UA uplink through
 //!   taps, replays a schedule (with optional client churn, slow-loris
@@ -20,11 +20,12 @@
 //!   [`pprox_attack::wire_audit`] linkage estimator against the
 //!   analytic `1/S` and `1/(S·I)` curves.
 //! * [`scenarios`] — the named catalog, including the seeded
-//!   shuffle-order ablation every audit run must *catch*.
+//!   shuffle-order ablation every audit run must *catch*, and the
+//!   (S, I) sweep behind the §6.2 table.
 //!
 //! `pprox-bench`'s `scenario_report` binary runs the catalog and emits
-//! `results/BENCH_scenarios.json`; `tests/scenarios.rs` pins the bounds
-//! in CI.
+//! `results/BENCH_scenarios.json`; `security_analysis` runs the sweep;
+//! `tests/scenarios.rs` pins the bounds in CI.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -7,7 +7,9 @@
 //! must *catch*. Rates are tuned so `S / per_instance_rate` stays well
 //! under the flush timeout: buffers fill before the timer fires, which
 //! is the regime the `1/S` analysis assumes (§6.3 treats the starved
-//! regime separately; `pprox-attack::lowtraffic` measures it).
+//! regime separately; `pprox-attack::lowtraffic` measures it). Next to
+//! the catalog, [`sweep`] is the (S, I) grid of `security_analysis`'s
+//! §6.2 table, under the same rules.
 //!
 //! Wire order on the UA→IA boundary is the buffer's release order (one
 //! flush thread writes each batch), so the ablation scenario's
@@ -128,9 +130,37 @@ pub fn smoke() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// Looks a scenario up by name across both catalogs.
+/// The §6.2 grid `security_analysis` measures: `S` ∈ {1, 5, 10, 20} at
+/// one instance per layer, and `I` ∈ {1, 2, 4} instances at `S = 10`,
+/// each held to `1/S` (instance-aware) and `1/(S·I)` (instance-blind).
+/// `S = 1` is the no-shuffling row: every request is its own release.
+pub fn sweep() -> Vec<ScenarioSpec> {
+    let cell = |name, shuffle_size, instances| ScenarioSpec {
+        shape: LoadShape::Steady { rps: 320.0 },
+        requests: 600,
+        shuffle_size,
+        shuffle_timeout_us: 200_000,
+        ua_instances: instances,
+        ia_instances: instances,
+        ..base(name)
+    };
+    vec![
+        cell("sweep_s1_i1", 1, 1),
+        cell("sweep_s5_i1", 5, 1),
+        cell("sweep_s10_i1", 10, 1),
+        cell("sweep_s10_i2", 10, 2),
+        cell("sweep_s10_i4", 10, 4),
+        cell("sweep_s20_i1", 20, 1),
+    ]
+}
+
+/// Looks a scenario up by name across the catalogs.
 pub fn by_name(name: &str) -> Option<ScenarioSpec> {
-    all().into_iter().chain(smoke()).find(|s| s.name == name)
+    all()
+        .into_iter()
+        .chain(smoke())
+        .chain(sweep())
+        .find(|s| s.name == name)
 }
 
 #[cfg(test)]
@@ -145,8 +175,8 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), specs.len(), "duplicate scenario names");
-        for s in specs.iter().chain(&smoke()) {
-            assert!(s.requests > 0 && s.shuffle_size > 1);
+        for s in specs.iter().chain(&smoke()).chain(&sweep()) {
+            assert!(s.requests > 0 && s.shuffle_size >= 1);
             assert!(s.violation_expected == s.order_ablation);
             // Buffers must fill before the flush timer fires: the mean
             // per-instance inter-flush interval S/rate stays under the
@@ -160,15 +190,19 @@ mod tests {
                 fill_us,
                 s.shuffle_timeout_us
             );
-            // And the burst-clustering gap must separate flushes.
+            // And the burst-clustering gap must separate flushes — except
+            // without shuffling (`S = 1`), where there is no batch to keep
+            // apart and a merged burst still releases in arrival order.
             assert!(
-                (s.batch_gap_us as f64) < fill_us,
+                s.shuffle_size == 1 || (s.batch_gap_us as f64) < fill_us,
                 "{}: batch gap would merge consecutive flushes",
                 s.name
             );
         }
+        assert!(specs.iter().chain(&smoke()).all(|s| s.shuffle_size > 1));
         assert!(by_name("steady").is_some());
         assert!(by_name("ablation_smoke").is_some());
+        assert!(by_name("sweep_s10_i4").is_some());
         assert!(by_name("nope").is_none());
     }
 }

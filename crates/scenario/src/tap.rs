@@ -6,8 +6,8 @@
 //! [`LoopbackCluster::reroute_ua_uplink`]). It speaks the frame codec
 //! just well enough to *delimit* frames — header parse, body skip — and
 //! records what a §2.3 network observer actually gets from a PProx
-//! deployment: per-frame **timing**, **direction**, **size class**, and
-//! **per-hop correlation id**. Payloads are ciphertext and every frame
+//! deployment: per-frame **timing**, **direction**, **size class** and
+//! **length**, and **per-hop correlation id**. Payloads are ciphertext and every frame
 //! of a class has one length, so the recorded trace is exactly the §6.2
 //! adversary's input, produced by real sockets rather than a simulator.
 //!
@@ -46,6 +46,8 @@ pub struct TapFrame {
     pub dir: TapDirection,
     /// Padding class (one of three fixed on-wire sizes).
     pub class: PadClass,
+    /// On-wire bytes: the header plus the body the header declared.
+    pub len: usize,
     /// Per-hop correlation id from the header.
     pub corr: u64,
     /// Which tap connection carried the frame.
@@ -225,6 +227,7 @@ fn pump(
             at_us: clock(),
             dir,
             class,
+            len: HEADER_LEN + body_len,
             corr,
             conn,
         });
@@ -351,6 +354,7 @@ mod tests {
                 assert!(frames
                     .iter()
                     .all(|f| matches!(f.class, PadClass::Request | PadClass::Response)));
+                assert!(frames.iter().all(|f| f.len == f.class.wire_len()));
                 break;
             }
             assert!(

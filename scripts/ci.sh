@@ -52,7 +52,7 @@ echo "== cargo test =="
 cargo test -q --workspace
 
 echo "== examples (not run by cargo test; each must exit 0) =="
-for example in quickstart news_portal adversary_lab movie_recommendations; do
+for example in quickstart news_portal movie_recommendations; do
     cargo run --release -q --example "$example" >/dev/null
 done
 
@@ -92,6 +92,10 @@ report_smoke() {
     cargo run --release -q -p pprox-bench --bin "$bin" -- \
         --validate "results/$file"
 }
+
+echo "== limitations report (seeded and deterministic: must equal the committed file) =="
+cargo run --release -q -p pprox-bench --bin limitations >"$SCRATCH/limitations.txt"
+diff -u results/limitations.txt "$SCRATCH/limitations.txt"
 
 echo "== privacy-flow analysis (v2: taint + lock order + reader/panic discipline) =="
 cargo run --release -q -p pprox-analysis -- \

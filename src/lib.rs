@@ -27,7 +27,8 @@
 //! * [`workload`] (`pprox-workload`) — MovieLens-like synthetic traces,
 //!   open-loop injection schedules, candlestick statistics.
 //! * [`attack`] (`pprox-attack`) — the executable §6 security analysis:
-//!   traffic correlation, enclave compromise cases, history attacks.
+//!   traffic correlation on real frames (`wire_audit`), enclave
+//!   compromise cases, history attacks.
 //! * [`wire`] (`pprox-wire`) — the one concurrent request path: UA, IA
 //!   and LRS nodes over loopback TCP (framed codec with constant-size
 //!   padding classes, event-driven server, pipelined clients, socket load

@@ -38,6 +38,18 @@ fn steady_scenario_meets_linkage_bounds() {
         outcome.aware.batches,
         outcome.aware.mean_batch
     );
+    // Padding leaves the observer one length per hop to see: every
+    // client→UA arrival and every UA→IA frame of a hop is the same size.
+    let one_len = |lens: Vec<usize>| lens.windows(2).all(|w| w[0] == w[1]);
+    let trace = &outcome.request_trace;
+    assert!(
+        one_len(trace.arrivals.iter().map(|a| a.len).collect()),
+        "client→UA lengths differ"
+    );
+    assert!(
+        one_len(trace.departures.iter().map(|d| d.len).collect()),
+        "UA→IA lengths differ"
+    );
     assert!(
         outcome.aware.score.attempts >= 100,
         "too few attempts for a meaningful bound: {}",

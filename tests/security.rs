@@ -1,8 +1,6 @@
 //! Integration test: the §6 security guarantees, end to end.
 
 use pprox::attack::cases;
-use pprox::attack::correlation::measure_linkage;
-use pprox::attack::observer::ObservationConfig;
 use pprox::core::{PProxConfig, PProxDeployment};
 use pprox::lrs::shard::ShardEngine;
 use pprox::sgx::CompromiseError;
@@ -81,23 +79,6 @@ fn horizontal_scaling_does_not_weaken_layer_isolation() {
     }
     // All three UA instances compromised — the IA layer stays off-limits.
     assert!(d.platform().break_enclave(d.ia_layer()[0].id()).is_err());
-}
-
-#[test]
-fn correlation_attack_bounded_by_shuffling() {
-    let outcome = measure_linkage(
-        &ObservationConfig {
-            shuffle_size: 10,
-            requests: 3_000,
-            ..ObservationConfig::default()
-        },
-        5,
-    );
-    assert!(
-        outcome.success_rate < 0.15,
-        "S=10 must cap linkage near 0.1, measured {}",
-        outcome.success_rate
-    );
 }
 
 #[test]
