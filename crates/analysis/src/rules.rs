@@ -115,14 +115,6 @@ pub const CROSS_LAYER_ALLOWLIST: &[(&str, &str)] = &[
         "wire format: frame sizes for both blocks, no plaintext handling",
     ),
     (
-        "crates/core/src/proxy.rs",
-        "deployment harness: instantiates both layers, runs outside enclaves in tests",
-    ),
-    (
-        "crates/core/src/rotation.rs",
-        "breach response: rotates both layers' keys inside their own enclaves",
-    ),
-    (
         "crates/workload/",
         "workload generator: simulates users, outside the trust boundary",
     ),

@@ -1,18 +1,19 @@
-//! Executable §6.1 case analysis: enclave compromise against a live
-//! deployment.
+//! Executable §6.1 case analysis: enclave compromise against the serving
+//! chain.
 //!
 //! The paper argues informally that breaking *one* layer's enclave never
 //! yields the user–item link. This module turns each case into a runnable
-//! experiment against a real [`PProxDeployment`]: drive traffic with known
-//! ground truth, break an enclave through the platform's compromise API,
-//! and let the adversary do everything its stolen keys allow against the
-//! LRS database. The outcome records what was actually learned.
+//! experiment: drive traffic with known ground truth through the chain
+//! (a `LoopbackCluster` of `pprox-wire`), break one of its enclaves
+//! through the [`Platform`] that hosts them, and let the adversary do
+//! everything its stolen keys allow against the LRS database. The outcome
+//! records what was actually learned.
 
-use pprox_core::proxy::PProxDeployment;
+use pprox_core::keys::{IA_CODE_IDENTITY, UA_CODE_IDENTITY};
 use pprox_crypto::ctr::SymmetricKey;
 use pprox_crypto::pad;
 use pprox_lrs::shard::ShardEngine;
-use pprox_sgx::SecretBag;
+use pprox_sgx::{CompromiseError, Measurement, Platform, SecretBag};
 
 /// What the adversary managed to learn in one scenario.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -30,6 +31,21 @@ impl CaseOutcome {
     pub fn unlinkability_holds(&self) -> bool {
         self.linked_pairs.is_empty()
     }
+}
+
+/// Side-channel attack on the oldest live enclave of the layer whose code
+/// identity is `code` (`UA_CODE_IDENTITY` or `IA_CODE_IDENTITY`).
+///
+/// # Errors
+///
+/// As [`Platform::break_enclave`]; [`CompromiseError::UnknownEnclave`]
+/// when the platform hosts no live enclave of that layer.
+pub fn break_layer(platform: &Platform, code: &str) -> Result<SecretBag, CompromiseError> {
+    let victim = platform
+        .enclaves(Measurement::of_code(code))
+        .first()
+        .copied();
+    platform.break_enclave(victim.ok_or(CompromiseError::UnknownEnclave)?)
 }
 
 /// Extracts a symmetric key from a leaked secret bag.
@@ -68,28 +84,20 @@ fn try_depseudonymize(key: &SymmetricKey, stored_id: &str) -> Option<String> {
 ///
 /// Panics when the platform refuses the break (another layer already
 /// compromised), which is itself a modelled property.
-pub fn break_ua_and_read_database(
-    deployment: &PProxDeployment,
-    engine: &ShardEngine,
-) -> CaseOutcome {
-    let ua = &deployment.ua_layer()[0];
-    let bag = deployment
-        .platform()
-        .break_enclave(ua.id())
+pub fn break_ua_and_read_database(platform: &Platform, engine: &ShardEngine) -> CaseOutcome {
+    let bag = break_layer(platform, UA_CODE_IDENTITY)
         .expect("UA break allowed when no other layer is compromised");
     attack_database(&bag, "ua.k", engine)
 }
 
 /// §6.1 Case 2.(c): the adversary breaks an **IA** enclave and reads the
 /// LRS database. Dual outcome: items recovered, users opaque.
-pub fn break_ia_and_read_database(
-    deployment: &PProxDeployment,
-    engine: &ShardEngine,
-) -> CaseOutcome {
-    let ia = &deployment.ia_layer()[0];
-    let bag = deployment
-        .platform()
-        .break_enclave(ia.id())
+///
+/// # Panics
+///
+/// As [`break_ua_and_read_database`].
+pub fn break_ia_and_read_database(platform: &Platform, engine: &ShardEngine) -> CaseOutcome {
+    let bag = break_layer(platform, IA_CODE_IDENTITY)
         .expect("IA break allowed when no other layer is compromised");
     attack_database(&bag, "ia.k", engine)
 }
@@ -168,31 +176,45 @@ pub fn attack_with_both_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pprox_core::config::PProxConfig;
-    use pprox_sgx::CompromiseError;
+    use pprox_core::resilience::Deadline;
+    use pprox_wire::{ClusterConfig, LoopbackCluster};
     use std::sync::Arc;
+    use std::time::Duration;
 
-    /// Ground-truth traffic: 5 users × 2 items through the proxy.
-    fn deploy_with_traffic() -> (PProxDeployment, Arc<ShardEngine>, Vec<(String, String)>) {
+    /// A chain over a fresh engine with every `(user, item)` of `truth`
+    /// posted through it.
+    fn deploy(
+        config: ClusterConfig,
+        truth: &[(String, String)],
+    ) -> (LoopbackCluster, Arc<ShardEngine>) {
         let engine = Arc::new(ShardEngine::new());
-        let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0xca5e).unwrap();
-        let mut client = d.client();
-        let mut truth = Vec::new();
-        for u in 0..5 {
-            for i in 0..2 {
-                let user = format!("user-{u}");
-                let item = format!("item-{u}-{i}");
-                d.post_feedback(&mut client, &user, &item, None).unwrap();
-                truth.push((user, item));
-            }
+        let mut cluster = LoopbackCluster::launch(config, engine.clone()).unwrap();
+        let mut client = cluster.client();
+        for (user, item) in truth {
+            let envelope = client.post(user, item, None).unwrap();
+            let budget = Deadline::starting_now(Duration::from_secs(10));
+            cluster.send_post(&envelope, budget).unwrap();
         }
-        (d, engine, truth)
+        (cluster, engine)
+    }
+
+    /// Ground-truth traffic: 5 users × 2 items through the chain.
+    fn deploy_with_traffic() -> (LoopbackCluster, Arc<ShardEngine>, Vec<(String, String)>) {
+        let truth: Vec<(String, String)> = (0..5)
+            .flat_map(|u| (0..2).map(move |i| (format!("user-{u}"), format!("item-{u}-{i}"))))
+            .collect();
+        let config = ClusterConfig {
+            seed: 0xca5e,
+            ..ClusterConfig::default()
+        };
+        let (cluster, engine) = deploy(config, &truth);
+        (cluster, engine, truth)
     }
 
     #[test]
     fn ua_break_recovers_users_but_never_links() {
         let (d, engine, truth) = deploy_with_traffic();
-        let outcome = break_ua_and_read_database(&d, &engine);
+        let outcome = break_ua_and_read_database(d.platform(), &engine);
         // All users recovered (kUA stolen)…
         for (user, _) in &truth {
             assert!(outcome.recovered_users.contains(user), "missing {user}");
@@ -209,7 +231,7 @@ mod tests {
     #[test]
     fn ia_break_recovers_items_but_never_links() {
         let (d, engine, truth) = deploy_with_traffic();
-        let outcome = break_ia_and_read_database(&d, &engine);
+        let outcome = break_ia_and_read_database(d.platform(), &engine);
         for (_, item) in &truth {
             assert!(outcome.recovered_items.contains(item), "missing {item}");
         }
@@ -224,11 +246,9 @@ mod tests {
     #[test]
     fn synchronous_double_break_is_forbidden() {
         let (d, _engine, _) = deploy_with_traffic();
-        let ua = &d.ua_layer()[0];
-        let ia = &d.ia_layer()[0];
-        d.platform().break_enclave(ua.id()).unwrap();
+        break_layer(d.platform(), UA_CODE_IDENTITY).unwrap();
         assert!(matches!(
-            d.platform().break_enclave(ia.id()),
+            break_layer(d.platform(), IA_CODE_IDENTITY),
             Err(CompromiseError::AnotherLayerCompromised { .. })
         ));
     }
@@ -241,9 +261,9 @@ mod tests {
         // explains rotation is the required response), the database fully
         // de-anonymizes.
         let (d, engine, truth) = deploy_with_traffic();
-        let ua_bag = d.platform().break_enclave(d.ua_layer()[0].id()).unwrap();
+        let ua_bag = break_layer(d.platform(), UA_CODE_IDENTITY).unwrap();
         d.platform().detect_and_recover();
-        let ia_bag = d.platform().break_enclave(d.ia_layer()[0].id()).unwrap();
+        let ia_bag = break_layer(d.platform(), IA_CODE_IDENTITY).unwrap();
         let outcome = attack_with_both_keys(&ua_bag, &ia_bag, &engine);
         assert_eq!(outcome.linked_pairs.len(), truth.len());
         for pair in &truth {
@@ -256,25 +276,21 @@ mod tests {
     fn item_pseudonymization_disabled_leaks_items_to_ua_breaker() {
         // §6.3: with item pseudonymization off, a UA break links users to
         // items — the privacy/utility trade-off made explicit.
-        let engine = Arc::new(ShardEngine::new());
-        let config = PProxConfig {
+        let config = ClusterConfig {
             item_pseudonymization: false,
-            ..PProxConfig::for_tests()
+            seed: 0xca5f,
+            ..ClusterConfig::default()
         };
-        let d = PProxDeployment::new(config, engine.clone(), 0xca5f).unwrap();
-        let mut client = d.client();
-        d.post_feedback(&mut client, "victim", "embarrassing-item", None)
-            .unwrap();
-        let outcome = break_ua_and_read_database(&d, &engine);
+        let victim = ("victim".to_owned(), "embarrassing-item".to_owned());
+        let (d, engine) = deploy(config, std::slice::from_ref(&victim));
+        let outcome = break_ua_and_read_database(d.platform(), &engine);
         // Items are in the clear in the database; with kUA the user column
         // decrypts too: the pair is linked.
         let events = engine.dump_events();
         assert_eq!(events[0].1, "embarrassing-item");
         assert!(outcome.recovered_users.contains(&"victim".to_owned()));
         assert!(
-            outcome
-                .linked_pairs
-                .contains(&("victim".to_owned(), "embarrassing-item".to_owned())),
+            outcome.linked_pairs.contains(&victim),
             "with items in the clear, a UA break links the pair"
         );
         assert!(!outcome.unlinkability_holds());

@@ -11,7 +11,7 @@
 //!   `pprox-scenario` feeds it live cluster traces. The no-padding
 //!   ablation is a measured trace with per-request lengths written in
 //!   ([`WireTrace::with_unpadded_lengths`]), which it links outright.
-//! * [`cases`] — the §6.1 case analysis against a live deployment: break
+//! * [`cases`] — the §6.1 case analysis against the serving chain: break
 //!   a UA or IA enclave (through the simulated-SGX compromise API), read
 //!   the whole LRS database, and check exactly what leaks. Includes the
 //!   hypothetical two-layer break (forbidden by the §2.3 model) as a
@@ -96,7 +96,7 @@ impl LinkageScore {
 }
 
 pub use at_rest_audit::{audit_store_dir, AtRestAuditOutcome, PlaintextHit};
-pub use cases::{break_ia_and_read_database, break_ua_and_read_database, CaseOutcome};
+pub use cases::{break_ia_and_read_database, break_layer, break_ua_and_read_database, CaseOutcome};
 pub use history::{intersection_attack, IntersectionOutcome};
 pub use lowtraffic::{measure_anonymity_set, AnonymitySetReport};
 pub use scrape_audit::{

@@ -58,7 +58,7 @@ impl Tally {
         self.latencies_ms.push(elapsed.as_secs_f64() * 1e3);
         match result {
             Ok(()) => self.ok += 1,
-            Err(PProxError::Lrs { .. } | PProxError::MalformedMessage) => self.lrs_errors += 1,
+            Err(PProxError::MalformedMessage) => self.lrs_errors += 1,
             Err(PProxError::Deadline) => self.deadline += 1,
             Err(PProxError::Unavailable | PProxError::Overloaded) => self.shed += 1,
             Err(_) => self.other += 1,

@@ -9,7 +9,7 @@
 //!    instance-aware, `1/(S·I)` instance-blind. The padding ablation is
 //!    two of those traces with per-request lengths written in.
 //! 2. **Enclave compromise (§6.1)** — the case analysis run against a
-//!    live deployment with real cryptography: break one layer, read the
+//!    loopback cluster with real cryptography: break one layer, read the
 //!    whole LRS database, report what leaked. Includes the forbidden
 //!    two-layer break as a positive control.
 //! 3. **History-based intersection (§6.3)** — how many observations it
@@ -20,11 +20,13 @@ use pprox_attack::cases;
 use pprox_attack::history::{intersection_attack, intersection_attack_with_ip_hiding};
 use pprox_attack::wire_audit::{wire_linkage_attack, WireAuditConfig, WireAuditOutcome};
 use pprox_bench::report;
-use pprox_core::config::PProxConfig;
-use pprox_core::proxy::PProxDeployment;
+use pprox_core::keys::{IA_CODE_IDENTITY, UA_CODE_IDENTITY};
+use pprox_core::resilience::Deadline;
 use pprox_lrs::shard::ShardEngine;
 use pprox_scenario::{run_scenario, scenarios, ScenarioSpec};
+use pprox_wire::{ClusterConfig, LoopbackCluster};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// One row of the §6.2 table: both adversaries, each with its bound,
 /// tolerance and verdict.
@@ -106,23 +108,33 @@ fn main() {
     println!("size from linking the shuffle.");
 
     report::section("part 2 — enclave compromise case analysis (§6.1)");
-    let run_case = |label: &str, break_ua: bool| {
+    // 20 users, one item each, posted through a loopback cluster.
+    let with_traffic = |seed: u64| {
         let engine = Arc::new(ShardEngine::new());
-        let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0x5ec_0200).unwrap();
-        let mut client = d.client();
+        let config = ClusterConfig {
+            seed,
+            ..ClusterConfig::default()
+        };
+        let mut cluster =
+            LoopbackCluster::launch(config, engine.clone()).expect("the chain starts");
+        let mut client = cluster.client();
         for u in 0..20 {
-            d.post_feedback(
-                &mut client,
-                &format!("user-{u}"),
-                &format!("item-{u}"),
-                None,
-            )
-            .unwrap();
+            let envelope = client
+                .post(&format!("user-{u}"), &format!("item-{u}"), None)
+                .expect("a well-formed post");
+            let budget = Deadline::starting_now(Duration::from_secs(10));
+            cluster
+                .send_post(&envelope, budget)
+                .expect("the chain serves");
         }
+        (cluster, engine)
+    };
+    let run_case = |label: &str, break_ua: bool| {
+        let (d, engine) = with_traffic(0x5ec_0200);
         let outcome = if break_ua {
-            cases::break_ua_and_read_database(&d, &engine)
+            cases::break_ua_and_read_database(d.platform(), &engine)
         } else {
-            cases::break_ia_and_read_database(&d, &engine)
+            cases::break_ia_and_read_database(d.platform(), &engine)
         };
         println!(
             "{label}: users recovered {:>2}/20, items recovered {:>2}/20, pairs linked {:>2}/20 → unlinkability {}",
@@ -137,20 +149,9 @@ fn main() {
 
     // Positive control: what the one-layer-at-a-time assumption prevents.
     {
-        let engine = Arc::new(ShardEngine::new());
-        let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0x5ec_0201).unwrap();
-        let mut client = d.client();
-        for u in 0..20 {
-            d.post_feedback(
-                &mut client,
-                &format!("user-{u}"),
-                &format!("item-{u}"),
-                None,
-            )
-            .unwrap();
-        }
-        let ua_bag = d.platform().break_enclave(d.ua_layer()[0].id()).unwrap();
-        let refused = d.platform().break_enclave(d.ia_layer()[0].id());
+        let (d, engine) = with_traffic(0x5ec_0201);
+        let ua_bag = cases::break_layer(d.platform(), UA_CODE_IDENTITY).expect("first break");
+        let refused = cases::break_layer(d.platform(), IA_CODE_IDENTITY);
         println!(
             "synchronous second-layer break: {}",
             if refused.is_err() {
@@ -160,7 +161,8 @@ fn main() {
             }
         );
         d.platform().detect_and_recover();
-        let ia_bag = d.platform().break_enclave(d.ia_layer()[0].id()).unwrap();
+        let ia_bag =
+            cases::break_layer(d.platform(), IA_CODE_IDENTITY).expect("break after recovery");
         let both = cases::attack_with_both_keys(&ua_bag, &ia_bag, &engine);
         println!(
             "hypothetical both-layers adversary (no key rotation): {}/20 pairs linked — rotation after detection is mandatory",

@@ -26,34 +26,37 @@
 //!   and the admission gate the serving chain is built from.
 //! * [`shuffler`] — the §4.3 shuffle buffer, and the per-batch gather the
 //!   serving chain answers through.
-//! * [`config`] — deployment parameters, incl. the paper's Table 2 rows.
+//! * [`config`] — the paper's Table 2 rows, for the simulated cluster.
 //! * [`autoscale`] — the §5 elastic-scaling policy (throughput vs
 //!   shuffle-buffer health).
-//! * [`rotation`] — breach response: key rotation with in-enclave LRS
-//!   re-encryption (the paper's footnote 1 options).
-//! * [`proxy`] — a synchronous in-process deployment: no threads, no
-//!   shuffling, enclaves handed to the attack harness. It is the
-//!   differential oracle for the one concurrent request path, which is
-//!   `pprox-wire` (`services::{ua, ia, lrs}` behind `LoopbackCluster`).
+//!
+//! The chain runs in one place: `pprox-wire` (`services::{ua, ia, lrs}`
+//! behind `LoopbackCluster`) puts these layer transforms in enclaves
+//! behind sockets, shuffle stages and retries.
 //!
 //! # Examples
 //!
+//! One post through both layers' transforms, called directly:
+//!
 //! ```
-//! use pprox_core::config::PProxConfig;
-//! use pprox_core::proxy::PProxDeployment;
-//! use pprox_lrs::stub::StubLrs;
-//! use std::sync::Arc;
+//! use pprox_core::ia::{IaOptions, IaState};
+//! use pprox_core::keys::{ClientKeys, LayerSecrets};
+//! use pprox_core::ua::UaState;
+//! use pprox_core::UserClient;
+//! use pprox_crypto::rng::SecureRng;
 //!
 //! # fn main() -> Result<(), pprox_core::PProxError> {
-//! let deployment = PProxDeployment::new(
-//!     PProxConfig::for_tests(),
-//!     Arc::new(StubLrs::new()),
-//!     42,
-//! )?;
-//! let mut client = deployment.client();
-//! deployment.post_feedback(&mut client, "alice", "item-1", Some(5.0))?;
-//! let recs = deployment.get_recommendations(&mut client, "alice")?;
-//! assert!(!recs.is_empty());
+//! let mut rng = SecureRng::from_seed(42);
+//! let (ua_secrets, pk_ua) = LayerSecrets::generate(1152, &mut rng);
+//! let (ia_secrets, pk_ia) = LayerSecrets::generate(1152, &mut rng);
+//! let (mut ua, mut ia) = (UaState::new(ua_secrets), IaState::new(ia_secrets));
+//! let mut client = UserClient::new(ClientKeys { pk_ua, pk_ia }, 7);
+//!
+//! let request = client.post("alice", "item-1", Some(5.0))?;
+//! let pseudonymized = ua.process(&request, true)?;
+//! let event = ia.process_post(&pseudonymized, IaOptions::default())?;
+//! // What the LRS stores: pseudonyms only.
+//! assert!(!event.user.contains("alice") && !event.item.contains("item-1"));
 //! # Ok(())
 //! # }
 //! ```
@@ -68,17 +71,13 @@ pub mod ia;
 pub mod ids;
 pub mod keys;
 pub mod message;
-pub mod proxy;
 pub mod resilience;
-pub mod rotation;
 pub mod shuffler;
 pub mod telemetry;
 pub mod ua;
 
 pub use client::UserClient;
-pub use config::PProxConfig;
 pub use ids::{PlaintextItemId, PlaintextUserId};
-pub use proxy::PProxDeployment;
 
 use pprox_crypto::base64::DecodeBase64Error;
 use pprox_crypto::pad::PadError;
@@ -115,11 +114,6 @@ pub enum PProxError {
         /// Maximum supported length.
         max: usize,
     },
-    /// The LRS returned a non-success status.
-    Lrs {
-        /// HTTP status returned.
-        status: u16,
-    },
     /// The request exceeded its end-to-end deadline budget (includes
     /// hung/slow LRS calls that outlived every retry attempt).
     Deadline,
@@ -148,7 +142,6 @@ impl std::fmt::Display for PProxError {
             PProxError::IdTooLong { len, max } => {
                 write!(f, "identifier of {len} bytes exceeds maximum of {max}")
             }
-            PProxError::Lrs { status } => write!(f, "LRS returned status {status}"),
             PProxError::Deadline => write!(f, "request exceeded its deadline"),
             PProxError::Unavailable => write!(f, "service temporarily unavailable"),
             PProxError::Overloaded => write!(f, "pipeline overloaded; request rejected"),
@@ -218,10 +211,6 @@ mod tests {
         assert_eq!(e.to_string(), "crypto error: decryption failed");
         assert!(e.source().is_some());
         assert!(PProxError::MalformedMessage.source().is_none());
-        assert_eq!(
-            PProxError::Lrs { status: 404 }.to_string(),
-            "LRS returned status 404"
-        );
         assert_eq!(
             PProxError::IdTooLong { len: 40, max: 28 }.to_string(),
             "identifier of 40 bytes exceeds maximum of 28"

@@ -181,7 +181,7 @@ mod tests {
 
     fn setup() -> (UaState, SecureRng) {
         // Unit test reaches the UA state directly; the enclave wrapper is
-        // exercised in proxy.rs tests.
+        // exercised by the serving chain's tests.
         let mut rng = SecureRng::from_seed(11);
         let (secrets, _pk) = crate::keys::LayerSecrets::generate(1152, &mut rng);
         (UaState::new(secrets), rng)

@@ -410,6 +410,19 @@ impl Platform {
         n
     }
 
+    /// The enclaves of one measurement group — one proxy layer — that
+    /// have not crashed, oldest first: the layer's instances as an
+    /// adversary finds them on the platform.
+    pub fn enclaves(&self, measurement: Measurement) -> Vec<EnclaveId> {
+        self.shared
+            .registry
+            .lock()
+            .iter()
+            .filter(|e| e.measurement() == measurement && !e.has_crashed())
+            .map(|e| e.id())
+            .collect()
+    }
+
     /// Measurement of the currently compromised layer, if any.
     pub fn compromised_layer(&self) -> Option<Measurement> {
         self.shared
@@ -678,8 +691,12 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(p.crash_layer(Measurement::of_code("ua")), 2);
+        let ua = Measurement::of_code("ua");
+        assert_eq!(p.enclaves(ua), vec![ua1.id(), ua2.id()]);
+        assert_eq!(p.crash_layer(ua), 2);
         assert!(ua1.is_crashed() && ua2.is_crashed());
+        assert!(p.enclaves(ua).is_empty());
+        assert_eq!(p.enclaves(Measurement::of_code("ia")), vec![ia.id()]);
         assert!(!ia.is_crashed());
         assert!(ia.call(|_| ()).is_ok());
         // A second sweep finds nothing left to kill.

@@ -1,13 +1,13 @@
 //! `pprox-wire`: the PProx chain as it serves — UA, IA and LRS nodes
 //! behind loopback TCP.
 //!
-//! This crate is the one concurrent request path of the workspace (§5 of
-//! the paper: a server part that shuffles, workers at the enclave,
-//! something restarting what dies). The synchronous
-//! [`pprox_core::proxy::PProxDeployment`] runs the same layer transforms
-//! with nothing around them, as the differential oracle; `pprox-net` is a
-//! discrete-event simulator for the figure harnesses. Loopback TCP is
-//! also the in-process transport: there is no second, in-memory one.
+//! This crate is the one way the workspace runs the chain (§5 of the
+//! paper: a server part that shuffles, workers at the enclave, something
+//! restarting what dies); the differential oracle is the layer
+//! transforms of `pprox-core` called directly (`tests/wire_e2e.rs`), and
+//! `pprox-net` is a discrete-event simulator for the figure harnesses.
+//! Loopback TCP is also the in-process transport: there is no second,
+//! in-memory one.
 //! Built on `std::net` only (the build environment has no registry,
 //! hence no async runtime):
 //!

@@ -11,9 +11,12 @@
 //! even breaks one enclave layer — and still cannot tell who reads what.
 
 use pprox::attack::cases;
-use pprox::core::{PProxConfig, PProxDeployment};
+use pprox::core::resilience::Deadline;
+use pprox::core::{PProxError, UserClient};
 use pprox::lrs::shard::ShardEngine;
+use pprox::wire::{ClusterConfig, LoopbackCluster};
 use std::sync::Arc;
+use std::time::Duration;
 
 const TOPICS: [&str; 5] = [
     "health-hiv-treatment",
@@ -23,24 +26,45 @@ const TOPICS: [&str; 5] = [
     "sports-football",
 ];
 
+fn budget() -> Deadline {
+    Deadline::starting_now(Duration::from_secs(2))
+}
+
+/// A reader's recommendations, minus the blacklisted articles.
+fn recommend(
+    pprox: &LoopbackCluster,
+    client: &mut UserClient,
+    user: &str,
+    exclude: &[&str],
+) -> Result<Vec<String>, PProxError> {
+    let (request, ticket) = client.get_with_rules(user, exclude)?;
+    client.open_response(&ticket, &pprox.send_get(&request, budget())?)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Arc::new(ShardEngine::new());
-    let pprox = PProxDeployment::new(PProxConfig::default(), engine.clone(), 99)?;
+    let config = ClusterConfig {
+        seed: 99,
+        ..ClusterConfig::default()
+    };
+    let mut pprox = LoopbackCluster::launch(config, engine.clone())?;
     let mut client = pprox.client();
 
     // 40 readers, each following both articles of one sensitive topic.
     for reader in 0..40 {
         let user = format!("reader-{reader:02}");
         let topic = TOPICS[reader % TOPICS.len()];
-        pprox.post_feedback(&mut client, &user, &format!("{topic}-a1"), None)?;
-        pprox.post_feedback(&mut client, &user, &format!("{topic}-a2"), None)?;
+        for article in ["a1", "a2"] {
+            let request = client.post(&user, &format!("{topic}-{article}"), None)?;
+            pprox.send_post(&request, budget())?;
+        }
     }
     engine.sync();
 
     // Readers get working recommendations…
     let first_article = format!("{}-a1", TOPICS[0]);
-    pprox.post_feedback(&mut client, "new-reader", &first_article, None)?;
-    let recs = pprox.get_recommendations(&mut client, "new-reader")?;
+    pprox.send_post(&client.post("new-reader", &first_article, None)?, budget())?;
+    let recs = recommend(&pprox, &mut client, "new-reader", &[])?;
     println!("recommendations for a reader of '{first_article}': {recs:?}");
     assert!(recs.contains(&format!("{}-a2", TOPICS[0])));
 
@@ -49,8 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // rides encrypted to the IA layer and is pseudonymized before the
     // provider's engine sees it.
     let followup = format!("{}-a2", TOPICS[0]);
-    let filtered =
-        pprox.get_recommendations_with_rules(&mut client, "new-reader", &[followup.as_str()])?;
+    let filtered = recommend(&pprox, &mut client, "new-reader", &[followup.as_str()])?;
     println!("with '{followup}' blacklisted: {filtered:?}");
     assert!(!filtered.contains(&followup));
 
@@ -67,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The adversary breaks the UA enclave (side-channel attack, §2.3) and
     // reads the database: it recovers WHO uses the service…
-    let outcome = cases::break_ua_and_read_database(&pprox, &engine);
+    let outcome = cases::break_ua_and_read_database(pprox.platform(), &engine);
     println!(
         "UA enclave broken: {} user ids recovered, {} topics recovered, {} (user, topic) pairs linked",
         outcome.recovered_users.len(),
@@ -82,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Breach detection responds (Déjà Vu / Varys role); afterwards the IA
     // layer could be attacked instead — with the symmetric outcome.
     pprox.platform().detect_and_recover();
-    let outcome = cases::break_ia_and_read_database(&pprox, &engine);
+    let outcome = cases::break_ia_and_read_database(pprox.platform(), &engine);
     println!(
         "IA enclave broken (after recovery): {} users, {} topics, {} pairs",
         outcome.recovered_users.len(),

@@ -7,9 +7,23 @@
 //! collection (`get`) — and shows that the provider-side database only
 //! ever holds pseudonyms.
 
-use pprox::core::{PProxConfig, PProxDeployment};
+use pprox::core::resilience::Deadline;
+use pprox::core::{PProxError, UserClient};
 use pprox::lrs::shard::ShardEngine;
+use pprox::wire::{ClusterConfig, LoopbackCluster};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// `post(u, i)` through the proxy.
+fn post(
+    pprox: &LoopbackCluster,
+    client: &mut UserClient,
+    user: &str,
+    item: &str,
+) -> Result<(), PProxError> {
+    let budget = Deadline::starting_now(Duration::from_secs(2));
+    pprox.send_post(&client.post(user, item, None)?, budget)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The RaaS provider runs an ordinary recommendation engine (the
@@ -17,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Arc::new(ShardEngine::new());
 
     // 2. Deploy PProx: generates layer keys, loads UA and IA enclaves on
-    //    the (simulated) SGX platform, attests them, provisions secrets.
-    let pprox = PProxDeployment::new(PProxConfig::default(), engine.clone(), 42)?;
+    //    the (simulated) SGX platform, attests them, provisions secrets,
+    //    and serves each layer over loopback TCP in front of the engine.
+    let mut pprox = LoopbackCluster::launch(ClusterConfig::default(), engine.clone())?;
     println!("deployed: {pprox:?}");
 
     // 3. Applications embed the thin user-side library. It holds only the
@@ -27,23 +42,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Insert feedback through the proxy. Two taste clusters:
     for user in 0..8 {
-        pprox.post_feedback(&mut client, &format!("scifi-fan-{user}"), "alien", None)?;
-        pprox.post_feedback(
-            &mut client,
-            &format!("scifi-fan-{user}"),
-            "blade-runner",
-            None,
-        )?;
-        pprox.post_feedback(&mut client, &format!("scifi-fan-{user}"), "dune", None)?;
+        for item in ["alien", "blade-runner", "dune"] {
+            post(&pprox, &mut client, &format!("scifi-fan-{user}"), item)?;
+        }
     }
     for user in 0..8 {
-        pprox.post_feedback(&mut client, &format!("romcom-fan-{user}"), "amelie", None)?;
-        pprox.post_feedback(
-            &mut client,
-            &format!("romcom-fan-{user}"),
-            "notting-hill",
-            None,
-        )?;
+        for item in ["amelie", "notting-hill"] {
+            post(&pprox, &mut client, &format!("romcom-fan-{user}"), item)?;
+        }
     }
 
     // 5. The provider's database never saw a plaintext identifier:
@@ -58,12 +64,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    query through the proxy. Results come back decrypted, with
     //    padding pseudo-items already discarded by the library.
     engine.sync();
-    pprox.post_feedback(&mut client, "newcomer", "alien", None)?;
-    let recommendations = pprox.get_recommendations(&mut client, "newcomer")?;
+    post(&pprox, &mut client, "newcomer", "alien")?;
+    let (request, ticket) = client.get("newcomer")?;
+    let response = pprox.send_get(&request, Deadline::starting_now(Duration::from_secs(2)))?;
+    let recommendations = client.open_response(&ticket, &response)?;
     println!("recommendations for 'newcomer' (who liked 'alien'): {recommendations:?}");
     assert!(recommendations.contains(&"blade-runner".to_owned()));
     assert!(!recommendations.contains(&"amelie".to_owned()));
 
+    pprox.shutdown();
     println!("quickstart OK: recommendations flow, identifiers never leave the enclaves");
     Ok(())
 }

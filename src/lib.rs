@@ -6,9 +6,8 @@
 //! the whole workspace; see the subsystem crates for details:
 //!
 //! * [`core`] (`pprox-core`) — the paper's contribution: the two-layer
-//!   (User Anonymizer / Item Anonymizer) proxy service, user-side library,
-//!   shuffle buffer, resilience primitives, and the synchronous
-//!   `PProxDeployment` (the differential oracle for the serving chain).
+//!   (User Anonymizer / Item Anonymizer) proxy service's transforms,
+//!   user-side library, shuffle buffer and resilience primitives.
 //! * [`crypto`] (`pprox-crypto`) — RSA-OAEP, AES-256-CTR (deterministic
 //!   and randomized), SHA-256/HMAC, base64 and constant-size padding,
 //!   implemented from scratch and validated against standard test vectors.
@@ -29,7 +28,7 @@
 //! * [`attack`] (`pprox-attack`) — the executable §6 security analysis:
 //!   traffic correlation on real frames (`wire_audit`), enclave
 //!   compromise cases, history attacks.
-//! * [`wire`] (`pprox-wire`) — the one concurrent request path: UA, IA
+//! * [`wire`] (`pprox-wire`) — the one way to run the chain: UA, IA
 //!   and LRS nodes over loopback TCP (framed codec with constant-size
 //!   padding classes, event-driven server, pipelined clients, socket load
 //!   balancing, shuffle stages, breaker and retries, supervised respawn)
@@ -42,21 +41,24 @@
 //! # Quickstart
 //!
 //! ```
-//! use pprox::core::{PProxConfig, PProxDeployment};
+//! use pprox::core::resilience::Deadline;
 //! use pprox::lrs::shard::ShardEngine;
+//! use pprox::wire::{ClusterConfig, LoopbackCluster};
 //! use std::sync::Arc;
+//! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), pprox::core::PProxError> {
-//! // An unmodified recommendation engine, fronted by PProx.
-//! // (`ShardEngine` implements `RestHandler`, the whole surface the
-//! // proxy calls.)
+//! // An unmodified recommendation engine, fronted by PProx's UA and IA
+//! // layers over loopback TCP. (`ShardEngine` implements `RestHandler`,
+//! // the whole surface the proxy calls.)
 //! let engine = Arc::new(ShardEngine::new());
-//! let pprox = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 42)?;
+//! let mut pprox = LoopbackCluster::launch(ClusterConfig::default(), engine.clone())?;
 //!
 //! // Applications talk to the user-side library; ids never reach the
 //! // provider in the clear.
 //! let mut client = pprox.client();
-//! pprox.post_feedback(&mut client, "alice", "the-matrix", Some(5.0))?;
+//! let budget = Deadline::starting_now(Duration::from_secs(10));
+//! pprox.send_post(&client.post("alice", "the-matrix", Some(5.0))?, budget)?;
 //! assert!(engine.history("alice").is_empty()); // only pseudonyms stored
 //! # Ok(())
 //! # }

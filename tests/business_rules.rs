@@ -7,51 +7,52 @@
 //! the spirit of the paper's conclusion (richer REST payloads through the
 //! same two-layer structure).
 
-use pprox::core::{PProxConfig, PProxDeployment};
+mod common;
+
+use common::{launch, post, recommend, recommend_excluding};
 use pprox::lrs::shard::ShardEngine;
+use pprox::wire::{ClusterConfig, LoopbackCluster};
 use std::sync::Arc;
 
-fn world() -> (PProxDeployment, Arc<ShardEngine>) {
+fn world() -> (LoopbackCluster, Arc<ShardEngine>) {
     let engine = Arc::new(ShardEngine::new());
-    let d = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0xb1e5).unwrap();
+    let config = ClusterConfig {
+        seed: 0xb1e5,
+        ..ClusterConfig::default()
+    };
+    let mut d = launch(config, engine.clone());
     let mut client = d.client();
     // One cluster with three strongly associated items, plus contrast.
     for u in 0..8 {
         for item in ["a1", "a2", "a3"] {
-            d.post_feedback(&mut client, &format!("u{u}"), item, None)
-                .unwrap();
+            post(&d, &mut client, &format!("u{u}"), item, None).unwrap();
         }
     }
     for u in 0..8 {
-        d.post_feedback(&mut client, &format!("bg{u}"), &format!("s{u}"), None)
-            .unwrap();
+        post(&d, &mut client, &format!("bg{u}"), &format!("s{u}"), None).unwrap();
     }
-    d.post_feedback(&mut client, "probe", "a1", None).unwrap();
+    post(&d, &mut client, "probe", "a1", None).unwrap();
     engine.sync();
     (d, engine)
 }
 
 #[test]
 fn exclusions_are_applied_end_to_end() {
-    let (d, _engine) = world();
+    let (mut d, _engine) = world();
     let mut client = d.client();
-    let plain = d.get_recommendations(&mut client, "probe").unwrap();
+    let plain = recommend(&d, &mut client, "probe").unwrap();
     assert!(plain.contains(&"a2".to_owned()) && plain.contains(&"a3".to_owned()));
 
-    let filtered = d
-        .get_recommendations_with_rules(&mut client, "probe", &["a2"])
-        .unwrap();
+    let filtered = recommend_excluding(&d, &mut client, "probe", &["a2"]).unwrap();
     assert!(!filtered.contains(&"a2".to_owned()), "{filtered:?}");
     assert!(filtered.contains(&"a3".to_owned()));
 }
 
 #[test]
 fn excluded_ids_reach_the_lrs_only_as_pseudonyms() {
-    let (d, engine) = world();
+    let (mut d, engine) = world();
     let mut client = d.client();
-    let _ = d
-        .get_recommendations_with_rules(&mut client, "probe", &["a2", "a3"])
-        .unwrap();
+    let _ = recommend_excluding(&d, &mut client, "probe", &["a2", "a3"]).unwrap();
     // The LRS saw a query; verify via the engine's stored state that no
     // plaintext ids exist anywhere (events) — and by construction the
     // query's exclude list went through the same pseudonymization, which
@@ -64,18 +65,16 @@ fn excluded_ids_reach_the_lrs_only_as_pseudonyms() {
 
 #[test]
 fn empty_rule_list_equals_plain_get() {
-    let (d, _engine) = world();
+    let (mut d, _engine) = world();
     let mut client = d.client();
-    let plain = d.get_recommendations(&mut client, "probe").unwrap();
-    let with_empty_rules = d
-        .get_recommendations_with_rules(&mut client, "probe", &[])
-        .unwrap();
+    let plain = recommend(&d, &mut client, "probe").unwrap();
+    let with_empty_rules = recommend_excluding(&d, &mut client, "probe", &[]).unwrap();
     assert_eq!(plain, with_empty_rules);
 }
 
 #[test]
 fn oversized_rules_rejected_cleanly() {
-    let (d, _engine) = world();
+    let (mut d, _engine) = world();
     let mut client = d.client();
     // Enough long ids to overflow the fixed rules block.
     let long_ids: Vec<String> = (0..20)

@@ -1,7 +1,68 @@
-//! Shared by the integration tests that drive the chain from several
-//! client threads.
+//! Shared by the integration tests that drive the chain. Each test
+//! binary uses its own subset.
 
-use pprox::core::UserClient;
+#![allow(dead_code)]
+
+use pprox::core::resilience::Deadline;
+use pprox::core::{PProxError, UserClient};
+use pprox::lrs::RestHandler;
+use pprox::wire::{ClusterConfig, LoopbackCluster};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// A request budget no test here comes near.
+pub fn budget() -> Deadline {
+    Deadline::starting_now(Duration::from_secs(10))
+}
+
+/// Boots the chain over `lrs` and waits until every node answers.
+pub fn launch(config: ClusterConfig, lrs: Arc<dyn RestHandler>) -> LoopbackCluster {
+    let cluster = LoopbackCluster::launch(config, lrs).unwrap();
+    assert!(cluster.wait_ready(Duration::from_secs(10)));
+    cluster
+}
+
+/// `post(u, i[, p])` through the chain.
+pub fn post(
+    cluster: &LoopbackCluster,
+    client: &mut UserClient,
+    user: &str,
+    item: &str,
+    payload: Option<f64>,
+) -> Result<(), PProxError> {
+    cluster.send_post(&client.post(user, item, payload)?, budget())
+}
+
+/// `get(u)` through the chain, opened: the list as the application sees it.
+pub fn recommend(
+    cluster: &LoopbackCluster,
+    client: &mut UserClient,
+    user: &str,
+) -> Result<Vec<String>, PProxError> {
+    let (envelope, ticket) = client.get(user)?;
+    client.open_response(&ticket, &cluster.send_get(&envelope, budget())?)
+}
+
+/// `get(u)` with a blacklist of items the user must not be recommended
+/// (the Universal Recommender business rule, carried encrypted to the IA).
+pub fn recommend_excluding(
+    cluster: &LoopbackCluster,
+    client: &mut UserClient,
+    user: &str,
+    exclude: &[&str],
+) -> Result<Vec<String>, PProxError> {
+    let (envelope, ticket) = client.get_with_rules(user, exclude)?;
+    client.open_response(&ticket, &cluster.send_get(&envelope, budget())?)
+}
+
+/// Polls `done` to a deadline instead of sleeping and hoping.
+pub fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let end = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < end, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
 
 /// Runs `work(client, k)` for every `k` in `0..n`, dealt round-robin to
 /// one thread per client, and returns the results in `k` order.

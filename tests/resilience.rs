@@ -13,16 +13,15 @@
 
 mod common;
 
-use common::concurrently;
-use pprox::core::config::PProxConfig;
+use common::{budget, concurrently, launch, recommend, wait_until};
 use pprox::core::ia::{IaOptions, IaState};
 use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY};
 use pprox::core::message::{LayerEnvelope, Op};
 use pprox::core::resilience::{BreakerState, CircuitBreaker, Deadline, ResilienceConfig};
-use pprox::core::shuffler::ShuffleConfig;
 use pprox::core::telemetry::Telemetry;
-use pprox::core::{PProxDeployment, PProxError, UserClient};
+use pprox::core::{PProxError, UserClient};
 use pprox::crypto::rng::SecureRng;
+use pprox::lrs::api::{HttpRequest, HttpResponse};
 use pprox::lrs::chaos::{ChaosEntry, ChaosLrs, ChaosSchedule, Fault};
 use pprox::lrs::shard::ShardEngine;
 use pprox::lrs::stub::StubLrs;
@@ -36,17 +35,9 @@ use pprox::wire::{
 };
 use proptest::prelude::*;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-fn test_config() -> PProxConfig {
-    PProxConfig {
-        shuffle: ShuffleConfig::disabled(),
-        modulus_bits: 1152,
-        ..PProxConfig::default()
-    }
-}
 
 /// One UA, one IA, one LRS front-end over `lrs`; no shuffling.
 fn chain_config(seed: u64) -> ClusterConfig {
@@ -58,28 +49,8 @@ fn chain_config(seed: u64) -> ClusterConfig {
     }
 }
 
-fn launch(config: ClusterConfig, lrs: Arc<dyn RestHandler>) -> LoopbackCluster {
-    let cluster = LoopbackCluster::launch(config, lrs).unwrap();
-    assert!(cluster.wait_ready(Duration::from_secs(10)));
-    cluster
-}
-
-fn budget() -> Deadline {
-    Deadline::starting_now(Duration::from_secs(10))
-}
-
 fn post(cluster: &LoopbackCluster, client: &mut UserClient, user: &str) -> Result<(), PProxError> {
-    let env = client.post(user, "item", None)?;
-    cluster.send_post(&env, budget())
-}
-
-/// Polls `done` to a deadline instead of sleeping and hoping.
-fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-    let end = Instant::now() + Duration::from_secs(10);
-    while !done() {
-        assert!(Instant::now() < end, "timed out waiting until {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    common::post(cluster, client, user, "item", None)
 }
 
 /// A backend answering every request `Ok` (echo) or `busy`, counting
@@ -274,18 +245,26 @@ fn an_lrs_exchange_makes_one_plus_max_retries_attempts() {
 
 #[test]
 fn lrs_errors_surface_as_typed_errors() {
+    // Every LRS answer is a 503: the IA's exchange gives up after its
+    // attempts, and both calls come back as a typed error, not a hang.
     let chaos = Arc::new(ChaosLrs::new(
         Arc::new(StubLrs::new()),
         1.0,
         Fault::ErrorStatus,
         1,
     ));
-    let d = PProxDeployment::new(test_config(), chaos, 1).unwrap();
-    let mut client = d.client();
-    let err = d.post_feedback(&mut client, "u", "i", None).unwrap_err();
-    assert!(matches!(err, PProxError::Lrs { status: 503 }));
-    let err = d.get_recommendations(&mut client, "u").unwrap_err();
-    assert!(matches!(err, PProxError::Lrs { status: 503 }));
+    let mut cluster = launch(chain_config(1), chaos.clone());
+    let mut client = cluster.client();
+    assert_eq!(
+        post(&cluster, &mut client, "u"),
+        Err(PProxError::Unavailable)
+    );
+    assert_eq!(
+        recommend(&cluster, &mut client, "u"),
+        Err(PProxError::Unavailable)
+    );
+    assert!(chaos.injected() > 0 && chaos.served() == 0);
+    cluster.shutdown();
 }
 
 #[test]
@@ -296,10 +275,13 @@ fn garbage_lrs_bodies_are_rejected_not_propagated() {
         Fault::GarbageBody,
         2,
     ));
-    let d = PProxDeployment::new(test_config(), chaos, 2).unwrap();
-    let mut client = d.client();
-    let err = d.get_recommendations(&mut client, "u").unwrap_err();
-    assert!(matches!(err, PProxError::MalformedMessage));
+    let mut cluster = launch(chain_config(2), chaos);
+    let mut client = cluster.client();
+    assert_eq!(
+        recommend(&cluster, &mut client, "u"),
+        Err(PProxError::MalformedMessage)
+    );
+    cluster.shutdown();
 }
 
 #[test]
@@ -345,29 +327,46 @@ fn pipeline_survives_partial_lrs_failures() {
     assert!(chaos.injected() + chaos.served() >= (100 - shed));
 }
 
+/// A stub LRS that answers 503 while `down` is set.
+struct Switchable {
+    down: AtomicBool,
+    stub: StubLrs,
+}
+
+impl RestHandler for Switchable {
+    fn handle(&self, request: &HttpRequest) -> HttpResponse {
+        if self.down.load(Ordering::Relaxed) {
+            HttpResponse::error(503, "down")
+        } else {
+            self.stub.handle(request)
+        }
+    }
+}
+
 #[test]
 fn failed_gets_release_pending_keys() {
-    // A failing LRS must not leak EPC budget: pending k_u entries for
-    // failed gets are the IA's responsibility. After many failed gets the
-    // deployment still serves successful ones (budget not exhausted).
-    let chaos = Arc::new(ChaosLrs::new(
-        Arc::new(StubLrs::new()),
-        1.0,
-        Fault::ErrorStatus,
-        4,
-    ));
-    let d = PProxDeployment::new(test_config(), chaos, 4).unwrap();
-    let mut client = d.client();
+    // A failing LRS must not exhaust the IA's EPC budget: pending k_u
+    // entries for failed gets accumulate (50 × (8 + 32 + 48) bytes ≈
+    // 4.4 KiB), far below the 4 MiB default, so once the LRS is back the
+    // same enclave serves again.
+    let lrs = Arc::new(Switchable {
+        down: AtomicBool::new(true),
+        stub: StubLrs::new(),
+    });
+    let mut config = chain_config(4);
+    config.resilience.max_retries = 0;
+    config.resilience.breaker_failure_threshold = u32::MAX;
+    let mut cluster = launch(config, lrs.clone());
+    let mut client = cluster.client();
     for _ in 0..50 {
-        let _ = d.get_recommendations(&mut client, "u");
+        assert_eq!(
+            recommend(&cluster, &mut client, "u"),
+            Err(PProxError::Unavailable)
+        );
     }
-    // Pending keys accumulate for failed gets (50 × (8 + 32 + 48) bytes ≈
-    // 4.4 KiB), far below the 4 MiB default budget; a healthy LRS behind
-    // the same layers still works.
-    let healthy = Arc::new(StubLrs::new());
-    let d2 = PProxDeployment::new(test_config(), healthy, 5).unwrap();
-    let mut c2 = d2.client();
-    assert!(d2.get_recommendations(&mut c2, "u").is_ok());
+    lrs.down.store(false, Ordering::Relaxed);
+    assert!(!recommend(&cluster, &mut client, "u").unwrap().is_empty());
+    cluster.shutdown();
 }
 
 #[test]

@@ -6,13 +6,29 @@
 //! through an unprotected engine and through PProx + engine, then compare
 //! every user's recommendation list item-for-item, in order.
 
-use pprox::core::{PProxConfig, PProxDeployment};
+mod common;
+
+use common::{launch, post, recommend};
 use pprox::lrs::shard::ShardEngine;
+use pprox::wire::{ClusterConfig, LoopbackCluster};
 use pprox::workload::dataset::Dataset;
 use std::sync::Arc;
 
 fn trace() -> Dataset {
     Dataset::generate(40, 60, 600, 0x7a5)
+}
+
+/// The chain over `engine`, with every rating of `dataset` posted
+/// through it in trace order.
+fn proxied(config: ClusterConfig, engine: &Arc<ShardEngine>, dataset: &Dataset) -> LoopbackCluster {
+    let mut pprox = launch(config, engine.clone());
+    let mut client = pprox.client();
+    for r in &dataset.ratings {
+        let (user, item) = (Dataset::user_id(r.user), Dataset::item_id(r.item));
+        post(&pprox, &mut client, &user, &item, None).unwrap();
+    }
+    engine.sync();
+    pprox
 }
 
 #[test]
@@ -28,20 +44,12 @@ fn recommendations_identical_with_and_without_pprox() {
 
     // Proxied deployment over the same trace.
     let proxied_engine = Arc::new(ShardEngine::new());
-    let pprox =
-        PProxDeployment::new(PProxConfig::for_tests(), proxied_engine.clone(), 0x7a5).unwrap();
+    let config = ClusterConfig {
+        seed: 0x7a5,
+        ..ClusterConfig::default()
+    };
+    let mut pprox = proxied(config, &proxied_engine, &dataset);
     let mut client = pprox.client();
-    for r in &dataset.ratings {
-        pprox
-            .post_feedback(
-                &mut client,
-                &Dataset::user_id(r.user),
-                &Dataset::item_id(r.item),
-                None,
-            )
-            .unwrap();
-    }
-    proxied_engine.sync();
 
     // Compare every active user's list.
     let mut users: Vec<u32> = dataset.ratings.iter().map(|r| r.user).collect();
@@ -58,7 +66,7 @@ fn recommendations_identical_with_and_without_pprox() {
             .iter()
             .map(|s| (s.item.as_str(), s.score))
             .collect();
-        let proxied_items = pprox.get_recommendations(&mut client, &user_id).unwrap();
+        let proxied_items = recommend(&pprox, &mut client, &user_id).unwrap();
 
         // Same item set…
         let mut a = proxied_items.clone();
@@ -94,11 +102,13 @@ fn payloads_survive_the_proxy() {
     // Ratings inserted through PProx reach the LRS intact (the optional
     // payload `p` of post(u, i[, p])).
     let engine = Arc::new(ShardEngine::new());
-    let pprox = PProxDeployment::new(PProxConfig::for_tests(), engine.clone(), 0x7a6).unwrap();
+    let config = ClusterConfig {
+        seed: 0x7a6,
+        ..ClusterConfig::default()
+    };
+    let mut pprox = launch(config, engine.clone());
     let mut client = pprox.client();
-    pprox
-        .post_feedback(&mut client, "rater", "movie", Some(4.5))
-        .unwrap();
+    post(&pprox, &mut client, "rater", "movie", Some(4.5)).unwrap();
     assert_eq!(engine.gauges().events, 1);
 }
 
@@ -108,29 +118,15 @@ fn disabling_item_pseudonymization_keeps_results_identical_too() {
     let dataset = trace();
     let run = |item_pseudonymization: bool| -> Vec<Vec<String>> {
         let engine = Arc::new(ShardEngine::new());
-        let config = PProxConfig {
+        let config = ClusterConfig {
             item_pseudonymization,
-            ..PProxConfig::for_tests()
+            seed: 0x7a7,
+            ..ClusterConfig::default()
         };
-        let pprox = PProxDeployment::new(config, engine.clone(), 0x7a7).unwrap();
+        let mut pprox = proxied(config, &engine, &dataset);
         let mut client = pprox.client();
-        for r in &dataset.ratings {
-            pprox
-                .post_feedback(
-                    &mut client,
-                    &Dataset::user_id(r.user),
-                    &Dataset::item_id(r.item),
-                    None,
-                )
-                .unwrap();
-        }
-        engine.sync();
         (0..10)
-            .map(|u| {
-                pprox
-                    .get_recommendations(&mut client, &Dataset::user_id(u))
-                    .unwrap()
-            })
+            .map(|u| recommend(&pprox, &mut client, &Dataset::user_id(u)).unwrap())
             .collect()
     };
     assert_eq!(run(true), run(false));

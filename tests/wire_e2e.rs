@@ -3,44 +3,112 @@
 //! Drives real sockets end to end — user library → UA server → IA
 //! server → LRS frontend server — and checks (a) the chain is
 //! semantically transparent: a seeded trace replayed through it and
-//! through the synchronous in-process deployment gives the same
+//! through the layer transforms called directly gives the same
 //! recommendations and leaves the same events in the LRS, (b) the chain
 //! survives one IA instance being killed mid-run, exercising the
 //! client's redial and the socket balancer's failover path, and (c) the
 //! shuffle size is independent of the servers' worker count.
-//!
-//! Note for the privacy-flow analyzer: this file sits on the user side
-//! of the boundary (it mints user requests and opens responses), so it
-//! names no item-side APIs — the recommendation lists it compares are
-//! opaque strings coming back from the backend.
 
 mod common;
 
-use common::concurrently;
-use pprox::core::config::PProxConfig;
+use common::{budget, concurrently, wait_until};
+use pprox::core::ia::{IaOptions, IaState};
+use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY, UA_CODE_IDENTITY};
+use pprox::core::message::{ClientEnvelope, EncryptedList};
 use pprox::core::resilience::{BreakerState, Deadline};
 use pprox::core::shuffler::ShuffleConfig;
-use pprox::core::PProxDeployment;
+use pprox::core::ua::UaState;
+use pprox::core::{PProxError, UserClient};
+use pprox::lrs::api::{HttpRequest, RecommendationList, EVENTS_PATH, QUERIES_PATH};
 use pprox::lrs::cco::CcoConfig;
 use pprox::lrs::shard::{DurableConfig, DurableShard, ShardEngine};
 use pprox::lrs::stub::StubLrs;
+use pprox::lrs::RestHandler;
+use pprox::sgx::{Enclave, Platform};
 use pprox::store::{SealingKey, SecureRng, TempDir};
 use pprox::wire::cluster::{ClusterConfig, LoopbackCluster, LrsFactory, LrsInstance};
 use pprox::wire::scrape::ShardGaugeFn;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-fn budget() -> Deadline {
-    Deadline::starting_now(Duration::from_secs(10))
+/// The differential oracle: the layer transforms called directly, one
+/// request at a time on the caller's thread — what the chain does to a
+/// request with nothing around it (no sockets, shuffle, groups or
+/// retries). It draws its keys from the seed as `LoopbackCluster::launch`
+/// does (platform first, layer keys second), so its pseudonyms are the
+/// cluster's.
+struct Oracle {
+    ua: Arc<Enclave<UaState>>,
+    ia: Arc<Enclave<IaState>>,
+    lrs: Arc<ShardEngine>,
+    client: UserClient,
 }
 
-/// Polls `done` to a deadline instead of sleeping and hoping.
-fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-    let end = Instant::now() + Duration::from_secs(10);
-    while !done() {
-        assert!(Instant::now() < end, "timed out waiting until {what}");
-        std::thread::sleep(Duration::from_millis(5));
+impl Oracle {
+    fn new(config: &ClusterConfig, lrs: Arc<ShardEngine>) -> Self {
+        let mut rng = SecureRng::from_seed(config.seed);
+        let platform = Platform::new(&mut rng);
+        let provisioner = KeyProvisioner::generate(config.modulus_bits, &mut rng);
+        let ua = platform.load_enclave::<UaState>(UA_CODE_IDENTITY);
+        provisioner.provision_ua(&platform, &ua).unwrap();
+        let ia = platform.load_enclave::<IaState>(IA_CODE_IDENTITY);
+        provisioner.provision_ia(&platform, &ia).unwrap();
+        let client = UserClient::new(provisioner.client_keys(), config.seed);
+        Oracle {
+            ua,
+            ia,
+            lrs,
+            client,
+        }
+    }
+
+    /// One LRS call: the body of a 2xx answer.
+    fn lrs(&self, path: &str, body: String) -> Result<String, PProxError> {
+        let response = self.lrs.handle(&HttpRequest::post(path, body));
+        response
+            .is_success()
+            .then_some(response.body)
+            .ok_or(PProxError::Unavailable)
+    }
+
+    fn post(&self, envelope: &ClientEnvelope) -> Result<(), PProxError> {
+        let layer = self.ua.call(|ua| ua.process(envelope, true))??;
+        let event = self
+            .ia
+            .call(|ia| ia.process_post(&layer, IaOptions::default()))??;
+        self.lrs(EVENTS_PATH, event.to_json()).map(drop)
+    }
+
+    fn get(&self, envelope: &ClientEnvelope) -> Result<EncryptedList, PProxError> {
+        let options = IaOptions::default();
+        let layer = self.ua.call(|ua| ua.process(envelope, true))??;
+        let (query, token) = self.ia.call(|ia| ia.process_get(&layer, options))??;
+        let body = self.lrs(QUERIES_PATH, query.to_json())?;
+        let list = RecommendationList::from_json(&body).ok_or(PProxError::MalformedMessage)?;
+        let items: Vec<String> = list.items.into_iter().map(|s| s.item).collect();
+        self.ia
+            .call(|ia| ia.process_get_response(token, &items, options))?
+    }
+
+    /// The answer the application sees: `None` for a post, the opened
+    /// list for a get.
+    fn answer(
+        &mut self,
+        user: &str,
+        item: Option<&str>,
+    ) -> Result<Option<Vec<String>>, PProxError> {
+        match item {
+            Some(item) => {
+                let envelope = self.client.post(user, item, Some(4.0))?;
+                self.post(&envelope).map(|()| None)
+            }
+            None => {
+                let (envelope, ticket) = self.client.get(user)?;
+                let list = self.get(&envelope)?;
+                self.client.open_response(&ticket, &list).map(Some)
+            }
+        }
     }
 }
 
@@ -48,16 +116,15 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 /// gets interleaved — through the wire chain (S = 3 with a timer, so a
 /// round of four leaves the UA as one full flush and one timed-out
 /// flush, in shuffled order, and comes back the same way) and through
-/// the synchronous deployment, each over its own engine. The same seed
-/// gives both the same layer keys, so every opened list and the two
-/// engines' pseudonymous event dumps must be equal.
+/// the oracle, each over its own engine. The same seed gives both the
+/// same layer keys, so every opened list and the two engines'
+/// pseudonymous event dumps must be equal.
 ///
 /// A round's requests name distinct users and are all posts or all gets,
 /// so the order the shuffle releases them in is not observable once the
 /// engine has re-derived its model from exact counts (`sync`).
 #[test]
 fn wire_chain_matches_in_process_deployment() {
-    const SEED: u64 = 0xe2e1;
     let wire_engine = Arc::new(ShardEngine::new());
     let config = ClusterConfig {
         shuffle: ShuffleConfig {
@@ -65,17 +132,14 @@ fn wire_chain_matches_in_process_deployment() {
             timeout_us: 20_000,
         },
         ua_instances: 1,
-        seed: SEED,
+        seed: 0xe2e1,
         ..ClusterConfig::default()
     };
+    let oracle_engine = Arc::new(ShardEngine::new());
+    let mut oracle = Oracle::new(&config, oracle_engine.clone());
     let mut cluster = LoopbackCluster::launch(config, wire_engine.clone()).unwrap();
     assert!(cluster.wait_ready(Duration::from_secs(10)));
     let mut clients: Vec<_> = (0..4).map(|_| cluster.client()).collect();
-
-    let oracle_engine = Arc::new(ShardEngine::new());
-    let oracle =
-        PProxDeployment::new(PProxConfig::for_tests(), oracle_engine.clone(), SEED).unwrap();
-    let mut oracle_client = oracle.client();
 
     // Rounds of (user, item): `Some` posts, `None` gets.
     let users = |prefix: &str, from: usize| -> Vec<String> {
@@ -124,14 +188,7 @@ fn wire_chain_matches_in_process_deployment() {
             }
         });
         for ((user, item), wire_answer) in round.iter().zip(over_wire) {
-            let oracle_answer = match item {
-                Some(item) => oracle
-                    .post_feedback(&mut oracle_client, user, item, Some(4.0))
-                    .map(|()| None),
-                None => oracle
-                    .get_recommendations(&mut oracle_client, user)
-                    .map(Some),
-            };
+            let oracle_answer = oracle.answer(user, *item);
             assert_eq!(wire_answer, oracle_answer, "{user} / {item:?}");
             compared += usize::from(item.is_none());
         }
