@@ -1,15 +1,17 @@
 //! Telemetry exporter: drives the serving chain (`LoopbackCluster`),
-//! scrapes every node over the wire, and renders the merged Prometheus
-//! text exposition and the schema-versioned JSON snapshot.
+//! scrapes every node over the wire, and writes the cluster view — the
+//! node documents merged under the node scrape's own schema — and its
+//! Prometheus rendering.
 //!
 //! Artifacts (under `results/` by default):
 //!
-//! * `TELEMETRY_snapshot.json` — per-stage p50/p95/p99/p99.9 histograms
-//!   and one counter row per node. Aggregates only: the schema has no
-//!   place for a per-request record, and the validator rejects any key
-//!   outside it.
-//! * `TELEMETRY_prometheus.txt` — the same histograms and counters as
-//!   scrape-ready cumulative-`le` series.
+//! * `TELEMETRY_snapshot.json` — `ClusterSnapshot::merged`: the node
+//!   metrics document (`wire::scrape`), counters summed over the nodes,
+//!   high-water marks their maximum, stage histograms counted once.
+//!   Aggregates only: the schema has no place for a per-request record,
+//!   and the validator rejects any key outside it.
+//! * `TELEMETRY_prometheus.txt` — the same document as scrape-ready
+//!   series (`scrape::prometheus_text`).
 //!
 //! Usage:
 //!
@@ -25,13 +27,12 @@
 
 use pprox_bench::report;
 use pprox_core::resilience::Deadline;
-use pprox_core::telemetry::export::{
-    json_snapshot, prometheus_text, snapshot_schema, validate_json_snapshot, validate_prometheus,
-    TelemetryReport,
-};
 use pprox_core::telemetry::Stage;
+use pprox_json::schema::list;
+use pprox_json::Value;
 use pprox_lrs::stub::StubLrs;
-use pprox_wire::{ClusterConfig, ClusterScraper, LoopbackCluster};
+use pprox_wire::scrape::{prometheus_text, snapshot_schema, validate_prometheus};
+use pprox_wire::{validate_scrape_snapshot, ClusterConfig, ClusterScraper, LoopbackCluster};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,8 +76,8 @@ impl Args {
 const CLIENTS: usize = 8;
 
 /// Drives a shuffling chain with enough traffic to populate every stage
-/// histogram, then scrapes it into a [`TelemetryReport`].
-fn run_deployment(requests: usize, shuffle_size: usize) -> TelemetryReport {
+/// histogram, then scrapes it into the cluster view.
+fn run_deployment(requests: usize, shuffle_size: usize) -> Value {
     let config = ClusterConfig {
         seed: 1,
         ..ClusterConfig::default().with_shuffle(shuffle_size, 50_000)
@@ -124,7 +125,7 @@ fn run_deployment(requests: usize, shuffle_size: usize) -> TelemetryReport {
     let scrape = ClusterScraper::new(cluster.scrape_targets()).scrape();
     scrape.validate().expect("cluster scrape must validate");
     cluster.shutdown();
-    scrape.report()
+    scrape.merged()
 }
 
 fn validate_dir(dir: &str) {
@@ -151,15 +152,17 @@ fn main() {
         "driving deployment: {} requests, S={}...",
         args.requests, args.shuffle_size
     );
-    let report = run_deployment(args.requests, args.shuffle_size);
+    let snapshot = run_deployment(args.requests, args.shuffle_size);
+    validate_scrape_snapshot(&snapshot).expect("emitted snapshot must self-validate");
     for required in [Stage::Ua, Stage::Ia, Stage::Lrs, Stage::E2e] {
-        let count = report.stages[required as usize].1.count();
-        assert!(count > 0, "stage {} recorded nothing", required.as_str());
+        let cells = list(&snapshot, &format!("stages.{}.counts", required.as_str()));
+        assert!(
+            cells.is_ok_and(|cells| !cells.is_empty()),
+            "stage {} recorded nothing",
+            required.as_str()
+        );
     }
-
-    let snapshot = json_snapshot(&report);
-    validate_json_snapshot(&snapshot).expect("emitted snapshot must self-validate");
-    let prom = prometheus_text(&report);
+    let prom = prometheus_text(&snapshot);
     validate_prometheus(&prom).expect("emitted exposition must self-validate");
 
     std::fs::create_dir_all(&args.out_dir).unwrap();

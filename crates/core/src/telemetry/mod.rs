@@ -9,8 +9,10 @@
 //! * [`histogram`] — lock-free log-linear latency histograms with
 //!   mergeable snapshots (p50/p95/p99/p99.9).
 //! * [`stage`] — the [`Stage`] tag naming what a histogram measures.
-//! * [`export`] — Prometheus text exposition and JSON snapshot rendering
-//!   plus their validators (the `telemetry_export` tool's engine).
+//!
+//! Nothing here renders or exports: a node's histograms leave it in its
+//! metrics document (`pprox_wire::scrape`), whose schema is the one
+//! place a metric is declared.
 //!
 //! What must never be recorded here: raw user ids, raw item ids, arrival
 //! order (sequence numbers that survive the shuffle), or any per-request
@@ -19,7 +21,6 @@
 //! anywhere in production code. A duration enters a histogram cell and
 //! nothing else about the request survives.
 
-pub mod export;
 pub mod histogram;
 pub mod stage;
 pub(crate) mod sync;
@@ -75,14 +76,6 @@ impl StageSet {
             .iter()
             .map(|&s| (s, self.histograms[s as usize].snapshot()))
             .collect()
-    }
-
-    /// Merged dwell distribution of both shuffle directions — the
-    /// "shuffle" stage the exporter and the autoscaler report.
-    pub fn shuffle_snapshot(&self) -> HistogramSnapshot {
-        let mut merged = self.histogram(Stage::ShuffleRequest).snapshot();
-        merged.merge(&self.histogram(Stage::ShuffleResponse).snapshot());
-        merged
     }
 
     /// Worst p99 across the *processing* stages (UA, IA, LRS) — the tail
@@ -168,14 +161,5 @@ mod tests {
         t.stages().record(Stage::Lrs, 9_000);
         let worst = t.stages().worst_processing_p99_us().unwrap();
         assert!((9_000..=9_600).contains(&worst), "worst {worst}");
-    }
-
-    #[test]
-    fn shuffle_snapshot_merges_both_directions() {
-        let t = Telemetry::new();
-        t.stages().record(Stage::ShuffleRequest, 100);
-        t.stages().record(Stage::ShuffleResponse, 200);
-        let merged = t.stages().shuffle_snapshot();
-        assert_eq!(merged.count(), 2);
     }
 }

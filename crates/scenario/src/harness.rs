@@ -418,9 +418,11 @@ fn drive(
         let _ = h.join();
     }
 
-    let shed: u64 = (0..spec.ua_instances)
-        .filter_map(|i| cluster.ua_stats(i))
-        .map(|s| s.shed)
+    // The UA tier's hubs, which come first and survive a respawn: a
+    // killed slot's sheds still count.
+    let shed: u64 = cluster.node_metrics()[..spec.ua_instances]
+        .iter()
+        .filter_map(|hub| hub.snapshot_json().get("server")?.get("shed")?.as_u64())
         .sum();
 
     // Departures: per UA, join that UA's egress tap frames (c2s,

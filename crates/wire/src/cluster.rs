@@ -38,7 +38,7 @@ use crate::balancer::SocketBalancer;
 use crate::client::ClientConfig;
 use crate::router::ShardRouter;
 use crate::scrape::NodeMetrics;
-use crate::server::{ServerConfig, ServerStats, Service, WireServer};
+use crate::server::{ServerConfig, Service, WireServer};
 use crate::services::{IaWireService, LrsWireService, UaServiceOptions, UaWireService};
 use crate::supervisor::{is_alive, RespawnEvent, Supervisor, WatchedSlot, PROBE_TIMEOUT};
 use parking_lot::Mutex;
@@ -633,16 +633,6 @@ impl LoopbackCluster {
         self.ua.slots.lock()[index]
             .as_ref()
             .map_or(0, WireServer::in_flight)
-    }
-
-    /// Socket-level counters of one UA server (shed counts for the
-    /// Busy-abuse scenarios). `None` for a killed slot.
-    ///
-    /// # Panics
-    ///
-    /// If `index` is out of range.
-    pub fn ua_stats(&self, index: usize) -> Option<ServerStats> {
-        self.ua.slots.lock()[index].as_ref().map(WireServer::stats)
     }
 
     /// One IA instance's circuit breaker on the LRS tier: its state, how

@@ -43,12 +43,13 @@
 //!   instances per layer on `127.0.0.1` and wires them into a full
 //!   chain. The repo's benchmark (`benchmark/`), the scenario harness,
 //!   the fault drills and the report binaries all drive this.
-//! * [`scrape`] — the cluster observability plane: every node answers a
-//!   padded `Control`-class metrics scrape over the same frame protocol
-//!   (wire-indistinguishable from other control traffic), and
-//!   [`scrape::ClusterScraper`] merges per-node snapshots into one
-//!   [`pprox_core::telemetry::export::TelemetryReport`]: the stage
-//!   histograms plus one counter row per node.
+//! * [`scrape`] — the cluster observability plane and its one metrics
+//!   document: every node answers a padded `Control`-class metrics
+//!   scrape over the same frame protocol (wire-indistinguishable from
+//!   other control traffic) with its [`scrape::NodeMetrics`] document;
+//!   [`scrape::ClusterSnapshot::merged`] folds the nodes' documents into
+//!   one under the same schema, and [`scrape::prometheus_text`] renders
+//!   either as Prometheus text.
 //! * [`supervisor`] — the kill/respawn loop: probes each instance's
 //!   listener and, behind it, the node's enclave; rebuilds dead ones (a
 //!   proxy node loads and re-attests a fresh enclave, a durable LRS

@@ -1,5 +1,5 @@
-//! The cluster observability plane: per-node metrics capture and the
-//! padded Control-frame scrape protocol.
+//! The cluster observability plane: per-node metrics capture, the
+//! padded Control-frame scrape protocol, and the one metrics document.
 //!
 //! Every [`crate::server::WireServer`] owns a [`NodeMetrics`] hub that
 //! the serving hot paths update lock-free: accept rate, open
@@ -14,27 +14,28 @@
 //! chunk — is exactly [`PadClass::Control`]'s constant wire length, so
 //! scrape traffic is indistinguishable in size from the busy/deadline
 //! control frames the cluster already emits (§4.3's padded-message
-//! discipline extends to the ops surface).
+//! discipline extends to the ops surface). A scrape moves the node's
+//! `scrapes` counter and no other.
 //!
-//! What a scrape may carry is structurally bounded:
-//! [`validate_scrape_snapshot`] whitelists every key a snapshot can
-//! contain. Counters are monotone aggregates, latencies are bucketed
-//! log-linear histograms ([`HistogramSnapshot`] cells), and nothing
-//! per-request — no correlation ids, no trace ids, no raw arrival
-//! timestamps — can appear without failing validation. The
+//! [`NodeMetrics::snapshot_json`] emits the only metrics document there
+//! is, and [`snapshot_schema`] is its only schema: a field is declared
+//! in those two places. Counters are monotone aggregates, latencies are
+//! bucketed log-linear histograms ([`HistogramSnapshot`] cells), and
+//! nothing per-request — no correlation ids, no trace ids, no raw
+//! arrival timestamps — can appear without failing validation. The
 //! `pprox-attack` scrape audit additionally plays the §6.2 adversary
 //! *with scrape output as side information* and holds it to the `1/S`
 //! linkage bound.
 //!
-//! [`ClusterScraper`] polls every node and merges the snapshots into
-//! one [`TelemetryReport`], which `pprox_core::telemetry::export` renders
-//! as Prometheus text and the JSON snapshot.
+//! [`ClusterScraper`] polls every node; [`ClusterSnapshot::merged`]
+//! folds the node documents into one document under the same schema
+//! (the cluster view), and [`prometheus_text`] renders any such
+//! document as Prometheus text, which [`validate_prometheus`] checks.
 
 use crate::balancer::SocketBalancer;
 use crate::frame::{parse_header, Frame, FrameError, PadClass, HEADER_LEN};
 use parking_lot::Mutex;
 use pprox_core::shuffler::FlushReason;
-use pprox_core::telemetry::export::{LayerSnapshot, TelemetryReport};
 use pprox_core::telemetry::histogram::NUM_BUCKETS;
 use pprox_core::telemetry::{HistogramSnapshot, LatencyHistogram, Stage, Telemetry};
 use pprox_json::schema::{ensure, integers, list, number, Schema};
@@ -54,8 +55,10 @@ use std::time::{Duration, Instant};
 /// incremental trainer's dirty-list depth and ingest-lag gauges —
 /// aggregates of the node's own partition only, no routing keys. v3
 /// dropped the `layers` array (nothing ever registered a layer) and
-/// closed `node.tier` to the four tier names.
-pub const SCRAPE_SCHEMA_VERSION: u64 = 3;
+/// closed `node.tier` to the four tier names. v4 added
+/// `server.encode_failures`, and the document became the cluster view's
+/// too ([`ClusterSnapshot::merged`]).
+pub const SCRAPE_SCHEMA_VERSION: u64 = 4;
 
 /// Every value `node.tier` may take: the three cluster tiers, and `node`
 /// for a hub outside any cluster ([`NodeMetrics::detached`]).
@@ -176,6 +179,7 @@ pub struct NodeMetrics {
     frames_out: AtomicU64,
     shed: AtomicU64,
     protocol_errors: AtomicU64,
+    encode_failures: AtomicU64,
     queue_depth: AtomicU64,
     queue_depth_high_water: AtomicU64,
     workers: AtomicU64,
@@ -231,6 +235,7 @@ impl NodeMetrics {
             frames_out: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            encode_failures: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_depth_high_water: AtomicU64::new(0),
             workers: AtomicU64::new(0),
@@ -303,6 +308,12 @@ impl NodeMetrics {
     /// Records a connection dropped for malformed framing.
     pub fn on_protocol_error(&self) {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a reply frame that did not encode and was answered
+    /// `failed` in its place.
+    pub fn on_encode_failure(&self) {
+        self.encode_failures.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job entering the worker queue, folding the new depth
@@ -440,6 +451,7 @@ impl NodeMetrics {
                     ("frames_out", load(&self.frames_out)),
                     ("shed", load(&self.shed)),
                     ("protocol_errors", load(&self.protocol_errors)),
+                    ("encode_failures", load(&self.encode_failures)),
                     ("queue_depth", load(&self.queue_depth)),
                     ("queue_depth_high_water", load(&self.queue_depth_high_water)),
                     ("workers", load(&self.workers)),
@@ -509,16 +521,24 @@ fn histogram_to_value(snap: &HistogramSnapshot) -> Value {
     ])
 }
 
-/// Rebuilds a histogram snapshot from its scrape encoding, once it
-/// passes [`histogram_schema`]: every index inside the layout, once.
-fn histogram_from_value(v: &Value) -> Result<HistogramSnapshot, String> {
-    histogram_schema().check(v)?;
+/// Rebuilds a histogram snapshot from its scrape encoding. Total on any
+/// value, so neither the merge nor the renderer needs validated input:
+/// cells outside the layout are dropped and counts saturate.
+fn histogram_from_value(v: &Value) -> HistogramSnapshot {
     let mut counts = vec![0u64; NUM_BUCKETS];
-    for pair in list(v, "counts")? {
-        counts[number(pair, "0")? as usize] = number(pair, "1")? as u64;
+    for pair in v
+        .get("counts")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+    {
+        if let (Ok(index), Ok(count)) = (number(pair, "0"), number(pair, "1")) {
+            if let Some(cell) = counts.get_mut(index as usize) {
+                *cell = cell.saturating_add(count as u64);
+            }
+        }
     }
-    let (sum_us, max_us) = (number(v, "sum_us")? as u64, number(v, "max_us")? as u64);
-    Ok(HistogramSnapshot::from_parts(counts, sum_us, max_us))
+    let at = |key| number(v, key).map_or(0, |n| n as u64);
+    HistogramSnapshot::from_parts(counts, at("sum_us"), at("max_us"))
 }
 
 /// A histogram's scrape encoding ([`histogram_to_value`]).
@@ -557,11 +577,10 @@ fn bucket_cells(counts: &Value) -> Result<(), String> {
 pub fn snapshot_schema() -> Schema {
     let node = integers("index telemetry_group").chain([("tier", Schema::one_of(TIERS))]);
     let server = integers(
-        "accepted open_connections frames_in frames_out shed protocol_errors queue_depth \
-         queue_depth_high_water workers worker_busy_us",
+        "accepted open_connections frames_in frames_out shed protocol_errors encode_failures \
+         queue_depth queue_depth_high_water workers worker_busy_us",
     );
     let shuffle = integers("occupancy high_water flush_full flush_timeout flush_drain");
-    let stage = |name: &str| Stage::ALL.iter().any(|s| s.as_str() == name);
     Schema::object(integers("uptime_us scrapes").chain([
         ("report", Schema::one_of(["node-metrics"])),
         ("schema_version", Schema::version(SCRAPE_SCHEMA_VERSION)),
@@ -583,11 +602,16 @@ pub fn snapshot_schema() -> Schema {
             "shard",
             Schema::object(integers("events queries dirty lag_us")),
         ),
-        ("stages", Schema::map(stage, histogram_schema())),
+        ("stages", Schema::map(is_stage, histogram_schema())),
     ]))
 }
 
-/// Validates a per-node scrape snapshot against [`snapshot_schema`].
+/// Whether `name` is a [`Stage`] label.
+fn is_stage(name: &str) -> bool {
+    Stage::ALL.iter().any(|s| s.as_str() == name)
+}
+
+/// Validates a metrics document against [`snapshot_schema`].
 /// Anything a snapshot is not allowed to carry — per-request correlation
 /// or trace ids, raw per-request timestamps, arrival sequences — has no
 /// whitelisted place to live and fails here by construction.
@@ -615,9 +639,10 @@ impl NodeSnapshot {
     }
 }
 
-/// A point-in-time cluster pressure sample: gauges summed across nodes,
-/// high-water marks taken as the cluster maximum. The scenario harness
-/// records one per window to build the pressure timeline.
+/// A point-in-time cluster pressure sample, read off
+/// [`ClusterSnapshot::merged`]: gauges summed across nodes, high-water
+/// marks the cluster maximum. The scenario harness records one per
+/// window to build the pressure timeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PressureSample {
     /// Nodes that answered the scrape.
@@ -637,6 +662,23 @@ pub struct PressureSample {
     /// Total request frames read by all nodes.
     pub frames_in: u64,
 }
+
+/// The leaves the cluster view takes the maximum of across nodes: the
+/// high-water marks, the worst ingest lag and the oldest uptime. Every
+/// other integer leaf, counter or gauge, adds up, and histograms merge
+/// cell by cell. This is the merge's one rule.
+const MAXIMA: [&str; 4] = [
+    "uptime_us",
+    "server.queue_depth_high_water",
+    "shuffle.high_water",
+    "shard.lag_us",
+];
+
+/// The sections of a metrics document that are not one node's load:
+/// its identity, which the cluster view sets itself, and the stage
+/// histograms, which nodes sharing a telemetry hub all report. The leaf
+/// merge and the Prometheus leaf series both leave them out.
+const NOT_LEAVES: [&str; 3] = ["schema_version", "node", "stages"];
 
 /// Snapshots from one cluster-wide scrape pass.
 #[derive(Debug, Clone)]
@@ -663,16 +705,41 @@ impl ClusterSnapshot {
         Ok(())
     }
 
-    /// Merges the per-node snapshots into one cluster
-    /// [`TelemetryReport`]. Stage histograms are deduplicated by
-    /// telemetry group (nodes sharing a hub report the same histograms;
-    /// the group with the freshest counts represents them once), then
-    /// merged across groups. Every node contributes one `<name>/server`
-    /// counter row.
-    pub fn report(&self) -> TelemetryReport {
-        // Pick one representative snapshot per telemetry group: the one
-        // whose stage histograms carry the most observations (the
-        // freshest scrape of the shared hub). Group 0 is "private".
+    /// The cluster view: the node documents merged into one document of
+    /// the same schema ([`snapshot_schema`]). Leaf by leaf, integers add
+    /// up except the [`MAXIMA`], and histograms merge. Stage histograms
+    /// are counted once per telemetry group: nodes sharing a hub report
+    /// the same histograms, so the group's freshest scrape represents
+    /// it. The merged `node` is that of a hub outside any tier: `node`,
+    /// index 0, group 0.
+    pub fn merged(&self) -> Value {
+        // An idle detached hub's document is the merge's identity: every
+        // counter 0, no stages, and the `node` label the merge keeps.
+        let mut merged = NodeMetrics::detached().snapshot_json();
+        for node in &self.nodes {
+            merge_leaves(&mut merged, &node.json, "");
+        }
+        let mut stages = std::collections::BTreeMap::<String, HistogramSnapshot>::new();
+        for node in self.stage_representatives() {
+            let histograms = node.json.get("stages").and_then(Value::as_object);
+            for (name, h) in histograms.into_iter().flatten() {
+                if is_stage(name) {
+                    stages
+                        .entry(name.clone())
+                        .or_insert_with(HistogramSnapshot::empty)
+                        .merge(&histogram_from_value(h));
+                }
+            }
+        }
+        let stages = stages.iter().map(|(name, h)| (name, histogram_to_value(h)));
+        merged.insert("stages", Value::object(stages));
+        merged
+    }
+
+    /// One node per telemetry group: the one whose stage histograms hold
+    /// the most observations (the freshest scrape of the shared hub).
+    /// Group 0 is private: each such node is a group of its own.
+    fn stage_representatives(&self) -> Vec<&NodeSnapshot> {
         let mut reps: Vec<(u64, &NodeSnapshot, u64)> = Vec::new();
         for (pos, node) in self.nodes.iter().enumerate() {
             let group = match node.u64_at("node.telemetry_group") {
@@ -685,13 +752,10 @@ impl ClusterSnapshot {
                 .json
                 .get("stages")
                 .and_then(Value::as_object)
-                .map(|stages| {
-                    stages
-                        .values()
-                        .filter_map(|h| histogram_from_value(h).ok())
-                        .fold(0, |total: u64, s| total.saturating_add(s.count()))
-                })
-                .unwrap_or(0);
+                .into_iter()
+                .flat_map(|stages| stages.values())
+                .map(|h| histogram_from_value(h).count())
+                .fold(0, u64::saturating_add);
             match reps.iter_mut().find(|(g, _, _)| *g == group) {
                 Some(entry) if total > entry.2 => {
                     entry.1 = node;
@@ -701,76 +765,236 @@ impl ClusterSnapshot {
                 None => reps.push((group, node, total)),
             }
         }
-        let mut merged: Vec<(Stage, HistogramSnapshot)> = Stage::ALL
-            .iter()
-            .map(|&s| (s, HistogramSnapshot::empty()))
-            .collect();
-        for (_, node, _) in &reps {
-            if let Some(stages) = node.json.get("stages").and_then(Value::as_object) {
-                for (name, hist) in stages {
-                    if let (Some(stage), Ok(snap)) = (
-                        Stage::ALL.iter().find(|s| s.as_str() == name),
-                        histogram_from_value(hist),
-                    ) {
-                        merged[*stage as usize].1.merge(&snap);
-                    }
-                }
-            }
-        }
-        let mut shuffle = merged[Stage::ShuffleRequest as usize].1.clone();
-        shuffle.merge(&merged[Stage::ShuffleResponse as usize].1);
-
-        let mut layers: Vec<(String, LayerSnapshot)> = Vec::new();
-        for node in &self.nodes {
-            let flushes = node.u64_at("shuffle.flush_full")
-                + node.u64_at("shuffle.flush_timeout")
-                + node.u64_at("shuffle.flush_drain");
-            layers.push((
-                format!("{}/server", node.name),
-                LayerSnapshot {
-                    requests: node.u64_at("server.frames_in"),
-                    responses: node.u64_at("server.frames_out"),
-                    errors: node.u64_at("server.protocol_errors"),
-                    busy_us: node.u64_at("server.worker_busy_us"),
-                    shuffle_flushes: flushes,
-                    shuffle_timeouts: node.u64_at("shuffle.flush_timeout"),
-                    retries: node.u64_at("client.retries"),
-                    deadline_misses: node.u64_at("client.deadline_clamps"),
-                    rejected: node.u64_at("server.shed"),
-                },
-            ));
-        }
-        TelemetryReport {
-            stages: merged,
-            shuffle,
-            layers,
-        }
+        reps.into_iter().map(|(_, node, _)| node).collect()
     }
 
-    /// Aggregates the gauges that make up one pressure-timeline window.
+    /// The gauges that make up one pressure-timeline window, read off
+    /// the cluster view.
     pub fn pressure(&self) -> PressureSample {
-        let mut sample = PressureSample {
+        let merged = self.merged();
+        let at = |path| number(&merged, path).map_or(0, |n| n as u64);
+        PressureSample {
             nodes: self.nodes.len(),
-            ..PressureSample::default()
-        };
-        for node in &self.nodes {
-            sample.queue_depth += node.u64_at("server.queue_depth");
-            sample.queue_depth_high_water = sample
-                .queue_depth_high_water
-                .max(node.u64_at("server.queue_depth_high_water"));
-            sample.shed += node.u64_at("server.shed");
-            sample.shuffle_occupancy += node.u64_at("shuffle.occupancy");
-            sample.shuffle_high_water = sample
-                .shuffle_high_water
-                .max(node.u64_at("shuffle.high_water"));
-            sample.open_connections += node.u64_at("server.open_connections");
-            sample.frames_in += node.u64_at("server.frames_in");
+            queue_depth: at("server.queue_depth"),
+            queue_depth_high_water: at("server.queue_depth_high_water"),
+            shed: at("server.shed"),
+            shuffle_occupancy: at("shuffle.occupancy"),
+            shuffle_high_water: at("shuffle.high_water"),
+            open_connections: at("server.open_connections"),
+            frames_in: at("server.frames_in"),
         }
-        sample
     }
 }
 
-/// Polls every cluster node's metrics scrape and merges the results.
+/// Folds the leaves of `doc` at `path` into `acc` under the merge rule
+/// ([`MAXIMA`]). Only what `acc` holds is read from `doc`, so whatever a
+/// node sent, the merged document keeps the schema's key set.
+fn merge_leaves(acc: &mut Value, doc: &Value, path: &str) {
+    if acc.get("counts").is_some() {
+        let mut sum = histogram_from_value(acc);
+        sum.merge(&histogram_from_value(doc));
+        *acc = histogram_to_value(&sum);
+        return;
+    }
+    match (acc, doc) {
+        (Value::Object(fields), Value::Object(theirs)) => {
+            for (key, field) in fields.iter_mut() {
+                let path = dotted(path, key);
+                match theirs.get(key) {
+                    Some(theirs) if !NOT_LEAVES.contains(&path.as_str()) => {
+                        merge_leaves(field, theirs, &path);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        (Value::Number(ours), Value::Number(theirs)) if MAXIMA.contains(&path) => {
+            *ours = ours.max(*theirs);
+        }
+        (Value::Number(ours), Value::Number(theirs)) => *ours += theirs,
+        _ => {}
+    }
+}
+
+/// `key` under `path` (`server` + `shed` is `server.shed`).
+fn dotted(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+/// Stages [`validate_prometheus`] requires a histogram series for: the
+/// two proxy layers, the LRS call and the request-side shuffle dwell.
+pub const REQUIRED_STAGES: [&str; 4] = ["ua", "ia", "lrs", "shuffle_request"];
+
+/// Prometheus `le` boundaries, µs: powers of two from 1 µs to ~67 s.
+/// Coarser than the in-memory log-linear cells on purpose — 27 series per
+/// histogram instead of ~1100 — while `+Inf` keeps totals exact.
+fn prometheus_bounds_us() -> impl Iterator<Item = u64> {
+    (0..27).map(|e| 1u64 << e)
+}
+
+/// Renders one metrics document — a node's scrape or the cluster view —
+/// as Prometheus text. Stage histograms are the `pprox_stage_latency_us`
+/// series, labelled by stage. Every other leaf is a series named by its
+/// path: `server.frames_in` is `pprox_server_frames_in`, the
+/// `server.poll_loop` histogram `pprox_server_poll_loop_us`. A field the
+/// document gains is rendered with no edit here.
+pub fn prometheus_text(doc: &Value) -> String {
+    let mut out = String::from(
+        "# HELP pprox_stage_latency_us Per-stage latency, microseconds.\n\
+         # TYPE pprox_stage_latency_us histogram\n",
+    );
+    let stages = doc.get("stages").and_then(Value::as_object);
+    for (stage, h) in stages.into_iter().flatten() {
+        let label = format!("stage=\"{stage}\"");
+        render_histogram(&mut out, "pprox_stage_latency_us", &label, h);
+    }
+    render_leaves(&mut out, doc, "");
+    out
+}
+
+/// The series of every leaf under `path` but the [`NOT_LEAVES`].
+fn render_leaves(out: &mut String, v: &Value, path: &str) {
+    let name = format!("pprox_{}", path.replace('.', "_"));
+    match v {
+        Value::Object(fields) if fields.contains_key("counts") => {
+            let name = format!("{name}_us");
+            out.push_str(&format!("# TYPE {name} histogram\n"));
+            render_histogram(out, &name, "", v);
+        }
+        Value::Object(fields) => {
+            for (key, field) in fields {
+                let path = dotted(path, key);
+                if !NOT_LEAVES.contains(&path.as_str()) {
+                    render_leaves(out, field, &path);
+                }
+            }
+        }
+        Value::Number(n) => out.push_str(&format!("# TYPE {name} untyped\n{name} {n}\n")),
+        _ => {}
+    }
+}
+
+/// One histogram's cumulative `le` buckets, `_sum` and `_count`, under
+/// `name` and the extra `label`, if any.
+fn render_histogram(out: &mut String, name: &str, label: &str, h: &Value) {
+    let snap = histogram_from_value(h);
+    let labels = |le: &str| match label {
+        "" => format!("{{le=\"{le}\"}}"),
+        label => format!("{{{label},le=\"{le}\"}}"),
+    };
+    for b in prometheus_bounds_us() {
+        let cumulative = snap.cumulative_le(b);
+        out.push_str(&format!(
+            "{name}_bucket{} {cumulative}\n",
+            labels(&b.to_string())
+        ));
+    }
+    out.push_str(&format!(
+        "{name}_bucket{} {}\n",
+        labels("+Inf"),
+        snap.count()
+    ));
+    let label = match label {
+        "" => String::new(),
+        label => format!("{{{label}}}"),
+    };
+    out.push_str(&format!("{name}_sum{label} {}\n", snap.sum_us()));
+    out.push_str(&format!("{name}_count{label} {}\n", snap.count()));
+}
+
+/// Validates Prometheus exposition text: parseable sample lines, every
+/// histogram's cumulative buckets monotone and consistent with its
+/// `_count`, and the required stage series present.
+///
+/// # Errors
+///
+/// A human-readable description of the violated constraint.
+pub fn validate_prometheus(text: &str) -> Result<(), String> {
+    use std::collections::BTreeMap;
+    let mut buckets: BTreeMap<String, Vec<(f64, u64)>> = BTreeMap::new();
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    for (lineno, line) in text.lines().enumerate() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (name_labels, value) = line
+            .rsplit_once(' ')
+            .ok_or(format!("line {lineno}: no sample value"))?;
+        let value: f64 = value
+            .parse()
+            .map_err(|_| format!("line {lineno}: bad sample value {value}"))?;
+        // `f64` parses `NaN` and `inf`, and `NaN < 0.0` is false.
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(format!(
+                "line {lineno}: sample {value} is not a finite non-negative number"
+            ));
+        }
+        if let Some(rest) = name_labels.strip_prefix("pprox_stage_latency_us_bucket{stage=\"") {
+            let (stage, rest) = rest
+                .split_once('"')
+                .ok_or(format!("line {lineno}: unterminated stage label"))?;
+            let le = rest
+                .strip_prefix(",le=\"")
+                .and_then(|r| r.strip_suffix("\"}"))
+                .ok_or(format!("line {lineno}: malformed le label"))?;
+            let bound = if le == "+Inf" {
+                f64::INFINITY
+            } else {
+                le.parse()
+                    .map_err(|_| format!("line {lineno}: bad le bound {le}"))?
+            };
+            buckets
+                .entry(stage.to_string())
+                .or_default()
+                .push((bound, value as u64));
+        } else if let Some(rest) = name_labels.strip_prefix("pprox_stage_latency_us_count{stage=\"")
+        {
+            let stage = rest
+                .strip_suffix("\"}")
+                .ok_or(format!("line {lineno}: malformed count label"))?;
+            counts.insert(stage.to_string(), value as u64);
+        }
+    }
+    for required in REQUIRED_STAGES {
+        if !buckets.contains_key(required) {
+            return Err(format!("missing histogram series for stage {required}"));
+        }
+    }
+    for (stage, series) in &buckets {
+        let mut prev = 0u64;
+        let mut prev_bound = f64::NEG_INFINITY;
+        for &(bound, cum) in series {
+            if bound <= prev_bound {
+                return Err(format!("stage {stage}: le bounds not increasing"));
+            }
+            if cum < prev {
+                return Err(format!("stage {stage}: cumulative buckets decrease"));
+            }
+            prev = cum;
+            prev_bound = bound;
+        }
+        let (last_bound, last_cum) = *series.last().unwrap();
+        if !last_bound.is_infinite() {
+            return Err(format!("stage {stage}: missing +Inf bucket"));
+        }
+        match counts.get(stage) {
+            Some(&c) if c == last_cum => {}
+            Some(&c) => {
+                return Err(format!(
+                    "stage {stage}: +Inf bucket {last_cum} != count {c}"
+                ))
+            }
+            None => return Err(format!("stage {stage}: missing _count series")),
+        }
+    }
+    Ok(())
+}
+
+/// Polls every cluster node's metrics scrape.
 pub struct ClusterScraper {
     targets: Vec<(String, SocketAddr)>,
     timeout: Duration,
@@ -1120,8 +1344,23 @@ mod tests {
             h.record(v);
         }
         let snap = h.snapshot();
-        let rebuilt = histogram_from_value(&histogram_to_value(&snap)).unwrap();
+        let rebuilt = histogram_from_value(&histogram_to_value(&snap));
         assert_eq!(rebuilt, snap);
+    }
+
+    /// A node's document as scraped under `name`.
+    fn scraped(name: &str, hub: &NodeMetrics) -> NodeSnapshot {
+        NodeSnapshot {
+            name: name.into(),
+            json: hub.snapshot_json(),
+        }
+    }
+
+    fn cluster(nodes: Vec<NodeSnapshot>) -> ClusterSnapshot {
+        ClusterSnapshot {
+            nodes,
+            unreachable: Vec::new(),
+        }
     }
 
     #[test]
@@ -1139,31 +1378,62 @@ mod tests {
         other.record_duration(Stage::Ua, 900);
         let c = NodeMetrics::new("ia", 0, 9);
         c.attach_telemetry(other);
-        let snapshot = ClusterSnapshot {
-            nodes: vec![
-                NodeSnapshot {
-                    name: "ua0".into(),
-                    json: a.snapshot_json(),
-                },
-                NodeSnapshot {
-                    name: "ua1".into(),
-                    json: b.snapshot_json(),
-                },
-                NodeSnapshot {
-                    name: "ia0".into(),
-                    json: c.snapshot_json(),
-                },
-            ],
-            unreachable: Vec::new(),
-        };
+        let snapshot = cluster(vec![
+            scraped("ua0", &a),
+            scraped("ua1", &b),
+            scraped("ia0", &c),
+        ]);
         snapshot.validate().unwrap();
-        let report = snapshot.report();
-        let ua = &report.stages[Stage::Ua as usize].1;
+        let merged = snapshot.merged();
+        validate_scrape_snapshot(&merged).unwrap();
         // 10 from the shared hub (once, not twice) + 1 from the other.
+        let ua = histogram_from_value(merged.get("stages").unwrap().get("ua").unwrap());
         assert_eq!(ua.count(), 11);
-        // Every node contributes a synthesized server layer.
-        assert!(report.layers.iter().any(|(n, _)| n == "ua0/server"));
-        assert!(report.layers.iter().any(|(n, _)| n == "ia0/server"));
+        let text = prometheus_text(&merged);
+        assert!(text.contains("pprox_stage_latency_us_count{stage=\"ua\"} 11\n"));
+    }
+
+    #[test]
+    fn merged_sums_counters_maxes_high_water_marks_and_validates() {
+        let a = populated_hub(); // queue high-water 2, shuffle high-water 5
+        let b = NodeMetrics::new("ia", 0, 0);
+        for _ in 0..3 {
+            b.on_enqueue();
+            b.on_frame_in();
+        }
+        b.set_shuffle_occupancy(1);
+        b.on_encode_failure();
+        b.record_poll_pass_us(300);
+        let snapshot = cluster(vec![scraped("ua0", &a), scraped("ia0", &b)]);
+        let merged = snapshot.merged();
+        assert_exact(&snapshot_schema(), &merged, &["", "server", "node"]);
+        let at = |path| number(&merged, path).unwrap();
+        assert_eq!(at("server.frames_in"), 4.0);
+        assert_eq!(at("server.queue_depth"), 1.0 + 3.0);
+        assert_eq!(at("server.queue_depth_high_water"), 3.0);
+        assert_eq!(at("shuffle.occupancy"), 5.0 + 1.0);
+        assert_eq!(at("shuffle.high_water"), 5.0);
+        assert_eq!(at("shuffle.flush_full"), 1.0);
+        assert_eq!(at("scrapes"), 1.0);
+        let poll_loop =
+            histogram_from_value(merged.get("server").unwrap().get("poll_loop").unwrap());
+        assert_eq!((poll_loop.count(), poll_loop.max_us()), (2, 300));
+        // The merged label is a detached hub's, whatever the nodes were.
+        assert_eq!(
+            merged.get("node"),
+            NodeMetrics::detached().snapshot_json().get("node")
+        );
+        // A counter the merge and the renderer have never heard of.
+        assert_eq!(at("server.encode_failures"), 1.0);
+        let text = prometheus_text(&merged);
+        assert!(
+            text.contains("\npprox_server_encode_failures 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\npprox_server_poll_loop_us_count 2\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -1174,20 +1444,7 @@ mod tests {
         a.on_enqueue();
         let b = NodeMetrics::new("ua", 1, 0);
         b.set_shuffle_occupancy(9);
-        let snapshot = ClusterSnapshot {
-            nodes: vec![
-                NodeSnapshot {
-                    name: "ua0".into(),
-                    json: a.snapshot_json(),
-                },
-                NodeSnapshot {
-                    name: "ua1".into(),
-                    json: b.snapshot_json(),
-                },
-            ],
-            unreachable: Vec::new(),
-        };
-        let p = snapshot.pressure();
+        let p = cluster(vec![scraped("ua0", &a), scraped("ua1", &b)]).pressure();
         assert_eq!(p.nodes, 2);
         assert_eq!(p.shuffle_occupancy, 12);
         assert_eq!(p.shuffle_high_water, 9);
@@ -1238,17 +1495,98 @@ mod tests {
                 json,
             }
         };
-        let snapshot = ClusterSnapshot {
-            nodes: vec![node("ua0", 1), node("ua1", 2)],
-            unreachable: Vec::new(),
-        };
+        let snapshot = cluster(vec![node("ua0", 1), node("ua1", 2)]);
         snapshot.validate().unwrap();
-        let report = snapshot.report();
-        assert_eq!(report.stages[Stage::Ua as usize].1.count(), u64::MAX);
-        assert_eq!(report.stages[Stage::Ia as usize].1.sum_us(), 1u64 << 54);
-        // Rendering the merged view is total too.
-        let _ = pprox_core::telemetry::export::json_snapshot(&report);
-        let _ = pprox_core::telemetry::export::prometheus_text(&report);
+        let merged = snapshot.merged();
+        assert_eq!(number(&merged, "stages.ia.sum_us"), Ok((1u64 << 54) as f64));
+        // Rendering the merged view is total too, and its totals saturate.
+        let text = prometheus_text(&merged);
+        let count = format!(
+            "pprox_stage_latency_us_count{{stage=\"ua\"}} {}\n",
+            u64::MAX
+        );
+        assert!(text.contains(&count), "{text}");
+    }
+
+    /// A document with four observations in every stage, as
+    /// `prometheus_text` renders it.
+    fn sample_text() -> String {
+        let telemetry = Arc::new(Telemetry::new());
+        for stage in Stage::ALL {
+            for us in [100, 200, 400, 8_000] {
+                telemetry.record_duration(stage, us);
+            }
+        }
+        let hub = populated_hub();
+        hub.attach_telemetry(telemetry);
+        prometheus_text(&hub.snapshot_json())
+    }
+
+    #[test]
+    fn prometheus_text_validates_and_mentions_every_stage() {
+        let text = sample_text();
+        validate_prometheus(&text).unwrap();
+        for s in Stage::ALL {
+            assert!(text.contains(&format!("stage=\"{}\"", s.as_str())));
+        }
+        assert!(text.contains("\npprox_server_frames_in 1\n"), "{text}");
+    }
+
+    #[test]
+    fn prometheus_validator_catches_corruption() {
+        let text = sample_text();
+        // Breaking the +Inf bucket must be caught.
+        let broken = text.replace(
+            "pprox_stage_latency_us_bucket{stage=\"ua\",le=\"+Inf\"} 4",
+            "pprox_stage_latency_us_bucket{stage=\"ua\",le=\"+Inf\"} 3",
+        );
+        assert_ne!(text, broken);
+        assert!(validate_prometheus(&broken).is_err());
+        // Dropping a required stage must be caught.
+        let gone: String = text
+            .lines()
+            .filter(|l| !l.contains("stage=\"lrs\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(validate_prometheus(&gone).is_err());
+    }
+
+    #[test]
+    fn prometheus_validator_rejects_non_finite_samples() {
+        let text = sample_text();
+        let with_sample = |series: &str, sample: &str| -> String {
+            let corrupt: String = text
+                .lines()
+                .map(|l| match l.strip_prefix(series) {
+                    Some(_) => format!("{series} {sample}\n"),
+                    None => format!("{l}\n"),
+                })
+                .collect();
+            assert_ne!(corrupt, text, "{series} not in the exposition");
+            corrupt
+        };
+        // The `le="1"` bucket holds 0 here, so a NaN that became `0`
+        // through `as u64` kept every bucket monotone.
+        let nan_bucket = with_sample(
+            "pprox_stage_latency_us_bucket{stage=\"ua\",le=\"1\"}",
+            "NaN",
+        );
+        let err = validate_prometheus(&nan_bucket).unwrap_err();
+        assert!(err.contains("NaN"), "{err}");
+        let inf_counter = with_sample("pprox_server_frames_in", "inf");
+        let err = validate_prometheus(&inf_counter).unwrap_err();
+        assert!(err.contains("inf"), "{err}");
+    }
+
+    #[test]
+    fn committed_telemetry_snapshot_is_exact() {
+        // `telemetry_export` commits the cluster view of a driven chain.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/TELEMETRY_snapshot.json"
+        );
+        let doc = Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_exact(&snapshot_schema(), &doc, &["", "server", "stages.lrs"]);
     }
 
     #[test]

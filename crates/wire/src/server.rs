@@ -191,23 +191,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Point-in-time snapshot of a server's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections accepted since start.
-    pub accepted: u64,
-    /// Request frames fully read.
-    pub frames_in: u64,
-    /// Response frames fully written.
-    pub frames_out: u64,
-    /// Requests answered `busy` at the gate or queue.
-    pub shed: u64,
-    /// Connections dropped for malformed framing.
-    pub protocol_errors: u64,
-    /// Reply frames that did not encode and were answered `failed`.
-    pub encode_failures: u64,
-}
-
 /// Reader threads frame, admit and enqueue; they never run a service, so
 /// a small stack keeps a connection's memory cost at its read buffer.
 const READER_STACK: usize = 128 * 1024;
@@ -338,10 +321,8 @@ impl WorkerJob {
 }
 
 /// State shared by the acceptor, the readers, the workers and every
-/// outstanding [`Reply`].
-///
-/// The plain counters stay per-incarnation ([`WireServer::stats`]
-/// semantics); `metrics` accumulates for the node, surviving respawns.
+/// outstanding [`Reply`]. Its counters are the node's `metrics` hub,
+/// which accumulates across respawns.
 struct Shared {
     stop: AtomicBool,
     gate: AdmissionGate,
@@ -358,12 +339,6 @@ struct Shared {
     /// one map operation, never across a write.
     unanswered: Mutex<HashMap<u64, Unanswered>>,
     next_request: AtomicU64,
-    accepted: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    shed: AtomicU64,
-    protocol_errors: AtomicU64,
-    encode_failures: AtomicU64,
 }
 
 impl Shared {
@@ -383,26 +358,28 @@ impl Shared {
             conns: Mutex::new(HashMap::new()),
             unanswered: Mutex::new(HashMap::new()),
             next_request: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            encode_failures: AtomicU64::new(0),
         }
     }
 
-    /// Writes `frames` to `conn` as one batch, counting each frame that
-    /// reached the socket. A frame that does not encode is answered
-    /// `failed` in its place — the peer is waiting on that correlation
-    /// id. The first failed or timed-out write cuts the connection, so a
-    /// peer that never reads costs one write timeout, not one per reply.
+    /// Writes `frames` to `conn` as one batch and counts each frame
+    /// that reached the socket.
     fn reply(&self, conn: &Conn, frames: &[Frame]) {
+        if let Some(written) = self.write_batch(conn, frames) {
+            self.metrics.on_frames_out(written);
+        }
+    }
+
+    /// Writes `frames` to `conn` as one batch; how many went out, if the
+    /// write did. A frame that does not encode is answered `failed` in
+    /// its place — the peer is waiting on that correlation id. The first
+    /// failed or timed-out write cuts the connection, so a peer that
+    /// never reads costs one write timeout, not one per reply.
+    fn write_batch(&self, conn: &Conn, frames: &[Frame]) -> Option<u64> {
         let mut bytes = Vec::with_capacity(frames.iter().map(|f| f.class.wire_len()).sum());
         let mut encoded = 0u64;
         for frame in frames {
             let wire = frame.encode().or_else(|_| {
-                self.encode_failures.fetch_add(1, Ordering::Relaxed);
+                self.metrics.on_encode_failure();
                 control_frame(frame.corr, WireStatus::Failed).encode()
             });
             if let Ok(wire) = wire {
@@ -415,14 +392,14 @@ impl Shared {
         // write timeout
         let mut alive = conn.writer.lock();
         if !*alive {
-            return;
+            return None;
         }
         if write_whole(&conn.stream, &bytes).is_ok() {
-            self.frames_out.fetch_add(encoded, Ordering::Relaxed);
-            self.metrics.on_frames_out(encoded);
+            Some(encoded)
         } else {
             *alive = false;
             let _ = conn.stream.shutdown(Shutdown::Both);
+            None
         }
     }
 
@@ -468,16 +445,6 @@ impl Shared {
         for request in left {
             self.reply_status(&request.conn, request.corr, status);
         }
-    }
-
-    fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        self.metrics.on_shed();
-    }
-
-    fn on_protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        self.metrics.on_protocol_error();
     }
 }
 
@@ -557,19 +524,6 @@ impl WireServer {
     /// the scrape protocol).
     pub fn metrics(&self) -> &Arc<NodeMetrics> {
         &self.shared.metrics
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ServerStats {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ServerStats {
-            accepted: load(&self.shared.accepted),
-            frames_in: load(&self.shared.frames_in),
-            frames_out: load(&self.shared.frames_out),
-            shed: load(&self.shared.shed),
-            protocol_errors: load(&self.shared.protocol_errors),
-            encode_failures: load(&self.shared.encode_failures),
-        }
     }
 
     /// Graceful drain: stop accepting, close every connection's read
@@ -693,7 +647,6 @@ fn accept_loop(
             std::thread::yield_now();
             continue;
         };
-        shared.accepted.fetch_add(1, Ordering::Relaxed);
         shared.metrics.on_accept();
         // Replies are whole frames: send each at once instead of holding
         // it for the peer's delayed ACK of the one before.
@@ -757,10 +710,9 @@ fn read_loop(conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>)
         // Frame in place: each complete frame is decoded from its slice
         // of the read buffer. What the pass admitted goes to the workers,
         // bad bytes after it or not.
+        let mut traffic = false;
         let framed = decode_stream(&buf[..filled], |frame| {
-            shared.frames_in.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.on_frame_in();
-            admit(frame, conn, shared, &mut pass);
+            traffic |= admit(frame, conn, shared, &mut pass);
         });
         enqueue(&mut pass, shared, job_tx);
         let Ok(pos) = framed else {
@@ -770,37 +722,46 @@ fn read_loop(conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>)
         };
         buf.copy_within(pos..filled, 0);
         filled -= pos;
-        shared
-            .metrics
-            .record_poll_pass_us(pass_started.elapsed().as_micros() as u64);
+        if traffic {
+            shared
+                .metrics
+                .record_poll_pass_us(pass_started.elapsed().as_micros() as u64);
+        }
     }
 }
 
 /// Drops a connection whose bytes do not frame.
 fn cut(conn: &Conn, shared: &Shared) {
-    shared.on_protocol_error();
+    shared.metrics.on_protocol_error();
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
 /// Answers one frame from the reader thread — scrapes and refusals
-/// inline — or admits it into the pass.
-fn admit(frame: Frame, conn: &Arc<Conn>, shared: &Arc<Shared>, pass: &mut Vec<(Vec<u8>, Reply)>) {
+/// inline — or admits it into the pass. Returns whether the frame was
+/// traffic: a scrape moves the hub's `scrapes` counter and no other.
+fn admit(
+    frame: Frame,
+    conn: &Arc<Conn>,
+    shared: &Arc<Shared>,
+    pass: &mut Vec<(Vec<u8>, Reply)>,
+) -> bool {
     let corr = frame.corr;
-    if frame.class != PadClass::Request {
-        if is_scrape_request(&frame) {
-            shared.metrics.on_scrape();
-            let snapshot = shared.metrics.snapshot_json().to_json();
-            shared.reply(conn, &scrape_response_frames(corr, &snapshot));
-        } else {
-            shared.reply_status(conn, corr, WireStatus::Malformed);
-        }
-        return;
+    if is_scrape_request(&frame) {
+        shared.metrics.on_scrape();
+        let snapshot = shared.metrics.snapshot_json().to_json();
+        shared.write_batch(conn, &scrape_response_frames(corr, &snapshot));
+        return false;
     }
-    let Some(permit) = shared.gate.try_admit() else {
-        shared.on_shed();
-        return shared.reply_status(conn, corr, WireStatus::Busy);
-    };
-    pass.push((frame.payload, shared.admitted(conn, corr, permit)));
+    shared.metrics.on_frame_in();
+    if frame.class != PadClass::Request {
+        shared.reply_status(conn, corr, WireStatus::Malformed);
+    } else if let Some(permit) = shared.gate.try_admit() {
+        pass.push((frame.payload, shared.admitted(conn, corr, permit)));
+    } else {
+        shared.metrics.on_shed();
+        shared.reply_status(conn, corr, WireStatus::Busy);
+    }
+    true
 }
 
 /// Queues what a pass admitted: as one job if the service takes passes,
@@ -823,7 +784,7 @@ fn queue(job: WorkerJob, shared: &Shared, job_tx: &Sender<WorkerJob>) {
             return;
         }
         Err(TrySendError::Full(job)) => {
-            (0..requests).for_each(|_| shared.on_shed());
+            (0..requests).for_each(|_| shared.metrics.on_shed());
             (job, WireStatus::Busy)
         }
         Err(TrySendError::Disconnected(job)) => (job, WireStatus::Unavailable),
@@ -944,7 +905,11 @@ mod tests {
 
     /// One field of the `server` section of the node hub's snapshot.
     fn hub_gauge(server: &WireServer, key: &str) -> u64 {
-        let snapshot = server.metrics().snapshot_json();
+        server_field(server.metrics(), key)
+    }
+
+    fn server_field(hub: &NodeMetrics, key: &str) -> u64 {
+        let snapshot = hub.snapshot_json();
         snapshot
             .get("server")
             .unwrap()
@@ -968,9 +933,8 @@ mod tests {
         assert_eq!(resp.corr, 42);
         assert_eq!(resp.payload, b"HELLO");
         server.shutdown();
-        let stats = server.stats();
-        assert_eq!(stats.frames_in, 1);
-        assert_eq!(stats.shed, 0);
+        assert_eq!(hub_gauge(&server, "frames_in"), 1);
+        assert_eq!(hub_gauge(&server, "shed"), 0);
     }
 
     #[test]
@@ -1039,16 +1003,12 @@ mod tests {
         }
         assert!(busy >= 1, "at least one request must be shed");
         assert!(ok >= 1, "at least one request must be served");
-        let shed = server.stats().shed;
-        assert_eq!(shed, busy as u64);
+        assert_eq!(hub_gauge(&server, "shed"), busy as u64);
         server.shutdown();
         // Every request got exactly one reply frame, whichever class it
         // was: a served Response and a `busy` Control each count as one.
-        let stats = server.stats();
-        assert_eq!(stats.frames_in, 6);
-        assert_eq!(stats.frames_out, stats.frames_in);
-        assert_eq!(hub_gauge(&server, "frames_out"), 6);
         assert_eq!(hub_gauge(&server, "frames_in"), 6);
+        assert_eq!(hub_gauge(&server, "frames_out"), 6);
     }
 
     #[test]
@@ -1069,7 +1029,7 @@ mod tests {
         let mut buf = [0u8; 16];
         let got = stream.read(&mut buf).unwrap_or(0);
         assert_eq!(got, 0, "connection should be closed on protocol error");
-        assert!(server.stats().protocol_errors >= 1);
+        assert!(hub_gauge(&server, "protocol_errors") >= 1);
         server.shutdown();
     }
 
@@ -1264,7 +1224,11 @@ mod tests {
         assert_eq!(corrs(&mut a, 3), [2, 0, 1]);
         assert_eq!(corrs(&mut b, 2), [1, 0]);
         server.shutdown();
-        assert_eq!(server.stats().frames_out, 5, "answered exactly once each");
+        assert_eq!(
+            hub_gauge(&server, "frames_out"),
+            5,
+            "answered exactly once each"
+        );
     }
 
     #[test]
@@ -1283,7 +1247,11 @@ mod tests {
         }
         assert_eq!(server.in_flight(), 0);
         server.shutdown();
-        assert_eq!(server.stats().frames_out, 2, "answered exactly once each");
+        assert_eq!(
+            hub_gauge(&server, "frames_out"),
+            2,
+            "answered exactly once each"
+        );
     }
 
     #[test]
@@ -1340,7 +1308,7 @@ mod tests {
         for (payload, reply) in park.parked.lock().drain(..) {
             reply.send(Ok(payload));
         }
-        assert_eq!(server.stats().frames_out, 2);
+        assert_eq!(hub_gauge(&server, "frames_out"), 2);
     }
 
     #[test]
@@ -1366,8 +1334,8 @@ mod tests {
         assert_eq!(refused.corr, 2);
         assert_eq!(status_of(&refused), Some(WireStatus::Failed));
         assert_eq!(read_frame(&mut peer), fits(3));
-        assert_eq!(shared.encode_failures.load(Ordering::Relaxed), 1);
-        assert_eq!(shared.frames_out.load(Ordering::Relaxed), 3);
+        assert_eq!(server_field(&shared.metrics, "encode_failures"), 1);
+        assert_eq!(server_field(&shared.metrics, "frames_out"), 3);
     }
 
     /// The most one socket buffer of this kind (`tcp_rmem`, `tcp_wmem`)
@@ -1427,13 +1395,16 @@ mod tests {
         assert_eq!(server.in_flight(), 0);
         // The cut also ends the deaf connection's reader, wherever in
         // the burst it had got to (all of it, on an idle box).
-        let stats = server.stats();
-        assert!(
-            (4..=burst as u64 + 4).contains(&stats.frames_in),
-            "{stats:?}"
+        let (frames_in, frames_out) = (
+            hub_gauge(&server, "frames_in"),
+            hub_gauge(&server, "frames_out"),
         );
         assert!(
-            stats.frames_out < stats.frames_in,
+            (4..=burst as u64 + 4).contains(&frames_in),
+            "{frames_in} frames in"
+        );
+        assert!(
+            frames_out < frames_in,
             "the deaf connection was never cut: its replies fit the socket buffers"
         );
     }
@@ -1474,7 +1445,7 @@ mod tests {
             "paid the write timeout again and again: {took:?}"
         );
         assert_eq!(server.in_flight(), 0);
-        assert!(server.stats().frames_out < 4_000);
+        assert!(hub_gauge(&server, "frames_out") < 4_000);
         // The server still serves others.
         let other = pipeline(server.local_addr(), 1);
         wait_until("the other request parked", || park.parked.lock().len() == 1);
@@ -1503,7 +1474,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(server.shared.conns.lock().is_empty());
-        assert_eq!(server.stats().accepted, 500);
+        assert_eq!(hub_gauge(&server, "accepted"), 500);
         server.shutdown();
     }
 
@@ -1539,5 +1510,30 @@ mod tests {
             assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "expected EOF");
         }
         assert_eq!(hub_gauge(&server, "open_connections"), 0);
+    }
+
+    #[test]
+    fn a_scrape_moves_only_the_scrape_counter() {
+        let mut server = WireServer::spawn(
+            Arc::new(Echo {
+                delay: Duration::ZERO,
+            }),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let scraper = crate::scrape::ClusterScraper::new(Vec::new());
+        scraper.scrape_node(server.local_addr()).unwrap();
+        let doc = scraper.scrape_node(server.local_addr()).unwrap();
+        let at = |path| pprox_json::schema::number(&doc, path).unwrap();
+        // The first scrape's query and answer are not traffic.
+        assert_eq!(at("server.frames_in"), 0.0);
+        assert_eq!(at("server.frames_out"), 0.0);
+        assert_eq!(at("server.poll_loop.sum_us"), 0.0);
+        assert!(pprox_json::schema::list(&doc, "server.poll_loop.counts")
+            .unwrap()
+            .is_empty());
+        // The second one counts itself here, before it is rendered.
+        assert_eq!(at("scrapes"), 2.0);
+        server.shutdown();
     }
 }

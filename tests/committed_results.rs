@@ -1,14 +1,15 @@
 //! The committed privacy artifacts, checked in tier-1.
 //!
-//! What a node's scrape and the telemetry export may carry is a
-//! whitelist (DESIGN §6.2, §10), and `results/` holds one copy of each
-//! as the deployment really emits it. `scripts/ci.sh` validates them
-//! through the report bins; this test holds them to the same schemas
+//! What a node's scrape may carry is a whitelist (DESIGN §6.2, §10),
+//! and the telemetry export is the same document merged over the
+//! cluster, so one checker holds both. `results/` holds one copy of
+//! each as the deployment really emits it. `scripts/ci.sh` validates
+//! them through the report bins; this test holds them to the same schema
 //! through the facade, so a stale or hand-edited copy fails
 //! `cargo test -q` too.
 
-use pprox::core::telemetry::export::{validate_json_snapshot, validate_prometheus};
 use pprox::json::Value;
+use pprox::wire::scrape::validate_prometheus;
 use pprox::wire::validate_scrape_snapshot;
 
 fn committed(file: &str) -> String {
@@ -19,7 +20,7 @@ fn committed(file: &str) -> String {
 #[test]
 fn telemetry_snapshot_matches_its_schema() {
     let doc = Value::parse(&committed("TELEMETRY_snapshot.json")).unwrap();
-    validate_json_snapshot(&doc).unwrap();
+    validate_scrape_snapshot(&doc).unwrap();
 }
 
 #[test]

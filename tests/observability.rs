@@ -1,8 +1,10 @@
 //! Integration test: the observability plane against a live cluster.
 //!
 //! Scrapes every node over the frame protocol while a steady load
-//! runs and checks the merged snapshot passes both PR 3 export
-//! validators. A second test checks metric continuity across a
+//! runs and checks that the cluster view — the node documents merged
+//! under the node schema — validates, sums the nodes' counters, and
+//! renders as valid Prometheus text. A second test checks metric
+//! continuity across a
 //! supervised respawn — the per-node hub survives the instance, so a
 //! scrape after the kill still covers the whole chain.
 //!
@@ -17,12 +19,11 @@
 //! aggregates), so it names no item-side APIs.
 
 use pprox::core::resilience::Deadline;
-use pprox::core::telemetry::export::{
-    json_snapshot, prometheus_text, validate_json_snapshot, validate_prometheus,
-};
+use pprox::json::schema::number;
 use pprox::lrs::stub::StubLrs;
 use pprox::wire::cluster::{ClusterConfig, LoopbackCluster};
-use pprox::wire::ClusterScraper;
+use pprox::wire::scrape::{prometheus_text, validate_prometheus};
+use pprox::wire::{validate_scrape_snapshot, ClusterScraper};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -77,8 +78,8 @@ fn drive(cluster: &mut LoopbackCluster, requests: usize, workers: usize) {
 }
 
 /// Scraping every node during a steady load must yield snapshots that
-/// validate, be answered by every node, and merge into a report both
-/// PR 3 validators accept.
+/// validate, be answered by every node, and merge into a cluster view
+/// of the same schema whose Prometheus rendering validates.
 #[test]
 fn scrape_under_steady_load_is_valid() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -107,15 +108,22 @@ fn scrape_under_steady_load_is_valid() {
         assert!(metrics.scrapes() >= 1, "a node never served a scrape");
     }
 
-    // The merged cluster snapshot must satisfy both exporters'
-    // validators — same bar as the in-process telemetry of PR 3.
+    // The cluster view is a node document: same schema, each counter
+    // the sum over the nodes, and a valid Prometheus rendering.
     let scraper = ClusterScraper::new(cluster.scrape_targets());
     let snap = scraper.scrape();
     snap.validate().unwrap();
     assert_eq!(snap.nodes.len(), 5);
-    let report = snap.report();
-    validate_prometheus(&prometheus_text(&report)).unwrap();
-    validate_json_snapshot(&json_snapshot(&report)).unwrap();
+    let merged = snap.merged();
+    validate_scrape_snapshot(&merged).unwrap();
+    let frames_in: f64 = snap
+        .nodes
+        .iter()
+        .map(|node| number(&node.json, "server.frames_in").unwrap())
+        .sum();
+    assert!(frames_in >= 360.0, "{frames_in} frames in");
+    assert_eq!(number(&merged, "server.frames_in"), Ok(frames_in));
+    validate_prometheus(&prometheus_text(&merged)).unwrap();
     cluster.shutdown();
 }
 
