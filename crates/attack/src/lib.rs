@@ -8,9 +8,10 @@
 //!   burst-clustering, length- and rank-matching linkage estimator over
 //!   frames recorded by a tap on the UA→IA boundary, scored against
 //!   `1/S` (instance-aware) and `1/(S·I)` (instance-blind);
-//!   `pprox-scenario` feeds it live cluster traces. The no-padding
-//!   ablation is a measured trace with per-request lengths written in
-//!   ([`WireTrace::with_unpadded_lengths`]), which it links outright.
+//!   `pprox-scenario` feeds it live cluster traces. Every leak it is
+//!   shown is a per-request join key written into a measured trace
+//!   ([`WireTrace::with_join_key`]): the no-padding ablation's lengths,
+//!   a metrics export's arrival instants — each linked outright.
 //! * [`cases`] — the §6.1 case analysis against the serving chain: break
 //!   a UA or IA enclave (through the simulated-SGX compromise API), read
 //!   the whole LRS database, and check exactly what leaks. Includes the
@@ -23,18 +24,10 @@
 //!   multi-tenancy mitigation.
 //! * [`combined`] — the rejected single-enclave alternative (§3): cheaper,
 //!   and fatally linkable after one break.
-//! * [`scrape_audit`] — the §6.2 adversary pointed at the *monitoring*
-//!   system, holding the wire metrics exports (the scrape channel — the
-//!   only telemetry that leaves a node) as side information: verifies the
-//!   bucketed aggregates add nothing over the network observer (linkage
-//!   stays at `1/S`), catches the raw-timestamp unsafe-export ablation,
-//!   and triages real snapshots for linkage oracles.
-//! * [`shard_audit`] — the §6.2 adversary pointed at the *sharded LRS
-//!   tier*: scores post-shuffle linkage with per-departure shard labels
-//!   in hand (must stay at `1/S` — the label is a pure function of the
-//!   pseudonym), checks consistent-hash balance so no shard's
-//!   population becomes an identifiable sub-anonymity-set, and flags
-//!   the arrival-order routing ablation.
+//! * [`scrape_audit`] — the adversary's triage pass over the *monitoring*
+//!   exports (the scrape channel, the only telemetry that leaves a
+//!   node): flags any field that would act as a linkage oracle. The
+//!   scenario harness runs it on every node document it scrapes.
 //! * [`at_rest_audit`] — the §6.1 database adversary pointed at *disk*:
 //!   scans a durable store directory (`pprox-store`) for plaintext
 //!   user/item identifiers, unpadded record lengths, and foreign files,
@@ -53,7 +46,6 @@ pub mod combined;
 pub mod history;
 pub mod lowtraffic;
 pub mod scrape_audit;
-pub mod shard_audit;
 pub mod wire_audit;
 
 /// A measured linkage probability next to the §6.2 curve it must not
@@ -99,10 +91,7 @@ pub use at_rest_audit::{audit_store_dir, AtRestAuditOutcome, PlaintextHit};
 pub use cases::{break_ia_and_read_database, break_layer, break_ua_and_read_database, CaseOutcome};
 pub use history::{intersection_attack, IntersectionOutcome};
 pub use lowtraffic::{measure_anonymity_set, AnonymitySetReport};
-pub use scrape_audit::{
-    audit_scrape_channel, scan_export_for_oracles, ScrapeAuditConfig, ScrapeAuditOutcome,
-};
-pub use shard_audit::{shard_skew_attack, ShardAuditConfig, ShardAuditOutcome};
+pub use scrape_audit::scan_export_for_oracles;
 pub use wire_audit::{
     wire_linkage_attack, TraceArrival, TraceDeparture, WireAuditConfig, WireAuditOutcome, WireTrace,
 };

@@ -18,8 +18,10 @@
 //! 3. **Length matching** — within a batch, a frame whose length is
 //!    unique among the batch's frames and among its candidate arrivals
 //!    is paired with the one arrival of that length. Padded traffic has
-//!    one length per hop, so this never fires on it; a trace with
-//!    per-request lengths (padding off) is linked by it outright.
+//!    one length per hop, so this never fires on it; a per-request
+//!    observable on both sides ([`WireTrace::with_join_key`]: lengths
+//!    with padding off, arrival instants in a metrics export) is
+//!    linked by it outright.
 //! 4. **Rank matching** — the rest of the batch pairs the i-th earliest
 //!    arrival with the i-th departure frame. Under a uniform permutation
 //!    this succeeds with probability `1/S` per request (no strategy does
@@ -118,18 +120,20 @@ pub struct WireAuditOutcome {
 }
 
 impl WireTrace {
-    /// The padding ablation as a test input: this trace with every
-    /// message's length rewritten to a per-request fingerprint,
-    /// `600 + request % 97` bytes on both sides of the hop — what an
-    /// unpadded deployment would put on the wire.
-    pub fn with_unpadded_lengths(&self) -> WireTrace {
-        let len = |request: usize| 600 + request % 97;
+    /// This trace with a per-request observable written into the length
+    /// field on both sides of the hop: `key(request)` on every arrival
+    /// and every departure. Length matching joins whatever the key
+    /// makes unique inside a batch, so one transform states every leak
+    /// the estimator is shown: the padding ablation is
+    /// `600 + request % 97` bytes, a metrics export that ships raw
+    /// arrival times is the request's arrival instant.
+    pub fn with_join_key(&self, key: impl Fn(usize) -> usize) -> WireTrace {
         WireTrace {
             arrivals: self
                 .arrivals
                 .iter()
                 .map(|a| TraceArrival {
-                    len: len(a.request),
+                    len: key(a.request),
                     ..*a
                 })
                 .collect(),
@@ -137,7 +141,7 @@ impl WireTrace {
                 .departures
                 .iter()
                 .map(|d| TraceDeparture {
-                    len: len(d.truth),
+                    len: key(d.truth),
                     ..*d
                 })
                 .collect(),
@@ -360,7 +364,7 @@ mod tests {
 
     #[test]
     fn unpadded_lengths_defeat_the_shuffle() {
-        let trace = synthetic(8, 1, 60, true, 0x11d1).with_unpadded_lengths();
+        let trace = synthetic(8, 1, 60, true, 0x11d1).with_join_key(|r| 600 + r % 97);
         let out = wire_linkage_attack(&trace, &WireAuditConfig::default());
         assert!(
             out.score.success_rate >= 0.9,
@@ -368,6 +372,57 @@ mod tests {
             out.score.success_rate
         );
         assert!(!out.score.within(), "the audit must flag unpadded traffic");
+    }
+
+    /// A metrics export that ships each request's arrival instant hands
+    /// the observer a join key for every departure.
+    #[test]
+    fn leaked_arrival_instants_are_flagged() {
+        let trace = synthetic(8, 1, 60, true, 0x11d2);
+        let arrived: std::collections::HashMap<usize, u64> = trace
+            .arrivals
+            .iter()
+            .map(|a| (a.request, a.at_us))
+            .collect();
+        let leaked = trace.with_join_key(|r| arrived[&r] as usize);
+        let out = wire_linkage_attack(&leaked, &WireAuditConfig::default());
+        assert!(
+            out.score.success_rate >= 0.9,
+            "arrival instants must link almost always: {}",
+            out.score.success_rate
+        );
+        assert!(!out.score.within(), "the audit must flag the export");
+    }
+
+    /// Sharding the LRS by pseudonym labels each departure with a pure
+    /// function of its request, one the arrival side does not carry:
+    /// nothing joins, and the score is the unlabelled trace's, exactly.
+    #[test]
+    fn shard_labels_by_request_hash_add_nothing() {
+        let trace = synthetic(10, 1, 60, true, 0x11d3);
+        let plain = wire_linkage_attack(&trace, &WireAuditConfig::default());
+        let shard = |r: usize| (r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61;
+        let mut labelled = trace.clone();
+        for d in &mut labelled.departures {
+            d.len = shard(d.truth) as usize;
+        }
+        let out = wire_linkage_attack(&labelled, &WireAuditConfig::default());
+        assert_eq!(out.score, plain.score);
+        assert!(out.score.within(), "{}", out.score.success_rate);
+    }
+
+    /// Routing by arrival order — shard = FIFO rank mod K, and a request's
+    /// index is its arrival rank here — replays the order the shuffle
+    /// hides, on both sides of the hop.
+    #[test]
+    fn arrival_order_shard_routing_is_flagged() {
+        let trace = synthetic(10, 1, 60, true, 0x11d4).with_join_key(|r| r % 8);
+        let out = wire_linkage_attack(&trace, &WireAuditConfig::default());
+        assert!(
+            !out.score.within(),
+            "arrival-order labels must link: {}",
+            out.score.success_rate
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `observability_report`: the cluster observability plane, measured,
 //! as one JSON report (`results/BENCH_observability.json`).
 //!
-//! Four measurements:
+//! Two measurements:
 //!
 //! 1. **Scrape overhead** — a closed-loop load against a live
 //!    [`LoopbackCluster`], once undisturbed and once with a
@@ -11,13 +11,13 @@
 //!    into the cluster view (`ClusterSnapshot::merged`), checked against
 //!    the node scrape's own exact-key schema and rendered as Prometheus
 //!    text for its validator; every per-node snapshot is also triaged by
-//!    the adversary's oracle scan (`pprox_attack::scrape_audit`).
-//! 3. **Scrape-channel audits** — the §6.2 adversary with the scrape
-//!    output as side information must stay at the `1/S` baseline, and
-//!    the raw-timestamp unsafe-export ablation must be caught.
-//! 4. **Pressure timelines** — every scenario in the catalog runs with
-//!    the harness's per-window scraping; the report records each run's
-//!    queue-depth / shed / shuffle-occupancy timeline.
+//!    the adversary's oracle scan (`pprox_attack::scrape_audit`). One
+//!    node's snapshot is embedded as `sample_node_snapshot`.
+//!
+//! What the plane sees under load — the pressure timelines — and what
+//! it must not leak — the oracle scan of every scrape, and the estimator
+//! on a trace with leaked arrival instants — are per scenario, in
+//! `scenario_report`'s one run of the catalog.
 //!
 //! Usage:
 //!
@@ -30,28 +30,22 @@
 //! the user population and the monitoring adversary), like the rest of
 //! `pprox-bench`.
 
-use pprox_attack::scrape_audit::{
-    audit_scrape_channel, scan_export_for_oracles, ScrapeAuditConfig, ScrapeAuditOutcome,
-};
+use pprox_attack::scrape_audit::scan_export_for_oracles;
 use pprox_bench::report;
 use pprox_core::resilience::Deadline;
-use pprox_json::schema::{
-    above, at_least, ensure, flag, integers, is, list, number, numbers, Schema,
-};
+use pprox_json::schema::{above, at_least, ensure, integers, is, number, Schema};
 use pprox_json::Value;
 use pprox_lrs::stub::StubLrs;
-use pprox_scenario::harness::{run_scenario, ScenarioOutcome};
-use pprox_scenario::scenarios;
 use pprox_wire::cluster::{ClusterConfig, LoopbackCluster};
 use pprox_wire::scrape::{self, prometheus_text, validate_prometheus};
-use pprox_wire::{validate_scrape_snapshot, ClusterScraper, PressureSample};
+use pprox_wire::{validate_scrape_snapshot, ClusterScraper};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Report schema version.
-const OBS_SCHEMA_VERSION: u64 = 1;
+const OBS_SCHEMA_VERSION: u64 = 2;
 
 /// Scrape overhead ceiling: scraping may cost at most this fraction of
 /// sustained RPS.
@@ -287,74 +281,9 @@ fn measure_overhead(seed: u64, requests: usize, workers: usize) -> (OverheadTria
     (trial, export_json, sample_node)
 }
 
-fn audit_json(a: &ScrapeAuditOutcome) -> Value {
-    Value::object([
-        ("attempts", Value::from(a.score.attempts as u64)),
-        ("correct", Value::from(a.score.correct as u64)),
-        ("measured", Value::from(a.score.success_rate)),
-        ("baseline", Value::from(a.score.bound)),
-        ("tolerance", Value::from(a.score.tolerance)),
-        ("unsafe_export", Value::from(a.unsafe_export)),
-        ("within", Value::from(a.score.within())),
-    ])
-}
-
-fn pressure_json(at_ms: u64, unreachable: usize, s: &PressureSample) -> Value {
-    Value::object([
-        ("at_ms", Value::from(at_ms)),
-        ("nodes", Value::from(s.nodes as u64)),
-        ("unreachable", Value::from(unreachable as u64)),
-        ("queue_depth", Value::from(s.queue_depth)),
-        (
-            "queue_depth_high_water",
-            Value::from(s.queue_depth_high_water),
-        ),
-        ("shed", Value::from(s.shed)),
-        ("shuffle_occupancy", Value::from(s.shuffle_occupancy)),
-        ("shuffle_high_water", Value::from(s.shuffle_high_water)),
-        ("open_connections", Value::from(s.open_connections)),
-        ("frames_in", Value::from(s.frames_in)),
-    ])
-}
-
-fn scenario_json(o: &ScenarioOutcome) -> Value {
-    Value::object([
-        ("name", Value::from(o.spec.name)),
-        ("requests", Value::from(o.spec.requests as u64)),
-        ("completed", Value::from(o.completed as u64)),
-        ("samples", Value::from(o.pressure.len() as u64)),
-        (
-            "timeline",
-            o.pressure
-                .iter()
-                .map(|p| pressure_json(p.at_ms, p.unreachable, &p.sample))
-                .collect::<Value>(),
-        ),
-    ])
-}
-
-/// One scrape-channel audit, `within` its baseline or not.
-fn audit_schema(within: bool, measured: Schema) -> Schema {
-    let fields = integers("attempts correct")
-        .chain(numbers("baseline tolerance"))
-        .chain([
-            ("measured", measured),
-            ("unsafe_export", Schema::Bool),
-            ("within", Schema::Bool.with(is(within))),
-        ]);
-    Schema::object(fields)
-}
-
 /// The report's schema, next to its emitter in `main`. The sample scrape
 /// it embeds is checked by the scrape's own schema.
 fn schema() -> Schema {
-    let point = integers(
-        "at_ms nodes unreachable queue_depth queue_depth_high_water shed shuffle_occupancy \
-         shuffle_high_water open_connections frames_in",
-    );
-    let timeline = Schema::array(Schema::object(point)).with(saw_traffic_in_order);
-    let scenario = integers("requests completed samples")
-        .chain([("name", Schema::Str), ("timeline", timeline)]);
     let config = integers("seed requests_per_trial scrape_interval_ms");
     let overhead = |v: &Value| ensure(number(v, "")? < MAX_OVERHEAD, "over the budget");
     let scrape_overhead = [
@@ -373,12 +302,6 @@ fn schema() -> Schema {
         ("oracle_hits", Schema::U64.with(is(0u64))),
         ("scrapes_served", Schema::U64.with(at_least(1.0))),
     ];
-    // Raw timestamps join almost always.
-    let ablation = audit_schema(false, Schema::Number.with(above(0.9)));
-    let audits = [
-        ("side_channel", audit_schema(true, Schema::Number)),
-        ("unsafe_export_ablation", ablation),
-    ];
     Schema::object([
         ("benchmark", Schema::one_of(["observability"])),
         ("schema_version", Schema::version(OBS_SCHEMA_VERSION)),
@@ -389,29 +312,7 @@ fn schema() -> Schema {
         ("scrape_overhead", Schema::object(scrape_overhead)),
         ("cluster_export", Schema::object(cluster_export)),
         ("sample_node_snapshot", scrape::snapshot_schema()),
-        ("audits", Schema::object(audits)),
-        ("scenarios", Schema::array(Schema::object(scenario))),
     ])
-    .with(|root| {
-        let timelines = list(root, "scenarios")?.len();
-        let min = if flag(root, "config.smoke")? { 2 } else { 5 };
-        ensure(
-            timelines >= min,
-            format!("{timelines} timelines, fewer than {min}"),
-        )
-    })
-}
-
-/// A pressure timeline runs in time order and saw traffic.
-fn saw_traffic_in_order(timeline: &Value) -> Result<(), String> {
-    let (mut at_ms, mut frames_in) = (0.0, 0.0f64);
-    for point in list(timeline, "")? {
-        let at = number(point, "at_ms")?;
-        ensure(at >= at_ms, format!("at_ms {at} before {at_ms}"))?;
-        at_ms = at;
-        frames_in = frames_in.max(number(point, "frames_in")?);
-    }
-    ensure(frames_in > 0.0, "no sample saw traffic")
 }
 
 fn main() {
@@ -438,51 +339,6 @@ fn main() {
         overhead_fraction * 100.0,
         MAX_OVERHEAD * 100.0
     );
-
-    eprintln!("observability: scrape-channel audits");
-    let side = audit_scrape_channel(&ScrapeAuditConfig {
-        seed: args.seed,
-        ..ScrapeAuditConfig::default()
-    });
-    assert!(side.score.within(), "side channel beats 1/S");
-    let ablation = audit_scrape_channel(&ScrapeAuditConfig {
-        seed: args.seed,
-        unsafe_export: true,
-        ..ScrapeAuditConfig::default()
-    });
-    assert!(!ablation.score.within(), "ablation not caught");
-    eprintln!(
-        "  side channel {:.3} vs 1/S {:.3} (+{:.3}); ablation {:.3} caught",
-        side.score.success_rate,
-        side.score.bound,
-        side.score.tolerance,
-        ablation.score.success_rate
-    );
-
-    let specs = if args.smoke {
-        scenarios::smoke()
-    } else {
-        scenarios::all()
-    };
-    eprintln!("observability: {} scenario pressure timelines", specs.len());
-    let mut outcomes = Vec::new();
-    for spec in &specs {
-        eprintln!("  {} ...", spec.name);
-        let outcome = run_scenario(spec, args.seed);
-        let last = outcome.pressure.last();
-        eprintln!(
-            "    {} samples, final frames_in {} (shed {})",
-            outcome.pressure.len(),
-            last.map_or(0, |p| p.sample.frames_in),
-            last.map_or(0, |p| p.sample.shed),
-        );
-        assert!(
-            !outcome.pressure.is_empty(),
-            "{}: no pressure samples",
-            spec.name
-        );
-        outcomes.push(outcome);
-    }
 
     let report = Value::object([
         ("benchmark", Value::from("observability")),
@@ -511,17 +367,6 @@ fn main() {
         ),
         ("cluster_export", export_json),
         ("sample_node_snapshot", sample_node),
-        (
-            "audits",
-            Value::object([
-                ("side_channel", audit_json(&side)),
-                ("unsafe_export_ablation", audit_json(&ablation)),
-            ]),
-        ),
-        (
-            "scenarios",
-            outcomes.iter().map(scenario_json).collect::<Value>(),
-        ),
     ]);
     let json = report.to_json();
     if let Some(dir) = Path::new(&args.out).parent() {
@@ -534,11 +379,7 @@ fn main() {
 #[test]
 fn committed_report_is_exact() {
     let mut doc = report::committed("BENCH_observability.json");
-    let objects = [
-        "",
-        "scenarios.0.timeline.3",
-        "sample_node_snapshot.stages.ua",
-    ];
+    let objects = ["", "sample_node_snapshot.stages.ua"];
     pprox_json::schema::assert_exact(&schema(), &doc, &objects);
     let sample = doc.get_mut("sample_node_snapshot").unwrap();
     sample.insert("arrival_times", Value::Array(vec![Value::from(12u64)]));

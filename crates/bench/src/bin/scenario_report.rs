@@ -14,6 +14,20 @@
 //! sample-size-aware tolerance) on both edges; the ablation passes only
 //! when it is *caught* violating the bound on both.
 //!
+//! Every scenario also carries what the observability plane saw of it,
+//! and what that plane must not leak:
+//!
+//! * `timeline` — the harness's pressure samples (one wire scrape of
+//!   every node per ~100 ms: queue depth, sheds, shuffle occupancy), in
+//!   time order and showing traffic;
+//! * `oracle_hits` over `documents_scanned` — the adversary's oracle scan
+//!   (`pprox_attack::scrape_audit`) on every node document of those
+//!   scrapes, which must find nothing;
+//! * `unsafe_export` — the instance-aware adversary on the scenario's
+//!   request trace with each request's arrival instant written in as a
+//!   join key, what an export that shipped raw arrival times would hand
+//!   it: it must be caught.
+//!
 //! Usage:
 //!
 //! ```text
@@ -33,12 +47,12 @@ use pprox_json::schema::{
     above, at_least, ensure, flag, integers, is, list, number, numbers, Schema,
 };
 use pprox_json::Value;
-use pprox_scenario::harness::{run_scenario, ScenarioOutcome};
+use pprox_scenario::harness::{run_scenario, PressurePoint, ScenarioOutcome};
 use pprox_scenario::scenarios;
 use std::path::Path;
 
 /// Report schema version.
-const SCENARIO_SCHEMA_VERSION: u64 = 2;
+const SCENARIO_SCHEMA_VERSION: u64 = 3;
 
 /// Minimum scenario count for a full (non-smoke) report.
 const MIN_FULL_SCENARIOS: usize = 5;
@@ -91,6 +105,25 @@ fn audit_json(a: &pprox_attack::wire_audit::WireAuditOutcome) -> Value {
     ])
 }
 
+fn pressure_json(p: &PressurePoint) -> Value {
+    let s = &p.sample;
+    Value::object([
+        ("at_ms", Value::from(p.at_ms)),
+        ("nodes", Value::from(s.nodes as u64)),
+        ("unreachable", Value::from(p.unreachable as u64)),
+        ("queue_depth", Value::from(s.queue_depth)),
+        (
+            "queue_depth_high_water",
+            Value::from(s.queue_depth_high_water),
+        ),
+        ("shed", Value::from(s.shed)),
+        ("shuffle_occupancy", Value::from(s.shuffle_occupancy)),
+        ("shuffle_high_water", Value::from(s.shuffle_high_water)),
+        ("open_connections", Value::from(s.open_connections)),
+        ("frames_in", Value::from(s.frames_in)),
+    ])
+}
+
 fn outcome_json(o: &ScenarioOutcome) -> Value {
     Value::object([
         ("name", Value::from(o.spec.name)),
@@ -112,7 +145,14 @@ fn outcome_json(o: &ScenarioOutcome) -> Value {
                 ("blind", audit_json(&o.response_edge[1])),
             ]),
         ),
+        ("unsafe_export", audit_json(&o.unsafe_export)),
         ("violation_expected", Value::from(o.spec.violation_expected)),
+        (
+            "timeline",
+            o.pressure.iter().map(pressure_json).collect::<Value>(),
+        ),
+        ("documents_scanned", Value::from(o.documents_scanned as u64)),
+        ("oracle_hits", Value::from(o.oracle_hits as u64)),
         ("ok", Value::from(o.ok())),
     ])
 }
@@ -140,6 +180,11 @@ fn audit_schema() -> Schema {
 /// meets its expectation, and an ablation is among them.
 fn schema() -> Schema {
     let sides = || [("aware", audit_schema()), ("blind", audit_schema())];
+    let point = integers(
+        "at_ms nodes unreachable queue_depth queue_depth_high_water shed shuffle_occupancy \
+         shuffle_high_water open_connections frames_in",
+    );
+    let timeline = Schema::array(Schema::object(point)).with(saw_traffic_in_order);
     let outcome = integers("requests completed failed shed duration_ms")
         .chain(integers("shuffle_size ua_instances ia_instances"))
         .chain(numbers("offered_rps"))
@@ -147,7 +192,11 @@ fn schema() -> Schema {
         .chain([
             ("name", Schema::Str),
             ("response_edge", Schema::object(sides())),
+            ("unsafe_export", audit_schema().with(caught)),
             ("violation_expected", Schema::Bool),
+            ("timeline", timeline),
+            ("documents_scanned", Schema::U64.with(at_least(1.0))),
+            ("oracle_hits", Schema::U64.with(is(0u64))),
             ("ok", Schema::Bool.with(is(true))),
         ]);
     let config = integers("seed scenario_count").chain([("smoke", Schema::Bool)]);
@@ -184,6 +233,24 @@ fn meets_expectation(s: &Value) -> Result<(), String> {
     Ok(())
 }
 
+/// The leaked arrival instants join, and the estimator says so.
+fn caught(unsafe_export: &Value) -> Result<(), String> {
+    let within = flag(unsafe_export, "within")?;
+    ensure(!within, "the leaked arrival instants were not caught")
+}
+
+/// A pressure timeline runs in time order and saw traffic.
+fn saw_traffic_in_order(timeline: &Value) -> Result<(), String> {
+    let (mut at_ms, mut frames_in) = (0.0, 0.0f64);
+    for point in list(timeline, "")? {
+        let at = number(point, "at_ms")?;
+        ensure(at >= at_ms, format!("at_ms {at} before {at_ms}"))?;
+        at_ms = at;
+        frames_in = frames_in.max(number(point, "frames_in")?);
+    }
+    ensure(frames_in > 0.0, "no sample saw traffic")
+}
+
 fn main() {
     let args = Args::parse();
     if let Some(path) = &args.validate {
@@ -210,7 +277,7 @@ fn main() {
         );
         let outcome = run_scenario(spec, args.seed);
         eprintln!(
-            "    completed {}/{} (shed {}), aware {:.3} vs {:.3}(+{:.3}), blind {:.3} vs {:.3}(+{:.3}); response edge aware {:.3}, blind {:.3} — {}",
+            "    completed {}/{} (shed {}), aware {:.3} vs {:.3}(+{:.3}), blind {:.3} vs {:.3}(+{:.3}); response edge aware {:.3}, blind {:.3}; unsafe export {:.3}; {} samples, {} oracle hits in {} documents — {}",
             outcome.completed,
             spec.requests,
             outcome.shed,
@@ -222,6 +289,10 @@ fn main() {
             outcome.blind.score.tolerance,
             outcome.response_edge[0].score.success_rate,
             outcome.response_edge[1].score.success_rate,
+            outcome.unsafe_export.score.success_rate,
+            outcome.pressure.len(),
+            outcome.oracle_hits,
+            outcome.documents_scanned,
             if outcome.ok() { "ok" } else { "FAILED" }
         );
         outcomes.push(outcome);
@@ -257,5 +328,11 @@ fn main() {
 #[test]
 fn committed_report_is_exact() {
     let doc = report::committed("BENCH_scenarios.json");
-    pprox_json::schema::assert_exact(&schema(), &doc, &["", "scenarios.7.response_edge.blind"]);
+    let objects = [
+        "",
+        "scenarios.7.response_edge.blind",
+        "scenarios.0.unsafe_export",
+        "scenarios.0.timeline.3",
+    ];
+    pprox_json::schema::assert_exact(&schema(), &doc, &objects);
 }

@@ -85,7 +85,7 @@ fn main() {
         let outcome = run_scenario(&spec, 0x5ec_0001 + k as u64);
         linkage_row(&spec, "on", &outcome.aware, &outcome.blind);
         if matches!(spec.name, "sweep_s5_i1" | "sweep_s10_i1") {
-            unpadded.push((spec, outcome.request_trace.with_unpadded_lengths()));
+            unpadded.push((spec, outcome.request_trace.with_join_key(|r| 600 + r % 97)));
         }
     }
     for (spec, trace) in &unpadded {

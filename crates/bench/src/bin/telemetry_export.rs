@@ -21,9 +21,12 @@
 //! ```
 //!
 //! The exporter refuses to write a snapshot its own validator rejects.
-//! What the export can leak is measured elsewhere, on what the chain
-//! really emits: `attack::scrape_audit` (in `observability_report`) and
-//! `scan_export_for_oracles` on the live scrapes of every scenario run.
+//! What an export could leak is checked per scenario in
+//! `scenario_report`, on what the chain really emits:
+//! `attack::scan_export_for_oracles` on every node document the
+//! pressure sampler scrapes, and `attack::wire_audit` on the real
+//! request trace with arrival instants leaked as a join key, which it
+//! must catch.
 
 use pprox_bench::report;
 use pprox_core::resilience::Deadline;

@@ -2,15 +2,13 @@
 //!
 //! The PProx implementation section (§5) describes a purpose-built JSON
 //! parser running inside the SGX enclave, "able to retrieve and/or update
-//! JSON fields in place and with minimal copy overhead". This crate
-//! reproduces that component:
+//! JSON fields in place and with minimal copy overhead". Here the proxy
+//! layers speak binary frames (`ClientEnvelope::to_frame`) and never
+//! touch JSON; this crate is the document model of everything else:
 //!
 //! * [`Value`] / [`parser`] / [`writer`] — a complete RFC 8259 document
 //!   model for code that needs full (de)serialization, e.g. the LRS
 //!   front-end and the user-side library.
-//! * [`patch`] — the in-place fast path used by the proxy layers: find one
-//!   top-level field's byte span in the raw request text and splice in a
-//!   replacement without touching the rest of the document.
 //! * [`schema`] — the one checker for every document the deployment
 //!   exports (node scrape, telemetry snapshot, analysis report, bench
 //!   reports): exact-key shapes declared once, walked once.
@@ -21,12 +19,9 @@
 //! use pprox_json::Value;
 //!
 //! let request = r#"{"user":"enc-base64","item":"enc-base64-2"}"#;
-//! // Full parse:
 //! let v = Value::parse(request)?;
 //! assert!(v.get("user").is_some());
-//! // In-place pseudonym splice (what a UA enclave does per request):
-//! let patched = pprox_json::patch::replace_field(request, "user", "\"det-enc\"")?;
-//! assert!(patched.contains("det-enc"));
+//! assert_eq!(Value::parse(&v.to_json())?, v);
 //! # Ok::<(), pprox_json::ParseJsonError>(())
 //! ```
 
@@ -34,7 +29,6 @@
 #![deny(missing_docs)]
 
 pub mod parser;
-pub mod patch;
 pub mod schema;
 pub mod value;
 pub mod writer;

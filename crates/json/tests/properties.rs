@@ -1,6 +1,6 @@
-//! Property-based tests: parse/write roundtrips and patch consistency.
+//! Property-based tests: parse/write roundtrips.
 
-use pprox_json::{parser, patch, writer, Value};
+use pprox_json::{parser, writer, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -40,36 +40,5 @@ proptest! {
     #[test]
     fn parse_never_panics(s in "\\PC{0,64}") {
         let _ = parser::parse(&s); // must not panic regardless of outcome
-    }
-
-    #[test]
-    fn patch_agrees_with_full_parse(
-        v in value_strategy(),
-        key in "[a-z]{1,6}",
-        replacement in (-1000i64..1000).prop_map(|n| n.to_string()),
-    ) {
-        // Build an object with a known key plus arbitrary content.
-        let mut obj = BTreeMap::new();
-        obj.insert(key.clone(), v);
-        obj.insert("other".to_owned(), Value::String("x".to_owned()));
-        let doc = writer::write(&Value::Object(obj));
-
-        let patched = patch::replace_field(&doc, &key, &replacement).unwrap();
-        let reparsed = parser::parse(&patched).unwrap();
-        prop_assert_eq!(
-            reparsed.get(&key).unwrap().as_f64().unwrap() as i64,
-            replacement.parse::<i64>().unwrap()
-        );
-        // The untouched field must survive byte-exact semantics.
-        prop_assert_eq!(reparsed.get("other").unwrap().as_str(), Some("x"));
-    }
-
-    #[test]
-    fn get_raw_field_is_valid_json(v in value_strategy(), key in "[a-z]{1,6}") {
-        let mut obj = BTreeMap::new();
-        obj.insert(key.clone(), v.clone());
-        let doc = writer::write(&Value::Object(obj));
-        let raw = patch::get_raw_field(&doc, &key).unwrap();
-        prop_assert_eq!(parser::parse(raw).unwrap(), v);
     }
 }

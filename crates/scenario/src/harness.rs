@@ -24,8 +24,12 @@
 //!    (which an observer of that link pairs with the tapped requests, so
 //!    it knows whose they are), departures the replies leaving for the
 //!    clients — both instants from the audit log.
-//! 5. Run the instance-aware and instance-blind linkage attacks on each
-//!    and package a [`ScenarioOutcome`].
+//! 5. Run the instance-aware and instance-blind linkage attacks on each,
+//!    and the aware one once more on the request edge with every
+//!    request's arrival instant written in as a join key (an export
+//!    that leaked them), and package a [`ScenarioOutcome`]. The
+//!    pressure sampler's scrapes are triaged by the adversary's oracle
+//!    scan along the way, every node document of every pass.
 //!
 //! Determinism: the schedule, request plaintexts, and all seeds derive
 //! from `(spec, seed)`. Wall-clock time affects *throughput*, never an
@@ -38,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use parking_lot::Mutex;
+use pprox_attack::scrape_audit::scan_export_for_oracles;
 use pprox_attack::wire_audit::{
     wire_linkage_attack, TraceArrival, TraceDeparture, WireAuditConfig, WireAuditOutcome, WireTrace,
 };
@@ -130,24 +135,36 @@ pub struct ScenarioOutcome {
     /// UA → replies out to the clients), aware then blind, both against
     /// `1/S`.
     pub response_edge: [WireAuditOutcome; 2],
+    /// The instance-aware adversary on `request_trace` with each
+    /// request's arrival instant written in as a join key — what a
+    /// metrics export that shipped raw arrival times would hand it.
+    /// Must be caught.
+    pub unsafe_export: WireAuditOutcome,
     /// Pressure timeline: one wire scrape of every node per ~100 ms
     /// window for the whole run (queue depth, sheds, shuffle occupancy).
     pub pressure: Vec<PressurePoint>,
+    /// Node documents of those scrapes run through the adversary's
+    /// oracle scan.
+    pub documents_scanned: usize,
+    /// Fields the scan flagged as linkage oracles across them.
+    pub oracle_hits: usize,
 }
 
 impl ScenarioOutcome {
     /// Whether the run's verdict matches the spec's expectation: bounds
     /// hold on both edges for normal scenarios, and the ablation is
-    /// *caught* on both.
+    /// *caught* on both; in every scenario the leaked arrival instants
+    /// are caught and no scraped document carries an oracle.
     pub fn ok(&self) -> bool {
         let [response_aware, response_blind] = &self.response_edge;
-        if self.spec.violation_expected {
+        let linkage = if self.spec.violation_expected {
             !self.aware.score.within() && !response_aware.score.within()
         } else {
             [&self.aware, &self.blind, response_aware, response_blind]
                 .iter()
                 .all(|edge| edge.score.within())
-        }
+        };
+        linkage && !self.unsafe_export.score.within() && self.oracle_hits == 0
     }
 }
 
@@ -352,7 +369,8 @@ fn drive(
 
     // Pressure sampler: one wire scrape of every node per ~100 ms window
     // while the load runs, so the observability plane is exercised under
-    // every load shape and the run yields a pressure timeline.
+    // every load shape and the run yields a pressure timeline. Every node
+    // document is triaged by the adversary's oracle scan on the way.
     let scraper = ClusterScraper::new(cluster.scrape_targets());
     let sampler_stop = Arc::new(AtomicBool::new(false));
     let pressure: Arc<Mutex<Vec<PressurePoint>>> = Arc::new(Mutex::new(Vec::new()));
@@ -361,8 +379,17 @@ fn drive(
         let pressure = pressure.clone();
         std::thread::spawn(move || {
             let t0 = Instant::now();
-            while !stop.load(Ordering::Acquire) {
+            let (mut scanned, mut hits) = (0, 0);
+            'run: while !stop.load(Ordering::Acquire) {
                 let snap = scraper.scrape();
+                for node in &snap.nodes {
+                    let found = scan_export_for_oracles(&node.json);
+                    if !found.is_empty() {
+                        eprintln!("ORACLE in {}: {found:?}", node.name);
+                    }
+                    hits += found.len();
+                }
+                scanned += snap.nodes.len();
                 pressure.lock().push(PressurePoint {
                     at_ms: t0.elapsed().as_millis() as u64,
                     unreachable: snap.unreachable.len(),
@@ -370,11 +397,12 @@ fn drive(
                 });
                 for _ in 0..10 {
                     if stop.load(Ordering::Acquire) {
-                        return;
+                        break 'run;
                     }
                     std::thread::sleep(Duration::from_millis(10));
                 }
             }
+            (scanned, hits)
         })
     };
 
@@ -410,7 +438,7 @@ fn drive(
     let duration_us = telemetry.now_us().saturating_sub(t0_us);
 
     sampler_stop.store(true, Ordering::Release);
-    let _ = sampler.join();
+    let (documents_scanned, oracle_hits) = sampler.join().expect("pressure sampler");
     let pressure = pressure.lock().clone();
 
     loris_stop.store(true, Ordering::Release);
@@ -524,6 +552,13 @@ fn drive(
     // the blind adversary is scored against `1/S` here too (it measures
     // ≈ 1/S under the paper's independent response buffer as well).
     let response_edge = attack(&trace(answers_in, replies_out), 1);
+    let arrived: std::collections::HashMap<usize, u64> = request_trace
+        .arrivals
+        .iter()
+        .map(|a| (a.request, a.at_us))
+        .collect();
+    let leaked = request_trace.with_join_key(|r| arrived[&r] as usize);
+    let [unsafe_export, _] = attack(&leaked, spec.ua_instances);
 
     ScenarioOutcome {
         spec: spec.clone(),
@@ -536,7 +571,10 @@ fn drive(
         aware,
         blind,
         response_edge,
+        unsafe_export,
         pressure,
+        documents_scanned,
+        oracle_hits,
     }
 }
 

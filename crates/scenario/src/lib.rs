@@ -16,15 +16,18 @@
 //!   optional injected WAN latency.
 //! * [`harness`] — boots a cluster, reroutes every UA uplink through
 //!   taps, replays a schedule (with optional client churn, slow-loris
-//!   floors, and admission-gate abuse), then scores the
+//!   floors, and admission-gate abuse) under a pressure sampler whose
+//!   scrapes go through the adversary's oracle scan, then scores the
 //!   [`pprox_attack::wire_audit`] linkage estimator against the
-//!   analytic `1/S` and `1/(S·I)` curves.
+//!   analytic `1/S` and `1/(S·I)` curves — and once more with leaked
+//!   arrival instants as a join key, which it must catch.
 //! * [`scenarios`] — the named catalog, including the seeded
 //!   shuffle-order ablation every audit run must *catch*, and the
 //!   (S, I) sweep behind the §6.2 table.
 //!
-//! `pprox-bench`'s `scenario_report` binary runs the catalog and emits
-//! `results/BENCH_scenarios.json`; `security_analysis` runs the sweep;
+//! `pprox-bench`'s `scenario_report` binary is the one run of the
+//! catalog and emits `results/BENCH_scenarios.json` (linkage, pressure
+//! timelines, oracle scan); `security_analysis` runs the sweep;
 //! `tests/scenarios.rs` pins the bounds in CI.
 
 #![forbid(unsafe_code)]

@@ -11,8 +11,11 @@
 //! already emits: `owner(det_enc(u))` is a pure function of the
 //! pseudonym, so the shard label an adversary observes is a
 //! deterministic function of data it is already allowed to see under
-//! §6 — no new linkage signal (the `attack::shard_audit` check holds
-//! the 1/S line on this).
+//! §6 — no new linkage signal. A label that is a function of the
+//! request on the departure side only gives the wire estimator nothing
+//! to join on (`attack::wire_audit`'s
+//! `shard_labels_by_request_hash_add_nothing` scores it equal to the
+//! unlabelled trace; routing by arrival order is flagged).
 //!
 //! The router also keeps per-shard request-count aggregates. Those are
 //! the *only* routing statistics the scrape surface may export: counts,

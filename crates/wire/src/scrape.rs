@@ -316,23 +316,24 @@ impl NodeMetrics {
         self.encode_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a job entering the worker queue, folding the new depth
-    /// into the high-water mark.
-    pub fn on_enqueue(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Counts `n` requests into the worker queue — before the send that
+    /// queues them, so a worker that takes them first cannot count them
+    /// out before they were counted in. Returns the depth with them in.
+    pub fn on_enqueue(&self, n: u64) -> u64 {
+        self.queue_depth.fetch_add(n, Ordering::Relaxed) + n
+    }
+
+    /// Folds the depth [`on_enqueue`](Self::on_enqueue) returned into the
+    /// high-water mark, once its requests are really queued.
+    pub fn on_queued(&self, depth: u64) {
         self.queue_depth_high_water
             .fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Records a job leaving the worker queue.
-    pub fn on_dequeue(&self) {
-        // Saturating: a respawned server re-uses the hub with jobs from
-        // the previous incarnation already drained.
-        let _ = self
-            .queue_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                Some(d.saturating_sub(1))
-            });
+    /// Counts `n` requests out of the worker queue: a worker took them,
+    /// or the send that was to queue them failed.
+    pub fn on_dequeue(&self, n: u64) {
+        self.queue_depth.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Declares the worker-pool size (for busy-fraction math).
@@ -1158,9 +1159,8 @@ mod tests {
         m.on_frame_in();
         m.on_frames_out(1);
         m.on_shed();
-        m.on_enqueue();
-        m.on_enqueue();
-        m.on_dequeue();
+        m.on_queued(m.on_enqueue(2));
+        m.on_dequeue(1);
         m.set_workers(4);
         m.add_worker_busy_us(1_500);
         m.record_poll_pass_us(120);
@@ -1398,7 +1398,7 @@ mod tests {
         let a = populated_hub(); // queue high-water 2, shuffle high-water 5
         let b = NodeMetrics::new("ia", 0, 0);
         for _ in 0..3 {
-            b.on_enqueue();
+            b.on_queued(b.on_enqueue(1));
             b.on_frame_in();
         }
         b.set_shuffle_occupancy(1);
@@ -1441,7 +1441,7 @@ mod tests {
         let a = NodeMetrics::new("ua", 0, 0);
         a.set_shuffle_occupancy(3);
         a.on_shed();
-        a.on_enqueue();
+        a.on_queued(a.on_enqueue(1));
         let b = NodeMetrics::new("ua", 1, 0);
         b.set_shuffle_occupancy(9);
         let p = cluster(vec![scraped("ua0", &a), scraped("ua1", &b)]).pressure();

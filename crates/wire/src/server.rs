@@ -775,12 +775,15 @@ fn enqueue(pass: &mut Vec<(Vec<u8>, Reply)>, shared: &Shared, job_tx: &Sender<Wo
     }
 }
 
-/// Queues one job; a full queue answers all of it `busy`.
+/// Queues one job; a full queue answers all of it `busy`. Its requests
+/// are counted in before the send (a worker may take the job before
+/// `try_send` returns) and taken back out if the send fails.
 fn queue(job: WorkerJob, shared: &Shared, job_tx: &Sender<WorkerJob>) {
     let requests = job.len();
+    let depth = shared.metrics.on_enqueue(requests as u64);
     let (job, status) = match job_tx.try_send(job) {
         Ok(()) => {
-            (0..requests).for_each(|_| shared.metrics.on_enqueue());
+            shared.metrics.on_queued(depth);
             return;
         }
         Err(TrySendError::Full(job)) => {
@@ -789,6 +792,7 @@ fn queue(job: WorkerJob, shared: &Shared, job_tx: &Sender<WorkerJob>) {
         }
         Err(TrySendError::Disconnected(job)) => (job, WireStatus::Unavailable),
     };
+    shared.metrics.on_dequeue(requests as u64);
     for reply in job.into_replies() {
         reply.send(Err(status));
     }
@@ -801,7 +805,7 @@ fn queue(job: WorkerJob, shared: &Shared, job_tx: &Sender<WorkerJob>) {
 /// empty and its last sender is gone.
 fn work(jobs: &Receiver<WorkerJob>, shared: &Shared, service: &dyn Service) {
     while let Ok(job) = jobs.recv() {
-        (0..job.len()).for_each(|_| shared.metrics.on_dequeue());
+        shared.metrics.on_dequeue(job.len() as u64);
         let busy_from = Instant::now();
         match job {
             WorkerJob::One(payload, reply) => {

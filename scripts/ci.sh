@@ -125,10 +125,10 @@ report_smoke recovery_report BENCH_recovery.json --events 120
 echo "== telemetry export smoke =="
 report_smoke telemetry_export "" --requests 96 --shuffle-size 4
 
-echo "== scenario smoke (measured unlinkability + seeded ablation) =="
+echo "== scenario smoke (linkage, unsafe-export key, pressure timelines, oracle scan) =="
 report_smoke scenario_report BENCH_scenarios.json --smoke
 
-echo "== observability smoke (scrape plane, audits, pressure timelines) =="
+echo "== observability smoke (scrape overhead, cluster export) =="
 report_smoke observability_report BENCH_observability.json --smoke
 
 echo "== sharding smoke (scaling curve + incremental/batch differential) =="

@@ -2,8 +2,9 @@
 //!
 //! Scrapes every node over the frame protocol while a steady load
 //! runs and checks that the cluster view — the node documents merged
-//! under the node schema — validates, sums the nodes' counters, and
-//! renders as valid Prometheus text. A second test checks metric
+//! under the node schema — validates, sums the nodes' counters, renders
+//! as valid Prometheus text, and reads an empty worker queue on every
+//! node once the load has drained. A second test checks metric
 //! continuity across a
 //! supervised respawn — the per-node hub survives the instance, so a
 //! scrape after the kill still covers the whole chain.
@@ -124,6 +125,12 @@ fn scrape_under_steady_load_is_valid() {
     assert!(frames_in >= 360.0, "{frames_in} frames in");
     assert_eq!(number(&merged, "server.frames_in"), Ok(frames_in));
     validate_prometheus(&prometheus_text(&merged)).unwrap();
+    // The load has drained: every request counted into a worker queue
+    // was counted out of it.
+    for node in &snap.nodes {
+        let queued = number(&node.json, "server.queue_depth");
+        assert_eq!(queued, Ok(0.0), "{} reads jobs queued", node.name);
+    }
     cluster.shutdown();
 }
 

@@ -69,6 +69,18 @@ fn steady_scenario_meets_linkage_bounds() {
         outcome.blind.score.bound,
         outcome.blind.score.tolerance
     );
+    // The pressure sampler's scrapes carry nothing to join on: every
+    // node document of every pass went through the oracle scan.
+    assert!(
+        outcome.documents_scanned >= outcome.pressure.len().max(1),
+        "{} documents scanned over {} pressure points",
+        outcome.documents_scanned,
+        outcome.pressure.len()
+    );
+    assert_eq!(
+        outcome.oracle_hits, 0,
+        "a scraped document carries an oracle"
+    );
     assert!(outcome.ok());
 }
 
