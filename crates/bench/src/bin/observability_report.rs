@@ -1,23 +1,18 @@
-//! `observability_report`: the cluster observability plane, measured,
-//! as one JSON report (`results/BENCH_observability.json`).
+//! `observability_report`: what monitoring costs, as one JSON report
+//! (`results/BENCH_observability.json`).
 //!
-//! Two measurements:
+//! A closed-loop load against a live [`LoopbackCluster`], once
+//! undisturbed and once with a [`ClusterScraper`] polling every node each
+//! [`SCRAPE_INTERVAL`]: scraping must cost less than 5% of sustained
+//! RPS. One node's scrape of the loaded cluster is embedded as
+//! `sample_node_snapshot`, held to the scrape's own schema.
 //!
-//! 1. **Scrape overhead** — a closed-loop load against a live
-//!    [`LoopbackCluster`], once undisturbed and once with a
-//!    [`ClusterScraper`] polling every node each [`SCRAPE_INTERVAL`].
-//!    Scraping must cost less than 5% of sustained RPS.
-//! 2. **Cluster export validity** — a wire scrape of every node merged
-//!    into the cluster view (`ClusterSnapshot::merged`), checked against
-//!    the node scrape's own exact-key schema and rendered as Prometheus
-//!    text for its validator; every per-node snapshot is also triaged by
-//!    the adversary's oracle scan (`pprox_attack::scrape_audit`). One
-//!    node's snapshot is embedded as `sample_node_snapshot`.
-//!
-//! What the plane sees under load — the pressure timelines — and what
-//! it must not leak — the oracle scan of every scrape, and the estimator
-//! on a trace with leaked arrival instants — are per scenario, in
-//! `scenario_report`'s one run of the catalog.
+//! That the cluster export is valid — every node answers, the merged
+//! view passes the node schema, its Prometheus text validates and no
+//! document carries an oracle — is the tier-1 test
+//! `tests/observability.rs::scrape_under_steady_load_is_valid`. What the
+//! plane sees under load — the pressure timelines — and what it must not
+//! leak are per scenario, in `scenario_report`'s one run of the catalog.
 //!
 //! Usage:
 //!
@@ -25,27 +20,22 @@
 //! observability_report [--out PATH] [--seed X] [--smoke]
 //! observability_report --validate PATH   # schema-check a report
 //! ```
-//!
-//! Analyzer note: this driver sits outside the trust boundary (it plays
-//! the user population and the monitoring adversary), like the rest of
-//! `pprox-bench`.
 
-use pprox_attack::scrape_audit::scan_export_for_oracles;
 use pprox_bench::report;
 use pprox_core::resilience::Deadline;
 use pprox_json::schema::{above, at_least, ensure, integers, is, number, Schema};
 use pprox_json::Value;
 use pprox_lrs::stub::StubLrs;
 use pprox_wire::cluster::{ClusterConfig, LoopbackCluster};
-use pprox_wire::scrape::{self, prometheus_text, validate_prometheus};
-use pprox_wire::{validate_scrape_snapshot, ClusterScraper};
+use pprox_wire::scrape;
+use pprox_wire::ClusterScraper;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Report schema version.
-const OBS_SCHEMA_VERSION: u64 = 2;
+const OBS_SCHEMA_VERSION: u64 = 3;
 
 /// Scrape overhead ceiling: scraping may cost at most this fraction of
 /// sustained RPS.
@@ -185,7 +175,7 @@ struct OverheadTrial {
     scrape_failures: u64,
 }
 
-fn measure_overhead(seed: u64, requests: usize, workers: usize) -> (OverheadTrial, Value, Value) {
+fn measure_overhead(seed: u64, requests: usize, workers: usize) -> (OverheadTrial, Value) {
     let config = ClusterConfig {
         ua_instances: 2,
         ia_instances: 2,
@@ -238,34 +228,8 @@ fn measure_overhead(seed: u64, requests: usize, workers: usize) -> (OverheadTria
         }
     }
 
-    // Final wire scrape of the loaded cluster: the cluster view must pass
-    // the node schema and its rendering the Prometheus validator, and
-    // every node snapshot must pass the adversary's oracle scan.
-    let scraper = ClusterScraper::new(cluster.scrape_targets());
-    let snap = scraper.scrape();
-    snap.validate().expect("final cluster scrape must validate");
-    let mut oracle_hits = 0u64;
-    for node in &snap.nodes {
-        let hits = scan_export_for_oracles(&node.json);
-        if !hits.is_empty() {
-            eprintln!("  ORACLE in {}: {:?}", node.name, hits);
-        }
-        oracle_hits += hits.len() as u64;
-    }
-    let merged = snap.merged();
-    validate_scrape_snapshot(&merged).expect("the cluster view must validate");
-    let prom = prometheus_text(&merged);
-    validate_prometheus(&prom).expect("its Prometheus text must validate");
-    let scrapes_served: u64 = cluster.node_metrics().iter().map(|m| m.scrapes()).sum();
-    let export_json = Value::object([
-        ("nodes", Value::from(snap.nodes.len() as u64)),
-        ("unreachable", Value::from(snap.unreachable.len() as u64)),
-        ("snapshot_valid", Value::from(true)),
-        ("prometheus_valid", Value::from(true)),
-        ("oracle_hits", Value::from(oracle_hits)),
-        ("scrapes_served", Value::from(scrapes_served)),
-    ]);
-
+    // One node's wire scrape of the loaded cluster, for the report.
+    let snap = ClusterScraper::new(cluster.scrape_targets()).scrape();
     cluster.shutdown();
     let trial = OverheadTrial {
         rps_plain,
@@ -278,7 +242,7 @@ fn measure_overhead(seed: u64, requests: usize, workers: usize) -> (OverheadTria
         .first()
         .map(|n| n.json.clone())
         .unwrap_or_else(|| Value::object(Vec::<(&str, Value)>::new()));
-    (trial, export_json, sample_node)
+    (trial, sample_node)
 }
 
 /// The report's schema, next to its emitter in `main`. The sample scrape
@@ -293,15 +257,6 @@ fn schema() -> Schema {
         ("scrape_passes", Schema::U64.with(at_least(1.0))),
         ("scrape_failures", Schema::U64.with(is(0u64))),
     ];
-    let cluster_export = [
-        // The merged export covers the whole chain.
-        ("nodes", Schema::U64.with(at_least(3.0))),
-        ("unreachable", Schema::U64.with(is(0u64))),
-        ("snapshot_valid", Schema::Bool.with(is(true))),
-        ("prometheus_valid", Schema::Bool.with(is(true))),
-        ("oracle_hits", Schema::U64.with(is(0u64))),
-        ("scrapes_served", Schema::U64.with(at_least(1.0))),
-    ];
     Schema::object([
         ("benchmark", Schema::one_of(["observability"])),
         ("schema_version", Schema::version(OBS_SCHEMA_VERSION)),
@@ -310,7 +265,6 @@ fn schema() -> Schema {
             Schema::object(config.chain([("smoke", Schema::Bool)])),
         ),
         ("scrape_overhead", Schema::object(scrape_overhead)),
-        ("cluster_export", Schema::object(cluster_export)),
         ("sample_node_snapshot", scrape::snapshot_schema()),
     ])
 }
@@ -324,7 +278,7 @@ fn main() {
     let requests = if args.smoke { 640 } else { 1_600 };
 
     eprintln!("observability: scrape overhead ({requests} requests/trial)");
-    let (trial, export_json, sample_node) = measure_overhead(args.seed, requests, 16);
+    let (trial, sample_node) = measure_overhead(args.seed, requests, 16);
     let overhead_fraction = (1.0 - trial.rps_scraped / trial.rps_plain).max(0.0);
     eprintln!(
         "  plain {:.1} rps, scraped {:.1} rps — overhead {:.1}% over {} scrape passes",
@@ -365,7 +319,6 @@ fn main() {
                 ("scrape_failures", Value::from(trial.scrape_failures)),
             ]),
         ),
-        ("cluster_export", export_json),
         ("sample_node_snapshot", sample_node),
     ]);
     let json = report.to_json();

@@ -1,61 +1,43 @@
-//! `recovery_report`: the kill-and-replay drill, measured.
+//! `recovery_report`: a durable LRS's warm restart, timed.
 //!
-//! Three phases, one JSON report (`results/BENCH_recovery.json`):
+//! One JSON report (`results/BENCH_recovery.json`): a [`DurableShard`]
+//! is cold-started, fed a fixed-seed event trace, killed (dropped), and
+//! reopened — cold-start vs warm-restart wall time, snapshot + WAL
+//! replay throughput (replay *is* the incremental training pass), time
+//! from reopen to the first answered query, and a byte-identity check on
+//! a fixed query set before/after the restart.
 //!
-//! 1. **Timing** — a [`DurableShard`] is cold-started, fed a fixed-seed
-//!    event trace, killed (dropped), and reopened: cold-start vs
-//!    warm-restart wall time, snapshot + WAL replay throughput (replay
-//!    *is* the incremental training pass), time from reopen to the first
-//!    answered query, and a byte-identity check on a fixed query set
-//!    before/after the restart.
-//! 2. **Drill** — two supervised loopback clusters over durable LRS
-//!    layers run the same fixed-seed trace; one loses its *entire* LRS
-//!    layer to a kill mid-trace and recovers by unseal + replay. The
-//!    final recommendations of both runs must be identical: a crash in
-//!    the middle of the workload is invisible in the output.
-//! 3. **Audit** — `pprox_attack::at_rest_audit` scans the drill's
-//!    persisted store image: no plaintext user/item identifiers, padded
-//!    ciphertext lengths only.
+//! The kill-and-replay drill through the serving chain — the whole LRS
+//! layer killed mid-trace, the final recommendations equal to a
+//! never-killed run's, and the at-rest audit of the store it leaves — is
+//! the tier-1 test
+//! `tests/wire_e2e.rs::supervised_durable_lrs_layer_recovers_with_identical_recommendations`.
 //!
 //! Usage:
 //!
 //! ```text
-//! recovery_report [--events N] [--lrs-instances N] [--seed X]
-//!                 [--snapshot-every N] [--out PATH]
+//! recovery_report [--events N] [--seed X] [--snapshot-every N] [--out PATH]
 //! recovery_report --validate PATH   # schema-check an emitted report
 //! ```
-//!
-//! Analyzer note: this driver sits outside the trust boundary (it plays
-//! both the user population and the at-rest adversary), like the rest of
-//! `pprox-bench`.
 
-use pprox_attack::at_rest_audit::audit_store_dir;
 use pprox_bench::report::{self, round3};
-use pprox_core::resilience::Deadline;
-use pprox_json::schema::{above, at_least, integers, is, Schema};
+use pprox_json::schema::{above, integers, is, Schema};
 use pprox_json::Value;
 use pprox_lrs::api::{FeedbackEvent, HttpRequest, RestHandler, EVENTS_PATH, QUERIES_PATH};
 use pprox_lrs::shard::{DurableConfig, DurableShard};
 use pprox_store::{SealingKey, SecureRng, TempDir};
-use pprox_wire::cluster::{ClusterConfig, LoopbackCluster, LrsFactory, LrsInstance};
 use pprox_workload::dataset::Dataset;
-use std::path::Path;
-use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Report schema version.
-const RECOVERY_SCHEMA_VERSION: u64 = 2;
+const RECOVERY_SCHEMA_VERSION: u64 = 3;
 
-/// Per-request deadline for the drill's wire calls.
-const REQUEST_BUDGET: Duration = Duration::from_secs(10);
-
-/// Users queried for the identity checks.
+/// Users queried for the identity check.
 const QUERY_USERS: usize = 8;
 
 #[derive(Debug)]
 struct Args {
     events: usize,
-    lrs_instances: usize,
     seed: u64,
     snapshot_every: u64,
     out: String,
@@ -66,7 +48,6 @@ impl Args {
     fn parse() -> Args {
         let mut args = Args {
             events: 240,
-            lrs_instances: 2,
             seed: 0x4ec0_7e12,
             snapshot_every: 64,
             out: "results/BENCH_recovery.json".to_string(),
@@ -80,7 +61,6 @@ impl Args {
             };
             match flag.as_str() {
                 "--events" => args.events = value("--events").parse().unwrap(),
-                "--lrs-instances" => args.lrs_instances = value("--lrs-instances").parse().unwrap(),
                 "--seed" => args.seed = value("--seed").parse().unwrap(),
                 "--snapshot-every" => {
                     args.snapshot_every = value("--snapshot-every").parse().unwrap()
@@ -91,10 +71,6 @@ impl Args {
             }
         }
         assert!(args.events >= 20, "--events must be >= 20");
-        assert!(
-            (1..=4).contains(&args.lrs_instances),
-            "--lrs-instances must be 1..=4"
-        );
         args
     }
 
@@ -106,25 +82,10 @@ impl Args {
     }
 }
 
-/// The fixed-seed interaction trace shared by every phase.
+/// The fixed-seed interaction trace.
 fn build_trace(args: &Args) -> Vec<(String, String)> {
     let dataset = Dataset::small(args.seed);
     dataset.interactions().take(args.events).collect()
-}
-
-/// The raw identifiers the at-rest adversary wants to recover: every
-/// user and item id appearing in the trace.
-fn trace_raw_ids(trace: &[(String, String)]) -> Vec<String> {
-    let mut ids: Vec<String> = Vec::new();
-    for (user, item) in trace {
-        if !ids.contains(user) {
-            ids.push(user.clone());
-        }
-        if !ids.contains(item) {
-            ids.push(item.clone());
-        }
-    }
-    ids
 }
 
 struct TimingOutcome {
@@ -138,7 +99,7 @@ struct TimingOutcome {
     identical_after_reopen: bool,
 }
 
-/// Phase 1: direct (no wire) cold-start vs warm-restart measurement.
+/// Cold start, the trace, the kill, the warm restart.
 fn run_timing(args: &Args, trace: &[(String, String)]) -> TimingOutcome {
     let dir = TempDir::new("recovery-timing");
     let sealing = SealingKey::generate(&mut SecureRng::from_seed(args.seed));
@@ -200,100 +161,14 @@ fn query_bodies(lrs: &DurableShard, trace: &[(String, String)]) -> Vec<String> {
         .collect()
 }
 
-/// Builds the durable boot factory the supervisor re-runs: one shared
-/// handler while any instance holds it, rebuilt from disk once the
-/// whole layer is gone.
-fn durable_factory(dir: &Path, seed: u64, config: DurableConfig) -> LrsFactory {
-    let sealing = SealingKey::generate(&mut SecureRng::from_seed(seed));
-    let memo: Mutex<Weak<DurableShard>> = Mutex::new(Weak::new());
-    let dir = dir.to_path_buf();
-    Arc::new(move |_slot_index| {
-        let mut slot = memo.lock().unwrap();
-        if let Some(live) = slot.upgrade() {
-            return LrsInstance::plain(live);
-        }
-        let lrs = Arc::new(
-            DurableShard::open(&dir, &sealing, config).expect("durable recovery must succeed"),
-        );
-        *slot = Arc::downgrade(&lrs);
-        LrsInstance::plain(lrs)
-    })
-}
-
-struct DrillRun {
-    recommendations: Vec<Vec<String>>,
-    respawns: u64,
-}
-
-/// Runs the fixed trace through one supervised durable cluster,
-/// optionally killing the whole LRS layer after `kill_after` posts.
-fn run_cluster(
-    args: &Args,
-    trace: &[(String, String)],
-    store_dir: &Path,
-    kill_after: Option<usize>,
-) -> DrillRun {
-    let factory = durable_factory(store_dir, args.seed, args.durable());
-    let config = ClusterConfig {
-        ua_instances: 1,
-        ia_instances: 1,
-        lrs_instances: args.lrs_instances,
-        modulus_bits: 1152,
-        supervisor: true,
-        seed: args.seed,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = LoopbackCluster::launch_with_factory(config, factory).expect("launch");
-    let mut client = cluster.client();
-
-    for (posted, (user, item)) in trace.iter().enumerate() {
-        if kill_after == Some(posted) {
-            eprintln!("drill: killing the whole LRS layer after {posted} posts...");
-            cluster.kill_lrs_layer();
-            assert!(
-                cluster.wait_ready(Duration::from_secs(30)),
-                "supervisor must recover the LRS layer"
-            );
-        }
-        let env = client.post(user, item, Some(4.0)).expect("seal post");
-        cluster
-            .send_post(&env, Deadline::starting_now(REQUEST_BUDGET))
-            .unwrap_or_else(|e| panic!("post {posted} failed: {e:?}"));
-    }
-
-    let mut recommendations = Vec::new();
-    let mut seen = Vec::new();
-    for (user, _) in trace {
-        if seen.contains(user) {
-            continue;
-        }
-        seen.push(user.clone());
-        if seen.len() > QUERY_USERS {
-            break;
-        }
-        let (env, ticket) = client.get(user).expect("seal get");
-        let encrypted = cluster
-            .send_get(&env, Deadline::starting_now(REQUEST_BUDGET))
-            .unwrap_or_else(|e| panic!("get for {user} failed: {e:?}"));
-        recommendations.push(client.open_response(&ticket, &encrypted).expect("open"));
-    }
-    let respawns = cluster.respawns();
-    cluster.shutdown();
-    DrillRun {
-        recommendations,
-        respawns,
-    }
-}
-
 fn duration_us(d: Duration) -> u64 {
     d.as_micros() as u64
 }
 
 /// The report's schema, next to its emitter in `main`: the warm restart
-/// reproduced its answers, the killed run respawned and matched the
-/// control run, and the at-rest audit found nothing.
+/// reproduced its answers.
 fn schema() -> Schema {
-    let config = integers("events lrs_instances seed snapshot_every query_users");
+    let config = integers("events seed snapshot_every query_users");
     let timing = integers(
         "cold_open_us warm_open_us first_answer_us restored_events snapshot_events wal_replayed",
     )
@@ -301,27 +176,11 @@ fn schema() -> Schema {
         ("replay_events_per_sec", Schema::Number.with(above(0.0))),
         ("identical_after_reopen", Schema::Bool.with(is(true))),
     ]);
-    let drill = integers("kill_after_posts control_respawns wall_ms").chain([
-        ("respawns", Schema::U64.with(at_least(1.0))),
-        ("identical", Schema::Bool.with(is(true))),
-        ("nonempty_recommendations", Schema::U64.with(at_least(1.0))),
-    ]);
-    let audit = integers(
-        "files_scanned bytes_scanned secrets_probed wal_records unpadded_wal_records \
-         wal_torn_bytes blocks unpadded_blocks mismatched_blocks",
-    )
-    .chain([
-        ("passed", Schema::Bool.with(is(true))),
-        ("plaintext_hits", Schema::U64.with(is(0u64))),
-        ("keyring_present", Schema::Bool),
-    ]);
     Schema::object([
         ("benchmark", Schema::one_of(["recovery"])),
         ("schema_version", Schema::version(RECOVERY_SCHEMA_VERSION)),
         ("config", Schema::object(config)),
         ("timing", Schema::object(timing)),
-        ("drill", Schema::object(drill)),
-        ("at_rest_audit", Schema::object(audit)),
     ])
 }
 
@@ -333,14 +192,6 @@ fn main() {
     }
 
     let trace = build_trace(&args);
-    let raw_ids = trace_raw_ids(&trace);
-    eprintln!(
-        "recovery: {} events, {} distinct raw identifiers, {} LRS instances",
-        trace.len(),
-        raw_ids.len(),
-        args.lrs_instances
-    );
-
     eprintln!(
         "timing: cold start, {} posts, kill, warm restart...",
         trace.len()
@@ -357,48 +208,6 @@ fn main() {
     );
     assert!(timing.identical_after_reopen, "warm restart diverged");
 
-    eprintln!("drill: control run (no kill)...");
-    let control_dir = TempDir::new("recovery-control");
-    let control = run_cluster(&args, &trace, control_dir.path(), None);
-
-    eprintln!("drill: killed run (whole LRS layer dies mid-trace)...");
-    let drill_dir = TempDir::new("recovery-drill");
-    let started = Instant::now();
-    let killed = run_cluster(&args, &trace, drill_dir.path(), Some(trace.len() / 2));
-    let drill_wall = started.elapsed();
-
-    let identical = control.recommendations == killed.recommendations;
-    let nonempty = killed
-        .recommendations
-        .iter()
-        .filter(|r| !r.is_empty())
-        .count();
-    eprintln!(
-        "drill: {} respawns, identical={identical}, {nonempty}/{} query users got recommendations",
-        killed.respawns,
-        killed.recommendations.len()
-    );
-    assert!(identical, "killed run diverged from the control run");
-
-    eprintln!("audit: scanning the drill's persisted image...");
-    let store_cfg = args.durable().store;
-    let audit = audit_store_dir(
-        drill_dir.path(),
-        &raw_ids,
-        store_cfg.pad_class,
-        store_cfg.block_class,
-    )
-    .expect("audit scan");
-    eprintln!(
-        "audit: {} files / {} bytes, {} WAL records, {} blocks, passed={}",
-        audit.files_scanned,
-        audit.bytes_scanned,
-        audit.wal_records,
-        audit.blocks,
-        audit.passed()
-    );
-    assert!(audit.passed(), "at-rest audit failed: {audit:?}");
-
     let report = Value::object([
         ("benchmark", Value::from("recovery")),
         ("schema_version", Value::from(RECOVERY_SCHEMA_VERSION)),
@@ -406,7 +215,6 @@ fn main() {
             "config",
             Value::object([
                 ("events", Value::from(trace.len() as u64)),
-                ("lrs_instances", Value::from(args.lrs_instances as u64)),
                 ("seed", Value::from(args.seed)),
                 ("snapshot_every", Value::from(args.snapshot_every)),
                 ("query_users", Value::from(QUERY_USERS as u64)),
@@ -440,43 +248,6 @@ fn main() {
                 ),
             ]),
         ),
-        (
-            "drill",
-            Value::object([
-                ("kill_after_posts", Value::from((trace.len() / 2) as u64)),
-                ("respawns", Value::from(killed.respawns)),
-                ("control_respawns", Value::from(control.respawns)),
-                ("identical", Value::from(identical)),
-                ("nonempty_recommendations", Value::from(nonempty as u64)),
-                ("wall_ms", Value::from(drill_wall.as_millis() as u64)),
-            ]),
-        ),
-        (
-            "at_rest_audit",
-            Value::object([
-                ("passed", Value::from(audit.passed())),
-                ("files_scanned", Value::from(audit.files_scanned as u64)),
-                ("bytes_scanned", Value::from(audit.bytes_scanned)),
-                ("secrets_probed", Value::from(raw_ids.len() as u64)),
-                (
-                    "plaintext_hits",
-                    Value::from(audit.plaintext_hits.len() as u64),
-                ),
-                ("wal_records", Value::from(audit.wal_records as u64)),
-                (
-                    "unpadded_wal_records",
-                    Value::from(audit.unpadded_wal_records as u64),
-                ),
-                ("wal_torn_bytes", Value::from(audit.wal_torn_bytes)),
-                ("blocks", Value::from(audit.blocks as u64)),
-                ("unpadded_blocks", Value::from(audit.unpadded_blocks as u64)),
-                (
-                    "mismatched_blocks",
-                    Value::from(audit.mismatched_blocks as u64),
-                ),
-                ("keyring_present", Value::from(audit.keyring_present)),
-            ]),
-        ),
     ]);
 
     let json = report.to_json();
@@ -491,5 +262,5 @@ fn main() {
 #[test]
 fn committed_report_is_exact() {
     let doc = report::committed("BENCH_recovery.json");
-    pprox_json::schema::assert_exact(&schema(), &doc, &["", "at_rest_audit"]);
+    pprox_json::schema::assert_exact(&schema(), &doc, &["", "timing"]);
 }

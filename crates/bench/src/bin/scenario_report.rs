@@ -146,7 +146,10 @@ fn outcome_json(o: &ScenarioOutcome) -> Value {
             ]),
         ),
         ("unsafe_export", audit_json(&o.unsafe_export)),
-        ("violation_expected", Value::from(o.spec.violation_expected)),
+        (
+            "violation_expected",
+            Value::from(o.spec.violation_expected()),
+        ),
         (
             "timeline",
             o.pressure.iter().map(pressure_json).collect::<Value>(),

@@ -87,13 +87,18 @@ pub struct ScenarioSpec {
     /// Void the shuffle permutation (arrival-order release) — the
     /// seeded ablation the audit must *catch*.
     pub order_ablation: bool,
-    /// Whether this scenario is expected to violate the bound (true
-    /// only for ablations).
-    pub violation_expected: bool,
     /// Burst-clustering gap handed to the estimator, µs. Must sit
     /// between the intra-flush frame spread and the inter-flush
     /// interval `S / per_instance_rate`.
     pub batch_gap_us: u64,
+}
+
+impl ScenarioSpec {
+    /// Whether this scenario is expected to violate the bound: only the
+    /// order ablation is.
+    pub fn violation_expected(&self) -> bool {
+        self.order_ablation
+    }
 }
 
 /// One window of a run's pressure timeline: a wire scrape of every
@@ -157,7 +162,7 @@ impl ScenarioOutcome {
     /// are caught and no scraped document carries an oracle.
     pub fn ok(&self) -> bool {
         let [response_aware, response_blind] = &self.response_edge;
-        let linkage = if self.spec.violation_expected {
+        let linkage = if self.spec.violation_expected() {
             !self.aware.score.within() && !response_aware.score.within()
         } else {
             [&self.aware, &self.blind, response_aware, response_blind]

@@ -35,7 +35,6 @@ fn base(name: &'static str) -> ScenarioSpec {
         slow_loris_conns: 0,
         max_inflight: None,
         order_ablation: false,
-        violation_expected: false,
         batch_gap_us: 8_000,
     }
 }
@@ -102,7 +101,6 @@ pub fn all() -> Vec<ScenarioSpec> {
             ua_instances: 1,
             ia_instances: 1,
             order_ablation: true,
-            violation_expected: true,
             ..base("ablation_unshuffled")
         },
     ]
@@ -124,7 +122,6 @@ pub fn smoke() -> Vec<ScenarioSpec> {
             ua_instances: 1,
             ia_instances: 1,
             order_ablation: true,
-            violation_expected: true,
             ..base("ablation_smoke")
         },
     ]
@@ -177,7 +174,6 @@ mod tests {
         assert_eq!(names.len(), specs.len(), "duplicate scenario names");
         for s in specs.iter().chain(&smoke()).chain(&sweep()) {
             assert!(s.requests > 0 && s.shuffle_size >= 1);
-            assert!(s.violation_expected == s.order_ablation);
             // Buffers must fill before the flush timer fires: the mean
             // per-instance inter-flush interval S/rate stays under the
             // timeout with margin.

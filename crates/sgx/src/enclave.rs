@@ -477,11 +477,6 @@ impl Platform {
     pub fn breach_count(&self) -> u64 {
         self.shared.breaches.load(Ordering::Relaxed)
     }
-
-    /// Number of enclaves hosted.
-    pub fn enclave_count(&self) -> usize {
-        self.shared.registry.lock().len()
-    }
 }
 
 #[cfg(test)]

@@ -585,11 +585,6 @@ impl LoopbackCluster {
         self.ia.addr_list()
     }
 
-    /// LRS tier addresses.
-    pub fn lrs_addrs(&self) -> Vec<SocketAddr> {
-        self.lrs.addr_list()
-    }
-
     /// Every node of the cluster as a scrape target — `("ua0", addr)`
     /// and so on, reading each slot's *current* address so a
     /// [`crate::scrape::ClusterScraper`] keeps working across respawns.

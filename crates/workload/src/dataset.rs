@@ -4,9 +4,10 @@
 //! restricted to the years 2014–2015: **562,888 ratings for 17,141
 //! different movies made by 7,288 different users** (§8). The dataset
 //! itself is not redistributable inside this reproduction, so
-//! [`Dataset::movielens_like`] synthesizes a trace with the same user,
-//! item and rating counts and heavy-tailed (Zipf) popularity/activity —
-//! the properties that matter for model training and load generation.
+//! [`Dataset::generate`] synthesizes a trace of given user, item and
+//! rating counts with heavy-tailed (Zipf) popularity/activity — the
+//! properties that matter for model training and load generation — and
+//! [`Dataset::small`] is that trace at 1/64 of the paper's counts.
 
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
@@ -86,12 +87,6 @@ impl Dataset {
             num_items,
             ratings,
         }
-    }
-
-    /// The full paper-scale trace (562,888 ratings). Takes a few seconds;
-    /// intended for `--release` benchmark harnesses.
-    pub fn movielens_like(seed: u64) -> Self {
-        Self::generate(PAPER_USERS, PAPER_ITEMS, PAPER_RATINGS, seed)
     }
 
     /// A proportionally scaled-down trace (~1/64 of the paper's size) for

@@ -2,13 +2,11 @@
 //!
 //! Reproduces the paper's measurement methodology (§7.1, §8):
 //!
-//! * [`dataset`] — a synthetic MovieLens-like trace matching the `ml-20m`
-//!   2014–2015 slice dimensions (7,288 users / 17,141 movies / 562,888
-//!   ratings) with Zipf popularity, since the original dataset is not
-//!   bundled.
+//! * [`dataset`] — synthetic ratings with Zipf popularity, drawn at given
+//!   dimensions (`Dataset::generate`) or at 1/64 of the `ml-20m`
+//!   2014–2015 slice (`Dataset::small`), since the original dataset is
+//!   not bundled.
 //! * [`zipf`] — the heavy-tail sampler behind it.
-//! * [`trace`] — the two-phase protocol: feedback injection + training,
-//!   then a query phase.
 //! * [`injector`] — open-loop arrival schedules at a target RPS (the
 //!   node.js `loadtest` role) with the paper's 15-second trim rule.
 //! * [`stats`] — candlestick latency summaries exactly as the paper's
@@ -23,10 +21,8 @@ pub mod dataset;
 pub mod diurnal;
 pub mod injector;
 pub mod stats;
-pub mod trace;
 pub mod zipf;
 
 pub use dataset::Dataset;
 pub use injector::{ArrivalProcess, Schedule};
 pub use stats::{Candlestick, LatencyRecorder};
-pub use trace::{Request, RequestTrace};

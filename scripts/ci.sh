@@ -116,10 +116,7 @@ CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
 echo "== bench smoke =="
 ./scripts/bench.sh
 
-echo "== fault drills on the serving chain (every acceptance check must PASS) =="
-cargo run --release -q -p pprox-bench --bin resilience_report >/dev/null
-
-echo "== recovery drill (kill -9 the LRS layer, replay, audit) =="
+echo "== recovery timing smoke (cold start vs warm restart of a durable LRS) =="
 report_smoke recovery_report BENCH_recovery.json --events 120
 
 echo "== telemetry export smoke =="
@@ -128,7 +125,7 @@ report_smoke telemetry_export "" --requests 96 --shuffle-size 4
 echo "== scenario smoke (linkage, unsafe-export key, pressure timelines, oracle scan) =="
 report_smoke scenario_report BENCH_scenarios.json --smoke
 
-echo "== observability smoke (scrape overhead, cluster export) =="
+echo "== observability smoke (scrape overhead, sample node scrape) =="
 report_smoke observability_report BENCH_observability.json --smoke
 
 echo "== sharding smoke (scaling curve + incremental/batch differential) =="

@@ -23,8 +23,10 @@
 //!   and consistent-hash-sharded wrappers, and the nginx-like stub.
 //! * [`net`] (`pprox-net`) — the discrete-event cluster simulator behind
 //!   the latency/throughput figures.
-//! * [`workload`] (`pprox-workload`) — MovieLens-like synthetic traces,
-//!   open-loop injection schedules, candlestick statistics.
+//! * [`workload`] (`pprox-workload`) — synthetic Zipf ratings
+//!   (`Dataset::generate`, the benchmark's request stream;
+//!   `Dataset::small`, `recovery_report`'s trace), open-loop injection
+//!   schedules, candlestick statistics.
 //! * [`attack`] (`pprox-attack`) — the executable §6 security analysis:
 //!   traffic correlation on real frames (`wire_audit`), enclave
 //!   compromise cases, history attacks.

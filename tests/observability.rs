@@ -1,13 +1,15 @@
 //! Integration test: the observability plane against a live cluster.
 //!
 //! Scrapes every node over the frame protocol while a steady load
-//! runs and checks that the cluster view — the node documents merged
-//! under the node schema — validates, sums the nodes' counters, renders
-//! as valid Prometheus text, and reads an empty worker queue on every
-//! node once the load has drained. A second test checks metric
-//! continuity across a
-//! supervised respawn — the per-node hub survives the instance, so a
-//! scrape after the kill still covers the whole chain.
+//! runs and checks that every node answers, that no node document
+//! carries an oracle (`attack::scrape_audit::scan_export_for_oracles`),
+//! and that the cluster view — the node documents merged under the node
+//! schema — validates, sums the nodes' counters, renders as valid
+//! Prometheus text, and reads an empty worker queue on every node once
+//! the load has drained. This is the one check of the cluster export. A
+//! second test checks metric continuity across a supervised respawn —
+//! the per-node hub survives the instance, so a scrape after the kill
+//! still covers the whole chain.
 //!
 //! What monitoring costs is a measurement, not a test: the < 5 % budget
 //! on sustained RPS is asserted by `bin/observability_report` when it
@@ -19,6 +21,7 @@
 //! of the boundary (it mints user requests and reads only exported
 //! aggregates), so it names no item-side APIs.
 
+use pprox::attack::scrape_audit::scan_export_for_oracles;
 use pprox::core::resilience::Deadline;
 use pprox::json::schema::number;
 use pprox::lrs::stub::StubLrs;
@@ -115,6 +118,11 @@ fn scrape_under_steady_load_is_valid() {
     let snap = scraper.scrape();
     snap.validate().unwrap();
     assert_eq!(snap.nodes.len(), 5);
+    // What a monitoring adversary reads carries no per-request oracle.
+    for node in &snap.nodes {
+        let hits = scan_export_for_oracles(&node.json);
+        assert!(hits.is_empty(), "oracle in {}: {hits:?}", node.name);
+    }
     let merged = snap.merged();
     validate_scrape_snapshot(&merged).unwrap();
     let frames_in: f64 = snap

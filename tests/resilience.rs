@@ -304,7 +304,8 @@ fn pipeline_survives_partial_lrs_failures() {
     ));
     let mut cluster = launch(config, chaos.clone());
     let mut clients: Vec<_> = (0..4).map(|_| cluster.client()).collect();
-    let results = concurrently(&mut clients, 100, |client, i| {
+    let posts = 120;
+    let results = concurrently(&mut clients, posts, |client, i| {
         post(&cluster, client, &format!("u{i}"))
     });
     let ok = results.iter().filter(|r| r.is_ok()).count();
@@ -316,15 +317,15 @@ fn pipeline_survives_partial_lrs_failures() {
         );
     }
     assert!(
-        ok >= 80,
-        "retries should absorb most 30% transient faults: only {ok} ok"
+        5 * ok >= 4 * posts,
+        "retries should absorb 80% of 30% transient faults: only {ok}/{posts} ok"
     );
     let shed = cluster.ia_breaker(0).rejected();
     cluster.shutdown();
 
     // Retries mean more LRS attempts than requests; every attempt is
     // accounted for as injected or served.
-    assert!(chaos.injected() + chaos.served() >= (100 - shed));
+    assert!(chaos.injected() + chaos.served() >= (posts as u64 - shed));
 }
 
 /// A stub LRS that answers 503 while `down` is set.
@@ -371,31 +372,37 @@ fn failed_gets_release_pending_keys() {
 
 #[test]
 fn hung_lrs_resolves_with_deadline_within_twice_budget() {
-    // Acceptance: a get against a Hang-mode LRS resolves with
+    // Acceptance: every get against a Hang-mode LRS resolves with
     // PProxError::Deadline within 2× the request's budget.
     let deadline = Duration::from_millis(400);
     let mut config = chain_config(6);
     config.server.request_budget = deadline;
     config.resilience.lrs_timeout = Duration::from_millis(100);
     config.resilience.max_retries = 1;
+    // Park the breaker: repeated timeouts would otherwise trip it and
+    // shed the later gets; this test isolates the deadline.
+    config.resilience.breaker_failure_threshold = u32::MAX;
     let chaos = Arc::new(ChaosLrs::new(Arc::new(StubLrs::new()), 1.0, Fault::Hang, 6));
     let mut cluster = launch(config, chaos.clone());
     let mut client = cluster.client();
-    let (env, _ticket) = client.get("victim").unwrap();
-    let started = Instant::now();
-    let outcome = cluster.send_get(&env, Deadline::starting_now(deadline));
-    let elapsed = started.elapsed();
-    assert!(
-        matches!(outcome, Err(PProxError::Deadline)),
-        "expected Deadline, got {outcome:?}"
-    );
-    assert!(
-        elapsed <= 2 * deadline,
-        "resolved in {elapsed:?}, budget was {deadline:?}"
-    );
-    // Both attempts are still parked in the LRS front-end's workers:
-    // unblock them, or the shutdown waits out its drain budget.
-    chaos.release_hangs();
+    for i in 0..6 {
+        let (env, _ticket) = client.get(&format!("victim-{i}")).unwrap();
+        let started = Instant::now();
+        let outcome = cluster.send_get(&env, Deadline::starting_now(deadline));
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(outcome, Err(PProxError::Deadline)),
+            "get {i}: expected Deadline, got {outcome:?}"
+        );
+        assert!(
+            elapsed <= 2 * deadline,
+            "get {i} resolved in {elapsed:?}, budget was {deadline:?}"
+        );
+        // Both attempts are still parked in the LRS front-end's two
+        // workers: unblock them, or the next get's attempts queue behind
+        // them and the shutdown waits out the hang's safety cap.
+        chaos.release_hangs();
+    }
     cluster.shutdown();
 }
 
@@ -527,8 +534,11 @@ fn enclave_crash_mid_run_reprovisions_and_serves() {
     });
     assert!(cluster.wait_ready(Duration::from_secs(10)));
 
-    let after = recommend(&mut client).expect("post-crash get failed");
-    assert_eq!(after, before, "the pseudonym mapping must survive");
+    // Every get after the respawn succeeds, under the same mapping.
+    for i in 0..30 {
+        let after = recommend(&mut client).unwrap_or_else(|e| panic!("post-crash get {i}: {e:?}"));
+        assert_eq!(after, before, "the pseudonym mapping must survive");
+    }
     assert!(cluster.respawns() >= 1);
     assert_eq!(cluster.platform().crash_count(), killed as u64);
     cluster.shutdown();

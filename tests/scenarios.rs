@@ -90,7 +90,7 @@ fn steady_scenario_meets_linkage_bounds() {
 fn shuffle_order_ablation_is_detected() {
     let seed = test_seed(0x5ce0_0002);
     let spec = scenarios::by_name("ablation_smoke").unwrap();
-    assert!(spec.violation_expected);
+    assert!(spec.violation_expected());
     let outcome = run_scenario(&spec, seed);
 
     assert!(

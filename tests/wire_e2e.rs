@@ -6,12 +6,17 @@
 //! through the layer transforms called directly gives the same
 //! recommendations and leaves the same events in the LRS, (b) the chain
 //! survives one IA instance being killed mid-run, exercising the
-//! client's redial and the socket balancer's failover path, and (c) the
-//! shuffle size is independent of the servers' worker count.
+//! client's redial and the socket balancer's failover path, (c) the
+//! shuffle size is independent of the servers' worker count, and (d) the
+//! kill-and-replay drill: a durable LRS layer killed mid-trace recovers
+//! from its sealed store, serves the rest of the trace with the
+//! recommendations of a never-killed run, and leaves a store that passes
+//! the at-rest audit (`attack::at_rest_audit`).
 
 mod common;
 
 use common::{budget, concurrently, wait_until};
+use pprox::attack::at_rest_audit::audit_store_dir;
 use pprox::core::ia::{IaOptions, IaState};
 use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY, UA_CODE_IDENTITY};
 use pprox::core::message::{ClientEnvelope, EncryptedList};
@@ -28,6 +33,7 @@ use pprox::sgx::{Enclave, Platform};
 use pprox::store::{SealingKey, SecureRng, TempDir};
 use pprox::wire::cluster::{ClusterConfig, LoopbackCluster, LrsFactory, LrsInstance};
 use pprox::wire::scrape::ShardGaugeFn;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
@@ -591,17 +597,21 @@ fn a_partial_batch_is_answered_as_the_same_batch() {
     cluster.shutdown();
 }
 
-/// The full recovery drill: a supervised cluster over a *durable* LRS
-/// loses its entire LRS layer to a kill; the supervisor respawns it, the
-/// replacement unseals the store, replays snapshot + WAL, and a
-/// fixed-seed query returns exactly the recommendations it returned
-/// before the kill.
-#[test]
-fn supervised_durable_lrs_layer_recovers_with_identical_recommendations() {
-    let dir = TempDir::new("wire-recovery");
+/// Posts `trace` through a supervised cluster over a *durable* LRS layer
+/// stored in `dir` — two LRS instances sharing one `DurableShard` — and
+/// returns every trace user's final recommendations, in order of first
+/// appearance. With `kill_at`, the whole LRS layer is killed after that
+/// many posts: the supervisor respawns it, the replacement unseals the
+/// store and replays snapshot + WAL, answers the query it answered
+/// before the kill identically, and takes the remaining posts.
+fn durable_drill(
+    dir: &Path,
+    trace: &[(String, String)],
+    kill_at: Option<usize>,
+) -> Vec<Vec<String>> {
     let sealing = SealingKey::generate(&mut SecureRng::from_seed(0x5ea1));
     let durable_config = DurableConfig {
-        snapshot_every: 6, // several snapshots over the 20-event trace
+        snapshot_every: 6, // several snapshots before the kill
         ..DurableConfig::default()
     };
 
@@ -611,7 +621,7 @@ fn supervised_durable_lrs_layer_recovers_with_identical_recommendations() {
     let memo: Arc<Mutex<Weak<DurableShard>>> = Arc::new(Mutex::new(Weak::new()));
     let factory: LrsFactory = {
         let memo = memo.clone();
-        let store_dir = dir.path().to_path_buf();
+        let store_dir = dir.to_path_buf();
         Arc::new(move |_slot_index| {
             let mut slot = memo.lock().unwrap();
             if let Some(live) = slot.upgrade() {
@@ -638,79 +648,140 @@ fn supervised_durable_lrs_layer_recovers_with_identical_recommendations() {
     let mut cluster = LoopbackCluster::launch_with_factory(config, factory).unwrap();
     assert!(cluster.wait_ready(Duration::from_secs(10)));
     let mut client = cluster.client();
+    let recommend = |cluster: &LoopbackCluster, client: &mut UserClient, user: &str| {
+        let (env, ticket) = client.get(user).unwrap();
+        let encrypted = cluster.send_get(&env, budget()).expect("get failed");
+        client.open_response(&ticket, &encrypted).unwrap()
+    };
 
-    // Fixed-seed trace: two taste clusters plus two extra events so the
-    // store holds snapshots AND a fresh WAL tail at kill time.
+    for (posted, (user, item)) in trace.iter().enumerate() {
+        if kill_at == Some(posted) {
+            let before = recommend(&cluster, &mut client, "sci-0");
+            assert!(!before.is_empty(), "trained backend must recommend");
+
+            // Kill -9 the whole LRS layer: every in-memory handler
+            // reference dies with the servers. The supervisor may respawn
+            // (a fresh allocation, rebuilt from disk) at any point
+            // afterwards, so the liveness check pins the pre-kill
+            // allocation, not the memo slot.
+            let pre_kill = memo.lock().unwrap().clone();
+            cluster.kill_lrs_layer();
+            assert!(
+                pre_kill.upgrade().is_none(),
+                "layer kill must drop every strong reference to the handler"
+            );
+            assert!(
+                cluster.wait_ready(Duration::from_secs(20)),
+                "supervisor must bring the layer back"
+            );
+            // A respawned slot answers before the supervisor records its
+            // event.
+            wait_until("both LRS instances were recovered", || {
+                cluster.respawns() >= 2
+            });
+
+            // The replacement came from disk, not from memory.
+            let revived = memo
+                .lock()
+                .unwrap()
+                .upgrade()
+                .expect("respawned layer must hold the recovered handler");
+            let stats = revived.recovery();
+            assert!(!stats.cold_start, "recovery must unseal the existing store");
+            assert_eq!(
+                stats.snapshot_events + stats.replayed,
+                posted,
+                "snapshot + WAL replay must restore every post so far"
+            );
+            assert!(stats.snapshot_events > 0, "snapshots must have fired");
+            assert!(stats.replayed > 0, "the WAL tail must replay");
+
+            let after = recommend(&cluster, &mut client, "sci-0");
+            assert_eq!(
+                after, before,
+                "recovered layer must return identical recommendations"
+            );
+        }
+        let env = client.post(user, item, Some(4.0)).unwrap();
+        cluster
+            .send_post(&env, budget())
+            .unwrap_or_else(|e| panic!("post {posted} failed: {e:?}"));
+    }
+
+    let mut users: Vec<&str> = Vec::new();
+    for (user, _) in trace {
+        if !users.contains(&user.as_str()) {
+            users.push(user);
+        }
+    }
+    let lists = users
+        .into_iter()
+        .map(|user| recommend(&cluster, &mut client, user))
+        .collect();
+    cluster.shutdown();
+    lists
+}
+
+/// The full recovery drill: the whole durable LRS layer is killed in the
+/// middle of a fixed-seed trace and the rest of the trace goes through
+/// the recovered layer. Every user's final recommendations equal those
+/// of a never-killed control cluster with the same seed, and the store
+/// the drill leaves on disk passes the at-rest audit: no raw user or
+/// item id of the trace anywhere in it, padded lengths only.
+#[test]
+fn supervised_durable_lrs_layer_recovers_with_identical_recommendations() {
+    // Two taste clusters, the background one first (the incremental
+    // trainer scores pairs against the population at event time). sci-1
+    // and rom-1 each like one film the rest of their cluster has not
+    // seen before the kill, sci-2 and rom-2 after it; the kill leaves
+    // snapshots AND a fresh WAL tail in the store.
     let mut trace = Vec::new();
+    for u in 0..6 {
+        trace.push((format!("rom-{u}"), "amelie".to_string()));
+    }
     for u in 0..6 {
         trace.push((format!("sci-{u}"), "alien".to_string()));
         trace.push((format!("sci-{u}"), "dune".to_string()));
     }
-    for u in 0..6 {
-        trace.push((format!("rom-{u}"), "amelie".to_string()));
+    for (user, film) in [
+        ("sci-1", "contact"),
+        ("rom-1", "notting-hill"),
+        ("sci-2", "gattaca"),
+        ("rom-2", "roman-holiday"),
+    ] {
+        trace.push((user.to_string(), film.to_string()));
     }
-    // sci-1 likes one film sci-0 has not seen: the recommendable item.
-    trace.push(("sci-1".to_string(), "contact".to_string()));
-    trace.push(("rom-0".to_string(), "amelie".to_string()));
-    for (user, item) in &trace {
-        let env = client.post(user, item, Some(4.0)).unwrap();
-        cluster.send_post(&env, budget()).unwrap();
+    let kill_at = 20;
+
+    let control_dir = TempDir::new("wire-recovery-control");
+    let control = durable_drill(control_dir.path(), &trace, None);
+    let dir = TempDir::new("wire-recovery");
+    let killed = durable_drill(dir.path(), &trace, Some(kill_at));
+    assert_eq!(
+        killed, control,
+        "a kill mid-trace must not change any recommendation"
+    );
+    // sci-0 (the seventh user) is recommended both films, one posted on
+    // each side of the kill.
+    for film in ["contact", "gattaca"] {
+        assert!(killed[6].contains(&film.to_string()), "{:?}", killed[6]);
     }
 
-    let recommend = |cluster: &LoopbackCluster, client: &mut pprox::core::UserClient| {
-        let (env, ticket) = client.get("sci-0").unwrap();
-        let encrypted = cluster.send_get(&env, budget()).expect("get failed");
-        client.open_response(&ticket, &encrypted).unwrap()
-    };
-    let before = recommend(&cluster, &mut client);
-    assert!(!before.is_empty(), "trained backend must recommend");
-
-    // Kill -9 the whole LRS layer: every in-memory handler reference
-    // dies with the servers. The supervisor may respawn (a fresh
-    // allocation, rebuilt from disk) at any point afterwards, so the
-    // liveness check pins the pre-kill allocation, not the memo slot.
-    let pre_kill = memo.lock().unwrap().clone();
-    cluster.kill_lrs_layer();
+    let mut raw_ids: Vec<String> = trace
+        .iter()
+        .flat_map(|(user, item)| [user.clone(), item.clone()])
+        .collect();
+    raw_ids.sort();
+    raw_ids.dedup();
+    let store = DurableConfig::default().store;
+    let audit = audit_store_dir(dir.path(), &raw_ids, store.pad_class, store.block_class)
+        .expect("the drill's store must be readable");
     assert!(
-        pre_kill.upgrade().is_none(),
-        "layer kill must drop every strong reference to the handler"
+        audit.plaintext_hits.is_empty(),
+        "{:?}",
+        audit.plaintext_hits
     );
-
-    assert!(
-        cluster.wait_ready(Duration::from_secs(20)),
-        "supervisor must bring the layer back"
-    );
-    // A respawned slot answers before the supervisor records its event.
-    wait_until("both LRS instances were recovered", || {
-        cluster.respawns() >= 2
-    });
-
-    // The replacement came from disk, not from memory.
-    let revived = memo
-        .lock()
-        .unwrap()
-        .upgrade()
-        .expect("respawned layer must hold the recovered handler");
-    let stats = revived.recovery();
-    assert!(!stats.cold_start, "recovery must unseal the existing store");
-    assert_eq!(
-        stats.snapshot_events + stats.replayed,
-        trace.len(),
-        "snapshot + WAL replay must restore the full trace"
-    );
-    assert!(stats.snapshot_events > 0, "snapshots must have fired");
-    assert!(stats.replayed > 0, "the WAL tail must replay");
-
-    let after = recommend(&cluster, &mut client);
-    assert_eq!(
-        after, before,
-        "recovered layer must return identical recommendations"
-    );
-
-    // And the revived layer keeps accepting writes.
-    let env = client.post("sci-1", "contact", Some(5.0)).unwrap();
-    cluster.send_post(&env, budget()).unwrap();
-    cluster.shutdown();
+    assert!(audit.passed(), "at-rest audit failed: {audit:?}");
 }
 
 /// The fixed-seed trace the sharded tests post: background users first
