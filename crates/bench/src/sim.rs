@@ -22,7 +22,7 @@ use pprox_net::node::Station;
 use pprox_net::service::{ServiceTime, SimRng};
 use pprox_net::sim::Simulator;
 use pprox_net::time::{SimDuration, SimTime};
-use pprox_workload::injector::{ArrivalProcess, Schedule};
+use pprox_workload::injector::Schedule;
 use pprox_workload::stats::LatencyRecorder;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -325,12 +325,7 @@ impl Ctx {
 
 /// Runs one experiment cell to completion.
 pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
-    let schedule = Schedule::new(
-        config.rps,
-        config.duration_secs,
-        ArrivalProcess::Poisson,
-        config.seed,
-    );
+    let schedule = Schedule::new(config.rps, config.duration_secs, config.seed);
     let window = schedule.trim_bounds(config.trim_secs);
 
     let (lrs_stations, lrs_service) = match config.lrs {

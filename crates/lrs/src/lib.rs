@@ -21,13 +21,12 @@
 //!
 //! [`RestHandler`] is the whole surface the IA layer calls, and it has
 //! two production implementors: [`shard::ShardEngine`] (the real
-//! recommender; wrapped by [`shard::DurableShard`] for crash recovery
-//! and fanned out by [`shard::ShardedLrs`] for scale, an unsharded LRS
-//! being a ring of one) and [`stub::StubLrs`]. The batch
+//! recommender; wrapped by [`shard::DurableShard`] for crash recovery,
+//! and N of them behind the IA's scatter-gather for scale, an unsharded
+//! LRS being a ring of one) and [`stub::StubLrs`]. The batch
 //! [`cco::CcoTrainer`] and [`index::ScoringIndex`] serve no request:
-//! they are the reference that `tests/shard_differential.rs` and the
-//! `shard_report` freshness ablation compare the incremental model
-//! against.
+//! they are the reference `tests/shard_differential.rs` compares the
+//! incremental model against, and the retrain `shard_report` times.
 //!
 //! The LRS is deliberately identifier-agnostic: it never interprets user or
 //! item ids, which is what makes PProx's deterministic pseudonymization

@@ -17,16 +17,17 @@
 //! id.
 //!
 //! Besides the legacy `/events` and `/queries` endpoints, it serves two
-//! *internal* endpoints used by the routers for scatter-gather reads:
+//! *internal* endpoints the IA uses for scatter-gather reads:
 //! [`HISTORY_PATH`](super::HISTORY_PATH) returns the owner-shard copy
-//! of a user's history, and [`SCORE_PATH`](super::SCORE_PATH) scores a
+//! of a user's newest [`HISTORY_LIMIT`](super::HISTORY_LIMIT) history
+//! entries, and [`SCORE_PATH`](super::SCORE_PATH) scores a
 //! caller-supplied history against this shard's model, returning its
 //! local top-k for the merge.
 
 use super::incremental::{IncrementalCco, IncrementalStats, ItemId};
 use super::{
-    history_response_body, parse_history_request, parse_score_request, ShardGauges, HISTORY_PATH,
-    SCORE_PATH,
+    history_response_body, parse_history_request, parse_score_request, ShardGauges, HISTORY_LIMIT,
+    HISTORY_PATH, SCORE_PATH,
 };
 use crate::api::{
     FeedbackEvent, HttpRequest, HttpResponse, Method, RecommendationList, RecommendationQuery,
@@ -236,15 +237,11 @@ impl ShardEngine {
 
     fn handle_history(&self, request: &HttpRequest) -> HttpResponse {
         match parse_history_request(&request.body) {
-            Some((user, limit)) => {
+            Some(user) => {
+                // The newest entries: they carry the freshest taste
+                // signal when the frame budget trims.
                 let mut items = self.history(&user);
-                if let Some(limit) = limit {
-                    // Keep the most recent entries: they carry the
-                    // freshest taste signal when the wire budget trims.
-                    if items.len() > limit {
-                        items.drain(..items.len() - limit);
-                    }
-                }
+                items.drain(..items.len().saturating_sub(HISTORY_LIMIT));
                 HttpResponse::ok(history_response_body(&items))
             }
             None => HttpResponse::error(400, "malformed history request"),
@@ -383,10 +380,7 @@ mod tests {
         let q = shard.handle(&HttpRequest::post(QUERIES_PATH, r#"{"user":"u9","num":5}"#));
         let list = RecommendationList::from_json(&q.body).unwrap();
         assert_eq!(list.item_ids(), vec!["dune"]);
-        let h = shard.handle(&HttpRequest::post(
-            HISTORY_PATH,
-            history_request_body("u9", None),
-        ));
+        let h = shard.handle(&HttpRequest::post(HISTORY_PATH, history_request_body("u9")));
         assert!(h.body.contains("alien"));
         let s = shard.handle(&HttpRequest::post(
             SCORE_PATH,
@@ -446,16 +440,14 @@ mod tests {
     #[test]
     fn history_limit_keeps_most_recent() {
         let shard = ShardEngine::new();
-        for i in 0..5 {
-            shard.post("u", &format!("i{i}"), None);
+        for i in 0..20 {
+            shard.post("u", &format!("i{i:02}"), None);
         }
-        let resp = shard.handle(&HttpRequest::post(
-            HISTORY_PATH,
-            history_request_body("u", Some(2)),
-        ));
+        let resp = shard.handle(&HttpRequest::post(HISTORY_PATH, history_request_body("u")));
         assert!(resp.is_success());
         let items = crate::shard::parse_history_response(&resp.body).unwrap();
-        assert_eq!(items, vec!["i3", "i4"]);
+        let newest: Vec<String> = (4..20).map(|i| format!("i{i:02}")).collect();
+        assert_eq!(items, newest);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl HashRing {
         self.shards.is_empty()
     }
 
-    /// Virtual nodes per shard.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
     /// The shard owning `key`.
     ///
     /// # Panics

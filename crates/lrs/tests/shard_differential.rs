@@ -10,11 +10,16 @@
 //! from them with the same LLR function and the same total-order
 //! comparators the batch path uses, and scoring accumulates in history
 //! order on both sides, so equal inputs give bit-equal f64 sums.
+//!
+//! Before `sync()` the engine is fresh where the batch model is stale: an
+//! association posted after the last retrain is recommended at once
+//! (`fresh_association_is_visible_before_the_retrain`).
 
 use pprox_lrs::api::RecommendationList;
 use pprox_lrs::cco::{CcoConfig, CcoTrainer};
 use pprox_lrs::index::ScoringIndex;
 use pprox_lrs::shard::ShardEngine;
+use pprox_workload::zipf::Zipf;
 use std::collections::HashMap;
 
 /// The batch reference: one [`CcoTrainer`] pass over every event,
@@ -43,6 +48,11 @@ impl BatchOracle {
 
     fn get_filtered(&self, user: &str, n: usize, exclude: &[String]) -> RecommendationList {
         let history = self.histories.get(user).map(Vec::as_slice).unwrap_or(&[]);
+        self.score(history, n, exclude)
+    }
+
+    /// The trained index's top-`n` for a caller-supplied `history`.
+    fn score(&self, history: &[String], n: usize, exclude: &[String]) -> RecommendationList {
         RecommendationList {
             items: self.index.recommend_filtered(history, n, exclude),
         }
@@ -73,6 +83,22 @@ fn event_stream(seed: u64, users: usize, events: usize) -> Vec<(String, String)>
             };
             let item = (splitmix64(&mut state) as usize) % 12;
             (format!("user-{u:03}"), format!("g{genre}-item-{item:02}"))
+        })
+        .collect()
+}
+
+/// The `shard_report --smoke` freshness slice: 4 000 events over 3 000
+/// users — each enumerated once, then drawn Zipf(0.8) by activity — and
+/// 800 items drawn Zipf(1.0) by popularity, under the report's seed.
+fn report_trace() -> Vec<(String, String)> {
+    const SEED: u64 = 0x5a4d_be7c;
+    const USERS: usize = 3_000;
+    let mut items = Zipf::new(800, 1.0, SEED ^ 0x17e5);
+    let mut users = Zipf::new(USERS, 0.8, SEED ^ 0x05e5);
+    (0..4_000)
+        .map(|i| {
+            let user = if i < USERS { i } else { users.sample() };
+            (format!("u{user}"), format!("i{}", items.sample()))
         })
         .collect()
 }
@@ -129,6 +155,7 @@ fn assert_differential(events: &[(String, String)], tag: &str) {
 fn incremental_matches_batch_in_order() {
     let events = event_stream(0xd1ff_0001, 40, 600);
     assert_differential(&events, "in-order");
+    assert_differential(&report_trace(), "report trace");
 }
 
 #[test]
@@ -195,47 +222,34 @@ fn resync_after_more_events_stays_exact() {
 }
 
 #[test]
-fn one_shard_ring_answers_like_the_bare_engine() {
-    // "Unsharded = one-shard ring": the router's owner-history +
-    // scatter-score path over a single shard must be byte-identical to
-    // the engine's own `/events` + `/queries` surface, fresh and synced.
-    use pprox_lrs::api::{
-        FeedbackEvent, HttpRequest, RecommendationQuery, RestHandler, EVENTS_PATH, QUERIES_PATH,
-    };
-    use pprox_lrs::shard::{ShardedLrs, DEFAULT_VNODES};
-    use std::sync::Arc;
-
-    let events = event_stream(0xd1ff_0001, 40, 600);
-    let bare = ShardEngine::new();
-    let inner = Arc::new(ShardEngine::new());
-    let ring = ShardedLrs::new(vec![inner.clone()], DEFAULT_VNODES);
+fn fresh_association_is_visible_before_the_retrain() {
+    // The batch model is trained on the trace; then nine fresh users
+    // post a new item pair. `fresh-0` holds only one side of it, so the
+    // other side is recommendable to it (a user's own history is never
+    // recommended back).
+    let config = CcoConfig::default();
+    let mut events = report_trace();
+    let stale = BatchOracle::train(config.clone(), &events);
+    let shard = ShardEngine::with_config(config);
     for (user, item) in &events {
-        let body = FeedbackEvent {
-            user: user.clone(),
-            item: item.clone(),
-            payload: Some(1.0),
-        }
-        .to_json();
-        let request = HttpRequest::post(EVENTS_PATH, body);
-        assert_eq!(ring.handle(&request), bare.handle(&request));
+        shard.post(user, item, None);
     }
-    let mut nonempty = 0usize;
-    for synced in [false, true] {
-        if synced {
-            bare.sync();
-            inner.sync();
-        }
-        for u in 0..40 {
-            let query = RecommendationQuery {
-                user: format!("user-{u:03}"),
-                num: 10,
-                exclude: vec!["g0-item-00".to_string()],
-            };
-            let request = HttpRequest::post(QUERIES_PATH, query.to_json());
-            let (b, r) = (bare.handle(&request), ring.handle(&request));
-            assert_eq!(b, r, "user-{u:03} (synced: {synced}) diverged");
-            nonempty += usize::from(b.body.contains("\"id\""));
-        }
+    let (probe_a, probe_b) = ("probe-a".to_string(), "probe-b".to_string());
+    let mut fresh = vec![("fresh-0".to_string(), probe_a.clone())];
+    for u in 1..9 {
+        fresh.push((format!("fresh-{u}"), probe_a.clone()));
+        fresh.push((format!("fresh-{u}"), probe_b.clone()));
     }
-    assert!(nonempty > 0, "comparison would be vacuous");
+    for (user, item) in &fresh {
+        shard.post(user, item, None);
+    }
+    events.extend(fresh);
+
+    // Incremental: visible at once. Batch: invisible until the retrain.
+    let now = shard.get_filtered("fresh-0", 5, &[]);
+    assert!(now.item_ids().contains(&probe_b.as_str()), "{now:?}");
+    assert!(stale.score(&[probe_a], 5, &[]).items.is_empty());
+
+    // After the retrain and `sync()`, the two answer byte-identically.
+    assert_differential(&events, "fresh probe");
 }

@@ -1,11 +1,14 @@
-//! Per-pseudonym shard routing for the wire cluster.
+//! Per-pseudonym shard routing: the LRS tier's only router.
 //!
-//! [`ShardRouter`] wraps the lrs crate's consistent-hash ring
-//! ([`pprox_lrs::shard::HashRing`]) with the wire tier's conventions:
-//! shard id == [`crate::balancer::SocketBalancer`] slot index, so the
-//! supervisor's `replace_backend` readmission needs no ring surgery —
-//! a respawned shard re-enters under its old id and the key→shard map
-//! is untouched (no re-keying of siblings, satellite 3).
+//! The IA (`services::ia`) asks [`ShardRouter::route`] for each event's
+//! owner shard and each read's history shard; `shard_report` partitions
+//! its trace with [`ShardRouter::owner`], so the benchmark splits load
+//! exactly as the chain does. [`ShardRouter`] wraps the lrs crate's
+//! consistent-hash ring ([`pprox_lrs::shard::HashRing`]) with the wire
+//! tier's conventions: shard id == [`crate::balancer::SocketBalancer`]
+//! slot index, so the supervisor's `replace_backend` readmission needs
+//! no ring surgery — a respawned shard re-enters under its old id and
+//! the key→shard map is untouched (no re-keying of siblings).
 //!
 //! Routing is keyed *only* by the pseudonym string the IA enclave
 //! already emits: `owner(det_enc(u))` is a pure function of the
@@ -50,11 +53,6 @@ impl ShardRouter {
         self.routed.len()
     }
 
-    /// The ring itself (audits assert balance and determinism on it).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// The balancer slot owning `pseudonym`, counted into the per-shard
     /// aggregates.
     pub fn route(&self, pseudonym: &str) -> usize {
@@ -64,7 +62,7 @@ impl ShardRouter {
     }
 
     /// The balancer slot owning `pseudonym`, without counting (pure
-    /// lookup for tests/audits).
+    /// lookup: `shard_report` partitions its trace by it).
     pub fn owner(&self, pseudonym: &str) -> usize {
         self.ring.owner(pseudonym)
     }

@@ -53,12 +53,6 @@ use pprox_sgx::Enclave;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// History entries a sharded read fetches from the owner shard. Chosen
-/// so the `/shard/score` request (16 × 44-char pseudonyms + wrapper,
-/// JSON-escaped inside the wire envelope) always fits one padded
-/// `Request`-class frame.
-pub const WIRE_HISTORY_LIMIT: usize = 16;
-
 /// Byte budget for the `/shard/score` body: the `Request` pad class
 /// carries 1148 payload bytes minus the `{"m","p","b"}` wrapper and
 /// JSON string escaping of the body's quotes (~2 bytes per history
@@ -327,14 +321,11 @@ impl IaNode {
                 });
             }
             // Scatter-gather read over the sharded tier: the owner shard
-            // supplies the pseudonymous history (trimmed to the wire
-            // budget), every shard scores it locally, and the per-shard
-            // top-k lists merge deterministically.
+            // supplies the pseudonymous history (its newest
+            // `HISTORY_LIMIT` entries), every shard scores it locally,
+            // and the per-shard top-k lists merge deterministically.
             Some(router) => {
-                let request = HttpRequest::post(
-                    HISTORY_PATH,
-                    history_request_body(&query.user, Some(WIRE_HISTORY_LIMIT)),
-                );
+                let request = HttpRequest::post(HISTORY_PATH, history_request_body(&query.user));
                 let owner = Some(router.route(&query.user));
                 let shards = router.num_shards();
                 self.call_lrs(&request, deadline, owner, move |result| {

@@ -11,16 +11,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Arrival-process shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalProcess {
-    /// Deterministic spacing (1/rate), as `loadtest` paces requests.
-    Uniform,
-    /// Poisson arrivals (exponential gaps) for open-system realism.
-    Poisson,
-}
-
-/// An open-loop arrival schedule at a fixed rate.
+/// An open-loop arrival schedule at a fixed rate: Poisson arrivals
+/// (exponential gaps) for open-system realism.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// Arrival offsets from the start of injection, in microseconds,
@@ -33,32 +25,24 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Builds a schedule of `rps × duration_secs` arrivals.
+    /// Builds a schedule of `rps × duration_secs` Poisson arrivals,
+    /// drawn from a [`StdRng`] seeded with `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `rps` or `duration_secs` is non-positive.
-    pub fn new(rps: f64, duration_secs: f64, process: ArrivalProcess, seed: u64) -> Self {
+    pub fn new(rps: f64, duration_secs: f64, seed: u64) -> Self {
         assert!(rps > 0.0 && duration_secs > 0.0);
         let n = (rps * duration_secs).round() as usize;
-        let mut arrivals_us = Vec::with_capacity(n);
-        match process {
-            ArrivalProcess::Uniform => {
-                let gap = 1e6 / rps;
-                for i in 0..n {
-                    arrivals_us.push((i as f64 * gap).round() as u64);
-                }
-            }
-            ArrivalProcess::Poisson => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut t = 0.0f64;
-                for _ in 0..n {
-                    let u: f64 = rng.gen();
-                    t += -(1e6 / rps) * (1.0 - u).ln();
-                    arrivals_us.push(t.round() as u64);
-                }
-            }
-        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = 0.0f64;
+        let arrivals_us = (0..n)
+            .map(|_| {
+                let u: f64 = rng.gen();
+                t += -(1e6 / rps) * (1.0 - u).ln();
+                t.round() as u64
+            })
+            .collect();
         Schedule {
             arrivals_us,
             rps,
@@ -103,17 +87,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_schedule_has_exact_spacing() {
-        let s = Schedule::new(100.0, 2.0, ArrivalProcess::Uniform, 0);
-        assert_eq!(s.len(), 200);
-        assert_eq!(s.arrivals_us[0], 0);
-        assert_eq!(s.arrivals_us[1], 10_000);
-        assert_eq!(s.arrivals_us[199], 1_990_000);
-    }
-
-    #[test]
     fn poisson_schedule_is_ascending_with_right_count() {
-        let s = Schedule::new(250.0, 4.0, ArrivalProcess::Poisson, 1);
+        let s = Schedule::new(250.0, 4.0, 1);
         assert_eq!(s.len(), 1000);
         for w in s.arrivals_us.windows(2) {
             assert!(w[0] <= w[1]);
@@ -126,14 +101,14 @@ mod tests {
 
     #[test]
     fn poisson_deterministic_per_seed() {
-        let a = Schedule::new(50.0, 1.0, ArrivalProcess::Poisson, 9);
-        let b = Schedule::new(50.0, 1.0, ArrivalProcess::Poisson, 9);
+        let a = Schedule::new(50.0, 1.0, 9);
+        let b = Schedule::new(50.0, 1.0, 9);
         assert_eq!(a.arrivals_us, b.arrivals_us);
     }
 
     #[test]
     fn trimming_window() {
-        let s = Schedule::new(10.0, 60.0, ArrivalProcess::Uniform, 0);
+        let s = Schedule::new(10.0, 60.0, 0);
         let (lo, hi) = s.trim_bounds(15.0);
         assert_eq!(lo, 15_000_000);
         assert_eq!(hi, 45_000_000);
@@ -145,6 +120,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_rate_panics() {
-        let _ = Schedule::new(0.0, 1.0, ArrivalProcess::Uniform, 0);
+        let _ = Schedule::new(0.0, 1.0, 0);
     }
 }

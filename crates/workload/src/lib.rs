@@ -24,5 +24,5 @@ pub mod stats;
 pub mod zipf;
 
 pub use dataset::Dataset;
-pub use injector::{ArrivalProcess, Schedule};
+pub use injector::Schedule;
 pub use stats::{Candlestick, LatencyRecorder};

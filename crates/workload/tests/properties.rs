@@ -1,7 +1,7 @@
 //! Property-based tests for workload generation and statistics.
 
 use pprox_workload::dataset::Dataset;
-use pprox_workload::injector::{ArrivalProcess, Schedule};
+use pprox_workload::injector::Schedule;
 use pprox_workload::stats::Candlestick;
 use pprox_workload::zipf::Zipf;
 use proptest::prelude::*;
@@ -54,11 +54,9 @@ proptest! {
     fn schedules_are_well_formed(
         rps in 1.0f64..500.0,
         duration in 0.5f64..30.0,
-        poisson in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let process = if poisson { ArrivalProcess::Poisson } else { ArrivalProcess::Uniform };
-        let sched = Schedule::new(rps, duration, process, seed);
+        let sched = Schedule::new(rps, duration, seed);
         prop_assert_eq!(sched.len(), (rps * duration).round() as usize);
         for w in sched.arrivals_us.windows(2) {
             prop_assert!(w[0] <= w[1]);
@@ -89,7 +87,7 @@ proptest! {
     /// otherwise the measurement window is empty.
     #[test]
     fn trim_bounds_are_sane(duration in 1.0f64..600.0, trim in 0.0f64..100.0) {
-        let sched = Schedule::new(10.0, duration, ArrivalProcess::Uniform, 0);
+        let sched = Schedule::new(10.0, duration, 0);
         let (lo, hi) = sched.trim_bounds(trim);
         prop_assert!(hi <= (duration * 1e6) as u64);
         if 2.0 * trim < duration {

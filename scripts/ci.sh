@@ -128,7 +128,7 @@ report_smoke scenario_report BENCH_scenarios.json --smoke
 echo "== observability smoke (scrape overhead, sample node scrape) =="
 report_smoke observability_report BENCH_observability.json --smoke
 
-echo "== sharding smoke (scaling curve + incremental/batch differential) =="
+echo "== sharding smoke (scaling curve, freshness timings) =="
 report_smoke shard_report BENCH_sharding.json --smoke
 
 echo "== benchmark crate (imports still compile, unit tests, 3 s smoke without a lost request) =="

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{budget, concurrently, wait_until};
+use common::{budget, concurrently, launch, post, recommend, wait_until};
 use pprox::attack::at_rest_audit::audit_store_dir;
 use pprox::core::ia::{IaOptions, IaState};
 use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY, UA_CODE_IDENTITY};
@@ -26,7 +26,7 @@ use pprox::core::ua::UaState;
 use pprox::core::{PProxError, UserClient};
 use pprox::lrs::api::{HttpRequest, RecommendationList, EVENTS_PATH, QUERIES_PATH};
 use pprox::lrs::cco::CcoConfig;
-use pprox::lrs::shard::{DurableConfig, DurableShard, ShardEngine};
+use pprox::lrs::shard::{DurableConfig, DurableShard, ShardEngine, HISTORY_LIMIT};
 use pprox::lrs::stub::StubLrs;
 use pprox::lrs::RestHandler;
 use pprox::sgx::{Enclave, Platform};
@@ -867,6 +867,9 @@ fn sharded_lrs_tier_partitions_and_merges_over_the_wire() {
         items.contains(&"dune".to_string()),
         "scatter-gather must surface the cross-shard association: {items:?}"
     );
+    // A user with no history on any shard gets an empty list.
+    let stranger = recommend(&cluster, &mut client, "stranger").unwrap();
+    assert!(stranger.is_empty(), "{stranger:?}");
 
     // The shared router counted every routed exchange, per shard.
     let router = cluster
@@ -879,6 +882,65 @@ fn sharded_lrs_tier_partitions_and_merges_over_the_wire() {
         "route aggregates must cover posts and the get: {counts:?}"
     );
     cluster.shutdown();
+}
+
+/// "Unsharded = a ring of one": the IA's owner-history + scatter-score
+/// read over a one-shard tier answers every user exactly as the plain
+/// `/queries` read of an unsharded tier does, before and after `sync()`.
+/// Every user has at most `HISTORY_LIMIT` events, so the owner shard's
+/// history is the user's whole history.
+#[test]
+fn one_shard_ring_answers_like_the_unsharded_tier() {
+    const USERS: usize = 24;
+    // Three taste clusters of eight items; each user posts six of its
+    // cluster's, starting at a user-dependent offset.
+    let mut trace = Vec::new();
+    for k in 0..6 {
+        for u in 0..USERS {
+            trace.push((
+                format!("user-{u:02}"),
+                format!("g{}-{}", u % 3, (u + k) % 8),
+            ));
+        }
+    }
+    assert!(trace.len() / USERS <= HISTORY_LIMIT);
+    let boot = |sharded: bool| {
+        let engine = Arc::new(ShardEngine::new());
+        let config = ClusterConfig {
+            lrs_instances: 1,
+            lrs_sharded: sharded,
+            modulus_bits: 1152,
+            seed: 0x54a2_d003,
+            ..ClusterConfig::default()
+        };
+        let mut cluster = launch(config, engine.clone());
+        let mut client = cluster.client();
+        for (user, item) in &trace {
+            post(&cluster, &mut client, user, item, None).unwrap();
+        }
+        (cluster, client, engine)
+    };
+    let (mut sharded, mut sharded_client, sharded_engine) = boot(true);
+    let (mut plain, mut plain_client, plain_engine) = boot(false);
+    assert!(sharded.shard_router().is_some() && plain.shard_router().is_none());
+
+    let mut nonempty = 0usize;
+    for synced in [false, true] {
+        if synced {
+            sharded_engine.sync();
+            plain_engine.sync();
+        }
+        for u in 0..USERS {
+            let user = format!("user-{u:02}");
+            let a = recommend(&sharded, &mut sharded_client, &user).unwrap();
+            let b = recommend(&plain, &mut plain_client, &user).unwrap();
+            assert_eq!(a, b, "{user} (synced: {synced}) diverged");
+            nonempty += usize::from(!a.is_empty());
+        }
+    }
+    assert!(nonempty > 0, "comparison would be vacuous");
+    sharded.shutdown();
+    plain.shutdown();
 }
 
 /// The shard-kill drill: killing one durable shard mid-run must recover
