@@ -10,8 +10,8 @@
 //! [`CombinedProxyState`] is that rejected design, implemented honestly:
 //! one enclave holding *both* key sets, doing both pseudonymizations in a
 //! single ECALL (cheaper — no inter-layer hop, one decryption context).
-//! The tests and the `security_analysis` harness then show the cost of
-//! the saving: one break links every user to every item.
+//! The tests here show the price of the saving: one break links every
+//! user to every item.
 
 use pprox_core::keys::LayerSecrets;
 use pprox_core::message::{ClientEnvelope, Op, ID_PLAINTEXT_LEN, ITEM_BLOCK_LEN};

@@ -2,12 +2,11 @@
 //!
 //! Replaces the paper's 27-node testbed: UA/IA proxy nodes, LRS front-ends
 //! and the stub server become queueing stations ([`pprox_net::Station`])
-//! with service demands calibrated against this repository's real
-//! implementation (see `benches/calibration.rs` and EXPERIMENTS.md);
-//! shuffle buffers run on virtual time with the same
-//! [`pprox_core::shuffler::ShuffleBuffer`] the serving chain uses — in
-//! both directions, which is the paper's policy and what its figures
-//! show: the serving chain answers a released batch through a
+//! with service demands hand-set to land on the paper's published anchors
+//! ([`ServiceCosts`]; EXPERIMENTS.md); shuffle buffers run on virtual time
+//! with the same [`pprox_core::shuffler::ShuffleBuffer`] the serving chain
+//! uses — in both directions, which is the paper's policy and what its
+//! figures show: the serving chain answers a released batch through a
 //! [`pprox_core::shuffler::Gather`] instead of a second buffer
 //! (DESIGN.md §7.3), the simulator deliberately does not.
 //!
@@ -27,9 +26,10 @@ use pprox_workload::stats::LatencyRecorder;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Per-request service demands, calibrated against the live implementation
-/// (`cargo bench -p pprox-bench` reports the measured crypto and layer
-/// costs; EXPERIMENTS.md maps them to these constants).
+/// Per-request service demands, hand-set so the simulated testbed lands on
+/// the paper's 2021 anchors (stub latency 1–2 ms, one proxy pair
+/// saturating just past 250 RPS). They are not derived from the serving
+/// chain: its per-layer costs are measured by `benchmark/ --trace`.
 #[derive(Debug, Clone)]
 pub struct ServiceCosts {
     /// Proxy-layer request-leg base demand (parse + route + forward).

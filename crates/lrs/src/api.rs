@@ -32,16 +32,13 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// A minimal HTTP request: method, path, headers and a UTF-8 JSON body.
+/// A minimal HTTP request: method, path and a UTF-8 JSON body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Request method.
     pub method: Method,
     /// Request path, e.g. `/events`.
     pub path: String,
-    /// Header name/value pairs (used by the proxy layers for routing
-    /// metadata).
-    pub headers: Vec<(String, String)>,
     /// JSON body text.
     pub body: String,
 }
@@ -52,23 +49,8 @@ impl HttpRequest {
         HttpRequest {
             method: Method::Post,
             path: path.into(),
-            headers: Vec::new(),
             body: body.into(),
         }
-    }
-
-    /// First value of header `name` (case-sensitive, as produced in-system).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Adds a header, returning `self` for chaining.
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.headers.push((name.into(), value.into()));
-        self
     }
 }
 
@@ -356,12 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn http_request_headers() {
-        let r = HttpRequest::post("/events", "{}")
-            .with_header("x-route", "ua-1")
-            .with_header("x-other", "v");
-        assert_eq!(r.header("x-route"), Some("ua-1"));
-        assert_eq!(r.header("missing"), None);
+    fn http_request_post_is_a_post() {
+        let r = HttpRequest::post("/events", "{}");
         assert_eq!(r.method.to_string(), "POST");
     }
 

@@ -16,11 +16,9 @@
 //!   cap;
 //! * [`Fault::Flap`] — deterministic up/down oscillation (crash-looping
 //!   backend), the canonical circuit-breaker workload.
-//! * [`Fault::TornWrite`], [`Fault::CorruptBlock`],
-//!   [`Fault::StaleSnapshot`] — *storage* faults: the request is served
-//!   normally but the durable store's on-disk image is damaged via
-//!   [`pprox_store::FaultInjector`], so the failure only surfaces at the
-//!   next recovery. Requires [`ChaosLrs::with_store_dir`].
+//!
+//! Storage faults are not HTTP faults: damage a durable store's on-disk
+//! image with [`pprox_store::FaultInjector`] directly.
 //!
 //! Faults are driven by a [`ChaosSchedule`]: each entry activates during
 //! a time window and fires with its own probability, so a single wrapper
@@ -29,10 +27,8 @@
 
 use crate::api::{HttpRequest, HttpResponse, RestHandler};
 use parking_lot::Mutex;
-use pprox_store::{FaultInjector, StorageFault};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
 use std::time::{Duration, Instant};
@@ -69,26 +65,6 @@ pub enum Fault {
         /// Length of each healthy phase between outages.
         up_for: Duration,
     },
-    /// Serve normally, but tear the durable store's last WAL record on
-    /// disk (a `kill -9` mid-append). Latent: surfaces at next recovery.
-    TornWrite,
-    /// Serve normally, but flip a byte in a persisted snapshot block.
-    CorruptBlock,
-    /// Serve normally, but reinstall the previous snapshot manifest over
-    /// the committed one.
-    StaleSnapshot,
-}
-
-impl Fault {
-    /// The on-disk fault this variant maps to, if it is a storage fault.
-    fn storage(self) -> Option<StorageFault> {
-        match self {
-            Fault::TornWrite => Some(StorageFault::TornWrite),
-            Fault::CorruptBlock => Some(StorageFault::CorruptBlock),
-            Fault::StaleSnapshot => Some(StorageFault::StaleSnapshot),
-            _ => None,
-        }
-    }
 }
 
 /// One line of a fault schedule: `fault` fires with `probability` on
@@ -189,7 +165,6 @@ pub struct ChaosLrs {
     started: Instant,
     rng: Mutex<StdRng>,
     hang_gate: HangGate,
-    injector: Option<FaultInjector>,
     injected: AtomicU64,
     served: AtomicU64,
 }
@@ -251,19 +226,9 @@ impl ChaosLrs {
                 epoch: std::sync::Mutex::new(0),
                 signal: std::sync::Condvar::new(),
             },
-            injector: None,
             injected: AtomicU64::new(0),
             served: AtomicU64::new(0),
         }
-    }
-
-    /// Points storage faults at the durable store rooted at `dir`
-    /// (usually [`crate::shard::DurableShard::store_dir`]). Without this,
-    /// storage-fault entries are inert pass-throughs.
-    #[must_use]
-    pub fn with_store_dir(mut self, dir: &Path) -> Self {
-        self.injector = Some(FaultInjector::new(dir));
-        self
     }
 
     /// Failures injected so far (including latency injections, which
@@ -349,20 +314,6 @@ impl RestHandler for ChaosLrs {
                 self.served.fetch_add(1, Ordering::Relaxed);
                 self.inner.handle(request)
             }
-            Some(fault) if fault.storage().is_some() => {
-                // Storage faults damage the persisted image *after* the
-                // request is served (a torn write is this append, cut
-                // short at crash time); the caller sees nothing.
-                let on_disk = fault.storage().expect("guarded by match arm");
-                self.served.fetch_add(1, Ordering::Relaxed);
-                let response = self.inner.handle(request);
-                if let Some(injector) = &self.injector {
-                    if matches!(injector.inject(on_disk), Ok(report) if report.applied) {
-                        self.injected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                response
-            }
             Some(fault) => {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 match fault {
@@ -384,9 +335,6 @@ impl RestHandler for ChaosLrs {
                     }
                     Fault::Hang => self.hang(),
                     Fault::Flap { .. } => HttpResponse::error(503, "injected outage"),
-                    Fault::TornWrite | Fault::CorruptBlock | Fault::StaleSnapshot => {
-                        unreachable!("storage faults are handled by the outer match")
-                    }
                 }
             }
         }
@@ -540,44 +488,6 @@ mod tests {
         assert_eq!(c.handle(&query()).status, 503, "inside the window");
         std::thread::sleep(Duration::from_millis(35));
         assert!(c.handle(&query()).is_success(), "after the window");
-    }
-
-    #[test]
-    fn storage_fault_without_store_dir_is_inert() {
-        let c = chaos(1.0, Fault::TornWrite);
-        let resp = c.handle(&query());
-        assert!(resp.is_success(), "request must still be served");
-        assert_eq!(c.injected(), 0, "no store dir, nothing to damage");
-        assert_eq!(c.served(), 1);
-    }
-
-    #[test]
-    fn torn_write_fault_damages_the_store_but_serves_the_request() {
-        use crate::api::EVENTS_PATH;
-        use crate::shard::{DurableConfig, DurableShard};
-        use pprox_store::{SealingKey, SecureRng, TempDir};
-
-        let dir = TempDir::new("chaos-store");
-        let sealing = SealingKey::generate(&mut SecureRng::from_seed(5));
-        let config = DurableConfig {
-            snapshot_every: 0,
-            ..DurableConfig::default()
-        };
-        let lrs = Arc::new(DurableShard::open(dir.path(), &sealing, config).unwrap());
-        // Tear the WAL tail after every request.
-        let c =
-            ChaosLrs::new(lrs.clone(), 1.0, Fault::TornWrite, 9).with_store_dir(&lrs.store_dir());
-        for i in 0..3 {
-            let body = format!(r#"{{"user":"u{i}","item":"film"}}"#);
-            assert!(c.handle(&HttpRequest::post(EVENTS_PATH, body)).is_success());
-        }
-        assert!(c.injected() >= 1, "at least one tear must have applied");
-        drop(c);
-        drop(lrs);
-        let revived = DurableShard::open(dir.path(), &sealing, config).unwrap();
-        let stats = revived.recovery();
-        assert!(stats.torn_bytes > 0, "the final tear survives to recovery");
-        assert!(stats.replayed < 3, "the torn record is lost");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   and queueing delay emerge from the same mechanics as on real machines.
 //! * [`link::Link`] — intra-datacenter message latency.
 //! * [`lb::LoadBalancer`] — kube-proxy-style instance selection.
-//! * [`service::ServiceTime`] — per-request demand models, calibrated
-//!   against the real implementation's criterion micro-benchmarks.
+//! * [`service::ServiceTime`] — per-request demand models; the figure
+//!   harness sets their constants to the paper's published anchors.
 //!
 //! What the simulator claims to reproduce is the *shape* of the paper's
 //! results (who saturates where, how scaling steps look), not absolute

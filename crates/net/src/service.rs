@@ -1,9 +1,10 @@
 //! Service-time models.
 //!
 //! The simulator replaces real CPU work with sampled service demands.
-//! Constants are calibrated against the real implementation's criterion
-//! micro-benchmarks (see EXPERIMENTS.md): e.g. the per-request crypto cost
-//! of a proxy layer or the model lookup cost of an LRS front-end.
+//! The constants come from the caller (the figure harness hand-sets them
+//! to the paper's published anchors, see EXPERIMENTS.md): e.g. the
+//! per-request crypto cost of a proxy layer or the model lookup cost of an
+//! LRS front-end.
 
 use crate::time::SimDuration;
 use rand::rngs::StdRng;

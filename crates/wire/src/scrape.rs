@@ -1597,4 +1597,85 @@ mod tests {
         };
         assert!(snapshot.validate().unwrap_err().contains("ia1"));
     }
+
+    /// A scripted peer's answer to the scrape request with this `corr`.
+    type Script = fn(u64) -> Vec<Frame>;
+
+    /// One hand-built chunk frame of a scrape response.
+    fn chunk(corr: u64, seq: u16, total: u16, data: &[u8]) -> Frame {
+        let mut payload = [seq.to_be_bytes(), total.to_be_bytes()].concat();
+        payload.extend_from_slice(data);
+        Frame {
+            class: PadClass::Control,
+            corr,
+            payload,
+        }
+    }
+
+    /// Scrapes a peer that reads the request frame, answers with
+    /// `script(corr)`, and holds the connection until the scraper hangs up.
+    fn scrape_scripted(timeout: Duration, script: Script) -> Result<Value, ScrapeError> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let request = read_one_frame(&mut stream).unwrap();
+            assert!(is_scrape_request(&request));
+            for frame in script(request.corr) {
+                stream.write_all(&frame.encode().unwrap()).unwrap();
+            }
+            let _ = stream.read_to_end(&mut Vec::new());
+        });
+        let result = ClusterScraper::with_timeout(Vec::new(), timeout).scrape_node(addr);
+        peer.join().unwrap();
+        result
+    }
+
+    #[test]
+    fn scrape_refuses_a_hostile_peer_and_times_out_on_a_silent_one() {
+        let honest = scrape_scripted(Duration::from_secs(2), |corr| {
+            scrape_response_frames(corr, r#"{"ok":1}"#)
+        });
+        assert_eq!(honest.unwrap().get("ok"), Some(&Value::from(1u64)));
+
+        let hostile: [(&str, Script); 8] = [
+            ("-class frame", |corr| {
+                vec![Frame {
+                    class: PadClass::Request,
+                    ..chunk(corr, 0, 1, b"{}")
+                }]
+            }),
+            ("correlation mismatch", |corr| {
+                vec![chunk(corr + 1, 0, 1, b"{}")]
+            }),
+            ("shorter than its header", |corr| {
+                vec![Frame {
+                    payload: vec![0, 0, 1],
+                    ..chunk(corr, 0, 1, b"")
+                }]
+            }),
+            ("zero total", |corr| vec![chunk(corr, 0, 0, b"{}")]),
+            ("changed mid-stream", |corr| {
+                vec![chunk(corr, 0, 2, b"{"), chunk(corr, 1, 3, b"}")]
+            }),
+            ("out of order", |corr| vec![chunk(corr, 1, 2, b"{}")]),
+            ("not UTF-8", |corr| vec![chunk(corr, 0, 1, &[0xff, 0xfe])]),
+            ("JSON invalid", |corr| vec![chunk(corr, 0, 1, br#"{"ok":"#)]),
+        ];
+        for (refusal, script) in hostile {
+            match scrape_scripted(Duration::from_secs(2), script) {
+                Err(ScrapeError::Protocol(msg)) => assert!(msg.contains(refusal), "{msg}"),
+                other => panic!("{refusal}: {other:?}"),
+            }
+        }
+
+        let timeout = Duration::from_millis(100);
+        let started = Instant::now();
+        let silent = scrape_scripted(timeout, |_| Vec::new());
+        assert!(
+            matches!(silent, Err(ScrapeError::Io { phase: "read", .. })),
+            "{silent:?}"
+        );
+        assert!(started.elapsed() < 20 * timeout, "{:?}", started.elapsed());
+    }
 }

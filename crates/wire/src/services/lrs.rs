@@ -41,12 +41,7 @@ pub fn decode_request(payload: &[u8]) -> Option<HttpRequest> {
     };
     let path = v.get("p")?.as_str()?.to_owned();
     let body = v.get("b")?.as_str()?.to_owned();
-    Some(HttpRequest {
-        method,
-        path,
-        headers: Vec::new(),
-        body,
-    })
+    Some(HttpRequest { method, path, body })
 }
 
 /// Serializes an [`HttpResponse`] into a response-frame payload.

@@ -144,7 +144,7 @@ grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,' <<<"$BENCH_SMOKE" || {
 echo "== benchmark trend gate (no >20% throughput regressions vs HEAD) =="
 cargo run --release -q -p pprox-bench --bin bench_trend
 
-echo "== src/ line counts per crate (quote before/after in CHANGES.md) =="
+echo "== src/ line counts per crate and the shims (quote before/after in CHANGES.md) =="
 for crate in crates/*/; do
     printf '%-12s %6d\n' "$(basename "$crate")" \
         "$(find "$crate/src" -name '*.rs' -print0 | xargs -0 cat | wc -l)"
@@ -152,5 +152,7 @@ done
 printf '%-12s %6d\n' workspace \
     "$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 printf '%-12s %6d\n' crates/wire/src/cluster.rs "$(wc -l <crates/wire/src/cluster.rs)"
+printf '%-12s %6d\n' shims \
+    "$(find shims/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
 echo "CI green."

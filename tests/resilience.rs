@@ -637,16 +637,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Storage faults: scheduled damage to the durable store's on-disk image.
-// The request path never sees these — they surface at the next recovery,
-// which must either repair (torn tail) or refuse with a typed error.
+// Storage faults: `FaultInjector` damages a durable shard's on-disk image
+// after it served a request. The request path never sees these — they
+// surface at the next recovery, which must either repair (torn tail) or
+// refuse with a typed error.
 // ---------------------------------------------------------------------
 
 mod storage_faults {
-    use super::*;
     use pprox::lrs::api::{HttpRequest, RestHandler, EVENTS_PATH, QUERIES_PATH};
     use pprox::lrs::shard::{DurableConfig, DurableShard};
-    use pprox::store::{SealingKey, SecureRng, StoreError, TempDir};
+    use pprox::store::{FaultInjector, SealingKey, SecureRng, StorageFault, StoreError, TempDir};
 
     fn sealing() -> SealingKey {
         SealingKey::generate(&mut SecureRng::from_seed(77))
@@ -679,11 +679,9 @@ mod storage_faults {
     fn scheduled_torn_writes_recover_with_bounded_loss() {
         let dir = TempDir::new("res-torn");
         let sealing = sealing();
-        let lrs = Arc::new(DurableShard::open(dir.path(), &sealing, wal_only()).unwrap());
-        // Six clean writes, then the crash: the schedule tears the WAL
-        // tail on the final request, modeling a kill -9 mid-append. (An
-        // inactive far-future window rides along to exercise schedule
-        // composition with storage faults.)
+        let lrs = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap();
+        // Six clean writes, then the crash: the injector tears the WAL
+        // tail after the final request, modeling a kill -9 mid-append.
         for (user, item) in [
             ("bg", "solo"),
             ("u1", "film"),
@@ -692,25 +690,16 @@ mod storage_faults {
             ("u2", "sequel"),
             ("u3", "film"),
         ] {
-            post(lrs.as_ref(), user, item);
+            post(&lrs, user, item);
         }
         // The answer the durable prefix gives, before the torn append.
-        let before = query(lrs.as_ref(), "u3");
+        let before = query(&lrs, "u3");
         assert!(before.contains("sequel"), "{before}");
-        let schedule = ChaosSchedule::none()
-            .with(ChaosEntry::window(
-                Fault::ErrorStatus,
-                1.0,
-                Duration::from_secs(3600),
-                Duration::from_secs(7200),
-            ))
-            .with(ChaosEntry::always(Fault::TornWrite, 1.0));
-        let chaos =
-            ChaosLrs::with_schedule(lrs.clone(), schedule, 11).with_store_dir(&lrs.store_dir());
-        post(&chaos, "u4", "film");
-        assert_eq!(chaos.injected(), 1);
-        assert_eq!(chaos.served(), 1, "storage faults never fail the request");
-        drop(chaos);
+        post(&lrs, "u4", "film");
+        let report = FaultInjector::new(&lrs.store_dir())
+            .inject(StorageFault::TornWrite)
+            .unwrap();
+        assert!(report.applied, "{}", report.detail);
         drop(lrs);
 
         let revived = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap();
@@ -752,19 +741,18 @@ mod storage_faults {
     fn scheduled_block_corruption_is_refused_at_recovery() {
         let dir = TempDir::new("res-corrupt");
         let sealing = sealing();
-        let lrs = Arc::new(DurableShard::open(dir.path(), &sealing, wal_only()).unwrap());
-        post(lrs.as_ref(), "u1", "film");
-        post(lrs.as_ref(), "u2", "film");
+        let lrs = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap();
+        post(&lrs, "u1", "film");
+        post(&lrs, "u2", "film");
         lrs.snapshot_now().unwrap();
 
-        let schedule = ChaosSchedule::constant(Fault::CorruptBlock, 1.0);
-        let chaos =
-            ChaosLrs::with_schedule(lrs.clone(), schedule, 13).with_store_dir(&lrs.store_dir());
-        assert!(chaos
+        assert!(lrs
             .handle(&HttpRequest::post(QUERIES_PATH, r#"{"user":"u1"}"#))
             .is_success());
-        assert_eq!(chaos.injected(), 1);
-        drop(chaos);
+        let report = FaultInjector::new(&lrs.store_dir())
+            .inject(StorageFault::CorruptBlock)
+            .unwrap();
+        assert!(report.applied, "{}", report.detail);
         drop(lrs);
 
         // Detection, not silent acceptance: the damaged block is named.
@@ -776,21 +764,20 @@ mod storage_faults {
     fn scheduled_stale_snapshot_is_refused_at_recovery() {
         let dir = TempDir::new("res-stale");
         let sealing = sealing();
-        let lrs = Arc::new(DurableShard::open(dir.path(), &sealing, wal_only()).unwrap());
-        post(lrs.as_ref(), "u1", "a");
+        let lrs = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap();
+        post(&lrs, "u1", "a");
         lrs.snapshot_now().unwrap();
-        post(lrs.as_ref(), "u2", "b");
+        post(&lrs, "u2", "b");
         lrs.snapshot_now().unwrap(); // previous manifest becomes .old
-        post(lrs.as_ref(), "u3", "c"); // fresh WAL record past the snapshot
+        post(&lrs, "u3", "c"); // fresh WAL record past the snapshot
 
-        let schedule = ChaosSchedule::constant(Fault::StaleSnapshot, 1.0);
-        let chaos =
-            ChaosLrs::with_schedule(lrs.clone(), schedule, 17).with_store_dir(&lrs.store_dir());
-        assert!(chaos
+        assert!(lrs
             .handle(&HttpRequest::post(QUERIES_PATH, r#"{"user":"u1"}"#))
             .is_success());
-        assert_eq!(chaos.injected(), 1);
-        drop(chaos);
+        let report = FaultInjector::new(&lrs.store_dir())
+            .inject(StorageFault::StaleSnapshot)
+            .unwrap();
+        assert!(report.applied, "{}", report.detail);
         drop(lrs);
 
         let err = DurableShard::open(dir.path(), &sealing, wal_only()).unwrap_err();
