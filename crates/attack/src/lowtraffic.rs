@@ -86,24 +86,6 @@ pub fn measure_anonymity_set(
     }
 }
 
-/// The multi-tenancy mitigation: `tenants` applications each contributing
-/// `rps_per_tenant` share one proxy layer. Returns the aggregated report.
-pub fn measure_with_multitenancy(
-    shuffle: ShuffleConfig,
-    rps_per_tenant: f64,
-    tenants: usize,
-    duration_secs: f64,
-    seed: u64,
-) -> AnonymitySetReport {
-    assert!(tenants >= 1);
-    measure_anonymity_set(
-        shuffle,
-        rps_per_tenant * tenants as f64,
-        duration_secs,
-        seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +126,8 @@ mod tests {
     #[test]
     fn multitenancy_restores_anonymity() {
         let alone = measure_anonymity_set(shuffle(10), 2.0, 300.0, 3);
-        let pooled = measure_with_multitenancy(shuffle(10), 2.0, 25, 300.0, 3);
+        // Multi-tenancy: 25 tenants at 2 RPS each share one proxy layer.
+        let pooled = measure_anonymity_set(shuffle(10), 50.0, 300.0, 3);
         assert!(
             pooled.mean_batch > alone.mean_batch * 2.0,
             "pooled {} vs alone {}",

@@ -1,21 +1,16 @@
-//! §6.3 limitations, quantified: low traffic, multi-tenancy, and the
-//! elastic-scaling trade-off.
+//! §6.3 limitations, quantified: low traffic and multi-tenancy.
 //!
-//! Three sweeps:
+//! Two sweeps:
 //!
 //! 1. **Effective anonymity set vs traffic** — mean shuffle-batch size and
 //!    the fraction of requests that travel alone, from night-time rates
 //!    up to the paper's evaluation rates.
 //! 2. **Multi-tenancy mitigation** — the same starved tenant pooled with
 //!    others behind one proxy layer.
-//! 3. **Autoscaler trace** — the §5 elastic-scaling policy reacting to a
-//!    daily load curve, reporting instance counts and shuffle health.
 
-use pprox_attack::lowtraffic::{measure_anonymity_set, measure_with_multitenancy};
+use pprox_attack::lowtraffic::measure_anonymity_set;
 use pprox_bench::report;
-use pprox_core::autoscale::{AutoscaleConfig, Autoscaler};
 use pprox_core::shuffler::ShuffleConfig;
-use pprox_workload::diurnal::DiurnalCurve;
 
 fn main() {
     let shuffle = ShuffleConfig {
@@ -47,7 +42,7 @@ fn main() {
         "tenants", "mean batch", "singleton %"
     );
     for tenants in [1usize, 2, 5, 10, 25] {
-        let r = measure_with_multitenancy(shuffle, 2.0, tenants, 600.0, 0x11b_0100);
+        let r = measure_anonymity_set(shuffle, 2.0 * tenants as f64, 600.0, 0x11b_0100);
         println!(
             "{:>8} {:>12.2} {:>16.2}",
             tenants,
@@ -57,31 +52,4 @@ fn main() {
     }
     println!("pooling tenants restores the anonymity set (at the §6.3-noted cost that a");
     println!("broken enclave then holds several applications' secrets at once).");
-
-    report::section("part 3 — elastic scaling over a daily load curve (§5)");
-    let mut scaler = Autoscaler::new(AutoscaleConfig::paper_default(), 1);
-    println!(
-        "{:>6} {:>8} {:>10} {:>18}",
-        "hour", "rps", "instances", "shuffling healthy"
-    );
-    // A smooth diurnal curve: 15 RPS overnight, 950 RPS evening peak.
-    let curve = DiurnalCurve::new(15.0, 950.0, 21.0);
-    for hour in (0..24).step_by(3) {
-        let rps = curve.rps_at(hour as f64);
-        let d = scaler.observe(rps);
-        println!(
-            "{:>6} {:>8.0} {:>10} {:>18}",
-            hour,
-            rps,
-            d.instances,
-            if d.shuffling_healthy {
-                "yes"
-            } else {
-                "NO (timer-bound)"
-            }
-        );
-    }
-    println!("the controller rides the curve: scale-up at the knees, hysteresis against");
-    println!("flapping, and an explicit health flag when over-provisioning would starve");
-    println!("the shuffle buffers (the privacy/latency compromise §5 calls out).");
 }

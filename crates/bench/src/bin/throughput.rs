@@ -6,12 +6,14 @@
 //! `mod_pow` path) are checkable from the JSON alone:
 //!
 //! * `rsa_decrypt` — full RSA-OAEP decryption (CRT over two cached
-//!   Montgomery contexts) vs. [`RsaPrivateKey::raw_decrypt_naive`]
+//!   Montgomery contexts) vs.
+//!   [`RsaPrivateKey::raw_decrypt_naive`](pprox_crypto::rsa::RsaPrivateKey::raw_decrypt_naive)
 //!   (binary square-and-multiply, same CRT split). The baseline does
 //!   strictly *less* work than a full naive decrypt (no OAEP decode), so
 //!   the reported speedup is a conservative lower bound.
 //! * `rsa_decrypt_group` — the same decryption for a group of eight
-//!   ciphertexts at once ([`RsaPrivateKey::decrypt_group`], what the IA
+//!   ciphertexts at once
+//!   ([`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group), what the IA
 //!   runs on a shuffled batch), per decrypt, vs. `decrypt` one at a time
 //!   on the same ciphertexts. On 2048-bit keys on a CPU with AVX-512 IFMA
 //!   that is the eight-lane ladder against the lockstep pair; anywhere

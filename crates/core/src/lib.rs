@@ -27,8 +27,6 @@
 //! * [`shuffler`] — the §4.3 shuffle buffer, and the per-batch gather the
 //!   serving chain answers through.
 //! * [`config`] — the paper's Table 2 rows, for the simulated cluster.
-//! * [`autoscale`] — the §5 elastic-scaling policy (throughput vs
-//!   shuffle-buffer health).
 //!
 //! The chain runs in one place: `pprox-wire` (`services::{ua, ia, lrs}`
 //! behind `LoopbackCluster`) puts these layer transforms in enclaves
@@ -64,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod autoscale;
 pub mod client;
 pub mod config;
 pub mod ia;

@@ -312,8 +312,6 @@ impl CircuitBreaker {
 struct GateShared {
     inflight: AtomicUsize,
     limit: usize,
-    rejected: AtomicU64,
-    admitted: AtomicU64,
 }
 
 /// Bounded-ingress admission control.
@@ -334,8 +332,6 @@ impl AdmissionGate {
             shared: Arc::new(GateShared {
                 inflight: AtomicUsize::new(0),
                 limit: limit.max(1),
-                rejected: AtomicU64::new(0),
-                admitted: AtomicU64::new(0),
             }),
         }
     }
@@ -345,10 +341,8 @@ impl AdmissionGate {
         let prev = self.shared.inflight.fetch_add(1, Ordering::AcqRel);
         if prev >= self.shared.limit {
             self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        self.shared.admitted.fetch_add(1, Ordering::Relaxed);
         Some(AdmissionPermit {
             shared: self.shared.clone(),
         })
@@ -362,29 +356,6 @@ impl AdmissionGate {
     /// The admission limit.
     pub fn limit(&self) -> usize {
         self.shared.limit
-    }
-
-    /// Requests rejected at the gate so far.
-    pub fn rejected(&self) -> u64 {
-        self.shared.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Requests admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.shared.admitted.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of submissions rejected — the overload-pressure signal
-    /// fed to the autoscaler (see
-    /// [`crate::autoscale::Autoscaler::observe_with_pressure`]).
-    pub fn rejection_fraction(&self) -> f64 {
-        let rejected = self.rejected() as f64;
-        let total = rejected + self.admitted() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            rejected / total
-        }
     }
 }
 
@@ -511,15 +482,12 @@ mod tests {
         let p2 = gate.try_admit().unwrap();
         assert_eq!(gate.in_flight(), 2);
         assert!(gate.try_admit().is_none(), "third request sheds");
-        assert_eq!(gate.rejected(), 1);
         drop(p1);
         assert_eq!(gate.in_flight(), 1);
         let p3 = gate.try_admit().unwrap();
         drop(p2);
         drop(p3);
         assert_eq!(gate.in_flight(), 0);
-        assert_eq!(gate.admitted(), 3);
-        assert!((gate.rejection_fraction() - 0.25).abs() < 1e-9);
     }
 
     #[test]

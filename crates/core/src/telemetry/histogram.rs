@@ -4,7 +4,8 @@
 //! a log-linear bucketing of microsecond values: exact counts below
 //! [`SUB_BUCKETS`] µs, then [`SUB_BUCKETS`] linear sub-buckets per power
 //! of two. Recording is one `fetch_add` — no locks, no allocation — so it
-//! lives on the proxy hot path next to the [`crate::metrics`] counters.
+//! lives on the proxy hot path next to the node's scrape counters
+//! (`pprox_wire::scrape`).
 //! Snapshots are plain vectors that merge by element-wise addition, which
 //! is what lets per-worker recording aggregate into per-stage and
 //! per-deployment views without any coordination on the write side.

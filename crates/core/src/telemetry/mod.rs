@@ -1,8 +1,7 @@
 //! Privacy-safe operational telemetry (per-stage latency histograms).
 //!
 //! The paper's deployment "collects logs in a systematic fashion using
-//! fluentd" (§7.2) and its elastic scaling (§5) consumes live load
-//! signals. This module is that observability layer, built so the
+//! fluentd" (§7.2). This module is that observability layer, built so the
 //! telemetry itself preserves User–Interest unlinkability: everything it
 //! can hold is an aggregate.
 //!
@@ -77,21 +76,6 @@ impl StageSet {
             .map(|&s| (s, self.histograms[s as usize].snapshot()))
             .collect()
     }
-
-    /// Worst p99 across the *processing* stages (UA, IA, LRS) — the tail
-    /// signal [`crate::autoscale::Autoscaler::observe_with_pressure`]
-    /// consumes. Shuffle dwell is excluded on purpose: at low load the
-    /// timer dominates dwell by design (§4.3) and would always breach an
-    /// SLO tuned for processing latency.
-    pub fn worst_processing_p99_us(&self) -> Option<u64> {
-        let p99s: Vec<u64> = [Stage::Ua, Stage::Ia, Stage::Lrs]
-            .iter()
-            .map(|&s| self.histogram(s).snapshot())
-            .filter(|snap| snap.count() > 0)
-            .map(|snap| snap.p99())
-            .collect();
-        p99s.into_iter().max()
-    }
 }
 
 /// The telemetry hub one deployment owns: per-stage histograms and the
@@ -149,17 +133,5 @@ mod tests {
         t.record_duration(Stage::Ua, 250);
         assert_eq!(t.stages().histogram(Stage::E2e).count(), 1);
         assert_eq!(t.stages().histogram(Stage::Ua).snapshot().p50(), 250);
-    }
-
-    #[test]
-    fn worst_processing_p99_ignores_shuffle_dwell() {
-        let t = Telemetry::new();
-        assert_eq!(t.stages().worst_processing_p99_us(), None);
-        t.stages().record(Stage::ShuffleRequest, 500_000); // timer-bound dwell
-        assert_eq!(t.stages().worst_processing_p99_us(), None);
-        t.stages().record(Stage::Ua, 300);
-        t.stages().record(Stage::Lrs, 9_000);
-        let worst = t.stages().worst_processing_p99_us().unwrap();
-        assert!((9_000..=9_600).contains(&worst), "worst {worst}");
     }
 }

@@ -1,6 +1,5 @@
 //! Property-based tests on the proxy's core data structures.
 
-use pprox_core::autoscale::{AutoscaleConfig, Autoscaler};
 use pprox_core::message::{ClientEnvelope, LayerEnvelope, Op};
 use pprox_core::shuffler::{FlushReason, Gather, ShuffleBuffer, ShuffleConfig};
 use pprox_core::telemetry::histogram::SUB_BUCKETS;
@@ -393,32 +392,6 @@ proptest! {
         merged.merge(&left.snapshot());
         merged.merge(&right.snapshot());
         prop_assert_eq!(merged, whole.snapshot());
-    }
-
-    /// The autoscaler never exceeds bounds, never returns zero instances,
-    /// and its target is monotone in load.
-    #[test]
-    fn autoscaler_is_bounded_and_monotone(
-        loads in proptest::collection::vec(0.0f64..5_000.0, 1..50),
-        max in 1usize..32,
-    ) {
-        let config = AutoscaleConfig {
-            max_instances: max,
-            ..AutoscaleConfig::paper_default()
-        };
-        let mut scaler = Autoscaler::new(config, 1);
-        for &rps in &loads {
-            let d = scaler.observe(rps);
-            prop_assert!(d.instances >= 1 && d.instances <= max);
-        }
-        // Monotonicity of the pure target function.
-        let probe = Autoscaler::new(config, 1);
-        let mut last = 0usize;
-        for rps in [0.0, 100.0, 300.0, 700.0, 2_000.0, 4_900.0] {
-            let t = probe.target_for(rps);
-            prop_assert!(t >= last);
-            last = t;
-        }
     }
 }
 

@@ -823,7 +823,7 @@ impl Montgomery {
     }
 
     /// Modular exponentiation `base^exp mod n` with a fixed
-    /// [`WINDOW_BITS`]-bit window.
+    /// `WINDOW_BITS`-bit window.
     ///
     /// The single dispatch point between the two kernel families: the
     /// limb counts RSA-2048 produces (16 for the CRT primes, 32 for the

@@ -2,7 +2,7 @@
 //!
 //! [`ShardEngine`] is the one LRS engine (the Universal Recommender
 //! stand-in of §7). It holds the interaction histories of the users it
-//! owns plus an [`IncrementalCco`](super::incremental::IncrementalCco)
+//! owns plus an [`super::incremental::IncrementalCco`]
 //! model trained online from their events: every accepted post updates
 //! the scoring index before it returns, so reads are fresh by
 //! construction, and [`ShardEngine::sync`] repairs the model to exactly
@@ -18,9 +18,9 @@
 //!
 //! Besides the legacy `/events` and `/queries` endpoints, it serves two
 //! *internal* endpoints the IA uses for scatter-gather reads:
-//! [`HISTORY_PATH`](super::HISTORY_PATH) returns the owner-shard copy
-//! of a user's newest [`HISTORY_LIMIT`](super::HISTORY_LIMIT) history
-//! entries, and [`SCORE_PATH`](super::SCORE_PATH) scores a
+//! [`super::HISTORY_PATH`] returns the owner-shard copy
+//! of a user's newest [`super::HISTORY_LIMIT`] history
+//! entries, and [`super::SCORE_PATH`] scores a
 //! caller-supplied history against this shard's model, returning its
 //! local top-k for the merge.
 

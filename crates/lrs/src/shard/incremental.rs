@@ -22,8 +22,8 @@
 //!   so a new association is queryable as soon as its post returns.
 //! * **Untouched lists may drift.** A pair only one of whose marginals
 //!   changed (`k12`/`k21`/`k22` via another item's count or a new user)
-//!   keeps its last LLR until its item is next touched or [`sync`]
-//!   runs. [`sync`](IncrementalCco::sync) recomputes every list from
+//!   keeps its last LLR until its item is next touched or
+//!   [`sync`](IncrementalCco::sync) runs, which recomputes every list from
 //!   the exact counts, after which recommendations are byte-identical
 //!   to a batch retrain over the same events (the differential test in
 //!   `tests/shard_differential.rs` holds this line).
@@ -404,7 +404,7 @@ impl IncrementalCco {
     /// in the history or in `exclude`, and returns the `n` strongest
     /// targets, score descending, item name ascending.
     ///
-    /// Scores fold into the thread's [`Scratch`] rather than a map:
+    /// Scores fold into the thread's `Scratch` rather than a map:
     /// only the touched targets are read back, selected down to `n`
     /// and then sorted — names are distinct, so the order is total and
     /// selecting first cannot change which `n` win or how they rank.

@@ -99,7 +99,7 @@ pub fn parse_history_response(body: &str) -> Option<Vec<String>> {
 }
 
 /// Builds the `/shard/score` request body (`exclude` omitted when
-/// empty, mirroring [`RecommendationQuery::to_json`]).
+/// empty, mirroring [`crate::api::RecommendationQuery::to_json`]).
 pub fn score_request_body(history: &[String], num: usize, exclude: &[String]) -> String {
     let mut v = Value::object([
         (

@@ -15,7 +15,9 @@
 //!   detectable, so **at most one measurement group** (i.e. one proxy
 //!   layer) can be in a compromised state at any time. Breaking a second
 //!   group requires first calling [`Platform::detect_and_recover`], which
-//!   models breach detection plus key rotation and clears the first breach.
+//!   models breach detection: it clears the first breach and so re-arms the
+//!   one-layer-at-a-time guard. It rotates nothing — a recovered enclave
+//!   keeps the secrets the adversary already holds.
 
 use crate::attestation::{AttestationService, ProvisioningToken, Quote};
 use crate::measurement::Measurement;
@@ -239,7 +241,6 @@ struct PlatformShared {
     registry: Mutex<Vec<Arc<dyn AnyEnclave>>>,
     next_id: AtomicU64,
     breaches: AtomicU64,
-    recoveries: AtomicU64,
     crashes: AtomicU64,
 }
 
@@ -326,7 +327,6 @@ impl Platform {
                 registry: Mutex::new(Vec::new()),
                 next_id: AtomicU64::new(1),
                 breaches: AtomicU64::new(0),
-                recoveries: AtomicU64::new(0),
                 crashes: AtomicU64::new(0),
             }),
         }
@@ -391,8 +391,10 @@ impl Platform {
         Ok(bag)
     }
 
-    /// Breach detection + response (Déjà Vu / Varys / Cloak analog, §2.3):
-    /// clears all compromise flags, modelling a restart with fresh secrets.
+    /// Breach detection (Déjà Vu / Varys / Cloak analog, §2.3): clears all
+    /// compromise flags, which re-arms the one-layer-at-a-time guard of
+    /// [`Platform::break_enclave`]. No secret is rotated: a recovered
+    /// enclave still holds the keys its breach leaked.
     ///
     /// Returns how many enclaves were recovered.
     pub fn detect_and_recover(&self) -> usize {
@@ -403,9 +405,6 @@ impl Platform {
                 e.mark_compromised(false);
                 n += 1;
             }
-        }
-        if n > 0 {
-            self.shared.recoveries.fetch_add(1, Ordering::Relaxed);
         }
         n
     }
@@ -591,7 +590,7 @@ mod tests {
             )
             .unwrap();
         }
-        p.break_enclave(ua.id()).unwrap();
+        let leaked = p.break_enclave(ua.id()).unwrap();
         // Breaking the *other layer* while UA is compromised is forbidden.
         assert!(matches!(
             p.break_enclave(ia.id()),
@@ -614,6 +613,13 @@ mod tests {
         assert!(p.break_enclave(ua2.id()).is_ok());
         // After detection/recovery the IA layer becomes breakable.
         assert_eq!(p.detect_and_recover(), 2);
+        // Recovery rotates nothing: the same UA enclave leaks the same
+        // secret bytes again. Building the breach response's key rotation
+        // flips this assertion.
+        let again = p.break_enclave(ua.id()).unwrap();
+        assert_eq!(again.get("secret"), leaked.get("secret"));
+        assert_eq!(again.get("secret"), Some(b"s".as_slice()));
+        assert_eq!(p.detect_and_recover(), 1);
         assert!(p.break_enclave(ia.id()).is_ok());
     }
 

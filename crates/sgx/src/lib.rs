@@ -22,9 +22,6 @@
 //! 4. **Resource limits** — [`epc::EpcStore`] models the scarce Enclave
 //!    Page Cache used to hold pending response keys, and [`sealing`]
 //!    models persistent sealed storage.
-//! 5. **Attack economics** — [`sidechannel::SideChannelModel`] quantifies
-//!    the §2.3 timing argument (attack duration vs detection and
-//!    response) that justifies the one-layer-at-a-time model.
 //!
 //! What is *not* simulated: micro-architectural timing itself. The paper's
 //! performance cost of SGX (world switches, EPC pressure) is modelled in
@@ -39,7 +36,6 @@ pub mod enclave;
 pub mod epc;
 pub mod measurement;
 pub mod sealing;
-pub mod sidechannel;
 
 pub use attestation::{AttestationError, AttestationService, ProvisioningToken, Quote};
 pub use enclave::{CompromiseError, Enclave, EnclaveApp, Platform, SecretBag};

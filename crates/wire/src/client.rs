@@ -25,15 +25,15 @@
 //! the node's [`DeadlineQueue`], without a thread waiting on each.
 //!
 //! A call on a client (a ring of one backend) or a balancer's ring is one
-//! run of the retry loop ([`Retry`]): at most `1 + max_retries` attempts,
+//! run of the retry loop (`Retry`): at most `1 + max_retries` attempts,
 //! a per-call jittered pause ([`RetryBackoff`]) on the deadline queue
-//! between them, and a [`Policy`] for what the caller knows. The blocking
+//! between them, and a `Policy` for what the caller knows. The blocking
 //! [`PooledClient::call`] is `submit` plus a one-shot wait, for callers
 //! that have a thread to spare (the front door, scenario drivers, probes).
 //!
-//! Attempts reach a connection as a list ([`Conn::send_attempts`]): one, or a
+//! Attempts reach a connection as a list (`Conn::send_attempts`): one, or a
 //! backend's share of a batch the ring started at once
-//! ([`Ring::submit_batch`], a shuffle release). Each is framed and
+//! (`Ring::submit_batch`, a shuffle release). Each is framed and
 //! registered in order, and the frames go out as one buffer that must be
 //! taken within one write timeout (`server::write_whole`, which the
 //! server's replies use too): a timeout mid-buffer fails the connection,

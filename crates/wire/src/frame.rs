@@ -30,7 +30,7 @@ use pprox_crypto::pad;
 pub const WIRE_MAGIC: [u8; 2] = *b"pW";
 
 /// Codec version; bumped on any layout change. Version 2 replaced the
-/// truncated SHA-256 checksum of version 1 with [`checksum`]'s
+/// truncated SHA-256 checksum of version 1 with `checksum`'s
 /// multiply-fold; the header layout and the three wire lengths did not
 /// change, so a v1 peer is refused by the version byte, not by a
 /// checksum mismatch.

@@ -708,7 +708,7 @@ impl ClusterSnapshot {
 
     /// The cluster view: the node documents merged into one document of
     /// the same schema ([`snapshot_schema`]). Leaf by leaf, integers add
-    /// up except the [`MAXIMA`], and histograms merge. Stage histograms
+    /// up except the `MAXIMA` paths, and histograms merge. Stage histograms
     /// are counted once per telemetry group: nodes sharing a hub report
     /// the same histograms, so the group's freshest scrape represents
     /// it. The merged `node` is that of a hub outside any tier: `node`,

@@ -47,12 +47,12 @@
 //! connection or one pipelined connection per upstream node, so a thread
 //! per connection is cheap, and safe `std` has no readiness API.
 //!
-//! Backpressure is explicit and bounded at two points: the
-//! [`AdmissionGate`](pprox_core::resilience::AdmissionGate) caps
-//! requests in flight, and the worker queue is a bounded channel. A
-//! request that fails either bound is answered *immediately* with a
-//! constant-size `busy` control frame — never an unbounded queue, never
-//! a silent drop (§5's "fast, typed errors" discipline). A peer that stops reading its replies costs the
+//! Backpressure is explicit and bounded at one point: the
+//! [`pprox_core::resilience::AdmissionGate`] caps requests in flight,
+//! and the worker queue, sized to that cap, can never hold more. A
+//! request over the cap is answered *immediately* with a constant-size
+//! `busy` control frame — never an unbounded queue, never a silent drop
+//! (§5's "fast, typed errors" discipline). A peer that stops reading its replies costs the
 //! thread completing a request one write timeout, after which its
 //! connection is cut.
 //!
@@ -158,9 +158,6 @@ pub struct ServerConfig {
     /// Worker threads running the service. They only compute, so this is
     /// sized to the cores, not to the requests in flight.
     pub workers: usize,
-    /// Bounded depth of the reader→worker queue, in jobs: one per
-    /// request, or per reader pass for a service that takes passes.
-    pub queue_depth: usize,
     /// Maximum requests admitted and not yet answered (admission gate).
     pub max_inflight: usize,
     /// Per-request processing budget, stamped at admission. A quarter of
@@ -182,7 +179,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 2,
-            queue_depth: 256,
             max_inflight: 256,
             request_budget: Duration::from_secs(2),
             drain_timeout: Duration::from_secs(5),
@@ -479,7 +475,10 @@ impl WireServer {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(&config, service.takes_passes()));
-        let (job_tx, job_rx) = bounded::<WorkerJob>(config.queue_depth.max(1));
+        // A reader queues a job only once every request in it holds an
+        // admission permit, so the reader→worker queue never holds more
+        // than `max_inflight` jobs: the gate is the one bound on backlog.
+        let (job_tx, job_rx) = bounded::<WorkerJob>(config.max_inflight.max(1));
 
         let workers = (0..config.workers.max(1))
             .map(|_| {
@@ -978,7 +977,6 @@ mod tests {
             }),
             ServerConfig {
                 workers: 1,
-                queue_depth: 1,
                 max_inflight: 1,
                 ..ServerConfig::default()
             },
@@ -1360,7 +1358,6 @@ mod tests {
         let buffers = tcp_buffer_max("tcp_wmem") + tcp_buffer_max("tcp_rmem");
         let burst = 2 * buffers / PadClass::Response.wire_len();
         let config = ServerConfig {
-            queue_depth: burst,
             max_inflight: burst,
             ..ServerConfig::default()
         };
@@ -1422,7 +1419,6 @@ mod tests {
         // cuts the connection and every later reply to it returns at once.
         let park = Arc::new(Park::default());
         let config = ServerConfig {
-            queue_depth: 4_096,
             max_inflight: 4_096,
             request_budget: Duration::from_millis(800),
             ..ServerConfig::default()

@@ -3,10 +3,10 @@
 //! Receives [`LayerEnvelope`] frames from UA instances, runs the IA
 //! enclave ECALLs, and talks to the LRS tier over the wire through a
 //! [`SocketBalancer`] under the §5 resilience policy: the wire client's
-//! one retry loop, handed what only the IA knows ([`LrsPolicy`]).
+//! one retry loop, handed what only the IA knows (`LrsPolicy`).
 //!
 //! No thread waits — not for the LRS, not for the enclave. A server
-//! worker takes a turn at the enclave ([`Turns`]: if another thread is
+//! worker takes a turn at the enclave (`Turns`: if another thread is
 //! in it, the ECALL is left for that thread to run next), runs the
 //! request-side ECALL, submits the LRS exchange and takes the next job.
 //! The exchange's completion — on the LRS connection's reader thread, or

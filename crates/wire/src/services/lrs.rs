@@ -1,7 +1,7 @@
 //! The LRS frontend: REST requests and responses carried in wire frames.
 //!
 //! The paper's LRS is an unmodified HTTP service; this reproduction's
-//! [`RestHandler`] abstraction stands in for it. On the wire, each HTTP
+//! [`RestHandler`](pprox_lrs::RestHandler) abstraction stands in for it. On the wire, each HTTP
 //! exchange rides inside one request/response frame pair as a compact
 //! JSON wrapper — `{"m": method, "p": path, "b": body}` out,
 //! `{"s": status, "b": body}` back. The frame layer pads both to their
@@ -67,7 +67,7 @@ pub fn decode_response(payload: &[u8]) -> Option<HttpResponse> {
     Some(HttpResponse { status, body })
 }
 
-/// Frame handler exposing a [`RestHandler`] on the wire.
+/// Frame handler exposing a [`pprox_lrs::RestHandler`] on the wire.
 pub struct LrsWireService {
     handler: Arc<dyn pprox_lrs::RestHandler>,
 }

@@ -1,7 +1,8 @@
 //! The UA layer as a wire service.
 //!
 //! Receives [`ClientEnvelope`] frames, runs the UA enclave's
-//! pseudonymization ECALL, and forwards the resulting [`LayerEnvelope`]
+//! pseudonymization ECALL, and forwards the resulting
+//! [`LayerEnvelope`](pprox_core::message::LayerEnvelope)
 //! to the IA tier through a [`SocketBalancer`]. With shuffling enabled,
 //! requests are batched in a [`ShuffleBuffer`] (§4.3) and released in
 //! random order before they hit the IA sockets, and the answers of each
@@ -11,10 +12,10 @@
 //! in either direction.
 //!
 //! No thread waits for a request. A server worker queues the request for
-//! the enclave and takes a turn at it ([`Waiting::push`]); if another
+//! the enclave and takes a turn at it (`Waiting::push`); if another
 //! worker is in it, the request waits in the queue and the worker takes
 //! the next job. The thread in the enclave, once its ECALL is done, takes
-//! what queued meanwhile — up to [`CAP`], oldest first — as one group,
+//! what queued meanwhile — up to `CAP`, oldest first — as one group,
 //! and opens it in one ECALL ([`UaState::process_group`]: the user blocks
 //! decrypted together, on a CPU with AVX-512 IFMA four RSA-2048 decrypts
 //! to a pass of the eight-lane ladder). Nobody waits for a group to form:

@@ -11,14 +11,11 @@
 //!   node.js `loadtest` role) with the paper's 15-second trim rule.
 //! * [`stats`] — candlestick latency summaries exactly as the paper's
 //!   figures draw them (quartiles + 1.5×IQR whiskers).
-//! * [`diurnal`] — day/night load curves for the §5 elastic-scaling and
-//!   §6.3 night-time experiments.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod dataset;
-pub mod diurnal;
 pub mod injector;
 pub mod stats;
 pub mod zipf;

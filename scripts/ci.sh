@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (-D warnings: no dangling or private intra-doc link) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== unsafe audit (two call sites, every other crate forbids it) =="
 # Comments and string literals do not count. What is left must be the two
 # calls into `#[target_feature]` kernels — `pow_all` (the IFMA ladders,

@@ -504,7 +504,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug)]
     pub struct VecStrategy<S> {
         element: S,
