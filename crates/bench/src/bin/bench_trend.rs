@@ -13,11 +13,11 @@
 //!   disarm its guard. The guarded set is currently
 //!   `BENCH_sharding.json :: scaling.sustained_rps_max`,
 //!   `BENCH_throughput.json :: stages.rsa_decrypt.ops_per_sec` (a decrypt
-//!   alone: the pair kernel) and
+//!   alone: the three-ladder kernel) and
 //!   `BENCH_throughput.json :: stages.rsa_decrypt_group.ops_per_sec`
-//!   (decrypts in groups: the lane kernel both proxy layers open their
-//!   requests on at saturation); end-to-end figures are gated by
-//!   `benchmark/`, not here.
+//!   (decrypts in groups, as both proxy layers open their requests at
+//!   saturation: the same kernel, one decrypt at a time); end-to-end
+//!   figures are gated by `benchmark/`, not here.
 //!
 //! Usage:
 //!

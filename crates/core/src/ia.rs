@@ -270,13 +270,13 @@ impl IaState {
 
     /// [`process_get`](Self::process_get) for each get of a group, in
     /// order, as one transform: the base protocol's `k_u` blocks of the
-    /// whole group are opened together
-    /// ([`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group)
-    /// — on the vector path, four to a pass), then each get runs the
-    /// per-request code with its block already open. Every result, the
-    /// tokens included, is what `process_get` on the same gets one by one
-    /// would have returned. Each get counts one processed request and one
-    /// processing sample, its share of the group's time.
+    /// whole group are opened in one call
+    /// ([`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group)),
+    /// then each get runs the per-request code with its block already
+    /// open. Every result, the tokens included, is what `process_get` on
+    /// the same gets one by one would have returned. Each get counts one
+    /// processed request and one processing sample, its share of the
+    /// group's time.
     pub fn process_get_group(
         &mut self,
         envelopes: &[&LayerEnvelope],

@@ -102,13 +102,13 @@ impl UaState {
 
     /// [`process`](Self::process) for each request of a group, in order,
     /// as one transform: the `enc(u, pkUA)` blocks of the whole group are
-    /// opened together
-    /// ([`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group)
-    /// — on the vector path, four to a pass), then each request runs the
-    /// per-request code with its block already open. Every result, errors
-    /// included, is what `process` on the same requests one by one would
-    /// have returned. Each request counts one processed request and one
-    /// processing sample, its share of the group's time.
+    /// opened in one call
+    /// ([`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group)),
+    /// then each request runs the per-request code with its block already
+    /// open. Every result, errors included, is what `process` on the same
+    /// requests one by one would have returned. Each request counts one
+    /// processed request and one processing sample, its share of the
+    /// group's time.
     pub fn process_group(
         &mut self,
         envelopes: &[&ClientEnvelope],

@@ -17,8 +17,8 @@
 //! dedicated squaring; every other width stays on the slice CIOS, which is
 //! also the oracle the array kernels are tested against. (One caller goes
 //! around [`Montgomery::mod_pow`]: the RSA-CRT private-key operation on
-//! 16-limb primes, which `crate::rsa` sends to the AVX-512 IFMA ladders of
-//! `mont52.rs` when the CPU has them.) The schoolbook
+//! three 11-limb primes, which `crate::rsa` sends to the AVX-512 IFMA
+//! ladders of `mont52.rs` when the CPU has them.) The schoolbook
 //! square-and-multiply path is retained as [`BigUint::mod_pow_naive`] so
 //! differential tests can check the fast path bit-for-bit.
 
@@ -672,20 +672,20 @@ pub(crate) const WINDOW_BITS: usize = 4;
 /// What runs where. Two scalar kernel families sit under
 /// [`Montgomery::mod_pow`], chosen once per exponentiation from the limb
 /// count: slices for any width, and `[u64; K]` arrays (`mont_mul_fixed`,
-/// `mont_sqr_fixed`) for `K = 16` and `K = 32`. The width has to be a
+/// `mont_sqr_fixed`) for `K = 11` and `K = 32`. The width has to be a
 /// compile-time constant for the array kernels to pay: the same squaring
 /// written over slices, with or without bounds checks, measured no faster
 /// than the slice CIOS. They are the portable path — every public-key
 /// operation, key generation, every key size but one — and the oracle. A
 /// third family, radix-2⁵² vectors on AVX-512 IFMA (`mont52.rs`), is not
-/// under `mod_pow` at all: it runs two ladders at once, so its only
+/// under `mod_pow` at all: it runs three ladders at once, so its only
 /// caller is [`RsaPrivateKey::raw_decrypt`](crate::rsa::RsaPrivateKey::raw_decrypt)
-/// with the two 16-limb primes of an RSA-2048 key, on a CPU that reports
+/// with the three 11-limb primes of an RSA-2048 key, on a CPU that reports
 /// the instructions. It borrows this context's `n0inv` and the shared
 /// final subtraction, and returns the same values.
 ///
 /// Not constant-time: the table index is exponent-dependent, a zero window
-/// skips its multiply (on the scalar ladders; the vector pair multiplies
+/// skips its multiply (on the scalar ladders; the vector ladders multiply
 /// every window), the final subtraction is conditional and limb loops
 /// are data-length-dependent, consistent with the rest of this crate (the
 /// reproduction's threat model is protocol-level linkability, not local
@@ -826,7 +826,7 @@ impl Montgomery {
     /// `WINDOW_BITS`-bit window.
     ///
     /// The single dispatch point between the two kernel families: the
-    /// limb counts RSA-2048 produces (16 for the CRT primes, 32 for the
+    /// limb counts RSA-2048 produces (11 for the CRT primes, 32 for the
     /// public modulus) run on the fixed-width array kernels, every other
     /// width on the slice CIOS. Both return identical values.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
@@ -837,7 +837,7 @@ impl Montgomery {
             return BigUint::one();
         }
         match self.k {
-            16 => self.mod_pow_fixed::<16, 32>(base, exp),
+            11 => self.mod_pow_fixed::<11, 22>(base, exp),
             32 => self.mod_pow_fixed::<32, 64>(base, exp),
             _ => self.mod_pow_slice(base, exp),
         }
@@ -960,7 +960,7 @@ fn mont_mul_fixed<const K: usize>(
 /// Each cross product `aᵢ·aⱼ` (`i < j`) is computed once and the sum
 /// doubled, the diagonal `aᵢ²` added, and the `2K`-limb square then
 /// reduced by `K` rounds of `t += m·n·2^(64i)`: `K(K−1)/2 + K + K²` limb
-/// multiplies against CIOS's `2K²` (392 against 512 at `K = 16`). Four in
+/// multiplies against CIOS's `2K²` (187 against 242 at `K = 11`). Four in
 /// five multiplications of a windowed exponentiation are squarings.
 fn mont_sqr_fixed<const K: usize, const K2: usize>(
     a: &[u64; K],
@@ -1343,7 +1343,7 @@ mod tests {
 
     #[test]
     fn squaring_kernel_matches_both_multiplies() {
-        squaring_kernel_case::<16, 32>();
+        squaring_kernel_case::<11, 22>();
         squaring_kernel_case::<32, 64>();
         // A width the dispatcher never picks: the kernels are generic.
         squaring_kernel_case::<3, 6>();
@@ -1383,7 +1383,7 @@ mod tests {
 
     #[test]
     fn fixed_width_ladder_matches_slice_ladder_and_naive() {
-        ladders_agree_case::<16, 32>();
+        ladders_agree_case::<11, 22>();
         ladders_agree_case::<32, 64>();
     }
 

@@ -25,10 +25,8 @@
 //! * on x86-64 CPUs that report AVX-512 IFMA, the RSA-2048 private-key
 //!   operation — the cost the paper's §4.1 dissection puts on every
 //!   request, twice — runs its CRT ladders on radix-2⁵² vector
-//!   multiply-adds (`mont52.rs`, private; the key size picks it too): a
-//!   decrypt's two ladders in lockstep, or, for a group
-//!   ([`rsa::RsaPrivateKey::decrypt_group`]) of four or more, four
-//!   decrypts' eight ladders in the lanes of one;
+//!   multiply-adds (`mont52.rs`, private; the key size picks it too): the
+//!   three ladders of a three-prime key's decrypt in lockstep;
 //! * on x86-64 CPUs that report `aes`, the CTR keystream under every
 //!   [`ctr::SymmetricKey`] operation runs its AES-256 rounds on
 //!   `aesenc`/`aesenclast`, eight counter blocks in flight (in [`aes`]),
@@ -41,8 +39,7 @@
 //! `#[allow(unsafe_code)]`, each on one call into a `#[target_feature]`
 //! kernel, directly under the `is_x86_feature_detected!` check that is its
 //! whole safety argument: the private-key dispatch in [`rsa`] into the
-//! `avx512f,avx512ifma` ladders (the pair or the lanes, picked inside by
-//! the group's size), and the keystream dispatch in [`ctr`] into the
+//! `avx512f,avx512ifma` ladders, and the keystream dispatch in [`ctr`] into the
 //! `aes` rounds. The kernels themselves are safe code
 //! (value intrinsics, no pointers). `scripts/ci.sh` greps that these stay
 //! the only two `unsafe` sites in the workspace.

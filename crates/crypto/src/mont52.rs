@@ -1,108 +1,90 @@
-//! RSA-CRT's private-key ladders on AVX-512 IFMA: one decrypt's two
-//! ladders in lockstep, or four decrypts' eight ladders in the lanes.
+//! RSA's private-key ladders on AVX-512 IFMA: one decrypt's three CRT
+//! ladders in lockstep.
 //!
 //! The scalar kernels in [`crate::bigint`] are at their floor (~1.5
 //! cycles per 64-bit limb multiply); what is left is the CPU's 52-bit
 //! integer fused multiply-add (`vpmadd52luq`/`vpmadd52huq`), eight lanes
-//! per instruction. This module is the one kernel family built on it, and
-//! it serves one caller: the private-key dispatch
-//! ([`crate::rsa::RsaPrivateKey`]'s `crt_ladders`, under `decrypt` and
-//! `decrypt_group`) on keys whose CRT primes are 16 limbs (RSA-2048), on
-//! a CPU that reports `avx512f` and `avx512ifma`. Everything else — other
-//! key sizes, other CPUs, the public operation — stays on the scalar
-//! kernels, which are also the oracle these are tested against.
+//! per instruction. This module is the one kernel built on it, and it
+//! serves one caller: the private-key dispatch
+//! ([`crate::rsa::RsaPrivateKey`]'s `crt_ladders`, under every decrypt)
+//! on keys with three primes of 11 limbs (three-prime RSA-2048, primes of
+//! 683, 683 and 682 bits), on a CPU that reports `avx512f` and
+//! `avx512ifma`.
+//! Everything else — other key sizes, other CPUs, the public operation —
+//! stays on the scalar kernels, which are also the oracle this is tested
+//! against.
 //!
 //! # Layout
 //!
-//! A 1024-bit operand is 20 radix-2⁵² digits, one per 64-bit lane, padded
-//! to 24 lanes (three `__m512i`); lanes 20..24 are always zero. A product
-//! is digit-serial: for each digit `bᵢ`, accumulate `a·bᵢ`, pick `yᵢ` so
-//! the lowest digit of `acc + n·yᵢ` vanishes, shift the accumulator down
-//! one lane (`valignq`). Low halves of the 104-bit digit products land in
-//! their own lane, high halves one lane up, and lanes are allowed to grow
-//! past 52 bits inside a product (20 rounds × 4 addends of < 2⁵² stay
-//! below 2⁵⁹); one normalisation pass at the end of each product brings
-//! every digit back under 2⁵², which the multiplier needs because it reads
-//! only the low 52 bits of a lane.
+//! A prime of up to 704 bits is 14 radix-2⁵² digits, one per 64-bit lane,
+//! padded to 16 lanes (two `__m512i`); lanes 14 and 15 are always zero. A
+//! product is digit-serial: for each digit `bᵢ`, accumulate `a·bᵢ`, pick
+//! `yᵢ` so the lowest digit of `acc + n·yᵢ` vanishes, shift the
+//! accumulator down one lane (`valignq`). Low halves of the 104-bit digit
+//! products land in their own lane, high halves one lane up, and lanes are
+//! allowed to grow past 52 bits inside a product (14 rounds × 4 addends of
+//! < 2⁵² stay below 2⁵⁸); one normalisation pass at the end of each
+//! product brings every digit back under 2⁵², which the multiplier needs
+//! because it reads only the low 52 bits of a lane.
 //!
-//! # Almost-Montgomery multiplication, `R = 2¹⁰⁴⁰`
+//! # Almost-Montgomery multiplication, `R = 2⁷²⁸`
 //!
-//! With `R = 2^(52·20) > 4n`, operands `a, b < 2n` give
+//! With `R = 2^(52·14) > 4n`, operands `a, b < 2n` give
 //! `(a·b + m·n)/R < (4n² + R·n)/R < 2n`: products stay below `2n` without
 //! a conditional subtraction anywhere inside the ladder. The exit
 //! multiplication by 1 lands in `[0, n]`, and
 //! [`reduce_once`](crate::bigint::reduce_once) — the same final
 //! subtraction every scalar kernel ends with — runs once per ladder.
 //!
-//! # Why two ladders in one loop
+//! # Why three ladders in one loop
 //!
 //! A single product is latency-bound: `yᵢ` depends on lane 0 of the
 //! accumulator, and the next round's lane 0 depends on `yᵢ` — a serial
 //! chain of ~20 cycles per digit (broadcast, `·k0`, `lo(n·y)`, shift,
-//! add) in which the multiplier issues 13 of its possible 20
-//! instructions. The `p` and `q` halves of RSA-CRT are independent, so
-//! [`CrtLadders`] runs both in the same loop: the two chains fill each
-//! other's gaps and the pair costs a quarter more than one ladder alone,
-//! not twice as much. Everything that does not depend on `yᵢ` — the
-//! `a·b` terms — is kept off that chain (see `amm_pair`).
-//! Lockstep means both ladders do the same operations in the same order
-//! whatever the exponents are: every window multiplies (by
+//! add) in which the multiplier issues a handful of instructions. The
+//! three CRT ladders of a decrypt are independent, so [`CrtLadders`] runs
+//! them in the same loop, and their chains fill each other's gaps.
+//! Everything that does not depend on `yᵢ` — the `a·b` terms — is kept
+//! off that chain (see `amm_triple`). Against the two 20-digit ladders of
+//! a two-prime key, a three-prime key's ladders are a third shorter (683-
+//! instead of 1024-bit exponents) on operands a third narrower, so one
+//! decrypt does about half the multiplier work, and a lone decrypt gets
+//! all of it: there is no cheaper way to open several at once here, and
+//! no lane kernel for groups.
+//!
+//! Lockstep means the three ladders do the same operations in the same
+//! order whatever the exponents are: every window multiplies (by
 //! `table[0] = R mod n` when the window is zero), so this path has no
 //! zero-window skip. The table *index* is still exponent-dependent, as on
 //! the scalar path.
-//!
-//! # Why eight lanes for a group
-//!
-//! The pair is still one operand spread across the lanes: 20 digits
-//! padded to 24, and a digit-serial chain that the two ladders only
-//! half fill. When several ciphertexts wait together — the IA opens the
-//! `k_u` blocks of a shuffled batch as one group, the UA the user blocks
-//! queued for its enclave — the lanes can carry
-//! whole ladders instead ([`CrtLadders::pow_all`]): digit `j` of eight
-//! operands sits in one vector, lanes 0–3 run four decrypts' `p` ladders
-//! and lanes 4–7 the same four's `q` ladders (`amm_lanes`). Nothing
-//! crosses lanes, no lane is padding, and each round's `y` is one
-//! multiply for all eight, so the core's multiplier stays busy: a pass
-//! costs about three pair ladders and opens four. The exponents are the
-//! key's own `dp` and `dq`, the same in every lane of a half, so a window
-//! is one table index per half and one blend — the ladders stay in
-//! lockstep, with the same exponent-dependent index as the pair. A pass
-//! is all or nothing, so fewer than [`GROUP`] decrypts run as pairs.
 //!
 //! # `unsafe`
 //!
 //! None here: inside a `#[target_feature]` function the value intrinsics
 //! are safe, and lanes enter and leave through `_mm512_set_epi64` and the
-//! extract intrinsics, so there are no pointer loads. This module's one
-//! `unsafe` block is the call into [`CrtLadders::pow_all`] from code that
-//! is not compiled for these features, guarded by runtime detection;
-//! `pow_all` picks the lane or the pair kernel by how many bases are left.
+//! extract intrinsics, so there are no pointer loads. The one `unsafe`
+//! block this kernel needs is the call into [`CrtLadders::pow_triple`]
+//! from code that is not compiled for these features, in `crate::rsa`,
+//! guarded by runtime detection.
 
 use crate::bigint::{reduce_once, window_of, BigUint, Montgomery, WINDOW_BITS};
 use std::arch::x86_64::*;
 
 /// Bits per digit.
 const DIGIT_BITS: usize = 52;
-/// Digits that carry value: `52 · 20 = 1040` bits.
-const DIGITS: usize = 20;
+/// Digits that carry value: `52 · 14 = 728` bits.
+const DIGITS: usize = 14;
 /// Digits padded to whole vectors.
-const LANES: usize = 24;
+const LANES: usize = 16;
 /// 64-bit limbs of a modulus this kernel serves.
-const LIMBS: usize = 16;
+const LIMBS: usize = 11;
+/// Ladders per decrypt: the primes of a key.
+const PRIMES: usize = 3;
 const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
-/// Decrypts per pass of the lane kernel: each takes a `p` lane and a `q`
-/// lane of the eight. Also its break-even: a pass costs about three pair
-/// ladders, so fewer than four decrypts are cheaper as pairs.
-const GROUP: usize = crate::rsa::LANE_GROUP;
-/// The lanes of the `q` half.
-const Q_LANES: __mmask8 = 0xf0;
 
-/// One operand: 24 lanes in three vectors, lane 0 of `[0]` least
+/// One operand: 16 lanes in two vectors, lane 0 of `[0]` least
 /// significant.
-type Digits = [__m512i; 3];
-
-/// Eight operands, one per lane: `[j]` holds digit `j` of every lane.
-type LaneDigits = [__m512i; DIGITS];
+type Digits = [__m512i; 2];
 
 /// Per-modulus constants in radix 2⁵², derived once per key.
 #[derive(Clone)]
@@ -111,7 +93,7 @@ struct Modulus52 {
     modulus: BigUint,
     /// The modulus as digits.
     n: [u64; LANES],
-    /// `R² mod n` as digits, `R = 2¹⁰⁴⁰`.
+    /// `R² mod n` as digits, `R = 2⁷²⁸`.
     rr: [u64; LANES],
     /// `-n⁻¹ mod 2⁵²`.
     k0: u64,
@@ -151,163 +133,63 @@ impl Modulus52 {
     /// A ladder's exit product (in `[0, n]`) as a value in `[0, n)`.
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn finish(&self, out: &Digits) -> BigUint {
-        self.value(&store(out))
-    }
-
-    /// Normalised exit digits (a value in `[0, n]`) as a value in `[0, n)`.
-    fn value(&self, digits: &[u64; LANES]) -> BigUint {
-        let (mut limbs, top) = to_limbs(digits);
+        let (mut limbs, top) = to_limbs(&store(out));
         reduce_once(&mut limbs, top, self.modulus.limbs());
         BigUint::from_limbs(limbs.to_vec())
     }
 }
 
-/// The radix-2⁵² contexts of one key's two CRT primes.
+/// The radix-2⁵² contexts of one key's three CRT primes.
 #[derive(Clone)]
 pub(crate) struct CrtLadders {
-    p: Modulus52,
-    q: Modulus52,
+    primes: [Modulus52; PRIMES],
 }
 
 impl CrtLadders {
-    /// Contexts for the moduli of `p` and `q`, or `None` unless both are
-    /// exactly 16 limbs (the only width the kernel is laid out for).
-    pub(crate) fn new(p: &Montgomery, q: &Montgomery) -> Option<Self> {
+    /// Contexts for the prime moduli of a key, or `None` unless there are
+    /// three and each is exactly 11 limbs (the only layout the kernel
+    /// has).
+    pub(crate) fn new(primes: &[&Montgomery]) -> Option<Self> {
+        let [a, b, c] = primes else { return None };
         Some(CrtLadders {
-            p: Modulus52::new(p)?,
-            q: Modulus52::new(q)?,
+            primes: [Modulus52::new(a)?, Modulus52::new(b)?, Modulus52::new(c)?],
         })
     }
 
-    /// `(c^exp_p mod p, c^exp_q mod q)` for every `c` of `bases`, in
-    /// order: [`GROUP`] at a time on the eight-lane kernel while that many
-    /// are left, the rest on the lockstep pair. Values are identical to
-    /// two [`Montgomery::mod_pow`] calls per base, whichever kernel ran.
+    /// `base^exps[k] mod primes[k]` for the three primes, with fixed
+    /// [`WINDOW_BITS`]-bit windows, the three ladders in one loop. Values
+    /// are identical to three [`Montgomery::mod_pow`] calls.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(crate) fn pow_all(
-        &self,
-        bases: &[&BigUint],
-        exp_p: &BigUint,
-        exp_q: &BigUint,
-    ) -> Vec<(BigUint, BigUint)> {
-        let mut out = Vec::with_capacity(bases.len());
-        let mut groups = bases.chunks_exact(GROUP);
-        for group in &mut groups {
-            out.extend(self.pow_lanes(group, exp_p, exp_q));
-        }
-        for base in groups.remainder() {
-            out.push(self.pow_pair(base, exp_p, exp_q));
-        }
-        out
-    }
-
-    /// `(base^exp_p mod p, base^exp_q mod q)` with fixed
-    /// [`WINDOW_BITS`]-bit windows, both ladders in one loop. Values are
-    /// identical to two [`Montgomery::mod_pow`] calls.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    fn pow_pair(&self, base: &BigUint, exp_p: &BigUint, exp_q: &BigUint) -> (BigUint, BigUint) {
-        let consts = [self.p.consts(), self.q.consts()];
+    pub(crate) fn pow_triple(&self, base: &BigUint, exps: [&BigUint; PRIMES]) -> [BigUint; PRIMES] {
+        let consts = self.primes.each_ref().map(|m| m.consts());
         let mut one = [0u64; LANES];
         one[0] = 1;
-        let one = [load(&one); 2];
-        let rr = [load(&self.p.rr), load(&self.q.rr)];
-        let base = [self.p.reduced(base), self.q.reduced(base)];
+        let one = [load(&one); PRIMES];
+        let rr = self.primes.each_ref().map(|m| load(&m.rr));
+        let base = self.primes.each_ref().map(|m| m.reduced(base));
 
         // table[i] = baseⁱ in Montgomery form; table[0] = R mod n (= 1).
-        let mut table = [[one[0]; 2]; 1 << WINDOW_BITS];
-        table[0] = amm_pair(&one, &rr, &consts);
-        table[1] = amm_pair(&base, &rr, &consts);
+        let mut table = [one; 1 << WINDOW_BITS];
+        table[0] = amm_triple(&one, &rr, &consts);
+        table[1] = amm_triple(&base, &rr, &consts);
         for i in 2..(1 << WINDOW_BITS) {
-            table[i] = amm_pair(&table[i - 1], &table[1], &consts);
+            table[i] = amm_triple(&table[i - 1], &table[1], &consts);
         }
-        let entry = |w: usize| -> [Digits; 2] {
-            [table[window_of(exp_p, w)][0], table[window_of(exp_q, w)][1]]
-        };
-        // A window above an exponent's top bit reads as zero, so the
-        // shorter exponent multiplies by 1 until its own bits start.
-        let windows = exp_p
-            .bit_len()
-            .max(exp_q.bit_len())
-            .div_ceil(WINDOW_BITS)
-            .max(1);
+        let entry =
+            |w: usize| -> [Digits; PRIMES] { [0, 1, 2].map(|k| table[window_of(exps[k], w)][k]) };
+        // A window above an exponent's top bit reads as zero, so a shorter
+        // exponent multiplies by 1 until its own bits start.
+        let bits = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
+        let windows = bits.div_ceil(WINDOW_BITS).max(1);
         let mut acc = entry(windows - 1);
         for w in (0..windows - 1).rev() {
             for _ in 0..WINDOW_BITS {
-                acc = amm_pair(&acc, &acc, &consts);
+                acc = amm_triple(&acc, &acc, &consts);
             }
-            acc = amm_pair(&acc, &entry(w), &consts);
+            acc = amm_triple(&acc, &entry(w), &consts);
         }
-        let out = amm_pair(&acc, &one, &consts);
-        (self.p.finish(&out[0]), self.q.finish(&out[1]))
-    }
-
-    /// The ladders of [`GROUP`] bases in one loop, one per lane: lane `k`
-    /// is `bases[k]^exp_p mod p` and lane `GROUP + k` is
-    /// `bases[k]^exp_q mod q`. The exponents are the same in every lane of
-    /// a half, so each window reads two table entries and one blend takes
-    /// the `q` lanes from the second.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    fn pow_lanes(
-        &self,
-        bases: &[&BigUint],
-        exp_p: &BigUint,
-        exp_q: &BigUint,
-    ) -> Vec<(BigUint, BigUint)> {
-        debug_assert_eq!(bases.len(), GROUP);
-        let m = self.lane_consts();
-        let mut rr = [self.p.rr; 2 * GROUP];
-        rr[GROUP..].fill(self.q.rr);
-        let rr = transpose(&rr);
-        let mut base = [[0u64; LANES]; 2 * GROUP];
-        for (k, c) in bases.iter().enumerate() {
-            base[k] = to_digits(c.rem(&self.p.modulus).limbs());
-            base[GROUP + k] = to_digits(c.rem(&self.q.modulus).limbs());
-        }
-        let base = transpose(&base);
-        let mut one = [_mm512_setzero_si512(); DIGITS];
-        one[0] = _mm512_set1_epi64(1);
-
-        // table[i] = baseⁱ in Montgomery form, lane by lane.
-        let mut table = [one; 1 << WINDOW_BITS];
-        table[0] = amm_lanes(&one, &rr, &m);
-        table[1] = amm_lanes(&base, &rr, &m);
-        for i in 2..(1 << WINDOW_BITS) {
-            table[i] = amm_lanes(&table[i - 1], &table[1], &m);
-        }
-        let entry = |w: usize| (&table[window_of(exp_p, w)], &table[window_of(exp_q, w)]);
-        let windows = exp_p
-            .bit_len()
-            .max(exp_q.bit_len())
-            .div_ceil(WINDOW_BITS)
-            .max(1);
-        let (p, q) = entry(windows - 1);
-        let mut acc = blend_halves(p, q);
-        for w in (0..windows - 1).rev() {
-            for _ in 0..WINDOW_BITS {
-                acc = amm_lanes(&acc, &acc, &m);
-            }
-            let (p, q) = entry(w);
-            acc = amm_lanes(&acc, &blend_halves(p, q), &m);
-        }
-        let out = untranspose(&amm_lanes(&acc, &one, &m));
-        (0..GROUP)
-            .map(|k| (self.p.value(&out[k]), self.q.value(&out[GROUP + k])))
-            .collect()
-    }
-
-    /// The lane kernel's view of both moduli: `p`'s in the first
-    /// [`GROUP`] lanes, `q`'s in the rest.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    fn lane_consts(&self) -> LaneConsts {
-        let mut n = [self.p.n; 2 * GROUP];
-        n[GROUP..].fill(self.q.n);
-        let (kp, kq) = (self.p.k0 as i64, self.q.k0 as i64);
-        LaneConsts {
-            n: transpose(&n),
-            k0: _mm512_set_epi64(kq, kq, kq, kq, kp, kp, kp, kp),
-            #[cfg(debug_assertions)]
-            twice_n: [self.p.modulus.shl(1), self.q.modulus.shl(1)],
-        }
+        let out = amm_triple(&acc, &one, &consts);
+        [0, 1, 2].map(|k| self.primes[k].finish(&out[k]))
     }
 }
 
@@ -321,11 +203,15 @@ struct Consts {
     twice_n: BigUint,
 }
 
-/// Two almost-Montgomery products in lockstep: `a[k]·b[k]·R⁻¹ mod n[k]`
+/// Three almost-Montgomery products in lockstep: `a[k]·b[k]·R⁻¹ mod n[k]`
 /// up to a multiple of `n[k]`, `< 2n[k]` for operands `< 2n[k]`, digits
 /// normalised.
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn amm_pair(a: &[Digits; 2], b: &[Digits; 2], m: &[Consts; 2]) -> [Digits; 2] {
+fn amm_triple(
+    a: &[Digits; PRIMES],
+    b: &[Digits; PRIMES],
+    m: &[Consts; PRIMES],
+) -> [Digits; PRIMES] {
     let zero = _mm512_setzero_si512();
     // Round i starts with `acc` holding everything but n·yᵢ. Only what
     // depends on yᵢ is on the serial path from one round's lane 0 to the
@@ -333,26 +219,26 @@ fn amm_pair(a: &[Digits; 2], b: &[Digits; 2], m: &[Consts; 2]) -> [Digits; 2] {
     // add. The a·b terms are known in advance, so the ones the next round
     // needs — lo(a·bᵢ₊₁) and hi(a·bᵢ), which belong one lane up and so
     // share a lane index after the shift — are gathered in `side` first.
-    let mut acc = [[zero; 3]; 2];
-    let mut hi_ab = [[zero; 3]; 2];
-    for k in 0..2 {
+    let mut acc = [[zero; 2]; PRIMES];
+    let mut hi_ab = [[zero; 2]; PRIMES];
+    for k in 0..PRIMES {
         let b0 = _mm512_broadcastq_epi64(_mm512_castsi512_si128(b[k][0]));
-        for j in 0..3 {
+        for j in 0..2 {
             acc[k][j] = _mm512_madd52lo_epu64(zero, a[k][j], b0);
             hi_ab[k][j] = _mm512_madd52hi_epu64(zero, a[k][j], b0);
         }
     }
-    // One round per digit of `b`, looking one digit ahead: lanes 1..8,
-    // 0..8 and 0..5 of its three vectors. The last, lane 20, is padding
-    // and reads as zero.
-    for (v, first, last) in [(0, 1, 8), (1, 0, 8), (2, 0, DIGITS as i64 - 15)] {
+    // One round per digit of `b`, looking one digit ahead: lanes 1..8 and
+    // 0..7 of its two vectors. The last, lane 14, is padding and reads as
+    // zero.
+    for (v, first, last) in [(0, 1, 8), (1, 0, DIGITS as i64 - 7)] {
         for lane in first..last {
             let pick = _mm512_set1_epi64(lane);
-            for k in 0..2 {
+            for k in 0..PRIMES {
                 let (a, n) = (&a[k], &m[k].n);
                 let next = _mm512_permutexvar_epi64(pick, b[k][v]);
-                let mut side = [zero; 3];
-                for j in 0..3 {
+                let mut side = [zero; 2];
+                for j in 0..2 {
                     side[j] = _mm512_madd52lo_epu64(hi_ab[k][j], a[j], next);
                     hi_ab[k][j] = _mm512_madd52hi_epu64(zero, a[j], next);
                 }
@@ -361,7 +247,7 @@ fn amm_pair(a: &[Digits; 2], b: &[Digits; 2], m: &[Consts; 2]) -> [Digits; 2] {
                 let r = &mut acc[k];
                 let lane0 = _mm512_broadcastq_epi64(_mm512_castsi512_si128(r[0]));
                 let y = _mm512_madd52lo_epu64(zero, lane0, m[k].k0);
-                for j in 0..3 {
+                for j in 0..2 {
                     r[j] = _mm512_madd52lo_epu64(r[j], n[j], y);
                     side[j] = _mm512_madd52hi_epu64(side[j], n[j], y);
                 }
@@ -371,15 +257,14 @@ fn amm_pair(a: &[Digits; 2], b: &[Digits; 2], m: &[Consts; 2]) -> [Digits; 2] {
                 side[0] = _mm512_mask_add_epi64(side[0], 1, side[0], carry);
                 *r = [
                     _mm512_add_epi64(_mm512_alignr_epi64::<1>(r[1], r[0]), side[0]),
-                    _mm512_add_epi64(_mm512_alignr_epi64::<1>(r[2], r[1]), side[1]),
-                    _mm512_add_epi64(_mm512_alignr_epi64::<1>(zero, r[2]), side[2]),
+                    _mm512_add_epi64(_mm512_alignr_epi64::<1>(zero, r[1]), side[1]),
                 ];
             }
         }
     }
-    let out = [normalize(acc[0]), normalize(acc[1])];
+    let out = acc.map(|r| normalize(r));
     #[cfg(debug_assertions)]
-    for k in 0..2 {
+    for k in 0..PRIMES {
         let (limbs, top) = to_limbs(&store(&out[k]));
         let mut value = limbs.to_vec();
         value.push(top);
@@ -393,7 +278,7 @@ fn amm_pair(a: &[Digits; 2], b: &[Digits; 2], m: &[Consts; 2]) -> [Digits; 2] {
 
 /// Brings every lane back under 2⁵² without changing the value: each
 /// lane's surplus moves one lane up, and the 0-or-1 carries that leaves
-/// are resolved for all 24 lanes at once by an integer addition on the
+/// are resolved for all 16 lanes at once by an integer addition on the
 /// lane masks (a lane above the mask generates, a lane equal to it
 /// propagates).
 #[target_feature(enable = "avx512f,avx512ifma")]
@@ -404,15 +289,13 @@ fn normalize(r: Digits) -> Digits {
     let surplus = [
         _mm512_srli_epi64::<{ DIGIT_BITS as u32 }>(r[0]),
         _mm512_srli_epi64::<{ DIGIT_BITS as u32 }>(r[1]),
-        _mm512_srli_epi64::<{ DIGIT_BITS as u32 }>(r[2]),
     ];
     let mut out = [
         _mm512_alignr_epi64::<7>(surplus[0], zero),
         _mm512_alignr_epi64::<7>(surplus[1], surplus[0]),
-        _mm512_alignr_epi64::<7>(surplus[2], surplus[1]),
     ];
     let (mut generate, mut propagate) = (0u32, 0u32);
-    for j in 0..3 {
+    for j in 0..2 {
         out[j] = _mm512_add_epi64(out[j], _mm512_and_si512(r[j], mask));
         generate |= (_mm512_cmpgt_epu64_mask(out[j], mask) as u32) << (8 * j);
         propagate |= (_mm512_cmpeq_epu64_mask(out[j], mask) as u32) << (8 * j);
@@ -429,110 +312,7 @@ fn normalize(r: Digits) -> Digits {
     out
 }
 
-/// What a lane product needs of the moduli, in registers.
-struct LaneConsts {
-    /// Digit `j` of `p` in the first [`GROUP`] lanes, of `q` in the rest.
-    n: LaneDigits,
-    /// `k0` of each lane's modulus.
-    k0: __m512i,
-    /// `2p` and `2q`, the bounds every product is checked against in
-    /// debug builds.
-    #[cfg(debug_assertions)]
-    twice_n: [BigUint; 2],
-}
-
-/// Eight almost-Montgomery products, one per lane: `a·b·R⁻¹ mod n` up to
-/// a multiple of `n`, `< 2n` for operands `< 2n`, digits normalised.
-///
-/// Vertical, so there is no cross-lane step: a round adds `a·bᵢ` and
-/// `n·yᵢ` digit by digit, each lane with its own `bᵢ` and `yᵢ`, and
-/// shifts the accumulator down one digit. A digit collects at most four
-/// addends of `< 2⁵²` per round over 21 rounds, so it stays below 2⁵⁹.
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn amm_lanes(a: &LaneDigits, b: &LaneDigits, m: &LaneConsts) -> LaneDigits {
-    let zero = _mm512_setzero_si512();
-    let mut r = [zero; DIGITS + 1];
-    for &bi in b {
-        for j in 0..DIGITS {
-            r[j] = _mm512_madd52lo_epu64(r[j], a[j], bi);
-            r[j + 1] = _mm512_madd52hi_epu64(r[j + 1], a[j], bi);
-        }
-        // y = digit 0 · k0 mod 2⁵² makes digit 0 of r + n·y vanish.
-        let y = _mm512_madd52lo_epu64(zero, r[0], m.k0);
-        for j in 0..DIGITS {
-            r[j] = _mm512_madd52lo_epu64(r[j], m.n[j], y);
-            r[j + 1] = _mm512_madd52hi_epu64(r[j + 1], m.n[j], y);
-        }
-        // Divide by 2⁵²: digit 0's surplus moves into digit 1, then every
-        // digit moves down one.
-        r[1] = _mm512_add_epi64(r[1], _mm512_srli_epi64::<{ DIGIT_BITS as u32 }>(r[0]));
-        r.copy_within(1.., 0);
-        r[DIGITS] = zero;
-    }
-    // Carries ripple up digit by digit, all lanes at once.
-    let mask = _mm512_set1_epi64(DIGIT_MASK as i64);
-    let mut out = [zero; DIGITS];
-    let mut carry = zero;
-    for (o, &digit) in out.iter_mut().zip(&r) {
-        let sum = _mm512_add_epi64(digit, carry);
-        carry = _mm512_srli_epi64::<{ DIGIT_BITS as u32 }>(sum);
-        *o = _mm512_and_si512(sum, mask);
-    }
-    #[cfg(debug_assertions)]
-    for (k, lane) in untranspose(&out).iter().enumerate() {
-        let (limbs, top) = to_limbs(lane);
-        let mut value = limbs.to_vec();
-        value.push(top);
-        debug_assert!(
-            BigUint::from_limbs(value) < m.twice_n[k / GROUP],
-            "almost-Montgomery product left [0, 2n) in lane {k}"
-        );
-    }
-    out
-}
-
-/// The table entry of one window: lanes of the `p` half from `p`'s
-/// entry, lanes of the `q` half from `q`'s.
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn blend_halves(p: &LaneDigits, q: &LaneDigits) -> LaneDigits {
-    let mut out = *p;
-    for (o, &q) in out.iter_mut().zip(q) {
-        *o = _mm512_mask_blend_epi64(Q_LANES, *o, q);
-    }
-    out
-}
-
-/// Eight operands' digits, lane `k` from `lanes[k]`, into digit vectors.
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn transpose(lanes: &[[u64; LANES]; 2 * GROUP]) -> LaneDigits {
-    let mut out = [_mm512_setzero_si512(); DIGITS];
-    for (j, v) in out.iter_mut().enumerate() {
-        let d = |k: usize| lanes[k][j] as i64;
-        *v = _mm512_set_epi64(d(7), d(6), d(5), d(4), d(3), d(2), d(1), d(0));
-    }
-    out
-}
-
-/// Digit vectors back into each lane's digits.
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn untranspose(digits: &LaneDigits) -> [[u64; LANES]; 2 * GROUP] {
-    let mut lanes = [[0u64; LANES]; 2 * GROUP];
-    for (j, v) in digits.iter().enumerate() {
-        let halves = [
-            _mm512_extracti64x4_epi64::<0>(*v),
-            _mm512_extracti64x4_epi64::<1>(*v),
-        ];
-        for (h, half) in halves.into_iter().enumerate() {
-            lanes[4 * h][j] = _mm256_extract_epi64::<0>(half) as u64;
-            lanes[4 * h + 1][j] = _mm256_extract_epi64::<1>(half) as u64;
-            lanes[4 * h + 2][j] = _mm256_extract_epi64::<2>(half) as u64;
-            lanes[4 * h + 3][j] = _mm256_extract_epi64::<3>(half) as u64;
-        }
-    }
-    lanes
-}
-
-/// 24 digits into three vectors.
+/// 16 digits into two vectors.
 #[target_feature(enable = "avx512f,avx512ifma")]
 #[inline]
 fn load(d: &[u64; LANES]) -> Digits {
@@ -548,10 +328,10 @@ fn load(d: &[u64; LANES]) -> Digits {
             d[o] as i64,
         )
     };
-    [v(0), v(8), v(16)]
+    [v(0), v(8)]
 }
 
-/// Three vectors back into 24 digits.
+/// Two vectors back into 16 digits.
 #[target_feature(enable = "avx512f,avx512ifma")]
 #[inline]
 fn store(r: &Digits) -> [u64; LANES] {
@@ -572,7 +352,7 @@ fn store(r: &Digits) -> [u64; LANES] {
     d
 }
 
-/// Re-slices up to 16 little-endian 64-bit limbs into 52-bit digits.
+/// Re-slices up to 11 little-endian 64-bit limbs into 52-bit digits.
 fn to_digits(limbs: &[u64]) -> [u64; LANES] {
     let mut padded = [0u64; LIMBS + 1];
     padded[..limbs.len()].copy_from_slice(limbs);
@@ -585,7 +365,7 @@ fn to_digits(limbs: &[u64]) -> [u64; LANES] {
     d
 }
 
-/// Normalised digits back into 16 limbs and the 16 bits above them.
+/// Normalised digits back into 11 limbs and the 24 bits above them.
 fn to_limbs(d: &[u64; LANES]) -> ([u64; LIMBS], u64) {
     let mut limbs = [0u64; LIMBS];
     let (mut acc, mut bits, mut next) = (0u128, 0, 0);
@@ -620,21 +400,18 @@ mod tests {
         detected
     }
 
-    /// A private key around any two odd 16-limb moduli. Only its ladders
-    /// are used, through the crate's one dispatch, so neither has to be
-    /// prime and `qinv` is never read.
-    fn key(p: &BigUint, q: &BigUint, dp: &BigUint, dq: &BigUint) -> RsaPrivateKey {
-        let (mp, mq) = (Montgomery::new(p).unwrap(), Montgomery::new(q).unwrap());
-        assert!(CrtLadders::new(&mp, &mq).is_some(), "not 16-limb moduli");
-        RsaKeyPair::from_crt_parts(
-            BigUint::from_u64(65_537),
-            p.clone(),
-            q.clone(),
-            dp.clone(),
-            dq.clone(),
-            BigUint::one(),
-        )
-        .private
+    /// A private key around any three pairwise coprime odd 11-limb
+    /// moduli, with the exponents `exps`. Only its ladders are used,
+    /// through the crate's one dispatch, so none has to be prime.
+    fn key(moduli: &[BigUint; PRIMES], exps: &[BigUint; PRIMES]) -> RsaPrivateKey {
+        let contexts = moduli.each_ref().map(|n| Montgomery::new(n).unwrap());
+        assert!(
+            CrtLadders::new(&contexts.each_ref()).is_some(),
+            "not 11-limb moduli"
+        );
+        RsaKeyPair::from_crt_parts(BigUint::from_u64(65_537), BigUint::one(), moduli.to_vec())
+            .private
+            .with_exponents(exps)
     }
 
     /// `base^exp mod n` on both scalar ladders, which must agree.
@@ -644,19 +421,17 @@ mod tests {
         }
         let ctx = Montgomery::new(n).unwrap();
         let slice = ctx.mod_pow_slice(base, exp);
-        assert_eq!(slice, ctx.mod_pow_fixed::<16, 32>(base, exp));
+        assert_eq!(slice, ctx.mod_pow_fixed::<LIMBS, 22>(base, exp));
         slice
     }
 
-    /// Each base of `cs` through the key's dispatch as one call — one
-    /// base is the pair kernel, [`GROUP`] are one pass of the lane kernel
-    /// — against the scalar ladders, base by base.
-    fn assert_ladders_match(p: &BigUint, q: &BigUint, dp: &BigUint, dq: &BigUint, cs: &[&BigUint]) {
-        let got = key(p, q, dp, dq).crt_ladders(cs);
-        assert_eq!(got.len(), cs.len());
-        for (c, (m1, m2)) in cs.iter().zip(got) {
-            assert_eq!(m1, scalar(p, c, dp), "p side: c = {c:?}, dp = {dp:?}");
-            assert_eq!(m2, scalar(q, c, dq), "q side: c = {c:?}, dq = {dq:?}");
+    /// `c` through the key's dispatch against the scalar ladders, prime by
+    /// prime.
+    fn assert_ladders_match(moduli: &[BigUint; PRIMES], exps: &[BigUint; PRIMES], c: &BigUint) {
+        let got = key(moduli, exps).crt_ladders(c);
+        assert_eq!(got.len(), PRIMES);
+        for ((n, exp), m) in moduli.iter().zip(exps).zip(got) {
+            assert_eq!(m, scalar(n, c, exp), "c = {c:?}, n = {n:?}, exp = {exp:?}");
         }
     }
 
@@ -664,129 +439,75 @@ mod tests {
         BigUint::from_limbs((0..limbs).map(|_| rng.next_u64()).collect())
     }
 
-    /// Odd 16-limb moduli that stress the kernel: all-ones digits, the
-    /// smallest 16-limb odd value, random ones with a full, a 63-bit and
-    /// a 16-bit top limb, and two generated primes.
+    /// Pairwise coprime odd 11-limb moduli (as a key's primes are) that
+    /// stress the kernel: all ones (683 bits), the smallest 11-limb odd
+    /// value, random ones with a full, a 63-bit and a 43-bit top limb, and
+    /// a generated 683- and 682-bit prime.
     fn moduli(rng: &mut SecureRng) -> Vec<BigUint> {
         let mut out = vec![
-            BigUint::one().shl(1024).sub(&BigUint::one()),
-            BigUint::one().shl(960).add(&BigUint::one()),
+            BigUint::one().shl(683).sub(&BigUint::one()),
+            BigUint::one().shl(640).add(&BigUint::one()),
         ];
-        for top_mask in [u64::MAX, u64::MAX >> 1, 0xffff] {
-            let mut limbs = random(rng, LIMBS).limbs().to_vec();
-            limbs.resize(LIMBS, 0);
-            limbs[0] |= 1;
-            limbs[LIMBS - 1] = (limbs[LIMBS - 1] & top_mask) | (top_mask ^ (top_mask >> 1));
-            out.push(BigUint::from_limbs(limbs));
+        for top_mask in [u64::MAX, u64::MAX >> 1, u64::MAX >> 21] {
+            let n = loop {
+                let mut limbs = random(rng, LIMBS).limbs().to_vec();
+                limbs.resize(LIMBS, 0);
+                limbs[0] |= 1;
+                limbs[LIMBS - 1] = (limbs[LIMBS - 1] & top_mask) | (top_mask ^ (top_mask >> 1));
+                let n = BigUint::from_limbs(limbs);
+                if out.iter().all(|m| m.gcd(&n).is_one()) {
+                    break n;
+                }
+            };
+            out.push(n);
         }
-        out.push(generate_prime(1024, rng));
-        out.push(generate_prime(1024, rng));
+        out.push(generate_prime(683, rng));
+        out.push(generate_prime(682, rng));
         out
     }
 
     #[test]
     fn digits_and_limbs_roundtrip() {
         let mut rng = SecureRng::from_seed(0x5252);
-        for limbs in [0, 1, 7, 16] {
+        for limbs in [0, 1, 7, 11] {
             let v = random(&mut rng, limbs);
             let d = to_digits(v.limbs());
             assert!(d.iter().all(|&x| x <= DIGIT_MASK) && d[DIGITS..] == [0; LANES - DIGITS]);
             let (back, top) = to_limbs(&d);
             assert_eq!((BigUint::from_limbs(back.to_vec()), top), (v, 0));
         }
-        // The 16 bits above the limbs come back as `top`.
+        // The 24 bits above the limbs come back as `top`.
         let mut d = [0u64; LANES];
-        d[DIGITS - 1] = 0xabcd << (DIGIT_BITS - 16);
-        assert_eq!(to_limbs(&d), ([0; LIMBS], 0xabcd));
-    }
-
-    /// Every modulus of [`moduli`] as `p`, paired with another as `q` (so
-    /// each meets every other on one side or the other), random full
-    /// exponents, and the edge bases: 0, 1, `p − 1`, `q − 1`, `n − 1`,
-    /// `p`, `q + 5`, a random one below and one above the primes.
-    fn moduli_cases(seed: u64) -> Vec<(BigUint, BigUint, BigUint, BigUint, Vec<BigUint>)> {
-        let mut rng = SecureRng::from_seed(seed);
-        let moduli = moduli(&mut rng);
-        (0..moduli.len())
-            .map(|i| {
-                let (p, q) = (&moduli[i], &moduli[(i + 3) % moduli.len()]);
-                let (dp, dq) = (random(&mut rng, LIMBS), random(&mut rng, LIMBS));
-                let bases = vec![
-                    BigUint::zero(),
-                    BigUint::one(),
-                    p.sub(&BigUint::one()),
-                    q.sub(&BigUint::one()),
-                    p.mul(q).sub(&BigUint::one()),
-                    p.clone(),
-                    q.add(&BigUint::from_u64(5)),
-                    random(&mut rng, LIMBS),
-                    random(&mut rng, 2 * LIMBS),
-                ];
-                (p.clone(), q.clone(), dp, dq, bases)
-            })
-            .collect()
+        d[DIGITS - 1] = 0xab_cdef << (DIGIT_BITS - 24);
+        assert_eq!(to_limbs(&d), ([0; LIMBS], 0xab_cdef));
     }
 
     #[test]
-    fn pair_matches_both_scalar_ladders_on_moduli_primes_and_edge_bases() {
-        if !vector_path("pair_matches_both_scalar_ladders") {
+    fn ladders_match_both_scalar_ladders_on_moduli_primes_and_edge_bases() {
+        if !vector_path("ladders_match_both_scalar_ladders") {
             return;
         }
-        for (p, q, dp, dq, bases) in moduli_cases(0x001f_3a52) {
+        let mut rng = SecureRng::from_seed(0x001f_3a52);
+        let all = moduli(&mut rng);
+        // Every modulus meets two others, at every position of the three.
+        for i in 0..all.len() {
+            let triple = [0, 3, 5].map(|o| all[(i + o) % all.len()].clone());
+            let exps = [0; PRIMES].map(|_| random(&mut rng, LIMBS));
+            let n = triple.iter().fold(BigUint::one(), |n, r| n.mul(r));
+            let mut bases = vec![
+                BigUint::zero(),
+                BigUint::one(),
+                n.sub(&BigUint::one()),
+                triple[0].clone(),
+                triple[1].add(&BigUint::from_u64(5)),
+                random(&mut rng, LIMBS),
+                random(&mut rng, 3 * LIMBS + 1),
+            ];
+            bases.extend(triple.iter().map(|r| r.sub(&BigUint::one())));
             for c in &bases {
-                assert_ladders_match(&p, &q, &dp, &dq, &[c]);
+                assert_ladders_match(&triple, &exps, c);
             }
         }
-    }
-
-    #[test]
-    fn lanes_match_the_scalar_ladders_on_moduli_primes_and_edge_bases() {
-        if !vector_path("lanes_match_the_scalar_ladders") {
-            return;
-        }
-        for (p, q, dp, dq, bases) in moduli_cases(0x001f_3a53) {
-            // Every base in every lane, beside every other.
-            for start in 0..bases.len() {
-                let group: Vec<&BigUint> = (0..GROUP)
-                    .map(|k| &bases[(start + k) % bases.len()])
-                    .collect();
-                assert_ladders_match(&p, &q, &dp, &dq, &group);
-            }
-            // Nine in one call: two passes of the lanes, then a pair.
-            let all: Vec<&BigUint> = bases.iter().collect();
-            assert_ladders_match(&p, &q, &dp, &dq, &all);
-        }
-    }
-
-    /// Two generated primes, a random base, and exponent pairs of unequal
-    /// lengths, with zero windows, tiny, one and zero.
-    fn exponent_cases(seed: u64) -> (BigUint, BigUint, BigUint, Vec<(BigUint, BigUint)>) {
-        let mut rng = SecureRng::from_seed(seed);
-        let (p, q) = (
-            generate_prime(1024, &mut rng),
-            generate_prime(1024, &mut rng),
-        );
-        let c = random(&mut rng, 2 * LIMBS);
-        let full = random(&mut rng, LIMBS);
-        let one = BigUint::one();
-        // A top and a bottom window with 254 zero windows between them.
-        let hollow = BigUint::from_u64(0xf)
-            .shl(1020)
-            .add(&BigUint::from_u64(0xf));
-        let exps = vec![
-            (full.clone(), BigUint::from_u64(5)),
-            (BigUint::from_u64(5), full.clone()),
-            (one.clone(), full.clone()),
-            (full.clone(), one.clone()),
-            (one.clone(), one.clone()),
-            (BigUint::zero(), one.clone()),
-            (BigUint::zero(), BigUint::zero()),
-            (hollow.clone(), full.shr(512)),
-            (one.shl(1020), hollow),
-            // Low window zero on one side, a whole-window boundary on the other.
-            (BigUint::from_u64(16), BigUint::from_u64(0x10_0000)),
-        ];
-        (p, q, c, exps)
     }
 
     #[test]
@@ -794,29 +515,29 @@ mod tests {
         if !vector_path("unequal_exponents_zero_windows") {
             return;
         }
-        let (p, q, c, exps) = exponent_cases(0x00e4_9052);
-        for (dp, dq) in &exps {
-            assert_ladders_match(&p, &q, dp, dq, &[&c]);
-        }
-    }
-
-    #[test]
-    fn lanes_with_unequal_exponents_zero_windows_and_tiny_exponents() {
-        if !vector_path("lanes_with_unequal_exponents") {
-            return;
-        }
-        let (p, q, c, exps) = exponent_cases(0x00e4_9053);
-        let n_minus_1 = p.mul(&q).sub(&BigUint::one());
-        let q_plus_5 = q.add(&BigUint::from_u64(5));
-        let (zero, one) = (BigUint::zero(), BigUint::one());
-        for (dp, dq) in &exps {
-            assert_ladders_match(&p, &q, dp, dq, &[&c, &zero, &p, &q_plus_5]);
-            assert_ladders_match(&p, &q, dp, dq, &[&one, &n_minus_1, &c, &c]);
+        let mut rng = SecureRng::from_seed(0x00e4_9052);
+        let triple = [683, 683, 682].map(|bits| generate_prime(bits, &mut rng));
+        let c = random(&mut rng, 3 * LIMBS);
+        let full = random(&mut rng, LIMBS).shr(21);
+        let (zero, one, five) = (BigUint::zero(), BigUint::one(), BigUint::from_u64(5));
+        // A top and a bottom window with 168 zero windows between them.
+        let hollow = BigUint::from_u64(0xf).shl(676).add(&BigUint::from_u64(0xf));
+        for exps in [
+            [full.clone(), five.clone(), one.clone()],
+            [five.clone(), full.clone(), full.clone()],
+            [one.clone(), one.clone(), full.clone()],
+            [zero.clone(), one.clone(), five],
+            [zero.clone(), zero.clone(), zero],
+            [hollow.clone(), full.shr(300), one.shl(680)],
+            // Low window zero, a whole-window boundary, and a hollow one.
+            [BigUint::from_u64(16), BigUint::from_u64(0x10_0000), hollow],
+        ] {
+            assert_ladders_match(&triple, &exps, &c);
         }
     }
 
     /// Scalar model of one product's lanes before normalisation: the same
-    /// addends per lane as [`amm_pair`], in the textbook order.
+    /// addends per lane as [`amm_triple`], in the textbook order.
     fn lanes_before_normalisation(
         a: &[u64; LANES],
         b: &[u64; LANES],
@@ -825,7 +546,7 @@ mod tests {
         let lo = |x: u64, y: u64| (x as u128 * y as u128) as u64 & DIGIT_MASK;
         let hi = |x: u64, y: u64| ((x as u128 * y as u128) >> DIGIT_BITS) as u64;
         let mut r = [0u64; LANES + 1];
-        // Lanes 20.. of `a` and `n` are zero, so whole-array zips add
+        // Lanes 14.. of `a` and `n` are zero, so whole-array zips add
         // nothing there.
         for &bi in &b[..DIGITS] {
             for (rj, &aj) in r.iter_mut().zip(a) {
@@ -857,18 +578,18 @@ mod tests {
 
     #[test]
     fn normalisation_ripples_a_carry_through_all_ones_lanes() {
-        // With n = 2¹⁰²⁴ − 1 (k0 = 1, R ≡ 2¹⁶) and exponent 1, the base
-        // t·2⁹⁷² enters the exit product as t·2⁹⁸⁸: one digit, in lane 19.
-        // Its rounds are 19 plain shifts and one reduction by y = t, which
-        // leaves 2⁵² in lane 0 and 2⁵² − 1 in lanes 1..=17: a carry that
-        // has to ripple through 17 all-ones lanes across both vector
-        // boundaries. The model checks that this is what the kernel is
-        // fed; the ladders check that it resolves it.
-        let ones = BigUint::one().shl(1024).sub(&BigUint::one());
+        // With n = 2⁶⁸³ − 1 (k0 = 1, R ≡ 2⁴⁵) and exponent 1, the base
+        // t·2⁶³¹ enters the exit product as t·2⁶⁷⁶: one digit, in lane 13.
+        // Its rounds are 13 plain shifts and one reduction by y = t, which
+        // leaves 2⁵² in lane 0 and 2⁵² − 1 in lanes 1..=11: a carry that
+        // has to ripple through 11 all-ones lanes across the vector
+        // boundary. The model checks that this is what the kernel is fed;
+        // the ladders check that it resolves it.
+        let ones = BigUint::one().shl(683).sub(&BigUint::one());
         let m = Modulus52::new(&Montgomery::new(&ones).unwrap()).unwrap();
         assert_eq!(m.k0, 1);
-        let t = 0xd_2c3b_4a59u64;
-        let base = BigUint::from_u64(t).shl(972);
+        let t = 0x5bu64;
+        let base = BigUint::from_u64(t).shl(631);
         let mut one = [0u64; LANES];
         one[0] = 1;
         let acc = normalised(lanes_before_normalisation(
@@ -881,7 +602,7 @@ mod tests {
         assert_eq!(acc, expect, "Montgomery form of the base is one digit");
         let lanes = lanes_before_normalisation(&acc, &one, &m);
         assert_eq!(lanes[0], DIGIT_MASK + 1);
-        assert!(lanes[1..=17].iter().all(|&l| l == DIGIT_MASK));
+        assert!(lanes[1..=11].iter().all(|&l| l == DIGIT_MASK));
         let (limbs, top) = to_limbs(&normalised(lanes));
         assert_eq!(
             (BigUint::from_limbs(limbs.to_vec()), top),
@@ -892,18 +613,20 @@ mod tests {
             return;
         }
         let mut rng = SecureRng::from_seed(0x7177_1e52);
-        let other = generate_prime(1024, &mut rng);
-        let exp = random(&mut rng, LIMBS);
-        // The rippling ladder on either side of the pair, and in lanes of
-        // either half beside ordinary ones.
-        let plain = random(&mut rng, LIMBS);
-        for (p, q, dp, dq) in [
-            (&ones, &other, &BigUint::one(), &exp),
-            (&other, &ones, &exp, &BigUint::one()),
-            (&ones, &ones, &BigUint::one(), &BigUint::one()),
+        let (p, q) = (generate_prime(683, &mut rng), generate_prime(682, &mut rng));
+        let exp = random(&mut rng, LIMBS).shr(21);
+        let one = BigUint::one();
+        // The rippling ladder in each of the three positions.
+        for (moduli, exps) in [
+            ([&ones, &p, &q], [&one, &exp, &exp]),
+            ([&p, &ones, &q], [&exp, &one, &exp]),
+            ([&p, &q, &ones], [&exp, &exp, &one]),
         ] {
-            assert_ladders_match(p, q, dp, dq, &[&base]);
-            assert_ladders_match(p, q, dp, dq, &[&plain, &base, &plain, &base]);
+            assert_ladders_match(
+                &moduli.map(BigUint::clone),
+                &exps.map(BigUint::clone),
+                &base,
+            );
         }
     }
 }

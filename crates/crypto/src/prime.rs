@@ -95,8 +95,8 @@ fn random_in_range(low: &BigUint, high: &BigUint, rng: &mut SecureRng) -> BigUin
 /// Generates a random probable prime of exactly `bits` bits.
 ///
 /// The top two bits are forced to 1 (so products of two such primes have
-/// exactly `2*bits` bits, as RSA key generation requires) and the low bit is
-/// forced to 1.
+/// exactly `2*bits` bits; three can fall one bit short, which RSA key
+/// generation checks) and the low bit is forced to 1.
 ///
 /// # Panics
 ///

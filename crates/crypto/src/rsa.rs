@@ -7,19 +7,22 @@
 //! identifier must be unlinkable, which is why the same ciphertext cannot
 //! double as a pseudonym.
 //!
-//! Decryption uses the Chinese Remainder Theorem for a ~4× speedup, as any
-//! production RSA implementation does, and every key caches the
+//! Decryption uses the Chinese Remainder Theorem over the modulus's prime
+//! factors, as any production RSA implementation does, and keys from 1024
+//! bits up have three of them (multi-prime RSA, RFC 8017 §3; 683 + 683 +
+//! 682 bits at 2048): against two primes, each exponentiation is a third
+//! shorter on operands a third narrower, so three cost about half what
+//! two did (`3 · (2/3)³ ≈ 0.9` two-prime ladders against 2), while
+//! clients see the same `(n, e)`, the same ciphertext length and the
+//! same OAEP bytes. Every key caches the
 //! [`Montgomery`] contexts its exponentiations need (`n` on the public
-//! side; `p` and `q` for CRT) so the per-modulus precomputation is paid at
+//! side; each prime for CRT) so the per-modulus precomputation is paid at
 //! key generation, not per request — the enclave hot path (§6 of the
-//! paper) is pure multiply/accumulate work. The two CRT exponentiations
-//! are independent, which is what lets RSA-2048 keys run them as one
-//! interleaved loop on AVX-512 IFMA where the CPU has it, and the ladders
-//! of four ciphertexts opened together
-//! ([`RsaPrivateKey::decrypt_group`]) as one eight-lane loop; one
-//! private function, under every decrypt, holds that dispatch. The
-//! public operation (`e = 65537`, 17 multiplications) stays scalar
-//! everywhere.
+//! paper) is pure multiply/accumulate work. The CRT exponentiations are
+//! independent, which is what lets RSA-2048 keys run their three as one
+//! interleaved loop on AVX-512 IFMA where the CPU has it; one private
+//! function, under every decrypt, holds that dispatch. The public
+//! operation (`e = 65537`, 17 multiplications) stays scalar everywhere.
 
 use crate::bigint::{BigUint, Montgomery};
 use crate::prime::generate_prime;
@@ -30,11 +33,11 @@ use crate::CryptoError;
 /// Default modulus size for PProx layer keys.
 pub const DEFAULT_MODULUS_BITS: usize = 2048;
 
-/// Ciphertexts one pass of the group kernel opens: on a CPU with AVX-512
-/// IFMA, [`RsaPrivateKey::decrypt_group`] runs 2048-bit decrypts this many
-/// at a time in the lanes of one ladder, and what is left over as pairs.
-/// A caller that sizes its groups sizes them in these.
-pub const LANE_GROUP: usize = 4;
+/// Smallest modulus generated with three primes; smaller ones get two.
+/// OpenSSL allows three primes from 1024 up to 4095 bits, and the
+/// largest factor ECM has found (83 digits, ≈ 274 bits) is far below the
+/// 341-bit primes of a 1024-bit three-prime key.
+const THREE_PRIMES_FROM_BITS: usize = 1024;
 
 /// Public RSA exponent (F4).
 const E: u64 = 65_537;
@@ -69,23 +72,32 @@ impl std::fmt::Debug for RsaPublicKey {
     }
 }
 
-/// An RSA private key with CRT parameters.
+/// An RSA private key: the private exponent and, per prime factor, what
+/// its CRT ladder and its step of the recombination need.
 #[derive(Clone)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
-    p: BigUint,
-    q: BigUint,
-    dp: BigUint,
-    dq: BigUint,
-    qinv: BigUint,
-    /// Cached Montgomery context for `p`.
-    mont_p: Montgomery,
-    /// Cached Montgomery context for `q`.
-    mont_q: Montgomery,
-    /// Cached radix-2⁵² contexts for `p` and `q`, present when both are
-    /// the 16 limbs the vector ladders are laid out for.
+    /// The private exponent, which only the non-CRT oracle reads.
+    d: BigUint,
+    /// The prime factors, in the order the recombination folds them in.
+    primes: Vec<CrtPrime>,
+    /// Cached radix-2⁵² contexts for the primes, present when they are
+    /// the three 11-limb primes the vector ladders are laid out for.
     #[cfg(target_arch = "x86_64")]
     ladders52: Option<crate::mont52::CrtLadders>,
+}
+
+/// One prime factor `rᵢ` of a private key's modulus (RFC 8017 §3.2).
+#[derive(Clone)]
+struct CrtPrime {
+    /// Cached Montgomery context for `rᵢ` (which holds `rᵢ`).
+    mont: Montgomery,
+    /// `dᵢ = d mod (rᵢ − 1)`.
+    exp: BigUint,
+    /// `r₀ ⋯ rᵢ₋₁`, the primes before this one (1 for the first).
+    below: BigUint,
+    /// Garner's coefficient `tᵢ = (r₀ ⋯ rᵢ₋₁)⁻¹ mod rᵢ` (1 for the first).
+    coeff: BigUint,
 }
 
 impl std::fmt::Debug for RsaPrivateKey {
@@ -107,7 +119,9 @@ pub struct RsaKeyPair {
 }
 
 impl RsaKeyPair {
-    /// Generates a key pair with a modulus of `bits` bits.
+    /// Generates a key pair with a modulus of exactly `bits` bits: three
+    /// primes from 1024 bits up (sizes differing by at most one bit), two
+    /// below.
     ///
     /// 2048 bits ([`DEFAULT_MODULUS_BITS`]) matches the paper's deployment;
     /// tests use smaller sizes for speed.
@@ -118,64 +132,70 @@ impl RsaKeyPair {
     pub fn generate(bits: usize, rng: &mut SecureRng) -> Self {
         assert!(bits >= 576, "modulus too small for OAEP-SHA256");
         assert!(bits.is_multiple_of(2), "modulus bits must be even");
+        let count = if bits >= THREE_PRIMES_FROM_BITS { 3 } else { 2 };
         let e = BigUint::from_u64(E);
         loop {
-            let p = generate_prime(bits / 2, rng);
-            let q = generate_prime(bits / 2, rng);
-            if p == q {
+            let primes: Vec<BigUint> = (0..count)
+                .map(|i| generate_prime(bits / count + usize::from(i < bits % count), rng))
+                .collect();
+            let n = primes.iter().fold(BigUint::one(), |n, r| n.mul(r));
+            // Three primes with their top two bits set can multiply to
+            // one bit short; two cannot.
+            if n.bit_len() != bits || (1..count).any(|i| primes[..i].contains(&primes[i])) {
                 continue;
             }
-            let p1 = p.sub(&BigUint::one());
-            let q1 = q.sub(&BigUint::one());
-            let phi = p1.mul(&q1);
+            let phi = primes
+                .iter()
+                .fold(BigUint::one(), |phi, r| phi.mul(&r.sub(&BigUint::one())));
             let Some(d) = e.mod_inverse(&phi) else {
                 continue; // gcd(e, phi) != 1; pick new primes
             };
-            let dp = d.rem(&p1);
-            let dq = d.rem(&q1);
-            let Some(qinv) = q.mod_inverse(&p) else {
-                continue;
-            };
-            return RsaKeyPair::from_crt_parts(e, p, q, dp, dq, qinv);
+            return RsaKeyPair::from_crt_parts(e, d, primes);
         }
     }
 
     /// The one place a key pair is assembled, whoever chose the numbers:
-    /// every context the exponentiations use is derived here from `p` and
-    /// `q`, so a cached context cannot disagree with the primes it was
-    /// cached for.
+    /// `n` is the product of `primes`, and every exponent, coefficient and
+    /// context the private-key operation uses is derived here from `d` and
+    /// the primes (RFC 8017 §3.2: `dᵢ = d mod (rᵢ − 1)`, and Garner's
+    /// `tᵢ`), so nothing cached can disagree with the primes it was cached
+    /// for.
     ///
     /// # Panics
     ///
-    /// Panics if `p` or `q` is even.
-    pub(crate) fn from_crt_parts(
-        e: BigUint,
-        p: BigUint,
-        q: BigUint,
-        dp: BigUint,
-        dq: BigUint,
-        qinv: BigUint,
-    ) -> Self {
-        let n = p.mul(&q);
+    /// Panics if a prime is even or the primes are not pairwise coprime.
+    pub(crate) fn from_crt_parts(e: BigUint, d: BigUint, primes: Vec<BigUint>) -> Self {
+        let n = primes.iter().fold(BigUint::one(), |n, r| n.mul(r));
         let public = RsaPublicKey {
             mont: Montgomery::new(&n).expect("RSA modulus is odd"),
             modulus_len: n.bit_len().div_ceil(8),
             n,
             e,
         };
-        let mont_p = Montgomery::new(&p).expect("prime p is odd");
-        let mont_q = Montgomery::new(&q).expect("prime q is odd");
+        let mut below = BigUint::one();
+        let primes: Vec<CrtPrime> = primes
+            .iter()
+            .map(|r| {
+                let prime = CrtPrime {
+                    mont: Montgomery::new(r).expect("a prime factor is odd"),
+                    exp: d.rem(&r.sub(&BigUint::one())),
+                    coeff: below
+                        .mod_inverse(r)
+                        .expect("the prime factors are pairwise coprime"),
+                    below: below.clone(),
+                };
+                below = below.mul(r);
+                prime
+            })
+            .collect();
         let private = RsaPrivateKey {
             public: public.clone(),
+            d,
             #[cfg(target_arch = "x86_64")]
-            ladders52: crate::mont52::CrtLadders::new(&mont_p, &mont_q),
-            p,
-            q,
-            dp,
-            dq,
-            qinv,
-            mont_p,
-            mont_q,
+            ladders52: crate::mont52::CrtLadders::new(
+                &primes.iter().map(|r| &r.mont).collect::<Vec<_>>(),
+            ),
+            primes,
         };
         RsaKeyPair { public, private }
     }
@@ -264,28 +284,17 @@ impl RsaPrivateKey {
     }
 
     /// [`decrypt`](Self::decrypt) of every ciphertext of a group, in
-    /// order, with the private-key operations of the valid ones run
-    /// together: on 2048-bit keys on a CPU with AVX-512 IFMA, four at a
-    /// time in the lanes of one vector ladder. Each result is
-    /// bit-identical to `decrypt` of that ciphertext alone, errors
-    /// included.
+    /// order, each opened on its own: one decrypt's three ladders in
+    /// lockstep are already the cheapest way to open a ciphertext here, so
+    /// a group shares nothing but the call. Each result is bit-identical
+    /// to `decrypt` of that ciphertext alone, errors included.
     pub fn decrypt_group<C: AsRef<[u8]>>(
         &self,
         ciphertexts: &[C],
     ) -> Vec<Result<Vec<u8>, CryptoError>> {
-        let values: Vec<_> = ciphertexts
+        ciphertexts
             .iter()
-            .map(|c| self.ciphertext_value(c.as_ref()))
-            .collect();
-        let valid: Vec<&BigUint> = values.iter().flatten().collect();
-        let mut opened = self.crt_ladders(&valid).into_iter();
-        values
-            .iter()
-            .map(|value| {
-                value.as_ref().map_err(Clone::clone)?;
-                let (m1, m2) = opened.next().ok_or(CryptoError::DecryptionFailed)?;
-                self.oaep_decode(&self.crt_combine(m1, m2))
-            })
+            .map(|c| self.decrypt(c.as_ref()))
             .collect()
     }
 
@@ -303,13 +312,16 @@ impl RsaPrivateKey {
     }
 
     /// EME-OAEP decoding of a raw decryption `m`.
+    ///
+    /// Constant-time up to the verdict (RFC 8017 §7.1.2, note): both masks
+    /// are removed and the first byte, the label hash and the separator
+    /// are all checked whatever each holds, and one exit reports any
+    /// failure: an exit on the first byte alone is Manger's oracle
+    /// (CRYPTO 2001).
     fn oaep_decode(&self, m: &BigUint) -> Result<Vec<u8>, CryptoError> {
         let k = self.public.modulus_len;
         let h_len = sha256::DIGEST_LEN;
         let em = m.to_bytes_be_padded(k);
-        if em[0] != 0 {
-            return Err(CryptoError::DecryptionFailed);
-        }
         let mut seed = em[1..1 + h_len].to_vec();
         let mut db = em[1 + h_len..].to_vec();
         let seed_mask = mgf1(&db, h_len);
@@ -321,83 +333,107 @@ impl RsaPrivateKey {
             *b ^= m;
         }
         let l_hash = sha256::digest(b"");
-        // Constant-time: a prefix-dependent early exit here is the classic
-        // OAEP (Manger-style) decryption oracle.
-        if !crate::ct::ct_eq(&db[..h_len], &l_hash) {
+        // Zero padding, then the 0x01 separator: a branch-free scan for the
+        // first nonzero byte after the label hash, which must be 0x01.
+        // `first` is all-ones at that byte alone, `found` from it on.
+        let (mut found, mut at, mut bad_separator) = (0usize, 0usize, 0usize);
+        for (i, &b) in db.iter().enumerate().skip(h_len) {
+            let nonzero = ((b as usize).wrapping_neg() >> (usize::BITS - 1)).wrapping_neg();
+            let first = nonzero & !found;
+            at |= i & first;
+            bad_separator |= first & (b ^ 0x01) as usize;
+            found |= nonzero;
+        }
+        let bad = em[0] as usize
+            | usize::from(!crate::ct::ct_eq(&db[..h_len], &l_hash))
+            | bad_separator
+            | !found;
+        if bad != 0 {
             return Err(CryptoError::DecryptionFailed);
         }
-        // Skip zero padding until the 0x01 separator.
-        let mut idx = h_len;
-        while idx < db.len() && db[idx] == 0 {
-            idx += 1;
-        }
-        if idx >= db.len() || db[idx] != 0x01 {
-            return Err(CryptoError::DecryptionFailed);
-        }
-        Ok(db[idx + 1..].to_vec())
+        Ok(db[at + 1..].to_vec())
     }
 
     /// Raw RSA-CRT exponentiation `c^d mod n` (no OAEP decoding) through
-    /// the cached contexts for `p` and `q`.
+    /// the cached contexts for the primes.
     ///
     /// This is the modular-arithmetic core of [`decrypt`](Self::decrypt),
     /// exposed so the throughput harness and the differential tests can
     /// measure and cross-check it in isolation. Callers must ensure
     /// `c < n`.
     pub fn raw_decrypt(&self, c: &BigUint) -> BigUint {
-        // One pair per base, so `pop` is always `Some`.
-        let (m1, m2) = self.crt_ladders(&[c]).pop().unwrap_or_default();
-        self.crt_combine(m1, m2)
+        self.crt_combine(&self.crt_ladders(c))
     }
 
-    /// `(c^dp mod p, c^dq mod q)` for every `c`, in order: the single
-    /// dispatch point of the private-key operation. With 16-limb primes
-    /// on a CPU that reports AVX-512 IFMA the ladders run on the radix-2⁵²
-    /// vector kernels — four bases at a time in the lanes of one ladder
-    /// while four are left, the rest as a lockstep pair; every other key
-    /// size and CPU takes two scalar [`Montgomery::mod_pow`] calls per
-    /// base. All return identical values.
-    pub(crate) fn crt_ladders(&self, cs: &[&BigUint]) -> Vec<(BigUint, BigUint)> {
+    /// `c^dᵢ mod rᵢ` for every prime, in order: the single dispatch point
+    /// of the private-key operation. With three 11-limb primes on a CPU
+    /// that reports AVX-512 IFMA the three ladders run in lockstep on the
+    /// radix-2⁵² vector kernel; every other key size and CPU takes
+    /// [`scalar_ladders`](Self::scalar_ladders). Both return identical
+    /// values.
+    pub(crate) fn crt_ladders(&self, c: &BigUint) -> Vec<BigUint> {
         #[cfg(target_arch = "x86_64")]
-        if let Some(ladders) = &self.ladders52 {
+        if let (Some(ladders), [r0, r1, r2]) = (&self.ladders52, &self.primes[..]) {
             if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma") {
-                // SAFETY: `pow_all` is compiled for exactly the two CPU
+                // SAFETY: `pow_triple` is compiled for exactly the two CPU
                 // features detected on the line above and has no other
                 // precondition.
                 #[allow(unsafe_code)]
-                return unsafe { ladders.pow_all(cs, &self.dp, &self.dq) };
+                return unsafe { ladders.pow_triple(c, [&r0.exp, &r1.exp, &r2.exp]) }.into();
             }
         }
-        cs.iter()
-            .map(|c| {
-                (
-                    self.mont_p.mod_pow(c, &self.dp),
-                    self.mont_q.mod_pow(c, &self.dq),
-                )
-            })
+        self.scalar_ladders(c)
+    }
+
+    /// [`crt_ladders`](Self::crt_ladders) on the scalar kernels: one
+    /// [`Montgomery::mod_pow`] per prime.
+    fn scalar_ladders(&self, c: &BigUint) -> Vec<BigUint> {
+        self.primes
+            .iter()
+            .map(|r| r.mont.mod_pow(c, &r.exp))
             .collect()
     }
 
-    /// [`raw_decrypt`](Self::raw_decrypt) with the retained schoolbook
-    /// square-and-multiply exponentiation ([`BigUint::mod_pow_naive`]) —
-    /// the pre-Montgomery baseline the throughput harness reports speedups
-    /// against. Returns bit-identical results.
+    /// `c^d mod n` by the retained schoolbook square-and-multiply
+    /// exponentiation ([`BigUint::mod_pow_naive`]) on the whole modulus:
+    /// no CRT, no Montgomery form and no per-prime state, so it shares
+    /// nothing with [`raw_decrypt`](Self::raw_decrypt) but the key's `d`
+    /// and `n`. The oracle the tests hold `raw_decrypt` to, and the
+    /// baseline the throughput harness reports speedups against.
     pub fn raw_decrypt_naive(&self, c: &BigUint) -> BigUint {
-        let m1 = c.rem(&self.p).mod_pow_naive(&self.dp, &self.p);
-        let m2 = c.rem(&self.q).mod_pow_naive(&self.dq, &self.q);
-        self.crt_combine(m1, m2)
+        c.mod_pow_naive(&self.d, &self.public.n)
     }
 
-    /// Garner's recombination: `m = m2 + q · ((m1 − m2) · qinv mod p)`.
-    fn crt_combine(&self, m1: BigUint, m2: BigUint) -> BigUint {
-        let diff = if m1 >= m2 {
-            m1.sub(&m2)
-        } else {
-            // (m1 - m2) mod p
-            self.p.sub(&m2.sub(&m1).rem(&self.p))
-        };
-        let h = self.mont_p.mod_mul(&diff, &self.qinv);
-        m2.add(&self.q.mul(&h))
+    /// Garner's recombination of the residues `mᵢ = c^dᵢ mod rᵢ` (RFC 8017
+    /// §5.1.2, step 2.b.ii, from the second prime on; its first step,
+    /// with `qInv`, is the same fold with the first two primes' roles
+    /// exchanged): `m` starts as `m₀`, and prime `i` adds
+    /// `(r₀⋯rᵢ₋₁) · ((mᵢ − m) · tᵢ mod rᵢ)`, after which `m` is the value
+    /// mod `r₀⋯rᵢ`.
+    fn crt_combine(&self, residues: &[BigUint]) -> BigUint {
+        let mut m = residues[0].clone();
+        for (prime, mi) in self.primes.iter().zip(residues).skip(1) {
+            let r = prime.mont.modulus();
+            let m_mod = m.rem(r);
+            let diff = if *mi >= m_mod {
+                mi.sub(&m_mod)
+            } else {
+                r.sub(&m_mod.sub(mi))
+            };
+            let h = prime.mont.mod_mul(&diff, &prime.coeff);
+            m = m.add(&prime.below.mul(&h));
+        }
+        m
+    }
+
+    /// The key with its CRT exponents replaced, so the kernel tests can
+    /// drive any exponents through the one dispatch.
+    #[cfg(test)]
+    pub(crate) fn with_exponents(mut self, exps: &[BigUint]) -> Self {
+        for (prime, exp) in self.primes.iter_mut().zip(exps) {
+            prime.exp = exp.clone();
+        }
+        self
     }
 }
 
@@ -572,15 +608,17 @@ mod tests {
         assert_eq!(kp.private.decrypt(&ct).unwrap(), KAT_PLAINTEXT);
     }
 
-    /// The 768-bit vectors above stay on the slice kernels (6-limb
-    /// primes). These pin the widths the fixed-width kernels serve —
-    /// 16-limb primes, 32-limb modulus — to values recorded from the
-    /// slice-only implementation: same seed, same key, same bytes.
+    /// The 768-bit vectors above stay on the slice kernels (two 6-limb
+    /// primes). These pin a three-prime 2048-bit key — 11-limb primes
+    /// (683, 683 and 682 bits), a 32-limb modulus, the widths the
+    /// fixed-width kernels and the vector ladders serve — with the EM
+    /// recorded from the non-CRT oracle (`raw_decrypt_naive`, `c^d mod n`
+    /// on the whole modulus): same seed, same key, same bytes.
     const KAT_2048_KEY_SEED: u64 = 0x4b41_5433;
     const KAT_2048_FINGERPRINT_HEX: &str =
-        "83523628ef9913ac5da3e0f5f5d7ee5583322a3123f825c300139d6286403491";
-    const KAT_2048_CT_HEX: &str = "99f0999cf130502f60144f1bdf33c9685792095de3f4d89bcc0e7d94bc49daa04d62bcb5ce35ba7d4e56f575d7a6bb147c490ef2ff745327a0b676b7df21ea83e12f80e1bdcbc8b7729b325e68157c15925f167aa4348f63fbeaec6ff0d9b6480bbfb30a54f662254b257e0e076485c77dd742eade2790d089934fe944753be9d8d349cf6134c2a08b8345242fb07275b5a9c090144507c31546865f97177beb674176c486d76ea47abcdd360f80d714be95798b9c3591cad4e11ca8212396dfabf6842b3723ab5e8d6bd537513545aa7c6bd95513b25cfa518d17a5d17ddb5fa2dffddc21c43b250e467de0bb1758ba2aa65eb7faeebeae4324eeaa77592d5a";
-    const KAT_2048_EM_HEX: &str = "5931702b75b3eb8c367686826ee1b8733da0fe5f2c2d839a38cc3c761ea9d787a1c0008335bdf2d60d05cbff6c36715bf11f27b2af7dfdb8949617a98030a5e265e1157150a37953eecbfb85d5061e12b3a72573382b7d019907fab6d43ffc2202142c23e3767f67c1666455d55f6870d8be5bcd4f6a0784ec05d8671891b11b22101455c958293c481697aec2d37ddf00543f208f2af1a135b171f4f51cba4716fefe91ce56c7208d46b3383194a9338551857e158b5f03b5b12111e01c45b243b6333d11bf7dd22af802dafa7f8a713c1fae1bd1dffdbbf392d240fd39bf09c4ad910732ec624a1407f85fe42ab21c636e752463e0e0e701864e06873ab7";
+        "60c8aaaa98fef5611077108d0970c0b91591b162c6b7f509deb87c733af5e653";
+    const KAT_2048_CT_HEX: &str = "3fff4eca32ba97c5c615f15b32c1c4460d1ff9083df8b60da5293c4a8e16b256f17f443c46c6b91286233ae791a9c682d4594aa75e203e51a49bc66ac202848f2a35d7b30bbdb6cd0c527bb73cc1f082aa931ab0c3256922d7aeb5d82d2461efa0021358dc57cd56f27715c52b75252454c48e9c8b2bcabcea55c2cd28761a3427ff3e2c8b5412f7c206b2ec138b6f6c006aabcc2626ef4fd5726e1f57f282d8f55d9155ba3052e3d50cd7f68f2788b65ba71cfae5629bb8c600714add6effcb8d0ccfadfac4da1cb2eec8fb8d37c52ae1de145bc9fe9e7779c83a4e12b1d68663e197c1a9b47b625f6c058ab18f6a28e39b337702b95bcfce412752ec5f0f1f";
+    const KAT_2048_EM_HEX: &str = "6f00a769956499facbe2b59878fc143745c9b05661a4189348331cab2e348002f13557b711839f37811d6628e3caf64382cd9d0af2be66aa0e3daae973fb38c6e7ca7e971c86cfc785affcdf3cee27643712295e980e200d85eceeb22147f3608dfaa242a948ab7043cb886f6624ebb199b9e6875162467cdfbb445445f8262a137bc3606b2100d9bb4e2b13e9df2b9e3f241ca05656a582a4cb400d90ee5c3622a6525e78607c195654c6f278d447aed52ef7521f03fad17d38c5a7b5d583d6020e95a4b1582284c410f9607bb50568e94641442e9a4fcc004a56a5c5278fdde740ee4804601aab42840107683c5c6441ea166ec560eb2b0d68c5a47a2bbd";
 
     #[test]
     fn kat_2048_key_encrypt_and_crt_decrypt_fixed_vectors() {
@@ -601,33 +639,47 @@ mod tests {
         let c = BigUint::from_bytes_be(&ct);
         assert_eq!(c.to_hex(), KAT_2048_CT_HEX);
         let em = BigUint::from_hex(KAT_2048_EM_HEX).unwrap();
-        assert_eq!(kp.private.raw_decrypt(&c), em);
+        assert_eq!(kp.private.primes.len(), 3);
         assert_eq!(kp.private.raw_decrypt_naive(&c), em);
+        assert_eq!(kp.private.raw_decrypt(&c), em);
+        // The scalar ladders too, which a CPU without IFMA decrypts on.
+        let scalar = kp.private.scalar_ladders(&c);
+        assert_eq!(kp.private.crt_combine(&scalar), em);
         assert_eq!(kp.private.decrypt(&ct).unwrap(), KAT_PLAINTEXT);
     }
 
     #[test]
     fn kat_textbook_rsa_small_numbers() {
         // Classic hand-checkable textbook vector: p=61, q=53, n=3233,
-        // e=17, d=2753; 65^17 mod 3233 = 2790.
-        let p = BigUint::from_u64(61);
-        let q = BigUint::from_u64(53);
-        let d = BigUint::from_u64(2753);
-        let RsaKeyPair { public, private } = RsaKeyPair::from_crt_parts(
-            BigUint::from_u64(17),
-            p.clone(),
-            q.clone(),
-            d.rem(&BigUint::from_u64(60)),
-            d.rem(&BigUint::from_u64(52)),
-            q.mod_inverse(&p).unwrap(),
-        );
-        assert_eq!(public.n, BigUint::from_u64(3233));
-        assert_eq!(public.modulus_len, 2);
-        let m = BigUint::from_u64(65);
-        let c = public.mont.mod_pow(&m, &public.e);
-        assert_eq!(c, BigUint::from_u64(2790));
-        assert_eq!(private.raw_decrypt(&c), m);
-        assert_eq!(private.raw_decrypt_naive(&c), m);
+        // e=17, d=2753; 65^17 mod 3233 = 2790, with CRT exponents 2753 mod
+        // 60, 52 = 53, 49 and 61⁻¹ mod 53 = 20. And three primes: 11, 13,
+        // 17, n=2431, φ=10·12·16=1920, e=7, d=823 (7·823 = 3·1920 + 1);
+        // 1300^7 mod 2431 = 117. The CRT exponents are 823 mod 10, 12, 16
+        // = 3, 7, 7; Garner's coefficients 11⁻¹ mod 13 = 6 and
+        // (11·13)⁻¹ mod 17 = 7⁻¹ mod 17 = 5. 1300 = 100·13 is above
+        // 11·13, so the third prime's step is not a no-op, and its middle
+        // residue is 0.
+        fn check(primes: &[u64], e: u64, d: u64, m: u64, c: u64, exps_and_coeffs: &[(u64, u64)]) {
+            let RsaKeyPair { public, private } = RsaKeyPair::from_crt_parts(
+                BigUint::from_u64(e),
+                BigUint::from_u64(d),
+                primes.iter().map(|&r| BigUint::from_u64(r)).collect(),
+            );
+            let derived: Vec<(u64, u64)> = private
+                .primes
+                .iter()
+                .map(|r| (r.exp.limbs()[0], r.coeff.limbs()[0]))
+                .collect();
+            assert_eq!(derived, exps_and_coeffs);
+            assert_eq!(public.n, BigUint::from_u64(primes.iter().product()));
+            assert_eq!(public.modulus_len, 2);
+            let (m, c) = (BigUint::from_u64(m), BigUint::from_u64(c));
+            assert_eq!(public.mont.mod_pow(&m, &public.e), c);
+            assert_eq!(private.raw_decrypt(&c), m);
+            assert_eq!(private.raw_decrypt_naive(&c), m);
+        }
+        check(&[61, 53], 17, 2753, 65, 2790, &[(53, 1), (49, 20)]);
+        check(&[11, 13, 17], 7, 823, 1300, 117, &[(3, 1), (7, 6), (7, 5)]);
     }
 
     // ---- Adversarial ciphertexts --------------------------------------
@@ -694,36 +746,58 @@ mod tests {
         ));
     }
 
+    /// EME-OAEP's masking of `db` under `seed` behind the first byte
+    /// `first` (RFC 8017 §7.1.1, steps 2.f–2.i), encrypted raw: what
+    /// `encrypt` sends, with every part of the encoding chosen.
+    fn raw_ciphertext(kp: &RsaKeyPair, first: u8, mut seed: Vec<u8>, mut db: Vec<u8>) -> Vec<u8> {
+        let db_mask = mgf1(&seed, db.len());
+        for (b, m) in db.iter_mut().zip(db_mask.iter()) {
+            *b ^= m;
+        }
+        let seed_mask = mgf1(&db, seed.len());
+        for (b, m) in seed.iter_mut().zip(seed_mask.iter()) {
+            *b ^= m;
+        }
+        let em = [vec![first], seed, db].concat();
+        let c = kp
+            .public
+            .mont
+            .mod_pow(&BigUint::from_bytes_be(&em), &kp.public.e);
+        c.to_bytes_be_padded(kp.public.ciphertext_len())
+    }
+
     #[test]
     fn crafted_missing_separator_rejected() {
         let kp = test_keys();
         let k = kp.public.ciphertext_len();
         let h_len = sha256::DIGEST_LEN;
-        // Build a syntactically plausible EM with a correct l_hash but no
-        // 0x01 separator anywhere in the data block, then mask it exactly
-        // as OAEP encoding would.
-        let l_hash = sha256::digest(b"");
-        let mut db = Vec::with_capacity(k - h_len - 1);
-        db.extend_from_slice(&l_hash);
+        // A syntactically plausible EM with a correct l_hash but no 0x01
+        // separator anywhere in the data block.
+        let mut db = sha256::digest(b"").to_vec();
         db.resize(k - h_len - 1, 0); // all-zero padding, separator absent
-        let mut seed = vec![0x5au8; h_len];
-        let db_mask = mgf1(&seed, db.len());
-        for (b, m) in db.iter_mut().zip(db_mask.iter()) {
-            *b ^= m;
-        }
-        let seed_mask = mgf1(&db, h_len);
-        for (b, m) in seed.iter_mut().zip(seed_mask.iter()) {
-            *b ^= m;
-        }
-        let mut em = vec![0u8];
-        em.extend_from_slice(&seed);
-        em.extend_from_slice(&db);
-        let m = BigUint::from_bytes_be(&em);
-        let c = kp.public.mont.mod_pow(&m, &kp.public.e);
+        let ct = raw_ciphertext(&kp, 0, vec![0x5a; h_len], db);
         assert!(matches!(
-            kp.private.decrypt(&c.to_bytes_be_padded(k)),
+            kp.private.decrypt(&ct),
             Err(CryptoError::DecryptionFailed)
         ));
+    }
+
+    #[test]
+    fn nonzero_first_byte_over_a_valid_encoding_rejected() {
+        let kp = test_keys();
+        let k = kp.public.ciphertext_len();
+        let h_len = sha256::DIGEST_LEN;
+        // A valid encoding of "x" in every part but, the second time, the
+        // first byte: the label hash and the separator still check out.
+        let mut db = sha256::digest(b"").to_vec();
+        db.resize(k - h_len - 3, 0);
+        db.extend_from_slice(&[0x01, b'x']);
+        let open = |first| {
+            let ct = raw_ciphertext(&kp, first, vec![0x5a; h_len], db.clone());
+            kp.private.decrypt(&ct)
+        };
+        assert_eq!(open(0), Ok(b"x".to_vec()));
+        assert_eq!(open(1), Err(CryptoError::DecryptionFailed));
     }
 
     #[test]

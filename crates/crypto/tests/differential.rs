@@ -6,24 +6,26 @@
 //!
 //! * `BigUint::mod_pow` (Montgomery CIOS + fixed-window) vs.
 //!   `BigUint::mod_pow_naive` (binary square-and-multiply) across random
-//!   odd moduli of 512, 576, 1024 and 2048 bits. 1024 and 2048 bits (16
-//!   and 32 limbs) are the widths `Montgomery::mod_pow` dispatches to the
-//!   fixed-width array kernels; 512 and 576 bits (the CRT prime of the
-//!   default 1152-bit keys) stay on the slice CIOS. The kernels are
-//!   private, so squaring-vs-multiply and array-ladder-vs-slice-ladder
-//!   are unit tests in `bigint.rs`; here both families meet the
+//!   odd moduli of 512, 576, 683, 1024 and 2048 bits. 683 and 2048 bits
+//!   (11 and 32 limbs: a prime and the modulus of a three-prime RSA-2048
+//!   key) are the widths `Montgomery::mod_pow` dispatches to the
+//!   fixed-width array kernels; 512, 576 and 1024 bits stay on the slice
+//!   CIOS. The kernels are private, so squaring-vs-multiply and
+//!   array-ladder-vs-slice-ladder are unit tests in `bigint.rs`; here
+//!   both families meet the
 //!   schoolbook reference through the public entry points, with short and
 //!   with full-width (CRT-sized) exponents;
-//! * `RsaPrivateKey::raw_decrypt` vs. `raw_decrypt_naive` on 2048-bit keys
-//!   — the one key size whose CRT primes are 16 limbs, so on a CPU with
-//!   AVX-512 IFMA this is the radix-2⁵² vector ladders against the
-//!   schoolbook reference, and on any other CPU the fixed-width scalar
-//!   kernels against it — and on 768-, 1024- and 1536-bit keys, whose
-//!   primes are not 16 limbs and stay on the scalar path everywhere;
+//! * `RsaPrivateKey::raw_decrypt` (CRT ladders and Garner's
+//!   recombination) vs. `raw_decrypt_naive` (`c^d mod n` by schoolbook
+//!   square-and-multiply on the whole modulus, no CRT) on 2048-bit keys —
+//!   three 11-limb primes, so on a CPU with AVX-512 IFMA this is the
+//!   radix-2⁵² vector ladders against the reference, and on any other CPU
+//!   the fixed-width scalar kernels against it — on 1024-, 1152- and
+//!   1536-bit keys, three primes on the slice kernels, and on 768-bit
+//!   keys, the two primes every size below 1024 bits gets;
 //! * `RsaPrivateKey::decrypt_group` vs. `decrypt` one at a time, for
 //!   groups of 0 to 9 with refused ciphertexts (wrong length, above the
-//!   modulus, broken OAEP) and repeats at every position — on 2048-bit
-//!   keys with IFMA the eight-lane ladder and the pair beside it;
+//!   modulus, broken OAEP) and repeats at every position;
 //! * `Montgomery::mod_mul` vs. `BigUint::mod_mul` (multiply-then-divide);
 //! * `SymmetricKey::det_encrypt` (cached key schedule + cached keystream
 //!   prefix) vs. `det_encrypt_fresh` (rebuilds the AES key schedule and
@@ -57,9 +59,10 @@ use std::sync::OnceLock;
 /// Random odd modulus with the top bit forced, so it has exactly `bits`
 /// bits and the Montgomery path (odd modulus) is always taken.
 fn odd_modulus(bits: usize) -> impl Strategy<Value = BigUint> {
-    let len = bits / 8;
-    proptest::collection::vec(any::<u8>(), len..len + 1).prop_map(|mut bytes| {
-        bytes[0] |= 0x80;
+    let len = bits.div_ceil(8);
+    let excess = 8 * len - bits;
+    proptest::collection::vec(any::<u8>(), len..len + 1).prop_map(move |mut bytes| {
+        bytes[0] = (bytes[0] & (0xff >> excess)) | (0x80 >> excess);
         let last = bytes.len() - 1;
         bytes[last] |= 1;
         BigUint::from_bytes_be(&bytes)
@@ -126,6 +129,7 @@ macro_rules! mod_pow_differential {
 
 mod_pow_differential!(mod_pow_matches_naive_512, 512);
 mod_pow_differential!(mod_pow_matches_naive_576, 576);
+mod_pow_differential!(mod_pow_matches_naive_683, 683);
 mod_pow_differential!(mod_pow_matches_naive_1024, 1024);
 mod_pow_differential!(mod_pow_matches_naive_2048, 2048);
 
@@ -145,12 +149,12 @@ proptest! {
     #[test]
     fn full_width_exponent_matches_naive_at_every_kernel_width(
         m9 in odd_modulus(576),
-        m16 in odd_modulus(1024),
+        m11 in odd_modulus(683),
         m32 in odd_modulus(2048),
         base in value(264),
         exp in full_width(128),
     ) {
-        for m in [m9, m16, m32] {
+        for m in [m9, m11, m32] {
             let ctx = Montgomery::new(&m).expect("modulus is odd");
             let want = base.mod_pow_naive(&exp, &m);
             prop_assert_eq!(base.mod_pow(&exp, &m), want.clone());
@@ -161,11 +165,11 @@ proptest! {
     #[test]
     fn edge_bases_match_naive_at_every_kernel_width(
         m9 in odd_modulus(576),
-        m16 in odd_modulus(1024),
+        m11 in odd_modulus(683),
         m32 in odd_modulus(2048),
         exp in value(12),
     ) {
-        for m in [m9, m16, m32] {
+        for m in [m9, m11, m32] {
             let ctx = Montgomery::new(&m).expect("modulus is odd");
             let edge = [big(0), big(1), m.sub(&big(1)), m.clone(), m.add(&big(1))];
             for base in edge {
@@ -182,8 +186,8 @@ proptest! {
 
 /// One seeded key pair per modulus size, generated on first use.
 fn rsa_key(bits: usize) -> &'static RsaKeyPair {
-    static KEYS: [OnceLock<RsaKeyPair>; 4] = [const { OnceLock::new() }; 4];
-    let slot = [768, 1024, 1536, 2048]
+    static KEYS: [OnceLock<RsaKeyPair>; 5] = [const { OnceLock::new() }; 5];
+    let slot = [768, 1024, 1152, 1536, 2048]
         .iter()
         .position(|&b| b == bits)
         .expect("a size this battery covers");
@@ -230,23 +234,15 @@ proptest! {
     fn crt_decrypt_matches_naive_off_the_vector_widths(
         c768 in below_modulus(768),
         c1024 in below_modulus(1024),
+        c1152 in below_modulus(1152),
         c1536 in below_modulus(1536),
         seed in any::<u64>(),
     ) {
         crt_decrypt_matches_naive(768, &c768, seed)?;
         crt_decrypt_matches_naive(1024, &c1024, seed)?;
+        crt_decrypt_matches_naive(1152, &c1152, seed)?;
         crt_decrypt_matches_naive(1536, &c1536, seed)?;
     }
-}
-
-/// Whether 2048-bit private-key operations run on the radix-2⁵² vector
-/// ladders here (the library's dispatch is this detection and the key
-/// size, nothing else).
-fn rsa_on_vector_ladders() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
 }
 
 /// Ciphertexts for a key of `bits`: seven valid ones, spread among one
@@ -279,17 +275,10 @@ fn group_pool(bits: usize) -> Vec<Vec<u8>> {
 }
 
 /// `decrypt_group` equals `decrypt` one by one for groups of 0 to 9,
-/// every item of the pool at every position of every size: groups of
-/// four or more run the eight-lane ladder (on 2048-bit keys where the CPU
-/// has IFMA), the rest and the remainders the pair.
+/// every item of the pool at every position of every size, on a
+/// three-prime and a two-prime key.
 #[test]
 fn decrypt_group_equals_decrypt_one_by_one() {
-    if !rsa_on_vector_ladders() {
-        eprintln!(
-            "decrypt_group_equals_decrypt_one_by_one: this CPU reports no avx512ifma, \
-             so 2048-bit groups run the scalar ladders on both sides"
-        );
-    }
     for bits in [2048, 768] {
         let kp = rsa_key(bits);
         let pool = group_pool(bits);

@@ -20,8 +20,7 @@
 //! release at once, and the server hands this service what one read pass
 //! framed ([`Service::serve_pass`]). The pass takes one turn, and its
 //! gets one ECALL ([`IaState::process_get_group`]), which opens their
-//! `k_u` blocks together — on a CPU with AVX-512 IFMA four RSA-2048
-//! decrypts to a pass of the eight-lane ladder — then each request goes
+//! `k_u` blocks one after another — then each request goes
 //! on in wire order, so the pass's LRS calls leave in the order it
 //! arrived in. A request that arrives alone is a pass of one: the same
 //! turn, one ECALL, one decrypt.

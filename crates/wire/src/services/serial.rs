@@ -14,11 +14,11 @@
 //!
 //! Tasks marked `first` overtake the others: finishing a request that
 //! is already past the LRS (a 30 µs response ECALL) before starting a new
-//! one (an RSA-2048 decrypt, ≈ 200–270 µs) keeps the requests in flight
+//! one (an RSA-2048 decrypt, ≈ 0.2 ms) keeps the requests in flight
 //! few.
 //!
 //! A service whose ECALL is cheaper per request in a group (the UA: one
-//! RSA decrypt each, opened together on the lane kernel) queues the
+//! RSA decrypt each, one ECALL's fixed cost shared) queues the
 //! requests themselves in a [`Waiting`] FIFO with [`Turns`] of its own:
 //! every push posts one task, and a task takes what has queued, up to a
 //! cap, as one group. The thread in the enclave thus finds the requests

@@ -17,8 +17,7 @@
 //! the next job. The thread in the enclave, once its ECALL is done, takes
 //! what queued meanwhile — up to `CAP`, oldest first — as one group,
 //! and opens it in one ECALL ([`UaState::process_group`]: the user blocks
-//! decrypted together, on a CPU with AVX-512 IFMA four RSA-2048 decrypts
-//! to a pass of the eight-lane ladder). Nobody waits for a group to form:
+//! decrypted one after another inside it). Nobody waits for a group to form:
 //! a request that finds the enclave free is a group of one, one ECALL and
 //! one decrypt. Each request of the group then goes on in arrival order —
 //! bytes, deadline and its [`Reply`] handle — to the request shuffle; how
@@ -81,7 +80,6 @@ use pprox_core::shuffler::{Flush, FlushReason, Gather, ShuffleBuffer, ShuffleCon
 use pprox_core::telemetry::{Stage, Telemetry};
 use pprox_core::ua::UaState;
 use pprox_crypto::rng::SecureRng;
-use pprox_crypto::rsa::LANE_GROUP;
 use pprox_sgx::Enclave;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -464,12 +462,11 @@ fn answer(reply: Reply, result: CallResult) {
     reply.send(wire_reply(result));
 }
 
-/// Requests one turn at the enclave opens together, at most: two passes
-/// of the lane kernel. An uncapped turn took everything that had queued
-/// — up to ≈ 25 requests, ≈ 5 ms in one ECALL — and the UA and the IA
-/// then worked in turns instead of overlapping: goodput fell 15 % for a
-/// 4 % CPU saving. Four and eight read the same.
-const CAP: usize = 2 * LANE_GROUP;
+/// Requests one turn at the enclave opens together, at most. An uncapped
+/// turn took everything that had queued — up to ≈ 25 requests, ≈ 5 ms in
+/// one ECALL — and the UA and the IA then worked in turns instead of
+/// overlapping: goodput fell 15 %.
+const CAP: usize = 8;
 
 /// A request waiting for its turn at the enclave, as it came off the
 /// wire: it is parsed in the turn, so that queueing it costs the worker

@@ -2,8 +2,8 @@
 //!
 //! While one request is inside the UA enclave, those arriving behind it
 //! queue for it. The turn after the ECALL takes what queued, up to a cap
-//! of eight (two passes of the lane kernel), oldest first, through one
-//! ECALL that decrypts their user blocks together. Each request still
+//! of eight, oldest first, through one ECALL that decrypts their user
+//! blocks one after another. Each request still
 //! records its own `Ua` stage sample, gets its own user's pseudonym and
 //! leaves for the IA in the order it arrived in. A lone request is a
 //! group of one: one ECALL, as ever.
