@@ -314,18 +314,19 @@ fn seeded_panic_in_the_ia_pass_entry_is_caught() {
 }
 
 #[test]
-fn seeded_panic_in_the_ua_group_entry_is_caught() {
-    // R13: the UA's group turn runs as a boxed task on whichever thread
-    // holds the enclave's turn, posted by `Waiting::push` — an unwrap
-    // planted in it must still be reported as on the request path.
+fn seeded_panic_in_the_ua_request_turn_is_caught() {
+    // R13: the UA's turn for a request runs as a boxed task on whichever
+    // thread holds the enclave's turn, posted by `serve` through
+    // `Turns::run` — an unwrap planted in it must still be reported as on
+    // the request path.
     let path = workspace_root().join("crates/wire/src/services/ua.rs");
     let original = std::fs::read_to_string(&path).expect("read wire ua service");
-    let entry = "fn open_group(&self, queued: Vec<Queued>) {";
+    let entry = "fn open_request(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {";
     let seeded = original.replace(
         entry,
-        &format!("{entry}\n        let _cap = CAP.checked_sub(1).unwrap();"),
+        &format!("{entry}\n        let _first = payload.first().unwrap();"),
     );
-    assert_ne!(seeded, original, "the group entry should exist");
+    assert_ne!(seeded, original, "the request turn should exist");
     for (source, planted) in [(&original, false), (&seeded, true)] {
         let parsed = parse_source("crates/wire/src/services/ua.rs", source);
         let global = analyze_global(std::slice::from_ref(&parsed), None);
@@ -333,7 +334,7 @@ fn seeded_panic_in_the_ua_group_entry_is_caught() {
             .report
             .findings
             .iter()
-            .any(|f| f.rule == "R13" && f.message.contains("`open_group`"));
+            .any(|f| f.rule == "R13" && f.message.contains("`open_request`"));
         assert_eq!(fired, planted, "{:#?}", global.report.findings);
     }
 }

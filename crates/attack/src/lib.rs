@@ -22,8 +22,6 @@
 //! * [`lowtraffic`] — the §6.3 low-traffic limitation: effective
 //!   anonymity-set size under starved shuffle buffers, and the
 //!   multi-tenancy mitigation.
-//! * [`combined`] — the rejected single-enclave alternative (§3): cheaper,
-//!   and fatally linkable after one break.
 //! * [`scrape_audit`] — the adversary's triage pass over the *monitoring*
 //!   exports (the scrape channel, the only telemetry that leaves a
 //!   node): flags any field that would act as a linkage oracle. The
@@ -42,7 +40,6 @@
 
 pub mod at_rest_audit;
 pub mod cases;
-pub mod combined;
 pub mod history;
 pub mod lowtraffic;
 pub mod scrape_audit;

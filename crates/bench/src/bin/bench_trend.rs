@@ -11,13 +11,10 @@
 //!   `--max-regression` (default 20%), or when a guarded report is
 //!   missing from the results directory — deleting a report must not
 //!   disarm its guard. The guarded set is currently
-//!   `BENCH_sharding.json :: scaling.sustained_rps_max`,
-//!   `BENCH_throughput.json :: stages.rsa_decrypt.ops_per_sec` (a decrypt
-//!   alone: the three-ladder kernel) and
-//!   `BENCH_throughput.json :: stages.rsa_decrypt_group.ops_per_sec`
-//!   (decrypts in groups, as both proxy layers open their requests at
-//!   saturation: the same kernel, one decrypt at a time); end-to-end
-//!   figures are gated by `benchmark/`, not here.
+//!   `BENCH_sharding.json :: scaling.sustained_rps_max` and
+//!   `BENCH_throughput.json :: stages.rsa_decrypt.ops_per_sec` (one
+//!   decrypt, as each proxy layer opens each request: the three-ladder
+//!   kernel); end-to-end figures are gated by `benchmark/`, not here.
 //!
 //! Usage:
 //!
@@ -40,10 +37,6 @@ use std::process::Command;
 const GUARDED: &[(&str, &str)] = &[
     ("BENCH_sharding.json", "scaling.sustained_rps_max"),
     ("BENCH_throughput.json", "stages.rsa_decrypt.ops_per_sec"),
-    (
-        "BENCH_throughput.json",
-        "stages.rsa_decrypt_group.ops_per_sec",
-    ),
 ];
 
 #[derive(Debug)]
@@ -271,7 +264,7 @@ mod tests {
     use super::*;
     use pprox_store::TempDir;
 
-    const THROUGHPUT: &str = r#"{"stages":{"rsa_decrypt":{"ops_per_sec":4000.0},"rsa_decrypt_group":{"ops_per_sec":5000.0}}}"#;
+    const THROUGHPUT: &str = r#"{"stages":{"rsa_decrypt":{"ops_per_sec":5000.0}}}"#;
     const SHARDING: &str = r#"{"scaling":{"sustained_rps_max":128000.0}}"#;
     const ANALYSIS: &str = r#"{"findings":[],"status":"clean"}"#;
 
@@ -296,8 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn a_slower_group_kernel_fails_the_gate() {
-        let (before, now) = (TempDir::new("trend-group-0"), TempDir::new("trend-group-1"));
+    fn a_slower_decrypt_fails_the_gate() {
+        let (before, now) = (TempDir::new("trend-rsa-0"), TempDir::new("trend-rsa-1"));
         let others = [
             ("BENCH_sharding.json", SHARDING),
             ("ANALYSIS_report.json", ANALYSIS),
@@ -305,14 +298,14 @@ mod tests {
         let mut files = vec![("BENCH_throughput.json", THROUGHPUT)];
         files.extend(others);
         assert!(gate(&before, &files).is_empty());
-        // The single decrypt holds; the grouped one loses 40 %.
+        // The decrypt loses 40 %.
         let slower = THROUGHPUT.replace("5000.0", "3000.0");
         let mut files = vec![("BENCH_throughput.json", slower.as_str())];
         files.extend(others);
         let failures = gate_against(&before, &now, &files);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(
-            failures[0].contains("stages.rsa_decrypt_group.ops_per_sec regressed 40.0%"),
+            failures[0].contains("stages.rsa_decrypt.ops_per_sec regressed 40.0%"),
             "{failures:?}"
         );
     }

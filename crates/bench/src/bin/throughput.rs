@@ -12,14 +12,6 @@
 //!   CRT, no Montgomery form). The baseline does strictly *less* work
 //!   than a full naive decrypt (no OAEP decode), so the reported speedup
 //!   is a conservative lower bound.
-//! * `rsa_decrypt_group` — the same decryption for a group of eight
-//!   ciphertexts at once
-//!   ([`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group), what the IA
-//!   runs on a shuffled batch), per decrypt, vs. `decrypt` one at a time
-//!   on the same ciphertexts. A group opens its ciphertexts one at a
-//!   time on the same ladders as a lone decrypt (there is no group
-//!   kernel), so the speedup reads ≈ 1: the stage shows that grouping
-//!   costs nothing, and `bench_trend` guards its `ops_per_sec`.
 //! * `det_enc` — deterministic CTR over 64-byte item blocks with the
 //!   cached key schedule + keystream prefix vs.
 //!   [`SymmetricKey::det_encrypt_fresh`] (rebuilds cipher state per call).
@@ -35,7 +27,8 @@
 //! regression) are the repo's benchmark's, `benchmark/`, which drives
 //! the serving chain open-loop; schema v3 dropped this report's
 //! closed-loop `e2e` stage and its `pipeline_stages`; v4 added
-//! `list_enc`, v5 `rsa_decrypt_group`.
+//! `list_enc`, v5 `rsa_decrypt_group`, and v6 dropped it with the group
+//! decrypt it timed.
 //!
 //! Usage:
 //!
@@ -63,12 +56,8 @@ const LIST_PLAINTEXT_LEN: usize = 1600;
 
 /// Report schema version: v3 dropped `e2e` and `pipeline_stages` (the
 /// closed loop through the deleted in-process pipeline); v4 added the
-/// `list_enc` stage, v5 the `rsa_decrypt_group` stage.
-const THROUGHPUT_SCHEMA_VERSION: u64 = 5;
-
-/// Ciphertexts per group in `rsa_decrypt_group`: one full shuffle batch
-/// (`S = 8`).
-const GROUP: usize = 8;
+/// `list_enc` stage, v5 the `rsa_decrypt_group` stage, v6 dropped it.
+const THROUGHPUT_SCHEMA_VERSION: u64 = 6;
 
 #[derive(Debug)]
 struct Args {
@@ -204,50 +193,6 @@ fn bench_rsa_decrypt(ops: usize, modulus_bits: usize, rng: &mut SecureRng) -> St
     }
 }
 
-/// What the IA does with the `k_u` blocks of one shuffled batch:
-/// [`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group)
-/// over [`GROUP`] ciphertexts, timed per group and reported per decrypt,
-/// against the same ciphertexts through `decrypt` one at a time.
-fn bench_rsa_decrypt_group(ops: usize, modulus_bits: usize, rng: &mut SecureRng) -> Stage {
-    let pair = RsaKeyPair::generate(modulus_bits, rng);
-    let groups: Vec<Vec<Vec<u8>>> = (0..ops.div_ceil(GROUP))
-        .map(|g| {
-            (0..GROUP)
-                .map(|i| {
-                    let msg = format!("item-{g:04}-{i}");
-                    pair.public.encrypt(msg.as_bytes(), rng).unwrap()
-                })
-                .collect()
-        })
-        .collect();
-    // Interleaved as in `rsa_decrypt`; a sample is one decrypt's share.
-    let (mut samples, mut single_samples) = (Vec::new(), Vec::new());
-    for group in &groups {
-        let t = Instant::now();
-        let opened = pair.private.decrypt_group(group);
-        let per_decrypt = t.elapsed().as_secs_f64() * 1e6 / GROUP as f64;
-        assert!(opened.iter().all(Result::is_ok));
-        samples.push(per_decrypt);
-        let t = Instant::now();
-        for ct in group {
-            std::hint::black_box(pair.private.decrypt(ct).unwrap());
-        }
-        single_samples.push(t.elapsed().as_secs_f64() * 1e6 / GROUP as f64);
-    }
-    single_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p50 = percentile(&samples, 50.0);
-    Stage {
-        ops_per_sec: 1e6 / p50,
-        p50_us: p50,
-        p99_us: percentile(&samples, 99.0),
-        baseline: Some((
-            "single_baseline_ops_per_sec",
-            1e6 / percentile(&single_samples, 50.0),
-        )),
-    }
-}
-
 fn bench_det_enc(ops: usize, rng: &mut SecureRng) -> Stage {
     let key = SymmetricKey::generate(rng);
     key.warm();
@@ -308,7 +253,6 @@ fn schema() -> Schema {
     };
     let stages = [
         ("rsa_decrypt", stage("naive_baseline_ops_per_sec")),
-        ("rsa_decrypt_group", stage("single_baseline_ops_per_sec")),
         ("det_enc", stage("fresh_baseline_ops_per_sec")),
         ("list_enc", stage("portable_baseline_ops_per_sec")),
     ];
@@ -335,11 +279,6 @@ fn main() {
         args.rsa_ops, args.modulus_bits
     );
     let rsa = bench_rsa_decrypt(args.rsa_ops, args.modulus_bits, &mut rng);
-    eprintln!(
-        "rsa_decrypt_group: {} ops in groups of {GROUP}...",
-        args.rsa_ops
-    );
-    let rsa_group = bench_rsa_decrypt_group(args.rsa_ops, args.modulus_bits, &mut rng);
     eprintln!("det_enc: {} ops...", args.det_ops);
     let det = bench_det_enc(args.det_ops, &mut rng);
     eprintln!("list_enc: {} ops...", args.det_ops);
@@ -360,7 +299,6 @@ fn main() {
             "stages",
             Value::object([
                 ("rsa_decrypt", rsa.to_value()),
-                ("rsa_decrypt_group", rsa_group.to_value()),
                 ("det_enc", det.to_value()),
                 ("list_enc", list.to_value()),
             ]),
@@ -376,9 +314,5 @@ fn main() {
 #[test]
 fn committed_report_is_exact() {
     let doc = report::committed("BENCH_throughput.json");
-    pprox_json::schema::assert_exact(
-        &schema(),
-        &doc,
-        &["", "stages.list_enc", "stages.rsa_decrypt_group"],
-    );
+    pprox_json::schema::assert_exact(&schema(), &doc, &["", "stages.list_enc"]);
 }

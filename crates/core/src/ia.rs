@@ -106,19 +106,15 @@ impl IaState {
     /// in-enclave processing time into (the telemetry `ia` stage). Each
     /// transform of a request — post, get, get-response — is one
     /// observation, so the stage count exceeds the request count for gets
-    /// by design; a group's gets record one share of its time each.
+    /// by design.
     pub fn set_processing_histogram(&mut self, histogram: Arc<LatencyHistogram>) {
         self.processing_histogram = Some(histogram);
     }
 
-    /// One sample per request: the time since `started`, split evenly
-    /// over the `requests` it was spent on.
-    fn record_processing(&self, started: Instant, requests: usize) {
+    /// One sample: the time since `started`.
+    fn record_processing(&self, started: Instant) {
         if let Some(h) = &self.processing_histogram {
-            let share = started.elapsed().as_micros() as u64 / requests.max(1) as u64;
-            for _ in 0..requests {
-                h.record(share);
-            }
+            h.record(started.elapsed().as_micros() as u64);
         }
     }
 
@@ -195,7 +191,7 @@ impl IaState {
         self.processed += 1;
         let started = Instant::now();
         let result = self.process_post_inner(envelope, options);
-        self.record_processing(started, 1);
+        self.record_processing(started);
         result
     }
 
@@ -263,54 +259,15 @@ impl IaState {
         debug_assert_eq!(envelope.op, Op::Get);
         self.processed += 1;
         let started = Instant::now();
-        let result = self.process_get_inner(envelope, options, None);
-        self.record_processing(started, 1);
+        let result = self.process_get_inner(envelope, options);
+        self.record_processing(started);
         result
     }
 
-    /// [`process_get`](Self::process_get) for each get of a group, in
-    /// order, as one transform: the base protocol's `k_u` blocks of the
-    /// whole group are opened in one call
-    /// ([`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group)),
-    /// then each get runs the per-request code with its block already
-    /// open. Every result, the tokens included, is what `process_get` on
-    /// the same gets one by one would have returned. Each get counts one
-    /// processed request and one processing sample, its share of the
-    /// group's time.
-    pub fn process_get_group(
-        &mut self,
-        envelopes: &[&LayerEnvelope],
-        options: IaOptions,
-    ) -> Vec<Result<(RecommendationQuery, PendingToken), PProxError>> {
-        let started = Instant::now();
-        let modulus_len = self.secrets.sk.public_key().ciphertext_len();
-        let sealed_key = |e: &LayerEnvelope| options.encryption && e.aux.len() == modulus_len;
-        let blocks: Vec<&[u8]> = envelopes
-            .iter()
-            .filter(|e| sealed_key(e))
-            .map(|e| e.aux.as_slice())
-            .collect();
-        let mut opened = self.secrets.sk.decrypt_group(&blocks).into_iter();
-        let results = envelopes
-            .iter()
-            .map(|&envelope| {
-                debug_assert_eq!(envelope.op, Op::Get);
-                self.processed += 1;
-                let key = sealed_key(envelope).then(|| opened.next()).flatten();
-                self.process_get_inner(envelope, options, key)
-            })
-            .collect();
-        self.record_processing(started, envelopes.len());
-        results
-    }
-
-    /// `opened` is the base-protocol `k_u` block already decrypted (by a
-    /// group), or `None` to decrypt it here.
     fn process_get_inner(
         &mut self,
         envelope: &LayerEnvelope,
         options: IaOptions,
-        opened: Option<Result<Vec<u8>, pprox_crypto::CryptoError>>,
     ) -> Result<(RecommendationQuery, PendingToken), PProxError> {
         let token = PendingToken(self.next_token);
         self.next_token += 1;
@@ -322,8 +279,7 @@ impl IaState {
             // anything below bails out before the store takes ownership.
             let key_bytes = if envelope.aux.len() == modulus_len {
                 // Base protocol: aux = enc(k_u, pkIA).
-                let key = opened.unwrap_or_else(|| self.secrets.sk.decrypt(&envelope.aux));
-                SecretBytes::new(key?)
+                SecretBytes::new(self.secrets.sk.decrypt(&envelope.aux)?)
             } else {
                 // Extended protocol: hybrid block {k, x: [excluded ids]}.
                 let padded = pprox_crypto::hybrid::open(&self.secrets.sk, &envelope.aux)?;
@@ -396,7 +352,7 @@ impl IaState {
         self.processed += 1;
         let started = Instant::now();
         let result = self.process_get_response_inner(token, item_ids, options);
-        self.record_processing(started, 1);
+        self.record_processing(started);
         result
     }
 
@@ -580,10 +536,9 @@ mod tests {
     }
 
     #[test]
-    fn a_group_of_gets_equals_the_same_gets_one_by_one() {
-        let mut rng = SecureRng::from_seed(23);
-        let (secrets, pk) = LayerSecrets::generate(1152, &mut rng);
-        let (mut grouped, mut single) = (IaState::new(secrets.clone()), IaState::new(secrets));
+    fn garbage_key_blocks_rejected() {
+        let (mut ia, mut rng) = setup();
+        let pk = ia.secrets.sk.public_key().clone();
         let get = |aux: Vec<u8>| LayerEnvelope {
             op: Op::Get,
             user_pseudonym: vec![3; 32],
@@ -593,47 +548,35 @@ mod tests {
             let k_u = SymmetricKey::generate(rng);
             pk.encrypt(k_u.as_bytes(), rng).unwrap()
         };
+        let repeated = sealed(&mut rng);
+        ia.process_get(&get(repeated.clone()), IaOptions::default())
+            .unwrap();
+        let mut broken = sealed(&mut rng);
+        broken[5] ^= 1;
+        // Refused at three different steps of the decrypt — range, OAEP,
+        // and a short block that is no hybrid block either — and no `k_u`
+        // is stored for any of them.
+        for aux in [vec![0xff; pk.ciphertext_len()], broken, vec![1, 2, 3]] {
+            let refused = ia.process_get(&get(aux), IaOptions::default());
+            assert!(matches!(refused, Err(PProxError::Crypto(_))), "{refused:?}");
+            assert_eq!(ia.pending_count(), 1);
+        }
+        // A hybrid rules block after base-protocol ones, and a repeated
+        // ciphertext: each stores a `k_u` under a token of its own.
         let rules = Value::object([
             ("k", Value::from(base64::encode(&[7; 32]))),
-            (
-                "x",
-                ["m00009"]
-                    .iter()
-                    .map(|e| Value::from(*e))
-                    .collect::<Value>(),
-            ),
+            ("x", std::iter::once(Value::from("m00009")).collect()),
         ]);
         let padded = pad::pad(rules.to_json().as_bytes(), RULES_BLOCK_LEN).unwrap();
         let hybrid = pprox_crypto::hybrid::seal(&pk, &padded, &mut rng).unwrap();
-        let mut broken = sealed(&mut rng);
-        broken[5] ^= 1;
-        // Base-protocol blocks around a hybrid one, a broken one, a short
-        // one and a repeat: five to open together, four of them valid.
-        let first = sealed(&mut rng);
-        let envelopes: Vec<LayerEnvelope> = vec![
-            get(first.clone()),
-            get(sealed(&mut rng)),
-            get(hybrid),
-            get(broken),
-            get(sealed(&mut rng)),
-            get(vec![1, 2, 3]),
-            get(first),
-            get(sealed(&mut rng)),
-        ];
-        let refs: Vec<&LayerEnvelope> = envelopes.iter().collect();
-        let samples = Arc::new(LatencyHistogram::new());
-        grouped.set_processing_histogram(samples.clone());
-        let got = grouped.process_get_group(&refs, IaOptions::default());
-        // One processing sample per get, as one by one.
-        assert_eq!(samples.count(), 8);
-        let want: Vec<_> = envelopes
-            .iter()
-            .map(|e| single.process_get(e, IaOptions::default()))
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 6);
-        assert_eq!(grouped.pending_count(), single.pending_count());
-        assert_eq!(grouped.processed(), 8);
+        let (query, first) = ia.process_get(&get(hybrid), IaOptions::default()).unwrap();
+        assert_eq!(query.exclude.len(), 1);
+        let (_, second) = ia
+            .process_get(&get(repeated), IaOptions::default())
+            .unwrap();
+        assert_ne!(first, second);
+        assert_eq!(ia.pending_count(), 3);
+        assert_eq!(ia.processed(), 6);
     }
 
     #[test]

@@ -51,20 +51,15 @@ impl UaState {
     /// Attaches the latency histogram this instance records its
     /// in-enclave processing time into (the telemetry `ua` stage). Timing
     /// is measured inside the enclave boundary so it reflects decrypt +
-    /// pseudonymize cost, not queueing or supervision overhead; a group's
-    /// requests record one share of its time each.
+    /// pseudonymize cost, not queueing or supervision overhead.
     pub fn set_processing_histogram(&mut self, histogram: Arc<LatencyHistogram>) {
         self.processing_histogram = Some(histogram);
     }
 
-    /// One sample per request: the time since `started`, split evenly
-    /// over the `requests` it was spent on.
-    fn record_processing(&self, started: Instant, requests: usize) {
+    /// One sample: the time since `started`.
+    fn record_processing(&self, started: Instant) {
         if let Some(h) = &self.processing_histogram {
-            let share = started.elapsed().as_micros() as u64 / requests.max(1) as u64;
-            for _ in 0..requests {
-                h.record(share);
-            }
+            h.record(started.elapsed().as_micros() as u64);
         }
     }
 
@@ -95,50 +90,15 @@ impl UaState {
     ) -> Result<LayerEnvelope, PProxError> {
         self.processed += 1;
         let started = Instant::now();
-        let result = self.process_inner(envelope, encryption, None);
-        self.record_processing(started, 1);
+        let result = self.process_inner(envelope, encryption);
+        self.record_processing(started);
         result
     }
 
-    /// [`process`](Self::process) for each request of a group, in order,
-    /// as one transform: the `enc(u, pkUA)` blocks of the whole group are
-    /// opened in one call
-    /// ([`RsaPrivateKey::decrypt_group`](pprox_crypto::rsa::RsaPrivateKey::decrypt_group)),
-    /// then each request runs the per-request code with its block already
-    /// open. Every result, errors included, is what `process` on the same
-    /// requests one by one would have returned. Each request counts one
-    /// processed request and one processing sample, its share of the
-    /// group's time.
-    pub fn process_group(
-        &mut self,
-        envelopes: &[&ClientEnvelope],
-        encryption: bool,
-    ) -> Vec<Result<LayerEnvelope, PProxError>> {
-        let started = Instant::now();
-        let blocks: Vec<&[u8]> = if encryption {
-            envelopes.iter().map(|e| e.user.as_slice()).collect()
-        } else {
-            Vec::new()
-        };
-        let mut opened = self.secrets.sk.decrypt_group(&blocks).into_iter();
-        let results = envelopes
-            .iter()
-            .map(|&envelope| {
-                self.processed += 1;
-                self.process_inner(envelope, encryption, opened.next())
-            })
-            .collect();
-        self.record_processing(started, envelopes.len());
-        results
-    }
-
-    /// `opened` is the user block already decrypted (by a group), or
-    /// `None` to decrypt it here.
     fn process_inner(
         &mut self,
         envelope: &ClientEnvelope,
         encryption: bool,
-        opened: Option<Result<Vec<u8>, pprox_crypto::CryptoError>>,
     ) -> Result<LayerEnvelope, PProxError> {
         let user_pseudonym = if encryption {
             // The client encrypted the *padded* id, so the decrypted block
@@ -147,8 +107,7 @@ impl UaState {
             // avoids a second allocation per request. The plaintext only
             // ever lives inside a SecretBytes; once `det_apply` has run,
             // the buffer holds the pseudonym, which is safe to release.
-            let user = opened.unwrap_or_else(|| self.secrets.sk.decrypt(&envelope.user));
-            let mut padded_user = SecretBytes::new(user?);
+            let mut padded_user = SecretBytes::new(self.secrets.sk.decrypt(&envelope.user)?);
             self.secrets.k.det_apply(padded_user.expose_mut());
             padded_user.into_exposed()
         } else {
@@ -257,13 +216,29 @@ mod tests {
 
     #[test]
     fn garbage_ciphertext_rejected() {
-        let (mut ua, _) = setup();
+        let (mut ua, mut rng) = setup();
+        let pk = ua.secrets.sk.public_key().clone();
+        let mut broken = pk.encrypt(&padded("dave"), &mut rng).unwrap();
+        broken[5] ^= 1;
+        // Refused at three different steps of the decrypt: length, range,
+        // OAEP.
+        for user in [vec![0u8; 13], vec![0xff; pk.ciphertext_len()], broken] {
+            let env = ClientEnvelope {
+                op: Op::Post,
+                user,
+                aux: vec![],
+            };
+            assert!(matches!(ua.process(&env, true), Err(PProxError::Crypto(_))));
+        }
+        // A repeated ciphertext is opened again, to the same pseudonym.
         let env = ClientEnvelope {
-            op: Op::Post,
-            user: vec![0u8; 13],
+            op: Op::Get,
+            user: pk.encrypt(&padded("alice"), &mut rng).unwrap(),
             aux: vec![],
         };
-        assert!(matches!(ua.process(&env, true), Err(PProxError::Crypto(_))));
+        let first = ua.process(&env, true).unwrap();
+        assert_eq!(ua.process(&env, true).unwrap(), first);
+        assert_eq!(ua.processed(), 5);
     }
 
     #[test]
@@ -302,60 +277,6 @@ mod tests {
         };
         assert!(ua.process(&bad, true).is_err());
         assert_eq!(hist.count(), 2);
-    }
-
-    #[test]
-    fn a_group_equals_the_same_requests_one_by_one() {
-        let mut rng = SecureRng::from_seed(13);
-        let (secrets, pk) = LayerSecrets::generate(1152, &mut rng);
-        let (mut grouped, mut single) = (UaState::new(secrets.clone()), UaState::new(secrets));
-        let request = |user: Vec<u8>| ClientEnvelope {
-            op: Op::Get,
-            user,
-            aux: vec![4; 16],
-        };
-        let sealed = |id: &str, rng: &mut SecureRng| pk.encrypt(&padded(id), rng).unwrap();
-        let mut broken = sealed("dave", &mut rng);
-        broken[5] ^= 1;
-        let repeated = sealed("alice", &mut rng);
-        // Valid blocks around a short one, one at or above the modulus and
-        // a broken one — refused at three different steps of the decrypt:
-        // length, range, OAEP — and a repeated ciphertext.
-        let envelopes = vec![
-            request(repeated.clone()),
-            request(sealed("bob", &mut rng)),
-            request(vec![1, 2, 3]),
-            request(sealed("carol", &mut rng)),
-            request(vec![0xff; pk.ciphertext_len()]),
-            request(broken),
-            request(sealed("bob", &mut rng)),
-            request(repeated),
-            request(sealed("erin", &mut rng)),
-        ];
-        let refs: Vec<&ClientEnvelope> = envelopes.iter().collect();
-        let samples = Arc::new(LatencyHistogram::new());
-        grouped.set_processing_histogram(samples.clone());
-        let got = grouped.process_group(&refs, true);
-        let want: Vec<_> = envelopes.iter().map(|e| single.process(e, true)).collect();
-        assert_eq!(got, want);
-        assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 6);
-        assert_eq!(got[1].as_ref().ok(), got[6].as_ref().ok(), "same user");
-        assert_eq!(grouped.processed(), 9);
-        assert_eq!(samples.count(), 9);
-
-        // Passthrough: users go through unchanged, nothing is decrypted.
-        let got = grouped.process_group(&refs, false);
-        let want: Vec<_> = envelopes.iter().map(|e| single.process(e, false)).collect();
-        assert_eq!(got, want);
-        assert!(got
-            .iter()
-            .zip(&envelopes)
-            .all(|(r, e)| r.as_ref().is_ok_and(|l| l.user_pseudonym == e.user)));
-
-        // An empty group is no work and no sample.
-        assert!(grouped.process_group(&[], true).is_empty());
-        assert_eq!(grouped.processed(), 18);
-        assert_eq!(samples.count(), 18);
     }
 
     #[test]

@@ -283,21 +283,6 @@ impl RsaPrivateKey {
         self.oaep_decode(&self.raw_decrypt(&c))
     }
 
-    /// [`decrypt`](Self::decrypt) of every ciphertext of a group, in
-    /// order, each opened on its own: one decrypt's three ladders in
-    /// lockstep are already the cheapest way to open a ciphertext here, so
-    /// a group shares nothing but the call. Each result is bit-identical
-    /// to `decrypt` of that ciphertext alone, errors included.
-    pub fn decrypt_group<C: AsRef<[u8]>>(
-        &self,
-        ciphertexts: &[C],
-    ) -> Vec<Result<Vec<u8>, CryptoError>> {
-        ciphertexts
-            .iter()
-            .map(|c| self.decrypt(c.as_ref()))
-            .collect()
-    }
-
     /// A ciphertext as the integer it encodes, refused unless it is
     /// exactly modulus-sized and below the modulus.
     fn ciphertext_value(&self, ciphertext: &[u8]) -> Result<BigUint, CryptoError> {

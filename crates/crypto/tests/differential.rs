@@ -23,9 +23,6 @@
 //!   the fixed-width scalar kernels against it — on 1024-, 1152- and
 //!   1536-bit keys, three primes on the slice kernels, and on 768-bit
 //!   keys, the two primes every size below 1024 bits gets;
-//! * `RsaPrivateKey::decrypt_group` vs. `decrypt` one at a time, for
-//!   groups of 0 to 9 with refused ciphertexts (wrong length, above the
-//!   modulus, broken OAEP) and repeats at every position;
 //! * `Montgomery::mod_mul` vs. `BigUint::mod_mul` (multiply-then-divide);
 //! * `SymmetricKey::det_encrypt` (cached key schedule + cached keystream
 //!   prefix) vs. `det_encrypt_fresh` (rebuilds the AES key schedule and
@@ -242,59 +239,6 @@ proptest! {
         crt_decrypt_matches_naive(1024, &c1024, seed)?;
         crt_decrypt_matches_naive(1152, &c1152, seed)?;
         crt_decrypt_matches_naive(1536, &c1536, seed)?;
-    }
-}
-
-/// Ciphertexts for a key of `bits`: seven valid ones, spread among one
-/// of every way to be refused — a byte short, a byte long, above the
-/// modulus, and in range but not OAEP (a valid one with a byte flipped)
-/// — and a repeat of a valid one.
-fn group_pool(bits: usize) -> Vec<Vec<u8>> {
-    let kp = rsa_key(bits);
-    let k = kp.public.ciphertext_len();
-    let mut rng = SecureRng::from_seed(0x6707 + bits as u64);
-    let mut pool: Vec<Vec<u8>> = (0..7)
-        .map(|i| {
-            let msg = format!("group-{i}");
-            kp.public.encrypt(msg.as_bytes(), &mut rng).expect("fits")
-        })
-        .collect();
-    let mut broken = pool[2].clone();
-    broken[k / 2] ^= 0x40;
-    let odd_ones = [
-        (1, pool[0][1..].to_vec()),
-        (3, [pool[1].as_slice(), &[0]].concat()),
-        (5, vec![0xff; k]),
-        (8, broken),
-        (10, pool[3].clone()),
-    ];
-    for (at, item) in odd_ones {
-        pool.insert(at, item);
-    }
-    pool
-}
-
-/// `decrypt_group` equals `decrypt` one by one for groups of 0 to 9,
-/// every item of the pool at every position of every size, on a
-/// three-prime and a two-prime key.
-#[test]
-fn decrypt_group_equals_decrypt_one_by_one() {
-    for bits in [2048, 768] {
-        let kp = rsa_key(bits);
-        let pool = group_pool(bits);
-        for size in 0..=9 {
-            for offset in 0..pool.len() {
-                let group: Vec<&[u8]> = (0..size)
-                    .map(|i| pool[(offset + i) % pool.len()].as_slice())
-                    .collect();
-                let want: Vec<_> = group.iter().map(|c| kp.private.decrypt(c)).collect();
-                assert_eq!(
-                    kp.private.decrypt_group(&group),
-                    want,
-                    "{bits}-bit key, size {size}, offset {offset}"
-                );
-            }
-        }
     }
 }
 

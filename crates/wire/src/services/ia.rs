@@ -18,12 +18,10 @@
 //!
 //! A shuffled batch arrives whole: the UA writes each IA its share of a
 //! release at once, and the server hands this service what one read pass
-//! framed ([`Service::serve_pass`]). The pass takes one turn, and its
-//! gets one ECALL ([`IaState::process_get_group`]), which opens their
-//! `k_u` blocks one after another — then each request goes
-//! on in wire order, so the pass's LRS calls leave in the order it
-//! arrived in. A request that arrives alone is a pass of one: the same
-//! turn, one ECALL, one decrypt.
+//! framed ([`Service::serve_pass`]). The pass takes one turn, in which
+//! each request has its own request-side ECALL, in wire order, so the
+//! pass's LRS calls leave in the order it arrived in. A request that
+//! arrives alone is a pass of one.
 //!
 //! This file never names a user-side API: the user id it handles is
 //! already a pseudonym inside the envelope, and the privacy-flow
@@ -254,49 +252,34 @@ impl IaNode {
         });
     }
 
-    /// One turn for a reader pass: one ECALL opens every get of it as a
-    /// group (their `k_u` blocks decrypted together), then the requests go
-    /// on in wire order — a post through its own ECALL, a get straight to
-    /// its LRS exchange — so the pass's LRS calls leave in the order it
-    /// arrived in.
+    /// One turn for a reader pass: each request, in wire order, through
+    /// its own request-side ECALL and on to its LRS exchange, so the
+    /// pass's LRS calls leave in the order it arrived in.
     fn open_pass(self: &Arc<Self>, pass: Vec<(LayerEnvelope, Reply)>) {
-        let options = self.options;
-        let gets: Vec<&LayerEnvelope> = pass
-            .iter()
-            .map(|(envelope, _)| envelope)
-            .filter(|envelope| envelope.op == Op::Get)
-            .collect();
-        let started = Instant::now();
-        let opened: Vec<Result<_, WireStatus>> = if gets.is_empty() {
-            Vec::new()
-        } else {
-            match self.enclave.call(|ia| ia.process_get_group(&gets, options)) {
-                Ok(group) => group
-                    .into_iter()
-                    .map(|r| r.map_err(status_of_core))
-                    .collect(),
-                Err(_) => vec![Err(WireStatus::Unavailable); gets.len()],
-            }
-        };
-        // One `Ia` sample per get, as if each had had its own ECALL: the
-        // group's time split evenly.
-        let share = started.elapsed().as_micros() as u64 / gets.len().max(1) as u64;
-        let mut opened = opened.into_iter();
         for (envelope, reply) in pass {
             let deadline = reply.deadline();
-            if envelope.op == Op::Post {
-                self.post(&envelope, deadline, reply);
-                continue;
-            }
-            match opened.next() {
-                Some(Ok((query, token))) => {
-                    self.telemetry.record_duration(Stage::Ia, share);
-                    self.fetch(query, token, deadline, reply);
-                }
-                Some(Err(status)) => reply.send(Err(status)),
-                None => reply.send(Err(WireStatus::Failed)),
+            match envelope.op {
+                Op::Post => self.post(&envelope, deadline, reply),
+                Op::Get => self.get(&envelope, deadline, reply),
             }
         }
+    }
+
+    fn get(self: &Arc<Self>, envelope: &LayerEnvelope, deadline: Deadline, reply: Reply) {
+        let options = self.options;
+        let started = Instant::now();
+        let (query, token) = match self
+            .enclave
+            .call(|ia| ia.process_get(envelope, options))
+            .map_err(|_| WireStatus::Unavailable)
+            .and_then(|r| r.map_err(status_of_core))
+        {
+            Ok(opened) => opened,
+            Err(status) => return reply.send(Err(status)),
+        };
+        self.telemetry
+            .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
+        self.fetch(query, token, deadline, reply);
     }
 
     /// A get past its request-side ECALL: ask the LRS tier for the list,
@@ -438,8 +421,7 @@ impl Service for IaWireService {
     }
 
     /// What one read framed — a batch the UA wrote at once, or a lone
-    /// request: the whole pass takes one turn at the enclave, and its
-    /// gets one ECALL.
+    /// request: the whole pass takes one turn at the enclave.
     fn serve_pass(&self, pass: Vec<(Vec<u8>, Reply)>) {
         let mut parsed = Vec::with_capacity(pass.len());
         for (payload, reply) in pass {

@@ -15,20 +15,11 @@
 //! Tasks marked `first` overtake the others: finishing a request that
 //! is already past the LRS (a 30 µs response ECALL) before starting a new
 //! one (an RSA-2048 decrypt, ≈ 0.2 ms) keeps the requests in flight
-//! few.
-//!
-//! A service whose ECALL is cheaper per request in a group (the UA: one
-//! RSA decrypt each, one ECALL's fixed cost shared) queues the
-//! requests themselves in a [`Waiting`] FIFO with [`Turns`] of its own:
-//! every push posts one task, and a task takes what has queued, up to a
-//! cap, as one group. The thread in the enclave thus finds the requests
-//! that arrived during its ECALL waiting together, without anyone
-//! waiting for a group to form; a request that finds the enclave free is
-//! a group of one.
+//! few. The others run in the order they were left, so requests
+//! reach the enclave in the order they arrived.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 type Task = Box<dyn FnOnce() + Send>;
 
@@ -90,56 +81,11 @@ impl Turns {
             }
         }
     }
-}
 
-/// Requests waiting for a turn at the enclave, oldest first, and the
-/// turns that take them in groups.
-///
-/// Why none is stranded: [`push`](Waiting::push) queues a request and
-/// posts one task, and a task that finds the queue non-empty takes at
-/// least one request. The tasks not yet run therefore always outnumber
-/// the requests waiting, and each request is taken by exactly one of
-/// them.
-pub(crate) struct Waiting<T> {
-    turns: Turns,
-    queue: Arc<Mutex<VecDeque<T>>>,
-    cap: usize,
-}
-
-impl<T: Send + 'static> Waiting<T> {
-    /// A queue whose turns take at most `cap` requests each; `cap` must
-    /// be at least one.
-    pub(crate) fn new(cap: usize) -> Self {
-        Waiting {
-            turns: Turns::default(),
-            queue: Arc::default(),
-            cap,
-        }
-    }
-
-    /// Queues `request` behind those already waiting and posts the turn
-    /// that takes it: up to `cap` requests from the front, in arrival
-    /// order, handed to `open` as one group. The turn runs on this caller
-    /// if the enclave is free, or on the thread that is in it; it does
-    /// nothing if an earlier turn already took everything.
-    pub(crate) fn push(&self, request: T, open: impl FnOnce(Vec<T>) + Send + 'static) {
-        self.queue.lock().push_back(request);
-        let (queue, cap) = (self.queue.clone(), self.cap);
-        self.turns.run(false, move || {
-            let group: Vec<T> = {
-                let mut queue = queue.lock();
-                let n = queue.len().min(cap);
-                queue.drain(..n).collect()
-            };
-            if !group.is_empty() {
-                open(group);
-            }
-        });
-    }
-
-    /// Requests waiting now.
-    pub(crate) fn len(&self) -> usize {
-        self.queue.lock().len()
+    /// Tasks left here and not yet run.
+    pub(crate) fn queued(&self) -> usize {
+        let state = self.state.lock();
+        state.first.len() + state.rest.len()
     }
 }
 
@@ -148,8 +94,7 @@ mod tests {
     use super::*;
     use crossbeam::channel::{bounded, unbounded};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
-    use std::time::{Duration, Instant};
+    use std::sync::Arc;
 
     #[test]
     fn a_busy_queue_takes_the_task_and_lets_the_caller_go() {
@@ -169,21 +114,24 @@ mod tests {
         };
         started_rx.recv().unwrap();
         // The holder is inside its task: these return without running.
-        for (name, first) in [("late", false), ("urgent", true)] {
+        for (name, first) in [("late", false), ("urgent", true), ("later", false)] {
             let ran = ran_tx.clone();
             turns.run(first, move || {
                 let _ = ran.send((name, std::thread::current().id()));
             });
         }
         assert!(ran_rx.try_recv().is_err(), "a task ran on the caller");
+        assert_eq!(turns.queued(), 3);
         release_tx.send(()).unwrap();
         holder.join().unwrap();
         let ran: Vec<_> = std::iter::from_fn(|| ran_rx.try_recv().ok()).collect();
-        // All on the holder's thread; the `first` task overtook.
+        // All on the holder's thread; the `first` task overtook, the
+        // others kept their order.
         assert_eq!(
             ran.iter().map(|r| r.0).collect::<Vec<_>>(),
-            ["held", "urgent", "late"]
+            ["held", "urgent", "late", "later"]
         );
+        assert_eq!(turns.queued(), 0);
         assert!(ran.iter().all(|r| r.1 == ran[0].1));
         assert_ne!(ran[0].1, std::thread::current().id());
     }
@@ -220,51 +168,6 @@ mod tests {
             let _ = tx.send(std::thread::current().id());
         });
         assert_eq!(rx.try_recv(), Ok(here));
-    }
-
-    #[test]
-    fn queued_requests_are_taken_once_each_in_order_and_capped() {
-        const CAP: usize = 8;
-        let waiting = Arc::new(Waiting::<(usize, usize)>::new(CAP));
-        let taken = Arc::new(Mutex::new(Vec::new()));
-        let start = Arc::new(Barrier::new(4));
-        let threads: Vec<_> = (0..4)
-            .map(|pusher| {
-                let (waiting, taken) = (waiting.clone(), taken.clone());
-                let start = start.clone();
-                std::thread::spawn(move || {
-                    start.wait();
-                    for i in 0..500 {
-                        let taken = taken.clone();
-                        waiting.push((pusher, i), move |group| {
-                            assert!(!group.is_empty() && group.len() <= CAP);
-                            taken.lock().push(group);
-                            // An ECALL's worth of time, scaled down, so
-                            // that requests queue behind the holder.
-                            let until = Instant::now() + Duration::from_micros(20);
-                            while Instant::now() < until {
-                                std::hint::spin_loop();
-                            }
-                        });
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // Nothing is stranded, and every request left in exactly one group.
-        assert_eq!(waiting.len(), 0);
-        let groups = std::mem::take(&mut *taken.lock());
-        let all: Vec<(usize, usize)> = groups.iter().flatten().copied().collect();
-        assert_eq!(all.len(), 2000);
-        // Requests did queue, up to the cap.
-        assert!(groups.iter().any(|g| g.len() == CAP), "no full group");
-        // Each pusher's requests were taken in the order it queued them.
-        for pusher in 0..4 {
-            let mine: Vec<usize> = all.iter().filter(|r| r.0 == pusher).map(|r| r.1).collect();
-            assert_eq!(mine, (0..500).collect::<Vec<_>>(), "pusher {pusher}");
-        }
     }
 
     #[test]

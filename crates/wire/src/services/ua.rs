@@ -11,25 +11,21 @@
 //! cannot match arrival order to departure order beyond the `1/S` bound
 //! in either direction.
 //!
-//! No thread waits for a request. A server worker queues the request for
-//! the enclave and takes a turn at it (`Waiting::push`); if another
-//! worker is in it, the request waits in the queue and the worker takes
-//! the next job. The thread in the enclave, once its ECALL is done, takes
-//! what queued meanwhile — up to `CAP`, oldest first — as one group,
-//! and opens it in one ECALL ([`UaState::process_group`]: the user blocks
-//! decrypted one after another inside it). Nobody waits for a group to form:
-//! a request that finds the enclave free is a group of one, one ECALL and
-//! one decrypt. Each request of the group then goes on in arrival order —
-//! bytes, deadline and its [`Reply`] handle — to the request shuffle; how
-//! many requests dwell in the buffer is bounded by the server's admission
-//! gate, not by its worker count:
+//! No thread waits for a request. A server worker takes a turn at the
+//! enclave for the request (`Turns`): if another worker is in it, the
+//! turn waits in the enclave's queue, in arrival order, and the worker
+//! takes the next job. A turn parses its request and pseudonymizes it in
+//! one ECALL ([`UaState::process`]: one decrypt of the user block), then
+//! hands it on — bytes, deadline and its [`Reply`] handle — to the
+//! request shuffle; how many requests dwell in the buffer is bounded by
+//! the server's admission gate, not by its worker count:
 //!
 //! ```text
-//! worker: queue ─► turn: ECALL on ≤ CAP ─► request buffer ─flush thread, permuted─► ia.submit_batch ─► IA
-//!                  (what queued, in order)  │ opens a gather of k                                      │
-//!                                           ▼                                                          │
-//! Reply::send_all ◄──k-th answer, permuted── the batch's gather ◄─────────────────────── completion ───┘
-//!                    (or the cap, or drain)                                          (IA uplink reader)
+//! worker: turn: ECALL ─► request buffer ─flush thread, permuted─► ia.submit_batch ─► IA
+//!                        │ opens a gather of k                                      │
+//!                        ▼                                                          │
+//! Reply::send_all ◄──k-th answer, permuted── the batch's gather ◄── completion ─────┘
+//!                    (or the cap, or drain)                       (IA uplink reader)
 //! ```
 //!
 //! The request buffer is shared by the workers that put requests into it
@@ -40,8 +36,8 @@
 //! one call ([`SocketBalancer::submit_batch`]) in the buffer's permuted
 //! order: each IA connection gets its round-robin share as one write, so
 //! wire order *is* release order (the linkage audit's departure log is
-//! written at the same place) and the IA reads the share in one pass and
-//! opens it as one group. Each call keeps its own deadline and retries.
+//! written at the same place) and the IA reads the share in one pass.
+//! Each call keeps its own deadline and retries.
 //!
 //! The response direction has no thread and no second timer to wait out.
 //! The anonymity set of a batch is fixed when it leaves, so its `k`
@@ -53,8 +49,8 @@
 //! timeout remains as a cap from the oldest held answer (a hung IA call
 //! must not hold its batch for the call's whole deadline): what is held
 //! then leaves, and the stragglers leave together when the last is in.
-//! Without shuffling the turn submits each request of its group directly,
-//! in arrival order, and the completion answers the client.
+//! Without shuffling the turn submits its request directly, and the
+//! completion answers the client.
 //!
 //! Telemetry discipline (analyzer rule R6): shuffle dwell and UA
 //! processing go through histogram-only recording — this file never
@@ -69,7 +65,7 @@ use crate::balancer::SocketBalancer;
 use crate::client::{CallResult, Completion};
 use crate::scrape::NodeMetrics;
 use crate::server::{Reply, Service};
-use crate::services::serial::Waiting;
+use crate::services::serial::Turns;
 use crate::services::status_of_core;
 use crate::{WireError, WireStatus};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -462,22 +458,6 @@ fn answer(reply: Reply, result: CallResult) {
     reply.send(wire_reply(result));
 }
 
-/// Requests one turn at the enclave opens together, at most. An uncapped
-/// turn took everything that had queued — up to ≈ 25 requests, ≈ 5 ms in
-/// one ECALL — and the UA and the IA then worked in turns instead of
-/// overlapping: goodput fell 15 %.
-const CAP: usize = 8;
-
-/// A request waiting for its turn at the enclave, as it came off the
-/// wire: it is parsed in the turn, so that queueing it costs the worker
-/// no more than a lock and the queue keeps the order the workers took
-/// the frames in.
-struct Queued {
-    payload: Vec<u8>,
-    deadline: Deadline,
-    reply: Reply,
-}
-
 /// The service of one UA instance.
 pub struct UaWireService {
     node: Arc<UaNode>,
@@ -486,8 +466,9 @@ pub struct UaWireService {
 /// What the service's turns at the enclave share.
 struct UaNode {
     enclave: Arc<Enclave<UaState>>,
-    /// The requests waiting for a turn at it, in arrival order.
-    waiting: Waiting<Queued>,
+    /// Whose turn it is at the enclave; the requests waiting for one
+    /// queue here in arrival order.
+    turns: Turns,
     ia: Arc<SocketBalancer>,
     encryption: bool,
     telemetry: Arc<Telemetry>,
@@ -509,15 +490,14 @@ impl UaWireService {
         let (encryption, audit) = (options.encryption, options.audit.clone());
         let shuffle = (!options.shuffle.is_disabled())
             .then(|| ShuffleStage::spawn(options, ia.clone(), telemetry.clone(), seed));
-        // The enclave times its own ECALLs: a group's requests get a `Ua`
-        // sample each. A crashed enclave records nothing, and serves
-        // nothing either.
+        // The enclave times its own ECALLs, one `Ua` sample per request.
+        // A crashed enclave records nothing, and serves nothing either.
         let samples = telemetry.stages().histogram(Stage::Ua).clone();
         let _ = enclave.call(|ua| ua.set_processing_histogram(samples));
         UaWireService {
             node: Arc::new(UaNode {
                 enclave,
-                waiting: Waiting::new(CAP),
+                turns: Turns::default(),
                 ia,
                 encryption,
                 telemetry,
@@ -529,63 +509,42 @@ impl UaWireService {
 
     /// Requests queued for the enclave and not yet taken by a turn.
     pub fn waiting(&self) -> usize {
-        self.node.waiting.len()
+        self.node.turns.queued()
     }
 }
 
 impl UaNode {
-    /// One turn at the enclave for what has queued for it: up to [`CAP`]
-    /// requests, oldest first, parsed (a malformed one is answered at
-    /// once) and pseudonymized in one ECALL
-    /// ([`UaState::process_group`], which opens their user blocks
-    /// together and records each request's share of its time as a `Ua`
-    /// sample), then each passed on in arrival order — into the request
-    /// shuffle, or straight to the IA.
-    fn open_group(&self, queued: Vec<Queued>) {
-        let mut group = Vec::with_capacity(queued.len());
-        for request in queued {
-            match ClientEnvelope::from_frame(&request.payload) {
-                Ok(envelope) => group.push((envelope, request)),
-                Err(_) => request.reply.send(Err(WireStatus::Malformed)),
-            }
-        }
-        if group.is_empty() {
-            return;
-        }
-        let envelopes: Vec<&ClientEnvelope> = group.iter().map(|(envelope, _)| envelope).collect();
-        let encryption = self.encryption;
-        let opened: Vec<Result<_, WireStatus>> = match self
-            .enclave
-            .call(|ua| ua.process_group(&envelopes, encryption))
-        {
-            Ok(layers) => layers
-                .into_iter()
-                .map(|r| r.map_err(status_of_core))
-                .collect(),
-            Err(_) => vec![Err(WireStatus::Unavailable); group.len()],
+    /// One turn at the enclave for one request: parsed (a malformed one
+    /// is answered at once), pseudonymized in one ECALL
+    /// ([`UaState::process`], which records its `Ua` sample), then passed
+    /// on — into the request shuffle, or straight to the IA.
+    fn open_request(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
+        let Ok(envelope) = ClientEnvelope::from_frame(&payload) else {
+            return reply.send(Err(WireStatus::Malformed));
         };
-        for ((_, request), layer) in group.into_iter().zip(opened) {
-            let framed = layer.and_then(|layer| layer.to_frame().map_err(|_| WireStatus::Failed));
-            match framed {
-                Ok(bytes) => self.pass_on(request, bytes.into()),
-                Err(status) => request.reply.send(Err(status)),
-            }
+        let encryption = self.encryption;
+        let framed = self
+            .enclave
+            .call(|ua| ua.process(&envelope, encryption))
+            .map_err(|_| WireStatus::Unavailable)
+            .and_then(|r| r.map_err(status_of_core))
+            .and_then(|layer| layer.to_frame().map_err(|_| WireStatus::Failed));
+        match framed {
+            Ok(bytes) => self.pass_on(&payload, deadline, reply, bytes.into()),
+            Err(status) => reply.send(Err(status)),
         }
     }
 
     /// A pseudonymized request leaves the enclave's turn: into the
     /// request shuffle, or straight to the IA.
-    fn pass_on(&self, request: Queued, bytes: Arc<[u8]>) {
+    fn pass_on(&self, payload: &[u8], deadline: Deadline, reply: Reply, bytes: Arc<[u8]>) {
         // Fingerprint the raw client frame bytes: the scenario harness
         // computed the same hash when it encoded the envelope, which is
         // what joins audit events back to requests.
         let fp = self
             .audit
             .as_ref()
-            .map_or(0, |_| audit::request_fingerprint(&request.payload));
-        let Queued {
-            deadline, reply, ..
-        } = request;
+            .map_or(0, |_| audit::request_fingerprint(payload));
         match &self.shuffle {
             None => {
                 if let Some(log) = &self.audit {
@@ -622,18 +581,12 @@ impl Service for UaWireService {
         !self.node.enclave.is_crashed()
     }
 
-    /// Queues the request for the enclave and posts the turn that will
-    /// take it — this one, or one that finds it waiting behind an ECALL
-    /// and takes it with the others queued there.
+    /// Takes a turn at the enclave for the request — now, or behind
+    /// those already waiting for it.
     fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
         let node = self.node.clone();
-        let request = Queued {
-            payload,
-            deadline,
-            reply,
-        };
         self.node
-            .waiting
-            .push(request, move |group| node.open_group(group));
+            .turns
+            .run(false, move || node.open_request(payload, deadline, reply));
     }
 }

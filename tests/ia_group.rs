@@ -1,11 +1,11 @@
-//! An IA node opens a shuffled batch as one group.
+//! An IA node opens a shuffled batch one get at a time, in wire order.
 //!
 //! The UA writes each IA its share of a released batch at once. Eight
 //! encrypted gets that reach an IA in one write are read in one pass and
-//! taken through one ECALL, which decrypts their `k_u` blocks together.
-//! Each get is still answered under its own key, and each still records
-//! its own `Ia` stage sample. Their LRS calls leave in the order the
-//! batch arrived in. A lone get is a group of one: two ECALLs, as ever.
+//! taken in one turn at the enclave, each get through its own ECALL.
+//! Each get is answered under its own key and records its own `Ia` stage
+//! samples. Their LRS calls leave in the order the batch arrived in. A
+//! lone get takes the same path: two ECALLs.
 
 use pprox::core::ia::{IaOptions, IaState};
 use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY};
@@ -60,7 +60,7 @@ fn scripted_lrs(queries: usize) -> (SocketAddr, JoinHandle<Vec<String>>) {
 }
 
 #[test]
-fn a_batch_written_at_once_is_opened_in_one_ecall_and_answered_in_order() {
+fn a_batch_written_at_once_is_opened_one_get_at_a_time_and_answered_in_order() {
     let mut rng = SecureRng::from_seed(0x1a_9e07);
     let platform = Platform::new(&mut rng);
     let provisioner = KeyProvisioner::generate(1152, &mut rng);
@@ -125,9 +125,9 @@ fn a_batch_written_at_once_is_opened_in_one_ecall_and_answered_in_order() {
     let ia_samples = || telemetry.stages().histogram(Stage::Ia).count();
     let before = enclave.ecall_count();
     exchange(&[1, 2, 3, 4, 5, 6, 7, 8]);
-    // One ECALL opens the group, one per get answers it (16 one by one),
-    // and each get still records a request-side and a response-side sample.
-    assert_eq!(enclave.ecall_count() - before, 9);
+    // Two ECALLs per get, one each way, and each get records a
+    // request-side and a response-side sample.
+    assert_eq!(enclave.ecall_count() - before, 16);
     assert_eq!(ia_samples(), 16);
 
     let before = enclave.ecall_count();

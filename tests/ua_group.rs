@@ -1,12 +1,11 @@
-//! A UA node opens the requests queued for its enclave as one group.
+//! A UA node opens the requests queued for its enclave one by one, in
+//! arrival order.
 //!
 //! While one request is inside the UA enclave, those arriving behind it
-//! queue for it. The turn after the ECALL takes what queued, up to a cap
-//! of eight, oldest first, through one ECALL that decrypts their user
-//! blocks one after another. Each request still
-//! records its own `Ua` stage sample, gets its own user's pseudonym and
-//! leaves for the IA in the order it arrived in. A lone request is a
-//! group of one: one ECALL, as ever.
+//! queue for it: each waits as a turn of its own, and the thread in the
+//! enclave runs them after its ECALL, oldest first, one ECALL each. Each
+//! request records its own `Ua` stage sample, gets its own user's
+//! pseudonym and leaves for the IA in the order it arrived in.
 
 use pprox::core::client::UserClient;
 use pprox::core::keys::{KeyProvisioner, UA_CODE_IDENTITY};
@@ -68,7 +67,7 @@ fn scripted_ia(requests: usize) -> (SocketAddr, JoinHandle<Vec<Vec<u8>>>) {
 }
 
 #[test]
-fn queued_requests_are_opened_together_capped_in_order_once_each() {
+fn queued_requests_are_opened_one_by_one_in_order_once_each() {
     let mut rng = SecureRng::from_seed(0x0a_9e07);
     let platform = Platform::new(&mut rng);
     let provisioner = KeyProvisioner::generate(1152, &mut rng);
@@ -137,14 +136,13 @@ fn queued_requests_are_opened_together_capped_in_order_once_each() {
         let answer = read_frame(&mut downstream, PadClass::Response);
         assert!(seen.insert(answer.corr, answer.payload).is_none());
     }
-    // One ECALL for the first request, then the sixteen that queued in
-    // two capped groups of eight — not seventeen.
-    assert_eq!(enclave.ecall_count() - before, 3);
+    // One ECALL per request: the first, then the sixteen that queued.
+    assert_eq!(enclave.ecall_count() - before, 17);
     let ua_samples = || telemetry.stages().histogram(Stage::Ua).count();
     assert_eq!(ua_samples(), 17);
     assert_eq!(service.waiting(), 0);
 
-    // A lone request is a group of one.
+    // A lone request: one ECALL.
     let before = enclave.ecall_count();
     downstream.write_all(&gets(17..18)).unwrap();
     let answer = read_frame(&mut downstream, PadClass::Response);
