@@ -551,7 +551,11 @@ pub(crate) fn interpolated_idents(s: &str) -> Vec<String> {
 /// internals — the in-process collector *and* the wire scrape plane
 /// (`crates/wire/src/scrape.rs`), which exports across the trust boundary
 /// — must not read wall-clock time themselves (`Instant` / `SystemTime`)
-/// except at allow-listed epochs.
+/// except at allow-listed epochs. (c) The enclave layer states
+/// (`crates/core/src/{ua,ia}.rs`) hold no clock and no metric — no
+/// `Instant`, `LatencyHistogram` or `Telemetry` at all: an enclave reads
+/// the time only by calling out to its host, so the wire service times
+/// each ECALL from outside.
 fn rule_arrival_oracle(ctx: &mut Ctx<'_>) {
     let toks = &ctx.lex.tokens;
     // (a) — workspace-wide, production code.
@@ -576,27 +580,38 @@ fn rule_arrival_oracle(ctx: &mut Ctx<'_>) {
     }
     // (b) — telemetry internals only, production code. The wire scrape
     // module is telemetry too: everything it touches leaves the node.
-    if ctx.path.contains("crates/core/src/telemetry/")
-        || ctx.path.contains("crates/wire/src/scrape.rs")
+    // (c) — the enclave layer states, tests included.
+    let path = ctx.path;
+    let (names, tests_too, what): (&[&str], bool, &str) = if path
+        .contains("crates/core/src/telemetry/")
+        || path.contains("crates/wire/src/scrape.rs")
     {
-        let hits: Vec<(usize, String)> = ctx
-            .lex
-            .tokens
-            .iter()
-            .filter(|t| {
-                t.kind == TokKind::Ident
-                    && (t.text == "Instant" || t.text == "SystemTime")
-                    && !ctx.in_test(t.line)
-            })
-            .map(|t| (t.line, t.text.clone()))
-            .collect();
-        for (line, name) in hits {
-            ctx.emit(
-                "R6",
-                line,
-                format!("telemetry internals capture wall-clock time via `{name}`"),
-            );
-        }
+        (
+            &["Instant", "SystemTime"],
+            false,
+            "telemetry internals capture wall-clock time",
+        )
+    } else if path.ends_with("crates/core/src/ua.rs") || path.ends_with("crates/core/src/ia.rs") {
+        (
+            &["Instant", "LatencyHistogram", "Telemetry"],
+            true,
+            "an enclave layer state holds a clock or a metric (it has no clock of \
+                 its own: the wire service times the ECALL from outside)",
+        )
+    } else {
+        return;
+    };
+    let hits: Vec<(usize, String)> = toks
+        .iter()
+        .filter(|t| {
+            t.kind == TokKind::Ident
+                && names.contains(&t.text.as_str())
+                && (tests_too || !ctx.in_test(t.line))
+        })
+        .map(|t| (t.line, t.text.clone()))
+        .collect();
+    for (line, name) in hits {
+        ctx.emit("R6", line, format!("{what} via `{name}`"));
     }
 }
 
@@ -823,8 +838,20 @@ mod tests {
             rules_fired("crates/wire/src/services/ua.rs", src),
             vec!["R6"]
         );
-        let duration = "fn f(t: &Telemetry) { t.record_duration(Stage::E2e, us); }\n";
+        let duration = "fn f(t: &Telemetry) { t.record_duration(Stage::Ua, us); }\n";
         assert!(rules_fired("crates/wire/src/services/ua.rs", duration).is_empty());
+    }
+
+    #[test]
+    fn a_clock_in_an_enclave_layer_state_fires_r6() {
+        for name in ["Instant", "LatencyHistogram", "Telemetry"] {
+            let src = format!("pub struct State {{ samples: Option<{name}> }}\n");
+            for path in ["crates/core/src/ua.rs", "crates/core/src/ia.rs"] {
+                assert_eq!(rules_fired(path, &src), vec!["R6"], "{name} in {path}");
+            }
+            // The wire service that times the ECALL may name them.
+            assert!(rules_fired("crates/wire/src/services/ua.rs", &src).is_empty());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 pub fn finish(telemetry: &Telemetry, trace: TraceId, start_us: u64, duration_us: u64) {
     telemetry.record_span(SpanRecord {
         trace,
-        stage: Stage::E2e,
+        stage: Stage::Ua,
         instance: 0,
         start_us,
         duration_us,

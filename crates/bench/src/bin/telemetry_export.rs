@@ -13,6 +13,10 @@
 //! * `TELEMETRY_prometheus.txt` — the same document as scrape-ready
 //!   series (`scrape::prometheus_text`).
 //!
+//! Every stage in it is what the nodes measured themselves: the driver's
+//! clients are applications on users' devices, and their timings are
+//! not the proxy's telemetry.
+//!
 //! Usage:
 //!
 //! ```text
@@ -30,15 +34,14 @@
 
 use pprox_bench::report;
 use pprox_core::resilience::Deadline;
-use pprox_core::telemetry::Stage;
 use pprox_json::schema::list;
 use pprox_json::Value;
 use pprox_lrs::stub::StubLrs;
-use pprox_wire::scrape::{prometheus_text, snapshot_schema, validate_prometheus};
+use pprox_wire::scrape::{prometheus_text, snapshot_schema, validate_prometheus, REQUIRED_STAGES};
 use pprox_wire::{validate_scrape_snapshot, ClusterConfig, ClusterScraper, LoopbackCluster};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[derive(Debug)]
 struct Args {
@@ -86,23 +89,15 @@ fn run_deployment(requests: usize, shuffle_size: usize) -> Value {
         ..ClusterConfig::default().with_shuffle(shuffle_size, 50_000)
     };
     let mut cluster = LoopbackCluster::launch(config, Arc::new(StubLrs::new())).unwrap();
-    let telemetry = cluster.telemetry().clone();
-    let mut clients: Vec<_> = (0..CLIENTS)
-        .map(|_| {
-            let mut client = cluster.client();
-            client.attach_telemetry(telemetry.clone());
-            client
-        })
-        .collect();
+    let mut clients: Vec<_> = (0..CLIENTS).map(|_| cluster.client()).collect();
 
     // Posts seed the LRS so the recommendation GETs have history; GETs
     // exercise the full path (both shuffle directions, IA response
-    // re-encryption, LRS reads). End-to-end latency is the client's
-    // measurement, recorded histogram-only like every other stage.
+    // re-encryption, LRS reads).
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for client in &mut clients {
-            let (cluster, telemetry, next) = (&cluster, &telemetry, &next);
+            let (cluster, next) = (&cluster, &next);
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= requests {
@@ -110,7 +105,6 @@ fn run_deployment(requests: usize, shuffle_size: usize) -> Value {
                 }
                 let budget = Deadline::starting_now(Duration::from_secs(10));
                 let user = format!("u{:03}", i % 24);
-                let started = Instant::now();
                 if i < requests / 2 {
                     let env = client
                         .post(&user, &format!("m{:05}", i % 40), None)
@@ -120,7 +114,6 @@ fn run_deployment(requests: usize, shuffle_size: usize) -> Value {
                     let (env, _ticket) = client.get(&user).unwrap();
                     cluster.send_get(&env, budget).unwrap();
                 }
-                telemetry.record_duration(Stage::E2e, started.elapsed().as_micros() as u64);
             });
         }
     });
@@ -157,12 +150,11 @@ fn main() {
     );
     let snapshot = run_deployment(args.requests, args.shuffle_size);
     validate_scrape_snapshot(&snapshot).expect("emitted snapshot must self-validate");
-    for required in [Stage::Ua, Stage::Ia, Stage::Lrs, Stage::E2e] {
-        let cells = list(&snapshot, &format!("stages.{}.counts", required.as_str()));
+    for required in REQUIRED_STAGES {
+        let cells = list(&snapshot, &format!("stages.{required}.counts"));
         assert!(
             cells.is_ok_and(|cells| !cells.is_empty()),
-            "stage {} recorded nothing",
-            required.as_str()
+            "stage {required} recorded nothing"
         );
     }
     let prom = prometheus_text(&snapshot);

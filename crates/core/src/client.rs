@@ -20,15 +20,12 @@ use crate::message::{
     ClientEnvelope, EncryptedList, Op, ID_PLAINTEXT_LEN, ITEM_BLOCK_LEN, PAD_ITEM_PREFIX,
     RULES_BLOCK_LEN,
 };
-use crate::telemetry::{Stage, Telemetry};
 use crate::PProxError;
 use pprox_crypto::ctr::{SymmetricKey, KEY_LEN};
 use pprox_crypto::pad;
 use pprox_crypto::rng::SecureRng;
 use pprox_crypto::secret::SecretBytes;
 use pprox_json::Value;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-`get` state: the temporary key `k_u` needed to open the response.
 ///
@@ -68,7 +65,6 @@ pub struct UserClient {
     keys: ClientKeys,
     rng: SecureRng,
     encryption: bool,
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl std::fmt::Debug for UserClient {
@@ -77,7 +73,6 @@ impl std::fmt::Debug for UserClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UserClient")
             .field("encryption", &self.encryption)
-            .field("telemetry", &self.telemetry.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -89,7 +84,6 @@ impl UserClient {
             keys,
             rng: SecureRng::from_seed(seed),
             encryption: true,
-            telemetry: None,
         }
     }
 
@@ -100,25 +94,12 @@ impl UserClient {
             keys,
             rng: SecureRng::from_seed(seed),
             encryption: false,
-            telemetry: None,
         }
-    }
-
-    /// Attaches a telemetry hub; subsequent requests record their
-    /// encryption time into its `client_encrypt` histogram.
-    pub fn attach_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
     }
 
     /// Whether this client encrypts requests.
     pub fn encryption(&self) -> bool {
         self.encryption
-    }
-
-    fn record_encrypt(&self, started: Instant) {
-        if let Some(t) = &self.telemetry {
-            t.record_duration(Stage::ClientEncrypt, started.elapsed().as_micros() as u64);
-        }
     }
 
     /// Intercepts `post(u, i[, p])`: yields the encrypted envelope for the
@@ -139,34 +120,29 @@ impl UserClient {
         // length-checked plaintext ids here and nowhere downstream.
         let user = PlaintextUserId::new(user)?;
         let item = PlaintextItemId::new(item)?;
-        let started = Instant::now();
         let mut block = Value::object([("i", Value::from(item.expose()))]);
         if let Some(p) = payload {
             block.insert("p", Value::from(p));
         }
         if !self.encryption {
-            let envelope = ClientEnvelope {
+            return Ok(ClientEnvelope {
                 op: Op::Post,
                 user: user.expose_bytes().to_vec(),
                 // analysis-allow: R10 explicit plaintext baseline mode; the client owns this plaintext
                 aux: block.to_json().into_bytes(),
-            };
-            self.record_encrypt(started);
-            return Ok(envelope);
+            });
         }
         let padded_user = SecretBytes::new(pad::pad(user.expose_bytes(), ID_PLAINTEXT_LEN)?);
         // analysis-allow: R10 pre-encryption marshalling; sealed under pk_ia two lines down
         let padded_block = pad::pad(block.to_json().as_bytes(), ITEM_BLOCK_LEN)?;
-        let envelope = ClientEnvelope {
+        Ok(ClientEnvelope {
             op: Op::Post,
             user: self
                 .keys
                 .pk_ua
                 .encrypt(padded_user.expose(), &mut self.rng)?,
             aux: self.keys.pk_ia.encrypt(&padded_block, &mut self.rng)?,
-        };
-        self.record_encrypt(started);
-        Ok(envelope)
+        })
     }
 
     /// Intercepts `get(u)`: yields the encrypted envelope (Figure 4's
@@ -178,10 +154,8 @@ impl UserClient {
     /// Same conditions as [`post`](Self::post).
     pub fn get(&mut self, user: &str) -> Result<(ClientEnvelope, GetTicket), PProxError> {
         let user = PlaintextUserId::new(user)?;
-        let started = Instant::now();
         let ticket = GetTicket::fresh(&mut self.rng);
         if !self.encryption {
-            self.record_encrypt(started);
             return Ok((
                 ClientEnvelope {
                     op: Op::Get,
@@ -200,7 +174,6 @@ impl UserClient {
                 .encrypt(padded_user.expose(), &mut self.rng)?,
             aux: self.keys.pk_ia.encrypt(&ticket.k_u, &mut self.rng)?,
         };
-        self.record_encrypt(started);
         Ok((envelope, ticket))
     }
 
@@ -227,7 +200,6 @@ impl UserClient {
             .iter()
             .map(|id| PlaintextItemId::new(id))
             .collect::<Result<Vec<_>, _>>()?;
-        let started = Instant::now();
         let ticket = GetTicket::fresh(&mut self.rng);
         if !self.encryption {
             // Passthrough mode: rules travel in the clear.
@@ -238,7 +210,6 @@ impl UserClient {
                     .map(|e| Value::from(e.expose()))
                     .collect::<Value>(),
             )]);
-            self.record_encrypt(started);
             return Ok((
                 ClientEnvelope {
                     op: Op::Get,
@@ -271,7 +242,6 @@ impl UserClient {
                 .encrypt(padded_user.expose(), &mut self.rng)?,
             aux,
         };
-        self.record_encrypt(started);
         Ok((envelope, ticket))
     }
 

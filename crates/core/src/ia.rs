@@ -13,6 +13,10 @@
 //! back from the LRS"), then, on the way back, de-pseudonymizes the
 //! returned items, pads the list to the maximum size, and encrypts it
 //! under `k_u` so the UA layer cannot read it.
+//!
+//! Like the UA state, it holds no clock and no metric: the wire service
+//! times each of its ECALLs from outside the enclave
+//! (`pprox_wire::services`).
 
 use crate::ids::PlaintextItemId;
 use crate::keys::LayerSecrets;
@@ -20,7 +24,6 @@ use crate::message::{
     list_to_plaintext, EncryptedList, LayerEnvelope, Op, ID_PLAINTEXT_LEN, ITEM_BLOCK_LEN,
     PAD_ITEM_PREFIX, RULES_BLOCK_LEN,
 };
-use crate::telemetry::LatencyHistogram;
 use crate::PProxError;
 use pprox_crypto::base64;
 use pprox_crypto::ctr::SymmetricKey;
@@ -31,8 +34,6 @@ use pprox_json::Value;
 use pprox_lrs::api::{FeedbackEvent, RecommendationQuery};
 use pprox_lrs::MAX_RECOMMENDATIONS;
 use pprox_sgx::EpcStore;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Handle to a pending `get`: keys the stored `k_u` for the response leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,14 +67,11 @@ pub struct IaState {
     pending: EpcStore,
     next_token: u64,
     rng: SecureRng,
-    processed: u64,
-    processing_histogram: Option<Arc<LatencyHistogram>>,
 }
 
 impl std::fmt::Debug for IaState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IaState")
-            .field("processed", &self.processed)
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -97,24 +95,6 @@ impl IaState {
             pending: EpcStore::with_capacity(epc_bytes),
             next_token: 1,
             rng,
-            processed: 0,
-            processing_histogram: None,
-        }
-    }
-
-    /// Attaches the latency histogram this instance records its
-    /// in-enclave processing time into (the telemetry `ia` stage). Each
-    /// transform of a request — post, get, get-response — is one
-    /// observation, so the stage count exceeds the request count for gets
-    /// by design.
-    pub fn set_processing_histogram(&mut self, histogram: Arc<LatencyHistogram>) {
-        self.processing_histogram = Some(histogram);
-    }
-
-    /// One sample: the time since `started`.
-    fn record_processing(&self, started: Instant) {
-        if let Some(h) = &self.processing_histogram {
-            h.record(started.elapsed().as_micros() as u64);
         }
     }
 
@@ -123,16 +103,10 @@ impl IaState {
     }
 
     /// Pending `(token, k_u)` pairs — what a breach of this enclave leaks.
-    pub(crate) fn pending_keys(&self) -> Vec<(u64, Vec<u8>)> {
-        // EpcStore has no iteration by design (it models an opaque cache);
-        // leak the count via a marker instead of raw keys. Tokens are not
-        // enumerable here, so report the budget usage.
-        vec![(0, self.pending.used_bytes().to_be_bytes().to_vec())]
-    }
-
-    /// Requests processed (both directions).
-    pub fn processed(&self) -> u64 {
-        self.processed
+    pub(crate) fn pending_keys(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.pending
+            .iter()
+            .filter_map(|(token, k_u)| Some((u64::from_be_bytes(token.try_into().ok()?), k_u)))
     }
 
     /// Number of gets awaiting their LRS response.
@@ -188,18 +162,6 @@ impl IaState {
         options: IaOptions,
     ) -> Result<FeedbackEvent, PProxError> {
         debug_assert_eq!(envelope.op, Op::Post);
-        self.processed += 1;
-        let started = Instant::now();
-        let result = self.process_post_inner(envelope, options);
-        self.record_processing(started);
-        result
-    }
-
-    fn process_post_inner(
-        &mut self,
-        envelope: &LayerEnvelope,
-        options: IaOptions,
-    ) -> Result<FeedbackEvent, PProxError> {
         let (item, payload) = if options.encryption {
             let block = self.secrets.sk.decrypt(&envelope.aux)?;
             let body = pad::unpad(&block, ITEM_BLOCK_LEN)?;
@@ -257,18 +219,6 @@ impl IaState {
         options: IaOptions,
     ) -> Result<(RecommendationQuery, PendingToken), PProxError> {
         debug_assert_eq!(envelope.op, Op::Get);
-        self.processed += 1;
-        let started = Instant::now();
-        let result = self.process_get_inner(envelope, options);
-        self.record_processing(started);
-        result
-    }
-
-    fn process_get_inner(
-        &mut self,
-        envelope: &LayerEnvelope,
-        options: IaOptions,
-    ) -> Result<(RecommendationQuery, PendingToken), PProxError> {
         let token = PendingToken(self.next_token);
         self.next_token += 1;
         let mut exclude: Vec<String> = Vec::new();
@@ -344,19 +294,6 @@ impl IaState {
     /// [`PProxError::UnknownToken`] when no `k_u` is pending under `token`
     /// (response replay or mis-routing); crypto errors on corrupt ids.
     pub fn process_get_response(
-        &mut self,
-        token: PendingToken,
-        item_ids: &[String],
-        options: IaOptions,
-    ) -> Result<EncryptedList, PProxError> {
-        self.processed += 1;
-        let started = Instant::now();
-        let result = self.process_get_response_inner(token, item_ids, options);
-        self.record_processing(started);
-        result
-    }
-
-    fn process_get_response_inner(
         &mut self,
         token: PendingToken,
         item_ids: &[String],
@@ -576,7 +513,6 @@ mod tests {
             .unwrap();
         assert_ne!(first, second);
         assert_eq!(ia.pending_count(), 3);
-        assert_eq!(ia.processed(), 6);
     }
 
     #[test]
@@ -609,6 +545,41 @@ mod tests {
             ia.process_get_response(token, &[], IaOptions::default()),
             Err(PProxError::UnknownToken)
         ));
+    }
+
+    #[test]
+    fn a_breach_leaks_each_pending_k_u_under_its_token() {
+        use pprox_sgx::EnclaveApp;
+        let (mut ia, mut rng) = setup();
+        let pk = ia.secrets.sk.public_key().clone();
+        let mut held = Vec::new();
+        for user in [1u8, 2] {
+            let k_u = SymmetricKey::generate(&mut rng);
+            let env = LayerEnvelope {
+                op: Op::Get,
+                user_pseudonym: vec![user; 32],
+                aux: pk.encrypt(k_u.as_bytes(), &mut rng).unwrap(),
+            };
+            let (_, token) = ia.process_get(&env, IaOptions::default()).unwrap();
+            held.push((token, k_u));
+        }
+        let leaked = |ia: &IaState| {
+            let bag = ia.leak_secrets();
+            bag.names()
+                .filter(|name| name.starts_with("ia.k_u."))
+                .map(|name| (name.to_owned(), bag.get(name).unwrap().to_vec()))
+                .collect::<std::collections::BTreeMap<_, _>>()
+        };
+        let want = held
+            .iter()
+            .map(|(token, k_u)| (format!("ia.k_u.{}", token.0), k_u.as_bytes().to_vec()))
+            .collect();
+        assert_eq!(leaked(&ia), want);
+        for (token, _) in held {
+            ia.process_get_response(token, &[], IaOptions::default())
+                .unwrap();
+        }
+        assert!(leaked(&ia).is_empty());
     }
 
     #[test]

@@ -172,8 +172,8 @@ impl EnclaveApp for IaState {
         let mut bag = SecretBag::new();
         self.secrets().leak_into(&mut bag, "ia");
         // Pending per-request response keys are in enclave memory too.
-        for (token, key) in self.pending_keys() {
-            bag.insert(format!("ia.k_u.{token}"), key);
+        for (token, k_u) in self.pending_keys() {
+            bag.insert(format!("ia.k_u.{token}"), k_u.to_vec());
         }
         bag
     }

@@ -27,19 +27,18 @@ pub(crate) mod sync;
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use stage::Stage;
 
-use std::sync::Arc;
 // analysis-allow: R6 the hub's epoch is the time *origin* `now_us` counts
 // from, not a per-request arrival capture; per-request timing enters only
 // through record_duration (a histogram cell).
 use std::time::Instant;
 
 /// Per-stage latency histograms, one [`LatencyHistogram`] per
-/// [`Stage`]. Recording is lock-free; histograms are shared `Arc`s so
-/// subsystems (the enclave layer states, the shuffle stages) can hold
-/// their stage's recorder directly.
+/// [`Stage`]. Recording is lock-free. Every sample comes from a node's
+/// wire service through [`Telemetry::record_duration`], timed around
+/// the call it measures: the enclave layer states hold no recorder.
 #[derive(Debug)]
 pub struct StageSet {
-    histograms: Vec<Arc<LatencyHistogram>>,
+    histograms: Vec<LatencyHistogram>,
 }
 
 impl Default for StageSet {
@@ -52,15 +51,12 @@ impl StageSet {
     /// Empty histograms for every stage.
     pub fn new() -> StageSet {
         StageSet {
-            histograms: Stage::ALL
-                .iter()
-                .map(|_| Arc::new(LatencyHistogram::new()))
-                .collect(),
+            histograms: Stage::ALL.iter().map(|_| LatencyHistogram::new()).collect(),
         }
     }
 
-    /// The shared histogram recording `stage`.
-    pub fn histogram(&self, stage: Stage) -> &Arc<LatencyHistogram> {
+    /// The histogram recording `stage`.
+    pub fn histogram(&self, stage: Stage) -> &LatencyHistogram {
         &self.histograms[stage as usize]
     }
 
@@ -129,9 +125,9 @@ mod tests {
     #[test]
     fn record_duration_feeds_the_stage_histogram() {
         let t = Telemetry::new();
-        t.record_duration(Stage::E2e, 1_000);
+        t.record_duration(Stage::Lrs, 1_000);
         t.record_duration(Stage::Ua, 250);
-        assert_eq!(t.stages().histogram(Stage::E2e).count(), 1);
+        assert_eq!(t.stages().histogram(Stage::Lrs).count(), 1);
         assert_eq!(t.stages().histogram(Stage::Ua).snapshot().p50(), 250);
     }
 }

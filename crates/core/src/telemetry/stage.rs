@@ -1,52 +1,47 @@
 //! The pipeline stages a latency histogram can describe.
 
-/// A pipeline stage a latency histogram can describe.
+/// A pipeline stage a latency histogram can describe: what a node
+/// measures around the work it does. Each sample is taken by the node's
+/// wire service, outside any enclave (an enclave has no clock of its
+/// own); a client's own timings stay on the client's device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Stage {
-    /// Client-side envelope encryption (user-side library).
-    ClientEncrypt = 0,
     /// Dwell inside the request-direction shuffle buffer.
-    ShuffleRequest = 1,
-    /// UA enclave processing (decrypt + pseudonymize).
-    Ua = 2,
-    /// IA enclave processing (item pseudonymization, response keys).
-    Ia = 3,
+    ShuffleRequest = 0,
+    /// One UA ECALL (decrypt + pseudonymize), refused ones included.
+    Ua = 1,
+    /// One IA ECALL (post, get or get-response), refused ones included.
+    Ia = 2,
     /// One LRS attempt (per try), submit to completion.
-    LrsAttempt = 4,
+    LrsAttempt = 3,
     /// The full resilient LRS call: retries, backoff, breaker included.
-    Lrs = 5,
+    Lrs = 4,
     /// Dwell inside the response-direction shuffle buffer.
-    ShuffleResponse = 6,
-    /// Whole-request latency, admission to delivery.
-    E2e = 7,
+    ShuffleResponse = 5,
 }
 
 impl Stage {
     /// All stages, in pipeline order — which is discriminant order:
     /// [`super::StageSet`] indexes its histograms by `stage as usize`.
-    pub const ALL: [Stage; 8] = [
-        Stage::ClientEncrypt,
+    pub const ALL: [Stage; 6] = [
         Stage::ShuffleRequest,
         Stage::Ua,
         Stage::Ia,
         Stage::LrsAttempt,
         Stage::Lrs,
         Stage::ShuffleResponse,
-        Stage::E2e,
     ];
 
     /// Exported label (Prometheus `stage` label / JSON key).
     pub fn as_str(&self) -> &'static str {
         match self {
-            Stage::ClientEncrypt => "client_encrypt",
             Stage::ShuffleRequest => "shuffle_request",
             Stage::Ua => "ua",
             Stage::Ia => "ia",
             Stage::LrsAttempt => "lrs_attempt",
             Stage::Lrs => "lrs",
             Stage::ShuffleResponse => "shuffle_response",
-            Stage::E2e => "e2e",
         }
     }
 }

@@ -10,28 +10,23 @@
 //! enclave; its only secrets are `skUA` (to decrypt `enc(u, pkUA)`) and
 //! `kUA` (to produce the stable pseudonym `det_enc(u, kUA)`). It never
 //! touches the aux block (item or response key): that is encrypted to the
-//! IA layer.
+//! IA layer. It holds no clock and no metric either: an enclave reads the
+//! time only by calling out to its host, so the wire service times each
+//! ECALL from outside (`pprox_wire::services`).
 
 use crate::keys::LayerSecrets;
 use crate::message::{ClientEnvelope, LayerEnvelope};
-use crate::telemetry::LatencyHistogram;
 use crate::PProxError;
 use pprox_crypto::secret::SecretBytes;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// In-enclave state and logic of a UA instance.
 pub struct UaState {
     secrets: LayerSecrets,
-    processed: u64,
-    processing_histogram: Option<Arc<LatencyHistogram>>,
 }
 
 impl std::fmt::Debug for UaState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UaState")
-            .field("processed", &self.processed)
-            .finish()
+        f.debug_struct("UaState").finish_non_exhaustive()
     }
 }
 
@@ -41,35 +36,11 @@ impl UaState {
     /// cost.
     pub fn new(secrets: LayerSecrets) -> Self {
         secrets.warm();
-        UaState {
-            secrets,
-            processed: 0,
-            processing_histogram: None,
-        }
-    }
-
-    /// Attaches the latency histogram this instance records its
-    /// in-enclave processing time into (the telemetry `ua` stage). Timing
-    /// is measured inside the enclave boundary so it reflects decrypt +
-    /// pseudonymize cost, not queueing or supervision overhead.
-    pub fn set_processing_histogram(&mut self, histogram: Arc<LatencyHistogram>) {
-        self.processing_histogram = Some(histogram);
-    }
-
-    /// One sample: the time since `started`.
-    fn record_processing(&self, started: Instant) {
-        if let Some(h) = &self.processing_histogram {
-            h.record(started.elapsed().as_micros() as u64);
-        }
+        UaState { secrets }
     }
 
     pub(crate) fn secrets(&self) -> &LayerSecrets {
         &self.secrets
-    }
-
-    /// Requests processed by this instance.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Transforms a client request into the UA → IA form: decrypts the
@@ -84,18 +55,6 @@ impl UaState {
     /// [`PProxError::Crypto`] when the user field does not decrypt under
     /// `skUA` (corrupted request or key mismatch).
     pub fn process(
-        &mut self,
-        envelope: &ClientEnvelope,
-        encryption: bool,
-    ) -> Result<LayerEnvelope, PProxError> {
-        self.processed += 1;
-        let started = Instant::now();
-        let result = self.process_inner(envelope, encryption);
-        self.record_processing(started);
-        result
-    }
-
-    fn process_inner(
         &mut self,
         envelope: &ClientEnvelope,
         encryption: bool,
@@ -238,7 +197,6 @@ mod tests {
         };
         let first = ua.process(&env, true).unwrap();
         assert_eq!(ua.process(&env, true).unwrap(), first);
-        assert_eq!(ua.processed(), 5);
     }
 
     #[test]
@@ -256,39 +214,5 @@ mod tests {
             pad::unpad(recovered.expose(), ID_PLAINTEXT_LEN).unwrap(),
             b"carol"
         );
-    }
-
-    #[test]
-    fn processing_histogram_records_each_request() {
-        let (mut ua, _) = setup();
-        let hist = std::sync::Arc::new(crate::telemetry::LatencyHistogram::new());
-        ua.set_processing_histogram(hist.clone());
-        let env = ClientEnvelope {
-            op: Op::Post,
-            user: b"x".to_vec(),
-            aux: vec![],
-        };
-        ua.process(&env, false).unwrap();
-        // Failures are timed too: the enclave did work either way.
-        let bad = ClientEnvelope {
-            op: Op::Post,
-            user: vec![0u8; 13],
-            aux: vec![],
-        };
-        assert!(ua.process(&bad, true).is_err());
-        assert_eq!(hist.count(), 2);
-    }
-
-    #[test]
-    fn processed_counter() {
-        let (mut ua, _) = setup();
-        assert_eq!(ua.processed(), 0);
-        let env = ClientEnvelope {
-            op: Op::Post,
-            user: b"x".to_vec(),
-            aux: vec![],
-        };
-        ua.process(&env, false).unwrap();
-        assert_eq!(ua.processed(), 1);
     }
 }

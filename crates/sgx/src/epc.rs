@@ -109,6 +109,12 @@ impl EpcStore {
         Some(value)
     }
 
+    /// Every live entry, in no particular order. Read-only: what an
+    /// adversary who broke the enclave reads out of its memory.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.map.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.map.len()

@@ -57,8 +57,9 @@ use std::time::{Duration, Instant};
 /// dropped the `layers` array (nothing ever registered a layer) and
 /// closed `node.tier` to the four tier names. v4 added
 /// `server.encode_failures`, and the document became the cluster view's
-/// too ([`ClusterSnapshot::merged`]).
-pub const SCRAPE_SCHEMA_VERSION: u64 = 4;
+/// too ([`ClusterSnapshot::merged`]). v5 dropped the `client_encrypt`
+/// and `e2e` stages, which only a driver's clients ever filled.
+pub const SCRAPE_SCHEMA_VERSION: u64 = 5;
 
 /// Every value `node.tier` may take: the three cluster tiers, and `node`
 /// for a hub outside any cluster ([`NodeMetrics::detached`]).

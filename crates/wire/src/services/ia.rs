@@ -23,6 +23,10 @@
 //! pass's LRS calls leave in the order it arrived in. A request that
 //! arrives alone is a pass of one.
 //!
+//! Each ECALL — post, get, get-response — is one `Ia` sample, taken
+//! around the call from outside the enclave, refused ones included, so a
+//! get counts twice.
+//!
 //! This file never names a user-side API: the user id it handles is
 //! already a pseudonym inside the envelope, and the privacy-flow
 //! analyzer (R3) enforces that lexically.
@@ -33,7 +37,7 @@ use crate::router::ShardRouter;
 use crate::server::{Reply, Service};
 use crate::services::lrs::{decode_response, encode_request};
 use crate::services::serial::Turns;
-use crate::services::status_of_core;
+use crate::services::timed_ecall;
 use crate::{WireError, WireStatus};
 use parking_lot::Mutex;
 use pprox_core::ia::{IaOptions, IaState, PendingToken};
@@ -233,18 +237,12 @@ impl IaNode {
 
     fn post(self: &Arc<Self>, envelope: &LayerEnvelope, deadline: Deadline, reply: Reply) {
         let options = self.options;
-        let started = Instant::now();
-        let event = match self
-            .enclave
-            .call(|ia| ia.process_post(envelope, options))
-            .map_err(|_| WireStatus::Unavailable)
-            .and_then(|r| r.map_err(status_of_core))
-        {
+        let event = match timed_ecall(&self.enclave, &self.telemetry, Stage::Ia, |ia| {
+            ia.process_post(envelope, options)
+        }) {
             Ok(event) => event,
             Err(status) => return reply.send(Err(status)),
         };
-        self.telemetry
-            .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
         let shard = self.router.as_ref().map(|router| router.route(&event.user));
         let request = HttpRequest::post(EVENTS_PATH, event.to_json());
         self.call_lrs(&request, deadline, shard, move |result| {
@@ -267,18 +265,12 @@ impl IaNode {
 
     fn get(self: &Arc<Self>, envelope: &LayerEnvelope, deadline: Deadline, reply: Reply) {
         let options = self.options;
-        let started = Instant::now();
-        let (query, token) = match self
-            .enclave
-            .call(|ia| ia.process_get(envelope, options))
-            .map_err(|_| WireStatus::Unavailable)
-            .and_then(|r| r.map_err(status_of_core))
-        {
+        let (query, token) = match timed_ecall(&self.enclave, &self.telemetry, Stage::Ia, |ia| {
+            ia.process_get(envelope, options)
+        }) {
             Ok(opened) => opened,
             Err(status) => return reply.send(Err(status)),
         };
-        self.telemetry
-            .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
         self.fetch(query, token, deadline, reply);
     }
 
@@ -377,14 +369,9 @@ impl IaNode {
     fn respond(&self, token: PendingToken, reply: Reply, list: RecommendationList) {
         let item_ids: Vec<String> = list.items.into_iter().map(|s| s.item).collect();
         let options = self.options;
-        let started = Instant::now();
-        let encrypted = self
-            .enclave
-            .call(|ia| ia.process_get_response(token, &item_ids, options))
-            .map_err(|_| WireStatus::Unavailable)
-            .and_then(|r| r.map_err(status_of_core));
-        self.telemetry
-            .record_duration(Stage::Ia, started.elapsed().as_micros() as u64);
+        let encrypted = timed_ecall(&self.enclave, &self.telemetry, Stage::Ia, |ia| {
+            ia.process_get_response(token, &item_ids, options)
+        });
         reply.send(encrypted.and_then(|list| list.to_frame().map_err(|_| WireStatus::Failed)));
     }
 }

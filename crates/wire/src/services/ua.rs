@@ -52,10 +52,11 @@
 //! Without shuffling the turn submits its request directly, and the
 //! completion answers the client.
 //!
-//! Telemetry discipline (analyzer rule R6): shuffle dwell and UA
-//! processing go through histogram-only recording — this file never
-//! exports an arrival-timestamped span; the instants handed to the
-//! linkage audit exist under its off-by-default flag only.
+//! Telemetry discipline (analyzer rule R6): shuffle dwell and the UA
+//! ECALL (timed around the call, outside the enclave) go through
+//! histogram-only recording — this file never exports an
+//! arrival-timestamped span; the instants handed to the linkage audit
+//! exist under its off-by-default flag only.
 //!
 //! This file never names an item-side API; the aux block it forwards is
 //! opaque ciphertext bound for the IA.
@@ -66,7 +67,7 @@ use crate::client::{CallResult, Completion};
 use crate::scrape::NodeMetrics;
 use crate::server::{Reply, Service};
 use crate::services::serial::Turns;
-use crate::services::status_of_core;
+use crate::services::timed_ecall;
 use crate::{WireError, WireStatus};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -490,10 +491,6 @@ impl UaWireService {
         let (encryption, audit) = (options.encryption, options.audit.clone());
         let shuffle = (!options.shuffle.is_disabled())
             .then(|| ShuffleStage::spawn(options, ia.clone(), telemetry.clone(), seed));
-        // The enclave times its own ECALLs, one `Ua` sample per request.
-        // A crashed enclave records nothing, and serves nothing either.
-        let samples = telemetry.stages().histogram(Stage::Ua).clone();
-        let _ = enclave.call(|ua| ua.set_processing_histogram(samples));
         UaWireService {
             node: Arc::new(UaNode {
                 enclave,
@@ -515,20 +512,18 @@ impl UaWireService {
 
 impl UaNode {
     /// One turn at the enclave for one request: parsed (a malformed one
-    /// is answered at once), pseudonymized in one ECALL
-    /// ([`UaState::process`], which records its `Ua` sample), then passed
-    /// on — into the request shuffle, or straight to the IA.
+    /// is answered at once), pseudonymized in one timed ECALL
+    /// ([`UaState::process`], one `Ua` sample), then passed on — into the
+    /// request shuffle, or straight to the IA.
     fn open_request(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
         let Ok(envelope) = ClientEnvelope::from_frame(&payload) else {
             return reply.send(Err(WireStatus::Malformed));
         };
         let encryption = self.encryption;
-        let framed = self
-            .enclave
-            .call(|ua| ua.process(&envelope, encryption))
-            .map_err(|_| WireStatus::Unavailable)
-            .and_then(|r| r.map_err(status_of_core))
-            .and_then(|layer| layer.to_frame().map_err(|_| WireStatus::Failed));
+        let framed = timed_ecall(&self.enclave, &self.telemetry, Stage::Ua, |ua| {
+            ua.process(&envelope, encryption)
+        })
+        .and_then(|layer| layer.to_frame().map_err(|_| WireStatus::Failed));
         match framed {
             Ok(bytes) => self.pass_on(&payload, deadline, reply, bytes.into()),
             Err(status) => reply.send(Err(status)),

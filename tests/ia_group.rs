@@ -6,6 +6,10 @@
 //! Each get is answered under its own key and records its own `Ia` stage
 //! samples. Their LRS calls leave in the order the batch arrived in. A
 //! lone get takes the same path: two ECALLs.
+//!
+//! The `Ia` stage counts the ECALLs that ran, answered or refused: a get
+//! whose key block does not open is one ECALL and one sample, a request
+//! to a crashed enclave neither.
 
 use pprox::core::ia::{IaOptions, IaState};
 use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY};
@@ -20,7 +24,9 @@ use pprox::lrs::{HttpResponse, MAX_RECOMMENDATIONS};
 use pprox::sgx::Platform;
 use pprox::wire::services::lrs::{decode_request, encode_response};
 use pprox::wire::services::IaWireService;
-use pprox::wire::{ClientConfig, Frame, PadClass, ServerConfig, SocketBalancer, WireServer};
+use pprox::wire::{
+    ClientConfig, Frame, PadClass, ServerConfig, SocketBalancer, WireServer, WireStatus,
+};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -123,7 +129,8 @@ fn a_batch_written_at_once_is_opened_one_get_at_a_time_and_answered_in_order() {
     };
 
     let ia_samples = || telemetry.stages().histogram(Stage::Ia).count();
-    let before = enclave.ecall_count();
+    let start = enclave.ecall_count();
+    let before = start;
     exchange(&[1, 2, 3, 4, 5, 6, 7, 8]);
     // Two ECALLs per get, one each way, and each get records a
     // request-side and a response-side sample.
@@ -134,6 +141,32 @@ fn a_batch_written_at_once_is_opened_one_get_at_a_time_and_answered_in_order() {
     exchange(&[9]);
     assert_eq!(enclave.ecall_count() - before, 2);
     assert_eq!(ia_samples(), 18);
+
+    // A get whose `k_u` block does not decrypt: refused in its one ECALL,
+    // which is timed all the same. A get to a crashed enclave runs none.
+    let mut refused = |aux: Vec<u8>, corr: u64| {
+        let envelope = LayerEnvelope {
+            op: Op::Get,
+            user_pseudonym: vec![0xee; 32],
+            aux,
+        };
+        let frame = Frame::new(PadClass::Request, corr, envelope.to_frame().unwrap()).unwrap();
+        upstream.write_all(&frame.encode().unwrap()).unwrap();
+        let answer = read_frame(&mut upstream, PadClass::Control);
+        assert_eq!(answer.corr, corr);
+        WireStatus::from_payload(&answer.payload)
+    };
+    let before = enclave.ecall_count();
+    let garbage = vec![0xff; pk_ia.ciphertext_len()];
+    assert_eq!(refused(garbage.clone(), 100), Some(WireStatus::Failed));
+    assert_eq!(enclave.ecall_count() - before, 1);
+    assert_eq!(ia_samples(), 19);
+    platform.crash_enclave(enclave.id()).unwrap();
+    assert_eq!(refused(garbage, 101), Some(WireStatus::Unavailable));
+    assert_eq!(enclave.ecall_count() - before, 1);
+    assert_eq!(ia_samples(), 19);
+    // One sample per ECALL that ran, over the whole test.
+    assert_eq!(ia_samples(), enclave.ecall_count() - start);
 
     // The LRS saw the batch's queries in the order the batch arrived in.
     let queries = lrs.join().unwrap();

@@ -23,10 +23,11 @@
 
 use pprox::attack::scrape_audit::scan_export_for_oracles;
 use pprox::core::resilience::Deadline;
-use pprox::json::schema::number;
+use pprox::core::telemetry::Stage;
+use pprox::json::schema::{list, number};
 use pprox::lrs::stub::StubLrs;
 use pprox::wire::cluster::{ClusterConfig, LoopbackCluster};
-use pprox::wire::scrape::{prometheus_text, validate_prometheus};
+use pprox::wire::scrape::{prometheus_text, validate_prometheus, REQUIRED_STAGES};
 use pprox::wire::{validate_scrape_snapshot, ClusterScraper};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -125,6 +126,20 @@ fn scrape_under_steady_load_is_valid() {
     }
     let merged = snap.merged();
     validate_scrape_snapshot(&merged).unwrap();
+    // Every stage the exposition requires was recorded by the chain (an
+    // empty histogram still renders its series), and nothing else is
+    // exported under `stages`.
+    for stage in REQUIRED_STAGES {
+        let cells = list(&merged, &format!("stages.{stage}.counts")).unwrap();
+        assert!(!cells.is_empty(), "stage {stage} recorded nothing");
+    }
+    let stages = merged.get("stages").and_then(|s| s.as_object()).unwrap();
+    for name in stages.keys() {
+        assert!(
+            Stage::ALL.iter().any(|s| s.as_str() == name),
+            "{name} is not a stage"
+        );
+    }
     let frames_in: f64 = snap
         .nodes
         .iter()

@@ -6,6 +6,10 @@
 //! enclave runs them after its ECALL, oldest first, one ECALL each. Each
 //! request records its own `Ua` stage sample, gets its own user's
 //! pseudonym and leaves for the IA in the order it arrived in.
+//!
+//! The `Ua` stage counts the ECALLs that ran, answered or refused: a
+//! request whose user block does not open is one ECALL and one sample, a
+//! request to a crashed enclave neither.
 
 use pprox::core::client::UserClient;
 use pprox::core::keys::{KeyProvisioner, UA_CODE_IDENTITY};
@@ -17,7 +21,9 @@ use pprox::crypto::pad;
 use pprox::crypto::rng::SecureRng;
 use pprox::sgx::Platform;
 use pprox::wire::services::{UaServiceOptions, UaWireService};
-use pprox::wire::{ClientConfig, Frame, PadClass, ServerConfig, SocketBalancer, WireServer};
+use pprox::wire::{
+    ClientConfig, Frame, PadClass, ServerConfig, SocketBalancer, WireServer, WireStatus,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -73,6 +79,7 @@ fn queued_requests_are_opened_one_by_one_in_order_once_each() {
     let provisioner = KeyProvisioner::generate(1152, &mut rng);
     let enclave = platform.load_enclave::<UaState>(UA_CODE_IDENTITY);
     provisioner.provision_ua(&platform, &enclave).unwrap();
+    let start = enclave.ecall_count();
     let (ia_addr, ia) = scripted_ia(18);
     let telemetry = Arc::new(Telemetry::new());
     // Shuffle off: each request leaves for the IA as its turn passes it on.
@@ -161,5 +168,29 @@ fn queued_requests_are_opened_one_by_one_in_order_once_each() {
         .collect();
     assert_eq!(pseudonyms, want);
     assert_eq!(seen.into_values().collect::<Vec<_>>(), want);
+
+    // A request whose user block does not decrypt: refused in its one
+    // ECALL, which is timed all the same. A request to a crashed enclave
+    // runs none.
+    let mut refused = |corr: u64| {
+        let (mut envelope, _ticket) = client.get(&user(corr)).unwrap();
+        envelope.user = vec![0xff; envelope.user.len()];
+        let frame = Frame::new(PadClass::Request, corr, envelope.to_frame().unwrap()).unwrap();
+        downstream.write_all(&frame.encode().unwrap()).unwrap();
+        let answer = read_frame(&mut downstream, PadClass::Control);
+        assert_eq!(answer.corr, corr);
+        WireStatus::from_payload(&answer.payload)
+    };
+    let before = enclave.ecall_count();
+    assert_eq!(refused(100), Some(WireStatus::Failed));
+    assert_eq!(enclave.ecall_count() - before, 1);
+    assert_eq!(ua_samples(), 19);
+    platform.crash_enclave(enclave.id()).unwrap();
+    assert_eq!(refused(101), Some(WireStatus::Unavailable));
+    assert_eq!(enclave.ecall_count() - before, 1);
+    assert_eq!(ua_samples(), 19);
+    // One sample per ECALL the service ran, over the whole test: every
+    // ECALL but the one this test held the enclave with.
+    assert_eq!(ua_samples(), enclave.ecall_count() - start - 1);
     ua.shutdown();
 }
