@@ -147,6 +147,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let decl = fs::read_to_string(root.join(LOCK_ORDER_DECL)).ok();
     let global = locks::analyze_global(&parsed, decl.as_deref());
     out.findings.extend(global.report.findings);
+    out.findings.extend(locks::unmatched_roots(&parsed));
     out.suppressions.extend(global.report.suppressions);
     out.lock_graph = global.graph;
     out.panics = global.panics;

@@ -39,11 +39,15 @@
 //!    panicking macros. The directive `analysis-allow: panic-ok` (or the
 //!    generic `analysis-allow: R13`) records an audited justification.
 //!
+//! Roots are named by function, so a root that names no function — its
+//! function renamed or deleted — is a finding of the rule it feeds
+//! ([`unmatched_roots`]), not a silent loss of coverage.
+//!
 //! Test regions and integration-test files are exempt throughout —
 //! tests panic and block by design.
 
 use crate::parser::{calls_in, Call, ParsedFile};
-use crate::rules::{emit_global, FileReport};
+use crate::rules::{emit_global, FileReport, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Entry points of a connection's reader thread (path suffix, function
@@ -72,6 +76,7 @@ pub const CONTINUATION_ROOTS: &[(&str, &str)] = &[
     ("crates/wire/src/server.rs", "send_all"),
     ("crates/wire/src/services/ua.rs", "gather"),
     ("crates/wire/src/services/ua.rs", "cap"),
+    ("crates/wire/src/services/ua.rs", "flush_due"),
     ("crates/wire/src/services/ua.rs", "answer"),
     ("crates/wire/src/services/ia.rs", "finish_post"),
     ("crates/wire/src/services/ia.rs", "finish_get"),
@@ -83,12 +88,11 @@ pub const CONTINUATION_ROOTS: &[(&str, &str)] = &[
 /// Entry points of the request path (path suffix, function name): the
 /// per-tier services (the IA's twice: a request alone, and the reader
 /// pass a shuffled batch arrives in), the reader that frames their
-/// traffic, the worker loop, the shuffle flush loop, the deadline queue's
+/// traffic, the worker loop, the enclave's turns, the deadline queue's
 /// thread, and the continuations above. A panic here kills a thread
 /// mid-request (R13).
 pub const REQUEST_ROOTS: &[(&str, &str)] = &[
     ("crates/wire/src/services/ua.rs", "serve"),
-    ("crates/wire/src/services/ua.rs", "run_shuffle"),
     ("crates/wire/src/services/ia.rs", "serve"),
     ("crates/wire/src/services/ia.rs", "serve_pass"),
     ("crates/wire/src/services/lrs.rs", "handle"),
@@ -323,6 +327,34 @@ pub fn analyze_global(files: &[ParsedFile], lock_order_decl: Option<&str>) -> Gl
     }
     out.panics = classify_panics(files, &facts, &req_reach);
     out
+}
+
+/// One finding per root that names no function of the whole workspace
+/// (renamed or deleted; it would otherwise drop its coverage without a
+/// word), under the rule the root feeds, at the top of the file it names.
+/// Not suppressible: the fix is the root list.
+pub fn unmatched_roots(files: &[ParsedFile]) -> Vec<Finding> {
+    let facts: Vec<FnFacts> = files
+        .iter()
+        .filter(|f| !is_test_file(&f.path))
+        .flat_map(extract_facts)
+        .collect();
+    let by_rule = [
+        (READER_ROOTS, "R12"),
+        (CONTINUATION_ROOTS, "R12"),
+        (REQUEST_ROOTS, "R13"),
+    ];
+    by_rule
+        .into_iter()
+        .flat_map(|(roots, rule)| roots.iter().map(move |&root| (root, rule)))
+        .filter(|&(root, _)| reachable(&facts, &[root]).is_empty())
+        .map(|((path, name), rule)| Finding {
+            rule,
+            path: path.to_string(),
+            line: 1,
+            message: format!("analyzer root `{name}` names no function in {path}"),
+        })
+        .collect()
 }
 
 /// Integration-test files (their own crates, not production code).
@@ -1081,6 +1113,34 @@ mod tests {
             None,
         );
         assert!(g2.report.findings.is_empty());
+    }
+
+    #[test]
+    fn a_root_that_names_no_function_is_a_finding() {
+        let mut sources: BTreeMap<&str, String> = BTreeMap::new();
+        for (path, name) in [READER_ROOTS, CONTINUATION_ROOTS, REQUEST_ROOTS].concat() {
+            let source = sources.entry(path).or_default();
+            source.push_str(&format!("fn {name}() {{}}\n"));
+        }
+        let parse = |sources: &BTreeMap<&str, String>| -> Vec<ParsedFile> {
+            sources.iter().map(|(p, s)| parse_source(p, s)).collect()
+        };
+        assert!(unmatched_roots(&parse(&sources)).is_empty());
+
+        // A continuation renamed, and a request root's whole file gone.
+        let ua = sources.get_mut("crates/wire/src/services/ua.rs").unwrap();
+        *ua = ua.replace("fn flush_due(", "fn flush_now(");
+        sources.remove("crates/wire/src/services/lrs.rs");
+        let found = unmatched_roots(&parse(&sources));
+        let named: Vec<_> = found.iter().map(|f| (f.rule, f.path.as_str())).collect();
+        assert_eq!(
+            named,
+            [
+                ("R12", "crates/wire/src/services/ua.rs"),
+                ("R13", "crates/wire/src/services/lrs.rs"),
+            ]
+        );
+        assert!(found[0].message.contains("`flush_due`"), "{found:?}");
     }
 
     #[test]

@@ -321,7 +321,8 @@ fn seeded_panic_in_the_ua_request_turn_is_caught() {
     // the request path.
     let path = workspace_root().join("crates/wire/src/services/ua.rs");
     let original = std::fs::read_to_string(&path).expect("read wire ua service");
-    let entry = "fn open_request(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {";
+    let entry =
+        "fn open_request(self: &Arc<Self>, payload: Vec<u8>, deadline: Deadline, reply: Reply) {";
     let seeded = original.replace(
         entry,
         &format!("{entry}\n        let _first = payload.first().unwrap();"),

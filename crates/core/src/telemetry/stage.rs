@@ -11,25 +11,29 @@ pub enum Stage {
     ShuffleRequest = 0,
     /// One UA ECALL (decrypt + pseudonymize), refused ones included.
     Ua = 1,
-    /// One IA ECALL (post, get or get-response), refused ones included.
+    /// One request-side IA ECALL (post or get), refused ones included.
     Ia = 2,
     /// One LRS attempt (per try), submit to completion.
     LrsAttempt = 3,
     /// The full resilient LRS call: retries, backoff, breaker included.
     Lrs = 4,
+    /// One IA get-response ECALL (re-encrypting the list), refused ones
+    /// included.
+    IaResponse = 5,
     /// Dwell inside the response-direction shuffle buffer.
-    ShuffleResponse = 5,
+    ShuffleResponse = 6,
 }
 
 impl Stage {
     /// All stages, in pipeline order — which is discriminant order:
     /// [`super::StageSet`] indexes its histograms by `stage as usize`.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 7] = [
         Stage::ShuffleRequest,
         Stage::Ua,
         Stage::Ia,
         Stage::LrsAttempt,
         Stage::Lrs,
+        Stage::IaResponse,
         Stage::ShuffleResponse,
     ];
 
@@ -41,6 +45,7 @@ impl Stage {
             Stage::Ia => "ia",
             Stage::LrsAttempt => "lrs_attempt",
             Stage::Lrs => "lrs",
+            Stage::IaResponse => "ia_response",
             Stage::ShuffleResponse => "shuffle_response",
         }
     }

@@ -11,9 +11,10 @@
 //! the catalog, [`sweep`] is the (S, I) grid of `security_analysis`'s
 //! §6.2 table, under the same rules.
 //!
-//! Wire order on the UA→IA boundary is the buffer's release order (one
-//! flush thread writes each batch), so the ablation scenario's
-//! suppressed permutation shows on the wire exactly as released; on the
+//! Wire order on the UA→IA boundary is the buffer's release order (each
+//! batch is written by the one turn at the UA's enclave that releases
+//! it, and turns never overlap), so the ablation scenario's suppressed
+//! permutation shows on the wire exactly as released; on the
 //! way back a gather's release is written in its order by one thread,
 //! so the ablation shows on the response edge too.
 

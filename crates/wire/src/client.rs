@@ -6,8 +6,8 @@
 //! writes the request frame and returns; the answer arrives at the
 //! connection's reader thread, which looks the correlation id up in the
 //! table of pending calls and runs the call's completion. Nothing waits
-//! in between, so the thread that submits (a server worker, a shuffle
-//! flush thread, another uplink reader) is free at once.
+//! in between, so the thread that submits (a server worker, a turn that
+//! releases a shuffle batch, another uplink reader) is free at once.
 //!
 //! ```text
 //! submit ── pending.insert(corr) ── write frame ──────────────► server

@@ -58,8 +58,9 @@ use std::time::{Duration, Instant};
 /// closed `node.tier` to the four tier names. v4 added
 /// `server.encode_failures`, and the document became the cluster view's
 /// too ([`ClusterSnapshot::merged`]). v5 dropped the `client_encrypt`
-/// and `e2e` stages, which only a driver's clients ever filled.
-pub const SCRAPE_SCHEMA_VERSION: u64 = 5;
+/// and `e2e` stages, which only a driver's clients ever filled. v6 split
+/// the IA's get-response ECALLs out of `ia` into their own `ia_response`.
+pub const SCRAPE_SCHEMA_VERSION: u64 = 6;
 
 /// Every value `node.tier` may take: the three cluster tiers, and `node`
 /// for a hub outside any cluster ([`NodeMetrics::detached`]).

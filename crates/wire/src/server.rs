@@ -10,8 +10,8 @@
 //!                      workers ── Service::serve(payload, deadline, reply)
 //!                         │                          │ a service that must wait
 //!                         │ reply.send, at once      ▼ keeps `reply` and returns
-//!                         │              shuffle flush thread / uplink reader /
-//!                         │              deadline queue ── reply.send, later
+//!                         │              uplink reader / deadline queue
+//!                         │                         ── reply.send, later
 //!                         ▼                          ▼
 //!                      the connection's socket, under its writer lock
 //! ```
@@ -33,14 +33,14 @@
 //!   [`AdmissionGate`] alone, never by the worker count.
 //!
 //! [`Reply`] is the only way a request is answered. Whoever holds it —
-//! a worker, a shuffle flush thread, an uplink reader, the node's
-//! deadline queue — calls [`Reply::send`] (or [`Reply::send_all`] for a
-//! shuffle release: one write per connection), which writes through the
-//! one write site (`Shared::reply`) under the connection's writer lock;
-//! dropping it unsent answers `failed`. Either way the request leaves the
-//! table of unanswered requests exactly once and its admission permit
-//! comes back. [`FrameHandler`] is the adapter for services that never
-//! wait: `serve` is `reply.send(self.handle(..))`.
+//! a worker, an uplink reader, the node's deadline queue — calls
+//! [`Reply::send`] (or [`Reply::send_all`] for a shuffle release: one
+//! write per connection), which writes through the one write site
+//! (`Shared::reply`) under the connection's writer lock; dropping it
+//! unsent answers `failed`. Either way the request leaves the table of
+//! unanswered requests exactly once and its admission permit comes back.
+//! [`FrameHandler`] is the adapter for services that never wait: `serve`
+//! is `reply.send(self.handle(..))`.
 //!
 //! No thread polls: every wait is a kernel wake-up (`accept`, `read`, the
 //! job queue's condition variable). A server sees the driver's one
@@ -1413,8 +1413,8 @@ mod tests {
     #[test]
     fn a_deaf_peer_costs_the_completing_thread_one_write_timeout() {
         // The same deaf peer, but its requests are parked and completed
-        // by one thread that is not a worker — a shuffle flush thread or
-        // an uplink reader. That thread blocks once, for the connection's
+        // by one thread that is not a worker — an uplink reader or the
+        // deadline queue. That thread blocks once, for the connection's
         // write timeout (a quarter of the request budget); the write
         // cuts the connection and every later reply to it returns at once.
         let park = Arc::new(Park::default());

@@ -369,7 +369,7 @@ impl IaNode {
     fn respond(&self, token: PendingToken, reply: Reply, list: RecommendationList) {
         let item_ids: Vec<String> = list.items.into_iter().map(|s| s.item).collect();
         let options = self.options;
-        let encrypted = timed_ecall(&self.enclave, &self.telemetry, Stage::Ia, |ia| {
+        let encrypted = timed_ecall(&self.enclave, &self.telemetry, Stage::IaResponse, |ia| {
             ia.process_get_response(token, &item_ids, options)
         });
         reply.send(encrypted.and_then(|list| list.to_frame().map_err(|_| WireStatus::Failed)));

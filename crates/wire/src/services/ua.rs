@@ -11,46 +11,47 @@
 //! cannot match arrival order to departure order beyond the `1/S` bound
 //! in either direction.
 //!
-//! No thread waits for a request. A server worker takes a turn at the
-//! enclave for the request (`Turns`): if another worker is in it, the
-//! turn waits in the enclave's queue, in arrival order, and the worker
-//! takes the next job. A turn parses its request and pseudonymizes it in
-//! one ECALL ([`UaState::process`]: one decrypt of the user block), then
-//! hands it on — bytes, deadline and its [`Reply`] handle — to the
-//! request shuffle; how many requests dwell in the buffer is bounded by
-//! the server's admission gate, not by its worker count:
+//! No thread waits for a request, and the shuffle has no thread of its
+//! own. A server worker takes a turn at the enclave for the request
+//! (`Turns`): if another worker is in it, the turn waits in the enclave's
+//! queue, in arrival order, and the worker takes the next job. A turn
+//! parses its request and pseudonymizes it in one ECALL
+//! ([`UaState::process`]: one decrypt of the user block), then puts it —
+//! bytes, deadline and its [`Reply`] handle — into the request buffer;
+//! how many requests dwell there is bounded by the server's admission
+//! gate, not by its worker count:
 //!
 //! ```text
-//! worker: turn: ECALL ─► request buffer ─flush thread, permuted─► ia.submit_batch ─► IA
-//!                        │ opens a gather of k                                      │
-//!                        ▼                                                          │
-//! Reply::send_all ◄──k-th answer, permuted── the batch's gather ◄── completion ─────┘
+//! worker: turn: ECALL ─► request buffer ─S-th put, permuted─► ia.submit_batch ─► IA
+//!                        │ (or the timer's turn, or drain)                      │
+//!                        │ opens a gather of k                                  │
+//!                        ▼                                                      │
+//! Reply::send_all ◄──k-th answer, permuted── the batch's gather ◄── completion ─┘
 //!                    (or the cap, or drain)                       (IA uplink reader)
 //! ```
 //!
-//! The request buffer is shared by the workers that put requests into it
-//! — under its lock, stamped with their arrival — and its flush thread,
-//! which is woken twice per batch, not once per request: when a put arms
-//! the flush timer and when a put fills the buffer (or by the timer
-//! itself). The flush thread hands a released batch to the IA balancer in
-//! one call ([`SocketBalancer::submit_batch`]) in the buffer's permuted
-//! order: each IA connection gets its round-robin share as one write, so
-//! wire order *is* release order (the linkage audit's departure log is
-//! written at the same place) and the IA reads the share in one pass.
-//! Each call keeps its own deadline and retries.
+//! The request buffer is touched only inside turns, so its releases are
+//! serial: the put that fills it submits the batch from its own turn, and
+//! the put that makes it non-empty registers the batch's flush timer on
+//! the node's deadline queue, whose release takes the next turn at the
+//! enclave. A released batch goes to the IA balancer in one call
+//! ([`SocketBalancer::submit_batch`]) in the buffer's permuted order, each
+//! IA connection's share as one write: wire order *is* release order,
+//! within a batch and between batches, and the linkage audit's departure
+//! log is written at the same place.
 //!
-//! The response direction has no thread and no second timer to wait out.
-//! The anonymity set of a batch is fixed when it leaves, so its `k`
-//! answers wait only for each other: each completion — answer, remote
-//! status, deadline or connection loss alike — runs on the IA
-//! connection's reader (or the node's deadline queue) and pushes into its
-//! batch's gather, and the one that brings the `k`-th releases all `k` to
-//! their clients there, one write per client connection. The shuffle
-//! timeout remains as a cap from the oldest held answer (a hung IA call
-//! must not hold its batch for the call's whole deadline): what is held
-//! then leaves, and the stragglers leave together when the last is in.
-//! Without shuffling the turn submits its request directly, and the
-//! completion answers the client.
+//! The response direction has no second timer to wait out either. The
+//! anonymity set of a batch is fixed when it leaves, so its `k` answers
+//! wait only for each other: each completion — answer, remote status,
+//! deadline or connection loss alike — runs on the IA connection's reader
+//! (or the node's deadline queue) and pushes into its batch's gather, and
+//! the one that brings the `k`-th releases all `k` to their clients
+//! there, one write per client connection. The shuffle timeout remains as
+//! a cap from the oldest held answer (a hung IA call must not hold its
+//! batch for the call's whole deadline): what is held then leaves, and
+//! the stragglers leave together when the last is in. Without shuffling
+//! the turn submits its request directly, and the completion answers the
+//! client.
 //!
 //! Telemetry discipline (analyzer rule R6): shuffle dwell and the UA
 //! ECALL (timed around the call, outside the enclave) go through
@@ -69,7 +70,6 @@ use crate::server::{Reply, Service};
 use crate::services::serial::Turns;
 use crate::services::timed_ecall;
 use crate::{WireError, WireStatus};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pprox_core::message::ClientEnvelope;
 use pprox_core::resilience::Deadline;
@@ -81,7 +81,6 @@ use pprox_sgx::Enclave;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 type WireReply = Result<Vec<u8>, WireStatus>;
@@ -103,18 +102,6 @@ struct ReplyJob {
     fp: u64,
 }
 
-/// What wakes the request flush thread. All of it travels on one
-/// channel, so the thread has one thing to wait on.
-enum Msg {
-    /// A push filled the buffer: here is what it released.
-    Released(Flush<ShuffleJob>),
-    /// A push made the buffer non-empty: its flush deadline is set.
-    Armed,
-    /// The graceful drain: flush now, and pass everything after it
-    /// straight through.
-    Kick,
-}
-
 /// Per-instance tuning of one [`UaWireService`], bundled so the cluster
 /// can thread scenario knobs (audit hooks, the order ablation) through
 /// without growing the constructor every time.
@@ -122,7 +109,8 @@ enum Msg {
 pub struct UaServiceOptions {
     /// End-to-end encryption on (the paper's normal mode).
     pub encryption: bool,
-    /// Shuffle buffer configuration (§4.3); disabled ⇒ no stage threads.
+    /// Shuffle buffer configuration (§4.3); disabled ⇒ each request
+    /// leaves for the IA from its own turn.
     pub shuffle: ShuffleConfig,
     /// Seeded ablation: batch but release in arrival order (see
     /// [`ShuffleBuffer::set_order_ablation`]). The traffic audit must
@@ -156,12 +144,37 @@ struct Gathers {
     seeds: SecureRng,
 }
 
-/// The shuffle stage of one UA instance: the request buffer with its
-/// flush thread, the gathers its released batches are answered through,
-/// and nothing between them but the IA uplink.
-struct Shuffle {
-    /// Shared by the workers that push into it and the flush thread that
-    /// releases from it.
+/// What the client is told about an IA call's outcome.
+fn wire_reply(result: CallResult) -> WireReply {
+    match result {
+        Ok(payload) => Ok(payload),
+        Err(WireError::Remote(status)) => Err(status),
+        Err(WireError::Deadline) => Err(WireStatus::Deadline),
+        Err(_) => Err(WireStatus::Unavailable),
+    }
+}
+
+/// Completion of an unshuffled request's IA call: answer the client.
+fn answer(reply: Reply, result: CallResult) {
+    reply.send(wire_reply(result));
+}
+
+/// The service of one UA instance.
+pub struct UaWireService {
+    node: Arc<UaNode>,
+}
+
+/// What the service's turns at the enclave share: the enclave, the
+/// request buffer its turns fill, and the gathers the released batches
+/// are answered through — nothing between them but the IA uplink.
+struct UaNode {
+    enclave: Arc<Enclave<UaState>>,
+    /// Whose turn it is at the enclave; the requests waiting for one
+    /// queue here in arrival order.
+    turns: Turns,
+    /// Touched only inside a turn — a put, a flush timer's release, the
+    /// drain — and released before a timer is registered or a batch is
+    /// submitted. Never put into without shuffling.
     requests: Mutex<ShuffleBuffer<ShuffleJob>>,
     /// A leaf: released before a reply is written or a cap is armed.
     gathers: Mutex<Gathers>,
@@ -174,7 +187,102 @@ struct Shuffle {
     telemetry: Arc<Telemetry>,
 }
 
-impl Shuffle {
+impl UaWireService {
+    /// Builds the service around a provisioned UA enclave and a shared
+    /// balancer over the IA tier (shared so a supervisor can readmit
+    /// respawned IA instances into the ring the service is using).
+    pub fn new(
+        enclave: Arc<Enclave<UaState>>,
+        ia: Arc<SocketBalancer>,
+        options: UaServiceOptions,
+        telemetry: Arc<Telemetry>,
+        seed: u64,
+    ) -> Self {
+        let size = options.shuffle.size.max(1);
+        let mut requests = ShuffleBuffer::new(
+            ShuffleConfig {
+                size,
+                ..options.shuffle
+            },
+            seed ^ 0x0a5e,
+        );
+        requests.set_order_ablation(options.shuffle_order_ablation);
+        UaWireService {
+            node: Arc::new(UaNode {
+                enclave,
+                turns: Turns::default(),
+                requests: Mutex::new(requests),
+                gathers: Mutex::new(Gathers {
+                    open: HashMap::new(),
+                    opened: 0,
+                    seeds: SecureRng::from_seed(seed ^ 0x1a5e),
+                }),
+                draining: AtomicBool::new(false),
+                options,
+                ia,
+                telemetry,
+            }),
+        }
+    }
+
+    /// Requests queued for the enclave and not yet taken by a turn.
+    pub fn waiting(&self) -> usize {
+        self.node.turns.queued()
+    }
+}
+
+impl UaNode {
+    /// One turn at the enclave for one request: parsed (a malformed one
+    /// is answered at once), pseudonymized in one timed ECALL
+    /// ([`UaState::process`], one `Ua` sample), then passed on — into the
+    /// request shuffle, or straight to the IA.
+    fn open_request(self: &Arc<Self>, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
+        let Ok(envelope) = ClientEnvelope::from_frame(&payload) else {
+            return reply.send(Err(WireStatus::Malformed));
+        };
+        let encryption = self.options.encryption;
+        let framed = timed_ecall(&self.enclave, &self.telemetry, Stage::Ua, |ua| {
+            ua.process(&envelope, encryption)
+        })
+        .and_then(|layer| layer.to_frame().map_err(|_| WireStatus::Failed));
+        match framed {
+            Ok(bytes) => self.pass_on(&payload, deadline, reply, bytes.into()),
+            Err(status) => reply.send(Err(status)),
+        }
+    }
+
+    /// A pseudonymized request leaves the enclave's turn: into the
+    /// request shuffle, or straight to the IA.
+    fn pass_on(
+        self: &Arc<Self>,
+        payload: &[u8],
+        deadline: Deadline,
+        reply: Reply,
+        bytes: Arc<[u8]>,
+    ) {
+        // Fingerprint the raw client frame bytes: the scenario harness
+        // computed the same hash when it encoded the envelope, which is
+        // what joins audit events back to requests.
+        let fp = self
+            .options
+            .audit
+            .as_ref()
+            .map_or(0, |_| audit::request_fingerprint(payload));
+        if !self.options.shuffle.is_disabled() {
+            return self.put(ShuffleJob {
+                bytes,
+                deadline,
+                reply,
+                fp,
+            });
+        }
+        if let Some(log) = &self.options.audit {
+            log.record_departure(fp, 0, self.telemetry.now_us());
+        }
+        self.ia
+            .submit(bytes, deadline, move |result| answer(reply, result));
+    }
+
     /// Both directions share the node's gauge: the instantaneous value is
     /// the latest sample from the request buffer or any gather, the
     /// high-water mark (fetch_max) is exact across all of them.
@@ -198,14 +306,12 @@ impl Shuffle {
         now_us
     }
 
-    /// Puts a request into the buffer. A put costs the worker a lock and
-    /// — once per batch, not once per request — a wake-up of the flush
-    /// thread: when it arms the flush timer, and when it fills the buffer.
-    /// If the flush thread is gone the request stays there until the
-    /// stage is dropped, and is dropped with it (a dropped [`Reply`]
-    /// answers `failed`).
-    fn put(&self, wake: &Sender<Msg>, job: ShuffleJob) {
-        let msg = {
+    /// Puts a request into the buffer, in the turn that pseudonymized it.
+    /// The put that fills the buffer submits the batch from here; the put
+    /// that makes it non-empty arms the batch's flush timer. After the
+    /// graceful drain nothing dwells: every put releases what it made.
+    fn put(self: &Arc<Self>, job: ShuffleJob) {
+        let (released, armed) = {
             let mut buffer = self.requests.lock();
             let was_empty = buffer.is_empty();
             let mut released = buffer.push(self.telemetry.now_us(), job);
@@ -213,55 +319,55 @@ impl Shuffle {
                 released = buffer.drain();
             }
             self.occupancy(buffer.len());
-            match released {
-                Some(flush) => Msg::Released(flush),
-                None if was_empty => Msg::Armed,
-                None => return,
-            }
+            (released, was_empty.then(|| buffer.flushes()))
         };
-        let _ = wake.send(msg);
+        match (released, armed) {
+            (Some(flush), _) => self.submit(flush),
+            (None, Some(batch)) => self.flush_after(
+                batch,
+                Duration::from_micros(self.options.shuffle.timeout_us),
+            ),
+            (None, None) => {}
+        }
     }
 
-    /// The request flush thread's loop: honor the buffer's flush timer
-    /// and submit what it releases, in its randomized order.
-    ///
-    /// The thread waits on its channel and nothing else: without a
-    /// deadline while the buffer is empty, until the flush deadline
-    /// otherwise. It is woken once when a push arms that deadline and
-    /// once when a push fills the buffer — the pushes in between cost it
-    /// nothing. After a [`Msg::Kick`] (the server's graceful drain) every
-    /// request already buffered — and any still arriving during the
-    /// shutdown window — is forwarded without dwell instead of being
-    /// dropped with the stage.
-    fn run_shuffle(self: &Arc<Self>, woken: &Receiver<Msg>) {
-        loop {
-            let deadline_us = self.requests.lock().deadline_us();
-            let msg = match deadline_us {
-                None => woken.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(deadline_us) => woken.recv_timeout(Duration::from_micros(
-                    deadline_us.saturating_sub(self.telemetry.now_us()),
-                )),
-            };
-            let due = match msg {
-                Ok(Msg::Released(flush)) => Some(flush),
-                Ok(Msg::Armed) => None,
-                Ok(Msg::Kick) => {
-                    let mut buffer = self.requests.lock();
-                    buffer.drain()
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let now_us = self.telemetry.now_us();
-                    self.requests.lock().poll_timeout(now_us)
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            if let Some(flush) = due {
-                self.occupancy(self.requests.lock().len());
-                self.submit(flush);
+    /// Registers the flush timer of the batch buffered after the
+    /// buffer's `batch`-th flush, on the node's deadline queue. It holds
+    /// the node weakly, and its release takes the next turn at the
+    /// enclave, ahead of requests not yet started.
+    fn flush_after(self: &Arc<Self>, batch: u64, delay: Duration) {
+        let node = Arc::downgrade(self);
+        self.ia.after(delay, move || {
+            if let Some(node) = node.upgrade() {
+                let turn = node.clone();
+                node.turns.run(true, move || turn.flush_due(batch));
             }
+        });
+    }
+
+    /// A flush timer's turn: its batch leaves if it is due. A no-op once
+    /// that batch has left (full, or drained); early (the clock rounded),
+    /// it registers again for the batch's deadline, so the batch keeps
+    /// exactly one live timer.
+    fn flush_due(self: &Arc<Self>, batch: u64) {
+        let now_us = self.telemetry.now_us();
+        let (due, deadline_us) = {
+            let mut buffer = self.requests.lock();
+            if buffer.flushes() != batch {
+                return;
+            }
+            let due = buffer.poll_timeout(now_us);
+            self.occupancy(buffer.len());
+            (due, buffer.deadline_us())
+        };
+        match (due, deadline_us) {
+            (Some(flush), _) => self.submit(flush),
+            (None, Some(deadline_us)) => self.flush_after(
+                batch,
+                Duration::from_micros(deadline_us.saturating_sub(now_us)),
+            ),
+            (None, None) => {}
         }
-        let left = self.requests.lock().drain();
-        left.into_iter().for_each(|flush| self.submit(flush));
     }
 
     /// A released batch leaves for the IA tier in one balancer call, in
@@ -292,8 +398,8 @@ impl Shuffle {
             if let Some(log) = &self.options.audit {
                 log.record_departure(job.fp, batch, self.telemetry.now_us());
             }
-            let (stage, reply, fp) = (self.clone(), job.reply, job.fp);
-            let done: Completion = Box::new(move |result| stage.gather(batch, reply, fp, result));
+            let (node, reply, fp) = (self.clone(), job.reply, job.fp);
+            let done: Completion = Box::new(move |result| node.gather(batch, reply, fp, result));
             calls.push((job.bytes, job.deadline, done));
         }
         self.ia.submit_batch(calls);
@@ -329,11 +435,11 @@ impl Shuffle {
         match flush {
             Some(flush) => self.release(flush),
             None if arm => {
-                let stage = Arc::downgrade(self);
+                let node = Arc::downgrade(self);
                 let cap = Duration::from_micros(self.options.shuffle.timeout_us);
                 self.ia.after(cap, move || {
-                    if let Some(stage) = stage.upgrade() {
-                        stage.cap(batch);
+                    if let Some(node) = node.upgrade() {
+                        node.cap(batch);
                     }
                 });
             }
@@ -367,207 +473,25 @@ impl Shuffle {
         }
         Reply::send_all(flush.items.into_iter().map(|job| (job.reply, job.result)));
     }
-
-    /// The graceful drain, but for the [`Msg::Kick`] that empties the
-    /// request buffer: every open gather releases what it holds.
-    fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-        let held: Vec<_> = self.gathers.lock().open.drain().collect();
-        for (_, mut gather) in held {
-            gather.drain().into_iter().for_each(|f| self.release(f));
-        }
-    }
-}
-
-/// The handles the service keeps on its shuffle stage. Dropped in field
-/// order: the channel's sender first, so the flush thread drains the
-/// buffer and exits, then the thread is joined. Answers still out keep
-/// the stage alive through their completions (each completes by its
-/// deadline at the latest).
-struct ShuffleStage {
-    wake: Sender<Msg>,
-    shuffle: Arc<Shuffle>,
-    _thread: Joined,
-}
-
-/// A thread joined when this is dropped.
-struct Joined(Option<JoinHandle<()>>);
-
-impl Drop for Joined {
-    fn drop(&mut self) {
-        if let Some(handle) = self.0.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl ShuffleStage {
-    fn spawn(
-        options: UaServiceOptions,
-        ia: Arc<SocketBalancer>,
-        telemetry: Arc<Telemetry>,
-        seed: u64,
-    ) -> Self {
-        let mut buffer = ShuffleBuffer::new(options.shuffle, seed ^ 0x0a5e);
-        buffer.set_order_ablation(options.shuffle_order_ablation);
-        let shuffle = Arc::new(Shuffle {
-            requests: Mutex::new(buffer),
-            gathers: Mutex::new(Gathers {
-                open: HashMap::new(),
-                opened: 0,
-                seeds: SecureRng::from_seed(seed ^ 0x1a5e),
-            }),
-            draining: AtomicBool::new(false),
-            options,
-            ia,
-            telemetry,
-        });
-        let (wake, woken) = unbounded();
-        let stage = shuffle.clone();
-        let thread = std::thread::spawn(move || stage.run_shuffle(&woken));
-        ShuffleStage {
-            wake,
-            shuffle,
-            _thread: Joined(Some(thread)),
-        }
-    }
-
-    /// Flushes the stage immediately: buffered requests go to the IA,
-    /// gathered answers go to their clients, and everything still
-    /// arriving — the answers to the requests just released included —
-    /// passes through without dwell. Unlinkability is not weakened for
-    /// normal traffic: this only fires on the shutdown path, where the
-    /// alternative is dropping the buffered requests outright.
-    fn kick(&self) {
-        self.shuffle.drain();
-        let _ = self.wake.send(Msg::Kick);
-    }
-}
-
-/// What the client is told about an IA call's outcome.
-fn wire_reply(result: CallResult) -> WireReply {
-    match result {
-        Ok(payload) => Ok(payload),
-        Err(WireError::Remote(status)) => Err(status),
-        Err(WireError::Deadline) => Err(WireStatus::Deadline),
-        Err(_) => Err(WireStatus::Unavailable),
-    }
-}
-
-/// Completion of an unshuffled request's IA call: answer the client.
-fn answer(reply: Reply, result: CallResult) {
-    reply.send(wire_reply(result));
-}
-
-/// The service of one UA instance.
-pub struct UaWireService {
-    node: Arc<UaNode>,
-}
-
-/// What the service's turns at the enclave share.
-struct UaNode {
-    enclave: Arc<Enclave<UaState>>,
-    /// Whose turn it is at the enclave; the requests waiting for one
-    /// queue here in arrival order.
-    turns: Turns,
-    ia: Arc<SocketBalancer>,
-    encryption: bool,
-    telemetry: Arc<Telemetry>,
-    shuffle: Option<ShuffleStage>,
-    audit: Option<Arc<LinkageAudit>>,
-}
-
-impl UaWireService {
-    /// Builds the service around a provisioned UA enclave and a shared
-    /// balancer over the IA tier (shared so a supervisor can readmit
-    /// respawned IA instances into the ring the service is using).
-    pub fn new(
-        enclave: Arc<Enclave<UaState>>,
-        ia: Arc<SocketBalancer>,
-        options: UaServiceOptions,
-        telemetry: Arc<Telemetry>,
-        seed: u64,
-    ) -> Self {
-        let (encryption, audit) = (options.encryption, options.audit.clone());
-        let shuffle = (!options.shuffle.is_disabled())
-            .then(|| ShuffleStage::spawn(options, ia.clone(), telemetry.clone(), seed));
-        UaWireService {
-            node: Arc::new(UaNode {
-                enclave,
-                turns: Turns::default(),
-                ia,
-                encryption,
-                telemetry,
-                shuffle,
-                audit,
-            }),
-        }
-    }
-
-    /// Requests queued for the enclave and not yet taken by a turn.
-    pub fn waiting(&self) -> usize {
-        self.node.turns.queued()
-    }
-}
-
-impl UaNode {
-    /// One turn at the enclave for one request: parsed (a malformed one
-    /// is answered at once), pseudonymized in one timed ECALL
-    /// ([`UaState::process`], one `Ua` sample), then passed on — into the
-    /// request shuffle, or straight to the IA.
-    fn open_request(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
-        let Ok(envelope) = ClientEnvelope::from_frame(&payload) else {
-            return reply.send(Err(WireStatus::Malformed));
-        };
-        let encryption = self.encryption;
-        let framed = timed_ecall(&self.enclave, &self.telemetry, Stage::Ua, |ua| {
-            ua.process(&envelope, encryption)
-        })
-        .and_then(|layer| layer.to_frame().map_err(|_| WireStatus::Failed));
-        match framed {
-            Ok(bytes) => self.pass_on(&payload, deadline, reply, bytes.into()),
-            Err(status) => reply.send(Err(status)),
-        }
-    }
-
-    /// A pseudonymized request leaves the enclave's turn: into the
-    /// request shuffle, or straight to the IA.
-    fn pass_on(&self, payload: &[u8], deadline: Deadline, reply: Reply, bytes: Arc<[u8]>) {
-        // Fingerprint the raw client frame bytes: the scenario harness
-        // computed the same hash when it encoded the envelope, which is
-        // what joins audit events back to requests.
-        let fp = self
-            .audit
-            .as_ref()
-            .map_or(0, |_| audit::request_fingerprint(payload));
-        match &self.shuffle {
-            None => {
-                if let Some(log) = &self.audit {
-                    log.record_departure(fp, 0, self.telemetry.now_us());
-                }
-                self.ia
-                    .submit(bytes, deadline, move |result| answer(reply, result));
-            }
-            Some(stage) => stage.shuffle.put(
-                &stage.wake,
-                ShuffleJob {
-                    bytes,
-                    deadline,
-                    reply,
-                    fp,
-                },
-            ),
-        }
-    }
 }
 
 impl Service for UaWireService {
-    /// Graceful drain: flush the shuffle stage so every buffered request
-    /// is answered before the server exits.
+    /// Graceful drain, on the shutdown path only: from here on nothing
+    /// dwells — the answers to the requests released now included — and
+    /// every open gather releases what it holds, then the request buffer
+    /// in the next turn, rather than dropping them.
     fn drain(&self) {
-        if let Some(stage) = &self.node.shuffle {
-            stage.kick();
+        let node = &self.node;
+        node.draining.store(true, Ordering::SeqCst);
+        let held: Vec<_> = node.gathers.lock().open.drain().collect();
+        for (_, mut gather) in held {
+            gather.drain().into_iter().for_each(|f| node.release(f));
         }
+        let turn = node.clone();
+        node.turns.run(true, move || {
+            let left = turn.requests.lock().drain();
+            left.into_iter().for_each(|flush| turn.submit(flush));
+        });
     }
 
     /// A crashed enclave cannot be revived, only replaced: the node is

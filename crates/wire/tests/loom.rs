@@ -1,7 +1,7 @@
 //! Model-checked interleaving tests for the `WireServer` request path,
 //! run with `RUSTFLAGS="--cfg loom"` (see `scripts/ci.sh`, `loom` stage).
 //!
-//! Three hand-offs carry a request, and all are modelled here with the
+//! Four hand-offs carry a request, and all are modelled here with the
 //! loom shim's instrumented atomics.
 //!
 //! **Reader → job queue → worker.** Every connection's reader admits
@@ -27,6 +27,14 @@
 //! for. Each table's `remove` is one atomic swap here (it is a map
 //! operation under a mutex there).
 //!
+//! **Turn → request buffer → submit.** With shuffling on, the UA's turn
+//! for a request puts it into the request buffer, which has no thread of
+//! its own: the put that fills it submits the batch, and the put that
+//! makes it non-empty arms a flush timer naming the batch, whose release
+//! is another turn. A timer that outlives its batch must submit nothing,
+//! and a buffered batch must never be left without a live timer
+//! ([`BufferModel`]).
+//!
 //! **Completion → gather → release.** With shuffling on, a completion
 //! does not answer its request either: it puts the answer into the
 //! gather of the request's batch, and the answers leave together — with
@@ -41,7 +49,9 @@
 //!   there first;
 //! * its admission permit is released exactly once, also when the peer
 //!   has closed and the reply cannot be written;
-//! * workers and readers terminate (no drain signal is lost).
+//! * workers and readers terminate (no drain signal is lost);
+//! * every buffered request is submitted exactly once, a stale flush
+//!   timer submits nothing, and no buffered batch is without a live one.
 
 #![cfg(loom)]
 
@@ -722,5 +732,230 @@ fn last_answer_cap_and_drain_race_for_one_gather() {
     assert!(
         by.iter().all(|&n| n > 0),
         "last-answer/cap/drain/pass-through releases across schedules: {by:?}"
+    );
+}
+
+/// The UA's request buffer as `services::ua` runs it, with no thread of
+/// its own: a put, a flush timer's release and the drain each run inside
+/// a turn at the enclave — the one lock modelled here (a spin lock), as
+/// the buffer's own lock is only ever taken inside one — and submit what
+/// they release before the turn ends. `S = 3`: requests 0 and 1 are
+/// buffered as the buffer's second batch, after a first batch that left
+/// full; the put of request 2 fills it.
+struct BufferModel {
+    turn: AtomicU64,
+    /// Requests buffered, as a bit set.
+    held: AtomicU64,
+    /// `ShuffleBuffer::flushes`: the batch a timer armed now names.
+    flushes: AtomicU64,
+    /// Set by the graceful drain before it takes its turn.
+    draining: AtomicU64,
+    /// Submits per request (exactly one, each).
+    submitted: [AtomicU64; 3],
+    /// Timers registered and not yet fired, by the batch they name.
+    pending: [AtomicU64; 3],
+}
+
+/// What a flush timer's turn did.
+#[derive(PartialEq)]
+enum Fired {
+    /// Its batch had left: nothing.
+    Stale,
+    /// Its batch was due: released.
+    Released,
+    /// Early: registered again for the batch's deadline.
+    Rearmed,
+}
+
+impl BufferModel {
+    const S: u32 = 3;
+
+    fn new() -> Self {
+        let pending = zeros();
+        // The first batch's timer, stale since that batch left full, and
+        // the second batch's, armed by the put of request 0.
+        pending[0].store(1, Ordering::Relaxed);
+        pending[1].store(1, Ordering::Relaxed);
+        BufferModel {
+            turn: AtomicU64::new(0),
+            held: AtomicU64::new(0b011),
+            flushes: AtomicU64::new(1),
+            draining: AtomicU64::new(0),
+            submitted: zeros(),
+            pending,
+        }
+    }
+
+    /// A task in a turn: `Turns::run`, which runs one task at a time.
+    /// A task that fails an assertion ends its turn as it unwinds, as
+    /// `Turns` does, so the other racers still finish.
+    fn in_turn<T>(&self, task: impl FnOnce() -> T) -> T {
+        struct Turn<'a>(&'a AtomicU64);
+        impl Drop for Turn<'_> {
+            fn drop(&mut self) {
+                self.0.store(0, Ordering::Release);
+            }
+        }
+        while self
+            .turn
+            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            thread::yield_now();
+        }
+        let _turn = Turn(&self.turn);
+        let out = task();
+        self.check_no_stranded_batch();
+        out
+    }
+
+    /// Between turns, a non-empty buffer has a live timer for its batch —
+    /// before the drain's turn and after it alike, since a put that
+    /// finds `draining` set leaves nothing behind.
+    fn check_no_stranded_batch(&self) {
+        let batch = self.flushes.load(Ordering::Relaxed) as usize;
+        if self.held.load(Ordering::Relaxed) != 0 {
+            let live = self.pending[batch].load(Ordering::Relaxed);
+            assert_eq!(live, 1, "batch {batch} stranded");
+        }
+    }
+
+    /// `ShuffleBuffer::{poll_timeout, drain}` or a full push: takes what
+    /// is held, one flush more.
+    fn take_held(&self) -> u64 {
+        self.flushes.fetch_add(1, Ordering::Relaxed);
+        self.held.swap(0, Ordering::Relaxed)
+    }
+
+    /// `UaNode::submit`.
+    fn submit(&self, taken: u64) -> bool {
+        for (request, submitted) in self.submitted.iter().enumerate() {
+            if taken & (1 << request) != 0 {
+                submitted.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        taken != 0
+    }
+
+    /// `UaNode::flush_after`: one live timer per batch.
+    fn arm(&self, batch: u64) {
+        let pending = &self.pending[batch as usize];
+        assert_eq!(pending.fetch_add(1, Ordering::Relaxed), 0, "a second timer");
+    }
+
+    /// `UaNode::put`.
+    fn put(&self, request: u64) -> Option<By> {
+        self.in_turn(|| {
+            let was_empty = self.held.load(Ordering::Relaxed) == 0;
+            let held = self.held.load(Ordering::Relaxed) | 1 << request;
+            self.held.store(held, Ordering::Relaxed);
+            let draining = self.draining.load(Ordering::Relaxed) == 1;
+            if held.count_ones() == Self::S || draining {
+                let by = if was_empty {
+                    By::PassThrough
+                } else {
+                    By::LastAnswer
+                };
+                return self.submit(self.take_held()).then_some(by);
+            }
+            if was_empty {
+                self.arm(self.flushes.load(Ordering::Relaxed));
+            }
+            None
+        })
+    }
+
+    /// `UaNode::flush_due` for the timer that names `batch`; `due` is
+    /// whether that batch's deadline has passed.
+    fn fire(&self, batch: u64, due: bool) -> Fired {
+        self.in_turn(|| {
+            self.pending[batch as usize].fetch_sub(1, Ordering::Relaxed);
+            if self.flushes.load(Ordering::Relaxed) != batch {
+                return Fired::Stale;
+            }
+            if due {
+                assert!(self.submit(self.take_held()), "a due batch is never empty");
+                return Fired::Released;
+            }
+            self.arm(batch);
+            Fired::Rearmed
+        })
+    }
+
+    /// A timer on the deadline queue: fired, and fired again at the
+    /// batch's deadline whenever it was early.
+    fn timer(&self, batch: u64, due: bool) -> Option<By> {
+        let mut fired = self.fire(batch, due);
+        while fired == Fired::Rearmed {
+            fired = self.fire(batch, true);
+        }
+        (fired == Fired::Released).then_some(By::Cap)
+    }
+
+    /// `Service::drain`: `draining` is set, then whatever is buffered
+    /// leaves in a turn.
+    fn drain(&self) -> Option<By> {
+        self.draining.store(1, Ordering::Relaxed);
+        self.in_turn(|| {
+            let taken = match self.held.load(Ordering::Relaxed) {
+                0 => 0,
+                _ => self.take_held(),
+            };
+            self.submit(taken).then_some(By::Drain)
+        })
+    }
+}
+
+/// Two requests of three are buffered and their batch's timer is
+/// pending, beside the stale timer of the batch before; the put that
+/// fills the buffer, both timers and the graceful drain arrive at once
+/// (`LastAnswer` names the filling put, `Cap` the timer, `PassThrough` a
+/// put that finds the buffer drained). Whatever the order, every request
+/// is submitted exactly once, the stale timer — and every timer still
+/// pending at the end — submits nothing, and between turns a non-empty
+/// buffer never lacks a live timer (so never waits on the drain).
+#[test]
+fn filling_put_timers_and_drain_race_for_one_request_batch() {
+    static RELEASED_BY: [std::sync::atomic::AtomicU64; 4] =
+        [const { std::sync::atomic::AtomicU64::new(0) }; 4];
+    loom::model(|| {
+        let b = Arc::new(BufferModel::new());
+        let spawn = |run: fn(&BufferModel) -> Option<By>| {
+            let b = Arc::clone(&b);
+            thread::spawn(move || run(&b))
+        };
+        let racers = [
+            spawn(|b| b.put(2)),
+            spawn(|b| {
+                assert!(b.timer(0, true).is_none(), "the stale timer submitted");
+                None
+            }),
+            spawn(|b| b.timer(1, false)),
+            spawn(BufferModel::drain),
+        ];
+        for racer in racers {
+            if let Some(by) = racer.join().expect("racer") {
+                RELEASED_BY[by as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        for (request, submitted) in b.submitted.iter().enumerate() {
+            assert_eq!(submitted.load(Ordering::Relaxed), 1, "request {request}");
+        }
+        assert_eq!(b.held.load(Ordering::Relaxed), 0, "a request stayed");
+        // What the deadline queue still holds fires later, on a batch
+        // that has left.
+        for batch in 0..3u64 {
+            while b.pending[batch as usize].load(Ordering::Relaxed) > 0 {
+                assert!(b.fire(batch, true) == Fired::Stale, "batch {batch}");
+            }
+        }
+    });
+    let by: Vec<u64> = RELEASED_BY
+        .iter()
+        .map(|n| n.load(std::sync::atomic::Ordering::Relaxed))
+        .collect();
+    assert!(
+        by.iter().all(|&n| n > 0),
+        "filling-put/timer/drain/pass-through releases across schedules: {by:?}"
     );
 }

@@ -3,13 +3,14 @@
 //! The UA writes each IA its share of a released batch at once. Eight
 //! encrypted gets that reach an IA in one write are read in one pass and
 //! taken in one turn at the enclave, each get through its own ECALL.
-//! Each get is answered under its own key and records its own `Ia` stage
-//! samples. Their LRS calls leave in the order the batch arrived in. A
-//! lone get takes the same path: two ECALLs.
+//! Each get is answered under its own key and records one `Ia` sample
+//! (its request-side ECALL) and one `IaResponse` sample. Their LRS calls
+//! leave in the order the batch arrived in. A lone get takes the same
+//! path: two ECALLs.
 //!
-//! The `Ia` stage counts the ECALLs that ran, answered or refused: a get
-//! whose key block does not open is one ECALL and one sample, a request
-//! to a crashed enclave neither.
+//! Each stage counts the ECALLs of its kind that ran, answered or
+//! refused: a get whose key block does not open is one ECALL and one
+//! `Ia` sample, a request to a crashed enclave neither.
 
 use pprox::core::ia::{IaOptions, IaState};
 use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY};
@@ -128,19 +129,23 @@ fn a_batch_written_at_once_is_opened_one_get_at_a_time_and_answered_in_order() {
         }
     };
 
-    let ia_samples = || telemetry.stages().histogram(Stage::Ia).count();
+    // Samples per stage: (request side, response side).
+    let ia_samples = || {
+        let count = |stage| telemetry.stages().histogram(stage).count();
+        (count(Stage::Ia), count(Stage::IaResponse))
+    };
     let start = enclave.ecall_count();
     let before = start;
     exchange(&[1, 2, 3, 4, 5, 6, 7, 8]);
     // Two ECALLs per get, one each way, and each get records a
     // request-side and a response-side sample.
     assert_eq!(enclave.ecall_count() - before, 16);
-    assert_eq!(ia_samples(), 16);
+    assert_eq!(ia_samples(), (8, 8));
 
     let before = enclave.ecall_count();
     exchange(&[9]);
     assert_eq!(enclave.ecall_count() - before, 2);
-    assert_eq!(ia_samples(), 18);
+    assert_eq!(ia_samples(), (9, 9));
 
     // A get whose `k_u` block does not decrypt: refused in its one ECALL,
     // which is timed all the same. A get to a crashed enclave runs none.
@@ -160,13 +165,14 @@ fn a_batch_written_at_once_is_opened_one_get_at_a_time_and_answered_in_order() {
     let garbage = vec![0xff; pk_ia.ciphertext_len()];
     assert_eq!(refused(garbage.clone(), 100), Some(WireStatus::Failed));
     assert_eq!(enclave.ecall_count() - before, 1);
-    assert_eq!(ia_samples(), 19);
+    assert_eq!(ia_samples(), (10, 9));
     platform.crash_enclave(enclave.id()).unwrap();
     assert_eq!(refused(garbage, 101), Some(WireStatus::Unavailable));
     assert_eq!(enclave.ecall_count() - before, 1);
-    assert_eq!(ia_samples(), 19);
+    assert_eq!(ia_samples(), (10, 9));
     // One sample per ECALL that ran, over the whole test.
-    assert_eq!(ia_samples(), enclave.ecall_count() - start);
+    let (request_side, response_side) = ia_samples();
+    assert_eq!(request_side + response_side, enclave.ecall_count() - start);
 
     // The LRS saw the batch's queries in the order the batch arrived in.
     let queries = lrs.join().unwrap();

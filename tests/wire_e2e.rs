@@ -22,6 +22,7 @@ use pprox::core::keys::{KeyProvisioner, IA_CODE_IDENTITY, UA_CODE_IDENTITY};
 use pprox::core::message::{ClientEnvelope, EncryptedList};
 use pprox::core::resilience::{BreakerState, Deadline};
 use pprox::core::shuffler::ShuffleConfig;
+use pprox::core::telemetry::Stage;
 use pprox::core::ua::UaState;
 use pprox::core::{PProxError, UserClient};
 use pprox::lrs::api::{HttpRequest, RecommendationList, EVENTS_PATH, QUERIES_PATH};
@@ -540,6 +541,10 @@ fn shuffle_size_does_not_depend_on_the_worker_count() {
 /// answers are gathered and leave together — the response-side anonymity
 /// set is the request-side set, batch for batch. Read from the UA's audit
 /// log and flush counters; nothing here depends on how long anything took.
+/// No request leaves on a timer before it has waited the timeout out,
+/// also while the timer of a batch that left full is still pending: the
+/// dwell histogram bounds that from below only, so a slow host cannot
+/// break it.
 #[test]
 fn a_partial_batch_is_answered_as_the_same_batch() {
     use std::collections::{BTreeMap, BTreeSet};
@@ -560,9 +565,12 @@ fn a_partial_batch_is_answered_as_the_same_batch() {
     };
     let mut cluster = LoopbackCluster::launch(config, Arc::new(StubLrs::new())).unwrap();
     assert!(cluster.wait_ready(Duration::from_secs(10)));
-    let mut clients: Vec<_> = (0..7).map(|_| cluster.client()).collect();
-    // Closed-loop rounds of fewer than eight: no buffer ever fills.
-    for (round, k) in [5usize, 3, 7, 2].into_iter().enumerate() {
+    let mut clients: Vec<_> = (0..8).map(|_| cluster.client()).collect();
+    // A round of eight, which fills a batch when its posts arrive within
+    // the timeout: the batch leaves on its eighth put, and its timer is
+    // still pending while the next round is buffered. Then closed-loop
+    // rounds of fewer than eight, which fill no buffer.
+    for (round, k) in [8usize, 5, 3, 7, 2].into_iter().enumerate() {
         let sent = concurrently(&mut clients, k, |client, i| {
             let env = client.post(&format!("p{round}-{i}"), "m001", None)?;
             cluster.send_post(&env, budget())
@@ -581,7 +589,7 @@ fn a_partial_batch_is_answered_as_the_same_batch() {
         .chunk_by(|a, b| a.left_us == b.left_us)
         .map(|release| release.iter().map(|a| a.fp).collect())
         .collect();
-    assert_eq!(answers.len(), 17, "every post answered through a gather");
+    assert_eq!(answers.len(), 25, "every post answered through a gather");
     assert_eq!(releases, batches.values().cloned().collect());
     assert!(batches.values().any(|b| b.len() > 1), "{batches:?}");
 
@@ -590,10 +598,21 @@ fn a_partial_batch_is_answered_as_the_same_batch() {
         let count = snapshot.get("shuffle").and_then(|s| s.get(cause));
         count.and_then(|v| v.as_u64()).expect("flush counter")
     };
-    // One release per direction per batch, each under the timer that
-    // closed the request batch.
-    assert_eq!(flushes("flush_full"), 0);
-    assert_eq!(flushes("flush_timeout"), 2 * batches.len() as u64);
+    // One release per direction per batch, each under the cause that
+    // closed the request batch: the size for a batch of eight, the timer
+    // for every other.
+    let full = batches.values().filter(|b| b.len() == 8).count() as u64;
+    assert_eq!(flushes("flush_full"), 2 * full);
+    assert_eq!(flushes("flush_timeout"), 2 * (batches.len() as u64 - full));
+    // Below 0.97 × the timeout (the histogram's bucket precision) are
+    // exactly the requests of full batches; every other dwell is at
+    // least that.
+    let dwell = cluster
+        .telemetry()
+        .stages()
+        .histogram(Stage::ShuffleRequest);
+    assert_eq!(dwell.count(), 25);
+    assert_eq!(dwell.snapshot().cumulative_le(250_000 * 97 / 100), 8 * full);
     cluster.shutdown();
 }
 
