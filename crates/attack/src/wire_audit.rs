@@ -375,23 +375,40 @@ mod tests {
     }
 
     /// A metrics export that ships each request's arrival instant hands
-    /// the observer a join key for every departure.
+    /// the observer a join key for every departure. An arrival that never
+    /// departs (a request refused `busy`) hides it: it holds a FIFO
+    /// candidate slot until a rank match pairs it, pushing a served
+    /// arrival out of its batch, and the offset carries to every later
+    /// batch.
     #[test]
     fn leaked_arrival_instants_are_flagged() {
         let trace = synthetic(8, 1, 60, true, 0x11d2);
-        let arrived: std::collections::HashMap<usize, u64> = trace
-            .arrivals
-            .iter()
-            .map(|a| (a.request, a.at_us))
-            .collect();
-        let leaked = trace.with_join_key(|r| arrived[&r] as usize);
-        let out = wire_linkage_attack(&leaked, &WireAuditConfig::default());
+        let leaked = |trace: &WireTrace| {
+            let arrived: std::collections::HashMap<usize, u64> = trace
+                .arrivals
+                .iter()
+                .map(|a| (a.request, a.at_us))
+                .collect();
+            let leaked = trace.with_join_key(|r| arrived[&r] as usize);
+            wire_linkage_attack(&leaked, &WireAuditConfig::default())
+        };
+        let out = leaked(&trace);
         assert!(
             out.score.success_rate >= 0.9,
             "arrival instants must link almost always: {}",
             out.score.success_rate
         );
         assert!(!out.score.within(), "the audit must flag the export");
+        let mut refused = trace.clone();
+        for (k, a) in trace.arrivals.iter().take(4).enumerate() {
+            refused.arrivals.push(TraceArrival {
+                request: 1_000_000 + k,
+                at_us: a.at_us + 500,
+                ..*a
+            });
+        }
+        let hidden = leaked(&refused).score.success_rate;
+        assert!(hidden < 0.6, "stale arrivals must cost the catch: {hidden}");
     }
 
     /// Sharding the LRS by pseudonym labels each departure with a pure

@@ -7,9 +7,9 @@
 //!
 //! * `TELEMETRY_snapshot.json` — `ClusterSnapshot::merged`: the node
 //!   metrics document (`wire::scrape`), counters summed over the nodes,
-//!   high-water marks their maximum, stage histograms counted once.
-//!   Aggregates only: the schema has no place for a per-request record,
-//!   and the validator rejects any key outside it.
+//!   high-water marks their maximum, each node's stage histograms added
+//!   cell by cell. Aggregates only: the schema has no place for a
+//!   per-request record, and the validator rejects any key outside it.
 //! * `TELEMETRY_prometheus.txt` — the same document as scrape-ready
 //!   series (`scrape::prometheus_text`).
 //!

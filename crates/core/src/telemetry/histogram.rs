@@ -82,6 +82,16 @@ impl LatencyHistogram {
         }
     }
 
+    /// A histogram holding `snap`'s observations, to record on from there.
+    pub(crate) fn from_snapshot(snap: &HistogramSnapshot) -> Self {
+        LatencyHistogram {
+            cells: snap.counts.iter().map(|&c| AtomicU64::new(c)).collect(),
+            count: AtomicU64::new(snap.count),
+            sum_us: AtomicU64::new(snap.sum_us),
+            max_us: AtomicU64::new(snap.max_us),
+        }
+    }
+
     /// Records one latency observation. Lock-free; safe from any thread.
     pub fn record(&self, us: u64) {
         // relaxed-ok: independent commutative counters — every cell is a

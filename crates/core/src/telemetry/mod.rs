@@ -9,9 +9,11 @@
 //!   mergeable snapshots (p50/p95/p99/p99.9).
 //! * [`stage`] — the [`Stage`] tag naming what a histogram measures.
 //!
-//! Nothing here renders or exports: a node's histograms leave it in its
-//! metrics document (`pprox_wire::scrape`), whose schema is the one
-//! place a metric is declared.
+//! Each proxy node records into a [`Telemetry`] of its own, all on one
+//! deployment epoch ([`Telemetry::since`]). Nothing here renders or
+//! exports: a node's histograms leave it in its metrics document
+//! (`pprox_wire::scrape`), whose schema is the one place a metric is
+//! declared, and a deployment view sums them ([`StageSet::sum`]).
 //!
 //! What must never be recorded here: raw user ids, raw item ids, arrival
 //! order (sequence numbers that survive the shuffle), or any per-request
@@ -26,11 +28,6 @@ pub(crate) mod sync;
 
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use stage::Stage;
-
-// analysis-allow: R6 the hub's epoch is the time *origin* `now_us` counts
-// from, not a per-request arrival capture; per-request timing enters only
-// through record_duration (a histogram cell).
-use std::time::Instant;
 
 /// Per-stage latency histograms, one [`LatencyHistogram`] per
 /// [`Stage`]. Recording is lock-free. Every sample comes from a node's
@@ -72,15 +69,32 @@ impl StageSet {
             .map(|&s| (s, self.histograms[s as usize].snapshot()))
             .collect()
     }
+
+    /// Each stage's observations summed over `sets`: what one recorder
+    /// that took every set's samples would hold.
+    pub fn sum<'a>(sets: impl IntoIterator<Item = &'a StageSet>) -> StageSet {
+        let mut sums = vec![HistogramSnapshot::empty(); Stage::ALL.len()];
+        for set in sets {
+            for (sum, histogram) in sums.iter_mut().zip(&set.histograms) {
+                sum.merge(&histogram.snapshot());
+            }
+        }
+        StageSet {
+            histograms: sums.iter().map(LatencyHistogram::from_snapshot).collect(),
+        }
+    }
 }
 
-/// The telemetry hub one deployment owns: per-stage histograms and the
-/// shared time epoch [`Telemetry::now_us`] counts from.
+/// One recorder's telemetry hub: per-stage histograms and the time
+/// epoch [`Telemetry::now_us`] counts from, which hubs built with
+/// [`Telemetry::since`] from one epoch share.
 #[derive(Debug)]
 pub struct Telemetry {
     stages: StageSet,
-    // analysis-allow: R6 shared epoch, not a per-request timestamp
-    epoch: Instant,
+    // analysis-allow: R6 the hub's epoch is the time *origin* `now_us`
+    // counts from, not a per-request arrival capture; per-request timing
+    // enters only through record_duration (a histogram cell).
+    epoch: std::time::Instant,
 }
 
 impl Default for Telemetry {
@@ -92,11 +106,15 @@ impl Default for Telemetry {
 impl Telemetry {
     /// A hub with empty histograms, its clock starting now.
     pub fn new() -> Telemetry {
-        Telemetry {
-            stages: StageSet::new(),
-            // analysis-allow: R6 hub creation time is the clock origin
-            epoch: Instant::now(),
-        }
+        // analysis-allow: R6 hub creation time is the clock origin
+        Telemetry::since(std::time::Instant::now(), StageSet::new())
+    }
+
+    /// A hub holding `stages` whose clock counts from `epoch`: every hub
+    /// built from one epoch reads the same [`Telemetry::now_us`].
+    // analysis-allow: R6 a clock origin handed in, not a per-request timestamp
+    pub fn since(epoch: std::time::Instant, stages: StageSet) -> Telemetry {
+        Telemetry { stages, epoch }
     }
 
     /// Per-stage histograms.
@@ -129,5 +147,19 @@ mod tests {
         t.record_duration(Stage::Ua, 250);
         assert_eq!(t.stages().histogram(Stage::Lrs).count(), 1);
         assert_eq!(t.stages().histogram(Stage::Ua).snapshot().p50(), 250);
+    }
+
+    #[test]
+    fn summed_stage_sets_hold_every_sample_once() {
+        let (a, b) = (StageSet::new(), StageSet::new());
+        a.record(Stage::Ua, 250);
+        b.record(Stage::Ua, 4_000);
+        b.record(Stage::Ia, 90);
+        let sum = StageSet::sum([&a, &b]);
+        let ua = sum.histogram(Stage::Ua).snapshot();
+        assert_eq!((ua.count(), ua.sum_us(), ua.max_us()), (2, 4_250, 4_000));
+        assert_eq!(ua.cumulative_le(1_000), 1, "the cells carry over");
+        assert_eq!(sum.histogram(Stage::Ia).count(), 1);
+        assert_eq!(sum.histogram(Stage::Lrs).count(), 0);
     }
 }

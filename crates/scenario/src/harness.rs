@@ -18,9 +18,10 @@
 //!    instance; optional client churn, slow-loris connections, and
 //!    injected WAN latency ride on top.
 //! 4. Drain, then assemble the adversary's [`WireTrace`] of each edge.
-//!    Request edge: arrivals from the workers' send log, departures from
-//!    tap frames joined to the cluster's ground-truth audit by time
-//!    order. Response edge: arrivals are the IA's answers reaching the UA
+//!    Request edge: arrivals from the workers' send log less the
+//!    requests answered `busy` (they never depart), departures from tap
+//!    frames joined to the cluster's ground-truth audit by time order.
+//!    Response edge: arrivals are the IA's answers reaching the UA
 //!    (which an observer of that link pairs with the tapped requests, so
 //!    it knows whose they are), departures the replies leaving for the
 //!    clients — both instants from the audit log.
@@ -51,7 +52,10 @@ use pprox_core::shuffler::ShuffleConfig;
 use pprox_lrs::stub::StubLrs;
 use pprox_wire::audit::request_fingerprint;
 use pprox_wire::cluster::{ClusterConfig, LoopbackCluster};
-use pprox_wire::{ClientConfig, ClusterScraper, DeadlineQueue, PooledClient, PressureSample};
+use pprox_wire::{
+    ClientConfig, ClusterScraper, DeadlineQueue, PooledClient, PressureSample, WireError,
+    WireStatus,
+};
 
 use crate::schedule::{arrival_times_us, LoadShape};
 use crate::tap::{RecordingTap, TapClock, TapDirection};
@@ -216,7 +220,7 @@ pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> ScenarioOutcome {
 
     // The adversary's clock is the cluster's telemetry clock; sharing it
     // lets ground-truth audit events and tap frames be joined by time.
-    let telemetry = cluster.telemetry().clone();
+    let telemetry = cluster.telemetry();
     let clock: TapClock = Arc::new(move || telemetry.now_us());
 
     // One tap per UA×IA link, then reroute each UA's uplink through its
@@ -258,7 +262,7 @@ fn drive(
     cluster: &mut LoopbackCluster,
     taps: &[Vec<RecordingTap>],
 ) -> ScenarioOutcome {
-    let telemetry = cluster.telemetry().clone();
+    let telemetry = cluster.telemetry();
     let ua_addrs = cluster.ua_addrs();
 
     // Pre-encode the whole run: alternating posts and gets over a small
@@ -351,14 +355,21 @@ fn drive(
                     }
                     served += 1;
                     let at_us = telemetry.now_us();
-                    arrivals.lock().push(TraceArrival {
-                        request: k,
-                        at_us,
-                        instance: req.ua as u16,
-                        len: req.frame.len(),
-                    });
                     let deadline = Deadline::starting_now(Duration::from_secs(5));
-                    match clients[req.ua].call(&req.frame, deadline) {
+                    let outcome = clients[req.ua].call(&req.frame, deadline);
+                    // A request the UA refused never departs, and a client
+                    // edge observer sees that at once (a Control-class
+                    // answer, not a Response): all three adversaries of
+                    // the request edge drop its arrival.
+                    if !matches!(outcome, Err(WireError::Remote(WireStatus::Busy))) {
+                        arrivals.lock().push(TraceArrival {
+                            request: k,
+                            at_us,
+                            instance: req.ua as u16,
+                            len: req.frame.len(),
+                        });
+                    }
+                    match outcome {
                         Ok(_) => {
                             completed.fetch_add(1, Ordering::Relaxed);
                         }
@@ -460,12 +471,16 @@ fn drive(
 
     // Departures: per UA, join that UA's egress tap frames (c2s,
     // Request class, across its IA row) with the UA's ground-truth
-    // audit log. Both are time-ordered on the same clock and produced
-    // 1:1 by the same thread in the same order — the shuffle's flush
-    // thread logs a departure and writes its frame, one request after
-    // the other — so wire order is release order and the rank join is
-    // exact per IA link (taps of different links stamp independently,
-    // microseconds apart, inside one batch).
+    // audit log by rank. `UaNode::submit` logs the whole batch first,
+    // in release order, and then `submit_batch` writes each IA link's
+    // share of it as one `write`: with two IA links (the `base`
+    // topology of every served scenario) the time-sorted frames of a
+    // batch come out link by link while the log interleaves the links.
+    // Within a batch the rank join therefore gives the departures a
+    // fixed relabelling of their truths. A fixed relabelling of a
+    // uniform shuffle is still uniform, so the score under a uniform
+    // shuffle is unchanged; the join is exact only for the one-link
+    // ablation scenarios.
     let audits = cluster.linkage_audits();
     let mut departures = Vec::new();
     let mut fp_to_request = std::collections::HashMap::new();

@@ -47,7 +47,7 @@ use pprox_core::keys::{KeyProvisioner, IA_CODE_IDENTITY, UA_CODE_IDENTITY};
 use pprox_core::message::{ClientEnvelope, EncryptedList};
 use pprox_core::resilience::{CircuitBreaker, Deadline, ResilienceConfig};
 use pprox_core::shuffler::ShuffleConfig;
-use pprox_core::telemetry::Telemetry;
+use pprox_core::telemetry::{StageSet, Telemetry};
 use pprox_core::ua::UaState;
 use pprox_core::{PProxError, UserClient};
 use pprox_crypto::rng::SecureRng;
@@ -181,7 +181,10 @@ struct Env {
     config: ClusterConfig,
     platform: Platform,
     provisioner: KeyProvisioner,
-    telemetry: Arc<Telemetry>,
+    /// The chain's clock: every node's [`Telemetry`] counts from it, so
+    /// audit instants, shuffle deadlines and tap instants share one time
+    /// line.
+    epoch: Instant,
 }
 
 /// Builds the service for one slot of a tier, reporting into the slot's
@@ -218,9 +221,9 @@ struct Tier {
 impl Tier {
     /// A tier of `instances` slots, each built once. Node `i`'s hub reports
     /// the client counters of `uplinks[i]`, its ring into the tier below
-    /// (the LRS has none). One shared `Telemetry` serves the whole chain,
-    /// so every hub advertises the same non-zero telemetry group: the
-    /// scraper deduplicates the stage histograms, not triple-counts them.
+    /// (the LRS has none). A node with an uplink is a proxy node: its hub
+    /// also holds the stage histograms its service records into, on the
+    /// chain's clock, and like the hub they outlive every respawn.
     fn launch(
         env: &Arc<Env>,
         name: &'static str,
@@ -229,10 +232,10 @@ impl Tier {
         build: BuildFn,
     ) -> Result<Tier, PProxError> {
         let hub = |index| {
-            let hub = NodeMetrics::new(name, index, (env.config.seed as u32) | 1);
-            hub.attach_telemetry(env.telemetry.clone());
+            let hub = NodeMetrics::new(name, index);
             if let Some(ring) = uplinks.get(index) {
                 hub.attach_uplink(ring.clone());
+                hub.attach_telemetry(Arc::new(Telemetry::since(env.epoch, StageSet::new())));
             }
             Arc::new(hub)
         };
@@ -412,7 +415,7 @@ impl LoopbackCluster {
         let platform = Platform::new(&mut rng);
         let provisioner = KeyProvisioner::generate(config.modulus_bits, &mut rng);
         let env = Arc::new(Env {
-            telemetry: Arc::new(Telemetry::new()),
+            epoch: Instant::now(),
             platform,
             provisioner,
             config,
@@ -445,8 +448,9 @@ impl LoopbackCluster {
         let ia_breakers: Arc<Mutex<HashMap<_, _>>> = Arc::default();
         let rings = lrs.upstream.clone();
         let (router, breakers) = (shard_router.clone(), ia_breakers.clone());
-        let build = move |env: &Env, index: usize, _: &Arc<NodeMetrics>| {
+        let build = move |env: &Env, index: usize, hub: &Arc<NodeMetrics>| {
             let config = &env.config;
+            let stages = hub.telemetry().ok_or(PProxError::Unavailable)?;
             let enclave = env.platform.load_enclave::<IaState>(IA_CODE_IDENTITY);
             env.provisioner.provision_ia(&env.platform, &enclave)?;
             let service = Arc::new(IaWireService::new(
@@ -458,7 +462,7 @@ impl LoopbackCluster {
                     item_pseudonymization: config.item_pseudonymization,
                 },
                 config.resilience.clone(),
-                env.telemetry.clone(),
+                stages,
             ));
             breakers.lock().insert(index, service.breaker());
             Ok(service as Arc<dyn Service>)
@@ -480,6 +484,7 @@ impl LoopbackCluster {
         let (rings, audits) = (ia.upstream.clone(), linkage_audits.clone());
         let build = move |env: &Env, index: usize, hub: &Arc<NodeMetrics>| {
             let config = &env.config;
+            let stages = hub.telemetry().ok_or(PProxError::Unavailable)?;
             let enclave = env.platform.load_enclave::<UaState>(UA_CODE_IDENTITY);
             env.provisioner.provision_ua(&env.platform, &enclave)?;
             Ok(Arc::new(UaWireService::new(
@@ -492,7 +497,7 @@ impl LoopbackCluster {
                     audit: audits.get(index).cloned(),
                     metrics: Some(hub.clone()),
                 },
-                env.telemetry.clone(),
+                stages,
                 config.seed ^ (0x0a10 + index as u64),
             )) as Arc<dyn Service>)
         };
@@ -557,9 +562,17 @@ impl LoopbackCluster {
         }
     }
 
-    /// The chain-wide telemetry sink (stage histograms).
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.env.telemetry
+    /// The chain's clock, holding every node's stage histograms summed
+    /// at the time of the call: what one recorder of the whole chain
+    /// would hold.
+    pub fn telemetry(&self) -> Arc<Telemetry> {
+        let nodes: Vec<_> = self
+            .node_metrics()
+            .iter()
+            .filter_map(|hub| hub.telemetry())
+            .collect();
+        let stages = StageSet::sum(nodes.iter().map(|node| node.stages()));
+        Arc::new(Telemetry::since(self.env.epoch, stages))
     }
 
     /// The simulated SGX platform hosting the proxy layers' enclaves —

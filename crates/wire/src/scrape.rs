@@ -17,6 +17,11 @@
 //! discipline extends to the ops surface). A scrape moves the node's
 //! `scrapes` counter and no other.
 //!
+//! A proxy node's hub exports the stage histograms that node recorded
+//! and no other's: each UA and IA node records into its own
+//! [`Telemetry`], and an LRS node, which times nothing, renders all
+//! seven stages empty.
+//!
 //! [`NodeMetrics::snapshot_json`] emits the only metrics document there
 //! is, and [`snapshot_schema`] is its only schema: a field is declared
 //! in those two places. Counters are monotone aggregates, latencies are
@@ -29,11 +34,13 @@
 //!
 //! [`ClusterScraper`] polls every node; [`ClusterSnapshot::merged`]
 //! folds the node documents into one document under the same schema
-//! (the cluster view), and [`prometheus_text`] renders any such
-//! document as Prometheus text, which [`validate_prometheus`] checks.
+//! (the cluster view) — counters add, high-water marks take the
+//! maximum, histograms, the stages among them, add cell by cell — and
+//! [`prometheus_text`] renders any such document as Prometheus text,
+//! which [`validate_prometheus`] checks.
 
 use crate::balancer::SocketBalancer;
-use crate::frame::{parse_header, Frame, FrameError, PadClass, HEADER_LEN};
+use crate::frame::{decode_stream, Frame, FrameError, PadClass};
 use parking_lot::Mutex;
 use pprox_core::shuffler::FlushReason;
 use pprox_core::telemetry::histogram::NUM_BUCKETS;
@@ -60,7 +67,9 @@ use std::time::{Duration, Instant};
 /// too ([`ClusterSnapshot::merged`]). v5 dropped the `client_encrypt`
 /// and `e2e` stages, which only a driver's clients ever filled. v6 split
 /// the IA's get-response ECALLs out of `ia` into their own `ia_response`.
-pub const SCRAPE_SCHEMA_VERSION: u64 = 6;
+/// v7 dropped `node.telemetry_group`: a node exports only the stages it
+/// recorded, so the merge adds them like any other histogram.
+pub const SCRAPE_SCHEMA_VERSION: u64 = 7;
 
 /// Every value `node.tier` may take: the three cluster tiers, and `node`
 /// for a hub outside any cluster ([`NodeMetrics::detached`]).
@@ -74,6 +83,9 @@ pub const SCRAPE_QUERY: &[u8] = br#"{"q":"metrics"}"#;
 
 /// Chunk header: `seq` (u16 BE) then `total` (u16 BE).
 const CHUNK_HEADER: usize = 4;
+
+/// The scraper's socket read buffer: a hundred chunk frames per read.
+const READ_BUF: usize = 16 * 1024;
 
 /// Snapshot bytes carried per Control-class chunk frame.
 fn chunk_data_len() -> usize {
@@ -169,7 +181,6 @@ impl From<FrameError> for ScrapeError {
 pub struct NodeMetrics {
     tier: String,
     index: usize,
-    telemetry_group: u32,
     /// What the node was wired to at launch (and re-wired to on a
     /// respawn); a snapshot copies the handles out and reads them with
     /// the lock released.
@@ -215,21 +226,17 @@ impl std::fmt::Debug for NodeMetrics {
         f.debug_struct("NodeMetrics")
             .field("tier", &self.tier)
             .field("index", &self.index)
-            .field("telemetry_group", &self.telemetry_group)
             .finish()
     }
 }
 
 impl NodeMetrics {
     /// A hub for the node `tier`/`index`; `tier` is `ua`, `ia` or `lrs`
-    /// (the scrape validator accepts no other label). Nodes sharing one
-    /// [`Telemetry`] hub must share `telemetry_group` (non-zero) so the
-    /// cluster merge counts their stage histograms once, not per node.
-    pub fn new(tier: impl Into<String>, index: usize, telemetry_group: u32) -> Self {
+    /// (the scrape validator accepts no other label).
+    pub fn new(tier: impl Into<String>, index: usize) -> Self {
         NodeMetrics {
             tier: tier.into(),
             index,
-            telemetry_group,
             wiring: Mutex::new(Wiring::default()),
             accepted: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
@@ -257,16 +264,19 @@ impl NodeMetrics {
     }
 
     /// A hub for a standalone server outside any cluster (tests, tools).
-    /// `telemetry_group` 0 means "private stages": the merge never
-    /// deduplicates it against another node.
     pub fn detached() -> Self {
-        NodeMetrics::new("node", 0, 0)
+        NodeMetrics::new("node", 0)
     }
 
-    /// Attaches the telemetry hub whose stage histograms this node's
-    /// snapshot exports.
+    /// Attaches the telemetry hub this node's service records into, whose
+    /// stage histograms the node's snapshot exports.
     pub fn attach_telemetry(&self, telemetry: Arc<Telemetry>) {
         self.wiring.lock().telemetry = Some(telemetry);
+    }
+
+    /// The telemetry hub this node records into, if it records stages.
+    pub(crate) fn telemetry(&self) -> Option<Arc<Telemetry>> {
+        self.wiring.lock().telemetry.clone()
     }
 
     /// Registers an uplink balancer whose client counters (reconnects,
@@ -397,16 +407,6 @@ impl NodeMetrics {
         self.probe_failures.load(Ordering::Relaxed)
     }
 
-    /// Peak worker-queue depth observed.
-    pub fn queue_depth_high_water(&self) -> u64 {
-        self.queue_depth_high_water.load(Ordering::Relaxed)
-    }
-
-    /// Peak shuffle-buffer occupancy observed.
-    pub fn shuffle_high_water(&self) -> u64 {
-        self.shuffle_high_water.load(Ordering::Relaxed)
-    }
-
     /// Renders the node snapshot document (already validated shape:
     /// `validate_scrape_snapshot` accepts everything this emits).
     pub fn snapshot_json(&self) -> Value {
@@ -423,12 +423,16 @@ impl NodeMetrics {
                     acc.2 + s.deadline_clamps,
                 )
             });
-        let mut stages = Value::object::<&str, _>([]);
-        if let Some(telemetry) = &wiring.telemetry {
-            for (stage, snap) in telemetry.stages().snapshot() {
-                stages.insert(stage.as_str(), histogram_to_value(&snap));
-            }
-        }
+        // A node that records no stage renders all seven empty, so every
+        // document has one key set and a detached hub's is the merge's
+        // identity.
+        let stages = match &wiring.telemetry {
+            Some(telemetry) => telemetry.stages().snapshot(),
+            None => Stage::ALL.map(|s| (s, HistogramSnapshot::empty())).to_vec(),
+        };
+        let stages = stages
+            .iter()
+            .map(|(stage, snap)| (stage.as_str(), histogram_to_value(snap)));
         let shard = wiring.shard_gauges.map(|f| f()).unwrap_or_default();
         Value::object([
             ("report", Value::from("node-metrics")),
@@ -438,7 +442,6 @@ impl NodeMetrics {
                 Value::object([
                     ("tier", Value::from(self.tier.as_str())),
                     ("index", Value::from(self.index as u64)),
-                    ("telemetry_group", Value::from(self.telemetry_group as u64)),
                 ]),
             ),
             (
@@ -501,7 +504,7 @@ impl NodeMetrics {
                 ]),
             ),
             ("scrapes", load(&self.scrapes)),
-            ("stages", stages),
+            ("stages", Value::object(stages)),
         ])
     }
 }
@@ -575,10 +578,10 @@ fn bucket_cells(counts: &Value) -> Result<(), String> {
 /// The scrape document's schema, next to its emitter
 /// [`NodeMetrics::snapshot_json`]: exact key sets at every level,
 /// `node.tier` one of the four tier names (a free-form label would be a
-/// whitelisted place for an identifier to live), stage histograms under
-/// [`Stage`] labels only, bucketed aggregates only.
+/// whitelisted place for an identifier to live), one histogram under
+/// each [`Stage`] label, bucketed aggregates only.
 pub fn snapshot_schema() -> Schema {
-    let node = integers("index telemetry_group").chain([("tier", Schema::one_of(TIERS))]);
+    let node = integers("index").chain([("tier", Schema::one_of(TIERS))]);
     let server = integers(
         "accepted open_connections frames_in frames_out shed protocol_errors encode_failures \
          queue_depth queue_depth_high_water workers worker_busy_us",
@@ -605,13 +608,11 @@ pub fn snapshot_schema() -> Schema {
             "shard",
             Schema::object(integers("events queries dirty lag_us")),
         ),
-        ("stages", Schema::map(is_stage, histogram_schema())),
+        (
+            "stages",
+            Schema::object(Stage::ALL.map(|s| (s.as_str(), histogram_schema()))),
+        ),
     ]))
-}
-
-/// Whether `name` is a [`Stage`] label.
-fn is_stage(name: &str) -> bool {
-    Stage::ALL.iter().any(|s| s.as_str() == name)
 }
 
 /// Validates a metrics document against [`snapshot_schema`].
@@ -633,13 +634,6 @@ pub struct NodeSnapshot {
     pub name: String,
     /// The parsed snapshot document.
     pub json: Value,
-}
-
-impl NodeSnapshot {
-    /// The integer at dotted `path`, 0 where the snapshot has none.
-    fn u64_at(&self, path: &str) -> u64 {
-        number(&self.json, path).map_or(0, |n| n as u64)
-    }
 }
 
 /// A point-in-time cluster pressure sample, read off
@@ -677,11 +671,10 @@ const MAXIMA: [&str; 4] = [
     "shard.lag_us",
 ];
 
-/// The sections of a metrics document that are not one node's load:
-/// its identity, which the cluster view sets itself, and the stage
-/// histograms, which nodes sharing a telemetry hub all report. The leaf
-/// merge and the Prometheus leaf series both leave them out.
-const NOT_LEAVES: [&str; 3] = ["schema_version", "node", "stages"];
+/// The sections of a metrics document that are not one node's load but
+/// its identity, which the cluster view sets itself. The leaf merge and
+/// the Prometheus leaf series both leave them out.
+const NOT_LEAVES: [&str; 2] = ["schema_version", "node"];
 
 /// Snapshots from one cluster-wide scrape pass.
 #[derive(Debug, Clone)]
@@ -710,65 +703,19 @@ impl ClusterSnapshot {
 
     /// The cluster view: the node documents merged into one document of
     /// the same schema ([`snapshot_schema`]). Leaf by leaf, integers add
-    /// up except the `MAXIMA` paths, and histograms merge. Stage histograms
-    /// are counted once per telemetry group: nodes sharing a hub report
-    /// the same histograms, so the group's freshest scrape represents
-    /// it. The merged `node` is that of a hub outside any tier: `node`,
-    /// index 0, group 0.
+    /// up except the `MAXIMA` paths, and histograms — `server.poll_loop`
+    /// and each stage alike — add cell by cell: every node exports only
+    /// the samples it took. The merged `node` is that of a hub outside
+    /// any tier: `node`, index 0.
     pub fn merged(&self) -> Value {
         // An idle detached hub's document is the merge's identity: every
-        // counter 0, no stages, and the `node` label the merge keeps.
+        // counter 0, every histogram empty, and the `node` label the
+        // merge keeps.
         let mut merged = NodeMetrics::detached().snapshot_json();
         for node in &self.nodes {
             merge_leaves(&mut merged, &node.json, "");
         }
-        let mut stages = std::collections::BTreeMap::<String, HistogramSnapshot>::new();
-        for node in self.stage_representatives() {
-            let histograms = node.json.get("stages").and_then(Value::as_object);
-            for (name, h) in histograms.into_iter().flatten() {
-                if is_stage(name) {
-                    stages
-                        .entry(name.clone())
-                        .or_insert_with(HistogramSnapshot::empty)
-                        .merge(&histogram_from_value(h));
-                }
-            }
-        }
-        let stages = stages.iter().map(|(name, h)| (name, histogram_to_value(h)));
-        merged.insert("stages", Value::object(stages));
         merged
-    }
-
-    /// One node per telemetry group: the one whose stage histograms hold
-    /// the most observations (the freshest scrape of the shared hub).
-    /// Group 0 is private: each such node is a group of its own.
-    fn stage_representatives(&self) -> Vec<&NodeSnapshot> {
-        let mut reps: Vec<(u64, &NodeSnapshot, u64)> = Vec::new();
-        for (pos, node) in self.nodes.iter().enumerate() {
-            let group = match node.u64_at("node.telemetry_group") {
-                0 => u64::MAX - pos as u64,
-                g => g,
-            };
-            // Saturating: two snapshots can each pass validation with
-            // 2^53 in every cell.
-            let total: u64 = node
-                .json
-                .get("stages")
-                .and_then(Value::as_object)
-                .into_iter()
-                .flat_map(|stages| stages.values())
-                .map(|h| histogram_from_value(h).count())
-                .fold(0, u64::saturating_add);
-            match reps.iter_mut().find(|(g, _, _)| *g == group) {
-                Some(entry) if total > entry.2 => {
-                    entry.1 = node;
-                    entry.2 = total;
-                }
-                Some(_) => {}
-                None => reps.push((group, node, total)),
-            }
-        }
-        reps.into_iter().map(|(_, node, _)| node).collect()
     }
 
     /// The gauges that make up one pressure-timeline window, read off
@@ -846,15 +793,7 @@ fn prometheus_bounds_us() -> impl Iterator<Item = u64> {
 /// `server.poll_loop` histogram `pprox_server_poll_loop_us`. A field the
 /// document gains is rendered with no edit here.
 pub fn prometheus_text(doc: &Value) -> String {
-    let mut out = String::from(
-        "# HELP pprox_stage_latency_us Per-stage latency, microseconds.\n\
-         # TYPE pprox_stage_latency_us histogram\n",
-    );
-    let stages = doc.get("stages").and_then(Value::as_object);
-    for (stage, h) in stages.into_iter().flatten() {
-        let label = format!("stage=\"{stage}\"");
-        render_histogram(&mut out, "pprox_stage_latency_us", &label, h);
-    }
+    let mut out = String::new();
     render_leaves(&mut out, doc, "");
     out
 }
@@ -863,6 +802,16 @@ pub fn prometheus_text(doc: &Value) -> String {
 fn render_leaves(out: &mut String, v: &Value, path: &str) {
     let name = format!("pprox_{}", path.replace('.', "_"));
     match v {
+        Value::Object(stages) if path == "stages" => {
+            out.push_str(
+                "# HELP pprox_stage_latency_us Per-stage latency, microseconds.\n\
+                 # TYPE pprox_stage_latency_us histogram\n",
+            );
+            for (stage, h) in stages {
+                let label = format!("stage=\"{stage}\"");
+                render_histogram(out, "pprox_stage_latency_us", &label, h);
+            }
+        }
         Value::Object(fields) if fields.contains_key("counts") => {
             let name = format!("{name}_us");
             out.push_str(&format!("# TYPE {name} histogram\n"));
@@ -1028,11 +977,6 @@ impl ClusterScraper {
         }
     }
 
-    /// The scrape targets, in polling order.
-    pub fn targets(&self) -> &[(String, SocketAddr)] {
-        &self.targets
-    }
-
     /// Scrapes every target once. Unreachable nodes are reported, not
     /// fatal — during a kill/respawn drill part of the cluster is
     /// legitimately down.
@@ -1082,45 +1026,39 @@ impl ClusterScraper {
         let mut data = Vec::new();
         let mut expected_total: Option<usize> = None;
         let mut next_seq = 0usize;
-        loop {
-            let frame = read_one_frame(&mut stream)?;
-            if frame.class != PadClass::Control {
-                return Err(ScrapeError::Protocol(format!(
-                    "scrape answered with a {:?}-class frame",
-                    frame.class
-                )));
+        let read_error = |kind| ScrapeError::Io {
+            phase: "read",
+            kind,
+        };
+        let (mut buf, mut filled, mut frames) = (vec![0u8; READ_BUF], 0, Vec::new());
+        'read: loop {
+            match stream.read(&mut buf[filled..]) {
+                Ok(0) => return Err(read_error(ErrorKind::UnexpectedEof)),
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(read_error(e.kind())),
             }
-            if frame.corr != corr {
-                return Err(ScrapeError::Protocol("correlation mismatch".into()));
-            }
-            if frame.payload.len() < CHUNK_HEADER {
-                return Err(ScrapeError::Protocol(
-                    "chunk shorter than its header".into(),
-                ));
-            }
-            let seq = u16::from_be_bytes([frame.payload[0], frame.payload[1]]) as usize;
-            let total = u16::from_be_bytes([frame.payload[2], frame.payload[3]]) as usize;
-            if total == 0 {
-                return Err(ScrapeError::Protocol("chunk declares zero total".into()));
-            }
-            match expected_total {
-                None => expected_total = Some(total),
-                Some(t) if t != total => {
+            let pos = decode_stream(&buf[..filled], |frame| frames.push(frame))?;
+            buf.copy_within(pos..filled, 0);
+            filled -= pos;
+            for frame in frames.drain(..) {
+                let (seq, total, chunk) = chunk(&frame, corr)?;
+                let expected = *expected_total.get_or_insert(total);
+                if expected != total {
                     return Err(ScrapeError::Protocol(
                         "chunk total changed mid-stream".into(),
-                    ))
+                    ));
                 }
-                Some(_) => {}
-            }
-            if seq != next_seq {
-                return Err(ScrapeError::Protocol(format!(
-                    "chunk {seq} out of order (expected {next_seq})"
-                )));
-            }
-            data.extend_from_slice(&frame.payload[CHUNK_HEADER..]);
-            next_seq += 1;
-            if next_seq == expected_total.unwrap_or(0) {
-                break;
+                if seq != next_seq {
+                    return Err(ScrapeError::Protocol(format!(
+                        "chunk {seq} out of order (expected {next_seq})"
+                    )));
+                }
+                data.extend_from_slice(chunk);
+                next_seq += 1;
+                if next_seq == total {
+                    break 'read;
+                }
             }
         }
         let text = String::from_utf8(data)
@@ -1130,33 +1068,37 @@ impl ClusterScraper {
     }
 }
 
-/// Blocking read of exactly one frame off `stream`.
-fn read_one_frame(stream: &mut TcpStream) -> Result<Frame, ScrapeError> {
-    let mut header = [0u8; HEADER_LEN];
-    stream
-        .read_exact(&mut header)
-        .map_err(|e| ScrapeError::Io {
-            phase: "read",
-            kind: e.kind(),
-        })?;
-    let (_, body_len, _) = parse_header(&header)?;
-    let mut body = vec![0u8; body_len];
-    stream.read_exact(&mut body).map_err(|e| ScrapeError::Io {
-        phase: "read",
-        kind: e.kind(),
-    })?;
-    let mut all = header.to_vec();
-    all.extend_from_slice(&body);
-    Ok(Frame::decode(&all)?)
+/// One chunk frame of the answer to `corr`: its `seq`, its `total` and
+/// the snapshot bytes it carries.
+fn chunk(frame: &Frame, corr: u64) -> Result<(usize, usize, &[u8]), ScrapeError> {
+    if frame.class != PadClass::Control {
+        let class = frame.class;
+        return Err(ScrapeError::Protocol(format!(
+            "scrape answered with a {class:?}-class frame"
+        )));
+    }
+    if frame.corr != corr {
+        return Err(ScrapeError::Protocol("correlation mismatch".into()));
+    }
+    let Some(([s0, s1, t0, t1], data)) = frame.payload.split_first_chunk::<CHUNK_HEADER>() else {
+        return Err(ScrapeError::Protocol(
+            "chunk shorter than its header".into(),
+        ));
+    };
+    let total = u16::from_be_bytes([*t0, *t1]) as usize;
+    if total == 0 {
+        return Err(ScrapeError::Protocol("chunk declares zero total".into()));
+    }
+    Ok((u16::from_be_bytes([*s0, *s1]) as usize, total, data))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pprox_json::schema::assert_exact;
+    use pprox_json::schema::{assert_exact, text};
 
     fn populated_hub() -> NodeMetrics {
-        let m = NodeMetrics::new("ua", 0, 7);
+        let m = NodeMetrics::new("ua", 0);
         m.on_accept();
         m.on_frame_in();
         m.on_frames_out(1);
@@ -1177,133 +1119,74 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_and_validates() {
-        let m = populated_hub();
-        let json = m.snapshot_json();
+        let json = populated_hub().snapshot_json();
         validate_scrape_snapshot(&json).unwrap();
         let reparsed = Value::parse(&json.to_json()).unwrap();
         validate_scrape_snapshot(&reparsed).unwrap();
-        assert_eq!(
-            reparsed
-                .get("server")
-                .unwrap()
-                .get("accepted")
-                .unwrap()
-                .as_u64(),
-            Some(1)
-        );
-        assert_eq!(
-            reparsed
-                .get("server")
-                .unwrap()
-                .get("queue_depth_high_water")
-                .unwrap()
-                .as_u64(),
-            Some(2)
-        );
-        assert_eq!(
-            reparsed
-                .get("shuffle")
-                .unwrap()
-                .get("high_water")
-                .unwrap()
-                .as_u64(),
-            Some(5)
-        );
+        let at = |path| number(&reparsed, path);
+        assert_eq!(at("server.accepted"), Ok(1.0));
+        assert_eq!(at("server.queue_depth_high_water"), Ok(2.0));
+        assert_eq!(at("shuffle.high_water"), Ok(5.0));
     }
 
     #[test]
     fn validator_rejects_unknown_keys_anywhere() {
-        let m = populated_hub();
-        // Top level.
-        let mut json = m.snapshot_json();
-        json.insert("arrival_times", Value::Array(vec![Value::from(12u64)]));
-        assert!(validate_scrape_snapshot(&json)
-            .unwrap_err()
-            .contains("arrival_times"));
-        // Inside server.
-        let mut json = m.snapshot_json();
-        json.get_mut("server")
-            .unwrap()
-            .insert("last_corr", Value::from(42u64));
-        assert!(validate_scrape_snapshot(&json)
-            .unwrap_err()
-            .contains("last_corr"));
-        // Inside the shard gauges.
-        let mut json = m.snapshot_json();
-        json.get_mut("shard")
-            .unwrap()
-            .insert("trace_id", Value::from(9u64));
-        assert!(validate_scrape_snapshot(&json)
-            .unwrap_err()
-            .contains("trace_id"));
-        // The key the schema carried until v3.
-        let mut json = m.snapshot_json();
-        json.insert("layers", Value::Array(Vec::new()));
-        assert!(validate_scrape_snapshot(&json)
-            .unwrap_err()
-            .contains("layers"));
+        // Top level, inside server and the shard gauges, and the keys the
+        // schema carried until v3 (`layers`) and v7 (`telemetry_group`).
+        for (section, key) in [
+            ("", "arrival_times"),
+            ("server", "last_corr"),
+            ("shard", "trace_id"),
+            ("", "layers"),
+            ("node", "telemetry_group"),
+        ] {
+            let mut json = populated_hub().snapshot_json();
+            let at = match section {
+                "" => &mut json,
+                section => json.get_mut(section).unwrap(),
+            };
+            at.insert(key, Value::from(9u64));
+            let err = validate_scrape_snapshot(&json).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
     }
 
     #[test]
     fn validator_accepts_only_the_four_tier_names() {
         for tier in TIERS {
-            validate_scrape_snapshot(&NodeMetrics::new(tier, 0, 0).snapshot_json()).unwrap();
+            validate_scrape_snapshot(&NodeMetrics::new(tier, 0).snapshot_json()).unwrap();
         }
-        assert_eq!(
-            NodeMetrics::detached()
-                .snapshot_json()
-                .get("node")
-                .unwrap()
-                .get("tier"),
-            Some(&Value::from("node"))
-        );
+        let detached = NodeMetrics::detached().snapshot_json();
+        assert_eq!(text(&detached, "node.tier"), Ok("node"));
         // A user id dressed up as a tier label.
         let mut json = populated_hub().snapshot_json();
         json.get_mut("node")
             .unwrap()
             .insert("tier", Value::from("u017"));
-        assert!(validate_scrape_snapshot(&json)
-            .unwrap_err()
-            .contains("node.tier"));
+        let err = validate_scrape_snapshot(&json).unwrap_err();
+        assert!(err.contains("node.tier"), "{err}");
     }
 
     #[test]
     fn validator_rejects_raw_timestamp_shapes_in_histograms() {
-        let m = populated_hub();
-        let mut json = m.snapshot_json();
-        // A "histogram" whose counts are not [index, count] pairs —
-        // the shape a raw per-request timestamp list would take.
-        json.get_mut("server").unwrap().insert(
-            "poll_loop",
-            Value::object([
-                (
-                    "counts",
-                    Value::Array(vec![Value::from(1_723_012u64), Value::from(1_723_844u64)]),
-                ),
-                ("sum_us", Value::from(0u64)),
-                ("max_us", Value::from(0u64)),
-            ]),
-        );
-        assert!(validate_scrape_snapshot(&json).is_err());
+        let with_poll_loop = |counts: Vec<Value>| {
+            let mut json = populated_hub().snapshot_json();
+            let histogram = [("sum_us", 0u64), ("max_us", 0)];
+            let mut histogram = Value::object(histogram.map(|(k, v)| (k, Value::from(v))));
+            histogram.insert("counts", Value::Array(counts));
+            json.get_mut("server")
+                .unwrap()
+                .insert("poll_loop", histogram);
+            validate_scrape_snapshot(&json)
+        };
+        // A "histogram" whose counts are not [index, count] pairs — the
+        // shape a raw per-request timestamp list would take.
+        let raw = [1_723_012u64, 1_723_844].map(Value::from).to_vec();
+        assert!(with_poll_loop(raw).is_err());
         // Out-of-layout bucket indices likewise.
-        let mut json = m.snapshot_json();
-        json.get_mut("server").unwrap().insert(
-            "poll_loop",
-            Value::object([
-                (
-                    "counts",
-                    Value::Array(vec![Value::Array(vec![
-                        Value::from(NUM_BUCKETS as u64 + 5),
-                        Value::from(1u64),
-                    ])]),
-                ),
-                ("sum_us", Value::from(0u64)),
-                ("max_us", Value::from(0u64)),
-            ]),
-        );
-        assert!(validate_scrape_snapshot(&json)
-            .unwrap_err()
-            .contains("outside bucket layout"));
+        let cell = Value::Array(vec![Value::from(NUM_BUCKETS as u64 + 5), Value::from(1u64)]);
+        let err = with_poll_loop(vec![cell]).unwrap_err();
+        assert!(err.contains("outside bucket layout"), "{err}");
     }
 
     #[test]
@@ -1366,39 +1249,49 @@ mod tests {
     }
 
     #[test]
-    fn cluster_report_deduplicates_shared_telemetry_groups() {
-        let telemetry = Arc::new(Telemetry::new());
-        for _ in 0..10 {
-            telemetry.record_duration(Stage::Ua, 100);
-        }
-        // Two nodes share group 7; a third has its own hub in group 9.
-        let a = NodeMetrics::new("ua", 0, 7);
-        let b = NodeMetrics::new("ua", 1, 7);
-        a.attach_telemetry(telemetry.clone());
-        b.attach_telemetry(telemetry.clone());
-        let other = Arc::new(Telemetry::new());
-        other.record_duration(Stage::Ua, 900);
-        let c = NodeMetrics::new("ia", 0, 9);
-        c.attach_telemetry(other);
+    fn cluster_report_sums_each_nodes_own_stages() {
+        // Two UAs and an IA, each recording into its own hub; the LRS
+        // records nothing and renders every stage empty.
+        let hubs = [("ua", 0, 10, 100), ("ua", 1, 3, 900), ("ia", 0, 0, 0)].map(
+            |(tier, index, samples, us)| {
+                let hub = NodeMetrics::new(tier, index);
+                let telemetry = Arc::new(Telemetry::new());
+                for _ in 0..samples {
+                    telemetry.record_duration(Stage::Ua, us);
+                }
+                telemetry.record_duration(Stage::Ia, 50);
+                hub.attach_telemetry(telemetry);
+                hub
+            },
+        );
+        let lrs = NodeMetrics::new("lrs", 0);
         let snapshot = cluster(vec![
-            scraped("ua0", &a),
-            scraped("ua1", &b),
-            scraped("ia0", &c),
+            scraped("ua0", &hubs[0]),
+            scraped("ua1", &hubs[1]),
+            scraped("ia0", &hubs[2]),
+            scraped("lrs0", &lrs),
         ]);
         snapshot.validate().unwrap();
+        for stage in Stage::ALL {
+            let path = format!("stages.{}.counts", stage.as_str());
+            assert_eq!(list(&scraped("lrs0", &lrs).json, &path), Ok(&[][..]));
+        }
         let merged = snapshot.merged();
         validate_scrape_snapshot(&merged).unwrap();
-        // 10 from the shared hub (once, not twice) + 1 from the other.
-        let ua = histogram_from_value(merged.get("stages").unwrap().get("ua").unwrap());
-        assert_eq!(ua.count(), 11);
+        // Every node's samples, each counted once.
+        let stage = |name| histogram_from_value(merged.get("stages").unwrap().get(name).unwrap());
+        let ua = stage("ua");
+        assert_eq!((ua.count(), ua.sum_us(), ua.max_us()), (13, 3_700, 900));
+        assert_eq!(stage("ia").count(), 3);
+        assert_eq!(stage("lrs").count(), 0);
         let text = prometheus_text(&merged);
-        assert!(text.contains("pprox_stage_latency_us_count{stage=\"ua\"} 11\n"));
+        assert!(text.contains("pprox_stage_latency_us_count{stage=\"ua\"} 13\n"));
     }
 
     #[test]
     fn merged_sums_counters_maxes_high_water_marks_and_validates() {
         let a = populated_hub(); // queue high-water 2, shuffle high-water 5
-        let b = NodeMetrics::new("ia", 0, 0);
+        let b = NodeMetrics::new("ia", 0);
         for _ in 0..3 {
             b.on_queued(b.on_enqueue(1));
             b.on_frame_in();
@@ -1440,11 +1333,11 @@ mod tests {
 
     #[test]
     fn pressure_sample_sums_gauges_and_maxes_high_water() {
-        let a = NodeMetrics::new("ua", 0, 0);
+        let a = NodeMetrics::new("ua", 0);
         a.set_shuffle_occupancy(3);
         a.on_shed();
         a.on_queued(a.on_enqueue(1));
-        let b = NodeMetrics::new("ua", 1, 0);
+        let b = NodeMetrics::new("ua", 1);
         b.set_shuffle_occupancy(9);
         let p = cluster(vec![scraped("ua0", &a), scraped("ua1", &b)]).pressure();
         assert_eq!(p.nodes, 2);
@@ -1475,7 +1368,7 @@ mod tests {
     #[test]
     fn report_of_hostile_counts_that_validate_saturates() {
         // Every cell at the 2^53 `as_u64` admits: one histogram's total
-        // fits a u64, a node's two stages or two groups' merge do not.
+        // fits a u64, two nodes' stages merged do not.
         let full = Value::object([
             (
                 "counts",
@@ -1486,18 +1379,17 @@ mod tests {
             ("sum_us", Value::from(1u64 << 53)),
             ("max_us", Value::from(1u64 << 53)),
         ]);
-        let node = |name: &str, group: u32| {
-            let mut json = NodeMetrics::new("ua", 0, group).snapshot_json();
-            json.insert(
-                "stages",
-                Value::object([("ua", full.clone()), ("ia", full.clone())]),
-            );
+        let node = |name: &str, index| {
+            let mut json = NodeMetrics::new("ua", index).snapshot_json();
+            let stages = json.get_mut("stages").unwrap();
+            stages.insert("ua", full.clone());
+            stages.insert("ia", full.clone());
             NodeSnapshot {
                 name: name.into(),
                 json,
             }
         };
-        let snapshot = cluster(vec![node("ua0", 1), node("ua1", 2)]);
+        let snapshot = cluster(vec![node("ua0", 0), node("ua1", 1)]);
         snapshot.validate().unwrap();
         let merged = snapshot.merged();
         assert_eq!(number(&merged, "stages.ia.sum_us"), Ok((1u64 << 54) as f64));
@@ -1621,7 +1513,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let request = read_one_frame(&mut stream).unwrap();
+            let mut request = [0u8; PadClass::Control.wire_len()];
+            stream.read_exact(&mut request).unwrap();
+            let request = Frame::decode(&request).unwrap();
             assert!(is_scrape_request(&request));
             for frame in script(request.corr) {
                 stream.write_all(&frame.encode().unwrap()).unwrap();

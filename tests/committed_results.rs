@@ -8,6 +8,7 @@
 //! through the facade, so a stale or hand-edited copy fails
 //! `cargo test -q` too.
 
+use pprox::json::schema::{list, text};
 use pprox::json::Value;
 use pprox::wire::scrape::validate_prometheus;
 use pprox::wire::validate_scrape_snapshot;
@@ -35,4 +36,15 @@ fn sample_node_scrape_matches_its_schema() {
         .get("sample_node_snapshot")
         .expect("observability_report embeds one node scrape");
     validate_scrape_snapshot(sample).unwrap();
+    // The sample is a UA's scrape, and a node exports only the stages it
+    // measured: the UA's ECALLs, none of the IA side's.
+    assert_eq!(text(sample, "node.tier"), Ok("ua"));
+    let cells = |stage: &str| list(sample, &format!("stages.{stage}.counts")).unwrap();
+    assert!(!cells("ua").is_empty(), "the UA sample holds no UA ECALL");
+    for stage in ["ia", "lrs_attempt", "lrs", "ia_response"] {
+        assert!(
+            cells(stage).is_empty(),
+            "the UA sample holds {stage} samples"
+        );
+    }
 }

@@ -6,10 +6,13 @@
 //! and that the cluster view — the node documents merged under the node
 //! schema — validates, sums the nodes' counters, renders as valid
 //! Prometheus text, and reads an empty worker queue on every node once
-//! the load has drained. This is the one check of the cluster export. A
-//! second test checks metric continuity across a supervised respawn —
-//! the per-node hub survives the instance, so a scrape after the kill
-//! still covers the whole chain.
+//! the load has drained. Each stage is counted once, by the node that
+//! measured it: a UA exports UA-side stages only, an IA IA-side ones,
+//! the LRS none, and the cluster view is their sum. This is the one
+//! check of the cluster export. A second test checks metric continuity
+//! across a supervised respawn — the per-node hub and its stage
+//! histograms survive the instance, so a scrape after the kill still
+//! covers the whole chain.
 //!
 //! What monitoring costs is a measurement, not a test: the < 5 % budget
 //! on sustained RPS is asserted by `bin/observability_report` when it
@@ -25,6 +28,7 @@ use pprox::attack::scrape_audit::scan_export_for_oracles;
 use pprox::core::resilience::Deadline;
 use pprox::core::telemetry::Stage;
 use pprox::json::schema::{list, number};
+use pprox::json::Value;
 use pprox::lrs::stub::StubLrs;
 use pprox::wire::cluster::{ClusterConfig, LoopbackCluster};
 use pprox::wire::scrape::{prometheus_text, validate_prometheus, REQUIRED_STAGES};
@@ -52,6 +56,15 @@ fn steady_cluster(seed: u64, supervisor: bool) -> LoopbackCluster {
     let cluster = LoopbackCluster::launch(config, Arc::new(StubLrs::new())).unwrap();
     assert!(cluster.wait_ready(Duration::from_secs(10)));
     cluster
+}
+
+/// Samples in a metrics document's `stage` histogram.
+fn samples(doc: &Value, stage: &str) -> u64 {
+    let cells = list(doc, &format!("stages.{stage}.counts")).unwrap();
+    cells
+        .iter()
+        .map(|pair| number(pair, "1").unwrap() as u64)
+        .sum()
 }
 
 /// Closed-loop load of `requests` posts over `workers` threads.
@@ -140,6 +153,32 @@ fn scrape_under_steady_load_is_valid() {
             "{name} is not a stage"
         );
     }
+    // Each stage is counted by the node that measured it, once: the UAs
+    // time their ECALLs, the IAs theirs, the LRS nothing, and the cluster
+    // view is the sum — one UA and one IA ECALL per post.
+    for node in &snap.nodes {
+        let (ua, ia) = (samples(&node.json, "ua"), samples(&node.json, "ia"));
+        match &node.name[..2] {
+            "ua" => assert!(ua > 0 && ia == 0, "{}: ua {ua}, ia {ia}", node.name),
+            "ia" => assert!(ia > 0 && ua == 0, "{}: ua {ua}, ia {ia}", node.name),
+            _ => {
+                for stage in Stage::ALL {
+                    let n = samples(&node.json, stage.as_str());
+                    assert_eq!(n, 0, "{} reports {n} {stage:?} samples", node.name);
+                }
+            }
+        }
+    }
+    for stage in Stage::ALL {
+        let nodes: u64 = snap
+            .nodes
+            .iter()
+            .map(|node| samples(&node.json, stage.as_str()))
+            .sum();
+        assert_eq!(samples(&merged, stage.as_str()), nodes, "{stage:?}");
+    }
+    assert_eq!(samples(&merged, "ua"), 360);
+    assert_eq!(samples(&merged, "ia"), 360);
     let frames_in: f64 = snap
         .nodes
         .iter()
@@ -164,7 +203,9 @@ fn scrape_under_steady_load_is_valid() {
 fn scrape_survives_supervised_respawn() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut cluster = steady_cluster(0x0b52, true);
-    drive(&mut cluster, 40, 4);
+    // More load before the kill than after it, so a node whose counts
+    // restarted with the instance would read fewer after than before.
+    drive(&mut cluster, 80, 4);
 
     let scraper = ClusterScraper::new(cluster.scrape_targets());
     let before = scraper.scrape();
@@ -187,19 +228,23 @@ fn scrape_survives_supervised_respawn() {
     after.validate().unwrap();
     assert_eq!(after.nodes.len(), 5, "a node dropped out of the scrape");
 
-    // The hub accumulated across the respawn: counters did not reset.
-    let frames = |snap: &pprox::wire::ClusterSnapshot, name: &str| {
-        snap.nodes
-            .iter()
-            .find(|n| n.name == name)
-            .and_then(|n| n.json.get("server"))
-            .and_then(|s| s.get("frames_in"))
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0)
+    // The hub accumulated across the respawn: counters did not reset,
+    // and neither did the stage histograms the node records into.
+    let ia0 = |snap: &pprox::wire::ClusterSnapshot| {
+        let node = snap.nodes.iter().find(|n| n.name == "ia0").unwrap();
+        (
+            number(&node.json, "server.frames_in").unwrap(),
+            samples(&node.json, "ia"),
+        )
     };
+    let ((frames_before, ia_before), (frames_after, ia_after)) = (ia0(&before), ia0(&after));
     assert!(
-        frames(&after, "ia0") >= frames(&before, "ia0"),
+        frames_after >= frames_before,
         "ia0 frame counter reset across respawn"
+    );
+    assert!(
+        ia_after >= ia_before,
+        "ia0's ia stage went from {ia_before} to {ia_after} across the respawn"
     );
     cluster.shutdown();
 }

@@ -169,7 +169,7 @@ fn ia_node(
             ..ClientConfig::default()
         },
     ));
-    let hub = NodeMetrics::new("ia", 0, 1);
+    let hub = NodeMetrics::new("ia", 0);
     hub.attach_uplink(ring.clone());
     let options = IaOptions {
         encryption: false,

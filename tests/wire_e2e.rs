@@ -607,10 +607,8 @@ fn a_partial_batch_is_answered_as_the_same_batch() {
     // Below 0.97 × the timeout (the histogram's bucket precision) are
     // exactly the requests of full batches; every other dwell is at
     // least that.
-    let dwell = cluster
-        .telemetry()
-        .stages()
-        .histogram(Stage::ShuffleRequest);
+    let telemetry = cluster.telemetry();
+    let dwell = telemetry.stages().histogram(Stage::ShuffleRequest);
     assert_eq!(dwell.count(), 25);
     assert_eq!(dwell.snapshot().cumulative_le(250_000 * 97 / 100), 8 * full);
     cluster.shutdown();
