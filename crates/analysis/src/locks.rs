@@ -86,15 +86,13 @@ pub const CONTINUATION_ROOTS: &[(&str, &str)] = &[
 ];
 
 /// Entry points of the request path (path suffix, function name): the
-/// per-tier services (the IA's twice: a request alone, and the reader
-/// pass a shuffled batch arrives in), the reader that frames their
-/// traffic, the worker loop, the enclave's turns, the deadline queue's
-/// thread, and the continuations above. A panic here kills a thread
-/// mid-request (R13).
+/// per-tier services (a proxy layer's takes a whole reader pass), the
+/// reader that frames their traffic, the worker loop, the enclave's
+/// turns, the deadline queue's thread, and the continuations above. A
+/// panic here kills a thread mid-request (R13).
 pub const REQUEST_ROOTS: &[(&str, &str)] = &[
     ("crates/wire/src/services/ua.rs", "serve"),
     ("crates/wire/src/services/ia.rs", "serve"),
-    ("crates/wire/src/services/ia.rs", "serve_pass"),
     ("crates/wire/src/services/lrs.rs", "handle"),
     ("crates/wire/src/services/serial.rs", "run"),
     ("crates/wire/src/server.rs", "read_loop"),

@@ -220,14 +220,18 @@ fn stripping_the_writer_lock_directive_resurfaces_r12() {
 }
 
 #[test]
-fn seeded_blocking_send_in_real_reader_is_caught() {
-    // R12: swapping the reader's `try_send` for a blocking `send` on the
-    // bounded job queue — the edit that would turn overload from `busy`
+fn seeded_blocking_wait_in_real_reader_is_caught() {
+    // R12: making the reader wait for room in the worker queue before it
+    // queues a pass — the edit that would turn overload from `busy`
     // replies into a hang — must fire.
     let path = workspace_root().join("crates/wire/src/server.rs");
     let original = std::fs::read_to_string(&path).expect("read server.rs");
-    let seeded = original.replace("job_tx.try_send(job)", "job_tx.send(job)");
-    assert_ne!(seeded, original, "the reader's try_send should exist");
+    let push = "table.passes.push_back(pass);";
+    let seeded = original.replace(
+        push,
+        &format!("while !table.passes.is_empty() {{ table = self.job_ready.wait(table).unwrap(); }}\n{push}"),
+    );
+    assert_ne!(seeded, original, "the reader's hand-off should exist");
     let parsed = parse_source("crates/wire/src/server.rs", &seeded);
     let global = analyze_global(std::slice::from_ref(&parsed), None);
     assert!(
@@ -235,8 +239,8 @@ fn seeded_blocking_send_in_real_reader_is_caught() {
             .report
             .findings
             .iter()
-            .any(|f| f.rule == "R12" && f.message.contains("`.send()`")),
-        "a blocking send reachable from the reader must fire R12: {:#?}",
+            .any(|f| f.rule == "R12" && f.message.contains("`.wait()`")),
+        "a blocking wait reachable from the reader must fire R12: {:#?}",
         global.report.findings
     );
 }
@@ -295,7 +299,7 @@ fn seeded_panic_in_the_ia_pass_entry_is_caught() {
     // nothing in ia.rs calls it — so an unwrap planted in it must fire.
     let path = workspace_root().join("crates/wire/src/services/ia.rs");
     let original = std::fs::read_to_string(&path).expect("read wire ia service");
-    let entry = "fn serve_pass(&self, pass: Vec<(Vec<u8>, Reply)>) {";
+    let entry = "fn serve(&self, pass: Pass) {";
     let seeded = original.replace(
         entry,
         &format!("{entry}\n        let _first = pass.first().unwrap();"),
@@ -308,7 +312,7 @@ fn seeded_panic_in_the_ia_pass_entry_is_caught() {
             .report
             .findings
             .iter()
-            .any(|f| f.rule == "R13" && f.message.contains("`serve_pass`"));
+            .any(|f| f.rule == "R13" && f.message.contains("`serve`"));
         assert_eq!(fired, planted, "{:#?}", global.report.findings);
     }
 }

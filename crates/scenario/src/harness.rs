@@ -41,7 +41,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use parking_lot::Mutex;
 use pprox_attack::scrape_audit::scan_export_for_oracles;
 use pprox_attack::wire_audit::{
@@ -306,9 +305,11 @@ fn drive(
     // instance (no retries: one request == one wire frame, keeping the
     // trace clean), rebuilt wholesale every `churn_every` requests to
     // model reconnect storms. They all expire calls on one deadline
-    // queue, as the backends of one node do.
+    // queue, as the backends of one node do, and take the next request
+    // from one dispatch channel, whose receiver they share under a lock.
     let timers = Arc::new(DeadlineQueue::new());
-    let (tx, rx) = channel::unbounded::<usize>();
+    let (tx, rx) = std::sync::mpsc::channel::<usize>();
+    let rx = Arc::new(Mutex::new(rx));
     let completed = Arc::new(AtomicUsize::new(0));
     let failed = Arc::new(AtomicUsize::new(0));
     let arrivals: Arc<Mutex<Vec<TraceArrival>>> = Arc::new(Mutex::new(Vec::new()));
@@ -344,7 +345,10 @@ fn drive(
                 };
                 let mut clients = build(0);
                 let mut served = 0u64;
-                while let Ok(k) = rx.recv() {
+                // The lock is let go at the end of the `let`, before
+                // the request is sent.
+                loop {
+                    let Ok(k) = rx.lock().recv() else { break };
                     let req = &plan[k];
                     if let Some(every) = churn_every {
                         if served > 0 && served.is_multiple_of(every as u64) {

@@ -92,7 +92,9 @@ pub fn all() -> Vec<ScenarioSpec> {
             shape: LoadShape::Steady { rps: 320.0 },
             requests: 360,
             shuffle_timeout_us: 60_000,
-            max_inflight: Some(8),
+            // One admitted request per shuffle slot: a full batch still
+            // forms, and what arrives while it dwells is refused `busy`.
+            max_inflight: Some(4),
             ..base("busy_shed")
         },
         ScenarioSpec {

@@ -200,10 +200,10 @@ mod tests {
     use crate::frame::{decode_stream, Frame, PadClass};
     use crate::server::{FrameHandler, ServerConfig, WireServer};
     use crate::WireStatus;
-    use crossbeam::channel::unbounded;
     use std::io::{Read, Write};
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc::channel;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -323,7 +323,7 @@ mod tests {
             }
             for _ in 0..ROUNDS {
                 std::thread::sleep(Duration::from_millis(5));
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 let calls = (1..=8u8)
                     .map(|i| {
                         let tx = tx.clone();

@@ -44,7 +44,6 @@ use crate::frame::{decode_stream, Frame, PadClass};
 use crate::server::write_whole;
 use crate::timers::{DeadlineQueue, TimerKey};
 use crate::{WireError, WireStatus};
-use crossbeam::channel::bounded;
 use parking_lot::{Mutex, RwLock};
 use pprox_core::resilience::{Deadline, RetryBackoff};
 use std::collections::HashMap;
@@ -697,7 +696,7 @@ impl std::fmt::Debug for PooledClient {
 /// Runs `start` with a completion that wakes this thread, and waits for
 /// it: the blocking adapter over a continuation-style call.
 pub(crate) fn block_on(start: impl FnOnce(Completion)) -> CallResult {
-    let (tx, rx) = bounded::<CallResult>(1);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<CallResult>(1);
     start(Box::new(move |result| {
         let _ = tx.send(result);
     }));
@@ -781,9 +780,9 @@ impl PooledClient {
 mod tests {
     use super::*;
     use crate::server::{FrameHandler, ServerConfig, WireServer};
-    use crossbeam::channel::{unbounded, Receiver};
     use std::io::Write;
     use std::net::TcpListener;
+    use std::sync::mpsc::{channel, Receiver};
     use std::time::Instant;
 
     struct Echo;
@@ -830,7 +829,7 @@ mod tests {
 
     /// Submits `payload` and returns where its completion will report.
     fn submit(client: &PooledClient, payload: &[u8], deadline: Deadline) -> Receiver<CallResult> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         client.submit(Arc::from(payload), deadline, move |result| {
             let _ = tx.send(result);
         });
@@ -1030,12 +1029,12 @@ mod tests {
         };
         let ring = Ring::new(vec![conn], config, timers);
         let payload: Arc<[u8]> = vec![7u8; 1024].into();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut peer = None;
         let mut submitted = 0;
         // Batches of about a megabyte until one does not fit in what the
         // two socket buffers hold: the peer accepts and never reads.
-        let took = loop {
+        let (took, first) = loop {
             assert!(
                 submitted < 64 * BATCH,
                 "64 MB went to a peer that never reads"
@@ -1058,8 +1057,8 @@ mod tests {
             let took = started.elapsed();
             submitted += BATCH;
             peer.get_or_insert_with(|| accept(&listener));
-            if !rx.is_empty() {
-                break took;
+            if let Ok(first) = rx.try_recv() {
+                break (took, first);
             }
         };
         assert!(
@@ -1067,7 +1066,7 @@ mod tests {
             "the submitter was held {took:?}"
         );
         // Every call on the link failed, once, as the connection's loss.
-        let failed: Vec<CallResult> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        let failed: Vec<CallResult> = std::iter::once(first).chain(rx.try_iter()).collect();
         assert_eq!(failed.len(), submitted);
         assert!(failed
             .iter()

@@ -16,8 +16,9 @@
 //!   indistinguishable by length).
 //! * [`server`] — a multi-threaded event-driven server: an acceptor
 //!   blocking in `accept()`, one reader thread per connection blocking in
-//!   `read()`, and a worker pool fed through a bounded queue behind the
-//!   existing [`pprox_core::resilience::AdmissionGate`]. Workers only
+//!   `read()`, and a worker pool fed one job per reader pass through a
+//!   queue that the [`pprox_core::resilience::AdmissionGate`] bounds
+//!   (every queued request holds a permit). Workers only
 //!   compute: a [`server::Service`] that has to wait keeps the request's
 //!   [`server::Reply`] handle and returns, and whoever finishes the
 //!   request answers through it. Graceful drain on shutdown.
@@ -94,7 +95,7 @@ pub use timers::DeadlineQueue;
 /// tell outcomes apart by length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireStatus {
-    /// Load shed at the admission gate or bounded queue — retryable.
+    /// Load shed at the admission gate — retryable.
     Busy,
     /// The request's deadline expired before completion.
     Deadline,

@@ -312,7 +312,7 @@ impl NodeMetrics {
         self.frames_out.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records a request shed at the gate or queue.
+    /// Records a request shed at the admission gate.
     pub fn on_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
@@ -328,22 +328,16 @@ impl NodeMetrics {
         self.encode_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts `n` requests into the worker queue — before the send that
-    /// queues them, so a worker that takes them first cannot count them
-    /// out before they were counted in. Returns the depth with them in.
-    pub fn on_enqueue(&self, n: u64) -> u64 {
-        self.queue_depth.fetch_add(n, Ordering::Relaxed) + n
-    }
-
-    /// Folds the depth [`on_enqueue`](Self::on_enqueue) returned into the
-    /// high-water mark, once its requests are really queued.
-    pub fn on_queued(&self, depth: u64) {
+    /// Counts `n` requests into the worker queue and folds the depth
+    /// with them in into the high-water mark — under the queue's lock, so
+    /// a worker that takes them cannot count them out first.
+    pub fn on_enqueue(&self, n: u64) {
+        let depth = self.queue_depth.fetch_add(n, Ordering::Relaxed) + n;
         self.queue_depth_high_water
             .fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Counts `n` requests out of the worker queue: a worker took them,
-    /// or the send that was to queue them failed.
+    /// Counts `n` requests out of the worker queue: a worker took them.
     pub fn on_dequeue(&self, n: u64) {
         self.queue_depth.fetch_sub(n, Ordering::Relaxed);
     }
@@ -648,7 +642,7 @@ pub struct PressureSample {
     pub queue_depth: u64,
     /// Maximum per-node queue-depth high-water mark.
     pub queue_depth_high_water: u64,
-    /// Total requests shed at gates and queues.
+    /// Total requests shed at the admission gates.
     pub shed: u64,
     /// Sum of shuffle-buffer occupancy gauges.
     pub shuffle_occupancy: u64,
@@ -1103,7 +1097,7 @@ mod tests {
         m.on_frame_in();
         m.on_frames_out(1);
         m.on_shed();
-        m.on_queued(m.on_enqueue(2));
+        m.on_enqueue(2);
         m.on_dequeue(1);
         m.set_workers(4);
         m.add_worker_busy_us(1_500);
@@ -1293,7 +1287,7 @@ mod tests {
         let a = populated_hub(); // queue high-water 2, shuffle high-water 5
         let b = NodeMetrics::new("ia", 0);
         for _ in 0..3 {
-            b.on_queued(b.on_enqueue(1));
+            b.on_enqueue(1);
             b.on_frame_in();
         }
         b.set_shuffle_occupancy(1);
@@ -1336,7 +1330,7 @@ mod tests {
         let a = NodeMetrics::new("ua", 0);
         a.set_shuffle_occupancy(3);
         a.on_shed();
-        a.on_queued(a.on_enqueue(1));
+        a.on_enqueue(1);
         let b = NodeMetrics::new("ua", 1);
         b.set_shuffle_occupancy(9);
         let p = cluster(vec![scraped("ua0", &a), scraped("ua1", &b)]).pressure();

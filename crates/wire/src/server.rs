@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! acceptor ──spawns──► reader (one per connection, blocks in read())
-//!                         │ jobs (bounded try_send, admission-gated)
-//!                         ▼
-//!                      workers ── Service::serve(payload, deadline, reply)
+//!                         │ one job per pass, on the server's queue
+//!                         ▼ (no capacity of its own: the gate bounds it)
+//!                      workers ── Service::serve(pass)
 //!                         │                          │ a service that must wait
 //!                         │ reply.send, at once      ▼ keeps `reply` and returns
 //!                         │              uplink reader / deadline queue
@@ -19,13 +19,11 @@
 //! * the **acceptor** blocks in `accept()` and gives every accepted
 //!   socket a reader thread;
 //! * a **reader** blocks in `read()` on its own socket, frames complete
-//!   requests in place from its read buffer and hands them to the
-//!   workers — to a service that [takes passes](Service::takes_passes),
-//!   everything one pass framed as one job, in wire order, so a batch its
+//!   requests in place from its read buffer and hands what one pass
+//!   admitted to the workers as one job, in wire order, so a batch its
 //!   peer wrote at once arrives whole; nothing else it does can block on
 //!   another connection;
-//! * **workers** run [`Service::serve`], or [`Service::serve_pass`] for a
-//!   service that takes passes — the enclave ECALLs — and never
+//! * **workers** run [`Service::serve`] — the enclave ECALLs — and never
 //!   wait for anything but the next job. A service that has to wait (a
 //!   shuffle dwell, the next hop's answer) parks the *request*, not the
 //!   thread: it moves the [`Reply`] into whatever will finish the request
@@ -40,7 +38,7 @@
 //! unsent answers `failed`. Either way the request leaves the table of
 //! unanswered requests exactly once and its admission permit comes back.
 //! [`FrameHandler`] is the adapter for services that never wait: `serve`
-//! is `reply.send(self.handle(..))`.
+//! is `reply.send(self.handle(..))` for each request of the pass, in order.
 //!
 //! No thread polls: every wait is a kernel wake-up (`accept`, `read`, the
 //! job queue's condition variable). A server sees the driver's one
@@ -49,7 +47,8 @@
 //!
 //! Backpressure is explicit and bounded at one point: the
 //! [`pprox_core::resilience::AdmissionGate`] caps requests in flight,
-//! and the worker queue, sized to that cap, can never hold more. A
+//! and every request on the worker queue holds one of its permits, so the
+//! queue needs no bound of its own and queueing never fails. A
 //! request over the cap is answered *immediately* with a constant-size
 //! `busy` control frame — never an unbounded queue, never a silent drop
 //! (§5's "fast, typed errors" discipline). A peer that stops reading its replies costs the
@@ -57,56 +56,45 @@
 //! connection is cut.
 //!
 //! Shutdown is a graceful drain: stop accepting, close the read half of
-//! every connection so the readers exit, flush the service's buffers,
-//! let the workers empty the queue, wait for what the service still
+//! every connection so the readers exit, close the queue behind the last
+//! of them, flush the service's buffers, let the workers empty the queue,
+//! wait for what the service still
 //! holds (in a shuffle buffer, on the uplink) to be answered, and when
 //! the drain budget runs out answer what is left `unavailable`.
 
 use crate::frame::{decode_stream, Frame, PadClass};
 use crate::scrape::{is_scrape_request, scrape_response_frames, NodeMetrics};
 use crate::WireStatus;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use pprox_core::resilience::{AdmissionGate, AdmissionPermit, Deadline};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What a server runs on its worker pool: one call per request frame, or
-/// per reader pass for a service that takes them whole.
+/// The requests one reader pass framed and admitted from a connection,
+/// in wire order: each payload with the handle that answers it.
+pub type Pass = Vec<(Vec<u8>, Reply)>;
+
+/// A request a reader admitted and has not handed off yet: its payload,
+/// correlation id and admission permit.
+type Admitted = (Vec<u8>, u64, AdmissionPermit);
+
+/// What a server runs on its worker pool: one call per reader pass.
 ///
-/// `serve` must not wait. It either answers through `reply` before it
-/// returns, or moves `reply` into the continuation that will: the request
-/// then stays admitted (its permit is held) until that continuation calls
-/// [`Reply::send`] or drops the handle.
+/// `serve` must not wait. For each request it either answers through its
+/// `Reply` before it returns, or moves the `Reply` into the continuation
+/// that will: the request then stays admitted (its permit is held) until
+/// that continuation calls [`Reply::send`] or drops the handle.
 pub trait Service: Send + Sync + 'static {
-    /// Processes one request payload. `deadline` is the request's budget,
-    /// for clamping downstream calls; `reply` answers it.
-    fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply);
-
-    /// Whether every reader pass goes to [`Service::serve_pass`] whole,
-    /// one frame or many. The default is `false`: every request is a job
-    /// of its own, and the workers share them out as if the frames had
-    /// been read one at a time.
-    fn takes_passes(&self) -> bool {
-        false
-    }
-
-    /// Processes the requests one reader pass framed from a connection —
-    /// what its peer wrote at once, a shuffled batch on the UA→IA hop, or
-    /// a lone request — in wire order, when [`Service::takes_passes`].
-    /// Each request's deadline is its [`Reply::deadline`]. The same rule
-    /// as `serve`: answer or move each `Reply`, never wait. The default
-    /// serves each request alone, in order.
-    fn serve_pass(&self, pass: Vec<(Vec<u8>, Reply)>) {
-        for (payload, reply) in pass {
-            self.serve(payload, reply.deadline(), reply);
-        }
-    }
+    /// Processes what one reader pass framed from a connection — what its
+    /// peer wrote at once, a shuffled batch on the UA→IA hop, or a lone
+    /// request — in wire order. Each request's deadline is its
+    /// [`Reply::deadline`], for clamping downstream calls.
+    fn serve(&self, pass: Pass);
 
     /// Called once at the start of a graceful shutdown, after the last
     /// request frame was read. Services holding requests in internal
@@ -143,8 +131,16 @@ pub trait FrameHandler: Send + Sync + 'static {
 }
 
 impl<H: FrameHandler> Service for H {
-    fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
-        reply.send(self.handle(payload, deadline));
+    /// Each request in order, on the worker that took the pass; one whose
+    /// budget (or the drain budget) ran out behind those before it is
+    /// refused, not run.
+    fn serve(&self, pass: Pass) {
+        for (payload, reply) in pass {
+            if let Some(reply) = reply.runnable() {
+                let deadline = reply.deadline();
+                reply.send(self.handle(payload, deadline));
+            }
+        }
     }
 
     fn drain(&self) {
@@ -251,6 +247,26 @@ impl Reply {
         self.shared.answer(self.id, result);
     }
 
+    /// The request back if it may still run; otherwise it is answered
+    /// here: `deadline` when its budget is spent, `unavailable` past the
+    /// drain budget.
+    fn runnable(self) -> Option<Self> {
+        if self.deadline.expired() {
+            self.send(Err(WireStatus::Deadline));
+            None
+        } else if self
+            .shared
+            .drain_deadline
+            .get()
+            .is_some_and(Deadline::expired)
+        {
+            self.send(Err(WireStatus::Unavailable));
+            None
+        } else {
+            Some(self)
+        }
+    }
+
     /// Answers a batch of requests released together (a shuffle flush):
     /// each leaves the table of unanswered requests as in [`Reply::send`],
     /// then every connection gets its answers in one write, in `batch`
@@ -262,7 +278,7 @@ impl Reply {
         let mut writes: Vec<(Arc<Shared>, Vec<Unanswered>, Vec<Frame>)> = Vec::new();
         for (mut reply, result) in batch {
             reply.sent = true;
-            let Some(request) = reply.shared.unanswered.lock().remove(&reply.id) else {
+            let Some(request) = reply.shared.unanswered.lock().requests.remove(&reply.id) else {
                 continue;
             };
             let frame = answer_frame(request.corr, result);
@@ -291,29 +307,22 @@ impl Drop for Reply {
     }
 }
 
-/// What a reader hands the workers.
-enum WorkerJob {
-    /// One request.
-    One(Vec<u8>, Reply),
-    /// The requests one pass over the read buffer framed and admitted, in
-    /// wire order, for a service that takes passes.
-    Pass(Vec<(Vec<u8>, Reply)>),
-}
-
-impl WorkerJob {
-    fn len(&self) -> usize {
-        match self {
-            WorkerJob::One(..) => 1,
-            WorkerJob::Pass(pass) => pass.len(),
-        }
-    }
-
-    fn into_replies(self) -> Vec<Reply> {
-        match self {
-            WorkerJob::One(_, reply) => vec![reply],
-            WorkerJob::Pass(pass) => pass.into_iter().map(|(_, reply)| reply).collect(),
-        }
-    }
+/// The table of unanswered requests and the worker queue, under one
+/// lock: a reader enters what a pass admitted and queues it in one
+/// acquisition.
+#[derive(Default)]
+struct Table {
+    /// Admitted requests not yet answered, by admission number.
+    requests: HashMap<u64, Unanswered>,
+    next_id: u64,
+    /// Passes waiting for a worker, oldest first. The queue has no
+    /// capacity of its own: every request in it is in `requests` and
+    /// holds an admission permit, so its depth ≤ unanswered requests ≤
+    /// `max_inflight`, and queueing never fails.
+    passes: VecDeque<Pass>,
+    /// Set by shutdown once the last reader has been joined: nothing is
+    /// queued after it, and the workers leave when `passes` is empty.
+    closed: bool,
 }
 
 /// State shared by the acceptor, the readers, the workers and every
@@ -324,21 +333,19 @@ struct Shared {
     gate: AdmissionGate,
     metrics: Arc<NodeMetrics>,
     request_budget: Duration,
-    /// The service's [`Service::takes_passes`].
-    passes: bool,
     /// Set when shutdown begins; work dequeued after it is not run.
     drain_deadline: OnceLock<Deadline>,
     /// Live connections, so shutdown can wake their readers. A reader
     /// thread removes its own entry when it exits.
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    /// Admitted requests not yet answered, by admission number. Held for
-    /// one map operation, never across a write.
-    unanswered: Mutex<HashMap<u64, Unanswered>>,
-    next_request: AtomicU64,
+    /// Held for a few map and queue operations, never across a write.
+    unanswered: Mutex<Table>,
+    /// Signalled by each queued pass, and by the close.
+    job_ready: Condvar,
 }
 
 impl Shared {
-    fn new(config: &ServerConfig, passes: bool) -> Self {
+    fn new(config: &ServerConfig) -> Self {
         let metrics = config
             .metrics
             .clone()
@@ -349,11 +356,10 @@ impl Shared {
             gate: AdmissionGate::new(config.max_inflight.max(1)),
             metrics,
             request_budget: config.request_budget,
-            passes,
             drain_deadline: OnceLock::new(),
             conns: Mutex::new(HashMap::new()),
-            unanswered: Mutex::new(HashMap::new()),
-            next_request: AtomicU64::new(0),
+            unanswered: Mutex::default(),
+            job_ready: Condvar::new(),
         }
     }
 
@@ -403,24 +409,42 @@ impl Shared {
         self.reply(conn, &[control_frame(corr, status)]);
     }
 
-    /// Enters a request into the table of unanswered requests and hands
-    /// back the handle that will take it out.
-    fn admitted(self: &Arc<Self>, conn: &Arc<Conn>, corr: u64, permit: AdmissionPermit) -> Reply {
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let entry = Unanswered {
-            conn: conn.clone(),
-            corr,
-            _permit: permit,
-        };
-        // analysis-allow: R12 one map insert under a lock nothing blocks
-        // under; the reader's only other wait is its own socket
-        self.unanswered.lock().insert(id, entry);
-        Reply {
-            shared: self.clone(),
-            id,
-            deadline: Deadline::starting_now(self.request_budget),
-            sent: false,
+    /// Enters what one reader pass admitted from `conn` — payload,
+    /// correlation id and permit, in wire order — into the table of
+    /// unanswered requests, each with the [`Reply`] that will take it
+    /// out, and queues them for the workers as one job, counted into the
+    /// queue's depth before a worker can take it out.
+    fn hand_off(self: &Arc<Self>, conn: &Arc<Conn>, admitted: Vec<Admitted>) {
+        let requests = admitted.len() as u64;
+        {
+            // analysis-allow: R12 a pass's map inserts and one push under
+            // a lock nothing blocks under; the reader's only other wait is
+            // its own socket
+            let mut table = self.unanswered.lock();
+            let pass = admitted
+                .into_iter()
+                .map(|(payload, corr, permit)| {
+                    let id = table.next_id;
+                    table.next_id += 1;
+                    let entry = Unanswered {
+                        conn: conn.clone(),
+                        corr,
+                        _permit: permit,
+                    };
+                    table.requests.insert(id, entry);
+                    let reply = Reply {
+                        shared: self.clone(),
+                        id,
+                        deadline: Deadline::starting_now(self.request_budget),
+                        sent: false,
+                    };
+                    (payload, reply)
+                })
+                .collect();
+            table.passes.push_back(pass);
+            self.metrics.on_enqueue(requests);
         }
+        self.job_ready.notify_one();
     }
 
     /// Answers request `id` if nobody has: the `remove` is the one point
@@ -428,16 +452,46 @@ impl Shared {
     /// A write to a peer that has gone fails; either way the request is
     /// finished and its admission slot is freed.
     fn answer(&self, id: u64, result: Result<Vec<u8>, WireStatus>) {
-        let Some(request) = self.unanswered.lock().remove(&id) else {
+        let Some(request) = self.unanswered.lock().requests.remove(&id) else {
             return;
         };
         self.reply(&request.conn, &[answer_frame(request.corr, result)]);
     }
 
+    /// The oldest queued pass, once there is one; `None` when the queue
+    /// is closed and empty.
+    fn next_pass(&self) -> Option<Pass> {
+        let mut table = self.unanswered.lock();
+        loop {
+            if let Some(pass) = table.passes.pop_front() {
+                return Some(pass);
+            }
+            if table.closed {
+                return None;
+            }
+            table = self
+                .job_ready
+                .wait(table)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Closes the queue: the workers leave once it is empty.
+    fn close(&self) {
+        self.unanswered.lock().closed = true;
+        self.job_ready.notify_all();
+    }
+
     /// Answers everything still unanswered with `status` (the end of the
     /// drain budget).
     fn fail_unanswered(&self, status: WireStatus) {
-        let left: Vec<Unanswered> = self.unanswered.lock().drain().map(|(_, r)| r).collect();
+        let left: Vec<Unanswered> = self
+            .unanswered
+            .lock()
+            .requests
+            .drain()
+            .map(|(_, r)| r)
+            .collect();
         for request in left {
             self.reply_status(&request.conn, request.corr, status);
         }
@@ -474,24 +528,16 @@ impl WireServer {
     pub fn spawn(service: Arc<dyn Service>, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(&config, service.takes_passes()));
-        // A reader queues a job only once every request in it holds an
-        // admission permit, so the reader→worker queue never holds more
-        // than `max_inflight` jobs: the gate is the one bound on backlog.
-        let (job_tx, job_rx) = bounded::<WorkerJob>(config.max_inflight.max(1));
-
+        let shared = Arc::new(Shared::new(&config));
         let workers = (0..config.workers.max(1))
             .map(|_| {
-                let (rx, shared, service) = (job_rx.clone(), shared.clone(), service.clone());
-                std::thread::spawn(move || work(&rx, &shared, service.as_ref()))
+                let (shared, service) = (shared.clone(), service.clone());
+                std::thread::spawn(move || work(&shared, service.as_ref()))
             })
             .collect();
-        // The acceptor owns the queue's original sender and every reader a
-        // clone, so the workers see the queue close exactly when the last
-        // of them has exited.
         let acceptor = {
             let shared = shared.clone();
-            std::thread::spawn(move || accept_loop(&listener, &shared, &job_tx))
+            std::thread::spawn(move || accept_loop(&listener, &shared))
         };
 
         Ok(WireServer {
@@ -526,8 +572,9 @@ impl WireServer {
     }
 
     /// Graceful drain: stop accepting, close every connection's read
-    /// half so the readers exit, release the service's internal buffers
-    /// ([`Service::drain`]), let the workers empty the queue, wait until
+    /// half so the readers exit, close the worker queue, release the
+    /// service's internal buffers ([`Service::drain`]), let the workers
+    /// empty the queue, wait until
     /// every admitted request is answered or the drain budget runs out,
     /// answer what is left `unavailable`, join every thread. Idempotent.
     pub fn shutdown(&mut self) {
@@ -550,10 +597,10 @@ impl WireServer {
         for reader in readers {
             let _ = reader.join();
         }
-        // No frame is read any more, so what the service releases now is
-        // the complete set of buffered requests; and with the last reader
-        // gone the job queue is closed, so the workers exit once it is
-        // empty.
+        // No frame is read any more: nothing is queued after the close,
+        // so the workers exit once the queue is empty, and what the
+        // service releases now is the complete set of buffered requests.
+        self.shared.close();
         self.service.drain();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -628,11 +675,7 @@ fn control_frame(corr: u64, status: WireStatus) -> Frame {
 
 /// The acceptor: blocks in `accept()`, registers each connection and
 /// gives it a reader thread. Returns the reader handles at shutdown.
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    job_tx: &Sender<WorkerJob>,
-) -> Vec<JoinHandle<()>> {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
     let mut next_id: u64 = 0;
     loop {
@@ -658,11 +701,11 @@ fn accept_loop(
         let id = next_id;
         next_id += 1;
         set_conn(shared, id, Some(conn.clone()));
-        let (shared_r, job_tx) = (shared.clone(), job_tx.clone());
+        let shared_r = shared.clone();
         let reader = std::thread::Builder::new()
             .stack_size(READER_STACK)
             .spawn(move || {
-                read_loop(&conn, &shared_r, &job_tx);
+                read_loop(&conn, &shared_r);
                 set_conn(&shared_r, id, None);
             });
         // Connections come and go; keep handles of live readers only.
@@ -686,15 +729,14 @@ fn set_conn(shared: &Shared, id: u64, conn: Option<Arc<Conn>>) {
 }
 
 /// A connection's reader: blocks in `read()` on its own socket and on
-/// nothing else (R12) — admission and the job queue are `try_` calls, so
-/// overload is answered `busy` at once. Returns when the peer closes,
-/// sends bytes that do not frame, or the server shuts the read half.
-fn read_loop(conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>) {
+/// nothing else (R12) — admission is a `try_` call, so overload is
+/// answered `busy` at once, and the hand-off that queues a pass cannot
+/// fail.
+/// Returns when the peer closes, sends bytes that do not frame, or the
+/// server shuts the read half.
+fn read_loop(conn: &Arc<Conn>, shared: &Arc<Shared>) {
     let mut buf = vec![0u8; READ_BUF];
     let mut filled = 0;
-    // The requests of the current pass; kept across passes, so a pass
-    // that leaves as single jobs reuses its allocation.
-    let mut pass = Vec::new();
     loop {
         // `buf` is longer than any frame, so there is always room.
         match (&conn.stream).read(&mut buf[filled..]) {
@@ -709,11 +751,13 @@ fn read_loop(conn: &Arc<Conn>, shared: &Arc<Shared>, job_tx: &Sender<WorkerJob>)
         // Frame in place: each complete frame is decoded from its slice
         // of the read buffer. What the pass admitted goes to the workers,
         // bad bytes after it or not.
-        let mut traffic = false;
+        let (mut traffic, mut admitted) = (false, Vec::new());
         let framed = decode_stream(&buf[..filled], |frame| {
-            traffic |= admit(frame, conn, shared, &mut pass);
+            traffic |= admit(frame, conn, shared, &mut admitted);
         });
-        enqueue(&mut pass, shared, job_tx);
+        if !admitted.is_empty() {
+            shared.hand_off(conn, admitted);
+        }
         let Ok(pos) = framed else {
             // Desynchronized or hostile peer: cut the connection rather
             // than hunt for a resync point.
@@ -738,12 +782,7 @@ fn cut(conn: &Conn, shared: &Shared) {
 /// Answers one frame from the reader thread — scrapes and refusals
 /// inline — or admits it into the pass. Returns whether the frame was
 /// traffic: a scrape moves the hub's `scrapes` counter and no other.
-fn admit(
-    frame: Frame,
-    conn: &Arc<Conn>,
-    shared: &Arc<Shared>,
-    pass: &mut Vec<(Vec<u8>, Reply)>,
-) -> bool {
+fn admit(frame: Frame, conn: &Conn, shared: &Shared, admitted: &mut Vec<Admitted>) -> bool {
     let corr = frame.corr;
     if is_scrape_request(&frame) {
         shared.metrics.on_scrape();
@@ -755,7 +794,7 @@ fn admit(
     if frame.class != PadClass::Request {
         shared.reply_status(conn, corr, WireStatus::Malformed);
     } else if let Some(permit) = shared.gate.try_admit() {
-        pass.push((frame.payload, shared.admitted(conn, corr, permit)));
+        admitted.push((frame.payload, corr, permit));
     } else {
         shared.metrics.on_shed();
         shared.reply_status(conn, corr, WireStatus::Busy);
@@ -763,85 +802,25 @@ fn admit(
     true
 }
 
-/// Queues what a pass admitted: as one job if the service takes passes,
-/// else one job per request.
-fn enqueue(pass: &mut Vec<(Vec<u8>, Reply)>, shared: &Shared, job_tx: &Sender<WorkerJob>) {
-    if shared.passes && !pass.is_empty() {
-        queue(WorkerJob::Pass(std::mem::take(pass)), shared, job_tx);
-    }
-    for (payload, reply) in pass.drain(..) {
-        queue(WorkerJob::One(payload, reply), shared, job_tx);
-    }
-}
-
-/// Queues one job; a full queue answers all of it `busy`. Its requests
-/// are counted in before the send (a worker may take the job before
-/// `try_send` returns) and taken back out if the send fails.
-fn queue(job: WorkerJob, shared: &Shared, job_tx: &Sender<WorkerJob>) {
-    let requests = job.len();
-    let depth = shared.metrics.on_enqueue(requests as u64);
-    let (job, status) = match job_tx.try_send(job) {
-        Ok(()) => {
-            shared.metrics.on_queued(depth);
-            return;
-        }
-        Err(TrySendError::Full(job)) => {
-            (0..requests).for_each(|_| shared.metrics.on_shed());
-            (job, WireStatus::Busy)
-        }
-        Err(TrySendError::Disconnected(job)) => (job, WireStatus::Unavailable),
-    };
-    shared.metrics.on_dequeue(requests as u64);
-    for reply in job.into_replies() {
-        reply.send(Err(status));
-    }
-}
-
-/// A worker: hands each job to the service and takes the next — one
-/// request to [`Service::serve`], a pass to [`Service::serve_pass`].
-/// The time inside them is the node's compute time; a request the
-/// service parks costs the worker nothing more. Exits when the queue is
-/// empty and its last sender is gone.
-fn work(jobs: &Receiver<WorkerJob>, shared: &Shared, service: &dyn Service) {
-    while let Ok(job) = jobs.recv() {
-        shared.metrics.on_dequeue(job.len() as u64);
+/// A worker: hands each pass to the service and takes the next. The
+/// time inside [`Service::serve`] is the node's compute time; a request
+/// the service parks costs the worker nothing more. Exits when the queue
+/// is closed and empty.
+fn work(shared: &Shared, service: &dyn Service) {
+    while let Some(pass) = shared.next_pass() {
+        shared.metrics.on_dequeue(pass.len() as u64);
         let busy_from = Instant::now();
-        match job {
-            WorkerJob::One(payload, reply) => {
-                let Some(reply) = runnable(shared, reply) else {
-                    continue;
-                };
-                service.serve(payload, reply.deadline(), reply);
-            }
-            WorkerJob::Pass(pass) => {
-                let pass: Vec<_> = pass
-                    .into_iter()
-                    .filter_map(|(payload, reply)| Some((payload, runnable(shared, reply)?)))
-                    .collect();
-                if pass.is_empty() {
-                    continue;
-                }
-                service.serve_pass(pass);
-            }
+        let pass: Pass = pass
+            .into_iter()
+            .filter_map(|(payload, reply)| Some((payload, reply.runnable()?)))
+            .collect();
+        if pass.is_empty() {
+            continue;
         }
+        service.serve(pass);
         shared
             .metrics
             .add_worker_busy_us(busy_from.elapsed().as_micros() as u64);
-    }
-}
-
-/// The request back if it may still run; otherwise it is answered here:
-/// `deadline` when its budget is spent, `unavailable` past the drain
-/// budget.
-fn runnable(shared: &Shared, reply: Reply) -> Option<Reply> {
-    if reply.deadline().expired() {
-        reply.send(Err(WireStatus::Deadline));
-        None
-    } else if shared.drain_deadline.get().is_some_and(Deadline::expired) {
-        reply.send(Err(WireStatus::Unavailable));
-        None
-    } else {
-        Some(reply)
     }
 }
 
@@ -1003,9 +982,11 @@ mod tests {
                 PadClass::Request => panic!("server sent a request frame"),
             }
         }
-        assert!(busy >= 1, "at least one request must be shed");
-        assert!(ok >= 1, "at least one request must be served");
-        assert_eq!(hub_gauge(&server, "shed"), busy as u64);
+        // The one permit is held for the whole 300 ms call: the gate
+        // refuses the other five, and the queue never holds more than it.
+        assert_eq!((busy, ok), (5, 1));
+        assert_eq!(hub_gauge(&server, "shed"), 5);
+        assert!(hub_gauge(&server, "queue_depth_high_water") <= 1);
         server.shutdown();
         // Every request got exactly one reply frame, whichever class it
         // was: a served Response and a `busy` Control each count as one.
@@ -1102,12 +1083,12 @@ mod tests {
         parked: Mutex<Vec<Parked>>,
         /// Where `drain` sends what is parked (the "uplink" finishing
         /// it), when set.
-        drain_to: Mutex<Option<Sender<Parked>>>,
+        drain_to: Mutex<Option<std::sync::mpsc::Sender<Parked>>>,
     }
 
     impl Service for Park {
-        fn serve(&self, payload: Vec<u8>, _deadline: Deadline, reply: Reply) {
-            self.parked.lock().push((payload, reply));
+        fn serve(&self, pass: Pass) {
+            self.parked.lock().extend(pass);
         }
 
         fn drain(&self) {
@@ -1261,7 +1242,7 @@ mod tests {
         // `drain` passes the parked requests to a thread that answers
         // them 50 ms later — requests released from a shuffle buffer and
         // now pending on the uplink.
-        let (tx, rx) = crossbeam::channel::unbounded::<Parked>();
+        let (tx, rx) = std::sync::mpsc::channel::<Parked>();
         let uplink = std::thread::spawn(move || {
             while let Ok((payload, reply)) = rx.recv() {
                 std::thread::sleep(Duration::from_millis(50));
@@ -1322,7 +1303,7 @@ mod tests {
             stream: listener.accept().unwrap().0,
             writer: Mutex::new(true),
         };
-        let shared = Shared::new(&ServerConfig::default(), false);
+        let shared = Shared::new(&ServerConfig::default());
         // Built literally, past `Frame::new`'s check, between two that fit.
         let oversize = Frame {
             class: PadClass::Response,

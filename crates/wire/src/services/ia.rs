@@ -18,10 +18,10 @@
 //!
 //! A shuffled batch arrives whole: the UA writes each IA its share of a
 //! release at once, and the server hands this service what one read pass
-//! framed ([`Service::serve_pass`]). The pass takes one turn, in which
-//! each request has its own request-side ECALL, in wire order, so the
-//! pass's LRS calls leave in the order it arrived in. A request that
-//! arrives alone is a pass of one.
+//! framed ([`Service::serve`]). The pass takes one turn, in which each
+//! request has its own request-side ECALL, in wire order, so the pass's
+//! LRS calls leave in the order it arrived in. A request that arrives
+//! alone is a pass of one.
 //!
 //! Each ECALL — post, get, get-response — is one `Ia` sample, taken
 //! around the call from outside the enclave, refused ones included, so a
@@ -34,7 +34,7 @@
 use crate::balancer::SocketBalancer;
 use crate::client::{CallResult, Policy, Verdict};
 use crate::router::ShardRouter;
-use crate::server::{Reply, Service};
+use crate::server::{Pass, Reply, Service};
 use crate::services::lrs::{decode_response, encode_request};
 use crate::services::serial::Turns;
 use crate::services::timed_ecall;
@@ -398,18 +398,9 @@ impl Service for IaWireService {
         !self.node.enclave.is_crashed()
     }
 
-    /// A pass of one; the deadline is the reply's own.
-    fn serve(&self, payload: Vec<u8>, _deadline: Deadline, reply: Reply) {
-        self.serve_pass(vec![(payload, reply)]);
-    }
-
-    fn takes_passes(&self) -> bool {
-        true
-    }
-
     /// What one read framed — a batch the UA wrote at once, or a lone
     /// request: the whole pass takes one turn at the enclave.
-    fn serve_pass(&self, pass: Vec<(Vec<u8>, Reply)>) {
+    fn serve(&self, pass: Pass) {
         let mut parsed = Vec::with_capacity(pass.len());
         for (payload, reply) in pass {
             match LayerEnvelope::from_frame(&payload) {

@@ -21,7 +21,8 @@
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
-type Task = Box<dyn FnOnce() + Send>;
+/// One piece of work for the enclave.
+pub(crate) type Task = Box<dyn FnOnce() + Send>;
 
 #[derive(Default)]
 struct State {
@@ -51,19 +52,32 @@ impl Turns {
     /// Runs `task` now if nothing is running — and then everything left
     /// here meanwhile — or leaves it for the thread that is.
     pub(crate) fn run(&self, first: bool, task: impl FnOnce() + Send + 'static) {
-        let mut task: Task = Box::new(task);
-        {
+        self.run_all(first, vec![Box::new(task)]);
+    }
+
+    /// [`Turns::run`] for several tasks in order, left in one step: no
+    /// task another caller leaves meanwhile lands between them, so what
+    /// one caller hands over in arrival order runs in arrival order.
+    pub(crate) fn run_all(&self, first: bool, tasks: Vec<Task>) {
+        let mut task = {
             let mut state = self.state.lock();
+            let queue = if first {
+                &mut state.first
+            } else {
+                &mut state.rest
+            };
+            queue.extend(tasks);
             if state.busy {
-                let queue = if first {
-                    &mut state.first
-                } else {
-                    &mut state.rest
-                };
-                return queue.push_back(task);
+                return;
             }
+            // Not busy, so nothing else was waiting: the next task is the
+            // first of these.
+            let Some(task) = state.first.pop_front().or_else(|| state.rest.pop_front()) else {
+                return;
+            };
             state.busy = true;
-        }
+            task
+        };
         let turn = Turn(self);
         loop {
             task();
@@ -92,16 +106,16 @@ impl Turns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{bounded, unbounded};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{channel, sync_channel};
     use std::sync::Arc;
 
     #[test]
     fn a_busy_queue_takes_the_task_and_lets_the_caller_go() {
         let turns = Arc::new(Turns::default());
-        let (started_tx, started_rx) = bounded(1);
-        let (release_tx, release_rx) = bounded::<()>(1);
-        let (ran_tx, ran_rx) = unbounded();
+        let (started_tx, started_rx) = sync_channel(1);
+        let (release_tx, release_rx) = sync_channel::<()>(1);
+        let (ran_tx, ran_rx) = channel();
         let holder = {
             let (turns, ran) = (turns.clone(), ran_tx.clone());
             std::thread::spawn(move || {
@@ -137,6 +151,44 @@ mod tests {
     }
 
     #[test]
+    fn tasks_left_in_one_step_are_not_overtaken_by_a_later_caller() {
+        // The caller of `run_all` takes the turn and is held in its first
+        // task; a task another caller leaves meanwhile runs after all of
+        // the batch, not between its tasks.
+        let turns = Arc::new(Turns::default());
+        let (started_tx, started_rx) = sync_channel(1);
+        let (release_tx, release_rx) = sync_channel::<()>(1);
+        let (ran_tx, ran_rx) = channel();
+        let holder = {
+            let (turns, ran) = (turns.clone(), ran_tx.clone());
+            std::thread::spawn(move || {
+                let mut batch: Vec<Task> = Vec::new();
+                let first = ran.clone();
+                batch.push(Box::new(move || {
+                    let _ = started_tx.send(());
+                    let _ = release_rx.recv();
+                    let _ = first.send("a1");
+                }));
+                for name in ["a2", "a3"] {
+                    let ran = ran.clone();
+                    batch.push(Box::new(move || {
+                        let _ = ran.send(name);
+                    }));
+                }
+                turns.run_all(false, batch);
+            })
+        };
+        started_rx.recv().unwrap();
+        turns.run(false, move || {
+            let _ = ran_tx.send("b");
+        });
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        let ran: Vec<_> = std::iter::from_fn(|| ran_rx.try_recv().ok()).collect();
+        assert_eq!(ran, ["a1", "a2", "a3", "b"]);
+    }
+
+    #[test]
     fn every_task_runs_once_and_never_two_at_a_time() {
         let turns = Arc::new(Turns::default());
         let inside = Arc::new(AtomicUsize::new(0));
@@ -163,7 +215,7 @@ mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 2000);
         // Free again: the next task runs on its caller.
         let here = std::thread::current().id();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         turns.run(false, move || {
             let _ = tx.send(std::thread::current().id());
         });
@@ -175,7 +227,7 @@ mod tests {
         let turns = Arc::new(Turns::default());
         let t = turns.clone();
         let _ = std::thread::spawn(move || t.run(false, || panic!("task failed"))).join();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         turns.run(false, move || {
             let _ = tx.send(());
         });

@@ -12,9 +12,10 @@
 //! in either direction.
 //!
 //! No thread waits for a request, and the shuffle has no thread of its
-//! own. A server worker takes a turn at the enclave for the request
-//! (`Turns`): if another worker is in it, the turn waits in the enclave's
-//! queue, in arrival order, and the worker takes the next job. A turn
+//! own. A server worker takes a turn at the enclave for each request of
+//! a reader pass, all left in one step (`Turns`): if another worker is
+//! in it, the turns wait in the enclave's queue, in arrival order, and
+//! the worker takes the next job. A turn
 //! parses its request and pseudonymizes it in one ECALL
 //! ([`UaState::process`]: one decrypt of the user block), then puts it —
 //! bytes, deadline and its [`Reply`] handle — into the request buffer;
@@ -66,8 +67,8 @@ use crate::audit::{self, LinkageAudit};
 use crate::balancer::SocketBalancer;
 use crate::client::{CallResult, Completion};
 use crate::scrape::NodeMetrics;
-use crate::server::{Reply, Service};
-use crate::services::serial::Turns;
+use crate::server::{Pass, Reply, Service};
+use crate::services::serial::{Task, Turns};
 use crate::services::timed_ecall;
 use crate::{WireError, WireStatus};
 use parking_lot::Mutex;
@@ -500,12 +501,18 @@ impl Service for UaWireService {
         !self.node.enclave.is_crashed()
     }
 
-    /// Takes a turn at the enclave for the request — now, or behind
-    /// those already waiting for it.
-    fn serve(&self, payload: Vec<u8>, deadline: Deadline, reply: Reply) {
-        let node = self.node.clone();
-        self.node
-            .turns
-            .run(false, move || node.open_request(payload, deadline, reply));
+    /// Takes a turn at the enclave for each request of the pass, in wire
+    /// order — now, or behind those already waiting for one. The turns
+    /// are left in one step, so a pass another worker took later cannot
+    /// overtake this one's tail while this worker is in a turn.
+    fn serve(&self, pass: Pass) {
+        let turns: Vec<Task> = pass
+            .into_iter()
+            .map(|(payload, reply)| {
+                let node = self.node.clone();
+                Box::new(move || node.open_request(payload, reply.deadline(), reply)) as Task
+            })
+            .collect();
+        self.node.turns.run_all(false, turns);
     }
 }

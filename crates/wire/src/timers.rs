@@ -192,12 +192,12 @@ fn queue_thread(inner: &Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn tasks_run_in_deadline_order_not_registration_order() {
         let queue = DeadlineQueue::new();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let now = Instant::now();
         for (tag, ms) in [(3u8, 60u64), (1, 20), (2, 40)] {
             let tx = tx.clone();
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn an_earlier_registration_re_aims_a_sleeping_thread() {
         let queue = DeadlineQueue::new();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let far = tx.clone();
         queue.after(Duration::from_secs(30), move || {
             let _ = far.send("far");
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn a_cancelled_task_never_runs_and_drop_discards_the_rest() {
         let queue = DeadlineQueue::new();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let cancelled = tx.clone();
         let key = queue.after(Duration::from_millis(20), move || {
             let _ = cancelled.send("cancelled");
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn the_last_handle_may_die_inside_a_task() {
         let queue = Arc::new(DeadlineQueue::new());
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let held = queue.clone();
         queue.after(Duration::from_millis(5), move || {
             // Runs on the queue's thread and drops the queue there.

@@ -5,16 +5,18 @@
 //! loom shim's instrumented atomics.
 //!
 //! **Reader → job queue → worker.** Every connection's reader admits
-//! jobs into one bounded queue, workers claim them, and a graceful drain
-//! — the acceptor exits, then every reader is closed, and only the last
-//! reader to leave drops the queue's last sender — must not strand any
-//! admitted job. That is a race between *worker pickup* (claim a slot)
-//! and *drain* (observe "no sender left" plus "empty" and exit): a worker
-//! that checks emptiness before a reader's final publish, then sees the
-//! last sender gone, could exit with work still queued if the protocol
-//! ordered its loads wrong. Readers reserve a slot by CAS on `reserved`
-//! and publish by storing the job, workers claim by CAS on `head`, a
-//! reader gives up its sender *after* its last publish.
+//! requests at the gate and queues what a pass admitted as one job on the
+//! server's queue, under the lock of its table of unanswered requests (a
+//! spin lock here; each pass is one frame). The queue has no capacity of
+//! its own: every request in it holds a permit, so a push never fails.
+//! Workers pop under the same lock, and wait while it is empty and open.
+//! Shutdown closes the read half of every connection, joins the readers,
+//! and only then closes the queue; a worker leaves when the queue is
+//! closed *and* empty. The race under test is a close landing while a
+//! worker waits on an empty queue, with a reader's last push just before
+//! it: the worker must still take that job. (The real wait is a
+//! condition variable that the close notifies; here it is a yield and a
+//! re-check under the lock, so a lost wake-up is not modelled.)
 //!
 //! **Worker → pending → completion.** A worker does not answer a request
 //! that has to wait: it registers a call in the uplink's table of pending
@@ -49,7 +51,9 @@
 //!   there first;
 //! * its admission permit is released exactly once, also when the peer
 //!   has closed and the reply cannot be written;
-//! * workers and readers terminate (no drain signal is lost);
+//! * the queue never holds more than the requests admitted and not yet
+//!   answered;
+//! * workers and readers terminate (no close is missed);
 //! * every buffered request is submitted exactly once, a stale flush
 //!   timer submits nothing, and no buffered batch is without a live one.
 
@@ -61,28 +65,31 @@ use loom::thread;
 
 /// Connections (one reader each) in the model.
 const CONNS: usize = 2;
-/// Bounded queue depth: small, so `Full` (answered `busy`) is explored.
-const QUEUE_CAP: usize = 2;
-/// Admission gate size.
+/// Admission gate size: below the four frames of the two-reader tests, so
+/// `busy` is explored.
 const MAX_INFLIGHT: u64 = 3;
-/// Slots in the ring; never wraps (more than any test enqueues).
+/// Queue positions; never wraps (more than any test queues).
 const RING: usize = 8;
 
 /// What one reader admitted: (jobs, sum of their payloads).
 type Admitted = (u64, u64);
 
-/// The handoff state: a multi-producer bounded ring with CAS-claiming
-/// consumers — the shape of the server's reader → worker queue.
+/// The handoff state: the server's job queue under the lock of its table
+/// of unanswered requests, popped by several workers.
 struct Handoff {
-    /// Job payloads; 0 means "reserved, not yet published".
+    /// The table's lock (a spin lock): `slots`, `tail`, `head` and
+    /// `closed` are read and written only under it.
+    lock: AtomicU64,
+    /// Job payloads by queue position.
     slots: [AtomicU64; RING],
-    /// Next slot a reader may reserve (`compare_exchange`).
-    reserved: AtomicUsize,
-    /// Next slot a worker may claim (`compare_exchange`).
+    /// Next position a reader queues at.
+    tail: AtomicUsize,
+    /// Next position a worker pops.
     head: AtomicUsize,
-    /// Live senders: the acceptor's original plus one clone per reader.
-    /// Workers may exit only on `senders == 0 && empty`.
-    senders: AtomicUsize,
+    /// Set by shutdown after every reader has been joined.
+    closed: AtomicU64,
+    /// Times a worker found the queue empty and open, and waited.
+    waits: AtomicU64,
     /// Admission permits out (the gate).
     in_flight: AtomicU64,
     /// Set by shutdown's `shutdown(Read)`: the reader's next read is EOF.
@@ -94,18 +101,19 @@ struct Handoff {
     /// Set for the tests of the pending path: a worker parks what it
     /// claims on the uplink instead of answering it.
     parks: bool,
-    /// The server's table of unanswered requests, by ring slot: 1 while
-    /// the request is admitted and unanswered. `swap(0)` is its `remove`.
+    /// The server's table of unanswered requests, by queue position: 1
+    /// while the request is admitted and unanswered. `swap(0)` is its
+    /// `remove`.
     unanswered: [AtomicU64; RING],
-    /// The uplink's table of pending calls, by ring slot: 1 while the
-    /// call waits. `swap(0)` is its `remove`.
+    /// The uplink's table of pending calls, by queue position: 1 while
+    /// the call waits. `swap(0)` is its `remove`.
     pending: [AtomicU64; RING],
     /// Cleared by connection loss: nothing registers any more.
     uplink_open: AtomicU64,
     /// Answers written or attempted per request (exactly one, each).
     answers: [AtomicU64; RING],
     /// Jobs a worker took, and the sum of their payloads (catches a
-    /// slot claimed twice).
+    /// position popped twice).
     answered: AtomicU64,
     answered_sum: AtomicU64,
     /// Replies written, and replies that found the peer gone.
@@ -122,14 +130,15 @@ fn ones<const N: usize>() -> [AtomicU64; N] {
 }
 
 impl Handoff {
-    /// A server with `readers` connections accepted and the acceptor
-    /// still running (it holds the queue's original sender).
-    fn new(readers: usize) -> Self {
+    /// A server with its connections accepted and its queue open.
+    fn new() -> Self {
         Handoff {
+            lock: AtomicU64::new(0),
             slots: zeros(),
-            reserved: AtomicUsize::new(0),
+            tail: AtomicUsize::new(0),
             head: AtomicUsize::new(0),
-            senders: AtomicUsize::new(readers + 1),
+            closed: AtomicU64::new(0),
+            waits: AtomicU64::new(0),
             parks: false,
             unanswered: zeros(),
             pending: zeros(),
@@ -146,28 +155,60 @@ impl Handoff {
         }
     }
 
-    /// The bounded queue's `try_send`: `false` is `Full`. The request
-    /// enters the table of unanswered requests before it is published,
-    /// as `Shared::admitted` runs before the job is queued.
-    fn try_send(&self, job: u64) -> bool {
-        loop {
-            // `head` first: it never passes `reserved`, so the depth
-            // below is an overestimate at worst (a spurious `Full`).
-            let h = self.head.load(Ordering::Acquire);
-            let r = self.reserved.load(Ordering::Acquire);
-            if r - h >= QUEUE_CAP {
-                return false;
-            }
-            if self
-                .reserved
-                .compare_exchange(r, r + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.unanswered[r].store(1, Ordering::Release);
-                self.slots[r].store(job, Ordering::Release);
-                return true;
-            }
+    /// `section` under the table's lock.
+    fn locked<T>(&self, section: impl FnOnce() -> T) -> T {
+        while self
+            .lock
+            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            thread::yield_now();
         }
+        let out = section();
+        self.lock.store(0, Ordering::Release);
+        out
+    }
+
+    /// `Shared::hand_off`: the request enters the table of unanswered
+    /// requests and the queue in one critical section. Never fails: the
+    /// queue's depth is bounded by the permits out.
+    fn push(&self, job: u64) {
+        self.locked(|| {
+            let t = self.tail.load(Ordering::Relaxed);
+            self.unanswered[t].store(1, Ordering::Relaxed);
+            self.slots[t].store(job, Ordering::Relaxed);
+            self.tail.store(t + 1, Ordering::Relaxed);
+            let depth = (t + 1 - self.head.load(Ordering::Relaxed)) as u64;
+            // The gate's count may read one over the cap while another
+            // reader backs out of it; the depth never does.
+            let admitted = self.in_flight.load(Ordering::Acquire);
+            assert!(
+                depth <= admitted && depth <= MAX_INFLIGHT,
+                "queue depth {depth} beyond the {admitted} requests admitted"
+            );
+        });
+    }
+
+    /// `Shared::next_pass`: the oldest job, or `None` once the queue is
+    /// closed and empty; `Some(None)` is "empty and open: wait".
+    fn pop(&self) -> Option<Option<usize>> {
+        self.locked(|| {
+            let h = self.head.load(Ordering::Relaxed);
+            if h < self.tail.load(Ordering::Relaxed) {
+                self.head.store(h + 1, Ordering::Relaxed);
+                return Some(Some(h));
+            }
+            if self.closed.load(Ordering::Relaxed) == 1 {
+                return None;
+            }
+            Some(None)
+        })
+    }
+
+    /// `Shared::close`, made by shutdown once every reader has been
+    /// joined.
+    fn close(&self) {
+        self.locked(|| self.closed.store(1, Ordering::Relaxed));
     }
 
     /// `Shared::answer`: whoever removes the request from the table of
@@ -215,10 +256,8 @@ impl Handoff {
             .count()
     }
 
-    /// Reader side: admit up to `frames` requests of connection `conn`
-    /// until its read half is closed, then give up the sender. The
-    /// `AcqRel` decrement of `senders` *after* the last publish is the
-    /// ordering under test.
+    /// Reader side: admit up to `frames` requests of connection `conn`,
+    /// one pass each, until its read half is closed.
     fn read(&self, conn: usize, frames: u64) -> Admitted {
         let mut admitted = (0, 0);
         for seq in 1..=frames {
@@ -230,62 +269,44 @@ impl Handoff {
                 continue;
             }
             let job = (conn as u64 + 1) * 100 + seq;
-            if self.try_send(job) {
-                admitted = (admitted.0 + 1, admitted.1 + job);
-            } else {
-                self.in_flight.fetch_sub(1, Ordering::AcqRel); // queue full: `busy`
-            }
+            self.push(job);
+            admitted = (admitted.0 + 1, admitted.1 + job);
         }
-        self.senders.fetch_sub(1, Ordering::AcqRel);
         admitted
     }
 
-    /// Worker side: claim-by-CAS, then either answer (a service that
-    /// never waits) or park the request on the uplink and move on; exit
-    /// when no sender is left and the queue is drained.
+    /// Worker side: pop, then either answer (a service that never waits)
+    /// or park the request on the uplink and move on; wait while the
+    /// queue is empty and open, exit once it is closed and empty.
     fn work(&self) {
         // The shim's scheduler is deterministic, so a bounded spin is
         // enough: the other threads always make progress between yields.
         for _ in 0..512 {
-            let h = self.head.load(Ordering::Acquire);
-            if h < self.reserved.load(Ordering::Acquire) {
-                let job = self.slots[h].load(Ordering::Acquire);
-                // An unpublished slot is a reader mid-`try_send`: wait.
-                if job != 0
-                    && self
-                        .head
-                        .compare_exchange(h, h + 1, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    self.answered.fetch_add(1, Ordering::Relaxed);
-                    self.answered_sum.fetch_add(job, Ordering::Relaxed);
-                    let conn = (job / 100 - 1) as usize;
-                    if !self.parks {
-                        self.answer(h, conn);
-                    } else {
-                        // `Link::register`, then the check that the
-                        // table was still open: a call registered into a
-                        // table that connection loss has already emptied
-                        // is failed by its own submitter.
-                        self.pending[h].store(1, Ordering::Release);
-                        if self.uplink_open.load(Ordering::Acquire) == 0 {
-                            self.complete(h);
-                        }
-                    }
-                } else {
+            let h = match self.pop() {
+                None => return,
+                Some(None) => {
+                    self.waits.fetch_add(1, Ordering::Relaxed);
                     thread::yield_now();
+                    continue;
                 }
-                continue;
+                Some(Some(h)) => h,
+            };
+            let job = self.slots[h].load(Ordering::Acquire);
+            self.answered.fetch_add(1, Ordering::Relaxed);
+            self.answered_sum.fetch_add(job, Ordering::Relaxed);
+            let conn = (job / 100 - 1) as usize;
+            if !self.parks {
+                self.answer(h, conn);
+            } else {
+                // `Link::register`, then the check that the table was
+                // still open: a call registered into a table that
+                // connection loss has already emptied is failed by its
+                // own submitter.
+                self.pending[h].store(1, Ordering::Release);
+                if self.uplink_open.load(Ordering::Acquire) == 0 {
+                    self.complete(h);
+                }
             }
-            // Empty right now — but only "no sender left" makes that
-            // final, and `reserved` must be re-read *after* `senders` so
-            // a publish racing the last reader's exit is never missed.
-            if self.senders.load(Ordering::Acquire) == 0
-                && self.head.load(Ordering::Acquire) == self.reserved.load(Ordering::Acquire)
-            {
-                return;
-            }
-            thread::yield_now();
         }
         panic!("worker failed to drain within the spin budget");
     }
@@ -303,14 +324,23 @@ impl Handoff {
         }
     }
 
-    /// `WireServer::shutdown` up to the joins: the acceptor exits (the
-    /// original sender drops), then every connection's read half closes.
+    /// `WireServer::shutdown` up to the reader joins: the acceptor
+    /// exits, then every connection's read half closes.
     fn begin_shutdown(&self) {
-        self.senders.fetch_sub(1, Ordering::AcqRel);
         for closed in &self.read_closed {
             closed.store(1, Ordering::Release);
         }
     }
+}
+
+/// `n` workers on `q`.
+fn spawn_workers(q: &Arc<Handoff>, n: usize) -> Vec<thread::JoinHandle<()>> {
+    (0..n)
+        .map(|_| {
+            let q = Arc::clone(q);
+            thread::spawn(move || q.work())
+        })
+        .collect()
 }
 
 /// Two workers race two readers while shutdown lands somewhere between
@@ -319,13 +349,8 @@ impl Handoff {
 #[test]
 fn graceful_drain_answers_every_admitted_job() {
     loom::model(|| {
-        let q = Arc::new(Handoff::new(CONNS));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || q.work())
-            })
-            .collect();
+        let q = Arc::new(Handoff::new());
+        let workers = spawn_workers(&q, 2);
         let readers: Vec<_> = (0..CONNS)
             .map(|conn| {
                 let q = Arc::clone(&q);
@@ -341,6 +366,7 @@ fn graceful_drain_answers_every_admitted_job() {
             jobs += admitted.0;
             sum += admitted.1;
         }
+        q.close();
         for worker in workers {
             worker.join().expect("worker");
         }
@@ -353,25 +379,27 @@ fn graceful_drain_answers_every_admitted_job() {
         assert_eq!(
             q.answered_sum.load(Ordering::Relaxed),
             sum,
-            "a slot was claimed twice or a payload was torn"
+            "a position was popped twice or a payload was torn"
         );
         assert_eq!(q.written.load(Ordering::Relaxed), jobs);
         assert_eq!(q.in_flight.load(Ordering::Relaxed), 0, "a permit leaked");
     });
 }
 
-/// The tightest pickup-vs-drain race: one reader, one frame, one worker,
-/// with shutdown started at once. The worker may observe "no sender
-/// left" before it ever sees the job — it must still answer it (the
-/// empty check has to re-read `reserved` after `senders`).
+/// The close lands while the worker waits on an empty queue: one reader,
+/// one frame, one worker, shutdown started at once. Whether the reader's
+/// push came before the worker's first look, between its waits or never,
+/// the worker must take what was queued before it leaves — a worker that
+/// leaves on `closed` without draining, or a close made before the
+/// readers are joined, strands the job.
 #[test]
-fn last_sender_leaving_does_not_strand_the_last_job() {
+fn a_close_landing_while_a_worker_waits_strands_no_job() {
+    // Across schedules: proof that the worker did wait on an empty, open
+    // queue and then took a job.
+    static WAITED_THEN_TOOK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     loom::model(|| {
-        let q = Arc::new(Handoff::new(1));
-        let worker = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.work())
-        };
+        let q = Arc::new(Handoff::new());
+        let workers = spawn_workers(&q, 1);
         let reader = {
             let q = Arc::clone(&q);
             thread::spawn(move || q.read(0, 1))
@@ -380,7 +408,10 @@ fn last_sender_leaving_does_not_strand_the_last_job() {
         q.begin_shutdown();
 
         let (jobs, sum) = reader.join().expect("reader");
-        worker.join().expect("worker");
+        q.close();
+        for worker in workers {
+            worker.join().expect("worker");
+        }
         assert_eq!(
             q.answered.load(Ordering::Relaxed),
             jobs,
@@ -388,7 +419,14 @@ fn last_sender_leaving_does_not_strand_the_last_job() {
         );
         assert_eq!(q.answered_sum.load(Ordering::Relaxed), sum);
         assert_eq!(q.in_flight.load(Ordering::Relaxed), 0, "a permit leaked");
+        if jobs == 1 && q.waits.load(Ordering::Relaxed) > 0 {
+            WAITED_THEN_TOOK.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
     });
+    assert!(
+        WAITED_THEN_TOOK.load(std::sync::atomic::Ordering::Relaxed) > 0,
+        "no explored schedule had the worker wait before the job came"
+    );
 }
 
 /// The peer closes while its jobs are in the queue: the reader sees EOF
@@ -400,11 +438,8 @@ fn peer_closing_with_jobs_queued_still_releases_the_permits() {
     // contains the failed write this test is about.
     static FAILED_WRITES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     loom::model(|| {
-        let q = Arc::new(Handoff::new(1));
-        let worker = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.work())
-        };
+        let q = Arc::new(Handoff::new());
+        let workers = spawn_workers(&q, 1);
         let reader = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
@@ -417,7 +452,10 @@ fn peer_closing_with_jobs_queued_still_releases_the_permits() {
         assert_eq!(jobs, 2, "an idle server admits both requests");
 
         q.begin_shutdown();
-        worker.join().expect("worker");
+        q.close();
+        for worker in workers {
+            worker.join().expect("worker");
+        }
 
         let written = q.written.load(Ordering::Relaxed);
         let failed = q.write_failed.load(Ordering::Relaxed);
@@ -471,13 +509,10 @@ fn reply_expiry_loss_and_drain_race_for_one_request() {
     static WON_BY: [std::sync::atomic::AtomicU64; 4] =
         [const { std::sync::atomic::AtomicU64::new(0) }; 4];
     loom::model(|| {
-        let mut q = Handoff::new(1);
+        let mut q = Handoff::new();
         q.parks = true;
         let q = Arc::new(q);
-        let worker = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.work())
-        };
+        let workers = spawn_workers(&q, 1);
         let reader = {
             let q = Arc::clone(&q);
             thread::spawn(move || q.read(0, 1))
@@ -501,7 +536,10 @@ fn reply_expiry_loss_and_drain_race_for_one_request() {
         };
         // Shutdown, with the drain budget already spent.
         q.begin_shutdown();
-        worker.join().expect("worker");
+        q.close();
+        for worker in workers {
+            worker.join().expect("worker");
+        }
         let by_drain = q.fail_unanswered() == 1;
 
         let by_reply = reply.join().expect("uplink reader");
@@ -542,15 +580,10 @@ fn reply_expiry_loss_and_drain_race_for_one_request() {
 #[test]
 fn graceful_drain_answers_what_is_parked_on_the_uplink() {
     loom::model(|| {
-        let mut q = Handoff::new(CONNS);
+        let mut q = Handoff::new();
         q.parks = true;
         let q = Arc::new(q);
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || q.work())
-            })
-            .collect();
+        let workers = spawn_workers(&q, 2);
         let readers: Vec<_> = (0..CONNS)
             .map(|conn| {
                 let q = Arc::clone(&q);
@@ -574,6 +607,7 @@ fn graceful_drain_answers_what_is_parked_on_the_uplink() {
         for reader in readers {
             jobs += reader.join().expect("reader").0;
         }
+        q.close();
         for worker in workers {
             worker.join().expect("worker");
         }
